@@ -32,11 +32,17 @@
 // separation. Works against a local vault (-vault) or a live
 // organisation (-remote).
 //
+// With -vault and -sizes it prints the vault's evidence-space overhead
+// (paper section 6) instead of a verdict: per segment, the format its
+// records and its index are stored in and the bytes each takes per
+// record, then the vault's total.
+//
 // Usage:
 //
 //	nrverify -bundle DIR [-run RUN-ID]
 //	nrverify -vault DIR [-bundle DIR] [-run RUN-ID] [-txn TXN-ID] [-deep]
 //	nrverify -vault DIR -prov RUN-ID [-hops N]
+//	nrverify -vault DIR -sizes
 //	nrverify -remote ADDR [-bundle DIR] [-run RUN-ID] [-source PARTY] [-page N]
 //	nrverify -remote ADDR -prov RUN-ID [-hops N]
 //	nrverify -remote ADDR -follow [-bundle DIR] [-for DURATION]
@@ -76,6 +82,7 @@ func main() {
 	forDur := flag.Duration("for", 0, "stop following after this long (0 = until interrupted)")
 	prov := flag.String("prov", "", "print the provenance graph of this run (vault or remote mode)")
 	hops := flag.Int("hops", 2, "degrees of derived-run separation to walk with -prov")
+	sizes := flag.Bool("sizes", false, "print per-segment formats and bytes per record (vault mode)")
 	flag.Parse()
 	if *remote != "" {
 		if *prov != "" {
@@ -87,6 +94,9 @@ func main() {
 		os.Exit(auditRemote(*remote, *dir, *source, *runFilter, *page))
 	}
 	if *vaultDir != "" {
+		if *sizes {
+			os.Exit(sizesVault(*vaultDir))
+		}
 		if *prov != "" {
 			os.Exit(provVault(*vaultDir, id.Run(*prov), *hops))
 		}
@@ -538,6 +548,48 @@ func followVerdict(records, faults int) int {
 		return 1
 	}
 	fmt.Println("verdict: streamed evidence verifies (chain-continuous)")
+	return 0
+}
+
+// sizesVault prints what the vault's evidence costs on disk: one row per
+// segment, then the total.
+func sizesVault(dir string) int {
+	v, err := vault.Open(dir, clock.Real{}, vault.WithReadOnly())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nrverify:", err)
+		return 2
+	}
+	defer v.Close()
+	segs, err := v.Sizes()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nrverify:", err)
+		return 2
+	}
+	perRecord := func(bytes int64, records int) float64 {
+		if records == 0 {
+			return 0
+		}
+		return float64(bytes) / float64(records)
+	}
+	fmt.Printf("%-8s %-7s %-10s %8s %12s %-7s %12s\n", "segment", "state", "format", "records", "frame B/rec", "index", "index B/rec")
+	var records int
+	var segBytes, idxBytes int64
+	for _, s := range segs {
+		state, index := "sealed", s.IndexFormat
+		if !s.Sealed {
+			state = "tail"
+		}
+		if index == "" {
+			index = "-"
+		}
+		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-7s %12.1f\n", s.Segment, state, s.Format, s.Records,
+			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records))
+		records += s.Records
+		segBytes += s.SegmentBytes
+		idxBytes += s.IndexBytes
+	}
+	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f B/record\n",
+		records, len(segs), segBytes, idxBytes, perRecord(segBytes+idxBytes, records))
 	return 0
 }
 

@@ -4,17 +4,19 @@
 // format whose decode must reproduce, byte for byte, the canonical JSON
 // of the value it was encoded from. The primitives here are therefore
 // deliberately dumb: varint-framed fields, raw byte runs, and
-// text-framed timestamps (the exact RFC 3339 text the canonical form
-// would contain), with no schema of their own — each package owns the
-// field layout of its types.
+// timestamps and identifiers in compact forms that apply only when they
+// round-trip exactly (a literal fallback otherwise), with no schema of
+// their own — each package owns the field layout of its types.
 package canon
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 	"unicode/utf8"
 )
@@ -55,19 +57,125 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// AppendTime appends a timestamp as its length-prefixed RFC 3339 text —
-// the exact bytes the canonical JSON form contains — so a binary→JSON
-// projection reproduces the original canonical encoding (and hence the
-// original record hash) even for zoned or sub-nanosecond-truncated
-// values, which a unix-nanos encoding would silently re-zone.
-func AppendTime(b []byte, t time.Time) ([]byte, error) {
-	text, err := t.MarshalText()
-	if err != nil {
-		return nil, fmt.Errorf("canon: binary time: %w", err)
+// TimeMode says how a timestamp travels in a binary frame. The mode is
+// chosen by the encoder (ModeOfTime) and carried in the enclosing
+// frame's flag bits, so the common UTC case costs no byte of its own.
+type TimeMode uint8
+
+// Timestamp modes.
+const (
+	// TimeUTC is a zig-zag varint of Unix nanoseconds, rendered in UTC.
+	TimeUTC TimeMode = iota
+	// TimeZoned is TimeUTC followed by a zig-zag varint zone offset in
+	// seconds east of UTC (a non-zero whole number of minutes).
+	TimeZoned
+	// TimeText is the length-prefixed RFC 3339 text the canonical JSON
+	// form contains — the literal fallback for instants outside the
+	// nanosecond range and zones the other modes cannot reproduce.
+	TimeText
+)
+
+// Unix seconds whose nanosecond count fits an int64 with room for the
+// sub-second part.
+const (
+	minNanoSec = math.MinInt64/int64(time.Second) + 1
+	maxNanoSec = math.MaxInt64/int64(time.Second) - 1
+)
+
+// ModeOfTime picks the most compact mode that reproduces t's canonical
+// JSON byte for byte: RFC 3339 renders an instant plus a zone offset in
+// whole minutes, so an in-range instant with a zero or whole-minute
+// offset is exactly (nanoseconds, offset); anything else travels as
+// text.
+func ModeOfTime(t time.Time) TimeMode {
+	if sec := t.Unix(); sec < minNanoSec || sec > maxNanoSec {
+		return TimeText
 	}
-	b = binary.AppendUvarint(b, uint64(len(text)))
-	return append(b, text...), nil
+	switch _, off := t.Zone(); {
+	case off == 0:
+		return TimeUTC
+	case off%60 == 0 && off > -24*3600 && off < 24*3600:
+		return TimeZoned
+	default:
+		return TimeText
+	}
 }
+
+// AppendTime appends t in the given mode (as chosen by ModeOfTime). The
+// nanosecond count is written relative to base — 0 for an absolute
+// time, a neighbouring field's UnixNano for a delta; the subtraction
+// wraps, and the decoder's addition wraps back. Only TimeText can fail
+// (a year RFC 3339 cannot render).
+func AppendTime(b []byte, t time.Time, mode TimeMode, base int64) ([]byte, error) {
+	if mode == TimeText {
+		text, err := t.MarshalText()
+		if err != nil {
+			return nil, fmt.Errorf("canon: binary time: %w", err)
+		}
+		b = binary.AppendUvarint(b, uint64(len(text)))
+		return append(b, text...), nil
+	}
+	b = binary.AppendVarint(b, t.UnixNano()-base)
+	if mode == TimeZoned {
+		_, off := t.Zone()
+		b = binary.AppendVarint(b, int64(off))
+	}
+	return b, nil
+}
+
+// Packed identifier tags: the low two bits of an identifier's leading
+// uvarint; the remaining bits are the byte length that follows.
+const (
+	idLiteral = iota // the string itself
+	idRun            // "run-" + lowercase hex of the bytes
+	idTxn            // "txn-" + lowercase hex of the bytes
+	idHex            // lowercase hex of the bytes
+)
+
+var idPrefix = [...]string{idRun: "run-", idTxn: "txn-", idHex: ""}
+
+// AppendPackedID appends an identifier, packing the repo's generated
+// shapes — "run-"/"txn-" + lowercase hex, and bare lowercase hex
+// nonces — as a tag plus the raw bytes (half the text). Any other
+// string (upper-case or odd-length hex, foreign schemes) is written
+// literally, so decoding always reproduces s exactly. The encoding is a
+// function of s alone: equal strings pack to equal bytes, which lets
+// packed identifiers serve as sort keys.
+func AppendPackedID(b []byte, s string) []byte {
+	tag, digits := idHex, s
+	switch {
+	case strings.HasPrefix(s, "run-"):
+		tag, digits = idRun, s[4:]
+	case strings.HasPrefix(s, "txn-"):
+		tag, digits = idTxn, s[4:]
+	}
+	n := len(digits) / 2
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(n)<<2|uint64(tag))
+	ok := len(digits)%2 == 0
+	for i := 0; ok && i < n; i++ {
+		hi, lo := nibble[digits[2*i]], nibble[digits[2*i+1]]
+		ok = hi|lo < 16
+		b = append(b, hi<<4|lo)
+	}
+	if !ok {
+		b = binary.AppendUvarint(b[:start], uint64(len(s))<<2|idLiteral)
+		b = append(b, s...)
+	}
+	return b
+}
+
+// nibble maps a lowercase hex digit to its value and every other byte
+// to 0xFF.
+var nibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	for i := 0; i < 16; i++ {
+		t["0123456789abcdef"[i]] = byte(i)
+	}
+	return t
+}()
 
 // BinReader decodes the primitives appended above with a sticky error:
 // callers chain field reads and check Err (or Done) once. Byte runs are
@@ -217,6 +325,34 @@ func (r *BinReader) ValidString() string {
 	return s
 }
 
+// Suffixed decodes a length-prefixed suffix and returns root+suffix in
+// one allocation — the read side of prefix sharing, where a frame
+// writes a string that extends another of its own fields as a
+// reference to that field plus the remainder.
+func (r *BinReader) Suffixed(root string) string {
+	n := r.Uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(r.Len()) {
+		r.failf("string of %d bytes exceeds %d remaining", n, r.Len())
+		return ""
+	}
+	raw := r.Raw(int(n))
+	if !utf8.Valid(raw) {
+		r.failf("string is not valid UTF-8")
+		return ""
+	}
+	if len(raw) == 0 {
+		return root
+	}
+	var sb strings.Builder
+	sb.Grow(len(root) + len(raw))
+	sb.WriteString(root)
+	sb.Write(raw)
+	return sb.String()
+}
+
 // Bytes decodes a nil-aware byte run as a sub-slice of the input.
 func (r *BinReader) Bytes() []byte {
 	switch r.Byte() {
@@ -249,18 +385,71 @@ func (r *BinReader) BytesCopy() []byte {
 	return out
 }
 
-// Time decodes a text-framed timestamp.
-func (r *BinReader) Time() time.Time {
-	text := r.Raw(int(r.Uvarint()))
+// Time decodes a timestamp written by AppendTime in the given mode,
+// relative to the same base.
+func (r *BinReader) Time(mode TimeMode, base int64) time.Time {
+	switch mode {
+	case TimeUTC:
+		return time.Unix(0, base+r.Varint()).UTC()
+	case TimeZoned:
+		nanos, off := base+r.Varint(), r.Varint()
+		// Only offsets ModeOfTime would choose: anything else would
+		// re-encode differently, and the frame would not be canonical.
+		if r.err == nil && (off == 0 || off%60 != 0 || off <= -24*3600 || off >= 24*3600) {
+			r.failf("zone offset %d", off)
+		}
+		if r.err != nil {
+			return time.Time{}
+		}
+		return time.Unix(0, nanos).In(time.FixedZone("", int(off)))
+	case TimeText:
+		n := r.Uvarint()
+		if r.err == nil && n > uint64(r.Len()) {
+			r.failf("timestamp of %d bytes exceeds %d remaining", n, r.Len())
+		}
+		text := r.Raw(int(n))
+		if r.err != nil {
+			return time.Time{}
+		}
+		var t time.Time
+		if err := t.UnmarshalText(text); err != nil {
+			r.failf("timestamp %q: %v", text, err)
+			return time.Time{}
+		}
+		return t
+	default:
+		r.failf("timestamp mode %d", mode)
+		return time.Time{}
+	}
+}
+
+// PackedID decodes an identifier written by AppendPackedID.
+func (r *BinReader) PackedID() string {
+	v := r.Uvarint()
 	if r.err != nil {
-		return time.Time{}
+		return ""
 	}
-	var t time.Time
-	if err := t.UnmarshalText(text); err != nil {
-		r.failf("timestamp %q: %v", text, err)
-		return time.Time{}
+	n, tag := v>>2, int(v&3)
+	if n > uint64(r.Len()) {
+		r.failf("identifier of %d bytes exceeds %d remaining", n, r.Len())
+		return ""
 	}
-	return t
+	raw := r.Raw(int(n))
+	if tag == idLiteral {
+		if !utf8.Valid(raw) {
+			r.failf("identifier is not valid UTF-8")
+			return ""
+		}
+		return string(raw)
+	}
+	prefix := idPrefix[tag]
+	var small [64]byte // run, txn and nonce shapes fit: one allocation, the string
+	out := small[:0]
+	if need := len(prefix) + hex.EncodedLen(len(raw)); need > len(small) {
+		out = make([]byte, 0, need)
+	}
+	out = append(out, prefix...)
+	return string(hex.AppendEncode(out, raw))
 }
 
 // Digester is a reusable canonical-digest engine: one buffer and one

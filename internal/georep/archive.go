@@ -36,7 +36,8 @@ import (
 // manifest chain) then bind the structure to the evidence it claims to
 // hold.
 const (
-	// objMagic heads one archived sealed segment: entry + index + data.
+	// objMagic heads one archived sealed segment: entry + a reserved
+	// (formerly index) frame + data.
 	objMagic = "NRA1"
 	// manMagic heads an archived manifest: the source's full seal chain.
 	manMagic = "NRAM"
@@ -57,9 +58,11 @@ func EncodeObject(pkg *vault.SegmentPackage) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(objMagic)+len(entry)+len(pkg.Index)+len(pkg.Data)+3*binary.MaxVarintLen64)
+	buf := make([]byte, 0, len(objMagic)+len(entry)+len(pkg.Data)+3*binary.MaxVarintLen64)
 	buf = append(buf, objMagic...)
-	for _, frame := range [][]byte{entry, pkg.Index, pkg.Data} {
+	// The middle frame once carried the segment's index file; restores
+	// derive the index from the verified records, so it is left empty.
+	for _, frame := range [][]byte{entry, nil, pkg.Data} {
 		buf = binary.AppendUvarint(buf, uint64(len(frame)))
 		buf = append(buf, frame...)
 	}
@@ -97,9 +100,6 @@ func DecodeObject(data []byte) (*vault.SegmentPackage, error) {
 	pkg := &vault.SegmentPackage{}
 	if err := canon.Unmarshal(frames[0], &pkg.Entry); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrArchiveCorrupt, err)
-	}
-	if len(frames[1]) > 0 {
-		pkg.Index = bytes.Clone(frames[1])
 	}
 	pkg.Data = bytes.Clone(frames[2])
 	if err := pkg.Verify(); err != nil {

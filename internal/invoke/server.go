@@ -31,10 +31,14 @@ type Server struct {
 	receiptTimeout   time.Duration
 	maxStreamBytes   int64
 
-	replies *protocol.ReplyCache
-
 	mu   sync.Mutex
 	runs map[id.Run]*serverRun
+	// settled lists, oldest first, the runs whose exchange is over — the
+	// receipt (or its TTP substitute) logged and every result stream
+	// served to its last chunk. They stay only to answer retransmissions
+	// idempotently, within maxSettledRuns and maxSettledChunkBytes.
+	settled           []id.Run
+	settledChunkBytes int64
 
 	// pending buffers inbound streamed-parameter chunks until the request
 	// whose signed evidence binds them arrives; keyed by sender and
@@ -60,8 +64,21 @@ func streamKey(sender id.Party, stream string) string {
 
 var _ protocol.Handler = (*Server)(nil)
 
-// serverRun is the per-run state the server keeps between response and
-// receipt.
+// Bounds on what the server keeps of settled runs. Like pending inbound
+// streams, settled runs are evicted oldest first; nothing here is
+// evidence — that is in the log — only the means to repeat an answer.
+const (
+	// maxSettledRuns bounds the settled runs whose cached response and
+	// receipt state are kept for retransmitted requests and receipts.
+	maxSettledRuns = 256
+	// maxSettledChunkBytes bounds the streamed-result chunks settled
+	// runs keep, in total, for retransmitted chunk fetches.
+	maxSettledChunkBytes = 32 << 20
+)
+
+// serverRun is the per-run state the server keeps: everything between
+// response and receipt, and after the exchange settles only what a
+// retransmission needs answered.
 type serverRun struct {
 	client     id.Party
 	reqSnap    evidence.RequestSnapshot
@@ -70,17 +87,41 @@ type serverRun struct {
 	nro        *evidence.Token
 	nrr        *evidence.Token
 	nroResp    *evidence.Token
-	// resultChunks holds the run's streamed results for chunk-fetch
-	// serving, keyed by stream name.
+	// reply is the response message, returned again to a retried request
+	// (at-most-once execution).
+	reply *protocol.Message
+	// receiptless marks a protocol variant with no step 3: the exchange
+	// is over once the response is out.
+	receiptless bool
+
+	// Guarded by Server.mu: resultChunks holds the run's streamed results
+	// for chunk-fetch serving, keyed by stream name (chunkBytes in total);
+	// unserved counts the streams whose last chunk has not been fetched
+	// yet; settled marks a run already on the settled list.
 	resultChunks map[string][][]byte
+	chunkBytes   int64
+	served       map[string]bool
+	unserved     int
+	settled      bool
 
 	receiptOnce sync.Once
 	receipt     chan struct{}
 	resolveOnce sync.Once
+	// receiptMu serialises receipt processing for the run, so a receipt
+	// retransmitted while the first copy is still being logged waits and
+	// is then recognised as a duplicate rather than logged twice.
+	receiptMu sync.Mutex
 
 	mu       sync.Mutex
 	resolved bool
 	consumed *evidence.Consumption
+}
+
+// over reports whether the run's evidence exchange has ended.
+func (r *serverRun) over() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.receiptless || r.consumed != nil || r.resolved
 }
 
 // markReceipt records arrival of the client's receipt.
@@ -144,7 +185,6 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 		proto:          ProtocolDirect,
 		execTimeout:    DefaultExecTimeout,
 		maxStreamBytes: DefaultMaxStreamBytes,
-		replies:        protocol.NewReplyCache(),
 		runs:           make(map[id.Run]*serverRun),
 		pending:        make(map[string]*pendingStream),
 		closed:         make(chan struct{}),
@@ -173,8 +213,11 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		return nil, fmt.Errorf("invoke: unexpected request kind %q", msg.Kind)
 	}
 	// At-most-once: a retried request returns the original response.
-	if cached, ok := s.replies.Get(msg.Run, stepResponse); ok {
-		return cached, nil
+	s.mu.Lock()
+	done, ok := s.runs[msg.Run]
+	s.mu.Unlock()
+	if ok {
+		return done.reply, nil
 	}
 
 	svc := s.co.Services()
@@ -267,8 +310,19 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		respDigest:   respDigest,
 		nro:          nro,
 		nrr:          nrr,
+		reply:        reply,
+		receiptless:  s.proto == ProtocolVoluntary,
 		resultChunks: resultChunks,
+		served:       make(map[string]bool),
 		receipt:      make(chan struct{}),
+	}
+	for _, chunks := range resultChunks {
+		if len(chunks) > 0 {
+			rs.unserved++
+		}
+		for _, c := range chunks {
+			rs.chunkBytes += int64(len(c))
+		}
 	}
 
 	switch s.proto {
@@ -310,8 +364,8 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 
 	s.mu.Lock()
 	s.runs[msg.Run] = rs
+	s.settleLocked(msg.Run, rs)
 	s.mu.Unlock()
-	s.replies.Put(msg.Run, stepResponse, reply)
 
 	if s.proto == ProtocolFair && s.receiptTimeout > 0 && s.ttp != "" {
 		s.watchReceipt(rs, msg.Run)
@@ -510,6 +564,10 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchRun, msg.Run)
 	}
+	if rs.resultChunks == nil && rs.settled {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s was served in full and its result streams released", ErrNoSuchRun, msg.Run)
+	}
 	chunks, ok := rs.resultChunks[fb.Name]
 	if !ok {
 		s.mu.Unlock()
@@ -520,6 +578,11 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 		return nil, fmt.Errorf("invoke: result stream %q has no chunk %d", fb.Name, fb.Seq)
 	}
 	data := chunks[fb.Seq]
+	if fb.Seq == len(chunks)-1 && !rs.served[fb.Name] {
+		rs.served[fb.Name] = true
+		rs.unserved--
+		s.settleLocked(msg.Run, rs)
+	}
 	s.mu.Unlock()
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData}
 	if err := reply.SetBody(chunkDataBody{Data: data}); err != nil {
@@ -550,6 +613,14 @@ func (s *Server) Process(_ context.Context, msg *protocol.Message) error {
 	if err := msg.Body(&body); err != nil {
 		return err
 	}
+	rs.receiptMu.Lock()
+	defer rs.receiptMu.Unlock()
+	rs.mu.Lock()
+	logged := rs.consumed != nil
+	rs.mu.Unlock()
+	if logged {
+		return nil // retransmission: the receipt is already in the log
+	}
 	note := body.Note
 	if note.Run != msg.Run || note.ResponseDigest != rs.respDigest {
 		return fmt.Errorf("%w: receipt does not match response", ErrEvidenceInvalid)
@@ -572,7 +643,42 @@ func (s *Server) Process(_ context.Context, msg *protocol.Message) error {
 		return err
 	}
 	rs.markReceipt(note.Consumption)
+	s.settle(msg.Run, rs)
 	return nil
+}
+
+// settle moves a run whose exchange is over and whose result streams
+// were served to the end onto the settled list, then enforces the
+// list's bounds: whole runs beyond maxSettledRuns are forgotten, and the
+// oldest settled runs give up their result chunks until what remains
+// fits maxSettledChunkBytes. A fetch or receipt retransmitted within
+// those bounds is still answered from the kept state.
+func (s *Server) settle(run id.Run, rs *serverRun) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settleLocked(run, rs)
+}
+
+func (s *Server) settleLocked(run id.Run, rs *serverRun) {
+	if rs.settled || rs.unserved > 0 || s.runs[run] != rs || !rs.over() {
+		return
+	}
+	rs.settled = true
+	s.settled = append(s.settled, run)
+	s.settledChunkBytes += rs.chunkBytes
+	for len(s.settled) > maxSettledRuns {
+		if old, ok := s.runs[s.settled[0]]; ok {
+			s.settledChunkBytes -= old.chunkBytes
+			delete(s.runs, s.settled[0])
+		}
+		s.settled = s.settled[1:]
+	}
+	for i := 0; s.settledChunkBytes > maxSettledChunkBytes && i < len(s.settled); i++ {
+		if old := s.runs[s.settled[i]]; old != nil && old.chunkBytes > 0 {
+			s.settledChunkBytes -= old.chunkBytes
+			old.resultChunks, old.chunkBytes = nil, 0
+		}
+	}
 }
 
 // watchReceipt resolves through the TTP if the receipt does not arrive in
@@ -640,6 +746,7 @@ func (s *Server) resolve(ctx context.Context, rs *serverRun, run id.Run) error {
 		rs.mu.Lock()
 		rs.resolved = true
 		rs.mu.Unlock()
+		s.settle(run, rs)
 	})
 	return resolveErr
 }

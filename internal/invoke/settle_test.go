@@ -1,0 +1,142 @@
+package invoke
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"sync/atomic"
+	"testing"
+
+	"nonrep/internal/evidence"
+	"nonrep/internal/id"
+	"nonrep/internal/protocol"
+	"nonrep/internal/testpki"
+)
+
+// TestServerSettledRunsBounded is the regression test for the server's
+// run table growing for the life of the process: after a thousand calls,
+// a tenth of them with a streamed result, what the server still holds is
+// bounded — by maxSettledRuns entries and maxSettledChunkBytes of result
+// chunks — and within those bounds a retransmitted request, receipt or
+// chunk fetch is still answered from the kept state, without executing
+// or logging anything twice.
+func TestServerSettledRunsBounded(t *testing.T) {
+	const (
+		clientParty = id.Party("urn:org:dealer")
+		serverParty = id.Party("urn:org:manufacturer")
+		calls       = 1000
+		streamEvery = 10
+		streamBytes = 512 << 10
+	)
+	d := testpki.MustDomain(clientParty, serverParty)
+	defer d.Close()
+	payload := bytes.Repeat([]byte("evidence"), streamBytes/8)
+	var executed atomic.Int64
+	srv := NewServer(d.Node(serverParty).Coordinator(), StreamExecutorFunc(
+		func(_ context.Context, req *evidence.RequestSnapshot, _ map[string]io.Reader, results *ResultStreams) ([]evidence.Param, error) {
+			executed.Add(1)
+			if req.Operation == "Export" {
+				if _, err := results.Writer("dump").Write(payload); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}))
+	defer srv.Close()
+	cli := NewClient(d.Node(clientParty).Coordinator())
+	ctx := context.Background()
+
+	var first, last, lastStreamed *Result
+	for i := 0; i < calls; i++ {
+		req := Request{Service: "urn:org:manufacturer/orders", Operation: "PlaceOrder"}
+		if i%streamEvery == streamEvery-1 {
+			req.Operation = "Export"
+		}
+		res, err := cli.Invoke(ctx, serverParty, req)
+		if err != nil || res.Status != evidence.StatusOK {
+			t.Fatalf("call %d: %v (%v)", i, err, res)
+		}
+		if req.Operation == "Export" {
+			back, err := io.ReadAll(res.Stream("dump"))
+			if err != nil || !bytes.Equal(back, payload) {
+				t.Fatalf("call %d: streamed result: %d bytes, err %v", i, len(back), err)
+			}
+			lastStreamed = res
+		}
+		if err := srv.WaitReceipt(ctx, res.Run); err != nil {
+			t.Fatalf("call %d: receipt: %v", i, err)
+		}
+		if first == nil {
+			first = res
+		}
+		last = res
+	}
+
+	srv.mu.Lock()
+	runs, settled, held := len(srv.runs), len(srv.settled), srv.settledChunkBytes
+	var actual int64
+	for _, rs := range srv.runs {
+		for _, chunks := range rs.resultChunks {
+			for _, c := range chunks {
+				actual += int64(len(c))
+			}
+		}
+	}
+	srv.mu.Unlock()
+	if runs > maxSettledRuns || settled != runs {
+		t.Fatalf("server holds %d runs (%d settled) after %d calls, bound %d", runs, settled, calls, maxSettledRuns)
+	}
+	if actual > maxSettledChunkBytes || held != actual {
+		t.Fatalf("server holds %d result-chunk bytes (accounted %d), bound %d", actual, held, maxSettledChunkBytes)
+	}
+	if streamed := int64(calls/streamEvery) * streamBytes; streamed <= maxSettledChunkBytes {
+		t.Fatalf("test streams %d bytes in all: not enough to reach the %d bound", streamed, maxSettledChunkBytes)
+	}
+
+	// Within the bound, retransmissions get the answer they got before.
+	logged := d.Node(serverParty).Log().Len()
+	ran := executed.Load()
+	srv.mu.Lock()
+	kept := srv.runs[last.Run]
+	srv.mu.Unlock()
+	if kept == nil {
+		t.Fatal("the newest run was forgotten")
+	}
+	again, err := srv.ProcessRequest(ctx, &protocol.Message{Protocol: ProtocolDirect, Run: last.Run, Step: stepRequest, Kind: kindRequest})
+	if err != nil || again != kept.reply {
+		t.Fatalf("retried request = %v, %v, want the cached response", again, err)
+	}
+	receipt := &protocol.Message{Protocol: ProtocolDirect, Run: last.Run, Step: stepReceipt, Kind: kindReceipt,
+		Tokens: []*evidence.Token{last.Evidence[len(last.Evidence)-1]}}
+	if err := receipt.SetBody(receiptBody{Note: evidence.ReceiptNote{Run: last.Run, Client: clientParty, ResponseDigest: kept.respDigest}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Process(ctx, receipt); err != nil {
+		t.Fatalf("retransmitted receipt: %v", err)
+	}
+	lastSeq := len(lastStreamed.Stream("dump").Ref().Chunks) - 1
+	fetch := &protocol.Message{Protocol: ProtocolDirect, Run: lastStreamed.Run, Step: stepResponse, Kind: kindChunkFetch}
+	if err := fetch.SetBody(chunkFetchBody{Run: lastStreamed.Run, Name: "dump", Seq: lastSeq}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := srv.ProcessRequest(ctx, fetch)
+	if err != nil {
+		t.Fatalf("retransmitted chunk fetch: %v", err)
+	}
+	var chunk chunkDataBody
+	if err := reply.Body(&chunk); err != nil || !bytes.HasSuffix(payload, chunk.Data) || len(chunk.Data) == 0 {
+		t.Fatalf("retransmitted chunk fetch returned %d bytes, err %v", len(chunk.Data), err)
+	}
+	if got := d.Node(serverParty).Log().Len(); got != logged {
+		t.Fatalf("retransmissions grew the evidence log from %d to %d records", logged, got)
+	}
+	if got := executed.Load(); got != ran {
+		t.Fatalf("retransmissions executed the component %d more times", got-ran)
+	}
+
+	// Beyond the bound the run is gone, and says so.
+	if _, _, err := srv.ReceiptState(first.Run); !errors.Is(err, ErrNoSuchRun) {
+		t.Fatalf("oldest run after %d calls: %v, want ErrNoSuchRun", calls, err)
+	}
+}

@@ -146,7 +146,7 @@ func (s *GeoService) handleAppend(msg *Message) (*Message, error) {
 	if err := s.verifyAppend(msg, &req); err != nil {
 		return nil, err
 	}
-	recs, err := decodeGeoFrames(req.First, req.Count, req.Frames)
+	recs, err := decodeRecordPush("geo push", req.First, req.Count, req.Frames)
 	if err != nil {
 		return nil, err
 	}
@@ -187,30 +187,26 @@ func (s *GeoService) verifyAppend(msg *Message, req *geoAppendReq) error {
 	return nil
 }
 
-// decodeGeoFrames decodes one pushed batch, checking frame integrity
-// and internal chain continuity; ReceiveTail re-anchors the first
-// record against the replica's own position.
-func decodeGeoFrames(first uint64, count int, frames []byte) ([]*store.Record, error) {
-	recs := make([]*store.Record, 0, count)
-	data := frames
-	for len(data) > 0 {
-		rec, n, err := store.DecodeRecordFrame(data)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: geo push: %w", err)
-		}
-		if rec == nil {
-			return nil, errors.New("protocol: geo push with truncated record frame")
-		}
+// decodeRecordPush decodes one pushed batch of record frames — a geo
+// tail push or a feed push, what names it in errors — checking frame
+// integrity, the announced shape and internal chain continuity. The
+// first record's link to what the receiver already holds is the
+// receiver's check.
+func decodeRecordPush(what string, first uint64, count int, frames []byte) ([]*store.Record, error) {
+	var recs []*store.Record
+	if err := store.DecodeFrameRun(frames, func(rec *store.Record) error {
 		recs = append(recs, rec)
-		data = data[n:]
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("protocol: %s: %w", what, err)
 	}
 	if len(recs) == 0 || len(recs) != count || recs[0].Seq != first {
-		return nil, errors.New("protocol: geo push frame header mismatch")
+		return nil, fmt.Errorf("protocol: %s frame header mismatch", what)
 	}
 	cv := store.ResumeChain(recs[0].Seq-1, recs[0].Prev)
 	for _, rec := range recs {
 		if err := cv.Check(rec); err != nil {
-			return nil, fmt.Errorf("protocol: geo push chain: %w", err)
+			return nil, fmt.Errorf("protocol: %s chain: %w", what, err)
 		}
 	}
 	return recs, nil
@@ -262,12 +258,9 @@ func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, re
 	if err != nil {
 		return 0, err
 	}
-	var frames []byte
-	var enc store.RecordEncoder
-	for _, rec := range recs {
-		if frames, err = enc.AppendRecord(frames, rec); err != nil {
-			return 0, err
-		}
+	frames, err := store.AppendFrameRun(nil, recs)
+	if err != nil {
+		return 0, err
 	}
 	req := &geoAppendReq{Source: source, First: recs[0].Seq, Count: len(recs), Frames: frames}
 	msg := &Message{Protocol: GeoProtocol, Run: id.NewRun(), Step: 1, Kind: KindGeoAppend}

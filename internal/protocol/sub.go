@@ -406,7 +406,6 @@ func (s *SubService) handleOpen(msg *Message) (*Message, error) {
 // subscription's own goroutine, so a slow or dead subscriber fills its
 // outbox and is evicted without touching the vault's commit path.
 func (s *SubService) sink(ss *serverSub, segments bool) feed.Sink {
-	var enc store.RecordEncoder
 	return func(ev feed.Event) error {
 		ctx, cancel := context.WithTimeout(context.Background(), s.pushTimeout)
 		defer cancel()
@@ -421,12 +420,9 @@ func (s *SubService) sink(ss *serverSub, segments bool) feed.Sink {
 			}
 			return s.push(ctx, ss, KindSubSeal, body)
 		}
-		var frames []byte
-		for _, rec := range ev.Records {
-			var err error
-			if frames, err = enc.AppendRecord(frames, rec); err != nil {
-				return err
-			}
+		frames, err := store.AppendFrameRun(nil, ev.Records)
+		if err != nil {
+			return err
 		}
 		return s.pushRaw(ctx, ss, KindSubRecords, marshalRecordsPush(&subRecordsPush{
 			SubID:  ss.id,
@@ -594,27 +590,9 @@ func (c *SubClient) decodeFrames(first uint64, count int, frames []byte) ([]*sto
 	if ok {
 		return recs, nil
 	}
-	recs = make([]*store.Record, 0, count)
-	data := frames
-	for len(data) > 0 {
-		rec, n, err := store.DecodeRecordFrame(data)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: feed push: %w", err)
-		}
-		if rec == nil {
-			return nil, errors.New("protocol: feed push with truncated record frame")
-		}
-		recs = append(recs, rec)
-		data = data[n:]
-	}
-	if len(recs) == 0 || len(recs) != count || recs[0].Seq != first {
-		return nil, errors.New("protocol: feed push frame header mismatch")
-	}
-	cv := store.ResumeChain(recs[0].Seq-1, recs[0].Prev)
-	for _, rec := range recs {
-		if err := cv.Check(rec); err != nil {
-			return nil, fmt.Errorf("protocol: feed chain: %w", err)
-		}
+	recs, err := decodeRecordPush("feed push", first, count, frames)
+	if err != nil {
+		return nil, err
 	}
 	c.bmu.Lock()
 	if _, dup := c.batches[key]; !dup {

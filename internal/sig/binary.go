@@ -6,26 +6,119 @@ import (
 	"nonrep/internal/canon"
 )
 
-// AppendBinary appends the binary encoding of the signature. The layout
-// mirrors the canonical JSON field order; Bytes keeps its nil/empty
-// distinction (json:"sig" has no omitempty, so nil projects to null and
-// empty to ""), while the omitempty-tagged slices are normalised to nil
-// when empty — canonical JSON cannot tell the two apart for them.
-func (s *Signature) AppendBinary(dst []byte) []byte {
-	dst = append(dst, byte(s.Algorithm))
-	dst = canon.AppendString(dst, s.KeyID)
-	dst = canon.AppendBytes(dst, s.Bytes)
-	dst = canon.AppendUvarint(dst, uint64(s.Period))
-	dst = canon.AppendBytes(dst, s.PublicHint)
-	dst = appendByteSlices(dst, s.Path)
-	dst = canon.AppendBytes(dst, s.BatchRoot)
-	dst = appendByteSlices(dst, s.BatchPath)
-	return canon.AppendUvarint(dst, uint64(s.BatchIndex))
+// Presence bits for the optional signature fields, as returned by
+// BinaryFlags. The enclosing codec (an evidence or time-stamp token)
+// folds them into its own presence bitmap, so an ordinary signature —
+// algorithm, key id, bytes — spends no byte on the six fields it does
+// not have.
+const (
+	flagPeriod = 1 << iota
+	flagPublicHint
+	flagPath
+	flagBatchRoot
+	flagBatchPath
+	flagBatchIndex
+	// flagNilBytes marks Bytes == nil: json:"sig" has no omitempty, so
+	// nil projects to null and empty to "", and the two must survive.
+	flagNilBytes
+
+	// BinaryFlagBits is how many bits BinaryFlags uses.
+	BinaryFlagBits = 7
+)
+
+// BinaryFlags reports which optional fields AppendBinary will write.
+// The omitempty-tagged fields count as absent when empty — canonical
+// JSON cannot tell an empty one from a nil one.
+func (s *Signature) BinaryFlags() uint64 {
+	var f uint64
+	if s.Period != 0 {
+		f |= flagPeriod
+	}
+	if len(s.PublicHint) > 0 {
+		f |= flagPublicHint
+	}
+	if len(s.Path) > 0 {
+		f |= flagPath
+	}
+	if len(s.BatchRoot) > 0 {
+		f |= flagBatchRoot
+	}
+	if len(s.BatchPath) > 0 {
+		f |= flagBatchPath
+	}
+	if s.BatchIndex != 0 {
+		f |= flagBatchIndex
+	}
+	if s.Bytes == nil {
+		f |= flagNilBytes
+	}
+	return f
 }
 
-// DecodeBinary decodes a signature from r into s. All byte runs are
-// copied: decoded signatures outlive the buffer they came from.
-func (s *Signature) DecodeBinary(r *canon.BinReader) {
+// AppendBinary appends the binary encoding of the signature, all but
+// its key id: key ids are rooted at a party URI the enclosing token
+// already carries, so the token writes the id as a reference plus
+// suffix. Fields follow the canonical JSON order; those BinaryFlags
+// reports absent are skipped.
+func (s *Signature) AppendBinary(dst []byte) []byte {
+	dst = append(dst, byte(s.Algorithm))
+	if s.Bytes != nil {
+		dst = appendRun(dst, s.Bytes)
+	}
+	if s.Period != 0 {
+		dst = canon.AppendUvarint(dst, uint64(s.Period))
+	}
+	if len(s.PublicHint) > 0 {
+		dst = appendRun(dst, s.PublicHint)
+	}
+	if len(s.Path) > 0 {
+		dst = appendByteSlices(dst, s.Path)
+	}
+	if len(s.BatchRoot) > 0 {
+		dst = appendRun(dst, s.BatchRoot)
+	}
+	if len(s.BatchPath) > 0 {
+		dst = appendByteSlices(dst, s.BatchPath)
+	}
+	if s.BatchIndex != 0 {
+		dst = canon.AppendUvarint(dst, uint64(s.BatchIndex))
+	}
+	return dst
+}
+
+// DecodeBinary decodes what AppendBinary wrote, given the flags the
+// enclosing codec carried; KeyID is the caller's to fill. All byte runs
+// are copied: decoded signatures outlive the buffer they came from.
+func (s *Signature) DecodeBinary(r *canon.BinReader, flags uint64) {
+	s.Algorithm = Algorithm(r.Byte())
+	if flags&flagNilBytes == 0 {
+		s.Bytes = decodeRun(r)
+	}
+	if flags&flagPeriod != 0 {
+		s.Period = decodeUint32(r)
+	}
+	if flags&flagPublicHint != 0 {
+		s.PublicHint = decodeRun(r)
+	}
+	if flags&flagPath != 0 {
+		s.Path = decodeByteSlices(r)
+	}
+	if flags&flagBatchRoot != 0 {
+		s.BatchRoot = decodeRun(r)
+	}
+	if flags&flagBatchPath != 0 {
+		s.BatchPath = decodeByteSlices(r)
+	}
+	if flags&flagBatchIndex != 0 {
+		s.BatchIndex = decodeUint32(r)
+	}
+}
+
+// DecodeBinaryV1 decodes a signature from a version-1 frame, which
+// wrote every field (key id included) with a presence marker each.
+// Nothing writes this layout any more; segments that hold it stay
+// readable.
+func (s *Signature) DecodeBinaryV1(r *canon.BinReader) {
 	s.Algorithm = Algorithm(r.Byte())
 	s.KeyID = r.ValidString()
 	s.Bytes = r.BytesCopy()
@@ -35,6 +128,26 @@ func (s *Signature) DecodeBinary(r *canon.BinReader) {
 	s.BatchRoot = r.BytesCopy()
 	s.BatchPath = decodeByteSlices(r)
 	s.BatchIndex = decodeUint32(r)
+}
+
+// appendRun appends a length-prefixed byte run whose presence the flags
+// already carry.
+func appendRun(dst, p []byte) []byte {
+	dst = canon.AppendUvarint(dst, uint64(len(p)))
+	return append(dst, p...)
+}
+
+// decodeRun decodes a byte run into fresh, non-nil memory.
+func decodeRun(r *canon.BinReader) []byte {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil
+	}
+	if n > uint64(r.Len()) {
+		r.Fail(canon.ErrBinary)
+		return nil
+	}
+	return append(make([]byte, 0, n), r.Raw(int(n))...)
 }
 
 func decodeUint32(r *canon.BinReader) uint32 {

@@ -1,30 +1,73 @@
 package stamp
 
 import (
+	"strings"
+
 	"nonrep/internal/canon"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
 
-// AppendBinary appends the binary encoding of the time-stamp token,
-// mirroring the canonical JSON field order with the digest as its raw
-// 32 bytes.
+// Flag bits of a binary time-stamp token: the time's mode, then the
+// signature's presence bits.
+const (
+	timeModeBits = 2
+	timeModeMask = 1<<timeModeBits - 1
+)
+
+// AppendBinary appends the binary encoding of the time-stamp token:
+// one flags varint, then the fields in canonical JSON order with the
+// digest as its raw 32 bytes, the time as nanoseconds and the key id as
+// a suffix of the TSA's URI when it extends it.
 func (t *Token) AppendBinary(dst []byte) ([]byte, error) {
+	mode := canon.ModeOfTime(t.Time)
+	dst = canon.AppendUvarint(dst, uint64(mode)|t.Signature.BinaryFlags()<<timeModeBits)
 	dst = append(dst, t.Digest[:]...)
-	dst, err := canon.AppendTime(dst, t.Time)
+	dst, err := canon.AppendTime(dst, t.Time, mode, 0)
 	if err != nil {
 		return nil, err
 	}
 	dst = canon.AppendString(dst, string(t.TSA))
 	dst = canon.AppendUvarint(dst, t.Serial)
+	if kid := t.Signature.KeyID; t.TSA != "" && strings.HasPrefix(kid, string(t.TSA)) {
+		dst = append(dst, 1)
+		dst = canon.AppendString(dst, kid[len(t.TSA):])
+	} else {
+		dst = append(dst, 0)
+		dst = canon.AppendString(dst, kid)
+	}
 	return t.Signature.AppendBinary(dst), nil
 }
 
 // DecodeBinary decodes a time-stamp token from r into t.
 func (t *Token) DecodeBinary(r *canon.BinReader) {
+	flags := r.Uvarint()
+	if flags>>(timeModeBits+sig.BinaryFlagBits) != 0 {
+		r.Fail(canon.ErrBinary)
+		return
+	}
 	copy(t.Digest[:], r.Raw(sig.DigestSize))
-	t.Time = r.Time()
+	t.Time = r.Time(canon.TimeMode(flags&timeModeMask), 0)
 	t.TSA = id.Party(r.ValidString())
 	t.Serial = r.Uvarint()
-	t.Signature.DecodeBinary(r)
+	switch r.Byte() {
+	case 0:
+		t.Signature.KeyID = r.ValidString()
+	case 1:
+		t.Signature.KeyID = r.Suffixed(string(t.TSA))
+	default:
+		r.Fail(canon.ErrBinary)
+	}
+	t.Signature.DecodeBinary(r, flags>>timeModeBits)
+}
+
+// DecodeBinaryV1 decodes a time-stamp token from a version-1 frame
+// (text timestamp, self-contained signature). Nothing writes this
+// layout any more.
+func (t *Token) DecodeBinaryV1(r *canon.BinReader) {
+	copy(t.Digest[:], r.Raw(sig.DigestSize))
+	t.Time = r.Time(canon.TimeText, 0)
+	t.TSA = id.Party(r.ValidString())
+	t.Serial = r.Uvarint()
+	t.Signature.DecodeBinaryV1(r)
 }

@@ -1,15 +1,25 @@
-// Binary record encoding — the machine path for segment files.
+// Binary record encoding — the machine path for segment files, replica
+// tails and record pushes.
 //
 // A binary segment is a 4-byte header ("NRS" + format version) followed
 // by length-prefixed record frames: uvarint body length, then the
-// record body (varint-framed fields mirroring the canonical JSON field
-// order, digests as their raw 32 bytes). Canonical JSON remains the
-// signed form: Record.Hash is still the digest of the record's
-// canonical JSON with Hash zeroed, so a record decoded from a binary
-// frame re-projects to exactly the canonical bytes it was encoded from
-// and the hash chain is encoding-independent. Legacy JSON-lines
-// segments are recognised by their first byte ('{') and remain readable
-// forever.
+// record body. Canonical JSON remains the signed form: Record.Hash is
+// still the digest of the record's canonical JSON with Hash zeroed, so
+// a record decoded from a binary frame re-projects to exactly the
+// canonical bytes it was encoded from and the hash chain is
+// encoding-independent.
+//
+// Version 2 (the only version written) spends bytes only on what a
+// record does not share with its neighbourhood: Prev is elided when the
+// frame directly follows its predecessor, times are nanosecond varints,
+// generated identifiers are raw bytes, kind and direction are one-byte
+// codes, and strings that extend one of the frame's own party URIs are
+// written as suffixes. Every compaction is exact or not applied — where
+// decoding would not reproduce the field byte for byte, the field is
+// written literally — and a frame decodes given nothing but its
+// predecessor's hash: there is no cross-record state. Version 1
+// segments (every field in full, text timestamps) and legacy JSON-lines
+// segments (first byte '{') remain readable forever.
 package store
 
 import (
@@ -35,8 +45,11 @@ const (
 	// EncJSON is canonical JSON lines, the legacy segment format and
 	// the audit projection.
 	EncJSON
-	// EncBinary is the length-prefixed binary frame format.
+	// EncBinary is the current length-prefixed binary frame format.
 	EncBinary
+	// EncBinaryV1 is the version-1 binary frame format: read, never
+	// written.
+	EncBinaryV1
 )
 
 // String names the encoding.
@@ -46,16 +59,29 @@ func (e Encoding) String() string {
 		return "json"
 	case EncBinary:
 		return "binary"
+	case EncBinaryV1:
+		return "binary-v1"
 	default:
 		return "unknown"
 	}
 }
 
+// HeaderLen is the length of the header that opens a segment file of
+// this encoding — where its first record starts.
+func (e Encoding) HeaderLen() int64 {
+	if e == EncBinary || e == EncBinaryV1 {
+		return SegmentHeaderLen
+	}
+	return 0
+}
+
 // Binary segment format constants.
 const (
-	// SegmentVersion is the binary segment format version carried in the
-	// header's fourth byte.
-	SegmentVersion = 1
+	// SegmentVersion is the binary segment format version written into
+	// the header's fourth byte.
+	SegmentVersion = 2
+	// segmentVersion1 is the superseded format, still decoded.
+	segmentVersion1 = 1
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -64,7 +90,7 @@ const (
 )
 
 // SegmentHeader returns the 4-byte header that opens every binary
-// segment file.
+// segment file and every pushed run of record frames.
 func SegmentHeader() [SegmentHeaderLen]byte {
 	return [SegmentHeaderLen]byte{'N', 'R', 'S', SegmentVersion}
 }
@@ -73,81 +99,208 @@ func SegmentHeader() [SegmentHeaderLen]byte {
 // unsupported format version.
 var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
-// DetectEncoding classifies segment data by its first byte: binary
-// segments open with 'N' (the "NRS" header), JSON segments with '{'.
-// Empty data is EncUnknown — the caller chooses. Detection is per FILE,
-// never per record: a binary frame body may well start with '{'.
+// DetectEncoding classifies segment data by its header: binary segments
+// open with 'N' (the "NRS" header, whose fourth byte tells version 1
+// from the current one), JSON segments with '{'. Empty data is
+// EncUnknown — the caller chooses. Detection is per FILE, never per
+// record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
-	if len(data) == 0 {
+	switch {
+	case len(data) == 0:
 		return EncUnknown
-	}
-	if data[0] == 'N' {
+	case data[0] != 'N':
+		return EncJSON
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion1:
+		return EncBinaryV1
+	default:
 		return EncBinary
 	}
-	return EncJSON
 }
+
+// Record frame flag bits (the first body byte of a version-2 frame).
+const (
+	// framePrev: the frame carries Prev explicitly. Cleared when Prev is
+	// the Hash of the frame just before it, which the decoder already
+	// holds.
+	framePrev = 1 << iota
+	frameToken
+	frameNote
+
+	frameAtShift = 3 // two bits: the canon.TimeMode of At
+	frameBits    = 5
+)
+
+// Direction codes; 0 means a literal string follows.
+const (
+	dirGenerated = 1
+	dirReceived  = 2
+)
 
 // RecordEncoder appends binary record frames, reusing one scratch
 // buffer across calls so the group-commit hot path allocates nothing
-// per record. Not safe for concurrent use.
+// per record, and eliding each frame's Prev when it is the Hash of the
+// frame this encoder appended immediately before. One encoder therefore
+// serves one contiguous run of frames — a segment file's appends, one
+// push — and the first frame of every run is explicit. Not safe for
+// concurrent use.
 type RecordEncoder struct {
 	scratch []byte
+	last    sig.Digest
+	chained bool
 }
+
+// Reset starts a new run: the next frame carries its Prev explicitly.
+// Call it whenever the next frame will not directly follow the previous
+// one in the same file or message.
+func (e *RecordEncoder) Reset() { e.chained = false }
 
 // AppendRecord appends rec as a length-prefixed binary frame.
 func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
-	body, err := appendRecordBody(e.scratch[:0], rec)
+	body, err := appendRecordBody(e.scratch[:0], rec, e.chained && rec.Prev == e.last)
 	if err != nil {
 		return nil, err
 	}
 	e.scratch = body
+	e.last, e.chained = rec.Hash, true
 	dst = canon.AppendUvarint(dst, uint64(len(body)))
 	return append(dst, body...), nil
 }
 
-// AppendRecordBinary appends rec as a length-prefixed binary frame.
+// AppendRecordBinary appends rec as a stand-alone length-prefixed
+// binary frame (Prev explicit).
 func AppendRecordBinary(dst []byte, rec *Record) ([]byte, error) {
 	var e RecordEncoder
 	return e.AppendRecord(dst, rec)
 }
 
-func appendRecordBody(dst []byte, rec *Record) ([]byte, error) {
+// AppendFrameRun appends a self-describing run of record frames — the
+// segment header, then one frame per record — the form record batches
+// take on the wire and in replica tail files. DecodeSegmentData (or
+// DecodeFrameRun) reads it back.
+func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
+	hdr := SegmentHeader()
+	dst = append(dst, hdr[:]...)
+	var e RecordEncoder
+	var err error
+	for _, rec := range recs {
+		if dst, err = e.AppendRecord(dst, rec); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
+	atMode := canon.ModeOfTime(rec.At)
+	flags := byte(atMode) << frameAtShift
+	if !elidePrev {
+		flags |= framePrev
+	}
+	if rec.Token != nil {
+		flags |= frameToken
+	}
+	if rec.Note != "" {
+		flags |= frameNote
+	}
+	dst = append(dst, flags)
 	dst = canon.AppendUvarint(dst, rec.Seq)
-	dst = append(dst, rec.Prev[:]...)
-	dst, err := canon.AppendTime(dst, rec.At)
+	if !elidePrev {
+		dst = append(dst, rec.Prev[:]...)
+	}
+	dst, err := canon.AppendTime(dst, rec.At, atMode, 0)
 	if err != nil {
 		return nil, err
 	}
-	dst = canon.AppendString(dst, string(rec.Direction))
-	dst = canon.AppendString(dst, rec.Note)
-	if rec.Token == nil {
+	switch rec.Direction {
+	case Generated:
+		dst = append(dst, dirGenerated)
+	case Received:
+		dst = append(dst, dirReceived)
+	default:
 		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst, err = rec.Token.AppendBinary(dst)
-		if err != nil {
+		dst = canon.AppendString(dst, string(rec.Direction))
+	}
+	if rec.Note != "" {
+		dst = canon.AppendString(dst, rec.Note)
+	}
+	if rec.Token != nil {
+		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode)); err != nil {
 			return nil, err
 		}
 	}
 	return append(dst, rec.Hash[:]...), nil
 }
 
-// decodeRecordBody decodes one record body; all variable-length data is
-// copied, so decoded records never alias the input buffer (which may be
-// an mmapped segment that is later unmapped).
-func decodeRecordBody(body []byte) (*Record, error) {
+// tokenTimeBase is what a frame's token writes IssuedAt relative to:
+// the record's own time when that travels as nanoseconds.
+func tokenTimeBase(at time.Time, mode canon.TimeMode) int64 {
+	if mode == canon.TimeText {
+		return 0
+	}
+	return at.UnixNano()
+}
+
+// decodeRecordBody decodes one version-2 record body; prev is the Hash
+// of the frame before it, needed only when the frame elides its Prev.
+// All variable-length data is copied, so decoded records never alias
+// the input buffer (which may be an mmapped segment that is later
+// unmapped).
+func decodeRecordBody(body []byte, prev *sig.Digest) (*Record, error) {
+	r := canon.NewBinReader(body)
+	rec := new(Record)
+	flags := r.Byte()
+	if flags>>frameBits != 0 {
+		r.Fail(canon.ErrBinary)
+	}
+	rec.Seq = r.Uvarint()
+	switch {
+	case flags&framePrev != 0:
+		copy(rec.Prev[:], r.Raw(sig.DigestSize))
+	case prev != nil:
+		rec.Prev = *prev
+	default:
+		return nil, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
+	}
+	atMode := canon.TimeMode(flags >> frameAtShift & 3)
+	rec.At = r.Time(atMode, 0)
+	switch r.Byte() {
+	case dirGenerated:
+		rec.Direction = Generated
+	case dirReceived:
+		rec.Direction = Received
+	case 0:
+		rec.Direction = Direction(r.ValidString())
+	default:
+		r.Fail(canon.ErrBinary)
+	}
+	if flags&frameNote != 0 {
+		rec.Note = r.ValidString()
+	}
+	if flags&frameToken != 0 && r.Err() == nil {
+		rec.Token = new(evidence.Token)
+		rec.Token.DecodeBinary(&r, tokenTimeBase(rec.At, atMode))
+	}
+	copy(rec.Hash[:], r.Raw(sig.DigestSize))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("store: decode binary record: %w", err)
+	}
+	return rec, nil
+}
+
+// decodeRecordBodyV1 decodes one version-1 record body.
+func decodeRecordBodyV1(body []byte) (*Record, error) {
 	r := canon.NewBinReader(body)
 	rec := new(Record)
 	rec.Seq = r.Uvarint()
 	copy(rec.Prev[:], r.Raw(sig.DigestSize))
-	rec.At = r.Time()
+	rec.At = r.Time(canon.TimeText, 0)
 	rec.Direction = Direction(r.ValidString())
 	rec.Note = r.ValidString()
 	switch r.Byte() {
 	case 0:
 	case 1:
 		tok := new(evidence.Token)
-		tok.DecodeBinary(&r)
+		tok.DecodeBinaryV1(&r)
 		rec.Token = tok
 	default:
 		r.Fail(canon.ErrBinary)
@@ -159,11 +312,19 @@ func decodeRecordBody(body []byte) (*Record, error) {
 	return rec, nil
 }
 
-// DecodeRecordFrame decodes the length-prefixed record frame at the
-// start of data, returning the record and the frame's total length.
-// A frame that runs past the end of data returns (nil, 0, nil): the
-// caller decides whether a short tail is a torn write or truncation.
+// DecodeRecordFrame decodes the stand-alone length-prefixed record
+// frame at the start of data, returning the record and the frame's
+// total length. A frame that runs past the end of data returns
+// (nil, 0, nil): the caller decides whether a short tail is a torn
+// write or truncation. A frame that elides its Prev is not stand-alone
+// and is refused; runs of frames go through DecodeSegmentData.
 func DecodeRecordFrame(data []byte) (*Record, int64, error) {
+	return decodeFrame(data, EncBinary, nil)
+}
+
+// decodeFrame decodes one frame of a binary encoding; prev is the
+// preceding frame's Hash when known.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest) (*Record, int64, error) {
 	n, w := uvarint(data)
 	if w == 0 {
 		return nil, 0, nil // truncated length prefix: possibly torn
@@ -174,7 +335,14 @@ func DecodeRecordFrame(data []byte) (*Record, int64, error) {
 	if uint64(len(data)-w) < n {
 		return nil, 0, nil // frame extends past the tail: possibly torn
 	}
-	rec, err := decodeRecordBody(data[w : uint64(w)+n])
+	body := data[w : uint64(w)+n]
+	var rec *Record
+	var err error
+	if enc == EncBinaryV1 {
+		rec, err = decodeRecordBodyV1(body)
+	} else {
+		rec, err = decodeRecordBody(body, prev)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -204,8 +372,11 @@ func uvarint(data []byte) (uint64, int) {
 
 // DecodeRecordData decodes exactly one record occupying all of data, in
 // the given encoding — the keyed-read path, handed a [offset, next
-// offset) sub-slice of a (possibly mmapped) segment.
-func DecodeRecordData(data []byte, enc Encoding) (*Record, error) {
+// offset) sub-slice of a (possibly mmapped) segment. prev is the Hash
+// of the record before it in the segment (from the sealed index's hash
+// array), which a frame that elides its Prev is completed with; nil for
+// a segment's first record.
+func DecodeRecordData(data []byte, enc Encoding, prev *sig.Digest) (*Record, error) {
 	switch enc {
 	case EncJSON:
 		rec := new(Record)
@@ -213,8 +384,8 @@ func DecodeRecordData(data []byte, enc Encoding) (*Record, error) {
 			return nil, err
 		}
 		return rec, nil
-	case EncBinary:
-		rec, frameLen, err := DecodeRecordFrame(data)
+	case EncBinary, EncBinaryV1:
+		rec, frameLen, err := decodeFrame(data, enc, prev)
 		if err != nil {
 			return nil, err
 		}
@@ -239,19 +410,38 @@ func DecodeRecordData(data []byte, enc Encoding) (*Record, error) {
 // corruption and yields an error. Empty data reads as empty with
 // EncUnknown.
 func DecodeSegmentData(data []byte, fn func(*Record, int64) error) (Encoding, int64, bool, error) {
-	switch DetectEncoding(data) {
+	switch enc := DetectEncoding(data); enc {
 	case EncUnknown:
 		return EncUnknown, 0, false, nil
-	case EncBinary:
-		prefix, torn, err := scanBinarySegment(data, fn)
-		return EncBinary, prefix, torn, err
+	case EncBinary, EncBinaryV1:
+		prefix, torn, err := scanBinarySegment(data, enc, fn)
+		return enc, prefix, torn, err
 	default:
 		prefix, torn, err := scanJSONSegment(data, fn)
 		return EncJSON, prefix, torn, err
 	}
 }
 
-func scanBinarySegment(data []byte, fn func(*Record, int64) error) (int64, bool, error) {
+// DecodeFrameRun decodes a pushed run of record frames in full: the
+// header-prefixed form AppendFrameRun writes, or — from a peer running
+// a build that predates it — a bare run of version-1 frames. A run is a
+// complete message, so a torn tail is an error here, not a recovery.
+func DecodeFrameRun(data []byte, fn func(*Record) error) error {
+	each := func(rec *Record, _ int64) error { return fn(rec) }
+	var torn bool
+	var err error
+	if len(data) > 0 && data[0] == 'N' {
+		_, _, torn, err = DecodeSegmentData(data, each)
+	} else {
+		_, torn, err = scanFrames(data, 0, EncBinaryV1, each)
+	}
+	if err == nil && torn {
+		err = fmt.Errorf("store: %w: truncated record frame", canon.ErrBinary)
+	}
+	return err
+}
+
+func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
 	header := SegmentHeader()
 	if len(data) < SegmentHeaderLen {
 		if bytes.HasPrefix(header[:], data) {
@@ -262,12 +452,19 @@ func scanBinarySegment(data []byte, fn func(*Record, int64) error) (int64, bool,
 	if !bytes.Equal(data[:3], header[:3]) {
 		return 0, false, fmt.Errorf("store: %w: bad segment header", canon.ErrBinary)
 	}
-	if data[3] != SegmentVersion {
-		return 0, false, fmt.Errorf("%w %d", ErrSegmentVersion, data[3])
+	if v := data[3]; v != SegmentVersion && v != segmentVersion1 {
+		return 0, false, fmt.Errorf("%w %d", ErrSegmentVersion, v)
 	}
-	prefix := int64(SegmentHeaderLen)
+	return scanFrames(data, SegmentHeaderLen, enc, fn)
+}
+
+// scanFrames walks the frames of data from offset start, handing each
+// frame the hash of the one before it.
+func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
+	prefix := start
+	var prev *sig.Digest
 	for prefix < int64(len(data)) {
-		rec, frameLen, err := DecodeRecordFrame(data[prefix:])
+		rec, frameLen, err := decodeFrame(data[prefix:], enc, prev)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -277,6 +474,7 @@ func scanBinarySegment(data []byte, fn func(*Record, int64) error) (int64, bool,
 		if err := fn(rec, frameLen); err != nil {
 			return prefix, false, err
 		}
+		prev = &rec.Hash
 		prefix += frameLen
 	}
 	return prefix, false, nil

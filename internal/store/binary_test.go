@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -30,7 +32,8 @@ func goldenRecords(t *testing.T) []*store.Record {
 		evidence.KindProposal, evidence.KindDecision, evidence.KindOutcome,
 		evidence.KindAck, evidence.KindSubstitute, evidence.KindAbort,
 		evidence.KindPostmark, evidence.KindJobEnqueued, evidence.KindJobAttempt,
-		evidence.KindJobDone,
+		evidence.KindJobDone, evidence.KindSubOpen, evidence.KindSegShip,
+		evidence.KindGeoAppend,
 	} {
 		tok, err := realm.Party(org).Issuer.Issue(kind, run, i+1, sig.Sum([]byte(fmt.Sprintf("golden-%d", i))),
 			evidence.WithTxn(txn))
@@ -84,19 +87,47 @@ func goldenRecords(t *testing.T) []*store.Record {
 	return recs
 }
 
+// checkSameRecord holds a decoded record to the one it was encoded
+// from: byte-identical canonical JSON (so the signed token form and the
+// hash input are unchanged), the same Hash, and a passing chain check.
+func checkSameRecord(t *testing.T, what string, want, got *store.Record) {
+	t.Helper()
+	w, err := canon.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := canon.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w, g) {
+		t.Fatalf("%s: canonical projection drifted:\n want %s\n  got %s", what, w, g)
+	}
+	if want.Hash != got.Hash {
+		t.Fatalf("%s: hash drifted", what)
+	}
+	if err := store.ResumeChain(got.Seq-1, got.Prev).Check(got); err != nil {
+		t.Fatalf("%s: decoded record fails chain check: %v", what, err)
+	}
+}
+
 // TestBinaryRecordGoldenVectors proves the binary codec is a faithful
 // carrier of the canonical form: for every record shape,
 // encode→decode→canonical-JSON must equal the original record's
 // canonical JSON byte for byte, and the decoded record must still pass
 // the chain check (Hash is computed over canonical JSON, so equality
-// here means the hash chain is encoding-independent).
+// here means the hash chain is encoding-independent) — both as
+// stand-alone frames, which carry Prev, and as one run, which elides it.
 func TestBinaryRecordGoldenVectors(t *testing.T) {
 	t.Parallel()
-	for i, rec := range goldenRecords(t) {
+	recs := goldenRecords(t)
+	standalone := 0
+	for i, rec := range recs {
 		frame, err := store.AppendRecordBinary(nil, rec)
 		if err != nil {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
+		standalone += len(frame)
 		dec, frameLen, err := store.DecodeRecordFrame(frame)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -104,27 +135,216 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 		if dec == nil || frameLen != int64(len(frame)) {
 			t.Fatalf("record %d: frame not fully consumed (%d of %d)", i, frameLen, len(frame))
 		}
-		want, err := canon.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := canon.Marshal(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("record %d: canonical projection drifted:\n want %s\n  got %s", i, want, got)
-		}
-		if err := store.ResumeChain(dec.Seq-1, dec.Prev).Check(dec); err != nil {
-			t.Fatalf("record %d: decoded record fails chain check: %v", i, err)
-		}
+		checkSameRecord(t, fmt.Sprintf("record %d (explicit prev)", i), rec, dec)
 		// DecodeRecordData must accept the exact slot and reject a padded one.
-		if _, err := store.DecodeRecordData(frame, store.EncBinary); err != nil {
+		if _, err := store.DecodeRecordData(frame, store.EncBinary, nil); err != nil {
 			t.Fatalf("record %d: DecodeRecordData: %v", i, err)
 		}
-		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), store.EncBinary); err == nil {
+		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), store.EncBinary, nil); err == nil {
 			t.Fatalf("record %d: padded slot decoded", i)
 		}
+	}
+
+	// The same records as one run: every frame after the first drops its
+	// 32-byte Prev, and decoding restores it from the frame before.
+	run, err := store.AppendFrameRun(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved, want := standalone+store.SegmentHeaderLen-len(run), sig.DigestSize*(len(recs)-1); saved < want {
+		t.Fatalf("run of %d frames saved %d bytes over stand-alone frames, want at least %d", len(recs), saved, want)
+	}
+	var offs []int64
+	off, i := int64(store.SegmentHeaderLen), 0
+	enc, prefix, torn, err := store.DecodeSegmentData(run, func(dec *store.Record, n int64) error {
+		checkSameRecord(t, fmt.Sprintf("record %d (elided prev)", i), recs[i], dec)
+		offs = append(offs, off)
+		off += n
+		i++
+		return nil
+	})
+	if err != nil || torn || enc != store.EncBinary || prefix != int64(len(run)) || i != len(recs) {
+		t.Fatalf("run scan: %d records enc=%v prefix=%d torn=%v err=%v", i, enc, prefix, torn, err)
+	}
+	// Keyed access: a frame from the middle of the run decodes given its
+	// predecessor's hash, and only given it.
+	mid := len(recs) / 2
+	slot := run[offs[mid]:offs[mid+1]]
+	dec, err := store.DecodeRecordData(slot, store.EncBinary, &recs[mid-1].Hash)
+	if err != nil {
+		t.Fatalf("keyed decode of an elided frame: %v", err)
+	}
+	checkSameRecord(t, "keyed decode", recs[mid], dec)
+	if _, err := store.DecodeRecordData(slot, store.EncBinary, nil); !errors.Is(err, canon.ErrBinary) {
+		t.Fatalf("elided frame without its predecessor = %v, want ErrBinary", err)
+	}
+	if _, _, err := store.DecodeRecordFrame(slot); !errors.Is(err, canon.ErrBinary) {
+		t.Fatalf("elided frame decoded stand-alone = %v, want ErrBinary", err)
+	}
+	// A fresh encoder appending to the same file starts explicit again.
+	var e store.RecordEncoder
+	tail, err := e.AppendRecord(nil, recs[mid])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.DecodeRecordFrame(tail); err != nil {
+		t.Fatalf("first frame of a fresh encoder is not stand-alone: %v", err)
+	}
+	e.Reset()
+	if again, _ := e.AppendRecord(nil, recs[mid+1]); len(again) <= sig.DigestSize || !bytes.Contains(again, recs[mid].Hash[:]) {
+		t.Fatal("frame after Reset elided its Prev")
+	}
+}
+
+// TestBinaryRecordFallbacks pins the exact-or-literal rule: each field
+// whose compact form would not reproduce it byte for byte travels
+// literally instead, and the record still round-trips.
+func TestBinaryRecordFallbacks(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	issue := func(mutate func(*evidence.Token)) *evidence.Token {
+		tok, err := realm.Party(org).Issuer.Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("fallback")),
+			evidence.WithRecipients("urn:org:b"), evidence.WithService("urn:org:b/orders"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mutate != nil {
+			mutate(tok)
+		}
+		return tok
+	}
+	utc := time.Date(2026, 8, 8, 1, 2, 3, 456789, time.UTC)
+	stamped, err := realm.StampedIssuer(org).Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("stamped")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		at      time.Time
+		dir     store.Direction
+		note    string
+		tok     *evidence.Token
+		literal string // text the frame must carry as is
+	}{
+		{name: "compact baseline", at: utc, dir: store.Generated, tok: issue(nil)},
+		{name: "non-UTC at", at: utc.In(time.FixedZone("CEST", 2*3600)), dir: store.Generated, tok: issue(nil)},
+		{name: "sub-minute zone offset", at: utc.In(time.FixedZone("LMT", 1172)), dir: store.Generated, tok: issue(nil),
+			literal: "2026-08-08T01:21:35.000456789+00:19"},
+		{name: "year outside the nanosecond range", at: time.Date(1500, 1, 2, 3, 4, 5, 0, time.UTC), dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.IssuedAt = time.Date(2400, 1, 1, 0, 0, 0, 0, time.UTC) }), literal: "1500-01-02T03:04:05Z"},
+		{name: "upper-case hex run id", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Run = "run-00AABBCC" }), literal: "run-00AABBCC"},
+		{name: "odd-length hex run id", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Run = "run-abc" }), literal: "run-abc"},
+		{name: "foreign txn id", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Txn = "order/2026/17" }), literal: "order/2026/17"},
+		{name: "non-hex nonce", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Nonce = "nonce-value" }), literal: "nonce-value"},
+		{name: "empty nonce", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Nonce = "" })},
+		{name: "unknown kind word", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Kind = "nr-future" }), literal: "nr-future"},
+		{name: "unknown direction word", at: utc, dir: "relayed", tok: issue(nil), literal: "relayed"},
+		{name: "key id not rooted at a party", at: utc, dir: store.Received,
+			tok: issue(func(tok *evidence.Token) { tok.Signature.KeyID = "hsm:slot-7" }), literal: "hsm:slot-7"},
+		{name: "service not rooted at a party", at: utc, dir: store.Received,
+			tok: issue(func(tok *evidence.Token) { tok.Service = "svc:orders" }), literal: "svc:orders"},
+		{name: "service rooted at a later recipient", at: utc, dir: store.Received,
+			tok: issue(func(tok *evidence.Token) {
+				tok.Recipients = []id.Party{"urn:org:b", "urn:org:c"}
+				tok.Service = "urn:org:c/ledger"
+			}), literal: "/ledger"},
+		{name: "batch-signed", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) {
+				tok.Signature.BatchRoot = []byte{7, 8}
+				tok.Signature.BatchPath = [][]byte{{9}, nil, {}}
+				tok.Signature.BatchIndex = 3
+			})},
+		{name: "nil and empty signature bytes", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Signature.Bytes = nil })},
+		{name: "time-stamped", at: utc, dir: store.Generated, tok: stamped},
+		{name: "invalid UTF-8 note, normalised", at: utc, dir: store.Generated, note: "n\xffote", tok: issue(nil), literal: "n\uFFFDote"},
+	} {
+		rec, err := store.NextRecord(41, sig.Sum([]byte("prev")), tc.at, tc.dir, tc.tok, tc.note)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		frame, err := store.AppendRecordBinary(nil, rec)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		dec, _, err := store.DecodeRecordFrame(frame)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		checkSameRecord(t, tc.name, rec, dec)
+		if tc.literal != "" && !bytes.Contains(frame, []byte(tc.literal)) {
+			t.Fatalf("%s: frame does not carry %q literally", tc.name, tc.literal)
+		}
+	}
+}
+
+// TestBinaryV1SegmentStillDecodes reads a version-1 segment written by
+// the build before the format changed (testdata/v1, with the canonical
+// JSON of each record beside it): nothing encodes that layout any more,
+// and everything written in it must stay readable — as a file, as a
+// bare frame run off the wire from an old peer, and re-encoded forward.
+func TestBinaryV1SegmentStillDecodes(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1", "golden-v1.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "v1", "golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Split(bytes.TrimSpace(golden), []byte("\n"))
+	var recs []*store.Record
+	cv := &store.ChainVerifier{}
+	enc, prefix, torn, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
+		got, err := canon.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if i := len(recs); i >= len(want) || !bytes.Equal(got, want[i]) {
+			t.Fatalf("v1 record %d: canonical projection drifted:\n got %s", i, got)
+		}
+		recs = append(recs, rec)
+		return cv.Check(rec)
+	})
+	if err != nil || torn || enc != store.EncBinaryV1 || prefix != int64(len(data)) || len(recs) != len(want) {
+		t.Fatalf("v1 scan: %d of %d records enc=%v prefix=%d torn=%v err=%v", len(recs), len(want), enc, prefix, torn, err)
+	}
+	// An old peer pushes bare version-1 frames, no header.
+	n := 0
+	if err := store.DecodeFrameRun(data[store.SegmentHeaderLen:], func(rec *store.Record) error {
+		checkSameRecord(t, fmt.Sprintf("bare v1 frame %d", n), recs[n], rec)
+		n++
+		return nil
+	}); err != nil || n != len(recs) {
+		t.Fatalf("bare v1 frame run: %d records, err %v", n, err)
+	}
+	// Re-encoded in the current format, the same records come back with
+	// the same hashes, in fewer bytes.
+	run, err := store.AppendFrameRun(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run) >= len(data) {
+		t.Fatalf("current format takes %d bytes, version 1 took %d", len(run), len(data))
+	}
+	n = 0
+	if err := store.DecodeFrameRun(run, func(rec *store.Record) error {
+		checkSameRecord(t, fmt.Sprintf("re-encoded record %d", n), recs[n], rec)
+		n++
+		return nil
+	}); err != nil || n != len(recs) {
+		t.Fatalf("re-encoded run: %d records, err %v", n, err)
+	}
+	// A run cut short is an error on the wire, not a recovery.
+	if err := store.DecodeFrameRun(run[:len(run)-5], func(*store.Record) error { return nil }); !errors.Is(err, canon.ErrBinary) {
+		t.Fatalf("truncated run = %v, want ErrBinary", err)
 	}
 }
 
@@ -271,6 +491,28 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3]) // torn tail
+	// A run whose second frame elides its Prev, and that frame orphaned
+	// at the head of a segment.
+	next, err := store.NextRecord(rec.Seq, rec.Hash, rec.At, store.Received, tok, "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	run, err := store.AppendFrameRun(nil, []*store.Record{rec, next})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(run)
+	f.Add(append(hdr[:], run[len(seed):]...))
+	// Hand-built version-2 frames that stop inside their flag bytes or
+	// claim more identifier bytes than the frame holds.
+	frame := func(body ...byte) []byte { return append(append(hdr[:], byte(len(body))), body...) }
+	prefix := append(append([]byte{0x03, 1}, make([]byte, 32)...), 0, 1)   // flags, seq, prev, at, direction
+	f.Add(frame(0x03))                                                     // record flags only
+	f.Add(frame(0xE3, 1))                                                  // reserved record flag bits
+	f.Add(frame(append(prefix, 0x80)...))                                  // token bitmap cut mid-varint
+	f.Add(frame(append(prefix, 0xFF, 0xFF, 0x7F)...))                      // every token flag, nothing after
+	f.Add(frame(append(prefix, 0x00, 1, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F)...)) // over-long packed run id
+	f.Add(frame(append(prefix, 0x00, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)...)) // over-long literal kind
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {

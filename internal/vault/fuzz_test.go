@@ -7,11 +7,18 @@
 package vault
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nonrep/internal/canon"
+	"nonrep/internal/evidence"
+	"nonrep/internal/id"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -100,6 +107,198 @@ func FuzzReplicaReceive(f *testing.F) {
 		defer v.Close()
 		if err := v.DeepVerify(); err != nil {
 			t.Fatalf("accepted package does not verify: %v", err)
+		}
+	})
+}
+
+// indexFuzzVault is the checked-in vault FuzzIndexOpen attacks
+// (testdata/v2-vault): one sealed current-format segment of six records
+// — a three-record run, a transaction-linked three-record run — with
+// its binary index. RUNS.json names the runs.
+type indexFuzzVault struct {
+	dir   string
+	entry ManifestEntry
+	idx   []byte
+	runs  []struct {
+		Run     id.Run `json:"run"`
+		Txn     id.Txn `json:"txn"`
+		Records int    `json:"records"`
+	}
+	hashes map[sig.Digest]bool // every authentic record of the segment
+}
+
+func loadIndexFuzzVault(tb testing.TB) *indexFuzzVault {
+	tb.Helper()
+	fv := &indexFuzzVault{dir: filepath.Join("testdata", "v2-vault"), hashes: make(map[sig.Digest]bool)}
+	entries, err := readManifestFile(filepath.Join(fv.dir, manifestName))
+	if err != nil || len(entries) != 1 {
+		tb.Fatalf("fixture manifest: %d entries, err %v", len(entries), err)
+	}
+	fv.entry = entries[0]
+	if fv.idx, err = os.ReadFile(idxPath(fv.dir, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(fv.dir, "RUNS.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.Unmarshal(meta, &fv.runs); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := readSealedSegment(fv.dir, fv.entry, nil, func(rec *store.Record, _ int64) error {
+		fv.hashes[rec.Hash] = true
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return fv
+}
+
+// hostileIndexes derives the structural attacks on a valid index file:
+// each mutation keeps the file plausible enough to get past the header.
+func hostileIndexes(tb testing.TB, good []byte) map[string][]byte {
+	tb.Helper()
+	payload, err := indexFilePayload(good)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := parseIndexPayload(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := len(good) - len(payload)
+	offsetsAt := base + indexFixedLen
+	runsAt := offsetsAt + ix.count*(ix.offWidth+sig.DigestSize) // runs table: keys, blobLen, dir, blob
+	dirAt := runsAt + 8
+	blobAt := dirAt + len(ix.tables[tableRuns].dir)
+	mutate := func(fn func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		fn(b)
+		return b
+	}
+	return map[string][]byte{
+		"valid": good,
+		"offsets-past-the-file": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[offsetsAt+4:], 0xFFFFFFF0)
+		}),
+		"offsets-descending": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[offsetsAt+8:], 4)
+		}),
+		"count-larger-than-file": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[base+16:], 0x00FFFFFF)
+		}),
+		"key-table-unsorted": mutate(func(b []byte) {
+			first, second := binary.LittleEndian.Uint32(b[dirAt:]), binary.LittleEndian.Uint32(b[dirAt+4:])
+			binary.LittleEndian.PutUint32(b[dirAt:], second)
+			binary.LittleEndian.PutUint32(b[dirAt+4:], first)
+		}),
+		"key-table-overlapping": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[dirAt+4:], binary.LittleEndian.Uint32(b[dirAt:]))
+		}),
+		"key-entry-past-its-table": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[dirAt:], 0x7FFFFFFF)
+		}),
+		"key-count-larger-than-file": mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[runsAt:], 0x3FFFFFFF)
+		}),
+		"posting-count-larger-than-file": mutate(func(b []byte) {
+			// First entry: key length, key, then the posting count.
+			b[blobAt+1+int(b[blobAt])] = 0x7F
+		}),
+		"posting-past-the-segment": mutate(func(b []byte) {
+			b[blobAt+2+int(b[blobAt])] = 0x7E
+		}),
+		"posting-names-another-run": mutate(func(b []byte) {
+			b[blobAt+2+int(b[blobAt])] ^= 0x03
+		}),
+		"truncated-arrays":  good[:offsetsAt+ix.count*ix.offWidth+sig.DigestSize+5],
+		"truncated-tables":  good[:blobAt+3],
+		"truncated-header":  good[:base-3],
+		"legacy-json-index": []byte(`{"entry":{"segment":1},"size":10,"offsets":[4],"hashes":[]}`),
+	}
+}
+
+// FuzzIndexOpen feeds arbitrary bytes to the vault as a sealed segment's
+// index file. Two layers hold: behind the seal's pinned digest a hostile
+// index is simply rebuilt — the opened vault serves exactly the true
+// records; and with the pin bypassed (the parsed view handed straight to
+// the keyed-read path) it can make reads fail with ErrSealBroken but
+// never panic, never allocate out of proportion to its size, and never
+// get a record served that is not an authentic record matching the
+// query.
+func FuzzIndexOpen(f *testing.F) {
+	fv := loadIndexFuzzVault(f)
+	for _, seed := range hostileIndexes(f, fv.idx) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Layer 1: through Open, where the seal pins the index.
+		dir := t.TempDir()
+		for _, name := range []string{manifestName, "seg-00000001.log"} {
+			b, err := os.ReadFile(filepath.Join(fv.dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(idxPath(dir, 1), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Open(dir, nil, WithReadOnly())
+		if err != nil {
+			t.Fatalf("open with a hostile index: %v", err)
+		}
+		for _, r := range fv.runs {
+			recs, err := v.QueryAll(Query{Run: r.Run})
+			if err != nil || len(recs) != r.Records {
+				t.Fatalf("ByRun behind the pin = %d records, err %v, want %d", len(recs), err, r.Records)
+			}
+		}
+		if err := v.DeepVerify(); err != nil {
+			t.Fatalf("DeepVerify behind the pin: %v", err)
+		}
+		v.Close()
+
+		// Layer 2: the parser and the keyed-read path on their own.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := indexFilePayload(data)
+		if err != nil {
+			return
+		}
+		ix, err := parseIndexPayload(payload)
+		if err != nil {
+			if !errors.Is(err, ErrSealBroken) {
+				t.Fatalf("parse error is not ErrSealBroken: %v", err)
+			}
+			return
+		}
+		_, _ = ix.toPayload()
+		idx := &segmentIndex{Entry: fv.entry, indexView: ix}
+		queries := []Query{{Party: "urn:org:a"}, {Kind: evidence.KindNRO}, {Kind: evidence.KindNRR, Party: "urn:org:a"}}
+		for _, r := range fv.runs {
+			queries = append(queries, Query{Run: r.Run}, Query{Txn: r.Txn, Run: r.Run})
+		}
+		for _, q := range queries {
+			it := &Iterator{q: q, dir: fv.dir}
+			recs, err := it.loadSegment(idx)
+			if err != nil {
+				if !errors.Is(err, ErrSealBroken) {
+					t.Fatalf("keyed read over a hostile index failed with %v, want ErrSealBroken", err)
+				}
+				continue
+			}
+			for _, rec := range recs {
+				if !fv.hashes[rec.Hash] || !q.matches(rec) {
+					t.Fatalf("hostile index got record %d served for %+v", rec.Seq, q)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+256*uint64(len(data)) {
+			t.Fatalf("a %d-byte index made the reader allocate %d bytes", len(data), grew)
 		}
 	})
 }

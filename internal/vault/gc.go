@@ -102,7 +102,7 @@ func (rs *ReplicaSet) RestoreSegment(source string, pkg *SegmentPackage) error {
 	}
 	if e.Segment > 1 {
 		prev := st.entries[e.Segment-2].LastHash
-		return verifyAndInstallSegment(st.dir, e, pkg.Data, pkg.Index, &prev)
+		return verifyAndInstallSegment(st.dir, e, pkg.Data, &prev)
 	}
-	return verifyAndInstallSegment(st.dir, e, pkg.Data, pkg.Index, nil)
+	return verifyAndInstallSegment(st.dir, e, pkg.Data, nil)
 }

@@ -1,0 +1,475 @@
+// Binary segment index — the per-segment file (seg-*.idx) written once
+// at seal time and read in place ever after.
+//
+//	file     magic "NRX" + version | uvarint n | the seal's manifest entry,
+//	         canonical JSON, n bytes | payload
+//	payload  u64 firstSeq | u64 size | u32 count | u8 offWidth | 3 × 0
+//	         offsets  count × offWidth   frame start offsets in the segment
+//	         hashes   count × 32         each record's chained hash
+//	         4 key tables: runs, transactions, parties, kinds
+//	table    u32 keys | u32 blobLen | keys × u32 entry offsets | blob
+//	entry    uvarint keyLen | key | uvarint postings | delta varints
+//
+// All integers are little-endian. Offsets and hashes are fixed-width
+// arrays addressed in place; a table's keys are sorted bytewise (run and
+// transaction identifiers in their packed form) and found by binary
+// search; postings are record positions relative to firstSeq, the first
+// absolute and the rest gaps. The encoding is a pure function of the
+// segment's records, so every holder of a segment derives byte-identical
+// index bytes, and ManifestEntry.Index pins the SHA-256 of the payload:
+// a tampered index cannot hide or reorder evidence — it fails its pin
+// and is rebuilt from the sealed segment. The embedded entry copy is
+// for forensics only (which seal a stray index file belonged to); the
+// manifest is the source of truth.
+//
+// Indexes written before this format are canonical JSON (first byte
+// '{') with the canonical-JSON payload digest pinned; they are read and
+// verified as they always were and converted in memory.
+package vault
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sort"
+
+	"nonrep/internal/canon"
+	"nonrep/internal/evidence"
+	"nonrep/internal/id"
+	"nonrep/internal/sig"
+)
+
+const (
+	// indexMagic opens a binary index file; its first byte tells it from
+	// a legacy JSON index ('{').
+	indexMagic = "NRX\x02"
+	// indexFormatBinary is the ManifestEntry.IndexFormat of seals whose
+	// Index digest is the SHA-256 of the binary payload bytes.
+	indexFormatBinary = 2
+
+	indexFixedLen = 24 // firstSeq, size, count, offWidth, padding
+)
+
+// The key tables of an index, in file order.
+const (
+	tableRuns = iota
+	tableTxns
+	tableParties
+	tableKinds
+	numTables
+)
+
+// indexPayload is the logical content of a segment index: byte offsets
+// for direct record access plus posting lists by run, transaction,
+// party and kind. It is what the active segment accumulates, what the
+// binary encoder consumes, and — through its JSON form — what legacy
+// seals pinned: their ManifestEntry.Index is this struct's canonical
+// digest.
+type indexPayload struct {
+	Size    int64   `json:"size"`
+	Offsets []int64 `json:"offsets"`
+	// Hashes pins every record's chained hash, so a record served from a
+	// sealed segment is verified against the seal without reading the
+	// whole segment.
+	Hashes  []sig.Digest               `json:"hashes"`
+	Runs    map[id.Run][]uint64        `json:"runs,omitempty"`
+	Txns    map[id.Txn][]uint64        `json:"txns,omitempty"`
+	Parties map[id.Party][]uint64      `json:"parties,omitempty"`
+	Kinds   map[evidence.Kind][]uint64 `json:"kinds,omitempty"`
+}
+
+// legacyDigest returns the canonical digest legacy seals pinned.
+func (p *indexPayload) legacyDigest() (sig.Digest, error) { return sig.SumCanonical(p) }
+
+// legacyIndexFile is the JSON index file earlier builds wrote.
+type legacyIndexFile struct {
+	Entry ManifestEntry `json:"entry"`
+	indexPayload
+}
+
+// encodeIndexPayload serialises p as a binary index payload.
+func encodeIndexPayload(firstSeq uint64, p *indexPayload) []byte {
+	offWidth := 4
+	if p.Size > 1<<32-1 {
+		offWidth = 8
+	}
+	n := len(p.Offsets)
+	dst := make([]byte, 0, indexFixedLen+n*(offWidth+sig.DigestSize+8))
+	dst = binary.LittleEndian.AppendUint64(dst, firstSeq)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, byte(offWidth), 0, 0, 0)
+	for _, off := range p.Offsets {
+		if offWidth == 4 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(off))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(off))
+		}
+	}
+	for i := range p.Hashes {
+		dst = append(dst, p.Hashes[i][:]...)
+	}
+	dst = appendKeyTable(dst, tableRuns, p.Runs, firstSeq)
+	dst = appendKeyTable(dst, tableTxns, p.Txns, firstSeq)
+	dst = appendKeyTable(dst, tableParties, p.Parties, firstSeq)
+	dst = appendKeyTable(dst, tableKinds, p.Kinds, firstSeq)
+	return dst
+}
+
+// packedTable reports whether table t stores its keys packed: run and
+// transaction identifiers are, party URIs and kind words are not.
+func packedTable(t int) bool { return t == tableRuns || t == tableTxns }
+
+// tableKey is a posting-list key as table t stores and compares it.
+func tableKey(dst []byte, t int, key string) []byte {
+	if packedTable(t) {
+		return canon.AppendPackedID(dst, key)
+	}
+	return append(dst, key...)
+}
+
+func appendKeyTable[K ~string](dst []byte, t int, postings map[K][]uint64, firstSeq uint64) []byte {
+	type entry struct {
+		key  []byte
+		seqs []uint64
+	}
+	entries := make([]entry, 0, len(postings))
+	for k, seqs := range postings {
+		entries = append(entries, entry{tableKey(nil, t, string(k)), seqs})
+	}
+	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
+
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
+	lenAt := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // blob length, patched below
+	dirAt := len(dst)
+	dst = append(dst, make([]byte, 4*len(entries))...)
+	blobAt := len(dst)
+	for i, e := range entries {
+		binary.LittleEndian.PutUint32(dst[dirAt+4*i:], uint32(len(dst)-blobAt))
+		dst = binary.AppendUvarint(dst, uint64(len(e.key)))
+		dst = append(dst, e.key...)
+		dst = binary.AppendUvarint(dst, uint64(len(e.seqs)))
+		prev := firstSeq
+		for _, seq := range e.seqs {
+			dst = binary.AppendUvarint(dst, seq-prev)
+			prev = seq
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-blobAt))
+	return dst
+}
+
+// indexFileHeader returns what precedes the payload in an index file:
+// the magic and the seal's manifest line.
+func indexFileHeader(entryLine []byte) []byte {
+	hdr := append(make([]byte, 0, len(indexMagic)+binary.MaxVarintLen32+len(entryLine)), indexMagic...)
+	hdr = binary.AppendUvarint(hdr, uint64(len(entryLine)))
+	return append(hdr, entryLine...)
+}
+
+// indexFilePayload locates the payload inside binary index file bytes.
+func indexFilePayload(data []byte) ([]byte, error) {
+	if len(data) < len(indexMagic) || string(data[:len(indexMagic)]) != indexMagic {
+		return nil, fmt.Errorf("%w: not a segment index", ErrSealBroken)
+	}
+	rest := data[len(indexMagic):]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)-w) {
+		return nil, fmt.Errorf("%w: segment index header truncated", ErrSealBroken)
+	}
+	return rest[w+int(n):], nil
+}
+
+// indexView reads a binary index payload in place: nothing is copied
+// out of payload (typically a read-only file mapping) until a lookup
+// asks for it.
+type indexView struct {
+	payload  []byte
+	firstSeq uint64
+	size     int64
+	count    int
+	offWidth int
+	offsets  []byte
+	hashes   []byte
+	tables   [numTables]keyTable
+}
+
+// keyTable is one sorted key → postings table of an index.
+type keyTable struct {
+	dir  []byte // keys × u32 entry offsets into blob
+	blob []byte
+}
+
+// parseIndexPayload validates the payload's structure — every section
+// inside the payload, nothing left over — and returns a view over it.
+// Entry contents are checked as they are read.
+func parseIndexPayload(payload []byte) (*indexView, error) {
+	bad := func(what string) (*indexView, error) {
+		return nil, fmt.Errorf("%w: segment index %s", ErrSealBroken, what)
+	}
+	if len(payload) < indexFixedLen {
+		return bad("truncated")
+	}
+	ix := &indexView{
+		payload:  payload,
+		firstSeq: binary.LittleEndian.Uint64(payload),
+		size:     int64(binary.LittleEndian.Uint64(payload[8:])),
+		count:    int(binary.LittleEndian.Uint32(payload[16:])),
+		offWidth: int(payload[20]),
+	}
+	if ix.offWidth != 4 && ix.offWidth != 8 {
+		return bad("offset width")
+	}
+	if ix.size < 0 {
+		return bad("segment size")
+	}
+	rest := payload[indexFixedLen:]
+	if uint64(ix.count)*uint64(ix.offWidth+sig.DigestSize) > uint64(len(rest)) {
+		return bad("arrays truncated")
+	}
+	ix.offsets, rest = rest[:ix.count*ix.offWidth], rest[ix.count*ix.offWidth:]
+	ix.hashes, rest = rest[:ix.count*sig.DigestSize], rest[ix.count*sig.DigestSize:]
+	for t := range ix.tables {
+		if len(rest) < 8 {
+			return bad("key table truncated")
+		}
+		keys := uint64(binary.LittleEndian.Uint32(rest))
+		blobLen := uint64(binary.LittleEndian.Uint32(rest[4:]))
+		rest = rest[8:]
+		if 4*keys+blobLen > uint64(len(rest)) {
+			return bad("key table truncated")
+		}
+		ix.tables[t].dir, rest = rest[:4*keys], rest[4*keys:]
+		ix.tables[t].blob, rest = rest[:blobLen], rest[blobLen:]
+	}
+	if len(rest) != 0 {
+		return bad("has trailing bytes")
+	}
+	return ix, nil
+}
+
+// digest is the SHA-256 of the payload bytes — what binary-format seals
+// pin.
+func (ix *indexView) digest() sig.Digest { return sha256.Sum256(ix.payload) }
+
+// offset returns the start offset of record i's frame.
+func (ix *indexView) offset(i int) int64 {
+	if ix.offWidth == 4 {
+		return int64(binary.LittleEndian.Uint32(ix.offsets[4*i:]))
+	}
+	return int64(binary.LittleEndian.Uint64(ix.offsets[8*i:]))
+}
+
+// hash returns record i's pinned chained hash.
+func (ix *indexView) hash(i int) (d sig.Digest) {
+	copy(d[:], ix.hashes[sig.DigestSize*i:])
+	return d
+}
+
+func (kt *keyTable) keys() int { return len(kt.dir) / 4 }
+
+// entry returns entry i's key and the bytes that follow it (posting
+// count, then postings).
+func (kt *keyTable) entry(i int) (key, rest []byte, err error) {
+	off := uint64(binary.LittleEndian.Uint32(kt.dir[4*i:]))
+	if off > uint64(len(kt.blob)) {
+		return nil, nil, fmt.Errorf("%w: segment index entry offset past its table", ErrSealBroken)
+	}
+	rest = kt.blob[off:]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)-w) {
+		return nil, nil, fmt.Errorf("%w: segment index key truncated", ErrSealBroken)
+	}
+	return rest[w : w+int(n)], rest[w+int(n):], nil
+}
+
+// find binary-searches the table for key, returning the bytes after the
+// matching entry's key, or nil when the key is absent.
+func (kt *keyTable) find(key []byte) ([]byte, error) {
+	var ferr error
+	n := kt.keys()
+	i := sort.Search(n, func(i int) bool {
+		k, _, err := kt.entry(i)
+		if err != nil {
+			ferr = err
+			return true
+		}
+		return bytes.Compare(k, key) >= 0
+	})
+	if ferr != nil || i == n {
+		return nil, ferr
+	}
+	k, rest, err := kt.entry(i)
+	if err != nil || !bytes.Equal(k, key) {
+		return nil, err
+	}
+	return rest, nil
+}
+
+// postings decodes one entry's posting list (rest as returned by entry
+// or find) into ascending absolute sequence numbers.
+func (ix *indexView) postings(rest []byte) ([]uint64, error) {
+	n, w := binary.Uvarint(rest)
+	// Each posting is at least one byte and names a distinct record.
+	if w <= 0 || n > uint64(len(rest)-w) || n > uint64(ix.count) {
+		return nil, fmt.Errorf("%w: segment index posting count", ErrSealBroken)
+	}
+	rest = rest[w:]
+	seqs := make([]uint64, n)
+	seq := ix.firstSeq
+	for i := range seqs {
+		gap, w := binary.Uvarint(rest)
+		if w <= 0 || (i > 0 && gap == 0) || gap >= uint64(ix.count) || seq+gap-ix.firstSeq >= uint64(ix.count) {
+			return nil, fmt.Errorf("%w: segment index posting out of range", ErrSealBroken)
+		}
+		seq += gap
+		seqs[i] = seq
+		rest = rest[w:]
+	}
+	return seqs, nil
+}
+
+// lookup returns the ascending sequence numbers table t lists under
+// key (nil when absent).
+func (ix *indexView) lookup(t int, key string) ([]uint64, error) {
+	var buf [64]byte
+	rest, err := ix.tables[t].find(tableKey(buf[:0], t, key))
+	if rest == nil || err != nil {
+		return nil, err
+	}
+	return ix.postings(rest)
+}
+
+// eachKey calls fn with every stored key of table t, in order. The key
+// bytes alias the payload.
+func (ix *indexView) eachKey(t int, fn func(key, rest []byte) error) error {
+	kt := &ix.tables[t]
+	for i := 0; i < kt.keys(); i++ {
+		key, rest, err := kt.entry(i)
+		if err != nil {
+			return err
+		}
+		if err := fn(key, rest); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// toPayload materialises the index as the logical payload — the form
+// legacy seals digested. It is the slow path: taken only to verify a
+// binary index against a legacy seal.
+func (ix *indexView) toPayload() (*indexPayload, error) {
+	p := &indexPayload{
+		Size:    ix.size,
+		Offsets: make([]int64, ix.count),
+		Hashes:  make([]sig.Digest, ix.count),
+	}
+	for i := 0; i < ix.count; i++ {
+		p.Offsets[i], p.Hashes[i] = ix.offset(i), ix.hash(i)
+	}
+	var err error
+	if p.Runs, err = loadTable[id.Run](ix, tableRuns); err != nil {
+		return nil, err
+	}
+	if p.Txns, err = loadTable[id.Txn](ix, tableTxns); err != nil {
+		return nil, err
+	}
+	if p.Parties, err = loadTable[id.Party](ix, tableParties); err != nil {
+		return nil, err
+	}
+	if p.Kinds, err = loadTable[evidence.Kind](ix, tableKinds); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// loadTable materialises key table t as a map. An empty table stays a
+// nil map: omitempty drops it from the canonical form either way,
+// matching what the sealing build digested.
+func loadTable[K ~string](ix *indexView, t int) (map[K][]uint64, error) {
+	var m map[K][]uint64
+	err := ix.eachKey(t, func(key, rest []byte) error {
+		seqs, err := ix.postings(rest)
+		if err != nil {
+			return err
+		}
+		name := string(key)
+		if packedTable(t) {
+			r := canon.NewBinReader(key)
+			name = r.PackedID()
+			if err := r.Done(); err != nil {
+				return fmt.Errorf("%w: segment index key: %v", ErrSealBroken, err)
+			}
+		}
+		if m == nil {
+			m = make(map[K][]uint64)
+		}
+		m[K(name)] = seqs
+		return nil
+	})
+	return m, err
+}
+
+// verify holds the view to the seal: it must describe e's record range
+// and reproduce the digest e pins — over the payload bytes for seals of
+// this format, over the canonical JSON of the logical payload for
+// legacy seals.
+func (ix *indexView) verify(e *ManifestEntry) error {
+	if ix.firstSeq != e.FirstSeq || uint64(ix.count) != e.LastSeq-e.FirstSeq+1 {
+		return fmt.Errorf("%w: segment %d index covers a different record range", ErrSealBroken, e.Segment)
+	}
+	var d sig.Digest
+	switch e.IndexFormat {
+	case indexFormatBinary:
+		d = ix.digest()
+	case 0:
+		p, err := ix.toPayload()
+		if err != nil {
+			return err
+		}
+		if d, err = p.legacyDigest(); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%w: segment %d sealed with unknown index format %d", ErrSealBroken, e.Segment, e.IndexFormat)
+	}
+	if d != e.Index {
+		return fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
+	}
+	return nil
+}
+
+// openIndex parses index file bytes in either format and verifies them
+// against the seal e. The view of a binary index aliases data; a legacy
+// JSON index is converted and aliases nothing.
+func openIndex(data []byte, e *ManifestEntry) (*indexView, error) {
+	if len(data) > 0 && data[0] == '{' {
+		var f legacyIndexFile
+		if err := canon.Unmarshal(data, &f); err != nil {
+			return nil, fmt.Errorf("%w: segment %d index: %v", ErrSealBroken, e.Segment, err)
+		}
+		d, err := f.indexPayload.legacyDigest()
+		if err != nil {
+			return nil, err
+		}
+		if e.IndexFormat != 0 || f.Entry.Digest != e.Digest || d != e.Index {
+			return nil, fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
+		}
+		return parseIndexPayload(encodeIndexPayload(e.FirstSeq, &f.indexPayload))
+	}
+	payload, err := indexFilePayload(data)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := parseIndexPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.verify(e); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}

@@ -6,6 +6,7 @@ import (
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -78,35 +79,35 @@ func (q Query) inTimeBounds(e ManifestEntry) bool {
 	return true
 }
 
-// candidates returns the ascending sequence numbers a segment's indexes
-// nominate for the query, and whether the posting lists applied (false
+// candidates returns the ascending sequence numbers a segment's index
+// nominates for the query, and whether the posting lists applied (false
 // means scan everything).
-func (q Query) candidates(idx *segmentIndex) ([]uint64, bool) {
+func (q Query) candidates(idx *segmentIndex) ([]uint64, bool, error) {
 	if !q.indexed() {
-		return nil, false
+		return nil, false, nil
 	}
 	var seqs []uint64
 	have := false
-	merge := func(list []uint64) {
-		if !have {
-			seqs, have = list, true
-			return
+	for _, sel := range [...]struct {
+		table int
+		key   string
+	}{
+		{tableRuns, string(q.Run)}, {tableTxns, string(q.Txn)},
+		{tableParties, string(q.Party)}, {tableKinds, string(q.Kind)},
+	} {
+		if sel.key == "" {
+			continue
 		}
-		seqs = intersectSeqs(seqs, list)
+		list, err := idx.lookup(sel.table, sel.key)
+		if err != nil {
+			return nil, true, err
+		}
+		if have {
+			list = intersectSeqs(seqs, list)
+		}
+		seqs, have = list, true
 	}
-	if q.Run != "" {
-		merge(idx.Runs[q.Run])
-	}
-	if q.Txn != "" {
-		merge(idx.Txns[q.Txn])
-	}
-	if q.Party != "" {
-		merge(idx.Parties[q.Party])
-	}
-	if q.Kind != "" {
-		merge(idx.Kinds[q.Kind])
-	}
-	return seqs, true
+	return seqs, true, nil
 }
 
 // Iterator streams query results in log order without materialising the
@@ -131,14 +132,15 @@ type Iterator struct {
 // routing maps nominate, so its cost tracks the result, not the log.
 func (v *Vault) Query(q Query) *Iterator {
 	it := &Iterator{q: q, dir: v.dir}
+	var key [64]byte
 	v.mu.Lock()
 	switch {
 	case q.Run != "":
-		for _, pos := range v.runSegs[q.Run] {
+		for _, pos := range v.runSegs[string(tableKey(key[:0], tableRuns, string(q.Run)))] {
 			it.sealed = append(it.sealed, v.sealed[pos])
 		}
 	case q.Txn != "":
-		for _, pos := range v.txnSegs[q.Txn] {
+		for _, pos := range v.txnSegs[string(tableKey(key[:0], tableTxns, string(q.Txn)))] {
 			it.sealed = append(it.sealed, v.sealed[pos])
 		}
 	default:
@@ -222,7 +224,10 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if !it.q.inTimeBounds(idx.Entry) {
 		return nil, nil
 	}
-	seqs, usedIndex := it.q.candidates(idx)
+	seqs, usedIndex, err := it.q.candidates(idx)
+	if err != nil {
+		return nil, err
+	}
 	if usedIndex && len(seqs) == 0 {
 		return nil, nil
 	}
@@ -251,33 +256,41 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	}
 	defer release()
 	enc := store.DetectEncoding(data)
-	size := idx.Size
+	size := idx.size
 	if size == 0 || size > int64(len(data)) {
 		size = int64(len(data))
 	}
 	var out []*store.Record
 	for _, seq := range seqs {
-		i := seq - idx.Entry.FirstSeq
-		if i >= uint64(len(idx.Offsets)) || i >= uint64(len(idx.Hashes)) {
+		if seq < idx.firstSeq || seq-idx.firstSeq >= uint64(idx.count) {
 			return nil, fmt.Errorf("%w: segment %d index out of range", ErrSealBroken, idx.Entry.Segment)
 		}
-		start := idx.Offsets[i]
+		i := int(seq - idx.firstSeq)
+		start := idx.offset(i)
 		end := size
-		if j := int(i) + 1; j < len(idx.Offsets) {
-			end = idx.Offsets[j]
+		if i+1 < idx.count {
+			end = idx.offset(i + 1)
 		}
 		if start < 0 || end < start || end > int64(len(data)) {
 			return nil, fmt.Errorf("%w: segment %d index offsets out of range", ErrSealBroken, idx.Entry.Segment)
 		}
-		rec, err := store.DecodeRecordData(data[start:end], enc)
+		// A frame that follows its predecessor directly elides Prev; the
+		// predecessor's hash is pinned in the index beside its own.
+		var prev *sig.Digest
+		if i > 0 {
+			h := idx.hash(i - 1)
+			prev = &h
+		}
+		rec, err := store.DecodeRecordData(data[start:end], enc, prev)
 		if err != nil {
-			return nil, fmt.Errorf("vault: decode segment %d record %d: %w", idx.Entry.Segment, seq, err)
+			// A sealed record that cannot be read back is a broken seal.
+			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
 		}
 		// Authenticate before serving: the stored hash must match the
 		// hash pinned under the seal, and must re-derive from the
 		// record's own bytes (the pinned list alone would accept a record
 		// whose body was edited but whose hash field was left intact).
-		if rec.Hash != idx.Hashes[i] {
+		if rec.Hash != idx.hash(i) {
 			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
 		}
 		if err := store.ResumeChain(rec.Seq-1, rec.Prev).Check(rec); err != nil {

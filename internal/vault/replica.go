@@ -29,10 +29,11 @@ import (
 var ErrReplicaGap = errors.New("vault: shipped segment leaves a replica gap")
 
 // SegmentPackage is one sealed segment in transit between organisations:
-// the manifest entry that seals it, the exact segment file bytes, and
-// (optionally) the exact index file bytes. Receivers trust none of it —
-// the entry digest, seal-chain link, record chain, content digest and
-// index digest are all re-verified on receipt.
+// the manifest entry that seals it and the exact segment file bytes.
+// Receivers trust none of it — the entry digest, seal-chain link, record
+// chain, content digest and index digest are all re-verified on receipt,
+// the last by deriving the index from the records (it is a function of
+// them, so it does not travel).
 //
 // A package travels as one protocol envelope of unbounded size: the
 // transport's chunked-transfer layer splits envelopes past the wire frame
@@ -42,7 +43,6 @@ var ErrReplicaGap = errors.New("vault: shipped segment leaves a replica gap")
 type SegmentPackage struct {
 	Entry ManifestEntry `json:"entry"`
 	Data  []byte        `json:"data"`
-	Index []byte        `json:"index,omitempty"`
 }
 
 // Verify checks the package in isolation: the entry seals its own
@@ -55,13 +55,8 @@ func (pkg *SegmentPackage) Verify() error {
 	if err := pkg.Entry.VerifySeal(); err != nil {
 		return err
 	}
-	if _, err := verifySealedSegmentData(pkg.Data, pkg.Entry, nil, func(*store.Record, int64) error { return nil }); err != nil {
-		return err
-	}
-	if len(pkg.Index) > 0 && !validIndexBytes(pkg.Index, pkg.Entry) {
-		return fmt.Errorf("%w: segment %d index bytes do not match the sealed index digest", ErrSealBroken, pkg.Entry.Segment)
-	}
-	return nil
+	_, err := verifySealedSegmentData(pkg.Data, pkg.Entry, nil, func(*store.Record, int64) error { return nil })
+	return err
 }
 
 // ReplicaSet stores verified replicas of peer organisations' sealed
@@ -282,7 +277,7 @@ func (rs *ReplicaSet) Receive(source string, pkg *SegmentPackage) error {
 	if err := rs.loadTail(st); err != nil {
 		return err
 	}
-	if err := verifyAndInstallSegment(st.dir, e, pkg.Data, pkg.Index, expectPrev); err != nil {
+	if err := verifyAndInstallSegment(st.dir, e, pkg.Data, expectPrev); err != nil {
 		return err
 	}
 	line, err := canon.Marshal(&e)
@@ -305,15 +300,12 @@ func (rs *ReplicaSet) Receive(source string, pkg *SegmentPackage) error {
 // given), count, content digest, chain endpoints and the pinned index
 // digest — at a temporary name and renamed into place only on success,
 // so a concurrent read-only audit never sees unverified bytes and a
-// failed verification leaves no trace. Shipped index bytes are installed
-// when they verify (byte-identical to the source's file) and rebuilt
-// from the just-verified records otherwise; either way the index digest
-// is pinned by the seal.
-func verifyAndInstallSegment(dir string, e ManifestEntry, data, shippedIdx []byte, expectPrev *sig.Digest) error {
-	if d, err := e.computeDigest(); err != nil {
+// failed verification leaves no trace. The index is derived from the
+// just-verified records by the same encoder the source sealed with, so
+// the installed index file is byte-identical to the source's.
+func verifyAndInstallSegment(dir string, e ManifestEntry, data []byte, expectPrev *sig.Digest) error {
+	if err := e.VerifySeal(); err != nil {
 		return err
-	} else if d != e.Digest {
-		return fmt.Errorf("%w: entry digest for segment %d", ErrSealBroken, e.Segment)
 	}
 	final := segPath(dir, e.Segment)
 	tmp := final + ".tmp"
@@ -331,42 +323,21 @@ func verifyAndInstallSegment(dir string, e ManifestEntry, data, shippedIdx []byt
 		os.Remove(tmp)
 		return err
 	}
-	payload := seg.payload()
-	pd, err := payload.digest()
+	payload, err := buildIndex(seg, &e)
 	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if pd != e.Index {
+	line, err := canon.Marshal(&e)
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("%w: segment %d records do not reproduce the sealed index digest", ErrSealBroken, e.Segment)
+		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("vault: install replica segment: %w", err)
 	}
-	idxBytes := shippedIdx
-	if !validIndexBytes(idxBytes, e) {
-		idx := &segmentIndex{Entry: e, indexPayload: payload}
-		if idxBytes, err = canon.Marshal(idx); err != nil {
-			return err
-		}
-	}
-	return writeFileSync(idxPath(dir, e.Segment), idxBytes)
-}
-
-// validIndexBytes reports whether shipped index bytes decode to an index
-// sealed by entry e.
-func validIndexBytes(data []byte, e ManifestEntry) bool {
-	if len(data) == 0 {
-		return false
-	}
-	idx := &segmentIndex{}
-	if err := canon.Unmarshal(data, idx); err != nil || idx.Entry.Digest != e.Digest {
-		return false
-	}
-	pd, err := idx.indexPayload.digest()
-	return err == nil && pd == e.Index
+	return writeIndexFile(dir, e.Segment, line, payload)
 }
 
 // Manifest returns a copy of the accepted seal chain for source.
@@ -397,6 +368,39 @@ func writeFileSync(path string, data []byte) error {
 		return fmt.Errorf("vault: sync %s: %w", path, err)
 	}
 	return f.Close()
+}
+
+// writeFileAtomic writes the concatenation of parts to path through a
+// fsynced temporary file and a rename, so readers (and mappings) of the
+// previous file never see a partial write and a crash leaves either the
+// old file or the new one.
+func writeFileAtomic(path string, parts ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+	if err != nil {
+		return fmt.Errorf("vault: write %s: %w", path, err)
+	}
+	for _, part := range parts {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return fmt.Errorf("vault: write %s: %w", path, err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("vault: sync %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("vault: close %s: %w", path, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("vault: install %s: %w", path, err)
+	}
+	return nil
 }
 
 // appendFileSync appends data to path and fsyncs it.

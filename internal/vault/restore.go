@@ -149,7 +149,7 @@ func RestoreInto(dir string, entries []ManifestEntry, fetch func(ManifestEntry) 
 		if i > 0 {
 			expectPrev = &entries[i-1].LastHash
 		}
-		if err := verifyAndInstallSegment(dir, e, pkg.Data, pkg.Index, expectPrev); err != nil {
+		if err := verifyAndInstallSegment(dir, e, pkg.Data, expectPrev); err != nil {
 			return installed, err
 		}
 		line, merr := canon.Marshal(&e)
@@ -249,10 +249,7 @@ func (v *Vault) restoreFromReplica() error {
 		if rerr != nil {
 			return nil, rerr
 		}
-		// The index is a rebuildable convenience; a missing or stale
-		// source copy is rebuilt by the install.
-		idx, _ := os.ReadFile(idxPath(v.restoreFrom, e.Segment))
-		return &SegmentPackage{Entry: e, Data: data, Index: idx}, nil
+		return &SegmentPackage{Entry: e, Data: data}, nil
 	})
 	return err
 }

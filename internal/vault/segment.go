@@ -41,6 +41,12 @@ type ManifestEntry struct {
 	// Index is the digest of the segment's persistent index payload, so a
 	// tampered index cannot silently hide evidence from keyed queries.
 	Index sig.Digest `json:"index"`
+	// IndexFormat says what Index digests: absent (0) on seals written
+	// before the binary index, whose Index is the canonical-JSON digest
+	// of the logical payload — omitempty keeps their entry digests
+	// unchanged — and indexFormatBinary on seals whose Index is the
+	// SHA-256 of the binary payload bytes.
+	IndexFormat uint8 `json:"index_format,omitempty"`
 	// Prev is the Digest of the preceding manifest entry.
 	Prev sig.Digest `json:"prev"`
 	// Digest seals the entry: the digest of its canonical encoding with
@@ -69,32 +75,14 @@ func (e *ManifestEntry) VerifySeal() error {
 	return nil
 }
 
-// indexPayload is the authenticated body of a segment index: byte offsets
-// for direct record access plus posting lists by run, transaction, party
-// and kind. Its canonical digest is pinned in the manifest entry (Index),
-// breaking the cycle that would arise from digesting the whole index file
-// (which embeds the entry).
-type indexPayload struct {
-	Size    int64   `json:"size"`
-	Offsets []int64 `json:"offsets"`
-	// Hashes pins every record's chained hash, so a record served from a
-	// sealed segment is verified against the seal without reading the
-	// whole segment.
-	Hashes  []sig.Digest               `json:"hashes"`
-	Runs    map[id.Run][]uint64        `json:"runs,omitempty"`
-	Txns    map[id.Txn][]uint64        `json:"txns,omitempty"`
-	Parties map[id.Party][]uint64      `json:"parties,omitempty"`
-	Kinds   map[evidence.Kind][]uint64 `json:"kinds,omitempty"`
-}
-
-// digest returns the canonical digest pinned by ManifestEntry.Index.
-func (p *indexPayload) digest() (sig.Digest, error) { return sig.SumCanonical(p) }
-
-// segmentIndex is the persistent per-segment index written at seal time,
-// so adjudication queries touch only matching records.
+// segmentIndex is a sealed segment as the vault holds it in memory: its
+// seal and a view over its index, normally a read-only mapping of the
+// index file — the records, and the index itself, stay out of the heap.
+// The mapping is released when the segmentIndex becomes unreachable
+// (iterators may hold one past the vault's Close).
 type segmentIndex struct {
-	Entry ManifestEntry `json:"entry"`
-	indexPayload
+	Entry ManifestEntry
+	*indexView
 }
 
 // segment is the in-memory state of the one unsealed (active) segment —
@@ -103,7 +91,7 @@ type segment struct {
 	number   uint64
 	firstSeq uint64
 	// enc is the segment file's record encoding; binary segments carry a
-	// 4-byte header, so their first record offset is SegmentHeaderLen.
+	// header, so their first record offset is enc.HeaderLen().
 	enc     store.Encoding
 	records []*store.Record
 	offsets []int64
@@ -134,10 +122,7 @@ func newSegment(number, firstSeq uint64) *segment {
 func (s *segment) setEncoding(enc store.Encoding) {
 	s.enc = enc
 	if len(s.records) == 0 {
-		s.size = 0
-		if enc == store.EncBinary {
-			s.size = store.SegmentHeaderLen
-		}
+		s.size = enc.HeaderLen()
 	}
 }
 
@@ -157,9 +142,9 @@ func (s *segment) add(rec *store.Record, lineLen int64) {
 	s.kinds[rec.Token.Kind] = append(s.kinds[rec.Token.Kind], rec.Seq)
 }
 
-// payload freezes the segment's index body for digesting and persistence.
-func (s *segment) payload() indexPayload {
-	return indexPayload{
+// payload freezes the segment's index content for encoding.
+func (s *segment) payload() *indexPayload {
+	return &indexPayload{
 		Size:    s.size,
 		Offsets: s.offsets,
 		Hashes:  s.hashes,

@@ -1,0 +1,83 @@
+package vault
+
+import (
+	"fmt"
+	"io"
+	"os"
+
+	"nonrep/internal/store"
+)
+
+// SegmentSize is the space one segment takes — the evidence-space
+// overhead of section 6, per segment file.
+type SegmentSize struct {
+	Segment uint64
+	// Sealed is false for the unsealed tail, which has no index.
+	Sealed bool
+	// Format is the segment file's record encoding ("json", "binary-v1",
+	// "binary").
+	Format  string
+	Records int
+	// SegmentBytes is the size of the segment file's record data.
+	SegmentBytes int64
+	// IndexFormat is "binary", "json" (a legacy index) or "" when there
+	// is no index file; IndexBytes is its size.
+	IndexFormat string
+	IndexBytes  int64
+}
+
+// Sizes reports, for every sealed segment and the tail, the format it
+// is stored in and the bytes its records and its index take on disk.
+func (v *Vault) Sizes() ([]SegmentSize, error) {
+	v.mu.Lock()
+	sealed := make([]*segmentIndex, len(v.sealed))
+	copy(sealed, v.sealed)
+	tail := SegmentSize{
+		Segment:      v.active.number,
+		Format:       v.active.enc.String(),
+		Records:      len(v.active.records),
+		SegmentBytes: v.active.size,
+	}
+	v.mu.Unlock()
+
+	out := make([]SegmentSize, 0, len(sealed)+1)
+	for _, idx := range sealed {
+		s := SegmentSize{Segment: idx.Entry.Segment, Sealed: true, Records: idx.count}
+		head, size, err := fileHead(segPath(v.dir, s.Segment))
+		if err != nil && !os.IsNotExist(err) { // a pruned replica segment has no data file
+			return nil, err
+		}
+		s.Format, s.SegmentBytes = store.DetectEncoding(head).String(), size
+		if head, size, err = fileHead(idxPath(v.dir, s.Segment)); err == nil && len(head) > 0 {
+			s.IndexFormat, s.IndexBytes = "binary", size
+			if head[0] == '{' {
+				s.IndexFormat = "json"
+			}
+		}
+		out = append(out, s)
+	}
+	if tail.Records > 0 {
+		out = append(out, tail)
+	}
+	return out, nil
+}
+
+// fileHead returns a file's first bytes (enough to tell its format) and
+// its size.
+func fileHead(path string) ([]byte, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("vault: stat %s: %w", path, err)
+	}
+	head := make([]byte, store.SegmentHeaderLen)
+	n, err := io.ReadFull(f, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, 0, fmt.Errorf("vault: read %s: %w", path, err)
+	}
+	return head[:n], fi.Size(), nil
+}

@@ -27,6 +27,10 @@ import (
 type replicaTail struct {
 	seg     uint64 // tail segment number: last sealed + 1
 	records []*store.Record
+	// enc is the tail file's encoding as found on disk; a file an
+	// earlier build started is replaced, not appended to, on the next
+	// push.
+	enc store.Encoding
 }
 
 func (t *replicaTail) last() (*store.Record, bool) {
@@ -62,7 +66,7 @@ func (rs *ReplicaSet) loadTail(st *replicaState) error {
 		expectSeq, expectHash = lastSeal.LastSeq, lastSeal.LastHash
 	}
 	cv := store.ResumeChain(expectSeq, expectHash)
-	_, _, torn, derr := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
+	enc, _, torn, derr := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
 		if cerr := cv.Check(rec); cerr != nil {
 			return cerr
 		}
@@ -76,22 +80,9 @@ func (rs *ReplicaSet) loadTail(st *replicaState) error {
 		}
 		tail.records = nil
 	}
+	tail.enc = enc
 	st.tail = tail
 	return nil
-}
-
-// tailFileBytes encodes tail records as a fresh binary segment file.
-func tailFileBytes(records []*store.Record) ([]byte, error) {
-	hdr := store.SegmentHeader()
-	buf := append([]byte(nil), hdr[:]...)
-	var enc store.RecordEncoder
-	var err error
-	for _, rec := range records {
-		if buf, err = enc.AppendRecord(buf, rec); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // rebaseTail re-anchors a source's tail after a sealed segment was
@@ -108,11 +99,11 @@ func (rs *ReplicaSet) rebaseTail(st *replicaState, e ManifestEntry) error {
 			keep = append(keep, rec)
 		}
 	}
-	st.tail = &replicaTail{seg: e.Segment + 1, records: keep}
+	st.tail = &replicaTail{seg: e.Segment + 1, records: keep, enc: store.EncBinary}
 	if len(keep) == 0 {
 		return nil
 	}
-	buf, err := tailFileBytes(keep)
+	buf, err := store.AppendFrameRun(nil, keep)
 	if err != nil {
 		return err
 	}
@@ -188,36 +179,42 @@ func (rs *ReplicaSet) ReceiveTail(source string, records []*store.Record) (uint6
 	if err := os.MkdirAll(st.dir, 0o700); err != nil {
 		return 0, fmt.Errorf("vault: create replica dir: %w", err)
 	}
-	first := len(st.tail.records) == 0
 	if _, serr := os.Stat(filepath.Join(st.dir, sourceFileName)); serr != nil {
 		if err := writeFileSync(filepath.Join(st.dir, sourceFileName), []byte(source)); err != nil {
 			return 0, err
 		}
 	}
 	path := segPath(st.dir, st.tail.seg)
-	var buf []byte
-	if first {
-		hdr := store.SegmentHeader()
-		buf = append(buf, hdr[:]...)
-	}
-	var enc store.RecordEncoder
-	for _, rec := range fresh {
-		var aerr error
-		if buf, aerr = enc.AppendRecord(buf, rec); aerr != nil {
+	if len(st.tail.records) > 0 && st.tail.enc == store.EncBinary {
+		// Extend the file: a fresh encoder, so the first appended frame
+		// carries its Prev and the frames decode wherever the file is cut.
+		var buf []byte
+		var enc store.RecordEncoder
+		for _, rec := range fresh {
+			var aerr error
+			if buf, aerr = enc.AppendRecord(buf, rec); aerr != nil {
+				return 0, aerr
+			}
+		}
+		if err := appendFileSync(path, buf); err != nil {
+			return 0, err
+		}
+	} else {
+		// Start the file — or replace one an earlier build started in a
+		// superseded encoding, which frames of this one must not extend.
+		// The replacement is atomic: the held records were acknowledged.
+		all := append(st.tail.records[:len(st.tail.records):len(st.tail.records)], fresh...)
+		buf, aerr := store.AppendFrameRun(nil, all)
+		if aerr != nil {
 			return 0, aerr
 		}
-	}
-	if first {
-		if err := writeFileSync(path, buf); err != nil {
+		if err := writeFileAtomic(path, buf); err != nil {
 			return 0, err
 		}
 		if err := syncDirPath(st.dir); err != nil {
 			return 0, err
 		}
-	} else {
-		if err := appendFileSync(path, buf); err != nil {
-			return 0, err
-		}
+		st.tail.enc = store.EncBinary
 	}
 	st.tail.records = append(st.tail.records, fresh...)
 	return pos, nil

@@ -19,9 +19,11 @@
 //     one fsync per token into one per batch. Callers block until their
 //     batch is on disk, so an acknowledged append is always durable.
 //
-//   - Persistent indexes: at seal time each segment writes an index of
-//     byte offsets plus posting lists by run, transaction, party and kind,
-//     so ByRun/ByTxn and adjudication queries are O(result), not O(log).
+//   - Persistent indexes: at seal time each segment writes a binary index
+//     of byte offsets, record hashes and posting lists by run,
+//     transaction, party and kind, read in place from a file mapping, so
+//     ByRun/ByTxn and adjudication queries are O(result), not O(log), and
+//     a sealed segment costs the heap only its routing keys.
 //
 //   - Fast recovery: opening a vault verifies the manifest chain and
 //     replays only the unsealed tail segment (truncating a torn final
@@ -29,11 +31,13 @@
 package vault
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -97,6 +101,7 @@ func WithReadOnly() Option {
 // always auto-detect per file, so a vault may freely mix JSON and
 // binary segments across reopens with different settings; the seal
 // chain, queries, DeepVerify and replication are encoding-blind.
+// Segment indexes are binary either way.
 func WithJSONSegments() Option {
 	return func(v *Vault) { v.writeEnc = store.EncJSON }
 }
@@ -195,9 +200,11 @@ type Vault struct {
 	sealed []*segmentIndex
 	// runSegs/txnSegs route keyed queries straight to the sealed segments
 	// holding matching records, so lookup cost does not grow with the
-	// number of segments.
-	runSegs   map[id.Run][]int
-	txnSegs   map[id.Txn][]int
+	// number of segments. Keys are the identifiers as the indexes store
+	// them (packed), so loading a segment copies each key once and
+	// decodes none.
+	runSegs   map[string][]int
+	txnSegs   map[string][]int
 	active    *segment
 	f         *os.File
 	manifestF *os.File
@@ -259,8 +266,8 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		maxBatch:   512,
 		sync:       true,
 		writeEnc:   store.EncBinary,
-		runSegs:    make(map[id.Run][]int),
-		txnSegs:    make(map[id.Txn][]int),
+		runSegs:    make(map[string][]int),
+		txnSegs:    make(map[string][]int),
 		appendC:    make(chan *appendReq, 4096),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -491,7 +498,9 @@ func (v *Vault) loadManifest() error {
 		if err != nil {
 			return err
 		}
-		v.addSealed(idx)
+		if err := v.addSealed(idx); err != nil {
+			return err
+		}
 		v.lastSeq, v.lastHash = e.LastSeq, e.LastHash
 		prevSeal = e.Digest
 	}
@@ -499,26 +508,63 @@ func (v *Vault) loadManifest() error {
 	return nil
 }
 
-// loadIndex reads a sealed segment's index, rebuilding it from the
-// segment file if missing, stale or tampered (a crash can land between
-// index write and the next index write; the manifest entry — including
-// its pinned index payload digest — is the source of truth).
+// loadIndex maps a sealed segment's index and verifies it against the
+// seal, rebuilding it from the segment file if missing, stale or
+// tampered (the manifest entry — including its pinned index digest — is
+// the source of truth).
 func (v *Vault) loadIndex(e *ManifestEntry) (*segmentIndex, error) {
-	data, err := os.ReadFile(idxPath(v.dir, e.Segment))
-	if err == nil {
-		idx := &segmentIndex{}
-		if uerr := canon.Unmarshal(data, idx); uerr == nil && idx.Entry.Digest == e.Digest {
-			if pd, derr := idx.indexPayload.digest(); derr == nil && pd == e.Index {
-				// Adopt the verified manifest entry wholesale: the file's
-				// embedded copy matched only on the digest field, and its
-				// other fields (time bounds, seq range, content) must not
-				// be trusted for query pruning.
-				idx.Entry = *e
-				return idx, nil
-			}
-		}
+	if idx, err := mapIndex(v.dir, e); err == nil {
+		return idx, nil
 	}
 	return v.rebuildIndex(e)
+}
+
+// mapIndex opens the index file of the segment e seals: the file is
+// mapped, verified against the seal in one pass over its bytes, and
+// then read in place for as long as the returned index is reachable. A
+// legacy JSON index is parsed, verified and converted instead, and its
+// mapping released at once.
+func mapIndex(dir string, e *ManifestEntry) (*segmentIndex, error) {
+	data, release, err := mapFile(idxPath(dir, e.Segment))
+	if err != nil {
+		return nil, err
+	}
+	ix, err := openIndex(data, e)
+	if err != nil {
+		release()
+		return nil, err
+	}
+	idx := &segmentIndex{Entry: *e, indexView: ix}
+	if len(data) > 0 && data[0] == '{' {
+		release() // converted: the view does not alias the file
+	} else {
+		runtime.AddCleanup(idx, func(release func()) { release() }, release)
+	}
+	return idx, nil
+}
+
+// buildIndex encodes the index of a fully read sealed segment and holds
+// it to the seal by the same rule a loaded index is held to: the records
+// already verified against the seal, so a payload that still disagrees
+// with the pinned digest means the entry itself is inconsistent.
+func buildIndex(seg *segment, e *ManifestEntry) ([]byte, error) {
+	payload := encodeIndexPayload(seg.firstSeq, seg.payload())
+	ix, err := parseIndexPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.verify(e); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// writeIndexFile persists a segment's index: header (with the seal's
+// manifest line) and payload, fsynced at a temporary name and renamed
+// into place, so a reader that has the previous file mapped keeps a
+// consistent view.
+func writeIndexFile(dir string, segment uint64, entryLine, payload []byte) error {
+	return writeFileAtomic(idxPath(dir, segment), indexFileHeader(entryLine), payload)
 }
 
 // rebuildIndex reconstructs a sealed segment's index by re-reading its
@@ -544,24 +590,35 @@ func (v *Vault) rebuildIndex(e *ManifestEntry) (*segmentIndex, error) {
 	for _, f := range frames {
 		seg.add(f.rec, f.n)
 	}
-	payload := seg.payload()
-	pd, err := payload.digest()
+	payload, err := buildIndex(seg, e)
 	if err != nil {
 		return nil, err
 	}
-	if pd != e.Index {
-		// The records verified against the seal, so a rebuilt payload that
-		// still disagrees with the pinned digest means the entry itself is
-		// inconsistent.
-		return nil, fmt.Errorf("%w: segment %d index digest does not match its seal", ErrSealBroken, e.Segment)
+	line, err := canon.Marshal(e)
+	if err != nil {
+		return nil, err
 	}
-	idx := &segmentIndex{Entry: *e, indexPayload: payload}
+	return v.adoptIndex(e, line, payload)
+}
+
+// adoptIndex makes a freshly encoded (and seal-verified) index payload
+// the segment's index: written to disk unless the vault is read-only,
+// then served from a mapping of that file — the heap copy is dropped —
+// or, failing that, from the bytes in hand.
+func (v *Vault) adoptIndex(e *ManifestEntry, entryLine, payload []byte) (*segmentIndex, error) {
 	if !v.readOnly {
-		if err := v.writeIndex(idx); err != nil {
+		if err := writeIndexFile(v.dir, e.Segment, entryLine, payload); err != nil {
 			return nil, err
 		}
+		if idx, err := mapIndex(v.dir, e); err == nil {
+			return idx, nil
+		}
 	}
-	return idx, nil
+	ix, err := parseIndexPayload(payload)
+	if err != nil {
+		return nil, err
+	}
+	return &segmentIndex{Entry: *e, indexView: ix}, nil
 }
 
 // replayTail loads the unsealed tail segment into memory, verifying its
@@ -641,7 +698,7 @@ func (v *Vault) openHandles() error {
 // bytes keeps them (the header was written when the file was created).
 func writeSegmentHeader(f *os.File, seg *segment) error {
 	if seg.enc != store.EncBinary {
-		return nil
+		return nil // JSON has no header; version-1 files are never started
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -866,21 +923,20 @@ func (v *Vault) seal() error {
 		return nil
 	}
 	sealStart := time.Now()
-	payload := a.payload()
-	pd, err := payload.digest()
-	if err != nil {
-		return err
-	}
+	// The index is encoded once: the same bytes are digested for the
+	// seal and written to the index file.
+	payload := encodeIndexPayload(a.firstSeq, a.payload())
 	entry := ManifestEntry{
-		Segment:  a.number,
-		FirstSeq: a.firstSeq,
-		LastSeq:  v.lastSeq,
-		FirstAt:  a.records[0].At,
-		LastAt:   a.records[len(a.records)-1].At,
-		LastHash: v.lastHash,
-		Content:  a.content,
-		Index:    pd,
-		Prev:     v.lastSeal,
+		Segment:     a.number,
+		FirstSeq:    a.firstSeq,
+		LastSeq:     v.lastSeq,
+		FirstAt:     a.records[0].At,
+		LastAt:      a.records[len(a.records)-1].At,
+		LastHash:    v.lastHash,
+		Content:     a.content,
+		Index:       sha256.Sum256(payload),
+		IndexFormat: indexFormatBinary,
+		Prev:        v.lastSeal,
 	}
 	d, err := entry.computeDigest()
 	if err != nil {
@@ -895,11 +951,11 @@ func (v *Vault) seal() error {
 	if err := v.f.Sync(); err != nil {
 		return fmt.Errorf("vault: sync sealing segment: %w", err)
 	}
-	idx := &segmentIndex{Entry: entry, indexPayload: payload}
-	if err := v.writeIndex(idx); err != nil {
+	line, err := canon.Marshal(&entry)
+	if err != nil {
 		return err
 	}
-	line, err := canon.Marshal(&entry)
+	idx, err := v.adoptIndex(&entry, line, payload)
 	if err != nil {
 		return err
 	}
@@ -919,12 +975,15 @@ func (v *Vault) seal() error {
 	if err := v.f.Close(); err != nil {
 		return fmt.Errorf("vault: close sealed segment: %w", err)
 	}
-	// Evict: only the index survives in memory.
-	v.addSealed(idx)
+	// Evict: only the routing keys survive on the heap.
+	if err := v.addSealed(idx); err != nil {
+		return err
+	}
 	v.lastSeal = entry.Digest
 	v.pendingSeals = append(v.pendingSeals, entry)
 	v.active = newSegment(a.number+1, v.lastSeq+1)
 	v.active.setEncoding(v.writeEnc)
+	v.recEnc.Reset() // the next frame opens a new file
 	f, err := os.OpenFile(segPath(v.dir, v.active.number), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("vault: open next segment: %w", err)
@@ -948,24 +1007,22 @@ func (v *Vault) seal() error {
 
 // addSealed registers a sealed segment's index and routes its run and
 // transaction keys to it (mu held, or during single-threaded open).
-func (v *Vault) addSealed(idx *segmentIndex) {
+func (v *Vault) addSealed(idx *segmentIndex) error {
 	pos := len(v.sealed)
-	v.sealed = append(v.sealed, idx)
-	for run := range idx.Runs {
-		v.runSegs[run] = append(v.runSegs[run], pos)
+	route := func(table int, segs map[string][]int) error {
+		return idx.eachKey(table, func(key, _ []byte) error {
+			segs[string(key)] = append(segs[string(key)], pos)
+			return nil
+		})
 	}
-	for txn := range idx.Txns {
-		v.txnSegs[txn] = append(v.txnSegs[txn], pos)
-	}
-}
-
-// writeIndex persists a segment index and syncs it.
-func (v *Vault) writeIndex(idx *segmentIndex) error {
-	data, err := canon.Marshal(idx)
-	if err != nil {
+	if err := route(tableRuns, v.runSegs); err != nil {
 		return err
 	}
-	return writeFileSync(idxPath(v.dir, idx.Entry.Segment), data)
+	if err := route(tableTxns, v.txnSegs); err != nil {
+		return err
+	}
+	v.sealed = append(v.sealed, idx)
+	return nil
 }
 
 // Append implements store.Log. The call blocks until the record's batch is
@@ -1093,8 +1150,9 @@ func (v *Vault) Manifest() []ManifestEntry {
 }
 
 // Package reads one sealed segment into a shippable package: its manifest
-// entry plus the exact segment and index file bytes. Sealed files are
-// immutable, so the read needs no lock beyond locating the entry.
+// entry plus the exact segment file bytes (the index is a function of
+// those; every receiver derives it). Sealed files are immutable, so the
+// read needs no lock beyond locating the entry.
 func (v *Vault) Package(segment uint64) (*SegmentPackage, error) {
 	// Segments are numbered sequentially from 1, so the entry sits at
 	// index segment-1 (the invariant replica acceptance also enforces).
@@ -1112,13 +1170,7 @@ func (v *Vault) Package(segment uint64) (*SegmentPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vault: package segment %d: %w", segment, err)
 	}
-	// The index is a rebuildable convenience; ship it when present so the
-	// receiver need not reconstruct it, but its absence is not an error.
-	idxData, err := os.ReadFile(idxPath(v.dir, segment))
-	if err != nil {
-		idxData = nil
-	}
-	return &SegmentPackage{Entry: *entry, Data: data, Index: idxData}, nil
+	return &SegmentPackage{Entry: *entry, Data: data}, nil
 }
 
 // Len implements store.Log.
@@ -1193,8 +1245,8 @@ func (v *Vault) DeepVerify() error {
 			return fmt.Errorf("%w: manifest chain at segment %d", ErrSealBroken, e.Segment)
 		}
 		prevSeal = e.Digest
-		if pd, derr := idx.indexPayload.digest(); derr != nil || pd != e.Index {
-			return fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
+		if err := idx.verify(&e); err != nil {
+			return err
 		}
 		// Deep verification pins the cross-segment linkage: the segment's
 		// first record must chain from the previous segment's last hash.

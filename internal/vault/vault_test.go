@@ -1,7 +1,7 @@
 package vault_test
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -431,23 +432,21 @@ func TestVaultIndexTamperHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Blind the index: drop every posting list from segment 1's index
-	// while leaving its embedded (correctly sealed) entry untouched.
+	// Blind the index: point the run's posting list in segment 1's index
+	// at a different key, leaving the embedded (correctly sealed) entry
+	// and every other byte untouched.
 	idxFile := filepath.Join(dir, "seg-00000001.idx")
 	data, err := os.ReadFile(idxFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx map[string]any
-	if err := json.Unmarshal(data, &idx); err != nil {
-		t.Fatal(err)
+	key := canon.AppendPackedID(nil, string(run))
+	at := bytes.LastIndex(data, key)
+	if at < 0 {
+		t.Fatal("test setup: run key not found in the index")
 	}
-	delete(idx, "runs")
-	tampered, err := json.Marshal(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idxFile, tampered, 0o600); err != nil {
+	data[at+len(key)-1] ^= 0xFF
+	if err := os.WriteFile(idxFile, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
 
