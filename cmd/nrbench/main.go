@@ -19,7 +19,6 @@
 //	nrbench -payload 33554432 [-n iterations] [-out BENCH_stream.json]
 //	nrbench -obs [-n iterations] [-out BENCH_obs.json]
 //	nrbench -durable [-n iterations] [-out BENCH_durable.json]
-//	nrbench -encoding [-n iterations] [-out BENCH_encoding.json]
 //	nrbench -subs 64 [-n iterations] [-out BENCH_subs.json]
 //	nrbench -georep [-n iterations] [-out BENCH_georep.json]
 //
@@ -52,11 +51,6 @@
 // journaled job (CallAsync), and as a journaled job served by a worker
 // organisation dialling out through the gateway (target: <10% journal
 // overhead over direct).
-//
-// The -encoding mode runs only E17 — the encoding A/B study: the
-// vault's batched append path, the sealed-segment audit scan and the
-// wire envelope round trip, each over canonical JSON and over the
-// binary frame format (target: ≥1.5x on the batched append hot path).
 //
 // The -subs mode runs only E18 — the live-subscription fan-out study:
 // the same concurrent vault-backed invocation workload with no
@@ -121,10 +115,9 @@ func main() {
 	payload := flag.Int("payload", 0, "run only the large-payload streaming study (E14) up to this many bytes")
 	obsStudy := flag.Bool("obs", false, "run only the telemetry-overhead study (E15)")
 	durableStudy := flag.Bool("durable", false, "run only the durable-invocation overhead study (E16)")
-	encodingStudy := flag.Bool("encoding", false, "run only the record/envelope encoding A/B study (E17)")
 	subsStudy := flag.Int("subs", 0, "run only the live-subscription fan-out study (E18) with this many subscribers")
 	georepStudy := flag.Bool("georep", false, "run only the geo-replication durability study (E19)")
-	out := flag.String("out", "", "write pipeline/tenant/stream/obs/durable/encoding/subs measurements as JSON to this path")
+	out := flag.String("out", "", "write pipeline/tenant/stream/obs/durable/subs measurements as JSON to this path")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the study to this path")
 	flag.Parse()
 	if *quick {
@@ -147,10 +140,6 @@ func main() {
 	}
 	if *subsStudy > 0 {
 		benchSubs(*n, *subsStudy, *out)
-		return
-	}
-	if *encodingStudy {
-		benchEncoding(*n, *out)
 		return
 	}
 	if *obsStudy {

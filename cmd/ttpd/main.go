@@ -24,10 +24,10 @@
 // dial out to it, hold a lease over long-poll links, and serve their
 // components through it without running a listener of their own.
 //
-// With -archive the daemon tiers sealed evidence segments — its own
+// With -archive the daemon ships sealed evidence segments — its own
 // vault's and those of every hosted peer replica — into a filesystem
 // object store at the given directory, the archival tier of the
-// geo-replicated evidence plane. Archived segments are framed,
+// replicated evidence plane. Archived segments are framed,
 // content-verified objects; a source organisation that lost its region
 // rebuilds from them with nrverify or RestoreVaultFromArchive.
 package main
@@ -166,60 +166,35 @@ func main() {
 	invoke.NewRelay(node.Coordinator(), invoke.RouteToServer())
 	invoke.NewResolveService(node.Coordinator())
 	ttp.NewEPM(node.Coordinator())
-	// A TTP is the natural neutral ground for evidence survivability: with
-	// storage configured it serves remote audits of its own vault, accepts
-	// peers' sealed-segment replicas (verified against their seal chains)
-	// and serves adjudications from those replicas when a source
-	// organisation is lost or uncooperative (nrverify -remote -source).
-	auditServices := ""
-	var replicas *vault.ReplicaSet
-	if evidenceVault != nil || *replicaRoot != "" {
-		if *replicaRoot != "" {
-			replicas, err = vault.OpenReplicaSet(*replicaRoot)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sources, _ := replicas.Sources()
-			log.Printf("replica store %s: %d source organisations", *replicaRoot, len(sources))
-		}
-		protocol.NewAuditService(node.Coordinator(), evidenceVault, replicas)
-		auditServices = ", remote audit + replica host"
-		// The TTP's own vault is open to live subscription without a
-		// token: a TTP's evidence (postmarks, substitute receipts, abort
-		// affidavits) is exactly what monitors and adjudication tooling
-		// (nrverify -follow) need to watch as it happens, and a TTP — like
-		// the open audit plane above — serves any comer.
-		if evidenceVault != nil {
-			protocol.NewSubService(node.Coordinator(), evidenceVault, protocol.WithAnonymousSubscribe())
-			auditServices += ", live subscriptions"
-		}
-	}
+	replicas, auditServices := hostEvidence(node.Coordinator(), evidenceVault, *replicaRoot)
 
 	// And neutral ground for survivability's last line: with -archive the
-	// TTP runs the archival tier, sweeping sealed segments — its own
+	// TTP runs the archival tier, shipping sealed segments — its own
 	// vault's and every hosted replica's — into a content-verified object
 	// store that adjudication and region rebuilds can draw on when both a
-	// source and its replicas are gone.
+	// source and its replicas are gone. The archive is a ship-only target:
+	// the TTP's own vault gets a shipping engine (reacts to seals, retries
+	// on its own clock); hosted replica directories have no seal hook to
+	// react to, so they are caught up on a timer.
 	if *archiveDir != "" {
 		archStore, err := blob.OpenFS(*archiveDir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		arch := georep.NewArchive(archStore)
-		stopArchive := make(chan struct{})
-		defer close(stopArchive)
-		go func() {
-			tick := time.NewTicker(15 * time.Second)
-			defer tick.Stop()
-			for {
-				archiveSweep(arch, clk, evidenceVault, *party, replicas)
-				select {
-				case <-stopArchive:
-					return
-				case <-tick.C:
-				}
+		if evidenceVault != nil {
+			eng := georep.NewEngine(evidenceVault, *party, georep.Policy{}, clk, georep.WithObserver(telemetry.Scope(*party)))
+			defer eng.Close()
+			eng.AddTarget("archive", arch)
+			if telemetry != nil {
+				telemetry.SetHealth("replication:"+*party, func() any { return eng.Status() })
 			}
-		}()
+		}
+		if replicas != nil {
+			stopArchive := make(chan struct{})
+			defer close(stopArchive)
+			go archiveReplicas(arch, replicas, stopArchive)
+		}
 		auditServices += ", archive tier at " + *archiveDir
 	}
 
@@ -293,52 +268,67 @@ func main() {
 	fmt.Printf("ttpd: shutting down; evidence log holds %d records\n", node.Log().Len())
 }
 
-// archiveSweep tiers every sealed segment not yet in the archive — from
-// the TTP's own vault and from each hosted replica (a replica directory
-// is a valid read-only vault) — into the object store. Failures are
-// logged and retried on the next sweep; Put refuses anything that does
-// not extend the source's verified seal chain.
-func archiveSweep(arch *georep.Archive, clk clock.Clock, own *vault.Vault, ownParty string, replicas *vault.ReplicaSet) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if own != nil {
-		archiveVault(ctx, arch, ownParty, own)
+// hostEvidence makes the TTP the neutral ground for evidence
+// survivability: with storage configured it serves remote audits of its
+// own vault, accepts peers' replicas — sealed segments over seg-ship and
+// the unsealed tail over geo pushes, both verified against the source's
+// chain, so an organisation may name the TTP in WithReplication or
+// WithQuorum — and serves adjudications from those replicas when a source
+// organisation is lost or uncooperative (nrverify -remote -source). It
+// returns the replica store (nil without one) and what to add to the
+// services line.
+func hostEvidence(co *protocol.Coordinator, v *vault.Vault, replicaRoot string) (*vault.ReplicaSet, string) {
+	if v == nil && replicaRoot == "" {
+		return nil, ""
 	}
-	if replicas == nil {
-		return
-	}
-	sources, err := replicas.Sources()
-	if err != nil {
-		log.Printf("archive: list replica sources: %v", err)
-		return
-	}
-	for _, src := range sources {
-		rv, err := vault.Open(replicas.Dir(src), clk, vault.WithReadOnly())
-		if err != nil {
-			log.Printf("archive: open replica of %s: %v", src, err)
-			continue
+	var replicas *vault.ReplicaSet
+	services := ", remote audit"
+	if replicaRoot != "" {
+		var err error
+		if replicas, err = vault.OpenReplicaSet(replicaRoot); err != nil {
+			log.Fatal(err)
 		}
-		archiveVault(ctx, arch, src, rv)
-		_ = rv.Close()
+		sources, _ := replicas.Sources()
+		log.Printf("replica store %s: %d source organisations", replicaRoot, len(sources))
+		protocol.NewGeoService(co, replicas)
+		services += " + replica host (seg-ship, geo tail pushes)"
 	}
+	protocol.NewAuditService(co, v, replicas)
+	// The TTP's own vault is open to live subscription without a token: a
+	// TTP's evidence (postmarks, substitute receipts, abort affidavits) is
+	// exactly what monitors and adjudication tooling (nrverify -follow)
+	// need to watch as it happens, and a TTP — like the open audit plane
+	// above — serves any comer.
+	if v != nil {
+		protocol.NewSubService(co, v, protocol.WithAnonymousSubscribe())
+		services += ", live subscriptions"
+	}
+	return replicas, services
 }
 
-// archiveVault puts v's sealed segments missing from source's archive
-// chain, in order, stopping at the first failure.
-func archiveVault(ctx context.Context, arch *georep.Archive, source string, v *vault.Vault) {
-	for _, e := range v.Manifest() {
-		if arch.Has(ctx, source, e.Segment) {
-			continue
+// archiveReplicas keeps the archive caught up with the hosted replica
+// directories until stop closes. A failing pass is logged when it first
+// appears or changes, and recovery once.
+func archiveReplicas(arch *georep.Archive, replicas *vault.ReplicaSet, stop <-chan struct{}) {
+	tick := time.NewTicker(15 * time.Second)
+	defer tick.Stop()
+	lastErr := ""
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err := arch.ShipReplicas(ctx, replicas)
+		cancel()
+		switch {
+		case err != nil && err.Error() != lastErr:
+			lastErr = err.Error()
+			log.Printf("archive: hosted replicas STALLED (will retry): %v", err)
+		case err == nil && lastErr != "":
+			lastErr = ""
+			log.Printf("archive: hosted replicas recovered")
 		}
-		pkg, err := v.Package(e.Segment)
-		if err != nil {
-			log.Printf("archive: package %s segment %d: %v", source, e.Segment, err)
+		select {
+		case <-stop:
 			return
+		case <-tick.C:
 		}
-		if err := arch.Put(ctx, source, pkg); err != nil {
-			log.Printf("archive: put %s segment %d: %v", source, e.Segment, err)
-			return
-		}
-		log.Printf("archive: %s segment %d tiered", source, e.Segment)
 	}
 }

@@ -241,7 +241,6 @@ type orgConfig struct {
 	vaultOpts      []vault.Option
 	roles          []string
 	replicaRoot    string
-	replicate      []Party
 	geoPeers       []Party
 	quorum         int
 	ackTimeout     time.Duration
@@ -297,25 +296,24 @@ var (
 	VaultPreallocate = vault.WithPreallocate
 	// VaultWithoutSync trades machine-crash durability for throughput.
 	VaultWithoutSync = vault.WithoutSync
-	// VaultJSONSegments writes canonical-JSON segments instead of the
-	// binary frame format — for vaults where a grep-able on-disk log
-	// matters more than speed. Existing segments keep their encoding
-	// either way; a vault may hold both side by side.
-	VaultJSONSegments = vault.WithJSONSegments
 )
 
-// WithReplication makes the organisation ship every sealed vault segment
-// to the named peer organisations' replica stores — the survivability
-// path: evidence reaches dispute time even if this organisation's storage
-// is later lost (OpenVault with VaultRestoreFrom rebuilds the vault from
-// any peer's replica) or the organisation turns uncooperative (an
-// adjudicator audits the peer's replica remotely instead). Requires
+// WithReplication makes the organisation replicate its vault to the
+// named peer organisations' replica stores — the survivability path:
+// evidence reaches dispute time even if this organisation's storage is
+// later lost (OpenVault with VaultRestoreFrom rebuilds the vault from any
+// peer's replica) or the organisation turns uncooperative (an adjudicator
+// audits the peer's replica remotely instead). It is the asynchronous
+// spelling of the durability policy — the configuration WithQuorum(0,
+// peers...) produces: every sealed segment ships whole, the unsealed
+// tail trails by one push, and appends are never gated. Requires
 // WithVault. Shipping is verified end to end: receivers re-check the seal
 // chain before accepting a segment, so a tampered copy is refused. Peers
-// may enrol after this organisation; segments reach them at the next
-// catch-up pass.
+// may enrol after this organisation; evidence reaches them at the next
+// catch-up pass, and Org.Georep().Flush is the deterministic
+// "everything shipped" point.
 func WithReplication(peers ...Party) OrgOption {
-	return func(c *orgConfig) { c.replicate = append(c.replicate, peers...) }
+	return func(c *orgConfig) { c.geoPeers = append(c.geoPeers, peers...) }
 }
 
 // WithReplicaStore sets where the organisation stores peers' replicated
@@ -326,9 +324,9 @@ func WithReplicaStore(dir string) OrgOption {
 	return func(c *orgConfig) { c.replicaRoot = dir }
 }
 
-// WithReplicationInterval tunes the background replication catch-up
-// interval (default 5s). The timer runs on the domain clock, so tests
-// with WithClock drive catch-up deterministically.
+// WithReplicationInterval tunes the interval on which failed replication
+// and archive targets are retried (default 5s). The timer runs on the
+// domain clock, so tests with WithClock drive catch-up deterministically.
 func WithReplicationInterval(d time.Duration) OrgOption {
 	return func(c *orgConfig) { c.syncEvery = d }
 }
@@ -488,10 +486,8 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	if orgVault == nil {
 		var need string
 		switch {
-		case len(cfg.replicate) > 0:
-			need = "WithReplication"
 		case len(cfg.geoPeers) > 0:
-			need = "WithQuorum"
+			need = "WithReplication/WithQuorum"
 		case cfg.archive != nil:
 			need = "WithArchive"
 		}
@@ -674,7 +670,6 @@ type Org struct {
 	geoSvc   *protocol.GeoService
 	geoCli   *protocol.GeoClient
 	replicas *vault.ReplicaSet
-	rep      *vault.Replicator
 	geo      *georep.Engine
 	gated    *georep.GatedLog
 	archive  *georep.Archive
@@ -690,10 +685,9 @@ type Org struct {
 	closeErr  error
 }
 
-// startAudit wires the organisation's remote-audit and replication
-// services: a replica store and audit service whenever the organisation
-// has evidence worth serving (a vault) or is asked to host replicas, and
-// a replicator when WithReplication names peers.
+// startAudit wires the organisation's remote-audit services: a replica
+// store and audit service whenever the organisation has evidence worth
+// serving (a vault) or is asked to host replicas.
 func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 	// Every organisation can drive remote audits of its peers — the
 	// client needs only the coordinator. Serving audits (the service)
@@ -718,28 +712,16 @@ func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 	// replica stores accept only authenticated seg-ship: every shipment
 	// must carry a token signed by the source organisation itself.
 	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs, protocol.WithShipAuth())
-	if len(cfg.replicate) > 0 {
-		var repOpts []vault.ReplicatorOption
-		if cfg.syncEvery > 0 {
-			repOpts = append(repOpts, vault.WithSyncInterval(cfg.syncEvery))
-		}
-		if tel := o.domain.tel; tel != nil {
-			repOpts = append(repOpts, vault.WithReplicationObserver(tel.Scope(string(o.node.Party()))))
-		}
-		o.rep = vault.NewReplicator(v, string(o.node.Party()), o.domain.clk, repOpts...)
-		for _, peer := range cfg.replicate {
-			o.rep.AddTarget(string(peer), o.auditCli.ShipTarget(peer))
-		}
-	}
 	o.registerHealth(v)
 	return nil
 }
 
-// startGeo wires the geo-replication plane: a geo service whenever the
-// organisation hosts replicas (receiving quorum tail pushes), and a
-// policy engine when WithQuorum names peers or WithArchive supplies an
-// object store. Under a sync policy (quorum > 0) the engine attaches to
-// the gated log built in addOrg, and appends start gating on quorum
+// startGeo wires the replication plane: a geo service whenever the
+// organisation hosts replicas (receiving tail pushes), and the shipping
+// engine when WithReplication/WithQuorum name peers or WithArchive
+// supplies an object store — peers and archive are all targets of the one
+// engine. Under a sync policy (quorum > 0) the engine attaches to the
+// gated log built in addOrg, and appends start gating on quorum
 // acknowledgement from this point on.
 func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	o.geoCli = protocol.NewGeoClient(o.node.Coordinator())
@@ -754,23 +736,34 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 		mode = georep.ModeSync
 	}
 	policy := georep.Policy{Mode: mode, Quorum: cfg.quorum, AckTimeout: cfg.ackTimeout}
+	party := string(o.node.Party())
 	var opts []georep.EngineOption
-	if cfg.archive != nil {
-		o.archive = georep.NewArchive(cfg.archive)
-		opts = append(opts, georep.WithArchive(o.archive))
-	}
 	if cfg.syncEvery > 0 {
 		opts = append(opts, georep.WithRetryInterval(cfg.syncEvery))
 	}
-	o.geo = georep.NewEngine(v, string(o.node.Party()), policy, o.domain.clk, opts...)
+	tel := o.domain.tel
+	if tel != nil {
+		opts = append(opts, georep.WithObserver(tel.Scope(party)))
+	}
+	o.geo = georep.NewEngine(v, party, policy, o.domain.clk, opts...)
+	// A peer named by both WithReplication and WithQuorum is one target:
+	// two would give it two votes.
+	seen := make(map[Party]bool, len(cfg.geoPeers))
 	for _, peer := range cfg.geoPeers {
-		o.geo.AddTarget(string(peer), o.geoCli.Target(peer, o.auditCli))
+		if !seen[peer] {
+			seen[peer] = true
+			o.geo.AddTarget(string(peer), o.geoCli.Target(peer, o.auditCli))
+		}
+	}
+	if cfg.archive != nil {
+		o.archive = georep.NewArchive(cfg.archive)
+		o.geo.AddTarget("archive", o.archive)
 	}
 	if o.gated != nil {
 		o.gated.Attach(o.geo)
 	}
-	if tel := o.domain.tel; tel != nil {
-		tel.SetHealth("georep:"+string(o.node.Party()), func() any { return o.geo.Status() })
+	if tel != nil {
+		tel.SetHealth("replication:"+party, func() any { return o.geo.Status() })
 	}
 }
 
@@ -789,9 +782,8 @@ func (o *Org) startSub(cfg orgConfig, v *vault.Vault) {
 	o.sub = protocol.NewSubService(o.node.Coordinator(), v, opts...)
 }
 
-// registerHealth publishes the organisation's liveness sources — vault
-// shape and seal-chain head, replication shipping status — on the
-// domain's telemetry plane, where /healthz reports them.
+// registerHealth publishes the organisation's vault shape and seal-chain
+// head on the domain's telemetry plane, where /healthz reports them.
 func (o *Org) registerHealth(v *vault.Vault) {
 	tel := o.domain.tel
 	if tel == nil {
@@ -812,9 +804,6 @@ func (o *Org) registerHealth(v *vault.Vault) {
 			}
 			return h
 		})
-	}
-	if rep := o.rep; rep != nil {
-		tel.SetHealth("replication:"+party, func() any { return rep.Status() })
 	}
 }
 
@@ -849,10 +838,10 @@ func (o *Org) Vault() *vault.Vault {
 	return nil
 }
 
-// Durability reports the organisation's geo-replication state: policy
-// mode, quorum arithmetic, per-replica acknowledgement watermarks and
-// archival progress. Without WithQuorum or WithArchive it returns the
-// zero Status (mode "", no targets).
+// Durability reports the organisation's replication state: policy mode,
+// quorum arithmetic, per-replica acknowledgement watermarks and archival
+// progress. Without WithReplication, WithQuorum or WithArchive it returns
+// the zero Status (mode "", no targets).
 func (o *Org) Durability() georep.Status {
 	if o.geo == nil {
 		return georep.Status{}
@@ -860,8 +849,8 @@ func (o *Org) Durability() georep.Status {
 	return o.geo.Status()
 }
 
-// Georep returns the organisation's geo-replication policy engine, or
-// nil without WithQuorum/WithArchive. Flush gives tests and planned
+// Georep returns the organisation's replication engine, or nil without
+// WithReplication/WithQuorum/WithArchive. Flush gives tests and planned
 // shutdowns a deterministic "every replica and the archive are caught
 // up" point.
 func (o *Org) Georep() *georep.Engine { return o.geo }
@@ -874,12 +863,6 @@ func (o *Org) Archive() *georep.Archive { return o.archive }
 // of peer organisations' sealed segments — or nil when the organisation
 // hosts none. Each source's replica directory is a valid read-only vault.
 func (o *Org) Replicas() *vault.ReplicaSet { return o.replicas }
-
-// Replication returns the organisation's sealed-segment replicator, or
-// nil when the organisation was not enrolled with WithReplication. Call
-// Sync for a deterministic "everything sealed so far has been shipped"
-// point (for example before a planned shutdown).
-func (o *Org) Replication() *vault.Replicator { return o.rep }
 
 // AuditClient returns the organisation's remote-audit client. Every
 // organisation has one — driving an audit needs only the coordinator;
@@ -1094,11 +1077,6 @@ func (o *Org) teardown() error {
 	}
 	for _, s := range servers {
 		if err := s.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if o.rep != nil {
-		if err := o.rep.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -270,6 +270,58 @@ func (a *Archive) manifestLocked(ctx context.Context, source string) ([]vault.Ma
 	return DecodeManifest(raw)
 }
 
+// LastSealed implements vault.ShipTarget: the length of the archived,
+// chain-verified manifest — one Get, so a restarted shipper asks the
+// archive where it is, like every replica, instead of re-offering
+// history.
+func (a *Archive) LastSealed(ctx context.Context, source string) (uint64, error) {
+	entries, err := a.Manifest(ctx, source)
+	return uint64(len(entries)), err
+}
+
+// Ship implements vault.ShipTarget as Put: the archive is a ship-only
+// target of the engine.
+func (a *Archive) Ship(ctx context.Context, source string, pkg *vault.SegmentPackage) error {
+	return a.Put(ctx, source, pkg)
+}
+
+// ShipReplicas catches the archive up with every source rs hosts — what
+// a replica host running the archive tier does on its own clock. A
+// hosted replica directory is a valid read-only vault, so its sealed
+// segments beyond the archive's watermark ship like any vault's; a
+// source the archive already covers costs one manifest Get and its
+// directory is not opened. Every source is attempted; the first error
+// is returned.
+func (a *Archive) ShipReplicas(ctx context.Context, rs *vault.ReplicaSet) error {
+	sources, err := rs.Sources()
+	if err != nil {
+		return err
+	}
+	catchUp := func(source string) error {
+		have, err := a.LastSealed(ctx, source)
+		if err != nil {
+			return err
+		}
+		if held, err := rs.LastSealed(source); err != nil || held <= have {
+			return err
+		}
+		rv, err := vault.Open(rs.Dir(source), nil, vault.WithReadOnly())
+		if err != nil {
+			return err
+		}
+		defer rv.Close()
+		_, err = ShipSealed(ctx, rv, source, a, have)
+		return err
+	}
+	var firstErr error
+	for _, source := range sources {
+		if err := catchUp(source); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("georep: archive replica of %s: %w", source, err)
+		}
+	}
+	return firstErr
+}
+
 // Manifest returns the archived, chain-verified seal chain of source
 // (empty when the source has never been archived).
 func (a *Archive) Manifest(ctx context.Context, source string) ([]vault.ManifestEntry, error) {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sort"
 	"sync"
 	"time"
 
 	"nonrep/internal/clock"
+	"nonrep/internal/obs"
 	"nonrep/internal/store"
 	"nonrep/internal/vault"
 )
@@ -44,11 +46,13 @@ type Policy struct {
 // replicating in the background.
 var ErrQuorumUnmet = errors.New("georep: quorum not reached")
 
-// Target is one peer region's receiving side as the engine sees it:
-// tail pushes and acknowledgement status for the quorum path, plus
-// sealed-segment shipping (vault.ShipTarget) for catch-up and
-// compaction. protocol.GeoTarget implements it over the wire; tests
-// implement it directly over a ReplicaSet.
+// Target is a replica that takes tail pushes on top of sealed-segment
+// shipping — the capability that earns an engine target a vote in the
+// quorum arithmetic. protocol.GeoTarget implements it over the wire;
+// tests implement it directly over a ReplicaSet. A target that is only
+// a vault.ShipTarget (the Archive, a bare seg-ship peer) is ship-only:
+// it receives sealed segments, is never sent Append and never counts
+// toward Quorum.
 type Target interface {
 	// AckedSeq reports the highest record sequence of source's vault the
 	// target durably holds (sealed or tail).
@@ -65,20 +69,22 @@ type waiter struct {
 	ch  chan struct{}
 }
 
-// targetState is the engine's view of one peer replica.
+// targetState is the engine's view of one target.
 type targetState struct {
-	name   string
-	t      Target
+	name string
+	t    vault.ShipTarget
+	// tail is t's tail-push capability, nil for a ship-only target.
+	tail   Target
 	notify chan struct{}
 
 	// Guarded by Engine.mu.
 	acked   uint64
 	lastErr string
-	// trusted reports that acked and sealedTo mirror the replica's
+	// trusted reports that acked and sealedTo mirror the target's
 	// durable state: the previous pass completed cleanly, so the next
 	// one can skip the status round trips and push straight from the
 	// cached watermarks. Any pass error clears it, and the next pass
-	// re-discovers both watermarks from the replica — the lost-ack
+	// re-discovers both watermarks from the target — the lost-ack
 	// idempotence story is unchanged, it just stops taxing the steady
 	// state.
 	trusted  bool
@@ -88,14 +94,8 @@ type targetState struct {
 // EngineOption tunes an Engine.
 type EngineOption func(*Engine)
 
-// WithArchive tiers sealed segments into an object-store archive as
-// they seal: the region-loss backstop behind the replicas.
-func WithArchive(a *Archive) EngineOption {
-	return func(e *Engine) { e.archive = a }
-}
-
 // WithRetryInterval sets the background retry cadence for failed
-// targets and archive passes (default 5s).
+// targets (default 5s).
 func WithRetryInterval(d time.Duration) EngineOption {
 	return func(e *Engine) {
 		if d > 0 {
@@ -104,8 +104,7 @@ func WithRetryInterval(d time.Duration) EngineOption {
 	}
 }
 
-// WithPassTimeout bounds one background push or archive pass
-// (default 30s).
+// WithPassTimeout bounds one background pass (default 30s).
 func WithPassTimeout(d time.Duration) EngineOption {
 	return func(e *Engine) {
 		if d > 0 {
@@ -114,44 +113,51 @@ func WithPassTimeout(d time.Duration) EngineOption {
 	}
 }
 
-// WithAsyncLinger sets how long an async pump lingers after a commit
-// wakes it before pushing, so a burst of appends coalesces into one
-// replica round trip (and one replica fsync) instead of one per group
-// commit (default 50ms; 0 pushes immediately). It bounds how far an
-// async replica trails the source; sync pumps never linger — a gated
-// append is waiting on them.
-func WithAsyncLinger(d time.Duration) EngineOption {
+// WithObserver homes the engine's instruments — shipped segments, failed
+// passes, lag and catch-up backlog — in the given telemetry scope. A nil
+// scope leaves it uninstrumented.
+func WithObserver(scope *obs.Scope) EngineOption {
 	return func(e *Engine) {
-		if d >= 0 {
-			e.linger = d
-		}
+		e.shippedC = scope.Counter(obs.MReplShippedTotal)
+		e.errorsC = scope.Counter(obs.MReplErrorsTotal)
+		e.lagG = scope.Gauge(obs.MReplLagSegments)
+		e.backlogG = scope.Gauge(obs.MReplBacklogSegments)
 	}
 }
 
-// Engine drives one organisation's replication policy: per-target push
-// pumps keep peer replicas' tails current (and their sealed history
-// complete), acknowledgement watermarks feed the quorum arithmetic that
-// WaitQuorum blocks on, and an optional archiver tiers every sealed
-// segment into the object store. Pumps react to vault commits and seals
-// immediately and retry failures on a clock-driven interval, so a
-// target that was down catches up without operator action.
+// asyncLinger is how long an async pump lingers after a commit wakes it
+// before pushing, so a burst of appends coalesces into one replica round
+// trip (and one replica fsync) instead of one per group commit. It
+// bounds how far an async replica trails the source; sync pumps never
+// linger — a gated append is waiting on them.
+const asyncLinger = 50 * time.Millisecond
+
+// Engine is the one shipping loop of an organisation's evidence plane:
+// a pump per target ships every sealed segment the target lacks, in
+// order, and — toward targets that take tail pushes — keeps the
+// unsealed tail current, feeding the acknowledgement watermarks that
+// WaitQuorum blocks on. Peer replicas and the object-store archive are
+// both targets. Pumps react to vault commits and seals immediately and
+// retry failures on a clock-driven interval, so a target that was down
+// catches up without operator action.
 type Engine struct {
 	v       *vault.Vault
 	source  string
 	policy  Policy
 	clk     clock.Clock
-	archive *Archive
 	every   time.Duration
 	timeout time.Duration
-	linger  time.Duration
 
-	mu          sync.Mutex
-	targets     map[string]*targetState
-	waiters     []*waiter
-	archivedSeg uint64
-	archiveErr  string
+	// Telemetry instruments (nil and no-op without WithObserver).
+	shippedC *obs.Counter
+	errorsC  *obs.Counter
+	lagG     *obs.Gauge
+	backlogG *obs.Gauge
 
-	archNotify   chan struct{}
+	mu      sync.Mutex
+	targets []*targetState
+	waiters []*waiter
+
 	quit         chan struct{}
 	wg           sync.WaitGroup
 	cancelSeal   func()
@@ -160,7 +166,7 @@ type Engine struct {
 }
 
 // NewEngine starts a policy engine replicating v (owned by source)
-// according to policy. Add peer replicas with AddTarget.
+// according to policy. Add targets with AddTarget.
 func NewEngine(v *vault.Vault, source string, policy Policy, clk clock.Clock, opts ...EngineOption) *Engine {
 	if clk == nil {
 		clk = clock.Real{}
@@ -172,62 +178,60 @@ func NewEngine(v *vault.Vault, source string, policy Policy, clk clock.Clock, op
 		policy.AckTimeout = 30 * time.Second
 	}
 	e := &Engine{
-		v:          v,
-		source:     source,
-		policy:     policy,
-		clk:        clk,
-		every:      5 * time.Second,
-		timeout:    30 * time.Second,
-		linger:     50 * time.Millisecond,
-		targets:    make(map[string]*targetState),
-		archNotify: make(chan struct{}, 1),
-		quit:       make(chan struct{}),
+		v:       v,
+		source:  source,
+		policy:  policy,
+		clk:     clk,
+		every:   5 * time.Second,
+		timeout: 30 * time.Second,
+		quit:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.cancelCommit = v.OnCommit(func([]*store.Record) { e.nudgeAll() })
-	e.cancelSeal = v.OnSeal(func(vault.ManifestEntry) {
-		e.nudgeAll()
-		nudge(e.archNotify)
-	})
-	if e.archive != nil {
-		e.wg.Add(1)
-		go e.archiveLoop()
-	}
+	// A commit moves only the tail, which ship-only targets never see.
+	e.cancelCommit = v.OnCommit(func([]*store.Record) { e.nudge(true) })
+	e.cancelSeal = v.OnSeal(func(vault.ManifestEntry) { e.nudge(false) })
 	return e
 }
 
 // Policy returns the engine's replication policy.
 func (e *Engine) Policy() Policy { return e.policy }
 
-// AddTarget registers a peer replica and starts its push pump.
-func (e *Engine) AddTarget(name string, t Target) {
+// AddTarget registers a target under a name unique within the engine
+// and starts its pump. A t that also implements Target additionally
+// gets tail pushes and a vote in the quorum; any other is ship-only.
+func (e *Engine) AddTarget(name string, t vault.ShipTarget) {
 	st := &targetState{name: name, t: t, notify: make(chan struct{}, 1)}
+	st.tail, _ = t.(Target)
 	e.mu.Lock()
-	e.targets[name] = st
+	e.targets = append(e.targets, st)
+	// Kept sorted by name: the order Flush visits and Status reports.
+	sort.Slice(e.targets, func(i, j int) bool { return e.targets[i].name < e.targets[j].name })
 	e.mu.Unlock()
 	e.wg.Add(1)
 	go e.pump(st)
-	nudge(st.notify)
+	st.notify <- struct{}{}
 }
 
-func nudge(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-func (e *Engine) nudgeAll() {
+// snapshot copies the target list.
+func (e *Engine) snapshot() []*targetState {
 	e.mu.Lock()
-	targets := make([]*targetState, 0, len(e.targets))
-	for _, st := range e.targets {
-		targets = append(targets, st)
-	}
-	e.mu.Unlock()
-	for _, st := range targets {
-		nudge(st.notify)
+	defer e.mu.Unlock()
+	return append([]*targetState(nil), e.targets...)
+}
+
+// nudge wakes the pumps without blocking — only those of tail-taking
+// targets when tailOnly.
+func (e *Engine) nudge(tailOnly bool) {
+	for _, st := range e.snapshot() {
+		if tailOnly && st.tail == nil {
+			continue
+		}
+		select {
+		case st.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -246,20 +250,23 @@ func (e *Engine) passContext() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// pump is one target's push loop: every vault commit/seal — and, as a
-// retry net, every interval — triggers one catch-up pass toward the
-// target. An async pump lingers briefly after the wake so a burst of
-// commits coalesces into one push; a sync pump passes immediately —
-// gated appends are blocked on its acknowledgements.
+// pump is one target's loop: every vault seal (and, for a tail-taking
+// target, every commit) — and, as a retry net, every interval —
+// triggers one catch-up pass toward the target. An async tail pump
+// lingers briefly after the wake so a burst of commits coalesces into
+// one push; a sync pump passes immediately — gated appends are blocked
+// on its acknowledgements — and so does a ship-only one, woken once per
+// seal.
 func (e *Engine) pump(st *targetState) {
 	defer e.wg.Done()
+	linger := st.tail != nil && e.policy.Quorum <= 0
 	for {
 		t := clock.NewTimer(e.clk, e.every)
 		select {
 		case <-st.notify:
 			t.Stop()
-			if e.policy.Quorum <= 0 && e.linger > 0 {
-				lt := clock.NewTimer(e.clk, e.linger)
+			if linger {
+				lt := clock.NewTimer(e.clk, asyncLinger)
 				select {
 				case <-lt.C():
 				case <-e.quit:
@@ -279,97 +286,123 @@ func (e *Engine) pump(st *targetState) {
 			return
 		}
 		ctx, cancel := e.passContext()
-		err := e.syncTarget(ctx, st)
+		_ = e.pass(ctx, st) // kept in the target's status; retried on the interval
 		cancel()
-		e.recordTarget(st, err)
 	}
 }
 
-func (e *Engine) recordTarget(st *targetState, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err != nil {
-		st.lastErr = err.Error()
-		st.trusted = false
-	} else {
-		st.lastErr = ""
-	}
-}
-
-// syncTarget performs one catch-up pass toward a target: ship sealed
-// segments it lacks (segment-major, cheapest for deep backlogs), then
-// push the unsealed tail, then account the acknowledgement watermark.
-// After a clean pass the target's watermarks are trusted mirrors, so
-// the steady state pays one wire round trip per push — or none at all
-// when the replica is current — instead of re-interrogating the
-// replica's status every pass; any error drops back to full
-// re-discovery.
-func (e *Engine) syncTarget(ctx context.Context, st *targetState) error {
-	e.mu.Lock()
-	trusted, sealedTo, acked := st.trusted, st.sealedTo, st.acked
-	e.mu.Unlock()
-	manifest := e.v.Manifest()
-	localSeq, _ := e.v.LastPosition()
-	if trusted && acked >= localSeq &&
-		(len(manifest) == 0 || manifest[len(manifest)-1].Segment <= sealedTo) {
-		return nil
-	}
-	var err error
-	if !trusted {
-		if sealedTo, err = st.t.LastSealed(ctx, e.source); err != nil {
-			return fmt.Errorf("georep: %s status: %w", st.name, err)
-		}
-	}
-	shipped := false
-	for _, entry := range manifest {
-		if entry.Segment <= sealedTo {
+// ShipSealed ships v's sealed segments beyond from to t, in order, and
+// returns t's new watermark (progress made before an error included) —
+// the one shipping step behind the pumps, Flush and catch-up of vaults
+// that have no engine (ttpd's hosted replica directories). At most one
+// package is in memory at a time.
+func ShipSealed(ctx context.Context, v *vault.Vault, source string, t vault.ShipTarget, from uint64) (uint64, error) {
+	for _, entry := range v.Manifest() {
+		if entry.Segment <= from {
 			continue
 		}
-		pkg, perr := e.v.Package(entry.Segment)
-		if perr != nil {
-			return fmt.Errorf("georep: package segment %d: %w", entry.Segment, perr)
+		pkg, err := v.Package(entry.Segment)
+		if err != nil {
+			return from, fmt.Errorf("georep: package segment %d of %s: %w", entry.Segment, source, err)
 		}
-		if serr := st.t.Ship(ctx, e.source, pkg); serr != nil {
-			return fmt.Errorf("georep: ship segment %d to %s: %w", entry.Segment, st.name, serr)
+		if err := t.Ship(ctx, source, pkg); err != nil {
+			return from, fmt.Errorf("georep: ship segment %d of %s: %w", entry.Segment, source, err)
 		}
-		sealedTo, shipped = entry.Segment, true
+		from = entry.Segment
+	}
+	return from, nil
+}
+
+// syncTarget performs one catch-up pass toward a target — up to the seal
+// chain head and record sequence the vault stood at when the pass began
+// — and returns the watermarks it reached: ship sealed segments it lacks (segment-major,
+// cheapest for deep backlogs), then — tail-taking targets only — push
+// the unsealed tail. After a clean pass the target's watermarks are
+// trusted mirrors, so the steady state pays one wire round trip per push
+// — or none at all when the target is current — instead of
+// re-interrogating its status every pass; any error drops back to full
+// re-discovery.
+func (e *Engine) syncTarget(ctx context.Context, st *targetState, head, localSeq uint64) (acked, sealedTo uint64, err error) {
+	e.mu.Lock()
+	trusted := st.trusted
+	acked, sealedTo = st.acked, st.sealedTo
+	e.mu.Unlock()
+	if trusted && sealedTo >= head && (st.tail == nil || acked >= localSeq) {
+		return acked, sealedTo, nil
+	}
+	if !trusted {
+		to, err := st.t.LastSealed(ctx, e.source)
+		if err != nil {
+			return acked, sealedTo, fmt.Errorf("georep: %s status: %w", st.name, err)
+		}
+		sealedTo = to
+	}
+	shipped := false
+	if head > sealedTo {
+		to, err := ShipSealed(ctx, e.v, e.source, st.t, sealedTo)
+		e.shippedC.Add(int64(to - sealedTo))
+		shipped, sealedTo = to > sealedTo, to
+		if err != nil {
+			return acked, sealedTo, fmt.Errorf("%w (target %s)", err, st.name)
+		}
+	}
+	if st.tail == nil {
+		return acked, sealedTo, nil
 	}
 	// A shipped segment moves the replica's watermark (its tail rebases
 	// onto the seal), so the cached mirror is stale after any ship —
 	// re-read it then, and whenever the cache was not trustworthy.
 	if !trusted || shipped {
-		if acked, err = st.t.AckedSeq(ctx, e.source); err != nil {
-			return fmt.Errorf("georep: %s status: %w", st.name, err)
+		if acked, err = st.tail.AckedSeq(ctx, e.source); err != nil {
+			return acked, sealedTo, fmt.Errorf("georep: %s status: %w", st.name, err)
 		}
 	}
 	if localSeq > acked {
-		recs, qerr := e.v.QueryAll(vault.Query{AfterSeq: acked})
-		if qerr != nil {
-			return fmt.Errorf("georep: read tail after %d: %w", acked, qerr)
+		recs, err := e.v.QueryAll(vault.Query{AfterSeq: acked})
+		if err != nil {
+			return acked, sealedTo, fmt.Errorf("georep: read tail after %d: %w", acked, err)
 		}
 		if len(recs) > 0 {
-			if acked, err = st.t.Append(ctx, e.source, recs); err != nil {
-				return fmt.Errorf("georep: push %d records to %s: %w", len(recs), st.name, err)
+			to, err := st.tail.Append(ctx, e.source, recs)
+			if err != nil {
+				return acked, sealedTo, fmt.Errorf("georep: push %d records to %s: %w", len(recs), st.name, err)
 			}
+			acked = to
 		}
 	}
-	e.setAcked(st, acked, sealedTo)
-	return nil
+	return acked, sealedTo, nil
 }
 
-// setAcked advances a target's watermarks after a clean pass — marking
-// them trusted for the fast path — and wakes every waiter the new
-// quorum covers.
-func (e *Engine) setAcked(st *targetState, acked, sealedTo uint64) {
+// pass runs one catch-up pass toward st and folds its outcome into the
+// target's watermarks and status, the instruments and the quorum: a
+// clean pass marks the watermarks trusted for the fast path and wakes
+// every waiter the new quorum covers. A target that cannot be shipped
+// to is not silent — evidence that quietly never reaches its replicas
+// is exactly the loss replication exists to prevent — so a failure is
+// logged when it first appears or changes, and recovery once.
+func (e *Engine) pass(ctx context.Context, st *targetState) error {
+	stats := e.v.Stats()
+	// Segments are numbered sequentially from 1: the count is the head.
+	head := uint64(stats.Segments)
+	acked, sealedTo, err := e.syncTarget(ctx, st, head, stats.LastSeq)
+
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if acked > st.acked {
-		st.acked = acked
+	st.acked, st.sealedTo = max(st.acked, acked), max(st.sealedTo, sealedTo)
+	st.trusted = err == nil
+	was := st.lastErr
+	st.lastErr = ""
+	if err != nil {
+		st.lastErr = err.Error()
 	}
-	if sealedTo > st.sealedTo {
-		st.sealedTo = sealedTo
+	// Lag is the worst target's distance behind the seal chain head;
+	// backlog is the catch-up work left across targets.
+	var lag, backlog uint64
+	for _, t := range e.targets {
+		if t.sealedTo < head {
+			backlog += head - t.sealedTo
+			lag = max(lag, head-t.sealedTo)
+		}
 	}
-	st.trusted = true
 	q := e.quorumSeqLocked()
 	kept := e.waiters[:0]
 	for _, w := range e.waiters {
@@ -380,22 +413,40 @@ func (e *Engine) setAcked(st *targetState, acked, sealedTo uint64) {
 		kept = append(kept, w)
 	}
 	e.waiters = kept
+	e.mu.Unlock()
+
+	e.lagG.Set(int64(lag))
+	e.backlogG.Set(int64(backlog))
+	switch {
+	case err != nil:
+		e.errorsC.Inc()
+		// A cancelled pass (Close, or the caller of Flush giving up) is
+		// not a stall.
+		if err.Error() != was && ctx.Err() != context.Canceled {
+			log.Printf("georep: replication of %s to %s STALLED (will retry every %s): %v", e.source, st.name, e.every, err)
+		}
+	case was != "":
+		log.Printf("georep: replication of %s to %s recovered", e.source, st.name)
+	}
+	return err
 }
 
-// quorumSeqLocked is the highest sequence at least Quorum targets have
-// acknowledged — the Quorum-th highest watermark (0 when fewer targets
-// than the quorum exist).
+// quorumSeqLocked is the highest sequence at least Quorum voting
+// (tail-taking) targets have acknowledged — the Quorum-th highest
+// watermark (0 when fewer voters than the quorum exist).
 func (e *Engine) quorumSeqLocked() uint64 {
 	n := e.policy.Quorum
 	if n <= 0 {
 		return 0
 	}
-	if len(e.targets) < n {
-		return 0
-	}
 	acks := make([]uint64, 0, len(e.targets))
 	for _, st := range e.targets {
-		acks = append(acks, st.acked)
+		if st.tail != nil {
+			acks = append(acks, st.acked)
+		}
+	}
+	if len(acks) < n {
+		return 0
 	}
 	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
 	return acks[n-1]
@@ -454,65 +505,11 @@ func (e *Engine) dropWaiter(w *waiter) {
 	}
 }
 
-// archiveLoop tiers sealed segments into the object store as they
-// seal, retrying failures on the interval.
-func (e *Engine) archiveLoop() {
-	defer e.wg.Done()
-	for {
-		t := clock.NewTimer(e.clk, e.every)
-		select {
-		case <-e.archNotify:
-			t.Stop()
-		case <-t.C():
-		case <-e.quit:
-			t.Stop()
-			return
-		}
-		ctx, cancel := e.passContext()
-		err := e.archivePass(ctx)
-		cancel()
-		e.mu.Lock()
-		if err != nil {
-			e.archiveErr = err.Error()
-		} else {
-			e.archiveErr = ""
-		}
-		e.mu.Unlock()
-	}
-}
-
-// archivePass archives every sealed segment beyond the archive
-// watermark, in order.
-func (e *Engine) archivePass(ctx context.Context) error {
-	if e.archive == nil {
-		return nil
-	}
-	e.mu.Lock()
-	from := e.archivedSeg
-	e.mu.Unlock()
-	for _, entry := range e.v.Manifest() {
-		if entry.Segment <= from {
-			continue
-		}
-		pkg, err := e.v.Package(entry.Segment)
-		if err != nil {
-			return fmt.Errorf("georep: package segment %d: %w", entry.Segment, err)
-		}
-		if err := e.archive.Put(ctx, e.source, pkg); err != nil {
-			return fmt.Errorf("georep: archive segment %d: %w", entry.Segment, err)
-		}
-		e.mu.Lock()
-		if entry.Segment > e.archivedSeg {
-			e.archivedSeg = entry.Segment
-		}
-		e.mu.Unlock()
-	}
-	return nil
-}
-
-// TargetStatus is one peer replica's health as the engine sees it.
+// TargetStatus is one target's health as the engine sees it.
 type TargetStatus struct {
-	Name     string `json:"name"`
+	Name string `json:"name"`
+	// AckedSeq is the target's acknowledged record watermark (0 for a
+	// ship-only target, which acknowledges segments, not records).
 	AckedSeq uint64 `json:"acked_seq"`
 	// LastError is the most recent pass's failure ("" when healthy).
 	LastError string `json:"last_error,omitempty"`
@@ -525,7 +522,8 @@ type Status struct {
 	Quorum    int    `json:"quorum"`
 	LocalSeq  uint64 `json:"local_seq"`
 	QuorumSeq uint64 `json:"quorum_seq"`
-	// Targets is sorted by name.
+	// Targets is sorted by name; the archive target reports through
+	// ArchivedSegments and ArchiveError instead.
 	Targets          []TargetStatus `json:"targets,omitempty"`
 	ArchivedSegments uint64         `json:"archived_segments"`
 	ArchiveError     string         `json:"archive_error,omitempty"`
@@ -537,50 +535,29 @@ func (e *Engine) Status() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Status{
-		Mode:             e.policy.Mode,
-		Quorum:           e.policy.Quorum,
-		LocalSeq:         localSeq,
-		QuorumSeq:        e.quorumSeqLocked(),
-		ArchivedSegments: e.archivedSeg,
-		ArchiveError:     e.archiveErr,
+		Mode:      e.policy.Mode,
+		Quorum:    e.policy.Quorum,
+		LocalSeq:  localSeq,
+		QuorumSeq: e.quorumSeqLocked(),
 	}
 	for _, st := range e.targets {
+		if _, ok := st.t.(*Archive); ok {
+			s.ArchivedSegments, s.ArchiveError = st.sealedTo, st.lastErr
+			continue
+		}
 		s.Targets = append(s.Targets, TargetStatus{Name: st.name, AckedSeq: st.acked, LastError: st.lastErr})
 	}
-	sort.Slice(s.Targets, func(i, j int) bool { return s.Targets[i].Name < s.Targets[j].Name })
 	return s
 }
 
-// Flush performs one synchronous pass over every target and the
-// archive — the deterministic "everything replicated and archived"
-// point tests and planned shutdowns want. It returns the first error
-// after attempting everything.
+// Flush performs one synchronous pass over every target — the
+// deterministic "everything replicated and archived" point tests and
+// planned shutdowns want. It returns the first error after attempting
+// everything.
 func (e *Engine) Flush(ctx context.Context) error {
-	e.mu.Lock()
-	targets := make([]*targetState, 0, len(e.targets))
-	for _, st := range e.targets {
-		targets = append(targets, st)
-	}
-	e.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].name < targets[j].name })
 	var firstErr error
-	for _, st := range targets {
-		err := e.syncTarget(ctx, st)
-		e.recordTarget(st, err)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if e.archive != nil {
-		err := e.archivePass(ctx)
-		e.mu.Lock()
-		if err != nil {
-			e.archiveErr = err.Error()
-		} else {
-			e.archiveErr = ""
-		}
-		e.mu.Unlock()
-		if err != nil && firstErr == nil {
+	for _, st := range e.snapshot() {
+		if err := e.pass(ctx, st); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
 )
 
@@ -341,14 +343,15 @@ func TestEngineArchiveTiering(t *testing.T) {
 	mem := blob.NewMem()
 	arch := georep.NewArchive(mem)
 	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{Mode: georep.ModeAsync},
-		nil, georep.WithArchive(arch), georep.WithRetryInterval(10*time.Millisecond))
+		nil, georep.WithRetryInterval(10*time.Millisecond))
 	defer eng.Close()
+	eng.AddTarget("archive", arch)
 
 	appendRecords(t, realm, v, 9) // seals segments 1 and 2
 	if err := eng.Flush(ctx); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if st := eng.Status(); st.ArchivedSegments != 2 || st.ArchiveError != "" {
+	if st := eng.Status(); st.ArchivedSegments != 2 || st.ArchiveError != "" || len(st.Targets) != 0 {
 		t.Fatalf("Status after archival = %+v", st)
 	}
 
@@ -393,6 +396,354 @@ func TestEngineArchiveTiering(t *testing.T) {
 	if got, want := rebuilt.Len(), 12; got != want {
 		t.Fatalf("rebuilt Len = %d, want %d (sealed records)", got, want)
 	}
+}
+
+// shipTarget is a ship-only target over a ReplicaSet — it implements
+// vault.ShipTarget and nothing else — with deterministic fault
+// injection.
+type shipTarget struct {
+	rs *vault.ReplicaSet
+
+	mu        sync.Mutex
+	shipCalls int
+	failShips int // fail the first N ships
+	shipped   chan struct{}
+}
+
+func (tgt *shipTarget) LastSealed(_ context.Context, source string) (uint64, error) {
+	return tgt.rs.LastSealed(source)
+}
+
+func (tgt *shipTarget) Ship(_ context.Context, source string, pkg *vault.SegmentPackage) error {
+	tgt.mu.Lock()
+	tgt.shipCalls++
+	fail := tgt.shipCalls <= tgt.failShips
+	tgt.mu.Unlock()
+	if fail {
+		return fmt.Errorf("injected ship failure %d", tgt.shipCalls)
+	}
+	if err := tgt.rs.Receive(source, pkg); err != nil {
+		return err
+	}
+	if tgt.shipped != nil {
+		select {
+		case tgt.shipped <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+func (tgt *shipTarget) calls() int {
+	tgt.mu.Lock()
+	defer tgt.mu.Unlock()
+	return tgt.shipCalls
+}
+
+func newShipTarget(t testing.TB) *shipTarget {
+	t.Helper()
+	rs, err := vault.OpenReplicaSet(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &shipTarget{rs: rs}
+}
+
+// waitSealed polls until rs holds want sealed segments of srcOrg.
+func waitSealed(t testing.TB, rs *vault.ReplicaSet, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		last, err := rs.LastSealed(string(srcOrg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("target at segment %d, want %d", last, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineKillAndReopenMidTransfer interrupts shipping part way
+// through — the source "crashes" with only a prefix shipped — and checks
+// that an engine over the reopened source catches the target up exactly,
+// then keeps shipping as new segments seal.
+func TestEngineKillAndReopenMidTransfer(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(srcOrg)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, realm, v, 12) // 3 sealed segments
+	tgt := newShipTarget(t)
+	// Mid-transfer: only segment 1 made it out before the crash.
+	pkg, err := v.Package(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tgt.rs.Receive(string(srcOrg), pkg); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil { // kill
+		t.Fatal(err)
+	}
+
+	v2, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	eng := georep.NewEngine(v2, string(srcOrg), georep.Policy{}, nil)
+	defer eng.Close()
+	eng.AddTarget("peer", tgt)
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after reopen: %v", err)
+	}
+	waitSealed(t, tgt.rs, 3)
+	// And new seals after the reopen flow through the seal hook.
+	appendRecords(t, realm, v2, 4)
+	waitSealed(t, tgt.rs, 4)
+}
+
+// TestEngineRetryOnFakeClock proves the retry path is driven by the
+// engine's clock, not wall-clock sleeps: a target that fails its first
+// ship is retried only when the manual clock crosses the retry interval.
+func TestEngineRetryOnFakeClock(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	appendRecords(t, realm, v, 4) // 1 sealed segment
+	tgt := newShipTarget(t)
+	tgt.failShips, tgt.shipped = 1, make(chan struct{}, 1)
+	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{}, realm.Clock, georep.WithRetryInterval(10*time.Second))
+	defer eng.Close()
+	eng.AddTarget("peer", tgt)
+
+	// The AddTarget wake triggers the first (failing) pass; wait until
+	// the failure has actually been consumed.
+	deadline := time.Now().Add(5 * time.Second)
+	for tgt.calls() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first ship attempt never happened")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if last, _ := tgt.rs.LastSealed(string(srcOrg)); last != 0 {
+		t.Fatalf("target advanced to %d despite injected failure", last)
+	}
+	// The failed pass is in the status before the retry timer is armed;
+	// advancing before that would leave the timer a full interval away.
+	for eng.Status().Targets[0].LastError == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("failed pass never surfaced in Status")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Crossing the retry interval on the manual clock retries the
+	// target; each advance fires whichever retry timer is armed by then.
+	for retried := false; !retried; {
+		realm.Clock.Advance(11 * time.Second)
+		select {
+		case <-tgt.shipped:
+			retried = true
+		case <-time.After(20 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("clock-driven retry never shipped the segment")
+			}
+		}
+	}
+	if last, _ := tgt.rs.LastSealed(string(srcOrg)); last != 1 {
+		t.Fatalf("target at %d after retry, want 1", last)
+	}
+	if st := eng.Status(); st.Targets[0].LastError != "" {
+		t.Fatalf("target still failing after retry: %+v", st)
+	}
+}
+
+// TestEngineShipOnlyTargetHasNoVote runs a ship-only target and a
+// failing archive beside two voting peers under a 2-of-2 policy: sealed
+// segments reach the ship-only target, it is never sent Append, it never
+// unblocks a waiter, and the archive outage does not fail a gated
+// append.
+func TestEngineShipOnlyTargetHasNoVote(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	g, eng, targets := syncEngine(t, v, 2, 2, 300*time.Millisecond)
+	only := newShipTarget(t)
+	eng.AddTarget("ship-only", only)
+	mem := blob.NewMem()
+	mem.SetFault(func(op blob.Op, _ string) error {
+		if op == blob.OpPut {
+			return errors.New("store offline")
+		}
+		return nil
+	})
+	eng.AddTarget("archive", georep.NewArchive(mem))
+	run := id.NewRun()
+	issue := func(s int) *evidence.Token {
+		tok, err := realm.Party(srcOrg).Issuer.Issue(evidence.KindNRO, run, s, sig.Sum([]byte{byte(s)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+
+	// Five gated appends seal segment 1 and leave a one-record tail.
+	var last *store.Record
+	for step := 1; step <= 5; step++ {
+		rec, err := gatedAppend(t, g, issue, step)
+		if err != nil {
+			t.Fatalf("gated append %d beside a failing archive: %v", step, err)
+		}
+		last = rec
+	}
+	waitSealed(t, only.rs, 1)
+	// Sealed history yes, tail never: a ship-only target is not sent
+	// Append, so its replica holds exactly the sealed records.
+	if acked, err := only.rs.AckedSeq(string(srcOrg)); err != nil || acked != 4 {
+		t.Fatalf("ship-only target holds up to %d, %v; want the 4 sealed records", acked, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for eng.Status().ArchiveError == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("archive outage never surfaced in Status: %+v", eng.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := eng.Status(); st.QuorumSeq != last.Seq || st.ArchivedSegments != 0 {
+		t.Fatalf("Status = %+v, want quorum at %d and nothing archived", st, last.Seq)
+	}
+
+	// One voter down: the ship-only target and the archive are current on
+	// every seal, yet neither fills the missing vote.
+	targets[1].set(func(m *memTarget) { m.down = true })
+	if _, err := gatedAppend(t, g, issue, 6); !errors.Is(err, georep.ErrQuorumUnmet) {
+		t.Fatalf("append with one of two voters down: err = %v, want ErrQuorumUnmet", err)
+	}
+}
+
+// countingStore wraps a Mem store's fault hook into per-operation
+// counters.
+type countingStore struct {
+	*blob.Mem
+	mu   sync.Mutex
+	gets []string
+	puts []string
+}
+
+func newCountingStore() *countingStore {
+	c := &countingStore{Mem: blob.NewMem()}
+	c.SetFault(func(op blob.Op, key string) error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		switch op {
+		case blob.OpGet:
+			c.gets = append(c.gets, key)
+		case blob.OpPut:
+			c.puts = append(c.puts, key)
+		}
+		return nil
+	})
+	return c
+}
+
+// reset clears the counters and returns what they held.
+func (c *countingStore) reset() (gets, puts []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gets, puts = c.gets, c.puts
+	c.gets, c.puts = nil, nil
+	return gets, puts
+}
+
+// assertManifestOnly fails unless the operations since the last reset
+// were a bounded number of manifest Gets and nothing else: no segment
+// object read back, nothing written.
+func (c *countingStore) assertManifestOnly(t *testing.T, what string) {
+	t.Helper()
+	gets, puts := c.reset()
+	if len(puts) != 0 {
+		t.Fatalf("%s: %d Puts (%v), want none", what, len(puts), puts)
+	}
+	// One manifest Get per pass: the pump's and Flush's.
+	if len(gets) == 0 || len(gets) > 2 {
+		t.Fatalf("%s: %d Gets (%v), want 1 or 2", what, len(gets), gets)
+	}
+	for _, key := range gets {
+		if !strings.HasSuffix(key, "/MANIFEST") {
+			t.Fatalf("%s: Get of %s, want only the manifest", what, key)
+		}
+	}
+}
+
+// TestArchiveRestartCostIsConstant restarts the shipper over an archive
+// that is already complete: the new engine asks the archive where it is
+// (one manifest Get) instead of re-packaging, re-reading and comparing
+// every archived segment. The same holds for a second catch-up of an
+// unchanged hosted replica directory.
+func TestArchiveRestartCostIsConstant(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	realm, v := newSourceVault(t, 4)
+	appendRecords(t, realm, v, 33) // 8 sealed segments + tail
+	counted := newCountingStore()
+	arch := georep.NewArchive(counted)
+
+	eng := georep.NewEngine(v, string(srcOrg), georep.Policy{}, nil)
+	eng.AddTarget("archive", arch)
+	if err := eng.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Status(); st.ArchivedSegments != 8 {
+		t.Fatalf("ArchivedSegments = %d, want 8", st.ArchivedSegments)
+	}
+	eng.Close()
+	counted.reset()
+
+	eng = georep.NewEngine(v, string(srcOrg), georep.Policy{}, nil)
+	defer eng.Close()
+	eng.AddTarget("archive", arch)
+	if err := eng.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Status(); st.ArchivedSegments != 8 || st.ArchiveError != "" {
+		t.Fatalf("Status after restart = %+v", st)
+	}
+	eng.Close()
+	counted.assertManifestOnly(t, "restarted engine over a complete archive")
+
+	// A replica host (ttpd -archive) catching the archive up from the
+	// replica directories it hosts.
+	rs, err := vault.OpenReplicaSet(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hosted = "urn:org:hosted"
+	for _, e := range v.Manifest() {
+		pkg, err := v.Package(e.Segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Receive(hosted, pkg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := arch.ShipReplicas(ctx, rs); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := arch.LastSealed(ctx, hosted); err != nil || got != 8 {
+		t.Fatalf("archive holds %d segments of the hosted source, %v; want 8", got, err)
+	}
+	counted.reset()
+	if err := arch.ShipReplicas(ctx, rs); err != nil {
+		t.Fatal(err)
+	}
+	counted.assertManifestOnly(t, "second catch-up of an unchanged replica directory")
 }
 
 // TestPruneRacesRestore runs replica retention GC concurrently with

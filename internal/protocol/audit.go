@@ -532,9 +532,11 @@ func (c *AuditClient) ShipSegment(ctx context.Context, peer id.Party, source str
 	return err
 }
 
-// ShipTarget adapts a peer into a vault.ShipTarget for a Replicator. The
-// peer's address is resolved through the directory on every call, so
-// targets may be registered before the peer enrols.
+// ShipTarget adapts a peer into a ship-only vault.ShipTarget for the
+// georep engine (GeoClient.Target adds the tail pushes that make the
+// peer a voting replica). The peer's address is resolved through the
+// directory on every call, so targets may be registered before the peer
+// enrols.
 func (c *AuditClient) ShipTarget(peer id.Party) vault.ShipTarget {
 	return &auditShipTarget{c: c, peer: peer}
 }

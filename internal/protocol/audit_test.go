@@ -9,6 +9,7 @@ import (
 
 	"nonrep/internal/core"
 	"nonrep/internal/evidence"
+	"nonrep/internal/georep"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
@@ -222,7 +223,7 @@ func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 }
 
 // TestSegShipReplication replicates over the protocol layer: alice's
-// replicator ships through seg-status/seg-ship messages into bob's
+// engine ships through seg-status/seg-ship messages into bob's
 // replica store, and an adjudication is then served entirely from bob's
 // replica — including after alice's vault is gone.
 func TestSegShipReplication(t *testing.T) {
@@ -235,11 +236,11 @@ func TestSegShipReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := vault.NewReplicator(f.vA, string(alice), f.realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), f.client.ShipTarget(bob))
-	if err := rep.Sync(context.Background()); err != nil {
-		t.Fatalf("Sync: %v", err)
+	eng := georep.NewEngine(f.vA, string(alice), georep.Policy{}, f.realm.Clock)
+	t.Cleanup(func() { _ = eng.Close() })
+	eng.AddTarget(string(bob), f.client.ShipTarget(bob))
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	last, err := f.rsB.LastSealed(string(alice))
 	if err != nil || last != 3 {
@@ -275,15 +276,15 @@ func TestSegShipFaultInjection(t *testing.T) {
 	f := newAuditFixture(t, faulty)
 	f.fill(t, 12)
 
-	rep := vault.NewReplicator(f.vA, string(alice), f.realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), f.client.ShipTarget(bob))
+	eng := georep.NewEngine(f.vA, string(alice), georep.Policy{}, f.realm.Clock)
+	t.Cleanup(func() { _ = eng.Close() })
+	eng.AddTarget(string(bob), f.client.ShipTarget(bob))
 	// Retransmission masks the bounded drops; a few passes are allowed
-	// (each Sync re-negotiates from seg-status) but convergence must be
-	// reached.
+	// (a failed pass re-negotiates from seg-status) but convergence must
+	// be reached.
 	var lastErr error
 	for attempt := 0; attempt < 10; attempt++ {
-		if lastErr = rep.Sync(context.Background()); lastErr == nil {
+		if lastErr = eng.Flush(context.Background()); lastErr == nil {
 			break
 		}
 	}
@@ -386,11 +387,11 @@ func TestHostedTenantAuditAndReplication(t *testing.T) {
 
 	// Tenant-to-tenant replication through the shared endpoint.
 	client := protocol.NewAuditClient(coA)
-	rep := vault.NewReplicator(vA, string(alice), realm.Clock)
-	t.Cleanup(func() { _ = rep.Close() })
-	rep.AddTarget(string(bob), client.ShipTarget(bob))
-	if err := rep.Sync(context.Background()); err != nil {
-		t.Fatalf("hosted Sync: %v", err)
+	eng := georep.NewEngine(vA, string(alice), georep.Policy{}, realm.Clock)
+	t.Cleanup(func() { _ = eng.Close() })
+	eng.AddTarget(string(bob), client.ShipTarget(bob))
+	if err := eng.Flush(context.Background()); err != nil {
+		t.Fatalf("hosted Flush: %v", err)
 	}
 	if last, _ := rsB.LastSealed(string(alice)); last != 2 {
 		t.Fatalf("hosted replica at %d, want 2", last)

@@ -292,18 +292,18 @@ func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, re
 
 // GeoTarget bundles everything the georep policy engine needs to drive
 // one peer replica: tail pushes and status over the geo protocol,
-// sealed-segment shipping and catch-up negotiation over the audit
-// protocol.
+// sealed-segment shipping and catch-up negotiation (the embedded
+// vault.ShipTarget) over the audit protocol.
 type GeoTarget struct {
-	peer  id.Party
-	geo   *GeoClient
-	audit *AuditClient
+	peer id.Party
+	geo  *GeoClient
+	vault.ShipTarget
 }
 
 // Target builds a GeoTarget toward peer, shipping sealed segments
 // through audit.
 func (c *GeoClient) Target(peer id.Party, audit *AuditClient) *GeoTarget {
-	return &GeoTarget{peer: peer, geo: c, audit: audit}
+	return &GeoTarget{peer: peer, geo: c, ShipTarget: audit.ShipTarget(peer)}
 }
 
 // AckedSeq reports the peer replica's highest held record sequence.
@@ -314,14 +314,4 @@ func (t *GeoTarget) AckedSeq(ctx context.Context, source string) (uint64, error)
 // Append pushes unsealed records to the peer replica's tail.
 func (t *GeoTarget) Append(ctx context.Context, source string, recs []*store.Record) (uint64, error) {
 	return t.geo.Append(ctx, t.peer, source, recs)
-}
-
-// LastSealed implements vault.ShipTarget.
-func (t *GeoTarget) LastSealed(ctx context.Context, source string) (uint64, error) {
-	return t.audit.ReplicaStatus(ctx, t.peer, source)
-}
-
-// Ship implements vault.ShipTarget.
-func (t *GeoTarget) Ship(ctx context.Context, source string, pkg *vault.SegmentPackage) error {
-	return t.audit.ShipSegment(ctx, t.peer, source, pkg)
 }

@@ -96,8 +96,9 @@ const DefaultFeedBuffer = 1024
 // buffer holds before declaring the stream broken.
 const maxFeedStash = 65536
 
-// defaultPushTimeout bounds one push delivery on the publisher side.
-const defaultPushTimeout = 15 * time.Second
+// pushTimeout bounds one push delivery on the publisher side; past it
+// the subscriber counts as slow and is evicted.
+const pushTimeout = 15 * time.Second
 
 // serverOutbox is the per-subscription outbox the service asks of the
 // hub, deeper than the feed default: an event is one pointer-sized batch
@@ -218,27 +219,16 @@ func WithAnonymousSubscribe() SubOption {
 	return func(s *SubService) { s.anon = true }
 }
 
-// WithPushTimeout bounds one push delivery (default 15s); past it the
-// subscriber counts as slow and is evicted.
-func WithPushTimeout(d time.Duration) SubOption {
-	return func(s *SubService) {
-		if d > 0 {
-			s.pushTimeout = d
-		}
-	}
-}
-
 // SubService serves live subscriptions over one organisation's vault: it
 // owns the feed hub attached to the vault's commit/seal hooks and one
 // delivery goroutine per subscriber. Register it once per coordinator;
 // Detach (or Close) tears every subscription and vault hook down — the
 // coordinator and host call it on tenant detach.
 type SubService struct {
-	co          *Coordinator
-	v           *vault.Vault
-	hub         *feed.Hub
-	anon        bool
-	pushTimeout time.Duration
+	co   *Coordinator
+	v    *vault.Vault
+	hub  *feed.Hub
+	anon bool
 
 	mu     sync.Mutex
 	closed bool
@@ -257,10 +247,9 @@ type serverSub struct {
 // counters, outbox lag) home in the coordinator's telemetry scope.
 func NewSubService(co *Coordinator, v *vault.Vault, opts ...SubOption) *SubService {
 	s := &SubService{
-		co:          co,
-		v:           v,
-		pushTimeout: defaultPushTimeout,
-		subs:        make(map[string]*serverSub),
+		co:   co,
+		v:    v,
+		subs: make(map[string]*serverSub),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -407,7 +396,7 @@ func (s *SubService) handleOpen(msg *Message) (*Message, error) {
 // outbox and is evicted without touching the vault's commit path.
 func (s *SubService) sink(ss *serverSub, segments bool) feed.Sink {
 	return func(ev feed.Event) error {
-		ctx, cancel := context.WithTimeout(context.Background(), s.pushTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 		defer cancel()
 		if ev.Seal != nil {
 			body := &subSealPush{SubID: ss.id, Entry: *ev.Seal}
@@ -463,7 +452,7 @@ func (s *SubService) watch(ss *serverSub) {
 	if err == nil || closed || errors.Is(err, feed.ErrClosed) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.pushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 	defer cancel()
 	_ = s.push(ctx, ss, KindSubEvict, &subEvictPush{SubID: ss.id, Reason: err.Error()})
 }

@@ -189,27 +189,18 @@ func TestVaultMixedEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := v.Close(); err != nil { // segment 7 sealed by the third record; tail empty
-		t.Fatal(err)
-	}
-	// One more era as the JSON audit projection: JSON lines, binary index.
-	v = openVault(t, dir, vault.WithSegmentRecords(3), vault.WithJSONSegments())
-	runJSON := appendRun(t, realm, v, 2)
-	if err := v.SealNow(); err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
+	defer v.Close() // segment 7 sealed by its third record; tail empty
 	sameFiles(t, "growing the vault", written, dirDigests(t, dir))
 	if grown, _ := os.ReadFile(filepath.Join(dir, "MANIFEST")); !bytes.HasPrefix(grown, oldManifest) {
 		t.Fatal("growing the vault rewrote existing manifest entries")
 	}
 
 	manifest := v.Manifest()
-	if len(manifest) != 8 {
-		t.Fatalf("sealed segments = %d, want 8", len(manifest))
+	if len(manifest) != 7 {
+		t.Fatalf("sealed segments = %d, want 7", len(manifest))
 	}
 	wantSeg := []store.Encoding{store.EncJSON, store.EncJSON, store.EncBinaryV1, store.EncBinaryV1,
-		store.EncBinaryV1, store.EncBinary, store.EncBinary, store.EncJSON}
+		store.EncBinaryV1, store.EncBinary, store.EncBinary}
 	for i, e := range manifest {
 		data, err := os.ReadFile(filepath.Join(dir, segFileName(e.Segment)))
 		if err != nil {
@@ -235,13 +226,13 @@ func TestVaultMixedEncodings(t *testing.T) {
 			t.Fatalf("%s: DeepVerify: %v", what, err)
 		}
 		all := v.Records()
-		if len(all) != 20 {
-			t.Fatalf("%s: Records = %d, want 20", what, len(all))
+		if len(all) != 18 {
+			t.Fatalf("%s: Records = %d, want 18", what, len(all))
 		}
 		if err := store.VerifyRecords(all); err != nil {
 			t.Fatalf("%s: VerifyRecords: %v", what, err)
 		}
-		want := map[id.Run]int{runV2: 4, runTxn: 2, runJSON: 2}
+		want := map[id.Run]int{runV2: 4, runTxn: 2}
 		for _, pr := range parentRuns {
 			want[pr.Run] = pr.Records
 		}
@@ -274,8 +265,8 @@ func TestVaultMixedEncodings(t *testing.T) {
 			}
 			paged += uint64(len(page))
 		}
-		if paged != 20 {
-			t.Fatalf("%s: paged query returned %d records, want 20", what, paged)
+		if paged != 18 {
+			t.Fatalf("%s: paged query returned %d records, want 18", what, paged)
 		}
 		if got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: org}); err != nil || len(got) != 6 {
 			t.Fatalf("%s: kind+party query = %d records, err %v, want 6", what, len(got), err)
@@ -321,7 +312,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSeen(20)
+	waitSeen(18)
 	pos, posHash := sub.Position()
 	sub.Close()
 	<-sub.Done()
@@ -330,7 +321,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume at %d: %v", pos, err)
 	}
-	waitSeen(22)
+	waitSeen(20)
 	sub.Close()
 	<-sub.Done()
 	for i, seq := range seen {
@@ -342,7 +333,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 		t.Fatalf("ByRun(live) = %d, want 2", got)
 	}
 	// The two live records stay in the unsealed tail, which does not
-	// travel: the shipping checks below see the 20 sealed records.
+	// travel: the shipping checks below see the 18 sealed records.
 
 	// Replication ships every kind of segment; the replica re-verifies
 	// each against the shared seal chain and derives the same indexes.

@@ -10,6 +10,7 @@
 package vault
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -27,6 +28,19 @@ import (
 // directly extend the replica — the shipper must catch up with the
 // missing earlier segments first.
 var ErrReplicaGap = errors.New("vault: shipped segment leaves a replica gap")
+
+// ShipTarget is the receiving side of sealed-segment shipping as a
+// shipper (the georep engine) sees it. The protocol layer implements it
+// over audit-service messages toward a peer's ReplicaSet, the object-store
+// archive implements it over its manifest, tests implement it directly
+// over a ReplicaSet.
+type ShipTarget interface {
+	// LastSealed reports the highest segment of source's vault the target
+	// already holds (0 for none) — the catch-up negotiation.
+	LastSealed(ctx context.Context, source string) (uint64, error)
+	// Ship delivers one sealed segment package for source.
+	Ship(ctx context.Context, source string, pkg *SegmentPackage) error
+}
 
 // SegmentPackage is one sealed segment in transit between organisations:
 // the manifest entry that seals it and the exact segment file bytes.

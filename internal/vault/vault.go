@@ -96,16 +96,6 @@ func WithReadOnly() Option {
 	return func(v *Vault) { v.readOnly = true }
 }
 
-// WithJSONSegments writes new segments as canonical JSON lines instead
-// of the binary frame format — the audit projection on disk. Reads
-// always auto-detect per file, so a vault may freely mix JSON and
-// binary segments across reopens with different settings; the seal
-// chain, queries, DeepVerify and replication are encoding-blind.
-// Segment indexes are binary either way.
-func WithJSONSegments() Option {
-	return func(v *Vault) { v.writeEnc = store.EncJSON }
-}
-
 // WithoutSync disables the per-batch fsync, trading machine-crash
 // durability of the unsealed tail for throughput (process-crash
 // durability is kept — every batch is still flushed to the kernel, and
@@ -177,7 +167,6 @@ type Vault struct {
 	readOnly    bool
 	prealloc    int64
 	restoreFrom string
-	writeEnc    store.Encoding
 
 	lockF *os.File
 
@@ -265,7 +254,6 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		segRecords: 4096,
 		maxBatch:   512,
 		sync:       true,
-		writeEnc:   store.EncBinary,
 		runSegs:    make(map[string][]int),
 		txnSegs:    make(map[string][]int),
 		appendC:    make(chan *appendReq, 4096),
@@ -329,12 +317,13 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		return nil, err
 	}
 	v.mu.Lock()
-	// Seal an overfull tail — and a legacy tail whose encoding differs
-	// from the write encoding: sealing it (a legal operation on any
-	// non-empty segment) migrates the vault forward without ever
+	// Seal an overfull tail — and a legacy tail (JSON lines or version-1
+	// frames) written by an older build: sealing it (a legal operation on
+	// any non-empty segment) migrates the vault forward without ever
 	// rewriting existing evidence bytes, so the new tail starts in the
-	// write encoding while the sealed JSON history stays readable as is.
-	if len(v.active.records) >= v.segRecords || (len(v.active.records) > 0 && v.active.enc != v.writeEnc) {
+	// one write format while the sealed legacy history stays readable as
+	// is.
+	if len(v.active.records) >= v.segRecords || (len(v.active.records) > 0 && v.active.enc != store.EncBinary) {
 		if err := v.seal(); err != nil {
 			v.mu.Unlock()
 			if v.f != nil {
@@ -371,9 +360,9 @@ func (v *Vault) addSealHook(fn func(ManifestEntry)) {
 }
 
 // OnSeal registers fn to be notified of future seals, like WithSealHook
-// but after the vault is open — the replicator attaches itself here. The
-// returned cancel unregisters the hook; a detached tenant must not keep
-// receiving its former vault's seals.
+// but after the vault is open — the replication engine attaches itself
+// here. The returned cancel unregisters the hook; a detached tenant must
+// not keep receiving its former vault's seals.
 func (v *Vault) OnSeal(fn func(ManifestEntry)) (cancel func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -623,10 +612,9 @@ func (v *Vault) adoptIndex(e *ManifestEntry, entryLine, payload []byte) (*segmen
 
 // replayTail loads the unsealed tail segment into memory, verifying its
 // chain against the last seal and truncating a torn final write. The
-// tail's encoding is whatever is on disk; a fresh (empty) tail adopts
-// the write encoding, and an empty tail left in the wrong encoding —
-// say a bare binary header before a reopen with WithJSONSegments — is
-// restarted in the write encoding.
+// tail's encoding is whatever is on disk; a fresh (empty) tail is
+// binary, and an empty tail left in a legacy encoding — say a bare
+// version-1 header — is restarted as binary.
 func (v *Vault) replayTail() error {
 	tailNum := uint64(1)
 	if n := len(v.sealed); n > 0 {
@@ -641,7 +629,7 @@ func (v *Vault) replayTail() error {
 	if enc := store.DetectEncoding(data); enc != store.EncUnknown {
 		seg.setEncoding(enc)
 	} else {
-		seg.setEncoding(v.writeEnc)
+		seg.setEncoding(store.EncBinary)
 	}
 	cv := store.ResumeChain(v.lastSeq, v.lastHash)
 	_, prefix, torn, err := store.DecodeSegmentData(data, func(rec *store.Record, n int64) error {
@@ -659,11 +647,11 @@ func (v *Vault) replayTail() error {
 			return fmt.Errorf("vault: truncate torn tail of segment %d: %w", tailNum, err)
 		}
 	}
-	if len(seg.records) == 0 && seg.enc != v.writeEnc && !v.readOnly {
+	if len(seg.records) == 0 && seg.enc != store.EncBinary && !v.readOnly {
 		if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("vault: restart empty tail segment %d: %w", tailNum, err)
 		}
-		seg.setEncoding(v.writeEnc)
+		seg.setEncoding(store.EncBinary)
 	}
 	v.active = seg
 	v.lastSeq, v.lastHash = cv.Position()
@@ -767,7 +755,6 @@ func (v *Vault) commit(batch []*appendReq) {
 	v.mu.Lock()
 	failure := v.failure
 	seq, hash := v.lastSeq, v.lastHash
-	enc := v.active.enc
 	v.mu.Unlock()
 	if failure != nil {
 		for _, req := range batch {
@@ -806,26 +793,15 @@ func (v *Vault) commit(batch []*appendReq) {
 			continue
 		}
 		n0 := len(buf)
-		if enc == store.EncBinary {
-			out, eerr := v.recEnc.AppendRecord(buf, rec)
-			if eerr != nil {
-				v.chainer.Reset(seq, hash)
-				req.resp <- appendResp{err: eerr}
-				continue
-			}
-			buf = out
-		} else {
-			line, merr := canon.Marshal(rec)
-			if merr != nil {
-				// The chain advanced past a record that will not hit disk;
-				// rewind it so the next record chains from the last staged one.
-				v.chainer.Reset(seq, hash)
-				req.resp <- appendResp{err: merr}
-				continue
-			}
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
+		out, eerr := v.recEnc.AppendRecord(buf, rec)
+		if eerr != nil {
+			// The chain advanced past a record that will not hit disk;
+			// rewind it so the next record chains from the last staged one.
+			v.chainer.Reset(seq, hash)
+			req.resp <- appendResp{err: eerr}
+			continue
 		}
+		buf = out
 		staged = append(staged, stagedAppend{req: req, rec: rec, line: int64(len(buf) - n0)})
 		seq, hash = rec.Seq, rec.Hash
 	}
@@ -982,7 +958,7 @@ func (v *Vault) seal() error {
 	v.lastSeal = entry.Digest
 	v.pendingSeals = append(v.pendingSeals, entry)
 	v.active = newSegment(a.number+1, v.lastSeq+1)
-	v.active.setEncoding(v.writeEnc)
+	v.active.setEncoding(store.EncBinary)
 	v.recEnc.Reset() // the next frame opens a new file
 	f, err := os.OpenFile(segPath(v.dir, v.active.number), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
@@ -1295,7 +1271,7 @@ func (v *Vault) Close() error {
 			<-v.done
 		}
 		// Final notify pass: anything still pending when the committer
-		// stopped must reach the hooks, or a replicator/subscriber would
+		// stopped must reach the hooks, or a shipper or subscriber would
 		// miss the last segment until the next catch-up.
 		v.notifyCommits()
 		v.notifySeals()

@@ -331,9 +331,6 @@ type (
 	// ReplicaSet is an organisation's verified store of peers' sealed
 	// segments (Org.Replicas).
 	ReplicaSet = vault.ReplicaSet
-	// Replicator ships sealed segments to peers (Org.Replication; enable
-	// with WithReplication).
-	Replicator = vault.Replicator
 	// AuditClient drives remote audits and replication shipping
 	// (Org.AuditClient).
 	AuditClient = protocol.AuditClient
@@ -389,9 +386,6 @@ type (
 	// TraceNode is one node of an assembled trace tree
 	// (obs.BuildTree over a trace's spans).
 	TraceNode = obs.TraceNode
-	// ReplicatorStatus reports a replicator's shipping health
-	// (Replicator.Status; surfaced on /healthz).
-	ReplicatorStatus = vault.ReplicatorStatus
 )
 
 // BuildTraceTree assembles finished spans into parent/child trees, e.g.
@@ -417,15 +411,16 @@ var (
 	VaultRestoreFrom = vault.WithRestoreFrom
 )
 
-// Geo-replicated evidence (WithQuorum, WithArchive; Org.Durability).
+// Replicated evidence (WithReplication, WithQuorum, WithArchive;
+// Org.Durability).
 type (
 	// BlobStore is a pluggable object store for the archival tier:
 	// OpenBlobFS for a local filesystem, NewMemBlob for the in-process
 	// fake, or any compatible implementation.
 	BlobStore = blob.Store
-	// DurabilityStatus is an organisation's geo-replication state —
-	// policy mode, quorum arithmetic, per-replica acknowledgement
-	// watermarks and archival progress (Org.Durability).
+	// DurabilityStatus is an organisation's replication state — policy
+	// mode, quorum arithmetic, per-replica acknowledgement watermarks and
+	// archival progress (Org.Durability; surfaced on /healthz).
 	DurabilityStatus = georep.Status
 	// DurabilityTarget is one peer replica's health within a
 	// DurabilityStatus.

@@ -82,8 +82,8 @@ func TestReplicationDisasterRecovery(t *testing.T) {
 	if err := a.Vault().SealNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Replication().Sync(ctx); err != nil {
-		t.Fatalf("replication sync: %v", err)
+	if err := a.Georep().Flush(ctx); err != nil {
+		t.Fatalf("replication flush: %v", err)
 	}
 
 	// Pre-loss baseline: a local streaming audit of A's vault.
@@ -142,8 +142,8 @@ func TestReplicationDisasterRecovery(t *testing.T) {
 }
 
 // TestHostedOrgReplication enrols the replicating organisation behind a
-// multi-tenant host: replication and remote audit must work identically
-// for hosted tenants.
+// multi-tenant host: replication (to a peer and, beside it, the archive)
+// and remote audit must work identically for hosted tenants.
 func TestHostedOrgReplication(t *testing.T) {
 	t.Parallel()
 	const (
@@ -161,7 +161,8 @@ func TestHostedOrgReplication(t *testing.T) {
 	}
 	a, err := domain.AddHostedOrg(host, orgA,
 		nonrep.WithVault(t.TempDir(), nonrep.VaultSegmentRecords(2)),
-		nonrep.WithReplication(orgB))
+		nonrep.WithReplication(orgB),
+		nonrep.WithArchive(nonrep.NewMemBlob()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +196,21 @@ func TestHostedOrgReplication(t *testing.T) {
 	if err := a.Vault().SealNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Replication().Sync(ctx); err != nil {
-		t.Fatalf("hosted replication sync: %v", err)
+	if err := a.Georep().Flush(ctx); err != nil {
+		t.Fatalf("hosted replication flush: %v", err)
 	}
 	last, err := b.Replicas().LastSealed(string(orgA))
 	if err != nil || last == 0 {
 		t.Fatalf("hosted replica LastSealed = %d, %v", last, err)
+	}
+	// One engine ships to the peer and the archive alike: WithReplication
+	// is the async policy, the archive a target without a vote.
+	st := a.Durability()
+	if st.Mode != "async" || len(st.Targets) != 1 || st.Targets[0].LastError != "" || st.Targets[0].AckedSeq != st.LocalSeq {
+		t.Fatalf("durability = %+v, want one healthy async target at local seq", st)
+	}
+	if st.ArchivedSegments != last || st.ArchiveError != "" {
+		t.Fatalf("archived %d segments (%q), replica holds %d", st.ArchivedSegments, st.ArchiveError, last)
 	}
 	report, err := b.RemoteAudit(ctx, orgA, "")
 	if err != nil || !report.Clean() {

@@ -256,8 +256,8 @@ func TestChunkedSegmentReplicationOver16MiB(t *testing.T) {
 		t.Fatal("test did not produce a sealed segment > 16 MiB")
 	}
 
-	if err := a.Replication().Sync(ctx); err != nil {
-		t.Fatalf("chunked seg-ship sync: %v", err)
+	if err := a.Georep().Flush(ctx); err != nil {
+		t.Fatalf("chunked seg-ship flush: %v", err)
 	}
 	last, err := b.Replicas().LastSealed(string(orgA))
 	if err != nil {

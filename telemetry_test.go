@@ -303,9 +303,10 @@ func TestHostedTelemetryPerTenantAttribution(t *testing.T) {
 	}
 }
 
-// TestReplicationTelemetryStatus drives segment replication with
-// telemetry on and asserts Replicator.Status and the health surface
-// report shipping progress.
+// TestReplicationTelemetryStatus drives replication under a quorum
+// policy with telemetry on and asserts Durability, the
+// nonrep_replication_* instruments and the single health key report
+// shipping progress.
 func TestReplicationTelemetryStatus(t *testing.T) {
 	t.Parallel()
 	domain, err := nonrep.NewDomain(nonrep.WithTelemetry())
@@ -314,14 +315,12 @@ func TestReplicationTelemetryStatus(t *testing.T) {
 	}
 	defer domain.Close()
 
-	backup, err := domain.AddOrg("urn:org:backup", nonrep.WithReplicaStore(t.TempDir()))
-	if err != nil {
+	if _, err := domain.AddOrg("urn:org:backup", nonrep.WithReplicaStore(t.TempDir())); err != nil {
 		t.Fatal(err)
 	}
-	_ = backup
 	primary, err := domain.AddOrg("urn:org:primary",
 		nonrep.WithVault(t.TempDir(), nonrep.VaultSegmentRecords(4)),
-		nonrep.WithReplication("urn:org:backup"))
+		nonrep.WithQuorum(1, "urn:org:backup"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,34 +340,45 @@ func TestReplicationTelemetryStatus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := primary.Replication().Sync(context.Background()); err != nil {
+	if err := primary.Georep().Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	st := primary.Replication().Status()
-	if st.Targets != 1 {
-		t.Fatalf("targets = %d", st.Targets)
+	st := primary.Durability()
+	if st.Mode != "sync" || st.Quorum != 1 || len(st.Targets) != 1 {
+		t.Fatalf("durability = %+v, want sync 1-of-1", st)
 	}
-	if st.ShippedSegments == 0 {
-		t.Fatal("no segments shipped")
+	if tgt := st.Targets[0]; tgt.LastError != "" || tgt.AckedSeq != st.LocalSeq {
+		t.Fatalf("target %+v trails local seq %d after Flush", tgt, st.LocalSeq)
 	}
-	if st.LastError != "" {
-		t.Fatalf("last error = %q", st.LastError)
-	}
-	if st.LastSuccess.IsZero() {
-		t.Fatal("no last-success time recorded")
-	}
-	if st.LagSegments != 0 || st.BacklogSegments != 0 {
-		t.Fatalf("lag=%d backlog=%d after Sync, want 0/0", st.LagSegments, st.BacklogSegments)
+	if st.QuorumSeq != st.LocalSeq {
+		t.Fatalf("quorum seq = %d, local seq = %d after Flush", st.QuorumSeq, st.LocalSeq)
 	}
 
 	snap := domain.Telemetry().Registry().Snapshot()
-	if got := snap.Counter(obs.MReplShippedTotal, "urn:org:primary"); got == 0 {
-		t.Fatal("no shipped segments attributed to the primary")
+	sealed := int64(len(primary.Vault().Manifest()))
+	// At least: a Flush racing the pump may deliver a segment twice (the
+	// replica acknowledges the duplicate idempotently).
+	if got := snap.Counter(obs.MReplShippedTotal, "urn:org:primary"); sealed == 0 || got < sealed {
+		t.Fatalf("shipped segments = %d, want at least the %d sealed", got, sealed)
+	}
+	if got := snap.Counter(obs.MReplErrorsTotal, "urn:org:primary"); got != 0 {
+		t.Fatalf("replication errors = %d, want 0", got)
+	}
+	for _, name := range []string{obs.MReplLagSegments, obs.MReplBacklogSegments} {
+		if got := snap.Gauge(name, "urn:org:primary"); got != 0 {
+			t.Fatalf("%s = %d after Flush, want 0", name, got)
+		}
 	}
 	health := domain.Telemetry().Health()
-	if _, ok := health["replication:urn:org:primary"]; !ok {
-		t.Fatalf("health missing replication source, have %v", health)
+	var replKeys []string
+	for key := range health {
+		if strings.Contains(key, "urn:org:primary") && !strings.HasPrefix(key, "vault:") {
+			replKeys = append(replKeys, key)
+		}
+	}
+	if len(replKeys) != 1 || replKeys[0] != "replication:urn:org:primary" {
+		t.Fatalf("replication health keys = %v, want exactly replication:urn:org:primary (have %v)", replKeys, health)
 	}
 }
 
