@@ -41,12 +41,18 @@ func AppendString(b []byte, s string) []byte {
 // JSON distinguishes a nil slice (null) from an empty one (""), so the
 // binary form must too. The presence byte is 0 for nil, 1 otherwise.
 func AppendBytes(b, p []byte) []byte {
+	return append(AppendBytesHeader(b, p), p...)
+}
+
+// AppendBytesHeader appends what AppendBytes writes ahead of p's bytes —
+// the presence byte and, for a non-nil run, its length — so a writer can
+// send the run itself from where it lies instead of copying it.
+func AppendBytesHeader(b, p []byte) []byte {
 	if p == nil {
 		return append(b, 0)
 	}
 	b = append(b, 1)
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
+	return binary.AppendUvarint(b, uint64(len(p)))
 }
 
 // AppendBool appends a bool as one byte.

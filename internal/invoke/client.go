@@ -341,9 +341,12 @@ func (c *Client) sendStream(ctx context.Context, server id.Party, run id.Run, tx
 		n, err := io.ReadFull(st.Reader, buf)
 		if n > 0 {
 			msg := &protocol.Message{Protocol: c.proto, Run: run, Txn: txn, Step: stepRequest, Kind: kindChunk}
-			if berr := msg.SetBody(chunkBody{Stream: sid, Seq: seq, Data: buf[:n]}); berr != nil {
+			if berr := msg.SetBody(chunkBody{Stream: sid, Seq: seq}); berr != nil {
 				return nil, berr
 			}
+			// buf is reused for the next chunk: the coordinator copies the
+			// attachment into the wire message before DeliverRequest returns.
+			msg.Attachment = buf[:n]
 			if _, derr := c.co.DeliverRequest(ctx, server, msg); derr != nil {
 				return nil, fmt.Errorf("invoke: ship stream %q chunk %d: %w", st.Name, seq, derr)
 			}

@@ -439,6 +439,7 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 	if cb.Stream == "" {
 		return nil, fmt.Errorf("invoke: chunk without stream id")
 	}
+	data := msg.AttachmentOr(cb.Data)
 	key := streamKey(msg.Sender, cb.Stream)
 	s.streamMu.Lock()
 	ps := s.pending[key]
@@ -476,18 +477,18 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 		return nil, fmt.Errorf("invoke: chunk %d out of order for stream %q (have %d)", cb.Seq, cb.Stream, len(ps.chunks))
 	case cb.Seq < len(ps.chunks):
 		// Protocol-level duplicate: acknowledged only when identical.
-		if !bytes.Equal(ps.chunks[cb.Seq], cb.Data) {
+		if !bytes.Equal(ps.chunks[cb.Seq], data) {
 			s.streamMu.Unlock()
 			return nil, fmt.Errorf("invoke: conflicting duplicate of chunk %d in stream %q", cb.Seq, cb.Stream)
 		}
 	default:
-		if ps.bytes+int64(len(cb.Data)) > s.maxStreamBytes {
+		if ps.bytes+int64(len(data)) > s.maxStreamBytes {
 			delete(s.pending, key)
 			s.streamMu.Unlock()
 			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Stream, s.maxStreamBytes)
 		}
-		ps.chunks = append(ps.chunks, cb.Data)
-		ps.bytes += int64(len(cb.Data))
+		ps.chunks = append(ps.chunks, data)
+		ps.bytes += int64(len(data))
 	}
 	s.streamMu.Unlock()
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: msg.Step, Kind: kindChunkAck}
@@ -585,9 +586,10 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 	}
 	s.mu.Unlock()
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData}
-	if err := reply.SetBody(chunkDataBody{Data: data}); err != nil {
+	if err := reply.SetBody(chunkDataBody{}); err != nil {
 		return nil, err
 	}
+	reply.Attachment = data
 	return reply, nil
 }
 

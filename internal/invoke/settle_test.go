@@ -124,9 +124,8 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retransmitted chunk fetch: %v", err)
 	}
-	var chunk chunkDataBody
-	if err := reply.Body(&chunk); err != nil || !bytes.HasSuffix(payload, chunk.Data) || len(chunk.Data) == 0 {
-		t.Fatalf("retransmitted chunk fetch returned %d bytes, err %v", len(chunk.Data), err)
+	if data := reply.Attachment; !bytes.HasSuffix(payload, data) || len(data) == 0 {
+		t.Fatalf("retransmitted chunk fetch returned %d bytes", len(data))
 	}
 	if got := d.Node(serverParty).Log().Len(); got != logged {
 		t.Fatalf("retransmissions grew the evidence log from %d to %d records", logged, got)

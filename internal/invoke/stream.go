@@ -57,7 +57,9 @@ const (
 	kindChunkData  = "chunk-data"
 )
 
-// chunkBody is one streamed-parameter chunk, delivered before the request.
+// chunkBody describes one streamed-parameter chunk, delivered before the
+// request. The chunk's bytes ride the message's Attachment; Data is where
+// a peer that predates attachments put them, and is only ever read.
 type chunkBody struct {
 	Stream string `json:"stream"`
 	Seq    int    `json:"seq"`
@@ -71,7 +73,8 @@ type chunkFetchBody struct {
 	Seq  int    `json:"seq"`
 }
 
-// chunkDataBody answers a chunk fetch.
+// chunkDataBody answers a chunk fetch. Like chunkBody, it is empty beside
+// the message's Attachment unless a legacy peer sent it.
 type chunkDataBody struct {
 	Data []byte `json:"data,omitempty"`
 }
@@ -292,14 +295,20 @@ func (s *ResultStream) Read(p []byte) (int, error) {
 			s.err = err
 			return 0, s.err
 		}
-		if err := s.ref.VerifyChunk(s.seq, db.Data); err != nil {
+		data := reply.AttachmentOr(db.Data)
+		if err := s.ref.VerifyChunk(s.seq, data); err != nil {
 			s.err = fmt.Errorf("%w: result stream %q: %v", ErrEvidenceInvalid, s.name, err)
 			return 0, s.err
 		}
-		s.buf = db.Data
+		s.buf = data
 		s.seq++
 	}
 	n := copy(p, s.buf)
 	s.buf = s.buf[n:]
+	if len(s.buf) == 0 {
+		// A chunk borrows the whole frame it arrived in: a Result kept
+		// after its stream was read must not pin the last one.
+		s.buf = nil
+	}
 	return n, nil
 }

@@ -163,12 +163,17 @@ func TestRemoteAuditStream(t *testing.T) {
 // match what a local audit of the same (doctored) evidence produces.
 func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 	t.Parallel()
-	network := transport.NewInprocNetwork()
-	t.Cleanup(func() { _ = network.Close() })
+	// One network per subtest: they run in parallel and both register
+	// alice and bob.
+	newNetwork := func(t *testing.T) transport.Network {
+		network := transport.NewInprocNetwork()
+		t.Cleanup(func() { _ = network.Close() })
+		return network
+	}
 
 	t.Run("forged signature faults the exact record", func(t *testing.T) {
 		t.Parallel()
-		f := newAuditFixture(t, network)
+		f := newAuditFixture(t, newNetwork(t))
 		f.fill(t, 3)
 		// A forged token: issued by an uncertified key claiming alice.
 		rogue, err := sig.GenerateEd25519("rogue")
@@ -197,7 +202,7 @@ func TestRemoteAuditFailureTaxonomy(t *testing.T) {
 
 	t.Run("tampered sealed segment surfaces as a stream integrity error", func(t *testing.T) {
 		t.Parallel()
-		f := newAuditFixture(t, network)
+		f := newAuditFixture(t, newNetwork(t))
 		f.fill(t, 9) // 2 sealed segments + tail
 		// Doctor a sealed record on disk: the serving vault must refuse to
 		// stream it rather than hand the auditor tampered evidence.

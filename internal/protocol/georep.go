@@ -46,12 +46,14 @@ type geoStatusResp struct {
 }
 
 // geoAppendReq pushes records First..First+Count-1 of Source's vault as
-// binary record frames.
+// binary record frames. The frames ride the message's Attachment; Frames
+// is where a source that predates attachments put them, and is only ever
+// read.
 type geoAppendReq struct {
 	Source string `json:"source"`
 	First  uint64 `json:"first"`
 	Count  int    `json:"count"`
-	Frames []byte `json:"frames"`
+	Frames []byte `json:"frames,omitempty"`
 }
 
 type geoAppendResp struct {
@@ -143,6 +145,7 @@ func (s *GeoService) handleAppend(msg *Message) (*Message, error) {
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
+	req.Frames = msg.AttachmentOr(req.Frames)
 	if err := s.verifyAppend(msg, &req); err != nil {
 		return nil, err
 	}
@@ -262,13 +265,13 @@ func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, re
 	if err != nil {
 		return 0, err
 	}
-	req := &geoAppendReq{Source: source, First: recs[0].Seq, Count: len(recs), Frames: frames}
-	msg := &Message{Protocol: GeoProtocol, Run: id.NewRun(), Step: 1, Kind: KindGeoAppend}
+	req := &geoAppendReq{Source: source, First: recs[0].Seq, Count: len(recs)}
+	msg := &Message{Protocol: GeoProtocol, Run: id.NewRun(), Step: 1, Kind: KindGeoAppend, Attachment: frames}
 	if err := msg.SetBody(req); err != nil {
 		return 0, err
 	}
 	if iss := c.co.Services().Issuer; iss != nil {
-		claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
+		claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(frames)}
 		d, derr := claim.digest()
 		if derr != nil {
 			return 0, derr

@@ -1,10 +1,12 @@
 package protocol_test
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
@@ -350,5 +352,71 @@ func TestGeoServiceRejects(t *testing.T) {
 	}
 	if _, err := f.geo.Append(ctx, ghost, string(alice), f.fill(t, 1)); err == nil {
 		t.Fatal("Append to unenrolled peer succeeded")
+	}
+}
+
+// TestGeoAppendFramesOnAttachment: a tail push carries its record frames
+// on the message's attachment, not as base64 inside the JSON body; a
+// source that predates attachments still lands its push through the
+// body's `frames` field, under the same claim and token.
+func TestGeoAppendFramesOnAttachment(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	network := transport.NewInprocNetwork()
+	t.Cleanup(func() { _ = network.Close() })
+	f := newGeoFixture(t, network)
+	recs := f.fill(t, 3)
+
+	// What this build sends, seen by a handler standing in for a replica.
+	var sent *protocol.Message
+	f.coC.Register(&captureHandler{name: protocol.GeoProtocol, capture: &sent})
+	if _, err := f.geo.Append(ctx, carol, string(alice), recs[:1]); err == nil {
+		t.Fatal("the capturing stand-in answered a geo push")
+	}
+	frames, err := store.AppendFrameRun(nil, recs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent == nil || !bytes.Equal(sent.Attachment, frames) {
+		t.Fatal("geo push did not carry its frames on the attachment")
+	}
+	if strings.Contains(string(sent.Payload), "frames") {
+		t.Fatalf("geo push still carries frames in its body: %s", sent.Payload)
+	}
+
+	// What an older source sends: frames in the body, nothing attached.
+	// The claim below is the canonical form the token has always signed.
+	frames, err = store.AppendFrameRun(nil, recs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := struct {
+		Source string     `json:"source"`
+		First  uint64     `json:"first"`
+		Count  int        `json:"count"`
+		Frames sig.Digest `json:"frames"`
+	}{string(alice), recs[0].Seq, 2, sig.Sum(frames)}
+	legacy := &protocol.Message{Protocol: protocol.GeoProtocol, Run: id.NewRun(), Step: 1, Kind: protocol.KindGeoAppend}
+	if err := legacy.SetBody(map[string]any{"source": claim.Source, "first": claim.First, "count": claim.Count, "frames": frames}); err != nil {
+		t.Fatal(err)
+	}
+	tok, err := f.realm.Party(alice).Issuer.Issue(evidence.KindGeoAppend, legacy.Run, 1, sig.Sum(canon.MustMarshal(&claim)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy.Tokens = []*evidence.Token{tok}
+	reply, err := f.coA.DeliverRequest(ctx, bob, legacy)
+	if err != nil {
+		t.Fatalf("legacy geo push refused: %v", err)
+	}
+	var resp struct {
+		AckedSeq uint64 `json:"acked_seq"`
+	}
+	if err := reply.Body(&resp); err != nil || resp.AckedSeq != 2 {
+		t.Fatalf("legacy geo push acked %d, %v; want 2", resp.AckedSeq, err)
+	}
+	// And the current form continues the same replica tail.
+	if acked, err := f.geo.Append(ctx, bob, string(alice), recs[2:]); err != nil || acked != 3 {
+		t.Fatalf("Append after a legacy push = %d, %v; want 3", acked, err)
 	}
 }

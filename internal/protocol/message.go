@@ -24,7 +24,7 @@ import (
 // information common to non-repudiation protocol messages — request
 // (protocol run) identifier, sender, protocol step, signed content,
 // payload etc." Protocol-specific bodies travel in Payload as canonical
-// bytes; signed evidence travels in Tokens.
+// bytes; signed evidence travels in Tokens; bulk bytes in Attachment.
 type Message struct {
 	Protocol string   `json:"protocol"`
 	Run      id.Run   `json:"run"`
@@ -42,6 +42,12 @@ type Message struct {
 	// telemetry is enabled; otherwise the field is omitted and the wire
 	// encoding is unchanged.
 	Trace *obs.TraceRef `json:"trace,omitempty"`
+	// Attachment is one run of bulk bytes that rides beside the canonical
+	// body un-encoded: a stream chunk, a run of record frames. The binary
+	// encoding carries it raw and decodes it as a sub-slice of the
+	// received buffer, so bulk payload is never tokenised or base64'd;
+	// the body then holds only the few fields that describe it.
+	Attachment []byte `json:"attachment,omitempty"`
 }
 
 // Body decodes the canonical payload into v.
@@ -50,6 +56,16 @@ func (m *Message) Body(v any) error {
 		return fmt.Errorf("protocol: decode %s/%s payload: %w", m.Protocol, m.Kind, err)
 	}
 	return nil
+}
+
+// AttachmentOr returns the message's attachment, or legacy — the body
+// field in which a peer that predates attachments carried the same bytes
+// — when there is none.
+func (m *Message) AttachmentOr(legacy []byte) []byte {
+	if len(m.Attachment) > 0 {
+		return m.Attachment
+	}
+	return legacy
 }
 
 // SetBody encodes v as the canonical payload.

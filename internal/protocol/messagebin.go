@@ -11,6 +11,12 @@
 // references stay canonical JSON inside their byte fields: they are the
 // signed forms, and their encoding is what their signatures cover.
 //
+// A message carrying an Attachment is written as version 0x02: the
+// version-0x01 layout followed by the attachment as one more raw byte
+// run. A message without one keeps its version-0x01 bytes exactly, so
+// only the kinds that moved their bulk onto the attachment are new to an
+// older peer.
+//
 // The decoder auto-detects: a body starting '{' is decoded as canonical
 // JSON, so binary coordinators interoperate with peers that predate the
 // format, and no handshake is needed.
@@ -25,16 +31,51 @@ import (
 	"nonrep/internal/obs"
 )
 
-// Binary message magic byte and format version.
+// Binary message magic byte and format versions.
 const (
-	msgMagic   = 0xEC
+	msgMagic = 0xEC
+	// msgVersion is the layout without an attachment.
 	msgVersion = 0x01
+	// msgVersionAttachment is msgVersion's layout plus a trailing
+	// attachment run.
+	msgVersionAttachment = 0x02
 )
 
 // marshalMessage encodes a protocol message in the binary frame format.
+// The destination is sized before the first append, so the payload and
+// the attachment are each copied exactly once.
 func marshalMessage(m *Message) ([]byte, error) {
-	dst := make([]byte, 0, 96+len(m.Payload))
-	dst = append(dst, msgMagic, msgVersion)
+	// Room for the magic, version, step and token count, and for the
+	// length prefix of each of the six strings.
+	const fixed = 64
+	// What canon.AppendBytes adds to a run: the presence byte and the
+	// longest length prefix.
+	const runHeader = 11
+	size := fixed + len(m.Protocol) + len(m.Run) + len(m.Txn) + len(m.Kind) + len(m.Sender) +
+		len(m.ReplyAddr) + len(m.Payload) + len(m.Attachment) + 3*runHeader
+	tokens := make([][]byte, len(m.Tokens))
+	for i, tok := range m.Tokens {
+		blob, err := canon.Marshal(tok)
+		if err != nil {
+			return nil, err
+		}
+		tokens[i] = blob
+		size += len(blob) + runHeader
+	}
+	var trace []byte
+	if m.Trace != nil {
+		var err error
+		if trace, err = canon.Marshal(m.Trace); err != nil {
+			return nil, err
+		}
+		size += len(trace)
+	}
+	version := byte(msgVersion)
+	if len(m.Attachment) > 0 {
+		version = msgVersionAttachment
+	}
+	dst := make([]byte, 0, size)
+	dst = append(dst, msgMagic, version)
 	dst = canon.AppendString(dst, m.Protocol)
 	dst = canon.AppendString(dst, string(m.Run))
 	dst = canon.AppendString(dst, string(m.Txn))
@@ -42,40 +83,35 @@ func marshalMessage(m *Message) ([]byte, error) {
 	dst = canon.AppendString(dst, m.Kind)
 	dst = canon.AppendString(dst, string(m.Sender))
 	dst = canon.AppendString(dst, m.ReplyAddr)
-	dst = canon.AppendUvarint(dst, uint64(len(m.Tokens)))
-	for _, tok := range m.Tokens {
-		blob, err := canon.Marshal(tok)
-		if err != nil {
-			return nil, err
-		}
+	dst = canon.AppendUvarint(dst, uint64(len(tokens)))
+	for _, blob := range tokens {
 		dst = canon.AppendBytes(dst, blob)
 	}
 	dst = canon.AppendBytes(dst, m.Payload)
-	if m.Trace == nil {
-		dst = canon.AppendBool(dst, false)
-	} else {
-		dst = canon.AppendBool(dst, true)
-		blob, err := canon.Marshal(m.Trace)
-		if err != nil {
-			return nil, err
-		}
-		dst = canon.AppendBytes(dst, blob)
+	dst = canon.AppendBool(dst, m.Trace != nil)
+	if m.Trace != nil {
+		dst = canon.AppendBytes(dst, trace)
+	}
+	if version == msgVersionAttachment {
+		dst = canon.AppendBytes(dst, m.Attachment)
 	}
 	return dst, nil
 }
 
 // unmarshalMessage decodes a protocol message, auto-detecting its
-// encoding. Byte fields of a binary message are sub-slices of data: the
-// caller must hand over ownership of the buffer, as it already must for
-// the transport envelope the buffer came from.
+// encoding. Byte fields of a binary message — the payload and the
+// attachment — are sub-slices of data: the caller must hand over
+// ownership of the buffer, as it already must for the transport envelope
+// the buffer came from.
 func unmarshalMessage(data []byte, m *Message) error {
 	if len(data) == 0 || data[0] != msgMagic {
 		return canon.Unmarshal(data, m)
 	}
 	r := canon.NewBinReader(data)
 	r.Byte() // magic, checked above
-	if v := r.Byte(); r.Err() == nil && v != msgVersion {
-		return fmt.Errorf("protocol: unknown binary message version 0x%02x", v)
+	version := r.Byte()
+	if r.Err() == nil && version != msgVersion && version != msgVersionAttachment {
+		return fmt.Errorf("protocol: unknown binary message version 0x%02x", version)
 	}
 	m.Protocol = r.ValidString()
 	m.Run = id.Run(r.ValidString())
@@ -106,6 +142,9 @@ func unmarshalMessage(data []byte, m *Message) error {
 			return r.Fail(err)
 		}
 		m.Trace = tr
+	}
+	if version == msgVersionAttachment {
+		m.Attachment = r.Bytes()
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("protocol: decode binary message: %w", err)

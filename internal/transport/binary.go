@@ -77,13 +77,28 @@ func appendEnvelope(dst []byte, env *Envelope, depth int) ([]byte, error) {
 	if depth > maxBatchDepth {
 		return nil, fmt.Errorf("transport: batch envelope nested beyond depth %d", maxBatchDepth)
 	}
+	dst = appendEnvelopeHead(dst, env)
+	dst = append(dst, env.Body...)
+	return appendEnvelopeTail(dst, env, depth)
+}
+
+// appendEnvelopeHead appends everything a binary envelope holds ahead of
+// its body's bytes, the body's length prefix included. The frame writer
+// sends head, body and tail as separate runs, so a body is never copied
+// into a frame buffer.
+func appendEnvelopeHead(dst []byte, env *Envelope) []byte {
 	dst = append(dst, envMagic, wireVersion)
 	dst = canon.AppendString(dst, string(env.ID))
 	dst = canon.AppendString(dst, env.From)
 	dst = canon.AppendString(dst, env.To)
 	dst = canon.AppendString(dst, env.Kind)
 	dst = canon.AppendString(dst, env.Tenant)
-	dst = canon.AppendBytes(dst, env.Body)
+	return canon.AppendBytesHeader(dst, env.Body)
+}
+
+// appendEnvelopeTail appends what follows the body: the batch items,
+// each sub-envelope encoded whole.
+func appendEnvelopeTail(dst []byte, env *Envelope, depth int) ([]byte, error) {
 	dst = canon.AppendUvarint(dst, uint64(len(env.Batch)))
 	for i := range env.Batch {
 		item := &env.Batch[i]

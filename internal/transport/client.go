@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync/atomic"
 
 	"nonrep/internal/id"
@@ -106,37 +105,12 @@ var _ Endpoint = (*tcpClient)(nil)
 func (e *tcpClient) Addr() string { return e.addr }
 
 func (e *tcpClient) Send(ctx context.Context, to string, env *Envelope) error {
-	_, err := e.exchange(ctx, to, env)
+	_, err := exchange(ctx, e.addr, to, env, e.enc)
 	return err
 }
 
 func (e *tcpClient) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	return e.exchange(ctx, to, env)
-}
-
-func (e *tcpClient) exchange(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", to)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnknownAddress, to, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	env.From = e.addr
-	env.To = to
-	if err := writeFrame(conn, env, e.enc); err != nil {
-		return nil, err
-	}
-	reply, _, err := readFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if reply.Kind == "error" {
-		return nil, fmt.Errorf("transport: remote handler: %s", reply.Body)
-	}
-	return reply, nil
+	return exchange(ctx, e.addr, to, env, e.enc)
 }
 
 func (e *tcpClient) Close() error { return nil }

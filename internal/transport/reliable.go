@@ -178,27 +178,38 @@ func (r *Reliable) Close() error { return r.inner.Close() }
 
 // Dedup wraps a handler with idempotent replay: the first result for each
 // envelope identifier is cached and returned verbatim for retransmissions,
-// so retried requests are processed exactly once.
+// so retried requests are processed exactly once. The cache is a window,
+// bounded both by entries and by the reply bytes it pins.
 type Dedup struct {
 	inner Handler
 	hits  *obs.Counter
 
 	mu      sync.Mutex
-	results map[string]dedupResult
+	results map[string]*dedupResult
 	order   []string
-	limit   int
+	bytes   int64 // reply body bytes held by results
 }
 
+// dedupResult is one delivery's outcome. reply and err are written once,
+// before done is closed; bytes is guarded by Dedup.mu.
 type dedupResult struct {
 	reply *Envelope
 	err   error
 	done  chan struct{}
+	bytes int64
 }
 
 var _ Handler = (*Dedup)(nil)
 
-// dedupCacheLimit bounds the replay cache.
-const dedupCacheLimit = 4096
+// Bounds of the replay cache: the newest dedupCacheLimit deliveries,
+// within dedupCacheBytes of cached reply bodies. Small replies live out
+// the whole entry window; bulk replies (a served stream chunk is a
+// megabyte) are evicted by bytes long before, which only costs a late
+// retransmission of an idempotent fetch a second dispatch.
+const (
+	dedupCacheLimit = 4096
+	dedupCacheBytes = 32 << 20
+)
 
 // NewDedup wraps inner with a replay cache.
 func NewDedup(inner Handler) *Dedup {
@@ -211,8 +222,7 @@ func NewDedupWith(inner Handler, scope *obs.Scope) *Dedup {
 	return &Dedup{
 		inner:   inner,
 		hits:    scope.Counter(obs.MDedupHitsTotal),
-		results: make(map[string]dedupResult),
-		limit:   dedupCacheLimit,
+		results: make(map[string]*dedupResult),
 	}
 }
 
@@ -229,26 +239,38 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		d.mu.Lock()
-		res = d.results[key]
-		d.mu.Unlock()
 		return res.reply, res.err
 	}
-	res := dedupResult{done: make(chan struct{})}
+	res := &dedupResult{done: make(chan struct{})}
 	d.results[key] = res
 	d.order = append(d.order, key)
-	if len(d.order) > d.limit {
+	d.evictLocked()
+	d.mu.Unlock()
+
+	res.reply, res.err = d.inner.Handle(ctx, env)
+	close(res.done)
+
+	if res.reply != nil && len(res.reply.Body) > 0 {
+		d.mu.Lock()
+		// Only a result still in the window is charged to it.
+		if d.results[key] == res {
+			res.bytes = int64(len(res.reply.Body))
+			d.bytes += res.bytes
+			d.evictLocked()
+		}
+		d.mu.Unlock()
+	}
+	return res.reply, res.err
+}
+
+// evictLocked drops the oldest results until the cache is inside both of
+// its bounds (d.mu held). A delivery still in flight may be among them:
+// its waiters hold the result itself, not the map entry.
+func (d *Dedup) evictLocked() {
+	for len(d.order) > 0 && (len(d.order) > dedupCacheLimit || d.bytes > dedupCacheBytes) {
 		oldest := d.order[0]
 		d.order = d.order[1:]
+		d.bytes -= d.results[oldest].bytes
 		delete(d.results, oldest)
 	}
-	d.mu.Unlock()
-
-	reply, err := d.inner.Handle(ctx, env)
-
-	d.mu.Lock()
-	d.results[key] = dedupResult{reply: reply, err: err, done: res.done}
-	d.mu.Unlock()
-	close(res.done)
-	return reply, err
 }

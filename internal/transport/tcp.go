@@ -171,20 +171,20 @@ func (e *tcpEndpoint) serve(conn net.Conn) {
 
 // Send implements Endpoint.
 func (e *tcpEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
-	_, err := e.exchange(ctx, to, env)
+	_, err := exchange(ctx, e.Addr(), to, env, e.enc)
 	return err
 }
 
 // Request implements Endpoint.
 func (e *tcpEndpoint) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	reply, err := e.exchange(ctx, to, env)
-	if err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return exchange(ctx, e.Addr(), to, env, e.enc)
 }
 
-func (e *tcpEndpoint) exchange(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
+// exchange performs one framed request/reply exchange on a fresh
+// connection to the endpoint listening at to, on behalf of the endpoint
+// addressed from. A handler failure on the far side arrives as an
+// "error" envelope and is returned as an error.
+func exchange(ctx context.Context, from, to string, env *Envelope, enc WireEncoding) (*Envelope, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
@@ -194,9 +194,9 @@ func (e *tcpEndpoint) exchange(ctx context.Context, to string, env *Envelope) (*
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
-	env.From = e.Addr()
+	env.From = from
 	env.To = to
-	if err := writeFrame(conn, env, e.enc); err != nil {
+	if err := writeFrame(conn, env, enc); err != nil {
 		return nil, err
 	}
 	reply, _, err := readFrame(conn)
@@ -223,55 +223,81 @@ func (e *tcpEndpoint) Close() error {
 	return err
 }
 
-// writeFrame writes a length-prefixed envelope in the given encoding.
+// writeFrame writes a length-prefixed envelope in the given encoding as
+// one vectored write. A binary envelope goes out as three runs — length
+// prefix plus envelope head, the body from where it lies, the tail — so
+// a body is never copied into a frame buffer, whatever its size.
 func writeFrame(w io.Writer, env *Envelope, enc WireEncoding) error {
-	body, err := MarshalEnvelope(env, enc)
+	head := make([]byte, 4, 4+64+len(env.ID)+len(env.From)+len(env.To)+len(env.Kind)+len(env.Tenant))
+	var body, tail []byte
+	var err error
+	if enc == WireJSON {
+		body, err = MarshalEnvelope(env, WireJSON)
+	} else {
+		head = appendEnvelopeHead(head, env)
+		body = env.Body
+		tail, err = appendEnvelopeTail(nil, env, 0)
+	}
 	if err != nil {
 		return err
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(body))
+	n := len(head) - 4 + len(body) + len(tail)
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("transport: write frame body: %w", err)
+	binary.BigEndian.PutUint32(head, uint32(n))
+	bufs := net.Buffers{head, body, tail}
+	if _, err := bufs.WriteTo(w); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
-// frameChunk bounds how much memory a frame read commits ahead of the
-// bytes actually arriving: a malicious 4-byte header claiming a
-// maxFrame-sized body must not allocate maxFrame up front, so the body is
-// read and grown chunk by chunk.
-const frameChunk = 64 << 10
+// A frame read commits memory only in proportion to the bytes that have
+// actually arrived: a malicious 4-byte header claiming a maxFrame-sized
+// body must not allocate maxFrame up front. The buffer starts at no more
+// than frameChunk and, once filled, grows by frameGrowth.
+const (
+	frameChunk  = 64 << 10
+	frameGrowth = 4
+)
 
 // readFrame reads a length-prefixed envelope, auto-detecting its
 // encoding and reporting which one arrived so the reply can mirror it.
-// A binary envelope's byte fields alias the frame buffer, which is
-// owned by the decoded envelope from here on — the zero-copy path from
-// socket read to chunk reassembly.
+// Bytes are read straight into the tail of a buffer that grows
+// geometrically towards the declared length, so all the re-copying of
+// one frame adds up to a third of it. A binary envelope's byte fields
+// alias that buffer, which is owned by the decoded envelope from here on
+// — the zero-copy path from socket read to chunk verification.
 func readFrame(r io.Reader) (*Envelope, WireEncoding, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, WireBinary, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, WireBinary, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > maxFrame {
+		return nil, WireBinary, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
 	}
-	body := make([]byte, 0, min(int(n), frameChunk))
-	for remaining := int(n); remaining > 0; {
-		k := min(remaining, frameChunk)
-		off := len(body)
-		body = append(body, make([]byte, k)...)
-		if _, err := io.ReadFull(r, body[off:]); err != nil {
+	n := int(size)
+	// The first buffer is the declared length divided down until it fits
+	// frameChunk, so the growth steps land on that length exactly: a frame
+	// a few bytes over a step does not cost one more whole step.
+	first := n
+	for first > frameChunk {
+		first = (first + frameGrowth - 1) / frameGrowth
+	}
+	body := make([]byte, 0, first)
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(n, frameGrowth*cap(body)))
+			copy(grown, body)
+			body = grown
+		}
+		k, err := io.ReadFull(r, body[len(body):cap(body)])
+		body = body[:len(body)+k]
+		if err != nil {
 			return nil, WireBinary, fmt.Errorf("transport: read frame body: %w", err)
 		}
-		remaining -= k
 	}
 	enc := WireJSON
 	if len(body) > 0 && body[0] == envMagic {
