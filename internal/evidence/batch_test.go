@@ -76,8 +76,32 @@ func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
 			t.Fatal("batch tokens carry different signature bytes")
 		}
 	}
-	if len(toks[0].Signature.BatchRoot) == 0 {
-		t.Fatal("batch tokens missing aggregate root")
+	for i, tok := range toks {
+		if len(tok.Signature.BatchRoot) != 0 {
+			t.Fatalf("token %d carries the aggregate root the verifier recomputes", i)
+		}
+		if len(tok.Signature.BatchPath) == 0 {
+			t.Fatalf("token %d has no inclusion path", i)
+		}
+	}
+	// A token signed before the root stopped being stored carries it; it
+	// verifies with the right root and fails with a wrong one.
+	tbs, err := toks[3].TBSDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := sig.SignedDigest(tbs, toks[3].Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := *toks[3]
+	legacy.Signature.BatchRoot = root[:]
+	if err := verifier.Verify(&legacy); err != nil {
+		t.Fatalf("legacy rooted token: %v", err)
+	}
+	legacy.Signature.BatchRoot = make([]byte, sig.DigestSize)
+	if err := verifier.Verify(&legacy); err == nil {
+		t.Fatal("token with a wrong carried root verified")
 	}
 }
 
@@ -186,6 +210,25 @@ func TestVerifyCacheHitsAndStaysSound(t *testing.T) {
 	badPath.Signature.BatchPath[0] = corrupt
 	if err := verifier.Verify(&badPath); err == nil {
 		t.Fatal("cache accepted tampered inclusion path")
+	}
+	// Nor a single flipped bit of one, nor a transplanted index. The
+	// tokens carry no root, so the doctored proof recomputes to a root
+	// that was never verified: the cache key differs, the lookup misses,
+	// and the signature check over that root fails — nothing is added.
+	flipped := *toks[2]
+	flipped.Signature.BatchPath = append([][]byte(nil), flipped.Signature.BatchPath...)
+	flipped.Signature.BatchPath[0] = append([]byte(nil), flipped.Signature.BatchPath[0]...)
+	flipped.Signature.BatchPath[0][7] ^= 1
+	if err := verifier.Verify(&flipped); err == nil {
+		t.Fatal("cache served a hit for a flipped inclusion path element")
+	}
+	moved := *toks[0]
+	moved.Signature.BatchIndex = 1
+	if err := verifier.Verify(&moved); err == nil {
+		t.Fatal("cache served a hit for a transplanted batch index")
+	}
+	if got := verifier.Cache.Len(); got != 1 {
+		t.Fatalf("cache entries = %d after rejected proofs, want 1", got)
 	}
 }
 

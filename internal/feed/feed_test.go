@@ -359,3 +359,54 @@ func TestFeedHubCloseEvictsWithErrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFeedDeliversGroupAsOneEvent: a group append is one commit, so a
+// live subscriber is handed its records in one event (coalescing may
+// only ever merge commits, never split one).
+func TestFeedDeliversGroupAsOneEvent(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	v, err := vault.Open(t.TempDir(), realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	h := feed.NewHub(v, nil)
+	defer h.Close()
+	var mu sync.Mutex
+	var events [][]uint64
+	ping := make(chan struct{}, 16)
+	sub, err := h.Subscribe(feed.Config{Sink: func(ev feed.Event) error {
+		var seqs []uint64
+		for _, r := range ev.Records {
+			seqs = append(seqs, r.Seq)
+		}
+		mu.Lock()
+		events = append(events, seqs)
+		mu.Unlock()
+		ping <- struct{}{}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	run := id.NewRun()
+	group := make([]store.Entry, 3)
+	for i := range group {
+		group[i] = store.Entry{Dir: store.Generated, Token: newToken(t, realm, run, i+1)}
+	}
+	if _, err := v.AppendGroup(group); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ping:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no event delivered")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 1 || len(events[0]) != 3 || events[0][0] != 1 || events[0][2] != 3 {
+		t.Fatalf("events = %v, want one event carrying records 1..3", events)
+	}
+}

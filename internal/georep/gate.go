@@ -45,10 +45,27 @@ func (g *GatedLog) Append(dir store.Direction, tok *evidence.Token, note string)
 	if err != nil {
 		return nil, err
 	}
-	if e := g.eng.Load(); e != nil {
-		if werr := e.WaitQuorum(context.Background(), rec.Seq); werr != nil {
-			return rec, werr
-		}
+	return rec, g.waitQuorum(rec.Seq)
+}
+
+// AppendGroup is the vault's group append under the same contract: one
+// local commit, then one quorum wait on the group's last sequence
+// number (replicas acknowledge prefixes, so it covers every member).
+// Without it the embedded vault's method would be promoted and a group
+// would return before the policy's quorum held it. On ErrQuorumUnmet
+// the records are returned alongside the error, as for Append.
+func (g *GatedLog) AppendGroup(entries []store.Entry) ([]*store.Record, error) {
+	recs, err := g.Vault.AppendGroup(entries)
+	if err != nil || len(recs) == 0 {
+		return nil, err
 	}
-	return rec, nil
+	return recs, g.waitQuorum(recs[len(recs)-1].Seq)
+}
+
+// waitQuorum blocks until the attached engine's policy holds seq.
+func (g *GatedLog) waitQuorum(seq uint64) error {
+	if e := g.eng.Load(); e != nil {
+		return e.WaitQuorum(context.Background(), seq)
+	}
+	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
+	"nonrep/internal/sig"
+	"nonrep/internal/store"
 )
 
 // Client is the client-side B2BInvocationHandler (section 4.2): it obtains
@@ -132,10 +134,8 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 	if err != nil {
 		return nil, err
 	}
-	sp = leafSpan(ctx, svc, "vault.append")
-	err = svc.LogGenerated(nro, "request origin")
-	sp.End()
-	if err != nil {
+	// R1: the request origin is durable before the request leaves.
+	if err := logGroup(ctx, svc, store.Entry{Dir: store.Generated, Token: nro, Note: "request origin"}); err != nil {
 		return nil, err
 	}
 	msg1 := &protocol.Message{
@@ -170,22 +170,10 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 	}
 
 	// Step 2: verify resp, NRR(req), NRO(resp) before releasing anything.
-	var rb responseBody
-	if err := reply.Body(&rb); err != nil {
-		return nil, err
-	}
-	respSnap := rb.Snapshot
-	respDigest, err := respSnap.Digest()
+	respSnap, respDigest, err := replySnapshot(reply, run, reqDigest)
 	if err != nil {
 		return nil, err
 	}
-	if respSnap.Run != run {
-		return nil, fmt.Errorf("%w: response for run %s, want %s", ErrEvidenceInvalid, respSnap.Run, run)
-	}
-	if respSnap.RequestDigest != reqDigest {
-		return nil, fmt.Errorf("%w: response bound to a different request", ErrEvidenceInvalid)
-	}
-
 	result := &Result{
 		Run:      run,
 		Status:   respSnap.Status,
@@ -201,7 +189,7 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 			if err := svc.Verifier.Expect(nrr, evidence.KindNRR, run, server); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
 			}
-			if err := svc.LogReceived(nrr, "voluntary receipt"); err != nil {
+			if err := logGroup(ctx, svc, store.Entry{Dir: store.Received, Token: nrr, Note: "voluntary receipt"}); err != nil {
 				return nil, err
 			}
 			result.Evidence = append(result.Evidence, nrr)
@@ -212,79 +200,45 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 		return result, nil
 	}
 
-	nrr := reply.Token(evidence.KindNRR)
-	nroResp := reply.Token(evidence.KindNROResp)
-	if nrr == nil || nroResp == nil {
-		return nil, fmt.Errorf("%w: response missing evidence tokens", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(nrr, evidence.KindNRR, run, server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nrr.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: request receipt covers different request", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(nroResp, evidence.KindNROResp, run, server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nroResp.Digest != respDigest {
-		return nil, fmt.Errorf("%w: response origin covers different response", ErrEvidenceInvalid)
-	}
-	sp = leafSpan(ctx, svc, "vault.append")
-	if err := svc.LogReceived(nrr, "request receipt"); err != nil {
-		sp.End()
-		return nil, err
-	}
-	err = svc.LogReceived(nroResp, "response origin")
-	sp.End()
+	nrr, nroResp, err := c.replyEvidence(reply, run, server, reqDigest, respDigest)
 	if err != nil {
 		return nil, err
 	}
 	result.Evidence = append(result.Evidence, nrr, nroResp)
-	if err := c.attachStreams(ctx, result, &respSnap, server); err != nil {
+
+	// Step 3 is prepared before step 2's evidence is logged: NRR(req) and
+	// NRO(resp) must be durable before the result is returned (R2), the
+	// receipt before it is sent (R1) — the same next action, so the three
+	// commit as one group. A verified response that cannot be taken up,
+	// or a receipt withheld, leaves the first two, as evidence received.
+	group := []store.Entry{
+		{Dir: store.Received, Token: nrr, Note: "request receipt"},
+		{Dir: store.Received, Token: nroResp, Note: "response origin"},
+	}
+	// withholdReceipt is misbehaviour injection: the verified response is
+	// kept but never acknowledged. Under ProtocolFair the server recovers
+	// via the TTP; under ProtocolDirect it is left with an incomplete
+	// exchange (the trade-off section 3.1 discusses).
+	var receipt *protocol.Message
+	err = c.attachStreams(ctx, result, &respSnap, server)
+	if err == nil && !c.withholdReceipt {
+		if receipt, err = c.newReceipt(run, req.Txn, server, respDigest); err == nil {
+			group = append(group, store.Entry{Dir: store.Generated, Token: receipt.Tokens[0], Note: c.receiptNote()})
+		}
+	}
+	if lerr := logGroup(ctx, svc, group...); lerr != nil {
+		return nil, lerr
+	}
+	if err != nil {
 		return nil, err
 	}
-
-	if c.withholdReceipt {
-		// Misbehaviour injection: keep the verified response but never
-		// acknowledge it. Under ProtocolFair the server recovers via the
-		// TTP; under ProtocolDirect the server is left with an
-		// incomplete exchange (the trade-off section 3.1 discusses).
+	if receipt == nil {
 		return result, nil
 	}
+	result.Evidence = append(result.Evidence, receipt.Tokens[0])
 
 	// Step 3: NRR(resp) back to the counterparty.
-	note := evidence.ReceiptNote{
-		Run:            run,
-		Client:         svc.Party,
-		ResponseDigest: respDigest,
-		Consumption:    c.consumption,
-	}
-	noteDigest, err := note.Digest()
-	if err != nil {
-		return nil, err
-	}
-	nrrResp, err := svc.Issuer.Issue(evidence.KindNRRResp, run, stepReceipt, noteDigest,
-		evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.LogGenerated(nrrResp, "response receipt ("+c.consumption.String()+")"); err != nil {
-		return nil, err
-	}
-	result.Evidence = append(result.Evidence, nrrResp)
-
-	msg3 := &protocol.Message{
-		Protocol: c.proto,
-		Run:      run,
-		Txn:      req.Txn,
-		Step:     stepReceipt,
-		Kind:     kindReceipt,
-		Tokens:   []*evidence.Token{nrrResp},
-	}
-	if err := msg3.SetBody(receiptBody{Note: note}); err != nil {
-		return nil, err
-	}
-	if err := c.co.Deliver(ctx, dest, msg3); err != nil {
+	if err := c.co.Deliver(ctx, dest, receipt); err != nil {
 		// The response is already verified and released; a lost receipt
 		// is the server's recovery problem (fair protocol: TTP resolve).
 		return result, nil
@@ -297,6 +251,87 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 		result.streams = nil
 	}
 	return result, nil
+}
+
+// replySnapshot decodes the response a reply carries and checks that it
+// answers this run's request.
+func replySnapshot(reply *protocol.Message, run id.Run, reqDigest sig.Digest) (evidence.ResponseSnapshot, sig.Digest, error) {
+	var rb responseBody
+	if err := reply.Body(&rb); err != nil {
+		return rb.Snapshot, sig.Digest{}, err
+	}
+	respDigest, err := rb.Snapshot.Digest()
+	if err != nil {
+		return rb.Snapshot, sig.Digest{}, err
+	}
+	if rb.Snapshot.Run != run {
+		return rb.Snapshot, sig.Digest{}, fmt.Errorf("%w: response for run %s, want %s", ErrEvidenceInvalid, rb.Snapshot.Run, run)
+	}
+	if rb.Snapshot.RequestDigest != reqDigest {
+		return rb.Snapshot, sig.Digest{}, fmt.Errorf("%w: response bound to a different request", ErrEvidenceInvalid)
+	}
+	return rb.Snapshot, respDigest, nil
+}
+
+// replyEvidence verifies the server's half of the exchange: NRR(req) over
+// the request the client sent and NRO(resp) over the response it got.
+func (c *Client) replyEvidence(reply *protocol.Message, run id.Run, server id.Party, reqDigest, respDigest sig.Digest) (nrr, nroResp *evidence.Token, err error) {
+	verifier := c.co.Services().Verifier
+	nrr, nroResp = reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
+	if nrr == nil || nroResp == nil {
+		return nil, nil, fmt.Errorf("%w: response missing evidence tokens", ErrEvidenceInvalid)
+	}
+	if err := verifier.Expect(nrr, evidence.KindNRR, run, server); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
+	}
+	if nrr.Digest != reqDigest {
+		return nil, nil, fmt.Errorf("%w: request receipt covers different request", ErrEvidenceInvalid)
+	}
+	if err := verifier.Expect(nroResp, evidence.KindNROResp, run, server); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
+	}
+	if nroResp.Digest != respDigest {
+		return nil, nil, fmt.Errorf("%w: response origin covers different response", ErrEvidenceInvalid)
+	}
+	return nrr, nroResp, nil
+}
+
+// newReceipt issues the run's NRR(resp) and builds the step 3 message
+// carrying it; the token is the message's only one.
+func (c *Client) newReceipt(run id.Run, txn id.Txn, server id.Party, respDigest sig.Digest) (*protocol.Message, error) {
+	svc := c.co.Services()
+	note := evidence.ReceiptNote{
+		Run:            run,
+		Client:         svc.Party,
+		ResponseDigest: respDigest,
+		Consumption:    c.consumption,
+	}
+	noteDigest, err := note.Digest()
+	if err != nil {
+		return nil, err
+	}
+	nrrResp, err := svc.Issuer.Issue(evidence.KindNRRResp, run, stepReceipt, noteDigest,
+		evidence.WithTxn(txn), evidence.WithRecipients(server))
+	if err != nil {
+		return nil, err
+	}
+	msg := &protocol.Message{
+		Protocol: c.proto,
+		Run:      run,
+		Txn:      txn,
+		Step:     stepReceipt,
+		Kind:     kindReceipt,
+		Tokens:   []*evidence.Token{nrrResp},
+	}
+	if err := msg.SetBody(receiptBody{Note: note}); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// receiptNote is the log note of the client's own NRR(resp).
+func (c *Client) receiptNote() string {
+	return "response receipt (" + c.consumption.String() + ")"
 }
 
 // sendStreams delivers every streamed parameter to the server as ordered

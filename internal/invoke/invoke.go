@@ -21,6 +21,39 @@
 //     resolve (substitute a withheld receipt) or abort a run, giving
 //     stronger fairness/liveness guarantees in the style of optimistic
 //     fair-exchange protocols (paper reference [7]).
+//
+// # Durability rule
+//
+// Section 3.5 asks that a party's evidence be persistent before the party
+// acts on it. Every handler in this package orders its log appends against
+// its sends by exactly these rules, and by nothing stricter:
+//
+//   - R1. A token a party generated is durable before the message carrying
+//     it is handed to the transport.
+//   - R2. A token a party received is durable before the party sends a
+//     token issued in answer to it, or returns the result it covers to its
+//     caller.
+//   - R3. Nothing else is ordered. Records under the same obligation — due
+//     before the same send or return — commit together, in protocol order,
+//     as one group (protocol.Services.LogGroup: one write and one fsync on
+//     a vault).
+//
+// One invocation therefore waits for four commits, not eight:
+//
+//	client  {NRO generated}                                  before the request leaves
+//	server  {NRO received, NRR generated, NROResp generated} before the reply leaves
+//	client  {NRR received, NROResp received, NRRResp generated}
+//	                                 before the receipt leaves or the result is returned
+//	server  {NRRResp received}                               before the receipt is acknowledged
+//
+// A request refused or failed before an answer exists leaves its verified
+// NRO alone; a withheld or impossible receipt leaves the client's first
+// two. Resume, which re-enters a run at any point, commits whichever of
+// {NRR, NROResp} its journal lacks as one group and keeps NRRResp a
+// separate append, because the presence of that record is what tells a
+// later Resume that step 3 already ran. A crash inside a group's write
+// recovers to a prefix of the group — the states one-by-one appends
+// already produced — and Resume completes from any of them.
 package invoke
 
 import (

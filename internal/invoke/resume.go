@@ -18,6 +18,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 )
 
 // ErrAbortPending is returned when a fair-protocol submission failed, the
@@ -161,51 +162,25 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 			}
 			return nil, fmt.Errorf("invoke: resume request: %w", rerr)
 		}
-		var rb responseBody
-		if err := reply.Body(&rb); err != nil {
+		got, respDigest, err := replySnapshot(reply, run, reqDigest)
+		if err != nil {
 			return nil, err
 		}
-		got := rb.Snapshot
-		respDigest, derr := got.Digest()
-		if derr != nil {
-			return nil, derr
-		}
-		if got.Run != run {
-			return nil, fmt.Errorf("%w: response for run %s, want %s", ErrEvidenceInvalid, got.Run, run)
-		}
-		if got.RequestDigest != reqDigest {
-			return nil, fmt.Errorf("%w: response bound to a different request", ErrEvidenceInvalid)
-		}
-		gotNRR, gotNROResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
-		if gotNRR == nil || gotNROResp == nil {
-			return nil, fmt.Errorf("%w: response missing evidence tokens", ErrEvidenceInvalid)
-		}
-		if err := svc.Verifier.Expect(gotNRR, evidence.KindNRR, run, server); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-		}
-		if gotNRR.Digest != reqDigest {
-			return nil, fmt.Errorf("%w: request receipt covers different request", ErrEvidenceInvalid)
-		}
-		if err := svc.Verifier.Expect(gotNROResp, evidence.KindNROResp, run, server); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-		}
-		if gotNROResp.Digest != respDigest {
-			return nil, fmt.Errorf("%w: response origin covers different response", ErrEvidenceInvalid)
+		gotNRR, gotNROResp, err := c.replyEvidence(reply, run, server, reqDigest, respDigest)
+		if err != nil {
+			return nil, err
 		}
 		if err := c.crash("post-reply-verify"); err != nil {
 			return nil, err
 		}
-		// Append only what the vault does not already hold, so a run that
-		// crashed between the two appends ends with one record of each
-		// kind rather than a duplicate pair.
+		// Commit, as one group, only what the vault does not already hold,
+		// so a run that crashed inside the group's write — a torn group
+		// recovers to a prefix: the NRR without the NROResp — ends with one
+		// record of each kind rather than a duplicate pair.
+		var missing []store.Entry
 		if nrr == nil {
-			if err := svc.LogReceived(gotNRR, "request receipt"); err != nil {
-				return nil, err
-			}
+			missing = append(missing, store.Entry{Dir: store.Received, Token: gotNRR, Note: "request receipt"})
 			nrr = gotNRR
-		}
-		if err := c.crash("mid-reply-append"); err != nil {
-			return nil, err
 		}
 		if nroResp == nil {
 			// The note carries the canonical response snapshot: the digest
@@ -216,10 +191,19 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 			if merr != nil {
 				return nil, merr
 			}
-			if err := svc.LogReceived(gotNROResp, string(noteJSON)); err != nil {
-				return nil, err
-			}
+			missing = append(missing, store.Entry{Dir: store.Received, Token: gotNROResp, Note: string(noteJSON)})
 			nroResp = gotNROResp
+		}
+		if err := c.crash("mid-reply-append"); err != nil {
+			// The crash this point stands for lands inside the group's
+			// write; what survives is a prefix of it.
+			if len(missing) > 1 {
+				_ = svc.LogGroup(missing[:1]...)
+			}
+			return nil, err
+		}
+		if err := logGroup(ctx, svc, missing...); err != nil {
+			return nil, err
 		}
 		respSnap = &got
 	}
@@ -248,39 +232,19 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 	if err != nil {
 		return nil, err
 	}
-	note := evidence.ReceiptNote{
-		Run:            run,
-		Client:         svc.Party,
-		ResponseDigest: respDigest,
-		Consumption:    c.consumption,
-	}
-	noteDigest, err := note.Digest()
+	receipt, err := c.newReceipt(run, req.Txn, server, respDigest)
 	if err != nil {
 		return nil, err
 	}
-	nrrResp, err := svc.Issuer.Issue(evidence.KindNRRResp, run, stepReceipt, noteDigest,
-		evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
-	if err != nil {
+	// The receipt stays its own append (R1): whether the journal holds an
+	// NRRResp is what decides, above, that step 3 already ran.
+	if err := logGroup(ctx, svc, store.Entry{Dir: store.Generated, Token: receipt.Tokens[0], Note: c.receiptNote()}); err != nil {
 		return nil, err
 	}
-	if err := svc.LogGenerated(nrrResp, "response receipt ("+c.consumption.String()+")"); err != nil {
-		return nil, err
-	}
-	result.Evidence = append(result.Evidence, nrrResp)
-	msg3 := &protocol.Message{
-		Protocol: c.proto,
-		Run:      run,
-		Txn:      req.Txn,
-		Step:     stepReceipt,
-		Kind:     kindReceipt,
-		Tokens:   []*evidence.Token{nrrResp},
-	}
-	if err := msg3.SetBody(receiptBody{Note: note}); err != nil {
-		return nil, err
-	}
+	result.Evidence = append(result.Evidence, receipt.Tokens[0])
 	// A lost receipt is tolerated, as in Invoke: the response is already
 	// verified and journaled.
-	_ = c.co.Deliver(ctx, server, msg3)
+	_ = c.co.Deliver(ctx, server, receipt)
 	return result, nil
 }
 

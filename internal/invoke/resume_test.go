@@ -13,6 +13,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -22,8 +23,14 @@ import (
 // the NROResp record's note.
 func runStateFromLog(t *testing.T, d *testpki.Domain, p id.Party, run id.Run) invoke.RunState {
 	t.Helper()
+	return runStateOf(t, d.Node(p).Log().ByRun(run))
+}
+
+// runStateOf is runStateFromLog over a run's records.
+func runStateOf(t *testing.T, recs []*store.Record) invoke.RunState {
+	t.Helper()
 	var st invoke.RunState
-	for _, rec := range d.Node(p).Log().ByRun(run) {
+	for _, rec := range recs {
 		switch rec.Token.Kind {
 		case evidence.KindNRO:
 			st.NRO = rec.Token

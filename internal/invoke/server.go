@@ -2,6 +2,7 @@ package invoke
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 )
 
 // Server is the server-side B2BInvocationHandler (section 4.2): it
@@ -39,6 +41,10 @@ type Server struct {
 	// idempotently, within maxSettledRuns and maxSettledChunkBytes.
 	settled           []id.Run
 	settledChunkBytes int64
+	// open lists, oldest first, the runs answered but not yet settled —
+	// the receipt outstanding, or a result stream not fetched to its end —
+	// within maxOpenRuns.
+	open list.List // of id.Run
 
 	// pending buffers inbound streamed-parameter chunks until the request
 	// whose signed evidence binds them arrives; keyed by sender and
@@ -64,10 +70,16 @@ func streamKey(sender id.Party, stream string) string {
 
 var _ protocol.Handler = (*Server)(nil)
 
-// Bounds on what the server keeps of settled runs. Like pending inbound
-// streams, settled runs are evicted oldest first; nothing here is
-// evidence — that is in the log — only the means to repeat an answer.
+// Bounds on the runs the server keeps. Like pending inbound streams, runs
+// are evicted oldest first; nothing here is evidence — that is in the
+// log — only the means to repeat an answer or accept a late receipt.
 const (
+	// maxOpenRuns bounds the runs whose exchange is not over: a client
+	// that never sends its receipt (or never fetches a result stream)
+	// costs the server one slot, not memory for ever. A receipt arriving
+	// for a run evicted here is refused with ErrNoSuchRun; the run's NRO,
+	// NRR and NROResp are in the log regardless.
+	maxOpenRuns = 4096
 	// maxSettledRuns bounds the settled runs whose cached response and
 	// receipt state are kept for retransmitted requests and receipts.
 	maxSettledRuns = 256
@@ -103,6 +115,8 @@ type serverRun struct {
 	served       map[string]bool
 	unserved     int
 	settled      bool
+	// openElem is the run's place on Server.open until it settles.
+	openElem *list.Element
 
 	receiptOnce sync.Once
 	receipt     chan struct{}
@@ -246,27 +260,59 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	if nro.Digest != reqDigest {
 		return nil, fmt.Errorf("%w: NRO covers a different request", ErrEvidenceInvalid)
 	}
-	sp := leafSpan(ctx, svc, "vault.append")
-	err = svc.LogReceived(nro, "request origin")
-	sp.End()
+	// R2: the request origin need not be durable before the server acts
+	// on it, only before anything issued in answer to it leaves — so it
+	// commits together with the reply tokens, one fsync for the step. A
+	// request refused or failed before an answer exists keeps its
+	// verified NRO alone, evidence of the attempt.
+	received := store.Entry{Dir: store.Received, Token: nro, Note: "request origin"}
+	rs, issued, err := s.respond(ctx, msg, &snap, reqDigest, nro)
 	if err != nil {
+		if lerr := logGroup(ctx, svc, received); lerr != nil {
+			return nil, lerr
+		}
+		return nil, err
+	}
+	if err := logGroup(ctx, svc, append([]store.Entry{received}, issued...)...); err != nil {
 		return nil, err
 	}
 
+	s.mu.Lock()
+	s.runs[msg.Run] = rs
+	s.settleLocked(msg.Run, rs)
+	if !rs.settled {
+		rs.openElem = s.open.PushBack(msg.Run)
+		for s.open.Len() > maxOpenRuns {
+			delete(s.runs, s.open.Remove(s.open.Front()).(id.Run))
+		}
+	}
+	s.mu.Unlock()
+
+	if s.proto == ProtocolFair && s.receiptTimeout > 0 && s.ttp != "" {
+		s.watchReceipt(rs, msg.Run)
+	}
+	return rs.reply, nil
+}
+
+// respond executes a request whose NRO verified and builds the run's
+// state: the response, its evidence tokens and the reply message carrying
+// them. Nothing is logged here; issued lists, in protocol order, the log
+// entries of the tokens generated, for the caller to commit with the
+// request origin before the reply leaves.
+func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evidence.RequestSnapshot, reqDigest sig.Digest, nro *evidence.Token) (*serverRun, []store.Entry, error) {
+	svc := s.co.Services()
 	// NRR(req): evidence of receipt, generated whether or not execution
 	// succeeds. Under the voluntary baseline the receipt is only issued
 	// when the server volunteers one (section 5); the symmetric protocols
 	// issue it together with NRO(resp) after execution, under one
 	// aggregate signature.
 	var nrr *evidence.Token
+	var err error
 	if s.proto == ProtocolVoluntary && s.voluntaryReceipt {
 		nrr, err = svc.Issuer.Issue(evidence.KindNRR, msg.Run, stepRequest, reqDigest,
 			evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client))
 		if err != nil {
-			return nil, err
-		}
-		if err := svc.LogGenerated(nrr, "request receipt"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -276,20 +322,20 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	// signed digest chain.
 	streams, err := s.collectStreams(msg.Sender, snap.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Execute the request under the agreed timeout; failures become
 	// interceptor-generated evidence rather than protocol errors.
-	sp = leafSpan(ctx, svc, "server.execute")
-	respSnap, resultChunks, err := s.execute(ctx, &snap, reqDigest, streams)
+	sp := leafSpan(ctx, svc, "server.execute")
+	respSnap, resultChunks, err := s.execute(ctx, snap, reqDigest, streams)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	respDigest, err := respSnap.Digest()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	reply := &protocol.Message{
@@ -300,12 +346,12 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		Kind:     kindResponse,
 	}
 	if err := reply.SetBody(responseBody{Snapshot: respSnap}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	rs := &serverRun{
 		client:       snap.Client,
-		reqSnap:      snap,
+		reqSnap:      *snap,
 		respSnap:     respSnap,
 		respDigest:   respDigest,
 		nro:          nro,
@@ -325,52 +371,33 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		}
 	}
 
-	switch s.proto {
-	case ProtocolVoluntary:
-		if s.voluntaryReceipt {
-			reply.Tokens = []*evidence.Token{nrr}
+	if s.proto == ProtocolVoluntary {
+		if nrr == nil {
+			return rs, nil, nil
 		}
-	default:
-		// One signing operation covers both reply tokens (and, through an
-		// aggregating issuer, any tokens concurrent runs are producing).
-		shared := []evidence.IssueOption{
-			evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client),
-		}
-		sp = leafSpan(ctx, svc, "evidence.issue")
-		toks, err := evidence.IssueAll(svc.Issuer,
-			evidence.TokenRequest{Kind: evidence.KindNRR, Run: msg.Run, Step: stepRequest, Digest: reqDigest, Opts: shared},
-			evidence.TokenRequest{Kind: evidence.KindNROResp, Run: msg.Run, Step: stepResponse, Digest: respDigest, Opts: shared},
-		)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		nrr = toks[0]
-		nroResp := toks[1]
-		sp = leafSpan(ctx, svc, "vault.append")
-		if err := svc.LogGenerated(nrr, "request receipt"); err != nil {
-			sp.End()
-			return nil, err
-		}
-		err = svc.LogGenerated(nroResp, "response origin ("+respSnap.Status.String()+")")
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		rs.nrr = nrr
-		rs.nroResp = nroResp
-		reply.Tokens = []*evidence.Token{nrr, nroResp}
+		reply.Tokens = []*evidence.Token{nrr}
+		return rs, []store.Entry{{Dir: store.Generated, Token: nrr, Note: "request receipt"}}, nil
 	}
-
-	s.mu.Lock()
-	s.runs[msg.Run] = rs
-	s.settleLocked(msg.Run, rs)
-	s.mu.Unlock()
-
-	if s.proto == ProtocolFair && s.receiptTimeout > 0 && s.ttp != "" {
-		s.watchReceipt(rs, msg.Run)
+	// One signing operation covers both reply tokens (and, through an
+	// aggregating issuer, any tokens concurrent runs are producing).
+	shared := []evidence.IssueOption{
+		evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client),
 	}
-	return reply, nil
+	sp = leafSpan(ctx, svc, "evidence.issue")
+	toks, err := evidence.IssueAll(svc.Issuer,
+		evidence.TokenRequest{Kind: evidence.KindNRR, Run: msg.Run, Step: stepRequest, Digest: reqDigest, Opts: shared},
+		evidence.TokenRequest{Kind: evidence.KindNROResp, Run: msg.Run, Step: stepResponse, Digest: respDigest, Opts: shared},
+	)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	rs.nrr, rs.nroResp = toks[0], toks[1]
+	reply.Tokens = toks
+	return rs, []store.Entry{
+		{Dir: store.Generated, Token: rs.nrr, Note: "request receipt"},
+		{Dir: store.Generated, Token: rs.nroResp, Note: "response origin (" + respSnap.Status.String() + ")"},
+	}, nil
 }
 
 // execute runs the request through the executor, mapping failures to the
@@ -600,7 +627,7 @@ var ErrNotExecuted = errors.New("invoke: request received but not executed")
 
 // Process implements protocol.Handler: it handles step 3, the client's
 // response receipt.
-func (s *Server) Process(_ context.Context, msg *protocol.Message) error {
+func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 	if msg.Kind != kindReceipt {
 		return fmt.Errorf("invoke: unexpected one-way kind %q", msg.Kind)
 	}
@@ -641,7 +668,7 @@ func (s *Server) Process(_ context.Context, msg *protocol.Message) error {
 	if tok.Digest != noteDigest {
 		return fmt.Errorf("%w: receipt token covers different note", ErrEvidenceInvalid)
 	}
-	if err := svc.LogReceived(tok, "response receipt ("+note.Consumption.String()+")"); err != nil {
+	if err := logGroup(ctx, svc, store.Entry{Dir: store.Received, Token: tok, Note: "response receipt (" + note.Consumption.String() + ")"}); err != nil {
 		return err
 	}
 	rs.markReceipt(note.Consumption)
@@ -666,6 +693,10 @@ func (s *Server) settleLocked(run id.Run, rs *serverRun) {
 		return
 	}
 	rs.settled = true
+	if rs.openElem != nil {
+		s.open.Remove(rs.openElem)
+		rs.openElem = nil
+	}
 	s.settled = append(s.settled, run)
 	s.settledChunkBytes += rs.chunkBytes
 	for len(s.settled) > maxSettledRuns {

@@ -5,13 +5,17 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
+	"nonrep/internal/transport"
 )
 
 // TestServerSettledRunsBounded is the regression test for the server's
@@ -137,5 +141,116 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	// Beyond the bound the run is gone, and says so.
 	if _, _, err := srv.ReceiptState(first.Run); !errors.Is(err, ErrNoSuchRun) {
 		t.Fatalf("oldest run after %d calls: %v, want ErrNoSuchRun", calls, err)
+	}
+}
+
+// discardLog acknowledges appends without keeping them, so the heap the
+// test watches is the server's, not an in-memory log's.
+type discardLog struct {
+	store.Log
+	n atomic.Uint64
+}
+
+func (l *discardLog) Append(dir store.Direction, tok *evidence.Token, note string) (*store.Record, error) {
+	return &store.Record{Seq: l.n.Add(1), Direction: dir, Token: tok, Note: note}, nil
+}
+
+// TestServerOpenRunsBounded: a client that never sends its receipt costs
+// the server one slot on a bounded FIFO, not memory for ever. Ten
+// thousand withheld receipts leave exactly maxOpenRuns runs (the oldest
+// evicted first, their cached replies released with them), a receipt
+// arriving for an evicted run is refused with ErrNoSuchRun, and one for a
+// run still held is accepted.
+func TestServerOpenRunsBounded(t *testing.T) {
+	const (
+		clientParty = id.Party("urn:org:dealer")
+		serverParty = id.Party("urn:org:manufacturer")
+		calls       = 10000
+	)
+	realm := testpki.MustRealm(clientParty, serverParty)
+	network := transport.NewInprocNetwork()
+	defer network.Close()
+	dir := protocol.NewDirectory()
+	node := func(p id.Party) *core.Node {
+		retry := testpki.FastRetry
+		n, err := core.NewNode(core.NodeConfig{
+			Party: p, Signer: realm.Party(p).Signer, Creds: realm.Store, Clock: realm.Clock,
+			Network: network, Addr: string(p), Directory: dir, Retry: &retry,
+			Log: &discardLog{Log: store.NewMemLog(realm.Clock)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		return n
+	}
+	srv := NewServer(node(serverParty).Coordinator(), ExecutorFunc(
+		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
+	defer srv.Close()
+	honest := NewClient(node(clientParty).Coordinator())
+	withholding := NewClient(honest.co, WithholdReceipt())
+	ctx := context.Background()
+	req := Request{Service: "urn:org:manufacturer/orders", Operation: "PlaceOrder"}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var first, last *Result
+	var atCap uint64
+	for i := 0; i < calls; i++ {
+		res, err := withholding.Invoke(ctx, serverParty, req)
+		if err != nil || res.Status != evidence.StatusOK {
+			t.Fatalf("call %d: %v (%v)", i, err, res)
+		}
+		if first == nil {
+			first = res
+		}
+		last = res
+		if i == calls/2 {
+			atCap = heap() // maxOpenRuns < calls/2: the FIFO is full by now
+		}
+	}
+	grown := int64(heap()) - int64(atCap)
+	t.Logf("heap growth over the last %d calls: %d bytes", calls/2, grown)
+
+	srv.mu.Lock()
+	runs, open := len(srv.runs), srv.open.Len()
+	srv.mu.Unlock()
+	if runs != maxOpenRuns || open != maxOpenRuns {
+		t.Fatalf("server holds %d runs (%d on the open list) after %d withheld receipts, want %d", runs, open, calls, maxOpenRuns)
+	}
+	if maxOpenRuns >= calls/2 {
+		t.Fatalf("test makes %d calls: not enough to fill the %d-run FIFO twice over", calls, maxOpenRuns)
+	}
+	// Another calls/2 runs arrived after the FIFO was full; unbounded they
+	// pin ~3 KiB each (16 MiB here), bounded the heap moves by about one.
+	if grown > 6<<20 {
+		t.Fatalf("heap grew %d bytes over the last %d calls with the FIFO full", grown, calls/2)
+	}
+
+	if _, _, err := srv.ReceiptState(first.Run); !errors.Is(err, ErrNoSuchRun) {
+		t.Fatalf("oldest unreceipted run: %v, want ErrNoSuchRun", err)
+	}
+	receiptFor := func(res *Result) *protocol.Message {
+		msg, err := honest.newReceipt(res.Run, "", serverParty, res.Evidence[2].Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	if err := srv.Process(ctx, receiptFor(first)); !errors.Is(err, ErrNoSuchRun) {
+		t.Fatalf("late receipt for an evicted run: %v, want ErrNoSuchRun", err)
+	}
+	if err := srv.Process(ctx, receiptFor(last)); err != nil {
+		t.Fatalf("receipt for a run still held: %v", err)
+	}
+	srv.mu.Lock()
+	runs, open, settled := len(srv.runs), srv.open.Len(), len(srv.settled)
+	srv.mu.Unlock()
+	if runs != maxOpenRuns || open != maxOpenRuns-1 || settled != 1 {
+		t.Fatalf("after one receipt: %d runs, %d open, %d settled; want %d, %d, 1", runs, open, settled, maxOpenRuns, maxOpenRuns-1)
 	}
 }

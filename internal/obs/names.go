@@ -17,6 +17,7 @@ const (
 	MVaultAppendNs     = "nonrep_vault_append_ns"
 	MVaultCommitNs     = "nonrep_vault_commit_ns"
 	MVaultCommitBatch  = "nonrep_vault_commit_batch"
+	MVaultFsyncNs      = "nonrep_vault_fsync_ns"
 	MVaultSealNs       = "nonrep_vault_seal_ns"
 	MVaultSealsTotal   = "nonrep_vault_seals_total"
 	MVaultRecordsTotal = "nonrep_vault_records_total"

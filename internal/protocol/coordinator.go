@@ -60,6 +60,25 @@ func (s *Services) LogReceived(tok *evidence.Token, note string) error {
 	return err
 }
 
+// LogGroup records the evidence of one protocol step — entries a party
+// must have durable before the same next action — in protocol order. A log
+// that can commit a group as one unit (store.GroupAppender: the vault)
+// costs the caller one durability wait for all of them; any other log, and
+// a group of one, gets ordered Appends. Received tokens must have been
+// verified.
+func (s *Services) LogGroup(entries ...store.Entry) error {
+	if g, ok := s.Log.(store.GroupAppender); ok && len(entries) > 1 {
+		_, err := g.AppendGroup(entries)
+		return err
+	}
+	for _, e := range entries {
+		if _, err := s.Log.Append(e.Dir, e.Token, e.Note); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Coordinator is the B2BCoordinator: the remote entry point through which
 // other trusted interceptors deliver protocol messages, and the local
 // gateway through which handlers send them.

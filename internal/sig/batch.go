@@ -8,6 +8,7 @@
 package sig
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -16,8 +17,11 @@ import (
 // SignBatch signs all digests with a single signing operation: it builds a
 // Merkle tree over the digests, signs the root once, and returns one
 // Signature per digest, each carrying the shared root signature plus the
-// digest's inclusion path. A batch of one degenerates to a plain Sign, so
-// callers can route all signing through SignBatch unconditionally.
+// digest's inclusion path. The root itself is not carried: the verifier
+// recomputes it from the digest and the path, so storing it would spend
+// 33 bytes per copy on a value nothing trusts. A batch of one degenerates
+// to a plain Sign, so callers can route all signing through SignBatch
+// unconditionally.
 func SignBatch(s Signer, digests []Digest) ([]Signature, error) {
 	switch len(digests) {
 	case 0:
@@ -38,7 +42,6 @@ func SignBatch(s Signer, digests []Digest) ([]Signature, error) {
 	out := make([]Signature, len(digests))
 	for i := range digests {
 		sig := base
-		sig.BatchRoot = root[:]
 		sig.BatchIndex = uint32(i)
 		path := tree.path(uint32(i))
 		raw := make([][]byte, len(path))
@@ -53,14 +56,17 @@ func SignBatch(s Signer, digests []Digest) ([]Signature, error) {
 
 // SignedDigest returns the digest the signature's Bytes actually cover:
 // the digest itself for plain signatures, or the batch Merkle root —
-// recomputed from d and the inclusion path, and cross-checked against the
-// carried root — for batch signatures. An error means the inclusion proof
-// is malformed or does not bind d to the signed root.
+// recomputed from d and the inclusion path — for batch signatures.
+// Signatures from before SignBatch stopped storing the root carry one; it
+// is still cross-checked against the recomputed root. An error means the
+// inclusion proof is malformed or does not bind d to the carried root; a
+// rootless proof that does not bind d yields a root the shared signature
+// does not cover, so it fails at signature verification instead.
 func SignedDigest(d Digest, s Signature) (Digest, error) {
 	if len(s.BatchPath) == 0 && len(s.BatchRoot) == 0 {
 		return d, nil
 	}
-	if len(s.BatchRoot) != DigestSize {
+	if len(s.BatchRoot) != 0 && len(s.BatchRoot) != DigestSize {
 		return Digest{}, fmt.Errorf("%w: bad batch root length %d", ErrBadSignature, len(s.BatchRoot))
 	}
 	if len(s.BatchPath) >= 32 || s.BatchIndex>>len(s.BatchPath) != 0 {
@@ -81,12 +87,10 @@ func SignedDigest(d Digest, s Signature) (Digest, error) {
 		}
 		i /= 2
 	}
-	var root Digest
-	copy(root[:], s.BatchRoot)
-	if node != root {
+	if len(s.BatchRoot) != 0 && !bytes.Equal(s.BatchRoot, node[:]) {
 		return Digest{}, fmt.Errorf("%w: batch inclusion path does not reach signed root", ErrBadSignature)
 	}
-	return root, nil
+	return node, nil
 }
 
 // VerifyDigest checks a signature over a digest, transparently handling

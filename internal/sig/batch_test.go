@@ -37,8 +37,11 @@ func TestSignBatchEveryMemberVerifies(t *testing.T) {
 					if n == 1 && len(s.BatchPath) != 0 {
 						t.Fatal("singleton batch should degenerate to a plain signature")
 					}
-					if n > 1 && len(s.BatchRoot) != DigestSize {
-						t.Fatal("batch signature missing root")
+					if len(s.BatchRoot) != 0 {
+						t.Fatal("batch signature carries the root the verifier recomputes")
+					}
+					if n > 1 && len(s.BatchPath) == 0 {
+						t.Fatal("batch signature missing inclusion path")
 					}
 				}
 				// One signing operation: all members share identical bytes.
@@ -92,6 +95,49 @@ func TestSignBatchRejectsTampering(t *testing.T) {
 	oob.BatchIndex = 1 << uint(len(oob.BatchPath))
 	if _, err := SignedDigest(digests[1], oob); err == nil {
 		t.Fatal("accepted out-of-tree batch index")
+	}
+}
+
+// TestLegacyRootedBatchSignature pins the compatibility half of dropping
+// the stored root: signatures written before SignBatch stopped setting
+// BatchRoot — every batch token already in a vault, fixture or golden
+// vector — verify unchanged, and a carried root is still held to the
+// recomputed one.
+func TestLegacyRootedBatchSignature(t *testing.T) {
+	signer, err := GenerateEd25519("batch-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := batchDigests(5)
+	sigs, err := SignBatch(signer, digests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := signer.PublicKey()
+	root := buildMerkle(digests).root()
+	for i, s := range sigs {
+		got, err := SignedDigest(digests[i], s)
+		if err != nil || got != root {
+			t.Fatalf("member %d: rootless signature resolves to %x (%v), want the batch root", i, got[:4], err)
+		}
+		legacy := s
+		legacy.BatchRoot = root[:]
+		if err := VerifyDigest(pub, digests[i], legacy); err != nil {
+			t.Fatalf("member %d: legacy signature with its root: %v", i, err)
+		}
+		wrong := s
+		wrong.BatchRoot = make([]byte, DigestSize)
+		if _, err := SignedDigest(digests[i], wrong); err == nil {
+			t.Fatalf("member %d: accepted a carried root the path does not reach", i)
+		}
+		if err := VerifyDigest(pub, digests[i], wrong); err == nil {
+			t.Fatalf("member %d: verified under a wrong carried root", i)
+		}
+		short := s
+		short.BatchRoot = root[:DigestSize-1]
+		if _, err := SignedDigest(digests[i], short); err == nil {
+			t.Fatalf("member %d: accepted a truncated root", i)
+		}
 	}
 }
 

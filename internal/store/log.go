@@ -80,6 +80,25 @@ type Log interface {
 	Close() error
 }
 
+// Entry is one record-to-be: the arguments of one Append. A slice of them
+// is what a GroupAppender commits together.
+type Entry struct {
+	Dir   Direction
+	Token *evidence.Token
+	Note  string
+}
+
+// GroupAppender is the optional capability of a Log that can append
+// several entries as one unit: contiguous sequence numbers in slice order
+// and a single commit, so the group costs its caller one durability wait
+// instead of one per record. The group is all-or-nothing at commit time —
+// an entry that cannot be chained or encoded fails every entry — while a
+// crash mid-write recovers to a prefix of the group, a state one-by-one
+// Appends produce too.
+type GroupAppender interface {
+	AppendGroup(entries []Entry) ([]*Record, error)
+}
+
 // MemLog is an in-memory Log. It is safe for concurrent use.
 type MemLog struct {
 	clk clock.Clock

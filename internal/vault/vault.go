@@ -127,15 +127,17 @@ func WithRestoreFrom(replicaDir string) Option {
 	return func(v *Vault) { v.restoreFrom = replicaDir }
 }
 
-// WithObserver homes the vault's instruments — append latency, group
-// commit latency and occupancy, seal latency and counts — in the given
-// telemetry scope. A nil scope (the default) leaves the vault
-// uninstrumented at zero cost.
+// WithObserver homes the vault's instruments — append latency (what a
+// blocking caller waits: queueing plus its commit), group commit latency
+// and occupancy, the fsync inside each commit (append minus fsync is the
+// queue wait), seal latency and counts — in the given telemetry scope. A
+// nil scope (the default) leaves the vault uninstrumented at zero cost.
 func WithObserver(scope *obs.Scope) Option {
 	return func(v *Vault) {
 		v.appendNs = scope.Histogram(obs.MVaultAppendNs)
 		v.commitNs = scope.Histogram(obs.MVaultCommitNs)
 		v.commitBatch = scope.Histogram(obs.MVaultCommitBatch)
+		v.fsyncNs = scope.Histogram(obs.MVaultFsyncNs)
 		v.sealNs = scope.Histogram(obs.MVaultSealNs)
 		v.seals = scope.Counter(obs.MVaultSealsTotal)
 		v.records = scope.Counter(obs.MVaultRecordsTotal)
@@ -181,6 +183,7 @@ type Vault struct {
 	appendNs    *obs.Histogram
 	commitNs    *obs.Histogram
 	commitBatch *obs.Histogram
+	fsyncNs     *obs.Histogram
 	sealNs      *obs.Histogram
 	seals       *obs.Counter
 	records     *obs.Counter
@@ -218,12 +221,18 @@ type Vault struct {
 	closeErr  error
 }
 
-var _ store.Log = (*Vault)(nil)
+var (
+	_ store.Log           = (*Vault)(nil)
+	_ store.GroupAppender = (*Vault)(nil)
+)
 
 type appendReq struct {
-	dir  store.Direction
-	tok  *evidence.Token
-	note string
+	// entries are the records the request appends: one for Append and
+	// AppendAsync (backed by one, so a single append allocates no slice),
+	// the whole group for AppendGroup. A request is the unit of commit:
+	// its entries are chained, written and fsynced together or not at all.
+	entries []store.Entry
+	one     [1]store.Entry
 	// seal marks a SealNow request: no record is appended, the active
 	// segment is sealed. Routing seals through the committer keeps the
 	// active file handle single-writer.
@@ -235,8 +244,16 @@ type appendReq struct {
 }
 
 type appendResp struct {
-	rec *store.Record
-	err error
+	recs []*store.Record
+	err  error
+}
+
+// singleReq builds the request of a one-record append.
+func singleReq(dir store.Direction, tok *evidence.Token, note string) *appendReq {
+	req := &appendReq{resp: make(chan appendResp, 1)}
+	req.one[0] = store.Entry{Dir: dir, Token: tok, Note: note}
+	req.entries = req.one[:]
+	return req
 }
 
 // Open opens (creating if necessary) a vault rooted at dir. Recovery is
@@ -770,12 +787,19 @@ func (v *Vault) commit(batch []*appendReq) {
 	} else {
 		v.chainer.Reset(seq, hash)
 	}
-	type stagedAppend struct {
-		req  *appendReq
-		rec  *store.Record
-		line int64
+	// recs and lines hold every staged record and its frame length, in
+	// commit order; staged maps each request onto its span of them.
+	type stagedReq struct {
+		req      *appendReq
+		from, to int
 	}
-	var staged []stagedAppend
+	n := 0
+	for _, req := range batch {
+		n += len(req.entries)
+	}
+	recs := make([]*store.Record, 0, n)
+	lines := make([]int64, 0, n)
+	staged := make([]stagedReq, 0, len(batch))
 	var sealReqs, flushReqs []*appendReq
 	buf := v.commitBuf[:0]
 	for _, req := range batch {
@@ -787,23 +811,32 @@ func (v *Vault) commit(batch []*appendReq) {
 			flushReqs = append(flushReqs, req)
 			continue
 		}
-		rec, err := v.chainer.Next(v.clk.Now(), req.dir, req.tok, req.note)
+		from, n0 := len(recs), len(buf)
+		var err error
+		for _, e := range req.entries {
+			var rec *store.Record
+			if rec, err = v.chainer.Next(v.clk.Now(), e.Dir, e.Token, e.Note); err != nil {
+				break
+			}
+			frame := len(buf)
+			var out []byte
+			if out, err = v.recEnc.AppendRecord(buf, rec); err != nil {
+				break
+			}
+			buf = out
+			recs, lines = append(recs, rec), append(lines, int64(len(buf)-frame))
+		}
 		if err != nil {
+			// All or nothing: drop what the request staged and rewind the
+			// chain past records that will not hit disk, so the next
+			// record chains from the last one that will.
+			recs, lines, buf = recs[:from], lines[:from], buf[:n0]
+			v.chainer.Reset(seq, hash)
 			req.resp <- appendResp{err: err}
 			continue
 		}
-		n0 := len(buf)
-		out, eerr := v.recEnc.AppendRecord(buf, rec)
-		if eerr != nil {
-			// The chain advanced past a record that will not hit disk;
-			// rewind it so the next record chains from the last staged one.
-			v.chainer.Reset(seq, hash)
-			req.resp <- appendResp{err: eerr}
-			continue
-		}
-		buf = out
-		staged = append(staged, stagedAppend{req: req, rec: rec, line: int64(len(buf) - n0)})
-		seq, hash = rec.Seq, rec.Hash
+		staged = append(staged, stagedReq{req: req, from: from, to: len(recs)})
+		seq, hash = v.chainer.Position()
 	}
 	// Recycle the batch buffer, unless an unusually large batch grew it
 	// past what steady state needs.
@@ -812,7 +845,7 @@ func (v *Vault) commit(batch []*appendReq) {
 	} else {
 		v.commitBuf = nil
 	}
-	if len(staged) == 0 && len(sealReqs) == 0 {
+	if len(recs) == 0 && len(sealReqs) == 0 {
 		// Nothing to write; a flush barrier behind an empty batch is
 		// already satisfied.
 		for _, req := range flushReqs {
@@ -820,7 +853,7 @@ func (v *Vault) commit(batch []*appendReq) {
 		}
 		return
 	}
-	if len(staged) > 0 {
+	if len(recs) > 0 {
 		if err := v.write(buf); err != nil {
 			v.mu.Lock()
 			v.failure = err
@@ -838,16 +871,12 @@ func (v *Vault) commit(batch []*appendReq) {
 		}
 	}
 	v.mu.Lock()
-	for _, s := range staged {
-		v.active.add(s.rec, s.line)
+	for i, rec := range recs {
+		v.active.add(rec, lines[i])
 	}
 	v.lastSeq, v.lastHash = seq, hash
-	if len(staged) > 0 && len(v.commitHooks) > 0 {
-		recs := make([]*store.Record, len(staged))
-		for i, s := range staged {
-			recs[i] = s.rec
-		}
-		v.pendingCommits = append(v.pendingCommits, recs)
+	if len(recs) > 0 && len(v.commitHooks) > 0 {
+		v.pendingCommits = append(v.pendingCommits, recs[:len(recs):len(recs)])
 	}
 	var sealErr error
 	if len(v.active.records) >= v.segRecords || (len(sealReqs) > 0 && len(v.active.records) > 0) {
@@ -856,9 +885,9 @@ func (v *Vault) commit(batch []*appendReq) {
 		}
 	}
 	v.mu.Unlock()
-	if len(staged) > 0 {
-		v.commitBatch.Observe(int64(len(staged)))
-		v.records.Add(int64(len(staged)))
+	if len(recs) > 0 {
+		v.commitBatch.Observe(int64(len(recs)))
+		v.records.Add(int64(len(recs)))
 		v.commitNs.Since(commitStart)
 	}
 	// Records first, then the seal that may contain them: a subscriber
@@ -866,7 +895,9 @@ func (v *Vault) commit(batch []*appendReq) {
 	v.notifyCommits()
 	v.notifySeals()
 	for _, s := range staged {
-		s.req.resp <- appendResp{rec: s.rec}
+		// Capped, so a caller appending to its records cannot reach its
+		// neighbours' in the shared batch slice.
+		s.req.resp <- appendResp{recs: recs[s.from:s.to:s.to]}
 	}
 	for _, req := range sealReqs {
 		req.resp <- appendResp{err: sealErr}
@@ -883,9 +914,11 @@ func (v *Vault) write(buf []byte) error {
 		return fmt.Errorf("vault: append batch: %w", err)
 	}
 	if v.sync {
+		start := time.Now()
 		if err := v.f.Sync(); err != nil {
 			return fmt.Errorf("vault: sync batch: %w", err)
 		}
+		v.fsyncNs.Since(start)
 	}
 	return nil
 }
@@ -1005,27 +1038,55 @@ func (v *Vault) addSealed(idx *segmentIndex) error {
 // durable (or the vault fails), so an acknowledged append survives a
 // crash.
 func (v *Vault) Append(dir store.Direction, tok *evidence.Token, note string) (*store.Record, error) {
+	recs, err := v.appendWait(singleReq(dir, tok, note))
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+// AppendGroup implements store.GroupAppender: the entries take contiguous
+// sequence numbers in slice order and ride one request through the
+// committer — one write, one fsync, never split across two commits — so
+// the caller waits for one commit however many records its protocol step
+// produced. The group fails as a whole if any entry cannot be chained or
+// encoded; a crash mid-write recovers to a prefix of it (Open truncates
+// the torn frame), a state one-by-one Appends produce too.
+func (v *Vault) AppendGroup(entries []store.Entry) ([]*store.Record, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	return v.appendWait(&appendReq{entries: entries, resp: make(chan appendResp, 1)})
+}
+
+// appendWait runs one blocking append request.
+func (v *Vault) appendWait(req *appendReq) ([]*store.Record, error) {
 	if v.readOnly {
 		return nil, ErrReadOnly
 	}
 	start := time.Now()
-	req := &appendReq{dir: dir, tok: tok, note: note, resp: make(chan appendResp, 1)}
+	resp := v.await(req)
+	v.appendNs.Since(start)
+	return resp.recs, resp.err
+}
+
+// await hands req to the committer and waits for its answer; ErrClosed if
+// the vault closes first.
+func (v *Vault) await(req *appendReq) appendResp {
 	select {
 	case v.appendC <- req:
 	case <-v.done:
-		return nil, ErrClosed
+		return appendResp{err: ErrClosed}
 	}
 	select {
 	case resp := <-req.resp:
-		v.appendNs.Since(start)
-		return resp.rec, resp.err
+		return resp
 	case <-v.done:
 		select {
 		case resp := <-req.resp:
-			v.appendNs.Since(start)
-			return resp.rec, resp.err
+			return resp
 		default:
-			return nil, ErrClosed
+			return appendResp{err: ErrClosed}
 		}
 	}
 }
@@ -1048,9 +1109,8 @@ func (v *Vault) AppendAsync(dir store.Direction, tok *evidence.Token, note strin
 	if failure != nil {
 		return failure
 	}
-	req := &appendReq{dir: dir, tok: tok, note: note, resp: make(chan appendResp, 1)}
 	select {
-	case v.appendC <- req:
+	case v.appendC <- singleReq(dir, tok, note):
 		return nil
 	case <-v.done:
 		return ErrClosed
@@ -1064,23 +1124,7 @@ func (v *Vault) Sync() error {
 	if v.readOnly {
 		return nil
 	}
-	req := &appendReq{flush: true, resp: make(chan appendResp, 1)}
-	select {
-	case v.appendC <- req:
-	case <-v.done:
-		return ErrClosed
-	}
-	select {
-	case resp := <-req.resp:
-		return resp.err
-	case <-v.done:
-		select {
-		case resp := <-req.resp:
-			return resp.err
-		default:
-			return ErrClosed
-		}
-	}
+	return v.await(&appendReq{flush: true, resp: make(chan appendResp, 1)}).err
 }
 
 // SealNow seals the active segment immediately, without waiting for it to
@@ -1093,23 +1137,7 @@ func (v *Vault) SealNow() error {
 	if v.readOnly {
 		return ErrReadOnly
 	}
-	req := &appendReq{seal: true, resp: make(chan appendResp, 1)}
-	select {
-	case v.appendC <- req:
-	case <-v.done:
-		return ErrClosed
-	}
-	select {
-	case resp := <-req.resp:
-		return resp.err
-	case <-v.done:
-		select {
-		case resp := <-req.resp:
-			return resp.err
-		default:
-			return ErrClosed
-		}
-	}
+	return v.await(&appendReq{seal: true, resp: make(chan appendResp, 1)}).err
 }
 
 // Manifest returns a copy of the seal chain: one entry per sealed

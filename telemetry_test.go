@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,21 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	assertRunTrace(t, base, plainRes.Run,
 		"client.invoke", "transport.request", "server.handle",
 		"server.execute", "evidence.issue", "vault.append")
+	// The trace shows the run's four durability waits and how many
+	// records shared each: client NRO, server reply group, client reply
+	// group with its receipt, server receipt.
+	var plainSpans []nonrep.SpanRecord
+	fetchJSON(t, base+"/tracez?trace="+string(plainRes.Run), &plainSpans)
+	var widths []string
+	for _, sp := range plainSpans {
+		if sp.Name == "vault.append" {
+			widths = append(widths, sp.Tenant+":"+sp.Attrs["records"])
+		}
+	}
+	sort.Strings(widths)
+	if want := "urn:org:archive:1 urn:org:archive:3 urn:org:caller:1 urn:org:caller:3"; strings.Join(widths, " ") != want {
+		t.Fatalf("vault.append spans of the run = %v, want %s", widths, want)
+	}
 
 	// Streamed call: the chunk legs join the same tree.
 	proxy := client.Proxy("urn:org:archive", "urn:org:archive/docs", nil)
@@ -173,6 +189,15 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	}
 	if snap.HistogramCount(obs.MVaultCommitNs) == 0 {
 		t.Fatal("no vault commits observed")
+	}
+	// Every commit fsyncs once, and the grouped protocol steps make the
+	// mean commit wider than one record — visible from /metricsz alone.
+	commits, fsyncs := snap.HistogramCount(obs.MVaultCommitBatch), snap.HistogramCount(obs.MVaultFsyncNs)
+	if fsyncs == 0 || fsyncs != commits {
+		t.Fatalf("%d fsyncs observed over %d commits", fsyncs, commits)
+	}
+	if records := snap.CounterTotal(obs.MVaultRecordsTotal); records < 2*commits-2 {
+		t.Fatalf("%d records in %d commits: grouped steps are not committing together", records, commits)
 	}
 	resp, err := http.Get(base + "/metricsz")
 	if err != nil {
