@@ -456,8 +456,9 @@ func resumeAndCheck(t *testing.T, f *ruleFixture, vdir string, req invoke.Reques
 // the NRO, the NRO and a prefix of the reply group, the whole group — a
 // restarted client resumes the run to completion from a copy of it. The
 // states come from the crash-hook points, whose names and order predate
-// the groups ("mid-reply-append" now stands for a crash inside the
-// group's write and leaves its prefix).
+// the groups: "mid-reply-append" now fires as the group's write starts and
+// leaves what "post-reply-verify" does; the prefix a write torn inside the
+// group leaves is TestResumeCompletesFromTornGroup's.
 func TestResumeCompletesFromEveryCrashState(t *testing.T) {
 	t.Parallel()
 	points := []struct {
@@ -467,7 +468,7 @@ func TestResumeCompletesFromEveryCrashState(t *testing.T) {
 		{"pre-nro-append", nil},
 		{"post-nro-append", []string{nroGen}},
 		{"post-reply-verify", []string{nroGen}}, // before the group commit
-		{"mid-reply-append", []string{nroGen, nrrRecv}},
+		{"mid-reply-append", []string{nroGen}},
 		{"pre-receipt", []string{nroGen, nrrRecv, nroRespRcv}},
 	}
 	for _, pt := range points {

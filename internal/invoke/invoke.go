@@ -54,6 +54,12 @@
 // later Resume that step 3 already ran. A crash inside a group's write
 // recovers to a prefix of the group — the states one-by-one appends
 // already produced — and Resume completes from any of them.
+//
+// The server's group commits after the component ran, so a commit that
+// fails (a broken log, a replication quorum not met) must not cost
+// at-most-once execution: the server keeps the run, holds the reply back,
+// and a retransmitted request retries the commit of the same tokens
+// without executing again.
 package invoke
 
 import (

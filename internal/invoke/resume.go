@@ -195,11 +195,6 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 			nroResp = gotNROResp
 		}
 		if err := c.crash("mid-reply-append"); err != nil {
-			// The crash this point stands for lands inside the group's
-			// write; what survives is a prefix of it.
-			if len(missing) > 1 {
-				_ = svc.LogGroup(missing[:1]...)
-			}
 			return nil, err
 		}
 		if err := logGroup(ctx, svc, missing...); err != nil {

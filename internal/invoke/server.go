@@ -105,6 +105,10 @@ type serverRun struct {
 	// receiptless marks a protocol variant with no step 3: the exchange
 	// is over once the response is out.
 	receiptless bool
+	// unlogged holds, under logMu, the step's evidence group until it
+	// commits; the reply leaves only once it is nil (see answer).
+	logMu    sync.Mutex
+	unlogged []store.Entry
 
 	// Guarded by Server.mu: resultChunks holds the run's streamed results
 	// for chunk-fetch serving, keyed by stream name (chunkBytes in total);
@@ -231,7 +235,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	done, ok := s.runs[msg.Run]
 	s.mu.Unlock()
 	if ok {
-		return done.reply, nil
+		return s.answer(ctx, msg.Run, done)
 	}
 
 	svc := s.co.Services()
@@ -273,10 +277,12 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		}
 		return nil, err
 	}
-	if err := logGroup(ctx, svc, append([]store.Entry{received}, issued...)...); err != nil {
-		return nil, err
-	}
+	rs.unlogged = append([]store.Entry{received}, issued...)
 
+	// The run is kept from the moment the component ran, not from the
+	// moment its evidence committed: if the commit fails, a retransmitted
+	// request finds the run and retries the commit alone (answer), so the
+	// component executes at most once whatever the log does.
 	s.mu.Lock()
 	s.runs[msg.Run] = rs
 	s.settleLocked(msg.Run, rs)
@@ -287,9 +293,27 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		}
 	}
 	s.mu.Unlock()
+	return s.answer(ctx, msg.Run, rs)
+}
 
+// answer returns a run's response once the evidence it carries is durable
+// (R1, R2). The first call commits the step's group; a call that follows a
+// failed commit commits the same entries again — the same tokens, nothing
+// re-executed or re-issued (a log that failed after writing, ErrQuorumUnmet
+// from a replicated vault, then holds them twice) — and every later call
+// only repeats the reply.
+func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protocol.Message, error) {
+	rs.logMu.Lock()
+	defer rs.logMu.Unlock()
+	if rs.unlogged == nil {
+		return rs.reply, nil
+	}
+	if err := logGroup(ctx, s.co.Services(), rs.unlogged...); err != nil {
+		return nil, err
+	}
+	rs.unlogged = nil
 	if s.proto == ProtocolFair && s.receiptTimeout > 0 && s.ttp != "" {
-		s.watchReceipt(rs, msg.Run)
+		s.watchReceipt(rs, run)
 	}
 	return rs.reply, nil
 }

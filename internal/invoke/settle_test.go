@@ -16,6 +16,7 @@ import (
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
+	"nonrep/internal/vault"
 )
 
 // TestServerSettledRunsBounded is the regression test for the server's
@@ -155,6 +156,31 @@ func (l *discardLog) Append(dir store.Direction, tok *evidence.Token, note strin
 	return &store.Record{Seq: l.n.Add(1), Direction: dir, Token: tok, Note: note}, nil
 }
 
+// nodesOver starts one node per party on a private in-process network,
+// each over the log logFor returns, and returns the lookup.
+func nodesOver(t *testing.T, logFor func(*testpki.Realm, id.Party) store.Log, parties ...id.Party) func(id.Party) *core.Node {
+	t.Helper()
+	realm := testpki.MustRealm(parties...)
+	network := transport.NewInprocNetwork()
+	t.Cleanup(func() { _ = network.Close() })
+	dir := protocol.NewDirectory()
+	nodes := make(map[id.Party]*core.Node)
+	for _, p := range parties {
+		retry := testpki.FastRetry
+		n, err := core.NewNode(core.NodeConfig{
+			Party: p, Signer: realm.Party(p).Signer, Creds: realm.Store, Clock: realm.Clock,
+			Network: network, Addr: string(p), Directory: dir, Retry: &retry,
+			Log: logFor(realm, p),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+		nodes[p] = n
+	}
+	return func(p id.Party) *core.Node { return nodes[p] }
+}
+
 // TestServerOpenRunsBounded: a client that never sends its receipt costs
 // the server one slot on a bounded FIFO, not memory for ever. Ten
 // thousand withheld receipts leave exactly maxOpenRuns runs (the oldest
@@ -167,23 +193,9 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		serverParty = id.Party("urn:org:manufacturer")
 		calls       = 10000
 	)
-	realm := testpki.MustRealm(clientParty, serverParty)
-	network := transport.NewInprocNetwork()
-	defer network.Close()
-	dir := protocol.NewDirectory()
-	node := func(p id.Party) *core.Node {
-		retry := testpki.FastRetry
-		n, err := core.NewNode(core.NodeConfig{
-			Party: p, Signer: realm.Party(p).Signer, Creds: realm.Store, Clock: realm.Clock,
-			Network: network, Addr: string(p), Directory: dir, Retry: &retry,
-			Log: &discardLog{Log: store.NewMemLog(realm.Clock)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = n.Close() })
-		return n
-	}
+	node := nodesOver(t, func(realm *testpki.Realm, _ id.Party) store.Log {
+		return &discardLog{Log: store.NewMemLog(realm.Clock)}
+	}, clientParty, serverParty)
 	srv := NewServer(node(serverParty).Coordinator(), ExecutorFunc(
 		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
 	defer srv.Close()
@@ -252,5 +264,128 @@ func TestServerOpenRunsBounded(t *testing.T) {
 	srv.mu.Unlock()
 	if runs != maxOpenRuns || open != maxOpenRuns-1 || settled != 1 {
 		t.Fatalf("after one receipt: %d runs, %d open, %d settled; want %d, %d, 1", runs, open, settled, maxOpenRuns, maxOpenRuns-1)
+	}
+}
+
+// failingVault is a vault whose group append fails while failing is set:
+// before anything is written (a broken disk), or, with afterWrite, once
+// the group is locally durable — what georep.GatedLog returns with
+// ErrQuorumUnmet when the replicas do not acknowledge in time.
+type failingVault struct {
+	*vault.Vault
+	failing    atomic.Bool
+	afterWrite bool
+}
+
+func (l *failingVault) AppendGroup(entries []store.Entry) ([]*store.Record, error) {
+	if !l.failing.Load() {
+		return l.Vault.AppendGroup(entries)
+	}
+	if !l.afterWrite {
+		return nil, errors.New("log unavailable")
+	}
+	recs, err := l.Vault.AppendGroup(entries)
+	if err != nil {
+		return nil, err
+	}
+	return recs, errors.New("quorum unmet")
+}
+
+// TestServerExecutesOnceWhenLogFails: the component runs before the step's
+// evidence commits, so a commit that fails must not cost at-most-once
+// execution. The run is kept; a retransmitted request retries the commit
+// alone — same tokens, no second execution — and the reply leaves only
+// once a commit succeeded.
+func TestServerExecutesOnceWhenLogFails(t *testing.T) {
+	const (
+		clientParty = id.Party("urn:org:dealer")
+		serverParty = id.Party("urn:org:manufacturer")
+	)
+	for _, tc := range []struct {
+		name       string
+		afterWrite bool
+		wantEach   int // records of each kind once a commit succeeded
+	}{
+		{"before-write", false, 1},
+		{"after-write", true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var flog *failingVault
+			node := nodesOver(t, func(realm *testpki.Realm, p id.Party) store.Log {
+				if p != serverParty {
+					return store.NewMemLog(realm.Clock)
+				}
+				v, err := vault.Open(t.TempDir(), realm.Clock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = v.Close() })
+				flog = &failingVault{Vault: v, afterWrite: tc.afterWrite}
+				return flog
+			}, clientParty, serverParty)
+			var executed atomic.Int64
+			srv := NewServer(node(serverParty).Coordinator(), ExecutorFunc(
+				func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) {
+					executed.Add(1)
+					return nil, nil
+				}))
+			defer srv.Close()
+
+			run := id.NewRun()
+			snap := evidence.RequestSnapshot{Run: run, Client: clientParty, Server: serverParty,
+				Service: "urn:org:manufacturer/orders", Operation: "PlaceOrder", Protocol: ProtocolDirect}
+			digest, err := snap.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nro, err := node(clientParty).Coordinator().Services().Issuer.Issue(evidence.KindNRO, run, stepRequest, digest,
+				evidence.WithService(snap.Service), evidence.WithRecipients(serverParty))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := NewRequestMessage(ProtocolDirect, run, snap, nro)
+			msg.Sender = clientParty
+			ctx := context.Background()
+
+			flog.failing.Store(true)
+			for i := 0; i < 2; i++ {
+				if reply, err := srv.ProcessRequest(ctx, msg); err == nil {
+					t.Fatalf("attempt %d: reply %v left with its evidence uncommitted", i, reply)
+				}
+			}
+			flog.failing.Store(false)
+			reply, err := srv.ProcessRequest(ctx, msg)
+			if err != nil {
+				t.Fatalf("retransmission with the log healthy: %v", err)
+			}
+			if got := executed.Load(); got != 1 {
+				t.Fatalf("component executed %d times over three deliveries, want 1", got)
+			}
+			again, err := srv.ProcessRequest(ctx, msg)
+			if err != nil || again != reply {
+				t.Fatalf("fourth delivery = %v, %v, want the cached reply", again, err)
+			}
+
+			// Every commit attempt wrote the same three tokens.
+			kinds := make(map[evidence.Kind]int)
+			for _, rec := range flog.ByRun(run) {
+				kinds[rec.Token.Kind]++
+				want := nro
+				if rec.Token.Kind != evidence.KindNRO {
+					want = reply.Token(rec.Token.Kind)
+				}
+				if want == nil || rec.Token.Nonce != want.Nonce {
+					t.Fatalf("log holds a %s the reply does not carry", rec.Token.Kind)
+				}
+			}
+			for _, k := range []evidence.Kind{evidence.KindNRO, evidence.KindNRR, evidence.KindNROResp} {
+				if kinds[k] != tc.wantEach {
+					t.Fatalf("log holds %d %s records, want %d (%v)", kinds[k], k, tc.wantEach, kinds)
+				}
+			}
+			if len(kinds) != 3 {
+				t.Fatalf("log holds kinds %v, want NRO, NRR, NROResp only", kinds)
+			}
+		})
 	}
 }

@@ -228,11 +228,10 @@ var (
 
 type appendReq struct {
 	// entries are the records the request appends: one for Append and
-	// AppendAsync (backed by one, so a single append allocates no slice),
-	// the whole group for AppendGroup. A request is the unit of commit:
-	// its entries are chained, written and fsynced together or not at all.
+	// AppendAsync, the whole group for AppendGroup. A request is the unit
+	// of commit: its entries are chained, written and fsynced together or
+	// not at all.
 	entries []store.Entry
-	one     [1]store.Entry
 	// seal marks a SealNow request: no record is appended, the active
 	// segment is sealed. Routing seals through the committer keeps the
 	// active file handle single-writer.
@@ -248,12 +247,9 @@ type appendResp struct {
 	err  error
 }
 
-// singleReq builds the request of a one-record append.
-func singleReq(dir store.Direction, tok *evidence.Token, note string) *appendReq {
-	req := &appendReq{resp: make(chan appendResp, 1)}
-	req.one[0] = store.Entry{Dir: dir, Token: tok, Note: note}
-	req.entries = req.one[:]
-	return req
+// newAppendReq builds the request that appends entries.
+func newAppendReq(entries ...store.Entry) *appendReq {
+	return &appendReq{entries: entries, resp: make(chan appendResp, 1)}
 }
 
 // Open opens (creating if necessary) a vault rooted at dir. Recovery is
@@ -1038,7 +1034,7 @@ func (v *Vault) addSealed(idx *segmentIndex) error {
 // durable (or the vault fails), so an acknowledged append survives a
 // crash.
 func (v *Vault) Append(dir store.Direction, tok *evidence.Token, note string) (*store.Record, error) {
-	recs, err := v.appendWait(singleReq(dir, tok, note))
+	recs, err := v.appendWait(newAppendReq(store.Entry{Dir: dir, Token: tok, Note: note}))
 	if err != nil {
 		return nil, err
 	}
@@ -1056,7 +1052,7 @@ func (v *Vault) AppendGroup(entries []store.Entry) ([]*store.Record, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	return v.appendWait(&appendReq{entries: entries, resp: make(chan appendResp, 1)})
+	return v.appendWait(newAppendReq(entries...))
 }
 
 // appendWait runs one blocking append request.
@@ -1110,7 +1106,7 @@ func (v *Vault) AppendAsync(dir store.Direction, tok *evidence.Token, note strin
 		return failure
 	}
 	select {
-	case v.appendC <- singleReq(dir, tok, note):
+	case v.appendC <- newAppendReq(store.Entry{Dir: dir, Token: tok, Note: note}):
 		return nil
 	case <-v.done:
 		return ErrClosed

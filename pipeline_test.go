@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"nonrep"
 	"nonrep/internal/evidence"
@@ -206,23 +205,14 @@ func TestPipelineUnderFaults(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("run %d failed despite retransmission: %v", i, errs[i])
 		}
-		// A receipt that leaves the coalescer alone travels as a bare
-		// one-way send, and the fault injector drops those silently (a
-		// lost datagram: Send returns nil, so nothing retransmits) — under
-		// the direct protocol that run legitimately ends at three records
-		// on the server. Receipts that share a batch are acknowledged by
-		// its reply and always arrive.
-		want := 4
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := srv.WaitReceipt(ctx, results[i].Run); err != nil {
-			want = 3
+		if err := srv.WaitReceipt(context.Background(), results[i].Run); err != nil {
+			t.Fatalf("run %d receipt: %v", i, err)
 		}
-		cancel()
 		// Exactly one record per protocol step: no double-append of
 		// received evidence from replayed or duplicated batches.
 		recs := log.ByRun(results[i].Run)
-		if len(recs) != want {
-			t.Fatalf("run %d: server log has %d records, want exactly %d", i, len(recs), want)
+		if len(recs) != 4 {
+			t.Fatalf("run %d: server log has %d records, want exactly 4", i, len(recs))
 		}
 		kinds := make(map[evidence.Kind]int)
 		for _, rec := range recs {
