@@ -588,8 +588,9 @@ func sizesVault(dir string) int {
 		segBytes += s.SegmentBytes
 		idxBytes += s.IndexBytes
 	}
-	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f B/record\n",
-		records, len(segs), segBytes, idxBytes, perRecord(segBytes+idxBytes, records))
+	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f frame + %.1f index = %.1f B/record\n",
+		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
+		perRecord(segBytes+idxBytes, records))
 	return 0
 }
 

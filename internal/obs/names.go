@@ -21,6 +21,7 @@ const (
 	MVaultSealNs       = "nonrep_vault_seal_ns"
 	MVaultSealsTotal   = "nonrep_vault_seals_total"
 	MVaultRecordsTotal = "nonrep_vault_records_total"
+	MVaultBytesTotal   = "nonrep_vault_bytes_total"
 
 	// Replication.
 	MReplShippedTotal    = "nonrep_replication_shipped_segments_total"

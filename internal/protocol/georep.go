@@ -206,9 +206,11 @@ func decodeRecordPush(what string, first uint64, count int, frames []byte) ([]*s
 	if len(recs) == 0 || len(recs) != count || recs[0].Seq != first {
 		return nil, fmt.Errorf("protocol: %s frame header mismatch", what)
 	}
+	// The decoder derived (or checked) every record's hash; what is left
+	// is that the run is one chain.
 	cv := store.ResumeChain(recs[0].Seq-1, recs[0].Prev)
 	for _, rec := range recs {
-		if err := cv.Check(rec); err != nil {
+		if err := cv.Advance(rec); err != nil {
 			return nil, fmt.Errorf("protocol: %s chain: %w", what, err)
 		}
 	}

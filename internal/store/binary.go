@@ -9,23 +9,36 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 2 (the only version written) spends bytes only on what a
-// record does not share with its neighbourhood: Prev is elided when the
-// frame directly follows its predecessor, times are nanosecond varints,
-// generated identifiers are raw bytes, kind and direction are one-byte
-// codes, and strings that extend one of the frame's own party URIs are
-// written as suffixes. Every compaction is exact or not applied — where
-// decoding would not reproduce the field byte for byte, the field is
-// written literally — and a frame decodes given nothing but its
-// predecessor's hash: there is no cross-record state. Version 1
-// segments (every field in full, text timestamps) and legacy JSON-lines
-// segments (first byte '{') remain readable forever.
+// Version 3 (the only version written) spends bytes only on what a
+// record does not share with its neighbourhood and cannot be re-derived:
+// Prev is elided when the frame directly follows its predecessor, Hash
+// is never stored — it is a function of the rest of the record, and the
+// decoder computes it exactly as Chainer.Next did — times are nanosecond
+// varints, generated identifiers are raw bytes, kind, direction and the
+// protocols' fixed log notes are one-byte codes, and strings that extend
+// one of the frame's own party URIs are written as suffixes. A frame
+// ends in a CRC-32C of its body, which is what catches bit rot and torn
+// writes where no seal pins the derived hash yet (the unsealed tail, a
+// push in flight). Every compaction of a field is exact or not applied —
+// where decoding would not reproduce the field byte for byte, the field
+// is written literally — and a frame decodes given nothing but its
+// predecessor's hash: there is no cross-record state.
+//
+// Version 2 is version 3 with the hash stored and the notes spelled out
+// (two flag bits clear), so one body decoder reads both. Version-2 and
+// version-1 segments (every field in full, text timestamps) and legacy
+// JSON-lines segments (first byte '{') remain readable forever; a stored
+// hash is held to the derived one at decode, so whatever the format,
+// a decoded record's Hash is the digest of its content and a reader has
+// only linkage left to check (ChainVerifier.Advance).
 package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"time"
 
@@ -50,6 +63,9 @@ const (
 	// EncBinaryV1 is the version-1 binary frame format: read, never
 	// written.
 	EncBinaryV1
+	// EncBinaryV2 is the version-2 binary frame format (stored hashes,
+	// literal notes): read, never written.
+	EncBinaryV2
 )
 
 // String names the encoding.
@@ -61,6 +77,8 @@ func (e Encoding) String() string {
 		return "binary"
 	case EncBinaryV1:
 		return "binary-v1"
+	case EncBinaryV2:
+		return "binary-v2"
 	default:
 		return "unknown"
 	}
@@ -69,19 +87,26 @@ func (e Encoding) String() string {
 // HeaderLen is the length of the header that opens a segment file of
 // this encoding — where its first record starts.
 func (e Encoding) HeaderLen() int64 {
-	if e == EncBinary || e == EncBinaryV1 {
+	if e.framed() {
 		return SegmentHeaderLen
 	}
 	return 0
+}
+
+// framed reports whether the encoding is one of the binary frame formats.
+func (e Encoding) framed() bool {
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2
 }
 
 // Binary segment format constants.
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 2
-	// segmentVersion1 is the superseded format, still decoded.
+	SegmentVersion = 3
+	// segmentVersion1 and segmentVersion2 are the superseded formats,
+	// still decoded.
 	segmentVersion1 = 1
+	segmentVersion2 = 2
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -100,8 +125,8 @@ func SegmentHeader() [SegmentHeaderLen]byte {
 var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
-// open with 'N' (the "NRS" header, whose fourth byte tells version 1
-// from the current one), JSON segments with '{'. Empty data is
+// open with 'N' (the "NRS" header, whose fourth byte tells versions 1
+// and 2 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -112,23 +137,87 @@ func DetectEncoding(data []byte) Encoding {
 		return EncJSON
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion1:
 		return EncBinaryV1
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion2:
+		return EncBinaryV2
 	default:
 		return EncBinary
 	}
 }
 
-// Record frame flag bits (the first body byte of a version-2 frame).
+// Record frame flag bits (the first body byte of a version-2 or
+// version-3 frame).
 const (
 	// framePrev: the frame carries Prev explicitly. Cleared when Prev is
 	// the Hash of the frame just before it, which the decoder already
 	// holds.
-	framePrev = 1 << iota
-	frameToken
-	frameNote
+	framePrev  = 1 << 0
+	frameToken = 1 << 1
+	frameNote  = 1 << 2
+	// Bits 3-4: the canon.TimeMode of At.
+	frameAtShift = 3
+	// frameNoteCode (with frameNote): the note is one byte, an index
+	// into noteWords, not a string. Version 3 only.
+	frameNoteCode = 1 << 5
+	// frameDerived: the frame stores no Hash — the decoder derives it —
+	// and ends in the CRC-32C of the body before it. Version 3 only;
+	// every frame this build writes has it set.
+	frameDerived = 1 << 6
 
-	frameAtShift = 3 // two bits: the canon.TimeMode of At
-	frameBits    = 5
+	frameBits   = 7
+	frameV3Bits = frameNoteCode | frameDerived
+	frameCRCLen = 4
 )
+
+// castagnoli is the CRC-32C table (hardware-assisted where the CPU has
+// the instruction).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// noteWords is the vocabulary of log notes that travel as a one-byte
+// code: the fixed strings the invocation, relay, fair-exchange, EPM and
+// sharing protocols log, status and consumption variants included. A
+// note's code is its index plus one. The table is part of the segment
+// format: APPEND ONLY — never reorder, edit or remove an entry. A note
+// not listed (free text, a note naming a party, a journalled JSON body)
+// travels literally, so a protocol may reword its notes at the cost of
+// bytes, never of fidelity.
+var noteWords = [...]string{
+	"request origin",
+	"request receipt",
+	"response origin",
+	"voluntary receipt",
+	"response origin (ok)",
+	"response origin (failed)",
+	"response origin (timeout)",
+	"response origin (aborted)",
+	"response origin (not-executed)",
+	"response receipt (consumed)",
+	"response receipt (not-consumed)",
+	"ttp decision",
+	"relayed request origin",
+	"relayed request receipt",
+	"relayed response origin",
+	"relayed response receipt",
+	"resolve evidence",
+	"substitute receipt",
+	"abort evidence",
+	"abort affidavit",
+	"epm postmark",
+	"decision (accept=true)",
+	"decision (accept=false)",
+	"outcome (agreed=true)",
+	"outcome (agreed=false)",
+	"ack (applied=true)",
+	"ack (applied=false)",
+}
+
+// noteCodes inverts noteWords.
+var noteCodes = func() map[string]byte {
+	m := make(map[string]byte, len(noteWords))
+	for i, w := range noteWords {
+		m[w] = byte(i + 1)
+	}
+	return m
+}()
 
 // Direction codes; 0 means a literal string follows.
 const (
@@ -141,8 +230,12 @@ const (
 // per record, and eliding each frame's Prev when it is the Hash of the
 // frame this encoder appended immediately before. One encoder therefore
 // serves one contiguous run of frames — a segment file's appends, one
-// push — and the first frame of every run is explicit. Not safe for
-// concurrent use.
+// push — and the first frame of every run is explicit.
+//
+// A frame stores the record's content, not its Hash: rec.Hash must be
+// the record's chained hash (what Chainer.Next, NextRecord and every
+// decoder set), because that is what decoding the frame yields. Not safe
+// for concurrent use.
 type RecordEncoder struct {
 	scratch []byte
 	last    sig.Digest
@@ -191,16 +284,21 @@ func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 }
 
 func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
+	start := len(dst)
 	atMode := canon.ModeOfTime(rec.At)
-	flags := byte(atMode) << frameAtShift
+	flags := byte(atMode)<<frameAtShift | frameDerived
 	if !elidePrev {
 		flags |= framePrev
 	}
 	if rec.Token != nil {
 		flags |= frameToken
 	}
+	var noteCode byte
 	if rec.Note != "" {
 		flags |= frameNote
+		if noteCode = noteCodes[rec.Note]; noteCode != 0 {
+			flags |= frameNoteCode
+		}
 	}
 	dst = append(dst, flags)
 	dst = canon.AppendUvarint(dst, rec.Seq)
@@ -220,7 +318,10 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
 		dst = append(dst, 0)
 		dst = canon.AppendString(dst, string(rec.Direction))
 	}
-	if rec.Note != "" {
+	switch {
+	case noteCode != 0:
+		dst = append(dst, noteCode)
+	case rec.Note != "":
 		dst = canon.AppendString(dst, rec.Note)
 	}
 	if rec.Token != nil {
@@ -228,7 +329,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return append(dst, rec.Hash[:]...), nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
 // tokenTimeBase is what a frame's token writes IssuedAt relative to:
@@ -240,18 +341,33 @@ func tokenTimeBase(at time.Time, mode canon.TimeMode) int64 {
 	return at.UnixNano()
 }
 
-// decodeRecordBody decodes one version-2 record body; prev is the Hash
-// of the frame before it, needed only when the frame elides its Prev.
-// All variable-length data is copied, so decoded records never alias
-// the input buffer (which may be an mmapped segment that is later
-// unmapped).
-func decodeRecordBody(body []byte, prev *sig.Digest) (*Record, error) {
-	r := canon.NewBinReader(body)
-	rec := new(Record)
-	flags := r.Byte()
-	if flags>>frameBits != 0 {
-		r.Fail(canon.ErrBinary)
+// decodeRecordBody decodes one version-2 or version-3 record body; prev
+// is the Hash of the frame before it, needed only when the frame elides
+// its Prev. A version-2 frame (enc EncBinaryV2, or a frame under the
+// current header with the version-3 flag bits clear) ends in its stored
+// Hash, which is returned in the record for the caller to hold to the
+// derived one (stored true); a frame with frameDerived set ends in a
+// checksum instead, verified here. All variable-length data is copied,
+// so decoded records never alias the input buffer (which may be an
+// mmapped segment that is later unmapped).
+func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest) (rec *Record, stored bool, err error) {
+	if len(body) == 0 {
+		return nil, false, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
+	flags := body[0]
+	if flags>>frameBits != 0 || (enc == EncBinaryV2 && flags&frameV3Bits != 0) ||
+		flags&(frameNote|frameNoteCode) == frameNoteCode {
+		return nil, false, fmt.Errorf("store: %w: record frame flags %#x", canon.ErrBinary, flags)
+	}
+	if flags&frameDerived != 0 {
+		n := len(body) - frameCRCLen
+		if n < 1 || crc32.Checksum(body[:n], castagnoli) != binary.LittleEndian.Uint32(body[n:]) {
+			return nil, false, fmt.Errorf("store: %w: record frame checksum", canon.ErrBinary)
+		}
+		body = body[:n]
+	}
+	r := canon.NewBinReader(body[1:])
+	rec = new(Record)
 	rec.Seq = r.Uvarint()
 	switch {
 	case flags&framePrev != 0:
@@ -259,7 +375,7 @@ func decodeRecordBody(body []byte, prev *sig.Digest) (*Record, error) {
 	case prev != nil:
 		rec.Prev = *prev
 	default:
-		return nil, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
+		return nil, false, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
 	}
 	atMode := canon.TimeMode(flags >> frameAtShift & 3)
 	rec.At = r.Time(atMode, 0)
@@ -273,18 +389,28 @@ func decodeRecordBody(body []byte, prev *sig.Digest) (*Record, error) {
 	default:
 		r.Fail(canon.ErrBinary)
 	}
-	if flags&frameNote != 0 {
+	switch {
+	case flags&frameNoteCode != 0:
+		if code := r.Byte(); code >= 1 && int(code) <= len(noteWords) {
+			rec.Note = noteWords[code-1]
+		} else {
+			r.Fail(canon.ErrBinary)
+		}
+	case flags&frameNote != 0:
 		rec.Note = r.ValidString()
 	}
 	if flags&frameToken != 0 && r.Err() == nil {
 		rec.Token = new(evidence.Token)
 		rec.Token.DecodeBinary(&r, tokenTimeBase(rec.At, atMode))
 	}
-	copy(rec.Hash[:], r.Raw(sig.DigestSize))
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("store: decode binary record: %w", err)
+	stored = flags&frameDerived == 0
+	if stored {
+		copy(rec.Hash[:], r.Raw(sig.DigestSize))
 	}
-	return rec, nil
+	if err := r.Done(); err != nil {
+		return nil, false, fmt.Errorf("store: decode binary record: %w", err)
+	}
+	return rec, stored, nil
 }
 
 // decodeRecordBodyV1 decodes one version-1 record body.
@@ -312,6 +438,41 @@ func decodeRecordBodyV1(body []byte) (*Record, error) {
 	return rec, nil
 }
 
+// sealHash is the last step of every record decoder. It gives the
+// record the Hash its content implies — the digest of its canonical JSON
+// with Hash zeroed, exactly what Chainer.Next computed when the record
+// was written — and, where the encoding stored a hash in rec.Hash (every
+// format before version 3), refuses a record whose stored hash is not
+// that. It also refuses a record without a token: no writer produces one
+// (NextRecord will not), and every reader indexes records by their
+// token's fields. dig is the caller's digest engine, nil for a one-off
+// decode (which borrows a pooled one): a scan keeps its own because the
+// pool is emptied by every collection, and a scan — it allocates each
+// record it decodes — sees many; tail replay measures 15% slower on the
+// pool.
+func sealHash(rec *Record, stored bool, dig *canon.Digester) error {
+	if rec.Token == nil {
+		return fmt.Errorf("store: decode record %d: no token", rec.Seq)
+	}
+	was := rec.Hash
+	rec.Hash = sig.Digest{}
+	var h sig.Digest
+	var err error
+	if dig != nil {
+		h, err = dig.Sum256(rec)
+	} else {
+		h, err = canon.Sum256(rec)
+	}
+	if err != nil {
+		return err
+	}
+	if stored && was != h {
+		return fmt.Errorf("%w: record %d hash", ErrChainBroken, rec.Seq)
+	}
+	rec.Hash = h
+	return nil
+}
+
 // DecodeRecordFrame decodes the stand-alone length-prefixed record
 // frame at the start of data, returning the record and the frame's
 // total length. A frame that runs past the end of data returns
@@ -319,12 +480,13 @@ func decodeRecordBodyV1(body []byte) (*Record, error) {
 // write or truncation. A frame that elides its Prev is not stand-alone
 // and is refused; runs of frames go through DecodeSegmentData.
 func DecodeRecordFrame(data []byte) (*Record, int64, error) {
-	return decodeFrame(data, EncBinary, nil)
+	return decodeFrame(data, EncBinary, nil, nil)
 }
 
-// decodeFrame decodes one frame of a binary encoding; prev is the
-// preceding frame's Hash when known.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest) (*Record, int64, error) {
+// decodeFrame decodes one frame of a binary encoding and seals the
+// record's Hash (sealHash); prev is the preceding frame's Hash when
+// known, dig the caller's digest engine or nil.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, dig *canon.Digester) (*Record, int64, error) {
 	n, w := uvarint(data)
 	if w == 0 {
 		return nil, 0, nil // truncated length prefix: possibly torn
@@ -338,10 +500,14 @@ func decodeFrame(data []byte, enc Encoding, prev *sig.Digest) (*Record, int64, e
 	body := data[w : uint64(w)+n]
 	var rec *Record
 	var err error
+	stored := true
 	if enc == EncBinaryV1 {
 		rec, err = decodeRecordBodyV1(body)
 	} else {
-		rec, err = decodeRecordBody(body, prev)
+		rec, stored, err = decodeRecordBody(body, enc, prev)
+	}
+	if err == nil {
+		err = sealHash(rec, stored, dig)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -374,18 +540,23 @@ func uvarint(data []byte) (uint64, int) {
 // the given encoding — the keyed-read path, handed a [offset, next
 // offset) sub-slice of a (possibly mmapped) segment. prev is the Hash
 // of the record before it in the segment (from the sealed index's hash
-// array), which a frame that elides its Prev is completed with; nil for
-// a segment's first record.
+// array), which a frame that elides its Prev is completed with — and
+// which the record's own Hash is then derived from, for the caller to
+// compare with the hash the seal pins at its position; nil for a
+// segment's first record.
 func DecodeRecordData(data []byte, enc Encoding, prev *sig.Digest) (*Record, error) {
-	switch enc {
-	case EncJSON:
+	switch {
+	case enc == EncJSON:
 		rec := new(Record)
 		if err := canon.Unmarshal(bytes.TrimRight(data, "\r\n"), rec); err != nil {
 			return nil, err
 		}
+		if err := sealHash(rec, true, nil); err != nil {
+			return nil, err
+		}
 		return rec, nil
-	case EncBinary, EncBinaryV1:
-		rec, frameLen, err := decodeFrame(data, enc, prev)
+	case enc.framed():
+		rec, frameLen, err := decodeFrame(data, enc, prev, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -409,11 +580,17 @@ func DecodeRecordData(data []byte, enc Encoding, prev *sig.Digest) (*Record, err
 // parse so far, while a complete frame that fails to decode is
 // corruption and yields an error. Empty data reads as empty with
 // EncUnknown.
+//
+// Every record handed to fn carries the Hash its content implies — the
+// scan pays the one canonical digest per record a verifying reader used
+// to pay in ChainVerifier.Check — and each frame that elides its Prev
+// has been chained to the frame before it, so what is left for a reader
+// to check is where the run attaches (ChainVerifier.Advance).
 func DecodeSegmentData(data []byte, fn func(*Record, int64) error) (Encoding, int64, bool, error) {
-	switch enc := DetectEncoding(data); enc {
-	case EncUnknown:
+	switch enc := DetectEncoding(data); {
+	case enc == EncUnknown:
 		return EncUnknown, 0, false, nil
-	case EncBinary, EncBinaryV1:
+	case enc.framed():
 		prefix, torn, err := scanBinarySegment(data, enc, fn)
 		return enc, prefix, torn, err
 	default:
@@ -452,19 +629,21 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64) error)
 	if !bytes.Equal(data[:3], header[:3]) {
 		return 0, false, fmt.Errorf("store: %w: bad segment header", canon.ErrBinary)
 	}
-	if v := data[3]; v != SegmentVersion && v != segmentVersion1 {
+	if v := data[3]; v != SegmentVersion && v != segmentVersion2 && v != segmentVersion1 {
 		return 0, false, fmt.Errorf("%w %d", ErrSegmentVersion, v)
 	}
 	return scanFrames(data, SegmentHeaderLen, enc, fn)
 }
 
 // scanFrames walks the frames of data from offset start, handing each
-// frame the hash of the one before it.
+// frame the hash of the one before it; one digest engine serves the
+// whole scan.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
 	prefix := start
 	var prev *sig.Digest
+	dig := canon.NewDigester()
 	for prefix < int64(len(data)) {
-		rec, frameLen, err := decodeFrame(data[prefix:], enc, prev)
+		rec, frameLen, err := decodeFrame(data[prefix:], enc, prev, dig)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -485,6 +664,7 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) 
 // with the streaming reader that wrote their indexes.
 func scanJSONSegment(data []byte, fn func(*Record, int64) error) (int64, bool, error) {
 	var prefix int64
+	dig := canon.NewDigester()
 	for int(prefix) < len(data) {
 		rest := data[prefix:]
 		nl := bytes.IndexByte(rest, '\n')
@@ -496,6 +676,9 @@ func scanJSONSegment(data []byte, fn func(*Record, int64) error) (int64, bool, e
 			rec := new(Record)
 			if err := canon.Unmarshal(body, rec); err != nil {
 				return prefix, false, fmt.Errorf("store: corrupt segment line: %w", err)
+			}
+			if err := sealHash(rec, true, dig); err != nil {
+				return prefix, false, err
 			}
 			if err := fn(rec, int64(len(line))); err != nil {
 				return prefix, false, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,8 +20,9 @@ import (
 
 // goldenRecords builds one record per shape the store can hold: every
 // token kind, plain and TSA-stamped signatures, transaction links,
-// recipients, empty and non-empty notes, both directions, and signature
-// variants with forward-secure and batch fields populated.
+// recipients, empty, free-text and protocol-vocabulary notes, both
+// directions, and signature variants with forward-secure and batch
+// fields populated.
 func goldenRecords(t *testing.T) []*store.Record {
 	t.Helper()
 	realm := testpki.MustRealm(org)
@@ -72,10 +74,13 @@ func goldenRecords(t *testing.T) []*store.Record {
 	at := time.Date(2026, 8, 8, 1, 2, 3, 456789, time.UTC)
 	for i, tok := range toks {
 		dir := store.Generated
-		note := fmt.Sprintf("note-%d", i)
-		if i%2 == 1 {
+		note := fmt.Sprintf("note-%d", i) // free text: travels literally
+		switch {
+		case i%2 == 1:
 			dir = store.Received
 			note = ""
+		case i%4 == 0:
+			note = codedNotes[i/4%len(codedNotes)]
 		}
 		rec, err := store.NextRecord(seq, prev, at.Add(time.Duration(i)*time.Second), dir, tok, note)
 		if err != nil {
@@ -86,6 +91,10 @@ func goldenRecords(t *testing.T) []*store.Record {
 	}
 	return recs
 }
+
+// codedNotes are notes from the protocols' fixed vocabulary, which a
+// version-3 frame carries as one byte.
+var codedNotes = []string{"request origin", "response origin (ok)", "response receipt (consumed)", "ttp decision", "ack (applied=false)"}
 
 // checkSameRecord holds a decoded record to the one it was encoded
 // from: byte-identical canonical JSON (so the signed token form and the
@@ -128,6 +137,14 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
 		standalone += len(frame)
+		// The frame stores neither the hash (the decoder derives it) nor
+		// a vocabulary note's text; free text it does carry.
+		if bytes.Contains(frame, rec.Hash[:]) {
+			t.Fatalf("record %d: frame stores the record hash", i)
+		}
+		if coded := rec.Note != "" && !strings.HasPrefix(rec.Note, "note-"); rec.Note != "" && bytes.Contains(frame, []byte(rec.Note)) == coded {
+			t.Fatalf("record %d: note %q coded=%v, frame disagrees", i, rec.Note, coded)
+		}
 		dec, frameLen, err := store.DecodeRecordFrame(frame)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -413,22 +430,12 @@ func TestBinarySegmentScan(t *testing.T) {
 	if _, _, _, err := store.DecodeSegmentData(confused, func(*store.Record, int64) error { return nil }); !errors.Is(err, store.ErrSegmentVersion) {
 		t.Fatalf("future version = %v, want ErrSegmentVersion", err)
 	}
-	// Flipping a payload byte inside a complete frame is corruption.
+	// Flipping a payload byte inside a complete frame is corruption,
+	// wherever it lands: the frame's checksum covers every body byte.
 	corrupt := append([]byte{}, data...)
 	corrupt[store.SegmentHeaderLen+8] ^= 0xFF
-	if _, _, torn, err := store.DecodeSegmentData(corrupt, func(*store.Record, int64) error { return nil }); err == nil && !torn {
-		// The flip may land in a field that still decodes (e.g. a digest
-		// byte) — then the chain check is the backstop; re-derive it here.
-		var bad bool
-		_, _, _, _ = store.DecodeSegmentData(corrupt, func(rec *store.Record, _ int64) error {
-			if cerr := store.ResumeChain(rec.Seq-1, rec.Prev).Check(rec); cerr != nil {
-				bad = true
-			}
-			return nil
-		})
-		if !bad {
-			t.Fatal("corrupted frame decoded cleanly and chained cleanly")
-		}
+	if _, _, _, err := store.DecodeSegmentData(corrupt, func(*store.Record, int64) error { return nil }); !errors.Is(err, canon.ErrBinary) {
+		t.Fatalf("corrupted frame = %v, want ErrBinary", err)
 	}
 }
 
@@ -513,6 +520,15 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	f.Add(frame(append(prefix, 0xFF, 0xFF, 0x7F)...))                      // every token flag, nothing after
 	f.Add(frame(append(prefix, 0x00, 1, 0xFD, 0xFF, 0xFF, 0xFF, 0x0F)...)) // over-long packed run id
 	f.Add(frame(append(prefix, 0x00, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)...)) // over-long literal kind
+	// Version-3 shapes: a coded note, what the decoder must refuse, and
+	// version-3 flag bits under a version-2 header.
+	fs := hostileFrames(f)
+	f.Add(append(hdr[:], fs.control...))
+	f.Add(append(append(hdr[:], fs.control...), fs.elided...))
+	f.Add(append([]byte{'N', 'R', 'S', 2}, fs.control...))
+	for _, bad := range fs.hostile {
+		f.Add(append(hdr[:], bad...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {

@@ -265,10 +265,12 @@ func (v *ChainVerifier) Check(rec *Record) error {
 }
 
 // Advance checks rec's linkage (sequence and prev-hash) against the
-// verifier's position and moves past it, taking rec.Hash on trust. It is
-// for callers that have already verified the record's hash out of band —
-// say against a batch another verifier fully checked — and only need to
-// splice the batch onto their own chain position.
+// verifier's position and moves past it, taking rec.Hash as given. It is
+// for records whose Hash is already known to be the digest of their
+// content: straight from a decoder of this package, which derives it
+// (DecodeSegmentData, DecodeFrameRun, DecodeRecordData), or out of a
+// batch another verifier fully checked. Records from anywhere else go
+// through Check.
 func (v *ChainVerifier) Advance(rec *Record) error {
 	if rec.Seq != v.seq+1 {
 		return fmt.Errorf("%w: record %d sequence %d", ErrChainBroken, v.seq+1, rec.Seq)

@@ -40,6 +40,60 @@ func TestQuickChainVerifiesForAnySequence(t *testing.T) {
 	}
 }
 
+// TestQuickDecodeDerivesAppendedHash: for any sequence of appended
+// tokens and notes, the hash a decoder derives from a frame is the hash
+// the log chained when it appended the record — as a run (Prev elided)
+// and as stand-alone frames.
+func TestQuickDecodeDerivesAppendedHash(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	issuer := realm.Party(org).Issuer
+	f := func(payloads [][]byte, notes []string) bool {
+		log := store.NewMemLog(realm.Clock)
+		for i, payload := range payloads {
+			tok, err := issuer.Issue(evidence.KindNRR, id.NewRun(), i, sig.Sum(payload))
+			if err != nil {
+				return false
+			}
+			note := "request receipt"
+			if len(notes) > 0 && i%2 == 1 {
+				note = notes[i%len(notes)]
+			}
+			if _, err := log.Append(store.Received, tok, note); err != nil {
+				return false
+			}
+		}
+		recs := log.Records()
+		run, err := store.AppendFrameRun(nil, recs)
+		if err != nil {
+			return false
+		}
+		i := 0
+		if err := store.DecodeFrameRun(run, func(rec *store.Record) error {
+			if rec.Hash != recs[i].Hash || rec.Prev != recs[i].Prev || rec.Note != recs[i].Note {
+				t.Errorf("record %d of a run decoded to a different hash, link or note", i)
+			}
+			i++
+			return nil
+		}); err != nil || i != len(recs) {
+			return false
+		}
+		for _, rec := range recs {
+			frame, err := store.AppendRecordBinary(nil, rec)
+			if err != nil {
+				return false
+			}
+			if dec, _, err := store.DecodeRecordFrame(frame); err != nil || dec.Hash != rec.Hash {
+				return false
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuickAnySingleMutationBreaksChain: mutating any one record of a
 // chain (note, direction, sequence, or token binding) is always detected.
 func TestQuickAnySingleMutationBreaksChain(t *testing.T) {

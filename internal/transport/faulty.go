@@ -132,12 +132,17 @@ func (e *faultyEndpoint) delay(ctx context.Context) error {
 	}
 }
 
-// Send implements Endpoint. Dropped sends return nil — a real network does
-// not tell the sender a datagram was lost.
+// Send implements Endpoint. A dropped send surfaces as ErrDropped, as a
+// dropped request does: a one-way send over the real transport is an
+// acknowledged exchange (tcpEndpoint.Send), so its sender learns of the
+// loss the same way — the acknowledgement never comes — and Reliable
+// retransmits. An injector that swallowed the loss would model a network
+// no retransmission layer can work over: a lone one-way message, say a
+// receipt leaving the coalescer on its own, would be lost for good.
 func (e *faultyEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
 	switch e.net.judge(e.Addr(), to) {
 	case drop:
-		return nil
+		return ErrDropped
 	case duplicate:
 		if err := e.delay(ctx); err != nil {
 			return err

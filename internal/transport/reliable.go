@@ -103,9 +103,11 @@ func NewReliable(inner Endpoint, policy RetryPolicy) *Reliable {
 // Addr implements Endpoint.
 func (r *Reliable) Addr() string { return r.inner.Addr() }
 
-// Send implements Endpoint: it retransmits via Request-style confirmation
-// when the underlying transport supports it, falling back to repeated
-// sends.
+// Send implements Endpoint with retransmission: a send the underlying
+// endpoint reports as failed — over TCP a one-way send is an acknowledged
+// exchange, so a lost one is — is repeated under the retry policy. The
+// envelope keeps its identifier, so the receiver's Dedup absorbs a send
+// that was delivered although its acknowledgement was lost.
 func (r *Reliable) Send(ctx context.Context, to string, env *Envelope) error {
 	var lastErr error
 	for attempt := 1; attempt <= r.policy.Attempts; attempt++ {

@@ -236,6 +236,41 @@ func TestReliableMasksTransientDrops(t *testing.T) {
 	}
 }
 
+// TestReliableRetransmitsDroppedOneWaySend: a one-way send the network
+// drops is reported to its sender, retransmitted by the reliable layer
+// and processed once — a lone send has nothing else to carry it.
+func TestReliableRetransmitsDroppedOneWaySend(t *testing.T) {
+	t.Parallel()
+	inner := transport.NewInprocNetwork()
+	faulty := transport.NewFaultyNetwork(inner, transport.FaultPlan{Seed: 1, DropRate: 1.0, MaxDrops: 3})
+	h := &echoHandler{name: "b"}
+	b, err := faulty.Register("b", transport.NewDedup(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawA, err := faulty.Register("a", &echoHandler{name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rawA.Send(context.Background(), b.Addr(), transport.NewEnvelope("x", nil)); !errors.Is(err, transport.ErrDropped) {
+		t.Fatalf("dropped one-way send = %v, want ErrDropped", err)
+	}
+	a := transport.NewReliable(rawA, transport.RetryPolicy{Attempts: 5, Backoff: time.Millisecond})
+	if err := a.Send(context.Background(), b.Addr(), transport.NewEnvelope("x", []byte("p"))); err != nil {
+		t.Fatalf("one-way send across two more drops: %v", err)
+	}
+	// Closing the network drains the one-way queue.
+	if err := inner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.received.Load(); got != 1 {
+		t.Fatalf("handler processed %d messages, want 1", got)
+	}
+	if faulty.Drops() != 3 {
+		t.Fatalf("Drops() = %d, want 3", faulty.Drops())
+	}
+}
+
 func TestDedupProcessesOnce(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64

@@ -10,10 +10,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
@@ -39,12 +41,107 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
+// hostileFrameRuns are version-3 segment images around a run of two
+// records: the run itself, and the shapes the frame decoder must refuse
+// or a reader must not trust — a bad checksum, a note code outside the
+// vocabulary, version-3 frames under a version-2 header, a hash-less
+// frame that elides its Prev with no predecessor, a token-less frame.
+func hostileFrameRuns(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	tok := &evidence.Token{Kind: evidence.KindNRO, Run: "run-00ff", Step: 1, Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC()}
+	first, err := store.NextRecord(0, sig.Digest{}, tok.IssuedAt, store.Generated, tok, "request origin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	second, err := store.NextRecord(first.Seq, first.Hash, tok.IssuedAt, store.Received, tok, "request receipt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run, err := store.AppendFrameRun(nil, []*store.Record{first, second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lone, err := store.AppendFrameRun(nil, []*store.Record{first})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	refit := func(body []byte) []byte { // length prefix and checksum around a frame body
+		body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		return append(append(lone[:store.SegmentHeaderLen:store.SegmentHeaderLen], binary.AppendUvarint(nil, uint64(len(body)))...), body...)
+	}
+	// The note code is the first byte two frames that differ only in
+	// their (vocabulary) note disagree on.
+	renoted := *first
+	renoted.Note = "request receipt"
+	other, err := store.AppendFrameRun(nil, []*store.Record{&renoted})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	code := 0
+	for code < len(lone) && lone[code] == other[code] {
+		code++
+	}
+	mutate := func(at int, to byte) []byte {
+		b := append([]byte(nil), lone...)
+		_, w := binary.Uvarint(b[store.SegmentHeaderLen:])
+		b[at] = to
+		return refit(b[store.SegmentHeaderLen+w : len(b)-4])
+	}
+	badCRC := append([]byte(nil), run...)
+	badCRC[len(badCRC)-1] ^= 0x01
+	asV2 := append([]byte(nil), run...)
+	asV2[3] = 2
+	tokenless := append([]byte{0x41, 1}, make([]byte, sig.DigestSize)...) // Prev | hash-less, seq 1, zero Prev
+	return map[string][]byte{
+		"run-of-two":                   run,
+		"bad-checksum":                 badCRC,
+		"unknown-note-code":            mutate(code, 200),
+		"v3-frames-under-v2-header":    asV2,
+		"hash-less-orphan-elided-prev": append(run[:store.SegmentHeaderLen:store.SegmentHeaderLen], run[len(lone):]...),
+		"token-less":                   refit(append(tokenless, 0, 1)),
+	}
+}
+
+// TestHostileFrameRunsAtOpen holds the seeds to what they claim: as a
+// vault's tail the well-formed run opens with its two records, every
+// other image is refused — none truncated away as if torn, none served.
+func TestHostileFrameRunsAtOpen(t *testing.T) {
+	t.Parallel()
+	for name, image := range hostileFrameRuns(t) {
+		dir := t.TempDir()
+		if err := os.WriteFile(segPath(dir, 1), image, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		v, err := Open(dir, nil, WithReadOnly())
+		if name == "run-of-two" {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if st := v.Stats(); st.TailRecords != 2 {
+				t.Fatalf("%s: tail holds %d records, want 2", name, st.TailRecords)
+			}
+			if err := v.DeepVerify(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			v.Close()
+			continue
+		}
+		if err == nil {
+			v.Close()
+			t.Fatalf("%s: the vault opened", name)
+		}
+	}
+}
+
 // FuzzSegmentOpen writes arbitrary bytes as a vault's tail segment and
 // opens the vault: recovery must truncate or reject, never panic.
 func FuzzSegmentOpen(f *testing.F) {
 	f.Add([]byte("{\"seq\":1}\n"))
 	f.Add([]byte("not json at all\n{\"torn"))
 	f.Add([]byte("\n\n\n"))
+	for _, seed := range hostileFrameRuns(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -86,6 +183,13 @@ func FuzzManifestOpen(f *testing.F) {
 func FuzzReplicaReceive(f *testing.F) {
 	f.Add([]byte(`{"entry":{"segment":1,"first_seq":1,"last_seq":1},"data":"e30K"}`))
 	f.Add([]byte(`{"entry":{"segment":0},"data":""}`))
+	for _, frames := range hostileFrameRuns(f) {
+		seed, err := canon.Marshal(&SegmentPackage{Entry: ManifestEntry{Segment: 1, FirstSeq: 1, LastSeq: 1}, Data: frames})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkg := &SegmentPackage{}

@@ -45,10 +45,14 @@ type parentVaultRun struct {
 }
 
 // copyParentVault copies testdata/parent-vault — a vault written by the
-// build before segment format 2: JSON segments 1-2 and version-1 binary
-// segments 3-4, all with JSON indexes and legacy seals, plus a two-record
-// version-1 tail in segment 5 — into a fresh directory and returns it
-// with the runs it holds (12 records in all).
+// two builds before this one. The build before segment format 2 left
+// JSON segments 1-2 and version-1 binary segments 3-4, all with JSON
+// indexes and legacy seals, plus a two-record version-1 tail in segment
+// 5 (12 records); the build before format 3 then opened it — sealing
+// that tail as it stood — and appended five records: version-2 segment
+// 6 and a two-record version-2 tail in segment 7 (17 records in all, its
+// files from the earlier build untouched). The copy lands in a fresh
+// directory and is returned with the runs it holds.
 func copyParentVault(t testing.TB) (string, []parentVaultRun) {
 	t.Helper()
 	src := filepath.Join("testdata", "parent-vault")
@@ -120,14 +124,15 @@ func firstByte(t testing.TB, path string) byte {
 	return data[0]
 }
 
-// TestVaultMixedEncodings grows a vault the previous build wrote into one
-// holding every format a vault can hold — JSON, version-1 and current
-// binary segments; JSON indexes under legacy seals, a rebuilt binary
-// index under a legacy seal, and binary indexes under current seals —
-// without rewriting a byte the previous build wrote, and holds the result
-// to every integrity and read surface: DeepVerify, keyed and paged
-// queries, provenance, a live subscription with resume, seg-ship to a
-// replica, restore from the replica, and the archive tier round trip.
+// TestVaultMixedEncodings grows a vault the previous builds wrote into
+// one holding every format a vault can hold — JSON, version-1, version-2
+// and current binary segments; JSON indexes under legacy seals, a rebuilt
+// binary index under a legacy seal, and binary indexes under current
+// seals — without rewriting a byte the previous builds wrote, and holds
+// the result to every integrity and read surface: DeepVerify, keyed and
+// paged queries, provenance, a live subscription with resume, seg-ship
+// to a replica, restore from the replica, and the archive tier round
+// trip.
 func TestVaultMixedEncodings(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
@@ -143,7 +148,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 	if err := ro.DeepVerify(); err != nil {
 		t.Fatalf("DeepVerify of the parent build's vault: %v", err)
 	}
-	if st := ro.Stats(); st.Segments != 4 || st.TailRecords != 2 || st.LastSeq != 12 {
+	if st := ro.Stats(); st.Segments != 6 || st.TailRecords != 2 || st.LastSeq != 17 {
 		t.Fatalf("parent vault shape = %+v", st)
 	}
 	for _, pr := range parentRuns {
@@ -173,10 +178,10 @@ func TestVaultMixedEncodings(t *testing.T) {
 	}
 	delete(written, "MANIFEST")
 
-	// This build, default options: the version-1 tail is sealed as it
-	// stands (segment 5), new records go to a current-format segment.
+	// This build, default options: the version-2 tail is sealed as it
+	// stands (segment 7), new records go to a current-format segment.
 	v := openVault(t, dir, vault.WithSegmentRecords(3))
-	runV2 := appendRun(t, realm, v, 4) // seals segment 6, leaves one record in 7
+	runV3 := appendRun(t, realm, v, 4) // seals segment 8, leaves one record in 9
 	txn := id.NewTxn()
 	runTxn := id.NewRun()
 	for i := 1; i <= 2; i++ {
@@ -189,18 +194,18 @@ func TestVaultMixedEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer v.Close() // segment 7 sealed by its third record; tail empty
+	defer v.Close() // segment 9 sealed by its third record; tail empty
 	sameFiles(t, "growing the vault", written, dirDigests(t, dir))
 	if grown, _ := os.ReadFile(filepath.Join(dir, "MANIFEST")); !bytes.HasPrefix(grown, oldManifest) {
 		t.Fatal("growing the vault rewrote existing manifest entries")
 	}
 
 	manifest := v.Manifest()
-	if len(manifest) != 7 {
-		t.Fatalf("sealed segments = %d, want 7", len(manifest))
+	if len(manifest) != 9 {
+		t.Fatalf("sealed segments = %d, want 9", len(manifest))
 	}
 	wantSeg := []store.Encoding{store.EncJSON, store.EncJSON, store.EncBinaryV1, store.EncBinaryV1,
-		store.EncBinaryV1, store.EncBinary, store.EncBinary}
+		store.EncBinaryV1, store.EncBinaryV2, store.EncBinaryV2, store.EncBinary, store.EncBinary}
 	for i, e := range manifest {
 		data, err := os.ReadFile(filepath.Join(dir, segFileName(e.Segment)))
 		if err != nil {
@@ -226,13 +231,13 @@ func TestVaultMixedEncodings(t *testing.T) {
 			t.Fatalf("%s: DeepVerify: %v", what, err)
 		}
 		all := v.Records()
-		if len(all) != 18 {
-			t.Fatalf("%s: Records = %d, want 18", what, len(all))
+		if len(all) != 23 {
+			t.Fatalf("%s: Records = %d, want 23", what, len(all))
 		}
 		if err := store.VerifyRecords(all); err != nil {
 			t.Fatalf("%s: VerifyRecords: %v", what, err)
 		}
-		want := map[id.Run]int{runV2: 4, runTxn: 2}
+		want := map[id.Run]int{runV3: 4, runTxn: 2}
 		for _, pr := range parentRuns {
 			want[pr.Run] = pr.Records
 		}
@@ -245,7 +250,10 @@ func TestVaultMixedEncodings(t *testing.T) {
 			t.Fatalf("%s: ByTxn(current era) = %d, want 2", what, got)
 		}
 		if got := len(v.ByTxn(parentRuns[2].Txn)); got != 4 {
-			t.Fatalf("%s: ByTxn(parent era) = %d, want 4", what, got)
+			t.Fatalf("%s: ByTxn(version-1 era) = %d, want 4", what, got)
+		}
+		if got := len(v.ByTxn(parentRuns[4].Txn)); got != 1 {
+			t.Fatalf("%s: ByTxn(version-2 era) = %d, want 1", what, got)
 		}
 		// Paging by party walks every segment format behind a cursor.
 		var paged, cursor uint64
@@ -265,11 +273,11 @@ func TestVaultMixedEncodings(t *testing.T) {
 			}
 			paged += uint64(len(page))
 		}
-		if paged != 18 {
-			t.Fatalf("%s: paged query returned %d records, want 18", what, paged)
+		if paged != 23 {
+			t.Fatalf("%s: paged query returned %d records, want 23", what, paged)
 		}
-		if got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: org}); err != nil || len(got) != 6 {
-			t.Fatalf("%s: kind+party query = %d records, err %v, want 6", what, len(got), err)
+		if got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: org}); err != nil || len(got) != 7 {
+			t.Fatalf("%s: kind+party query = %d records, err %v, want 7", what, len(got), err)
 		}
 		g, err := v.Provenance(parentRuns[2].Run)
 		if err != nil || len(g.Tokens) != 4 || len(g.Txns) != 1 || len(g.Parties) != 2 {
@@ -312,7 +320,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSeen(18)
+	waitSeen(23)
 	pos, posHash := sub.Position()
 	sub.Close()
 	<-sub.Done()
@@ -321,7 +329,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume at %d: %v", pos, err)
 	}
-	waitSeen(20)
+	waitSeen(25)
 	sub.Close()
 	<-sub.Done()
 	for i, seq := range seen {
@@ -333,7 +341,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 		t.Fatalf("ByRun(live) = %d, want 2", got)
 	}
 	// The two live records stay in the unsealed tail, which does not
-	// travel: the shipping checks below see the 18 sealed records.
+	// travel: the shipping checks below see the 23 sealed records.
 
 	// Replication ships every kind of segment; the replica re-verifies
 	// each against the shared seal chain and derives the same indexes.

@@ -212,9 +212,10 @@ func (it *Iterator) Err() error { return it.err }
 // loadSegment reads a sealed segment's matches: by direct offset reads
 // when the posting lists apply, by sequential scan otherwise. Every
 // record served from disk is verified against the seal — its hash is
-// re-derived and compared with the pinned hash list (keyed reads) or the
-// full record chain and content digest (scans) — so tampered sealed
-// evidence is reported as broken, never returned as authentic.
+// derived from its bytes and compared with the pinned hash list (keyed
+// reads) or the full record chain and content digest (scans) — so
+// tampered sealed evidence is reported as broken, never returned as
+// authentic.
 func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	// A segment wholly behind the resume cursor is skipped without a
 	// read; the cursor makes repeated paging queries cost the remainder.
@@ -286,15 +287,13 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 			// A sealed record that cannot be read back is a broken seal.
 			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
 		}
-		// Authenticate before serving: the stored hash must match the
-		// hash pinned under the seal, and must re-derive from the
-		// record's own bytes (the pinned list alone would accept a record
-		// whose body was edited but whose hash field was left intact).
+		// Authenticate before serving: the decoder derived the record's
+		// hash from the frame's own bytes and the pinned hash before it
+		// (and held a stored hash, where the format has one, to that), so
+		// an edited body — checksum fixed up or not — cannot reproduce the
+		// hash pinned under the seal at its position.
 		if rec.Hash != idx.hash(i) {
 			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
-		}
-		if err := store.ResumeChain(rec.Seq-1, rec.Prev).Check(rec); err != nil {
-			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
 		}
 		if it.q.matches(rec) {
 			out = append(out, rec)

@@ -1,0 +1,103 @@
+package vault_test
+
+import (
+	"testing"
+
+	"nonrep/internal/id"
+	"nonrep/internal/store"
+	"nonrep/internal/testpki"
+	"nonrep/internal/vault"
+)
+
+// The read paths that verify what they serve, as benchmarks: a format
+// change that moves work between the frame decoder and the chain
+// verifier shows here as the sum, which is what a reader pays.
+
+const (
+	benchRecords    = 8192
+	benchSegment    = 1024
+	benchRunRecords = 4
+)
+
+// benchVault builds a vault of benchRecords records in runs of
+// benchRunRecords, sealed into segments of segRecords, and returns its
+// directory and runs.
+func benchVault(b *testing.B, segRecords int) (string, []id.Run) {
+	b.Helper()
+	realm := testpki.MustRealm(org)
+	dir := b.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(segRecords), vault.WithoutSync())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var runs []id.Run
+	for i := 0; i < benchRecords/benchRunRecords; i++ {
+		run := id.NewRun()
+		entries := make([]store.Entry, benchRunRecords)
+		for j := range entries {
+			entries[j] = store.Entry{Dir: store.Generated, Token: newToken(b, realm, run, j+1), Note: "request origin"}
+		}
+		if _, err := v.AppendGroup(entries); err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run)
+	}
+	if err := v.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir, runs
+}
+
+// BenchmarkVaultVerifyingScan: a full query over sealed segments — every
+// record decoded, chained and held to its seal.
+func BenchmarkVaultVerifyingScan(b *testing.B) {
+	dir, _ := benchVault(b, benchSegment)
+	v, err := vault.Open(dir, nil, vault.WithReadOnly())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := v.QueryAll(vault.Query{})
+		if err != nil || len(recs) != benchRecords {
+			b.Fatalf("scan = %d records, err %v", len(recs), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRecords), "ns/record")
+}
+
+// BenchmarkVaultByRun: keyed reads over sealed segments — each record
+// decoded from its indexed slot and held to the hash the seal pins.
+func BenchmarkVaultByRun(b *testing.B) {
+	dir, runs := benchVault(b, benchSegment)
+	v, err := vault.Open(dir, nil, vault.WithReadOnly())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs := v.ByRun(runs[i%len(runs)]); len(recs) != benchRunRecords {
+			b.Fatalf("ByRun = %d records", len(recs))
+		}
+	}
+}
+
+// BenchmarkVaultTailReplay: Open over an unsealed tail of benchRecords
+// records — every frame decoded and chained from the last seal.
+func BenchmarkVaultTailReplay(b *testing.B) {
+	dir, _ := benchVault(b, 2*benchRecords)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := vault.Open(dir, nil, vault.WithReadOnly())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := v.Stats(); st.TailRecords != benchRecords {
+			b.Fatalf("tail = %d records", st.TailRecords)
+		}
+		v.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRecords), "ns/record")
+}

@@ -198,7 +198,7 @@ func readTailHashes(dir string, local []ManifestEntry) ([]sig.Digest, error) {
 	cv := store.ResumeChain(expectSeq, expectHash)
 	var hashes []sig.Digest
 	_, _, torn, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
-		if cerr := cv.Check(rec); cerr != nil {
+		if cerr := cv.Advance(rec); cerr != nil {
 			return fmt.Errorf("vault: tail before restore: %w", cerr)
 		}
 		hashes = append(hashes, rec.Hash)

@@ -160,8 +160,11 @@ func (s *segment) payload() *indexPayload {
 // digest and chain endpoints must all match the manifest entry, else
 // ErrSealBroken. With expectPrev non-nil, the first record must chain
 // from that hash (cross-segment linkage, used by DeepVerify); otherwise
-// the chain is self-seeded, which the content digest still pins. This is
-// the single verification rule shared by index rebuild, full-scan
+// the chain is self-seeded, which the content digest still pins. Record
+// hashes come from the decoder, which derives each from the record's
+// bytes and its predecessor's hash, so an edited frame moves every hash
+// after it and cannot meet the seal's content digest and last hash. This
+// is the single verification rule shared by index rebuild, full-scan
 // queries and deep verification. The detected file encoding is
 // returned: the content digest runs over record hashes, so a seal
 // verifies identically whether the segment's bytes are JSON lines or
@@ -204,7 +207,7 @@ func verifySealedSegmentData(data []byte, e ManifestEntry, expectPrev *sig.Diges
 		if cv == nil {
 			cv = store.ResumeChain(rec.Seq-1, rec.Prev)
 		}
-		if cerr := cv.Check(rec); cerr != nil {
+		if cerr := cv.Advance(rec); cerr != nil {
 			return fmt.Errorf("%w: segment %d: %v", ErrSealBroken, e.Segment, cerr)
 		}
 		content = sig.SumPair(content, rec.Hash)

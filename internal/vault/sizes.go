@@ -15,7 +15,7 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1",
-	// "binary").
+	// "binary-v2", or "binary" for the current format).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.

@@ -67,7 +67,7 @@ func (rs *ReplicaSet) loadTail(st *replicaState) error {
 	}
 	cv := store.ResumeChain(expectSeq, expectHash)
 	enc, _, torn, derr := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
-		if cerr := cv.Check(rec); cerr != nil {
+		if cerr := cv.Advance(rec); cerr != nil {
 			return cerr
 		}
 		tail.records = append(tail.records, rec)

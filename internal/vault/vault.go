@@ -130,8 +130,10 @@ func WithRestoreFrom(replicaDir string) Option {
 // WithObserver homes the vault's instruments — append latency (what a
 // blocking caller waits: queueing plus its commit), group commit latency
 // and occupancy, the fsync inside each commit (append minus fsync is the
-// queue wait), seal latency and counts — in the given telemetry scope. A
-// nil scope (the default) leaves the vault uninstrumented at zero cost.
+// queue wait), seal latency and counts, and the records and the segment
+// and index bytes written (their quotient is what a record costs on
+// disk) — in the given telemetry scope. A nil scope (the default) leaves
+// the vault uninstrumented at zero cost.
 func WithObserver(scope *obs.Scope) Option {
 	return func(v *Vault) {
 		v.appendNs = scope.Histogram(obs.MVaultAppendNs)
@@ -141,6 +143,7 @@ func WithObserver(scope *obs.Scope) Option {
 		v.sealNs = scope.Histogram(obs.MVaultSealNs)
 		v.seals = scope.Counter(obs.MVaultSealsTotal)
 		v.records = scope.Counter(obs.MVaultRecordsTotal)
+		v.bytes = scope.Counter(obs.MVaultBytesTotal)
 	}
 }
 
@@ -187,6 +190,7 @@ type Vault struct {
 	sealNs      *obs.Histogram
 	seals       *obs.Counter
 	records     *obs.Counter
+	bytes       *obs.Counter
 
 	mu     sync.Mutex
 	sealed []*segmentIndex
@@ -646,7 +650,7 @@ func (v *Vault) replayTail() error {
 	}
 	cv := store.ResumeChain(v.lastSeq, v.lastHash)
 	_, prefix, torn, err := store.DecodeSegmentData(data, func(rec *store.Record, n int64) error {
-		if err := cv.Check(rec); err != nil {
+		if err := cv.Advance(rec); err != nil {
 			return fmt.Errorf("vault: replay tail segment %d: %w", tailNum, err)
 		}
 		seg.add(rec, n)
@@ -680,7 +684,7 @@ func (v *Vault) openHandles() error {
 	if err != nil {
 		return fmt.Errorf("vault: open active segment: %w", err)
 	}
-	if err := writeSegmentHeader(f, v.active); err != nil {
+	if err := v.writeSegmentHeader(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -694,12 +698,14 @@ func (v *Vault) openHandles() error {
 	return v.syncDir()
 }
 
-// writeSegmentHeader stamps a fresh binary segment file with its format
-// header. JSON segments have no header, and a file that already holds
-// bytes keeps them (the header was written when the file was created).
-func writeSegmentHeader(f *os.File, seg *segment) error {
+// writeSegmentHeader stamps the active segment's fresh file with its
+// format header. JSON segments have no header, and a file that already
+// holds bytes keeps them (the header was written when the file was
+// created).
+func (v *Vault) writeSegmentHeader(f *os.File) error {
+	seg := v.active
 	if seg.enc != store.EncBinary {
-		return nil // JSON has no header; version-1 files are never started
+		return nil // JSON has no header; superseded formats are never started
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -712,6 +718,7 @@ func writeSegmentHeader(f *os.File, seg *segment) error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		return fmt.Errorf("vault: write segment %d header: %w", seg.number, err)
 	}
+	v.bytes.Add(int64(len(hdr)))
 	return nil
 }
 
@@ -884,6 +891,7 @@ func (v *Vault) commit(batch []*appendReq) {
 	if len(recs) > 0 {
 		v.commitBatch.Observe(int64(len(recs)))
 		v.records.Add(int64(len(recs)))
+		v.bytes.Add(int64(len(buf)))
 		v.commitNs.Since(commitStart)
 	}
 	// Records first, then the seal that may contain them: a subscriber
@@ -964,6 +972,7 @@ func (v *Vault) seal() error {
 	if err != nil {
 		return err
 	}
+	v.bytes.Add(int64(len(indexFileHeader(line)) + len(payload)))
 	if _, err := v.manifestF.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("vault: append manifest: %w", err)
 	}
@@ -993,7 +1002,7 @@ func (v *Vault) seal() error {
 	if err != nil {
 		return fmt.Errorf("vault: open next segment: %w", err)
 	}
-	if err := writeSegmentHeader(f, v.active); err != nil {
+	if err := v.writeSegmentHeader(f); err != nil {
 		f.Close()
 		return err
 	}

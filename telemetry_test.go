@@ -196,8 +196,15 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	if fsyncs == 0 || fsyncs != commits {
 		t.Fatalf("%d fsyncs observed over %d commits", fsyncs, commits)
 	}
-	if records := snap.CounterTotal(obs.MVaultRecordsTotal); records < 2*commits-2 {
+	records := snap.CounterTotal(obs.MVaultRecordsTotal)
+	if records < 2*commits-2 {
 		t.Fatalf("%d records in %d commits: grouped steps are not committing together", records, commits)
+	}
+	// What a record costs on disk, from /metricsz alone: bytes written
+	// over records written. Nothing sealed yet, so this is frames only —
+	// hash-less, vocabulary notes coded — plus one 4-byte header a vault.
+	if perRecord := float64(snap.CounterTotal(obs.MVaultBytesTotal)) / float64(records); perRecord < 100 || perRecord > 235 {
+		t.Fatalf("%.1f segment bytes per record, want a version-3 frame's ~200", perRecord)
 	}
 	resp, err := http.Get(base + "/metricsz")
 	if err != nil {
