@@ -34,8 +34,9 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records and its index are stored in and the bytes each takes per
-// record, then the vault's total.
+// records and its index are stored in, the bytes each takes per record,
+// and how many frames are plain and how many follow a leader (with the
+// bytes a frame of each sort takes), then the vault's total.
 //
 // Usage:
 //
@@ -571,9 +572,10 @@ func sizesVault(dir string) int {
 		}
 		return float64(bytes) / float64(records)
 	}
-	fmt.Printf("%-8s %-7s %-10s %8s %12s %-7s %12s\n", "segment", "state", "format", "records", "frame B/rec", "index", "index B/rec")
-	var records int
-	var segBytes, idxBytes int64
+	fmt.Printf("%-8s %-7s %-10s %8s %12s %-7s %12s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
+		"index", "index B/rec", "plain", "B/plain", "followers", "B/follower")
+	var records, followers int
+	var segBytes, idxBytes, plainBytes, followerBytes int64
 	for _, s := range segs {
 		state, index := "sealed", s.IndexFormat
 		if !s.Sealed {
@@ -582,15 +584,22 @@ func sizesVault(dir string) int {
 		if index == "" {
 			index = "-"
 		}
-		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-7s %12.1f\n", s.Segment, state, s.Format, s.Records,
-			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records))
+		plain := s.Records - s.Followers
+		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-7s %12.1f %8d %9.1f %10d %10.1f\n", s.Segment, state, s.Format, s.Records,
+			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records),
+			plain, perRecord(s.PlainBytes, plain), s.Followers, perRecord(s.FollowerBytes, s.Followers))
 		records += s.Records
+		followers += s.Followers
 		segBytes += s.SegmentBytes
 		idxBytes += s.IndexBytes
+		plainBytes += s.PlainBytes
+		followerBytes += s.FollowerBytes
 	}
 	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f frame + %.1f index = %.1f B/record\n",
 		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
 		perRecord(segBytes+idxBytes, records))
+	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B\n", records-followers,
+		perRecord(plainBytes, records-followers), followers, perRecord(followerBytes, followers))
 	return 0
 }
 

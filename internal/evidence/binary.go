@@ -43,6 +43,88 @@ func kindCode(k Kind) byte {
 	return 0
 }
 
+// Borrow bits: the fields the token of a follower frame takes from the
+// token of its leader frame — the self-contained frame of the same run
+// written shortly before it in the same file — instead of spelling them
+// out again. The run is always the leader's: that is what makes a frame
+// a follower. Each bit is set only where the leader holds exactly the
+// field's value, so decoding reproduces it byte for byte. The bits are
+// part of the segment format.
+const (
+	// BorrowTxn: the transaction is the leader's.
+	BorrowTxn = 1 << iota
+	// BorrowIssuer: the issuer is a one-byte reference into the leader's
+	// party list — 1 its issuer, 2.. its recipients.
+	BorrowIssuer
+	// BorrowRecipients: every recipient is such a reference.
+	BorrowRecipients
+	// BorrowService: the service is the leader's.
+	BorrowService
+	// BorrowDigest: the digest is the leader's.
+	BorrowDigest
+
+	// BorrowBits is how many low bits of a borrow mask are the token's;
+	// the enclosing frame owns the rest.
+	BorrowBits = iota
+)
+
+// partyRef is p's reference in t's party list, 0 when it is not there
+// (or too far down it for one byte).
+func (t *Token) partyRef(p id.Party) byte {
+	if p == t.Issuer {
+		return 1
+	}
+	for i, q := range t.Recipients {
+		if i+2 > maxRootRef {
+			break
+		}
+		if p == q {
+			return byte(i + 2)
+		}
+	}
+	return 0
+}
+
+// partyAt reads a reference partyRef wrote.
+func (t *Token) partyAt(r *canon.BinReader) id.Party {
+	switch ref := int(r.Byte()); {
+	case ref == 1:
+		return t.Issuer
+	case ref >= 2 && ref-2 < len(t.Recipients):
+		return t.Recipients[ref-2]
+	default:
+		r.Fail(canon.ErrBinary)
+		return ""
+	}
+}
+
+// BorrowFrom reports which fields t, a token of leader's run, may borrow
+// from it.
+func (t *Token) BorrowFrom(leader *Token) (borrow uint8) {
+	if t.Txn != "" && t.Txn == leader.Txn {
+		borrow |= BorrowTxn
+	}
+	if leader.partyRef(t.Issuer) != 0 {
+		borrow |= BorrowIssuer
+	}
+	if len(t.Recipients) > 0 {
+		borrow |= BorrowRecipients
+		for _, p := range t.Recipients {
+			if leader.partyRef(p) == 0 {
+				borrow &^= BorrowRecipients
+				break
+			}
+		}
+	}
+	if t.Service != "" && t.Service == leader.Service {
+		borrow |= BorrowService
+	}
+	if t.Digest == leader.Digest {
+		borrow |= BorrowDigest
+	}
+	return borrow
+}
+
 // AppendBinary appends the binary encoding of the token. The signed
 // form remains the canonical JSON of tokenTBS — binary is a carrier,
 // and every compaction below is exact or not applied, so DecodeBinary
@@ -53,7 +135,12 @@ func kindCode(k Kind) byte {
 // record's time; 0 when that is not in nanosecond form), service and
 // key id as suffixes of the issuer or recipient URI they extend, and
 // absent optional fields as cleared bits rather than empty markers.
-func (t *Token) AppendBinary(dst []byte, base int64) ([]byte, error) {
+//
+// With a leader — the token of the frame a follower frame points back
+// at, which must be of t's run — the run is not written and neither is
+// any field named in borrow, which must be what t.BorrowFrom(leader)
+// allowed; a nil leader writes the self-contained form.
+func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8) ([]byte, error) {
 	issuedMode := canon.ModeOfTime(t.IssuedAt)
 	flags := uint64(issuedMode)<<issuedModeShift | t.Signature.BinaryFlags()<<sigFlagShift
 	if len(t.Recipients) > 0 {
@@ -75,22 +162,35 @@ func (t *Token) AppendBinary(dst []byte, base int64) ([]byte, error) {
 	if code == 0 {
 		dst = canon.AppendString(dst, string(t.Kind))
 	}
-	dst = canon.AppendPackedID(dst, string(t.Run))
-	if t.Txn != "" {
+	if leader == nil {
+		borrow = 0
+		dst = canon.AppendPackedID(dst, string(t.Run))
+	}
+	if t.Txn != "" && borrow&BorrowTxn == 0 {
 		dst = canon.AppendPackedID(dst, string(t.Txn))
 	}
 	dst = canon.AppendVarint(dst, int64(t.Step))
-	dst = canon.AppendString(dst, string(t.Issuer))
+	if borrow&BorrowIssuer != 0 {
+		dst = append(dst, leader.partyRef(t.Issuer))
+	} else {
+		dst = canon.AppendString(dst, string(t.Issuer))
+	}
 	if len(t.Recipients) > 0 {
 		dst = canon.AppendUvarint(dst, uint64(len(t.Recipients)))
 		for _, p := range t.Recipients {
-			dst = canon.AppendString(dst, string(p))
+			if borrow&BorrowRecipients != 0 {
+				dst = append(dst, leader.partyRef(p))
+			} else {
+				dst = canon.AppendString(dst, string(p))
+			}
 		}
 	}
-	if t.Service != "" {
+	if t.Service != "" && borrow&BorrowService == 0 {
 		dst = t.appendRooted(dst, string(t.Service))
 	}
-	dst = append(dst, t.Digest[:]...)
+	if borrow&BorrowDigest == 0 {
+		dst = append(dst, t.Digest[:]...)
+	}
 	dst, err := canon.AppendTime(dst, t.IssuedAt, issuedMode, base)
 	if err != nil {
 		return nil, err
@@ -144,13 +244,20 @@ func (t *Token) decodeRooted(r *canon.BinReader) string {
 	}
 }
 
-// DecodeBinary decodes a token from r into t, with the base AppendBinary
-// was given. All variable-length data is copied out of the reader's
-// buffer: decoded tokens escape into query results and protocol state
-// that outlive the source buffer (which may be an mmapped segment).
-func (t *Token) DecodeBinary(r *canon.BinReader, base int64) {
+// DecodeBinary decodes a token from r into t, with the base, leader and
+// borrow mask AppendBinary was given (nil and 0 for a self-contained
+// token). A borrow bit for a field the token does not have, or the
+// leader has nothing to lend, is refused. All variable-length data is
+// copied out of the reader's buffer: decoded tokens escape into query
+// results and protocol state that outlive the source buffer (which may
+// be an mmapped segment); what is borrowed is shared with the leader's
+// token, strings both.
+func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borrow uint8) {
 	flags := r.Uvarint()
-	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 {
+	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 || borrow>>BorrowBits != 0 || (leader == nil && borrow != 0) ||
+		(borrow&BorrowTxn != 0 && (flags&flagTxn == 0 || leader.Txn == "")) ||
+		(borrow&BorrowRecipients != 0 && flags&flagRecipients == 0) ||
+		(borrow&BorrowService != 0 && (flags&flagService == 0 || leader.Service == "")) {
 		r.Fail(canon.ErrBinary)
 		return
 	}
@@ -162,19 +269,40 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64) {
 		r.Fail(canon.ErrBinary)
 		return
 	}
-	t.Run = id.Run(r.PackedID())
-	if flags&flagTxn != 0 {
+	if leader != nil {
+		t.Run = leader.Run
+	} else {
+		t.Run = id.Run(r.PackedID())
+	}
+	switch {
+	case borrow&BorrowTxn != 0:
+		t.Txn = leader.Txn
+	case flags&flagTxn != 0:
 		t.Txn = id.Txn(r.PackedID())
 	}
 	t.Step = r.Int()
-	t.Issuer = id.Party(r.ValidString())
-	if flags&flagRecipients != 0 {
-		t.Recipients = decodeParties(r)
+	if borrow&BorrowIssuer != 0 {
+		t.Issuer = leader.partyAt(r)
+	} else {
+		t.Issuer = id.Party(r.ValidString())
 	}
-	if flags&flagService != 0 {
+	switch {
+	case borrow&BorrowRecipients != 0:
+		t.Recipients = decodeParties(r, leader)
+	case flags&flagRecipients != 0:
+		t.Recipients = decodeParties(r, nil)
+	}
+	switch {
+	case borrow&BorrowService != 0:
+		t.Service = leader.Service
+	case flags&flagService != 0:
 		t.Service = id.Service(t.decodeRooted(r))
 	}
-	copy(t.Digest[:], r.Raw(sig.DigestSize))
+	if borrow&BorrowDigest != 0 {
+		t.Digest = leader.Digest
+	} else {
+		copy(t.Digest[:], r.Raw(sig.DigestSize))
+	}
 	t.IssuedAt = r.Time(canon.TimeMode(flags>>issuedModeShift&3), base)
 	t.Nonce = r.PackedID()
 	t.Signature.KeyID = t.decodeRooted(r)
@@ -185,7 +313,9 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64) {
 	}
 }
 
-func decodeParties(r *canon.BinReader) []id.Party {
+// decodeParties reads a counted party list: strings, or with a leader
+// one-byte references into its party list.
+func decodeParties(r *canon.BinReader, leader *Token) []id.Party {
 	n := r.Uvarint()
 	if n == 0 || r.Err() != nil {
 		return nil
@@ -198,7 +328,11 @@ func decodeParties(r *canon.BinReader) []id.Party {
 	}
 	out := make([]id.Party, n)
 	for i := range out {
-		out[i] = id.Party(r.ValidString())
+		if leader != nil {
+			out[i] = leader.partyAt(r)
+		} else {
+			out[i] = id.Party(r.ValidString())
+		}
 	}
 	return out
 }
@@ -213,7 +347,7 @@ func (t *Token) DecodeBinaryV1(r *canon.BinReader) {
 	t.Txn = id.Txn(r.ValidString())
 	t.Step = r.Int()
 	t.Issuer = id.Party(r.ValidString())
-	t.Recipients = decodeParties(r)
+	t.Recipients = decodeParties(r, nil)
 	t.Service = id.Service(r.ValidString())
 	copy(t.Digest[:], r.Raw(sig.DigestSize))
 	t.IssuedAt = r.Time(canon.TimeText, 0)

@@ -104,15 +104,6 @@ func WithRetryInterval(d time.Duration) EngineOption {
 	}
 }
 
-// WithPassTimeout bounds one background pass (default 30s).
-func WithPassTimeout(d time.Duration) EngineOption {
-	return func(e *Engine) {
-		if d > 0 {
-			e.timeout = d
-		}
-	}
-}
-
 // WithObserver homes the engine's instruments — shipped segments, failed
 // passes, lag and catch-up backlog — in the given telemetry scope. A nil
 // scope leaves it uninstrumented.
@@ -132,6 +123,12 @@ func WithObserver(scope *obs.Scope) EngineOption {
 // linger — a gated append is waiting on them.
 const asyncLinger = 50 * time.Millisecond
 
+// passTimeout bounds one background pass toward one target: a peer that
+// accepts the connection and then says nothing costs its pump this long,
+// not for ever. (Close cancels a pass at once; Flush runs under its
+// caller's context.)
+const passTimeout = 30 * time.Second
+
 // Engine is the one shipping loop of an organisation's evidence plane:
 // a pump per target ships every sealed segment the target lacks, in
 // order, and — toward targets that take tail pushes — keeps the
@@ -141,12 +138,11 @@ const asyncLinger = 50 * time.Millisecond
 // retry failures on a clock-driven interval, so a target that was down
 // catches up without operator action.
 type Engine struct {
-	v       *vault.Vault
-	source  string
-	policy  Policy
-	clk     clock.Clock
-	every   time.Duration
-	timeout time.Duration
+	v      *vault.Vault
+	source string
+	policy Policy
+	clk    clock.Clock
+	every  time.Duration
 
 	// Telemetry instruments (nil and no-op without WithObserver).
 	shippedC *obs.Counter
@@ -178,13 +174,12 @@ func NewEngine(v *vault.Vault, source string, policy Policy, clk clock.Clock, op
 		policy.AckTimeout = 30 * time.Second
 	}
 	e := &Engine{
-		v:       v,
-		source:  source,
-		policy:  policy,
-		clk:     clk,
-		every:   5 * time.Second,
-		timeout: 30 * time.Second,
-		quit:    make(chan struct{}),
+		v:      v,
+		source: source,
+		policy: policy,
+		clk:    clk,
+		every:  5 * time.Second,
+		quit:   make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -239,7 +234,7 @@ func (e *Engine) nudge(tailOnly bool) {
 // Close, so an in-flight push to an unreachable peer cannot hold
 // shutdown hostage.
 func (e *Engine) passContext() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), e.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), passTimeout)
 	go func() {
 		select {
 		case <-e.quit:

@@ -121,7 +121,7 @@ func syncEngine(t testing.TB, v *vault.Vault, quorum, replicas int, ackTimeout t
 		Mode:       georep.ModeSync,
 		Quorum:     quorum,
 		AckTimeout: ackTimeout,
-	}, nil, georep.WithRetryInterval(10*time.Millisecond), georep.WithPassTimeout(2*time.Second))
+	}, nil, georep.WithRetryInterval(10*time.Millisecond))
 	t.Cleanup(func() { _ = eng.Close() })
 	targets := make([]*memTarget, replicas)
 	for i := range targets {
@@ -191,7 +191,9 @@ func TestEngineSyncQuorumFaultMatrix(t *testing.T) {
 	// without new traffic.
 	targets[0].set(func(m *memTarget) { m.down = false })
 	targets[1].set(func(m *memTarget) { m.down = false })
-	if err := eng.Flush(context.Background()); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := eng.Flush(ctx); err != nil {
 		t.Fatalf("Flush after recovery: %v", err)
 	}
 	if q := eng.QuorumSeq(); q != rec.Seq {

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"sync"
 	"time"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
@@ -43,8 +45,13 @@ type Server struct {
 	settledChunkBytes int64
 	// open lists, oldest first, the runs answered but not yet settled —
 	// the receipt outstanding, or a result stream not fetched to its end —
-	// within maxOpenRuns.
-	open list.List // of id.Run
+	// within maxOpenRuns. Runs pushed off its front are counted in
+	// evicted and reported, at most once per evictLogEvery, with the
+	// number dropped since the last report (evictedUnreported).
+	open              list.List // of id.Run
+	evicted           *obs.Counter
+	evictedUnreported int
+	evictReported     time.Time
 
 	// pending buffers inbound streamed-parameter chunks until the request
 	// whose signed evidence binds them arrives; keyed by sender and
@@ -78,8 +85,13 @@ const (
 	// that never sends its receipt (or never fetches a result stream)
 	// costs the server one slot, not memory for ever. A receipt arriving
 	// for a run evicted here is refused with ErrNoSuchRun; the run's NRO,
-	// NRR and NROResp are in the log regardless.
+	// NRR and NROResp are in the log regardless, and the eviction is
+	// counted (obs.MInvokeOpenRunsEvictedTotal) and logged with the run,
+	// so the refusal can be explained.
 	maxOpenRuns = 4096
+	// evictLogEvery spaces the log lines about evicted runs: a client
+	// withholding every receipt evicts one run per call.
+	evictLogEvery = 10 * time.Second
 	// maxSettledRuns bounds the settled runs whose cached response and
 	// receipt state are kept for retransmitted requests and receipts.
 	maxSettledRuns = 256
@@ -210,6 +222,7 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.evicted = co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)
 	co.Register(s)
 	return s
 }
@@ -289,11 +302,28 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	if !rs.settled {
 		rs.openElem = s.open.PushBack(msg.Run)
 		for s.open.Len() > maxOpenRuns {
-			delete(s.runs, s.open.Remove(s.open.Front()).(id.Run))
+			s.evictOldestOpenLocked()
 		}
 	}
 	s.mu.Unlock()
 	return s.answer(ctx, msg.Run, rs)
+}
+
+// evictOldestOpenLocked forgets the run whose receipt has been outstanding
+// longest (s.mu held). Its evidence stays in the log; what goes is the
+// means to accept its receipt, so the eviction is counted and — not more
+// often than every evictLogEvery — logged with the run's id: the later
+// ErrNoSuchRun for that receipt then has an explanation on record.
+func (s *Server) evictOldestOpenLocked() {
+	run := s.open.Remove(s.open.Front()).(id.Run)
+	delete(s.runs, run)
+	s.evicted.Inc()
+	s.evictedUnreported++
+	if now := time.Now(); now.Sub(s.evictReported) >= evictLogEvery {
+		log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
+			s.co.Services().Party, run, maxOpenRuns, s.evictedUnreported, ErrNoSuchRun)
+		s.evictReported, s.evictedUnreported = now, 0
+	}
 }
 
 // answer returns a run's response once the evidence it carries is durable

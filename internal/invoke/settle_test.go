@@ -5,13 +5,18 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log"
+	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
@@ -186,7 +191,9 @@ func nodesOver(t *testing.T, logFor func(*testpki.Realm, id.Party) store.Log, pa
 // thousand withheld receipts leave exactly maxOpenRuns runs (the oldest
 // evicted first, their cached replies released with them), a receipt
 // arriving for an evicted run is refused with ErrNoSuchRun, and one for a
-// run still held is accepted.
+// run still held is accepted. The evictions are not silent: every one is
+// counted, and the log names an evicted run — the first, then at most one
+// per evictLogEvery — so the later refusal has an explanation.
 func TestServerOpenRunsBounded(t *testing.T) {
 	const (
 		clientParty = id.Party("urn:org:dealer")
@@ -199,6 +206,11 @@ func TestServerOpenRunsBounded(t *testing.T) {
 	srv := NewServer(node(serverParty).Coordinator(), ExecutorFunc(
 		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
 	defer srv.Close()
+	srv.evicted = obs.NewRegistry().Counter(obs.MInvokeOpenRunsEvictedTotal, string(serverParty))
+	// The test is serial, so no other test logs while the output is held.
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	honest := NewClient(node(clientParty).Coordinator())
 	withholding := NewClient(honest.co, WithholdReceipt())
 	ctx := context.Background()
@@ -212,6 +224,7 @@ func TestServerOpenRunsBounded(t *testing.T) {
 	}
 	var first, last *Result
 	var atCap uint64
+	started := time.Now()
 	for i := 0; i < calls; i++ {
 		res, err := withholding.Invoke(ctx, serverParty, req)
 		if err != nil || res.Status != evidence.StatusOK {
@@ -245,6 +258,18 @@ func TestServerOpenRunsBounded(t *testing.T) {
 
 	if _, _, err := srv.ReceiptState(first.Run); !errors.Is(err, ErrNoSuchRun) {
 		t.Fatalf("oldest unreceipted run: %v, want ErrNoSuchRun", err)
+	}
+	if got := srv.evicted.Value(); got != calls-maxOpenRuns {
+		t.Fatalf("%s = %d, want %d", obs.MInvokeOpenRunsEvictedTotal, got, calls-maxOpenRuns)
+	}
+	// The first eviction is reported at once, with the run; the thousands
+	// behind it inside the same evictLogEvery are not a line each.
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if !strings.Contains(lines[0], string(first.Run)) || !strings.Contains(lines[0], string(serverParty)) {
+		t.Fatalf("first log line does not name the first evicted run %s: %q", first.Run, lines[0])
+	}
+	if max := 1 + int(time.Since(started)/evictLogEvery) + 1; len(lines) > max {
+		t.Fatalf("%d evictions logged %d lines, want at most %d", calls-maxOpenRuns, len(lines), max)
 	}
 	receiptFor := func(res *Result) *protocol.Message {
 		msg, err := honest.newReceipt(res.Run, "", serverParty, res.Evidence[2].Digest)

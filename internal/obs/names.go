@@ -53,6 +53,10 @@ const (
 	// being silently abandoned.
 	MAbortJournaledTotal = "nonrep_invoke_abort_journaled_total"
 	MAbortFailedTotal    = "nonrep_invoke_abort_failed_total"
+	// MInvokeOpenRunsEvictedTotal counts runs an invocation server forgot
+	// with their receipt still outstanding (its bound on such runs was
+	// reached); a receipt arriving later for one is refused.
+	MInvokeOpenRunsEvictedTotal = "nonrep_invoke_open_runs_evicted_total"
 
 	// Outbound worker links and the host-side worker gateway.
 	MWorkerReconnectsTotal   = "nonrep_worker_reconnects_total"

@@ -32,6 +32,11 @@ func TestDecodeRecordPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A push is one write, and the fixture's records one run: all but the
+	// first travel as followers.
+	if n, _ := store.CountFollowers(current); n != len(recs)-1 {
+		t.Fatalf("push of %d records of one run carries %d followers", len(recs), n)
+	}
 	for name, frames := range map[string][]byte{"bare version-1 frames": legacy, "current frame run": current} {
 		got, err := decodeRecordPush("test push", recs[0].Seq, len(recs), frames)
 		if err != nil || len(got) != len(recs) {

@@ -9,7 +9,7 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 3 (the only version written) spends bytes only on what a
+// Version 4 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev is elided when the frame directly follows its predecessor, Hash
 // is never stored — it is a function of the rest of the record, and the
@@ -21,16 +21,46 @@
 // writes where no seal pins the derived hash yet (the unsealed tail, a
 // push in flight). Every compaction of a field is exact or not applied —
 // where decoding would not reproduce the field byte for byte, the field
-// is written literally — and a frame decodes given nothing but its
-// predecessor's hash: there is no cross-record state.
+// is written literally.
 //
-// Version 2 is version 3 with the hash stored and the notes spelled out
-// (two flag bits clear), so one body decoder reads both. Version-2 and
-// version-1 segments (every field in full, text timestamps) and legacy
-// JSON-lines segments (first byte '{') remain readable forever; a stored
-// hash is held to the derived one at decode, so whatever the format,
-// a decoded record's Hash is the digest of its content and a reader has
-// only linkage left to check (ChainVerifier.Advance).
+// The evidence of one protocol step reaches a file in one write (a vault
+// commit, a push, a replica tail append), and its records say the same
+// run, parties, service and often digest over again. Within one write a
+// frame is therefore either plain — self-contained, the version-3 shape
+// — or a follower of the nearest plain frame before it, its leader,
+// which it names by the distance in bytes from its own start back to the
+// leader's. A frame follows only a leader of its own run; a follower
+// never points at a follower; the first frame of every write, file and
+// push is plain. The invariant of the format:
+//
+//	A frame decodes given its predecessor's hash and, when it says so,
+//	the one leader frame `back` bytes before it in the same file.
+//
+// There is no table per segment and no state per vault: a sequential
+// scan keeps the last plain frame it decoded, a keyed read parses one
+// more frame out of the same mapping. A follower's body is
+//
+//	flags (bit 7 set) · seq · [Prev] · back · borrow mask · At ·
+//	direction · note · token · CRC-32C
+//
+// and the one-byte borrow mask says, field by field, what is taken from
+// the leader instead of written: bits 0-4 are the token's
+// (evidence.BorrowTxn, BorrowIssuer, BorrowRecipients, BorrowService,
+// BorrowDigest — the transaction, the issuer and each recipient as a
+// one-byte reference into the leader's party list, the service, the
+// digest), bit 5 is the frame's (borrowAt: At is a nanosecond delta from
+// the leader's At, possible when both travel in the same zone mode). The
+// token's run is always the leader's. A field whose bit is clear is
+// written as a plain frame writes it.
+//
+// Version 3 is version 4 without followers, version 2 is version 3 with
+// the hash stored and the notes spelled out (two more flag bits clear),
+// so one body decoder reads all three. They, version-1 segments (every
+// field in full, text timestamps) and legacy JSON-lines segments (first
+// byte '{') remain readable forever; a stored hash is held to the
+// derived one at decode, so whatever the format, a decoded record's Hash
+// is the digest of its content and a reader has only linkage left to
+// check (ChainVerifier.Advance).
 package store
 
 import (
@@ -66,6 +96,9 @@ const (
 	// EncBinaryV2 is the version-2 binary frame format (stored hashes,
 	// literal notes): read, never written.
 	EncBinaryV2
+	// EncBinaryV3 is the version-3 binary frame format (every frame
+	// self-contained): read, never written.
+	EncBinaryV3
 )
 
 // String names the encoding.
@@ -79,6 +112,8 @@ func (e Encoding) String() string {
 		return "binary-v1"
 	case EncBinaryV2:
 		return "binary-v2"
+	case EncBinaryV3:
+		return "binary-v3"
 	default:
 		return "unknown"
 	}
@@ -95,18 +130,32 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3
+}
+
+// frameFlags is the set of frame flag bits the encoding knows; a frame
+// under its header that sets any other is refused.
+func (e Encoding) frameFlags() byte {
+	switch e {
+	case EncBinaryV2:
+		return frameV2Bits
+	case EncBinaryV3:
+		return frameV2Bits | frameV3Bits
+	default:
+		return frameV2Bits | frameV3Bits | frameFollower
+	}
 }
 
 // Binary segment format constants.
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 3
-	// segmentVersion1 and segmentVersion2 are the superseded formats,
+	SegmentVersion = 4
+	// segmentVersion1 to segmentVersion3 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
+	segmentVersion3 = 3
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -126,7 +175,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// and 2 from the current one), JSON segments with '{'. Empty data is
+// to 3 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -139,13 +188,15 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV1
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion2:
 		return EncBinaryV2
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion3:
+		return EncBinaryV3
 	default:
 		return EncBinary
 	}
 }
 
-// Record frame flag bits (the first body byte of a version-2 or
-// version-3 frame).
+// Record frame flag bits (the first body byte of a frame of version 2
+// or later).
 const (
 	// framePrev: the frame carries Prev explicitly. Cleared when Prev is
 	// the Hash of the frame just before it, which the decoder already
@@ -156,16 +207,24 @@ const (
 	// Bits 3-4: the canon.TimeMode of At.
 	frameAtShift = 3
 	// frameNoteCode (with frameNote): the note is one byte, an index
-	// into noteWords, not a string. Version 3 only.
+	// into noteWords, not a string. Since version 3.
 	frameNoteCode = 1 << 5
 	// frameDerived: the frame stores no Hash — the decoder derives it —
-	// and ends in the CRC-32C of the body before it. Version 3 only;
+	// and ends in the CRC-32C of the body before it. Since version 3;
 	// every frame this build writes has it set.
 	frameDerived = 1 << 6
+	// frameFollower: the frame borrows from its leader — a back-distance
+	// and a borrow mask follow seq and Prev. Version 4 only.
+	frameFollower = 1 << 7
 
-	frameBits   = 7
+	frameV2Bits = framePrev | frameToken | frameNote | 3<<frameAtShift
 	frameV3Bits = frameNoteCode | frameDerived
 	frameCRCLen = 4
+
+	// borrowAt is the frame's own bit of a follower's borrow mask, above
+	// the token's: At is written relative to the leader's At. (A bit
+	// above it is nobody's: the token decoder refuses it.)
+	borrowAt = 1 << evidence.BorrowBits
 )
 
 // castagnoli is the CRC-32C table (hardware-assisted where the CPU has
@@ -227,10 +286,12 @@ const (
 
 // RecordEncoder appends binary record frames, reusing one scratch
 // buffer across calls so the group-commit hot path allocates nothing
-// per record, and eliding each frame's Prev when it is the Hash of the
-// frame this encoder appended immediately before. One encoder therefore
-// serves one contiguous run of frames — a segment file's appends, one
-// push — and the first frame of every run is explicit.
+// per record. It elides each frame's Prev when that is the Hash of the
+// frame it appended immediately before, and writes a frame as a follower
+// when it directly follows, in the same write, a plain frame of the same
+// run. One encoder therefore serves one contiguous run of frames — a
+// segment file's appends, one push — the first frame of every run is
+// explicit, and the first frame of every write is plain (Cut).
 //
 // A frame stores the record's content, not its Hash: rec.Hash must be
 // the record's chained hash (what Chainer.Next, NextRecord and every
@@ -240,36 +301,60 @@ type RecordEncoder struct {
 	scratch []byte
 	last    sig.Digest
 	chained bool
+	// lead is the leader of the current write — the last plain frame
+	// appended since the last Cut, untouched since — and back the bytes
+	// appended from its first on.
+	lead *Record
+	back uint64
 }
 
-// Reset starts a new run: the next frame carries its Prev explicitly.
-// Call it whenever the next frame will not directly follow the previous
-// one in the same file or message.
-func (e *RecordEncoder) Reset() { e.chained = false }
+// Reset starts a new run: the next frame carries its Prev explicitly and
+// is plain. Call it whenever the next frame will not directly follow the
+// previous one in the same file or message.
+func (e *RecordEncoder) Reset() { e.chained, e.lead = false, nil }
+
+// Cut ends a write: the next frame is plain, whatever its run, and leads
+// the frames after it. Call it between two writes to the same file, and
+// when frames appended since the last call were dropped rather than
+// written.
+func (e *RecordEncoder) Cut() { e.lead = nil }
 
 // AppendRecord appends rec as a length-prefixed binary frame.
 func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
-	body, err := appendRecordBody(e.scratch[:0], rec, e.chained && rec.Prev == e.last)
+	elide := e.chained && rec.Prev == e.last
+	lead := e.lead
+	if !elide || rec.Token == nil || lead == nil || lead.Token.Run != rec.Token.Run {
+		lead = nil
+	}
+	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, e.back)
 	if err != nil {
 		return nil, err
 	}
 	e.scratch = body
 	e.last, e.chained = rec.Hash, true
-	dst = canon.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...), nil
+	if lead == nil {
+		e.lead, e.back = nil, 0
+		if rec.Token != nil {
+			e.lead = rec
+		}
+	}
+	start := len(dst)
+	dst = append(canon.AppendUvarint(dst, uint64(len(body))), body...)
+	e.back += uint64(len(dst) - start)
+	return dst, nil
 }
 
 // AppendRecordBinary appends rec as a stand-alone length-prefixed
-// binary frame (Prev explicit).
+// binary frame (Prev explicit, plain).
 func AppendRecordBinary(dst []byte, rec *Record) ([]byte, error) {
 	var e RecordEncoder
 	return e.AppendRecord(dst, rec)
 }
 
 // AppendFrameRun appends a self-describing run of record frames — the
-// segment header, then one frame per record — the form record batches
-// take on the wire and in replica tail files. DecodeSegmentData (or
-// DecodeFrameRun) reads it back.
+// segment header, then one frame per record, as one write — the form
+// record batches take on the wire and in replica tail files.
+// DecodeSegmentData (or DecodeFrameRun) reads it back.
 func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 	hdr := SegmentHeader()
 	dst = append(dst, hdr[:]...)
@@ -283,7 +368,10 @@ func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
+// appendRecordBody appends rec's frame body: a plain frame, or with a
+// lead — the leader record, back bytes before this frame — a follower
+// of it.
+func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, back uint64) ([]byte, error) {
 	start := len(dst)
 	atMode := canon.ModeOfTime(rec.At)
 	flags := byte(atMode)<<frameAtShift | frameDerived
@@ -300,12 +388,28 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
 			flags |= frameNoteCode
 		}
 	}
+	var leadTok *evidence.Token
+	var borrow uint8
+	var atBase int64
+	if lead != nil {
+		flags |= frameFollower
+		leadTok = lead.Token
+		borrow = rec.Token.BorrowFrom(leadTok)
+		if atMode != canon.TimeText && atMode == canon.ModeOfTime(lead.At) {
+			borrow |= borrowAt
+			atBase = lead.At.UnixNano()
+		}
+	}
 	dst = append(dst, flags)
 	dst = canon.AppendUvarint(dst, rec.Seq)
 	if !elidePrev {
 		dst = append(dst, rec.Prev[:]...)
 	}
-	dst, err := canon.AppendTime(dst, rec.At, atMode, 0)
+	if lead != nil {
+		dst = canon.AppendUvarint(dst, back)
+		dst = append(dst, borrow)
+	}
+	dst, err := canon.AppendTime(dst, rec.At, atMode, atBase)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +429,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool) ([]byte, error) {
 		dst = canon.AppendString(dst, rec.Note)
 	}
 	if rec.Token != nil {
-		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode)); err != nil {
+		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), leadTok, borrow&^borrowAt); err != nil {
 			return nil, err
 		}
 	}
@@ -341,28 +445,40 @@ func tokenTimeBase(at time.Time, mode canon.TimeMode) int64 {
 	return at.UnixNano()
 }
 
-// decodeRecordBody decodes one version-2 or version-3 record body; prev
-// is the Hash of the frame before it, needed only when the frame elides
-// its Prev. A version-2 frame (enc EncBinaryV2, or a frame under the
-// current header with the version-3 flag bits clear) ends in its stored
-// Hash, which is returned in the record for the caller to hold to the
-// derived one (stored true); a frame with frameDerived set ends in a
-// checksum instead, verified here. All variable-length data is copied,
-// so decoded records never alias the input buffer (which may be an
-// mmapped segment that is later unmapped).
-func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest) (rec *Record, stored bool, err error) {
+// leads reports whether a frame with these flags can lead followers: a
+// plain frame with a token, under a checksum.
+func leads(flags byte) bool {
+	return flags&(frameFollower|frameToken|frameDerived) == frameToken|frameDerived
+}
+
+// leaderFunc finds the leader a follower frame names: the plain record
+// whose frame starts back bytes before the follower's. Nil where a frame
+// stands alone.
+type leaderFunc func(back uint64) (*Record, error)
+
+// decodeRecordBody decodes one record body of version 2, 3 or 4; prev is
+// the Hash of the frame before it, needed only when the frame elides its
+// Prev, and leader resolves the frame's leader, needed only when it is a
+// follower. A version-2 frame (enc EncBinaryV2, or a frame under a later
+// header with the version-3 flag bits clear) ends in its stored Hash,
+// which is returned in the record for the caller to hold to the derived
+// one; a frame with frameDerived set ends in a checksum instead,
+// verified here. The frame's flags are returned. All variable-length
+// data is copied, so decoded records never alias the input buffer (which
+// may be an mmapped segment that is later unmapped).
+func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc) (rec *Record, flags byte, err error) {
 	if len(body) == 0 {
-		return nil, false, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
+		return nil, 0, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
-	flags := body[0]
-	if flags>>frameBits != 0 || (enc == EncBinaryV2 && flags&frameV3Bits != 0) ||
-		flags&(frameNote|frameNoteCode) == frameNoteCode {
-		return nil, false, fmt.Errorf("store: %w: record frame flags %#x", canon.ErrBinary, flags)
+	flags = body[0]
+	if flags&^enc.frameFlags() != 0 || flags&(frameNote|frameNoteCode) == frameNoteCode ||
+		(flags&frameFollower != 0 && flags&(frameToken|frameDerived) != frameToken|frameDerived) {
+		return nil, 0, fmt.Errorf("store: %w: record frame flags %#x", canon.ErrBinary, flags)
 	}
 	if flags&frameDerived != 0 {
 		n := len(body) - frameCRCLen
 		if n < 1 || crc32.Checksum(body[:n], castagnoli) != binary.LittleEndian.Uint32(body[n:]) {
-			return nil, false, fmt.Errorf("store: %w: record frame checksum", canon.ErrBinary)
+			return nil, 0, fmt.Errorf("store: %w: record frame checksum", canon.ErrBinary)
 		}
 		body = body[:n]
 	}
@@ -375,10 +491,30 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest) (rec *Record,
 	case prev != nil:
 		rec.Prev = *prev
 	default:
-		return nil, false, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
+		return nil, 0, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
 	}
 	atMode := canon.TimeMode(flags >> frameAtShift & 3)
-	rec.At = r.Time(atMode, 0)
+	var leadTok *evidence.Token
+	var borrow uint8
+	var atBase int64
+	if flags&frameFollower != 0 {
+		back, mask := r.Uvarint(), r.Byte()
+		if r.Err() != nil || leader == nil {
+			return nil, 0, fmt.Errorf("store: %w: follower frame without its leader", canon.ErrBinary)
+		}
+		lead, err := leader(back)
+		if err != nil {
+			return nil, 0, err
+		}
+		leadTok, borrow = lead.Token, mask
+		if borrow&borrowAt != 0 {
+			if atMode == canon.TimeText || atMode != canon.ModeOfTime(lead.At) {
+				return nil, 0, fmt.Errorf("store: %w: follower frame borrows a time of another mode", canon.ErrBinary)
+			}
+			atBase = lead.At.UnixNano()
+		}
+	}
+	rec.At = r.Time(atMode, atBase)
 	switch r.Byte() {
 	case dirGenerated:
 		rec.Direction = Generated
@@ -401,16 +537,15 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest) (rec *Record,
 	}
 	if flags&frameToken != 0 && r.Err() == nil {
 		rec.Token = new(evidence.Token)
-		rec.Token.DecodeBinary(&r, tokenTimeBase(rec.At, atMode))
+		rec.Token.DecodeBinary(&r, tokenTimeBase(rec.At, atMode), leadTok, borrow&^borrowAt)
 	}
-	stored = flags&frameDerived == 0
-	if stored {
+	if flags&frameDerived == 0 {
 		copy(rec.Hash[:], r.Raw(sig.DigestSize))
 	}
 	if err := r.Done(); err != nil {
-		return nil, false, fmt.Errorf("store: decode binary record: %w", err)
+		return nil, 0, fmt.Errorf("store: decode binary record: %w", err)
 	}
-	return rec, stored, nil
+	return rec, flags, nil
 }
 
 // decodeRecordBodyV1 decodes one version-1 record body.
@@ -477,16 +612,18 @@ func sealHash(rec *Record, stored bool, dig *canon.Digester) error {
 // frame at the start of data, returning the record and the frame's
 // total length. A frame that runs past the end of data returns
 // (nil, 0, nil): the caller decides whether a short tail is a torn
-// write or truncation. A frame that elides its Prev is not stand-alone
-// and is refused; runs of frames go through DecodeSegmentData.
+// write or truncation. A frame that elides its Prev or follows a leader
+// is not stand-alone and is refused; runs of frames go through
+// DecodeSegmentData.
 func DecodeRecordFrame(data []byte) (*Record, int64, error) {
-	return decodeFrame(data, EncBinary, nil, nil)
+	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil)
+	return rec, n, err
 }
 
-// decodeFrame decodes one frame of a binary encoding and seals the
-// record's Hash (sealHash); prev is the preceding frame's Hash when
-// known, dig the caller's digest engine or nil.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, dig *canon.Digester) (*Record, int64, error) {
+// frameBody returns the body of the length-prefixed frame at the start
+// of data and the frame's total length; (nil, 0, nil) when the frame
+// runs past the end of data.
+func frameBody(data []byte) ([]byte, int64, error) {
 	n, w := uvarint(data)
 	if w == 0 {
 		return nil, 0, nil // truncated length prefix: possibly torn
@@ -497,22 +634,32 @@ func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, dig *canon.Digeste
 	if uint64(len(data)-w) < n {
 		return nil, 0, nil // frame extends past the tail: possibly torn
 	}
-	body := data[w : uint64(w)+n]
+	return data[w : uint64(w)+n], int64(w) + int64(n), nil
+}
+
+// decodeFrame decodes one frame of a binary encoding and seals the
+// record's Hash (sealHash); prev is the preceding frame's Hash when
+// known, leader finds the frame's leader where it may have one, dig is
+// the caller's digest engine or nil. The frame's flags are returned.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, dig *canon.Digester) (*Record, int64, byte, error) {
+	body, frameLen, err := frameBody(data)
+	if body == nil {
+		return nil, 0, 0, err
+	}
 	var rec *Record
-	var err error
-	stored := true
+	var flags byte // a version-1 frame has none: plain, its hash stored
 	if enc == EncBinaryV1 {
 		rec, err = decodeRecordBodyV1(body)
 	} else {
-		rec, stored, err = decodeRecordBody(body, enc, prev)
+		rec, flags, err = decodeRecordBody(body, enc, prev, leader)
 	}
 	if err == nil {
-		err = sealHash(rec, stored, dig)
+		err = sealHash(rec, flags&frameDerived == 0, dig)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return rec, int64(w) + int64(n), nil
+	return rec, frameLen, flags, nil
 }
 
 // uvarint is binary.Uvarint with the (value, width) convention local to
@@ -536,19 +683,27 @@ func uvarint(data []byte) (uint64, int) {
 	return 0, 0
 }
 
-// DecodeRecordData decodes exactly one record occupying all of data, in
-// the given encoding — the keyed-read path, handed a [offset, next
-// offset) sub-slice of a (possibly mmapped) segment. prev is the Hash
-// of the record before it in the segment (from the sealed index's hash
-// array), which a frame that elides its Prev is completed with — and
-// which the record's own Hash is then derived from, for the caller to
-// compare with the hash the seal pins at its position; nil for a
-// segment's first record.
-func DecodeRecordData(data []byte, enc Encoding, prev *sig.Digest) (*Record, error) {
+// DecodeRecordData decodes the one record that occupies data[start:end]
+// in the given encoding — the keyed-read path, handed a (possibly
+// mmapped) segment and the record's slot from the segment's index. prev
+// is the Hash of the record before it in the segment (from the sealed
+// index's hash array), which a frame that elides its Prev is completed
+// with — and which the record's own Hash is then derived from, for the
+// caller to compare with the hash the seal pins at its position; nil for
+// a segment's first record. A follower frame costs one more frame parse
+// and checksum — its leader's, found in data at the distance the
+// follower names, which must be a whole plain frame ending at or before
+// start — and no second digest: what the follower took from the leader
+// is authenticated with the follower, by the hash the caller compares.
+func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Digest) (*Record, error) {
+	if start < 0 || end < start || end > int64(len(data)) {
+		return nil, fmt.Errorf("store: %w: record slot outside the segment", canon.ErrBinary)
+	}
+	slot := data[start:end]
 	switch {
 	case enc == EncJSON:
 		rec := new(Record)
-		if err := canon.Unmarshal(bytes.TrimRight(data, "\r\n"), rec); err != nil {
+		if err := canon.Unmarshal(bytes.TrimRight(slot, "\r\n"), rec); err != nil {
 			return nil, err
 		}
 		if err := sealHash(rec, true, nil); err != nil {
@@ -556,11 +711,33 @@ func DecodeRecordData(data []byte, enc Encoding, prev *sig.Digest) (*Record, err
 		}
 		return rec, nil
 	case enc.framed():
-		rec, frameLen, err := decodeFrame(data, enc, prev, nil)
+		leader := func(back uint64) (*Record, error) {
+			if first := enc.HeaderLen(); back == 0 || start < first || back > uint64(start-first) {
+				return nil, fmt.Errorf("store: %w: follower frame points outside the segment", canon.ErrBinary)
+			}
+			body, _, err := frameBody(data[start-int64(back) : start])
+			if err != nil {
+				return nil, err
+			}
+			if body == nil {
+				return nil, fmt.Errorf("store: %w: follower frame points at no frame", canon.ErrBinary)
+			}
+			// Only the leader's own bytes are needed: its Prev is not
+			// looked at, and a frame that wants a leader is not one.
+			lead, flags, err := decodeRecordBody(body, enc, new(sig.Digest), nil)
+			if err != nil {
+				return nil, err
+			}
+			if !leads(flags) {
+				return nil, fmt.Errorf("store: %w: follower frame points at a frame that cannot lead", canon.ErrBinary)
+			}
+			return lead, nil
+		}
+		rec, frameLen, _, err := decodeFrame(slot, enc, prev, leader, nil)
 		if err != nil {
 			return nil, err
 		}
-		if rec == nil || frameLen != int64(len(data)) {
+		if rec == nil || frameLen != int64(len(slot)) {
 			return nil, fmt.Errorf("store: %w: record frame does not fill its slot", canon.ErrBinary)
 		}
 		return rec, nil
@@ -629,21 +806,30 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64) error)
 	if !bytes.Equal(data[:3], header[:3]) {
 		return 0, false, fmt.Errorf("store: %w: bad segment header", canon.ErrBinary)
 	}
-	if v := data[3]; v != SegmentVersion && v != segmentVersion2 && v != segmentVersion1 {
+	if v := data[3]; v < segmentVersion1 || v > SegmentVersion {
 		return 0, false, fmt.Errorf("%w %d", ErrSegmentVersion, v)
 	}
 	return scanFrames(data, SegmentHeaderLen, enc, fn)
 }
 
 // scanFrames walks the frames of data from offset start, handing each
-// frame the hash of the one before it; one digest engine serves the
-// whole scan.
+// frame the hash of the one before it and, to a follower, the last plain
+// frame decoded — which is its leader or the follower is corrupt; one
+// digest engine serves the whole scan.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
 	prefix := start
 	var prev *sig.Digest
+	var lead *Record
+	var leadAt int64
+	leader := func(back uint64) (*Record, error) {
+		if lead == nil || back != uint64(prefix-leadAt) {
+			return nil, fmt.Errorf("store: %w: follower frame does not point at the plain frame before it", canon.ErrBinary)
+		}
+		return lead, nil
+	}
 	dig := canon.NewDigester()
 	for prefix < int64(len(data)) {
-		rec, frameLen, err := decodeFrame(data[prefix:], enc, prev, dig)
+		rec, frameLen, flags, err := decodeFrame(data[prefix:], enc, prev, leader, dig)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -653,10 +839,39 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) 
 		if err := fn(rec, frameLen); err != nil {
 			return prefix, false, err
 		}
+		switch {
+		case leads(flags):
+			lead, leadAt = rec, prefix
+		case flags&frameFollower == 0:
+			lead = nil
+		}
 		prev = &rec.Hash
 		prefix += frameLen
 	}
 	return prefix, false, nil
+}
+
+// CountFollowers walks the frames of a binary segment by their length
+// prefixes, decoding none, and reports how many of them are followers
+// and the bytes those take, length prefixes included — what sharing
+// looks like from outside. Frames of the formats before version 4 are
+// all plain; the walk stops at the first torn or overlong frame.
+func CountFollowers(data []byte) (frames int, size int64) {
+	if DetectEncoding(data) != EncBinary {
+		return 0, 0
+	}
+	for off := int64(SegmentHeaderLen); off < int64(len(data)); {
+		body, n, _ := frameBody(data[off:])
+		if len(body) == 0 {
+			break
+		}
+		if body[0]&frameFollower != 0 {
+			frames++
+			size += n
+		}
+		off += n
+	}
+	return frames, size
 }
 
 // scanJSONSegment is ReadJSONLines over in-memory data, byte-for-byte

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -93,7 +94,7 @@ func goldenRecords(t *testing.T) []*store.Record {
 }
 
 // codedNotes are notes from the protocols' fixed vocabulary, which a
-// version-3 frame carries as one byte.
+// frame carries as one byte since version 3.
 var codedNotes = []string{"request origin", "response origin (ok)", "response receipt (consumed)", "ttp decision", "ack (applied=false)"}
 
 // checkSameRecord holds a decoded record to the one it was encoded
@@ -154,16 +155,18 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 		}
 		checkSameRecord(t, fmt.Sprintf("record %d (explicit prev)", i), rec, dec)
 		// DecodeRecordData must accept the exact slot and reject a padded one.
-		if _, err := store.DecodeRecordData(frame, store.EncBinary, nil); err != nil {
+		if _, err := store.DecodeRecordData(frame, 0, int64(len(frame)), store.EncBinary, nil); err != nil {
 			t.Fatalf("record %d: DecodeRecordData: %v", i, err)
 		}
-		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), store.EncBinary, nil); err == nil {
+		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), 0, int64(len(frame))+1, store.EncBinary, nil); err == nil {
 			t.Fatalf("record %d: padded slot decoded", i)
 		}
 	}
 
 	// The same records as one run: every frame after the first drops its
-	// 32-byte Prev, and decoding restores it from the frame before.
+	// 32-byte Prev, and decoding restores it from the frame before. (They
+	// are also one run of the protocol, so every frame after the first
+	// follows it: TestBinaryV4GoldenSegment is about that.)
 	run, err := store.AppendFrameRun(nil, recs)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +183,7 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 		i++
 		return nil
 	})
+	offs = append(offs, off)
 	if err != nil || torn || enc != store.EncBinary || prefix != int64(len(run)) || i != len(recs) {
 		t.Fatalf("run scan: %d records enc=%v prefix=%d torn=%v err=%v", i, enc, prefix, torn, err)
 	}
@@ -187,12 +191,12 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 	// predecessor's hash, and only given it.
 	mid := len(recs) / 2
 	slot := run[offs[mid]:offs[mid+1]]
-	dec, err := store.DecodeRecordData(slot, store.EncBinary, &recs[mid-1].Hash)
+	dec, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, &recs[mid-1].Hash)
 	if err != nil {
 		t.Fatalf("keyed decode of an elided frame: %v", err)
 	}
 	checkSameRecord(t, "keyed decode", recs[mid], dec)
-	if _, err := store.DecodeRecordData(slot, store.EncBinary, nil); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, nil); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("elided frame without its predecessor = %v, want ErrBinary", err)
 	}
 	if _, _, err := store.DecodeRecordFrame(slot); !errors.Is(err, canon.ErrBinary) {
@@ -529,6 +533,17 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	for _, bad := range fs.hostile {
 		f.Add(append(hdr[:], bad...))
 	}
+	// Version-4 shapes: a leader with two followers, the golden segment
+	// (every borrow bit both ways), and followers that point where no
+	// leader is or borrow what theirs cannot lend.
+	followers, _, _ := followerRun(f)
+	f.Add(followers)
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v4", "golden-v4.seg")); err == nil {
+		f.Add(golden)
+	}
+	for _, bad := range hostileFollowers(f) {
+		f.Add(bad.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
@@ -549,6 +564,21 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 		})
 		if err == nil && prefix > int64(len(data)) {
 			t.Fatalf("prefix %d beyond input %d", prefix, len(data))
+		}
+		// The keyed read of every slot the length prefixes mark out — which
+		// sends a follower looking for its leader anywhere before it — must
+		// fail or decode, never read outside data.
+		if enc := store.DetectEncoding(data); enc != store.EncJSON && enc != store.EncUnknown {
+			var prev sig.Digest
+			for off := int64(store.SegmentHeaderLen); off < int64(len(data)); {
+				n, w := binary.Uvarint(data[off:])
+				end := off + int64(w) + int64(n)
+				if w <= 0 || n > uint64(len(data)) || end > int64(len(data)) {
+					break
+				}
+				_, _ = store.DecodeRecordData(data, off, end, enc, &prev)
+				off = end
+			}
 		}
 	})
 }

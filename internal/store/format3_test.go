@@ -20,7 +20,7 @@ import (
 	"nonrep/internal/testpki"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v3/golden-v3.seg from the records of testdata/v2")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v4 (golden.jsonl and golden-v4.seg) from freshly issued records")
 
 // goldenV2 reads the frozen version-2 segment — written by the build
 // before format 3, every record kind, two encoder runs (so explicit and
@@ -66,9 +66,10 @@ func scanGolden(t *testing.T, what string, data []byte, want [][]byte, wantEnc s
 	return recs, offs
 }
 
-// encodeGoldenV3 lays records out as the golden segments are: two
-// encoder runs, as a segment reopened half way.
-func encodeGoldenV3(t *testing.T, recs []*store.Record) []byte {
+// encodeTwoRuns lays records out as the version-2 and version-3 golden
+// segments are — two encoder runs, as a segment reopened half way — in
+// the current format.
+func encodeTwoRuns(t *testing.T, recs []*store.Record) []byte {
 	t.Helper()
 	hdr := store.SegmentHeader()
 	seg := append([]byte(nil), hdr[:]...)
@@ -104,7 +105,7 @@ func TestBinaryV2SegmentStillDecodes(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(data[offs[i]:offs[i+1]], store.EncBinaryV2, prev)
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinaryV2, prev)
 		if err != nil {
 			t.Fatalf("keyed decode of v2 record %d: %v", i, err)
 		}
@@ -125,54 +126,81 @@ func TestBinaryV2SegmentStillDecodes(t *testing.T) {
 	// Re-encoded in the current format the same records come back with
 	// the same hashes, each frame at least 28 bytes smaller (32 of hash
 	// for 4 of checksum) and vocabulary notes one byte.
-	v3 := encodeGoldenV3(t, recs)
-	if saved, floor := len(data)-len(v3), (sig.DigestSize-4)*len(recs); saved <= floor {
-		t.Fatalf("format 3 saves %d bytes over format 2 on %d records, want more than %d", saved, len(recs), floor)
+	cur := encodeTwoRuns(t, recs)
+	if saved, floor := len(data)-len(cur), (sig.DigestSize-4)*len(recs); saved <= floor {
+		t.Fatalf("the current format saves %d bytes over format 2 on %d records, want more than %d", saved, len(recs), floor)
 	}
-	again, _ := scanGolden(t, "re-encoded", v3, want, store.EncBinary)
+	again, _ := scanGolden(t, "re-encoded", cur, want, store.EncBinary)
 	for i := range recs {
 		checkSameRecord(t, fmt.Sprintf("re-encoded record %d", i), recs[i], again[i])
 	}
 
-	// Version 2 is the subset of version 3 with two flag bits clear: the
-	// old frames read under the new header, the new ones are refused
-	// under the old.
-	asV3 := append([]byte(nil), data...)
-	asV3[3] = store.SegmentVersion
-	scanGolden(t, "v2 frames under a v3 header", asV3, want, store.EncBinary)
-	asV2 := append([]byte(nil), v3...)
+	// Version 2 is the subset of the later versions with their flag bits
+	// clear: the old frames read under the newer headers, the new ones are
+	// refused under the old.
+	for _, ver := range []struct {
+		version byte
+		enc     store.Encoding
+	}{{3, store.EncBinaryV3}, {store.SegmentVersion, store.EncBinary}} {
+		relabelled := append([]byte(nil), data...)
+		relabelled[3] = ver.version
+		scanGolden(t, fmt.Sprintf("v2 frames under a version-%d header", ver.version), relabelled, want, ver.enc)
+	}
+	asV2 := append([]byte(nil), cur...)
 	asV2[3] = 2
 	if _, _, _, err := store.DecodeSegmentData(asV2, func(*store.Record, int64) error { return nil }); !errors.Is(err, canon.ErrBinary) {
-		t.Fatalf("v3 frames under a v2 header = %v, want ErrBinary", err)
+		t.Fatalf("current frames under a v2 header = %v, want ErrBinary", err)
 	}
 }
 
-// TestBinaryV3GoldenSegment freezes format 3: the records of the
-// version-2 fixture, encoded by this build, are byte for byte
-// testdata/v3/golden-v3.seg, and that file decodes to their canonical
-// JSON. A change to either direction of the codec shows up here.
-func TestBinaryV3GoldenSegment(t *testing.T) {
+// TestBinaryV3SegmentStillDecodes reads the frozen version-3 segment —
+// the records of the version-2 fixture as the build before format 4
+// encoded them (testdata/v3, every frame self-contained): nothing
+// encodes that layout any more, and everything written in it must stay
+// readable — scanned, by keyed slot, and re-encoded forward.
+func TestBinaryV3SegmentStillDecodes(t *testing.T) {
 	t.Parallel()
-	v2, want := goldenV2(t)
-	recs, _ := scanGolden(t, "v2", v2, want, store.EncBinaryV2)
-	encoded := encodeGoldenV3(t, recs)
-	path := filepath.Join("testdata", "v3", "golden-v3.seg")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, encoded, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frozen, err := os.ReadFile(path)
+	_, want := goldenV2(t)
+	frozen, err := os.ReadFile(filepath.Join("testdata", "v3", "golden-v3.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encoded, frozen) {
-		t.Fatalf("the encoder no longer writes the frozen format-3 bytes (%d bytes, frozen %d)", len(encoded), len(frozen))
+	if enc := store.DetectEncoding(frozen); enc != store.EncBinaryV3 || enc.String() != "binary-v3" {
+		t.Fatalf("fixture detected as %v", enc)
 	}
-	scanGolden(t, "v3", frozen, want, store.EncBinary)
+	recs, offs := scanGolden(t, "v3", frozen, want, store.EncBinaryV3)
+	for i, rec := range recs {
+		var prev *sig.Digest
+		if i > 0 {
+			prev = &recs[i-1].Hash
+		}
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV3, prev)
+		if err != nil {
+			t.Fatalf("keyed decode of v3 record %d: %v", i, err)
+		}
+		checkSameRecord(t, fmt.Sprintf("keyed v3 record %d", i), rec, dec)
+	}
+
+	// Version 3 is version 4 without followers: its frames read under the
+	// current header. The fixture's records are of one run, so this build
+	// writes all but the first of each encoder run as followers — fewer
+	// bytes, the same records — and a version-3 header refuses those.
+	asV4 := append([]byte(nil), frozen...)
+	asV4[3] = store.SegmentVersion
+	scanGolden(t, "v3 frames under the current header", asV4, want, store.EncBinary)
+	cur := encodeTwoRuns(t, recs)
+	if len(cur) >= len(frozen) {
+		t.Fatalf("the current format takes %d bytes, version 3 took %d", len(cur), len(frozen))
+	}
+	again, _ := scanGolden(t, "re-encoded", cur, want, store.EncBinary)
+	for i := range recs {
+		checkSameRecord(t, fmt.Sprintf("re-encoded record %d", i), recs[i], again[i])
+	}
+	asV3 := append([]byte(nil), cur...)
+	asV3[3] = 3
+	if _, _, _, err := store.DecodeSegmentData(asV3, func(*store.Record, int64) error { return nil }); !errors.Is(err, canon.ErrBinary) {
+		t.Fatalf("follower frames under a v3 header = %v, want ErrBinary", err)
+	}
 }
 
 // v3Frame wraps a frame body (everything between the length prefix and
@@ -220,7 +248,12 @@ func hostileFrames(tb testing.TB) frameSet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	next, err := store.NextRecord(rec.Seq, rec.Hash, at, store.Received, tok, "request receipt")
+	// The next record is of another run, so its frame is plain.
+	other, err := realm.Party(org).Issuer.Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("format 3")))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	next, err := store.NextRecord(rec.Seq, rec.Hash, at, store.Received, other, "request receipt")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -237,12 +270,12 @@ func hostileFrames(tb testing.TB) frameSet {
 	// does.
 	renoted := *rec
 	renoted.Note = "request receipt"
-	other, err := store.AppendRecordBinary(nil, &renoted)
+	renotedFrame, err := store.AppendRecordBinary(nil, &renoted)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	body, code := frameBody(control), -1
-	for i, b := range frameBody(other) {
+	for i, b := range frameBody(renotedFrame) {
 		if b != body[i] {
 			code = i
 			break
@@ -263,15 +296,15 @@ func hostileFrames(tb testing.TB) frameSet {
 		"note code 0":                            mutate(func(b []byte) { b[code] = 0 }),
 		"note code past the vocabulary":          mutate(func(b []byte) { b[code] = 200 }),
 		"note-code bit without a note":           mutate(func(b []byte) { b[0] &^= fNote }),
-		"reserved flag bit":                      mutate(func(b []byte) { b[0] |= 0x80 }),
+		"follower bit, stand-alone":              mutate(func(b []byte) { b[0] |= 0x80 }),
 		"checksum only":                          {4, 0, 0, 0, 0},
 		"empty body":                             {0},
 		"hash-less, elided Prev, no predecessor": elided,
 	}}
 }
 
-// TestBinaryFrameRefusals pins what the version-3 decoder refuses and
-// what it reads: bad checksums, reserved and misplaced flag bits, note
+// TestBinaryFrameRefusals pins what the frame decoder refuses and what
+// it reads: bad checksums, reserved and misplaced flag bits, note
 // codes outside the vocabulary, orphaned hash-less frames, and stored
 // hashes that are not the derived one.
 func TestBinaryFrameRefusals(t *testing.T) {
@@ -290,12 +323,12 @@ func TestBinaryFrameRefusals(t *testing.T) {
 	}
 	// The orphan decodes once it has a predecessor, and its hash depends
 	// on which.
-	a, err := store.DecodeRecordData(elided, store.EncBinary, &rec.Hash)
+	a, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &rec.Hash)
 	if err != nil || a.Prev != rec.Hash {
 		t.Fatalf("elided frame after its predecessor: %v", err)
 	}
 	other := sig.Sum([]byte("another predecessor"))
-	b, err := store.DecodeRecordData(elided, store.EncBinary, &other)
+	b, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &other)
 	if err != nil || b.Hash == a.Hash {
 		t.Fatalf("derived hash does not depend on the predecessor (err %v)", err)
 	}

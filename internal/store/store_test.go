@@ -18,7 +18,7 @@ import (
 
 const org = id.Party("urn:org:a")
 
-func newToken(t *testing.T, realm *testpki.Realm, run id.Run, step int) *evidence.Token {
+func newToken(t testing.TB, realm *testpki.Realm, run id.Run, step int) *evidence.Token {
 	t.Helper()
 	tok, err := realm.Party(org).Issuer.Issue(evidence.KindNRO, run, step, sig.Sum([]byte(fmt.Sprintf("content-%d", step))))
 	if err != nil {

@@ -41,11 +41,15 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
-// hostileFrameRuns are version-3 segment images around a run of two
-// records: the run itself, and the shapes the frame decoder must refuse
-// or a reader must not trust — a bad checksum, a note code outside the
-// vocabulary, version-3 frames under a version-2 header, a hash-less
-// frame that elides its Prev with no predecessor, a token-less frame.
+// hostileFrameRuns are segment images around a run of two records (a
+// leader and its follower): the run itself, and the shapes the frame
+// decoder must refuse or a reader must not trust — a bad checksum, a
+// note code outside the vocabulary, current frames under a version-2
+// header, a hash-less follower that elides its Prev with neither
+// predecessor nor leader, a token-less frame — and, around a run of
+// three, followers that point before the header, into a frame, onto
+// another follower, onto a token-less frame and onto a leader with a bad
+// checksum.
 func hostileFrameRuns(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	tok := &evidence.Token{Kind: evidence.KindNRO, Run: "run-00ff", Step: 1, Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC()}
@@ -91,19 +95,50 @@ func hostileFrameRuns(tb testing.TB) map[string][]byte {
 	badCRC[len(badCRC)-1] ^= 0x01
 	asV2 := append([]byte(nil), run...)
 	asV2[3] = 2
-	tokenless := append([]byte{0x41, 1}, make([]byte, sig.DigestSize)...) // Prev | hash-less, seq 1, zero Prev
+	tokenless := refit(append(append([]byte{0x41, 1}, make([]byte, sig.DigestSize)...), 0, 1)) // Prev | hash-less, seq 1, zero Prev; At, direction
+
+	// A third record of the run: frames two and three follow the first.
+	third, err := store.NextRecord(second.Seq, second.Hash, tok.IssuedAt, store.Generated, tok, "response origin")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	three, err := store.AppendFrameRun(nil, []*store.Record{first, second, third})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// repoint rewrites the back-distance of the follower that ends image —
+	// it sits after the frame's flags and one-byte seq — and refits its
+	// checksum.
+	repoint := func(image []byte, start int, back uint64) []byte {
+		_, w := binary.Uvarint(image[start:])
+		body := image[start+w : len(image)-4]
+		_, old := binary.Uvarint(body[2:])
+		body = append(append(append([]byte(nil), body[:2]...), binary.AppendUvarint(nil, back)...), body[2+old:]...)
+		body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		return append(append(image[:start:start], binary.AppendUvarint(nil, uint64(len(body)))...), body...)
+	}
+	leaderLen, lastAt := len(lone)-store.SegmentHeaderLen, len(run)
+	badLeader := append([]byte(nil), run...)
+	badLeader[len(lone)-1] ^= 0x01
+	behindTokenless := append(append([]byte(nil), tokenless...), run[len(lone):]...)
 	return map[string][]byte{
 		"run-of-two":                   run,
 		"bad-checksum":                 badCRC,
 		"unknown-note-code":            mutate(code, 200),
-		"v3-frames-under-v2-header":    asV2,
+		"v4-frames-under-v2-header":    asV2,
 		"hash-less-orphan-elided-prev": append(run[:store.SegmentHeaderLen:store.SegmentHeaderLen], run[len(lone):]...),
-		"token-less":                   refit(append(tokenless, 0, 1)),
+		"token-less":                   tokenless,
+		"run-of-three":                 three,
+		"follower-before-header":       repoint(three, lastAt, uint64(lastAt)),
+		"follower-into-a-frame":        repoint(three, lastAt, uint64(lastAt-store.SegmentHeaderLen-leaderLen/2)),
+		"follower-onto-a-follower":     repoint(three, lastAt, uint64(lastAt-len(lone))),
+		"follower-onto-token-less":     repoint(behindTokenless, len(tokenless), uint64(len(tokenless)-store.SegmentHeaderLen)),
+		"follower-of-a-bad-checksum":   badLeader,
 	}
 }
 
 // TestHostileFrameRunsAtOpen holds the seeds to what they claim: as a
-// vault's tail the well-formed run opens with its two records, every
+// vault's tail the two well-formed runs open with their records, every
 // other image is refused — none truncated away as if torn, none served.
 func TestHostileFrameRunsAtOpen(t *testing.T) {
 	t.Parallel()
@@ -113,12 +148,15 @@ func TestHostileFrameRunsAtOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, err := Open(dir, nil, WithReadOnly())
-		if name == "run-of-two" {
+		if want := map[string]int{"run-of-two": 2, "run-of-three": 3}[name]; want > 0 {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if st := v.Stats(); st.TailRecords != 2 {
-				t.Fatalf("%s: tail holds %d records, want 2", name, st.TailRecords)
+			if st := v.Stats(); st.TailRecords != want {
+				t.Fatalf("%s: tail holds %d records, want %d", name, st.TailRecords, want)
+			}
+			if n, _ := store.CountFollowers(image); n != want-1 {
+				t.Fatalf("%s: %d follower frames, want %d", name, n, want-1)
 			}
 			if err := v.DeepVerify(); err != nil {
 				t.Fatalf("%s: %v", name, err)

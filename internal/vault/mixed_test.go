@@ -55,7 +55,14 @@ type parentVaultRun struct {
 // directory and is returned with the runs it holds.
 func copyParentVault(t testing.TB) (string, []parentVaultRun) {
 	t.Helper()
-	src := filepath.Join("testdata", "parent-vault")
+	return copyFixtureVault(t, "parent-vault")
+}
+
+// copyFixtureVault copies a checked-in vault of testdata into a fresh
+// directory and returns it with the runs its RUNS.json names.
+func copyFixtureVault(t testing.TB, name string) (string, []parentVaultRun) {
+	t.Helper()
+	src := filepath.Join("testdata", name)
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
 	if err != nil {

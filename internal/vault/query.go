@@ -276,22 +276,24 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 			return nil, fmt.Errorf("%w: segment %d index offsets out of range", ErrSealBroken, idx.Entry.Segment)
 		}
 		// A frame that follows its predecessor directly elides Prev; the
-		// predecessor's hash is pinned in the index beside its own.
+		// predecessor's hash is pinned in the index beside its own. A
+		// follower frame finds its leader in the mapping itself.
 		var prev *sig.Digest
 		if i > 0 {
 			h := idx.hash(i - 1)
 			prev = &h
 		}
-		rec, err := store.DecodeRecordData(data[start:end], enc, prev)
+		rec, err := store.DecodeRecordData(data, start, end, enc, prev)
 		if err != nil {
 			// A sealed record that cannot be read back is a broken seal.
 			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
 		}
 		// Authenticate before serving: the decoder derived the record's
-		// hash from the frame's own bytes and the pinned hash before it
-		// (and held a stored hash, where the format has one, to that), so
-		// an edited body — checksum fixed up or not — cannot reproduce the
-		// hash pinned under the seal at its position.
+		// hash from the frame's own bytes, what it borrowed from its
+		// leader's, and the pinned hash before it (and held a stored hash,
+		// where the format has one, to that), so an edited body — the
+		// frame's or its leader's, checksum fixed up or not — cannot
+		// reproduce the hash pinned under the seal at its position.
 		if rec.Hash != idx.hash(i) {
 			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
 		}

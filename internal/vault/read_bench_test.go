@@ -24,6 +24,14 @@ const (
 // directory and runs.
 func benchVault(b *testing.B, segRecords int) (string, []id.Run) {
 	b.Helper()
+	return benchVaultOf(b, segRecords, benchRunRecords)
+}
+
+// benchVaultOf is benchVault with each run a group of runRecords records
+// in one commit — so all but the first of them a follower frame — and
+// about benchRecords records in all.
+func benchVaultOf(b *testing.B, segRecords, runRecords int) (string, []id.Run) {
+	b.Helper()
 	realm := testpki.MustRealm(org)
 	dir := b.TempDir()
 	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(segRecords), vault.WithoutSync())
@@ -31,9 +39,9 @@ func benchVault(b *testing.B, segRecords int) (string, []id.Run) {
 		b.Fatal(err)
 	}
 	var runs []id.Run
-	for i := 0; i < benchRecords/benchRunRecords; i++ {
+	for i := 0; i < benchRecords/runRecords; i++ {
 		run := id.NewRun()
-		entries := make([]store.Entry, benchRunRecords)
+		entries := make([]store.Entry, runRecords)
 		for j := range entries {
 			entries[j] = store.Entry{Dir: store.Generated, Token: newToken(b, realm, run, j+1), Note: "request origin"}
 		}
@@ -68,9 +76,24 @@ func BenchmarkVaultVerifyingScan(b *testing.B) {
 }
 
 // BenchmarkVaultByRun: keyed reads over sealed segments — each record
-// decoded from its indexed slot and held to the hash the seal pins.
+// decoded from its indexed slot and held to the hash the seal pins. The
+// runs were appended as groups of four, so since format 4 three of the
+// four reads parse their leader's frame too.
 func BenchmarkVaultByRun(b *testing.B) {
 	dir, runs := benchVault(b, benchSegment)
+	benchByRun(b, dir, runs, benchRunRecords)
+}
+
+// BenchmarkVaultByRunFollowers: the same over runs appended as groups of
+// three — a protocol step's evidence: every second and third record a
+// follower — reported per record, which is what compares across group
+// sizes and formats.
+func BenchmarkVaultByRunFollowers(b *testing.B) {
+	dir, runs := benchVaultOf(b, benchSegment, 3)
+	benchByRun(b, dir, runs, 3)
+}
+
+func benchByRun(b *testing.B, dir string, runs []id.Run, runRecords int) {
 	v, err := vault.Open(dir, nil, vault.WithReadOnly())
 	if err != nil {
 		b.Fatal(err)
@@ -78,10 +101,11 @@ func BenchmarkVaultByRun(b *testing.B) {
 	defer v.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if recs := v.ByRun(runs[i%len(runs)]); len(recs) != benchRunRecords {
+		if recs := v.ByRun(runs[i%len(runs)]); len(recs) != runRecords {
 			b.Fatalf("ByRun = %d records", len(recs))
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runRecords), "ns/record")
 }
 
 // BenchmarkVaultTailReplay: Open over an unsealed tail of benchRecords

@@ -15,11 +15,19 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1",
-	// "binary-v2", or "binary" for the current format).
+	// "binary-v2", "binary-v3", or "binary" for the current format).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
 	SegmentBytes int64
+	// Followers counts the records stored as follower frames — frames
+	// that borrow their run, parties, service, digest or time from the
+	// plain frame leading their write — and FollowerBytes the bytes those
+	// take; the rest of Records are plain frames (or JSON lines) in
+	// PlainBytes, which with the file's header make up SegmentBytes.
+	Followers     int
+	FollowerBytes int64
+	PlainBytes    int64
 	// IndexFormat is "binary", "json" (a legacy index) or "" when there
 	// is no index file; IndexBytes is its size.
 	IndexFormat string
@@ -27,28 +35,49 @@ type SegmentSize struct {
 }
 
 // Sizes reports, for every sealed segment and the tail, the format it
-// is stored in and the bytes its records and its index take on disk.
+// is stored in, the bytes its records and its index take on disk, and
+// how many of its frames share with a leader.
 func (v *Vault) Sizes() ([]SegmentSize, error) {
 	v.mu.Lock()
 	sealed := make([]*segmentIndex, len(v.sealed))
 	copy(sealed, v.sealed)
 	tail := SegmentSize{
 		Segment:      v.active.number,
-		Format:       v.active.enc.String(),
 		Records:      len(v.active.records),
 		SegmentBytes: v.active.size,
 	}
 	v.mu.Unlock()
 
+	// frames fills in what the segment file itself says: its format, its
+	// size where the caller does not know better, and its followers.
+	frames := func(s *SegmentSize) error {
+		data, release, err := mapFile(segPath(v.dir, s.Segment))
+		if os.IsNotExist(err) { // a pruned replica segment has no data file
+			s.Format = store.EncUnknown.String()
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		defer release()
+		if s.Sealed {
+			s.SegmentBytes = int64(len(data))
+		} else if s.SegmentBytes < int64(len(data)) {
+			data = data[:s.SegmentBytes] // a preallocated tail: zeroes past the records
+		}
+		enc := store.DetectEncoding(data)
+		s.Format = enc.String()
+		s.Followers, s.FollowerBytes = store.CountFollowers(data)
+		s.PlainBytes = s.SegmentBytes - enc.HeaderLen() - s.FollowerBytes
+		return nil
+	}
 	out := make([]SegmentSize, 0, len(sealed)+1)
 	for _, idx := range sealed {
 		s := SegmentSize{Segment: idx.Entry.Segment, Sealed: true, Records: idx.count}
-		head, size, err := fileHead(segPath(v.dir, s.Segment))
-		if err != nil && !os.IsNotExist(err) { // a pruned replica segment has no data file
+		if err := frames(&s); err != nil {
 			return nil, err
 		}
-		s.Format, s.SegmentBytes = store.DetectEncoding(head).String(), size
-		if head, size, err = fileHead(idxPath(v.dir, s.Segment)); err == nil && len(head) > 0 {
+		if head, size, err := fileHead(idxPath(v.dir, s.Segment)); err == nil && len(head) > 0 {
 			s.IndexFormat, s.IndexBytes = "binary", size
 			if head[0] == '{' {
 				s.IndexFormat = "json"
@@ -57,6 +86,9 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 		out = append(out, s)
 	}
 	if tail.Records > 0 {
+		if err := frames(&tail); err != nil {
+			return nil, err
+		}
 		out = append(out, tail)
 	}
 	return out, nil

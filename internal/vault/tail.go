@@ -187,7 +187,8 @@ func (rs *ReplicaSet) ReceiveTail(source string, records []*store.Record) (uint6
 	path := segPath(st.dir, st.tail.seg)
 	if len(st.tail.records) > 0 && st.tail.enc == store.EncBinary {
 		// Extend the file: a fresh encoder, so the first appended frame
-		// carries its Prev and the frames decode wherever the file is cut.
+		// carries its Prev and is plain — the push shares within itself —
+		// and the frames decode wherever the file is cut.
 		var buf []byte
 		var enc store.RecordEncoder
 		for _, rec := range fresh {

@@ -334,8 +334,8 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 		return nil, err
 	}
 	v.mu.Lock()
-	// Seal an overfull tail — and a legacy tail (JSON lines or version-1
-	// frames) written by an older build: sealing it (a legal operation on
+	// Seal an overfull tail — and a legacy tail (JSON lines or frames of a
+	// superseded version) written by an older build: sealing it (a legal operation on
 	// any non-empty segment) migrates the vault forward without ever
 	// rewriting existing evidence bytes, so the new tail starts in the
 	// one write format while the sealed legacy history stays readable as
@@ -805,6 +805,9 @@ func (v *Vault) commit(batch []*appendReq) {
 	staged := make([]stagedReq, 0, len(batch))
 	var sealReqs, flushReqs []*appendReq
 	buf := v.commitBuf[:0]
+	// A commit is one write: its first frame is plain, and frames share
+	// with a leader inside it only.
+	v.recEnc.Cut()
 	for _, req := range batch {
 		if req.seal {
 			sealReqs = append(sealReqs, req)
@@ -832,9 +835,11 @@ func (v *Vault) commit(batch []*appendReq) {
 		if err != nil {
 			// All or nothing: drop what the request staged and rewind the
 			// chain past records that will not hit disk, so the next
-			// record chains from the last one that will.
+			// record chains from the last one that will — and leans on no
+			// frame that was dropped.
 			recs, lines, buf = recs[:from], lines[:from], buf[:n0]
 			v.chainer.Reset(seq, hash)
+			v.recEnc.Cut()
 			req.resp <- appendResp{err: err}
 			continue
 		}
