@@ -4,7 +4,6 @@ package nonrep_test
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"nonrep"
@@ -13,6 +12,7 @@ import (
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
+	"nonrep/internal/vault"
 )
 
 // BenchmarkAblationSignerAlgorithm runs the full direct exchange with each
@@ -82,30 +82,27 @@ func BenchmarkAblationTimestamping(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEvidenceLog compares the evidence-persistence options:
-// in-memory, file-backed, and file-backed with per-append fsync.
+// BenchmarkAblationEvidenceLog compares the evidence-persistence options
+// one sequential appender sees: in-memory, the vault (one fsync per
+// commit), and the vault without fsync.
 func BenchmarkAblationEvidenceLog(b *testing.B) {
 	realm := testpki.MustRealm("urn:org:a")
 	issuer := realm.Party("urn:org:a").Issuer
 	mk := func(b *testing.B, kind string) store.Log {
-		switch kind {
-		case "mem":
+		if kind == "mem" {
 			return store.NewMemLog(realm.Clock)
-		case "file":
-			log, err := store.OpenFileLog(filepath.Join(b.TempDir(), "log.jsonl"), realm.Clock)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return log
-		default:
-			log, err := store.OpenFileLog(filepath.Join(b.TempDir(), "log.jsonl"), realm.Clock, store.WithSync())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return log
 		}
+		var opts []vault.Option
+		if kind == "vault+WithoutSync" {
+			opts = append(opts, vault.WithoutSync())
+		}
+		v, err := vault.Open(b.TempDir(), realm.Clock, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
 	}
-	for _, kind := range []string{"mem", "file", "file+sync"} {
+	for _, kind := range []string{"mem", "vault", "vault+WithoutSync"} {
 		b.Run(kind, func(b *testing.B) {
 			log := mk(b, kind)
 			defer log.Close()

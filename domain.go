@@ -236,7 +236,6 @@ type OrgOption func(*orgConfig)
 
 type orgConfig struct {
 	addr           string
-	logPath        string
 	vaultDir       string
 	vaultOpts      []vault.Option
 	roles          []string
@@ -245,7 +244,6 @@ type orgConfig struct {
 	quorum         int
 	ackTimeout     time.Duration
 	archive        blob.Store
-	syncEvery      time.Duration
 	durable        bool
 	durableRetry   *durable.RetryPolicy
 	durableWorkers int
@@ -268,15 +266,11 @@ func WithAddr(addr string) OrgOption {
 	return func(c *orgConfig) { c.addr = addr }
 }
 
-// WithFileLog persists the organisation's evidence log at path.
-func WithFileLog(path string) OrgOption {
-	return func(c *orgConfig) { c.logPath = path }
-}
-
 // WithVault persists the organisation's evidence in a segmented,
 // group-committed vault rooted at dir — the production-scale store whose
 // memory stays bounded regardless of log length and whose appends are
-// batched into one fsync per group. Takes precedence over WithFileLog.
+// batched into one fsync per group. Without it the organisation keeps its
+// evidence in memory only.
 func WithVault(dir string, opts ...VaultOption) OrgOption {
 	return func(c *orgConfig) {
 		c.vaultDir = dir
@@ -322,13 +316,6 @@ func WithReplication(peers ...Party) OrgOption {
 // host.
 func WithReplicaStore(dir string) OrgOption {
 	return func(c *orgConfig) { c.replicaRoot = dir }
-}
-
-// WithReplicationInterval tunes the interval on which failed replication
-// and archive targets are retried (default 5s). The timer runs on the
-// domain clock, so tests with WithClock drive catch-up deterministically.
-func WithReplicationInterval(d time.Duration) OrgOption {
-	return func(c *orgConfig) { c.syncEvery = d }
 }
 
 // WithQuorum enrols the organisation under a geo-replication durability
@@ -463,39 +450,27 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 			addr = string(p)
 		}
 	}
+	// The organisation's evidence lives in its vault, or — without
+	// WithVault — in the node's in-memory log.
 	var log store.Log
-	switch {
-	case cfg.vaultDir != "":
+	var orgVault *vault.Vault
+	if cfg.vaultDir != "" {
 		vopts := cfg.vaultOpts
 		if d.tel != nil {
 			// Full-slice append: the caller's option slice must not be
 			// extended in place when reused across organisations.
 			vopts = append(vopts[:len(vopts):len(vopts)], vault.WithObserver(d.tel.Scope(string(p))))
 		}
-		log, err = vault.Open(cfg.vaultDir, d.clk, vopts...)
-		if err != nil {
+		if orgVault, err = vault.Open(cfg.vaultDir, d.clk, vopts...); err != nil {
 			return nil, err
 		}
-	case cfg.logPath != "":
-		log, err = store.OpenFileLog(cfg.logPath, d.clk)
-		if err != nil {
-			return nil, err
-		}
-	}
-	orgVault, _ := log.(*vault.Vault)
-	if orgVault == nil {
-		var need string
+		log = orgVault
+	} else {
 		switch {
 		case len(cfg.geoPeers) > 0:
-			need = "WithReplication/WithQuorum"
+			return nil, fmt.Errorf("nonrep: WithReplication/WithQuorum for %s requires WithVault", p)
 		case cfg.archive != nil:
-			need = "WithArchive"
-		}
-		if need != "" {
-			if log != nil {
-				log.Close()
-			}
-			return nil, fmt.Errorf("nonrep: %s for %s requires WithVault", need, p)
+			return nil, fmt.Errorf("nonrep: WithArchive for %s requires WithVault", p)
 		}
 	}
 	// Under a sync quorum policy the node's evidence log is the gated
@@ -738,9 +713,6 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	policy := georep.Policy{Mode: mode, Quorum: cfg.quorum, AckTimeout: cfg.ackTimeout}
 	party := string(o.node.Party())
 	var opts []georep.EngineOption
-	if cfg.syncEvery > 0 {
-		opts = append(opts, georep.WithRetryInterval(cfg.syncEvery))
-	}
 	tel := o.domain.tel
 	if tel != nil {
 		opts = append(opts, georep.WithObserver(tel.Scope(party)))

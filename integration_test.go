@@ -6,7 +6,6 @@ package nonrep_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +24,7 @@ import (
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
 	"nonrep/internal/ttp"
+	"nonrep/internal/vault"
 )
 
 const (
@@ -41,20 +41,19 @@ func echoExec() invoke.Executor {
 	})
 }
 
-// TestCrashRecoveryFileLog restarts a party on its persisted evidence log
+// TestCrashRecoveryVault restarts a party on its persisted evidence vault
 // and verifies the chain continues seamlessly (trusted-interceptor
 // assumption 3: persistent storage for evidence).
-func TestCrashRecoveryFileLog(t *testing.T) {
+func TestCrashRecoveryVault(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "server.jsonl")
 	realm := testpki.MustRealm(iClient, iServer)
 
 	runOnce := func() int {
 		network := transport.NewInprocNetwork()
 		defer network.Close()
 		directory := protocol.NewDirectory()
-		log, err := store.OpenFileLog(logPath, realm.Clock)
+		log, err := vault.Open(dir, realm.Clock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +95,12 @@ func TestCrashRecoveryFileLog(t *testing.T) {
 	}
 
 	first := runOnce()
-	second := runOnce() // "crash" and restart on the same log file
+	second := runOnce() // "crash" and restart on the same vault
 	if second != first*2 {
 		t.Fatalf("after restart log has %d records, want %d", second, first*2)
 	}
 	// The recovered log still verifies end to end.
-	log, err := store.OpenFileLog(logPath, realm.Clock)
+	log, err := vault.Open(dir, realm.Clock)
 	if err != nil {
 		t.Fatal(err)
 	}

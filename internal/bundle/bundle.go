@@ -32,7 +32,10 @@ type Bundle struct {
 const (
 	caFile    = "ca.cert.json"
 	certsFile = "certs.json"
-	logsDir   = "logs"
+	// partiesFile maps each log file name to its party: sanitize is not
+	// reversible, and a log need not name its owner.
+	partiesFile = "parties.json"
+	logsDir     = "logs"
 )
 
 // sanitize maps a party URI to a file name.
@@ -60,8 +63,14 @@ func Write(dir string, b *Bundle) error {
 	if err := os.WriteFile(filepath.Join(dir, certsFile), certData, 0o644); err != nil {
 		return err
 	}
+	parties := make(map[string]id.Party, len(b.Logs))
 	for party, records := range b.Logs {
-		f, err := os.Create(filepath.Join(dir, logsDir, sanitize(party)))
+		name := sanitize(party)
+		if other, taken := parties[name]; taken {
+			return fmt.Errorf("bundle: parties %s and %s share log file %s", other, party, name)
+		}
+		parties[name] = party
+		f, err := os.Create(filepath.Join(dir, logsDir, name))
 		if err != nil {
 			return err
 		}
@@ -85,7 +94,11 @@ func Write(dir string, b *Bundle) error {
 			return err
 		}
 	}
-	return nil
+	partyData, err := json.MarshalIndent(parties, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, partiesFile), partyData, 0o644)
 }
 
 // Read loads a bundle from dir.
@@ -105,29 +118,65 @@ func Read(dir string) (*Bundle, error) {
 	if err := json.Unmarshal(certData, &b.Certs); err != nil {
 		return nil, fmt.Errorf("bundle: parse certificates: %w", err)
 	}
+	// Bundles written before the party index existed have none; their
+	// logs' parties are inferred from content.
+	var parties map[string]id.Party
+	if data, err := os.ReadFile(filepath.Join(dir, partiesFile)); err == nil {
+		if err := json.Unmarshal(data, &parties); err != nil {
+			return nil, fmt.Errorf("bundle: parse party index: %w", err)
+		}
+	} else if !os.IsNotExist(err) {
+		return nil, fmt.Errorf("bundle: read party index: %w", err)
+	}
 	entries, err := os.ReadDir(filepath.Join(dir, logsDir))
 	if err != nil {
 		return nil, fmt.Errorf("bundle: read logs: %w", err)
 	}
 	for _, entry := range entries {
-		if entry.IsDir() || !strings.HasSuffix(entry.Name(), ".jsonl") {
+		name := entry.Name()
+		if entry.IsDir() || !strings.HasSuffix(name, ".jsonl") {
 			continue
 		}
-		records, party, err := readLog(filepath.Join(dir, logsDir, entry.Name()))
+		records, err := readLog(filepath.Join(dir, logsDir, name))
 		if err != nil {
 			return nil, err
+		}
+		party, ok := parties[name]
+		if !ok {
+			party = logOwner(name, records)
 		}
 		b.Logs[party] = records
 	}
 	return b, nil
 }
 
-// readLog loads one evidence log file, inferring the party from the first
-// record's token issuer or recipient set via the log's own content.
-func readLog(path string) ([]*store.Record, id.Party, error) {
+// logOwner infers whose log the file name holds when no party index names
+// it: the issuer of its first generated record, else the recipient of a
+// received record whose log file this is, else the file name itself.
+func logOwner(name string, records []*store.Record) id.Party {
+	for _, rec := range records {
+		if rec.Direction == store.Generated && rec.Token != nil {
+			return rec.Token.Issuer
+		}
+	}
+	for _, rec := range records {
+		if rec.Token == nil {
+			continue
+		}
+		for _, p := range rec.Token.Recipients {
+			if sanitize(p) == name {
+				return p
+			}
+		}
+	}
+	return id.Party(strings.TrimSuffix(name, ".jsonl"))
+}
+
+// readLog loads one evidence log file.
+func readLog(path string) ([]*store.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer f.Close()
 	var records []*store.Record
@@ -140,26 +189,11 @@ func readLog(path string) ([]*store.Record, id.Party, error) {
 		}
 		var rec store.Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, "", fmt.Errorf("bundle: corrupt log %s: %w", path, err)
+			return nil, fmt.Errorf("bundle: corrupt log %s: %w", path, err)
 		}
 		records = append(records, &rec)
 	}
-	if err := scanner.Err(); err != nil {
-		return nil, "", err
-	}
-	// The log owner generated some records; the first generated record's
-	// issuer identifies it.
-	var party id.Party
-	for _, rec := range records {
-		if rec.Direction == store.Generated {
-			party = rec.Token.Issuer
-			break
-		}
-	}
-	if party == "" && len(records) > 0 {
-		party = id.Party(strings.TrimSuffix(filepath.Base(path), ".jsonl"))
-	}
-	return records, party, nil
+	return records, scanner.Err()
 }
 
 // CredentialStore builds a credential store trusting the bundle's root and

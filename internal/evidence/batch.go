@@ -57,25 +57,15 @@ const DefaultMaxSignBatch = 64
 type BatchIssuer struct {
 	*Issuer
 
-	maxBatch int
-	window   time.Duration
-	clk      clock.Clock
-	reqC     chan *issueReq
-	quit     chan struct{}
-	done     chan struct{}
+	window time.Duration
+	clk    clock.Clock
+	reqC   chan *issueReq
+	quit   chan struct{}
+	done   chan struct{}
 }
 
 // BatchOption tunes a BatchIssuer.
 type BatchOption func(*BatchIssuer)
-
-// WithMaxSignBatch caps the tokens absorbed by one aggregate signature.
-func WithMaxSignBatch(n int) BatchOption {
-	return func(b *BatchIssuer) {
-		if n > 0 {
-			b.maxBatch = n
-		}
-	}
-}
 
 // WithSignWindow makes the aggregate signer linger up to d after the
 // first pending token to let more arrive, trading signing latency for
@@ -107,11 +97,10 @@ type issueResp struct {
 // its background signer.
 func NewBatchIssuer(i *Issuer, opts ...BatchOption) *BatchIssuer {
 	b := &BatchIssuer{
-		Issuer:   i,
-		maxBatch: DefaultMaxSignBatch,
-		reqC:     make(chan *issueReq, 4*DefaultMaxSignBatch),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		Issuer: i,
+		reqC:   make(chan *issueReq, 4*DefaultMaxSignBatch),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -208,7 +197,7 @@ func (b *BatchIssuer) drain(first *issueReq) []*issueReq {
 		deadline = t.C()
 	}
 	yields := 0
-	for tokens < b.maxBatch {
+	for tokens < DefaultMaxSignBatch {
 		select {
 		case req := <-b.reqC:
 			batch = append(batch, req)

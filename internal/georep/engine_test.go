@@ -562,8 +562,13 @@ func TestEngineRetryOnFakeClock(t *testing.T) {
 	if last, _ := tgt.rs.LastSealed(string(srcOrg)); last != 1 {
 		t.Fatalf("target at %d after retry, want 1", last)
 	}
-	if st := eng.Status(); st.Targets[0].LastError != "" {
-		t.Fatalf("target still failing after retry: %+v", st)
+	// The target signals from inside Ship, before the engine records the
+	// pass's success: wait for the status to catch up.
+	for st := eng.Status(); st.Targets[0].LastError != ""; st = eng.Status() {
+		if time.Now().After(deadline) {
+			t.Fatalf("target still failing after retry: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -33,7 +33,6 @@ type Server struct {
 	voluntaryReceipt bool
 	ttp              id.Party
 	receiptTimeout   time.Duration
-	maxStreamBytes   int64
 
 	mu   sync.Mutex
 	runs map[id.Run]*serverRun
@@ -195,29 +194,17 @@ func WithRecovery(ttp id.Party, d time.Duration) ServerOption {
 	}
 }
 
-// WithMaxStreamBytes bounds one buffered streamed parameter (default
-// DefaultMaxStreamBytes). Chunks beyond the bound are refused, which fails
-// the stream's run without affecting others.
-func WithMaxStreamBytes(n int64) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxStreamBytes = n
-		}
-	}
-}
-
 // NewServer creates a server handler executing requests through exec and
 // registers it with the coordinator.
 func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *Server {
 	s := &Server{
-		co:             co,
-		exec:           exec,
-		proto:          ProtocolDirect,
-		execTimeout:    DefaultExecTimeout,
-		maxStreamBytes: DefaultMaxStreamBytes,
-		runs:           make(map[id.Run]*serverRun),
-		pending:        make(map[string]*pendingStream),
-		closed:         make(chan struct{}),
+		co:          co,
+		exec:        exec,
+		proto:       ProtocolDirect,
+		execTimeout: DefaultExecTimeout,
+		runs:        make(map[id.Run]*serverRun),
+		pending:     make(map[string]*pendingStream),
+		closed:      make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -563,10 +550,10 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 			return nil, fmt.Errorf("invoke: conflicting duplicate of chunk %d in stream %q", cb.Seq, cb.Stream)
 		}
 	default:
-		if ps.bytes+int64(len(data)) > s.maxStreamBytes {
+		if ps.bytes+int64(len(data)) > DefaultMaxStreamBytes {
 			delete(s.pending, key)
 			s.streamMu.Unlock()
-			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Stream, s.maxStreamBytes)
+			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Stream, DefaultMaxStreamBytes)
 		}
 		ps.chunks = append(ps.chunks, data)
 		ps.bytes += int64(len(data))

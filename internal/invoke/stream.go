@@ -27,7 +27,9 @@ const DefaultStreamChunk = 1 << 20
 
 // Streamed-payload limits on the serving side.
 const (
-	// DefaultMaxStreamBytes bounds one buffered inbound stream (1 GiB).
+	// DefaultMaxStreamBytes bounds one buffered inbound stream (1 GiB);
+	// chunks beyond it are refused, which fails the stream's run without
+	// affecting others.
 	DefaultMaxStreamBytes = 1 << 30
 	// maxPendingStreams bounds concurrently buffered inbound streams; the
 	// oldest is evicted when a new stream would exceed it.

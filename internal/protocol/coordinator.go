@@ -100,7 +100,6 @@ type Option func(*config)
 type config struct {
 	retry    transport.RetryPolicy
 	coalesce *transport.CoalesceOptions
-	workers  int
 	// shards is the dispatch shard count of a multi-tenant Host; it is
 	// ignored by single-tenant coordinators.
 	shards int
@@ -124,12 +123,6 @@ func WithCoalescing(opts transport.CoalesceOptions) Option {
 	return func(c *config) { c.coalesce = &opts }
 }
 
-// WithVerifyWorkers bounds the workers that process the sub-messages of
-// one incoming batch in parallel (default GOMAXPROCS).
-func WithVerifyWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
 // New registers a coordinator for svc.Party at addr on the network. The
 // endpoint is wrapped with retransmission and incoming traffic with replay
 // de-duplication, so coordinators see eventual delivery with exactly-once
@@ -143,7 +136,7 @@ func New(network transport.Network, addr string, svc *Services, opts ...Option) 
 	}
 	cfg.obs = svc.Obs
 	c := &Coordinator{svc: svc, handlers: make(map[string]Handler)}
-	h := transport.NewTenantChainWith(transport.HandlerFunc(c.handle), cfg.workers, svc.Obs)
+	h := transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs)
 	ep, err := network.Register(addr, h)
 	if err != nil {
 		return nil, err

@@ -72,9 +72,8 @@ type hostShard struct {
 // tenants share one coalescer, so concurrent traffic from different
 // tenants to the same peer host merges into shared b2b-batch envelopes.
 type Host struct {
-	ep      transport.Endpoint
-	shards  []hostShard
-	workers int
+	ep     transport.Endpoint
+	shards []hostShard
 
 	mu     sync.Mutex
 	closed bool
@@ -95,7 +94,7 @@ func NewHost(network transport.Network, addr string, opts ...Option) (*Host, err
 	if cfg.shards <= 0 {
 		cfg.shards = DefaultHostShards
 	}
-	h := &Host{shards: make([]hostShard, cfg.shards), workers: cfg.workers}
+	h := &Host{shards: make([]hostShard, cfg.shards)}
 	for i := range h.shards {
 		empty := make(tenantMap)
 		h.shards[i].tenants.Store(&empty)
@@ -152,7 +151,7 @@ func (h *Host) Add(svc *Services) (*Coordinator, error) {
 	c.ep = &hostedEndpoint{host: h, tenant: key}
 	t := &hostTenant{
 		co:    c,
-		chain: transport.NewTenantChainWith(transport.HandlerFunc(c.handle), h.workers, svc.Obs),
+		chain: transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs),
 	}
 
 	// The host mutex spans the closed check and the insert, so an Add

@@ -97,7 +97,7 @@ func ConnectWorker(network transport.Network, cfg WorkerConfig, svc *Services, o
 		svc:     svc,
 		out:     out,
 		control: transport.JoinTenantAddr(cfg.Gateway, WorkerControlTenant),
-		recv:    transport.NewTenantChainWith(transport.HandlerFunc(c.handle), pcfg.workers, svc.Obs),
+		recv:    transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs),
 		stop:    make(chan struct{}),
 	}
 	c.ep = &workerEndpoint{

@@ -20,8 +20,7 @@ import (
 // corruption, not a torn write, and yields an error. A missing file reads
 // as empty.
 //
-// This is the shared crash-recovery reader under FileLog and the vault's
-// segment and manifest files.
+// This is the crash-recovery reader under the vault's manifest files.
 func ReadJSONLines[T any](path string, fn func(v *T, lineLen int64) error) (int64, bool, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {

@@ -6,8 +6,9 @@
 //
 // The evidence log is an append-only hash chain: every record includes the
 // digest of its predecessor, so any later tampering with stored evidence is
-// detectable. Implementations: MemLog (volatile) and FileLog (JSON-lines
-// file, recoverable after a crash).
+// detectable. This package holds the volatile implementation (MemLog) and
+// the record codecs; the durable implementation is the segmented vault
+// (internal/vault).
 package store
 
 import (
@@ -118,7 +119,12 @@ func NewMemLog(clk clock.Clock) *MemLog {
 func (l *MemLog) Append(dir Direction, tok *evidence.Token, note string) (*Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, err := chainRecord(l.records, l.clk.Now(), dir, tok, note)
+	var prev sig.Digest
+	var seq uint64
+	if n := len(l.records); n > 0 {
+		prev, seq = l.records[n-1].Hash, l.records[n-1].Seq
+	}
+	rec, err := NextRecord(seq, prev, l.clk.Now(), dir, tok, note)
 	if err != nil {
 		return nil, err
 	}
@@ -161,16 +167,6 @@ func (l *MemLog) VerifyChain() error { return verifyChain(l.Records()) }
 
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
-
-// chainRecord builds the next record in a chain.
-func chainRecord(records []*Record, at time.Time, dir Direction, tok *evidence.Token, note string) (*Record, error) {
-	var prev sig.Digest
-	var seq uint64
-	if n := len(records); n > 0 {
-		prev, seq = records[n-1].Hash, records[n-1].Seq
-	}
-	return NextRecord(seq, prev, at, dir, tok, note)
-}
 
 // NextRecord builds the record that follows the chain position given by
 // the last record's sequence number and hash. It is the chaining primitive

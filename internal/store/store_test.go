@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -106,210 +108,75 @@ func verifyRecords(records []*store.Record) error {
 	return store.VerifyRecords(decoded)
 }
 
-func TestFileLogPersistsAcrossReopen(t *testing.T) {
+// TestReadJSONLinesRecoveryRules pins the crash-recovery rules of the
+// JSON-lines reader under the vault's manifests (legacy JSON segments
+// scan by the same rules):
+// a final line missing its newline was never acknowledged and is dropped
+// as torn even when it parses, a partial final line likewise, and a
+// garbled line that is newline-terminated is corruption, not a torn write.
+func TestReadJSONLinesRecoveryRules(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
-	path := filepath.Join(t.TempDir(), "evidence.jsonl")
-	log, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := store.NewMemLog(realm.Clock)
 	run := id.NewRun()
+	var whole []byte
 	for i := 1; i <= 3; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, run, i), "sent"); err != nil {
+		rec, err := log.Append(store.Generated, newToken(t, realm, run, i), "")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if reopened.Len() != 3 {
-		t.Fatalf("reopened Len = %d, want 3", reopened.Len())
-	}
-	if err := reopened.VerifyChain(); err != nil {
-		t.Fatalf("VerifyChain after reopen: %v", err)
-	}
-	// Appends continue the chain.
-	if _, err := reopened.Append(store.Received, newToken(t, realm, run, 4), "recv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.VerifyChain(); err != nil {
-		t.Fatalf("VerifyChain after continued append: %v", err)
-	}
-	if got := len(reopened.ByRun(run)); got != 4 {
-		t.Fatalf("ByRun = %d, want 4", got)
-	}
-}
-
-func TestFileLogDetectsOnDiskTampering(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	path := filepath.Join(t.TempDir(), "evidence.jsonl")
-	log, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, id.NewRun(), i), ""); err != nil {
+		line, err := canon.Marshal(rec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		whole = append(append(whole, line...), '\n')
 	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
+	lastLine := bytes.LastIndexByte(whole[:len(whole)-1], '\n') + 1
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		records int
+		prefix  int
+		torn    bool
+	}{
+		{"whole", whole, 3, len(whole), false},
+		{"partial-final-line", join(whole, []byte(`{"seq":4,"prev":"beef`)), 3, len(whole), true},
+		{"unterminated-final-record", whole[:len(whole)-1], 2, lastLine, true},
+		{"garbled-line", join(whole[:lastLine], []byte("{not json\n"), whole[lastLine:]), -1, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log.jsonl")
+			if err := os.WriteFile(path, tc.data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var got []*store.Record
+			prefix, torn, err := store.ReadJSONLines(path, func(rec *store.Record, _ int64) error {
+				got = append(got, rec)
+				return nil
+			})
+			if tc.records < 0 {
+				if err == nil {
+					t.Fatal("ReadJSONLines accepted a garbled line")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != tc.records || prefix != int64(tc.prefix) || torn != tc.torn {
+				t.Fatalf("got %d records, prefix %d, torn %v; want %d, %d, %v", len(got), prefix, torn, tc.records, tc.prefix, tc.torn)
+			}
+			if err := store.VerifyRecords(got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := []byte(string(data))
-	// Flip a byte inside the file body (a token digest character).
-	for i := range tampered {
-		if tampered[i] == '"' && i > len(tampered)/2 {
-			tampered[i+1] ^= 0x01
-			break
-		}
-	}
-	if err := os.WriteFile(path, tampered, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.OpenFileLog(path, realm.Clock); err == nil {
-		t.Fatal("OpenFileLog accepted tampered log")
-	}
-}
-
-func TestFileLogRecoversTruncatedTail(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	path := filepath.Join(t.TempDir(), "evidence.jsonl")
-	log, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := id.NewRun()
-	for i := 1; i <= 3; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, run, i), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A crash mid-append leaves a partial final line with no newline.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":4,"prev":"beef`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reopened, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatalf("OpenFileLog after torn write: %v", err)
-	}
-	defer reopened.Close()
-	if reopened.Len() != 3 {
-		t.Fatalf("recovered Len = %d, want 3", reopened.Len())
-	}
-	// The partial tail must be gone from disk, and appends continue the
-	// verified chain.
-	if _, err := reopened.Append(store.Generated, newToken(t, realm, run, 4), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Close(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatalf("reopen after recovered append: %v", err)
-	}
-	defer again.Close()
-	if again.Len() != 4 {
-		t.Fatalf("Len after recovered append = %d, want 4", again.Len())
-	}
-	if err := again.VerifyChain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileLogDropsUnterminatedFinalRecord(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	path := filepath.Join(t.TempDir(), "evidence.jsonl")
-	log, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := id.NewRun()
-	for i := 1; i <= 3; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, run, i), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strip the trailing newline: the last record's bytes are intact and
-	// parseable, but the write was torn before the terminator — it was
-	// never acknowledged, and keeping it would leave the file
-	// unterminated so the next append merges two records onto one line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-1], 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Len() != 2 {
-		t.Fatalf("recovered Len = %d, want 2", reopened.Len())
-	}
-	if _, err := reopened.Append(store.Generated, newToken(t, realm, run, 3), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Close(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := store.OpenFileLog(path, realm.Clock)
-	if err != nil {
-		t.Fatalf("reopen after recovered append: %v", err)
-	}
-	defer again.Close()
-	if again.Len() != 3 {
-		t.Fatalf("Len after recovered append = %d, want 3", again.Len())
-	}
-	if err := again.VerifyChain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileLogWithSync(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	path := filepath.Join(t.TempDir(), "evidence.jsonl")
-	log, err := store.OpenFileLog(path, realm.Clock, store.WithSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	if _, err := log.Append(store.Generated, newToken(t, realm, id.NewRun(), 1), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.VerifyChain(); err != nil {
-		t.Fatal(err)
+	if prefix, torn, err := store.ReadJSONLines(filepath.Join(t.TempDir(), "absent"), func(*store.Record, int64) error {
+		t.Fatal("record from a missing file")
+		return nil
+	}); prefix != 0 || torn || err != nil {
+		t.Fatalf("missing file = %d, %v, %v; want empty", prefix, torn, err)
 	}
 }
 

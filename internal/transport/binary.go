@@ -22,8 +22,8 @@ import (
 	"nonrep/internal/id"
 )
 
-// WireEncoding selects the frame encoding a TCP network's endpoints
-// write. Reads always auto-detect.
+// WireEncoding names a frame encoding. TCP endpoints write binary and
+// answer a request in the encoding it arrived in; reads auto-detect.
 type WireEncoding uint8
 
 // Wire encodings.

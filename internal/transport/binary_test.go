@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"strings"
 	"testing"
 
@@ -59,6 +61,37 @@ func TestBinaryEnvelopeGoldenVectors(t *testing.T) {
 			if !bytes.Equal(want, got) {
 				t.Fatalf("envelope %d (%v): canonical projection drifted:\n want %s\n  got %s", i, enc, want, got)
 			}
+		}
+	}
+}
+
+// TestTCPEndpointAnswersInRequestEncoding: endpoints write binary frames,
+// and a legacy peer that speaks JSON frames is answered in JSON.
+func TestTCPEndpointAnswersInRequestEncoding(t *testing.T) {
+	t.Parallel()
+	n := NewTCPNetwork()
+	defer n.Close()
+	ep, err := n.Register("127.0.0.1:0", HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+		return &Envelope{ID: env.ID, Kind: "pong", Body: env.Body}, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, enc := range []WireEncoding{WireBinary, WireJSON} {
+		conn, err := net.Dial("tcp", ep.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, &Envelope{ID: "q", Kind: "ping", Body: []byte("x")}, enc); err != nil {
+			t.Fatal(err)
+		}
+		reply, got, err := readFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != enc || reply.Kind != "pong" || string(reply.Body) != "x" {
+			t.Fatalf("request in %v: reply %+v in %v", enc, reply, got)
 		}
 	}
 }

@@ -92,12 +92,11 @@ func (n *TCPNetwork) Dial() (Endpoint, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	return &tcpClient{addr: clientAddr(), enc: n.enc}, nil
+	return &tcpClient{addr: clientAddr()}, nil
 }
 
 type tcpClient struct {
 	addr string
-	enc  WireEncoding
 }
 
 var _ Endpoint = (*tcpClient)(nil)
@@ -105,12 +104,12 @@ var _ Endpoint = (*tcpClient)(nil)
 func (e *tcpClient) Addr() string { return e.addr }
 
 func (e *tcpClient) Send(ctx context.Context, to string, env *Envelope) error {
-	_, err := exchange(ctx, e.addr, to, env, e.enc)
+	_, err := exchange(ctx, e.addr, to, env)
 	return err
 }
 
 func (e *tcpClient) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	return exchange(ctx, e.addr, to, env, e.enc)
+	return exchange(ctx, e.addr, to, env)
 }
 
 func (e *tcpClient) Close() error { return nil }

@@ -18,10 +18,10 @@ const maxFrame = 16 << 20
 // (one-way sends receive an empty acknowledgement frame), which gives Send
 // confirmation that the envelope reached the peer process. The network
 // tracks its listeners, so Close stops every endpoint registered through
-// it — including any that callers lost track of.
+// it — including any that callers lost track of. Endpoints write binary
+// frames; inbound frames auto-detect, and an endpoint answers in the
+// encoding the request arrived in, so legacy JSON peers interoperate.
 type TCPNetwork struct {
-	enc WireEncoding
-
 	mu     sync.Mutex
 	eps    map[*tcpEndpoint]struct{}
 	closed bool
@@ -29,24 +29,9 @@ type TCPNetwork struct {
 
 var _ Network = (*TCPNetwork)(nil)
 
-// TCPOption configures a TCP network.
-type TCPOption func(*TCPNetwork)
-
-// WithWireEncoding selects the frame encoding this network's endpoints
-// write (binary by default). Inbound frames always auto-detect, and an
-// endpoint answers in the encoding the request arrived in, so networks
-// with different settings interoperate.
-func WithWireEncoding(enc WireEncoding) TCPOption {
-	return func(n *TCPNetwork) { n.enc = enc }
-}
-
 // NewTCPNetwork creates a TCP network.
-func NewTCPNetwork(opts ...TCPOption) *TCPNetwork {
-	n := &TCPNetwork{eps: make(map[*tcpEndpoint]struct{})}
-	for _, opt := range opts {
-		opt(n)
-	}
-	return n
+func NewTCPNetwork() *TCPNetwork {
+	return &TCPNetwork{eps: make(map[*tcpEndpoint]struct{})}
 }
 
 // Register implements Network: it starts a listener on addr
@@ -62,7 +47,7 @@ func (n *TCPNetwork) Register(addr string, h Handler) (Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	ep := &tcpEndpoint{net: n, ln: ln, handler: h, enc: n.enc, done: make(chan struct{})}
+	ep := &tcpEndpoint{net: n, ln: ln, handler: h, done: make(chan struct{})}
 	// The accept loop is accounted for before the endpoint becomes
 	// visible to a concurrent network Close, whose ep.Close -> wg.Wait
 	// must always see the counter raised.
@@ -115,7 +100,6 @@ type tcpEndpoint struct {
 	net     *TCPNetwork
 	ln      net.Listener
 	handler Handler
-	enc     WireEncoding
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -171,20 +155,20 @@ func (e *tcpEndpoint) serve(conn net.Conn) {
 
 // Send implements Endpoint.
 func (e *tcpEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
-	_, err := exchange(ctx, e.Addr(), to, env, e.enc)
+	_, err := exchange(ctx, e.Addr(), to, env)
 	return err
 }
 
 // Request implements Endpoint.
 func (e *tcpEndpoint) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
-	return exchange(ctx, e.Addr(), to, env, e.enc)
+	return exchange(ctx, e.Addr(), to, env)
 }
 
 // exchange performs one framed request/reply exchange on a fresh
 // connection to the endpoint listening at to, on behalf of the endpoint
-// addressed from. A handler failure on the far side arrives as an
-// "error" envelope and is returned as an error.
-func exchange(ctx context.Context, from, to string, env *Envelope, enc WireEncoding) (*Envelope, error) {
+// addressed from, in the binary encoding. A handler failure on the far
+// side arrives as an "error" envelope and is returned as an error.
+func exchange(ctx context.Context, from, to string, env *Envelope) (*Envelope, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", to)
 	if err != nil {
@@ -196,7 +180,7 @@ func exchange(ctx context.Context, from, to string, env *Envelope, enc WireEncod
 	}
 	env.From = from
 	env.To = to
-	if err := writeFrame(conn, env, enc); err != nil {
+	if err := writeFrame(conn, env, WireBinary); err != nil {
 		return nil, err
 	}
 	reply, _, err := readFrame(conn)

@@ -6,7 +6,7 @@ import "os"
 
 // Non-unix platforms have no flock; the vault still opens but without
 // cross-process exclusion. Single-opener discipline is then on the
-// operator, as it is for FileLog.
+// operator.
 func flockExclusive(_ *os.File) error { return nil }
 
 func flockShared(_ *os.File) error { return nil }

@@ -105,16 +105,6 @@ func WithoutSync() Option {
 	return func(v *Vault) { v.sync = false }
 }
 
-// WithSealHook registers fn to be called after each segment seal becomes
-// durable, with the seal's manifest entry. Hooks run outside the vault
-// lock on the committer goroutine (or, for seals performed during Open,
-// on the opening goroutine), so they may call back into the vault but
-// must not block for long — replication uses the hook only to nudge its
-// shipping loop.
-func WithSealHook(fn func(ManifestEntry)) Option {
-	return func(v *Vault) { v.addSealHook(fn) }
-}
-
 // WithRestoreFrom rebuilds a lost vault from a replica: when the vault at
 // dir has no sealed history (a fresh or wiped directory), the sealed
 // segments, indexes and manifest found at replicaDir — typically a peer
@@ -369,22 +359,19 @@ type commitHook struct {
 	fn func([]*store.Record)
 }
 
-// addSealHook registers fn without locking — used while applying Options
-// during Open, before the vault is shared.
-func (v *Vault) addSealHook(fn func(ManifestEntry)) {
-	v.nextHookID++
-	v.sealHooks = append(v.sealHooks, sealHook{id: v.nextHookID, fn: fn})
-}
-
-// OnSeal registers fn to be notified of future seals, like WithSealHook
-// but after the vault is open — the replication engine attaches itself
-// here. The returned cancel unregisters the hook; a detached tenant must
+// OnSeal registers fn to be called after each future segment seal
+// becomes durable, with the seal's manifest entry — the replication
+// engine attaches itself here. Hooks run outside the vault lock on the
+// committer goroutine, so they may call back into the vault but must not
+// block for long; replication uses the hook only to nudge its shipping
+// loop. The returned cancel unregisters the hook; a detached tenant must
 // not keep receiving its former vault's seals.
 func (v *Vault) OnSeal(fn func(ManifestEntry)) (cancel func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.addSealHook(fn)
+	v.nextHookID++
 	id := v.nextHookID
+	v.sealHooks = append(v.sealHooks, sealHook{id: id, fn: fn})
 	return func() {
 		v.mu.Lock()
 		defer v.mu.Unlock()
