@@ -36,7 +36,9 @@
 // (paper section 6) instead of a verdict: per segment, the format its
 // records and its index are stored in, the bytes each takes per record,
 // and how many frames are plain and how many follow a leader (with the
-// bytes a frame of each sort takes), then the vault's total.
+// bytes a frame of each sort takes), then the vault's total, then per
+// token kind the records, their mean frame and the mean bytes their notes
+// take stored as vocabulary codes, structured JSON trees and text.
 //
 // Usage:
 //
@@ -53,7 +55,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -83,7 +87,7 @@ func main() {
 	forDur := flag.Duration("for", 0, "stop following after this long (0 = until interrupted)")
 	prov := flag.String("prov", "", "print the provenance graph of this run (vault or remote mode)")
 	hops := flag.Int("hops", 2, "degrees of derived-run separation to walk with -prov")
-	sizes := flag.Bool("sizes", false, "print per-segment formats and bytes per record (vault mode)")
+	sizes := flag.Bool("sizes", false, "print per-segment formats, bytes per record and note bytes per kind (vault mode)")
 	flag.Parse()
 	if *remote != "" {
 		if *prov != "" {
@@ -574,8 +578,9 @@ func sizesVault(dir string) int {
 	}
 	fmt.Printf("%-8s %-7s %-10s %8s %12s %-7s %12s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
 		"index", "index B/rec", "plain", "B/plain", "followers", "B/follower")
-	var records, followers int
-	var segBytes, idxBytes, plainBytes, followerBytes int64
+	var records int
+	var segBytes, idxBytes, plainBytes int64
+	var frames store.FrameCount
 	for _, s := range segs {
 		state, index := "sealed", s.IndexFormat
 		if !s.Sealed {
@@ -589,17 +594,26 @@ func sizesVault(dir string) int {
 			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records),
 			plain, perRecord(s.PlainBytes, plain), s.Followers, perRecord(s.FollowerBytes, s.Followers))
 		records += s.Records
-		followers += s.Followers
 		segBytes += s.SegmentBytes
 		idxBytes += s.IndexBytes
 		plainBytes += s.PlainBytes
-		followerBytes += s.FollowerBytes
+		frames.Add(s.FrameCount)
 	}
 	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f frame + %.1f index = %.1f B/record\n",
 		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
 		perRecord(segBytes+idxBytes, records))
-	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B\n", records-followers,
-		perRecord(plainBytes, records-followers), followers, perRecord(followerBytes, followers))
+	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B\n", records-frames.Followers,
+		perRecord(plainBytes, records-frames.Followers), frames.Followers, perRecord(frames.FollowerBytes, frames.Followers))
+
+	// What each token kind takes, and how its notes are stored: B/record
+	// of coded, structured and literal notes add up to its notes' mean.
+	fmt.Printf("\n%-14s %8s %12s %13s %13s %13s\n", "kind", "records", "frame B/rec", "coded B/rec", "struct B/rec", "literal B/rec")
+	for _, kind := range slices.Sorted(maps.Keys(frames.Kinds)) {
+		c := frames.Kinds[kind]
+		fmt.Printf("%-14s %8d %12.1f %13.1f %13.1f %13.1f\n", kind, c.Records, perRecord(c.FrameBytes, c.Records),
+			perRecord(c.NoteBytes[store.NoteCoded], c.Records), perRecord(c.NoteBytes[store.NoteStructured], c.Records),
+			perRecord(c.NoteBytes[store.NoteLiteral], c.Records))
+	}
 	return 0
 }
 

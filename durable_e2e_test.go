@@ -8,6 +8,9 @@ package nonrep_test
 
 import (
 	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,5 +235,95 @@ func TestDurableCallAsyncHappyPath(t *testing.T) {
 	}
 	if jobs := reopened.Jobs(); len(jobs) != 0 {
 		t.Fatalf("recovered %d jobs after a clean completion: %+v", len(jobs), jobs)
+	}
+}
+
+// blobEcho is the benchmark's echo component: it returns the bytes it was
+// given.
+type blobEcho struct{}
+
+func (blobEcho) Echo(_ context.Context, b []byte) ([]byte, error) { return b, nil }
+
+// TestDurableCallEvidenceBytes bounds what one durable call of the
+// benchmark's evidence_plane shape — a 64-byte value echoed — costs the
+// calling organisation's vault: the job's enqueued and done records and
+// the run's four tokens, the spec and the journaled response snapshot
+// stored as structured notes, plus the call's share of seals and indexes.
+// Notes stored as text (segment format 4) cost about 2 080 bytes here.
+func TestDurableCallEvidenceBytes(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	const clientParty, serverParty = nonrep.Party("urn:bench:client"), nonrep.Party("urn:bench:server")
+	const svc = nonrep.Service("urn:bench:server/echo")
+	dir := t.TempDir()
+	client, err := domain.AddOrg(clientParty, nonrep.WithVault(dir), nonrep.WithDurable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg(serverParty, nonrep.WithVault(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := nonrep.Descriptor{Service: svc, Methods: map[string]nonrep.MethodPolicy{"Echo": {NonRepudiation: true}}}
+	if err := server.Deploy(desc, blobEcho{}); err != nil {
+		t.Fatal(err)
+	}
+	server.Serve()
+	proxy := client.Proxy(serverParty, svc, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rng := rand.New(rand.NewSource(1))
+	call := func() {
+		t.Helper()
+		var blob [64]byte
+		rng.Read(blob[:])
+		param, err := evidence.ValueParam("arg0", blob[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := proxy.CallAsync(ctx, "Echo", param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := job.Wait(ctx); err != nil || res.Status != evidence.StatusOK {
+			t.Fatalf("durable call: %v (%+v)", err, res)
+		}
+	}
+	// settled seals what the calls left, as the benchmark does, and sums
+	// the vault directory.
+	settled := func() int64 {
+		t.Helper()
+		if err := client.Durable().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Vault().SealNow(); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		err := filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
+			if err == nil && fi.Mode().IsRegular() && fi.Name() != "LOCK" {
+				n += fi.Size()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	call()
+	before := settled()
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	perCall := float64(settled()-before) / calls
+	t.Logf("one durable call costs its client vault %.1f B", perCall)
+	if perCall > 1700 {
+		t.Fatalf("one durable call costs its client vault %.1f B, want at most 1 700", perCall)
 	}
 }

@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
+	"nonrep/internal/vault"
 )
 
 const (
@@ -563,5 +565,115 @@ func TestJournalRejectsTamperedSpec(t *testing.T) {
 	}
 	if _, _, err := j.Pending(); err == nil {
 		t.Fatal("Pending accepted a spec that does not match its signed digest")
+	}
+}
+
+// TestJournalRecoversFromStructuredNotes: a vault stores the journal's
+// JSON notes as structured trees, and after a restart recovery reads them
+// back exactly — Pending still finds each pending spec's note hashing to
+// its signed digest, and RunState returns the response snapshot journaled
+// beside the NROResp, from sealed segments and the replayed tail alike.
+func TestJournalRecoversFromStructuredNotes(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client, server)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, f.clk, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer := f.realm.Party(client).Issuer
+	j := durable.NewJournal(client, issuer, v, f.clk)
+	req := orderRequest()
+	pending := &durable.JobSpec{Job: id.NewRun(), Type: durable.JobCall, Server: server, Service: req.Service,
+		Operation: req.Operation, Params: req.Params, Txn: req.Txn, Enqueued: f.clk.Now()}
+	finished := &durable.JobSpec{Job: id.NewRun(), Type: durable.JobCall, Server: server, Operation: "Other", Enqueued: f.clk.Now()}
+	for _, s := range []*durable.JobSpec{pending, finished} {
+		if err := j.Enqueue(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reply group a resumed call journals: the NRR, then the NROResp
+	// with the response snapshot, whose request digest is the NRR's.
+	reqDigest := sig.Sum([]byte("request snapshot"))
+	result, err := evidence.ValueParam("result0", []byte("twelve turbine blades"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := evidence.ResponseSnapshot{Run: pending.Job, Server: server, Status: evidence.StatusOK, Result: []evidence.Param{result}, RequestDigest: reqDigest}
+	snapJSON, err := canon.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverIssuer := f.realm.Party(server).Issuer
+	nrr, err := serverIssuer.Issue(evidence.KindNRR, pending.Job, 2, reqDigest, evidence.WithRecipients(client))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nroResp, err := serverIssuer.Issue(evidence.KindNROResp, pending.Job, 3, sig.Sum(snapJSON), evidence.WithRecipients(client))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.AppendGroup([]store.Entry{
+		{Dir: store.Received, Token: nrr, Note: "request receipt"},
+		{Dir: store.Received, Token: nroResp, Note: string(snapJSON)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Attempt(pending.Job, 1, "connection refused"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Done(finished.Job, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := vault.Open(dir, f.clk, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sizes, err := re.Sizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames store.FrameCount
+	for _, s := range sizes {
+		frames.Add(s.FrameCount)
+	}
+	for _, kind := range []evidence.Kind{evidence.KindJobEnqueued, evidence.KindNROResp, evidence.KindJobAttempt, evidence.KindJobDone} {
+		if c := frames.Kinds[kind]; c == nil || c.NoteBytes[store.NoteStructured] == 0 || c.NoteBytes[store.NoteLiteral] != 0 {
+			t.Fatalf("%s notes stored as %+v, want structured only", kind, c)
+		}
+	}
+
+	j = durable.NewJournal(client, issuer, re, f.clk)
+	specs, attempts, err := j.Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := canon.Marshal(pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 1 || attempts[0] != 1 {
+		t.Fatalf("Pending = %d specs, attempts %v, want the one pending job tried once", len(specs), attempts)
+	}
+	if got, err := canon.Marshal(specs[0]); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("recovered spec %s, want %s", got, want)
+	}
+	st, err := j.RunState(pending.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Response == nil || st.NRR == nil || st.NROResp == nil {
+		t.Fatalf("RunState = %+v, want the reply group and its snapshot", st)
+	}
+	if got, err := canon.Marshal(st.Response); err != nil || !bytes.Equal(got, snapJSON) || sig.Sum(got) != st.NROResp.Digest {
+		t.Fatalf("recovered snapshot %s, want %s", got, snapJSON)
 	}
 }

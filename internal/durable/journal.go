@@ -47,15 +47,6 @@ type JobSpec struct {
 	Enqueued  time.Time                 `json:"enqueued"`
 }
 
-// digest is the canonical digest the job-enqueued token signs.
-func (s *JobSpec) digest() (sig.Digest, []byte, error) {
-	raw, err := canon.Marshal(s)
-	if err != nil {
-		return sig.Digest{}, nil, err
-	}
-	return sig.Sum(raw), raw, nil
-}
-
 // attemptNote is the journaled content of one failed attempt.
 type attemptNote struct {
 	Job     id.Run `json:"job"`
@@ -99,18 +90,15 @@ func NewJournal(party id.Party, issuer evidence.TokenIssuer, log store.Log, clk 
 	return &Journal{party: party, issuer: issuer, log: log, v: v, clk: clk}
 }
 
-// append signs and journals one job record.
-func (j *Journal) append(kind evidence.Kind, job id.Run, step int, body any) error {
+// issue signs one job record: the token over the canonical JSON of body,
+// which is the record's note.
+func (j *Journal) issue(kind evidence.Kind, job id.Run, step int, body any) (*evidence.Token, string, error) {
 	raw, err := canon.Marshal(body)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	tok, err := j.issuer.Issue(kind, job, step, sig.Sum(raw))
-	if err != nil {
-		return err
-	}
-	_, err = j.log.Append(store.Generated, tok, string(raw))
-	return err
+	return tok, string(raw), err
 }
 
 // appendAsync journals one job record without waiting for its fsync: on
@@ -120,18 +108,14 @@ func (j *Journal) append(kind evidence.Kind, job id.Run, step int, body any) err
 // synchronous append. Callers needing the durability barrier (process
 // shutdown) call Sync.
 func (j *Journal) appendAsync(kind evidence.Kind, job id.Run, step int, body any) error {
-	raw, err := canon.Marshal(body)
-	if err != nil {
-		return err
-	}
-	tok, err := j.issuer.Issue(kind, job, step, sig.Sum(raw))
+	tok, note, err := j.issue(kind, job, step, body)
 	if err != nil {
 		return err
 	}
 	if j.v != nil {
-		return j.v.AppendAsync(store.Generated, tok, string(raw))
+		return j.v.AppendAsync(store.Generated, tok, note)
 	}
-	_, err = j.log.Append(store.Generated, tok, string(raw))
+	_, err = j.log.Append(store.Generated, tok, note)
 	return err
 }
 
@@ -145,15 +129,11 @@ func (j *Journal) Sync() error {
 
 // Enqueue journals a job before its first execution.
 func (j *Journal) Enqueue(spec *JobSpec) error {
-	digest, raw, err := spec.digest()
+	tok, note, err := j.issue(evidence.KindJobEnqueued, spec.Job, 0, spec)
 	if err != nil {
 		return err
 	}
-	tok, err := j.issuer.Issue(evidence.KindJobEnqueued, spec.Job, 0, digest)
-	if err != nil {
-		return err
-	}
-	_, err = j.log.Append(store.Generated, tok, string(raw))
+	_, err = j.log.Append(store.Generated, tok, note)
 	return err
 }
 

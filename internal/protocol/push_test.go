@@ -34,7 +34,7 @@ func TestDecodeRecordPush(t *testing.T) {
 	}
 	// A push is one write, and the fixture's records one run: all but the
 	// first travel as followers.
-	if n, _ := store.CountFollowers(current); n != len(recs)-1 {
+	if n := store.CountFrames(current).Followers; n != len(recs)-1 {
 		t.Fatalf("push of %d records of one run carries %d followers", len(recs), n)
 	}
 	for name, frames := range map[string][]byte{"bare version-1 frames": legacy, "current frame run": current} {

@@ -9,14 +9,15 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 4 (the only version written) spends bytes only on what a
+// Version 5 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev is elided when the frame directly follows its predecessor, Hash
 // is never stored — it is a function of the rest of the record, and the
 // decoder computes it exactly as Chainer.Next did — times are nanosecond
 // varints, generated identifiers are raw bytes, kind, direction and the
-// protocols' fixed log notes are one-byte codes, and strings that extend
-// one of the frame's own party URIs are written as suffixes. A frame
+// protocols' fixed log notes are one-byte codes, a note that is canonical
+// JSON is a structured tree (jsonnote.go), and strings that extend one of
+// the frame's own party URIs are written as suffixes. A frame
 // ends in a CRC-32C of its body, which is what catches bit rot and torn
 // writes where no seal pins the derived hash yet (the unsealed tail, a
 // push in flight). Every compaction of a field is exact or not applied —
@@ -41,7 +42,7 @@
 // more frame out of the same mapping. A follower's body is
 //
 //	flags (bit 7 set) · seq · [Prev] · back · borrow mask · At ·
-//	direction · note · token · CRC-32C
+//	direction · note · token · [note tree] · CRC-32C
 //
 // and the one-byte borrow mask says, field by field, what is taken from
 // the leader instead of written: bits 0-4 are the token's
@@ -53,9 +54,15 @@
 // token's run is always the leader's. A field whose bit is clear is
 // written as a plain frame writes it.
 //
-// Version 3 is version 4 without followers, version 2 is version 3 with
-// the hash stored and the notes spelled out (two more flag bits clear),
-// so one body decoder reads all three. They, version-1 segments (every
+// A note is absent, a one-byte code — 1 to 27 index noteWords, 0 says a
+// structured tree follows the token, whose run, parties and (in a
+// follower) leader digest the tree may refer to — or a length-prefixed
+// string.
+//
+// Version 4 is version 5 without structured notes, version 3 is version 4
+// without followers, version 2 is version 3 with the hash stored and the
+// notes spelled out (two more flag bits clear), so one body decoder reads
+// all four. They, version-1 segments (every
 // field in full, text timestamps) and legacy JSON-lines segments (first
 // byte '{') remain readable forever; a stored hash is held to the
 // derived one at decode, so whatever the format, a decoded record's Hash
@@ -99,6 +106,9 @@ const (
 	// EncBinaryV3 is the version-3 binary frame format (every frame
 	// self-contained): read, never written.
 	EncBinaryV3
+	// EncBinaryV4 is the version-4 binary frame format (notes that are
+	// JSON spelled out): read, never written.
+	EncBinaryV4
 )
 
 // String names the encoding.
@@ -114,6 +124,8 @@ func (e Encoding) String() string {
 		return "binary-v2"
 	case EncBinaryV3:
 		return "binary-v3"
+	case EncBinaryV4:
+		return "binary-v4"
 	default:
 		return "unknown"
 	}
@@ -130,7 +142,7 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4
 }
 
 // frameFlags is the set of frame flag bits the encoding knows; a frame
@@ -150,12 +162,13 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 4
-	// segmentVersion1 to segmentVersion3 are the superseded formats,
+	SegmentVersion = 5
+	// segmentVersion1 to segmentVersion4 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
 	segmentVersion3 = 3
+	segmentVersion4 = 4
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -175,7 +188,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 3 from the current one), JSON segments with '{'. Empty data is
+// to 4 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -190,6 +203,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV2
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion3:
 		return EncBinaryV3
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion4:
+		return EncBinaryV4
 	default:
 		return EncBinary
 	}
@@ -207,14 +222,15 @@ const (
 	// Bits 3-4: the canon.TimeMode of At.
 	frameAtShift = 3
 	// frameNoteCode (with frameNote): the note is one byte, an index
-	// into noteWords, not a string. Since version 3.
+	// into noteWords, not a string. Since version 3; since version 5 a
+	// code of 0 says the note is a structured tree after the token.
 	frameNoteCode = 1 << 5
 	// frameDerived: the frame stores no Hash — the decoder derives it —
 	// and ends in the CRC-32C of the body before it. Since version 3;
 	// every frame this build writes has it set.
 	frameDerived = 1 << 6
 	// frameFollower: the frame borrows from its leader — a back-distance
-	// and a borrow mask follow seq and Prev. Version 4 only.
+	// and a borrow mask follow seq and Prev. Since version 4.
 	frameFollower = 1 << 7
 
 	frameV2Bits = framePrev | frameToken | frameNote | 3<<frameAtShift
@@ -236,9 +252,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // sharing protocols log, status and consumption variants included. A
 // note's code is its index plus one. The table is part of the segment
 // format: APPEND ONLY — never reorder, edit or remove an entry. A note
-// not listed (free text, a note naming a party, a journalled JSON body)
-// travels literally, so a protocol may reword its notes at the cost of
-// bytes, never of fidelity.
+// not listed travels as a structured tree when it is a journalled JSON
+// body and literally otherwise (free text, a note naming a party), so a
+// protocol may reword its notes at the cost of bytes, never of fidelity.
 var noteWords = [...]string{
 	"request origin",
 	"request receipt",
@@ -381,13 +397,6 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 	if rec.Token != nil {
 		flags |= frameToken
 	}
-	var noteCode byte
-	if rec.Note != "" {
-		flags |= frameNote
-		if noteCode = noteCodes[rec.Note]; noteCode != 0 {
-			flags |= frameNoteCode
-		}
-	}
 	var leadTok *evidence.Token
 	var borrow uint8
 	var atBase int64
@@ -398,6 +407,17 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 		if atMode != canon.TimeText && atMode == canon.ModeOfTime(lead.At) {
 			borrow |= borrowAt
 			atBase = lead.At.UnixNano()
+		}
+	}
+	var noteCode byte
+	var tree []byte // a structured note: code 0, the tree after the token
+	if rec.Note != "" {
+		flags |= frameNote
+		if noteCode = noteCodes[rec.Note]; noteCode == 0 && rec.Token != nil {
+			tree = encodeNote(rec.Note, &noteScope{tok: rec.Token, lead: leadTok, base: tokenTimeBase(rec.At, atMode)})
+		}
+		if noteCode != 0 || tree != nil {
+			flags |= frameNoteCode
 		}
 	}
 	dst = append(dst, flags)
@@ -423,7 +443,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 		dst = canon.AppendString(dst, string(rec.Direction))
 	}
 	switch {
-	case noteCode != 0:
+	case flags&frameNoteCode != 0:
 		dst = append(dst, noteCode)
 	case rec.Note != "":
 		dst = canon.AppendString(dst, rec.Note)
@@ -433,6 +453,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 			return nil, err
 		}
 	}
+	dst = append(dst, tree...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
 }
 
@@ -451,34 +472,61 @@ func leads(flags byte) bool {
 	return flags&(frameFollower|frameToken|frameDerived) == frameToken|frameDerived
 }
 
+// NoteForm is how a frame stores its record's note.
+type NoteForm uint8
+
+// Note forms.
+const (
+	// NoteNone: the record has no note.
+	NoteNone NoteForm = iota
+	// NoteCoded: one byte of the protocols' fixed vocabulary (noteWords).
+	NoteCoded
+	// NoteStructured: the structured tree of a JSON note.
+	NoteStructured
+	// NoteLiteral: the note's text.
+	NoteLiteral
+
+	noteForms = iota
+)
+
+// frameInfo is what decoding a frame learns about its shape beyond the
+// record: its flags, its note's form and the bytes the note takes.
+type frameInfo struct {
+	flags     byte
+	note      NoteForm
+	noteBytes int
+}
+
 // leaderFunc finds the leader a follower frame names: the plain record
 // whose frame starts back bytes before the follower's. Nil where a frame
 // stands alone.
 type leaderFunc func(back uint64) (*Record, error)
 
-// decodeRecordBody decodes one record body of version 2, 3 or 4; prev is
-// the Hash of the frame before it, needed only when the frame elides its
+// decodeRecordBody decodes one record body of version 2 to 5; prev is the
+// Hash of the frame before it, needed only when the frame elides its
 // Prev, and leader resolves the frame's leader, needed only when it is a
 // follower. A version-2 frame (enc EncBinaryV2, or a frame under a later
 // header with the version-3 flag bits clear) ends in its stored Hash,
 // which is returned in the record for the caller to hold to the derived
 // one; a frame with frameDerived set ends in a checksum instead,
-// verified here. The frame's flags are returned. All variable-length
-// data is copied, so decoded records never alias the input buffer (which
-// may be an mmapped segment that is later unmapped).
-func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc) (rec *Record, flags byte, err error) {
+// verified here. What the frame says of its own shape is returned beside
+// the record. All variable-length data is copied, so decoded records
+// never alias the input buffer (which may be an mmapped segment that is
+// later unmapped).
+func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc) (rec *Record, info frameInfo, err error) {
 	if len(body) == 0 {
-		return nil, 0, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
+		return nil, info, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
-	flags = body[0]
+	flags := body[0]
 	if flags&^enc.frameFlags() != 0 || flags&(frameNote|frameNoteCode) == frameNoteCode ||
 		(flags&frameFollower != 0 && flags&(frameToken|frameDerived) != frameToken|frameDerived) {
-		return nil, 0, fmt.Errorf("store: %w: record frame flags %#x", canon.ErrBinary, flags)
+		return nil, info, fmt.Errorf("store: %w: record frame flags %#x", canon.ErrBinary, flags)
 	}
+	info.flags = flags
 	if flags&frameDerived != 0 {
 		n := len(body) - frameCRCLen
 		if n < 1 || crc32.Checksum(body[:n], castagnoli) != binary.LittleEndian.Uint32(body[n:]) {
-			return nil, 0, fmt.Errorf("store: %w: record frame checksum", canon.ErrBinary)
+			return nil, info, fmt.Errorf("store: %w: record frame checksum", canon.ErrBinary)
 		}
 		body = body[:n]
 	}
@@ -491,7 +539,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	case prev != nil:
 		rec.Prev = *prev
 	default:
-		return nil, 0, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
+		return nil, info, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
 	}
 	atMode := canon.TimeMode(flags >> frameAtShift & 3)
 	var leadTok *evidence.Token
@@ -500,16 +548,16 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	if flags&frameFollower != 0 {
 		back, mask := r.Uvarint(), r.Byte()
 		if r.Err() != nil || leader == nil {
-			return nil, 0, fmt.Errorf("store: %w: follower frame without its leader", canon.ErrBinary)
+			return nil, info, fmt.Errorf("store: %w: follower frame without its leader", canon.ErrBinary)
 		}
 		lead, err := leader(back)
 		if err != nil {
-			return nil, 0, err
+			return nil, info, err
 		}
 		leadTok, borrow = lead.Token, mask
 		if borrow&borrowAt != 0 {
 			if atMode == canon.TimeText || atMode != canon.ModeOfTime(lead.At) {
-				return nil, 0, fmt.Errorf("store: %w: follower frame borrows a time of another mode", canon.ErrBinary)
+				return nil, info, fmt.Errorf("store: %w: follower frame borrows a time of another mode", canon.ErrBinary)
 			}
 			atBase = lead.At.UnixNano()
 		}
@@ -525,38 +573,51 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	default:
 		r.Fail(canon.ErrBinary)
 	}
+	noteAt := r.Len()
 	switch {
 	case flags&frameNoteCode != 0:
-		if code := r.Byte(); code >= 1 && int(code) <= len(noteWords) {
-			rec.Note = noteWords[code-1]
-		} else {
+		switch code := r.Byte(); {
+		case code >= 1 && int(code) <= len(noteWords):
+			rec.Note, info.note = noteWords[code-1], NoteCoded
+		case code == 0 && enc == EncBinary && flags&(frameToken|frameDerived) == frameToken|frameDerived:
+			info.note = NoteStructured
+		default:
 			r.Fail(canon.ErrBinary)
 		}
 	case flags&frameNote != 0:
-		rec.Note = r.ValidString()
+		rec.Note, info.note = r.ValidString(), NoteLiteral
 	}
+	info.noteBytes = noteAt - r.Len()
 	if flags&frameToken != 0 && r.Err() == nil {
+		base := tokenTimeBase(rec.At, atMode)
 		rec.Token = new(evidence.Token)
-		rec.Token.DecodeBinary(&r, tokenTimeBase(rec.At, atMode), leadTok, borrow&^borrowAt)
+		rec.Token.DecodeBinary(&r, base, leadTok, borrow&^borrowAt)
+		if info.note == NoteStructured && r.Err() == nil {
+			info.noteBytes += r.Len()
+			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: leadTok, base: base})
+		}
 	}
 	if flags&frameDerived == 0 {
 		copy(rec.Hash[:], r.Raw(sig.DigestSize))
 	}
 	if err := r.Done(); err != nil {
-		return nil, 0, fmt.Errorf("store: decode binary record: %w", err)
+		return nil, info, fmt.Errorf("store: decode binary record: %w", err)
 	}
-	return rec, flags, nil
+	return rec, info, nil
 }
 
-// decodeRecordBodyV1 decodes one version-1 record body.
-func decodeRecordBodyV1(body []byte) (*Record, error) {
+// decodeRecordBodyV1 decodes one version-1 record body: plain, its hash
+// stored, its note literal.
+func decodeRecordBodyV1(body []byte) (*Record, frameInfo, error) {
 	r := canon.NewBinReader(body)
 	rec := new(Record)
 	rec.Seq = r.Uvarint()
 	copy(rec.Prev[:], r.Raw(sig.DigestSize))
 	rec.At = r.Time(canon.TimeText, 0)
 	rec.Direction = Direction(r.ValidString())
+	noteAt := r.Len()
 	rec.Note = r.ValidString()
+	info := frameInfo{note: NoteLiteral, noteBytes: noteAt - r.Len()}
 	switch r.Byte() {
 	case 0:
 	case 1:
@@ -568,9 +629,9 @@ func decodeRecordBodyV1(body []byte) (*Record, error) {
 	}
 	copy(rec.Hash[:], r.Raw(sig.DigestSize))
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("store: decode binary record: %w", err)
+		return nil, info, fmt.Errorf("store: decode binary record: %w", err)
 	}
-	return rec, nil
+	return rec, info, nil
 }
 
 // sealHash is the last step of every record decoder. It gives the
@@ -640,26 +701,27 @@ func frameBody(data []byte) ([]byte, int64, error) {
 // decodeFrame decodes one frame of a binary encoding and seals the
 // record's Hash (sealHash); prev is the preceding frame's Hash when
 // known, leader finds the frame's leader where it may have one, dig is
-// the caller's digest engine or nil. The frame's flags are returned.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, dig *canon.Digester) (*Record, int64, byte, error) {
+// the caller's digest engine or nil. What the frame says of its shape is
+// returned.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, dig *canon.Digester) (*Record, int64, frameInfo, error) {
 	body, frameLen, err := frameBody(data)
 	if body == nil {
-		return nil, 0, 0, err
+		return nil, 0, frameInfo{}, err
 	}
 	var rec *Record
-	var flags byte // a version-1 frame has none: plain, its hash stored
+	var info frameInfo
 	if enc == EncBinaryV1 {
-		rec, err = decodeRecordBodyV1(body)
+		rec, info, err = decodeRecordBodyV1(body)
 	} else {
-		rec, flags, err = decodeRecordBody(body, enc, prev, leader)
+		rec, info, err = decodeRecordBody(body, enc, prev, leader)
 	}
 	if err == nil {
-		err = sealHash(rec, flags&frameDerived == 0, dig)
+		err = sealHash(rec, info.flags&frameDerived == 0, dig)
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, frameInfo{}, err
 	}
-	return rec, frameLen, flags, nil
+	return rec, frameLen, info, nil
 }
 
 // uvarint is binary.Uvarint with the (value, width) convention local to
@@ -724,11 +786,11 @@ func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Dig
 			}
 			// Only the leader's own bytes are needed: its Prev is not
 			// looked at, and a frame that wants a leader is not one.
-			lead, flags, err := decodeRecordBody(body, enc, new(sig.Digest), nil)
+			lead, info, err := decodeRecordBody(body, enc, new(sig.Digest), nil)
 			if err != nil {
 				return nil, err
 			}
-			if !leads(flags) {
+			if !leads(info.flags) {
 				return nil, fmt.Errorf("store: %w: follower frame points at a frame that cannot lead", canon.ErrBinary)
 			}
 			return lead, nil
@@ -768,7 +830,7 @@ func DecodeSegmentData(data []byte, fn func(*Record, int64) error) (Encoding, in
 	case enc == EncUnknown:
 		return EncUnknown, 0, false, nil
 	case enc.framed():
-		prefix, torn, err := scanBinarySegment(data, enc, fn)
+		prefix, torn, err := scanBinarySegment(data, enc, func(rec *Record, n int64, _ frameInfo) error { return fn(rec, n) })
 		return enc, prefix, torn, err
 	default:
 		prefix, torn, err := scanJSONSegment(data, fn)
@@ -781,13 +843,12 @@ func DecodeSegmentData(data []byte, fn func(*Record, int64) error) (Encoding, in
 // a build that predates it — a bare run of version-1 frames. A run is a
 // complete message, so a torn tail is an error here, not a recovery.
 func DecodeFrameRun(data []byte, fn func(*Record) error) error {
-	each := func(rec *Record, _ int64) error { return fn(rec) }
 	var torn bool
 	var err error
 	if len(data) > 0 && data[0] == 'N' {
-		_, _, torn, err = DecodeSegmentData(data, each)
+		_, _, torn, err = DecodeSegmentData(data, func(rec *Record, _ int64) error { return fn(rec) })
 	} else {
-		_, torn, err = scanFrames(data, 0, EncBinaryV1, each)
+		_, torn, err = scanFrames(data, 0, EncBinaryV1, func(rec *Record, _ int64, _ frameInfo) error { return fn(rec) })
 	}
 	if err == nil && torn {
 		err = fmt.Errorf("store: %w: truncated record frame", canon.ErrBinary)
@@ -795,7 +856,7 @@ func DecodeFrameRun(data []byte, fn func(*Record) error) error {
 	return err
 }
 
-func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
+func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	header := SegmentHeader()
 	if len(data) < SegmentHeaderLen {
 		if bytes.HasPrefix(header[:], data) {
@@ -815,8 +876,9 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64) error)
 // scanFrames walks the frames of data from offset start, handing each
 // frame the hash of the one before it and, to a follower, the last plain
 // frame decoded — which is its leader or the follower is corrupt; one
-// digest engine serves the whole scan.
-func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) error) (int64, bool, error) {
+// digest engine serves the whole scan. fn learns each frame's length and
+// shape.
+func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	prefix := start
 	var prev *sig.Digest
 	var lead *Record
@@ -829,20 +891,20 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) 
 	}
 	dig := canon.NewDigester()
 	for prefix < int64(len(data)) {
-		rec, frameLen, flags, err := decodeFrame(data[prefix:], enc, prev, leader, dig)
+		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, dig)
 		if err != nil {
 			return prefix, false, err
 		}
 		if rec == nil {
 			return prefix, true, nil // incomplete final frame
 		}
-		if err := fn(rec, frameLen); err != nil {
+		if err := fn(rec, frameLen, info); err != nil {
 			return prefix, false, err
 		}
 		switch {
-		case leads(flags):
+		case leads(info.flags):
 			lead, leadAt = rec, prefix
-		case flags&frameFollower == 0:
+		case info.flags&frameFollower == 0:
 			lead = nil
 		}
 		prev = &rec.Hash
@@ -851,27 +913,79 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64) 
 	return prefix, false, nil
 }
 
-// CountFollowers walks the frames of a binary segment by their length
-// prefixes, decoding none, and reports how many of them are followers
-// and the bytes those take, length prefixes included — what sharing
-// looks like from outside. Frames of the formats before version 4 are
-// all plain; the walk stops at the first torn or overlong frame.
-func CountFollowers(data []byte) (frames int, size int64) {
-	if DetectEncoding(data) != EncBinary {
-		return 0, 0
-	}
-	for off := int64(SegmentHeaderLen); off < int64(len(data)); {
-		body, n, _ := frameBody(data[off:])
-		if len(body) == 0 {
-			break
+// FrameCount is what a walk over a segment's frames finds: how many of
+// them follow a leader and what those take, and what the frames of each
+// token kind take, their notes apart.
+type FrameCount struct {
+	// Followers counts the follower frames and FollowerBytes the bytes
+	// they take, length prefixes included.
+	Followers     int
+	FollowerBytes int64
+	// Kinds breaks the frames down by their token's kind.
+	Kinds map[evidence.Kind]*KindCount
+}
+
+// KindCount is what the frames of one token kind take.
+type KindCount struct {
+	Records int
+	// FrameBytes is the bytes the frames take, length prefixes included.
+	FrameBytes int64
+	// NoteBytes is the bytes their notes take stored, by NoteForm.
+	NoteBytes [noteForms]int64
+}
+
+// Add counts o's frames into c.
+func (c *FrameCount) Add(o FrameCount) {
+	c.Followers += o.Followers
+	c.FollowerBytes += o.FollowerBytes
+	for kind, k := range o.Kinds {
+		sum := c.kind(kind)
+		sum.Records += k.Records
+		sum.FrameBytes += k.FrameBytes
+		for form, n := range k.NoteBytes {
+			sum.NoteBytes[form] += n
 		}
-		if body[0]&frameFollower != 0 {
-			frames++
-			size += n
-		}
-		off += n
 	}
-	return frames, size
+}
+
+// kind returns the count of one kind's frames, adding it if new.
+func (c *FrameCount) kind(kind evidence.Kind) *KindCount {
+	if c.Kinds == nil {
+		c.Kinds = make(map[evidence.Kind]*KindCount)
+	}
+	k := c.Kinds[kind]
+	if k == nil {
+		k = new(KindCount)
+		c.Kinds[kind] = k
+	}
+	return k
+}
+
+// CountFrames decodes the frames of a binary segment and counts what they
+// take — what sharing and note coding look like from outside. Frames of
+// the formats before version 4 are all plain, before version 5 no note is
+// structured; the walk stops at the first torn or undecodable frame, and
+// JSON segments count nothing.
+func CountFrames(data []byte) FrameCount {
+	var c FrameCount
+	enc := DetectEncoding(data)
+	if !enc.framed() {
+		return c
+	}
+	// What stops the walk is the caller's to find by reading the segment;
+	// the count covers the frames before it.
+	_, _, _ = scanBinarySegment(data, enc, func(rec *Record, n int64, info frameInfo) error {
+		if info.flags&frameFollower != 0 {
+			c.Followers++
+			c.FollowerBytes += n
+		}
+		k := c.kind(rec.Token.Kind)
+		k.Records++
+		k.FrameBytes += n
+		k.NoteBytes[info.note] += int64(info.noteBytes)
+		return nil
+	})
+	return c
 }
 
 // scanJSONSegment is ReadJSONLines over in-memory data, byte-for-byte

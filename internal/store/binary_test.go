@@ -544,6 +544,14 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	for _, bad := range hostileFollowers(f) {
 		f.Add(bad.data)
 	}
+	// Version-5 shapes: the golden segment, whose journaled JSON notes are
+	// trees (one naming its leader's digest) or stay text, and the same
+	// records as format 4 wrote them.
+	for _, name := range []string{"golden-v5.seg", "golden-v4.seg"} {
+		if golden, err := os.ReadFile(filepath.Join("testdata", "v5", name)); err == nil {
+			f.Add(golden)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {

@@ -20,17 +20,31 @@ import (
 
 const peerOrg = id.Party("urn:org:b")
 
-// copyV3Vault copies testdata/v3-vault — a vault written by the build
-// before segment format 4, as a server logs invocations: five runs, each
-// a {NRO received, NRR, NROResp generated} group and (but for the last)
-// the receipt in a commit of its own, every second run under a
-// transaction; segments of 7 and 8 records sealed, a four-record
-// version-3 tail in segment 3 — into a fresh directory, with the runs it
-// holds.
-func copyV3Vault(t testing.TB) (string, []parentVaultRun) {
-	t.Helper()
-	return copyFixtureVault(t, "v3-vault")
+// fixtureVault is a checked-in vault written by the build before a format
+// change: its directory under testdata, the format its segments hold, how
+// many of them are sealed, the records of its unsealed tail and the last
+// record sealed and held. RUNS.json beside it names its runs.
+type fixtureVault struct {
+	name               string
+	enc                store.Encoding
+	sealed, tail       int
+	sealedSeq, lastSeq uint64
 }
+
+var (
+	// v3Vault was written by the build before segment format 4, as a
+	// server logs invocations: five runs, each a {NRO received, NRR,
+	// NROResp generated} group and (but for the last) the receipt in a
+	// commit of its own, every second run under a transaction; segments of
+	// 7 and 8 records sealed, a four-record version-3 tail in segment 3.
+	v3Vault = fixtureVault{name: "v3-vault", enc: store.EncBinaryV3, sealed: 2, tail: 4, sealedSeq: 15, lastSeq: 19}
+	// v4Vault was written by the build before segment format 5, as a
+	// durable client journals five calls: per run its job's spec and
+	// outcome and the four tokens of the invocation, the spec and the
+	// journaled response snapshot as JSON text; three sealed segments of
+	// eight records, a six-record version-4 tail in segment 4.
+	v4Vault = fixtureVault{name: "v4-vault", enc: store.EncBinaryV4, sealed: 3, tail: 6, sealedSeq: 24, lastSeq: 30}
+)
 
 // stepGroup is the evidence of one server step of an invocation: the
 // request's origin token received, its receipt and the response's origin
@@ -74,9 +88,9 @@ func sameRecords(t testing.TB, what string, want, got []*store.Record) {
 	}
 }
 
-// checkV3Vault holds a vault that starts with the fixture's records to
-// every read surface.
-func checkV3Vault(t testing.TB, what string, v *vault.Vault, runs []parentVaultRun) {
+// checkFixtureVault holds a vault that starts with a fixture's records
+// to every read surface.
+func checkFixtureVault(t testing.TB, what string, v *vault.Vault, runs []parentVaultRun) {
 	t.Helper()
 	if err := v.DeepVerify(); err != nil {
 		t.Fatalf("%s: DeepVerify: %v", what, err)
@@ -91,33 +105,74 @@ func checkV3Vault(t testing.TB, what string, v *vault.Vault, runs []parentVaultR
 			}
 		}
 	}
-	if got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: org}); err != nil || len(got) < len(runs) {
-		t.Fatalf("%s: kind+party query = %d records, err %v, want at least %d", what, len(got), err, len(runs))
+	// A server's vault holds the receipts it issued, a client's those its
+	// servers issued.
+	nrrs := 0
+	for _, p := range []id.Party{org, peerOrg} {
+		got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: p})
+		if err != nil {
+			t.Fatalf("%s: kind+party query: %v", what, err)
+		}
+		nrrs += len(got)
+	}
+	if nrrs < len(runs) {
+		t.Fatalf("%s: kind+party queries = %d records, want at least %d", what, nrrs, len(runs))
 	}
 }
 
 // TestVaultV3VaultStillReads: a vault the build before format 4 wrote
-// opens read-only without a byte moving, verifies, answers keyed queries
-// out of its version-3 segments, reports them as such, and replicates —
-// the replica holds the sealed files byte for byte.
+// reads as checkStillReads says.
 func TestVaultV3VaultStillReads(t *testing.T) {
 	t.Parallel()
-	dir, runs := copyV3Vault(t)
+	checkStillReads(t, v3Vault)
+}
+
+// TestVaultV4VaultStillReads: a vault the build before format 5 wrote —
+// its journaled JSON notes stored as text — reads as checkStillReads says.
+func TestVaultV4VaultStillReads(t *testing.T) {
+	t.Parallel()
+	checkStillReads(t, v4Vault)
+}
+
+// checkStillReads: a vault an earlier build wrote opens read-only without
+// a byte moving, verifies, answers keyed queries out of its old
+// segments, reports them in their format, and replicates — the replica
+// holds the sealed files byte for byte.
+func checkStillReads(t *testing.T, fx fixtureVault) {
+	dir, runs := copyFixtureVault(t, fx.name)
 	before := dirDigests(t, dir)
 	ro := openVault(t, dir, vault.WithReadOnly())
-	if st := ro.Stats(); st.Segments != 2 || st.TailRecords != 4 || st.LastSeq != 19 {
-		t.Fatalf("version-3 vault shape = %+v", st)
+	if st := ro.Stats(); st.Segments != fx.sealed || st.TailRecords != fx.tail || st.LastSeq != fx.lastSeq {
+		t.Fatalf("%s shape = %+v", fx.name, st)
 	}
-	checkV3Vault(t, "read-only", ro, runs)
+	checkFixtureVault(t, "read-only", ro, runs)
 	sizes, err := ro.Sizes()
-	if err != nil || len(sizes) != 3 {
+	if err != nil || len(sizes) != fx.sealed+1 {
 		t.Fatalf("Sizes = %+v, err %v", sizes, err)
 	}
 	for _, s := range sizes {
-		if s.Format != "binary-v3" || s.Followers != 0 || s.FollowerBytes != 0 {
-			t.Fatalf("segment %d reported as %+v, want binary-v3 without followers", s.Segment, s)
+		// Version 3 knows no followers.
+		if s.Format != fx.enc.String() || (fx.enc == store.EncBinaryV3 && s.Followers != 0) {
+			t.Fatalf("segment %d reported as %+v, want %v", s.Segment, s, fx.enc)
 		}
 	}
+	// Pushed in the current format, the records come back the same.
+	all, err := ro.QueryAll(vault.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed, err := store.AppendFrameRun(nil, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []*store.Record
+	if err := store.DecodeFrameRun(pushed, func(rec *store.Record) error {
+		back = append(back, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "re-encoded", all, back)
 	rs, err := vault.OpenReplicaSet(filepath.Join(t.TempDir(), "replicas"))
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +187,16 @@ func TestVaultV3VaultStillReads(t *testing.T) {
 		sameFiles(t, "read-only open", before, after)
 	}
 	replicaFiles := dirDigests(t, rs.Dir(sourceOrg))
-	for _, name := range []string{segFileName(1), idxFileName(1), segFileName(2), idxFileName(2)} {
-		if replicaFiles[name] != before[name] {
-			t.Fatalf("replica's %s differs from the source's", name)
+	for seg := uint64(1); seg <= uint64(fx.sealed); seg++ {
+		for _, name := range []string{segFileName(seg), idxFileName(seg)} {
+			if replicaFiles[name] != before[name] {
+				t.Fatalf("replica's %s differs from the source's", name)
+			}
 		}
 	}
 	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())
 	defer replica.Close()
-	if st := replica.Stats(); st.Segments != 2 || st.LastSeq != 15 {
+	if st := replica.Stats(); st.Segments != fx.sealed || st.LastSeq != fx.sealedSeq {
 		t.Fatalf("replica shape = %+v", st)
 	}
 	if err := replica.DeepVerify(); err != nil {
@@ -147,24 +204,38 @@ func TestVaultV3VaultStillReads(t *testing.T) {
 	}
 }
 
-// TestVaultV3TailSealedAsItStands opens the version-3 vault for writing:
-// its tail is sealed as it stands — never extended with frames of this
-// format, never rewritten — the next records start a version-4 segment in
-// which a step's group shares, and a replica that held the version-3
-// tail file has it replaced, not extended, by the next push.
+// TestVaultV3TailSealedAsItStands: a version-3 tail is sealed as
+// checkTailSealedAsItStands says.
 func TestVaultV3TailSealedAsItStands(t *testing.T) {
 	t.Parallel()
+	checkTailSealedAsItStands(t, v3Vault)
+}
+
+// TestVaultV4TailSealedAsItStands: a version-4 tail is sealed as
+// checkTailSealedAsItStands says.
+func TestVaultV4TailSealedAsItStands(t *testing.T) {
+	t.Parallel()
+	checkTailSealedAsItStands(t, v4Vault)
+}
+
+// checkTailSealedAsItStands opens a vault an earlier build wrote for
+// writing: its tail is sealed as it stands — never extended with frames of
+// this format, never rewritten — the next records start a segment of the
+// current format in which a step's group shares, and a replica that held
+// the old tail file has it replaced, not extended, by the next push.
+func checkTailSealedAsItStands(t *testing.T, fx fixtureVault) {
 	realm := testpki.MustRealm(org, peerOrg)
-	dir, runs := copyV3Vault(t)
+	dir, runs := copyFixtureVault(t, fx.name)
 	before := dirDigests(t, dir)
 	delete(before, "MANIFEST") // append-only: grows
-	v3Tail, err := os.ReadFile(filepath.Join(dir, segFileName(3)))
+	tailSeg := uint64(fx.sealed + 1)
+	oldTail, err := os.ReadFile(filepath.Join(dir, segFileName(tailSeg)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A replica of the sealed history that also holds the tail as the
-	// parent build's pushes left it.
+	// earlier build's pushes left it.
 	root := filepath.Join(t.TempDir(), "replicas")
 	rs, err := vault.OpenReplicaSet(root)
 	if err != nil {
@@ -173,29 +244,29 @@ func TestVaultV3TailSealedAsItStands(t *testing.T) {
 	ro := openVault(t, dir, vault.WithReadOnly())
 	shipAll(t, ro, rs)
 	ro.Close()
-	replicaTail := filepath.Join(rs.Dir(sourceOrg), segFileName(3))
-	if err := os.WriteFile(replicaTail, v3Tail, 0o600); err != nil {
+	replicaTail := filepath.Join(rs.Dir(sourceOrg), segFileName(tailSeg))
+	if err := os.WriteFile(replicaTail, oldTail, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if rs, err = vault.OpenReplicaSet(root); err != nil {
 		t.Fatal(err)
 	}
-	if seq, err := rs.AckedSeq(sourceOrg); err != nil || seq != 19 {
-		t.Fatalf("replica with a version-3 tail acknowledges %d, err %v, want 19", seq, err)
+	if seq, err := rs.AckedSeq(sourceOrg); err != nil || seq != fx.lastSeq {
+		t.Fatalf("replica with a %v tail acknowledges %d, err %v, want %d", fx.enc, seq, err, fx.lastSeq)
 	}
 
 	v := openVault(t, dir, vault.WithSegmentRecords(8))
 	defer v.Close()
-	if st := v.Stats(); st.Segments != 3 || st.TailRecords != 0 || st.LastSeq != 19 {
-		t.Fatalf("after sealing the version-3 tail: %+v", st)
+	if st := v.Stats(); st.Segments != fx.sealed+1 || st.TailRecords != 0 || st.LastSeq != fx.lastSeq {
+		t.Fatalf("after sealing the %v tail: %+v", fx.enc, st)
 	}
 	run := id.NewRun()
 	fresh, err := v.AppendGroup(stepGroup(t, realm, run))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameFiles(t, "sealing a version-3 tail", before, dirDigests(t, dir))
-	for seg, want := range map[uint64]store.Encoding{3: store.EncBinaryV3, 4: store.EncBinary} {
+	sameFiles(t, "sealing an old tail", before, dirDigests(t, dir))
+	for seg, want := range map[uint64]store.Encoding{tailSeg: fx.enc, tailSeg + 1: store.EncBinary} {
 		data, err := os.ReadFile(filepath.Join(dir, segFileName(seg)))
 		if err != nil {
 			t.Fatal(err)
@@ -204,22 +275,22 @@ func TestVaultV3TailSealedAsItStands(t *testing.T) {
 			t.Fatalf("segment %d is %v, want %v", seg, got, want)
 		}
 	}
-	checkV3Vault(t, "grown", v, append(runs, parentVaultRun{Run: run, Records: 3}))
+	checkFixtureVault(t, "grown", v, append(runs, parentVaultRun{Run: run, Records: 3}))
 	sizes, err := v.Sizes()
-	if err != nil || len(sizes) != 4 {
+	if err != nil || len(sizes) != fx.sealed+2 {
 		t.Fatalf("Sizes = %+v, err %v", sizes, err)
 	}
-	if s := sizes[2]; s.Format != "binary-v3" || !s.Sealed || s.Records != 4 || s.Followers != 0 {
-		t.Fatalf("the sealed version-3 tail reported as %+v", s)
+	if s := sizes[fx.sealed]; s.Format != fx.enc.String() || !s.Sealed || s.Records != fx.tail {
+		t.Fatalf("the sealed %v tail reported as %+v", fx.enc, s)
 	}
-	if s := sizes[3]; s.Format != "binary" || s.Sealed || s.Records != 3 || s.Followers != 2 || s.FollowerBytes/2 >= (s.SegmentBytes-s.FollowerBytes)*2/3 {
-		t.Fatalf("the version-4 tail reported as %+v, want two followers each under two thirds of the plain frame", s)
+	if s := sizes[fx.sealed+1]; s.Format != "binary" || s.Sealed || s.Records != 3 || s.Followers != 2 || s.FollowerBytes/2 >= (s.SegmentBytes-s.FollowerBytes)*2/3 {
+		t.Fatalf("the new tail reported as %+v, want two followers each under two thirds of the plain frame", s)
 	}
 
-	// The push of the new records replaces the replica's version-3 tail
-	// file; the seal of segment 3 — the version-3 bytes — then rebases.
-	if seq, err := rs.ReceiveTail(sourceOrg, fresh); err != nil || seq != 22 {
-		t.Fatalf("ReceiveTail onto a version-3 tail = %d, err %v, want 22", seq, err)
+	// The push of the new records replaces the replica's old tail file; the
+	// seal of that segment — the old bytes — then rebases.
+	if seq, err := rs.ReceiveTail(sourceOrg, fresh); err != nil || seq != fx.lastSeq+3 {
+		t.Fatalf("ReceiveTail onto a %v tail = %d, err %v, want %d", fx.enc, seq, err, fx.lastSeq+3)
 	}
 	replaced, err := os.ReadFile(replicaTail)
 	if err != nil {
@@ -228,22 +299,22 @@ func TestVaultV3TailSealedAsItStands(t *testing.T) {
 	if enc := store.DetectEncoding(replaced); enc != store.EncBinary {
 		t.Fatalf("tail file after the push is %v, want the current format", enc)
 	}
-	pkg, err := v.Package(3)
+	pkg, err := v.Package(tailSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pkg.Data, v3Tail) {
-		t.Fatal("the source sealed something other than the version-3 tail as it stood")
+	if !bytes.Equal(pkg.Data, oldTail) {
+		t.Fatalf("the source sealed something other than the %v tail as it stood", fx.enc)
 	}
 	if err := rs.Receive(sourceOrg, pkg); err != nil {
 		t.Fatal(err)
 	}
 	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())
 	defer replica.Close()
-	if st := replica.Stats(); st.Segments != 3 || st.TailRecords != 3 || st.LastSeq != 22 {
+	if st := replica.Stats(); st.Segments != fx.sealed+1 || st.TailRecords != 3 || st.LastSeq != fx.lastSeq+3 {
 		t.Fatalf("replica after the seal shipped: %+v", st)
 	}
-	checkV3Vault(t, "replica", replica, append(runs, parentVaultRun{Run: run, Records: 3}))
+	checkFixtureVault(t, "replica", replica, append(runs, parentVaultRun{Run: run, Records: 3}))
 }
 
 // TestVaultFollowersOnDisk drives format 4 through every place frames
@@ -330,7 +401,7 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := store.CountFollowers(pushed); n != 15 {
+	if n := store.CountFrames(pushed).Followers; n != 15 {
 		t.Fatalf("replica tail of five pushes holds %d followers, want 15", n)
 	}
 	shipAll(t, re, rs)
@@ -353,7 +424,7 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := store.CountFollowers(rebased); n != 3 {
+	if n := store.CountFrames(rebased).Followers; n != 3 {
 		t.Fatalf("rebased replica tail holds %d followers, want 3", n)
 	}
 	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())

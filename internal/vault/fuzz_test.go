@@ -25,11 +25,31 @@ import (
 )
 
 // FuzzRecordDecode feeds arbitrary bytes to the record decoder and chain
-// verifier — the per-line work of segment replay and keyed reads.
+// verifier — the per-line work of segment replay and keyed reads — and
+// carries whatever decodes through a binary frame, which must give its
+// note back exactly: a note that is JSON travels as a structured tree only
+// where the tree rebuilds it.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"prev":"0000000000000000000000000000000000000000000000000000000000000000","at":"2004-03-25T09:00:00Z","direction":"generated","token":{"kind":"nro-req","run":"r1","step":1,"issuer":"urn:org:a","digest":"0000000000000000000000000000000000000000000000000000000000000000","issued_at":"2004-03-25T09:00:00Z","signature":{}},"hash":"0000000000000000000000000000000000000000000000000000000000000000"}`))
 	f.Add([]byte(`{"seq":18446744073709551615,"token":null}`))
 	f.Add([]byte(`[]`))
+	// Journaled notes: a job's spec and outcome, and one with whitespace.
+	for _, note := range []string{
+		`{"job":"run-00ff","type":"call","server":"urn:org:b","service":"urn:org:b/echo","params":[{"kind":"value","name":"arg0","value":"AAEC"}],"enqueued":"2004-03-25T09:00:00Z"}`,
+		`{"job":"run-00ff","attempts":1}`,
+		`{"job": "run-00ff"}`,
+	} {
+		tok := &evidence.Token{Kind: evidence.KindJobDone, Run: "run-00ff", Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC()}
+		rec, err := store.NextRecord(0, sig.Digest{}, tok.IssuedAt, store.Generated, tok, note)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed, err := canon.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := &store.Record{}
@@ -38,6 +58,17 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		cv := &store.ChainVerifier{}
 		_ = cv.Check(rec)
+		if rec.Token == nil {
+			return
+		}
+		frame, err := store.AppendRecordBinary(nil, rec)
+		if err != nil {
+			return // a time no frame can carry
+		}
+		back, _, err := store.DecodeRecordFrame(frame)
+		if err == nil && back.Note != rec.Note {
+			t.Fatalf("note %q came back from its frame as %q", rec.Note, back.Note)
+		}
 	})
 }
 
@@ -155,7 +186,7 @@ func TestHostileFrameRunsAtOpen(t *testing.T) {
 			if st := v.Stats(); st.TailRecords != want {
 				t.Fatalf("%s: tail holds %d records, want %d", name, st.TailRecords, want)
 			}
-			if n, _ := store.CountFollowers(image); n != want-1 {
+			if n := store.CountFrames(image).Followers; n != want-1 {
 				t.Fatalf("%s: %d follower frames, want %d", name, n, want-1)
 			}
 			if err := v.DeepVerify(); err != nil {

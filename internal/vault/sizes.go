@@ -14,20 +14,20 @@ type SegmentSize struct {
 	Segment uint64
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
-	// Format is the segment file's record encoding ("json", "binary-v1",
-	// "binary-v2", "binary-v3", or "binary" for the current format).
+	// Format is the segment file's record encoding ("json", "binary-v1"
+	// to "binary-v4", or "binary" for the current format).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
 	SegmentBytes int64
-	// Followers counts the records stored as follower frames — frames
+	// FrameCount counts the records stored as follower frames — frames
 	// that borrow their run, parties, service, digest or time from the
-	// plain frame leading their write — and FollowerBytes the bytes those
-	// take; the rest of Records are plain frames (or JSON lines) in
-	// PlainBytes, which with the file's header make up SegmentBytes.
-	Followers     int
-	FollowerBytes int64
-	PlainBytes    int64
+	// plain frame leading their write — with the bytes those take, and
+	// breaks the frames down by token kind, notes apart. The rest of
+	// Records are plain frames (or JSON lines) in PlainBytes, which with
+	// the file's header make up SegmentBytes.
+	store.FrameCount
+	PlainBytes int64
 	// IndexFormat is "binary", "json" (a legacy index) or "" when there
 	// is no index file; IndexBytes is its size.
 	IndexFormat string
@@ -35,8 +35,9 @@ type SegmentSize struct {
 }
 
 // Sizes reports, for every sealed segment and the tail, the format it
-// is stored in, the bytes its records and its index take on disk, and
-// how many of its frames share with a leader.
+// is stored in, the bytes its records and its index take on disk, how
+// many of its frames share with a leader, and what each token kind and
+// its notes take.
 func (v *Vault) Sizes() ([]SegmentSize, error) {
 	v.mu.Lock()
 	sealed := make([]*segmentIndex, len(v.sealed))
@@ -49,7 +50,7 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 	v.mu.Unlock()
 
 	// frames fills in what the segment file itself says: its format, its
-	// size where the caller does not know better, and its followers.
+	// size where the caller does not know better, its followers and kinds.
 	frames := func(s *SegmentSize) error {
 		data, release, err := mapFile(segPath(v.dir, s.Segment))
 		if os.IsNotExist(err) { // a pruned replica segment has no data file
@@ -67,7 +68,7 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 		}
 		enc := store.DetectEncoding(data)
 		s.Format = enc.String()
-		s.Followers, s.FollowerBytes = store.CountFollowers(data)
+		s.FrameCount = store.CountFrames(data)
 		s.PlainBytes = s.SegmentBytes - enc.HeaderLen() - s.FollowerBytes
 		return nil
 	}
