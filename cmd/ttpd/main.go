@@ -271,12 +271,12 @@ func main() {
 // hostEvidence makes the TTP the neutral ground for evidence
 // survivability: with storage configured it serves remote audits of its
 // own vault, accepts peers' replicas — sealed segments over seg-ship and
-// the unsealed tail over geo pushes, both verified against the source's
-// chain, so an organisation may name the TTP in WithReplication or
-// WithQuorum — and serves adjudications from those replicas when a source
-// organisation is lost or uncooperative (nrverify -remote -source). It
-// returns the replica store (nil without one) and what to add to the
-// services line.
+// the unsealed tail over geo pushes, both signed by the source and
+// verified against its chain, so an organisation may name the TTP in
+// WithReplication or WithQuorum — and serves adjudications from those
+// replicas when a source organisation is lost or uncooperative (nrverify
+// -remote -source). It returns the replica store (nil without one) and
+// what to add to the services line.
 func hostEvidence(co *protocol.Coordinator, v *vault.Vault, replicaRoot string) (*vault.ReplicaSet, string) {
 	if v == nil && replicaRoot == "" {
 		return nil, ""

@@ -683,10 +683,9 @@ func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 		}
 	}
 	o.replicas = rs
-	// Domain organisations always hold verifiable credentials, so their
-	// replica stores accept only authenticated seg-ship: every shipment
-	// must carry a token signed by the source organisation itself.
-	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs, protocol.WithShipAuth())
+	// The replica store accepts only authenticated seg-ship: every
+	// shipment must carry a token signed by the source organisation itself.
+	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs)
 	o.registerHealth(v)
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 // Resolve and abort are mutually exclusive per run: the first decision
 // sticks, and the other party learns the existing decision.
 type ResolveService struct {
+	protocol.RequestMux
 	co *protocol.Coordinator
 
 	mu   sync.Mutex
@@ -36,36 +37,18 @@ var _ protocol.Handler = (*ResolveService)(nil)
 // TTP's coordinator.
 func NewResolveService(co *protocol.Coordinator) *ResolveService {
 	s := &ResolveService{co: co, runs: make(map[id.Run]*ttpDecision)}
+	s.RequestMux = protocol.NewRequestMux(ProtocolResolve, "resolve", map[string]protocol.RequestFunc{
+		kindResolve: s.handleResolve,
+		kindAbort:   s.handleAbort,
+	})
 	co.Register(s)
 	return s
-}
-
-// Protocol implements protocol.Handler.
-func (s *ResolveService) Protocol() string { return ProtocolResolve }
-
-// Process implements protocol.Handler; the resolve service is
-// request/response only.
-func (s *ResolveService) Process(context.Context, *protocol.Message) error {
-	return fmt.Errorf("invoke: resolve service accepts only requests")
-}
-
-// ProcessRequest implements protocol.Handler, dispatching on resolve and
-// abort requests.
-func (s *ResolveService) ProcessRequest(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
-	switch msg.Kind {
-	case kindResolve:
-		return s.handleResolve(msg)
-	case kindAbort:
-		return s.handleAbort(msg)
-	default:
-		return nil, fmt.Errorf("invoke: resolve service: unknown kind %q", msg.Kind)
-	}
 }
 
 // handleResolve verifies the server's evidence of steps 1 and 2 and issues
 // a TTP-signed substitute receipt ("a combination of client/server signing
 // in the normal case and TTP signing in case of recovery", section 3.2).
-func (s *ResolveService) handleResolve(msg *protocol.Message) (*protocol.Message, error) {
+func (s *ResolveService) handleResolve(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := s.co.Services()
 	var body resolveBody
 	if err := msg.Body(&body); err != nil {
@@ -145,7 +128,7 @@ func (s *ResolveService) handleResolve(msg *protocol.Message) (*protocol.Message
 
 // handleAbort verifies the client's evidence of step 1 and issues an abort
 // affidavit, unless the run was already resolved.
-func (s *ResolveService) handleAbort(msg *protocol.Message) (*protocol.Message, error) {
+func (s *ResolveService) handleAbort(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := s.co.Services()
 	var body abortBody
 	if err := msg.Body(&body); err != nil {

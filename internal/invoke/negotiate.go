@@ -30,6 +30,7 @@ type helloBody struct {
 
 // HelloService advertises a party's registered invocation protocols.
 type HelloService struct {
+	protocol.RequestMux
 	co *protocol.Coordinator
 }
 
@@ -39,21 +40,13 @@ var _ protocol.Handler = (*HelloService)(nil)
 // the party's coordinator.
 func NewHelloService(co *protocol.Coordinator) *HelloService {
 	s := &HelloService{co: co}
+	s.RequestMux = protocol.NewRequestMux(ProtocolHello, "hello", map[string]protocol.RequestFunc{"hello": s.handleHello})
 	co.Register(s)
 	return s
 }
 
-// Protocol implements protocol.Handler.
-func (s *HelloService) Protocol() string { return ProtocolHello }
-
-// Process implements protocol.Handler; hello is request/response only.
-func (s *HelloService) Process(context.Context, *protocol.Message) error {
-	return fmt.Errorf("invoke: hello accepts only requests")
-}
-
-// ProcessRequest implements protocol.Handler: it returns the invocation
-// protocols this coordinator serves.
-func (s *HelloService) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+// handleHello returns the invocation protocols this coordinator serves.
+func (s *HelloService) handleHello(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	var supported []string
 	for _, name := range s.co.Protocols() {
 		switch name {

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/clock"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
@@ -111,7 +110,9 @@ type segStatusResp struct {
 	LastSegment uint64 `json:"last_segment"`
 }
 
-// segShipReq delivers one sealed segment of Source's vault.
+// segShipReq delivers one sealed segment of Source's vault. The
+// segment's bytes ride the message's Attachment; Package.Data is where a
+// shipper that predates attachments put them, and is only ever read.
 type segShipReq struct {
 	Source  string                `json:"source"`
 	Package *vault.SegmentPackage `json:"package"`
@@ -129,14 +130,6 @@ type shipClaim struct {
 	Seal    sig.Digest `json:"seal"`
 }
 
-func (c *shipClaim) digest() (sig.Digest, error) {
-	raw, err := canon.Marshal(c)
-	if err != nil {
-		return sig.Digest{}, err
-	}
-	return sig.Sum(raw), nil
-}
-
 type segShipResp struct {
 	LastSegment uint64 `json:"last_segment"`
 }
@@ -147,11 +140,11 @@ type segShipResp struct {
 // replicated evidence. Register it once per coordinator; hosted and
 // dedicated coordinators are served identically.
 type AuditService struct {
+	RequestMux
 	co       *Coordinator
 	vault    *vault.Vault
 	replicas *vault.ReplicaSet
 	clk      clock.Clock
-	shipAuth bool
 
 	// cached holds one read-only open per replica source, versioned by
 	// the replicated segment count: paged audits re-query per page, and
@@ -170,15 +163,13 @@ type cachedReplica struct {
 // AuditOption configures an AuditService.
 type AuditOption func(*AuditService)
 
-// WithShipAuth makes seg-ship acceptance require a verified KindSegShip
-// token issued by the source organisation: unsigned shipments, tokens
-// signed with a foreign key, and shipments claiming a different source
-// than the token's issuer are all refused, so nobody can seed a bogus
-// replica store. Without the option, a presented token is still
-// verified (and a bad one refused), but unauthenticated shipments are
-// accepted for backward compatibility with closed deployments.
+// WithShipAuth once made seg-ship authentication opt-in.
+//
+// Deprecated: every AuditService refuses a seg-ship that lacks a valid
+// KindSegShip token issued by the source it names; the option sets
+// nothing.
 func WithShipAuth() AuditOption {
-	return func(s *AuditService) { s.shipAuth = true }
+	return func(*AuditService) {}
 }
 
 // NewAuditService registers the audit protocol on co, serving v (may be
@@ -192,6 +183,12 @@ func NewAuditService(co *Coordinator, v *vault.Vault, rs *vault.ReplicaSet, opts
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.RequestMux = NewRequestMux(AuditProtocol, "audit", map[string]RequestFunc{
+		KindAuditQuery: s.handleQuery,
+		KindAuditStats: s.handleStats,
+		KindSegStatus:  s.handleSegStatus,
+		KindSegShip:    s.handleSegShip,
+	})
 	co.Register(s)
 	return s
 }
@@ -210,39 +207,6 @@ func (s *AuditService) Close() error {
 		delete(s.cached, source)
 	}
 	return firstErr
-}
-
-// Protocol implements Handler.
-func (s *AuditService) Protocol() string { return AuditProtocol }
-
-// Process implements Handler; every audit exchange is request/response.
-func (s *AuditService) Process(ctx context.Context, msg *Message) error {
-	return fmt.Errorf("protocol: audit message %q requires a request/response delivery", msg.Kind)
-}
-
-// ProcessRequest implements Handler.
-func (s *AuditService) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
-	switch msg.Kind {
-	case KindAuditQuery:
-		return s.handleQuery(msg)
-	case KindAuditStats:
-		return s.handleStats(msg)
-	case KindSegStatus:
-		return s.handleSegStatus(msg)
-	case KindSegShip:
-		return s.handleSegShip(msg)
-	default:
-		return nil, fmt.Errorf("protocol: unknown audit message kind %q", msg.Kind)
-	}
-}
-
-// reply builds a response message carrying body.
-func (s *AuditService) reply(msg *Message, kind string, body any) (*Message, error) {
-	out := &Message{Protocol: AuditProtocol, Run: msg.Run, Step: msg.Step + 1, Kind: kind}
-	if err := out.SetBody(body); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // openSource resolves the vault an audit reads: the organisation's own,
@@ -280,7 +244,7 @@ func (s *AuditService) openSource(source string) (*vault.Vault, error) {
 	return v, nil
 }
 
-func (s *AuditService) handleQuery(msg *Message) (*Message, error) {
+func (s *AuditService) handleQuery(_ context.Context, msg *Message) (*Message, error) {
 	var req auditQueryReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
@@ -310,10 +274,10 @@ func (s *AuditService) handleQuery(msg *Message) (*Message, error) {
 		// silently truncated result sets.
 		return nil, err
 	}
-	return s.reply(msg, "audit-page", &resp)
+	return msg.Reply("audit-page", &resp)
 }
 
-func (s *AuditService) handleStats(msg *Message) (*Message, error) {
+func (s *AuditService) handleStats(_ context.Context, msg *Message) (*Message, error) {
 	var req auditStatsReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
@@ -322,33 +286,44 @@ func (s *AuditService) handleStats(msg *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "audit-stats-reply", &auditStatsResp{Stats: v.Stats()})
+	return msg.Reply("audit-stats-reply", &auditStatsResp{Stats: v.Stats()})
 }
 
-func (s *AuditService) handleSegStatus(msg *Message) (*Message, error) {
+func (s *AuditService) handleSegStatus(_ context.Context, msg *Message) (*Message, error) {
 	var req segStatusReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
 	if s.replicas == nil {
-		return nil, fmt.Errorf("protocol: %s accepts no replicas", s.co.Party())
+		return nil, errNoReplicas(s.co)
 	}
 	last, err := s.replicas.LastSealed(req.Source)
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "seg-status-reply", &segStatusResp{LastSegment: last})
+	return msg.Reply("seg-status-reply", &segStatusResp{LastSegment: last})
 }
 
-func (s *AuditService) handleSegShip(msg *Message) (*Message, error) {
+// handleSegShip installs a shipped segment. The shipment must be signed
+// by the source it names: a KindSegShip token over the ship claim, whose
+// seal digest pins the segment's exact bytes. A replayed stale claim (an
+// old segment's genuine token) passes the check but lands in Receive's
+// idempotence/conflict handling: the seal digest pins exactly one
+// accepted history position.
+func (s *AuditService) handleSegShip(_ context.Context, msg *Message) (*Message, error) {
 	var req segShipReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
 	if s.replicas == nil {
-		return nil, fmt.Errorf("protocol: %s accepts no replicas", s.co.Party())
+		return nil, errNoReplicas(s.co)
 	}
-	if err := s.verifyShip(msg, &req); err != nil {
+	if req.Package == nil {
+		return nil, errors.New("protocol: seg-ship without a package")
+	}
+	req.Package.Data = msg.AttachmentOr(req.Package.Data)
+	claim := &shipClaim{Source: req.Source, Segment: req.Package.Entry.Segment, Seal: req.Package.Entry.Digest}
+	if _, err := s.co.verifyClaim(msg, evidence.KindSegShip, id.Party(req.Source), claim); err != nil {
 		return nil, err
 	}
 	// Receive applies the full seal-chain verification rule; a tampered
@@ -361,44 +336,13 @@ func (s *AuditService) handleSegShip(msg *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "seg-ship-reply", &segShipResp{LastSegment: last})
+	return msg.Reply("seg-ship-reply", &segShipResp{LastSegment: last})
 }
 
-// verifyShip authenticates a shipment against the source's signing key.
-// The token's digest must cover the canonical ship claim (source,
-// segment, seal digest), its signature must verify, and its issuer must
-// be the claimed source — a shipment replayed under a different source
-// name, or signed by any key but the source's, is refused. A replayed
-// stale claim (an old segment's genuine token) passes here but lands in
-// Receive's idempotence/conflict handling: the seal digest in the claim
-// pins exactly one accepted history position.
-func (s *AuditService) verifyShip(msg *Message, req *segShipReq) error {
-	var tok *evidence.Token
-	if len(msg.Tokens) > 0 {
-		tok = msg.Tokens[0]
-	}
-	ver := s.co.Services().Verifier
-	if tok == nil || ver == nil {
-		if s.shipAuth {
-			return fmt.Errorf("protocol: %s accepts only authenticated seg-ship", s.co.Party())
-		}
-		return nil
-	}
-	if req.Package == nil {
-		return errors.New("protocol: seg-ship without a package")
-	}
-	claim := shipClaim{Source: req.Source, Segment: req.Package.Entry.Segment, Seal: req.Package.Entry.Digest}
-	d, err := claim.digest()
-	if err != nil {
-		return err
-	}
-	if err := ver.VerifyContent(tok, d); err != nil {
-		return fmt.Errorf("protocol: seg-ship token: %w", err)
-	}
-	if err := ver.Expect(tok, evidence.KindSegShip, msg.Run, id.Party(req.Source)); err != nil {
-		return fmt.Errorf("protocol: seg-ship token: %w", err)
-	}
-	return nil
+// errNoReplicas refuses a replica-bound request at an organisation that
+// keeps no replica store.
+func errNoReplicas(co *Coordinator) error {
+	return fmt.Errorf("protocol: %s accepts no replicas", co.Party())
 }
 
 // AuditClient drives remote audits and replication shipping through a
@@ -420,39 +364,12 @@ func (c *AuditClient) SetPage(n int) {
 	}
 }
 
-// request performs one audit exchange with a peer resolved through the
-// directory.
-func (c *AuditClient) request(ctx context.Context, peer id.Party, kind string, body any) (*Message, error) {
-	addr, err := c.co.Services().Directory.Resolve(peer)
-	if err != nil {
-		return nil, err
-	}
-	return c.requestAddr(ctx, addr, kind, body)
-}
-
-// requestAddr performs one audit exchange with an explicit coordinator
-// address (possibly tenant-qualified), for auditors outside the domain
-// directory such as cmd/nrverify -remote.
-func (c *AuditClient) requestAddr(ctx context.Context, addr, kind string, body any) (*Message, error) {
-	msg := &Message{Protocol: AuditProtocol, Run: id.NewRun(), Step: 1, Kind: kind}
-	if err := msg.SetBody(body); err != nil {
-		return nil, err
-	}
-	return c.co.DeliverRequestAddr(ctx, addr, msg)
-}
-
 // Stats fetches the shape of a peer's vault (source empty) or of the
 // peer's replica of source's vault.
 func (c *AuditClient) Stats(ctx context.Context, peer id.Party, source string) (vault.Stats, error) {
-	reply, err := c.request(ctx, peer, KindAuditStats, &auditStatsReq{Source: source})
-	if err != nil {
-		return vault.Stats{}, err
-	}
 	var resp auditStatsResp
-	if err := reply.Body(&resp); err != nil {
-		return vault.Stats{}, err
-	}
-	return resp.Stats, nil
+	err := c.co.exchangeWith(ctx, peer, peerRequest{protocol: AuditProtocol, kind: KindAuditStats, body: &auditStatsReq{Source: source}}, &resp)
+	return resp.Stats, err
 }
 
 // Query streams a peer's vault query results as a RecordSource for the
@@ -491,45 +408,28 @@ func (c *AuditClient) QueryAddr(ctx context.Context, addr string, q vault.Query,
 
 // ReplicaStatus asks a peer what its replica store holds for source.
 func (c *AuditClient) ReplicaStatus(ctx context.Context, peer id.Party, source string) (uint64, error) {
-	reply, err := c.request(ctx, peer, KindSegStatus, &segStatusReq{Source: source})
-	if err != nil {
-		return 0, err
-	}
 	var resp segStatusResp
-	if err := reply.Body(&resp); err != nil {
-		return 0, err
-	}
-	return resp.LastSegment, nil
+	err := c.co.exchangeWith(ctx, peer, peerRequest{protocol: AuditProtocol, kind: KindSegStatus, body: &segStatusReq{Source: source}}, &resp)
+	return resp.LastSegment, err
 }
 
 // ShipSegment delivers one sealed segment package for source to a peer's
-// replica store. When the coordinator has a token issuer, the shipment
-// is authenticated: a KindSegShip token over the canonical ship claim
-// rides the message, binding the shipment to this organisation's
-// signing key (receivers running WithShipAuth accept nothing less).
+// replica store, the segment's bytes on the message's attachment. The
+// shipment carries a KindSegShip token over the canonical ship claim,
+// binding it to this organisation's signing key; receivers accept
+// nothing less, so a coordinator without an issuer cannot ship.
 func (c *AuditClient) ShipSegment(ctx context.Context, peer id.Party, source string, pkg *vault.SegmentPackage) error {
-	addr, err := c.co.Services().Directory.Resolve(peer)
-	if err != nil {
-		return err
+	if pkg == nil {
+		return errors.New("protocol: seg-ship without a package")
 	}
-	msg := &Message{Protocol: AuditProtocol, Run: id.NewRun(), Step: 1, Kind: KindSegShip}
-	if err := msg.SetBody(&segShipReq{Source: source, Package: pkg}); err != nil {
-		return err
-	}
-	if iss := c.co.Services().Issuer; iss != nil && pkg != nil {
-		claim := shipClaim{Source: source, Segment: pkg.Entry.Segment, Seal: pkg.Entry.Digest}
-		d, derr := claim.digest()
-		if derr != nil {
-			return derr
-		}
-		tok, terr := iss.Issue(evidence.KindSegShip, msg.Run, 1, d)
-		if terr != nil {
-			return terr
-		}
-		msg.Tokens = []*evidence.Token{tok}
-	}
-	_, err = c.co.DeliverRequestAddr(ctx, addr, msg)
-	return err
+	return c.co.exchangeWith(ctx, peer, peerRequest{
+		protocol:   AuditProtocol,
+		kind:       KindSegShip,
+		body:       &segShipReq{Source: source, Package: &vault.SegmentPackage{Entry: pkg.Entry}},
+		attachment: pkg.Data,
+		claimKind:  evidence.KindSegShip,
+		claim:      &shipClaim{Source: source, Segment: pkg.Entry.Segment, Seal: pkg.Entry.Digest},
+	}, nil)
 }
 
 // ShipTarget adapts a peer into a ship-only vault.ShipTarget for the
@@ -603,13 +503,9 @@ func (it *RemoteIterator) Next() bool {
 				it.req.Page = remaining
 			}
 		}
-		reply, err := it.c.requestAddr(it.ctx, it.addr, KindAuditQuery, &it.req)
-		if err != nil {
-			it.err = err
-			return false
-		}
 		var resp auditQueryResp
-		if err := reply.Body(&resp); err != nil {
+		req := peerRequest{protocol: AuditProtocol, kind: KindAuditQuery, body: &it.req}
+		if err := it.c.co.exchange(it.ctx, it.addr, req, &resp); err != nil {
 			it.err = err
 			return false
 		}

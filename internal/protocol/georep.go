@@ -6,7 +6,7 @@
 // immediately adjudicable because a replica directory is a valid
 // read-only vault. Pushes are authenticated exactly like seg-ship:
 // a KindGeoAppend token over the canonical push claim, issued by the
-// source organisation itself.
+// source organisation itself (verifyClaim).
 package protocol
 
 import (
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -70,21 +69,12 @@ type geoAppendClaim struct {
 	Frames sig.Digest `json:"frames"`
 }
 
-func (c *geoAppendClaim) digest() (sig.Digest, error) {
-	raw, err := canon.Marshal(c)
-	if err != nil {
-		return sig.Digest{}, err
-	}
-	return sig.Sum(raw), nil
-}
-
 // GeoService receives quorum tail pushes into an organisation's replica
-// store. Pushes must be authenticated whenever the coordinator can
-// verify tokens (the normal case — every domain organisation has a
-// verifier): a push without a valid source-issued token is refused, so
-// the tail path cannot be used to seed a bogus replica any more than
-// seg-ship can.
+// store. A push without a valid source-issued token is refused, so the
+// tail path cannot be used to seed a bogus replica any more than seg-ship
+// can; an organisation without a replica store refuses every geo kind.
 type GeoService struct {
+	RequestMux
 	co       *Coordinator
 	replicas *vault.ReplicaSet
 }
@@ -93,42 +83,18 @@ type GeoService struct {
 // pushes in rs.
 func NewGeoService(co *Coordinator, rs *vault.ReplicaSet) *GeoService {
 	s := &GeoService{co: co, replicas: rs}
+	s.RequestMux = NewRequestMux(GeoProtocol, "geo", map[string]RequestFunc{
+		KindGeoStatus: s.handleStatus,
+		KindGeoAppend: s.handleAppend,
+	})
 	co.Register(s)
 	return s
 }
 
-// Protocol implements Handler.
-func (s *GeoService) Protocol() string { return GeoProtocol }
-
-// Process implements Handler; every geo exchange is request/response.
-func (s *GeoService) Process(ctx context.Context, msg *Message) error {
-	return fmt.Errorf("protocol: geo message %q requires a request/response delivery", msg.Kind)
-}
-
-// ProcessRequest implements Handler.
-func (s *GeoService) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
+func (s *GeoService) handleStatus(_ context.Context, msg *Message) (*Message, error) {
 	if s.replicas == nil {
-		return nil, fmt.Errorf("protocol: %s accepts no replicas", s.co.Party())
+		return nil, errNoReplicas(s.co)
 	}
-	switch msg.Kind {
-	case KindGeoStatus:
-		return s.handleStatus(msg)
-	case KindGeoAppend:
-		return s.handleAppend(msg)
-	default:
-		return nil, fmt.Errorf("protocol: unknown geo message kind %q", msg.Kind)
-	}
-}
-
-func (s *GeoService) reply(msg *Message, kind string, body any) (*Message, error) {
-	out := &Message{Protocol: GeoProtocol, Run: msg.Run, Step: msg.Step + 1, Kind: kind}
-	if err := out.SetBody(body); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (s *GeoService) handleStatus(msg *Message) (*Message, error) {
 	var req geoStatusReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
@@ -137,16 +103,20 @@ func (s *GeoService) handleStatus(msg *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "geo-status-reply", &geoStatusResp{AckedSeq: acked})
+	return msg.Reply("geo-status-reply", &geoStatusResp{AckedSeq: acked})
 }
 
-func (s *GeoService) handleAppend(msg *Message) (*Message, error) {
+func (s *GeoService) handleAppend(_ context.Context, msg *Message) (*Message, error) {
+	if s.replicas == nil {
+		return nil, errNoReplicas(s.co)
+	}
 	var req geoAppendReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
 	req.Frames = msg.AttachmentOr(req.Frames)
-	if err := s.verifyAppend(msg, &req); err != nil {
+	claim := &geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
+	if _, err := s.co.verifyClaim(msg, evidence.KindGeoAppend, id.Party(req.Source), claim); err != nil {
 		return nil, err
 	}
 	recs, err := decodeRecordPush("geo push", req.First, req.Count, req.Frames)
@@ -157,37 +127,7 @@ func (s *GeoService) handleAppend(msg *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "geo-append-reply", &geoAppendResp{AckedSeq: acked})
-}
-
-// verifyAppend authenticates a tail push against the source's signing
-// key. Unlike seg-ship (which keeps an unauthenticated compatibility
-// mode behind an option), geo pushes are a new protocol: whenever the
-// receiver can verify tokens it requires one, always.
-func (s *GeoService) verifyAppend(msg *Message, req *geoAppendReq) error {
-	ver := s.co.Services().Verifier
-	if ver == nil {
-		return nil
-	}
-	var tok *evidence.Token
-	if len(msg.Tokens) > 0 {
-		tok = msg.Tokens[0]
-	}
-	if tok == nil {
-		return fmt.Errorf("protocol: %s accepts only authenticated geo-append", s.co.Party())
-	}
-	claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
-	d, err := claim.digest()
-	if err != nil {
-		return err
-	}
-	if err := ver.VerifyContent(tok, d); err != nil {
-		return fmt.Errorf("protocol: geo-append token: %w", err)
-	}
-	if err := ver.Expect(tok, evidence.KindGeoAppend, msg.Run, id.Party(req.Source)); err != nil {
-		return fmt.Errorf("protocol: geo-append token: %w", err)
-	}
-	return nil
+	return msg.Reply("geo-append-reply", &geoAppendResp{AckedSeq: acked})
 }
 
 // decodeRecordPush decodes one pushed batch of record frames — a geo
@@ -232,67 +172,34 @@ func NewGeoClient(co *Coordinator) *GeoClient {
 // AckedSeq asks peer how far (by record sequence) its replica holds
 // source's vault.
 func (c *GeoClient) AckedSeq(ctx context.Context, peer id.Party, source string) (uint64, error) {
-	addr, err := c.co.Services().Directory.Resolve(peer)
-	if err != nil {
-		return 0, err
-	}
-	msg := &Message{Protocol: GeoProtocol, Run: id.NewRun(), Step: 1, Kind: KindGeoStatus}
-	if err := msg.SetBody(&geoStatusReq{Source: source}); err != nil {
-		return 0, err
-	}
-	reply, err := c.co.DeliverRequestAddr(ctx, addr, msg)
-	if err != nil {
-		return 0, err
-	}
 	var resp geoStatusResp
-	if err := reply.Body(&resp); err != nil {
-		return 0, err
-	}
-	return resp.AckedSeq, nil
+	err := c.co.exchangeWith(ctx, peer, peerRequest{protocol: GeoProtocol, kind: KindGeoStatus, body: &geoStatusReq{Source: source}}, &resp)
+	return resp.AckedSeq, err
 }
 
 // Append pushes a contiguous batch of records of source's vault to
 // peer's replica tail, returning the replica's new acknowledged
-// sequence. The push is authenticated when the coordinator has a token
-// issuer.
+// sequence. The push carries a KindGeoAppend token over the push claim;
+// receivers accept nothing less.
 func (c *GeoClient) Append(ctx context.Context, peer id.Party, source string, recs []*store.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, errors.New("protocol: empty geo push")
-	}
-	addr, err := c.co.Services().Directory.Resolve(peer)
-	if err != nil {
-		return 0, err
 	}
 	frames, err := store.AppendFrameRun(nil, recs)
 	if err != nil {
 		return 0, err
 	}
 	req := &geoAppendReq{Source: source, First: recs[0].Seq, Count: len(recs)}
-	msg := &Message{Protocol: GeoProtocol, Run: id.NewRun(), Step: 1, Kind: KindGeoAppend, Attachment: frames}
-	if err := msg.SetBody(req); err != nil {
-		return 0, err
-	}
-	if iss := c.co.Services().Issuer; iss != nil {
-		claim := geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(frames)}
-		d, derr := claim.digest()
-		if derr != nil {
-			return 0, derr
-		}
-		tok, terr := iss.Issue(evidence.KindGeoAppend, msg.Run, 1, d)
-		if terr != nil {
-			return 0, terr
-		}
-		msg.Tokens = []*evidence.Token{tok}
-	}
-	reply, err := c.co.DeliverRequestAddr(ctx, addr, msg)
-	if err != nil {
-		return 0, err
-	}
 	var resp geoAppendResp
-	if err := reply.Body(&resp); err != nil {
-		return 0, err
-	}
-	return resp.AckedSeq, nil
+	err = c.co.exchangeWith(ctx, peer, peerRequest{
+		protocol:   GeoProtocol,
+		kind:       KindGeoAppend,
+		body:       req,
+		attachment: frames,
+		claimKind:  evidence.KindGeoAppend,
+		claim:      &geoAppendClaim{Source: source, First: req.First, Count: req.Count, Frames: sig.Sum(frames)},
+	}, &resp)
+	return resp.AckedSeq, err
 }
 
 // GeoTarget bundles everything the georep policy engine needs to drive

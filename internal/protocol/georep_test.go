@@ -9,11 +9,14 @@ import (
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/invoke"
 	"nonrep/internal/protocol"
+	"nonrep/internal/sharing"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
+	"nonrep/internal/ttp"
 	"nonrep/internal/vault"
 )
 
@@ -317,7 +320,8 @@ func TestGeoTargetEndToEnd(t *testing.T) {
 // TestGeoServiceRejects pins the service's refusal surface: geo kinds
 // are request/response only, a host without replica storage accepts
 // nothing, unknown kinds bounce, and a client never sends an empty
-// push.
+// push. The same refusals hold for every request-only handler, all of
+// which dispatch through one RequestMux.
 func TestGeoServiceRejects(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -352,6 +356,43 @@ func TestGeoServiceRejects(t *testing.T) {
 	}
 	if _, err := f.geo.Append(ctx, ghost, string(alice), f.fill(t, 1)); err == nil {
 		t.Fatal("Append to unenrolled peer succeeded")
+	}
+
+	vC, err := vault.Open(t.TempDir(), f.realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = vC.Close() })
+	for _, tc := range []struct {
+		label string
+		h     protocol.Handler
+		// storeKind is a kind refused by a handler built without a
+		// replica store ("" where none applies).
+		storeKind string
+	}{
+		{"audit", protocol.NewAuditService(f.coC, nil, nil), protocol.KindSegStatus},
+		{"geo", protocol.NewGeoService(f.coC, nil), protocol.KindGeoAppend},
+		{"subscription", protocol.NewSubService(f.coC, vC), ""},
+		{"feed", protocol.NewSubClient(f.coC), ""},
+		{"hello", invoke.NewHelloService(f.coC), ""},
+		{"resolve", invoke.NewResolveService(f.coC), ""},
+		{"epm", ttp.NewEPM(f.coC), ""},
+		{"sharing", sharing.NewController(f.coC), ""},
+	} {
+		msg := &protocol.Message{Protocol: tc.h.Protocol(), Run: id.NewRun(), Step: 1, Kind: tc.label + "-bogus", Payload: []byte("{}")}
+		if err := tc.h.Process(ctx, msg); err == nil || !strings.Contains(err.Error(), "request/response") {
+			t.Errorf("%s: one-way Process: err = %v", tc.label, err)
+		}
+		if _, err := tc.h.ProcessRequest(ctx, msg); err == nil || !strings.Contains(err.Error(), "unknown "+tc.label+" message kind") {
+			t.Errorf("%s: unknown kind: err = %v", tc.label, err)
+		}
+		if tc.storeKind == "" {
+			continue
+		}
+		msg.Kind = tc.storeKind
+		if _, err := tc.h.ProcessRequest(ctx, msg); err == nil || !strings.Contains(err.Error(), "no replicas") {
+			t.Errorf("%s: %s without a replica store: err = %v", tc.label, tc.storeKind, err)
+		}
 	}
 }
 

@@ -78,6 +78,16 @@ func (m *Message) SetBody(v any) error {
 	return nil
 }
 
+// Reply builds the response to m: the same protocol and run, the next
+// step, body as its payload.
+func (m *Message) Reply(kind string, body any) (*Message, error) {
+	out := &Message{Protocol: m.Protocol, Run: m.Run, Step: m.Step + 1, Kind: kind}
+	if err := out.SetBody(body); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // PayloadDigest returns the digest of the payload bytes.
 func (m *Message) PayloadDigest() sig.Digest { return sig.Sum(m.Payload) }
 

@@ -4,7 +4,8 @@
 // streams every committed record back as it lands (sub-records), plus
 // seal notifications and — on request — whole sealed-segment packages
 // (sub-seal, fanned out through the transport chunk layer like any
-// oversized payload). The feed is hash-chain-continuous end to end: the
+// oversized payload); record frames and segment bytes ride the pushes'
+// attachments. The feed is hash-chain-continuous end to end: the
 // subscriber names the chain position it resumes from, the publisher
 // backfills the gap from its vault indexes, and the subscriber re-derives
 // the chain over everything it receives — a gap, duplicate or forgery
@@ -14,9 +15,10 @@
 // digest covers the canonical subscribe request, and the publisher
 // appends the token to its vault as received evidence before serving a
 // single record — who watched whose evidence from when is adjudicable
-// with the same machinery as the interactions themselves. The service
-// registers as an ordinary protocol handler, so hosted tenants get the
-// subscription plane through the same tenant demux as everything else.
+// with the same machinery as the interactions themselves. Both ends are
+// kind tables on the peer-service skeleton (peer.go) and register as
+// ordinary protocol handlers, so hosted tenants get the subscription
+// plane through the same tenant demux as everything else.
 package protocol
 
 import (
@@ -144,39 +146,30 @@ type subProvResp struct {
 
 // subRecordsPush carries one chain-ordered batch as concatenated binary
 // record frames (the segment-file encoding) rather than JSON records:
-// the receiving coordinator skips over the payload instead of tokenising
+// the receiving coordinator skips over the frames instead of tokenising
 // every record, and a client fanning one push out to many local feeds
-// decodes and hash-verifies the batch exactly once. On the wire the
-// push body itself is a binary frame (below), so the record frames reach
-// the client as a borrowed sub-slice of the envelope body — no base64
-// detour; the JSON form remains decodable for peers that predate it.
+// decodes and hash-verifies the batch exactly once. The frames ride the
+// message's Attachment, reaching the client as a borrowed sub-slice of
+// the envelope body. Frames is where a publisher that predates
+// attachments put them — inside a JSON body, or inside the binary body
+// below — and is only ever read.
 type subRecordsPush struct {
 	SubID  string `json:"sub_id"`
 	First  uint64 `json:"first"`
 	Count  int    `json:"count"`
-	Frames []byte `json:"frames"`
+	Frames []byte `json:"frames,omitempty"`
 }
 
 // Binary push-body magic byte (outside UTF-8's first-byte range, so it
-// cannot open a canonical-JSON body) and format version.
+// cannot open a canonical-JSON body) and format version, as publishers
+// that predate attachments wrote them.
 const (
 	subPushMagic   = 0xF5
 	subPushVersion = 0x01
 )
 
-// marshalRecordsPush encodes a record push as a binary protocol body.
-func marshalRecordsPush(p *subRecordsPush) []byte {
-	dst := make([]byte, 0, 24+len(p.SubID)+len(p.Frames))
-	dst = append(dst, subPushMagic, subPushVersion)
-	dst = canon.AppendString(dst, p.SubID)
-	dst = canon.AppendUvarint(dst, p.First)
-	dst = canon.AppendUvarint(dst, uint64(p.Count))
-	dst = canon.AppendBytes(dst, p.Frames)
-	return dst
-}
-
-// unmarshalRecordsPush decodes a record push, auto-detecting the binary
-// body; a JSON body decodes through the message's canonical path.
+// unmarshalRecordsPush decodes a record push body: canonical JSON, or
+// the legacy binary body.
 func unmarshalRecordsPush(msg *Message, p *subRecordsPush) error {
 	data := msg.Payload
 	if len(data) == 0 || data[0] != subPushMagic {
@@ -197,6 +190,10 @@ func unmarshalRecordsPush(msg *Message, p *subRecordsPush) error {
 	return nil
 }
 
+// subSealPush announces one seal. With segments requested, the sealed
+// segment's bytes ride the message's Attachment; Package is where a
+// publisher that predates attachments put the whole package, and is only
+// ever read.
 type subSealPush struct {
 	SubID   string                `json:"sub_id"`
 	Entry   vault.ManifestEntry   `json:"entry"`
@@ -225,6 +222,7 @@ func WithAnonymousSubscribe() SubOption {
 // Detach (or Close) tears every subscription and vault hook down — the
 // coordinator and host call it on tenant detach.
 type SubService struct {
+	RequestMux
 	co   *Coordinator
 	v    *vault.Vault
 	hub  *feed.Hub
@@ -255,31 +253,14 @@ func NewSubService(co *Coordinator, v *vault.Vault, opts ...SubOption) *SubServi
 		opt(s)
 	}
 	s.hub = feed.NewHub(v, co.Services().Obs)
+	// Pushes travel the other way, on SubFeedProtocol.
+	s.RequestMux = NewRequestMux(SubProtocol, "subscription", map[string]RequestFunc{
+		KindSubOpen:  s.handleOpen,
+		KindSubClose: s.handleClose,
+		KindSubProv:  s.handleProv,
+	})
 	co.Register(s)
 	return s
-}
-
-// Protocol implements Handler.
-func (s *SubService) Protocol() string { return SubProtocol }
-
-// Process implements Handler; every subscription exchange is
-// request/response (pushes travel the other way, on SubFeedProtocol).
-func (s *SubService) Process(ctx context.Context, msg *Message) error {
-	return fmt.Errorf("protocol: subscription message %q requires a request/response delivery", msg.Kind)
-}
-
-// ProcessRequest implements Handler.
-func (s *SubService) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
-	switch msg.Kind {
-	case KindSubOpen:
-		return s.handleOpen(msg)
-	case KindSubClose:
-		return s.handleClose(msg)
-	case KindSubProv:
-		return s.handleProv(msg)
-	default:
-		return nil, fmt.Errorf("protocol: unknown subscription message kind %q", msg.Kind)
-	}
 }
 
 // Subscribers reports the live subscription count.
@@ -307,15 +288,12 @@ func (s *SubService) Close() error {
 	return nil
 }
 
-func (s *SubService) reply(msg *Message, kind string, body any) (*Message, error) {
-	out := &Message{Protocol: SubProtocol, Run: msg.Run, Step: msg.Step + 1, Kind: kind}
-	if err := out.SetBody(body); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (s *SubService) handleOpen(msg *Message) (*Message, error) {
+// handleOpen opens a subscription. Unless the service allows anonymous
+// subscribers, the sub-open must carry a KindSubOpen token from the
+// subscriber over the canonical request — so the resume position and
+// delivery address the publisher acts on are exactly what the subscriber
+// authorized — and the token is journaled before a record is served.
+func (s *SubService) handleOpen(_ context.Context, msg *Message) (*Message, error) {
 	if s.v == nil {
 		return nil, fmt.Errorf("%w at %s", ErrNoVault, s.co.Party())
 	}
@@ -326,32 +304,18 @@ func (s *SubService) handleOpen(msg *Message) (*Message, error) {
 	if req.SubID == "" || req.Addr == "" {
 		return nil, errors.New("protocol: sub-open needs a subscription id and a delivery address")
 	}
-	raw, err := canon.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
 	if !s.anon {
-		ver := s.co.Services().Verifier
-		if ver == nil {
-			return nil, fmt.Errorf("%w: %s has no verifier", ErrSubUnauthorized, s.co.Party())
-		}
-		if len(msg.Tokens) == 0 {
-			return nil, fmt.Errorf("%w: sub-open carries no token", ErrSubUnauthorized)
-		}
-		tok := msg.Tokens[0]
-		// The token signs the canonical request, so the resume position
-		// and delivery address the publisher acts on are exactly what the
-		// subscriber authorized.
-		if err := ver.VerifyContent(tok, sig.Sum(raw)); err != nil {
+		tok, err := s.co.verifyClaim(msg, evidence.KindSubOpen, req.Subscriber, &req)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSubUnauthorized, err)
 		}
-		if err := ver.Expect(tok, evidence.KindSubOpen, msg.Run, req.Subscriber); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSubUnauthorized, err)
+		// The subscription itself becomes vault evidence (and, landing
+		// below the feed's start window, reaches the subscriber too).
+		note, err := canon.Marshal(&req)
+		if err != nil {
+			return nil, err
 		}
-		// Journal the authorization before serving a record: the
-		// subscription itself becomes vault evidence (and, landing below
-		// the feed's start window, reaches the subscriber too).
-		if _, err := s.v.Append(store.Received, tok, string(raw)); err != nil {
+		if _, err := s.v.Append(store.Received, tok, string(note)); err != nil {
 			return nil, err
 		}
 	}
@@ -387,7 +351,7 @@ func (s *SubService) handleOpen(msg *Message) (*Message, error) {
 	ss.sub = sub
 	go s.watch(ss)
 	head, _ := s.v.LastPosition()
-	return s.reply(msg, "sub-open-reply", &subOpenResp{SubID: req.SubID, HeadSeq: head})
+	return msg.Reply("sub-open-reply", &subOpenResp{SubID: req.SubID, HeadSeq: head})
 }
 
 // sink builds the delivery function for one subscriber: each feed event
@@ -399,43 +363,28 @@ func (s *SubService) sink(ss *serverSub, segments bool) feed.Sink {
 		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 		defer cancel()
 		if ev.Seal != nil {
-			body := &subSealPush{SubID: ss.id, Entry: *ev.Seal}
+			var data []byte
 			if segments {
 				// Sealed files are immutable; a read failure loses only
 				// the package, the entry still flows.
 				if pkg, perr := s.v.Package(ev.Seal.Segment); perr == nil {
-					body.Package = pkg
+					data = pkg.Data
 				}
 			}
-			return s.push(ctx, ss, KindSubSeal, body)
+			return s.push(ctx, ss, KindSubSeal, &subSealPush{SubID: ss.id, Entry: *ev.Seal}, data)
 		}
 		frames, err := store.AppendFrameRun(nil, ev.Records)
 		if err != nil {
 			return err
 		}
-		return s.pushRaw(ctx, ss, KindSubRecords, marshalRecordsPush(&subRecordsPush{
-			SubID:  ss.id,
-			First:  ev.Records[0].Seq,
-			Count:  len(ev.Records),
-			Frames: frames,
-		}))
+		body := &subRecordsPush{SubID: ss.id, First: ev.Records[0].Seq, Count: len(ev.Records)}
+		return s.push(ctx, ss, KindSubRecords, body, frames)
 	}
 }
 
-func (s *SubService) push(ctx context.Context, ss *serverSub, kind string, body any) error {
-	m := &Message{Protocol: SubFeedProtocol, Run: ss.run, Step: 1, Kind: kind}
-	if err := m.SetBody(body); err != nil {
-		return err
-	}
-	_, err := s.co.DeliverRequestAddr(ctx, ss.addr, m)
-	return err
-}
-
-// pushRaw is push with an already-encoded payload.
-func (s *SubService) pushRaw(ctx context.Context, ss *serverSub, kind string, payload []byte) error {
-	m := &Message{Protocol: SubFeedProtocol, Run: ss.run, Step: 1, Kind: kind, Payload: payload}
-	_, err := s.co.DeliverRequestAddr(ctx, ss.addr, m)
-	return err
+// push delivers one feed event to a subscriber, on the subscription's run.
+func (s *SubService) push(ctx context.Context, ss *serverSub, kind string, body any, attachment []byte) error {
+	return s.co.exchange(ctx, ss.addr, peerRequest{protocol: SubFeedProtocol, kind: kind, run: ss.run, body: body, attachment: attachment}, nil)
 }
 
 // watch deregisters a subscription when it ends and sends the subscriber
@@ -454,10 +403,10 @@ func (s *SubService) watch(ss *serverSub) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 	defer cancel()
-	_ = s.push(ctx, ss, KindSubEvict, &subEvictPush{SubID: ss.id, Reason: err.Error()})
+	_ = s.push(ctx, ss, KindSubEvict, &subEvictPush{SubID: ss.id, Reason: err.Error()}, nil)
 }
 
-func (s *SubService) handleClose(msg *Message) (*Message, error) {
+func (s *SubService) handleClose(_ context.Context, msg *Message) (*Message, error) {
 	var req subCloseReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
@@ -471,10 +420,10 @@ func (s *SubService) handleClose(msg *Message) (*Message, error) {
 	if ok {
 		ss.sub.Close()
 	}
-	return s.reply(msg, "sub-close-reply", &subCloseResp{Closed: ok})
+	return msg.Reply("sub-close-reply", &subCloseResp{Closed: ok})
 }
 
-func (s *SubService) handleProv(msg *Message) (*Message, error) {
+func (s *SubService) handleProv(_ context.Context, msg *Message) (*Message, error) {
 	if s.v == nil {
 		return nil, fmt.Errorf("%w at %s", ErrNoVault, s.co.Party())
 	}
@@ -486,7 +435,7 @@ func (s *SubService) handleProv(msg *Message) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reply(msg, "sub-prov-reply", &subProvResp{Graph: graph})
+	return msg.Reply("sub-prov-reply", &subProvResp{Graph: graph})
 }
 
 // WatchConfig shapes one subscription from the subscriber's side.
@@ -519,8 +468,8 @@ type WatchConfig struct {
 // id — a push for an id this client never opened (say, a predecessor
 // tenant's) is refused.
 type SubClient struct {
-	co     *Coordinator
-	issuer evidence.TokenIssuer
+	RequestMux
+	co *Coordinator
 
 	mu    sync.Mutex
 	feeds map[string]*Feed
@@ -558,11 +507,16 @@ type batchKey struct {
 func NewSubClient(co *Coordinator) *SubClient {
 	c := &SubClient{
 		co:      co,
-		issuer:  co.Services().Issuer,
 		feeds:   make(map[string]*Feed),
 		batches: make(map[batchKey][]*store.Record),
 		shared:  make(map[string]*sharedUpstream),
 	}
+	// Pushes are requests so the publisher observes delivery failure.
+	c.RequestMux = NewRequestMux(SubFeedProtocol, "feed", map[string]RequestFunc{
+		KindSubRecords: c.handleRecords,
+		KindSubSeal:    c.handleSeal,
+		KindSubEvict:   c.handleEvict,
+	})
 	co.Register(c)
 	return c
 }
@@ -596,74 +550,69 @@ func (c *SubClient) decodeFrames(first uint64, count int, frames []byte) ([]*sto
 	return recs, nil
 }
 
-// Protocol implements Handler.
-func (c *SubClient) Protocol() string { return SubFeedProtocol }
-
-// Process implements Handler; pushes are request/response so the
-// publisher observes delivery failure.
-func (c *SubClient) Process(ctx context.Context, msg *Message) error {
-	return fmt.Errorf("protocol: feed message %q requires a request/response delivery", msg.Kind)
-}
-
-// ProcessRequest implements Handler: dispatch one push to its feed and
-// acknowledge it.
-func (c *SubClient) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
-	var subID string
-	switch msg.Kind {
-	case KindSubRecords:
-		var p subRecordsPush
-		if err := unmarshalRecordsPush(msg, &p); err != nil {
-			return nil, err
-		}
-		f := c.feedFor(p.SubID)
-		if f == nil {
-			return nil, fmt.Errorf("%w: %q", ErrSubUnknown, p.SubID)
-		}
-		recs, err := c.decodeFrames(p.First, p.Count, p.Frames)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.acceptRecords(recs); err != nil {
-			return nil, err
-		}
-		subID = p.SubID
-	case KindSubSeal:
-		var p subSealPush
-		if err := msg.Body(&p); err != nil {
-			return nil, err
-		}
-		f := c.feedFor(p.SubID)
-		if f == nil {
-			return nil, fmt.Errorf("%w: %q", ErrSubUnknown, p.SubID)
-		}
-		if err := f.acceptSeal(&p.Entry, p.Package); err != nil {
-			return nil, err
-		}
-		subID = p.SubID
-	case KindSubEvict:
-		var p subEvictPush
-		if err := msg.Body(&p); err != nil {
-			return nil, err
-		}
-		if f := c.feedFor(p.SubID); f != nil {
-			c.remove(f)
-			f.fail(fmt.Errorf("%w: %s", ErrSubEvicted, p.Reason))
-		}
-		subID = p.SubID
-	default:
-		return nil, fmt.Errorf("protocol: unknown feed message kind %q", msg.Kind)
-	}
-	out := &Message{Protocol: SubFeedProtocol, Run: msg.Run, Step: msg.Step + 1, Kind: KindSubAck}
-	if err := out.SetBody(&subCloseReq{SubID: subID}); err != nil {
+func (c *SubClient) handleRecords(_ context.Context, msg *Message) (*Message, error) {
+	var p subRecordsPush
+	if err := unmarshalRecordsPush(msg, &p); err != nil {
 		return nil, err
 	}
-	return out, nil
+	f, err := c.feedFor(p.SubID)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := c.decodeFrames(p.First, p.Count, msg.AttachmentOr(p.Frames))
+	if err != nil {
+		return nil, err
+	}
+	if err := f.acceptRecords(recs); err != nil {
+		return nil, err
+	}
+	return ack(msg, p.SubID)
 }
 
-func (c *SubClient) feedFor(subID string) *Feed {
+func (c *SubClient) handleSeal(_ context.Context, msg *Message) (*Message, error) {
+	var p subSealPush
+	if err := msg.Body(&p); err != nil {
+		return nil, err
+	}
+	f, err := c.feedFor(p.SubID)
+	if err != nil {
+		return nil, err
+	}
+	if len(msg.Attachment) > 0 {
+		p.Package = &vault.SegmentPackage{Entry: p.Entry, Data: msg.Attachment}
+	}
+	if err := f.acceptSeal(&p.Entry, p.Package); err != nil {
+		return nil, err
+	}
+	return ack(msg, p.SubID)
+}
+
+func (c *SubClient) handleEvict(_ context.Context, msg *Message) (*Message, error) {
+	var p subEvictPush
+	if err := msg.Body(&p); err != nil {
+		return nil, err
+	}
+	if f, _ := c.feedFor(p.SubID); f != nil {
+		c.remove(f)
+		f.fail(fmt.Errorf("%w: %s", ErrSubEvicted, p.Reason))
+	}
+	return ack(msg, p.SubID)
+}
+
+// ack acknowledges one push.
+func ack(msg *Message, subID string) (*Message, error) {
+	return msg.Reply(KindSubAck, &subCloseReq{SubID: subID})
+}
+
+// feedFor resolves the feed a push names; a subscription this client
+// does not hold is refused.
+func (c *SubClient) feedFor(subID string) (*Feed, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.feeds[subID]
+	if f := c.feeds[subID]; f != nil {
+		return f, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrSubUnknown, subID)
 }
 
 func (c *SubClient) remove(f *Feed) {
@@ -707,6 +656,8 @@ func (c *SubClient) SubscribeAddr(ctx context.Context, addr string, cfg WatchCon
 	if cfg.Shared {
 		return c.subscribeShared(ctx, addr, cfg)
 	}
+	// The subscription is named after the run of its sub-open, so the
+	// journaled authorization and the pushes it licenses share one run.
 	run := id.NewRun()
 	subID := "sub-" + string(run)
 	req := &subOpenReq{
@@ -717,21 +668,6 @@ func (c *SubClient) SubscribeAddr(ctx context.Context, addr string, cfg WatchCon
 		AfterHash:  cfg.AfterHash,
 		Seals:      cfg.Seals,
 		Segments:   cfg.Segments,
-	}
-	msg := &Message{Protocol: SubProtocol, Run: run, Step: 1, Kind: KindSubOpen}
-	if err := msg.SetBody(req); err != nil {
-		return nil, err
-	}
-	if c.issuer != nil {
-		raw, err := canon.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
-		tok, err := c.issuer.Issue(evidence.KindSubOpen, run, 1, sig.Sum(raw))
-		if err != nil {
-			return nil, err
-		}
-		msg.Tokens = []*evidence.Token{tok}
 	}
 	buffer := cfg.Buffer
 	if buffer <= 0 {
@@ -752,14 +688,13 @@ func (c *SubClient) SubscribeAddr(ctx context.Context, addr string, cfg WatchCon
 	c.mu.Lock()
 	c.feeds[subID] = f
 	c.mu.Unlock()
-	reply, err := c.co.DeliverRequestAddr(ctx, addr, msg)
-	if err != nil {
-		c.remove(f)
-		f.fail(nil)
-		return nil, err
-	}
+	// Without an issuer the sub-open goes anonymous: only publishers
+	// allowing anonymous subscribers accept it.
 	var resp subOpenResp
-	if err := reply.Body(&resp); err != nil {
+	if err := c.co.exchange(ctx, addr, peerRequest{
+		protocol: SubProtocol, kind: KindSubOpen, run: run, body: req,
+		claimKind: evidence.KindSubOpen, claim: req,
+	}, &resp); err != nil {
 		c.remove(f)
 		f.fail(nil)
 		return nil, err
@@ -983,19 +918,9 @@ func (c *SubClient) Provenance(ctx context.Context, publisher id.Party, run id.R
 
 // ProvenanceAddr is Provenance against an explicit coordinator address.
 func (c *SubClient) ProvenanceAddr(ctx context.Context, addr string, run id.Run) (*vault.ProvGraph, error) {
-	msg := &Message{Protocol: SubProtocol, Run: id.NewRun(), Step: 1, Kind: KindSubProv}
-	if err := msg.SetBody(&subProvReq{Run: run}); err != nil {
-		return nil, err
-	}
-	reply, err := c.co.DeliverRequestAddr(ctx, addr, msg)
-	if err != nil {
-		return nil, err
-	}
 	var resp subProvResp
-	if err := reply.Body(&resp); err != nil {
-		return nil, err
-	}
-	return resp.Graph, nil
+	err := c.co.exchange(ctx, addr, peerRequest{protocol: SubProtocol, kind: KindSubProv, body: &subProvReq{Run: run}}, &resp)
+	return resp.Graph, err
 }
 
 // FeedEvent is one verified feed delivery: a chain-continuous batch of
@@ -1062,10 +987,7 @@ func (f *Feed) Close() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	msg := &Message{Protocol: SubProtocol, Run: id.NewRun(), Step: 1, Kind: KindSubClose}
-	if err := msg.SetBody(&subCloseReq{SubID: f.subID}); err == nil {
-		_, _ = f.client.co.DeliverRequestAddr(ctx, f.addr, msg)
-	}
+	_ = f.client.co.exchange(ctx, f.addr, peerRequest{protocol: SubProtocol, kind: KindSubClose, body: &subCloseReq{SubID: f.subID}}, nil)
 	f.client.remove(f)
 	f.fail(nil)
 }

@@ -18,6 +18,7 @@ import (
 // parties." One controller per party manages all of that party's shared
 // objects.
 type Controller struct {
+	protocol.RequestMux
 	co *protocol.Coordinator
 
 	mu         sync.Mutex
@@ -55,12 +56,14 @@ func NewController(co *protocol.Coordinator) *Controller {
 		appliers:   make(map[string][]ApplyFunc),
 		replies:    protocol.NewReplyCache(),
 	}
+	c.RequestMux = protocol.NewRequestMux(ProtocolShare, "sharing", map[string]protocol.RequestFunc{
+		kindPropose: c.handlePropose,
+		kindOutcome: c.handleOutcome,
+		kindWelcome: c.handleWelcome,
+	})
 	co.Register(c)
 	return c
 }
-
-// Protocol implements protocol.Handler.
-func (c *Controller) Protocol() string { return ProtocolShare }
 
 // Create installs a local replica of a shared object at an agreed initial
 // state. Every founding member calls Create with identical arguments (the

@@ -10,27 +10,6 @@ import (
 	"nonrep/internal/sig"
 )
 
-// Process implements protocol.Handler; the coordination protocol is
-// request/response only.
-func (c *Controller) Process(context.Context, *protocol.Message) error {
-	return fmt.Errorf("sharing: coordination messages require request/response delivery")
-}
-
-// ProcessRequest implements protocol.Handler, dispatching the member-side
-// steps of the coordination protocol.
-func (c *Controller) ProcessRequest(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
-	switch msg.Kind {
-	case kindPropose:
-		return c.handlePropose(ctx, msg)
-	case kindOutcome:
-		return c.handleOutcome(ctx, msg)
-	case kindWelcome:
-		return c.handleWelcome(ctx, msg)
-	default:
-		return nil, fmt.Errorf("sharing: unknown message kind %q", msg.Kind)
-	}
-}
-
 // handlePropose validates a remote proposal (Figure 8: the controller
 // "validat[es] A's proposed update by appealing to one or more state
 // validators") and returns this member's signed decision.

@@ -35,6 +35,7 @@ const (
 
 // EPM is the postmark service handler, registered on a TTP's coordinator.
 type EPM struct {
+	protocol.RequestMux
 	co *protocol.Coordinator
 }
 
@@ -45,16 +46,13 @@ var _ protocol.Handler = (*EPM)(nil)
 // are time-stamped.
 func NewEPM(co *protocol.Coordinator) *EPM {
 	e := &EPM{co: co}
+	e.RequestMux = protocol.NewRequestMux(ProtocolEPM, "epm", map[string]protocol.RequestFunc{
+		kindSubmit: e.handleSubmit,
+		kindVerify: e.handleVerify,
+		kindFetch:  e.handleFetch,
+	})
 	co.Register(e)
 	return e
-}
-
-// Protocol implements protocol.Handler.
-func (e *EPM) Protocol() string { return ProtocolEPM }
-
-// Process implements protocol.Handler; the EPM is request/response only.
-func (e *EPM) Process(context.Context, *protocol.Message) error {
-	return fmt.Errorf("ttp: epm accepts only requests")
 }
 
 // submitBody carries a token for postmarking.
@@ -79,23 +77,9 @@ type bundleBody struct {
 	Tokens []*evidence.Token `json:"tokens"`
 }
 
-// ProcessRequest implements protocol.Handler.
-func (e *EPM) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
-	switch msg.Kind {
-	case kindSubmit:
-		return e.handleSubmit(msg)
-	case kindVerify:
-		return e.handleVerify(msg)
-	case kindFetch:
-		return e.handleFetch(msg)
-	default:
-		return nil, fmt.Errorf("ttp: epm: unknown kind %q", msg.Kind)
-	}
-}
-
 // handleSubmit verifies, stores and postmarks a token (EPM generation,
 // time-stamping and storage).
-func (e *EPM) handleSubmit(msg *protocol.Message) (*protocol.Message, error) {
+func (e *EPM) handleSubmit(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := e.co.Services()
 	var body submitBody
 	if err := msg.Body(&body); err != nil {
@@ -137,7 +121,7 @@ func (e *EPM) handleSubmit(msg *protocol.Message) (*protocol.Message, error) {
 
 // handleVerify checks a token on behalf of the requester (EPM
 // verification).
-func (e *EPM) handleVerify(msg *protocol.Message) (*protocol.Message, error) {
+func (e *EPM) handleVerify(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := e.co.Services()
 	var body submitBody
 	if err := msg.Body(&body); err != nil {
@@ -158,7 +142,7 @@ func (e *EPM) handleVerify(msg *protocol.Message) (*protocol.Message, error) {
 
 // handleFetch returns the evidence linked under a transaction identifier
 // (EPM linking).
-func (e *EPM) handleFetch(msg *protocol.Message) (*protocol.Message, error) {
+func (e *EPM) handleFetch(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := e.co.Services()
 	var tokens []*evidence.Token
 	for _, rec := range svc.Log.ByTxn(msg.Txn) {

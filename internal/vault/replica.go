@@ -53,10 +53,11 @@ type ShipTarget interface {
 // transport's chunked-transfer layer splits envelopes past the wire frame
 // budget into individually-retried chunk streams and reassembles them
 // before the audit service sees the ship, so segments are no longer
-// limited by the 16 MiB TCP frame.
+// limited by the 16 MiB TCP frame. The protocol carries Data raw beside
+// the JSON body, which then holds the entry alone.
 type SegmentPackage struct {
 	Entry ManifestEntry `json:"entry"`
-	Data  []byte        `json:"data"`
+	Data  []byte        `json:"data,omitempty"`
 }
 
 // Verify checks the package in isolation: the entry seals its own
