@@ -11,9 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
-	"nonrep/internal/clock"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
@@ -57,28 +55,9 @@ const DefaultMaxSignBatch = 64
 type BatchIssuer struct {
 	*Issuer
 
-	window time.Duration
-	clk    clock.Clock
-	reqC   chan *issueReq
-	quit   chan struct{}
-	done   chan struct{}
-}
-
-// BatchOption tunes a BatchIssuer.
-type BatchOption func(*BatchIssuer)
-
-// WithSignWindow makes the aggregate signer linger up to d after the
-// first pending token to let more arrive, trading signing latency for
-// larger aggregate batches — the signing analogue of the coalescer's
-// linger window. The default (zero) adds no latency: batches form from
-// whatever is concurrently pending. The timer runs on the issuer's clock,
-// so tests drive it with a manual clock instead of sleeping.
-func WithSignWindow(d time.Duration) BatchOption {
-	return func(b *BatchIssuer) {
-		if d > 0 {
-			b.window = d
-		}
-	}
+	reqC chan *issueReq
+	quit chan struct{}
+	done chan struct{}
 }
 
 // issueReq is one caller's pending issue: one or more tokens answered
@@ -95,19 +74,12 @@ type issueResp struct {
 
 // NewBatchIssuer starts an aggregating issuer on top of i. Close releases
 // its background signer.
-func NewBatchIssuer(i *Issuer, opts ...BatchOption) *BatchIssuer {
+func NewBatchIssuer(i *Issuer) *BatchIssuer {
 	b := &BatchIssuer{
 		Issuer: i,
 		reqC:   make(chan *issueReq, 4*DefaultMaxSignBatch),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	for _, opt := range opts {
-		opt(b)
-	}
-	b.clk = i.Clock
-	if b.clk == nil {
-		b.clk = clock.Real{}
 	}
 	go b.run()
 	return b
@@ -190,12 +162,6 @@ func (b *BatchIssuer) run() {
 func (b *BatchIssuer) drain(first *issueReq) []*issueReq {
 	batch := []*issueReq{first}
 	tokens := len(first.reqs)
-	var deadline <-chan time.Time
-	if b.window > 0 {
-		t := clock.NewTimer(b.clk, b.window)
-		defer t.Stop()
-		deadline = t.C()
-	}
 	yields := 0
 	for tokens < DefaultMaxSignBatch {
 		select {
@@ -204,21 +170,6 @@ func (b *BatchIssuer) drain(first *issueReq) []*issueReq {
 			tokens += len(req.reqs)
 			continue
 		default:
-		}
-		if deadline != nil {
-			// A sign window lingers for more tokens until the timer (on
-			// the issuer's clock) elapses; a closing issuer drains what is
-			// pending and stops lingering.
-			select {
-			case req := <-b.reqC:
-				batch = append(batch, req)
-				tokens += len(req.reqs)
-			case <-deadline:
-				return batch
-			case <-b.quit:
-				return batch
-			}
-			continue
 		}
 		// Before committing to a signature, yield so that already
 		// runnable issuers get to enqueue — without this, channel

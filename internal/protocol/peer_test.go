@@ -108,16 +108,11 @@ func newPeerFixture(tb testing.TB) *peerFixture {
 // watch opens a local feed from genesis under subID, as a sub-open of
 // this subscriber would have.
 func (fx *peerFixture) watch(subID string) *Feed {
-	f := &Feed{
-		client: fx.feed,
-		subID:  subID,
-		cv:     store.ResumeChain(0, sig.Digest{}),
-		stash:  make(map[uint64][]*store.Record),
-		events: make(chan FeedEvent, 16),
-		done:   make(chan struct{}),
-	}
+	f := newFeed(fx.feed, WatchConfig{Buffer: 16})
+	u := newUpstream(subID, "", f)
 	fx.feed.mu.Lock()
-	fx.feed.feeds[subID] = f
+	u.open = true
+	fx.feed.ups[subID] = u
 	fx.feed.mu.Unlock()
 	return f
 }

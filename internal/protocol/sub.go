@@ -94,10 +94,6 @@ var (
 // records).
 const DefaultFeedBuffer = 1024
 
-// maxFeedStash bounds how many records the subscriber-side reorder
-// buffer holds before declaring the stream broken.
-const maxFeedStash = 65536
-
 // pushTimeout bounds one push delivery on the publisher side; past it
 // the subscriber counts as slow and is evicted.
 const pushTimeout = 15 * time.Second
@@ -450,54 +446,48 @@ type WatchConfig struct {
 	Segments bool
 	// Buffer overrides the local event buffer (default DefaultFeedBuffer).
 	Buffer int
-	// Shared multiplexes this watch with other Shared watches of the same
-	// publisher address (and same Seals/Segments options) over one wire
-	// subscription — the shared-informer pattern, for high fan-out where
-	// many local consumers want the same live tail. The first Shared
-	// watch's AfterSeq/AfterHash seed the stream; a later Shared watch
-	// joins at the stream's current verified position (its AfterSeq is
-	// ignored). A consumer that needs history from an exact position
-	// opens a dedicated watch instead. Resume of a shared feed returns a
-	// dedicated feed, so its no-gap contract holds.
+	// Shared joins any live wire subscription this client holds to the
+	// same publisher address with the same Seals/Segments options —
+	// dedicated or shared — at that subscription's current verified
+	// position (AfterSeq/AfterHash are then ignored): the shared-informer
+	// pattern, for many local consumers of one live tail. With none live,
+	// the watch opens one from AfterSeq/AfterHash. A consumer that needs
+	// history from an exact position opens a dedicated watch instead.
+	// Resume of a shared feed returns a dedicated feed, so its no-gap
+	// contract holds.
 	Shared bool
 }
 
 // SubClient subscribes to remote vault feeds through a coordinator. It
 // registers as the coordinator's feed-protocol handler; pushes are
-// dispatched to the Feed that opened the subscription, by subscription
-// id — a push for an id this client never opened (say, a predecessor
-// tenant's) is refused.
+// dispatched to the upstream that opened the subscription, by
+// subscription id — a push for an id this client never opened (say, a
+// predecessor tenant's) is refused.
 type SubClient struct {
 	RequestMux
 	co *Coordinator
 
-	mu    sync.Mutex
-	feeds map[string]*Feed
-
-	// Verified-batch cache: a pushed batch is decoded from its frames and
-	// hash-verified once, then every local feed the push fans out to
-	// splices it with a linkage check only.
-	bmu     sync.Mutex
-	batches map[batchKey][]*store.Record
-	border  []batchKey
-
-	// Shared upstreams: Shared watches multiplexed over one wire
-	// subscription per (address, options) key.
-	shmu   sync.Mutex
-	shared map[string]*sharedUpstream
+	// mu guards the upstreams and the state of every member feed.
+	mu  sync.Mutex
+	ups map[string]*upstream
 }
 
-// batchCacheSize bounds the verified-batch cache (batches, not records).
-const batchCacheSize = 128
-
-// batchKey identifies one pushed batch by its claimed chain range and
-// encoded size. Two distinct batches colliding on a key cannot corrupt a
-// feed: the cached copy was hash-verified, and every feed still checks
-// its linkage onto its own verified position.
-type batchKey struct {
-	first uint64
-	count int
-	size  int
+// upstream is one wire subscription and the local feeds it serves. A
+// push is decoded and hash-verified once, spliced onto the upstream's
+// verified chain and emitted to every member without blocking: a member
+// that stops draining fails alone with ErrFeedOverflow. The publisher
+// awaits each push's acknowledgement before sending the next, so a push
+// that starts past the next record is a broken stream, not a reordering:
+// it ends the upstream, and Resume continues from the verified position.
+type upstream struct {
+	subID           string
+	addr            string
+	seals, segments bool
+	cv              *store.ChainVerifier
+	// open is set once the publisher accepted the sub-open; only then may
+	// Shared watches join.
+	open    bool
+	members map[*Feed]struct{}
 }
 
 // NewSubClient registers the feed protocol on co. With a Services.Issuer
@@ -505,12 +495,7 @@ type batchKey struct {
 // anonymously (only publishers allowing anonymous subscribe accept
 // them).
 func NewSubClient(co *Coordinator) *SubClient {
-	c := &SubClient{
-		co:      co,
-		feeds:   make(map[string]*Feed),
-		batches: make(map[batchKey][]*store.Record),
-		shared:  make(map[string]*sharedUpstream),
-	}
+	c := &SubClient{co: co, ups: make(map[string]*upstream)}
 	// Pushes are requests so the publisher observes delivery failure.
 	c.RequestMux = NewRequestMux(SubFeedProtocol, "feed", map[string]RequestFunc{
 		KindSubRecords: c.handleRecords,
@@ -521,49 +506,16 @@ func NewSubClient(co *Coordinator) *SubClient {
 	return c
 }
 
-// decodeFrames decodes and verifies one pushed batch, memoised across
-// the feeds of this client: hashes and internal chain continuity are
-// checked here exactly once; the first record's Prev link is checked by
-// each feed against its own position when the batch is spliced on.
-func (c *SubClient) decodeFrames(first uint64, count int, frames []byte) ([]*store.Record, error) {
-	key := batchKey{first: first, count: count, size: len(frames)}
-	c.bmu.Lock()
-	recs, ok := c.batches[key]
-	c.bmu.Unlock()
-	if ok {
-		return recs, nil
-	}
-	recs, err := decodeRecordPush("feed push", first, count, frames)
-	if err != nil {
-		return nil, err
-	}
-	c.bmu.Lock()
-	if _, dup := c.batches[key]; !dup {
-		c.batches[key] = recs
-		c.border = append(c.border, key)
-		if len(c.border) > batchCacheSize {
-			delete(c.batches, c.border[0])
-			c.border = c.border[1:]
-		}
-	}
-	c.bmu.Unlock()
-	return recs, nil
-}
-
 func (c *SubClient) handleRecords(_ context.Context, msg *Message) (*Message, error) {
 	var p subRecordsPush
 	if err := unmarshalRecordsPush(msg, &p); err != nil {
 		return nil, err
 	}
-	f, err := c.feedFor(p.SubID)
+	recs, err := decodeRecordPush("feed push", p.First, p.Count, msg.AttachmentOr(p.Frames))
 	if err != nil {
 		return nil, err
 	}
-	recs, err := c.decodeFrames(p.First, p.Count, msg.AttachmentOr(p.Frames))
-	if err != nil {
-		return nil, err
-	}
-	if err := f.acceptRecords(recs); err != nil {
+	if err := c.deliver(p.SubID, FeedEvent{Records: recs}); err != nil {
 		return nil, err
 	}
 	return ack(msg, p.SubID)
@@ -574,14 +526,10 @@ func (c *SubClient) handleSeal(_ context.Context, msg *Message) (*Message, error
 	if err := msg.Body(&p); err != nil {
 		return nil, err
 	}
-	f, err := c.feedFor(p.SubID)
-	if err != nil {
-		return nil, err
-	}
 	if len(msg.Attachment) > 0 {
 		p.Package = &vault.SegmentPackage{Entry: p.Entry, Data: msg.Attachment}
 	}
-	if err := f.acceptSeal(&p.Entry, p.Package); err != nil {
+	if err := c.deliver(p.SubID, FeedEvent{Seal: &p.Entry, Package: p.Package}); err != nil {
 		return nil, err
 	}
 	return ack(msg, p.SubID)
@@ -592,10 +540,11 @@ func (c *SubClient) handleEvict(_ context.Context, msg *Message) (*Message, erro
 	if err := msg.Body(&p); err != nil {
 		return nil, err
 	}
-	if f, _ := c.feedFor(p.SubID); f != nil {
-		c.remove(f)
-		f.fail(fmt.Errorf("%w: %s", ErrSubEvicted, p.Reason))
+	c.mu.Lock()
+	if u := c.ups[p.SubID]; u != nil {
+		c.endLocked(u, fmt.Errorf("%w: %s", ErrSubEvicted, p.Reason))
 	}
+	c.mu.Unlock()
 	return ack(msg, p.SubID)
 }
 
@@ -604,23 +553,65 @@ func ack(msg *Message, subID string) (*Message, error) {
 	return msg.Reply(KindSubAck, &subCloseReq{SubID: subID})
 }
 
-// feedFor resolves the feed a push names; a subscription this client
-// does not hold is refused.
-func (c *SubClient) feedFor(subID string) (*Feed, error) {
+// deliver splices one pushed event onto the chain of the upstream subID
+// names and emits it to every member. Records the upstream already holds
+// (a retransmitted push) are dropped; anything else that does not extend
+// the verified chain ends the upstream. With no member left the push is
+// refused, so the publisher evicts the subscription.
+func (c *SubClient) deliver(subID string, ev FeedEvent) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f := c.feeds[subID]; f != nil {
-		return f, nil
+	u := c.ups[subID]
+	if u == nil {
+		return fmt.Errorf("%w: %q", ErrSubUnknown, subID)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrSubUnknown, subID)
+	if ev.Seal == nil {
+		seq, _ := u.cv.Position()
+		recs := ev.Records
+		for len(recs) > 0 && recs[0].Seq <= seq {
+			recs = recs[1:]
+		}
+		if len(recs) == 0 {
+			return nil
+		}
+		if recs[0].Seq > seq+1 {
+			err := fmt.Errorf("protocol: feed gap: push starts at record %d, expected %d", recs[0].Seq, seq+1)
+			c.endLocked(u, err)
+			return err
+		}
+		// decodeRecordPush derived every hash and checked the batch is one
+		// chain; what is left is its link onto the verified position.
+		for _, rec := range recs {
+			if err := u.cv.Advance(rec); err != nil {
+				err = fmt.Errorf("protocol: feed chain: %w", err)
+				c.endLocked(u, err)
+				return err
+			}
+		}
+		ev.Records = recs
+	}
+	for m := range u.members {
+		if m.emitLocked(ev) != nil {
+			delete(u.members, m)
+		}
+	}
+	if len(u.members) == 0 {
+		c.endLocked(u, nil)
+		return ErrFeedOverflow
+	}
+	return nil
 }
 
-func (c *SubClient) remove(f *Feed) {
-	c.mu.Lock()
-	if cur, ok := c.feeds[f.subID]; ok && cur == f {
-		delete(c.feeds, f.subID)
+// endLocked ends u (mu held): it is forgotten, so later pushes for it are
+// refused, and every member still live fails with err.
+func (c *SubClient) endLocked(u *upstream, err error) {
+	if c.ups[u.subID] == u {
+		delete(c.ups, u.subID)
 	}
-	c.mu.Unlock()
+	for m := range u.members {
+		m.failLocked(err)
+	}
+	u.members = nil
 }
 
 // Detach fails every open feed locally. The coordinator/host invokes it
@@ -628,14 +619,9 @@ func (c *SubClient) remove(f *Feed) {
 // against a successor.
 func (c *SubClient) Detach() {
 	c.mu.Lock()
-	feeds := make([]*Feed, 0, len(c.feeds))
-	for _, f := range c.feeds {
-		feeds = append(feeds, f)
-	}
-	c.feeds = make(map[string]*Feed)
-	c.mu.Unlock()
-	for _, f := range feeds {
-		f.fail(ErrFeedDetached)
+	defer c.mu.Unlock()
+	for _, u := range c.ups {
+		c.endLocked(u, ErrFeedDetached)
 	}
 }
 
@@ -653,258 +639,74 @@ func (c *SubClient) Subscribe(ctx context.Context, publisher id.Party, cfg Watch
 // (possibly tenant-qualified), for subscribers outside the domain
 // directory such as cmd/nrverify -follow.
 func (c *SubClient) SubscribeAddr(ctx context.Context, addr string, cfg WatchConfig) (*Feed, error) {
-	if cfg.Shared {
-		return c.subscribeShared(ctx, addr, cfg)
+	f := newFeed(c, cfg)
+	if cfg.Shared && c.join(f, addr) {
+		return f, nil
 	}
 	// The subscription is named after the run of its sub-open, so the
 	// journaled authorization and the pushes it licenses share one run.
 	run := id.NewRun()
-	subID := "sub-" + string(run)
+	u := newUpstream("sub-"+string(run), addr, f)
 	req := &subOpenReq{
 		Subscriber: c.co.Party(),
-		SubID:      subID,
+		SubID:      u.subID,
 		Addr:       c.co.Addr(),
 		AfterSeq:   cfg.AfterSeq,
 		AfterHash:  cfg.AfterHash,
 		Seals:      cfg.Seals,
 		Segments:   cfg.Segments,
 	}
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = DefaultFeedBuffer
-	}
-	f := &Feed{
-		client: c,
-		subID:  subID,
-		addr:   addr,
-		cfg:    cfg,
-		cv:     store.ResumeChain(cfg.AfterSeq, cfg.AfterHash),
-		stash:  make(map[uint64][]*store.Record),
-		events: make(chan FeedEvent, buffer),
-		done:   make(chan struct{}),
-	}
 	// Register before the request goes out: the publisher may start
 	// pushing before its open reply is processed here.
 	c.mu.Lock()
-	c.feeds[subID] = f
+	c.ups[u.subID] = u
 	c.mu.Unlock()
 	// Without an issuer the sub-open goes anonymous: only publishers
 	// allowing anonymous subscribers accept it.
-	var resp subOpenResp
-	if err := c.co.exchange(ctx, addr, peerRequest{
+	err := c.co.exchange(ctx, addr, peerRequest{
 		protocol: SubProtocol, kind: KindSubOpen, run: run, body: req,
 		claimKind: evidence.KindSubOpen, claim: req,
-	}, &resp); err != nil {
-		c.remove(f)
-		f.fail(nil)
-		return nil, err
-	}
-	return f, nil
-}
-
-// sharedUpstream multiplexes one wire subscription to many local member
-// feeds: the upstream feed is decoded and chain-verified once (by the
-// ordinary dedicated-feed machinery) and a pump goroutine fans each
-// verified event out to the members with a non-blocking send each — a
-// member that stops draining fails alone with ErrFeedOverflow; the
-// upstream, and the publisher, never notice.
-type sharedUpstream struct {
-	client *SubClient
-	key    string
-	up     *Feed
-
-	mu      sync.Mutex
-	seq     uint64
-	hash    sig.Digest
-	members map[*Feed]struct{}
-}
-
-func sharedKey(addr string, cfg WatchConfig) string {
-	return fmt.Sprintf("%s|%t|%t", addr, cfg.Seals, cfg.Segments)
-}
-
-// subscribeShared joins (or creates) the shared upstream for addr.
-func (c *SubClient) subscribeShared(ctx context.Context, addr string, cfg WatchConfig) (*Feed, error) {
-	key := sharedKey(addr, cfg)
-	c.shmu.Lock()
-	su := c.shared[key]
-	c.shmu.Unlock()
-	if su != nil {
-		if f := su.join(cfg); f != nil {
-			return f, nil
-		}
-		// The upstream ended under us; fall through and open a fresh one.
-	}
-	upCfg := cfg
-	upCfg.Shared = false
-	up, err := c.SubscribeAddr(ctx, addr, upCfg)
+	}, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
+		c.endLocked(u, nil)
 		return nil, err
 	}
-	su = &sharedUpstream{client: c, key: key, up: up, members: make(map[*Feed]struct{})}
-	su.seq, su.hash = up.Position()
-	c.shmu.Lock()
-	if cur := c.shared[key]; cur != nil {
-		// Lost a subscribe race: join the winner, drop our upstream.
-		c.shmu.Unlock()
-		if f := cur.join(cfg); f != nil {
-			up.Close()
-			return f, nil
-		}
-		c.shmu.Lock()
-	}
-	c.shared[key] = su
-	c.shmu.Unlock()
-	f := su.join(cfg)
-	go su.run()
+	u.open = true
 	return f, nil
 }
 
-// join adds one member feed at the stream's current position; nil when
-// the upstream has already ended.
-func (su *sharedUpstream) join(cfg WatchConfig) *Feed {
-	buffer := cfg.Buffer
-	if buffer <= 0 {
-		buffer = DefaultFeedBuffer
+// join makes f a member of a live upstream of addr with f's options, at
+// that upstream's verified position; false when there is none.
+func (c *SubClient) join(f *Feed, addr string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, u := range c.ups {
+		if u.open && u.addr == addr && u.seals == f.cfg.Seals && u.segments == f.cfg.Segments {
+			f.up = u
+			f.seq, f.hash = u.cv.Position()
+			u.members[f] = struct{}{}
+			return true
+		}
 	}
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	if su.members == nil {
-		return nil
-	}
-	f := &Feed{
-		client: su.client,
-		subID:  su.up.subID,
-		addr:   su.up.addr,
-		cfg:    cfg,
-		shared: su,
-		cv:     store.ResumeChain(su.seq, su.hash),
-		events: make(chan FeedEvent, buffer),
-		done:   make(chan struct{}),
-	}
-	su.members[f] = struct{}{}
-	return f
+	return false
 }
 
-// leave removes one member; the last member out closes the upstream.
-func (su *sharedUpstream) leave(f *Feed) {
-	su.mu.Lock()
-	if su.members == nil {
-		su.mu.Unlock()
-		return
+// newUpstream creates subscription subID at addr with f as its only
+// member, verifying from f's configured position.
+func newUpstream(subID, addr string, f *Feed) *upstream {
+	u := &upstream{
+		subID:    subID,
+		addr:     addr,
+		seals:    f.cfg.Seals,
+		segments: f.cfg.Segments,
+		cv:       store.ResumeChain(f.cfg.AfterSeq, f.cfg.AfterHash),
+		members:  map[*Feed]struct{}{f: {}},
 	}
-	delete(su.members, f)
-	last := len(su.members) == 0
-	if last {
-		su.members = nil
-	}
-	su.mu.Unlock()
-	if last {
-		su.client.dropShared(su)
-		su.up.Close()
-	}
-}
-
-func (c *SubClient) dropShared(su *sharedUpstream) {
-	c.shmu.Lock()
-	if c.shared[su.key] == su {
-		delete(c.shared, su.key)
-	}
-	c.shmu.Unlock()
-}
-
-// pumpCoalesce bounds how many records the pump merges into one member
-// delivery when events queue behind it.
-const pumpCoalesce = 4096
-
-// coalesce merges queued record events behind ev into one larger member
-// delivery, stopping at a seal event (returned as carry, preserving
-// stream order) or the record cap. Fewer, larger deliveries mean fewer
-// wakeups per member — with 64 members that is the pump's whole cost.
-func (su *sharedUpstream) coalesce(ev FeedEvent) (FeedEvent, *FeedEvent) {
-	var merged []*store.Record
-	for len(ev.Records)+len(merged) < pumpCoalesce {
-		select {
-		case more, ok := <-su.up.Events():
-			if !ok {
-				if merged != nil {
-					ev.Records = merged
-				}
-				return ev, nil
-			}
-			if more.Seal != nil {
-				if merged != nil {
-					ev.Records = merged
-				}
-				return ev, &more
-			}
-			if merged == nil {
-				merged = append(make([]*store.Record, 0, len(ev.Records)+len(more.Records)), ev.Records...)
-			}
-			merged = append(merged, more.Records...)
-		default:
-			if merged != nil {
-				ev.Records = merged
-			}
-			return ev, nil
-		}
-	}
-	if merged != nil {
-		ev.Records = merged
-	}
-	return ev, nil
-}
-
-// run pumps upstream events to the members until the upstream ends, then
-// fails the remaining members with the upstream's error.
-func (su *sharedUpstream) run() {
-	var carry *FeedEvent
-	for {
-		var ev FeedEvent
-		if carry != nil {
-			ev, carry = *carry, nil
-		} else {
-			var ok bool
-			if ev, ok = <-su.up.Events(); !ok {
-				break
-			}
-		}
-		if ev.Seal == nil {
-			ev, carry = su.coalesce(ev)
-		}
-		var last *store.Record
-		if len(ev.Records) > 0 {
-			last = ev.Records[len(ev.Records)-1]
-		}
-		su.mu.Lock()
-		if last != nil {
-			su.seq, su.hash = last.Seq, last.Hash
-		}
-		for m := range su.members {
-			m.mu.Lock()
-			if m.failed {
-				m.mu.Unlock()
-				delete(su.members, m)
-				continue
-			}
-			if m.emitLocked(ev) != nil {
-				delete(su.members, m)
-			} else if last != nil {
-				m.cv = store.ResumeChain(last.Seq, last.Hash)
-			}
-			m.mu.Unlock()
-		}
-		su.mu.Unlock()
-	}
-	su.client.dropShared(su)
-	err := su.up.Err()
-	su.mu.Lock()
-	members := su.members
-	su.members = nil
-	su.mu.Unlock()
-	for m := range members {
-		m.fail(err)
-	}
+	f.up = u
+	f.seq, f.hash = f.cfg.AfterSeq, f.cfg.AfterHash
+	return u
 }
 
 // Provenance fetches the provenance graph of one run from a publisher.
@@ -932,25 +734,30 @@ type FeedEvent struct {
 	Package *vault.SegmentPackage
 }
 
-// Feed is one open subscription on the subscriber side. Consume Events
+// Feed is one local consumer of a wire subscription. Consume Events
 // (closed when the feed ends); Err reports why it ended (nil after a
 // clean Close). Every record batch emitted has been chain-verified
-// against the position the subscription was opened from.
+// against the position the feed started from.
 type Feed struct {
 	client *SubClient
-	subID  string
-	addr   string
+	up     *upstream // set before the feed is handed out
 	cfg    WatchConfig
-	shared *sharedUpstream
 	events chan FeedEvent
 	done   chan struct{}
 
-	mu     sync.Mutex
-	cv     *store.ChainVerifier
-	stash  map[uint64][]*store.Record
-	stashN int
+	// Guarded by client.mu.
+	seq    uint64
+	hash   sig.Digest
 	failed bool
 	err    error
+}
+
+func newFeed(c *SubClient, cfg WatchConfig) *Feed {
+	buffer := cfg.Buffer
+	if buffer <= 0 {
+		buffer = DefaultFeedBuffer
+	}
+	return &Feed{client: c, cfg: cfg, events: make(chan FeedEvent, buffer), done: make(chan struct{})}
 }
 
 // Events returns the feed's event stream. The channel closes when the
@@ -963,156 +770,74 @@ func (f *Feed) Done() <-chan struct{} { return f.done }
 // Err reports why the feed ended (nil while live or after a clean
 // Close).
 func (f *Feed) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.client.mu.Lock()
+	defer f.client.mu.Unlock()
 	return f.err
 }
 
-// Position returns the last verified chain position — the pair a
-// resumed subscription passes as AfterSeq/AfterHash.
+// Position returns the last verified chain position emitted to this feed
+// — the pair a resumed subscription passes as AfterSeq/AfterHash.
 func (f *Feed) Position() (uint64, sig.Digest) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cv.Position()
+	f.client.mu.Lock()
+	defer f.client.mu.Unlock()
+	return f.seq, f.hash
 }
 
-// Close ends the feed: the publisher is told (best effort) and the local
-// stream ends cleanly. Closing a shared feed only detaches this member;
-// the wire subscription closes with its last member.
+// Close ends the feed cleanly. The wire subscription closes with its last
+// member: the publisher is then told (best effort).
 func (f *Feed) Close() {
-	if f.shared != nil {
-		f.shared.leave(f)
-		f.fail(nil)
-		return
+	c := f.client
+	c.mu.Lock()
+	u := f.up
+	_, member := u.members[f]
+	delete(u.members, f)
+	last := member && len(u.members) == 0
+	if last {
+		c.endLocked(u, nil)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = f.client.co.exchange(ctx, f.addr, peerRequest{protocol: SubProtocol, kind: KindSubClose, body: &subCloseReq{SubID: f.subID}}, nil)
-	f.client.remove(f)
-	f.fail(nil)
+	f.failLocked(nil)
+	c.mu.Unlock()
+	if last {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = c.co.exchange(ctx, u.addr, peerRequest{protocol: SubProtocol, kind: KindSubClose, body: &subCloseReq{SubID: u.subID}}, nil)
+	}
 }
 
-// Resume opens a new subscription continuing exactly where this feed
-// verifiably stopped. A shared feed resumes as a dedicated one, so the
-// no-gap contract holds even though the shared stream has moved on.
+// Resume opens a new dedicated subscription continuing exactly where this
+// feed verifiably stopped — for a shared feed too, so the no-gap contract
+// holds even though the shared stream has moved on.
 func (f *Feed) Resume(ctx context.Context) (*Feed, error) {
-	seq, hash := f.Position()
 	cfg := f.cfg
-	cfg.AfterSeq, cfg.AfterHash = seq, hash
+	cfg.AfterSeq, cfg.AfterHash = f.Position()
 	cfg.Shared = false
-	return f.client.SubscribeAddr(ctx, f.addr, cfg)
+	return f.client.SubscribeAddr(ctx, f.up.addr, cfg)
 }
 
-// fail ends the feed with err (nil = clean close): the event channel is
-// closed and Done released, exactly once.
-func (f *Feed) fail(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failLocked(err)
-}
-
+// failLocked ends the feed with err (nil = clean close; client.mu held):
+// the event channel is closed and Done released, exactly once.
 func (f *Feed) failLocked(err error) {
 	if f.failed {
 		return
 	}
 	f.failed = true
 	f.err = err
-	f.stash, f.stashN = nil, 0
 	close(f.events)
 	close(f.done)
 }
 
-// emitLocked delivers one event to the consumer (mu held). A full buffer
-// means the local consumer stopped draining; the feed fails rather than
-// stalling the coordinator's receive path.
+// emitLocked delivers one event to the consumer (client.mu held). A full
+// buffer means the local consumer stopped draining; the feed fails rather
+// than stalling the coordinator's receive path.
 func (f *Feed) emitLocked(ev FeedEvent) error {
 	select {
 	case f.events <- ev:
+		if n := len(ev.Records); n > 0 {
+			f.seq, f.hash = ev.Records[n-1].Seq, ev.Records[n-1].Hash
+		}
 		return nil
 	default:
 		f.failLocked(ErrFeedOverflow)
 		return ErrFeedOverflow
 	}
-}
-
-// acceptRecords verifies one pushed batch and emits it. Batches may
-// arrive out of order (the receive chain is concurrent); a batch from
-// the future is stashed until the chain reaches it, duplicates of
-// already-verified records are dropped.
-func (f *Feed) acceptRecords(recs []*store.Record) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failed {
-		return f.err
-	}
-	if err := f.applyLocked(recs); err != nil {
-		return err
-	}
-	// Whatever stashed batches the chain has now reached.
-	for {
-		seq, _ := f.cv.Position()
-		next, ok := f.stash[seq+1]
-		if !ok {
-			return nil
-		}
-		delete(f.stash, seq+1)
-		f.stashN -= len(next)
-		if err := f.applyLocked(next); err != nil {
-			return err
-		}
-	}
-}
-
-func (f *Feed) applyLocked(recs []*store.Record) error {
-	seq, _ := f.cv.Position()
-	next := seq + 1
-	for len(recs) > 0 && recs[0] != nil && recs[0].Seq < next {
-		recs = recs[1:]
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	if recs[0] == nil {
-		err := fmt.Errorf("protocol: feed push with nil record")
-		f.failLocked(err)
-		return err
-	}
-	if recs[0].Seq > next {
-		f.stash[recs[0].Seq] = recs
-		f.stashN += len(recs)
-		if f.stashN > maxFeedStash {
-			err := fmt.Errorf("protocol: feed gap at record %d never filled", next)
-			f.failLocked(err)
-			return err
-		}
-		return nil
-	}
-	for _, rec := range recs {
-		if rec == nil {
-			err := fmt.Errorf("protocol: feed push with nil record")
-			f.failLocked(err)
-			return err
-		}
-		// Record hashes and in-batch continuity were verified once when
-		// the push was decoded (decodeFrames); each feed only splices the
-		// batch onto its own verified position.
-		if err := f.cv.Advance(rec); err != nil {
-			// A gap or duplicate inside one batch: the stream is broken,
-			// not reorderable.
-			err = fmt.Errorf("protocol: feed chain: %w", err)
-			f.failLocked(err)
-			return err
-		}
-	}
-	return f.emitLocked(FeedEvent{Records: recs})
-}
-
-// acceptSeal emits one seal notification.
-func (f *Feed) acceptSeal(entry *vault.ManifestEntry, pkg *vault.SegmentPackage) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failed {
-		return f.err
-	}
-	return f.emitLocked(FeedEvent{Seal: entry, Package: pkg})
 }
