@@ -13,7 +13,6 @@ package durable
 
 import (
 	"errors"
-	"math/rand"
 	"time"
 
 	"nonrep/internal/invoke"
@@ -65,25 +64,9 @@ func (p RetryPolicy) fill() RetryPolicy {
 }
 
 // delay computes the wait before retry number retry (1-based), with full
-// jitter unless disabled.
+// jitter unless disabled: transport's backoff over the job policy.
 func (p RetryPolicy) delay(retry int) time.Duration {
-	d := p.Backoff
-	for i := 1; i < retry && d < p.MaxBackoff; i++ {
-		if d > p.MaxBackoff/2 {
-			// Doubling again would overflow or overshoot; either way the
-			// cap is the answer.
-			d = p.MaxBackoff
-			break
-		}
-		d *= 2
-	}
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	if p.NoJitter || d <= 0 {
-		return d
-	}
-	return time.Duration(rand.Int63n(int64(d))) + 1
+	return transport.RetryPolicy{Backoff: p.Backoff, MaxBackoff: p.MaxBackoff, NoJitter: p.NoJitter}.Delay(retry)
 }
 
 // permanent classifies an execution error. The conservative default is

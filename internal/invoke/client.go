@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
@@ -81,11 +82,11 @@ func NewClient(co *protocol.Coordinator, opts ...ClientOption) *Client {
 	return c
 }
 
-// Invoke performs a non-repudiable invocation of req on server. The
-// returned Result carries the response (or interceptor-generated failure
-// evidence) and all run evidence; a non-nil error means the protocol
-// itself failed (transport gave up, or counterparty evidence did not
-// verify).
+// Invoke performs a non-repudiable invocation of req on server under a
+// fresh run. The returned Result carries the response (or
+// interceptor-generated failure evidence) and all run evidence; a non-nil
+// error means the protocol itself failed (transport gave up, or
+// counterparty evidence did not verify).
 func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Result, error) {
 	svc := c.co.Services()
 	run := id.NewRun()
@@ -99,18 +100,28 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 		span.SetAttr("operation", req.Operation)
 		defer span.End()
 	}
-	params := req.Params
 	if len(req.Streams) > 0 {
 		// Streamed parameters travel to the executing server ahead of the
 		// request; inline relays do not forward chunk messages.
 		if len(c.via) > 0 {
 			return nil, fmt.Errorf("invoke: streamed parameters are not supported through inline relays")
 		}
-		var err error
-		if params, err = c.sendStreams(ctx, server, run, req); err != nil {
+		params, err := c.sendStreams(ctx, server, run, req)
+		if err != nil {
 			return nil, err
 		}
+		req.Params = params
 	}
+	return c.exchange(ctx, server, req, run, RunState{}, false)
+}
+
+// exchange drives steps 1–3 of run for Invoke and Resume. Whatever of the
+// run st holds from an earlier attempt is reused, so every token is issued,
+// and every record committed, at most once per run. journalResponse makes
+// the NROResp record's note the canonical response snapshot, from which a
+// later Resume recovers the payload (RunState.Response).
+func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run id.Run, st RunState, journalResponse bool) (*Result, error) {
+	svc := c.co.Services()
 	snap := evidence.RequestSnapshot{
 		Run:       run,
 		Txn:       req.Txn,
@@ -118,7 +129,7 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 		Server:    server,
 		Service:   req.Service,
 		Operation: req.Operation,
-		Params:    params,
+		Params:    req.Params,
 		Protocol:  c.proto,
 	}
 	reqDigest, err := snap.Digest()
@@ -126,104 +137,139 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 		return nil, err
 	}
 
-	// Step 1: NRO(req), then req + NRO to the (first) counterparty.
-	sp := leafSpan(ctx, svc, "evidence.issue")
-	nro, err := svc.Issuer.Issue(evidence.KindNRO, run, stepRequest, reqDigest,
-		evidence.WithService(req.Service), evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
-	sp.End()
-	if err != nil {
-		return nil, err
+	// Step 1: reuse the journaled NRO, or issue the run's only one. R1: it
+	// is durable before the request leaves.
+	nro := st.NRO
+	if nro == nil {
+		if err := c.crash("pre-nro-append"); err != nil {
+			return nil, err
+		}
+		sp := leafSpan(ctx, svc, "evidence.issue")
+		nro, err = svc.Issuer.Issue(evidence.KindNRO, run, stepRequest, reqDigest,
+			evidence.WithService(req.Service), evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
+		sp.End()
+		if err == nil {
+			err = logGroup(ctx, svc, store.Entry{Dir: store.Generated, Token: nro, Note: "request origin"})
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if nro.Digest != reqDigest {
+		return nil, fmt.Errorf("%w: journaled NRO covers a different request", ErrEvidenceInvalid)
 	}
-	// R1: the request origin is durable before the request leaves.
-	if err := logGroup(ctx, svc, store.Entry{Dir: store.Generated, Token: nro, Note: "request origin"}); err != nil {
-		return nil, err
-	}
-	msg1 := &protocol.Message{
-		Protocol: c.proto,
-		Run:      run,
-		Txn:      req.Txn,
-		Step:     stepRequest,
-		Kind:     kindRequest,
-		Tokens:   []*evidence.Token{nro},
-	}
-	if err := msg1.SetBody(requestBody{Snapshot: snap}); err != nil {
+	if err := c.crash("post-nro-append"); err != nil {
 		return nil, err
 	}
 
+	// Step 2: the reply, recovered when the journal holds all of it, else
+	// obtained by (re-)sending the request — the server is at-most-once by
+	// run, so a retransmission earns the original reply, never a second
+	// execution. group collects what step 3 commits: the part of {NRR,
+	// NROResp, NRRResp} the journal lacks.
 	dest := server
 	if len(c.via) > 0 {
 		dest = c.via[0]
 	}
-	reply, err := c.co.DeliverRequest(ctx, dest, msg1)
-	if err != nil {
-		// The submission failed: per section 3.2 the client knows the
-		// server did not (provably) receive the request. Under the fair
-		// protocol the client additionally aborts the run at the TTP so
-		// the server cannot later resolve it.
-		if c.proto == ProtocolFair && c.ttp != "" {
-			if abortErr := c.abortRun(ctx, snap, nro); abortErr != nil {
-				return nil, fmt.Errorf("invoke: submission failed (%v) and abort failed: %w", err, abortErr)
-			}
-			return nil, fmt.Errorf("%w: submission failed: %v", ErrAborted, err)
-		}
-		return nil, fmt.Errorf("invoke: submit request: %w", err)
-	}
-
-	// Step 2: verify resp, NRR(req), NRO(resp) before releasing anything.
-	respSnap, respDigest, err := replySnapshot(reply, run, reqDigest)
-	if err != nil {
-		return nil, err
-	}
-	result := &Result{
-		Run:      run,
-		Status:   respSnap.Status,
-		Result:   respSnap.Result,
-		Err:      respSnap.Error,
-		Evidence: []*evidence.Token{nro},
-	}
-
-	if c.proto == ProtocolVoluntary {
-		// Baseline: any receipt is voluntary; verify it if present but
-		// demand nothing.
-		if nrr := reply.Token(evidence.KindNRR); nrr != nil {
-			if err := svc.Verifier.Expect(nrr, evidence.KindNRR, run, server); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-			}
-			if err := logGroup(ctx, svc, store.Entry{Dir: store.Received, Token: nrr, Note: "voluntary receipt"}); err != nil {
-				return nil, err
-			}
-			result.Evidence = append(result.Evidence, nrr)
-		}
-		if err := c.attachStreams(ctx, result, &respSnap, server); err != nil {
+	nrr, nroResp, resp := st.NRR, st.NROResp, st.Response
+	var respDigest sig.Digest
+	var group []store.Entry
+	if nrr != nil && nroResp != nil && resp != nil {
+		// Re-check the recovered snapshot against the signed origin before
+		// trusting its payload.
+		if respDigest, err = answers(resp, run, reqDigest); err != nil {
 			return nil, err
 		}
-		return result, nil
+		if respDigest != nroResp.Digest {
+			return nil, fmt.Errorf("%w: recovered response does not match journaled NROResp", ErrEvidenceInvalid)
+		}
+	} else {
+		reply, err := c.co.DeliverRequest(ctx, dest, NewRequestMessage(c.proto, run, snap, nro))
+		if err != nil {
+			// The submission failed: per section 3.2 the client knows the
+			// server did not (provably) receive the request. Under the fair
+			// protocol the client additionally aborts the run at the TTP so
+			// the server cannot later resolve it.
+			if c.proto == ProtocolFair && c.ttp != "" {
+				if abortErr := c.abortRun(ctx, snap, nro); abortErr != nil {
+					return nil, fmt.Errorf("invoke: submission failed (%v) and abort failed: %w", err, abortErr)
+				}
+				return nil, fmt.Errorf("%w: submission failed: %v", ErrAborted, err)
+			}
+			return nil, fmt.Errorf("invoke: submit request: %w", err)
+		}
+		var rb responseBody
+		if err := reply.Body(&rb); err != nil {
+			return nil, err
+		}
+		resp = &rb.Snapshot
+		gotNRR, gotNROResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
+		if c.proto == ProtocolVoluntary {
+			// Baseline: any receipt is voluntary; verify it if present but
+			// demand nothing. There is no step 3.
+			if respDigest, err = answers(resp, run, reqDigest); err == nil && gotNRR != nil {
+				err = expect(svc.Verifier, gotNRR, evidence.KindNRR, run, server, reqDigest)
+			}
+		} else {
+			respDigest, err = checkReply(svc.Verifier, run, server, reqDigest, resp, gotNRR, gotNROResp)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := c.crash("post-reply-verify"); err != nil {
+			return nil, err
+		}
+		if nrr == nil && gotNRR != nil {
+			nrr = gotNRR
+			note := "request receipt"
+			if c.proto == ProtocolVoluntary {
+				note = "voluntary receipt"
+			}
+			group = append(group, store.Entry{Dir: store.Received, Token: nrr, Note: note})
+		}
+		if nroResp == nil && gotNROResp != nil {
+			nroResp = gotNROResp
+			note := "response origin"
+			if journalResponse {
+				b, err := canon.Marshal(resp)
+				if err != nil {
+					return nil, err
+				}
+				note = string(b)
+			}
+			group = append(group, store.Entry{Dir: store.Received, Token: nroResp, Note: note})
+		}
+		if err := c.crash("mid-reply-append"); err != nil {
+			return nil, err
+		}
+	}
+	result := &Result{Run: run, Status: resp.Status, Result: resp.Result, Err: resp.Error, Evidence: []*evidence.Token{nro}}
+	for _, tok := range []*evidence.Token{nrr, nroResp} {
+		if tok != nil {
+			result.Evidence = append(result.Evidence, tok)
+		}
+	}
+	err = c.attachStreams(ctx, result, resp, server)
+	if cerr := c.crash("pre-receipt"); cerr != nil {
+		return nil, cerr
 	}
 
-	nrr, nroResp, err := c.replyEvidence(reply, run, server, reqDigest, respDigest)
-	if err != nil {
-		return nil, err
-	}
-	result.Evidence = append(result.Evidence, nrr, nroResp)
-
-	// Step 3 is prepared before step 2's evidence is logged: NRR(req) and
-	// NRO(resp) must be durable before the result is returned (R2), the
-	// receipt before it is sent (R1) — the same next action, so the three
-	// commit as one group. A verified response that cannot be taken up,
-	// or a receipt withheld, leaves the first two, as evidence received.
-	group := []store.Entry{
-		{Dir: store.Received, Token: nrr, Note: "request receipt"},
-		{Dir: store.Received, Token: nroResp, Note: "response origin"},
-	}
-	// withholdReceipt is misbehaviour injection: the verified response is
-	// kept but never acknowledged. Under ProtocolFair the server recovers
-	// via the TTP; under ProtocolDirect it is left with an incomplete
-	// exchange (the trade-off section 3.1 discusses).
+	// Step 3: the receipt, issued at most once per run. It commits in one
+	// group with the reply evidence the journal lacks: NRR and NROResp are
+	// due before the receipt leaves or the result is returned (R2), the
+	// receipt before it is sent (R1) — the same next action. A verified
+	// response that cannot be taken up, or a receipt withheld, commits the
+	// reply evidence alone. withholdReceipt is misbehaviour injection: under
+	// ProtocolFair the server recovers via the TTP; under ProtocolDirect it
+	// is left with an incomplete exchange (the trade-off section 3.1
+	// discusses).
 	var receipt *protocol.Message
-	err = c.attachStreams(ctx, result, &respSnap, server)
-	if err == nil && !c.withholdReceipt {
+	switch {
+	case st.NRRResp != nil:
+		result.Evidence = append(result.Evidence, st.NRRResp)
+	case err == nil && !c.withholdReceipt && c.proto != ProtocolVoluntary:
 		if receipt, err = c.newReceipt(run, req.Txn, server, respDigest); err == nil {
 			group = append(group, store.Entry{Dir: store.Generated, Token: receipt.Tokens[0], Note: c.receiptNote()})
+			result.Evidence = append(result.Evidence, receipt.Tokens[0])
 		}
 	}
 	if lerr := logGroup(ctx, svc, group...); lerr != nil {
@@ -232,68 +278,19 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if receipt == nil {
-		return result, nil
+	if receipt != nil {
+		// The response is verified and its evidence durable; a lost receipt
+		// is the server's recovery problem (fair protocol: TTP resolve). A
+		// journaled receipt is not sent again: whether its first send
+		// arrived is unknowable here.
+		_ = c.co.Deliver(ctx, dest, receipt)
 	}
-	result.Evidence = append(result.Evidence, receipt.Tokens[0])
-
-	// Step 3: NRR(resp) back to the counterparty.
-	if err := c.co.Deliver(ctx, dest, receipt); err != nil {
-		// The response is already verified and released; a lost receipt
-		// is the server's recovery problem (fair protocol: TTP resolve).
-		return result, nil
-	}
-
 	if c.consumption == evidence.NotConsumed {
-		// The interceptor received and evidenced the response but must
-		// not release it to the application.
-		result.Result = nil
-		result.streams = nil
+		// The interceptor received and evidenced the response but must not
+		// release it to the application, whatever became of the receipt.
+		result.Result, result.streams = nil, nil
 	}
 	return result, nil
-}
-
-// replySnapshot decodes the response a reply carries and checks that it
-// answers this run's request.
-func replySnapshot(reply *protocol.Message, run id.Run, reqDigest sig.Digest) (evidence.ResponseSnapshot, sig.Digest, error) {
-	var rb responseBody
-	if err := reply.Body(&rb); err != nil {
-		return rb.Snapshot, sig.Digest{}, err
-	}
-	respDigest, err := rb.Snapshot.Digest()
-	if err != nil {
-		return rb.Snapshot, sig.Digest{}, err
-	}
-	if rb.Snapshot.Run != run {
-		return rb.Snapshot, sig.Digest{}, fmt.Errorf("%w: response for run %s, want %s", ErrEvidenceInvalid, rb.Snapshot.Run, run)
-	}
-	if rb.Snapshot.RequestDigest != reqDigest {
-		return rb.Snapshot, sig.Digest{}, fmt.Errorf("%w: response bound to a different request", ErrEvidenceInvalid)
-	}
-	return rb.Snapshot, respDigest, nil
-}
-
-// replyEvidence verifies the server's half of the exchange: NRR(req) over
-// the request the client sent and NRO(resp) over the response it got.
-func (c *Client) replyEvidence(reply *protocol.Message, run id.Run, server id.Party, reqDigest, respDigest sig.Digest) (nrr, nroResp *evidence.Token, err error) {
-	verifier := c.co.Services().Verifier
-	nrr, nroResp = reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
-	if nrr == nil || nroResp == nil {
-		return nil, nil, fmt.Errorf("%w: response missing evidence tokens", ErrEvidenceInvalid)
-	}
-	if err := verifier.Expect(nrr, evidence.KindNRR, run, server); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nrr.Digest != reqDigest {
-		return nil, nil, fmt.Errorf("%w: request receipt covers different request", ErrEvidenceInvalid)
-	}
-	if err := verifier.Expect(nroResp, evidence.KindNROResp, run, server); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nroResp.Digest != respDigest {
-		return nil, nil, fmt.Errorf("%w: response origin covers different response", ErrEvidenceInvalid)
-	}
-	return nrr, nroResp, nil
 }
 
 // newReceipt issues the run's NRR(resp) and builds the step 3 message

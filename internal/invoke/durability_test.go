@@ -456,9 +456,10 @@ func resumeAndCheck(t *testing.T, f *ruleFixture, vdir string, req invoke.Reques
 // the NRO, the NRO and a prefix of the reply group, the whole group — a
 // restarted client resumes the run to completion from a copy of it. The
 // states come from the crash-hook points, whose names and order predate
-// the groups: "mid-reply-append" now fires as the group's write starts and
-// leaves what "post-reply-verify" does; the prefix a write torn inside the
-// group leaves is TestResumeCompletesFromTornGroup's.
+// the groups: "mid-reply-append" and "pre-receipt" now fire before the one
+// write of {NRR, NROResp, NRRResp} and leave what "post-reply-verify"
+// does; the prefixes a write torn inside that group leaves are
+// TestResumeCompletesFromTornGroup's.
 func TestResumeCompletesFromEveryCrashState(t *testing.T) {
 	t.Parallel()
 	points := []struct {
@@ -469,7 +470,7 @@ func TestResumeCompletesFromEveryCrashState(t *testing.T) {
 		{"post-nro-append", []string{nroGen}},
 		{"post-reply-verify", []string{nroGen}}, // before the group commit
 		{"mid-reply-append", []string{nroGen}},
-		{"pre-receipt", []string{nroGen, nrrRecv, nroRespRcv}},
+		{"pre-receipt", []string{nroGen}},
 	}
 	for _, pt := range points {
 		pt := pt

@@ -2,12 +2,12 @@ package invoke
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 )
 
 // ResolveService is the offline TTP of the fair protocol. In the style of
@@ -48,50 +48,28 @@ func NewResolveService(co *protocol.Coordinator) *ResolveService {
 // handleResolve verifies the server's evidence of steps 1 and 2 and issues
 // a TTP-signed substitute receipt ("a combination of client/server signing
 // in the normal case and TTP signing in case of recovery", section 3.2).
-func (s *ResolveService) handleResolve(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+func (s *ResolveService) handleResolve(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := s.co.Services()
 	var body resolveBody
 	if err := msg.Body(&body); err != nil {
 		return nil, err
 	}
-	reqDigest, err := body.Request.Digest()
-	if err != nil {
-		return nil, err
-	}
-	respDigest, err := body.Response.Digest()
-	if err != nil {
-		return nil, err
-	}
 	// The requester must prove both origins and its own receipt: an
 	// incomplete or forged history earns no substitute.
-	if body.Response.RequestDigest != reqDigest {
-		return nil, fmt.Errorf("%w: response bound to different request", ErrEvidenceInvalid)
+	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
+	if err != nil {
+		return nil, err
 	}
-	if body.NRO == nil || body.NRR == nil || body.NROResp == nil {
-		return nil, fmt.Errorf("%w: resolve request missing evidence", ErrEvidenceInvalid)
+	respDigest, err := checkReply(svc.Verifier, msg.Run, body.Request.Server, reqDigest, &body.Response, body.NRR, body.NROResp)
+	if err != nil {
+		return nil, err
 	}
-	if err := svc.Verifier.Expect(body.NRO, evidence.KindNRO, msg.Run, body.Request.Client); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if body.NRO.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: NRO covers different request", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(body.NRR, evidence.KindNRR, msg.Run, body.Request.Server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if body.NRR.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: NRR covers different request", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(body.NROResp, evidence.KindNROResp, msg.Run, body.Request.Server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if body.NROResp.Digest != respDigest {
-		return nil, fmt.Errorf("%w: NROResp covers different response", ErrEvidenceInvalid)
-	}
-	for _, tok := range []*evidence.Token{body.NRO, body.NRR, body.NROResp} {
-		if err := svc.LogReceived(tok, "resolve evidence"); err != nil {
-			return nil, err
-		}
+	if err := logGroup(ctx, svc,
+		store.Entry{Dir: store.Received, Token: body.NRO, Note: "resolve evidence"},
+		store.Entry{Dir: store.Received, Token: body.NRR, Note: "resolve evidence"},
+		store.Entry{Dir: store.Received, Token: body.NROResp, Note: "resolve evidence"},
+	); err != nil {
+		return nil, err
 	}
 
 	s.mu.Lock()
@@ -134,18 +112,9 @@ func (s *ResolveService) handleAbort(_ context.Context, msg *protocol.Message) (
 	if err := msg.Body(&body); err != nil {
 		return nil, err
 	}
-	reqDigest, err := body.Request.Digest()
+	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
 	if err != nil {
 		return nil, err
-	}
-	if body.NRO == nil {
-		return nil, fmt.Errorf("%w: abort request missing NRO", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(body.NRO, evidence.KindNRO, msg.Run, body.Request.Client); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if body.NRO.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: NRO covers different request", ErrEvidenceInvalid)
 	}
 	if err := svc.LogReceived(body.NRO, "abort evidence"); err != nil {
 		return nil, err

@@ -48,12 +48,11 @@
 //
 // A request refused or failed before an answer exists leaves its verified
 // NRO alone; a withheld or impossible receipt leaves the client's first
-// two. Resume, which re-enters a run at any point, commits whichever of
-// {NRR, NROResp} its journal lacks as one group and keeps NRRResp a
-// separate append, because the presence of that record is what tells a
-// later Resume that step 3 already ran. A crash inside a group's write
-// recovers to a prefix of the group — the states one-by-one appends
-// already produced — and Resume completes from any of them.
+// two. Invoke and Resume are one exchange: Resume, which re-enters a run
+// at any point, commits whichever of {NRR, NROResp, NRRResp} its journal
+// lacks as the third group. A crash inside a group's write recovers to a
+// prefix of the group — the states one-by-one appends already produced —
+// and Resume completes from any of them.
 //
 // The server's group commits after the component ran, so a commit that
 // fails (a broken log, a replication quorum not met) must not cost

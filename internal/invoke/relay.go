@@ -1,6 +1,7 @@
 package invoke
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 )
 
 // RelayRoute decides the next hop for a relayed invocation: given the
@@ -41,15 +43,19 @@ type Relay struct {
 
 	mu   sync.Mutex
 	runs map[id.Run]*relayRun
+	// open lists, oldest first, the runs relayed whose receipt has not
+	// been forwarded yet, within maxOpenRuns: a client that never sends
+	// its receipt costs the relay one slot, as it costs the server one.
+	open list.List // of id.Run
 }
 
+// relayRun is what the relay keeps of a run between reply and receipt.
 type relayRun struct {
 	client     id.Party
-	server     id.Party
 	next       id.Party
 	nextProto  string
-	reqDigest  sig.Digest
 	respDigest sig.Digest
+	elem       *list.Element
 }
 
 var _ protocol.Handler = (*Relay)(nil)
@@ -77,81 +83,39 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 		return nil, err
 	}
 	snap := rb.Snapshot
-	reqDigest, err := snap.Digest()
-	if err != nil {
-		return nil, err
-	}
 	// Police access to the trust domain: only well-evidenced requests
 	// pass (trusted-interceptor assumption 4).
 	nro := msg.Token(evidence.KindNRO)
-	if nro == nil {
-		return nil, fmt.Errorf("%w: relayed request missing NRO", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(nro, evidence.KindNRO, msg.Run, snap.Client); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nro.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: NRO covers a different request", ErrEvidenceInvalid)
-	}
-	if err := svc.LogReceived(nro, "relayed request origin"); err != nil {
+	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	if err != nil {
 		return nil, err
 	}
-
 	next, nextProto := r.route(snap.Server)
-	forward := &protocol.Message{
-		Protocol: nextProto,
-		Run:      msg.Run,
-		Txn:      msg.Txn,
-		Step:     msg.Step,
-		Kind:     msg.Kind,
-		Tokens:   msg.Tokens,
-		Payload:  msg.Payload,
-	}
-	reply, err := r.co.DeliverRequest(ctx, next, forward)
+	reply, err := r.co.DeliverRequest(ctx, next, forward(msg, nextProto))
 	if err != nil {
 		return nil, fmt.Errorf("invoke: relay forward: %w", err)
 	}
 
-	// Police the response path too.
+	// Police the response path too, by the client's own rule.
 	var respB responseBody
 	if err := reply.Body(&respB); err != nil {
 		return nil, err
 	}
-	respDigest, err := respB.Snapshot.Digest()
+	nrr, nroResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
+	respDigest, err := checkReply(svc.Verifier, msg.Run, snap.Server, reqDigest, &respB.Snapshot, nrr, nroResp)
 	if err != nil {
 		return nil, err
 	}
-	nrr := reply.Token(evidence.KindNRR)
-	nroResp := reply.Token(evidence.KindNROResp)
-	if nrr == nil || nroResp == nil {
-		return nil, fmt.Errorf("%w: relayed response missing evidence", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(nrr, evidence.KindNRR, msg.Run, snap.Server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if err := svc.Verifier.Expect(nroResp, evidence.KindNROResp, msg.Run, snap.Server); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nroResp.Digest != respDigest {
-		return nil, fmt.Errorf("%w: response origin covers different response", ErrEvidenceInvalid)
-	}
-	if err := svc.LogReceived(nrr, "relayed request receipt"); err != nil {
+	// The audit trail of steps 1 and 2 is one group, durable before the
+	// verified reply goes back; a refused reply leaves nothing of the run.
+	if err := logGroup(ctx, svc,
+		store.Entry{Dir: store.Received, Token: nro, Note: "relayed request origin"},
+		store.Entry{Dir: store.Received, Token: nrr, Note: "relayed request receipt"},
+		store.Entry{Dir: store.Received, Token: nroResp, Note: "relayed response origin"},
+	); err != nil {
 		return nil, err
 	}
-	if err := svc.LogReceived(nroResp, "relayed response origin"); err != nil {
-		return nil, err
-	}
-
-	r.mu.Lock()
-	r.runs[msg.Run] = &relayRun{
-		client:     snap.Client,
-		server:     snap.Server,
-		next:       next,
-		nextProto:  nextProto,
-		reqDigest:  reqDigest,
-		respDigest: respDigest,
-	}
-	r.mu.Unlock()
+	r.track(msg.Run, &relayRun{client: snap.Client, next: next, nextProto: nextProto, respDigest: respDigest})
 
 	// Hand the (verified) response back to the previous hop under this
 	// relay's protocol.
@@ -159,8 +123,24 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 	return reply, nil
 }
 
+// track keeps rr until its receipt is forwarded, evicting the oldest
+// unreceipted runs beyond maxOpenRuns. A retransmitted request replaces
+// the run's entry.
+func (r *Relay) track(run id.Run, rr *relayRun) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old := r.runs[run]; old != nil {
+		r.open.Remove(old.elem)
+	}
+	rr.elem = r.open.PushBack(run)
+	r.runs[run] = rr
+	for r.open.Len() > maxOpenRuns {
+		delete(r.runs, r.open.Remove(r.open.Front()).(id.Run))
+	}
+}
+
 // Process implements protocol.Handler: it polices and forwards the
-// client's response receipt.
+// client's response receipt, and forgets the run once it is forwarded.
 func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 	if msg.Kind != kindReceipt {
 		return fmt.Errorf("invoke: relay: unexpected one-way kind %q", msg.Kind)
@@ -176,28 +156,29 @@ func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 	if err := msg.Body(&body); err != nil {
 		return err
 	}
-	if body.Note.ResponseDigest != run.respDigest {
-		return fmt.Errorf("%w: receipt does not match relayed response", ErrEvidenceInvalid)
-	}
-	noteDigest, err := body.Note.Digest()
-	if err != nil {
-		return err
-	}
 	tok := msg.Token(evidence.KindNRRResp)
-	if tok == nil {
-		return fmt.Errorf("%w: relayed receipt missing NRR token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(tok, evidence.KindNRRResp, msg.Run, run.client); err != nil {
-		return fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if tok.Digest != noteDigest {
-		return fmt.Errorf("%w: receipt token covers different note", ErrEvidenceInvalid)
+	if err := checkReceipt(svc.Verifier, msg.Run, run.client, run.respDigest, &body.Note, tok); err != nil {
+		return err
 	}
 	if err := svc.LogReceived(tok, "relayed response receipt"); err != nil {
 		return err
 	}
-	forward := &protocol.Message{
-		Protocol: run.nextProto,
+	if err := r.co.Deliver(ctx, run.next, forward(msg, run.nextProto)); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if r.runs[msg.Run] == run {
+		r.open.Remove(run.elem)
+		delete(r.runs, msg.Run)
+	}
+	r.mu.Unlock()
+	return nil
+}
+
+// forward copies msg for the next hop, under that hop's protocol.
+func forward(msg *protocol.Message, proto string) *protocol.Message {
+	return &protocol.Message{
+		Protocol: proto,
 		Run:      msg.Run,
 		Txn:      msg.Txn,
 		Step:     msg.Step,
@@ -205,5 +186,4 @@ func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 		Tokens:   msg.Tokens,
 		Payload:  msg.Payload,
 	}
-	return r.co.Deliver(ctx, run.next, forward)
 }

@@ -93,6 +93,71 @@ func TestRelayWrongKindRejected(t *testing.T) {
 	}
 }
 
+// lyingServer answers every request with a well-formed, correctly signed
+// response whose NRR covers a different request than the one it answers.
+type lyingServer struct{ svc *protocol.Services }
+
+func (s *lyingServer) Protocol() string { return invoke.ProtocolDirect }
+
+func (s *lyingServer) Process(context.Context, *protocol.Message) error { return nil }
+
+func (s *lyingServer) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+	var req struct {
+		Snapshot evidence.RequestSnapshot `json:"snapshot"`
+	}
+	if err := msg.Body(&req); err != nil {
+		return nil, err
+	}
+	reqDigest, err := req.Snapshot.Digest()
+	if err != nil {
+		return nil, err
+	}
+	other := req.Snapshot
+	other.Operation = "SomethingElse"
+	otherDigest, err := other.Digest()
+	if err != nil {
+		return nil, err
+	}
+	resp := evidence.ResponseSnapshot{Run: msg.Run, Server: s.svc.Party, RequestDigest: reqDigest, Status: evidence.StatusOK}
+	respDigest, err := resp.Digest()
+	if err != nil {
+		return nil, err
+	}
+	nrr, err := s.svc.Issuer.Issue(evidence.KindNRR, msg.Run, 1, otherDigest)
+	if err != nil {
+		return nil, err
+	}
+	nroResp, err := s.svc.Issuer.Issue(evidence.KindNROResp, msg.Run, 2, respDigest)
+	if err != nil {
+		return nil, err
+	}
+	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: 2, Kind: "response",
+		Tokens: []*evidence.Token{nrr, nroResp}}
+	err = reply.SetBody(struct {
+		Snapshot evidence.ResponseSnapshot `json:"snapshot"`
+	}{resp})
+	return reply, err
+}
+
+// TestRelayRefusesReceiptOverOtherRequest: the relay accepts a reply by the
+// client's rule — an NRR over another request is refused, and nothing of
+// the run enters the relay's audit trail.
+func TestRelayRefusesReceiptOverOtherRequest(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(client, server, ttp)
+	defer d.Close()
+	d.Node(server).Coordinator().Register(&lyingServer{svc: d.Node(server).Services()})
+	invoke.NewRelay(d.Node(ttp).Coordinator(), invoke.RouteToServer())
+	cli := invoke.NewClient(d.Node(client).Coordinator(), invoke.Via(ttp))
+
+	if _, err := cli.Invoke(context.Background(), server, orderRequest()); err == nil {
+		t.Fatal("a reply whose NRR covers another request was accepted")
+	}
+	if recs := d.Node(ttp).Log().Records(); len(recs) != 0 {
+		t.Fatalf("relay logged %d records (first: %s %q) for a refused reply, want none", len(recs), recs[0].Token.Kind, recs[0].Note)
+	}
+}
+
 // TestResolveServiceRejectsIncompleteEvidence: the TTP only substitutes a
 // receipt for a server that can prove the full first two steps.
 func TestResolveServiceRejectsIncompleteEvidence(t *testing.T) {

@@ -244,25 +244,12 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		return nil, err
 	}
 	snap := rb.Snapshot
-	if snap.Run != msg.Run {
-		return nil, fmt.Errorf("%w: snapshot run %s in message for run %s", ErrEvidenceInvalid, snap.Run, msg.Run)
-	}
-	reqDigest, err := snap.Digest()
-	if err != nil {
-		return nil, err
-	}
-
 	// The request is passed to the server only if the client provides
 	// valid NRO of the request (section 3.2).
 	nro := msg.Token(evidence.KindNRO)
-	if nro == nil {
-		return nil, fmt.Errorf("%w: request missing NRO token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(nro, evidence.KindNRO, msg.Run, snap.Client); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if nro.Digest != reqDigest {
-		return nil, fmt.Errorf("%w: NRO covers a different request", ErrEvidenceInvalid)
+	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	if err != nil {
+		return nil, err
 	}
 	// R2: the request origin need not be durable before the server acts
 	// on it, only before anything issued in answer to it leaves — so it
@@ -692,22 +679,9 @@ func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 		return nil // retransmission: the receipt is already in the log
 	}
 	note := body.Note
-	if note.Run != msg.Run || note.ResponseDigest != rs.respDigest {
-		return fmt.Errorf("%w: receipt does not match response", ErrEvidenceInvalid)
-	}
-	noteDigest, err := note.Digest()
-	if err != nil {
-		return err
-	}
 	tok := msg.Token(evidence.KindNRRResp)
-	if tok == nil {
-		return fmt.Errorf("%w: receipt missing NRR token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(tok, evidence.KindNRRResp, msg.Run, rs.client); err != nil {
-		return fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if tok.Digest != noteDigest {
-		return fmt.Errorf("%w: receipt token covers different note", ErrEvidenceInvalid)
+	if err := checkReceipt(svc.Verifier, msg.Run, rs.client, rs.respDigest, &note, tok); err != nil {
+		return err
 	}
 	if err := logGroup(ctx, svc, store.Entry{Dir: store.Received, Token: tok, Note: "response receipt (" + note.Consumption.String() + ")"}); err != nil {
 		return err

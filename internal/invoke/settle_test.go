@@ -414,3 +414,70 @@ func TestServerExecutesOnceWhenLogFails(t *testing.T) {
 		})
 	}
 }
+
+// TestRelayRunsBounded is the regression test for the relay's run table
+// growing by one entry per relayed call: a run is forgotten once its
+// receipt is forwarded, and the runs whose receipt never comes are kept
+// within maxOpenRuns, oldest dropped first.
+func TestRelayRunsBounded(t *testing.T) {
+	const (
+		clientParty = id.Party("urn:org:dealer")
+		serverParty = id.Party("urn:org:manufacturer")
+		relayParty  = id.Party("urn:ttp:inline")
+	)
+	d := testpki.MustDomain(clientParty, serverParty, relayParty)
+	defer d.Close()
+	srv := NewServer(d.Node(serverParty).Coordinator(), ExecutorFunc(
+		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
+	defer srv.Close()
+	relay := NewRelay(d.Node(relayParty).Coordinator(), RouteToServer())
+	openRuns := func() int {
+		relay.mu.Lock()
+		defer relay.mu.Unlock()
+		if len(relay.runs) != relay.open.Len() {
+			t.Fatalf("relay holds %d runs but lists %d", len(relay.runs), relay.open.Len())
+		}
+		return len(relay.runs)
+	}
+	ctx := context.Background()
+	req := Request{Service: "urn:org:manufacturer/orders", Operation: "PlaceOrder"}
+
+	cli := NewClient(d.Node(clientParty).Coordinator(), Via(relayParty))
+	for i := 0; i < 5; i++ {
+		if _, err := cli.Invoke(ctx, serverParty, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A receipt is one-way: the relay forgets its run once the forward
+	// returns, which may trail the client's return.
+	for deadline := time.Now().Add(5 * time.Second); openRuns() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay still holds %d runs after every receipt was forwarded", openRuns())
+		}
+	}
+
+	withholding := NewClient(d.Node(clientParty).Coordinator(), Via(relayParty), WithholdReceipt())
+	first, err := withholding.Invoke(ctx, serverParty, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := withholding.Invoke(ctx, serverParty, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// maxOpenRuns+1 unreceipted runs in all: the rest are entered the way
+	// a relayed reply enters them.
+	for i := 2; i <= maxOpenRuns; i++ {
+		relay.track(id.NewRun(), &relayRun{})
+	}
+	if got := openRuns(); got != maxOpenRuns {
+		t.Fatalf("relay holds %d unreceipted runs, want %d", got, maxOpenRuns)
+	}
+	relay.mu.Lock()
+	_, keptFirst := relay.runs[first.Run]
+	_, keptLast := relay.runs[last.Run]
+	relay.mu.Unlock()
+	if keptFirst || !keptLast {
+		t.Fatalf("kept oldest = %v, kept second = %v; want the oldest dropped first", keptFirst, keptLast)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -33,17 +34,28 @@ var DefaultRetryPolicy = RetryPolicy{Attempts: 8, Backoff: 5 * time.Millisecond,
 
 // Delay computes the sleep before retry n (1-based): capped exponential
 // backoff with full jitter (a uniform draw from (0, cap]), the spread that
-// keeps simultaneous retriers from re-colliding every round.
+// keeps simultaneous retriers from re-colliding every round. It is the one
+// backoff of the tree: the durable job runtime spaces its attempts with it
+// too.
 func (p RetryPolicy) Delay(retry int) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
 	max := p.MaxBackoff
 	if max <= 0 {
-		max = 64 * p.Backoff
+		max = math.MaxInt64
+		if p.Backoff <= max/64 {
+			max = 64 * p.Backoff
+		}
 	}
 	d := p.Backoff
 	for i := 1; i < retry && d < max; i++ {
+		if d > max/2 {
+			// Doubling again would overflow or overshoot; either way the
+			// cap is the answer.
+			d = max
+			break
+		}
 		d *= 2
 	}
 	if d > max {

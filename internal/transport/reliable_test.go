@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,6 +70,25 @@ func TestRetryPolicyDelayJitterBounds(t *testing.T) {
 			d := p.Delay(retry)
 			if d <= 0 || d > 32*time.Millisecond {
 				t.Fatalf("jittered delay(%d) = %v out of (0, 32ms]", retry, d)
+			}
+		}
+	}
+}
+
+// TestRetryPolicyDelayHugeBackoff: a base delay whose default cap (64×)
+// or whose doubling overflows int64 still yields a positive delay within
+// the cap, jittered or not; the draw must never see a non-positive bound.
+func TestRetryPolicyDelayHugeBackoff(t *testing.T) {
+	t.Parallel()
+	for _, p := range []transport.RetryPolicy{
+		{Backoff: 1 << 62},
+		{Backoff: 1 << 62, NoJitter: true},
+		{Backoff: 1 << 62, MaxBackoff: math.MaxInt64},
+		{Backoff: 1 << 62, MaxBackoff: math.MaxInt64, NoJitter: true},
+	} {
+		for retry := 1; retry <= 8; retry++ {
+			if d := p.Delay(retry); d <= 0 {
+				t.Fatalf("%+v: Delay(%d) = %v, want positive", p, retry, d)
 			}
 		}
 	}
