@@ -205,7 +205,10 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		gotNRR, gotNROResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
 		if c.proto == ProtocolVoluntary {
 			// Baseline: any receipt is voluntary; verify it if present but
-			// demand nothing. There is no step 3.
+			// demand nothing. There is no step 3, so no response origin is
+			// asked for, and one attached is never checked: it is dropped,
+			// not kept as evidence received.
+			gotNROResp = nil
 			if respDigest, err = answers(resp, run, reqDigest); err == nil && gotNRR != nil {
 				err = expect(svc.Verifier, gotNRR, evidence.KindNRR, run, server, reqDigest)
 			}

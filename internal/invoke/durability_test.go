@@ -193,6 +193,10 @@ type ruleFixture struct {
 
 func newRuleFixture(t *testing.T) *ruleFixture {
 	t.Helper()
+	// The test's directories are removed after the network has closed:
+	// Close waits for one-way deliveries still queued — a receipt whose
+	// acknowledgement trails the test — and for their snapshots.
+	t.TempDir()
 	inproc := transport.NewInprocNetwork()
 	t.Cleanup(func() { _ = inproc.Close() })
 	return &ruleFixture{

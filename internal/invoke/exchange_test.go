@@ -2,6 +2,7 @@ package invoke_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/protocol"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
@@ -75,6 +77,127 @@ func TestNotConsumedWithheldWhenReceiptSendFails(t *testing.T) {
 				t.Fatal("not-consumed response was released to the application after its receipt send failed")
 			}
 		})
+	}
+}
+
+// volunteeringServer answers ProtocolVoluntary requests with a correctly
+// signed response and a voluntary NRR — over another request when
+// otherNRR is set — plus an NRO(resp) over a response it never sent: an
+// origin the voluntary client does not ask for and so never checks.
+type volunteeringServer struct {
+	svc      *protocol.Services
+	otherNRR bool
+}
+
+func (s *volunteeringServer) Protocol() string { return invoke.ProtocolVoluntary }
+
+func (s *volunteeringServer) Process(context.Context, *protocol.Message) error { return nil }
+
+func (s *volunteeringServer) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+	var req struct {
+		Snapshot evidence.RequestSnapshot `json:"snapshot"`
+	}
+	if err := msg.Body(&req); err != nil {
+		return nil, err
+	}
+	covered := req.Snapshot
+	if s.otherNRR {
+		covered.Operation = "SomethingElse"
+	}
+	reqDigest, err := req.Snapshot.Digest()
+	if err != nil {
+		return nil, err
+	}
+	nrrDigest, err := covered.Digest()
+	if err != nil {
+		return nil, err
+	}
+	resp := evidence.ResponseSnapshot{Run: msg.Run, Server: s.svc.Party, RequestDigest: reqDigest, Status: evidence.StatusOK}
+	unsent := resp
+	unsent.Status = evidence.StatusFailed
+	unsentDigest, err := unsent.Digest()
+	if err != nil {
+		return nil, err
+	}
+	nrr, err := s.svc.Issuer.Issue(evidence.KindNRR, msg.Run, 1, nrrDigest)
+	if err != nil {
+		return nil, err
+	}
+	nroResp, err := s.svc.Issuer.Issue(evidence.KindNROResp, msg.Run, 2, unsentDigest)
+	if err != nil {
+		return nil, err
+	}
+	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: 2, Kind: "response",
+		Tokens: []*evidence.Token{nrr, nroResp}}
+	err = reply.SetBody(struct {
+		Snapshot evidence.ResponseSnapshot `json:"snapshot"`
+	}{resp})
+	return reply, err
+}
+
+// TestVoluntaryClientKeepsOnlyVerifiedEvidence: a voluntary client keeps
+// a volunteered NRR only if it covers the request sent, and never keeps
+// an NRO(resp), which it does not check — in its log or its result.
+func TestVoluntaryClientKeepsOnlyVerifiedEvidence(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name     string
+		otherNRR bool
+		want     []evidence.Kind // the client log's kinds
+	}{
+		{"origin-attached", false, []evidence.Kind{evidence.KindNRO, evidence.KindNRR}},
+		{"receipt-over-other-request", true, []evidence.Kind{evidence.KindNRO}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			d := testpki.MustDomain(client, server)
+			defer d.Close()
+			d.Node(server).Coordinator().Register(&volunteeringServer{svc: d.Node(server).Services(), otherNRR: tc.otherNRR})
+			cli := invoke.NewClient(d.Node(client).Coordinator(), invoke.WithProtocol(invoke.ProtocolVoluntary))
+
+			res, err := cli.Invoke(context.Background(), server, orderRequest())
+			if tc.otherNRR {
+				if !errors.Is(err, invoke.ErrEvidenceInvalid) {
+					t.Fatalf("a voluntary NRR over another request: %v, want ErrEvidenceInvalid", err)
+				}
+			} else if err != nil || len(res.Evidence) != 2 || res.Evidence[1].Kind != evidence.KindNRR {
+				t.Fatalf("Invoke = %v, %v; want NRO and the voluntary NRR", res, err)
+			}
+			var kinds []evidence.Kind
+			for _, rec := range d.Node(client).Log().Records() {
+				kinds = append(kinds, rec.Token.Kind)
+			}
+			if fmt.Sprint(kinds) != fmt.Sprint(tc.want) {
+				t.Fatalf("client log holds %v, want %v", kinds, tc.want)
+			}
+		})
+	}
+}
+
+// TestVoluntaryNotConsumedWithheld: NotConsumed keeps the response from
+// the application under the voluntary protocol too, which has no receipt
+// to report it in.
+func TestVoluntaryNotConsumedWithheld(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec,
+		invoke.ForProtocol(invoke.ProtocolVoluntary), invoke.WithVoluntaryReceipt())
+	defer srv.Close()
+	cli := invoke.NewClient(d.Node(client).Coordinator(),
+		invoke.WithProtocol(invoke.ProtocolVoluntary), invoke.WithConsumption(evidence.NotConsumed))
+
+	res, err := cli.Invoke(context.Background(), server, orderRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != evidence.StatusOK || len(res.Evidence) != 2 {
+		t.Fatalf("result: status %v, %d tokens; want OK with NRO and the voluntary NRR", res.Status, len(res.Evidence))
+	}
+	if res.Result != nil {
+		t.Fatal("not-consumed voluntary response was released to the application")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
@@ -43,10 +44,11 @@ type Relay struct {
 
 	mu   sync.Mutex
 	runs map[id.Run]*relayRun
-	// open lists, oldest first, the runs relayed whose receipt has not
-	// been forwarded yet, within maxOpenRuns: a client that never sends
-	// its receipt costs the relay one slot, as it costs the server one.
-	open list.List // of id.Run
+	// open lists the runs relayed whose receipt has not been forwarded
+	// yet: a client that never sends its receipt costs the relay one
+	// slot, as it costs the server one. Evictions are counted in evicted.
+	open    openRuns
+	evicted *obs.Counter
 }
 
 // relayRun is what the relay keeps of a run between reply and receipt.
@@ -63,7 +65,8 @@ var _ protocol.Handler = (*Relay)(nil)
 // NewRelay creates a relay handler and registers it with the TTP's
 // coordinator.
 func NewRelay(co *protocol.Coordinator, route RelayRoute) *Relay {
-	r := &Relay{co: co, route: route, runs: make(map[id.Run]*relayRun)}
+	r := &Relay{co: co, route: route, runs: make(map[id.Run]*relayRun),
+		evicted: co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)}
 	co.Register(r)
 	return r
 }
@@ -123,20 +126,16 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 	return reply, nil
 }
 
-// track keeps rr until its receipt is forwarded, evicting the oldest
-// unreceipted runs beyond maxOpenRuns. A retransmitted request replaces
-// the run's entry.
+// track keeps rr until its receipt is forwarded, within maxOpenRuns
+// unreceipted runs. A retransmitted request replaces the run's entry.
 func (r *Relay) track(run id.Run, rr *relayRun) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old := r.runs[run]; old != nil {
 		r.open.Remove(old.elem)
 	}
-	rr.elem = r.open.PushBack(run)
+	rr.elem = r.open.push(run, r.co.Services().Party, r.evicted, func(old id.Run) { delete(r.runs, old) })
 	r.runs[run] = rr
-	for r.open.Len() > maxOpenRuns {
-		delete(r.runs, r.open.Remove(r.open.Front()).(id.Run))
-	}
 }
 
 // Process implements protocol.Handler: it polices and forwards the

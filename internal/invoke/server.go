@@ -42,15 +42,11 @@ type Server struct {
 	// idempotently, within maxSettledRuns and maxSettledChunkBytes.
 	settled           []id.Run
 	settledChunkBytes int64
-	// open lists, oldest first, the runs answered but not yet settled —
-	// the receipt outstanding, or a result stream not fetched to its end —
-	// within maxOpenRuns. Runs pushed off its front are counted in
-	// evicted and reported, at most once per evictLogEvery, with the
-	// number dropped since the last report (evictedUnreported).
-	open              list.List // of id.Run
-	evicted           *obs.Counter
-	evictedUnreported int
-	evictReported     time.Time
+	// open lists the runs answered but not yet settled — the receipt
+	// outstanding, or a result stream not fetched to its end. Runs pushed
+	// off its front are counted in evicted.
+	open    openRuns
+	evicted *obs.Counter
 
 	// pending buffers inbound streamed-parameter chunks until the request
 	// whose signed evidence binds them arrives; keyed by sender and
@@ -82,11 +78,12 @@ var _ protocol.Handler = (*Server)(nil)
 const (
 	// maxOpenRuns bounds the runs whose exchange is not over: a client
 	// that never sends its receipt (or never fetches a result stream)
-	// costs the server one slot, not memory for ever. A receipt arriving
-	// for a run evicted here is refused with ErrNoSuchRun; the run's NRO,
-	// NRR and NROResp are in the log regardless, and the eviction is
-	// counted (obs.MInvokeOpenRunsEvictedTotal) and logged with the run,
-	// so the refusal can be explained.
+	// costs the server, and each relay on the way, one slot (openRuns),
+	// not memory for ever. A receipt arriving for a run evicted here is
+	// refused with ErrNoSuchRun; the run's NRO, NRR and NROResp are in the
+	// log regardless, and the eviction is counted
+	// (obs.MInvokeOpenRunsEvictedTotal) and logged with the run, so the
+	// refusal can be explained.
 	maxOpenRuns = 4096
 	// evictLogEvery spaces the log lines about evicted runs: a client
 	// withholding every receipt evicts one run per call.
@@ -274,30 +271,44 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	s.runs[msg.Run] = rs
 	s.settleLocked(msg.Run, rs)
 	if !rs.settled {
-		rs.openElem = s.open.PushBack(msg.Run)
-		for s.open.Len() > maxOpenRuns {
-			s.evictOldestOpenLocked()
-		}
+		rs.openElem = s.open.push(msg.Run, svc.Party, s.evicted, func(old id.Run) { delete(s.runs, old) })
 	}
 	s.mu.Unlock()
 	return s.answer(ctx, msg.Run, rs)
 }
 
-// evictOldestOpenLocked forgets the run whose receipt has been outstanding
-// longest (s.mu held). Its evidence stays in the log; what goes is the
-// means to accept its receipt, so the eviction is counted and — not more
-// often than every evictLogEvery — logged with the run's id: the later
-// ErrNoSuchRun for that receipt then has an explanation on record.
-func (s *Server) evictOldestOpenLocked() {
-	run := s.open.Remove(s.open.Front()).(id.Run)
-	delete(s.runs, run)
-	s.evicted.Inc()
-	s.evictedUnreported++
-	if now := time.Now(); now.Sub(s.evictReported) >= evictLogEvery {
-		log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
-			s.co.Services().Party, run, maxOpenRuns, s.evictedUnreported, ErrNoSuchRun)
-		s.evictReported, s.evictedUnreported = now, 0
+// openRuns lists, oldest first, the runs a Server or Relay answered whose
+// receipt is still outstanding, within maxOpenRuns. It is guarded by its
+// owner's lock.
+type openRuns struct {
+	list.List // of id.Run
+	// unreported counts the runs evicted since the last log line, written
+	// at reported.
+	unreported int
+	reported   time.Time
+}
+
+// push lists run and evicts the runs whose receipt has been outstanding
+// longest beyond maxOpenRuns. drop forgets each evicted run; its evidence
+// stays in party's log, and what goes is the means to accept its receipt,
+// so the eviction is counted on evicted and — not more often than every
+// evictLogEvery — logged with the run's id: the later ErrNoSuchRun for
+// that receipt then has an explanation on record. The returned element is
+// the run's place on the list until its receipt arrives.
+func (o *openRuns) push(run id.Run, party id.Party, evicted *obs.Counter, drop func(id.Run)) *list.Element {
+	e := o.PushBack(run)
+	for o.Len() > maxOpenRuns {
+		old := o.Remove(o.Front()).(id.Run)
+		drop(old)
+		evicted.Inc()
+		o.unreported++
+		if now := time.Now(); now.Sub(o.reported) >= evictLogEvery {
+			log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
+				party, old, maxOpenRuns, o.unreported, ErrNoSuchRun)
+			o.reported, o.unreported = now, 0
+		}
 	}
+	return e
 }
 
 // answer returns a run's response once the evidence it carries is durable

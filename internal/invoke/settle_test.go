@@ -418,7 +418,8 @@ func TestServerExecutesOnceWhenLogFails(t *testing.T) {
 // TestRelayRunsBounded is the regression test for the relay's run table
 // growing by one entry per relayed call: a run is forgotten once its
 // receipt is forwarded, and the runs whose receipt never comes are kept
-// within maxOpenRuns, oldest dropped first.
+// within maxOpenRuns, oldest dropped first — counted and logged, as the
+// server's are.
 func TestRelayRunsBounded(t *testing.T) {
 	const (
 		clientParty = id.Party("urn:org:dealer")
@@ -431,6 +432,11 @@ func TestRelayRunsBounded(t *testing.T) {
 		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
 	defer srv.Close()
 	relay := NewRelay(d.Node(relayParty).Coordinator(), RouteToServer())
+	relay.evicted = obs.NewRegistry().Counter(obs.MInvokeOpenRunsEvictedTotal, string(relayParty))
+	// The test is serial, so no other test logs while the output is held.
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	openRuns := func() int {
 		relay.mu.Lock()
 		defer relay.mu.Unlock()
@@ -479,5 +485,11 @@ func TestRelayRunsBounded(t *testing.T) {
 	relay.mu.Unlock()
 	if keptFirst || !keptLast {
 		t.Fatalf("kept oldest = %v, kept second = %v; want the oldest dropped first", keptFirst, keptLast)
+	}
+	if got := relay.evicted.Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MInvokeOpenRunsEvictedTotal, got)
+	}
+	if line := logged.String(); !strings.Contains(line, string(first.Run)) || !strings.Contains(line, string(relayParty)) {
+		t.Fatalf("eviction log does not name the relay and the dropped run %s: %q", first.Run, line)
 	}
 }
