@@ -175,7 +175,7 @@ func main() {
 	}
 	fmt.Printf("  manufacturer consumed supplier A's answer (%s) and withheld its receipt\n", res3.Status)
 	time.Sleep(300 * time.Millisecond) // let the supplier's watchdog resolve
-	report := domain.Adjudicator().AuditRun(orgs[supplierA].Log().Records(), res3.Run)
+	report, _ := domain.Adjudicator().AuditRunStream(nonrep.Records(orgs[supplierA].Log().Records()), res3.Run)
 	fmt.Printf("  supplier A's evidence: complete=%v via TTP substitute=%v\n",
 		report.Complete(), report.Substituted)
 
@@ -191,7 +191,7 @@ func main() {
 	fmt.Println("\n== audit ==")
 	adj := domain.Adjudicator()
 	for party, org := range orgs {
-		rep := adj.AuditLog(org.Log().Records())
+		rep := adj.AuditStream(nonrep.Records(org.Log().Records()))
 		fmt.Printf("  %-22s %2d records, clean=%v\n", party, rep.Records, rep.Clean())
 		if !rep.Clean() {
 			os.Exit(1)
@@ -293,7 +293,10 @@ func durableScene(ctx context.Context, domain *nonrep.Domain) error {
 	if err != nil {
 		return err
 	}
-	report := domain.Adjudicator().AuditRun(client.Vault().Records(), res.Run)
+	report, err := domain.Adjudicator().AuditRunStream(client.Vault().Query(nonrep.VaultQuery{Run: res.Run}), res.Run)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("  job resumed from the journal: status=%s attempts=%d; run audit complete=%v faults=%d\n",
 		res.Status, job.(*nonrep.Job).Attempts(), report.Complete(), len(report.Faults))
 	return client.Close()

@@ -58,7 +58,6 @@ import (
 	"maps"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -111,89 +110,89 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	os.Exit(auditBundle(*dir, *runFilter))
+}
 
-	b, err := bundle.Read(*dir)
+// auditBundle audits an exported evidence bundle: each party's log on its
+// own (hash chain and every token), then each invocation run judged from
+// all the parties' records of it at once.
+func auditBundle(dir, runFilter string) int {
+	b, err := bundle.Read(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		os.Exit(1)
+		return 1
 	}
 	creds, err := b.CredentialStore(clock.Real{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		os.Exit(1)
+		return 1
 	}
 	adj := core.NewAdjudicator(creds)
 
 	fmt.Printf("bundle: %d certificates, %d evidence logs\n\n", len(b.Certs), len(b.Logs))
-	failed := false
-
-	parties := make([]id.Party, 0, len(b.Logs))
-	for p := range b.Logs {
-		parties = append(parties, p)
-	}
-	sort.Slice(parties, func(i, j int) bool { return parties[i] < parties[j] })
-
-	runs := make(map[id.Run]bool)
-	for _, p := range parties {
-		records := b.Logs[p]
-		report := adj.AuditLog(records)
+	faulty := false
+	var merged []*store.Record
+	for _, p := range slices.Sorted(maps.Keys(b.Logs)) {
+		report := adj.AuditStream(core.Records(b.Logs[p]))
 		status := "CLEAN"
 		if !report.Clean() {
 			status = "FAULTY"
-			failed = true
+			faulty = true
 		}
 		fmt.Printf("log %-24s %3d records  chain=%v  %s\n", p, report.Records, report.ChainOK, status)
 		if report.ChainError != "" {
 			fmt.Printf("    chain: %s\n", report.ChainError)
 		}
-		for _, fault := range report.Faults {
-			fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
-		}
-		for _, rec := range records {
-			runs[rec.Token.Run] = true
-		}
+		printFaults(report.Faults)
+		merged = append(merged, b.Logs[p]...)
 	}
 
 	fmt.Println("\nper-run reconstruction:")
-	runList := make([]id.Run, 0, len(runs))
-	for r := range runs {
-		runList = append(runList, r)
-	}
-	sort.Slice(runList, func(i, j int) bool { return runList[i] < runList[j] })
-	for _, run := range runList {
-		if *runFilter != "" && string(run) != *runFilter {
+	runs := byRun(merged)
+	for _, run := range slices.Sorted(maps.Keys(runs)) {
+		if runFilter != "" && string(run) != runFilter {
 			continue
 		}
-		// Merge all parties' records for the run.
-		var merged []*store.Record
-		for _, p := range parties {
-			merged = append(merged, b.Logs[p]...)
-		}
-		report := adj.AuditRun(merged, run)
-		if !report.RequestProven && !report.ResponseProven {
+		report, _ := adj.AuditRunStream(core.Records(runs[run]), run)
+		if !report.RequestProven && !report.ResponseProven && len(report.Faults) == 0 {
 			// Sharing-protocol runs have no invocation evidence; skip
 			// the invocation reconstruction for them.
 			continue
 		}
-		flags := ""
-		if report.Substituted {
-			flags += " [TTP substitute]"
-		}
-		if report.Aborted {
-			flags += " [aborted]"
-		}
-		fmt.Printf("  %s\n    client=%s server=%s request=%v receipt=%v response=%v resp-receipt=%v complete=%v%s\n",
-			run, report.Client, report.Server,
-			report.RequestProven, report.ReceiptProven,
-			report.ResponseProven, report.ResponseReceiptProven,
-			report.Complete(), flags)
+		faulty = printRun(report) || faulty
 	}
 
-	if failed {
+	if faulty {
 		fmt.Println("\nverdict: evidence FAULTY")
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("\nverdict: all evidence verifies")
+	return 0
+}
+
+// printRun prints what one run's evidence proves and the faults found in
+// it, reporting whether there were any.
+func printRun(report *core.RunReport) bool {
+	flags := ""
+	if report.Substituted {
+		flags += " [TTP substitute]"
+	}
+	if report.Aborted {
+		flags += " [aborted]"
+	}
+	fmt.Printf("  %s\n    client=%s server=%s request=%v receipt=%v response=%v resp-receipt=%v complete=%v%s\n",
+		report.Run, report.Client, report.Server,
+		report.RequestProven, report.ReceiptProven,
+		report.ResponseProven, report.ResponseReceiptProven,
+		report.Complete(), flags)
+	printFaults(report.Faults)
+	return len(report.Faults) > 0
+}
+
+func printFaults(faults []core.Fault) {
+	for _, fault := range faults {
+		fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
+	}
 }
 
 // auditVault audits an evidence vault in place, streaming records through
@@ -265,15 +264,13 @@ func auditVault(dir, bundleDir, runFilter, txnFilter string, deep bool) int {
 			return 0
 		}
 		adj := core.NewAdjudicator(creds)
-		faults := 0
-		for _, run := range runsOf(records) {
-			report := adj.AuditRun(records, run)
-			fmt.Printf("  %s\n    request=%v receipt=%v response=%v resp-receipt=%v complete=%v\n",
-				run, report.RequestProven, report.ReceiptProven,
-				report.ResponseProven, report.ResponseReceiptProven, report.Complete())
-			faults += len(report.Faults)
+		faulty := false
+		runs := byRun(records)
+		for _, run := range slices.Sorted(maps.Keys(runs)) {
+			report, _ := adj.AuditRunStream(core.Records(runs[run]), run)
+			faulty = printRun(report) || faulty
 		}
-		if faults > 0 {
+		if faulty {
 			fmt.Println("\nverdict: evidence FAULTY")
 			return 1
 		}
@@ -296,9 +293,7 @@ func auditVault(dir, bundleDir, runFilter, txnFilter string, deep bool) int {
 	if report.ChainError != "" {
 		fmt.Printf("    chain: %s\n", report.ChainError)
 	}
-	for _, fault := range report.Faults {
-		fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
-	}
+	printFaults(report.Faults)
 	if !report.Clean() {
 		fmt.Println("\nverdict: evidence FAULTY")
 		return 1
@@ -384,14 +379,7 @@ func auditRemote(addr, bundleDir, source, runFilter string, page int) int {
 			fmt.Fprintln(os.Stderr, "nrverify: could not audit (no verdict)")
 			return 2
 		}
-		fmt.Printf("  %s\n    client=%s server=%s request=%v receipt=%v response=%v resp-receipt=%v complete=%v\n",
-			runFilter, report.Client, report.Server,
-			report.RequestProven, report.ReceiptProven,
-			report.ResponseProven, report.ResponseReceiptProven, report.Complete())
-		if len(report.Faults) > 0 {
-			for _, fault := range report.Faults {
-				fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
-			}
+		if printRun(report) {
 			fmt.Println("\nverdict: evidence FAULTY")
 			return 1
 		}
@@ -439,9 +427,7 @@ func auditRemote(addr, bundleDir, source, runFilter string, page int) int {
 	if report.ChainError != "" {
 		fmt.Printf("    chain: %s\n", report.ChainError)
 	}
-	for _, fault := range report.Faults {
-		fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
-	}
+	printFaults(report.Faults)
 	if !report.Clean() {
 		fmt.Println("\nverdict: evidence FAULTY")
 		return 1
@@ -720,14 +706,12 @@ func provWalk(root id.Run, hops int, fetch func(id.Run) (*vault.ProvGraph, error
 	return 0
 }
 
-// runsOf collects the distinct runs in records, in order of appearance.
-func runsOf(records []*store.Record) []id.Run {
-	var runs []id.Run
-	seen := make(map[id.Run]bool)
+// byRun groups records by their token's run.
+func byRun(records []*store.Record) map[id.Run][]*store.Record {
+	runs := make(map[id.Run][]*store.Record)
 	for _, rec := range records {
-		if !seen[rec.Token.Run] {
-			seen[rec.Token.Run] = true
-			runs = append(runs, rec.Token.Run)
+		if rec.Token != nil {
+			runs[rec.Token.Run] = append(runs[rec.Token.Run], rec)
 		}
 	}
 	return runs

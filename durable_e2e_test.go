@@ -155,10 +155,10 @@ func TestDurableCallAsyncWorkerCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report := adj.AuditLog(all); !report.Clean() {
+	if report := adj.AuditStream(nonrep.Records(all)); !report.Clean() {
 		t.Fatalf("client log audit: %+v", report)
 	}
-	if report := adj.AuditRun(all, run); !report.Complete() || len(report.Faults) != 0 {
+	if report, _ := adj.AuditRunStream(nonrep.Records(all), run); !report.Complete() || len(report.Faults) != 0 {
 		t.Fatalf("run audit: %+v", report)
 	}
 

@@ -84,7 +84,7 @@ func main() {
 
 	// Offline adjudication: the manufacturer's log alone proves the
 	// complete exchange.
-	report := domain.Adjudicator().AuditRun(manufacturer.Log().Records(), res.Run)
+	report, _ := domain.Adjudicator().AuditRunStream(nonrep.Records(manufacturer.Log().Records()), res.Run)
 	fmt.Println("\nadjudicator's reconstruction from the manufacturer's log:")
 	fmt.Printf("  request by %s proven:   %v\n", report.Client, report.RequestProven)
 	fmt.Printf("  receipt by %s proven:   %v\n", report.Server, report.ReceiptProven)

@@ -226,13 +226,13 @@ func main() {
 	fmt.Println("\n== audit ==")
 	adj := domain.Adjudicator()
 	for p, h := range orgs {
-		report := adj.AuditLog(h.org.Log().Records())
+		report := adj.AuditStream(nonrep.Records(h.org.Log().Records()))
 		fmt.Printf("  %-22s %2d evidence records, clean=%v\n", p, report.Records, report.Clean())
 		if !report.Clean() {
 			log.Fatal("audit failed")
 		}
 	}
-	runReport := adj.AuditRun(orgs[manufacturer].org.Log().Records(), orderRes.Run)
+	runReport, _ := adj.AuditRunStream(nonrep.Records(orgs[manufacturer].org.Log().Records()), orderRes.Run)
 	fmt.Printf("  dealer's order: request proven=%v, response proven=%v\n",
 		runReport.RequestProven, runReport.ResponseProven)
 }

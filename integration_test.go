@@ -108,7 +108,7 @@ func TestCrashRecoveryVault(t *testing.T) {
 	if err := log.VerifyChain(); err != nil {
 		t.Fatal(err)
 	}
-	if report := core.NewAdjudicator(realm.Store).AuditLog(log.Records()); !report.Clean() {
+	if report := core.NewAdjudicator(realm.Store).AuditStream(core.Records(log.Records())); !report.Clean() {
 		t.Fatalf("audit after recovery: %+v", report)
 	}
 }
@@ -391,7 +391,7 @@ func TestBundleExportAuditRoundTrip(t *testing.T) {
 	}
 	adj := core.NewAdjudicator(creds)
 	for p, records := range got.Logs {
-		if report := adj.AuditLog(records); !report.Clean() {
+		if report := adj.AuditStream(core.Records(records)); !report.Clean() {
 			t.Fatalf("%s: %+v", p, report)
 		}
 	}

@@ -111,7 +111,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	adj := core.NewAdjudicator(creds)
 	for p, records := range got.Logs {
-		if report := adj.AuditLog(records); !report.Clean() {
+		if report := adj.AuditStream(core.Records(records)); !report.Clean() {
 			t.Errorf("%s audit after round trip: %+v", p, report)
 		}
 	}
@@ -149,7 +149,7 @@ func TestReadParentFileLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report := core.NewAdjudicator(creds).AuditLog(records); !report.Clean() || !report.ChainOK {
+	if report := core.NewAdjudicator(creds).AuditStream(core.Records(records)); !report.Clean() || !report.ChainOK {
 		t.Fatalf("audit of the parent's FileLog: %+v", report)
 	}
 }
@@ -208,7 +208,7 @@ func TestTamperedBundleDetectedByAdjudicator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report := core.NewAdjudicator(creds).AuditLog(got.Logs[orgA]); report.Clean() {
+	if report := core.NewAdjudicator(creds).AuditStream(core.Records(got.Logs[orgA])); report.Clean() {
 		t.Fatal("adjudicator accepted doctored bundle")
 	}
 }

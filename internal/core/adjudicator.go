@@ -6,6 +6,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sharing"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -46,21 +47,6 @@ type LogReport struct {
 // Clean reports whether the audit found no problems.
 func (r *LogReport) Clean() bool { return r.ChainOK && len(r.Faults) == 0 }
 
-// AuditLog verifies a log's chain and every token in it.
-func (a *Adjudicator) AuditLog(records []*store.Record) *LogReport {
-	report := &LogReport{Records: len(records), ChainOK: true}
-	if err := store.VerifyRecords(records); err != nil {
-		report.ChainOK = false
-		report.ChainError = err.Error()
-	}
-	for _, rec := range records {
-		if err := a.verifyToken(rec); err != nil {
-			report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: err.Error()})
-		}
-	}
-	return report
-}
-
 // verifyToken verifies one record's token, treating a record without a
 // token — possible only in evidence presented by an adversarial source,
 // a log never stores one — as a fault rather than a crash.
@@ -83,6 +69,25 @@ type RecordSource interface {
 	// Err returns the first error the source hit.
 	Err() error
 }
+
+// Records presents records already in memory (a node's log, a bundle's
+// logs) as a RecordSource.
+func Records(records []*store.Record) RecordSource { return &sliceSource{records: records} }
+
+type sliceSource struct {
+	records []*store.Record
+	pos     int
+}
+
+func (s *sliceSource) Next() bool {
+	if s.pos >= len(s.records) {
+		return false
+	}
+	s.pos++
+	return true
+}
+func (s *sliceSource) Record() *store.Record { return s.records[s.pos-1] }
+func (s *sliceSource) Err() error            { return nil }
 
 // AuditStream verifies a whole log presented as a stream: the hash chain
 // is re-derived incrementally and every token checked, with memory
@@ -117,81 +122,116 @@ func (a *Adjudicator) AuditStream(src RecordSource) *LogReport {
 // invocation run.
 type RunReport struct {
 	Run id.Run
-	// Client and Server as attested by the evidence.
+	// Client and Server as attested by the NRO and the NRR.
 	Client id.Party
 	Server id.Party
 	// RequestProven: a valid NRO binds the request to the client — the
 	// client cannot "disavow the request" (section 2).
 	RequestProven bool
-	// ReceiptProven: a valid NRR binds receipt of the request to the
-	// server.
+	// ReceiptProven: the server's valid NRR covers the NRO's request.
 	ReceiptProven bool
-	// ResponseProven: a valid NROResp binds the response to the server —
-	// the server cannot "deny having delivered a service" (section 2).
+	// ResponseProven: a valid NROResp from the NRR's server — the server
+	// cannot "deny having delivered a service" (section 2).
 	ResponseProven bool
-	// ResponseReceiptProven: a valid NRRResp (or TTP substitute) binds
-	// receipt of the response to the client.
+	// ResponseReceiptProven: the client's valid NRRResp (or a TTP
+	// substitute) covers the receipt note on the NROResp's response.
 	ResponseReceiptProven bool
 	// Substituted reports that the response receipt is a TTP substitute.
 	Substituted bool
-	// Aborted reports a TTP abort affidavit for the run.
+	// Aborted reports a TTP abort affidavit over the NRO's request.
 	Aborted bool
-	// Faults lists tokens that failed verification.
+	// Faults lists tokens that failed verification, conflict with an
+	// earlier token of their kind, or break a binding.
 	Faults []Fault
 }
 
-// AuditRun examines the records for one run (from any party's log) and
-// reports which facts the valid evidence establishes.
-func (a *Adjudicator) AuditRun(records []*store.Record, run id.Run) *RunReport {
-	report := &RunReport{Run: run}
-	for _, rec := range records {
-		a.applyRun(report, rec, run)
-	}
-	return report
-}
+// runKinds are the invocation evidence kinds: one digest of each per run.
+var runKinds = map[evidence.Kind]bool{evidence.KindNRO: true, evidence.KindNRR: true, evidence.KindNROResp: true,
+	evidence.KindNRRResp: true, evidence.KindSubstitute: true, evidence.KindAbort: true}
 
-// AuditRunStream is AuditRun over a record stream — typically a remote
-// audit of a counterparty's (or a replica of a counterparty's) vault,
-// where the run's records are fetched page by page rather than loaded.
-// The stream's error, if any, is returned alongside the report built from
-// the records seen before it.
+// AuditRunStream reports what the records of one run prove: from one
+// party's log, several parties' logs merged, or a counterparty's vault
+// audited remotely page by page. Each token is verified as it arrives and
+// the protocol's bindings are judged after the last record, so record
+// order does not matter. The stream's error, if any, is returned alongside
+// the report built from the records seen before it.
 func (a *Adjudicator) AuditRunStream(src RecordSource, run id.Run) (*RunReport, error) {
 	report := &RunReport{Run: run}
+	seen := make(map[evidence.Kind]*store.Record)
+	conflict := make(map[evidence.Kind]bool)
 	for src.Next() {
-		a.applyRun(report, src.Record(), run)
+		rec := src.Record()
+		tok := rec.Token
+		if tok == nil || tok.Run != run {
+			continue
+		}
+		if err := a.verifier.Verify(tok); err != nil {
+			report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: err.Error()})
+			continue
+		}
+		if first := seen[tok.Kind]; first == nil && runKinds[tok.Kind] {
+			seen[tok.Kind] = rec
+		} else if first != nil && (first.Token.Digest != tok.Digest || first.Token.Issuer != tok.Issuer) {
+			conflict[tok.Kind] = true
+			report.Faults = append(report.Faults, Fault{Seq: rec.Seq,
+				Reason: fmt.Sprintf("core: second %s token of the run conflicts with record %d's", tok.Kind, first.Seq)})
+		}
 	}
+	for kind := range conflict {
+		delete(seen, kind)
+	}
+	report.judge(seen)
 	return report, src.Err()
 }
 
-// applyRun folds one record into a run report.
-func (a *Adjudicator) applyRun(report *RunReport, rec *store.Record, run id.Run) {
-	tok := rec.Token
-	if tok == nil || tok.Run != run {
-		return
+// judge applies to the run's tokens, one per kind, the bindings every
+// party's door checks (internal/invoke's check.go): the NRR covers the
+// NRO's digest; the NROResp comes from the NRR's server; the NRRResp comes
+// from the NRO's client over the receipt note {run, client, NROResp
+// digest, consumed or not}, rebuilt from the tokens because the record's
+// note is unsigned; a TTP substitute covers that note, consumed; an abort
+// covers the NRO's digest. A broken binding is a fault and its fact stays
+// false. A token whose anchor is missing (an NRR without an NRO) is
+// unbound: no fault, no fact.
+func (r *RunReport) judge(seen map[evidence.Kind]*store.Record) {
+	var nro, nrr, nroResp *evidence.Token
+	if rec := seen[evidence.KindNRO]; rec != nil {
+		nro, r.RequestProven, r.Client = rec.Token, true, rec.Token.Issuer
 	}
-	if err := a.verifier.Verify(tok); err != nil {
-		report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: err.Error()})
-		return
+	if rec := seen[evidence.KindNRR]; rec != nil {
+		nrr, r.Server = rec.Token, rec.Token.Issuer
 	}
-	switch tok.Kind {
-	case evidence.KindNRO:
-		report.RequestProven = true
-		report.Client = tok.Issuer
-	case evidence.KindNRR:
-		report.ReceiptProven = true
-		report.Server = tok.Issuer
-	case evidence.KindNROResp:
-		report.ResponseProven = true
-		report.Server = tok.Issuer
-	case evidence.KindNRRResp:
-		report.ResponseReceiptProven = true
-		report.Client = tok.Issuer
-	case evidence.KindSubstitute:
-		report.ResponseReceiptProven = true
-		report.Substituted = true
-	case evidence.KindAbort:
-		report.Aborted = true
+	if rec := seen[evidence.KindNROResp]; rec != nil {
+		nroResp = rec.Token
 	}
+	bound := func(kind evidence.Kind, anchored bool, holds func(*evidence.Token) bool, broken string) bool {
+		rec := seen[kind]
+		if rec == nil || !anchored {
+			return false
+		}
+		if !holds(rec.Token) {
+			r.Faults = append(r.Faults, Fault{Seq: rec.Seq, Reason: fmt.Sprintf("core: %s token %s", kind, broken)})
+			return false
+		}
+		return true
+	}
+	coversRequest := func(t *evidence.Token) bool { return t.Digest == nro.Digest }
+	r.ReceiptProven = bound(evidence.KindNRR, nro != nil, coversRequest, "does not cover the run's request")
+	r.ResponseProven = bound(evidence.KindNROResp, nrr != nil,
+		func(t *evidence.Token) bool { return t.Issuer == nrr.Issuer }, "is not from the server that received the request")
+	r.Aborted = bound(evidence.KindAbort, nro != nil, coversRequest, "does not cover the run's request")
+
+	receipt := func(c evidence.Consumption) sig.Digest {
+		note := evidence.ReceiptNote{Run: r.Run, Client: nro.Issuer, ResponseDigest: nroResp.Digest, Consumption: c}
+		d, _ := note.Digest() // a fixed-shape struct always encodes
+		return d
+	}
+	answered := nro != nil && nroResp != nil
+	r.Substituted = bound(evidence.KindSubstitute, answered,
+		func(t *evidence.Token) bool { return t.Digest == receipt(evidence.Consumed) }, "does not acknowledge the run's response")
+	r.ResponseReceiptProven = bound(evidence.KindNRRResp, answered, func(t *evidence.Token) bool {
+		return t.Issuer == nro.Issuer && (t.Digest == receipt(evidence.Consumed) || t.Digest == receipt(evidence.NotConsumed))
+	}, "is not the client's receipt of the run's response") || r.Substituted
 }
 
 // Complete reports whether the run's evidence forms the full exchange of

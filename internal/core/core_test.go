@@ -82,7 +82,7 @@ func TestAdjudicatorAuditLog(t *testing.T) {
 
 	adj := core.NewAdjudicator(d.Realm.Store)
 	for _, p := range []id.Party{client, server} {
-		report := adj.AuditLog(d.Node(p).Log().Records())
+		report := adj.AuditStream(core.Records(d.Node(p).Log().Records()))
 		if !report.Clean() {
 			t.Fatalf("%s log not clean: %+v", p, report)
 		}
@@ -94,7 +94,7 @@ func TestAdjudicatorAuditLog(t *testing.T) {
 	// Tampering with a record breaks the chain.
 	records := d.Node(client).Log().Records()
 	records[1].Note = "doctored"
-	report := adj.AuditLog(records)
+	report := adj.AuditStream(core.Records(records))
 	if report.ChainOK {
 		t.Fatal("audit accepted doctored chain")
 	}
@@ -122,7 +122,7 @@ func TestAdjudicatorAuditRun(t *testing.T) {
 
 	adj := core.NewAdjudicator(d.Realm.Store)
 	// The server's log alone proves the complete exchange.
-	report := adj.AuditRun(d.Node(server).Log().Records(), res.Run)
+	report, _ := adj.AuditRunStream(core.Records(d.Node(server).Log().Records()), res.Run)
 	if !report.Complete() {
 		t.Fatalf("run not complete: %+v", report)
 	}
@@ -152,7 +152,7 @@ func TestAdjudicatorDetectsMissingReceipt(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj := core.NewAdjudicator(d.Realm.Store)
-	report := adj.AuditRun(d.Node(server).Log().Records(), res.Run)
+	report, _ := adj.AuditRunStream(core.Records(d.Node(server).Log().Records()), res.Run)
 	if report.Complete() {
 		t.Fatal("exchange reported complete despite withheld receipt")
 	}

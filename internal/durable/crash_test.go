@@ -202,10 +202,10 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report := adj.AuditLog(all); !report.Clean() {
+	if report := adj.AuditStream(core.Records(all)); !report.Clean() {
 		t.Fatalf("client log audit: chain=%v %q faults=%v", report.ChainOK, report.ChainError, report.Faults)
 	}
-	if report := adj.AuditRun(all, run); !report.Complete() || len(report.Faults) != 0 {
+	if report, _ := adj.AuditRunStream(core.Records(all), run); !report.Complete() || len(report.Faults) != 0 {
 		t.Fatalf("run audit incomplete: %+v", report)
 	}
 }

@@ -66,7 +66,7 @@ func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
 		if err := verifier.Verify(tok); err != nil {
 			t.Fatalf("token %d: %v", i, err)
 		}
-		if err := verifier.VerifyContent(tok, reqs[i].Digest); err != nil {
+		if err := verifier.Expect(tok, evidence.KindNRO, reqs[i].Run, issuer.Party, reqs[i].Digest); err != nil {
 			t.Fatalf("token %d content: %v", i, err)
 		}
 	}

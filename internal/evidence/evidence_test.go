@@ -32,10 +32,7 @@ func TestIssueAndVerify(t *testing.T) {
 	if err := v.Verify(tok); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if err := v.VerifyContent(tok, d); err != nil {
-		t.Fatalf("VerifyContent: %v", err)
-	}
-	if err := v.Expect(tok, evidence.KindNRO, run, alice); err != nil {
+	if err := v.Expect(tok, evidence.KindNRO, run, alice, d); err != nil {
 		t.Fatalf("Expect: %v", err)
 	}
 }
@@ -92,13 +89,14 @@ func TestVerifyRejectsIssuerSpoofing(t *testing.T) {
 func TestVerifyContentMismatch(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(alice)
-	tok, err := realm.Party(alice).Issuer.Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("x")))
+	run := id.NewRun()
+	tok, err := realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("x")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = realm.Verifier().VerifyContent(tok, sig.Sum([]byte("y")))
+	err = realm.Verifier().Expect(tok, evidence.KindNRO, run, alice, sig.Sum([]byte("y")))
 	if !errors.Is(err, evidence.ErrContentMismatch) {
-		t.Fatalf("VerifyContent = %v, want ErrContentMismatch", err)
+		t.Fatalf("Expect over other content = %v, want ErrContentMismatch", err)
 	}
 }
 
@@ -106,19 +104,33 @@ func TestExpectChecksBinding(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(alice, bob)
 	run := id.NewRun()
-	tok, err := realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("x")))
+	d := sig.Sum([]byte("x"))
+	tok, err := realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, 1, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := realm.Verifier()
-	if err := v.Expect(tok, evidence.KindNRR, run, alice); !errors.Is(err, evidence.ErrKindMismatch) {
+	if err := v.Expect(nil, evidence.KindNRO, run, alice, d); !errors.Is(err, evidence.ErrKindMismatch) {
+		t.Errorf("missing token = %v, want ErrKindMismatch", err)
+	}
+	if err := v.Expect(tok, evidence.KindNRR, run, alice, d); !errors.Is(err, evidence.ErrKindMismatch) {
 		t.Errorf("wrong kind = %v, want ErrKindMismatch", err)
 	}
-	if err := v.Expect(tok, evidence.KindNRO, "run-other", alice); !errors.Is(err, evidence.ErrRunMismatch) {
+	if err := v.Expect(tok, evidence.KindNRO, "run-other", alice, d); !errors.Is(err, evidence.ErrRunMismatch) {
 		t.Errorf("wrong run = %v, want ErrRunMismatch", err)
 	}
-	if err := v.Expect(tok, evidence.KindNRO, run, bob); !errors.Is(err, evidence.ErrIssuerMismatch) {
+	if err := v.Expect(tok, evidence.KindNRO, run, bob, d); !errors.Is(err, evidence.ErrIssuerMismatch) {
 		t.Errorf("wrong issuer = %v, want ErrIssuerMismatch", err)
+	}
+	// The binding is checked before the signature: a forged token over
+	// other content is refused for its content.
+	forged := *tok
+	forged.Signature.Bytes = nil
+	if err := v.Expect(&forged, evidence.KindNRO, run, alice, sig.Sum([]byte("y"))); !errors.Is(err, evidence.ErrContentMismatch) {
+		t.Errorf("other content = %v, want ErrContentMismatch", err)
+	}
+	if err := v.Expect(&forged, evidence.KindNRO, run, alice, d); err == nil {
+		t.Error("Expect accepted a token whose signature was stripped")
 	}
 }
 

@@ -75,19 +75,14 @@ func (v *Verifier) verify(tok *Token) error {
 	return nil
 }
 
-// VerifyContent verifies the token and additionally checks that it covers
-// the given content digest.
-func (v *Verifier) VerifyContent(tok *Token, content sig.Digest) error {
-	if tok.Digest != content {
-		return ErrContentMismatch
+// Expect is the one acceptance rule for an incoming token: tok must be
+// issuer's token of the given kind for run, over digest, and verify. A
+// missing token is refused like a wrong one, not a crash. Every party and
+// peer service checks what it receives by this rule.
+func (v *Verifier) Expect(tok *Token, kind Kind, run id.Run, issuer id.Party, digest sig.Digest) error {
+	if tok == nil {
+		return fmt.Errorf("%w: no %s token", ErrKindMismatch, kind)
 	}
-	return v.Verify(tok)
-}
-
-// Expect verifies the token and checks its binding to an expected kind,
-// run and issuer. It is the standard check a protocol handler applies to an
-// incoming token.
-func (v *Verifier) Expect(tok *Token, kind Kind, run id.Run, issuer id.Party) error {
 	if tok.Kind != kind {
 		return fmt.Errorf("%w: got %s, want %s", ErrKindMismatch, tok.Kind, kind)
 	}
@@ -96,6 +91,9 @@ func (v *Verifier) Expect(tok *Token, kind Kind, run id.Run, issuer id.Party) er
 	}
 	if tok.Issuer != issuer {
 		return fmt.Errorf("%w: token issued by %s, want %s", ErrIssuerMismatch, tok.Issuer, issuer)
+	}
+	if tok.Digest != digest {
+		return fmt.Errorf("%w: %s token", ErrContentMismatch, kind)
 	}
 	return v.Verify(tok)
 }

@@ -12,8 +12,9 @@ import (
 // by every party that receives the message: the server, an inline relay
 // and the offline TTP accept a request by checkRequest; the client, a
 // relay and the TTP a reply by checkReply; the server and a relay a
-// receipt by checkReceipt. Evidence is non-repudiable when an adjudicator
-// would accept it, so every door applies the adjudicator's rule.
+// receipt by checkReceipt. Each token passes Verifier.Expect over the
+// digest the protocol binds it to, the bindings core.Adjudicator judges a
+// run by: every door applies the adjudicator's rule.
 
 // checkRequest accepts the step-1 message of run: snap is that run's
 // request and nro its client's origin token over it. It returns the
@@ -26,7 +27,7 @@ func checkRequest(v *evidence.Verifier, run id.Run, snap *evidence.RequestSnapsh
 	if err != nil {
 		return sig.Digest{}, err
 	}
-	return reqDigest, expect(v, nro, evidence.KindNRO, run, snap.Client, reqDigest)
+	return reqDigest, invalid(v.Expect(nro, evidence.KindNRO, run, snap.Client, reqDigest))
 }
 
 // checkReply accepts the step-2 reply of run: resp answers the request
@@ -37,10 +38,10 @@ func checkReply(v *evidence.Verifier, run id.Run, server id.Party, reqDigest sig
 	if err != nil {
 		return sig.Digest{}, err
 	}
-	if err := expect(v, nrr, evidence.KindNRR, run, server, reqDigest); err != nil {
-		return sig.Digest{}, err
+	if err := v.Expect(nrr, evidence.KindNRR, run, server, reqDigest); err != nil {
+		return sig.Digest{}, invalid(err)
 	}
-	return respDigest, expect(v, nroResp, evidence.KindNROResp, run, server, respDigest)
+	return respDigest, invalid(v.Expect(nroResp, evidence.KindNROResp, run, server, respDigest))
 }
 
 // answers checks that resp answers the request reqDigest of run and
@@ -55,30 +56,25 @@ func answers(resp *evidence.ResponseSnapshot, run id.Run, reqDigest sig.Digest) 
 	return resp.Digest()
 }
 
-// checkReceipt accepts the step-3 receipt of run: the note acknowledges
-// the response respDigest, and tok is client's NRRResp over the note.
+// checkReceipt accepts the step-3 receipt of run: the note is client's
+// report, consumed or not, on the response respDigest, and tok is client's
+// NRRResp over the note.
 func checkReceipt(v *evidence.Verifier, run id.Run, client id.Party, respDigest sig.Digest, note *evidence.ReceiptNote, tok *evidence.Token) error {
-	if note.Run != run || note.ResponseDigest != respDigest {
+	want := evidence.ReceiptNote{Run: run, Client: client, ResponseDigest: respDigest, Consumption: note.Consumption}
+	if *note != want || (note.Consumption != evidence.Consumed && note.Consumption != evidence.NotConsumed) {
 		return fmt.Errorf("%w: receipt does not match response", ErrEvidenceInvalid)
 	}
 	noteDigest, err := note.Digest()
 	if err != nil {
 		return err
 	}
-	return expect(v, tok, evidence.KindNRRResp, run, client, noteDigest)
+	return invalid(v.Expect(tok, evidence.KindNRRResp, run, client, noteDigest))
 }
 
-// expect verifies tok as issuer's token of the given kind for run, over
-// digest.
-func expect(v *evidence.Verifier, tok *evidence.Token, kind evidence.Kind, run id.Run, issuer id.Party, digest sig.Digest) error {
-	if tok == nil {
-		return fmt.Errorf("%w: missing %s token", ErrEvidenceInvalid, kind)
+// invalid marks a refused counterparty token as ErrEvidenceInvalid.
+func invalid(err error) error {
+	if err == nil {
+		return nil
 	}
-	if err := v.Expect(tok, kind, run, issuer); err != nil {
-		return fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if tok.Digest != digest {
-		return fmt.Errorf("%w: %s token covers different content", ErrEvidenceInvalid, kind)
-	}
-	return nil
+	return fmt.Errorf("%w: %w", ErrEvidenceInvalid, err)
 }

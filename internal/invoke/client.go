@@ -210,7 +210,7 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 			// not kept as evidence received.
 			gotNROResp = nil
 			if respDigest, err = answers(resp, run, reqDigest); err == nil && gotNRR != nil {
-				err = expect(svc.Verifier, gotNRR, evidence.KindNRR, run, server, reqDigest)
+				err = invalid(svc.Verifier.Expect(gotNRR, evidence.KindNRR, run, server, reqDigest))
 			}
 		} else {
 			respDigest, err = checkReply(svc.Verifier, run, server, reqDigest, resp, gotNRR, gotNROResp)

@@ -2,6 +2,7 @@ package invoke_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"nonrep/internal/evidence"
@@ -227,5 +228,58 @@ func TestServerReceiptForUnknownRun(t *testing.T) {
 	}
 	if _, _, err := srv.ReceiptState(msg.Run); err == nil {
 		t.Fatal("ReceiptState for unknown run succeeded")
+	}
+}
+
+// TestServerReceiptBoundLikeAdjudicator: the server takes a receipt only
+// if an adjudicator would count it — the client's NRRResp over the
+// client's own note on this response, consumed or not. A validly signed
+// receipt over a note naming another client, or an unknown consumption,
+// is refused and nothing is logged.
+func TestServerReceiptBoundLikeAdjudicator(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec)
+	defer srv.Close()
+	cli := invoke.NewClient(d.Node(client).Coordinator(), invoke.WithholdReceipt())
+	ctx := context.Background()
+	res, err := cli.Invoke(ctx, server, orderRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := res.Evidence[2].Digest // the NROResp's
+	receipt := func(note evidence.ReceiptNote) error {
+		noteDigest, err := note.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok, err := d.Realm.Party(client).Issuer.Issue(evidence.KindNRRResp, res.Run, 3, noteDigest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: res.Run, Step: 3, Kind: "receipt", Tokens: []*evidence.Token{tok}}
+		if err := msg.SetBody(map[string]evidence.ReceiptNote{"note": note}); err != nil {
+			t.Fatal(err)
+		}
+		return srv.Process(ctx, msg)
+	}
+	for name, note := range map[string]evidence.ReceiptNote{
+		"another client":      {Run: res.Run, Client: server, ResponseDigest: resp, Consumption: evidence.Consumed},
+		"unknown consumption": {Run: res.Run, Client: client, ResponseDigest: resp, Consumption: 7},
+	} {
+		if err := receipt(note); !errors.Is(err, invoke.ErrEvidenceInvalid) {
+			t.Fatalf("receipt over a note with %s: err = %v, want ErrEvidenceInvalid", name, err)
+		}
+	}
+	if got := len(d.Node(server).Log().ByRun(res.Run)); got != 3 {
+		t.Fatalf("server logged %d records for the run, want NRO, NRR and NROResp only", got)
+	}
+	if err := receipt(evidence.ReceiptNote{Run: res.Run, Client: client, ResponseDigest: resp, Consumption: evidence.NotConsumed}); err != nil {
+		t.Fatalf("the client's own receipt: %v", err)
+	}
+	if received, _, err := srv.ReceiptState(res.Run); err != nil || !received {
+		t.Fatalf("ReceiptState = %v, %v after the client's receipt", received, err)
 	}
 }

@@ -78,13 +78,15 @@ func newAuditFixture(t *testing.T, network transport.Network) *auditFixture {
 	return f
 }
 
-// fill appends n records of one run to alice's vault.
+// fill appends n records of one run to alice's vault: n origin tokens of
+// the run's one request, as a client retransmitting it would log.
 func (f *auditFixture) fill(t *testing.T, n int) []*store.Record {
 	t.Helper()
 	run := id.NewRun()
+	req := sig.Sum([]byte("request"))
 	out := make([]*store.Record, 0, n)
 	for i := 1; i <= n; i++ {
-		tok, err := f.realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, i, sig.Sum([]byte{byte(i)}))
+		tok, err := f.realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, i, req)
 		if err != nil {
 			t.Fatal(err)
 		}

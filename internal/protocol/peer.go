@@ -132,10 +132,7 @@ func (c *Coordinator) verifyClaim(msg *Message, kind evidence.Kind, issuer id.Pa
 	if err != nil {
 		return nil, err
 	}
-	if err := ver.VerifyContent(tok, d); err != nil {
-		return nil, fmt.Errorf("protocol: %s token: %w", msg.Kind, err)
-	}
-	if err := ver.Expect(tok, kind, msg.Run, issuer); err != nil {
+	if err := ver.Expect(tok, kind, msg.Run, issuer, d); err != nil {
 		return nil, fmt.Errorf("protocol: %s token: %w", msg.Kind, err)
 	}
 	return tok, nil

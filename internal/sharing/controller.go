@@ -444,8 +444,8 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 		if err != nil {
 			return false, nil, err
 		}
-		if tok == nil || note.Decider != m || note.Run != prop.Run || note.ProposalDigest != propDigest ||
-			svc.Verifier.Expect(tok, evidence.KindDecision, prop.Run, m) != nil || tok.Digest != noteDigest {
+		if note.Decider != m || note.Run != prop.Run || note.ProposalDigest != propDigest ||
+			svc.Verifier.Expect(tok, evidence.KindDecision, prop.Run, m, noteDigest) != nil {
 			rejections = append(rejections, Rejection{Party: m, Reason: "invalid decision evidence"})
 			continue
 		}
@@ -507,8 +507,8 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 		if err != nil {
 			return false, nil, err
 		}
-		if ackTok == nil || ab.Note.OutcomeDigest != outDigest ||
-			svc.Verifier.Expect(ackTok, evidence.KindAck, prop.Run, m) != nil || ackTok.Digest != ackDigest {
+		if ab.Note.OutcomeDigest != outDigest ||
+			svc.Verifier.Expect(ackTok, evidence.KindAck, prop.Run, m, ackDigest) != nil {
 			rejections = append(rejections, Rejection{Party: m, Reason: "invalid ack evidence"})
 			continue
 		}
@@ -566,12 +566,20 @@ func (c *Controller) sendWelcome(ctx context.Context, object string, member id.P
 	if err != nil {
 		return err
 	}
-	var ab ackBody
-	if err := reply.Body(&ab); err != nil {
+	// The ack must be the member's signed report that it applied this
+	// admission's outcome: its token must cover that note, whatever note
+	// the reply carries.
+	outDigest, err := welcome.Outcome.Digest()
+	if err != nil {
+		return err
+	}
+	want := AckNote{Run: last.Run, Object: object, Member: member, OutcomeDigest: outDigest, Applied: true}
+	ackDigest, err := want.Digest()
+	if err != nil {
 		return err
 	}
 	ackTok := reply.Token(evidence.KindAck)
-	if ackTok == nil || svc.Verifier.Expect(ackTok, evidence.KindAck, last.Run, member) != nil {
+	if svc.Verifier.Expect(ackTok, evidence.KindAck, last.Run, member, ackDigest) != nil {
 		return fmt.Errorf("%w: welcome ack", ErrEvidenceInvalid)
 	}
 	return svc.LogReceived(ackTok, "welcome ack from "+string(member))

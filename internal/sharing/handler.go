@@ -34,14 +34,8 @@ func (c *Controller) handlePropose(ctx context.Context, msg *protocol.Message) (
 	// Evidence first: an unattributable proposal is not relayed to the
 	// application (assumption 4).
 	propTok := msg.Token(evidence.KindProposal)
-	if propTok == nil {
-		return nil, fmt.Errorf("%w: proposal missing token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(propTok, evidence.KindProposal, msg.Run, prop.Proposer); err != nil {
+	if err := svc.Verifier.Expect(propTok, evidence.KindProposal, msg.Run, prop.Proposer, propDigest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if propTok.Digest != propDigest {
-		return nil, fmt.Errorf("%w: proposal token covers different proposal", ErrEvidenceInvalid)
 	}
 	if err := svc.LogReceived(propTok, fmt.Sprintf("proposal from %s (%s %s)", prop.Proposer, prop.Kind, prop.Object)); err != nil {
 		return nil, err
@@ -168,14 +162,8 @@ func (c *Controller) handleOutcome(_ context.Context, msg *protocol.Message) (*p
 		return nil, err
 	}
 	outTok := msg.Token(evidence.KindOutcome)
-	if outTok == nil {
-		return nil, fmt.Errorf("%w: outcome missing token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(outTok, evidence.KindOutcome, msg.Run, outcome.Proposer); err != nil {
+	if err := svc.Verifier.Expect(outTok, evidence.KindOutcome, msg.Run, outcome.Proposer, outDigest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-	}
-	if outTok.Digest != outDigest {
-		return nil, fmt.Errorf("%w: outcome token covers different outcome", ErrEvidenceInvalid)
 	}
 	if err := svc.LogReceived(outTok, fmt.Sprintf("outcome from %s (agreed=%t)", outcome.Proposer, outcome.Agreed)); err != nil {
 		return nil, err
@@ -265,13 +253,10 @@ func (c *Controller) handleWelcome(_ context.Context, msg *protocol.Message) (*p
 	if err != nil {
 		return nil, err
 	}
-	if wb.OutcomeToken == nil {
-		return nil, fmt.Errorf("%w: welcome missing outcome token", ErrEvidenceInvalid)
-	}
-	if err := svc.Verifier.Expect(wb.OutcomeToken, evidence.KindOutcome, outcome.Run, outcome.Proposer); err != nil {
+	if err := svc.Verifier.Expect(wb.OutcomeToken, evidence.KindOutcome, outcome.Run, outcome.Proposer, outDigest); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
 	}
-	if wb.OutcomeToken.Digest != outDigest || !outcome.Agreed {
+	if !outcome.Agreed {
 		return nil, fmt.Errorf("%w: welcome outcome not an agreed outcome", ErrEvidenceInvalid)
 	}
 	propDigest, err := wb.Proposal.Digest()

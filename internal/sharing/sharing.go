@@ -304,14 +304,8 @@ func validateDecisionSet(v *evidence.Verifier, o *Outcome, group []id.Party) (bo
 		if err != nil {
 			return false, err
 		}
-		if d.Token == nil {
-			return false, fmt.Errorf("%w: decision from %s missing token", ErrEvidenceInvalid, d.Note.Decider)
-		}
-		if err := v.Expect(d.Token, evidence.KindDecision, o.Run, d.Note.Decider); err != nil {
-			return false, fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-		}
-		if d.Token.Digest != noteDigest {
-			return false, fmt.Errorf("%w: decision token from %s covers different note", ErrEvidenceInvalid, d.Note.Decider)
+		if err := v.Expect(d.Token, evidence.KindDecision, o.Run, d.Note.Decider, noteDigest); err != nil {
+			return false, fmt.Errorf("%w: decision from %s: %v", ErrEvidenceInvalid, d.Note.Decider, err)
 		}
 		if !d.Note.Accept {
 			allAccept = false

@@ -2,13 +2,16 @@ package sharing_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/protocol"
 	"nonrep/internal/sharing"
+	"nonrep/internal/sig"
 	"nonrep/internal/testpki"
 )
 
@@ -283,6 +286,65 @@ func TestConnectTransfersVerifiedReplica(t *testing.T) {
 	}
 	if !res.Agreed {
 		t.Fatalf("new member's proposal rejected: %+v", res.Rejections)
+	}
+}
+
+// TestWelcomeAckBoundToAdmission: the admitting controller takes a welcome
+// ack only as the new member's signed report that it applied this
+// admission's outcome. A validly signed ack over another outcome, or one
+// reporting the admission not applied, is refused and never logged.
+func TestWelcomeAckBoundToAdmission(t *testing.T) {
+	t.Parallel()
+	for name, forge := range map[string]func(*sharing.AckNote){
+		"other outcome": func(n *sharing.AckNote) { n.OutcomeDigest = sig.Sum([]byte("another outcome")) },
+		"not applied":   func(n *sharing.AckNote) { n.Applied = false },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			f := newFixture(t, orgA, orgB)
+			if _, err := f.domain.AddNode(orgC); err != nil {
+				t.Fatal(err)
+			}
+			// orgC answers the welcome itself, with a forged ack.
+			co := f.domain.Node(orgC).Coordinator()
+			rogue := protocol.NewRequestMux(sharing.ProtocolShare, "sharing", map[string]protocol.RequestFunc{
+				"welcome": func(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+					var wb struct {
+						Object  string          `json:"object"`
+						Outcome sharing.Outcome `json:"outcome"`
+					}
+					if err := msg.Body(&wb); err != nil {
+						return nil, err
+					}
+					outDigest, err := wb.Outcome.Digest()
+					if err != nil {
+						return nil, err
+					}
+					note := sharing.AckNote{Run: msg.Run, Object: wb.Object, Member: orgC, OutcomeDigest: outDigest, Applied: true}
+					forge(&note)
+					noteDigest, err := note.Digest()
+					if err != nil {
+						return nil, err
+					}
+					tok, err := co.Services().Issuer.Issue(evidence.KindAck, msg.Run, msg.Step, noteDigest)
+					if err != nil {
+						return nil, err
+					}
+					reply := &protocol.Message{Protocol: sharing.ProtocolShare, Run: msg.Run, Step: msg.Step, Kind: "ack", Tokens: []*evidence.Token{tok}}
+					return reply, reply.SetBody(map[string]sharing.AckNote{"note": note})
+				},
+			})
+			co.Register(&rogue)
+
+			if _, err := f.ctl(orgA).Connect(context.Background(), object, orgC); !errors.Is(err, sharing.ErrEvidenceInvalid) {
+				t.Fatalf("Connect with a forged welcome ack: err = %v, want ErrEvidenceInvalid", err)
+			}
+			for _, rec := range f.domain.Node(orgA).Log().Records() {
+				if rec.Token.Kind == evidence.KindAck && rec.Token.Issuer == orgC {
+					t.Fatalf("refused welcome ack logged: record %d %q", rec.Seq, rec.Note)
+				}
+			}
+		})
 	}
 }
 

@@ -181,18 +181,12 @@ func (c *Client) Submit(ctx context.Context, tok *evidence.Token) (*evidence.Tok
 	if err := reply.Body(&body); err != nil {
 		return nil, err
 	}
-	if body.Postmark == nil {
-		return nil, fmt.Errorf("ttp: epm returned no postmark")
-	}
-	if err := svc.Verifier.Expect(body.Postmark, evidence.KindPostmark, tok.Run, c.epm); err != nil {
-		return nil, err
-	}
 	tbs, err := tok.TBSDigest()
 	if err != nil {
 		return nil, err
 	}
-	if body.Postmark.Digest != tbs {
-		return nil, fmt.Errorf("ttp: postmark covers different evidence")
+	if err := svc.Verifier.Expect(body.Postmark, evidence.KindPostmark, tok.Run, c.epm, tbs); err != nil {
+		return nil, fmt.Errorf("ttp: postmark: %w", err)
 	}
 	if err := svc.LogReceived(body.Postmark, "epm postmark"); err != nil {
 		return nil, err

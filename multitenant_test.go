@@ -101,16 +101,16 @@ func TestHostedDomainEndToEnd(t *testing.T) {
 		if i%2 == 1 {
 			server = hosted[(i/2+1)%tenants]
 		}
-		report := adj.AuditRun(server.Log().Records(), run)
+		report, _ := adj.AuditRunStream(nonrep.Records(server.Log().Records()), run)
 		if !report.Complete() {
 			t.Fatalf("hosted run %d report incomplete: %+v", i, report)
 		}
 	}
-	if report := adj.AuditRun(dedicated.Log().Records(), backRun); !report.Complete() {
+	if report, _ := adj.AuditRunStream(nonrep.Records(dedicated.Log().Records()), backRun); !report.Complete() {
 		t.Fatalf("hosted->dedicated run incomplete: %+v", report)
 	}
 	for i, org := range hosted {
-		if report := adj.AuditLog(org.Log().Records()); !report.Clean() {
+		if report := adj.AuditStream(nonrep.Records(org.Log().Records())); !report.Clean() {
 			t.Fatalf("tenant %d log audit: chain=%q faults=%v", i, report.ChainError, report.Faults)
 		}
 	}

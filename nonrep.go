@@ -308,6 +308,10 @@ type (
 	RecordSource = core.RecordSource
 )
 
+// Records presents records already in memory (an Org's Log().Records(), a
+// bundle's log) to the adjudicator's AuditStream and AuditRunStream.
+func Records(records []*Record) RecordSource { return core.Records(records) }
+
 // Evidence vault vocabulary (segmented, indexed, group-committed evidence
 // storage; see Org WithVault).
 type (

@@ -80,11 +80,11 @@ func TestDomainEndToEnd(t *testing.T) {
 
 	// Adjudication from the server's log alone proves the full exchange.
 	adj := domain.Adjudicator()
-	report := adj.AuditRun(server.Log().Records(), res.Run)
+	report, _ := adj.AuditRunStream(nonrep.Records(server.Log().Records()), res.Run)
 	if !report.Complete() {
 		t.Fatalf("run report incomplete: %+v", report)
 	}
-	logReport := adj.AuditLog(client.Log().Records())
+	logReport := adj.AuditStream(nonrep.Records(client.Log().Records()))
 	if !logReport.Clean() {
 		t.Fatalf("client log audit: %+v", logReport)
 	}
@@ -147,7 +147,7 @@ func TestDomainWithVault(t *testing.T) {
 	if len(byRun) == 0 {
 		t.Fatal("vault query found no records for run")
 	}
-	report := adj.AuditRun(byRun, runs[0])
+	report, _ := adj.AuditRunStream(nonrep.Records(byRun), runs[0])
 	if !report.RequestProven {
 		t.Fatalf("run report from vault query: %+v", report)
 	}

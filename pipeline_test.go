@@ -115,7 +115,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if err := org.Vault().DeepVerify(); err != nil {
 			t.Fatalf("%s vault deep verify: %v", name, err)
 		}
-		report := domain.Adjudicator().AuditLog(org.Vault().Records())
+		report := domain.Adjudicator().AuditStream(nonrep.Records(org.Vault().Records()))
 		if !report.Clean() {
 			t.Fatalf("%s audit not clean: chain=%q faults=%v", name, report.ChainError, report.Faults)
 		}

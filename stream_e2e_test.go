@@ -109,12 +109,12 @@ func TestStreamedInvocationOver16MiBTCP(t *testing.T) {
 	// complete — the signatures bind the full payload via the chain.
 	adj := domain.Adjudicator()
 	for _, org := range []*nonrep.Org{a, b} {
-		report := adj.AuditLog(org.Log().Records())
+		report := adj.AuditStream(nonrep.Records(org.Log().Records()))
 		if !report.Clean() {
 			t.Fatalf("%s evidence not clean: %+v", org.Party(), report.Faults)
 		}
 	}
-	run := adj.AuditRun(a.Log().Records(), res.Run)
+	run, _ := adj.AuditRunStream(nonrep.Records(a.Log().Records()), res.Run)
 	if !run.Complete() {
 		t.Fatalf("run report incomplete: %+v", run)
 	}
