@@ -5,6 +5,7 @@ import (
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
 )
 
@@ -12,7 +13,8 @@ import (
 // by every party that receives the message: the server, an inline relay
 // and the offline TTP accept a request by checkRequest; the client, a
 // relay and the TTP a reply by checkReply; the server and a relay a
-// receipt by checkReceipt. Each token passes Verifier.Expect over the
+// receipt by checkReceipt; the server and the client the TTP's decision
+// by checkDecision. Each token passes Verifier.Expect over the
 // digest the protocol binds it to, the bindings core.Adjudicator judges a
 // run by: every door applies the adjudicator's rule.
 
@@ -69,6 +71,37 @@ func checkReceipt(v *evidence.Verifier, run id.Run, client id.Party, respDigest 
 		return err
 	}
 	return invalid(v.Expect(tok, evidence.KindNRRResp, run, client, noteDigest))
+}
+
+// checkDecision accepts the offline TTP's reply to a resolve or abort of
+// run and returns whether the run was resolved, with the decision's
+// token. An abort must be ttp's abort affidavit over the request
+// reqDigest. A resolution must be ttp's substitute receipt over receipt,
+// the consumed ReceiptNote of the run's client on its response. A client
+// that never saw the response cannot rebuild that note and passes nil:
+// it then checks the substitute's kind, run and issuer only.
+func checkDecision(v *evidence.Verifier, run id.Run, ttp id.Party, reqDigest sig.Digest, receipt *evidence.ReceiptNote, reply *protocol.Message) (bool, *evidence.Token, error) {
+	var db decisionBody
+	if err := reply.Body(&db); err != nil {
+		return false, nil, err
+	}
+	if !db.Resolved {
+		tok := reply.Token(evidence.KindAbort)
+		return false, tok, invalid(v.Expect(tok, evidence.KindAbort, run, ttp, reqDigest))
+	}
+	tok := reply.Token(evidence.KindSubstitute)
+	var digest sig.Digest
+	switch {
+	case receipt != nil:
+		d, err := receipt.Digest()
+		if err != nil {
+			return true, nil, err
+		}
+		digest = d
+	case tok != nil:
+		digest = tok.Digest
+	}
+	return true, tok, invalid(v.Expect(tok, evidence.KindSubstitute, run, ttp, digest))
 }
 
 // invalid marks a refused counterparty token as ErrEvidenceInvalid.

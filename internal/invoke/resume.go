@@ -115,19 +115,20 @@ func (c *Client) Abort(ctx context.Context, ttp id.Party, snap evidence.RequestS
 	if err != nil {
 		return err
 	}
-	var db decisionBody
-	if err := reply.Body(&db); err != nil {
+	reqDigest, err := snap.Digest()
+	if err != nil {
 		return err
 	}
-	for _, tok := range reply.Tokens {
-		if err := svc.Verifier.Verify(tok); err != nil {
-			return fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-		}
-		if err := svc.LogReceived(tok, "ttp decision"); err != nil {
-			return err
-		}
+	// The caller may never have seen the response: a substitute is
+	// checked without its receipt note.
+	resolved, tok, err := checkDecision(svc.Verifier, snap.Run, ttp, reqDigest, nil, reply)
+	if err != nil {
+		return err
 	}
-	if db.Resolved {
+	if err := svc.LogReceived(tok, "ttp decision"); err != nil {
+		return err
+	}
+	if resolved {
 		return fmt.Errorf("%w: run %s", ErrAlreadyResolved, snap.Run)
 	}
 	return nil

@@ -783,22 +783,17 @@ func (s *Server) resolve(ctx context.Context, rs *serverRun, run id.Run) error {
 			resolveErr = fmt.Errorf("invoke: ttp resolve: %w", err)
 			return
 		}
-		var db decisionBody
-		if err := reply.Body(&db); err != nil {
+		receipt := evidence.ReceiptNote{Run: run, Client: rs.client, ResponseDigest: rs.respDigest, Consumption: evidence.Consumed}
+		resolved, tok, err := checkDecision(svc.Verifier, run, s.ttp, rs.nro.Digest, &receipt, reply)
+		if err != nil {
 			resolveErr = err
 			return
 		}
-		for _, tok := range reply.Tokens {
-			if err := svc.Verifier.Verify(tok); err != nil {
-				resolveErr = fmt.Errorf("%w: %v", ErrEvidenceInvalid, err)
-				return
-			}
-			if err := svc.LogReceived(tok, "ttp decision"); err != nil {
-				resolveErr = err
-				return
-			}
+		if err := svc.LogReceived(tok, "ttp decision"); err != nil {
+			resolveErr = err
+			return
 		}
-		if !db.Resolved {
+		if !resolved {
 			resolveErr = fmt.Errorf("%w: %s", ErrAborted, run)
 			return
 		}

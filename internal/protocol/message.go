@@ -9,6 +9,7 @@
 package protocol
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -167,12 +168,19 @@ func (d *Directory) Parties() []id.Party {
 	return out
 }
 
+// maxCachedReplies bounds a ReplyCache: beyond it the oldest replies are
+// evicted first, and a request retried after its reply was evicted is
+// handled again.
+const maxCachedReplies = 4096
+
 // ReplyCache remembers the reply produced for each (run, step), giving
 // protocol-level at-most-once semantics: a retried request returns the
-// original reply instead of re-executing. It is safe for concurrent use.
+// original reply instead of re-executing. It keeps the most recent
+// maxCachedReplies replies and is safe for concurrent use.
 type ReplyCache struct {
-	mu sync.Mutex
-	m  map[replyKey]*Message
+	mu    sync.Mutex
+	m     map[replyKey]*Message
+	order list.List // of replyKey, oldest first
 }
 
 type replyKey struct {
@@ -193,9 +201,17 @@ func (c *ReplyCache) Get(run id.Run, step int) (*Message, bool) {
 	return msg, ok
 }
 
-// Put caches the reply for (run, step).
+// Put caches the reply for (run, step), evicting the oldest replies
+// beyond maxCachedReplies.
 func (c *ReplyCache) Put(run id.Run, step int, msg *Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[replyKey{run, step}] = msg
+	k := replyKey{run, step}
+	if _, ok := c.m[k]; !ok {
+		c.order.PushBack(k)
+		for c.order.Len() > maxCachedReplies {
+			delete(c.m, c.order.Remove(c.order.Front()).(replyKey))
+		}
+	}
+	c.m[k] = msg
 }

@@ -3,6 +3,7 @@ package sharing
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"nonrep/internal/evidence"
@@ -24,8 +25,11 @@ type Controller struct {
 	mu         sync.Mutex
 	replicas   map[string]*replica
 	validators map[string][]Validator
-	rounds     map[id.Run]*roundEvidence
 	appliers   map[string][]ApplyFunc
+	// accepted holds, by run, each round this party voted to accept whose
+	// outcome has not arrived. Its replicas stay pinned to the run, so
+	// there is at most one per object.
+	accepted map[id.Run]*round
 
 	replies *protocol.ReplyCache
 }
@@ -35,12 +39,18 @@ type Controller struct {
 // (Figure 8).
 type ApplyFunc func(state []byte, version Version)
 
-// roundEvidence keeps a completed round's artefacts for replica transfer
-// and adjudication.
-type roundEvidence struct {
-	proposal *Proposal
-	outcome  *Outcome
-	outTok   *evidence.Token
+// round is one coordination round as a party sees it: the proposal, its
+// digest, its per-object updates and the replicas they apply to (in
+// object-name order), and the group voting on it. The proposer adds the
+// outcome it signed.
+type round struct {
+	prop    *Proposal
+	digest  sig.Digest
+	updates []*Proposal
+	reps    []*replica
+	group   []id.Party
+	outcome Outcome
+	outTok  *evidence.Token
 }
 
 var _ protocol.Handler = (*Controller)(nil)
@@ -52,8 +62,8 @@ func NewController(co *protocol.Coordinator) *Controller {
 		co:         co,
 		replicas:   make(map[string]*replica),
 		validators: make(map[string][]Validator),
-		rounds:     make(map[id.Run]*roundEvidence),
 		appliers:   make(map[string][]ApplyFunc),
+		accepted:   make(map[id.Run]*round),
 		replies:    protocol.NewReplyCache(),
 	}
 	c.RequestMux = protocol.NewRequestMux(ProtocolShare, "sharing", map[string]protocol.RequestFunc{
@@ -210,48 +220,74 @@ func (c *Controller) Commit(ctx context.Context, object string) (*Result, error)
 
 // Propose coordinates a state update: the Figure 5(b) flow.
 func (c *Controller) Propose(ctx context.Context, object string, newState []byte) (*Result, error) {
-	return c.coordinate(ctx, object, func(r *replica) *Proposal {
-		return &Proposal{
-			Object:         object,
-			Kind:           ChangeUpdate,
-			NewStateDigest: sig.Sum(newState),
-			NewState:       append([]byte(nil), newState...),
-		}
+	res, _, err := c.coordinate(ctx, []string{object}, func(reps []*replica) (*Proposal, error) {
+		return reps[0].proposal(ChangeUpdate, newState, ""), nil
 	})
+	return res, err
+}
+
+// ProposeAtomic coordinates updates to several shared objects as one
+// atomic unit: either every member applies every update, or nothing
+// changes anywhere. It realises the transactional information sharing the
+// paper's conclusions point to (reference [6]): one round carries every
+// object's update in the proposal's Subs, every member validates all of
+// them, and the unanimous outcome commits them together. All objects must
+// be shared by the same group; a single object is an ordinary Propose.
+func (c *Controller) ProposeAtomic(ctx context.Context, updates map[string][]byte) (*Result, error) {
+	if len(updates) == 0 {
+		return nil, fmt.Errorf("sharing: empty atomic update")
+	}
+	names := make([]string, 0, len(updates))
+	for name := range updates {
+		names = append(names, name)
+	}
+	if len(names) == 1 {
+		return c.Propose(ctx, names[0], updates[names[0]])
+	}
+	sort.Strings(names)
+	res, _, err := c.coordinate(ctx, names, func(reps []*replica) (*Proposal, error) {
+		return atomicProposal(reps, updates), nil
+	})
+	return res, err
+}
+
+// atomicProposal builds the proposal updating each of reps (locked, in
+// object-name order) to its state in updates.
+func atomicProposal(reps []*replica, updates map[string][]byte) *Proposal {
+	prop := &Proposal{Object: AtomicObject, Kind: ChangeAtomic}
+	for _, r := range reps {
+		u := r.proposal(ChangeUpdate, updates[r.object], "")
+		prop.Subs = append(prop.Subs, SubUpdate{
+			Object:         u.Object,
+			BaseVersion:    u.BaseVersion,
+			BaseChain:      u.BaseChain,
+			NewStateDigest: u.NewStateDigest,
+			NewState:       u.NewState,
+		})
+	}
+	return prop
 }
 
 // Connect coordinates the admission of a new member; on agreement the new
 // member receives a verified replica transfer.
 func (c *Controller) Connect(ctx context.Context, object string, member id.Party) (*Result, error) {
-	r, err := c.replica(object)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	already := memberIn(r.group, member)
-	state := r.snapshotLocked()
-	r.mu.Unlock()
-	if already {
-		return nil, fmt.Errorf("%w: %s in %q", ErrAlreadyMember, member, object)
-	}
-	addr, err := c.co.Services().Directory.Resolve(member)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.coordinate(ctx, object, func(r *replica) *Proposal {
-		return &Proposal{
-			Object:         object,
-			Kind:           ChangeConnect,
-			NewStateDigest: sig.Sum(state),
-			NewState:       state,
-			Member:         member,
-			MemberAddr:     addr,
+	res, rd, err := c.coordinate(ctx, []string{object}, func(reps []*replica) (*Proposal, error) {
+		r := reps[0]
+		if memberIn(r.group, member) {
+			return nil, fmt.Errorf("%w: %s in %q", ErrAlreadyMember, member, object)
 		}
+		addr, err := c.co.Services().Directory.Resolve(member)
+		if err != nil {
+			return nil, err
+		}
+		prop := r.proposal(ChangeConnect, r.state, member)
+		prop.MemberAddr = addr
+		return prop, nil
 	})
 	if err != nil || !res.Agreed {
 		return res, err
 	}
-	if err := c.sendWelcome(ctx, object, member); err != nil {
+	if err := c.sendWelcome(ctx, rd); err != nil {
 		return res, fmt.Errorf("sharing: member admitted but replica transfer failed: %w", err)
 	}
 	return res, nil
@@ -259,156 +295,204 @@ func (c *Controller) Connect(ctx context.Context, object string, member id.Party
 
 // Disconnect coordinates the departure of a member (possibly the caller).
 func (c *Controller) Disconnect(ctx context.Context, object string, member id.Party) (*Result, error) {
-	r, err := c.replica(object)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	present := memberIn(r.group, member)
-	state := r.snapshotLocked()
-	r.mu.Unlock()
-	if !present {
-		return nil, fmt.Errorf("%w: %s not in %q", ErrNotMember, member, object)
-	}
-	return c.coordinate(ctx, object, func(r *replica) *Proposal {
-		return &Proposal{
-			Object:         object,
-			Kind:           ChangeDisconnect,
-			NewStateDigest: sig.Sum(state),
-			NewState:       state,
-			Member:         member,
+	res, _, err := c.coordinate(ctx, []string{object}, func(reps []*replica) (*Proposal, error) {
+		r := reps[0]
+		if !memberIn(r.group, member) {
+			return nil, fmt.Errorf("%w: %s not in %q", ErrNotMember, member, object)
 		}
+		return r.proposal(ChangeDisconnect, r.state, member), nil
 	})
+	return res, err
 }
 
 // coordinate executes one round of the state-coordination protocol as
-// proposer.
-func (c *Controller) coordinate(ctx context.Context, object string, build func(*replica) *Proposal) (*Result, error) {
-	svc := c.co.Services()
-	r, err := c.replica(object)
+// proposer over the named objects, given in object-name order. With their
+// replicas locked it checks that this party may propose, has build make
+// the proposal and pins the replicas to the round. It then validates and
+// stores every proposed state before the group sees any, runs the
+// exchange and settles the round. It returns the round only once an
+// outcome was signed.
+func (c *Controller) coordinate(ctx context.Context, names []string, build func([]*replica) (*Proposal, error)) (*Result, *round, error) {
+	self := c.co.Party()
+	reps := make([]*replica, len(names))
+	for i, name := range names {
+		r, err := c.replica(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		reps[i] = r
+	}
+	lockAll(reps)
+	rd, states, err := c.pinLocked(reps, build)
+	unlockAll(reps)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// Pin the base version and serialise against concurrent proposals.
-	r.mu.Lock()
-	if r.detached {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDetached, object)
-	}
-	if !memberIn(r.group, svc.Party) {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s in %q", ErrNotMember, svc.Party, object)
-	}
-	if r.pendingRun != "" {
-		run := r.pendingRun
-		r.mu.Unlock()
-		return nil, fmt.Errorf("sharing: %q busy with run %s", object, run)
-	}
-	prop := build(r)
-	prop.Proposer = svc.Party
-	prop.Run = id.NewRun()
-	cur := r.current()
-	prop.BaseVersion = cur.Number
-	prop.BaseChain = cur.Chain
-	members := without(r.group, svc.Party)
-	currentState := r.snapshotLocked()
-	propDigest, err := prop.Digest()
-	if err != nil {
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.pendingRun = prop.Run
-	r.pendingProposal = prop
-	r.pendingDigest = propDigest
-	r.mu.Unlock()
 
 	// Self-validation: the proposer applies its own validators before
 	// troubling the group — it should not propose what it would veto,
 	// and local validators (contract monitors, entity bindings) see
 	// every change regardless of who proposed it.
-	change := &Change{
-		Object:       prop.Object,
-		Kind:         prop.Kind,
-		Proposer:     prop.Proposer,
-		BaseVersion:  prop.BaseVersion,
-		CurrentState: currentState,
-		NewState:     append([]byte(nil), prop.NewState...),
-		Member:       prop.Member,
+	if verdict := c.validate(ctx, rd.updates, states); !verdict.Accept {
+		c.settle(rd, false)
+		return &Result{
+			Run:        rd.prop.Run,
+			Rejections: []Rejection{{Party: self, Reason: verdict.Reason}},
+		}, nil, nil
 	}
-	for _, v := range c.validatorsFor(prop.Object) {
-		if verdict := v.Validate(ctx, change); !verdict.Accept {
-			r.mu.Lock()
-			if r.pendingRun == prop.Run {
-				r.clearPendingLocked()
+	if err := c.store(rd.updates); err != nil {
+		c.settle(rd, false)
+		return nil, nil, err
+	}
+	rejections, err := c.executeRound(ctx, rd)
+	if err != nil {
+		// No outcome was distributed; release the replicas for future
+		// proposals.
+		c.settle(rd, false)
+		return nil, nil, err
+	}
+	result := &Result{Run: rd.prop.Run, Agreed: rd.outcome.Agreed, Rejections: rejections}
+	if versions := c.settle(rd, rd.outcome.Agreed); versions != nil {
+		result.Versions = make(map[string]Version, len(versions))
+		for i, v := range versions {
+			result.Versions[rd.updates[i].Object] = v
+		}
+		if len(versions) == 1 {
+			result.Version = &versions[0]
+		}
+	}
+	return result, rd, nil
+}
+
+// pinLocked opens the proposer's round over reps, whose locks the caller
+// holds: every replica must be attached, include this party, be free and
+// share one group. It returns the round and the replicas' current states.
+func (c *Controller) pinLocked(reps []*replica, build func([]*replica) (*Proposal, error)) (*round, [][]byte, error) {
+	self := c.co.Party()
+	for _, r := range reps {
+		switch {
+		case r.detached:
+			return nil, nil, fmt.Errorf("%w: %q", ErrDetached, r.object)
+		case !memberIn(r.group, self):
+			return nil, nil, fmt.Errorf("%w: %s in %q", ErrNotMember, self, r.object)
+		case r.pendingRun != "":
+			return nil, nil, fmt.Errorf("sharing: %q busy with run %s", r.object, r.pendingRun)
+		case !sameGroup(reps[0].group, r.group):
+			return nil, nil, fmt.Errorf("sharing: atomic update spans different groups (%q vs %q)", reps[0].object, r.object)
+		}
+	}
+	prop, err := build(reps)
+	if err != nil {
+		return nil, nil, err
+	}
+	prop.Proposer = self
+	prop.Run = id.NewRun()
+	digest, err := prop.Digest()
+	if err != nil {
+		return nil, nil, err
+	}
+	states := make([][]byte, len(reps))
+	for i, r := range reps {
+		states[i] = r.snapshotLocked()
+	}
+	return newRound(prop, digest, reps), states, nil
+}
+
+// newRound opens the round of prop, whose digest is digest, over reps
+// (locked by the caller, in update order) and pins them to its run.
+func newRound(prop *Proposal, digest sig.Digest, reps []*replica) *round {
+	for _, r := range reps {
+		r.pendingRun = prop.Run
+	}
+	return &round{
+		prop:    prop,
+		digest:  digest,
+		updates: prop.updates(),
+		reps:    reps,
+		group:   append([]id.Party(nil), reps[0].group...),
+	}
+}
+
+// validate consults every update's validators, given the replicas'
+// current states in update order, and returns the first veto.
+func (c *Controller) validate(ctx context.Context, updates []*Proposal, states [][]byte) Verdict {
+	for i, u := range updates {
+		change := &Change{
+			Object:       u.Object,
+			Kind:         u.Kind,
+			Proposer:     u.Proposer,
+			BaseVersion:  u.BaseVersion,
+			CurrentState: states[i],
+			NewState:     append([]byte(nil), u.NewState...),
+			Member:       u.Member,
+		}
+		for _, v := range c.validatorsFor(u.Object) {
+			if verdict := v.Validate(ctx, change); !verdict.Accept {
+				return verdict
 			}
-			r.mu.Unlock()
-			return &Result{
-				Run:        prop.Run,
-				Agreed:     false,
-				Rejections: []Rejection{{Party: svc.Party, Reason: verdict.Reason}},
-			}, nil
 		}
 	}
-
-	result, err := c.runRound(ctx, r, prop, propDigest, members)
-	if err != nil {
-		// Round failed before an outcome was distributed; release the
-		// replica for future proposals.
-		r.mu.Lock()
-		if r.pendingRun == prop.Run {
-			r.clearPendingLocked()
-		}
-		r.mu.Unlock()
-		return nil, err
-	}
-	return result, nil
+	return Accept()
 }
 
-// runRound drives steps 1–3 of Figure 5(b) for a single-object proposal.
-func (c *Controller) runRound(ctx context.Context, r *replica, prop *Proposal, propDigest sig.Digest, members []id.Party) (*Result, error) {
-	svc := c.co.Services()
-	agreed, rejections, err := c.executeRound(ctx, prop, propDigest, members)
-	if err != nil {
-		return nil, err
-	}
-
-	// Apply (or drop) locally.
-	result := &Result{Run: prop.Run, Agreed: agreed, Rejections: rejections}
-	r.mu.Lock()
-	if agreed {
-		if _, err := svc.States.Put(prop.NewState); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		v := r.applyLocked(prop, propDigest)
-		result.Version = &v
-		if prop.Kind == ChangeDisconnect && prop.Member == svc.Party {
-			r.detached = true
+// store puts every proposed state in this party's state store. Each party
+// does so before it votes, which is what lets settle apply an agreed
+// outcome without a step that can fail.
+func (c *Controller) store(updates []*Proposal) error {
+	for _, u := range updates {
+		if _, err := c.co.Services().States.Put(u.NewState); err != nil {
+			return fmt.Errorf("sharing: store proposed state of %q: %w", u.Object, err)
 		}
 	}
-	r.clearPendingLocked()
-	r.mu.Unlock()
-	if result.Version != nil {
-		c.notifyApplied(prop.Object, prop.NewState, *result.Version)
-	}
-	return result, nil
+	return nil
 }
 
-// executeRound performs the evidence exchange of a coordination round —
-// proposal to every member, collection of signed decisions, distribution
-// of the signed outcome, collection of signed acknowledgements — without
-// touching replica state. It returns whether agreement was unanimous.
-func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDigest sig.Digest, members []id.Party) (bool, []Rejection, error) {
+// settle ends round rd on its replicas: it applies every update when
+// agreed, unpins the replicas and returns the new versions in update order
+// (nil when nothing was applied). Replicas no longer pinned to the round
+// mean another delivery of its outcome settled it first, and nothing
+// changes.
+func (c *Controller) settle(rd *round, agreed bool) []Version {
+	self := c.co.Party()
+	lockAll(rd.reps)
+	// A round pins and unpins all its replicas together.
+	if rd.reps[0].pendingRun != rd.prop.Run {
+		unlockAll(rd.reps)
+		return nil
+	}
+	var versions []Version
+	for i, r := range rd.reps {
+		if agreed {
+			versions = append(versions, r.applyLocked(rd.updates[i], rd.digest, self))
+		}
+		r.pendingRun = ""
+	}
+	c.mu.Lock()
+	delete(c.accepted, rd.prop.Run)
+	c.mu.Unlock()
+	unlockAll(rd.reps)
+	for i, v := range versions {
+		c.notifyApplied(rd.updates[i].Object, rd.updates[i].NewState, v)
+	}
+	return versions
+}
+
+// executeRound performs the evidence exchange of round rd — proposal to
+// every other member, collection of signed decisions, distribution of the
+// signed outcome (kept on rd), collection of signed acknowledgements —
+// without touching replica state.
+func (c *Controller) executeRound(ctx context.Context, rd *round) ([]Rejection, error) {
 	svc := c.co.Services()
+	prop, propDigest := rd.prop, rd.digest
+	members := without(rd.group, svc.Party)
 
 	propTok, err := svc.Issuer.Issue(evidence.KindProposal, prop.Run, stepPropose, propDigest,
 		evidence.WithTxn(prop.Txn), evidence.WithRecipients(members...))
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
 	if err := svc.LogGenerated(propTok, fmt.Sprintf("proposal (%s %s)", prop.Kind, prop.Object)); err != nil {
-		return false, nil, err
+		return nil, err
 	}
 
 	// Step 2: gather every member's independent, signed decision.
@@ -426,7 +510,7 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 			Tokens:   []*evidence.Token{propTok},
 		}
 		if err := msg.SetBody(proposeBody{Proposal: *prop}); err != nil {
-			return false, nil, err
+			return nil, err
 		}
 		reply, err := c.co.DeliverRequest(ctx, m, msg)
 		if err != nil {
@@ -442,7 +526,7 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 		tok := reply.Token(evidence.KindDecision)
 		noteDigest, err := note.Digest()
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
 		if note.Decider != m || note.Run != prop.Run || note.ProposalDigest != propDigest ||
 			svc.Verifier.Expect(tok, evidence.KindDecision, prop.Run, m, noteDigest) != nil {
@@ -450,7 +534,7 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 			continue
 		}
 		if err := svc.LogReceived(tok, fmt.Sprintf("decision from %s (accept=%t)", m, note.Accept)); err != nil {
-			return false, nil, err
+			return nil, err
 		}
 		decisions = append(decisions, SignedDecision{Note: note, Token: tok})
 		if !note.Accept {
@@ -460,7 +544,7 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 	agreed := len(rejections) == 0 && len(decisions) == len(members)
 
 	// Step 3: distribute the collective decision to all parties.
-	outcome := Outcome{
+	rd.outcome = Outcome{
 		Run:            prop.Run,
 		Object:         prop.Object,
 		Proposer:       svc.Party,
@@ -468,17 +552,17 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 		Agreed:         agreed,
 		Decisions:      decisions,
 	}
-	outDigest, err := outcome.Digest()
+	outDigest, err := rd.outcome.Digest()
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
-	outTok, err := svc.Issuer.Issue(evidence.KindOutcome, prop.Run, stepOutcome, outDigest,
+	rd.outTok, err = svc.Issuer.Issue(evidence.KindOutcome, prop.Run, stepOutcome, outDigest,
 		evidence.WithTxn(prop.Txn), evidence.WithRecipients(members...))
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
-	if err := svc.LogGenerated(outTok, fmt.Sprintf("outcome (agreed=%t)", agreed)); err != nil {
-		return false, nil, err
+	if err := svc.LogGenerated(rd.outTok, fmt.Sprintf("outcome (agreed=%t)", agreed)); err != nil {
+		return nil, err
 	}
 	for _, m := range members {
 		msg := &protocol.Message{
@@ -487,10 +571,10 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 			Txn:      prop.Txn,
 			Step:     stepOutcome,
 			Kind:     kindOutcome,
-			Tokens:   []*evidence.Token{outTok},
+			Tokens:   []*evidence.Token{rd.outTok},
 		}
-		if err := msg.SetBody(outcomeBody{Outcome: outcome}); err != nil {
-			return false, nil, err
+		if err := msg.SetBody(outcomeBody{Outcome: rd.outcome}); err != nil {
+			return nil, err
 		}
 		reply, err := c.co.DeliverRequest(ctx, m, msg)
 		if err != nil {
@@ -505,7 +589,7 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 		ackTok := reply.Token(evidence.KindAck)
 		ackDigest, err := ab.Note.Digest()
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
 		if ab.Note.OutcomeDigest != outDigest ||
 			svc.Verifier.Expect(ackTok, evidence.KindAck, prop.Run, m, ackDigest) != nil {
@@ -513,49 +597,34 @@ func (c *Controller) executeRound(ctx context.Context, prop *Proposal, propDiges
 			continue
 		}
 		if err := svc.LogReceived(ackTok, fmt.Sprintf("ack from %s (applied=%t)", m, ab.Note.Applied)); err != nil {
-			return false, nil, err
+			return nil, err
 		}
 	}
-
-	// Keep the round artefacts for replica transfer and adjudication.
-	c.mu.Lock()
-	c.rounds[prop.Run] = &roundEvidence{proposal: prop, outcome: &outcome, outTok: outTok}
-	c.mu.Unlock()
-	return agreed, rejections, nil
+	return rejections, nil
 }
 
-// sendWelcome transfers the full replica to a newly admitted member.
-func (c *Controller) sendWelcome(ctx context.Context, object string, member id.Party) error {
+// sendWelcome transfers the full replica to the member a connect round
+// admitted, with that round's proposal, outcome and outcome token so the
+// new member can verify its admission.
+func (c *Controller) sendWelcome(ctx context.Context, rd *round) error {
 	svc := c.co.Services()
-	r, err := c.replica(object)
-	if err != nil {
-		return err
-	}
+	object, member, run := rd.prop.Object, rd.prop.Member, rd.prop.Run
+	r := rd.reps[0]
 	r.mu.Lock()
-	last := r.current()
 	welcome := welcomeBody{
-		Object:   object,
-		Group:    append([]id.Party(nil), r.group...),
-		State:    r.snapshotLocked(),
-		Versions: append([]Version(nil), r.versions...),
+		Object:       object,
+		Group:        append([]id.Party(nil), r.group...),
+		State:        r.snapshotLocked(),
+		Versions:     append([]Version(nil), r.versions...),
+		Proposal:     *rd.prop,
+		Outcome:      rd.outcome,
+		OutcomeToken: rd.outTok,
 	}
 	r.mu.Unlock()
 
-	// Attach the connect proposal, outcome and outcome token from the
-	// just-completed round so the new member can verify its admission.
-	c.mu.Lock()
-	round := c.rounds[last.Run]
-	c.mu.Unlock()
-	if round == nil {
-		return fmt.Errorf("sharing: connect evidence for %s missing", last.Run)
-	}
-	welcome.Outcome = *round.outcome
-	welcome.OutcomeToken = round.outTok
-	welcome.Proposal = *round.proposal
-
 	msg := &protocol.Message{
 		Protocol: ProtocolShare,
-		Run:      last.Run,
+		Run:      run,
 		Step:     stepWelcome,
 		Kind:     kindWelcome,
 	}
@@ -573,13 +642,13 @@ func (c *Controller) sendWelcome(ctx context.Context, object string, member id.P
 	if err != nil {
 		return err
 	}
-	want := AckNote{Run: last.Run, Object: object, Member: member, OutcomeDigest: outDigest, Applied: true}
+	want := AckNote{Run: run, Object: object, Member: member, OutcomeDigest: outDigest, Applied: true}
 	ackDigest, err := want.Digest()
 	if err != nil {
 		return err
 	}
 	ackTok := reply.Token(evidence.KindAck)
-	if svc.Verifier.Expect(ackTok, evidence.KindAck, last.Run, member, ackDigest) != nil {
+	if svc.Verifier.Expect(ackTok, evidence.KindAck, run, member, ackDigest) != nil {
 		return fmt.Errorf("%w: welcome ack", ErrEvidenceInvalid)
 	}
 	return svc.LogReceived(ackTok, "welcome ack from "+string(member))

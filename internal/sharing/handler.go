@@ -79,74 +79,90 @@ func (c *Controller) handlePropose(ctx context.Context, msg *protocol.Message) (
 	return reply, nil
 }
 
-// judge applies the local structural checks and application validators,
-// and on acceptance marks the proposal pending.
+// judge applies the local structural checks and application validators to
+// every update of a proposal, then stores every proposed state; on
+// acceptance it pins the updated replicas to the proposal's run. An
+// accepted proposal's states are all stored, so its outcome applies
+// without a step that can fail.
 func (c *Controller) judge(ctx context.Context, prop *Proposal, propDigest sig.Digest) Verdict {
-	if prop.Kind == ChangeAtomic {
-		return c.judgeAtomic(ctx, prop, propDigest)
+	ups := prop.updates()
+	if len(ups) == 0 {
+		return Reject("proposal updates no object")
 	}
-	svc := c.co.Services()
-	r, err := c.replica(prop.Object)
-	if err != nil {
-		return Reject("no local replica of " + prop.Object)
+	reps := make([]*replica, len(ups))
+	for i, u := range ups {
+		// Object-name order is the lock order.
+		if i > 0 && ups[i-1].Object >= u.Object {
+			return Reject("updates not sorted by object")
+		}
+		r, err := c.replica(u.Object)
+		if err != nil {
+			return Reject("no local replica of " + u.Object)
+		}
+		reps[i] = r
 	}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.detached {
-		return Reject("replica detached")
+	lockAll(reps)
+	defer unlockAll(reps)
+	states := make([][]byte, len(ups))
+	for i, u := range ups {
+		r := reps[i]
+		if reason := checkLocked(r, u, reps[0].group); reason != "" {
+			return Reject(reason)
+		}
+		states[i] = r.snapshotLocked()
 	}
-	if !memberIn(r.group, prop.Proposer) {
-		return Reject(fmt.Sprintf("proposer %s is not a member", prop.Proposer))
+	if verdict := c.validate(ctx, ups, states); !verdict.Accept {
+		return verdict
 	}
-	if sig.Sum(prop.NewState) != prop.NewStateDigest {
-		return Reject("proposed state does not match its digest")
+	if err := c.store(ups); err != nil {
+		return Reject(err.Error())
 	}
+	rd := newRound(prop, propDigest, reps)
+	c.mu.Lock()
+	c.accepted[prop.Run] = rd
+	c.mu.Unlock()
+	return Accept()
+}
+
+// checkLocked returns why a member refuses update u on replica r, whose
+// lock the caller holds, or "" when the structure allows it; group is the
+// group of the proposal's first object, which every object must share.
+func checkLocked(r *replica, u *Proposal, group []id.Party) string {
 	cur := r.current()
-	if prop.BaseVersion != cur.Number || prop.BaseChain != cur.Chain {
-		return Reject(fmt.Sprintf("stale proposal: base %d, current %d", prop.BaseVersion, cur.Number))
+	switch {
+	case r.detached:
+		return "replica detached"
+	case !memberIn(r.group, u.Proposer):
+		return fmt.Sprintf("proposer %s is not a member", u.Proposer)
+	case !sameGroup(group, r.group):
+		return "atomic update spans different groups"
+	case sig.Sum(u.NewState) != u.NewStateDigest:
+		return "proposed state does not match its digest"
+	case u.BaseVersion != cur.Number || u.BaseChain != cur.Chain:
+		return fmt.Sprintf("stale proposal: base %d, current %d", u.BaseVersion, cur.Number)
+	case r.pendingRun != "":
+		return "concurrent proposal in progress"
 	}
-	if r.pendingRun != "" && r.pendingRun != prop.Run {
-		return Reject("concurrent proposal in progress")
-	}
-	switch prop.Kind {
+	switch u.Kind {
 	case ChangeConnect:
-		if memberIn(r.group, prop.Member) {
-			return Reject(fmt.Sprintf("%s is already a member", prop.Member))
+		if memberIn(r.group, u.Member) {
+			return fmt.Sprintf("%s is already a member", u.Member)
 		}
 	case ChangeDisconnect:
-		if !memberIn(r.group, prop.Member) {
-			return Reject(fmt.Sprintf("%s is not a member", prop.Member))
+		if !memberIn(r.group, u.Member) {
+			return fmt.Sprintf("%s is not a member", u.Member)
 		}
 	case ChangeUpdate:
 		// No structural constraints beyond the base checks.
 	default:
-		return Reject(fmt.Sprintf("unknown change kind %q", prop.Kind))
+		return fmt.Sprintf("unknown change kind %q", u.Kind)
 	}
-
-	change := &Change{
-		Object:       prop.Object,
-		Kind:         prop.Kind,
-		Proposer:     prop.Proposer,
-		BaseVersion:  prop.BaseVersion,
-		CurrentState: r.snapshotLocked(),
-		NewState:     append([]byte(nil), prop.NewState...),
-		Member:       prop.Member,
-	}
-	for _, v := range c.validatorsFor(prop.Object) {
-		if verdict := v.Validate(ctx, change); !verdict.Accept {
-			return verdict
-		}
-	}
-	_ = svc // services are used by callers for logging
-	r.pendingRun = prop.Run
-	r.pendingProposal = prop
-	r.pendingDigest = propDigest
-	return Accept()
+	return ""
 }
 
 // handleOutcome verifies the collective decision and applies or drops the
-// pending proposal.
+// round this party voted for.
 func (c *Controller) handleOutcome(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	if cached, ok := c.replies.Get(msg.Run, stepOutcome); ok {
 		return cached, nil
@@ -157,6 +173,9 @@ func (c *Controller) handleOutcome(_ context.Context, msg *protocol.Message) (*p
 		return nil, err
 	}
 	outcome := ob.Outcome
+	if outcome.Run != msg.Run {
+		return nil, fmt.Errorf("%w: outcome run mismatch", ErrEvidenceInvalid)
+	}
 	outDigest, err := outcome.Digest()
 	if err != nil {
 		return nil, err
@@ -169,71 +188,36 @@ func (c *Controller) handleOutcome(_ context.Context, msg *protocol.Message) (*p
 		return nil, err
 	}
 
-	if outcome.Object == AtomicObject {
-		applied, err := c.applyAtomicOutcome(&outcome)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.rounds[msg.Run] = &roundEvidence{outcome: &outcome, outTok: outTok}
-		c.mu.Unlock()
-		reply, err := c.ackReply(msg, outcome.Object, outDigest, applied)
-		if err != nil {
-			return nil, err
-		}
-		c.replies.Put(msg.Run, stepOutcome, reply)
-		return reply, nil
-	}
-
-	r, err := c.replica(outcome.Object)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
+	// An outcome that is not the proposer's outcome of a round this party
+	// voted for changes nothing: it is acknowledged unapplied, and not
+	// cached, so it cannot stand in for the round's real outcome.
+	c.mu.Lock()
+	rd := c.accepted[msg.Run]
+	c.mu.Unlock()
+	matched := rd != nil && rd.digest == outcome.ProposalDigest && rd.prop.Proposer == outcome.Proposer
 	applied := false
-	var appliedVersion Version
-	var appliedState []byte
-	if r.pendingRun == msg.Run && r.pendingDigest == outcome.ProposalDigest {
-		prop := r.pendingProposal
+	if matched {
 		if outcome.Agreed {
 			// The outcome may only claim agreement if every other
 			// member's signed decision says so.
-			allAccept, verr := validateDecisionSet(svc.Verifier, &outcome, r.group)
-			if verr != nil {
-				r.mu.Unlock()
-				return nil, verr
-			}
-			if !allAccept {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("%w: outcome claims agreement against rejecting decisions", ErrEvidenceInvalid)
-			}
-			if _, err := svc.States.Put(prop.NewState); err != nil {
-				r.mu.Unlock()
+			allAccept, err := validateDecisionSet(svc.Verifier, &outcome, rd.group)
+			if err != nil {
 				return nil, err
 			}
-			appliedVersion = r.applyLocked(prop, outcome.ProposalDigest)
-			appliedState = prop.NewState
-			applied = true
-			if prop.Kind == ChangeDisconnect && prop.Member == svc.Party {
-				r.detached = true
+			if !allAccept {
+				return nil, fmt.Errorf("%w: outcome claims agreement against rejecting decisions", ErrEvidenceInvalid)
 			}
 		}
-		r.clearPendingLocked()
+		applied = c.settle(rd, outcome.Agreed) != nil
 	}
-	r.mu.Unlock()
-	if applied {
-		c.notifyApplied(outcome.Object, appliedState, appliedVersion)
-	}
-
-	c.mu.Lock()
-	c.rounds[msg.Run] = &roundEvidence{outcome: &outcome, outTok: outTok}
-	c.mu.Unlock()
 
 	reply, err := c.ackReply(msg, outcome.Object, outDigest, applied)
 	if err != nil {
 		return nil, err
 	}
-	c.replies.Put(msg.Run, stepOutcome, reply)
+	if matched {
+		c.replies.Put(msg.Run, stepOutcome, reply)
+	}
 	return reply, nil
 }
 

@@ -75,11 +75,9 @@ type replica struct {
 	versions []Version
 	detached bool
 
-	// pendingRun serialises coordination: while a proposal is pending,
-	// concurrent proposals are rejected.
-	pendingRun      id.Run
-	pendingProposal *Proposal
-	pendingDigest   sig.Digest
+	// pendingRun serialises coordination: while a round that updates the
+	// object is in flight, other proposals for it are refused.
+	pendingRun id.Run
 }
 
 // newReplica creates a replica at genesis.
@@ -99,34 +97,63 @@ func (r *replica) current() Version { return r.versions[len(r.versions)-1] }
 // snapshotLocked copies state under the caller-held lock.
 func (r *replica) snapshotLocked() []byte { return append([]byte(nil), r.state...) }
 
-// applyLocked appends an agreed version and installs its state.
-func (r *replica) applyLocked(p *Proposal, propDigest sig.Digest) Version {
+// proposal builds a single-object proposal of kind to state (and, for a
+// membership change, member) against the replica's current version. The
+// caller holds r.mu.
+func (r *replica) proposal(kind ChangeKind, state []byte, member id.Party) *Proposal {
+	cur := r.current()
+	return &Proposal{
+		Object:         r.object,
+		Kind:           kind,
+		BaseVersion:    cur.Number,
+		BaseChain:      cur.Chain,
+		NewStateDigest: sig.Sum(state),
+		NewState:       append([]byte(nil), state...),
+		Member:         member,
+	}
+}
+
+// applyLocked appends the agreed version of update u, one update of the
+// proposal with digest propDigest, and installs its state; a disconnect
+// of self detaches the replica.
+func (r *replica) applyLocked(u *Proposal, propDigest sig.Digest, self id.Party) Version {
 	cur := r.current()
 	v := Version{
 		Number:         cur.Number + 1,
-		Run:            p.Run,
-		Kind:           p.Kind,
+		Run:            u.Run,
+		Kind:           u.Kind,
 		ProposalDigest: propDigest,
-		StateDigest:    p.NewStateDigest,
-		Member:         p.Member,
+		StateDigest:    u.NewStateDigest,
+		Member:         u.Member,
 		Chain:          chainNext(cur.Chain, propDigest),
 	}
 	r.versions = append(r.versions, v)
-	r.state = append([]byte(nil), p.NewState...)
-	switch p.Kind {
+	r.state = append([]byte(nil), u.NewState...)
+	switch u.Kind {
 	case ChangeConnect:
-		if !memberIn(r.group, p.Member) {
-			r.group = append(r.group, p.Member)
+		if !memberIn(r.group, u.Member) {
+			r.group = append(r.group, u.Member)
 		}
 	case ChangeDisconnect:
-		r.group = without(r.group, p.Member)
+		r.group = without(r.group, u.Member)
+		if u.Member == self {
+			r.detached = true
+		}
 	}
 	return v
 }
 
-// clearPendingLocked drops the pending proposal.
-func (r *replica) clearPendingLocked() {
-	r.pendingRun = ""
-	r.pendingProposal = nil
-	r.pendingDigest = sig.Digest{}
+// lockAll acquires the replicas' locks in slice order; callers pass them
+// sorted by object name, the one lock order.
+func lockAll(reps []*replica) {
+	for _, r := range reps {
+		r.mu.Lock()
+	}
+}
+
+// unlockAll releases in reverse order.
+func unlockAll(reps []*replica) {
+	for i := len(reps) - 1; i >= 0; i-- {
+		reps[i].mu.Unlock()
+	}
 }

@@ -17,6 +17,20 @@
 // can later irrefutably assert the validity of an agreed state — the
 // safety property of section 3.1 — and non-repudiable connect and
 // disconnect proposals govern group membership.
+//
+// Every proposal — an update, a connect, a disconnect, or an atomic
+// update of several objects — runs the same round. A proposal lists its
+// per-object updates (Proposal.updates: one for a single-object proposal,
+// one per entry of an atomic proposal's Subs), and each step works through
+// that list on the objects' replicas, locked in object-name order: the
+// proposer pins and self-validates them, members judge them, and one
+// settle step applies them all or none. Each party stores every proposed
+// state before it votes — the proposer before sending, a member before
+// signing accept, rejecting when it cannot — so applying an agreed
+// outcome cannot fail half-way. A retransmitted proposal or welcome, and
+// the outcome a member settled its round by, get the reply first issued
+// for them (protocol.ReplyCache keeps the most recent 4 096); any other
+// outcome is acknowledged unapplied and changes nothing.
 package sharing
 
 import (
@@ -62,9 +76,6 @@ var (
 	// ErrEvidenceInvalid is returned when coordination evidence fails
 	// verification.
 	ErrEvidenceInvalid = errors.New("sharing: coordination evidence failed verification")
-	// ErrNoPending is returned for outcomes referencing no pending
-	// proposal.
-	ErrNoPending = errors.New("sharing: no pending proposal for run")
 	// ErrDetached is returned when operating on a replica after leaving
 	// the group.
 	ErrDetached = errors.New("sharing: replica detached from sharing group")
@@ -125,6 +136,30 @@ type Proposal struct {
 // Digest returns the canonical digest of the proposal.
 func (p *Proposal) Digest() (sig.Digest, error) { return sig.SumCanonical(p) }
 
+// updates lists the per-object updates the proposal makes, each in the
+// single-object proposal shape: the proposal itself, or one update of
+// each entry of an atomic proposal's Subs, in their order.
+func (p *Proposal) updates() []*Proposal {
+	if p.Kind != ChangeAtomic {
+		return []*Proposal{p}
+	}
+	ups := make([]*Proposal, len(p.Subs))
+	for i, s := range p.Subs {
+		ups[i] = &Proposal{
+			Object:         s.Object,
+			Kind:           ChangeUpdate,
+			Proposer:       p.Proposer,
+			Run:            p.Run,
+			Txn:            p.Txn,
+			BaseVersion:    s.BaseVersion,
+			BaseChain:      s.BaseChain,
+			NewStateDigest: s.NewStateDigest,
+			NewState:       s.NewState,
+		}
+	}
+	return ups
+}
+
 // DecisionNote is the content evidenced by a member's decision token.
 type DecisionNote struct {
 	Run            id.Run     `json:"run"`
@@ -181,10 +216,10 @@ type Rejection struct {
 type Result struct {
 	Run    id.Run
 	Agreed bool
-	// Version is the new version for single-object rounds.
+	// Version is the new version when an agreed round updated one object.
 	Version *Version
-	// Versions maps object names to their new versions for atomic
-	// multi-object rounds.
+	// Versions maps every object an agreed round updated to its new
+	// version.
 	Versions   map[string]Version
 	Rejections []Rejection
 }
@@ -277,6 +312,19 @@ func without(group []id.Party, p id.Party) []id.Party {
 		}
 	}
 	return out
+}
+
+// sameGroup reports whether two member sets are equal.
+func sameGroup(a, b []id.Party) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, p := range b {
+		if !memberIn(a, p) {
+			return false
+		}
+	}
+	return true
 }
 
 // validateDecisionSet checks that an outcome's decisions are exactly one

@@ -10,12 +10,14 @@
 #
 # Floors are set a few points under the current measured coverage
 # (vault ~78%, protocol ~83%, invoke ~76%, obs ~94%, durable ~88%,
-# store ~85%, feed ~83%, georep ~87%, blob ~75% at the time of
-# writing) to allow noise without allowing decay. The store floor
-# guards the binary record codec — the bytes every other guarantee
-# rests on; the feed floor guards the subscription hub live feeds fan
-# out through; the georep and blob floors guard the quorum/archival
-# plane region-loss survival rests on.
+# store ~85%, feed ~83%, georep ~87%, blob ~75%, sharing ~81% at the
+# time of writing) to allow noise without allowing decay. The store
+# floor guards the binary record codec — the bytes every other
+# guarantee rests on; the feed floor guards the subscription hub live
+# feeds fan out through; the georep and blob floors guard the
+# quorum/archival plane region-loss survival rests on; the sharing
+# floor guards the one coordination round every shared-information
+# change, single-object or atomic, runs through.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +30,7 @@ FLOOR_STORE="${FLOOR_STORE:-75}"
 FLOOR_FEED="${FLOOR_FEED:-75}"
 FLOOR_GEOREP="${FLOOR_GEOREP:-75}"
 FLOOR_BLOB="${FLOOR_BLOB:-75}"
+FLOOR_SHARING=77
 
 check() {
   local pkg="$1" floor="$2" profile pct
@@ -51,4 +54,5 @@ check ./internal/store/ "$FLOOR_STORE"
 check ./internal/feed/ "$FLOOR_FEED"
 check ./internal/georep/ "$FLOOR_GEOREP"
 check ./internal/blob/ "$FLOOR_BLOB"
+check ./internal/sharing/ "$FLOOR_SHARING"
 echo "coverage floors hold"
