@@ -71,9 +71,6 @@ type NodeConfig struct {
 	// Coalesce, when set, batches concurrent outbound protocol envelopes
 	// per counterparty into single b2b-batch wire envelopes.
 	Coalesce *transport.CoalesceOptions
-	// VerifyCacheSize bounds the node's verified-signature cache: 0 uses
-	// the default size, negative disables caching.
-	VerifyCacheSize int
 	// Telemetry, when set, instruments the node: evidence issuance and
 	// verification latency, per-kind envelope counts and protocol spans
 	// are recorded under a scope labelled with the node's party. Nil
@@ -120,10 +117,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if scope != nil {
 		issuer = newObservedIssuer(issuer, scope)
 	}
-	verifier := &evidence.Verifier{Keys: cfg.Creds}
-	if cfg.VerifyCacheSize >= 0 {
-		verifier.Cache = evidence.NewVerifyCache(cfg.VerifyCacheSize)
-	}
+	verifier := &evidence.Verifier{Keys: cfg.Creds, Cache: evidence.NewVerifyCache(0)}
 	if scope != nil {
 		verifyNs := scope.Histogram(obs.MTokenVerifyNs)
 		verified := scope.Counter(obs.MTokensVerifiedTotal)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 	"nonrep/internal/stamp"
@@ -155,10 +156,8 @@ const DefaultVerifyCacheSize = 8192
 // traffic re-verifies recent signatures (batch siblings, audit of fresh
 // runs) far more often than ancient ones.
 type VerifyCache struct {
-	mu    sync.Mutex
-	m     map[verifyKey]struct{}
-	order []verifyKey
-	limit int
+	mu sync.Mutex
+	t  *bounded.Table[verifyKey, struct{}]
 }
 
 // NewVerifyCache creates a cache bounded to limit entries (0 means
@@ -167,34 +166,25 @@ func NewVerifyCache(limit int) *VerifyCache {
 	if limit <= 0 {
 		limit = DefaultVerifyCacheSize
 	}
-	return &VerifyCache{m: make(map[verifyKey]struct{}), limit: limit}
+	return &VerifyCache{t: bounded.New[verifyKey, struct{}](limit, 0, nil)}
 }
 
 // Len reports the number of cached verifications.
 func (c *VerifyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return c.t.Len()
 }
 
 func (c *VerifyCache) hit(k verifyKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.m[k]
+	_, ok := c.t.Get(k)
 	return ok
 }
 
 func (c *VerifyCache) add(k verifyKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[k]; ok {
-		return
-	}
-	c.m[k] = struct{}{}
-	c.order = append(c.order, k)
-	if len(c.order) > c.limit {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-	}
+	c.t.Put(k, struct{}{})
 }

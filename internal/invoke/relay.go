@@ -1,11 +1,11 @@
 package invoke
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
@@ -42,12 +42,11 @@ type Relay struct {
 	co    *protocol.Coordinator
 	route RelayRoute
 
-	mu   sync.Mutex
-	runs map[id.Run]*relayRun
-	// open lists the runs relayed whose receipt has not been forwarded
+	mu sync.Mutex
+	// runs holds the runs relayed whose receipt has not been forwarded
 	// yet: a client that never sends its receipt costs the relay one
 	// slot, as it costs the server one. Evictions are counted in evicted.
-	open    openRuns
+	runs    *bounded.Table[id.Run, *relayRun]
 	evicted *obs.Counter
 }
 
@@ -57,7 +56,6 @@ type relayRun struct {
 	next       id.Party
 	nextProto  string
 	respDigest sig.Digest
-	elem       *list.Element
 }
 
 var _ protocol.Handler = (*Relay)(nil)
@@ -65,8 +63,8 @@ var _ protocol.Handler = (*Relay)(nil)
 // NewRelay creates a relay handler and registers it with the TTP's
 // coordinator.
 func NewRelay(co *protocol.Coordinator, route RelayRoute) *Relay {
-	r := &Relay{co: co, route: route, runs: make(map[id.Run]*relayRun),
-		evicted: co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)}
+	r := &Relay{co: co, route: route, evicted: co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)}
+	r.runs = newOpenRuns[*relayRun](co.Services(), func() *obs.Counter { return r.evicted })
 	co.Register(r)
 	return r
 }
@@ -127,15 +125,13 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 }
 
 // track keeps rr until its receipt is forwarded, within maxOpenRuns
-// unreceipted runs. A retransmitted request replaces the run's entry.
+// unreceipted runs. A retransmitted request replaces the run's entry and
+// goes to the back.
 func (r *Relay) track(run id.Run, rr *relayRun) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old := r.runs[run]; old != nil {
-		r.open.Remove(old.elem)
-	}
-	rr.elem = r.open.push(run, r.co.Services().Party, r.evicted, func(old id.Run) { delete(r.runs, old) })
-	r.runs[run] = rr
+	r.runs.Delete(run)
+	r.runs.Put(run, rr)
 }
 
 // Process implements protocol.Handler: it polices and forwards the
@@ -146,7 +142,7 @@ func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 	}
 	svc := r.co.Services()
 	r.mu.Lock()
-	run, ok := r.runs[msg.Run]
+	run, ok := r.runs.Get(msg.Run)
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchRun, msg.Run)
@@ -166,9 +162,8 @@ func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 		return err
 	}
 	r.mu.Lock()
-	if r.runs[msg.Run] == run {
-		r.open.Remove(run.elem)
-		delete(r.runs, msg.Run)
+	if cur, ok := r.runs.Get(msg.Run); ok && cur == run {
+		r.runs.Delete(msg.Run)
 	}
 	r.mu.Unlock()
 	return nil

@@ -2,7 +2,6 @@ package invoke
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
@@ -34,26 +34,25 @@ type Server struct {
 	ttp              id.Party
 	receiptTimeout   time.Duration
 
-	mu   sync.Mutex
-	runs map[id.Run]*serverRun
-	// settled lists, oldest first, the runs whose exchange is over — the
-	// receipt (or its TTP substitute) logged and every result stream
-	// served to its last chunk. They stay only to answer retransmissions
-	// idempotently, within maxSettledRuns and maxSettledChunkBytes.
-	settled           []id.Run
-	settledChunkBytes int64
-	// open lists the runs answered but not yet settled — the receipt
-	// outstanding, or a result stream not fetched to its end. Runs pushed
-	// off its front are counted in evicted.
-	open    openRuns
+	mu sync.Mutex
+	// open holds the runs answered but not yet settled — the receipt
+	// outstanding, or a result stream not fetched to its end. Runs it
+	// evicts are counted in evicted.
+	open    *bounded.Table[id.Run, *serverRun]
 	evicted *obs.Counter
+	// settled holds the runs whose exchange is over — the receipt (or its
+	// TTP substitute) logged and every result stream served to its last
+	// chunk. They stay only to answer retransmissions idempotently.
+	// settledChunks is charged with the result chunks those runs keep for
+	// retransmitted fetches; the runs it evicts release their chunks.
+	settled       *bounded.Table[id.Run, *serverRun]
+	settledChunks *bounded.Table[id.Run, *serverRun]
 
 	// pending buffers inbound streamed-parameter chunks until the request
 	// whose signed evidence binds them arrives; keyed by sender and
-	// stream identifier, bounded in count and per-stream bytes.
-	streamMu     sync.Mutex
-	pending      map[string]*pendingStream
-	pendingOrder []string
+	// stream identifier, charged with the bytes each stream buffers.
+	streamMu sync.Mutex
+	pending  *bounded.Table[string, *pendingStream]
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -78,7 +77,7 @@ var _ protocol.Handler = (*Server)(nil)
 const (
 	// maxOpenRuns bounds the runs whose exchange is not over: a client
 	// that never sends its receipt (or never fetches a result stream)
-	// costs the server, and each relay on the way, one slot (openRuns),
+	// costs the server, and each relay on the way, one slot (newOpenRuns),
 	// not memory for ever. A receipt arriving for a run evicted here is
 	// refused with ErrNoSuchRun; the run's NRO, NRR and NROResp are in the
 	// log regardless, and the eviction is counted
@@ -121,14 +120,12 @@ type serverRun struct {
 	// Guarded by Server.mu: resultChunks holds the run's streamed results
 	// for chunk-fetch serving, keyed by stream name (chunkBytes in total);
 	// unserved counts the streams whose last chunk has not been fetched
-	// yet; settled marks a run already on the settled list.
+	// yet; settled marks a run already in Server.settled.
 	resultChunks map[string][][]byte
 	chunkBytes   int64
 	served       map[string]bool
 	unserved     int
 	settled      bool
-	// openElem is the run's place on Server.open until it settles.
-	openElem *list.Element
 
 	receiptOnce sync.Once
 	receipt     chan struct{}
@@ -199,14 +196,16 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 		exec:        exec,
 		proto:       ProtocolDirect,
 		execTimeout: DefaultExecTimeout,
-		runs:        make(map[id.Run]*serverRun),
-		pending:     make(map[string]*pendingStream),
+		evicted:     co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal),
+		pending:     bounded.New[string, *pendingStream](maxPendingStreams, DefaultMaxStreamBytes, nil),
 		closed:      make(chan struct{}),
 	}
+	s.open = newOpenRuns[*serverRun](co.Services(), func() *obs.Counter { return s.evicted })
+	s.settledChunks = bounded.New(0, maxSettledChunkBytes, func(_ id.Run, rs *serverRun) { rs.resultChunks = nil })
+	s.settled = bounded.New(maxSettledRuns, 0, func(run id.Run, _ *serverRun) { s.settledChunks.Delete(run) })
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.evicted = co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)
 	co.Register(s)
 	return s
 }
@@ -228,10 +227,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 		return nil, fmt.Errorf("invoke: unexpected request kind %q", msg.Kind)
 	}
 	// At-most-once: a retried request returns the original response.
-	s.mu.Lock()
-	done, ok := s.runs[msg.Run]
-	s.mu.Unlock()
-	if ok {
+	if done, err := s.kept(msg.Run); err == nil {
 		return s.answer(ctx, msg.Run, done)
 	}
 
@@ -268,47 +264,52 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	// request finds the run and retries the commit alone (answer), so the
 	// component executes at most once whatever the log does.
 	s.mu.Lock()
-	s.runs[msg.Run] = rs
 	s.settleLocked(msg.Run, rs)
 	if !rs.settled {
-		rs.openElem = s.open.push(msg.Run, svc.Party, s.evicted, func(old id.Run) { delete(s.runs, old) })
+		s.open.Put(msg.Run, rs)
 	}
 	s.mu.Unlock()
 	return s.answer(ctx, msg.Run, rs)
 }
 
-// openRuns lists, oldest first, the runs a Server or Relay answered whose
-// receipt is still outstanding, within maxOpenRuns. It is guarded by its
-// owner's lock.
-type openRuns struct {
-	list.List // of id.Run
+// newOpenRuns returns the table of runs a Server or Relay answered whose
+// receipt is still outstanding, within maxOpenRuns. A run it evicts is
+// forgotten; its evidence stays in the party's log, and what goes is the
+// means to accept its receipt, so the eviction is counted on evicted() and
+// — not more often than every evictLogEvery on the coordinator's clock —
+// logged with the run's id: the later ErrNoSuchRun for that receipt then
+// has an explanation on record.
+func newOpenRuns[V any](svc *protocol.Services, evicted func() *obs.Counter) *bounded.Table[id.Run, V] {
 	// unreported counts the runs evicted since the last log line, written
-	// at reported.
-	unreported int
-	reported   time.Time
+	// at reported; both are guarded by the table owner's lock.
+	var unreported int
+	var reported time.Time
+	return bounded.New(maxOpenRuns, 0, func(run id.Run, _ V) {
+		evicted().Inc()
+		unreported++
+		if now := svc.Clock.Now(); now.Sub(reported) >= evictLogEvery {
+			log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
+				svc.Party, run, maxOpenRuns, unreported, ErrNoSuchRun)
+			reported, unreported = now, 0
+		}
+	})
 }
 
-// push lists run and evicts the runs whose receipt has been outstanding
-// longest beyond maxOpenRuns. drop forgets each evicted run; its evidence
-// stays in party's log, and what goes is the means to accept its receipt,
-// so the eviction is counted on evicted and — not more often than every
-// evictLogEvery — logged with the run's id: the later ErrNoSuchRun for
-// that receipt then has an explanation on record. The returned element is
-// the run's place on the list until its receipt arrives.
-func (o *openRuns) push(run id.Run, party id.Party, evicted *obs.Counter, drop func(id.Run)) *list.Element {
-	e := o.PushBack(run)
-	for o.Len() > maxOpenRuns {
-		old := o.Remove(o.Front()).(id.Run)
-		drop(old)
-		evicted.Inc()
-		o.unreported++
-		if now := time.Now(); now.Sub(o.reported) >= evictLogEvery {
-			log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
-				party, old, maxOpenRuns, o.unreported, ErrNoSuchRun)
-			o.reported, o.unreported = now, 0
-		}
+// kept returns a run the server still keeps, open or settled.
+func (s *Server) kept(run id.Run) (*serverRun, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keptLocked(run)
+}
+
+func (s *Server) keptLocked(run id.Run) (*serverRun, error) {
+	if rs, ok := s.open.Get(run); ok {
+		return rs, nil
 	}
-	return e
+	if rs, ok := s.settled.Get(run); ok {
+		return rs, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoSuchRun, run)
 }
 
 // answer returns a run's response once the evidence it carries is durable
@@ -508,34 +509,10 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 	data := msg.AttachmentOr(cb.Data)
 	key := streamKey(msg.Sender, cb.Stream)
 	s.streamMu.Lock()
-	ps := s.pending[key]
-	if ps == nil {
-		for len(s.pending) >= maxPendingStreams && len(s.pendingOrder) > 0 {
-			oldest := s.pendingOrder[0]
-			s.pendingOrder = s.pendingOrder[1:]
-			delete(s.pending, oldest)
-		}
+	ps, ok := s.pending.Get(key)
+	if !ok {
 		ps = &pendingStream{}
-		s.pending[key] = ps
-		s.pendingOrder = append(s.pendingOrder, key)
-		// Consumed streams leave the map but not the order slice; compact
-		// it once it doubles the cap so long-lived servers' bookkeeping
-		// stays proportional to the cap, not to streams ever received.
-		if len(s.pendingOrder) > 2*maxPendingStreams {
-			kept := s.pendingOrder[:0]
-			seen := make(map[string]struct{}, len(s.pending))
-			for _, k := range s.pendingOrder {
-				if _, live := s.pending[k]; !live {
-					continue
-				}
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				kept = append(kept, k)
-			}
-			s.pendingOrder = kept
-		}
+		s.pending.Put(key, ps)
 	}
 	switch {
 	case cb.Seq < 0 || cb.Seq > len(ps.chunks):
@@ -549,12 +526,13 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 		}
 	default:
 		if ps.bytes+int64(len(data)) > DefaultMaxStreamBytes {
-			delete(s.pending, key)
+			s.pending.Delete(key)
 			s.streamMu.Unlock()
 			return nil, fmt.Errorf("invoke: stream %q exceeds the %d byte limit", cb.Stream, DefaultMaxStreamBytes)
 		}
 		ps.chunks = append(ps.chunks, data)
 		ps.bytes += int64(len(data))
+		s.pending.Charge(key, int64(len(data)))
 	}
 	s.streamMu.Unlock()
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Txn: msg.Txn, Step: msg.Step, Kind: kindChunkAck}
@@ -597,11 +575,10 @@ func (s *Server) collectStreams(sender id.Party, params []evidence.Param) (map[s
 func (s *Server) takeStream(sender id.Party, ref *evidence.StreamRef, name string) ([][]byte, error) {
 	key := streamKey(sender, ref.Stream)
 	s.streamMu.Lock()
-	ps := s.pending[key]
-	delete(s.pending, key)
+	ps, ok := s.pending.Delete(key)
 	s.streamMu.Unlock()
 	var chunks [][]byte
-	if ps != nil {
+	if ok {
 		chunks = ps.chunks
 	}
 	if len(chunks) != len(ref.Chunks) {
@@ -626,10 +603,10 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 	// The chunk is read under s.mu: TamperResultChunk replaces slice
 	// elements under the same lock, so the element read is never torn.
 	s.mu.Lock()
-	rs, ok := s.runs[msg.Run]
-	if !ok {
+	rs, err := s.keptLocked(msg.Run)
+	if err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchRun, msg.Run)
+		return nil, err
 	}
 	if rs.resultChunks == nil && rs.settled {
 		s.mu.Unlock()
@@ -671,11 +648,9 @@ func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 		return fmt.Errorf("invoke: unexpected one-way kind %q", msg.Kind)
 	}
 	svc := s.co.Services()
-	s.mu.Lock()
-	rs, ok := s.runs[msg.Run]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchRun, msg.Run)
+	rs, err := s.kept(msg.Run)
+	if err != nil {
+		return err
 	}
 	var body receiptBody
 	if err := msg.Body(&body); err != nil {
@@ -702,41 +677,30 @@ func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 	return nil
 }
 
-// settle moves a run whose exchange is over and whose result streams
-// were served to the end onto the settled list, then enforces the
-// list's bounds: whole runs beyond maxSettledRuns are forgotten, and the
-// oldest settled runs give up their result chunks until what remains
-// fits maxSettledChunkBytes. A fetch or receipt retransmitted within
-// those bounds is still answered from the kept state.
+// settle moves an open run whose exchange is over and whose result
+// streams were served to the end into the settled tables: whole runs
+// beyond maxSettledRuns are forgotten, and the oldest settled runs give up
+// their result chunks until what remains fits maxSettledChunkBytes. A
+// fetch or receipt retransmitted within those bounds is still answered
+// from the kept state. A run evicted from the open table stays forgotten.
 func (s *Server) settle(run id.Run, rs *serverRun) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settleLocked(run, rs)
+	if cur, ok := s.open.Get(run); ok && cur == rs {
+		s.settleLocked(run, rs)
+	}
 }
 
 func (s *Server) settleLocked(run id.Run, rs *serverRun) {
-	if rs.settled || rs.unserved > 0 || s.runs[run] != rs || !rs.over() {
+	if rs.settled || rs.unserved > 0 || !rs.over() {
 		return
 	}
 	rs.settled = true
-	if rs.openElem != nil {
-		s.open.Remove(rs.openElem)
-		rs.openElem = nil
-	}
-	s.settled = append(s.settled, run)
-	s.settledChunkBytes += rs.chunkBytes
-	for len(s.settled) > maxSettledRuns {
-		if old, ok := s.runs[s.settled[0]]; ok {
-			s.settledChunkBytes -= old.chunkBytes
-			delete(s.runs, s.settled[0])
-		}
-		s.settled = s.settled[1:]
-	}
-	for i := 0; s.settledChunkBytes > maxSettledChunkBytes && i < len(s.settled); i++ {
-		if old := s.runs[s.settled[i]]; old != nil && old.chunkBytes > 0 {
-			s.settledChunkBytes -= old.chunkBytes
-			old.resultChunks, old.chunkBytes = nil, 0
-		}
+	s.open.Delete(run)
+	s.settled.Put(run, rs)
+	if rs.chunkBytes > 0 {
+		s.settledChunks.Put(run, rs)
+		s.settledChunks.Charge(run, rs.chunkBytes)
 	}
 }
 
@@ -813,8 +777,8 @@ func (s *Server) resolve(ctx context.Context, rs *serverRun, run id.Run) error {
 func (s *Server) TamperResultChunk(run id.Run, name string, seq int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs, ok := s.runs[run]
-	if !ok {
+	rs, err := s.keptLocked(run)
+	if err != nil {
 		return false
 	}
 	chunks := rs.resultChunks[name]
@@ -830,11 +794,9 @@ func (s *Server) TamperResultChunk(run id.Run, name string, seq int) bool {
 // ResolveNow forces TTP resolution for a run, for tests and tools that do
 // not want to wait for the receipt timeout.
 func (s *Server) ResolveNow(ctx context.Context, run id.Run) error {
-	s.mu.Lock()
-	rs, ok := s.runs[run]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchRun, run)
+	rs, err := s.kept(run)
+	if err != nil {
+		return err
 	}
 	return s.resolve(ctx, rs, run)
 }
@@ -842,11 +804,9 @@ func (s *Server) ResolveNow(ctx context.Context, run id.Run) error {
 // ReceiptState reports the evidence state of a run: whether the client's
 // receipt arrived and whether a TTP substitute was obtained.
 func (s *Server) ReceiptState(run id.Run) (received, resolved bool, err error) {
-	s.mu.Lock()
-	rs, ok := s.runs[run]
-	s.mu.Unlock()
-	if !ok {
-		return false, false, fmt.Errorf("%w: %s", ErrNoSuchRun, run)
+	rs, err := s.kept(run)
+	if err != nil {
+		return false, false, err
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -856,11 +816,9 @@ func (s *Server) ReceiptState(run id.Run) (received, resolved bool, err error) {
 // WaitReceipt blocks until the run's receipt arrives, the context ends, or
 // the server closes.
 func (s *Server) WaitReceipt(ctx context.Context, run id.Run) error {
-	s.mu.Lock()
-	rs, ok := s.runs[run]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchRun, run)
+	rs, err := s.kept(run)
+	if err != nil {
+		return err
 	}
 	select {
 	case <-rs.receipt:

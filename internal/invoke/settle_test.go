@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
@@ -84,9 +87,9 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	}
 
 	srv.mu.Lock()
-	runs, settled, held := len(srv.runs), len(srv.settled), srv.settledChunkBytes
+	runs, settled, held := srv.open.Len()+srv.settled.Len(), srv.settled.Len(), srv.settledChunks.Bytes()
 	var actual int64
-	for _, rs := range srv.runs {
+	for _, rs := range srv.settled.All() {
 		for _, chunks := range rs.resultChunks {
 			for _, c := range chunks {
 				actual += int64(len(c))
@@ -108,7 +111,7 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	logged := d.Node(serverParty).Log().Len()
 	ran := executed.Load()
 	srv.mu.Lock()
-	kept := srv.runs[last.Run]
+	kept, _ := srv.keptLocked(last.Run)
 	srv.mu.Unlock()
 	if kept == nil {
 		t.Fatal("the newest run was forgotten")
@@ -242,7 +245,7 @@ func TestServerOpenRunsBounded(t *testing.T) {
 	t.Logf("heap growth over the last %d calls: %d bytes", calls/2, grown)
 
 	srv.mu.Lock()
-	runs, open := len(srv.runs), srv.open.Len()
+	runs, open := srv.open.Len()+srv.settled.Len(), srv.open.Len()
 	srv.mu.Unlock()
 	if runs != maxOpenRuns || open != maxOpenRuns {
 		t.Fatalf("server holds %d runs (%d on the open list) after %d withheld receipts, want %d", runs, open, calls, maxOpenRuns)
@@ -285,10 +288,96 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		t.Fatalf("receipt for a run still held: %v", err)
 	}
 	srv.mu.Lock()
-	runs, open, settled := len(srv.runs), srv.open.Len(), len(srv.settled)
+	runs, open, settled := srv.open.Len()+srv.settled.Len(), srv.open.Len(), srv.settled.Len()
 	srv.mu.Unlock()
 	if runs != maxOpenRuns || open != maxOpenRuns-1 || settled != 1 {
 		t.Fatalf("after one receipt: %d runs, %d open, %d settled; want %d, %d, 1", runs, open, settled, maxOpenRuns, maxOpenRuns-1)
+	}
+}
+
+// TestOpenRunEvictionLogOnCoordinatorClock: the log lines about evicted
+// open runs are spaced by evictLogEvery on the coordinator's clock, not
+// the wall clock. Two evictions inside one interval log one line; once the
+// clock has moved on by evictLogEvery the next eviction logs again,
+// counting the one left unreported.
+func TestOpenRunEvictionLogOnCoordinatorClock(t *testing.T) {
+	const relayParty = id.Party("urn:ttp:inline")
+	d := testpki.MustDomain(relayParty)
+	defer d.Close()
+	relay := NewRelay(d.Node(relayParty).Coordinator(), RouteToServer())
+	// The test is serial, so no other test logs while the output is held.
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	lines := func() []string { return strings.Split(strings.TrimSpace(logged.String()), "\n") }
+
+	for i := 0; i < maxOpenRuns+2; i++ {
+		relay.track(id.NewRun(), &relayRun{})
+	}
+	if got := lines(); len(got) != 1 {
+		t.Fatalf("two evictions inside one interval logged %d lines: %q", len(got), got)
+	}
+	d.Realm.Clock.Advance(evictLogEvery)
+	relay.track(id.NewRun(), &relayRun{})
+	got := lines()
+	if len(got) != 2 {
+		t.Fatalf("an eviction after the clock moved on by %v logged %d lines in all, want 2: %q", evictLogEvery, len(got), got)
+	}
+	if !strings.Contains(got[1], "(2 dropped since the last report)") {
+		t.Fatalf("second line does not count the unreported eviction: %q", got[1])
+	}
+}
+
+// TestPendingStreamsBoundedByBytes: streamed-parameter chunks buffered
+// ahead of their request hold no more than the pending table's byte bound
+// in total, however many partial streams senders open, and the stream
+// started last still completes its call.
+func TestPendingStreamsBoundedByBytes(t *testing.T) {
+	const bound = 3 * DefaultStreamChunk
+	d := testpki.MustDomain(attClient, attServer)
+	defer d.Close()
+	var got []byte
+	srv := NewServer(d.Node(attServer).Coordinator(), captureStreamExec(&got))
+	defer srv.Close()
+	srv.pending = bounded.New[string, *pendingStream](maxPendingStreams, bound, nil)
+	ctx := context.Background()
+
+	held := func() (n int64) {
+		srv.streamMu.Lock()
+		defer srv.streamMu.Unlock()
+		for _, ps := range srv.pending.All() {
+			n += ps.bytes
+		}
+		return n
+	}
+	part := make([]byte, DefaultStreamChunk/2)
+	for i := 0; i < 32; i++ {
+		msg := &protocol.Message{Protocol: ProtocolDirect, Run: id.NewRun(), Step: stepRequest, Kind: kindChunk,
+			Sender: attClient, Attachment: part}
+		if err := msg.SetBody(chunkBody{Stream: fmt.Sprintf("partial-%d", i), Seq: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.ProcessRequest(ctx, msg); err != nil {
+			t.Fatal(err)
+		}
+		if n := held(); n > bound {
+			t.Fatalf("%d partial streams buffer %d bytes, bound %d", i+1, n, bound)
+		}
+	}
+
+	payload := make([]byte, 2*DefaultStreamChunk+DefaultStreamChunk/2)
+	rand.New(rand.NewSource(28)).Read(payload)
+	cli := NewClient(d.Node(attClient).Coordinator())
+	res, err := cli.Invoke(ctx, attServer, Request{Service: "urn:org:manufacturer/docs", Operation: "Archive",
+		Streams: []Stream{StreamParam("doc", bytes.NewReader(payload))}})
+	if err != nil || res.Status != evidence.StatusOK {
+		t.Fatalf("stream started last: %v (%v)", err, res)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("executor read %d bytes, want the %d byte payload", len(got), len(payload))
+	}
+	if n := held(); n > bound {
+		t.Fatalf("streams buffer %d bytes, bound %d", n, bound)
 	}
 }
 
@@ -440,10 +529,7 @@ func TestRelayRunsBounded(t *testing.T) {
 	openRuns := func() int {
 		relay.mu.Lock()
 		defer relay.mu.Unlock()
-		if len(relay.runs) != relay.open.Len() {
-			t.Fatalf("relay holds %d runs but lists %d", len(relay.runs), relay.open.Len())
-		}
-		return len(relay.runs)
+		return relay.runs.Len()
 	}
 	ctx := context.Background()
 	req := Request{Service: "urn:org:manufacturer/orders", Operation: "PlaceOrder"}
@@ -480,8 +566,8 @@ func TestRelayRunsBounded(t *testing.T) {
 		t.Fatalf("relay holds %d unreceipted runs, want %d", got, maxOpenRuns)
 	}
 	relay.mu.Lock()
-	_, keptFirst := relay.runs[first.Run]
-	_, keptLast := relay.runs[last.Run]
+	_, keptFirst := relay.runs.Get(first.Run)
+	_, keptLast := relay.runs.Get(last.Run)
 	relay.mu.Unlock()
 	if keptFirst || !keptLast {
 		t.Fatalf("kept oldest = %v, kept second = %v; want the oldest dropped first", keptFirst, keptLast)

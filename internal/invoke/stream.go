@@ -29,7 +29,10 @@ const DefaultStreamChunk = 1 << 20
 const (
 	// DefaultMaxStreamBytes bounds one buffered inbound stream (1 GiB);
 	// chunks beyond it are refused, which fails the stream's run without
-	// affecting others.
+	// affecting others. It also bounds what a server's buffered streams
+	// hold together, before any signature over them has been checked:
+	// past it the oldest stream is evicted, and its request is refused
+	// as incomplete.
 	DefaultMaxStreamBytes = 1 << 30
 	// maxPendingStreams bounds concurrently buffered inbound streams; the
 	// oldest is evicted when a new stream would exceed it.

@@ -9,11 +9,11 @@
 package protocol
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
@@ -178,9 +178,8 @@ const maxCachedReplies = 4096
 // original reply instead of re-executing. It keeps the most recent
 // maxCachedReplies replies and is safe for concurrent use.
 type ReplyCache struct {
-	mu    sync.Mutex
-	m     map[replyKey]*Message
-	order list.List // of replyKey, oldest first
+	mu sync.Mutex
+	t  *bounded.Table[replyKey, *Message]
 }
 
 type replyKey struct {
@@ -190,15 +189,14 @@ type replyKey struct {
 
 // NewReplyCache creates an empty reply cache.
 func NewReplyCache() *ReplyCache {
-	return &ReplyCache{m: make(map[replyKey]*Message)}
+	return &ReplyCache{t: bounded.New[replyKey, *Message](maxCachedReplies, 0, nil)}
 }
 
 // Get returns the cached reply for (run, step).
 func (c *ReplyCache) Get(run id.Run, step int) (*Message, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	msg, ok := c.m[replyKey{run, step}]
-	return msg, ok
+	return c.t.Get(replyKey{run, step})
 }
 
 // Put caches the reply for (run, step), evicting the oldest replies
@@ -206,12 +204,5 @@ func (c *ReplyCache) Get(run id.Run, step int) (*Message, bool) {
 func (c *ReplyCache) Put(run id.Run, step int, msg *Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := replyKey{run, step}
-	if _, ok := c.m[k]; !ok {
-		c.order.PushBack(k)
-		for c.order.Len() > maxCachedReplies {
-			delete(c.m, c.order.Remove(c.order.Front()).(replyKey))
-		}
-	}
-	c.m[k] = msg
+	c.t.Put(replyKey{run, step}, msg)
 }

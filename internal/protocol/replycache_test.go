@@ -33,7 +33,7 @@ func TestReplyCacheBounded(t *testing.T) {
 			t.Fatalf("reply %d cached = %v, want %v", i, ok, want)
 		}
 	}
-	if len(c.m) != maxCachedReplies || c.order.Len() != maxCachedReplies {
-		t.Fatalf("cache holds %d replies, %d listed; bound %d", len(c.m), c.order.Len(), maxCachedReplies)
+	if c.t.Len() != maxCachedReplies {
+		t.Fatalf("cache holds %d replies; bound %d", c.t.Len(), maxCachedReplies)
 	}
 }

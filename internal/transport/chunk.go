@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sync"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 )
@@ -56,7 +57,8 @@ const (
 	DefaultChunkThreshold = 8 << 20
 	// DefaultChunkSize is the slice size of chunked transfer.
 	DefaultChunkSize = 4 << 20
-	// DefaultMaxChunkMessage bounds one reassembled envelope body (1 GiB).
+	// DefaultMaxChunkMessage bounds one reassembled envelope body, and
+	// all of a handler's partial ones together (1 GiB).
 	DefaultMaxChunkMessage = 1 << 30
 	// DefaultMaxChunkStreams bounds concurrent reassemblies (and stashed
 	// chunked replies) per handler.
@@ -79,10 +81,11 @@ type ChunkOptions struct {
 	Threshold int
 	// ChunkSize is the slice size of outbound chunked transfers.
 	ChunkSize int
-	// MaxMessage bounds one reassembled envelope body.
+	// MaxMessage bounds one reassembled envelope body, and the bytes all
+	// of a handler's in-flight reassemblies hold together.
 	MaxMessage int64
-	// MaxStreams bounds concurrent reassemblies per handler; the oldest
-	// stream is evicted when a new one would exceed it.
+	// MaxStreams bounds concurrent reassemblies per handler. Past either
+	// bound the oldest stream is evicted.
 	MaxStreams int
 	// Obs, when non-nil, records reassembled-message sizes into the
 	// telemetry plane.
@@ -277,11 +280,16 @@ type ChunkHandler struct {
 	opts       ChunkOptions
 	reassembly *obs.Histogram
 
-	mu       sync.Mutex
-	asm      map[string]*chunkAssembly
-	asmOrder []string
-	replies  map[string]*chunkedReply
-	repOrder []string
+	mu sync.Mutex
+	// asm holds the in-flight reassemblies, charged with the bytes each
+	// has absorbed: at most MaxStreams of them and MaxMessage bytes in
+	// all, so what unverified senders pin is one message's worth however
+	// many streams they open. An evicted stream is refused as truncated
+	// when its final slice arrives.
+	asm *bounded.Table[string, *chunkAssembly]
+	// replies holds the slices of stashed chunked replies, at most
+	// MaxStreams replies.
+	replies *bounded.Table[string, [][]byte]
 }
 
 var _ Handler = (*ChunkHandler)(nil)
@@ -295,11 +303,6 @@ type chunkAssembly struct {
 	bytes int64
 }
 
-// chunkedReply is one stashed oversized reply awaiting fetches.
-type chunkedReply struct {
-	slices [][]byte
-}
-
 // NewChunkHandler wraps inner with chunk reassembly.
 func NewChunkHandler(inner Handler, opts ChunkOptions) *ChunkHandler {
 	opts.fill()
@@ -307,8 +310,8 @@ func NewChunkHandler(inner Handler, opts ChunkOptions) *ChunkHandler {
 		inner:      inner,
 		opts:       opts,
 		reassembly: opts.Obs.Histogram(obs.MChunkReassemblyBytes),
-		asm:        make(map[string]*chunkAssembly),
-		replies:    make(map[string]*chunkedReply),
+		asm:        bounded.New[string, *chunkAssembly](opts.MaxStreams, opts.MaxMessage, nil),
+		replies:    bounded.New[string, [][]byte](opts.MaxStreams, 0, nil),
 	}
 }
 
@@ -377,45 +380,35 @@ func (h *ChunkHandler) absorb(env *Envelope) ([]byte, *chunkFrame, error) {
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	a, ok := h.asm[f.Stream]
+	a, ok := h.asm.Get(f.Stream)
 	if !ok {
-		if len(h.asm) >= h.opts.MaxStreams {
-			h.evictAssemblyLocked()
-		}
 		a = &chunkAssembly{total: f.Total, size: f.Size, parts: make([][]byte, f.Total)}
-		h.asm[f.Stream] = a
-		h.asmOrder = append(h.asmOrder, f.Stream)
-		// Completed streams leave the map but not the order slice; compact
-		// it once it doubles the cap, so a long-lived handler's order
-		// bookkeeping stays proportional to MaxStreams, not to the number
-		// of transfers ever received.
-		if len(h.asmOrder) > 2*h.opts.MaxStreams {
-			h.asmOrder = compactOrder(h.asmOrder, h.asm)
-		}
+		h.asm.Put(f.Stream, a)
 	}
 	if a.total != f.Total || a.size != f.Size {
 		return nil, nil, fmt.Errorf("transport: chunk slice disagrees with stream %q shape", f.Stream)
 	}
 	if prev := a.parts[f.Seq]; prev != nil {
 		if !bytes.Equal(prev, f.Data) {
-			delete(h.asm, f.Stream)
+			h.asm.Delete(f.Stream)
 			return nil, nil, fmt.Errorf("transport: conflicting duplicate of chunk slice %d in stream %q", f.Seq, f.Stream)
 		}
 		// Idempotent duplicate (a replayed slice): already absorbed.
 	} else {
 		if a.bytes+int64(len(f.Data)) > a.size {
-			delete(h.asm, f.Stream)
+			h.asm.Delete(f.Stream)
 			return nil, nil, fmt.Errorf("transport: chunk stream %q overruns its declared %d bytes", f.Stream, a.size)
 		}
 		a.parts[f.Seq] = f.Data
 		a.got++
 		a.bytes += int64(len(f.Data))
+		h.asm.Charge(f.Stream, int64(len(f.Data)))
 	}
 	if !isEnd {
 		return nil, &f, nil
 	}
 	if a.got != a.total || a.bytes != a.size {
-		delete(h.asm, f.Stream)
+		h.asm.Delete(f.Stream)
 		return nil, nil, fmt.Errorf("transport: chunk stream %q truncated: %d of %d slices, %d of %d bytes",
 			f.Stream, a.got, a.total, a.bytes, a.size)
 	}
@@ -423,41 +416,9 @@ func (h *ChunkHandler) absorb(env *Envelope) ([]byte, *chunkFrame, error) {
 	for _, p := range a.parts {
 		body = append(body, p...)
 	}
-	delete(h.asm, f.Stream)
+	h.asm.Delete(f.Stream)
 	h.reassembly.Observe(a.size)
 	return body, &f, nil
-}
-
-// compactOrder rewrites an eviction-order slice to the oldest live
-// occurrence of each key, dropping entries whose streams already left
-// the map — the slice then stays proportional to the stream cap instead
-// of growing by one entry per transfer forever.
-func compactOrder[V any](order []string, live map[string]V) []string {
-	seen := make(map[string]struct{}, len(live))
-	out := order[:0]
-	for _, k := range order {
-		if _, ok := live[k]; !ok {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
-// evictAssemblyLocked drops the oldest in-flight reassembly (h.mu held).
-func (h *ChunkHandler) evictAssemblyLocked() {
-	for len(h.asmOrder) > 0 {
-		oldest := h.asmOrder[0]
-		h.asmOrder = h.asmOrder[1:]
-		if _, ok := h.asm[oldest]; ok {
-			delete(h.asm, oldest)
-			return
-		}
-	}
 }
 
 // stashReply stores an oversized reply for pull-style retrieval and
@@ -473,21 +434,7 @@ func (h *ChunkHandler) stashReply(reply *Envelope) *Envelope {
 	}
 	stream := string(id.NewMsg())
 	h.mu.Lock()
-	if len(h.replies) >= h.opts.MaxStreams {
-		for len(h.repOrder) > 0 {
-			oldest := h.repOrder[0]
-			h.repOrder = h.repOrder[1:]
-			if _, ok := h.replies[oldest]; ok {
-				delete(h.replies, oldest)
-				break
-			}
-		}
-	}
-	h.replies[stream] = &chunkedReply{slices: slices}
-	h.repOrder = append(h.repOrder, stream)
-	if len(h.repOrder) > 2*h.opts.MaxStreams {
-		h.repOrder = compactOrder(h.repOrder, h.replies)
-	}
+	h.replies.Put(stream, slices)
 	h.mu.Unlock()
 	hdr := chunkFrame{
 		Stream: stream, Seq: 0, Total: total, Size: int64(len(body)),
@@ -505,18 +452,18 @@ func (h *ChunkHandler) fetch(env *Envelope) (*Envelope, error) {
 		return nil, fmt.Errorf("transport: decode chunk fetch: %w", err)
 	}
 	h.mu.Lock()
-	r, ok := h.replies[f.Stream]
+	slices, ok := h.replies.Get(f.Stream)
 	if !ok {
 		h.mu.Unlock()
 		return nil, fmt.Errorf("transport: unknown reply stream %q", f.Stream)
 	}
-	if f.Seq < 1 || f.Seq >= len(r.slices) {
+	if f.Seq < 1 || f.Seq >= len(slices) {
 		h.mu.Unlock()
-		return nil, fmt.Errorf("transport: reply slice %d outside stream of %d", f.Seq, len(r.slices))
+		return nil, fmt.Errorf("transport: reply slice %d outside stream of %d", f.Seq, len(slices))
 	}
-	data := r.slices[f.Seq]
-	if f.Seq == len(r.slices)-1 {
-		delete(h.replies, f.Stream)
+	data := slices[f.Seq]
+	if f.Seq == len(slices)-1 {
+		h.replies.Delete(f.Stream)
 	}
 	h.mu.Unlock()
 	out := chunkFrame{Stream: f.Stream, Seq: f.Seq, Data: data}

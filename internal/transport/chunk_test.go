@@ -213,10 +213,60 @@ func TestChunkStreamEviction(t *testing.T) {
 		}
 	}
 	h.mu.Lock()
-	n := len(h.asm)
+	n := h.asm.Len()
 	h.mu.Unlock()
 	if n > 2 {
 		t.Fatalf("%d concurrent assemblies held, cap is 2", n)
+	}
+}
+
+// TestChunkReassemblyBoundedByBytes: partial streams together hold no
+// more than MaxMessage bytes, however many a sender opens within the
+// stream cap, and the stream started last still completes.
+func TestChunkReassemblyBoundedByBytes(t *testing.T) {
+	opts := ChunkOptions{MaxMessage: 1 << 16}
+	var dispatched []byte
+	h := NewChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+		dispatched = env.Body
+		return nil, nil
+	}), opts)
+	half := bytes.Repeat([]byte("x"), 1<<15)
+	send := func(kind, stream string, seq int) error {
+		f := chunkFrame{Stream: stream, Seq: seq, Total: 2, Size: 1 << 16, Data: half}
+		if kind == KindChunkEnd {
+			f.MsgID, f.Kind = "m", "bulk"
+		}
+		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&f)})
+		return err
+	}
+	held := func() (n int64) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		for _, a := range h.asm.All() {
+			n += a.bytes
+		}
+		return n
+	}
+	for i := 0; i < DefaultMaxChunkStreams; i++ {
+		if err := send(KindChunkPart, fmt.Sprintf("partial-%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := held(); n > opts.MaxMessage {
+			t.Fatalf("%d partial streams hold %d bytes, bound %d", i+1, n, opts.MaxMessage)
+		}
+	}
+	if err := send(KindChunkPart, "last", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := send(KindChunkEnd, "last", 1); err != nil {
+		t.Fatalf("stream started last: %v", err)
+	}
+	if len(dispatched) != 1<<16 {
+		t.Fatalf("stream started last dispatched %d bytes, want %d", len(dispatched), 1<<16)
+	}
+	// An evicted stream is refused as truncated when it ends.
+	if err := send(KindChunkEnd, "partial-0", 1); err == nil {
+		t.Fatal("evicted stream dispatched")
 	}
 }
 

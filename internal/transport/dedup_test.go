@@ -16,18 +16,15 @@ func heldBytes(t *testing.T, d *Dedup) (entries int, bytes int64) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, res := range d.results {
+	for _, res := range d.results.All() {
 		if res.reply != nil {
 			bytes += int64(len(res.reply.Body))
 		}
 	}
-	if bytes != d.bytes {
-		t.Fatalf("replay cache books %d bytes, its entries hold %d", d.bytes, bytes)
+	if bytes != d.results.Bytes() {
+		t.Fatalf("replay cache books %d bytes, its entries hold %d", d.results.Bytes(), bytes)
 	}
-	if len(d.results) != len(d.order) {
-		t.Fatalf("replay cache has %d entries and %d order slots", len(d.results), len(d.order))
-	}
-	return len(d.results), bytes
+	return d.results.Len(), bytes
 }
 
 // TestDedupBoundedByBytes: bulk replies are evicted oldest-first once

@@ -168,20 +168,20 @@ func FuzzChunkAssemble(f *testing.F) {
 			if _, err := h.Handle(context.Background(), env); err != nil {
 				_ = err // errors are the contract; panics are the bug
 			}
-			// Invariant: buffered bytes never exceed the per-stream budget
-			// times the stream cap, whatever the frames claimed.
+			// Invariant: buffered bytes never exceed one message's budget
+			// in total, whatever the frames claimed.
 			h.mu.Lock()
 			var held int64
-			for _, a := range h.asm {
+			for _, a := range h.asm.All() {
 				held += a.bytes
 			}
-			streams := len(h.asm)
+			streams := h.asm.Len()
 			h.mu.Unlock()
 			if streams > opts.MaxStreams {
 				t.Fatalf("%d concurrent assemblies, cap %d", streams, opts.MaxStreams)
 			}
-			if held > opts.MaxMessage*int64(opts.MaxStreams) {
-				t.Fatalf("assembler holds %d bytes, budget %d", held, opts.MaxMessage*int64(opts.MaxStreams))
+			if held > opts.MaxMessage {
+				t.Fatalf("assembler holds %d bytes, budget %d", held, opts.MaxMessage)
 			}
 		}
 	})

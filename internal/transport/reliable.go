@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"nonrep/internal/bounded"
 	"nonrep/internal/obs"
 )
 
@@ -198,19 +199,19 @@ type Dedup struct {
 	inner Handler
 	hits  *obs.Counter
 
-	mu      sync.Mutex
-	results map[string]*dedupResult
-	order   []string
-	bytes   int64 // reply body bytes held by results
+	mu sync.Mutex
+	// results is charged with the reply body bytes each result holds. A
+	// delivery still in flight may be evicted: its waiters hold the result
+	// itself, not the entry.
+	results *bounded.Table[string, *dedupResult]
 }
 
 // dedupResult is one delivery's outcome. reply and err are written once,
-// before done is closed; bytes is guarded by Dedup.mu.
+// before done is closed.
 type dedupResult struct {
 	reply *Envelope
 	err   error
 	done  chan struct{}
-	bytes int64
 }
 
 var _ Handler = (*Dedup)(nil)
@@ -236,7 +237,7 @@ func NewDedupWith(inner Handler, scope *obs.Scope) *Dedup {
 	return &Dedup{
 		inner:   inner,
 		hits:    scope.Counter(obs.MDedupHitsTotal),
-		results: make(map[string]*dedupResult),
+		results: bounded.New[string, *dedupResult](dedupCacheLimit, dedupCacheBytes, nil),
 	}
 }
 
@@ -244,7 +245,7 @@ func NewDedupWith(inner Handler, scope *obs.Scope) *Dedup {
 func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 	key := string(env.ID)
 	d.mu.Lock()
-	if res, ok := d.results[key]; ok {
+	if res, ok := d.results.Get(key); ok {
 		d.mu.Unlock()
 		d.hits.Inc()
 		// A concurrent duplicate waits for the first delivery to finish.
@@ -256,9 +257,7 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 		return res.reply, res.err
 	}
 	res := &dedupResult{done: make(chan struct{})}
-	d.results[key] = res
-	d.order = append(d.order, key)
-	d.evictLocked()
+	d.results.Put(key, res)
 	d.mu.Unlock()
 
 	res.reply, res.err = d.inner.Handle(ctx, env)
@@ -266,25 +265,12 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 
 	if res.reply != nil && len(res.reply.Body) > 0 {
 		d.mu.Lock()
-		// Only a result still in the window is charged to it.
-		if d.results[key] == res {
-			res.bytes = int64(len(res.reply.Body))
-			d.bytes += res.bytes
-			d.evictLocked()
+		// Only a result still in the window is charged to it, not a
+		// redelivery dispatched after it was evicted.
+		if cur, ok := d.results.Get(key); ok && cur == res {
+			d.results.Charge(key, int64(len(res.reply.Body)))
 		}
 		d.mu.Unlock()
 	}
 	return res.reply, res.err
-}
-
-// evictLocked drops the oldest results until the cache is inside both of
-// its bounds (d.mu held). A delivery still in flight may be among them:
-// its waiters hold the result itself, not the map entry.
-func (d *Dedup) evictLocked() {
-	for len(d.order) > 0 && (len(d.order) > dedupCacheLimit || d.bytes > dedupCacheBytes) {
-		oldest := d.order[0]
-		d.order = d.order[1:]
-		d.bytes -= d.results[oldest].bytes
-		delete(d.results, oldest)
-	}
 }

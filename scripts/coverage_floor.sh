@@ -10,27 +10,20 @@
 #
 # Floors are set a few points under the current measured coverage
 # (vault ~78%, protocol ~83%, invoke ~76%, obs ~94%, durable ~88%,
-# store ~85%, feed ~83%, georep ~87%, blob ~75%, sharing ~81% at the
-# time of writing) to allow noise without allowing decay. The store
-# floor guards the binary record codec — the bytes every other
-# guarantee rests on; the feed floor guards the subscription hub live
-# feeds fan out through; the georep and blob floors guard the
-# quorum/archival plane region-loss survival rests on; the sharing
-# floor guards the one coordination round every shared-information
-# change, single-object or atomic, runs through.
+# store ~85%, feed ~83%, georep ~87%, blob ~75%, sharing ~81%,
+# transport ~86%, bounded 100% at the time of writing) to allow noise
+# without allowing decay. The store floor guards the binary record
+# codec — the bytes every other guarantee rests on; the feed floor
+# guards the subscription hub live feeds fan out through; the georep and
+# blob floors guard the quorum/archival plane region-loss survival rests
+# on; the sharing floor guards the one coordination round every
+# shared-information change, single-object or atomic, runs through; the
+# transport floor guards retransmission, replay and chunk reassembly;
+# the bounded floor guards the one table every replay cache, chunk
+# buffer and open-run list is bounded by. The floors are constants, not
+# overridable from the environment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-FLOOR_VAULT="${FLOOR_VAULT:-72}"
-FLOOR_PROTOCOL="${FLOOR_PROTOCOL:-75}"
-FLOOR_INVOKE="${FLOOR_INVOKE:-70}"
-FLOOR_OBS="${FLOOR_OBS:-75}"
-FLOOR_DURABLE="${FLOOR_DURABLE:-80}"
-FLOOR_STORE="${FLOOR_STORE:-75}"
-FLOOR_FEED="${FLOOR_FEED:-75}"
-FLOOR_GEOREP="${FLOOR_GEOREP:-75}"
-FLOOR_BLOB="${FLOOR_BLOB:-75}"
-FLOOR_SHARING=77
 
 check() {
   local pkg="$1" floor="$2" profile pct
@@ -45,14 +38,16 @@ check() {
   }
 }
 
-check ./internal/vault/ "$FLOOR_VAULT"
-check ./internal/protocol/ "$FLOOR_PROTOCOL"
-check ./internal/invoke/ "$FLOOR_INVOKE"
-check ./internal/obs/ "$FLOOR_OBS"
-check ./internal/durable/ "$FLOOR_DURABLE"
-check ./internal/store/ "$FLOOR_STORE"
-check ./internal/feed/ "$FLOOR_FEED"
-check ./internal/georep/ "$FLOOR_GEOREP"
-check ./internal/blob/ "$FLOOR_BLOB"
-check ./internal/sharing/ "$FLOOR_SHARING"
+check ./internal/vault/ 72
+check ./internal/protocol/ 75
+check ./internal/invoke/ 70
+check ./internal/obs/ 75
+check ./internal/durable/ 80
+check ./internal/store/ 75
+check ./internal/feed/ 75
+check ./internal/georep/ 75
+check ./internal/blob/ 75
+check ./internal/sharing/ 77
+check ./internal/transport/ 82
+check ./internal/bounded/ 95
 echo "coverage floors hold"
