@@ -612,7 +612,7 @@ func BenchmarkGeoQuorumCall(b *testing.B) {
 	}{
 		{"local", nil},
 		{"async-2peers", []nonrep.OrgOption{nonrep.WithQuorum(0, peers...)}},
-		{"sync-2of3", []nonrep.OrgOption{nonrep.WithQuorum(2, peers...), nonrep.WithQuorumTimeout(time.Minute)}},
+		{"sync-2of3", []nonrep.OrgOption{nonrep.WithQuorum(2, peers...)}},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			domain, err := nonrep.NewDomain()

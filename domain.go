@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"nonrep/internal/access"
 	"nonrep/internal/blob"
@@ -105,29 +104,11 @@ func WithAlgorithm(alg sig.Algorithm) DomainOption {
 // and incoming batches are verified by parallel workers against a
 // verified-signature cache. It trades nothing for correctness — evidence
 // and its adjudication are byte-compatible — and is the recommended mode
-// for heavy small-message traffic.
-func WithPipelining(opts ...PipelineOption) DomainOption {
-	cfg := transport.CoalesceOptions{}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return func(c *domainConfig) { c.pipeline = &cfg }
-}
-
-// PipelineOption tunes WithPipelining.
-type PipelineOption func(*transport.CoalesceOptions)
-
-// PipelineMaxBatch caps the protocol messages coalesced into one wire
-// envelope.
-func PipelineMaxBatch(n int) PipelineOption {
-	return func(c *transport.CoalesceOptions) { c.MaxBatch = n }
-}
-
-// PipelineWindow makes outbound coalescing linger up to d after the first
-// pending message, trading latency for larger batches. The default (zero)
-// adds no latency: batches form from whatever is concurrently pending.
-func PipelineWindow(d time.Duration) PipelineOption {
-	return func(c *transport.CoalesceOptions) { c.Window = d }
+// for heavy small-message traffic. A wire envelope carries at most
+// transport.DefaultMaxCoalesce messages, and coalescing adds no latency:
+// batches form from whatever is concurrently pending.
+func WithPipelining() DomainOption {
+	return func(c *domainConfig) { c.pipeline = &transport.CoalesceOptions{} }
 }
 
 // WithTelemetry equips the domain with an interaction telemetry plane:
@@ -155,16 +136,6 @@ func NewDomain(opts ...DomainOption) (*Domain, error) {
 	cfg := domainConfig{clk: clock.Real{}, alg: sig.AlgEd25519}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	// The pipeline's linger-window timer runs on the domain clock, so a
-	// test domain under WithClock drives coalescing windows without
-	// sleeping wall-clock time. Copy before stamping: the options struct
-	// is owned by the DomainOption closure, which a caller may legally
-	// reuse across domains with different clocks.
-	if cfg.pipeline != nil && cfg.pipeline.Clock == nil {
-		pipeline := *cfg.pipeline
-		pipeline.Clock = cfg.clk
-		cfg.pipeline = &pipeline
 	}
 	caKey, err := sig.Generate(cfg.alg, "domain-ca")
 	if err != nil {
@@ -235,20 +206,18 @@ func (d *Domain) Adjudicator() *Adjudicator { return core.NewAdjudicator(d.creds
 type OrgOption func(*orgConfig)
 
 type orgConfig struct {
-	addr           string
-	vaultDir       string
-	vaultOpts      []vault.Option
-	roles          []string
-	replicaRoot    string
-	geoPeers       []Party
-	quorum         int
-	ackTimeout     time.Duration
-	archive        blob.Store
-	durable        bool
-	durableRetry   *durable.RetryPolicy
-	durableWorkers int
-	worker         *protocol.WorkerConfig
-	openSubs       bool
+	addr         string
+	vaultDir     string
+	vaultOpts    []vault.Option
+	roles        []string
+	replicaRoot  string
+	geoPeers     []Party
+	quorum       int
+	archive      blob.Store
+	durable      bool
+	durableRetry *durable.RetryPolicy
+	worker       *protocol.WorkerConfig
+	openSubs     bool
 }
 
 // WithOpenSubscriptions lets the organisation's vault feed be subscribed
@@ -282,8 +251,6 @@ func WithVault(dir string, opts ...VaultOption) OrgOption {
 var (
 	// VaultSegmentRecords sets the records per segment before sealing.
 	VaultSegmentRecords = vault.WithSegmentRecords
-	// VaultMaxBatch caps appends absorbed by one group commit.
-	VaultMaxBatch = vault.WithMaxBatch
 	// VaultPreallocate reserves the given number of bytes for each
 	// active segment file up front, so steady-state group commits skip
 	// block-allocation metadata writes; sealing trims the reservation.
@@ -333,13 +300,6 @@ func WithQuorum(n int, peers ...Party) OrgOption {
 		c.quorum = n
 		c.geoPeers = append(c.geoPeers, peers...)
 	}
-}
-
-// WithQuorumTimeout bounds how long a sync-quorum append waits for
-// acknowledgement before returning ErrQuorumUnmet (default 30s). The
-// record stays locally durable and keeps replicating either way.
-func WithQuorumTimeout(d time.Duration) OrgOption {
-	return func(c *orgConfig) { c.ackTimeout = d }
 }
 
 // WithArchive tiers every sealed vault segment into the given object
@@ -543,10 +503,9 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		// its journal shares the organisation's evidence store, so resumed
 		// runs see the tokens any earlier client already journaled there.
 		org.durable = durable.New(invoke.NewClient(node.Coordinator()), org.journal, durable.Config{
-			Retry:   policy,
-			Workers: cfg.durableWorkers,
-			Clock:   d.clk,
-			Obs:     svc.Obs,
+			Retry: policy,
+			Clock: d.clk,
+			Obs:   svc.Obs,
 		})
 		// Resume whatever a previous process over the same store enqueued
 		// but never finished — the crash-recovery path.
@@ -709,7 +668,7 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	if cfg.quorum > 0 {
 		mode = georep.ModeSync
 	}
-	policy := georep.Policy{Mode: mode, Quorum: cfg.quorum, AckTimeout: cfg.ackTimeout}
+	policy := georep.Policy{Mode: mode, Quorum: cfg.quorum}
 	party := string(o.node.Party())
 	var opts []georep.EngineOption
 	tel := o.domain.tel

@@ -59,15 +59,6 @@ func WithDurableRetry(p JobRetryPolicy) OrgOption {
 	}
 }
 
-// WithDurableWorkers sets the organisation's concurrent job execution
-// width (implies WithDurable; default 4).
-func WithDurableWorkers(n int) OrgOption {
-	return func(c *orgConfig) {
-		c.durable = true
-		c.durableWorkers = n
-	}
-}
-
 // Durable returns the organisation's durable-job runtime, or nil when the
 // organisation was not enrolled with WithDurable.
 func (o *Org) Durable() *DurableRuntime { return o.durable }

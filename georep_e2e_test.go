@@ -45,7 +45,6 @@ func TestGeoRegionLossSurvival(t *testing.T) {
 	a, err := domain.AddOrg(orgA,
 		nonrep.WithVault(dirA, nonrep.VaultSegmentRecords(4)),
 		nonrep.WithQuorum(2, orgB, orgC),
-		nonrep.WithQuorumTimeout(30*time.Second),
 		nonrep.WithArchive(archStore))
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,7 @@ type Host struct {
 type HostOption func(*hostConfig)
 
 type hostConfig struct {
-	addr   string
-	shards int
+	addr string
 }
 
 // HostAddr fixes the host's shared endpoint address (host:port under
@@ -41,13 +40,6 @@ type hostConfig struct {
 // generated name on the in-process transport.
 func HostAddr(addr string) HostOption {
 	return func(c *hostConfig) { c.addr = addr }
-}
-
-// HostShards sets the host's dispatch shard count (default 16). Shards
-// only affect contention between tenant registration and dispatch;
-// lookups are lock-free regardless.
-func HostShards(n int) HostOption {
-	return func(c *hostConfig) { c.shards = n }
 }
 
 // NewHost starts a multi-tenant coordinator host in the domain. Enrol
@@ -75,9 +67,6 @@ func NewHost(d *Domain, opts ...HostOption) (*Host, error) {
 		}
 	}
 	var popts []protocol.Option
-	if cfg.shards > 0 {
-		popts = append(popts, protocol.WithShards(cfg.shards))
-	}
 	if d.pipeline != nil {
 		popts = append(popts, protocol.WithCoalescing(*d.pipeline))
 	}

@@ -11,17 +11,16 @@ import (
 
 // Proxy is the client-side dynamic proxy of section 4.2: "the client's
 // reference to the remote bean is a dynamic proxy generated by the server.
-// This proxy contains client-side interceptors." Calls run through the
-// client interceptor chain and then into the non-repudiation client, so
-// the NR machinery sits first on the outgoing path and last on the return
-// path.
+// This proxy contains client-side interceptors." Here the one client-side
+// interceptor is the non-repudiation client itself: calls go straight into
+// it, so the NR machinery sits first on the outgoing path and last on the
+// return path.
 type Proxy struct {
-	cli          *invoke.Client
-	server       id.Party
-	service      id.Service
-	interceptors []Interceptor
-	txn          id.Txn
-	async        AsyncSubmitter
+	cli     *invoke.Client
+	server  id.Party
+	service id.Service
+	txn     id.Txn
+	async   AsyncSubmitter
 }
 
 // AsyncJob is a handle to a durably submitted invocation. The concrete
@@ -41,12 +40,6 @@ type AsyncSubmitter interface {
 
 // ProxyOption configures a proxy.
 type ProxyOption func(*Proxy)
-
-// WithClientInterceptors installs client-side interceptors (context
-// propagation and similar).
-func WithClientInterceptors(ics ...Interceptor) ProxyOption {
-	return func(p *Proxy) { p.interceptors = append(p.interceptors, ics...) }
-}
 
 // WithTxn links every call through this proxy to a business transaction.
 func WithTxn(txn id.Txn) ProxyOption {
@@ -103,25 +96,13 @@ func (p *Proxy) CallAsync(ctx context.Context, method string, args ...any) (Asyn
 	if len(streams) > 0 {
 		return nil, fmt.Errorf("container: CallAsync cannot journal streamed arguments")
 	}
-	terminal := InvokerFunc(func(ctx context.Context, inv *Invocation) (any, error) {
-		req := invoke.Request{
-			Service:   inv.Service,
-			Operation: inv.Method,
-			Params:    params,
-			Txn:       p.txn,
-		}
-		return p.async.SubmitAsync(ctx, p.server, req)
-	})
-	inv := &Invocation{Service: p.service, Method: method, Meta: map[string]string{}}
-	out, err := Chain(terminal, p.interceptors...).Invoke(ctx, inv)
-	if err != nil {
-		return nil, err
+	req := invoke.Request{
+		Service:   p.service,
+		Operation: method,
+		Params:    params,
+		Txn:       p.txn,
 	}
-	job, ok := out.(AsyncJob)
-	if !ok {
-		return nil, fmt.Errorf("container: proxy chain returned %T, want AsyncJob", out)
-	}
-	return job, nil
+	return p.async.SubmitAsync(ctx, p.server, req)
 }
 
 // resolveArgs maps Go arguments to their agreed evidence representation.
@@ -161,30 +142,14 @@ func (p *Proxy) call(ctx context.Context, method string, args []any) (*invoke.Re
 	if err != nil {
 		return nil, err
 	}
-	terminal := InvokerFunc(func(ctx context.Context, inv *Invocation) (any, error) {
-		req := invoke.Request{
-			Service:   inv.Service,
-			Operation: inv.Method,
-			Params:    params,
-			Streams:   streams,
-			Txn:       p.txn,
-		}
-		return p.cli.Invoke(ctx, p.server, req)
-	})
-	inv := &Invocation{
-		Service: p.service,
-		Method:  method,
-		Meta:    map[string]string{},
+	req := invoke.Request{
+		Service:   p.service,
+		Operation: method,
+		Params:    params,
+		Streams:   streams,
+		Txn:       p.txn,
 	}
-	out, err := Chain(terminal, p.interceptors...).Invoke(ctx, inv)
-	if err != nil {
-		return nil, err
-	}
-	res, ok := out.(*invoke.Result)
-	if !ok {
-		return nil, fmt.Errorf("container: proxy chain returned %T", out)
-	}
-	return res, nil
+	return p.cli.Invoke(ctx, p.server, req)
 }
 
 // CallValue invokes a method and decodes the first result into out,

@@ -162,14 +162,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			opts = append(opts, protocol.WithRetryPolicy(*cfg.Retry))
 		}
 		if cfg.Coalesce != nil {
-			// The coalescer's linger window runs on the node clock unless
-			// the caller pinned one (the options value is copied — the
-			// caller may share it across nodes).
-			coalesce := *cfg.Coalesce
-			if coalesce.Clock == nil {
-				coalesce.Clock = cfg.Clock
-			}
-			opts = append(opts, protocol.WithCoalescing(coalesce))
+			opts = append(opts, protocol.WithCoalescing(*cfg.Coalesce))
 		}
 		co, err = protocol.New(cfg.Network, cfg.Addr, svc, opts...)
 	}

@@ -60,10 +60,10 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 	cn1 := f.node(client, "cli-"+tag+"-1", v1)
 	cli1 := invoke.NewClient(cn1.Coordinator())
 	j1 := durable.NewJournal(client, cn1.Services().Issuer, v1, f.clk)
-	rt1 := durable.New(cli1, j1, durable.Config{
+	rt1 := durable.NewSized(cli1, j1, durable.Config{
 		Retry: durable.RetryPolicy{MaxAttempts: 5, Backoff: time.Minute, NoJitter: true},
-		Clock: f.clk, Workers: 1,
-	})
+		Clock: f.clk,
+	}, 1, durable.QueueCap)
 	var crashed atomic.Bool
 	hook := func(point string) error {
 		if point == tc.point && crashed.CompareAndSwap(false, true) {
@@ -118,10 +118,10 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 	defer cn2.Close()
 	cli2 := invoke.NewClient(cn2.Coordinator())
 	j2 := durable.NewJournal(client, cn2.Services().Issuer, v2, f.clk)
-	rt2 := durable.New(cli2, j2, durable.Config{
+	rt2 := durable.NewSized(cli2, j2, durable.Config{
 		Retry: durable.RetryPolicy{MaxAttempts: 5, Backoff: time.Minute, NoJitter: true},
-		Clock: f.clk, Workers: 1,
-	})
+		Clock: f.clk,
+	}, 1, durable.QueueCap)
 	defer rt2.Close()
 
 	recovered, err := rt2.Recover()

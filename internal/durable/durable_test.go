@@ -75,7 +75,7 @@ func (f *fixture) node(p id.Party, addr string, log store.Log) *core.Node {
 func (f *fixture) runtime(n *core.Node, policy durable.RetryPolicy) (*durable.Runtime, *durable.Journal) {
 	policy.NoJitter = true
 	j := durable.NewJournal(n.Party(), n.Services().Issuer, n.Log(), f.clk)
-	rt := durable.New(invoke.NewClient(n.Coordinator()), j, durable.Config{Retry: policy, Clock: f.clk, Workers: 1})
+	rt := durable.NewSized(invoke.NewClient(n.Coordinator()), j, durable.Config{Retry: policy, Clock: f.clk}, 1, durable.QueueCap)
 	return rt, j
 }
 
@@ -312,7 +312,7 @@ func TestQueueFullRejectsBeforeJournaling(t *testing.T) {
 	defer srv.Close()
 
 	j := durable.NewJournal(client, cn.Services().Issuer, cn.Log(), f.clk)
-	rt := durable.New(invoke.NewClient(cn.Coordinator()), j, durable.Config{Clock: f.clk, Workers: 1, Queue: 1})
+	rt := durable.NewSized(invoke.NewClient(cn.Coordinator()), j, durable.Config{Clock: f.clk}, 1, 1)
 	defer rt.Close()
 
 	jb1, err := rt.Submit(context.Background(), server, orderRequest())
@@ -366,7 +366,7 @@ func TestQueueFullWaitsForDeadline(t *testing.T) {
 	defer srv.Close()
 
 	j := durable.NewJournal(client, cn.Services().Issuer, cn.Log(), f.clk)
-	rt := durable.New(invoke.NewClient(cn.Coordinator()), j, durable.Config{Clock: f.clk, Workers: 1, Queue: 1})
+	rt := durable.NewSized(invoke.NewClient(cn.Coordinator()), j, durable.Config{Clock: f.clk}, 1, 1)
 	defer rt.Close()
 
 	jb1, err := rt.Submit(context.Background(), server, orderRequest())

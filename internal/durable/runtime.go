@@ -99,14 +99,10 @@ func (jb *Job) Info() Info {
 	return inf
 }
 
-// Config tunes a Runtime.
+// Config configures a Runtime.
 type Config struct {
 	// Retry is the per-organisation retry policy.
 	Retry RetryPolicy
-	// Workers is the concurrent execution width (default 4).
-	Workers int
-	// Queue bounds jobs accepted but not yet executing (default 1024).
-	Queue int
 	// Clock paces retries (default the client coordinator's clock).
 	Clock clock.Clock
 	// Obs homes the runtime's instruments; nil disables them.
@@ -146,15 +142,20 @@ type Runtime struct {
 
 var _ invoke.AbortJournal = (*Runtime)(nil)
 
+// A runtime executes up to execWidth jobs at once and accepts up to
+// queueCap more that wait for a worker.
+const (
+	execWidth = 4
+	queueCap  = 1024
+)
+
 // New starts a runtime executing jobs through cli and journaling them in
 // j. Call Recover to resume jobs from an earlier process.
 func New(cli *invoke.Client, j *Journal, cfg Config) *Runtime {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 1024
-	}
+	return newRuntime(cli, j, cfg, execWidth, queueCap)
+}
+
+func newRuntime(cli *invoke.Client, j *Journal, cfg Config, width, queue int) *Runtime {
 	if cfg.Clock == nil {
 		cfg.Clock = j.clk
 	}
@@ -164,12 +165,12 @@ func New(cli *invoke.Client, j *Journal, cfg Config) *Runtime {
 		policy: cfg.Retry.fill(),
 		clk:    cfg.Clock,
 		scope:  cfg.Obs,
-		queue:  make(chan *Job, cfg.Queue),
-		slots:  make(chan struct{}, cfg.Queue),
+		queue:  make(chan *Job, queue),
+		slots:  make(chan struct{}, queue),
 		stop:   make(chan struct{}),
 		jobs:   make(map[id.Run]*Job),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < width; i++ {
 		r.wg.Add(1)
 		go r.worker()
 	}

@@ -94,16 +94,6 @@ type targetState struct {
 // EngineOption tunes an Engine.
 type EngineOption func(*Engine)
 
-// WithRetryInterval sets the background retry cadence for failed
-// targets (default 5s).
-func WithRetryInterval(d time.Duration) EngineOption {
-	return func(e *Engine) {
-		if d > 0 {
-			e.every = d
-		}
-	}
-}
-
 // WithObserver homes the engine's instruments — shipped segments, failed
 // passes, lag and catch-up backlog — in the given telemetry scope. A nil
 // scope leaves it uninstrumented.
@@ -122,6 +112,10 @@ func WithObserver(scope *obs.Scope) EngineOption {
 // bounds how far an async replica trails the source; sync pumps never
 // linger — a gated append is waiting on them.
 const asyncLinger = 50 * time.Millisecond
+
+// retryInterval is how often a pump retries a target whose last pass
+// failed, with no commit or seal to wake it.
+const retryInterval = 5 * time.Second
 
 // passTimeout bounds one background pass toward one target: a peer that
 // accepts the connection and then says nothing costs its pump this long,
@@ -142,7 +136,7 @@ type Engine struct {
 	source string
 	policy Policy
 	clk    clock.Clock
-	every  time.Duration
+	every  time.Duration // retryInterval; engine tests retry faster
 
 	// Telemetry instruments (nil and no-op without WithObserver).
 	shippedC *obs.Counter
@@ -178,7 +172,7 @@ func NewEngine(v *vault.Vault, source string, policy Policy, clk clock.Clock, op
 		source: source,
 		policy: policy,
 		clk:    clk,
-		every:  5 * time.Second,
+		every:  retryInterval,
 		quit:   make(chan struct{}),
 	}
 	for _, opt := range opts {

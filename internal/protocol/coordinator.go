@@ -100,12 +100,9 @@ type Option func(*config)
 type config struct {
 	retry    transport.RetryPolicy
 	coalesce *transport.CoalesceOptions
-	// shards is the dispatch shard count of a multi-tenant Host; it is
-	// ignored by single-tenant coordinators.
-	shards int
-	// obs homes the endpoint stack's instruments (coalescer occupancy,
-	// chunk reassembly). Single-tenant coordinators take it from the
-	// services' scope; hosts from WithTelemetry.
+	// obs homes the outbound coalescer's occupancy histogram.
+	// Single-tenant coordinators take it from the services' scope; hosts
+	// from WithTelemetry.
 	obs *obs.Scope
 }
 
@@ -136,7 +133,7 @@ func New(network transport.Network, addr string, svc *Services, opts ...Option) 
 	}
 	cfg.obs = svc.Obs
 	c := &Coordinator{svc: svc, handlers: make(map[string]Handler)}
-	h := transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs)
+	h := transport.NewTenantChain(transport.HandlerFunc(c.handle), svc.Obs)
 	ep, err := network.Register(addr, h)
 	if err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func wrapEndpoint(ep transport.Endpoint, cfg config) transport.Endpoint {
 		}
 		ep = transport.NewCoalescer(ep, co)
 	}
-	ep = transport.NewChunker(ep, transport.ChunkOptions{Obs: cfg.obs})
+	ep = transport.NewChunker(ep)
 	return transport.WithTenantAddressing(ep)
 }
 

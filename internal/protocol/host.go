@@ -30,19 +30,13 @@ var ErrHostClosed = errors.New("protocol: host closed")
 // already serves.
 var ErrTenantEnrolled = errors.New("protocol: tenant already hosted")
 
-// DefaultHostShards is the default dispatch shard count.
-const DefaultHostShards = 16
+// hostShards is a host's dispatch shard count. More shards spread tenant
+// registration contention; lookups are lock-free regardless.
+const hostShards = 16
 
-// WithShards sets a host's dispatch shard count (default
-// DefaultHostShards). More shards spread tenant registration contention;
-// lookups are lock-free regardless.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// WithTelemetry homes the shared endpoint stack's instruments — the
-// cross-tenant coalescer's batch occupancy, the shared chunker — in the
-// telemetry plane's unattributed scope. Per-tenant instruments come from
+// WithTelemetry homes the shared endpoint stack's instrument — the
+// cross-tenant coalescer's batch occupancy — in the telemetry plane's
+// unattributed scope. Per-tenant instruments come from
 // each tenant's Services.Obs regardless of this option. A nil handle is
 // the disabled default.
 func WithTelemetry(t *obs.Telemetry) Option {
@@ -84,17 +78,13 @@ var _ transport.TenantResolver = (*Host)(nil)
 
 // NewHost registers a shared multi-tenant endpoint at addr on the
 // network. Options are the coordinator options; WithCoalescing makes all
-// hosted tenants share one outbound coalescer, and WithShards tunes
-// dispatch sharding.
+// hosted tenants share one outbound coalescer.
 func NewHost(network transport.Network, addr string, opts ...Option) (*Host, error) {
-	cfg := config{retry: transport.DefaultRetryPolicy, shards: DefaultHostShards}
+	cfg := config{retry: transport.DefaultRetryPolicy}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.shards <= 0 {
-		cfg.shards = DefaultHostShards
-	}
-	h := &Host{shards: make([]hostShard, cfg.shards)}
+	h := &Host{shards: make([]hostShard, hostShards)}
 	for i := range h.shards {
 		empty := make(tenantMap)
 		h.shards[i].tenants.Store(&empty)
@@ -151,7 +141,7 @@ func (h *Host) Add(svc *Services) (*Coordinator, error) {
 	c.ep = &hostedEndpoint{host: h, tenant: key}
 	t := &hostTenant{
 		co:    c,
-		chain: transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs),
+		chain: transport.NewTenantChain(transport.HandlerFunc(c.handle), svc.Obs),
 	}
 
 	// The host mutex spans the closed check and the insert, so an Add

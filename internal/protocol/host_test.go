@@ -26,7 +26,7 @@ func newHostFixture(t *testing.T, network transport.Network, addr string, partie
 	t.Helper()
 	realm := testpki.MustRealm(parties...)
 	dir := protocol.NewDirectory()
-	host, err := protocol.NewHost(network, addr, protocol.WithShards(4))
+	host, err := protocol.NewHost(network, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

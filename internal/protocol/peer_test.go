@@ -108,7 +108,7 @@ func newPeerFixture(tb testing.TB) *peerFixture {
 // watch opens a local feed from genesis under subID, as a sub-open of
 // this subscriber would have.
 func (fx *peerFixture) watch(subID string) *Feed {
-	f := newFeed(fx.feed, WatchConfig{Buffer: 16})
+	f := newFeed(fx.feed, WatchConfig{buffer: 16})
 	u := newUpstream(subID, "", f)
 	fx.feed.mu.Lock()
 	u.open = true

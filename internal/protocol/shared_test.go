@@ -32,7 +32,7 @@ func sharedFixture(t *testing.T, n int) (*subFixture, id.Run, *protocol.Feed, *d
 
 func (f *subFixture) share(t *testing.T, buffer int) *protocol.Feed {
 	t.Helper()
-	feed, err := f.client.Subscribe(context.Background(), alice, protocol.WatchConfig{Shared: true, Buffer: buffer})
+	feed, err := f.client.Subscribe(context.Background(), alice, protocol.WatchBuffer(protocol.WatchConfig{Shared: true}, buffer))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -444,8 +444,6 @@ type WatchConfig struct {
 	Seals bool
 	// Segments requests whole sealed-segment packages with each seal.
 	Segments bool
-	// Buffer overrides the local event buffer (default DefaultFeedBuffer).
-	Buffer int
 	// Shared joins any live wire subscription this client holds to the
 	// same publisher address with the same Seals/Segments options —
 	// dedicated or shared — at that subscription's current verified
@@ -456,6 +454,10 @@ type WatchConfig struct {
 	// Resume of a shared feed returns a dedicated feed, so its no-gap
 	// contract holds.
 	Shared bool
+
+	// buffer is the local event buffer, DefaultFeedBuffer when zero;
+	// tests shrink it to overflow a feed.
+	buffer int
 }
 
 // SubClient subscribes to remote vault feeds through a coordinator. It
@@ -753,7 +755,7 @@ type Feed struct {
 }
 
 func newFeed(c *SubClient, cfg WatchConfig) *Feed {
-	buffer := cfg.Buffer
+	buffer := cfg.buffer
 	if buffer <= 0 {
 		buffer = DefaultFeedBuffer
 	}

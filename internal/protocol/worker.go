@@ -111,38 +111,26 @@ type workerByeBody struct {
 	Lease string `json:"lease"`
 }
 
-// GatewayConfig tunes a worker gateway. The zero value is usable.
+// GatewayConfig configures a worker gateway. The zero value is usable.
 type GatewayConfig struct {
 	// Clock drives lease expiry and long-poll waits (default the system
 	// clock; tests inject clock.Manual).
 	Clock clock.Clock
-	// MaxQueue bounds the queued (undispatched) envelopes across all
-	// tenants; each tenant's share is weighted (default 1024).
-	MaxQueue int
-	// MinPerTenant floors every tenant's admission cap so a low-weight
-	// tenant is never starved to zero (default 8).
-	MinPerTenant int
-	// LeaseTTL is how long a link lease survives without a poll or
-	// heartbeat (default 30s).
-	LeaseTTL time.Duration
 	// Obs homes the gateway's instruments; nil disables them.
 	Obs *obs.Scope
 }
 
-func (c *GatewayConfig) fill() {
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 1024
-	}
-	if c.MinPerTenant <= 0 {
-		c.MinPerTenant = 8
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
-	}
-}
+const (
+	// gatewayMaxQueue bounds the queued (undispatched) envelopes across
+	// all tenants; each tenant's share is weighted.
+	gatewayMaxQueue = 1024
+	// gatewayMinPerTenant floors every tenant's admission cap so a
+	// low-weight tenant is never starved to zero.
+	gatewayMinPerTenant = 8
+	// workerLeaseTTL is how long a link lease survives without a poll or
+	// heartbeat; a worker may ask for less in its hello.
+	workerLeaseTTL = 30 * time.Second
+)
 
 // workerOutcome is what a blocked request-enqueue receives when the
 // worker reports its result.
@@ -183,6 +171,9 @@ type workerLease struct {
 type WorkerGateway struct {
 	host *Host
 	cfg  GatewayConfig
+	// maxQueue and minPerTenant are gatewayMaxQueue and
+	// gatewayMinPerTenant; tests shrink them.
+	maxQueue, minPerTenant int
 
 	mu          sync.Mutex
 	tenants     map[string]*gatewayTenant
@@ -197,15 +188,19 @@ type WorkerGateway struct {
 // its control channel under WorkerControlTenant. It is enabled at most
 // once per host.
 func (h *Host) EnableWorkerGateway(cfg GatewayConfig) (*WorkerGateway, error) {
-	cfg.fill()
-	gw := &WorkerGateway{
-		host:        h,
-		cfg:         cfg,
-		tenants:     make(map[string]*gatewayTenant),
-		leases:      make(map[string]*workerLease),
-		completions: make(chan struct{}, 1),
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
 	}
-	chain := transport.NewTenantChainWith(transport.HandlerFunc(gw.handleControl), 0, cfg.Obs)
+	gw := &WorkerGateway{
+		host:         h,
+		cfg:          cfg,
+		maxQueue:     gatewayMaxQueue,
+		minPerTenant: gatewayMinPerTenant,
+		tenants:      make(map[string]*gatewayTenant),
+		leases:       make(map[string]*workerLease),
+		completions:  make(chan struct{}, 1),
+	}
+	chain := transport.NewTenantChain(transport.HandlerFunc(gw.handleControl), cfg.Obs)
 	if err := h.addRawTenant(WorkerControlTenant, chain); err != nil {
 		return nil, err
 	}
@@ -239,27 +234,35 @@ func (g *WorkerGateway) depthLocked() {
 
 // SetWeight sets a tenant's admission/dispatch weight (default 1,
 // minimum 1). Unknown tenants get a mailbox so the weight applies once
-// the worker connects.
-func (g *WorkerGateway) SetWeight(p id.Party, w int) {
+// the worker connects; it fails for a party hosted as a coordinator.
+func (g *WorkerGateway) SetWeight(p id.Party, w int) error {
 	if w < 1 {
 		w = 1
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tenantLocked(string(p)).weight = w
+	t, err := g.tenantLocked(string(p))
+	if err != nil {
+		return err
+	}
+	t.weight = w
+	return nil
 }
 
 // tenantLocked resolves (creating if needed) a tenant mailbox. Creation
-// registers the tenant's enqueue chain with the host; registration may
-// fail if the party is hosted as a coordinator, which callers surface via
-// helloLocked.
-func (g *WorkerGateway) tenantLocked(party string) *gatewayTenant {
-	t, ok := g.tenants[party]
-	if !ok {
-		t = &gatewayTenant{party: party, weight: 1, inflight: make(map[id.Msg]*pendingItem)}
-		g.tenants[party] = t
+// registers the tenant's enqueue chain with the host, so the host routes
+// the party's traffic to every mailbox that exists; registration fails
+// if the party is hosted as a coordinator.
+func (g *WorkerGateway) tenantLocked(party string) (*gatewayTenant, error) {
+	if t, ok := g.tenants[party]; ok {
+		return t, nil
 	}
-	return t
+	if err := g.host.addRawTenant(party, g.mailboxChain(party)); err != nil {
+		return nil, err
+	}
+	t := &gatewayTenant{party: party, weight: 1, inflight: make(map[id.Msg]*pendingItem)}
+	g.tenants[party] = t
+	return t, nil
 }
 
 // capLocked is a tenant's weighted share of the queue budget.
@@ -271,9 +274,9 @@ func (g *WorkerGateway) capLocked(t *gatewayTenant) int {
 	if sum == 0 {
 		sum = 1
 	}
-	c := g.cfg.MaxQueue * t.weight / sum
-	if c < g.cfg.MinPerTenant {
-		c = g.cfg.MinPerTenant
+	c := g.maxQueue * t.weight / sum
+	if c < g.minPerTenant {
+		c = g.minPerTenant
 	}
 	return c
 }
@@ -314,7 +317,11 @@ func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transpor
 		g.counter(obs.MGatewayAdmissionRejects).Inc()
 		return nil, &transientError{fmt.Errorf("%w: tenant %q", ErrGatewayDraining, party)}
 	}
-	t := g.tenantLocked(party)
+	t, err := g.tenantLocked(party)
+	if err != nil {
+		g.mu.Unlock()
+		return nil, err
+	}
 	if len(t.queue) >= g.capLocked(t) {
 		g.mu.Unlock()
 		g.counter(obs.MGatewayAdmissionRejects).Inc()
@@ -453,7 +460,7 @@ func (g *WorkerGateway) hello(b workerHelloBody) (*workerLeaseBody, error) {
 		return nil, fmt.Errorf("protocol: worker hello names no parties")
 	}
 	now := g.cfg.Clock.Now()
-	ttl := g.cfg.LeaseTTL
+	ttl := workerLeaseTTL
 	if b.TTLMs > 0 {
 		if d := time.Duration(b.TTLMs) * time.Millisecond; d < ttl {
 			ttl = d
@@ -465,17 +472,14 @@ func (g *WorkerGateway) hello(b workerHelloBody) (*workerLeaseBody, error) {
 		return nil, ErrHostClosed
 	}
 	g.sweepLocked(now)
-	// Register every party's mailbox with the host before taking the
-	// lease; a party hosted as a coordinator cannot also be a worker.
+	// Resolve every party's mailbox before taking the lease; a party
+	// hosted as a coordinator cannot also be a worker.
 	parties := make([]string, 0, len(b.Parties))
 	for _, p := range b.Parties {
 		key := string(p)
-		if _, known := g.tenants[key]; !known {
-			if err := g.host.addRawTenant(key, g.mailboxChain(key)); err != nil {
-				return nil, err
-			}
+		if _, err := g.tenantLocked(key); err != nil {
+			return nil, err
 		}
-		g.tenantLocked(key)
 		parties = append(parties, key)
 	}
 	lease := &workerLease{
@@ -500,9 +504,9 @@ func (g *WorkerGateway) hello(b workerHelloBody) (*workerLeaseBody, error) {
 // opening, replay dedup and chunk reassembly in front of the mailbox, so
 // workers see exactly the envelopes a hosted coordinator would.
 func (g *WorkerGateway) mailboxChain(party string) transport.Handler {
-	return transport.NewTenantChainWith(transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+	return transport.NewTenantChain(transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
 		return g.enqueue(ctx, party, env)
-	}), 0, g.cfg.Obs)
+	}), g.cfg.Obs)
 }
 
 // heartbeat renews a lease without polling.
@@ -515,9 +519,9 @@ func (g *WorkerGateway) heartbeat(leaseID string) (*workerLeaseBody, error) {
 	if !ok {
 		return nil, ErrLeaseExpired
 	}
-	l.expires = now.Add(g.cfg.LeaseTTL)
+	l.expires = now.Add(workerLeaseTTL)
 	g.counter(obs.MWorkerHeartbeatsTotal).Inc()
-	return &workerLeaseBody{Lease: l.id, TTLMs: g.cfg.LeaseTTL.Milliseconds()}, nil
+	return &workerLeaseBody{Lease: l.id, TTLMs: workerLeaseTTL.Milliseconds()}, nil
 }
 
 // poll dispatches up to b.Max queued envelopes to the link, long-polling
@@ -527,7 +531,7 @@ func (g *WorkerGateway) heartbeat(leaseID string) (*workerLeaseBody, error) {
 func (g *WorkerGateway) poll(ctx context.Context, b workerPollBody) (*workerJobsBody, error) {
 	max := b.Max
 	if max <= 0 {
-		max = 16
+		max = workerPollMax
 	}
 	var timer clock.Timer
 	if b.WaitMs > 0 {
@@ -543,7 +547,7 @@ func (g *WorkerGateway) poll(ctx context.Context, b workerPollBody) (*workerJobs
 			g.mu.Unlock()
 			return nil, ErrLeaseExpired
 		}
-		l.expires = now.Add(g.cfg.LeaseTTL)
+		l.expires = now.Add(workerLeaseTTL)
 		g.counter(obs.MWorkerPollsTotal).Inc()
 		jobs := g.collectLocked(l, max)
 		draining := g.draining

@@ -63,7 +63,8 @@ func pollNow(lease string, max int) workerPollBody { return workerPollBody{Lease
 
 func TestGatewayAdmissionCap(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{MaxQueue: 4, MinPerTenant: 1})
+	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant = 4, 1
 	helloParties(t, gw, "urn:org:w")
 
 	for i := 0; i < 4; i++ {
@@ -84,10 +85,13 @@ func TestGatewayAdmissionCap(t *testing.T) {
 
 func TestGatewayWeightedFairDispatch(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{MaxQueue: 64, MinPerTenant: 16})
+	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant = 64, 16
 	heavy, light := id.Party("urn:org:heavy"), id.Party("urn:org:light")
 	lease := helloParties(t, gw, heavy, light)
-	gw.SetWeight(heavy, 3)
+	if err := gw.SetWeight(heavy, 3); err != nil {
+		t.Fatal(err)
+	}
 
 	for i := 0; i < 6; i++ {
 		if _, err := gw.enqueue(context.Background(), string(heavy), oneWay()); err != nil {
@@ -112,7 +116,7 @@ func TestGatewayWeightedFairDispatch(t *testing.T) {
 
 func TestGatewayLeaseExpiryRequeues(t *testing.T) {
 	t.Parallel()
-	_, gw, clk := newGatewayFixture(t, GatewayConfig{LeaseTTL: 30 * time.Second})
+	_, gw, clk := newGatewayFixture(t, GatewayConfig{})
 	w := id.Party("urn:org:w")
 	lease1 := helloParties(t, gw, w)
 
@@ -265,6 +269,25 @@ func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 	if _, err := gw.hello(workerHelloBody{Parties: []id.Party{p}}); err == nil {
 		t.Fatal("hello for a hosted coordinator party must fail")
 	}
+	if err := gw.SetWeight(p, 2); err == nil {
+		t.Fatal("weighting a hosted coordinator party must fail")
+	}
+}
+
+// TestGatewayWeightBeforeHelloRoutes: weighting a worker before its first
+// hello creates its mailbox, and the host must route the party's traffic
+// to that mailbox once the worker connects.
+func TestGatewayWeightBeforeHelloRoutes(t *testing.T) {
+	t.Parallel()
+	h, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	w := id.Party("urn:org:w")
+	if err := gw.SetWeight(w, 2); err != nil {
+		t.Fatal(err)
+	}
+	helloParties(t, gw, w)
+	if h.TenantHandler(string(w)) == nil {
+		t.Fatal("the host routes nothing to the weighted worker's mailbox")
+	}
 }
 
 // --- link integration -------------------------------------------------
@@ -329,7 +352,7 @@ func TestWorkerLinkEndToEnd(t *testing.T) {
 	hA := &wbPing{}
 	coA.Register(hA)
 
-	coB, err := ConnectWorker(network, WorkerConfig{Gateway: h.Addr(), PollWait: 200 * time.Millisecond}, plainServices(dir, bob))
+	coB, err := ConnectWorker(network, WorkerConfig{Gateway: h.Addr()}, plainServices(dir, bob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,15 +433,14 @@ func TestWorkerLinkReconnectFlushesOutbox(t *testing.T) {
 	handler := &wbPing{block: blocked}
 	co := &Coordinator{svc: svc, handlers: map[string]Handler{"ping": handler}}
 	ep := &downableEndpoint{gw: gw}
-	cfg := WorkerConfig{Gateway: "gw", PollWait: 50 * time.Millisecond, ReconnectBase: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond}
-	cfg.fill()
 	link := &WorkerLink{
-		cfg:     cfg,
-		svc:     svc,
-		out:     ep,
-		control: "gw",
-		recv:    transport.NewTenantChainWith(transport.HandlerFunc(co.handle), 0, nil),
-		stop:    make(chan struct{}),
+		svc:       svc,
+		out:       ep,
+		control:   "gw",
+		recv:      transport.NewTenantChain(transport.HandlerFunc(co.handle), nil),
+		pollWait:  50 * time.Millisecond,
+		outboxCap: workerOutboxCap,
+		stop:      make(chan struct{}),
 	}
 	if err := link.start(); err != nil {
 		t.Fatal(err)
@@ -465,6 +487,65 @@ func TestWorkerLinkReconnectFlushesOutbox(t *testing.T) {
 	link.mu.Unlock()
 	if rest != 0 {
 		t.Fatalf("outbox holds %d results after flush, want 0", rest)
+	}
+}
+
+// failingResults refuses every control request; the first one waits to
+// be released, holding a flush open while other results are buffered.
+type failingResults struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (e *failingResults) Addr() string { return "~test-worker" }
+
+func (e *failingResults) Send(ctx context.Context, to string, env *transport.Envelope) error {
+	_, err := e.Request(ctx, to, env)
+	return err
+}
+
+func (e *failingResults) Request(context.Context, string, *transport.Envelope) (*transport.Envelope, error) {
+	e.once.Do(func() {
+		close(e.entered)
+		<-e.release
+	})
+	return nil, tempNetErr{}
+}
+
+func (e *failingResults) Close() error { return nil }
+
+// TestWorkerOutboxCappedAcrossFailedFlush: results buffered while a flush
+// is failing join the returned ones under the same cap, oldest dropped.
+func TestWorkerOutboxCappedAcrossFailedFlush(t *testing.T) {
+	t.Parallel()
+	ep := &failingResults{entered: make(chan struct{}), release: make(chan struct{})}
+	link := &WorkerLink{
+		svc:       plainServices(NewDirectory(), "urn:org:w"),
+		out:       ep,
+		control:   "gw",
+		outboxCap: 2,
+		stop:      make(chan struct{}),
+	}
+	link.outbox = []workerResultBody{{ID: "r1"}, {ID: "r2"}}
+	flushed := make(chan struct{})
+	go func() {
+		link.flushOutbox()
+		close(flushed)
+	}()
+	<-ep.entered
+	// The link holds no lease, so these go straight to the outbox.
+	link.sendResult(workerResultBody{ID: "r3"})
+	link.sendResult(workerResultBody{ID: "r4"})
+	close(ep.release)
+	<-flushed
+	link.mu.Lock()
+	defer link.mu.Unlock()
+	var ids []id.Msg
+	for _, r := range link.outbox {
+		ids = append(ids, r.ID)
+	}
+	if len(ids) != 2 || ids[0] != "r3" || ids[1] != "r4" {
+		t.Fatalf("outbox after a failed flush = %v, want the newest 2 of 4 results", ids)
 	}
 }
 

@@ -25,48 +25,26 @@ import (
 type WorkerConfig struct {
 	// Gateway is the wire address of the host running the worker gateway.
 	Gateway string
-	// LeaseTTL is the requested lease duration (default 30s; the gateway
-	// may shorten its own default to this).
-	LeaseTTL time.Duration
-	// Heartbeat is the lease renewal interval (default LeaseTTL/3).
-	Heartbeat time.Duration
-	// PollWait is the long-poll wait (default 10s).
-	PollWait time.Duration
-	// PollMax bounds envelopes fetched per poll (default 16).
-	PollMax int
-	// OutboxCap bounds results buffered across gateway outages (default
-	// 256; the oldest result is dropped on overflow — its requester will
-	// retry and the protocol layers dedup the re-execution).
-	OutboxCap int
-	// ReconnectBase and ReconnectMax bound the reconnect backoff
-	// (defaults 50ms and 2s).
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
 }
 
-func (c *WorkerConfig) fill() {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 30 * time.Second
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.LeaseTTL / 3
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = 10 * time.Second
-	}
-	if c.PollMax <= 0 {
-		c.PollMax = 16
-	}
-	if c.OutboxCap <= 0 {
-		c.OutboxCap = 256
-	}
-	if c.ReconnectBase <= 0 {
-		c.ReconnectBase = 50 * time.Millisecond
-	}
-	if c.ReconnectMax <= 0 {
-		c.ReconnectMax = 2 * time.Second
-	}
-}
+// Worker link timing and bounds; the link asks for a workerLeaseTTL
+// lease.
+const (
+	// workerHeartbeat is the lease renewal interval.
+	workerHeartbeat = workerLeaseTTL / 3
+	// workerPollWait is the long-poll wait.
+	workerPollWait = 10 * time.Second
+	// workerPollMax bounds envelopes fetched per poll.
+	workerPollMax = 16
+	// workerOutboxCap bounds results buffered across gateway outages; the
+	// oldest result is dropped on overflow — its requester will retry and
+	// the protocol layers dedup the re-execution.
+	workerOutboxCap = 256
+	// workerReconnectBase and workerReconnectMax bound the reconnect
+	// backoff.
+	workerReconnectBase = 50 * time.Millisecond
+	workerReconnectMax  = 2 * time.Second
+)
 
 // ConnectWorker starts a coordinator for svc.Party that serves behind the
 // worker gateway at cfg.Gateway instead of running a listener. The
@@ -79,7 +57,6 @@ func ConnectWorker(network transport.Network, cfg WorkerConfig, svc *Services, o
 	if !ok {
 		return nil, fmt.Errorf("protocol: network %T cannot dial outbound worker links", network)
 	}
-	cfg.fill()
 	pcfg := config{retry: transport.DefaultRetryPolicy}
 	for _, opt := range opts {
 		opt(&pcfg)
@@ -93,12 +70,13 @@ func ConnectWorker(network transport.Network, cfg WorkerConfig, svc *Services, o
 
 	c := &Coordinator{svc: svc, handlers: make(map[string]Handler)}
 	link := &WorkerLink{
-		cfg:     cfg,
-		svc:     svc,
-		out:     out,
-		control: transport.JoinTenantAddr(cfg.Gateway, WorkerControlTenant),
-		recv:    transport.NewTenantChainWith(transport.HandlerFunc(c.handle), 0, svc.Obs),
-		stop:    make(chan struct{}),
+		svc:       svc,
+		out:       out,
+		control:   transport.JoinTenantAddr(cfg.Gateway, WorkerControlTenant),
+		recv:      transport.NewTenantChain(transport.HandlerFunc(c.handle), svc.Obs),
+		pollWait:  workerPollWait,
+		outboxCap: workerOutboxCap,
+		stop:      make(chan struct{}),
 	}
 	c.ep = &workerEndpoint{
 		link: link,
@@ -146,11 +124,14 @@ func (e *workerEndpoint) Close() error {
 
 // WorkerLink runs the hello/poll/heartbeat loops of one outbound link.
 type WorkerLink struct {
-	cfg     WorkerConfig
 	svc     *Services
 	out     transport.Endpoint
 	control string
 	recv    transport.Handler
+	// pollWait and outboxCap are workerPollWait and workerOutboxCap;
+	// tests shrink them.
+	pollWait  time.Duration
+	outboxCap int
 
 	mu        sync.Mutex
 	lease     string
@@ -256,7 +237,7 @@ func (l *WorkerLink) hello() error {
 	var lease workerLeaseBody
 	err := l.request(ctx, envWorkerHello, workerHelloBody{
 		Parties: []id.Party{l.svc.Party},
-		TTLMs:   l.cfg.LeaseTTL.Milliseconds(),
+		TTLMs:   workerLeaseTTL.Milliseconds(),
 	}, &lease)
 	if err != nil {
 		return err
@@ -292,18 +273,18 @@ func (l *WorkerLink) dropLease() {
 // failure.
 func (l *WorkerLink) runLoop() {
 	defer l.wg.Done()
-	backoff := l.cfg.ReconnectBase
+	backoff := workerReconnectBase
 	for !l.stopped() {
 		lease := l.currentLease()
 		if lease == "" {
 			if err := l.hello(); err != nil {
 				l.sleep(backoff)
-				if backoff *= 2; backoff > l.cfg.ReconnectMax {
-					backoff = l.cfg.ReconnectMax
+				if backoff *= 2; backoff > workerReconnectMax {
+					backoff = workerReconnectMax
 				}
 				continue
 			}
-			backoff = l.cfg.ReconnectBase
+			backoff = workerReconnectBase
 			continue
 		}
 		jobs, err := l.poll(lease)
@@ -330,7 +311,7 @@ func (l *WorkerLink) runLoop() {
 		if jobs.Draining && len(jobs.Jobs) == 0 {
 			// Nothing left and the gateway is winding down: back off so
 			// the drain is not spammed with immediate-return polls.
-			l.sleep(l.cfg.PollWait)
+			l.sleep(l.pollWait)
 		}
 	}
 }
@@ -339,13 +320,13 @@ func (l *WorkerLink) runLoop() {
 func (l *WorkerLink) poll(lease string) (*workerJobsBody, error) {
 	// The deadline leaves the gateway's long-poll room plus a grace
 	// period for the exchange itself.
-	ctx, cancel := context.WithTimeout(l.ctx, l.cfg.PollWait+30*time.Second)
+	ctx, cancel := context.WithTimeout(l.ctx, l.pollWait+30*time.Second)
 	defer cancel()
 	var jobs workerJobsBody
 	err := l.request(ctx, envWorkerPoll, workerPollBody{
 		Lease:  lease,
-		Max:    l.cfg.PollMax,
-		WaitMs: l.cfg.PollWait.Milliseconds(),
+		Max:    workerPollMax,
+		WaitMs: l.pollWait.Milliseconds(),
 	}, &jobs)
 	if err != nil {
 		return nil, err
@@ -377,17 +358,24 @@ func (l *WorkerLink) sendResult(res workerResultBody) {
 		}
 	}
 	l.mu.Lock()
-	if len(l.outbox) >= l.cfg.OutboxCap {
-		l.outbox = l.outbox[1:]
-	}
-	l.outbox = append(l.outbox, res)
-	depth := len(l.outbox)
+	depth := l.keepLocked(append(l.outbox, res))
 	l.mu.Unlock()
 	l.svc.Obs.Gauge(obs.MWorkerBufferedResults).Set(int64(depth))
 }
 
+// keepLocked makes results the outbox, dropping the oldest past the cap,
+// and returns its depth.
+func (l *WorkerLink) keepLocked(results []workerResultBody) int {
+	if over := len(results) - l.outboxCap; over > 0 {
+		results = results[over:]
+	}
+	l.outbox = results
+	return len(results)
+}
+
 // flushOutbox re-sends results buffered while disconnected. Results that
-// fail again go back to the buffer for the next reconnect.
+// fail again go back to the buffer for the next reconnect, ahead of those
+// buffered meanwhile and within the same cap.
 func (l *WorkerLink) flushOutbox() {
 	l.mu.Lock()
 	pending := l.outbox
@@ -401,8 +389,7 @@ func (l *WorkerLink) flushOutbox() {
 		cancel()
 		if err != nil {
 			l.mu.Lock()
-			l.outbox = append(pending[i:], l.outbox...)
-			depth := len(l.outbox)
+			depth := l.keepLocked(append(pending[i:], l.outbox...))
 			l.mu.Unlock()
 			l.svc.Obs.Gauge(obs.MWorkerBufferedResults).Set(int64(depth))
 			return
@@ -415,7 +402,7 @@ func (l *WorkerLink) flushOutbox() {
 func (l *WorkerLink) heartbeatLoop() {
 	defer l.wg.Done()
 	for {
-		t := clock.NewTimer(l.svc.Clock, l.cfg.Heartbeat)
+		t := clock.NewTimer(l.svc.Clock, workerHeartbeat)
 		select {
 		case <-l.stop:
 			t.Stop()

@@ -1,15 +1,14 @@
 // Envelope coalescing: concurrent outbound envelopes to the same
-// counterparty are combined into a single wire envelope behind a
-// size/latency window, cutting the per-message round trips that
-// section 6 of the paper counts among the costs of non-repudiation
-// ("the communication overhead of additional messages to execute
-// protocols"). The Coalescer mirrors the vault's group-commit committer:
-// per destination, a flusher goroutine drains whatever is pending into
-// one batch envelope. The receiving BatchOpener unpacks sub-envelopes and
-// dispatches each through the normal handler chain — outside the replay
-// de-duplication layer, so every sub-envelope keeps its own exactly-once
-// processing and a retransmitted or duplicated batch behaves exactly like
-// retransmitted singles.
+// counterparty are combined into a single wire envelope, cutting the
+// per-message round trips that section 6 of the paper counts among the
+// costs of non-repudiation ("the communication overhead of additional
+// messages to execute protocols"). The Coalescer mirrors the vault's
+// group-commit committer: per destination, a flusher goroutine drains
+// whatever is pending into one batch envelope. The receiving BatchOpener
+// unpacks sub-envelopes and dispatches each through the normal handler
+// chain — outside the replay de-duplication layer, so every sub-envelope
+// keeps its own exactly-once processing and a retransmitted or duplicated
+// batch behaves exactly like retransmitted singles.
 package transport
 
 import (
@@ -44,26 +43,11 @@ func BatchSize(env *Envelope) int {
 	}
 }
 
-// CoalesceOptions tunes a Coalescer.
+// CoalesceOptions configures a Coalescer.
 type CoalesceOptions struct {
-	// MaxBatch caps the sub-envelopes absorbed into one wire envelope
-	// (default DefaultMaxCoalesce).
-	MaxBatch int
-	// Window, when positive, is how long a flusher lingers after the
-	// first pending envelope to let more arrive. The default of zero
-	// drains only what is already pending (plus whatever becomes pending
-	// across a scheduler yield), adding no latency: batches form exactly
-	// when concurrency makes them profitable.
-	Window time.Duration
-	// FlushTimeout bounds one batch's wire exchange (default
-	// DefaultFlushTimeout). Individual callers' contexts cannot bound the
-	// shared flusher — a batch serves many callers — so this is what
-	// keeps an unresponsive peer from wedging a destination's queue
-	// forever.
-	FlushTimeout time.Duration
-	// Clock drives the linger-window timer (nil means the system clock).
-	// Tests pass a manual clock so window-based coalescing is exercised
-	// without sleeping wall-clock time.
+	// Clock is ignored: a flusher drains what is pending without
+	// lingering, so no timer runs. It is kept for callers that still set
+	// it.
 	Clock clock.Clock
 	// Obs, when non-nil, records batch occupancy (sub-envelopes per
 	// flushed batch) into the telemetry plane.
@@ -73,9 +57,12 @@ type CoalesceOptions struct {
 // DefaultMaxCoalesce caps the sub-envelopes in one coalesced batch.
 const DefaultMaxCoalesce = 64
 
-// DefaultFlushTimeout bounds one batch exchange. It exceeds the default
-// server-side execution timeout (30s) so a slow-but-legitimate request
-// batch is not failed spuriously.
+// DefaultFlushTimeout bounds one batch's wire exchange. Individual
+// callers' contexts cannot bound the shared flusher — a batch serves many
+// callers — so this is what keeps an unresponsive peer from wedging a
+// destination's queue forever. It exceeds the default server-side
+// execution timeout (30s) so a slow-but-legitimate request batch is not
+// failed spuriously.
 const DefaultFlushTimeout = 60 * time.Second
 
 // Coalescer wraps an Endpoint, combining concurrent Sends and Requests to
@@ -85,7 +72,6 @@ const DefaultFlushTimeout = 60 * time.Second
 // exactly-once.
 type Coalescer struct {
 	inner     Endpoint
-	opts      CoalesceOptions
 	occupancy *obs.Histogram
 
 	mu     sync.Mutex
@@ -114,18 +100,8 @@ type flushResult struct {
 
 // NewCoalescer wraps inner with envelope coalescing.
 func NewCoalescer(inner Endpoint, opts CoalesceOptions) *Coalescer {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = DefaultMaxCoalesce
-	}
-	if opts.FlushTimeout <= 0 {
-		opts.FlushTimeout = DefaultFlushTimeout
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real{}
-	}
 	return &Coalescer{
 		inner:     inner,
-		opts:      opts,
 		occupancy: opts.Obs.Histogram(obs.MCoalesceBatchOccupancy),
 		queues:    make(map[string]chan *pendingEnv),
 		quit:      make(chan struct{}),
@@ -204,7 +180,7 @@ func (c *Coalescer) queue(to string) (chan *pendingEnv, error) {
 	}
 	q, ok := c.queues[to]
 	if !ok {
-		q = make(chan *pendingEnv, 4*c.opts.MaxBatch)
+		q = make(chan *pendingEnv, 4*DefaultMaxCoalesce)
 		c.queues[to] = q
 		c.wg.Add(1)
 		go c.flusher(to, q)
@@ -235,33 +211,17 @@ func (c *Coalescer) flusher(to string, q chan *pendingEnv) {
 
 func (c *Coalescer) drain(q chan *pendingEnv, first *pendingEnv) []*pendingEnv {
 	batch := []*pendingEnv{first}
-	var deadline <-chan time.Time
-	if c.opts.Window > 0 {
-		t := clock.NewTimer(c.opts.Clock, c.opts.Window)
-		defer t.Stop()
-		deadline = t.C()
-	}
 	yields := 0
-	for len(batch) < c.opts.MaxBatch {
+	for len(batch) < DefaultMaxCoalesce {
 		select {
 		case p := <-q:
 			batch = append(batch, p)
 			continue
 		default:
 		}
-		if deadline != nil {
-			select {
-			case p := <-q:
-				batch = append(batch, p)
-			case <-deadline:
-				return batch
-			}
-			continue
-		}
-		// No linger window: yield so already-runnable senders get to
-		// enqueue (channel handoff scheduling would otherwise serialise
-		// flushes on small machines), then stop once the queue stays
-		// empty.
+		// Yield so already-runnable senders get to enqueue (channel
+		// handoff scheduling would otherwise serialise flushes on small
+		// machines), then stop once the queue stays empty.
 		if yields >= 2 {
 			return batch
 		}
@@ -273,12 +233,12 @@ func (c *Coalescer) drain(q chan *pendingEnv, first *pendingEnv) []*pendingEnv {
 
 // flush sends one batch. A single Send travels unwrapped — there is
 // nothing to coalesce and nothing to gain from the batch framing. The
-// exchange runs under FlushTimeout rather than any one caller's context:
-// a batch serves many callers, and the bound is what keeps a dead peer
-// from wedging this destination's flusher (and Close) forever.
+// exchange runs under DefaultFlushTimeout rather than any one caller's
+// context: a batch serves many callers, and the bound is what keeps a
+// dead peer from wedging this destination's flusher (and Close) forever.
 func (c *Coalescer) flush(to string, batch []*pendingEnv) {
 	c.occupancy.Observe(int64(len(batch)))
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.FlushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultFlushTimeout)
 	defer cancel()
 	if len(batch) == 1 {
 		p := batch[0]
@@ -352,23 +312,17 @@ type BatchOpener struct {
 
 var _ Handler = (*BatchOpener)(nil)
 
-// DefaultBatchWorkers is the default per-batch handler concurrency.
-// Handlers spend much of a sub-message's life blocked — executing the
-// request, waiting on the signing aggregator, appending to the log — so
-// the default exceeds GOMAXPROCS rather than matching it: concurrent
-// sub-handlers are what let one aggregate signature cover many runs.
+// DefaultBatchWorkers is the per-batch handler concurrency (or
+// GOMAXPROCS when larger). Handlers spend much of a sub-message's life
+// blocked — executing the request, waiting on the signing aggregator,
+// appending to the log — so it exceeds GOMAXPROCS rather than matching
+// it: concurrent sub-handlers are what let one aggregate signature cover
+// many runs.
 const DefaultBatchWorkers = 16
 
-// NewBatchOpener wraps inner. workers bounds per-batch concurrency; 0
-// means DefaultBatchWorkers (or GOMAXPROCS when larger).
-func NewBatchOpener(inner Handler, workers int) *BatchOpener {
-	if workers <= 0 {
-		workers = DefaultBatchWorkers
-		if n := runtime.GOMAXPROCS(0); n > workers {
-			workers = n
-		}
-	}
-	return &BatchOpener{inner: inner, workers: workers}
+// NewBatchOpener wraps inner.
+func NewBatchOpener(inner Handler) *BatchOpener {
+	return &BatchOpener{inner: inner, workers: max(DefaultBatchWorkers, runtime.GOMAXPROCS(0))}
 }
 
 // Handle implements Handler.

@@ -60,7 +60,7 @@ func TestCoalescerCombinesConcurrentRequests(t *testing.T) {
 	metered := NewMetered(inproc)
 
 	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler), 0)); err != nil {
+	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, metered, "src", CoalesceOptions{})
@@ -116,7 +116,7 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	faulty := NewFaultyNetwork(inproc, FaultPlan{Seed: 11, DropRate: 0.3, MaxDrops: 60})
 
 	handler := newCountingHandler()
-	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler), 0)); err != nil {
+	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
@@ -147,6 +147,11 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	}
 	// Eventual delivery of every message, exactly-once processing: a
 	// dropped or duplicated batch must not double-process any sub-message.
+	// A one-way send that travelled unbatched returns once the in-process
+	// transport has queued it, so its processing may still be pending.
+	for deadline := time.Now().Add(5 * time.Second); handler.total.Load() < n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := handler.total.Load(); got != n {
 		t.Fatalf("handler processed %d messages, want exactly %d", got, n)
 	}
@@ -161,7 +166,7 @@ func TestCoalescerSurvivesPartition(t *testing.T) {
 	faulty := NewFaultyNetwork(inproc, FaultPlan{})
 
 	handler := newCountingHandler()
-	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler), 0)); err != nil {
+	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
@@ -196,7 +201,7 @@ func TestCoalescerSurvivesPartition(t *testing.T) {
 
 func TestBatchOpenerReplayedBatchProcessesOnce(t *testing.T) {
 	handler := newCountingHandler()
-	opener := NewBatchOpener(NewDedup(handler), 0)
+	opener := NewBatchOpener(NewDedup(handler))
 
 	env := &Envelope{ID: "batch-1", Kind: KindBatch, Batch: []BatchItem{
 		{Env: NewEnvelope("q", []byte("a")), WantReply: true},
@@ -242,7 +247,7 @@ func TestCoalescerSingletonBypassesFraming(t *testing.T) {
 	defer inproc.Close()
 	metered := NewMetered(inproc)
 	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler), 0)); err != nil {
+	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, metered, "src", CoalesceOptions{})

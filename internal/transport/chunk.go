@@ -47,7 +47,7 @@ const (
 	KindChunkData = "chunk-data"
 )
 
-// Chunking defaults. The chunk size must leave room for the JSON/base64
+// Chunking bounds. The chunk size must leave room for the JSON/base64
 // envelope overhead (×4/3 twice: the slice inside the chunk frame and the
 // envelope body inside the wire frame) under the 16 MiB wire frame; 4 MiB
 // slices encode to ~7.2 MiB frames.
@@ -65,46 +65,36 @@ const (
 	DefaultMaxChunkStreams = 64
 )
 
-// Hard shape bounds on untrusted chunk frames, independent of options: a
-// hostile frame must not be able to make the assembler allocate more than
-// the bytes actually delivered, so the slice count (which sizes the part
-// table) and the per-slice payload are both capped.
+// Hard shape bounds on untrusted chunk frames: a hostile frame must not
+// be able to make the assembler allocate more than the bytes actually
+// delivered, so the slice count (which sizes the part table) and the
+// per-slice payload are both capped.
 const (
 	maxChunkCount = 1 << 16
 	maxChunkSlice = 8 << 20
 )
 
-// ChunkOptions tunes the chunked-transfer layer. The zero value means
-// defaults.
-type ChunkOptions struct {
-	// Threshold is the envelope body size above which chunking engages.
-	Threshold int
-	// ChunkSize is the slice size of outbound chunked transfers.
-	ChunkSize int
-	// MaxMessage bounds one reassembled envelope body, and the bytes all
+// chunkLimits are the chunked-transfer bounds one Chunker or ChunkHandler
+// applies: always the constants above, except in this package's tests,
+// which shrink them to reach the bounds with small messages.
+type chunkLimits struct {
+	// threshold is the envelope body size above which chunking engages.
+	threshold int
+	// chunkSize is the slice size of outbound chunked transfers.
+	chunkSize int
+	// maxMessage bounds one reassembled envelope body, and the bytes all
 	// of a handler's in-flight reassemblies hold together.
-	MaxMessage int64
-	// MaxStreams bounds concurrent reassemblies per handler. Past either
+	maxMessage int64
+	// maxStreams bounds concurrent reassemblies per handler. Past either
 	// bound the oldest stream is evicted.
-	MaxStreams int
-	// Obs, when non-nil, records reassembled-message sizes into the
-	// telemetry plane.
-	Obs *obs.Scope
+	maxStreams int
 }
 
-func (o *ChunkOptions) fill() {
-	if o.Threshold <= 0 {
-		o.Threshold = DefaultChunkThreshold
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
-	}
-	if o.MaxMessage <= 0 {
-		o.MaxMessage = DefaultMaxChunkMessage
-	}
-	if o.MaxStreams <= 0 {
-		o.MaxStreams = DefaultMaxChunkStreams
-	}
+var defaultChunkLimits = chunkLimits{
+	threshold:  DefaultChunkThreshold,
+	chunkSize:  DefaultChunkSize,
+	maxMessage: DefaultMaxChunkMessage,
+	maxStreams: DefaultMaxChunkStreams,
 }
 
 // chunkFrame is the body of every chunk-* envelope.
@@ -148,15 +138,14 @@ func isChunkKind(kind string) bool {
 // still share batches.
 type Chunker struct {
 	inner Endpoint
-	opts  ChunkOptions
+	lim   chunkLimits
 }
 
 var _ Endpoint = (*Chunker)(nil)
 
 // NewChunker wraps inner with chunked transfer.
-func NewChunker(inner Endpoint, opts ChunkOptions) *Chunker {
-	opts.fill()
-	return &Chunker{inner: inner, opts: opts}
+func NewChunker(inner Endpoint) *Chunker {
+	return &Chunker{inner: inner, lim: defaultChunkLimits}
 }
 
 // Addr implements Endpoint.
@@ -167,7 +156,7 @@ func (k *Chunker) Close() error { return k.inner.Close() }
 
 // oversized reports whether the envelope needs chunking.
 func (k *Chunker) oversized(env *Envelope) bool {
-	return len(env.Body) > k.opts.Threshold && !isChunkKind(env.Kind)
+	return len(env.Body) > k.lim.threshold && !isChunkKind(env.Kind)
 }
 
 // Send implements Endpoint.
@@ -197,7 +186,7 @@ func (k *Chunker) Request(ctx context.Context, to string, env *Envelope) (*Envel
 // own exchange; the final slice's reply is the assembled exchange's reply.
 func (k *Chunker) sendChunked(ctx context.Context, to string, env *Envelope, wantReply bool) (*Envelope, error) {
 	body := env.Body
-	cs := k.opts.ChunkSize
+	cs := k.lim.chunkSize
 	total := (len(body) + cs - 1) / cs
 	stream := string(id.NewMsg())
 	for seq := 0; seq < total; seq++ {
@@ -234,7 +223,7 @@ func (k *Chunker) resolveReply(ctx context.Context, to, tenant string, reply *En
 	if err := unmarshalChunkFrame(reply.Body, &f); err != nil {
 		return nil, fmt.Errorf("transport: decode chunked reply header: %w", err)
 	}
-	if f.Total < 1 || f.Total > maxChunkCount || f.Size < 0 || f.Size > k.opts.MaxMessage || f.Seq != 0 {
+	if f.Total < 1 || f.Total > maxChunkCount || f.Size < 0 || f.Size > k.lim.maxMessage || f.Seq != 0 {
 		return nil, fmt.Errorf("transport: chunked reply header out of bounds (%d slices, %d bytes)", f.Total, f.Size)
 	}
 	if int64(len(f.Data)) > f.Size {
@@ -277,18 +266,18 @@ func (k *Chunker) resolveReply(ctx context.Context, to, tenant string, reply *En
 // without re-dispatching the assembled envelope.
 type ChunkHandler struct {
 	inner      Handler
-	opts       ChunkOptions
+	lim        chunkLimits
 	reassembly *obs.Histogram
 
 	mu sync.Mutex
 	// asm holds the in-flight reassemblies, charged with the bytes each
-	// has absorbed: at most MaxStreams of them and MaxMessage bytes in
+	// has absorbed: at most maxStreams of them and maxMessage bytes in
 	// all, so what unverified senders pin is one message's worth however
 	// many streams they open. An evicted stream is refused as truncated
 	// when its final slice arrives.
 	asm *bounded.Table[string, *chunkAssembly]
 	// replies holds the slices of stashed chunked replies, at most
-	// MaxStreams replies.
+	// maxStreams replies.
 	replies *bounded.Table[string, [][]byte]
 }
 
@@ -303,15 +292,19 @@ type chunkAssembly struct {
 	bytes int64
 }
 
-// NewChunkHandler wraps inner with chunk reassembly.
-func NewChunkHandler(inner Handler, opts ChunkOptions) *ChunkHandler {
-	opts.fill()
+// NewChunkHandler wraps inner with chunk reassembly; scope, when non-nil,
+// records reassembled-message sizes into the telemetry plane.
+func NewChunkHandler(inner Handler, scope *obs.Scope) *ChunkHandler {
+	return newChunkHandler(inner, scope, defaultChunkLimits)
+}
+
+func newChunkHandler(inner Handler, scope *obs.Scope, lim chunkLimits) *ChunkHandler {
 	return &ChunkHandler{
 		inner:      inner,
-		opts:       opts,
-		reassembly: opts.Obs.Histogram(obs.MChunkReassemblyBytes),
-		asm:        bounded.New[string, *chunkAssembly](opts.MaxStreams, opts.MaxMessage, nil),
-		replies:    bounded.New[string, [][]byte](opts.MaxStreams, 0, nil),
+		lim:        lim,
+		reassembly: scope.Histogram(obs.MChunkReassemblyBytes),
+		asm:        bounded.New[string, *chunkAssembly](lim.maxStreams, lim.maxMessage, nil),
+		replies:    bounded.New[string, [][]byte](lim.maxStreams, 0, nil),
 	}
 }
 
@@ -336,7 +329,7 @@ func (h *ChunkHandler) Handle(ctx context.Context, env *Envelope) (*Envelope, er
 		if !f.WantReply || reply == nil {
 			return &Envelope{ID: id.NewMsg(), Kind: KindChunkAck}, nil
 		}
-		if len(reply.Body) <= h.opts.Threshold {
+		if len(reply.Body) <= h.lim.threshold {
 			return reply, nil
 		}
 		return h.stashReply(reply), nil
@@ -364,8 +357,8 @@ func (h *ChunkHandler) absorb(env *Envelope) ([]byte, *chunkFrame, error) {
 	if f.Total < 1 || f.Total > maxChunkCount {
 		return nil, nil, fmt.Errorf("transport: chunk stream of %d slices out of bounds", f.Total)
 	}
-	if f.Size < 0 || f.Size > h.opts.MaxMessage {
-		return nil, nil, fmt.Errorf("transport: chunk stream of %d bytes exceeds the %d byte limit", f.Size, h.opts.MaxMessage)
+	if f.Size < 0 || f.Size > h.lim.maxMessage {
+		return nil, nil, fmt.Errorf("transport: chunk stream of %d bytes exceeds the %d byte limit", f.Size, h.lim.maxMessage)
 	}
 	if f.Seq < 0 || f.Seq >= f.Total {
 		return nil, nil, fmt.Errorf("transport: chunk slice %d outside stream of %d", f.Seq, f.Total)
@@ -424,7 +417,7 @@ func (h *ChunkHandler) absorb(env *Envelope) ([]byte, *chunkFrame, error) {
 // stashReply stores an oversized reply for pull-style retrieval and
 // returns its chunk-reply header carrying the first slice.
 func (h *ChunkHandler) stashReply(reply *Envelope) *Envelope {
-	cs := h.opts.ChunkSize
+	cs := h.lim.chunkSize
 	body := reply.Body
 	total := (len(body) + cs - 1) / cs
 	slices := make([][]byte, total)

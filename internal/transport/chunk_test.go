@@ -15,11 +15,11 @@ import (
 // chunkStack builds an in-process network with a full chunked endpoint
 // stack on the sender and a reassembling receive chain on the handler
 // side, mirroring how coordinators compose the layers.
-func chunkStack(t *testing.T, opts ChunkOptions, handler Handler) (Endpoint, string) {
+func chunkStack(t *testing.T, lim chunkLimits, handler Handler) (Endpoint, string) {
 	t.Helper()
 	net := NewInprocNetwork()
 	t.Cleanup(func() { net.Close() })
-	recv := NewBatchOpener(NewDedup(NewChunkHandler(handler, opts)), 2)
+	recv := NewBatchOpener(NewDedup(newChunkHandler(handler, nil, lim)))
 	if _, err := net.Register("server", recv); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func chunkStack(t *testing.T, opts ChunkOptions, handler Handler) (Endpoint, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := NewChunker(NewReliable(raw, RetryPolicy{Attempts: 3}), opts)
+	ep := &Chunker{inner: NewReliable(raw, RetryPolicy{Attempts: 3}), lim: lim}
 	return ep, "server"
 }
 
@@ -42,7 +42,7 @@ func randomBody(n int, seed int64) []byte {
 }
 
 func TestChunkedRequestRoundTrip(t *testing.T) {
-	opts := ChunkOptions{Threshold: 1 << 10, ChunkSize: 300, MaxMessage: 1 << 22}
+	lim := chunkLimits{threshold: 1 << 10, chunkSize: 300, maxMessage: 1 << 22, maxStreams: DefaultMaxChunkStreams}
 	var got []byte
 	var kind string
 	handler := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
@@ -51,7 +51,7 @@ func TestChunkedRequestRoundTrip(t *testing.T) {
 		// Reply is oversized too, exercising pull-style reply chunking.
 		return &Envelope{ID: id.NewMsg(), Kind: "echo-reply", Body: append([]byte("re:"), env.Body...)}, nil
 	})
-	ep, to := chunkStack(t, opts, handler)
+	ep, to := chunkStack(t, lim, handler)
 
 	body := randomBody(10_000, 1)
 	env := NewEnvelope("bulk", body)
@@ -68,7 +68,7 @@ func TestChunkedRequestRoundTrip(t *testing.T) {
 }
 
 func TestChunkedSendOneWay(t *testing.T) {
-	opts := ChunkOptions{Threshold: 512, ChunkSize: 100, MaxMessage: 1 << 20}
+	lim := chunkLimits{threshold: 512, chunkSize: 100, maxMessage: 1 << 20, maxStreams: DefaultMaxChunkStreams}
 	var calls atomic.Int32
 	var got []byte
 	handler := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
@@ -76,7 +76,7 @@ func TestChunkedSendOneWay(t *testing.T) {
 		got = env.Body
 		return nil, nil
 	})
-	ep, to := chunkStack(t, opts, handler)
+	ep, to := chunkStack(t, lim, handler)
 	body := randomBody(2_000, 2)
 	if err := ep.Send(context.Background(), to, NewEnvelope("bulk", body)); err != nil {
 		t.Fatal(err)
@@ -87,13 +87,14 @@ func TestChunkedSendOneWay(t *testing.T) {
 }
 
 func TestSmallEnvelopePassesThrough(t *testing.T) {
-	opts := ChunkOptions{Threshold: 1 << 20}
+	lim := defaultChunkLimits
+	lim.threshold = 1 << 20
 	var sawKind string
 	handler := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		sawKind = env.Kind
 		return &Envelope{ID: env.ID, Kind: "small-reply"}, nil
 	})
-	ep, to := chunkStack(t, opts, handler)
+	ep, to := chunkStack(t, lim, handler)
 	reply, err := ep.Request(context.Background(), to, NewEnvelope("small", []byte("hello")))
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +108,13 @@ func TestSmallEnvelopePassesThrough(t *testing.T) {
 // retransmitted final chunk must return the cached reply without
 // re-dispatching the assembled envelope.
 func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
-	opts := ChunkOptions{Threshold: 100, ChunkSize: 64, MaxMessage: 1 << 20}
+	lim := chunkLimits{threshold: 100, chunkSize: 64, maxMessage: 1 << 20, maxStreams: DefaultMaxChunkStreams}
 	var calls atomic.Int32
 	inner := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		calls.Add(1)
 		return &Envelope{ID: id.NewMsg(), Kind: "done", Body: []byte("ok")}, nil
 	})
-	chain := NewDedup(NewChunkHandler(inner, opts))
+	chain := NewDedup(newChunkHandler(inner, nil, lim))
 
 	body := randomBody(150, 3)
 	f1 := chunkFrame{Stream: "s1", Seq: 0, Total: 3, Size: int64(len(body)), Data: body[:64]}
@@ -150,11 +151,11 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 }
 
 func TestChunkAssemblyRejectsAbuse(t *testing.T) {
-	opts := ChunkOptions{Threshold: 100, ChunkSize: 64, MaxMessage: 1 << 16, MaxStreams: 2}
+	lim := chunkLimits{threshold: 100, chunkSize: 64, maxMessage: 1 << 16, maxStreams: 2}
 	inner := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		return nil, nil
 	})
-	h := NewChunkHandler(inner, opts)
+	h := newChunkHandler(inner, nil, lim)
 	send := func(kind string, f chunkFrame) error {
 		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&f)})
 		return err
@@ -202,10 +203,10 @@ func TestChunkAssemblyRejectsAbuse(t *testing.T) {
 // TestChunkStreamEviction: the oldest in-flight assembly is evicted at the
 // stream cap, bounding memory regardless of how many streams a peer opens.
 func TestChunkStreamEviction(t *testing.T) {
-	opts := ChunkOptions{Threshold: 100, ChunkSize: 64, MaxMessage: 1 << 16, MaxStreams: 2}
-	h := NewChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+	lim := chunkLimits{threshold: 100, chunkSize: 64, maxMessage: 1 << 16, maxStreams: 2}
+	h := newChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		return nil, nil
-	}), opts)
+	}), nil, lim)
 	for i := 0; i < 5; i++ {
 		f := chunkFrame{Stream: fmt.Sprintf("s%d", i), Seq: 0, Total: 2, Size: 8, Data: []byte("AAAA")}
 		if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkPart, Body: canon.MustMarshal(&f)}); err != nil {
@@ -224,12 +225,13 @@ func TestChunkStreamEviction(t *testing.T) {
 // more than MaxMessage bytes, however many a sender opens within the
 // stream cap, and the stream started last still completes.
 func TestChunkReassemblyBoundedByBytes(t *testing.T) {
-	opts := ChunkOptions{MaxMessage: 1 << 16}
+	lim := defaultChunkLimits
+	lim.maxMessage = 1 << 16
 	var dispatched []byte
-	h := NewChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+	h := newChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		dispatched = env.Body
 		return nil, nil
-	}), opts)
+	}), nil, lim)
 	half := bytes.Repeat([]byte("x"), 1<<15)
 	send := func(kind, stream string, seq int) error {
 		f := chunkFrame{Stream: stream, Seq: seq, Total: 2, Size: 1 << 16, Data: half}
@@ -251,8 +253,8 @@ func TestChunkReassemblyBoundedByBytes(t *testing.T) {
 		if err := send(KindChunkPart, fmt.Sprintf("partial-%d", i), 0); err != nil {
 			t.Fatal(err)
 		}
-		if n := held(); n > opts.MaxMessage {
-			t.Fatalf("%d partial streams hold %d bytes, bound %d", i+1, n, opts.MaxMessage)
+		if n := held(); n > lim.maxMessage {
+			t.Fatalf("%d partial streams hold %d bytes, bound %d", i+1, n, lim.maxMessage)
 		}
 	}
 	if err := send(KindChunkPart, "last", 0); err != nil {

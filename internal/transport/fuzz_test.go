@@ -76,7 +76,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		terminal := HandlerFunc(func(_ context.Context, e *Envelope) (*Envelope, error) {
 			return &Envelope{ID: e.ID, Kind: "ack"}, nil
 		})
-		chain := NewTenantChain(terminal, 2)
+		chain := NewTenantChain(terminal, nil)
 		if _, err := chain.Handle(context.Background(), &env); err != nil {
 			_ = err // errors are the contract; panics are the bug
 		}
@@ -153,10 +153,10 @@ func FuzzChunkAssemble(f *testing.F) {
 		if len(steps) > 64 {
 			steps = steps[:64]
 		}
-		opts := ChunkOptions{Threshold: 128, ChunkSize: 64, MaxMessage: 1 << 12, MaxStreams: 4}
-		h := NewChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+		lim := chunkLimits{threshold: 128, chunkSize: 64, maxMessage: 1 << 12, maxStreams: 4}
+		h := newChunkHandler(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 			return &Envelope{ID: env.ID, Kind: "echo", Body: env.Body}, nil
-		}), opts)
+		}), nil, lim)
 		for _, s := range steps {
 			kind := s.Kind
 			switch kind {
@@ -177,11 +177,11 @@ func FuzzChunkAssemble(f *testing.F) {
 			}
 			streams := h.asm.Len()
 			h.mu.Unlock()
-			if streams > opts.MaxStreams {
-				t.Fatalf("%d concurrent assemblies, cap %d", streams, opts.MaxStreams)
+			if streams > lim.maxStreams {
+				t.Fatalf("%d concurrent assemblies, cap %d", streams, lim.maxStreams)
 			}
-			if held > opts.MaxMessage {
-				t.Fatalf("assembler holds %d bytes, budget %d", held, opts.MaxMessage)
+			if held > lim.maxMessage {
+				t.Fatalf("assembler holds %d bytes, budget %d", held, lim.maxMessage)
 			}
 		}
 	})

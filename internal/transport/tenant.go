@@ -86,22 +86,17 @@ func (t *tenantAddressing) Request(ctx context.Context, to string, env *Envelope
 func (t *tenantAddressing) Close() error { return t.inner.Close() }
 
 // NewTenantChain builds the standard per-tenant receive chain around a
-// tenant's handler: batch opening (bounded by workers) outside replay
-// de-duplication outside chunk reassembly, exactly as a dedicated
-// coordinator arranges them — but one instance per tenant, so the dedup
-// window, batch worker pool and chunk-reassembly buffers are sharded per
-// tenant. Chunk reassembly sits inside de-duplication so every chunk slice
-// is absorbed exactly once and a retransmitted final slice returns the
-// cached reply instead of re-dispatching the assembled envelope.
-func NewTenantChain(inner Handler, workers int) Handler {
-	return NewTenantChainWith(inner, workers, nil)
-}
-
-// NewTenantChainWith is NewTenantChain with the chain's instruments
-// (dedup hits, chunk reassembly sizes) homed in the tenant's telemetry
-// scope (nil means uninstrumented).
-func NewTenantChainWith(inner Handler, workers int, scope *obs.Scope) Handler {
-	return NewBatchOpener(NewDedupWith(NewChunkHandler(inner, ChunkOptions{Obs: scope}), scope), workers)
+// tenant's handler: batch opening outside replay de-duplication outside
+// chunk reassembly, exactly as a dedicated coordinator arranges them —
+// but one instance per tenant, so the dedup window, batch worker pool and
+// chunk-reassembly buffers are sharded per tenant. Chunk reassembly sits
+// inside de-duplication so every chunk slice is absorbed exactly once and
+// a retransmitted final slice returns the cached reply instead of
+// re-dispatching the assembled envelope. The chain's instruments (dedup
+// hits, chunk reassembly sizes) are homed in the tenant's telemetry scope
+// (nil means uninstrumented).
+func NewTenantChain(inner Handler, scope *obs.Scope) Handler {
+	return NewBatchOpener(NewDedupWith(NewChunkHandler(inner, scope), scope))
 }
 
 // TenantResolver resolves a tenant key to the tenant's receive chain.

@@ -57,7 +57,7 @@ func newCountingResolver(tenants ...string) *countingResolver {
 			}
 			return transport.NewEnvelope("re:"+tenant, env.Body), nil
 		})
-		r.chains[tenant] = transport.NewTenantChain(inner, 0)
+		r.chains[tenant] = transport.NewTenantChain(inner, nil)
 	}
 	return r
 }

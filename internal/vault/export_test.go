@@ -1,0 +1,7 @@
+package vault
+
+// WithMaxBatch caps how many pending appends one group commit absorbs,
+// so tests can make the committer cut batches as often as it can.
+func WithMaxBatch(n int) Option {
+	return func(v *Vault) { v.maxBatch = n }
+}

@@ -77,16 +77,6 @@ func WithSegmentRecords(n int) Option {
 	}
 }
 
-// WithMaxBatch caps how many pending appends one group commit absorbs
-// (default 512).
-func WithMaxBatch(n int) Option {
-	return func(v *Vault) {
-		if n > 0 {
-			v.maxBatch = n
-		}
-	}
-}
-
 // WithReadOnly opens the vault for audit only: nothing on disk is
 // created, truncated, rebuilt or re-sealed (torn tails and stale indexes
 // are recovered in memory), and Append is refused. Works on read-only
@@ -157,7 +147,7 @@ type Vault struct {
 	dir         string
 	clk         clock.Clock
 	segRecords  int
-	maxBatch    int
+	maxBatch    int // appends one group commit absorbs: 512, less in tests
 	sync        bool
 	readOnly    bool
 	prealloc    int64

@@ -317,7 +317,7 @@ func Records(records []*Record) RecordSource { return core.Records(records) }
 type (
 	// Vault is the production-scale evidence store.
 	Vault = vault.Vault
-	// VaultOption tunes a vault (VaultSegmentRecords, VaultMaxBatch,
+	// VaultOption tunes a vault (VaultSegmentRecords, VaultPreallocate,
 	// VaultWithoutSync, VaultReadOnly, VaultRestoreFrom).
 	VaultOption = vault.Option
 	// VaultQuery selects evidence records for adjudication.

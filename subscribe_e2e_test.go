@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"nonrep"
+	"nonrep/internal/clock"
+	"nonrep/internal/protocol"
 	"nonrep/internal/store"
+	"nonrep/internal/transport"
 )
 
 // negotiationDoc is the shared information of the monitored contract.
@@ -260,5 +263,81 @@ func TestSubscriptionContractMonitoringTCP(t *testing.T) {
 	}
 	if after[0].Prev != feedHash {
 		t.Fatal("resumed feed does not chain onto the killed feed's verified head")
+	}
+}
+
+// TestOpenSubscriptionsServeTokenlessSubscriber: a subscriber holding no
+// domain credential, attached the way nrverify -follow attaches, is
+// refused by a publisher enrolled without WithOpenSubscriptions and is
+// served, record by record, by one enrolled with it.
+func TestOpenSubscriptionsServeTokenlessSubscriber(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	domain, err := nonrep.NewDomain(nonrep.WithTCP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	strict, err := domain.AddOrg("urn:org:sub-strict", nonrep.WithVault(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := domain.AddOrg("urn:org:sub-open", nonrep.WithVault(t.TempDir()), nonrep.WithOpenSubscriptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := domain.AddOrg("urn:org:sub-caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	network := transport.NewTCPNetwork()
+	defer network.Close()
+	co, err := protocol.New(network, "127.0.0.1:0", &protocol.Services{
+		Party:     "urn:nonrep:nrverify",
+		Clock:     clock.Real{},
+		Directory: protocol.NewDirectory(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	client := protocol.NewSubClient(co)
+
+	if feed, err := client.SubscribeAddr(ctx, strict.Addr(), nonrep.WatchConfig{Seals: true}); err == nil {
+		feed.Close()
+		t.Fatal("a publisher without WithOpenSubscriptions served a subscriber holding no token")
+	} else if !strings.Contains(err.Error(), "not authorized") {
+		t.Fatalf("tokenless sub-open against a strict publisher: err = %v, want an authorization refusal", err)
+	}
+
+	feed, err := client.SubscribeAddr(ctx, open.Addr(), nonrep.WatchConfig{Seals: true})
+	if err != nil {
+		t.Fatalf("tokenless sub-open against an open publisher: %v", err)
+	}
+	defer feed.Close()
+	if err := open.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+		t.Fatal(err)
+	}
+	open.Serve()
+	res, err := caller.Proxy("urn:org:sub-open", ordersURI, nil).Call(ctx, "Place", "gt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		select {
+		case ev, ok := <-feed.Events():
+			if !ok {
+				t.Fatalf("feed ended before the call's evidence arrived: %v", feed.Err())
+			}
+			for _, rec := range ev.Records {
+				if rec.Token.Run == res.Run {
+					return
+				}
+			}
+		case <-ctx.Done():
+			t.Fatal("the open publisher's feed never carried the call's evidence")
+		}
 	}
 }
