@@ -83,15 +83,12 @@ func BenchmarkAblationTimestamping(b *testing.B) {
 }
 
 // BenchmarkAblationEvidenceLog compares the evidence-persistence options
-// one sequential appender sees: in-memory, the vault (one fsync per
-// commit), and the vault without fsync.
+// one sequential appender sees: the vault (one fsync per commit) and the
+// vault without fsync.
 func BenchmarkAblationEvidenceLog(b *testing.B) {
 	realm := testpki.MustRealm("urn:org:a")
 	issuer := realm.Party("urn:org:a").Issuer
 	mk := func(b *testing.B, kind string) store.Log {
-		if kind == "mem" {
-			return store.NewMemLog(realm.Clock)
-		}
 		var opts []vault.Option
 		if kind == "vault+WithoutSync" {
 			opts = append(opts, vault.WithoutSync())
@@ -102,7 +99,7 @@ func BenchmarkAblationEvidenceLog(b *testing.B) {
 		}
 		return v
 	}
-	for _, kind := range []string{"mem", "vault", "vault+WithoutSync"} {
+	for _, kind := range []string{"vault", "vault+WithoutSync"} {
 		b.Run(kind, func(b *testing.B) {
 			log := mk(b, kind)
 			defer log.Close()

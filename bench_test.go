@@ -586,8 +586,8 @@ func BenchmarkEvidenceByTxn(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := len(v.ByTxn(txn)); got != txnRecords {
-					b.Fatalf("ByTxn = %d records, want %d", got, txnRecords)
+				if got := len(testpki.Query(b, v, store.Query{Txn: txn})); got != txnRecords {
+					b.Fatalf("query by txn = %d records, want %d", got, txnRecords)
 				}
 			}
 		})

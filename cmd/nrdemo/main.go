@@ -175,7 +175,10 @@ func main() {
 	}
 	fmt.Printf("  manufacturer consumed supplier A's answer (%s) and withheld its receipt\n", res3.Status)
 	time.Sleep(300 * time.Millisecond) // let the supplier's watchdog resolve
-	report, _ := domain.Adjudicator().AuditRunStream(nonrep.Records(orgs[supplierA].Log().Records()), res3.Run)
+	report, err := domain.Adjudicator().AuditRunStream(orgs[supplierA].Vault().Query(nonrep.VaultQuery{Run: res3.Run}), res3.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  supplier A's evidence: complete=%v via TTP substitute=%v\n",
 		report.Complete(), report.Substituted)
 
@@ -191,7 +194,7 @@ func main() {
 	fmt.Println("\n== audit ==")
 	adj := domain.Adjudicator()
 	for party, org := range orgs {
-		rep := adj.AuditStream(nonrep.Records(org.Log().Records()))
+		rep := adj.AuditStream(org.Vault().Query(nonrep.VaultQuery{}))
 		fmt.Printf("  %-22s %2d records, clean=%v\n", party, rep.Records, rep.Clean())
 		if !rep.Clean() {
 			os.Exit(1)

@@ -12,6 +12,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 )
 
 const (
@@ -68,7 +69,7 @@ func writeBundle(t *testing.T, nrrDigest sig.Digest) string {
 		toks = append(toks, tok)
 	}
 	for _, p := range []id.Party{client, server} {
-		log := store.NewMemLog(clk)
+		log := testpki.Log(t, clk)
 		for _, tok := range toks {
 			dir := store.Received
 			if tok.Issuer == p {
@@ -77,7 +78,7 @@ func writeBundle(t *testing.T, nrrDigest sig.Digest) string {
 			_, err := log.Append(dir, tok, "")
 			must(err)
 		}
-		b.Logs[p] = log.Records()
+		b.Logs[p] = testpki.Query(t, log, store.Query{})
 	}
 	dir := t.TempDir()
 	must(bundle.Write(dir, b))

@@ -52,7 +52,7 @@ func TestHostEvidenceTakesTailPushes(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = v.Close() })
 	coOrg := newCo(org, v)
-	coTTP := newCo(ttp, store.NewMemLog(realm.Clock))
+	coTTP := newCo(ttp, testpki.Log(t, realm.Clock))
 
 	replicas, services := hostEvidence(coTTP, nil, t.TempDir())
 	if replicas == nil || !strings.Contains(services, "geo tail pushes") {
@@ -136,7 +136,7 @@ func TestHostEvidenceRefusesUnsignedSegShip(t *testing.T) {
 	vOrg, vMallory := fill(org), fill(mallory)
 	coOrg := newCo(org, realm.Party(org).Issuer, vOrg)
 	coMallory := newCo(mallory, nil, vMallory)
-	coTTP := newCo(ttp, realm.Party(ttp).Issuer, store.NewMemLog(realm.Clock))
+	coTTP := newCo(ttp, realm.Party(ttp).Issuer, testpki.Log(t, realm.Clock))
 	replicas, _ := hostEvidence(coTTP, nil, t.TempDir())
 
 	forged, err := vMallory.Package(1)

@@ -235,11 +235,12 @@ func WithAddr(addr string) OrgOption {
 	return func(c *orgConfig) { c.addr = addr }
 }
 
-// WithVault persists the organisation's evidence in a segmented,
-// group-committed vault rooted at dir — the production-scale store whose
-// memory stays bounded regardless of log length and whose appends are
-// batched into one fsync per group. Without it the organisation keeps its
-// evidence in memory only.
+// WithVault roots the organisation's evidence vault at dir, so the
+// evidence persists across restarts. Every organisation's evidence lives
+// in a segmented, group-committed vault whose memory stays bounded
+// regardless of log length; without WithVault that vault sits in a
+// temporary directory, runs without per-batch fsync and is removed when
+// the organisation closes.
 func WithVault(dir string, opts ...VaultOption) OrgOption {
 	return func(c *orgConfig) {
 		c.vaultDir = dir
@@ -251,10 +252,6 @@ func WithVault(dir string, opts ...VaultOption) OrgOption {
 var (
 	// VaultSegmentRecords sets the records per segment before sealing.
 	VaultSegmentRecords = vault.WithSegmentRecords
-	// VaultPreallocate reserves the given number of bytes for each
-	// active segment file up front, so steady-state group commits skip
-	// block-allocation metadata writes; sealing trims the reservation.
-	VaultPreallocate = vault.WithPreallocate
 	// VaultWithoutSync trades machine-crash durability for throughput.
 	VaultWithoutSync = vault.WithoutSync
 )
@@ -410,29 +407,29 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 			addr = string(p)
 		}
 	}
-	// The organisation's evidence lives in its vault, or — without
-	// WithVault — in the node's in-memory log.
-	var log store.Log
-	var orgVault *vault.Vault
-	if cfg.vaultDir != "" {
-		vopts := cfg.vaultOpts
-		if d.tel != nil {
-			// Full-slice append: the caller's option slice must not be
-			// extended in place when reused across organisations.
-			vopts = append(vopts[:len(vopts):len(vopts)], vault.WithObserver(d.tel.Scope(string(p))))
-		}
-		if orgVault, err = vault.Open(cfg.vaultDir, d.clk, vopts...); err != nil {
-			return nil, err
-		}
-		log = orgVault
-	} else {
-		switch {
-		case len(cfg.geoPeers) > 0:
-			return nil, fmt.Errorf("nonrep: WithReplication/WithQuorum for %s requires WithVault", p)
-		case cfg.archive != nil:
-			return nil, fmt.Errorf("nonrep: WithArchive for %s requires WithVault", p)
-		}
+	// The organisation's evidence lives in its vault: at dir with
+	// WithVault, else in a temporary directory that goes with the vault.
+	vopts := cfg.vaultOpts
+	if d.tel != nil {
+		// Full-slice append: the caller's option slice must not be
+		// extended in place when reused across organisations.
+		vopts = append(vopts[:len(vopts):len(vopts)], vault.WithObserver(d.tel.Scope(string(p))))
 	}
+	var orgVault *vault.Vault
+	switch {
+	case cfg.vaultDir != "":
+		orgVault, err = vault.Open(cfg.vaultDir, d.clk, vopts...)
+	case len(cfg.geoPeers) > 0:
+		return nil, fmt.Errorf("nonrep: WithReplication/WithQuorum for %s requires WithVault", p)
+	case cfg.archive != nil:
+		return nil, fmt.Errorf("nonrep: WithArchive for %s requires WithVault", p)
+	default:
+		orgVault, err = vault.OpenTemp(d.clk, vopts...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var log store.Log = orgVault
 	// Under a sync quorum policy the node's evidence log is the gated
 	// wrapper: appends return only once the quorum of peer replicas
 	// acknowledges. The policy engine attaches after the node exists —
@@ -461,9 +458,7 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	}
 	if cfg.worker != nil {
 		if host != nil {
-			if log != nil {
-				log.Close()
-			}
+			log.Close()
 			return nil, fmt.Errorf("nonrep: %s cannot be both hosted and a worker", p)
 		}
 		nodeCfg.Worker = cfg.worker
@@ -473,21 +468,17 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		// Release the log we opened: a leaked vault would keep its
 		// committer goroutine and exclusive lock, blocking any retry of
 		// AddOrg against the same directory.
-		if log != nil {
-			log.Close()
-		}
+		log.Close()
 		return nil, err
 	}
-	org := &Org{domain: d, node: node, cert: cert, acl: access.NewManager(), gated: gated}
-	if err := org.startAudit(cfg, orgVault); err != nil {
+	org := &Org{domain: d, node: node, cert: cert, acl: access.NewManager(), vault: orgVault, gated: gated}
+	if err := org.startAudit(cfg); err != nil {
 		_ = node.Close()
-		if log != nil {
-			log.Close()
-		}
+		log.Close()
 		return nil, err
 	}
-	org.startGeo(cfg, orgVault)
-	org.startSub(cfg, orgVault)
+	org.startGeo(cfg)
+	org.startSub(cfg)
 	// Register the sharing controller eagerly so the organisation can be
 	// admitted to sharing groups (receive welcome transfers) before it
 	// first touches shared information itself.
@@ -512,9 +503,7 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		if _, err := org.durable.Recover(); err != nil {
 			_ = org.durable.Close()
 			_ = node.Close()
-			if log != nil {
-				log.Close()
-			}
+			log.Close()
 			return nil, err
 		}
 	}
@@ -538,6 +527,8 @@ func (d *Domain) Org(p Party) (*Org, error) {
 // ExportBundle writes a portable evidence bundle — root certificate, all
 // party certificates and every organisation's evidence log — to dir, for
 // offline verification with an Adjudicator (for example via cmd/nrverify).
+// A log that cannot be read in full fails the export: a bundle missing
+// records would present missing evidence as absent evidence.
 func (d *Domain) ExportBundle(dir string) error {
 	d.mu.Lock()
 	b := &bundle.Bundle{
@@ -545,8 +536,13 @@ func (d *Domain) ExportBundle(dir string) error {
 		Logs: make(map[Party][]*store.Record, len(d.orgs)),
 	}
 	for p, org := range d.orgs {
+		recs, err := org.vault.QueryAll(vault.Query{})
+		if err != nil {
+			d.mu.Unlock()
+			return fmt.Errorf("nonrep: export %s: %w", p, err)
+		}
 		b.Certs = append(b.Certs, org.cert)
-		b.Logs[p] = org.node.Log().Records()
+		b.Logs[p] = recs
 	}
 	d.mu.Unlock()
 	return bundle.Write(dir, b)
@@ -603,6 +599,7 @@ type Org struct {
 	subCli   *protocol.SubClient
 	geoSvc   *protocol.GeoService
 	geoCli   *protocol.GeoClient
+	vault    *vault.Vault
 	replicas *vault.ReplicaSet
 	geo      *georep.Engine
 	gated    *georep.GatedLog
@@ -619,20 +616,14 @@ type Org struct {
 	closeErr  error
 }
 
-// startAudit wires the organisation's remote-audit services: a replica
-// store and audit service whenever the organisation has evidence worth
-// serving (a vault) or is asked to host replicas.
-func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
-	// Every organisation can drive remote audits of its peers — the
-	// client needs only the coordinator. Serving audits (the service)
-	// additionally needs evidence to serve: a vault or a replica store.
+// startAudit wires the organisation's remote-audit services: the audit
+// client, the audit service over its vault and, when the organisation
+// has a vault directory or is asked to host replicas, a replica store.
+func (o *Org) startAudit(cfg orgConfig) error {
 	o.auditCli = protocol.NewAuditClient(o.node.Coordinator())
 	root := cfg.replicaRoot
 	if root == "" && cfg.vaultDir != "" {
 		root = filepath.Join(cfg.vaultDir, "replicas")
-	}
-	if root == "" && v == nil {
-		return nil
 	}
 	var rs *vault.ReplicaSet
 	if root != "" {
@@ -644,8 +635,8 @@ func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 	o.replicas = rs
 	// The replica store accepts only authenticated seg-ship: every
 	// shipment must carry a token signed by the source organisation itself.
-	o.audit = protocol.NewAuditService(o.node.Coordinator(), v, rs)
-	o.registerHealth(v)
+	o.audit = protocol.NewAuditService(o.node.Coordinator(), o.vault, rs)
+	o.registerHealth()
 	return nil
 }
 
@@ -656,7 +647,7 @@ func (o *Org) startAudit(cfg orgConfig, v *vault.Vault) error {
 // engine. Under a sync policy (quorum > 0) the engine attaches to the
 // gated log built in addOrg, and appends start gating on quorum
 // acknowledgement from this point on.
-func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
+func (o *Org) startGeo(cfg orgConfig) {
 	o.geoCli = protocol.NewGeoClient(o.node.Coordinator())
 	if o.replicas != nil {
 		o.geoSvc = protocol.NewGeoService(o.node.Coordinator(), o.replicas)
@@ -675,7 +666,7 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 	if tel != nil {
 		opts = append(opts, georep.WithObserver(tel.Scope(party)))
 	}
-	o.geo = georep.NewEngine(v, party, policy, o.domain.clk, opts...)
+	o.geo = georep.NewEngine(o.vault, party, policy, o.domain.clk, opts...)
 	// A peer named by both WithReplication and WithQuorum is one target:
 	// two would give it two votes.
 	seen := make(map[Party]bool, len(cfg.geoPeers))
@@ -698,43 +689,38 @@ func (o *Org) startGeo(cfg orgConfig, v *vault.Vault) {
 }
 
 // startSub wires the live-subscription plane: every organisation can
-// subscribe to peers' evidence feeds (the client); vault-backed ones
-// also serve their own (the service).
-func (o *Org) startSub(cfg orgConfig, v *vault.Vault) {
+// subscribe to peers' evidence feeds (the client) and serves its own (the
+// service).
+func (o *Org) startSub(cfg orgConfig) {
 	o.subCli = protocol.NewSubClient(o.node.Coordinator())
-	if v == nil {
-		return
-	}
 	var opts []protocol.SubOption
 	if cfg.openSubs {
 		opts = append(opts, protocol.WithAnonymousSubscribe())
 	}
-	o.sub = protocol.NewSubService(o.node.Coordinator(), v, opts...)
+	o.sub = protocol.NewSubService(o.node.Coordinator(), o.vault, opts...)
 }
 
 // registerHealth publishes the organisation's vault shape and seal-chain
 // head on the domain's telemetry plane, where /healthz reports them.
-func (o *Org) registerHealth(v *vault.Vault) {
+func (o *Org) registerHealth() {
 	tel := o.domain.tel
 	if tel == nil {
 		return
 	}
-	party := string(o.node.Party())
-	if v != nil {
-		tel.SetHealth("vault:"+party, func() any {
-			st := v.Stats()
-			h := map[string]any{
-				"segments":       st.Segments,
-				"sealed_records": st.SealedRecords,
-				"tail_records":   st.TailRecords,
-				"last_seq":       st.LastSeq,
-			}
-			if m := v.Manifest(); len(m) > 0 {
-				h["seal_head"] = m[len(m)-1].Digest
-			}
-			return h
-		})
-	}
+	v := o.vault
+	tel.SetHealth("vault:"+string(o.node.Party()), func() any {
+		st := v.Stats()
+		h := map[string]any{
+			"segments":       st.Segments,
+			"sealed_records": st.SealedRecords,
+			"tail_records":   st.TailRecords,
+			"last_seq":       st.LastSeq,
+		}
+		if m := v.Manifest(); len(m) > 0 {
+			h["seal_head"] = m[len(m)-1].Digest
+		}
+		return h
+	})
 }
 
 // Party returns the organisation's identifier.
@@ -752,21 +738,13 @@ func (o *Org) AccessControl() *access.Manager { return o.acl }
 // Log returns the organisation's evidence log.
 func (o *Org) Log() store.Log { return o.node.Log() }
 
-// Vault returns the organisation's evidence vault, or nil when the
-// organisation was not enrolled with WithVault. The vault exposes the
-// audit query engine (Query, QueryAll, DeepVerify, Stats) beyond the
-// plain Log interface. Under a sync quorum policy the node's log is the
-// quorum-gated wrapper; this unwraps to the vault beneath it.
-func (o *Org) Vault() *vault.Vault {
-	log := o.node.Log()
-	if v, ok := log.(*vault.Vault); ok {
-		return v
-	}
-	if uw, ok := log.(interface{ Unwrap() *vault.Vault }); ok {
-		return uw.Unwrap()
-	}
-	return nil
-}
+// Vault returns the organisation's evidence vault; it is never nil.
+// Without WithVault the vault lives in a temporary directory removed when
+// the organisation closes. The vault exposes the audit query engine
+// (Query, QueryAll, DeepVerify, Stats) beyond the Log interface. Under a
+// sync quorum policy the node's log is the quorum-gated wrapper around
+// this vault.
+func (o *Org) Vault() *vault.Vault { return o.vault }
 
 // Durability reports the organisation's replication state: policy mode,
 // quorum arithmetic, per-replica acknowledgement watermarks and archival
@@ -831,13 +809,8 @@ func (o *Org) Provenance(ctx context.Context, peer Party, run Run) (*ProvGraph, 
 }
 
 // Subscribers reports how many live subscriptions the organisation's
-// vault feed currently serves (zero when the organisation has no vault).
-func (o *Org) Subscribers() int {
-	if o.sub == nil {
-		return 0
-	}
-	return o.sub.Subscribers()
-}
+// vault feed currently serves.
+func (o *Org) Subscribers() int { return o.sub.Subscribers() }
 
 // Watch subscribes one enrolled organisation to another's live evidence
 // feed — Org.Subscribe, resolved through the domain.
@@ -1017,17 +990,13 @@ func (o *Org) teardown() error {
 			firstErr = err
 		}
 	}
-	if o.audit != nil {
-		if err := o.audit.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := o.audit.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
-	if o.sub != nil {
-		// End live feeds and cancel the vault hooks before the vault
-		// itself closes below.
-		if err := o.sub.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	// End live feeds and cancel the vault hooks before the vault itself
+	// closes below.
+	if err := o.sub.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	if err := o.node.Close(); err != nil && firstErr == nil {
 		firstErr = err

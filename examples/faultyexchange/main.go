@@ -114,7 +114,10 @@ func main() {
 	// Scene 3: adjudication.
 	fmt.Println("\n== scene 3: adjudication from logs alone ==")
 	adj := domain.Adjudicator()
-	report, _ := adj.AuditRunStream(nonrep.Records(srv.Log().Records()), res2.Run)
+	report, err := adj.AuditRunStream(srv.Vault().Query(nonrep.VaultQuery{Run: res2.Run}), res2.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  request proven:          %v\n", report.RequestProven)
 	fmt.Printf("  response proven:         %v\n", report.ResponseProven)
 	fmt.Printf("  response receipt proven: %v (TTP substitute: %v)\n",

@@ -137,7 +137,7 @@ func main() {
 	}
 	adj := domain.Adjudicator()
 	for p, org := range orgs {
-		report := adj.AuditStream(nonrep.Records(org.Log().Records()))
+		report := adj.AuditStream(org.Vault().Query(nonrep.VaultQuery{}))
 		if !report.Clean() {
 			log.Fatalf("%s log audit failed: %+v", p, report)
 		}

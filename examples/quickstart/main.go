@@ -84,7 +84,10 @@ func main() {
 
 	// Offline adjudication: the manufacturer's log alone proves the
 	// complete exchange.
-	report, _ := domain.Adjudicator().AuditRunStream(nonrep.Records(manufacturer.Log().Records()), res.Run)
+	report, err := domain.Adjudicator().AuditRunStream(manufacturer.Vault().Query(nonrep.VaultQuery{Run: res.Run}), res.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nadjudicator's reconstruction from the manufacturer's log:")
 	fmt.Printf("  request by %s proven:   %v\n", report.Client, report.RequestProven)
 	fmt.Printf("  receipt by %s proven:   %v\n", report.Server, report.ReceiptProven)

@@ -226,13 +226,16 @@ func main() {
 	fmt.Println("\n== audit ==")
 	adj := domain.Adjudicator()
 	for p, h := range orgs {
-		report := adj.AuditStream(nonrep.Records(h.org.Log().Records()))
+		report := adj.AuditStream(h.org.Vault().Query(nonrep.VaultQuery{}))
 		fmt.Printf("  %-22s %2d evidence records, clean=%v\n", p, report.Records, report.Clean())
 		if !report.Clean() {
 			log.Fatal("audit failed")
 		}
 	}
-	runReport, _ := adj.AuditRunStream(nonrep.Records(orgs[manufacturer].org.Log().Records()), orderRes.Run)
+	runReport, err := adj.AuditRunStream(orgs[manufacturer].org.Vault().Query(nonrep.VaultQuery{Run: orderRes.Run}), orderRes.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  dealer's order: request proven=%v, response proven=%v\n",
 		runReport.RequestProven, runReport.ResponseProven)
 }

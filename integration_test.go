@@ -108,7 +108,7 @@ func TestCrashRecoveryVault(t *testing.T) {
 	if err := log.VerifyChain(); err != nil {
 		t.Fatal(err)
 	}
-	if report := core.NewAdjudicator(realm.Store).AuditStream(core.Records(log.Records())); !report.Clean() {
+	if report := core.NewAdjudicator(realm.Store).AuditStream(core.Records(testpki.Query(t, log, store.Query{}))); !report.Clean() {
 		t.Fatalf("audit after recovery: %+v", report)
 	}
 }

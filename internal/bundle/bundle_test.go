@@ -26,8 +26,8 @@ const (
 func buildBundle(t *testing.T) (*bundle.Bundle, *testpki.Realm) {
 	t.Helper()
 	realm := testpki.MustRealm(orgA, orgB)
-	logA := store.NewMemLog(realm.Clock)
-	logB := store.NewMemLog(realm.Clock)
+	logA := testpki.Log(t, realm.Clock)
+	logB := testpki.Log(t, realm.Clock)
 	run := id.NewRun()
 	tokA, err := realm.Party(orgA).Issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("req")))
 	if err != nil {
@@ -53,8 +53,8 @@ func buildBundle(t *testing.T) (*bundle.Bundle, *testpki.Realm) {
 		CA:    realm.CA.Certificate(),
 		Certs: []*credential.Certificate{realm.Party(orgA).Cert, realm.Party(orgB).Cert},
 		Logs: map[id.Party][]*store.Record{
-			orgA: logA.Records(),
-			orgB: logB.Records(),
+			orgA: testpki.Query(t, logA, store.Query{}),
+			orgB: testpki.Query(t, logB, store.Query{}),
 		},
 	}, realm
 }
@@ -68,11 +68,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logC := store.NewMemLog(realm.Clock)
+	logC := testpki.Log(t, realm.Clock)
 	if _, err := logC.Append(store.Received, tok, "recv"); err != nil {
 		t.Fatal(err)
 	}
-	b.Logs[orgC] = logC.Records()
+	b.Logs[orgC] = testpki.Query(t, logC, store.Query{})
 	b.Logs[orgD] = nil
 	dir := t.TempDir()
 	if err := bundle.Write(dir, b); err != nil {

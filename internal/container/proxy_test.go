@@ -11,6 +11,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -72,8 +73,8 @@ func TestProxyResolvesParamKinds(t *testing.T) {
 	// The NRO token's digest covers a snapshot carrying all three
 	// resolved kinds; reconstruct what was signed from the run's
 	// evidence by checking token digests are consistent across parties.
-	clientRecords := d.Node(dealer).Log().ByRun(res.Run)
-	serverRecords := d.Node(manufacturer).Log().ByRun(res.Run)
+	clientRecords := testpki.Query(t, d.Node(dealer).Log(), store.Query{Run: res.Run})
+	serverRecords := testpki.Query(t, d.Node(manufacturer).Log(), store.Query{Run: res.Run})
 	if len(clientRecords) == 0 || len(serverRecords) == 0 {
 		t.Fatal("missing evidence")
 	}

@@ -70,7 +70,7 @@ type RecordSource interface {
 	Err() error
 }
 
-// Records presents records already in memory (a node's log, a bundle's
+// Records presents records already in memory (a query result, a bundle's
 // logs) as a RecordSource.
 func Records(records []*store.Record) RecordSource { return &sliceSource{records: records} }
 

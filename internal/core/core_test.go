@@ -11,6 +11,7 @@ import (
 	"nonrep/internal/protocol"
 	"nonrep/internal/sharing"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
 )
@@ -82,7 +83,7 @@ func TestAdjudicatorAuditLog(t *testing.T) {
 
 	adj := core.NewAdjudicator(d.Realm.Store)
 	for _, p := range []id.Party{client, server} {
-		report := adj.AuditStream(core.Records(d.Node(p).Log().Records()))
+		report := adj.AuditStream(core.Records(testpki.Query(t, d.Node(p).Log(), store.Query{})))
 		if !report.Clean() {
 			t.Fatalf("%s log not clean: %+v", p, report)
 		}
@@ -92,7 +93,7 @@ func TestAdjudicatorAuditLog(t *testing.T) {
 	}
 
 	// Tampering with a record breaks the chain.
-	records := d.Node(client).Log().Records()
+	records := testpki.Query(t, d.Node(client).Log(), store.Query{})
 	records[1].Note = "doctored"
 	report := adj.AuditStream(core.Records(records))
 	if report.ChainOK {
@@ -122,7 +123,7 @@ func TestAdjudicatorAuditRun(t *testing.T) {
 
 	adj := core.NewAdjudicator(d.Realm.Store)
 	// The server's log alone proves the complete exchange.
-	report, _ := adj.AuditRunStream(core.Records(d.Node(server).Log().Records()), res.Run)
+	report, _ := adj.AuditRunStream(core.Records(testpki.Query(t, d.Node(server).Log(), store.Query{})), res.Run)
 	if !report.Complete() {
 		t.Fatalf("run not complete: %+v", report)
 	}
@@ -152,7 +153,7 @@ func TestAdjudicatorDetectsMissingReceipt(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj := core.NewAdjudicator(d.Realm.Store)
-	report, _ := adj.AuditRunStream(core.Records(d.Node(server).Log().Records()), res.Run)
+	report, _ := adj.AuditRunStream(core.Records(testpki.Query(t, d.Node(server).Log(), store.Query{})), res.Run)
 	if report.Complete() {
 		t.Fatal("exchange reported complete despite withheld receipt")
 	}
@@ -191,7 +192,7 @@ func TestAdjudicatorAuditSharedHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := adj.AuditSharedHistory(history, d.Node(p).Log().Records()); err != nil {
+		if err := adj.AuditSharedHistory(history, testpki.Query(t, d.Node(p).Log(), store.Query{})); err != nil {
 			t.Fatalf("%s history audit: %v", p, err)
 		}
 	}
@@ -206,7 +207,7 @@ func TestAdjudicatorAuditSharedHistory(t *testing.T) {
 	extra.Run = "run-forged"
 	extra.Chain = sig.SumPair(forged[len(forged)-1].Chain, extra.ProposalDigest)
 	forged = append(forged, extra)
-	if err := adj.AuditSharedHistory(forged, d.Node(client).Log().Records()); err == nil {
+	if err := adj.AuditSharedHistory(forged, testpki.Query(t, d.Node(client).Log(), store.Query{})); err == nil {
 		t.Fatal("audit accepted forged history")
 	}
 }

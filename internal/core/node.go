@@ -20,6 +20,7 @@ import (
 	"nonrep/internal/stamp"
 	"nonrep/internal/store"
 	"nonrep/internal/transport"
+	"nonrep/internal/vault"
 )
 
 // NodeConfig assembles a trusted interceptor for one party.
@@ -56,7 +57,9 @@ type NodeConfig struct {
 	// Directory resolves parties to coordinator addresses; it is shared
 	// by the parties of a trust domain.
 	Directory *protocol.Directory
-	// Log stores the party's evidence; defaults to an in-memory log.
+	// Log stores the party's evidence. Without one the node opens a
+	// vault in a temporary directory (vault.OpenTemp) and closes it, and
+	// so removes it, with the node.
 	Log store.Log
 	// States stores shared-information state; defaults to in-memory.
 	States store.StateStore
@@ -84,6 +87,8 @@ type Node struct {
 	cfg   NodeConfig
 	co    *protocol.Coordinator
 	batch *evidence.BatchIssuer
+	// ownLog is the temporary vault the node opened for want of a Log.
+	ownLog store.Log
 }
 
 // NewNode assembles and starts a trusted interceptor.
@@ -97,9 +102,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.Log == nil {
-		cfg.Log = store.NewMemLog(cfg.Clock)
-	}
 	if cfg.States == nil {
 		cfg.States = store.NewMemStateStore()
 	}
@@ -107,6 +109,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.Addr = string(cfg.Party)
 	}
 	scope := cfg.Telemetry.Scope(string(cfg.Party))
+	var ownLog store.Log
+	if cfg.Log == nil {
+		v, err := vault.OpenTemp(cfg.Clock, vault.WithObserver(scope))
+		if err != nil {
+			return nil, fmt.Errorf("core: evidence log for %s: %w", cfg.Party, err)
+		}
+		cfg.Log, ownLog = v, v
+	}
 	base := &evidence.Issuer{Party: cfg.Party, Signer: cfg.Signer, Clock: cfg.Clock, TSA: cfg.TSA}
 	var issuer evidence.TokenIssuer = base
 	var batch *evidence.BatchIssuer
@@ -170,9 +180,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if batch != nil {
 			_ = batch.Close()
 		}
+		if ownLog != nil {
+			_ = ownLog.Close() // the start failure is the error worth reporting
+		}
 		return nil, fmt.Errorf("core: start coordinator for %s: %w", cfg.Party, err)
 	}
-	return &Node{cfg: cfg, co: co, batch: batch}, nil
+	return &Node{cfg: cfg, co: co, batch: batch, ownLog: ownLog}, nil
 }
 
 // Party returns the party this node acts for.
@@ -190,13 +203,19 @@ func (n *Node) Log() store.Log { return n.cfg.Log }
 // States returns the node's state store.
 func (n *Node) States() store.StateStore { return n.cfg.States }
 
-// Close stops the node's coordinator and, when batch signing is enabled,
-// its aggregate signer.
+// Close stops the node's coordinator, its aggregate signer when batch
+// signing is enabled, and the evidence log it opened itself; a Log passed
+// in NodeConfig stays the caller's to close.
 func (n *Node) Close() error {
 	err := n.co.Close()
 	if n.batch != nil {
 		if berr := n.batch.Close(); err == nil {
 			err = berr
+		}
+	}
+	if n.ownLog != nil {
+		if lerr := n.ownLog.Close(); err == nil {
+			err = lerr
 		}
 	}
 	return err

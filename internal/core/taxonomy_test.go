@@ -70,7 +70,7 @@ func (f *runFixture) logs(t *testing.T) (clientLog, serverLog []*store.Record) {
 		f.issue(t, client, evidence.KindNRRResp, f.receipt(t, f.resp, evidence.Consumed)),
 	}
 	build := func(own id.Party) []*store.Record {
-		log := store.NewMemLog(f.realm.Clock)
+		log := testpki.Log(t, f.realm.Clock)
 		for _, tok := range toks {
 			dir := store.Received
 			if tok.Issuer == own {
@@ -80,7 +80,7 @@ func (f *runFixture) logs(t *testing.T) (clientLog, serverLog []*store.Record) {
 				t.Fatal(err)
 			}
 		}
-		return log.Records()
+		return testpki.Query(t, log, store.Query{})
 	}
 	return build(client), build(server)
 }

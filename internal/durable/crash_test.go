@@ -15,6 +15,8 @@ import (
 	"nonrep/internal/durable"
 	"nonrep/internal/evidence"
 	"nonrep/internal/invoke"
+	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
 )
 
@@ -183,7 +185,7 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 		t.Fatalf("job journal for run %s: %v, want one enqueued and one done", run, kinds)
 	}
 	srvKinds := make(map[evidence.Kind]int)
-	for _, r := range sn.Log().ByRun(run) {
+	for _, r := range testpki.Query(t, sn.Log(), store.Query{Run: run}) {
 		srvKinds[r.Token.Kind]++
 	}
 	for _, k := range []evidence.Kind{evidence.KindNRO, evidence.KindNRR, evidence.KindNROResp} {

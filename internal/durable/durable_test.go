@@ -49,7 +49,7 @@ func newFixture(t *testing.T, parties ...id.Party) *fixture {
 }
 
 // node starts a trusted interceptor for p at addr over the given log
-// (nil for in-memory).
+// (nil for a temporary vault).
 func (f *fixture) node(p id.Party, addr string, log store.Log) *core.Node {
 	f.t.Helper()
 	retry := testpki.FastRetry
@@ -131,14 +131,9 @@ func advanceUntil(t *testing.T, clk *clock.Manual, step time.Duration, cond func
 	}
 }
 
-func countKind(log store.Log, kind evidence.Kind) int {
-	n := 0
-	for _, r := range log.Records() {
-		if r.Token.Kind == kind {
-			n++
-		}
-	}
-	return n
+func countKind(t *testing.T, log store.Log, kind evidence.Kind) int {
+	t.Helper()
+	return len(testpki.Query(t, log, store.Query{Kind: kind}))
 }
 
 func terminal(jb *durable.Job) bool {
@@ -156,7 +151,7 @@ func TestSubmitHappyPath(t *testing.T) {
 	exec, calls := echoExec()
 	srv := invoke.NewServer(sn.Coordinator(), exec)
 	defer srv.Close()
-	rt, _ := f.runtime(cn, durable.RetryPolicy{})
+	rt, j := f.runtime(cn, durable.RetryPolicy{})
 	defer rt.Close()
 
 	jb, err := rt.Submit(context.Background(), server, orderRequest())
@@ -180,18 +175,22 @@ func TestSubmitHappyPath(t *testing.T) {
 		t.Fatalf("executor ran %d times", calls.Load())
 	}
 
+	// job-done rides the next group commit; Sync is its barrier.
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	log := cn.Log()
-	if got := countKind(log, evidence.KindJobEnqueued); got != 1 {
+	if got := countKind(t, log, evidence.KindJobEnqueued); got != 1 {
 		t.Fatalf("job-enqueued records = %d", got)
 	}
-	if got := countKind(log, evidence.KindJobDone); got != 1 {
+	if got := countKind(t, log, evidence.KindJobDone); got != 1 {
 		t.Fatalf("job-done records = %d", got)
 	}
-	if got := countKind(log, evidence.KindJobAttempt); got != 0 {
+	if got := countKind(t, log, evidence.KindJobAttempt); got != 0 {
 		t.Fatalf("job-attempt records = %d", got)
 	}
 	// The run's evidence rides the same chain as the job records.
-	if got := len(log.ByRun(jb.ID())); got != 6 {
+	if got := len(testpki.Query(t, log, store.Query{Run: jb.ID()})); got != 6 {
 		t.Fatalf("run records = %d, want 6 (4 evidence + enqueued + done)", got)
 	}
 	if err := log.VerifyChain(); err != nil {
@@ -222,7 +221,7 @@ func TestRetryAfterTransientFailure(t *testing.T) {
 	defer cn.Close()
 	sn := f.node(server, "srv", nil)
 	defer sn.Close()
-	rt, _ := f.runtime(cn, durable.RetryPolicy{MaxAttempts: 5, Backoff: 50 * time.Millisecond})
+	rt, j := f.runtime(cn, durable.RetryPolicy{MaxAttempts: 5, Backoff: 50 * time.Millisecond})
 	defer rt.Close()
 
 	// No invoke server yet: the first attempt fails with an unclassified
@@ -231,7 +230,7 @@ func TestRetryAfterTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return jb.Attempts() == 1 && countKind(cn.Log(), evidence.KindJobAttempt) == 1 })
+	waitFor(t, func() bool { return jb.Attempts() == 1 && countKind(t, cn.Log(), evidence.KindJobAttempt) == 1 })
 	if terminal(jb) {
 		t.Fatalf("job terminal after first failure: %+v", jb.Info())
 	}
@@ -255,7 +254,10 @@ func TestRetryAfterTransientFailure(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("executor ran %d times", calls.Load())
 	}
-	if got := countKind(cn.Log(), evidence.KindJobDone); got != 1 {
+	if err := j.Sync(); err != nil { // job-done rides the next group commit
+		t.Fatal(err)
+	}
+	if got := countKind(t, cn.Log(), evidence.KindJobDone); got != 1 {
 		t.Fatalf("job-done records = %d", got)
 	}
 }
@@ -265,7 +267,7 @@ func TestPermanentFailureFailsWithoutRetry(t *testing.T) {
 	f := newFixture(t, client, server)
 	cn := f.node(client, "cli", nil)
 	defer cn.Close()
-	rt, _ := f.runtime(cn, durable.RetryPolicy{MaxAttempts: 5, Backoff: 50 * time.Millisecond})
+	rt, j := f.runtime(cn, durable.RetryPolicy{MaxAttempts: 5, Backoff: 50 * time.Millisecond})
 	defer rt.Close()
 
 	// A directory entry pointing at an address nothing listens on is a
@@ -282,7 +284,10 @@ func TestPermanentFailureFailsWithoutRetry(t *testing.T) {
 	if jb.State() != durable.StateFailed || jb.Attempts() != 1 {
 		t.Fatalf("state=%s attempts=%d, want failed after one attempt", jb.State(), jb.Attempts())
 	}
-	if got := countKind(cn.Log(), evidence.KindJobDone); got != 1 {
+	if err := j.Sync(); err != nil { // job-done rides the next group commit
+		t.Fatal(err)
+	}
+	if got := countKind(t, cn.Log(), evidence.KindJobDone); got != 1 {
 		t.Fatalf("job-done records = %d", got)
 	}
 	if info := jb.Info(); info.Error == "" {
@@ -329,7 +334,7 @@ func TestQueueFullRejectsBeforeJournaling(t *testing.T) {
 	}
 	// The rejected job must not exist in the journal — only the two
 	// admitted ones.
-	if got := countKind(cn.Log(), evidence.KindJobEnqueued); got != 2 {
+	if got := countKind(t, cn.Log(), evidence.KindJobEnqueued); got != 2 {
 		t.Fatalf("job-enqueued records = %d, want 2 (rejection must precede the journal write)", got)
 	}
 	close(release)
@@ -489,7 +494,7 @@ func TestJournalAbortRetriedUntilTTPAnswers(t *testing.T) {
 	if !ok {
 		t.Fatal("abort job not tracked")
 	}
-	waitFor(t, func() bool { return jb.Attempts() == 1 && countKind(cn.Log(), evidence.KindJobAttempt) == 1 })
+	waitFor(t, func() bool { return jb.Attempts() == 1 && countKind(t, cn.Log(), evidence.KindJobAttempt) == 1 })
 
 	invoke.NewResolveService(tn.Coordinator())
 	advanceUntil(t, f.clk, 100*time.Millisecond, func() bool { return terminal(jb) })
@@ -500,7 +505,7 @@ func TestJournalAbortRetriedUntilTTPAnswers(t *testing.T) {
 		t.Fatalf("attempts = %d, want 2", jb.Attempts())
 	}
 	// The TTP's abort decision is now evidenced in the client's log.
-	if got := countKind(cn.Log(), evidence.KindAbort); got == 0 {
+	if got := countKind(t, cn.Log(), evidence.KindAbort); got == 0 {
 		t.Fatal("client log holds no TTP abort affidavit")
 	}
 	if err := cn.Log().VerifyChain(); err != nil {
@@ -511,7 +516,7 @@ func TestJournalAbortRetriedUntilTTPAnswers(t *testing.T) {
 func TestJournalPendingCountsAttempts(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t, client)
-	log := store.NewMemLog(f.clk)
+	log := testpki.Log(t, f.clk)
 	j := durable.NewJournal(client, f.realm.Party(client).Issuer, log, f.clk)
 
 	s1 := &durable.JobSpec{Job: id.NewRun(), Type: durable.JobCall, Server: server, Operation: "A", Enqueued: f.clk.Now()}
@@ -530,6 +535,9 @@ func TestJournalPendingCountsAttempts(t *testing.T) {
 	if err := j.Done(s2.Job, 1, ""); err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Sync(); err != nil { // attempts and job-done ride the next group commit
+		t.Fatal(err)
+	}
 	specs, attempts, err := j.Pending()
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +553,7 @@ func TestJournalPendingCountsAttempts(t *testing.T) {
 func TestJournalRejectsTamperedSpec(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t, client)
-	log := store.NewMemLog(f.clk)
+	log := testpki.Log(t, f.clk)
 	issuer := f.realm.Party(client).Issuer
 	j := durable.NewJournal(client, issuer, log, f.clk)
 

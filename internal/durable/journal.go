@@ -11,7 +11,6 @@ import (
 	"nonrep/internal/invoke"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
-	"nonrep/internal/vault"
 )
 
 // JobType distinguishes durable job flavours.
@@ -70,24 +69,15 @@ type Journal struct {
 	party  id.Party
 	issuer evidence.TokenIssuer
 	log    store.Log
-	v      *vault.Vault // nil → linear log scan
 	clk    clock.Clock
 }
 
-// NewJournal builds a journal over the organisation's evidence log. When
-// the log is a *vault.Vault — directly, or through a wrapper exposing
-// Unwrap (a quorum-gated log) — the pending-job and run-state scans use
-// its kind and run indexes instead of reading the whole log. Appends
-// still go through the log itself, so a gated log's durability policy
-// covers journal writes too.
+// NewJournal builds a journal over the organisation's evidence log. The
+// pending-job and run-state scans are queries the log answers from its
+// kind and run indexes. Appends go through the log itself, so a gated
+// log's durability policy covers journal writes too.
 func NewJournal(party id.Party, issuer evidence.TokenIssuer, log store.Log, clk clock.Clock) *Journal {
-	v, _ := log.(*vault.Vault)
-	if v == nil {
-		if uw, ok := log.(interface{ Unwrap() *vault.Vault }); ok {
-			v = uw.Unwrap()
-		}
-	}
-	return &Journal{party: party, issuer: issuer, log: log, v: v, clk: clk}
+	return &Journal{party: party, issuer: issuer, log: log, clk: clk}
 }
 
 // issue signs one job record: the token over the canonical JSON of body,
@@ -101,31 +91,21 @@ func (j *Journal) issue(kind evidence.Kind, job id.Run, step int, body any) (*ev
 	return tok, string(raw), err
 }
 
-// appendAsync journals one job record without waiting for its fsync: on
-// a vault it enqueues the record to ride the next group commit (usually
-// the one already carrying the run's evidence tokens), eliminating a
-// dedicated fsync per bracket record. Elsewhere it falls back to a
-// synchronous append. Callers needing the durability barrier (process
-// shutdown) call Sync.
+// appendAsync journals one job record without waiting for its fsync: it
+// enqueues the record to ride the next group commit (usually the one
+// already carrying the run's evidence tokens), eliminating a dedicated
+// fsync per bracket record. Callers needing the durability barrier
+// (process shutdown) call Sync.
 func (j *Journal) appendAsync(kind evidence.Kind, job id.Run, step int, body any) error {
 	tok, note, err := j.issue(kind, job, step, body)
 	if err != nil {
 		return err
 	}
-	if j.v != nil {
-		return j.v.AppendAsync(store.Generated, tok, note)
-	}
-	_, err = j.log.Append(store.Generated, tok, note)
-	return err
+	return j.log.AppendAsync(store.Generated, tok, note)
 }
 
 // Sync waits until every appendAsync record is committed and durable.
-func (j *Journal) Sync() error {
-	if j.v != nil {
-		return j.v.Sync()
-	}
-	return nil
-}
+func (j *Journal) Sync() error { return j.log.Sync() }
 
 // Enqueue journals a job before its first execution.
 func (j *Journal) Enqueue(spec *JobSpec) error {
@@ -154,18 +134,9 @@ func (j *Journal) Done(job id.Run, attempts int, failure string) error {
 	return j.appendAsync(evidence.KindJobDone, job, 0, doneNote{Job: job, Attempts: attempts, Failure: failure})
 }
 
-// records of one kind, via the vault index when available.
+// records of one kind, via the log's kind index.
 func (j *Journal) byKind(kind evidence.Kind) ([]*store.Record, error) {
-	if j.v != nil {
-		return j.v.QueryAll(vault.Query{Kind: kind})
-	}
-	var out []*store.Record
-	for _, r := range j.log.Records() {
-		if r.Token.Kind == kind {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return j.log.QueryAll(store.Query{Kind: kind})
 }
 
 // Pending returns the jobs enqueued but not done, in enqueue order —
@@ -223,15 +194,9 @@ func (j *Journal) Pending() ([]*JobSpec, []int, error) {
 // itself. Resume re-verifies the snapshot against the token's digest, so
 // a tampered note cannot smuggle in a forged response.
 func (j *Journal) RunState(run id.Run) (invoke.RunState, error) {
-	var recs []*store.Record
-	var err error
-	if j.v != nil {
-		recs, err = j.v.QueryAll(vault.Query{Run: run})
-		if err != nil {
-			return invoke.RunState{}, err
-		}
-	} else {
-		recs = j.log.ByRun(run)
+	recs, err := j.log.QueryAll(store.Query{Run: run})
+	if err != nil {
+		return invoke.RunState{}, err
 	}
 	var st invoke.RunState
 	for _, r := range recs {

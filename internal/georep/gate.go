@@ -10,10 +10,10 @@ import (
 )
 
 // GatedLog makes a vault's Append observe the replication durability
-// policy: under a sync policy, Append returns only once the quorum of
-// replicas acknowledges the record. It embeds the vault, so everything
-// else — queries, verification, the Log interface — passes straight
-// through, and code that needs the raw vault unwraps it with Vault().
+// policy: under a sync policy, Append and AppendGroup return only once
+// the quorum of replicas acknowledges the records. It embeds the vault,
+// so everything else in the Log interface — queries, verification,
+// AppendAsync and Sync — passes straight through.
 //
 // The engine attaches after construction (Attach): the log must exist
 // before the protocol node that will carry the engine's pushes does,
@@ -30,10 +30,6 @@ func NewGatedLog(v *vault.Vault) *GatedLog {
 
 // Attach sets the engine whose policy gates appends.
 func (g *GatedLog) Attach(e *Engine) { g.eng.Store(e) }
-
-// Unwrap returns the underlying vault — for code that type-switches a
-// store.Log looking for vault capabilities.
-func (g *GatedLog) Unwrap() *vault.Vault { return g.Vault }
 
 // Append appends to the vault and then, under a sync policy, waits for
 // quorum acknowledgement. On ErrQuorumUnmet the record is returned

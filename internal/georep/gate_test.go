@@ -38,7 +38,6 @@ func TestGatedAppendGroupWaitsForQuorum(t *testing.T) {
 	t.Parallel()
 	realm, v := newSourceVault(t, 100)
 	g, eng, targets := syncEngine(t, v, 2, 3, 10*time.Second)
-	var _ store.GroupAppender = g
 	targets[1].set(func(m *memTarget) { m.down = true })
 	targets[2].set(func(m *memTarget) { m.down = true })
 

@@ -51,7 +51,7 @@ func TestStandbyReplicatesFeed(t *testing.T) {
 	t.Cleanup(func() { _ = v.Close() })
 	coPub := newCo(srcOrg, v)
 	protocol.NewSubService(coPub, v)
-	coSub := newCo(standbyOrg, store.NewMemLog(realm.Clock))
+	coSub := newCo(standbyOrg, testpki.Log(t, realm.Clock))
 	client := protocol.NewSubClient(coSub)
 
 	rs, err := vault.OpenReplicaSet(t.TempDir())

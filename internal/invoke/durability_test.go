@@ -175,7 +175,7 @@ func diskState(t testing.TB, dir string) ([]string, []*evidence.Token) {
 	}
 	var held []string
 	var toks []*evidence.Token
-	for _, rec := range v.Records() {
+	for _, rec := range testpki.Query(t, v, store.Query{}) {
 		held = append(held, string(rec.Token.Kind)+"/"+string(rec.Direction))
 		toks = append(toks, rec.Token)
 	}
@@ -432,7 +432,7 @@ func resumeAndCheck(t *testing.T, f *ruleFixture, vdir string, req invoke.Reques
 		t.Fatalf("journal after the crash = %v, want %v", got, wantJournal)
 	}
 	f.net.take()
-	res, err := invoke.NewClient(cp.node.Coordinator()).Resume(context.Background(), server, req, run, runStateOf(t, cp.v.ByRun(run)))
+	res, err := invoke.NewClient(cp.node.Coordinator()).Resume(context.Background(), server, req, run, runStateOf(t, testpki.Query(t, cp.v, store.Query{Run: run})))
 	if err != nil {
 		t.Fatalf("Resume from %v: %v", wantJournal, err)
 	}
@@ -442,7 +442,7 @@ func resumeAndCheck(t *testing.T, f *ruleFixture, vdir string, req invoke.Reques
 	f.net.waitFor(receiptAcked)
 	checkRule(t, f.net.take(), invoke.ProtocolDirect, byKind(res.Evidence))
 	counts := map[evidence.Kind]int{}
-	for _, rec := range cp.v.ByRun(run) {
+	for _, rec := range testpki.Query(t, cp.v, store.Query{Run: run}) {
 		counts[rec.Token.Kind]++
 	}
 	for _, k := range []evidence.Kind{evidence.KindNRO, evidence.KindNRR, evidence.KindNROResp, evidence.KindNRRResp} {

@@ -165,7 +165,7 @@ func TestVoluntaryClientKeepsOnlyVerifiedEvidence(t *testing.T) {
 				t.Fatalf("Invoke = %v, %v; want NRO and the voluntary NRR", res, err)
 			}
 			var kinds []evidence.Kind
-			for _, rec := range d.Node(client).Log().Records() {
+			for _, rec := range testpki.Query(t, d.Node(client).Log(), store.Query{}) {
 				kinds = append(kinds, rec.Token.Kind)
 			}
 			if fmt.Sprint(kinds) != fmt.Sprint(tc.want) {

@@ -11,6 +11,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -90,7 +91,7 @@ func TestDirectHappyPath(t *testing.T) {
 		if err := log.VerifyChain(); err != nil {
 			t.Errorf("%s log chain: %v", p, err)
 		}
-		if got := len(log.ByRun(res.Run)); got != 4 {
+		if got := len(testpki.Query(t, log, store.Query{Run: res.Run})); got != 4 {
 			t.Errorf("%s log ByRun = %d, want 4", p, got)
 		}
 	}
@@ -451,7 +452,7 @@ func TestFairResolveOnWithheldReceipt(t *testing.T) {
 	}
 	// The substitute receipt is in the server's log.
 	var found bool
-	for _, rec := range d.Node(server).Log().ByRun(res.Run) {
+	for _, rec := range testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run}) {
 		if rec.Token.Kind == evidence.KindSubstitute {
 			found = true
 		}
@@ -481,7 +482,7 @@ func TestFairAbortWhenServerUnreachable(t *testing.T) {
 	}
 	// Find the run from the client log and confirm the TTP recorded an
 	// abort decision.
-	records := d.Node(client).Log().Records()
+	records := testpki.Query(t, d.Node(client).Log(), store.Query{})
 	if len(records) == 0 {
 		t.Fatal("client log empty")
 	}
@@ -492,7 +493,7 @@ func TestFairAbortWhenServerUnreachable(t *testing.T) {
 	}
 	// A later resolve attempt by the server must not overturn the abort.
 	var abortTok *evidence.Token
-	for _, rec := range d.Node(client).Log().ByRun(run) {
+	for _, rec := range testpki.Query(t, d.Node(client).Log(), store.Query{Run: run}) {
 		if rec.Token.Kind == evidence.KindAbort {
 			abortTok = rec.Token
 		}

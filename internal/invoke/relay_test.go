@@ -9,6 +9,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -69,7 +70,7 @@ func TestRelayRejectsReceiptForUnknownRun(t *testing.T) {
 	if err := d.Node(client).Coordinator().Deliver(context.Background(), ttp, msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Node(ttp).Log().ByRun(msg.Run)); got != 0 {
+	if got := len(testpki.Query(t, d.Node(ttp).Log(), store.Query{Run: msg.Run})); got != 0 {
 		t.Fatalf("relay logged %d records for unknown run", got)
 	}
 }
@@ -154,7 +155,7 @@ func TestRelayRefusesReceiptOverOtherRequest(t *testing.T) {
 	if _, err := cli.Invoke(context.Background(), server, orderRequest()); err == nil {
 		t.Fatal("a reply whose NRR covers another request was accepted")
 	}
-	if recs := d.Node(ttp).Log().Records(); len(recs) != 0 {
+	if recs := testpki.Query(t, d.Node(ttp).Log(), store.Query{}); len(recs) != 0 {
 		t.Fatalf("relay logged %d records (first: %s %q) for a refused reply, want none", len(recs), recs[0].Token.Kind, recs[0].Note)
 	}
 }
@@ -223,7 +224,7 @@ func TestServerReceiptForUnknownRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The server logged nothing for the stray run.
-	if got := len(d.Node(server).Log().ByRun(msg.Run)); got != 0 {
+	if got := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: msg.Run})); got != 0 {
 		t.Fatalf("server logged %d records for unknown run", got)
 	}
 	if _, _, err := srv.ReceiptState(msg.Run); err == nil {
@@ -273,7 +274,7 @@ func TestServerReceiptBoundLikeAdjudicator(t *testing.T) {
 			t.Fatalf("receipt over a note with %s: err = %v, want ErrEvidenceInvalid", name, err)
 		}
 	}
-	if got := len(d.Node(server).Log().ByRun(res.Run)); got != 3 {
+	if got := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run})); got != 3 {
 		t.Fatalf("server logged %d records for the run, want NRO, NRR and NROResp only", got)
 	}
 	if err := receipt(evidence.ReceiptNote{Run: res.Run, Client: client, ResponseDigest: resp, Consumption: evidence.NotConsumed}); err != nil {

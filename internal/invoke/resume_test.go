@@ -23,7 +23,7 @@ import (
 // the NROResp record's note.
 func runStateFromLog(t *testing.T, d *testpki.Domain, p id.Party, run id.Run) invoke.RunState {
 	t.Helper()
-	return runStateOf(t, d.Node(p).Log().ByRun(run))
+	return runStateOf(t, testpki.Query(t, d.Node(p).Log(), store.Query{Run: run}))
 }
 
 // runStateOf is runStateFromLog over a run's records.
@@ -79,7 +79,7 @@ func TestResumeFreshRun(t *testing.T) {
 		t.Fatalf("client holds %d tokens, want 4", len(res.Evidence))
 	}
 	log := d.Node(client).Log()
-	if got := len(log.ByRun(run)); got != 4 {
+	if got := len(testpki.Query(t, log, store.Query{Run: run})); got != 4 {
 		t.Fatalf("client log holds %d records for the run, want 4", got)
 	}
 	if err := log.VerifyChain(); err != nil {
@@ -131,7 +131,7 @@ func TestResumeAfterCrashPoints(t *testing.T) {
 				t.Fatalf("executor ran %d times across the crash, want at most 1", calls.Load())
 			}
 			counts := map[evidence.Kind]int{}
-			for _, rec := range d.Node(client).Log().ByRun(run) {
+			for _, rec := range testpki.Query(t, d.Node(client).Log(), store.Query{Run: run}) {
 				counts[rec.Token.Kind]++
 			}
 			for _, k := range []evidence.Kind{evidence.KindNRO, evidence.KindNRR, evidence.KindNROResp, evidence.KindNRRResp} {

@@ -154,7 +154,7 @@ func TestServerSettledRunsBounded(t *testing.T) {
 }
 
 // discardLog acknowledges appends without keeping them, so the heap the
-// test watches is the server's, not an in-memory log's.
+// test watches is the server's, not the tail of a vault's.
 type discardLog struct {
 	store.Log
 	n atomic.Uint64
@@ -162,6 +162,14 @@ type discardLog struct {
 
 func (l *discardLog) Append(dir store.Direction, tok *evidence.Token, note string) (*store.Record, error) {
 	return &store.Record{Seq: l.n.Add(1), Direction: dir, Token: tok, Note: note}, nil
+}
+
+func (l *discardLog) AppendGroup(entries []store.Entry) ([]*store.Record, error) {
+	recs := make([]*store.Record, len(entries))
+	for i, e := range entries {
+		recs[i], _ = l.Append(e.Dir, e.Token, e.Note)
+	}
+	return recs, nil
 }
 
 // nodesOver starts one node per party on a private in-process network,
@@ -204,7 +212,7 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		calls       = 10000
 	)
 	node := nodesOver(t, func(realm *testpki.Realm, _ id.Party) store.Log {
-		return &discardLog{Log: store.NewMemLog(realm.Clock)}
+		return &discardLog{Log: testpki.Log(t, realm.Clock)}
 	}, clientParty, serverParty)
 	srv := NewServer(node(serverParty).Coordinator(), ExecutorFunc(
 		func(context.Context, *evidence.RequestSnapshot) ([]evidence.Param, error) { return nil, nil }))
@@ -427,7 +435,7 @@ func TestServerExecutesOnceWhenLogFails(t *testing.T) {
 			var flog *failingVault
 			node := nodesOver(t, func(realm *testpki.Realm, p id.Party) store.Log {
 				if p != serverParty {
-					return store.NewMemLog(realm.Clock)
+					return testpki.Log(t, realm.Clock)
 				}
 				v, err := vault.Open(t.TempDir(), realm.Clock)
 				if err != nil {
@@ -482,7 +490,7 @@ func TestServerExecutesOnceWhenLogFails(t *testing.T) {
 
 			// Every commit attempt wrote the same three tokens.
 			kinds := make(map[evidence.Kind]int)
-			for _, rec := range flog.ByRun(run) {
+			for _, rec := range testpki.Query(t, flog, store.Query{Run: run}) {
 				kinds[rec.Token.Kind]++
 				want := nro
 				if rec.Token.Kind != evidence.KindNRO {

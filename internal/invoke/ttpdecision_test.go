@@ -11,6 +11,7 @@ import (
 	"nonrep/internal/invoke"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -83,7 +84,7 @@ func TestServerRefusesUnboundTTPDecision(t *testing.T) {
 			if _, resolved, err := srv.ReceiptState(res.Run); err != nil || resolved {
 				t.Fatalf("ReceiptState: resolved=%v, %v; want unresolved", resolved, err)
 			}
-			for _, rec := range d.Node(server).Log().Records() {
+			for _, rec := range testpki.Query(t, d.Node(server).Log(), store.Query{}) {
 				if rec.Token.Issuer == ttp {
 					t.Fatalf("refused TTP decision logged: record %d %s", rec.Seq, rec.Token.Kind)
 				}

@@ -71,7 +71,7 @@ func newAuditFixture(t *testing.T, network transport.Network) *auditFixture {
 		rsB:   rsB,
 	}
 	f.coA = newCo(alice, vA)
-	f.coB = newCo(bob, store.NewMemLog(realm.Clock))
+	f.coB = newCo(bob, testpki.Log(t, realm.Clock))
 	protocol.NewAuditService(f.coA, vA, nil)
 	protocol.NewAuditService(f.coB, nil, rsB)
 	f.client = protocol.NewAuditClient(f.coA)
@@ -377,7 +377,7 @@ func TestHostedTenantAuditAndReplication(t *testing.T) {
 		return co
 	}
 	coA := addTenant(alice, vA)
-	coB := addTenant(bob, store.NewMemLog(realm.Clock))
+	coB := addTenant(bob, testpki.Log(t, realm.Clock))
 	protocol.NewAuditService(coA, vA, nil)
 	protocol.NewAuditService(coB, nil, rsB)
 

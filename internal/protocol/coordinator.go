@@ -61,22 +61,19 @@ func (s *Services) LogReceived(tok *evidence.Token, note string) error {
 }
 
 // LogGroup records the evidence of one protocol step — entries a party
-// must have durable before the same next action — in protocol order. A log
-// that can commit a group as one unit (store.GroupAppender: the vault)
-// costs the caller one durability wait for all of them; any other log, and
-// a group of one, gets ordered Appends. Received tokens must have been
-// verified.
+// must have durable before the same next action — in protocol order, as
+// one commit, so the caller waits once for all of them. A group of one is
+// an Append: the same commit, and the call a log wrapper that instruments
+// Append (the benchmark harness's tracer) sees. Received tokens must have
+// been verified.
 func (s *Services) LogGroup(entries ...store.Entry) error {
-	if g, ok := s.Log.(store.GroupAppender); ok && len(entries) > 1 {
-		_, err := g.AppendGroup(entries)
+	if len(entries) == 1 {
+		e := entries[0]
+		_, err := s.Log.Append(e.Dir, e.Token, e.Note)
 		return err
 	}
-	for _, e := range entries {
-		if _, err := s.Log.Append(e.Dir, e.Token, e.Note); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.Log.AppendGroup(entries)
+	return err
 }
 
 // Coordinator is the B2BCoordinator: the remote entry point through which

@@ -68,8 +68,8 @@ func newGeoFixture(t *testing.T, network transport.Network) *geoFixture {
 	}
 	f := &geoFixture{realm: realm, dir: dir, vA: vA, rsB: rsB}
 	f.coA = newCo(alice, vA)
-	f.coB = newCo(bob, store.NewMemLog(realm.Clock))
-	f.coC = newCo(carol, store.NewMemLog(realm.Clock))
+	f.coB = newCo(bob, testpki.Log(t, realm.Clock))
+	f.coC = newCo(carol, testpki.Log(t, realm.Clock))
 	protocol.NewGeoService(f.coB, rsB)
 	protocol.NewAuditService(f.coB, nil, rsB, protocol.WithShipAuth())
 	f.geo = protocol.NewGeoClient(f.coA)
@@ -184,7 +184,7 @@ func TestSegShipHardening(t *testing.T) {
 	anonSvc := &protocol.Services{
 		Party:     "urn:org:anon",
 		Verifier:  f.realm.Verifier(),
-		Log:       store.NewMemLog(f.realm.Clock),
+		Log:       testpki.Log(t, f.realm.Clock),
 		States:    store.NewMemStateStore(),
 		Clock:     f.realm.Clock,
 		Directory: f.dir,

@@ -17,6 +17,7 @@ import (
 // hostFixture is a realm with one multi-tenant host and a dedicated
 // coordinator sharing a directory.
 type hostFixture struct {
+	t     *testing.T
 	realm *testpki.Realm
 	dir   *protocol.Directory
 	host  *protocol.Host
@@ -31,7 +32,7 @@ func newHostFixture(t *testing.T, network transport.Network, addr string, partie
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = host.Close() })
-	return &hostFixture{realm: realm, dir: dir, host: host}
+	return &hostFixture{t: t, realm: realm, dir: dir, host: host}
 }
 
 func (f *hostFixture) services(p id.Party) *protocol.Services {
@@ -39,7 +40,7 @@ func (f *hostFixture) services(p id.Party) *protocol.Services {
 		Party:     p,
 		Issuer:    f.realm.Party(p).Issuer,
 		Verifier:  f.realm.Verifier(),
-		Log:       store.NewMemLog(f.realm.Clock),
+		Log:       testpki.Log(f.t, f.realm.Clock),
 		States:    store.NewMemStateStore(),
 		Clock:     f.realm.Clock,
 		Directory: f.dir,

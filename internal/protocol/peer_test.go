@@ -83,7 +83,7 @@ func newPeerFixture(tb testing.TB) *peerFixture {
 	tb.Cleanup(func() { _ = network.Close() })
 	fx := &peerFixture{ver: &evidence.Verifier{Keys: creds}}
 	co, err := New(network, "urn:org:bob", &Services{
-		Party: "urn:org:bob", Verifier: fx.ver, Log: store.NewMemLog(clk),
+		Party: "urn:org:bob", Verifier: fx.ver, Log: tempLog(tb, clk),
 		States: store.NewMemStateStore(), Clock: clk, Directory: NewDirectory(),
 	})
 	if err != nil {

@@ -65,7 +65,7 @@ func newFixture(t *testing.T) *fixture {
 			Party:     p,
 			Issuer:    realm.Party(p).Issuer,
 			Verifier:  realm.Verifier(),
-			Log:       store.NewMemLog(realm.Clock),
+			Log:       testpki.Log(t, realm.Clock),
 			States:    store.NewMemStateStore(),
 			Clock:     realm.Clock,
 			Directory: dir,
@@ -283,7 +283,7 @@ func TestCoordinatorOverTCP(t *testing.T) {
 			Party:     p,
 			Issuer:    realm.Party(p).Issuer,
 			Verifier:  realm.Verifier(),
-			Log:       store.NewMemLog(realm.Clock),
+			Log:       testpki.Log(t, realm.Clock),
 			States:    store.NewMemStateStore(),
 			Clock:     realm.Clock,
 			Directory: dir,
@@ -336,7 +336,7 @@ func TestChunkRoundTripAllocationCeiling(t *testing.T) {
 	newCo := func(p id.Party) *protocol.Coordinator {
 		svc := &protocol.Services{
 			Party: p, Issuer: realm.Party(p).Issuer, Verifier: realm.Verifier(),
-			Log: store.NewMemLog(realm.Clock), States: store.NewMemStateStore(),
+			Log: testpki.Log(t, realm.Clock), States: store.NewMemStateStore(),
 			Clock: realm.Clock, Directory: dir,
 		}
 		co, err := protocol.New(network, "127.0.0.1:0", svc)

@@ -58,7 +58,7 @@ func newSubFixture(t *testing.T, network transport.Network, opts ...protocol.Sub
 	t.Cleanup(func() { _ = vA.Close() })
 	f := &subFixture{realm: realm, dir: dir, vA: vA}
 	f.coA = newCo(alice, vA)
-	f.coB = newCo(bob, store.NewMemLog(realm.Clock))
+	f.coB = newCo(bob, testpki.Log(t, realm.Clock))
 	f.svcA = protocol.NewSubService(f.coA, vA, opts...)
 	f.client = protocol.NewSubClient(f.coB)
 	return f
@@ -296,7 +296,7 @@ func TestSubUnauthorizedRejected(t *testing.T) {
 	// Bob has no issuer: his sub-opens are anonymous.
 	svcB := &protocol.Services{
 		Party: bob, Verifier: realm.Verifier(),
-		Log: store.NewMemLog(realm.Clock), States: store.NewMemStateStore(),
+		Log: testpki.Log(t, realm.Clock), States: store.NewMemStateStore(),
 		Clock: realm.Clock, Directory: dir,
 	}
 	coB, err := protocol.New(network, string(bob), svcB)
@@ -404,7 +404,7 @@ func TestSubTenantDetachStopsPredecessorFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	svcA := protocol.NewSubService(coA, vA)
-	coB, err := host.Add(services(bob, store.NewMemLog(realm.Clock)))
+	coB, err := host.Add(services(bob, testpki.Log(t, realm.Clock)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestSubSubscriberDetachRefusesPushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	svcA := protocol.NewSubService(coA, vA)
-	coB, err := host.Add(services(bob, store.NewMemLog(realm.Clock)))
+	coB, err := host.Add(services(bob, testpki.Log(t, realm.Clock)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestSubSubscriberDetachRefusesPushes(t *testing.T) {
 	// The subscriber re-enrols; the predecessor's subscription id means
 	// nothing to the successor, so the publisher's pushes fail and it
 	// evicts the dead subscription instead of feeding the newcomer.
-	coB2, err := host.Add(services(bob, store.NewMemLog(realm.Clock)))
+	coB2, err := host.Add(services(bob, testpki.Log(t, realm.Clock)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,27 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/store"
 	"nonrep/internal/transport"
+	"nonrep/internal/vault"
 )
+
+// tempLog opens an evidence vault in a temporary directory, closed and
+// removed when the test ends.
+func tempLog(tb testing.TB, clk clock.Clock) *vault.Vault {
+	tb.Helper()
+	v, err := vault.OpenTemp(clk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = v.Close() })
+	return v
+}
 
 // plainServices builds the minimal services a coordinator needs for
 // ping-level traffic (no evidence issuance in these tests).
-func plainServices(dir *Directory, p id.Party) *Services {
+func plainServices(tb testing.TB, dir *Directory, p id.Party) *Services {
 	return &Services{
 		Party:     p,
-		Log:       store.NewMemLog(clock.Real{}),
+		Log:       tempLog(tb, clock.Real{}),
 		States:    store.NewMemStateStore(),
 		Clock:     clock.Real{},
 		Directory: dir,
@@ -263,7 +276,7 @@ func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 	}
 	p := id.Party("urn:org:hosted")
 	dir := NewDirectory()
-	if _, err := h.Add(plainServices(dir, p)); err != nil {
+	if _, err := h.Add(plainServices(t, dir, p)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := gw.hello(workerHelloBody{Parties: []id.Party{p}}); err == nil {
@@ -344,7 +357,7 @@ func TestWorkerLinkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coA, err := New(network, "wl-alice-addr", plainServices(dir, alice))
+	coA, err := New(network, "wl-alice-addr", plainServices(t, dir, alice))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +365,7 @@ func TestWorkerLinkEndToEnd(t *testing.T) {
 	hA := &wbPing{}
 	coA.Register(hA)
 
-	coB, err := ConnectWorker(network, WorkerConfig{Gateway: h.Addr()}, plainServices(dir, bob))
+	coB, err := ConnectWorker(network, WorkerConfig{Gateway: h.Addr()}, plainServices(t, dir, bob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +441,7 @@ func TestWorkerLinkReconnectFlushesOutbox(t *testing.T) {
 	dir := NewDirectory()
 	_, gw, _ := newGatewayFixture(t, GatewayConfig{Clock: clock.Real{}})
 
-	svc := plainServices(dir, w)
+	svc := plainServices(t, dir, w)
 	blocked := make(chan struct{})
 	handler := &wbPing{block: blocked}
 	co := &Coordinator{svc: svc, handlers: map[string]Handler{"ping": handler}}
@@ -520,7 +533,7 @@ func TestWorkerOutboxCappedAcrossFailedFlush(t *testing.T) {
 	t.Parallel()
 	ep := &failingResults{entered: make(chan struct{}), release: make(chan struct{})}
 	link := &WorkerLink{
-		svc:       plainServices(NewDirectory(), "urn:org:w"),
+		svc:       plainServices(t, NewDirectory(), "urn:org:w"),
 		out:       ep,
 		control:   "gw",
 		outboxCap: 2,

@@ -12,6 +12,7 @@ import (
 	"nonrep/internal/protocol"
 	"nonrep/internal/sharing"
 	"nonrep/internal/sig"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 )
 
@@ -339,7 +340,7 @@ func TestWelcomeAckBoundToAdmission(t *testing.T) {
 			if _, err := f.ctl(orgA).Connect(context.Background(), object, orgC); !errors.Is(err, sharing.ErrEvidenceInvalid) {
 				t.Fatalf("Connect with a forged welcome ack: err = %v, want ErrEvidenceInvalid", err)
 			}
-			for _, rec := range f.domain.Node(orgA).Log().Records() {
+			for _, rec := range testpki.Query(t, f.domain.Node(orgA).Log(), store.Query{}) {
 				if rec.Token.Kind == evidence.KindAck && rec.Token.Issuer == orgC {
 					t.Fatalf("refused welcome ack logged: record %d %q", rec.Seq, rec.Note)
 				}
@@ -541,7 +542,7 @@ func TestOutcomeEvidenceSupportsDecisionAudit(t *testing.T) {
 	// Every member's log must contain decision evidence from the round:
 	// B can later prove C agreed, because the outcome embeds C's signed
 	// decision.
-	recs := f.domain.Node(orgB).Log().ByRun(res.Run)
+	recs := testpki.Query(t, f.domain.Node(orgB).Log(), store.Query{Run: res.Run})
 	var kinds []string
 	for _, r := range recs {
 		kinds = append(kinds, string(r.Token.Kind))

@@ -6,9 +6,9 @@
 //
 // The evidence log is an append-only hash chain: every record includes the
 // digest of its predecessor, so any later tampering with stored evidence is
-// detectable. This package holds the volatile implementation (MemLog) and
-// the record codecs; the durable implementation is the segmented vault
-// (internal/vault).
+// detectable. This package holds the Log interface, the chaining and
+// verification primitives and the record codecs; the one implementation is
+// the segmented vault (internal/vault).
 //
 // The record codecs are canonical JSON — the signed form, hashed into the
 // chain — and binary segment format 5 (binary.go), which carries the same
@@ -22,11 +22,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"nonrep/internal/canon"
-	"nonrep/internal/clock"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -68,17 +66,30 @@ func (r *Record) computeHash() (sig.Digest, error) {
 	return sig.SumCanonical(&clone)
 }
 
-// Log is an append-only, tamper-evident store of non-repudiation evidence.
+// Log is an append-only, tamper-evident store of non-repudiation evidence:
+// the segmented vault (internal/vault) and thin wrappers around it. Every
+// read returns an error, so a record that cannot be read back is never
+// mistaken for absent evidence.
 type Log interface {
 	// Append records a token with a free-form note, returning the stored
-	// record.
+	// record once it is durable.
 	Append(dir Direction, tok *evidence.Token, note string) (*Record, error)
-	// Records returns a copy of all records in order.
-	Records() []*Record
-	// ByRun returns records for a protocol run.
-	ByRun(run id.Run) []*Record
-	// ByTxn returns records linked under a transaction identifier.
-	ByTxn(txn id.Txn) []*Record
+	// AppendGroup appends several entries as one unit: contiguous
+	// sequence numbers in slice order and a single commit, so the group
+	// costs its caller one durability wait instead of one per record.
+	// The group is all-or-nothing at commit time — an entry that cannot
+	// be chained or encoded fails every entry — while a crash mid-write
+	// recovers to a prefix of the group, a state one-by-one Appends
+	// produce too.
+	AppendGroup(entries []Entry) ([]*Record, error)
+	// AppendAsync enqueues a record to ride the next commit without
+	// waiting for it; Sync is the barrier.
+	AppendAsync(dir Direction, tok *evidence.Token, note string) error
+	// Sync waits until every record enqueued before the call is durable.
+	Sync() error
+	// QueryAll returns every record matching q, in log order, or the
+	// error that stopped the read.
+	QueryAll(q Query) ([]*Record, error)
 	// Len reports the number of records.
 	Len() int
 	// VerifyChain re-derives the hash chain, returning ErrChainBroken on
@@ -89,96 +100,67 @@ type Log interface {
 }
 
 // Entry is one record-to-be: the arguments of one Append. A slice of them
-// is what a GroupAppender commits together.
+// is what AppendGroup commits together.
 type Entry struct {
 	Dir   Direction
 	Token *evidence.Token
 	Note  string
 }
 
-// GroupAppender is the optional capability of a Log that can append
-// several entries as one unit: contiguous sequence numbers in slice order
-// and a single commit, so the group costs its caller one durability wait
-// instead of one per record. The group is all-or-nothing at commit time —
-// an entry that cannot be chained or encoded fails every entry — while a
-// crash mid-write recovers to a prefix of the group, a state one-by-one
-// Appends produce too.
-type GroupAppender interface {
-	AppendGroup(entries []Entry) ([]*Record, error)
+// Query selects evidence records for adjudication. Zero-valued fields are
+// wildcards; a zero Query selects the whole log. The vault answers Run,
+// Txn, Party and Kind from its persistent indexes, so a selective query
+// reads only matching records, and prunes whole segments by From/To.
+type Query struct {
+	// Run selects records of one protocol run.
+	Run id.Run
+	// Txn selects records linked under one transaction identifier.
+	Txn id.Txn
+	// Party selects records whose token was issued by the given party.
+	Party id.Party
+	// Kind selects one token kind.
+	Kind evidence.Kind
+	// From/To bound the record time, inclusive; zero means unbounded.
+	From, To time.Time
+	// AfterSeq is a resume cursor: only records with Seq > AfterSeq are
+	// returned. Whole sealed segments at or below the cursor are pruned
+	// by their sealed sequence bounds, so paging a long log (the remote
+	// audit protocol re-queries with a moving cursor) costs the remainder,
+	// not the full log, per page.
+	AfterSeq uint64
+	// Limit caps the number of records returned; 0 means unlimited.
+	Limit int
 }
 
-// MemLog is an in-memory Log. It is safe for concurrent use.
-type MemLog struct {
-	clk clock.Clock
-
-	mu      sync.RWMutex
-	records []*Record
-}
-
-var _ Log = (*MemLog)(nil)
-
-// NewMemLog creates an empty in-memory log.
-func NewMemLog(clk clock.Clock) *MemLog {
-	return &MemLog{clk: clk}
-}
-
-// Append implements Log.
-func (l *MemLog) Append(dir Direction, tok *evidence.Token, note string) (*Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var prev sig.Digest
-	var seq uint64
-	if n := len(l.records); n > 0 {
-		prev, seq = l.records[n-1].Hash, l.records[n-1].Seq
+// Matches applies the full filter (all but Limit) to one record.
+func (q Query) Matches(r *Record) bool {
+	if r.Seq <= q.AfterSeq {
+		return false
 	}
-	rec, err := NextRecord(seq, prev, l.clk.Now(), dir, tok, note)
-	if err != nil {
-		return nil, err
+	if q.Run != "" && r.Token.Run != q.Run {
+		return false
 	}
-	l.records = append(l.records, rec)
-	return rec, nil
+	if q.Txn != "" && r.Token.Txn != q.Txn {
+		return false
+	}
+	if q.Party != "" && r.Token.Issuer != q.Party {
+		return false
+	}
+	if q.Kind != "" && r.Token.Kind != q.Kind {
+		return false
+	}
+	if !q.From.IsZero() && r.At.Before(q.From) {
+		return false
+	}
+	if !q.To.IsZero() && r.At.After(q.To) {
+		return false
+	}
+	return true
 }
-
-// Records implements Log.
-func (l *MemLog) Records() []*Record {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]*Record, len(l.records))
-	copy(out, l.records)
-	return out
-}
-
-// ByRun implements Log.
-func (l *MemLog) ByRun(run id.Run) []*Record {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return filterRecords(l.records, func(r *Record) bool { return r.Token.Run == run })
-}
-
-// ByTxn implements Log.
-func (l *MemLog) ByTxn(txn id.Txn) []*Record {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return filterRecords(l.records, func(r *Record) bool { return r.Token.Txn == txn })
-}
-
-// Len implements Log.
-func (l *MemLog) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.records)
-}
-
-// VerifyChain implements Log.
-func (l *MemLog) VerifyChain() error { return verifyChain(l.Records()) }
-
-// Close implements Log.
-func (l *MemLog) Close() error { return nil }
 
 // NextRecord builds the record that follows the chain position given by
-// the last record's sequence number and hash. It is the chaining primitive
-// shared by the in-process logs and stores (such as the segmented vault)
-// that cannot afford to keep the full record slice in memory.
+// the last record's sequence number and hash: the chaining primitive of
+// every evidence log.
 //
 // The note is normalised to valid UTF-8 before hashing: JSON has no
 // representation for invalid UTF-8, and encoding/json's coercion is not
@@ -210,10 +192,7 @@ func NextRecord(lastSeq uint64, prev sig.Digest, at time.Time, dir Direction, to
 // VerifyRecords re-derives the hash chain of records presented outside a
 // live log — the check an adjudicator applies to evidence submitted in a
 // dispute.
-func VerifyRecords(records []*Record) error { return verifyChain(records) }
-
-// verifyChain re-derives every record hash and checks the chain links.
-func verifyChain(records []*Record) error {
+func VerifyRecords(records []*Record) error {
 	cv := &ChainVerifier{}
 	for _, rec := range records {
 		if err := cv.Check(rec); err != nil {
@@ -288,13 +267,3 @@ func (v *ChainVerifier) Advance(rec *Record) error {
 // Position reports the sequence number and hash of the last verified
 // record.
 func (v *ChainVerifier) Position() (uint64, sig.Digest) { return v.seq, v.prev }
-
-func filterRecords(records []*Record, keep func(*Record) bool) []*Record {
-	var out []*Record
-	for _, r := range records {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}

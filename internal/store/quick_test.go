@@ -19,7 +19,7 @@ func TestQuickChainVerifiesForAnySequence(t *testing.T) {
 	realm := testpki.MustRealm(org)
 	issuer := realm.Party(org).Issuer
 	f := func(payloads [][]byte) bool {
-		log := store.NewMemLog(realm.Clock)
+		var records chain
 		for i, payload := range payloads {
 			tok, err := issuer.Issue(evidence.KindNRO, id.NewRun(), i, sig.Sum(payload))
 			if err != nil {
@@ -29,11 +29,9 @@ func TestQuickChainVerifiesForAnySequence(t *testing.T) {
 			if i%2 == 1 {
 				dir = store.Received
 			}
-			if _, err := log.Append(dir, tok, "note"); err != nil {
-				return false
-			}
+			records.add(t, realm.Clock.Now(), dir, tok, "note")
 		}
-		return log.VerifyChain() == nil && log.Len() == len(payloads)
+		return store.VerifyRecords(records) == nil && len(records) == len(payloads)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -49,7 +47,7 @@ func TestQuickDecodeDerivesAppendedHash(t *testing.T) {
 	realm := testpki.MustRealm(org)
 	issuer := realm.Party(org).Issuer
 	f := func(payloads [][]byte, notes []string) bool {
-		log := store.NewMemLog(realm.Clock)
+		var recs chain
 		for i, payload := range payloads {
 			tok, err := issuer.Issue(evidence.KindNRR, id.NewRun(), i, sig.Sum(payload))
 			if err != nil {
@@ -59,11 +57,8 @@ func TestQuickDecodeDerivesAppendedHash(t *testing.T) {
 			if len(notes) > 0 && i%2 == 1 {
 				note = notes[i%len(notes)]
 			}
-			if _, err := log.Append(store.Received, tok, note); err != nil {
-				return false
-			}
+			recs.add(t, realm.Clock.Now(), store.Received, tok, note)
 		}
-		recs := log.Records()
 		run, err := store.AppendFrameRun(nil, recs)
 		if err != nil {
 			return false
@@ -103,17 +98,15 @@ func TestQuickAnySingleMutationBreaksChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 
 	build := func(n int) []*store.Record {
-		log := store.NewMemLog(realm.Clock)
+		var records chain
 		for i := 0; i < n; i++ {
 			tok, err := issuer.Issue(evidence.KindNRO, id.NewRun(), i, sig.Sum([]byte{byte(i)}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := log.Append(store.Generated, tok, "n"); err != nil {
-				t.Fatal(err)
-			}
+			records.add(t, realm.Clock.Now(), store.Generated, tok, "n")
 		}
-		return log.Records()
+		return records
 	}
 
 	f := func(seed uint8) bool {
@@ -147,17 +140,14 @@ func TestQuickRecordRemovalOrReorderDetected(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
 	issuer := realm.Party(org).Issuer
-	log := store.NewMemLog(realm.Clock)
+	var records chain
 	for i := 0; i < 8; i++ {
 		tok, err := issuer.Issue(evidence.KindNRO, id.NewRun(), i, sig.Sum([]byte{byte(i)}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := log.Append(store.Generated, tok, ""); err != nil {
-			t.Fatal(err)
-		}
+		records.add(t, realm.Clock.Now(), store.Generated, tok, "")
 	}
-	records := log.Records()
 
 	// Drop an interior record.
 	dropped := append(append([]*store.Record(nil), records[:3]...), records[4:]...)

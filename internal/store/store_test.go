@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
@@ -29,64 +30,36 @@ func newToken(t testing.TB, realm *testpki.Realm, run id.Run, step int) *evidenc
 	return tok
 }
 
-func TestMemLogAppendAndQuery(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	log := store.NewMemLog(realm.Clock)
-	runA, runB := id.NewRun(), id.NewRun()
-	for i := 1; i <= 3; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, runA, i), "sent"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := log.Append(store.Received, newToken(t, realm, runB, 1), "recv"); err != nil {
-		t.Fatal(err)
-	}
-	if log.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", log.Len())
-	}
-	if got := len(log.ByRun(runA)); got != 3 {
-		t.Fatalf("ByRun(A) = %d records, want 3", got)
-	}
-	if got := len(log.ByRun(runB)); got != 1 {
-		t.Fatalf("ByRun(B) = %d records, want 1", got)
-	}
-	if err := log.VerifyChain(); err != nil {
-		t.Fatalf("VerifyChain: %v", err)
-	}
-}
+// chain holds records linked the way a log links them: each built by
+// NextRecord from the one before.
+type chain []*store.Record
 
-func TestMemLogByTxn(t *testing.T) {
-	t.Parallel()
-	realm := testpki.MustRealm(org)
-	log := store.NewMemLog(realm.Clock)
-	txn := id.NewTxn()
-	tok, err := realm.Party(org).Issuer.Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("x")), evidence.WithTxn(txn))
+func (c *chain) add(t testing.TB, at time.Time, dir store.Direction, tok *evidence.Token, note string) *store.Record {
+	t.Helper()
+	var seq uint64
+	var prev sig.Digest
+	if n := len(*c); n > 0 {
+		seq, prev = (*c)[n-1].Seq, (*c)[n-1].Hash
+	}
+	rec, err := store.NextRecord(seq, prev, at, dir, tok, note)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.Append(store.Generated, tok, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := log.Append(store.Generated, newToken(t, realm, id.NewRun(), 1), ""); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(log.ByTxn(txn)); got != 1 {
-		t.Fatalf("ByTxn = %d records, want 1", got)
-	}
+	*c = append(*c, rec)
+	return rec
 }
 
 func TestChainDetectsTampering(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
-	log := store.NewMemLog(realm.Clock)
+	var records chain
 	run := id.NewRun()
 	for i := 1; i <= 5; i++ {
-		if _, err := log.Append(store.Generated, newToken(t, realm, run, i), ""); err != nil {
-			t.Fatal(err)
-		}
+		records.add(t, realm.Clock.Now(), store.Generated, newToken(t, realm, run, i), "")
 	}
-	records := log.Records()
+	if err := verifyRecords(records); err != nil {
+		t.Fatalf("untampered chain: %v", err)
+	}
 	records[2].Note = "tampered after the fact"
 	if err := verifyRecords(records); err == nil {
 		t.Fatal("chain verification accepted tampered record")
@@ -117,14 +90,11 @@ func verifyRecords(records []*store.Record) error {
 func TestReadJSONLinesRecoveryRules(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
-	log := store.NewMemLog(realm.Clock)
+	var records chain
 	run := id.NewRun()
 	var whole []byte
 	for i := 1; i <= 3; i++ {
-		rec, err := log.Append(store.Generated, newToken(t, realm, run, i), "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := records.add(t, realm.Clock.Now(), store.Generated, newToken(t, realm, run, i), "")
 		line, err := canon.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -183,9 +153,8 @@ func TestReadJSONLinesRecoveryRules(t *testing.T) {
 func TestAppendNilToken(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
-	log := store.NewMemLog(realm.Clock)
-	if _, err := log.Append(store.Generated, nil, ""); err == nil {
-		t.Fatal("Append(nil) succeeded")
+	if _, err := store.NextRecord(0, sig.Digest{}, realm.Clock.Now(), store.Generated, nil, ""); err == nil {
+		t.Fatal("NextRecord(nil token) succeeded")
 	}
 }
 

@@ -2,13 +2,17 @@ package testpki
 
 import (
 	"fmt"
+	"testing"
 	"time"
 
+	"nonrep/internal/clock"
 	"nonrep/internal/core"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 	"nonrep/internal/transport"
+	"nonrep/internal/vault"
 )
 
 // Domain is a ready-made direct trust domain for tests and benchmarks: a
@@ -164,4 +168,27 @@ func (d *Domain) Close() {
 		_ = n.Close()
 	}
 	_ = d.Inproc.Close()
+}
+
+// Query returns the records of log that match q, failing the test when
+// the log cannot be read.
+func Query(t testing.TB, log store.Log, q store.Query) []*store.Record {
+	t.Helper()
+	recs, err := log.QueryAll(q)
+	if err != nil {
+		t.Fatalf("query evidence log: %v", err)
+	}
+	return recs
+}
+
+// Log opens an evidence vault in a temporary directory, closed and
+// removed when the test ends.
+func Log(t testing.TB, clk clock.Clock) *vault.Vault {
+	t.Helper()
+	v, err := vault.OpenTemp(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = v.Close() })
+	return v
 }

@@ -18,6 +18,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
+	"nonrep/internal/store"
 )
 
 // ProtocolEPM is the postmark service's protocol name.
@@ -141,11 +142,15 @@ func (e *EPM) handleVerify(_ context.Context, msg *protocol.Message) (*protocol.
 }
 
 // handleFetch returns the evidence linked under a transaction identifier
-// (EPM linking).
+// (EPM linking). A log read failure fails the fetch: a partial bundle
+// would read as complete.
 func (e *EPM) handleFetch(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
-	svc := e.co.Services()
+	recs, err := e.co.Services().Log.QueryAll(store.Query{Txn: msg.Txn})
+	if err != nil {
+		return nil, fmt.Errorf("epm: fetch %s: %w", msg.Txn, err)
+	}
 	var tokens []*evidence.Token
-	for _, rec := range svc.Log.ByTxn(msg.Txn) {
+	for _, rec := range recs {
 		tokens = append(tokens, rec.Token)
 	}
 	reply := &protocol.Message{Protocol: ProtocolEPM, Run: msg.Run, Txn: msg.Txn, Kind: kindBundle}

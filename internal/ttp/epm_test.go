@@ -2,13 +2,17 @@ package ttp_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 	"nonrep/internal/testpki"
 	"nonrep/internal/ttp"
+	"nonrep/internal/vault"
 )
 
 const (
@@ -107,5 +111,58 @@ func TestFetchLinksEvidenceByTransaction(t *testing.T) {
 		if tok.Txn != txn {
 			t.Errorf("fetched token has txn %s", tok.Txn)
 		}
+	}
+}
+
+// TestFetchFailsOnUnreadableLog: when the EPM's log cannot read a sealed
+// segment back, Fetch fails instead of answering with the tokens the
+// read reached, which would look like the complete bundle.
+func TestFetchFailsOnUnreadableLog(t *testing.T) {
+	t.Parallel()
+	const damaged = id.Party("urn:ttp:epm-damaged")
+	d := testpki.MustDomain(org)
+	t.Cleanup(d.Close)
+	if _, err := d.Realm.AddParty(damaged); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v, err := vault.Open(dir, d.Realm.Clock, vault.WithSegmentRecords(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = v.Close() })
+	node, err := core.NewNode(core.NodeConfig{
+		Party: damaged, Signer: d.Realm.Party(damaged).Signer, Creds: d.Realm.Store, Clock: d.Realm.Clock,
+		Network: d.Network, Addr: string(damaged), Directory: d.Directory, Log: v,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = node.Close() })
+	ttp.NewEPM(node.Coordinator())
+	cli := ttp.NewClient(d.Node(org).Coordinator(), damaged)
+
+	// Each submission leaves the token and its postmark in the EPM's log,
+	// so two of them fill sealed segment 1 and the tail.
+	txn := id.Txn("txn-linked")
+	for i := 0; i < 2; i++ {
+		if _, err := cli.Submit(context.Background(), issueToken(t, d, txn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tokens, err := cli.Fetch(context.Background(), txn); err != nil || len(tokens) != 4 {
+		t.Fatalf("Fetch before the damage = %d tokens, %v; want 4", len(tokens), err)
+	}
+	seg := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if tokens, err := cli.Fetch(context.Background(), txn); err == nil {
+		t.Fatalf("Fetch over a damaged sealed segment answered %d tokens", len(tokens))
 	}
 }

@@ -100,7 +100,7 @@ func checkFixtureVault(t testing.TB, what string, v *vault.Vault, runs []parentV
 			t.Fatalf("%s: ByRun(%s) = %d records, want %d", what, r.Run, got, r.Records)
 		}
 		if r.Txn != "" {
-			if got := len(v.ByTxn(r.Txn)); got != r.Records {
+			if got := len(testpki.Query(t, v, store.Query{Txn: r.Txn})); got != r.Records {
 				t.Fatalf("%s: ByTxn(%s) = %d records, want %d", what, r.Txn, got, r.Records)
 			}
 		}

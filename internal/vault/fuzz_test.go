@@ -464,7 +464,7 @@ func FuzzIndexOpen(f *testing.F) {
 				continue
 			}
 			for _, rec := range recs {
-				if !fv.hashes[rec.Hash] || !q.matches(rec) {
+				if !fv.hashes[rec.Hash] || !q.Matches(rec) {
 					t.Fatalf("hostile index got record %d served for %+v", rec.Seq, q)
 				}
 			}

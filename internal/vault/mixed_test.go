@@ -237,7 +237,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 		if err := v.DeepVerify(); err != nil {
 			t.Fatalf("%s: DeepVerify: %v", what, err)
 		}
-		all := v.Records()
+		all := testpki.Query(t, v, store.Query{})
 		if len(all) != 23 {
 			t.Fatalf("%s: Records = %d, want 23", what, len(all))
 		}
@@ -253,13 +253,13 @@ func TestVaultMixedEncodings(t *testing.T) {
 				t.Fatalf("%s: ByRun(%s) = %d records, want %d", what, run, got, n)
 			}
 		}
-		if got := len(v.ByTxn(txn)); got != 2 {
+		if got := len(testpki.Query(t, v, store.Query{Txn: txn})); got != 2 {
 			t.Fatalf("%s: ByTxn(current era) = %d, want 2", what, got)
 		}
-		if got := len(v.ByTxn(parentRuns[2].Txn)); got != 4 {
+		if got := len(testpki.Query(t, v, store.Query{Txn: parentRuns[2].Txn})); got != 4 {
 			t.Fatalf("%s: ByTxn(version-1 era) = %d, want 4", what, got)
 		}
-		if got := len(v.ByTxn(parentRuns[4].Txn)); got != 1 {
+		if got := len(testpki.Query(t, v, store.Query{Txn: parentRuns[4].Txn})); got != 1 {
 			t.Fatalf("%s: ByTxn(version-2 era) = %d, want 1", what, got)
 		}
 		// Paging by party walks every segment format behind a cursor.
@@ -431,7 +431,7 @@ func TestVaultReopenLeavesDirectoryUnchanged(t *testing.T) {
 		{vault.WithSegmentRecords(4), vault.WithReadOnly()},
 	} {
 		re := openVault(t, dir, opts...)
-		if got := len(re.Records()); got != 10 {
+		if got := len(testpki.Query(t, re, store.Query{})); got != 10 {
 			t.Fatalf("reopened vault holds %d records, want 10", got)
 		}
 		if err := re.Close(); err != nil {

@@ -2,74 +2,22 @@ package vault
 
 import (
 	"fmt"
-	"time"
 
-	"nonrep/internal/evidence"
-	"nonrep/internal/id"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
-// Query selects evidence records for adjudication. Zero-valued fields are
-// wildcards; a zero Query selects the whole log. Run, Txn, Party and Kind
-// are answered from the persistent indexes, so a selective query reads
-// only matching records; From/To prune whole segments by their sealed
-// time bounds.
-type Query struct {
-	// Run selects records of one protocol run.
-	Run id.Run
-	// Txn selects records linked under one transaction identifier.
-	Txn id.Txn
-	// Party selects records whose token was issued by the given party.
-	Party id.Party
-	// Kind selects one token kind.
-	Kind evidence.Kind
-	// From/To bound the record time, inclusive; zero means unbounded.
-	From, To time.Time
-	// AfterSeq is a resume cursor: only records with Seq > AfterSeq are
-	// returned. Whole sealed segments at or below the cursor are pruned
-	// by their sealed sequence bounds, so paging a long log (the remote
-	// audit protocol re-queries with a moving cursor) costs the remainder,
-	// not the full log, per page.
-	AfterSeq uint64
-	// Limit caps the number of records returned; 0 means unlimited.
-	Limit int
-}
+// Query selects evidence records for adjudication; see store.Query.
+type Query = store.Query
 
-// indexed reports whether the query can be answered from posting lists.
-func (q Query) indexed() bool {
+// indexed reports whether q can be answered from posting lists.
+func indexed(q Query) bool {
 	return q.Run != "" || q.Txn != "" || q.Party != "" || q.Kind != ""
 }
 
-// matches applies the full filter to one record.
-func (q Query) matches(r *store.Record) bool {
-	if r.Seq <= q.AfterSeq {
-		return false
-	}
-	if q.Run != "" && r.Token.Run != q.Run {
-		return false
-	}
-	if q.Txn != "" && r.Token.Txn != q.Txn {
-		return false
-	}
-	if q.Party != "" && r.Token.Issuer != q.Party {
-		return false
-	}
-	if q.Kind != "" && r.Token.Kind != q.Kind {
-		return false
-	}
-	if !q.From.IsZero() && r.At.Before(q.From) {
-		return false
-	}
-	if !q.To.IsZero() && r.At.After(q.To) {
-		return false
-	}
-	return true
-}
-
 // inTimeBounds reports whether a segment's sealed time range can contain
-// matches.
-func (q Query) inTimeBounds(e ManifestEntry) bool {
+// matches of q.
+func inTimeBounds(q Query, e ManifestEntry) bool {
 	if !q.From.IsZero() && e.LastAt.Before(q.From) {
 		return false
 	}
@@ -80,10 +28,10 @@ func (q Query) inTimeBounds(e ManifestEntry) bool {
 }
 
 // candidates returns the ascending sequence numbers a segment's index
-// nominates for the query, and whether the posting lists applied (false
-// means scan everything).
-func (q Query) candidates(idx *segmentIndex) ([]uint64, bool, error) {
-	if !q.indexed() {
+// nominates for q, and whether the posting lists applied (false means scan
+// everything).
+func candidates(q Query, idx *segmentIndex) ([]uint64, bool, error) {
+	if !indexed(q) {
 		return nil, false, nil
 	}
 	var seqs []uint64
@@ -148,7 +96,7 @@ func (v *Vault) Query(q Query) *Iterator {
 		copy(it.sealed, v.sealed)
 	}
 	for _, rec := range v.active.records {
-		if q.matches(rec) {
+		if q.Matches(rec) {
 			it.tail = append(it.tail, rec)
 		}
 	}
@@ -222,10 +170,10 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if idx.Entry.LastSeq <= it.q.AfterSeq {
 		return nil, nil
 	}
-	if !it.q.inTimeBounds(idx.Entry) {
+	if !inTimeBounds(it.q, idx.Entry) {
 		return nil, nil
 	}
-	seqs, usedIndex, err := it.q.candidates(idx)
+	seqs, usedIndex, err := candidates(it.q, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +184,7 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if !usedIndex {
 		var out []*store.Record
 		_, err := readSealedSegment(it.dir, idx.Entry, nil, func(rec *store.Record, _ int64) error {
-			if it.q.matches(rec) {
+			if it.q.Matches(rec) {
 				out = append(out, rec)
 			}
 			return nil
@@ -297,7 +245,7 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 		if rec.Hash != idx.hash(i) {
 			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
 		}
-		if it.q.matches(rec) {
+		if it.q.Matches(rec) {
 			out = append(out, rec)
 		}
 	}

@@ -64,7 +64,7 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 		if s.Sealed {
 			s.SegmentBytes = int64(len(data))
 		} else if s.SegmentBytes < int64(len(data)) {
-			data = data[:s.SegmentBytes] // a preallocated tail: zeroes past the records
+			data = data[:s.SegmentBytes] // a zero tail past the records the vault wrote
 		}
 		enc := store.DetectEncoding(data)
 		s.Format = enc.String()

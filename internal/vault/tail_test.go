@@ -2,12 +2,11 @@ package vault_test
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
-	"nonrep/internal/id"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
@@ -220,52 +219,45 @@ func TestReplicaPruneAndRestore(t *testing.T) {
 	}
 }
 
-// TestPreallocatedVaultSealsTrimmed runs a vault with preallocation:
-// behaviour must be byte-identical to an unpreallocated vault — sealed
-// files trimmed to their logical size, reopen clean, deep verification
-// green.
-func TestPreallocatedVaultSealsTrimmed(t *testing.T) {
+// TestSizesIgnoreZeroTail: zeroes past the tail's records — space the
+// filesystem holds beyond the bytes the vault wrote, here made with
+// os.Truncate — are not record bytes: Sizes reports the tail as the
+// records the vault holds, and the sealed segments as before.
+func TestSizesIgnoreZeroTail(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
 	dir := t.TempDir()
-	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4), vault.WithPreallocate(1<<20))
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer v.Close()
 	seedVault(t, realm, v, 10)
-	if err := v.SealNow(); err != nil {
-		t.Fatal(err)
-	}
-	manifest := v.Manifest()
-	if len(manifest) != 3 {
-		t.Fatalf("Manifest = %d entries, want 3", len(manifest))
-	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Sealed files must not carry preallocated slack past their logical
-	// bytes (the seal trims), and the vault reopens verifiably.
-	for _, e := range manifest {
-		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("seg-%08d.log", e.Segment)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() > 1<<19 {
-			t.Fatalf("sealed segment %d is %d bytes — preallocation not trimmed", e.Segment, fi.Size())
-		}
-	}
-	v2, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4), vault.WithPreallocate(1<<20))
+	before, err := v.Sizes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if err := v2.DeepVerify(); err != nil {
-		t.Fatalf("DeepVerify after preallocated reopen: %v", err)
+	tail := filepath.Join(dir, "seg-00000003.log")
+	fi, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := v2.Len(); got != 10 {
-		t.Fatalf("Len after reopen = %d, want 10", got)
+	if err := os.Truncate(tail, fi.Size()+1<<16); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := v2.Append(store.Generated, newToken(t, realm, id.NewRun(), 1), "more"); err != nil {
-		t.Fatalf("append after reopen: %v", err)
+	after, err := v.Sizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != 3 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("Sizes over a zero tail = %+v, want %+v", after, before)
+	}
+	if got := after[2]; got.Sealed || got.Records != 2 || got.SegmentBytes != fi.Size() {
+		t.Fatalf("tail = %+v, want 2 records in %d bytes", got, fi.Size())
+	}
+	// Put the file back as the vault wrote it, so Close leaves a vault
+	// that reopens.
+	if err := os.Truncate(tail, fi.Size()); err != nil {
+		t.Fatal(err)
 	}
 }

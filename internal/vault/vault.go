@@ -1,10 +1,10 @@
-// Package vault is the production-scale evidence store: a store.Log whose
-// records live in fixed-size append-only segment files instead of RAM.
+// Package vault is the evidence store: the one store.Log, whose records
+// live in fixed-size append-only segment files instead of RAM.
 //
-// The seed's logs keep every record in memory and fsync once per append;
-// a busy trusted interceptor (section 3.5 requires persistent storage for
-// all evidence) outgrows both within hours. The vault bounds memory and
-// amortises durability:
+// A log that keeps every record in memory and fsyncs once per append
+// outgrows both within hours on a busy trusted interceptor (section 3.5
+// requires persistent storage for all evidence). The vault bounds memory
+// and amortises durability:
 //
 //   - Segmented storage: records are appended to the active segment file;
 //     when it reaches the configured size it is sealed — a manifest entry
@@ -22,8 +22,8 @@
 //   - Persistent indexes: at seal time each segment writes a binary index
 //     of byte offsets, record hashes and posting lists by run,
 //     transaction, party and kind, read in place from a file mapping, so
-//     ByRun/ByTxn and adjudication queries are O(result), not O(log), and
-//     a sealed segment costs the heap only its routing keys.
+//     run, transaction and adjudication queries are O(result), not
+//     O(log), and a sealed segment costs the heap only its routing keys.
 //
 //   - Fast recovery: opening a vault verifies the manifest chain and
 //     replays only the unsealed tail segment (truncating a torn final
@@ -34,7 +34,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -127,20 +126,6 @@ func WithObserver(scope *obs.Scope) Option {
 	}
 }
 
-// WithPreallocate reserves space for each active segment file up front
-// (fallocate on Linux, a no-op elsewhere — see preallocate), so the
-// per-batch fsync no longer pays block-allocation metadata writes on
-// filesystems that honour the reservation. n is the reservation in
-// bytes; sealing trims the file back to its real size, releasing the
-// unused tail of the reservation.
-func WithPreallocate(n int64) Option {
-	return func(v *Vault) {
-		if n > 0 {
-			v.prealloc = n
-		}
-	}
-}
-
 // Vault is a segmented, indexed, group-committed evidence store. It
 // implements store.Log and is safe for concurrent use.
 type Vault struct {
@@ -150,8 +135,8 @@ type Vault struct {
 	maxBatch    int // appends one group commit absorbs: 512, less in tests
 	sync        bool
 	readOnly    bool
-	prealloc    int64
 	restoreFrom string
+	removeDir   bool // OpenTemp: the directory goes with the vault at Close
 
 	lockF *os.File
 
@@ -205,10 +190,7 @@ type Vault struct {
 	closeErr  error
 }
 
-var (
-	_ store.Log           = (*Vault)(nil)
-	_ store.GroupAppender = (*Vault)(nil)
-)
+var _ store.Log = (*Vault)(nil)
 
 type appendReq struct {
 	// entries are the records the request appends: one for Append and
@@ -336,6 +318,25 @@ func Open(dir string, clk clock.Clock, opts ...Option) (*Vault, error) {
 	v.mu.Unlock()
 	v.notifySeals()
 	go v.run()
+	return v, nil
+}
+
+// OpenTemp opens a vault in a fresh private directory under the system's
+// temporary directory and removes that directory when the vault closes:
+// the evidence log of a party that keeps nothing across restarts. Such a
+// log has nothing to keep across a machine crash either, so it runs
+// WithoutSync.
+func OpenTemp(clk clock.Clock, opts ...Option) (*Vault, error) {
+	dir, err := os.MkdirTemp("", "nonrep-vault-")
+	if err != nil {
+		return nil, fmt.Errorf("vault: create temporary directory: %w", err)
+	}
+	v, err := Open(dir, clk, append(opts[:len(opts):len(opts)], WithoutSync())...)
+	if err != nil {
+		_ = os.RemoveAll(dir) // the open failure is the error worth reporting
+		return nil, err
+	}
+	v.removeDir = true
 	return v, nil
 }
 
@@ -665,7 +666,6 @@ func (v *Vault) openHandles() error {
 		f.Close()
 		return err
 	}
-	preallocate(f, v.prealloc)
 	m, err := os.OpenFile(v.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		f.Close()
@@ -961,13 +961,6 @@ func (v *Vault) seal() error {
 	if err := v.manifestF.Sync(); err != nil {
 		return fmt.Errorf("vault: sync manifest: %w", err)
 	}
-	if v.prealloc > 0 {
-		// Release the unused tail of the reservation; the sealed file's
-		// size must match what the seal verifies.
-		if err := v.f.Truncate(a.size); err != nil {
-			return fmt.Errorf("vault: trim sealed segment: %w", err)
-		}
-	}
 	if err := v.f.Close(); err != nil {
 		return fmt.Errorf("vault: close sealed segment: %w", err)
 	}
@@ -988,7 +981,6 @@ func (v *Vault) seal() error {
 		f.Close()
 		return err
 	}
-	preallocate(f, v.prealloc)
 	v.f = f
 	// Persist the directory entries for the index, the manifest line's
 	// backing file and the fresh segment before acknowledging anything
@@ -1032,7 +1024,7 @@ func (v *Vault) Append(dir store.Direction, tok *evidence.Token, note string) (*
 	return recs[0], nil
 }
 
-// AppendGroup implements store.GroupAppender: the entries take contiguous
+// AppendGroup implements store.Log: the entries take contiguous
 // sequence numbers in slice order and ride one request through the
 // committer — one write, one fsync, never split across two commits — so
 // the caller waits for one commit however many records its protocol step
@@ -1171,37 +1163,11 @@ func (v *Vault) Len() int {
 	return int(v.lastSeq)
 }
 
-// Records implements store.Log by materialising the entire log — the
-// compatibility path for bundle export; use Query for logs that do not
-// fit in memory.
-func (v *Vault) Records() []*store.Record { return v.logQuery(Query{}, "Records") }
-
-// ByRun implements store.Log via the run index.
-func (v *Vault) ByRun(run id.Run) []*store.Record { return v.logQuery(Query{Run: run}, "ByRun") }
-
-// ByTxn implements store.Log via the transaction index.
-func (v *Vault) ByTxn(txn id.Txn) []*store.Record { return v.logQuery(Query{Txn: txn}, "ByTxn") }
-
-// logQuery adapts QueryAll to the error-less store.Log interface. A
-// segment-read failure must not masquerade quietly as an empty result —
-// an adjudicator would mistake it for absent evidence — so the error is
-// logged loudly; integrity failures additionally poison appends, since a
-// store that can no longer prove what it holds must not accept more
-// evidence. Transient read errors (fd exhaustion, permissions) do not
-// poison — callers needing hard guarantees use QueryAll and see the
-// error directly.
-func (v *Vault) logQuery(q Query, op string) []*store.Record {
-	recs, err := v.QueryAll(q)
-	if err != nil {
-		log.Printf("vault: %s: RESULTS INCOMPLETE: %v (%d records read before the error)", op, err, len(recs))
-		if errors.Is(err, ErrSealBroken) || errors.Is(err, store.ErrChainBroken) {
-			v.mu.Lock()
-			if v.failure == nil {
-				v.failure = err
-			}
-			v.mu.Unlock()
-		}
-	}
+// ByRun returns the records of one run, or those read before a read
+// error. It is kept, error-less, for the benchmark harness alone; every
+// other reader calls QueryAll, which reports the error.
+func (v *Vault) ByRun(run id.Run) []*store.Record {
+	recs, _ := v.QueryAll(Query{Run: run}) // the harness counts a short answer as a failed lookup
 	return recs
 }
 
@@ -1278,7 +1244,7 @@ func (v *Vault) Stats() Stats {
 
 // Close implements store.Log: pending appends are committed, the tail
 // stays unsealed (it is replayed on the next Open), and file handles are
-// released.
+// released. A vault from OpenTemp removes its directory.
 func (v *Vault) Close() error {
 	v.closeOnce.Do(func() {
 		if !v.readOnly {
@@ -1305,6 +1271,11 @@ func (v *Vault) Close() error {
 			v.manifestF = nil
 		}
 		v.unlock()
+		if v.removeDir {
+			if err := os.RemoveAll(v.dir); err != nil && v.closeErr == nil {
+				v.closeErr = err
+			}
+		}
 	})
 	return v.closeErr
 }

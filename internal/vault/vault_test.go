@@ -41,7 +41,8 @@ func openVault(t testing.TB, dir string, opts ...vault.Option) *vault.Vault {
 }
 
 // TestVaultLogContract exercises the store.Log contract the protocols
-// depend on: append, Len, ByRun, ByTxn, Records, VerifyChain.
+// depend on: append, Len, queries by run, by transaction and of the
+// whole log, VerifyChain.
 func TestVaultLogContract(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
@@ -73,13 +74,13 @@ func TestVaultLogContract(t *testing.T) {
 	if log.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", log.Len())
 	}
-	if got := len(log.ByRun(runA)); got != 3 {
+	if got := len(testpki.Query(t, log, store.Query{Run: runA})); got != 3 {
 		t.Fatalf("ByRun(A) = %d records, want 3", got)
 	}
-	if got := len(log.ByTxn(txn)); got != 1 {
+	if got := len(testpki.Query(t, log, store.Query{Txn: txn})); got != 1 {
 		t.Fatalf("ByTxn = %d records, want 1", got)
 	}
-	recs := log.Records()
+	recs := testpki.Query(t, log, store.Query{})
 	if len(recs) != 5 {
 		t.Fatalf("Records = %d, want 5", len(recs))
 	}
@@ -170,7 +171,7 @@ func TestVaultGroupCommitConcurrent(t *testing.T) {
 		t.Fatalf("DeepVerify: %v", err)
 	}
 	seen := make(map[uint64]bool)
-	for _, rec := range v.Records() {
+	for _, rec := range testpki.Query(t, v, store.Query{}) {
 		if seen[rec.Seq] {
 			t.Fatalf("duplicate seq %d", rec.Seq)
 		}
@@ -559,7 +560,7 @@ func TestVaultQueryEngine(t *testing.T) {
 	}
 
 	// Time bounds around the middle of the log.
-	all := v.Records()
+	all := testpki.Query(t, v, store.Query{})
 	mid := all[9].At
 	bounded, err := v.QueryAll(vault.Query{From: mid})
 	if err != nil {

@@ -15,6 +15,8 @@ import (
 
 	"nonrep"
 	"nonrep/internal/invoke"
+	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 )
 
 // TestHostedDomainEndToEnd hosts 16 organisations behind one shared
@@ -101,16 +103,16 @@ func TestHostedDomainEndToEnd(t *testing.T) {
 		if i%2 == 1 {
 			server = hosted[(i/2+1)%tenants]
 		}
-		report, _ := adj.AuditRunStream(nonrep.Records(server.Log().Records()), run)
+		report, _ := adj.AuditRunStream(server.Vault().Query(nonrep.VaultQuery{}), run)
 		if !report.Complete() {
 			t.Fatalf("hosted run %d report incomplete: %+v", i, report)
 		}
 	}
-	if report, _ := adj.AuditRunStream(nonrep.Records(dedicated.Log().Records()), backRun); !report.Complete() {
+	if report, _ := adj.AuditRunStream(dedicated.Vault().Query(nonrep.VaultQuery{}), backRun); !report.Complete() {
 		t.Fatalf("hosted->dedicated run incomplete: %+v", report)
 	}
 	for i, org := range hosted {
-		if report := adj.AuditStream(nonrep.Records(org.Log().Records())); !report.Clean() {
+		if report := adj.AuditStream(org.Vault().Query(nonrep.VaultQuery{})); !report.Clean() {
 			t.Fatalf("tenant %d log audit: chain=%q faults=%v", i, report.ChainError, report.Faults)
 		}
 	}
@@ -215,14 +217,14 @@ func TestHostedTenantIsolation(t *testing.T) {
 		if got := org.Log().Len(); got != 4*perTenant {
 			t.Fatalf("%s log has %d records, want %d", p, got, 4*perTenant)
 		}
-		for _, rec := range org.Log().Records() {
+		for _, rec := range testpki.Query(t, org.Log(), store.Query{}) {
 			if !isRunOf(p, rec.Token.Run) {
 				t.Fatalf("%s log contains record of run %s (another tenant's: %v)",
 					p, rec.Token.Run, isRunOf(other, rec.Token.Run))
 			}
 		}
 		for _, run := range runsOf[p] {
-			if got := len(org.Log().ByRun(run)); got != 4 {
+			if got := len(testpki.Query(t, org.Log(), store.Query{Run: run})); got != 4 {
 				t.Fatalf("%s run %s has %d records, want exactly 4", p, run, got)
 			}
 		}
@@ -231,7 +233,7 @@ func TestHostedTenantIsolation(t *testing.T) {
 	// Pipelining composed for hosted tenants: some evidence carries
 	// aggregate (Merkle batch) signatures.
 	batched := false
-	for _, rec := range orgA.Log().Records() {
+	for _, rec := range testpki.Query(t, orgA.Log(), store.Query{}) {
 		if len(rec.Token.Signature.BatchPath) > 0 {
 			batched = true
 			break

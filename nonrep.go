@@ -308,8 +308,9 @@ type (
 	RecordSource = core.RecordSource
 )
 
-// Records presents records already in memory (an Org's Log().Records(), a
-// bundle's log) to the adjudicator's AuditStream and AuditRunStream.
+// Records presents records already in memory (a bundle's logs, a
+// QueryAll result) to the adjudicator's AuditStream and AuditRunStream;
+// an Org's own evidence streams straight from Org.Vault().Query.
 func Records(records []*Record) RecordSource { return core.Records(records) }
 
 // Evidence vault vocabulary (segmented, indexed, group-committed evidence
@@ -317,8 +318,8 @@ func Records(records []*Record) RecordSource { return core.Records(records) }
 type (
 	// Vault is the production-scale evidence store.
 	Vault = vault.Vault
-	// VaultOption tunes a vault (VaultSegmentRecords, VaultPreallocate,
-	// VaultWithoutSync, VaultReadOnly, VaultRestoreFrom).
+	// VaultOption tunes a vault (VaultSegmentRecords, VaultWithoutSync,
+	// VaultReadOnly, VaultRestoreFrom).
 	VaultOption = vault.Option
 	// VaultQuery selects evidence records for adjudication.
 	VaultQuery = vault.Query

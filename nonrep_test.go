@@ -3,6 +3,8 @@ package nonrep_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -80,11 +82,11 @@ func TestDomainEndToEnd(t *testing.T) {
 
 	// Adjudication from the server's log alone proves the full exchange.
 	adj := domain.Adjudicator()
-	report, _ := adj.AuditRunStream(nonrep.Records(server.Log().Records()), res.Run)
+	report, _ := adj.AuditRunStream(server.Vault().Query(nonrep.VaultQuery{}), res.Run)
 	if !report.Complete() {
 		t.Fatalf("run report incomplete: %+v", report)
 	}
-	logReport := adj.AuditStream(nonrep.Records(client.Log().Records()))
+	logReport := adj.AuditStream(client.Vault().Query(nonrep.VaultQuery{}))
 	if !logReport.Clean() {
 		t.Fatalf("client log audit: %+v", logReport)
 	}
@@ -173,6 +175,101 @@ func TestDomainWithVault(t *testing.T) {
 	}
 	if err := re.DeepVerify(); err != nil {
 		t.Fatalf("DeepVerify after reopen: %v", err)
+	}
+}
+
+// TestOrgWithoutVaultDirRunsOnTemporaryVault: an organisation enrolled
+// without WithVault keeps its evidence in a vault of its own, in a
+// temporary directory that Domain.Close removes.
+func TestOrgWithoutVaultDirRunsOnTemporaryVault(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // not parallel: the temporary vaults land here
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	client, err := domain.AddOrg(dealer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg(manufacturer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+		t.Fatal(err)
+	}
+	server.Serve()
+	var conf string
+	if _, err := client.Proxy(manufacturer, ordersURI, nil).CallValue(context.Background(), &conf, "Place", "roadster"); err != nil {
+		t.Fatal(err)
+	}
+	if v := client.Vault(); v == nil || v.Len() == 0 {
+		t.Fatalf("client vault = %v, want one holding the call's evidence", v)
+	}
+	vaults := func() []string {
+		dirs, err := filepath.Glob(filepath.Join(tmp, "nonrep-vault-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+	if got := vaults(); len(got) != 2 {
+		t.Fatalf("temporary vault directories = %v, want one per organisation", got)
+	}
+	if err := domain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := vaults(); len(got) != 0 {
+		t.Fatalf("temporary vault directories left after Close: %v", got)
+	}
+}
+
+// TestExportBundleFailsOnUnreadableLog: a sealed segment that no longer
+// reads back fails the export, instead of a bundle that silently lacks
+// its records.
+func TestExportBundleFailsOnUnreadableLog(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	vaultDir := t.TempDir()
+	client, err := domain.AddOrg(dealer, nonrep.WithVault(vaultDir, nonrep.VaultSegmentRecords(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg(manufacturer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+		t.Fatal(err)
+	}
+	server.Serve()
+	proxy := client.Proxy(manufacturer, ordersURI, nil)
+	for i := 0; i < 4; i++ {
+		var conf string
+		if _, err := proxy.CallValue(context.Background(), &conf, "Place", "roadster"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := domain.ExportBundle(t.TempDir()); err != nil {
+		t.Fatalf("export before the damage: %v", err)
+	}
+	seg := filepath.Join(vaultDir, "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := domain.ExportBundle(t.TempDir()); err == nil {
+		t.Fatal("ExportBundle succeeded over a damaged sealed segment")
 	}
 }
 

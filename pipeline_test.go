@@ -13,6 +13,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
 )
@@ -99,11 +100,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// Both vaults hold complete per-run evidence, exactly once.
 	for i, res := range results {
-		serverRecs := server.Vault().ByRun(res.Run)
+		serverRecs := testpki.Query(t, server.Vault(), store.Query{Run: res.Run})
 		if len(serverRecs) != 4 {
 			t.Fatalf("run %d: server vault has %d records, want 4 (NRO, NRR, NROResp, NRRResp)", i, len(serverRecs))
 		}
-		clientRecs := client.Vault().ByRun(res.Run)
+		clientRecs := testpki.Query(t, client.Vault(), store.Query{Run: res.Run})
 		if len(clientRecs) != 4 {
 			t.Fatalf("run %d: client vault has %d records, want 4", i, len(clientRecs))
 		}
@@ -115,7 +116,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if err := org.Vault().DeepVerify(); err != nil {
 			t.Fatalf("%s vault deep verify: %v", name, err)
 		}
-		report := domain.Adjudicator().AuditStream(nonrep.Records(org.Vault().Records()))
+		report := domain.Adjudicator().AuditStream(org.Vault().Query(nonrep.VaultQuery{}))
 		if !report.Clean() {
 			t.Fatalf("%s audit not clean: chain=%q faults=%v", name, report.ChainError, report.Faults)
 		}
@@ -210,7 +211,7 @@ func TestPipelineUnderFaults(t *testing.T) {
 		}
 		// Exactly one record per protocol step: no double-append of
 		// received evidence from replayed or duplicated batches.
-		recs := log.ByRun(results[i].Run)
+		recs := testpki.Query(t, log, store.Query{Run: results[i].Run})
 		if len(recs) != 4 {
 			t.Fatalf("run %d: server log has %d records, want exactly 4", i, len(recs))
 		}

@@ -14,6 +14,7 @@ import (
 	"nonrep"
 	"nonrep/internal/clock"
 	"nonrep/internal/store"
+	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
 )
 
@@ -109,12 +110,12 @@ func TestStreamedInvocationOver16MiBTCP(t *testing.T) {
 	// complete — the signatures bind the full payload via the chain.
 	adj := domain.Adjudicator()
 	for _, org := range []*nonrep.Org{a, b} {
-		report := adj.AuditStream(nonrep.Records(org.Log().Records()))
+		report := adj.AuditStream(org.Vault().Query(nonrep.VaultQuery{}))
 		if !report.Clean() {
 			t.Fatalf("%s evidence not clean: %+v", org.Party(), report.Faults)
 		}
 	}
-	run, _ := adj.AuditRunStream(nonrep.Records(a.Log().Records()), res.Run)
+	run, _ := adj.AuditRunStream(a.Vault().Query(nonrep.VaultQuery{}), res.Run)
 	if !run.Complete() {
 		t.Fatalf("run report incomplete: %+v", run)
 	}
@@ -318,7 +319,7 @@ func TestChunkedSegmentReplicationOver16MiB(t *testing.T) {
 // reuse in bulk appends.
 func firstGeneratedToken(t *testing.T, o *nonrep.Org) *nonrep.Token {
 	t.Helper()
-	recs := o.Log().Records()
+	recs := testpki.Query(t, o.Log(), store.Query{})
 	if len(recs) == 0 {
 		t.Fatal("org has no evidence to bulk-append")
 	}
