@@ -36,9 +36,11 @@
 // (paper section 6) instead of a verdict: per segment, the format its
 // records and its index are stored in, the bytes each takes per record,
 // and how many frames are plain and how many follow a leader (with the
-// bytes a frame of each sort takes), then the vault's total, then per
+// bytes a frame of each sort takes), then the vault's total and how many
+// followers borrow their signature from the frame before them, then per
 // token kind the records, their mean frame and the mean bytes their notes
-// take stored as vocabulary codes, structured JSON trees and text.
+// take stored as vocabulary codes, structured JSON trees and text. A
+// segment that does not decode in full is an error (exit 2).
 //
 // Usage:
 //
@@ -588,8 +590,9 @@ func sizesVault(dir string) int {
 	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f frame + %.1f index = %.1f B/record\n",
 		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
 		perRecord(segBytes+idxBytes, records))
-	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B\n", records-frames.Followers,
-		perRecord(plainBytes, records-frames.Followers), frames.Followers, perRecord(frames.FollowerBytes, frames.Followers))
+	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B, %d of them borrowing a signature at %.1f B\n",
+		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.Followers,
+		perRecord(frames.FollowerBytes, frames.Followers), frames.SigBorrowers, perRecord(frames.SigBorrowerBytes, frames.SigBorrowers))
 
 	// What each token kind takes, and how its notes are stored: B/record
 	// of coded, structured and literal notes add up to its notes' mean.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
+	"nonrep/internal/vault"
 )
 
 const (
@@ -88,6 +90,12 @@ func writeBundle(t *testing.T, nrrDigest sig.Digest) string {
 // audit runs the bundle mode on dir and returns its exit code and output.
 func audit(t *testing.T, dir string) (int, string) {
 	t.Helper()
+	return captured(t, func() int { return auditBundle(dir, "") })
+}
+
+// captured runs a mode and returns its exit code and what it printed.
+func captured(t *testing.T, mode func() int) (int, string) {
+	t.Helper()
 	out, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -95,13 +103,70 @@ func audit(t *testing.T, dir string) (int, string) {
 	defer out.Close()
 	stdout := os.Stdout
 	os.Stdout = out
-	code := auditBundle(dir, "")
+	code := mode()
 	os.Stdout = stdout
 	data, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return code, string(data)
+}
+
+// TestSizesCountsBorrowersAndRefusesDamage: -sizes reports how many
+// followers borrow their signature — here each server's response origin,
+// signed in one batch with its receipt — and exits 2 on a segment a
+// flipped byte has made unreadable past some frame, rather than counting
+// the frames before the damage.
+func TestSizesCountsBorrowersAndRefusesDamage(t *testing.T) {
+	realm := testpki.MustRealm(client, server)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := evidence.NewBatchIssuer(realm.Party(server).Issuer)
+	defer b.Close()
+	for i := 0; i < 4; i++ {
+		run := id.NewRun()
+		nro, err := realm.Party(client).Issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("request")), evidence.WithRecipients(server))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := b.IssueBatch([]evidence.TokenRequest{
+			{Kind: evidence.KindNRR, Run: run, Step: 2, Digest: nro.Digest, Opts: []evidence.IssueOption{evidence.WithRecipients(client)}},
+			{Kind: evidence.KindNROResp, Run: run, Step: 3, Digest: sig.Sum([]byte("response")), Opts: []evidence.IssueOption{evidence.WithRecipients(client)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.AppendGroup([]store.Entry{
+			{Dir: store.Received, Token: nro, Note: "request origin"},
+			{Dir: store.Generated, Token: pair[0], Note: "request receipt"},
+			{Dir: store.Generated, Token: pair[1], Note: "response origin (ok)"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, out := captured(t, func() int { return sizesVault(dir) })
+	if code != 0 || !strings.Contains(out, "8 followers") || !strings.Contains(out, "4 of them borrowing a signature") {
+		t.Fatalf("sizes of an intact vault: exit %d\n%s", code, out)
+	}
+
+	seg := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(seg, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := captured(t, func() int { return sizesVault(dir) }); code != 2 {
+		t.Fatalf("sizes of a damaged vault: exit %d, want 2\n%s", code, out)
+	}
 }
 
 // TestBundleReportsBindingFaults: every log of a bundle can audit clean —

@@ -1,6 +1,7 @@
 package evidence
 
 import (
+	"bytes"
 	"strings"
 
 	"nonrep/internal/canon"
@@ -125,6 +126,64 @@ func (t *Token) BorrowFrom(leader *Token) (borrow uint8) {
 	return borrow
 }
 
+// MatesWith reports whether t's signature is the one mate's implies — t
+// and mate are two leaves of one Merkle batch signature, siblings under
+// the batch's tree, and t carries nothing mate does not determine: the
+// same algorithm, key id and signature bytes, the sibling index
+// (mate.BatchIndex ^ 1), and an inclusion path that starts with mate's
+// TBS digest and continues as mate's. Such a token may be written
+// borrowing its whole signature from mate (AppendBinary with mate), and
+// DecodeBinary rebuilds it exactly; any other signature — a plain one, a
+// shared one at another index, one with a root or forward-secure fields
+// — is not mate's to lend.
+func (t *Token) MatesWith(mate *Token) bool {
+	rebuilt, ok := mateSignature(mate)
+	return ok && sameSignature(&t.Signature, &rebuilt)
+}
+
+// mateSignature rebuilds the signature a token borrowing from mate
+// carries; false when mate has no batch path to lend.
+func mateSignature(mate *Token) (sig.Signature, bool) {
+	m := &mate.Signature
+	if len(m.BatchPath) == 0 {
+		return sig.Signature{}, false
+	}
+	tbs, err := mate.TBSDigest()
+	if err != nil {
+		return sig.Signature{}, false
+	}
+	path := make([][]byte, len(m.BatchPath))
+	path[0] = tbs[:]
+	for j := 1; j < len(path); j++ {
+		path[j] = bytes.Clone(m.BatchPath[j])
+	}
+	return sig.Signature{Algorithm: m.Algorithm, KeyID: m.KeyID, Bytes: bytes.Clone(m.Bytes),
+		BatchPath: path, BatchIndex: m.BatchIndex ^ 1}, true
+}
+
+// sameSignature reports whether a and b project to the same canonical
+// JSON: a nil byte run is null and an empty one "", except in the fields
+// that omit both.
+func sameSignature(a, b *sig.Signature) bool {
+	return a.Algorithm == b.Algorithm && a.KeyID == b.KeyID && sameBytes(a.Bytes, b.Bytes) && a.Period == b.Period &&
+		bytes.Equal(a.PublicHint, b.PublicHint) && sameRuns(a.Path, b.Path) && bytes.Equal(a.BatchRoot, b.BatchRoot) &&
+		sameRuns(a.BatchPath, b.BatchPath) && a.BatchIndex == b.BatchIndex
+}
+
+func sameBytes(a, b []byte) bool { return (a == nil) == (b == nil) && bytes.Equal(a, b) }
+
+func sameRuns(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBytes(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendBinary appends the binary encoding of the token. The signed
 // form remains the canonical JSON of tokenTBS — binary is a carrier,
 // and every compaction below is exact or not applied, so DecodeBinary
@@ -139,10 +198,15 @@ func (t *Token) BorrowFrom(leader *Token) (borrow uint8) {
 // With a leader — the token of the frame a follower frame points back
 // at, which must be of t's run — the run is not written and neither is
 // any field named in borrow, which must be what t.BorrowFrom(leader)
-// allowed; a nil leader writes the self-contained form.
-func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8) ([]byte, error) {
+// allowed; a nil leader writes the self-contained form. With a mate —
+// which t.MatesWith must have accepted — the signature is not written at
+// all, key id included, and its presence bits are clear.
+func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8, mate *Token) ([]byte, error) {
 	issuedMode := canon.ModeOfTime(t.IssuedAt)
-	flags := uint64(issuedMode)<<issuedModeShift | t.Signature.BinaryFlags()<<sigFlagShift
+	flags := uint64(issuedMode) << issuedModeShift
+	if mate == nil {
+		flags |= t.Signature.BinaryFlags() << sigFlagShift
+	}
 	if len(t.Recipients) > 0 {
 		flags |= flagRecipients
 	}
@@ -196,8 +260,10 @@ func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8
 		return nil, err
 	}
 	dst = canon.AppendPackedID(dst, t.Nonce)
-	dst = t.appendRooted(dst, t.Signature.KeyID)
-	dst = t.Signature.AppendBinary(dst)
+	if mate == nil {
+		dst = t.appendRooted(dst, t.Signature.KeyID)
+		dst = t.Signature.AppendBinary(dst)
+	}
 	if t.Timestamp != nil {
 		return t.Timestamp.AppendBinary(dst)
 	}
@@ -244,17 +310,20 @@ func (t *Token) decodeRooted(r *canon.BinReader) string {
 	}
 }
 
-// DecodeBinary decodes a token from r into t, with the base, leader and
-// borrow mask AppendBinary was given (nil and 0 for a self-contained
-// token). A borrow bit for a field the token does not have, or the
-// leader has nothing to lend, is refused. All variable-length data is
+// DecodeBinary decodes a token from r into t, with the base, leader,
+// borrow mask and mate AppendBinary was given (nil, 0 and nil for a
+// self-contained token). A borrow bit for a field the token does not
+// have, or the leader has nothing to lend, is refused, and so is a mate
+// without a batch path or a token that borrows its signature yet says it
+// has one of its own. All variable-length data is
 // copied out of the reader's buffer: decoded tokens escape into query
 // results and protocol state that outlive the source buffer (which may
 // be an mmapped segment); what is borrowed is shared with the leader's
 // token, strings both.
-func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borrow uint8) {
+func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borrow uint8, mate *Token) {
 	flags := r.Uvarint()
 	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 || borrow>>BorrowBits != 0 || (leader == nil && borrow != 0) ||
+		(mate != nil && flags>>sigFlagShift != 0) ||
 		(borrow&BorrowTxn != 0 && (flags&flagTxn == 0 || leader.Txn == "")) ||
 		(borrow&BorrowRecipients != 0 && flags&flagRecipients == 0) ||
 		(borrow&BorrowService != 0 && (flags&flagService == 0 || leader.Service == "")) {
@@ -305,8 +374,16 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borr
 	}
 	t.IssuedAt = r.Time(canon.TimeMode(flags>>issuedModeShift&3), base)
 	t.Nonce = r.PackedID()
-	t.Signature.KeyID = t.decodeRooted(r)
-	t.Signature.DecodeBinary(r, flags>>sigFlagShift)
+	if mate != nil {
+		var ok bool
+		if t.Signature, ok = mateSignature(mate); !ok {
+			r.Fail(canon.ErrBinary)
+			return
+		}
+	} else {
+		t.Signature.KeyID = t.decodeRooted(r)
+		t.Signature.DecodeBinary(r, flags>>sigFlagShift)
+	}
 	if flags&flagTimestamp != 0 {
 		t.Timestamp = new(stamp.Token)
 		t.Timestamp.DecodeBinary(r)

@@ -34,8 +34,8 @@ func TestDecodeRecordPush(t *testing.T) {
 	}
 	// A push is one write, and the fixture's records one run: all but the
 	// first travel as followers.
-	if n := store.CountFrames(current).Followers; n != len(recs)-1 {
-		t.Fatalf("push of %d records of one run carries %d followers", len(recs), n)
+	if count, err := store.CountFrames(current); err != nil || count.Followers != len(recs)-1 {
+		t.Fatalf("push of %d records of one run carries %d followers, err %v", len(recs), count.Followers, err)
 	}
 	for name, frames := range map[string][]byte{"bare version-1 frames": legacy, "current frame run": current} {
 		got, err := decodeRecordPush("test push", recs[0].Seq, len(recs), frames)

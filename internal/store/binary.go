@@ -9,7 +9,7 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 5 (the only version written) spends bytes only on what a
+// Version 6 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev is elided when the frame directly follows its predecessor, Hash
 // is never stored — it is a function of the rest of the record, and the
@@ -32,14 +32,21 @@
 // which it names by the distance in bytes from its own start back to the
 // leader's. A frame follows only a leader of its own run; a follower
 // never points at a follower; the first frame of every write, file and
-// push is plain. The invariant of the format:
+// push is plain. A follower may also borrow its whole signature from its
+// mate — the frame directly before it, the leader or a follower of the
+// same leader, which wrote its own — when the two are sibling leaves of
+// one batch signature (evidence.Token.MatesWith), as a batch signer's
+// receipt and response origin are. The invariant of the format:
 //
-//	A frame decodes given its predecessor's hash and, when it says so,
-//	the one leader frame `back` bytes before it in the same file.
+//	A frame decodes given its predecessor's hash, its leader — the one
+//	frame `back` bytes before it in the same file — and, when it says
+//	so, its mate.
 //
 // There is no table per segment and no state per vault: a sequential
-// scan keeps the last plain frame it decoded, a keyed read parses one
-// more frame out of the same mapping. A follower's body is
+// scan keeps the last plain frame it decoded and the frame before the
+// one it decodes, a keyed read parses at most two more frames out of the
+// same mapping — the leader, and the mate the segment index locates. A
+// follower's body is
 //
 //	flags (bit 7 set) · seq · [Prev] · back · borrow mask · At ·
 //	direction · note · token · [note tree] · CRC-32C
@@ -49,8 +56,11 @@
 // (evidence.BorrowTxn, BorrowIssuer, BorrowRecipients, BorrowService,
 // BorrowDigest — the transaction, the issuer and each recipient as a
 // one-byte reference into the leader's party list, the service, the
-// digest), bit 5 is the frame's (borrowAt: At is a nanosecond delta from
-// the leader's At, possible when both travel in the same zone mode). The
+// digest), bits 5 and 6 are the frame's (borrowAt: At is a nanosecond
+// delta from the leader's At, possible when both travel in the same zone
+// mode; borrowSig: the token writes no signature, and the decoder rebuilds
+// it from the mate's — the same key id, algorithm and bytes, the sibling
+// index, a path of the mate's TBS digest and the rest of the mate's). The
 // token's run is always the leader's. A field whose bit is clear is
 // written as a plain frame writes it.
 //
@@ -59,10 +69,11 @@
 // follower) leader digest the tree may refer to — or a length-prefixed
 // string.
 //
-// Version 4 is version 5 without structured notes, version 3 is version 4
-// without followers, version 2 is version 3 with the hash stored and the
-// notes spelled out (two more flag bits clear), so one body decoder reads
-// all four. They, version-1 segments (every
+// Version 5 is version 6 without signature mates, version 4 is version 5
+// without structured notes, version 3 is version 4 without followers,
+// version 2 is version 3 with the hash stored and the notes spelled out
+// (two more flag bits clear), so one body decoder reads all five. They,
+// version-1 segments (every
 // field in full, text timestamps) and legacy JSON-lines segments (first
 // byte '{') remain readable forever; a stored hash is held to the
 // derived one at decode, so whatever the format, a decoded record's Hash
@@ -109,6 +120,9 @@ const (
 	// EncBinaryV4 is the version-4 binary frame format (notes that are
 	// JSON spelled out): read, never written.
 	EncBinaryV4
+	// EncBinaryV5 is the version-5 binary frame format (every signature
+	// written in full): read, never written.
+	EncBinaryV5
 )
 
 // String names the encoding.
@@ -126,6 +140,8 @@ func (e Encoding) String() string {
 		return "binary-v3"
 	case EncBinaryV4:
 		return "binary-v4"
+	case EncBinaryV5:
+		return "binary-v5"
 	default:
 		return "unknown"
 	}
@@ -142,8 +158,12 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5
 }
+
+// structuredNotes reports whether the encoding's frames may store a note
+// as a structured tree (since version 5).
+func (e Encoding) structuredNotes() bool { return e == EncBinary || e == EncBinaryV5 }
 
 // frameFlags is the set of frame flag bits the encoding knows; a frame
 // under its header that sets any other is refused.
@@ -162,13 +182,14 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 5
-	// segmentVersion1 to segmentVersion4 are the superseded formats,
+	SegmentVersion = 6
+	// segmentVersion1 to segmentVersion5 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
 	segmentVersion3 = 3
 	segmentVersion4 = 4
+	segmentVersion5 = 5
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -188,7 +209,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 4 from the current one), JSON segments with '{'. Empty data is
+// to 5 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -205,6 +226,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV3
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion4:
 		return EncBinaryV4
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion5:
+		return EncBinaryV5
 	default:
 		return EncBinary
 	}
@@ -237,10 +260,13 @@ const (
 	frameV3Bits = frameNoteCode | frameDerived
 	frameCRCLen = 4
 
-	// borrowAt is the frame's own bit of a follower's borrow mask, above
-	// the token's: At is written relative to the leader's At. (A bit
-	// above it is nobody's: the token decoder refuses it.)
-	borrowAt = 1 << evidence.BorrowBits
+	// borrowAt and borrowSig are the frame's own bits of a follower's
+	// borrow mask, above the token's. borrowAt: At is written relative to
+	// the leader's At. borrowSig (since version 6): the token's signature
+	// is its mate's sibling (evidence.Token.MatesWith) and is not written.
+	// (A bit above them is nobody's: the token decoder refuses it.)
+	borrowAt  = 1 << evidence.BorrowBits
+	borrowSig = borrowAt << 1
 )
 
 // castagnoli is the CRC-32C table (hardware-assisted where the CPU has
@@ -303,11 +329,13 @@ const (
 // RecordEncoder appends binary record frames, reusing one scratch
 // buffer across calls so the group-commit hot path allocates nothing
 // per record. It elides each frame's Prev when that is the Hash of the
-// frame it appended immediately before, and writes a frame as a follower
+// frame it appended immediately before, writes a frame as a follower
 // when it directly follows, in the same write, a plain frame of the same
-// run. One encoder therefore serves one contiguous run of frames — a
-// segment file's appends, one push — the first frame of every run is
-// explicit, and the first frame of every write is plain (Cut).
+// run, and lets a follower borrow its signature from the frame directly
+// before it in the same write — its mate — when the two are siblings of
+// one batch signature. One encoder therefore serves one contiguous run of
+// frames — a segment file's appends, one push — the first frame of every
+// run is explicit, and the first frame of every write is plain (Cut).
 //
 // A frame stores the record's content, not its Hash: rec.Hash must be
 // the record's chained hash (what Chainer.Next, NextRecord and every
@@ -322,18 +350,21 @@ type RecordEncoder struct {
 	// appended from its first on.
 	lead *Record
 	back uint64
+	// mate is the frame appended last in the current write, when it wrote
+	// its signature in full: the only frame the next may borrow one from.
+	mate *Record
 }
 
 // Reset starts a new run: the next frame carries its Prev explicitly and
 // is plain. Call it whenever the next frame will not directly follow the
 // previous one in the same file or message.
-func (e *RecordEncoder) Reset() { e.chained, e.lead = false, nil }
+func (e *RecordEncoder) Reset() { e.chained, e.lead, e.mate = false, nil, nil }
 
 // Cut ends a write: the next frame is plain, whatever its run, and leads
 // the frames after it. Call it between two writes to the same file, and
 // when frames appended since the last call were dropped rather than
-// written.
-func (e *RecordEncoder) Cut() { e.lead = nil }
+// written — no later frame may lean on one that never reached the file.
+func (e *RecordEncoder) Cut() { e.lead, e.mate = nil, nil }
 
 // AppendRecord appends rec as a length-prefixed binary frame.
 func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
@@ -342,7 +373,11 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	if !elide || rec.Token == nil || lead == nil || lead.Token.Run != rec.Token.Run {
 		lead = nil
 	}
-	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, e.back)
+	mate := e.mate
+	if lead == nil || mate == nil || !rec.Token.MatesWith(mate.Token) {
+		mate = nil
+	}
+	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, e.back, mate)
 	if err != nil {
 		return nil, err
 	}
@@ -353,6 +388,10 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 		if rec.Token != nil {
 			e.lead = rec
 		}
+	}
+	e.mate = nil
+	if mate == nil && rec.Token != nil {
+		e.mate = rec
 	}
 	start := len(dst)
 	dst = append(canon.AppendUvarint(dst, uint64(len(body))), body...)
@@ -386,8 +425,9 @@ func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 
 // appendRecordBody appends rec's frame body: a plain frame, or with a
 // lead — the leader record, back bytes before this frame — a follower
-// of it.
-func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, back uint64) ([]byte, error) {
+// of it, which with a mate — the record framed directly before it —
+// borrows its signature from that.
+func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, back uint64, mate *Record) ([]byte, error) {
 	start := len(dst)
 	atMode := canon.ModeOfTime(rec.At)
 	flags := byte(atMode)<<frameAtShift | frameDerived
@@ -397,7 +437,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 	if rec.Token != nil {
 		flags |= frameToken
 	}
-	var leadTok *evidence.Token
+	var leadTok, mateTok *evidence.Token
 	var borrow uint8
 	var atBase int64
 	if lead != nil {
@@ -407,6 +447,10 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 		if atMode != canon.TimeText && atMode == canon.ModeOfTime(lead.At) {
 			borrow |= borrowAt
 			atBase = lead.At.UnixNano()
+		}
+		if mate != nil {
+			borrow |= borrowSig
+			mateTok = mate.Token
 		}
 	}
 	var noteCode byte
@@ -449,7 +493,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 		dst = canon.AppendString(dst, rec.Note)
 	}
 	if rec.Token != nil {
-		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), leadTok, borrow&^borrowAt); err != nil {
+		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), leadTok, borrow&^(borrowAt|borrowSig), mateTok); err != nil {
 			return nil, err
 		}
 	}
@@ -490,9 +534,11 @@ const (
 )
 
 // frameInfo is what decoding a frame learns about its shape beyond the
-// record: its flags, its note's form and the bytes the note takes.
+// record: its flags, a follower's borrow mask, its note's form and the
+// bytes the note takes.
 type frameInfo struct {
 	flags     byte
+	borrow    uint8
 	note      NoteForm
 	noteBytes int
 }
@@ -502,18 +548,24 @@ type frameInfo struct {
 // stands alone.
 type leaderFunc func(back uint64) (*Record, error)
 
-// decodeRecordBody decodes one record body of version 2 to 5; prev is the
+// mateFunc finds a follower's mate: the record whose frame directly
+// precedes it, with what that frame says of its shape. Nil where a frame
+// stands alone.
+type mateFunc func() (*Record, frameInfo, error)
+
+// decodeRecordBody decodes one record body of version 2 to 6; prev is the
 // Hash of the frame before it, needed only when the frame elides its
-// Prev, and leader resolves the frame's leader, needed only when it is a
-// follower. A version-2 frame (enc EncBinaryV2, or a frame under a later
-// header with the version-3 flag bits clear) ends in its stored Hash,
+// Prev, leader resolves the frame's leader, needed only when it is a
+// follower, and mate its mate, needed only when it borrows a signature.
+// A version-2 frame (enc EncBinaryV2, or a frame under a later header
+// with the version-3 flag bits clear) ends in its stored Hash,
 // which is returned in the record for the caller to hold to the derived
 // one; a frame with frameDerived set ends in a checksum instead,
 // verified here. What the frame says of its own shape is returned beside
 // the record. All variable-length data is copied, so decoded records
 // never alias the input buffer (which may be an mmapped segment that is
 // later unmapped).
-func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc) (rec *Record, info frameInfo, err error) {
+func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc) (rec *Record, info frameInfo, err error) {
 	if len(body) == 0 {
 		return nil, info, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
@@ -542,7 +594,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 		return nil, info, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
 	}
 	atMode := canon.TimeMode(flags >> frameAtShift & 3)
-	var leadTok *evidence.Token
+	var leadTok, mateTok *evidence.Token
 	var borrow uint8
 	var atBase int64
 	if flags&frameFollower != 0 {
@@ -555,11 +607,28 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 			return nil, info, err
 		}
 		leadTok, borrow = lead.Token, mask
+		info.borrow = borrow
 		if borrow&borrowAt != 0 {
 			if atMode == canon.TimeText || atMode != canon.ModeOfTime(lead.At) {
 				return nil, info, fmt.Errorf("store: %w: follower frame borrows a time of another mode", canon.ErrBinary)
 			}
 			atBase = lead.At.UnixNano()
+		}
+		if borrow&borrowSig != 0 {
+			if enc != EncBinary || mate == nil {
+				return nil, info, fmt.Errorf("store: %w: frame borrows a signature without its mate", canon.ErrBinary)
+			}
+			// The mate is the leader or a follower of it, so a frame with a
+			// token of the leader's run; what a mate without a batch path
+			// cannot lend, the token decoder refuses.
+			m, minfo, err := mate()
+			if err != nil {
+				return nil, info, err
+			}
+			if minfo.borrow&borrowSig != 0 {
+				return nil, info, fmt.Errorf("store: %w: frame borrows a signature from a frame that borrowed its own", canon.ErrBinary)
+			}
+			mateTok = m.Token
 		}
 	}
 	rec.At = r.Time(atMode, atBase)
@@ -579,7 +648,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 		switch code := r.Byte(); {
 		case code >= 1 && int(code) <= len(noteWords):
 			rec.Note, info.note = noteWords[code-1], NoteCoded
-		case code == 0 && enc == EncBinary && flags&(frameToken|frameDerived) == frameToken|frameDerived:
+		case code == 0 && enc.structuredNotes() && flags&(frameToken|frameDerived) == frameToken|frameDerived:
 			info.note = NoteStructured
 		default:
 			r.Fail(canon.ErrBinary)
@@ -591,7 +660,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	if flags&frameToken != 0 && r.Err() == nil {
 		base := tokenTimeBase(rec.At, atMode)
 		rec.Token = new(evidence.Token)
-		rec.Token.DecodeBinary(&r, base, leadTok, borrow&^borrowAt)
+		rec.Token.DecodeBinary(&r, base, leadTok, borrow&^(borrowAt|borrowSig), mateTok)
 		if info.note == NoteStructured && r.Err() == nil {
 			info.noteBytes += r.Len()
 			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: leadTok, base: base})
@@ -677,7 +746,7 @@ func sealHash(rec *Record, stored bool, dig *canon.Digester) error {
 // is not stand-alone and is refused; runs of frames go through
 // DecodeSegmentData.
 func DecodeRecordFrame(data []byte) (*Record, int64, error) {
-	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil)
+	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil, nil)
 	return rec, n, err
 }
 
@@ -700,10 +769,10 @@ func frameBody(data []byte) ([]byte, int64, error) {
 
 // decodeFrame decodes one frame of a binary encoding and seals the
 // record's Hash (sealHash); prev is the preceding frame's Hash when
-// known, leader finds the frame's leader where it may have one, dig is
-// the caller's digest engine or nil. What the frame says of its shape is
-// returned.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, dig *canon.Digester) (*Record, int64, frameInfo, error) {
+// known, leader and mate find the frame's leader and mate where it may
+// have them, dig is the caller's digest engine or nil. What the frame
+// says of its shape is returned.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc, dig *canon.Digester) (*Record, int64, frameInfo, error) {
 	body, frameLen, err := frameBody(data)
 	if body == nil {
 		return nil, 0, frameInfo{}, err
@@ -713,7 +782,7 @@ func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc,
 	if enc == EncBinaryV1 {
 		rec, info, err = decodeRecordBodyV1(body)
 	} else {
-		rec, info, err = decodeRecordBody(body, enc, prev, leader)
+		rec, info, err = decodeRecordBody(body, enc, prev, leader, mate)
 	}
 	if err == nil {
 		err = sealHash(rec, info.flags&frameDerived == 0, dig)
@@ -752,12 +821,16 @@ func uvarint(data []byte) (uint64, int) {
 // index's hash array), which a frame that elides its Prev is completed
 // with — and which the record's own Hash is then derived from, for the
 // caller to compare with the hash the seal pins at its position; nil for
-// a segment's first record. A follower frame costs one more frame parse
-// and checksum — its leader's, found in data at the distance the
+// a segment's first record. prevStart is where that record's frame starts
+// (from the index's offsets; negative for none), the mate a frame that
+// borrows its signature names. A follower frame costs one more frame
+// parse and checksum — its leader's, found in data at the distance the
 // follower names, which must be a whole plain frame ending at or before
-// start — and no second digest: what the follower took from the leader
-// is authenticated with the follower, by the hash the caller compares.
-func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Digest) (*Record, error) {
+// start — and, when it borrows its signature, a third for its mate unless
+// that is the leader; no second digest: what the follower took from the
+// leader and the mate is authenticated with the follower, by the hash the
+// caller compares.
+func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Digest, prevStart int64) (*Record, error) {
 	if start < 0 || end < start || end > int64(len(data)) {
 		return nil, fmt.Errorf("store: %w: record slot outside the segment", canon.ErrBinary)
 	}
@@ -773,29 +846,57 @@ func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Dig
 		}
 		return rec, nil
 	case enc.framed():
+		first := enc.HeaderLen()
+		// frameAt parses the frame at data[at:], which must end by to —
+		// exactly there when whole is set. Only its own bytes are needed:
+		// its Prev is not looked at.
+		frameAt := func(at, to int64, whole bool, leader leaderFunc) (*Record, frameInfo, error) {
+			body, n, err := frameBody(data[at:to])
+			if err != nil {
+				return nil, frameInfo{}, err
+			}
+			if body == nil || (whole && n != to-at) {
+				return nil, frameInfo{}, fmt.Errorf("store: %w: frame reference points at no frame", canon.ErrBinary)
+			}
+			return decodeRecordBody(body, enc, new(sig.Digest), leader, nil)
+		}
+		var lead *Record
+		leadAt := int64(-1)
 		leader := func(back uint64) (*Record, error) {
-			if first := enc.HeaderLen(); back == 0 || start < first || back > uint64(start-first) {
+			if back == 0 || start < first || back > uint64(start-first) {
 				return nil, fmt.Errorf("store: %w: follower frame points outside the segment", canon.ErrBinary)
 			}
-			body, _, err := frameBody(data[start-int64(back) : start])
-			if err != nil {
-				return nil, err
-			}
-			if body == nil {
-				return nil, fmt.Errorf("store: %w: follower frame points at no frame", canon.ErrBinary)
-			}
-			// Only the leader's own bytes are needed: its Prev is not
-			// looked at, and a frame that wants a leader is not one.
-			lead, info, err := decodeRecordBody(body, enc, new(sig.Digest), nil)
+			// A frame that wants a leader is not one.
+			rec, info, err := frameAt(start-int64(back), start, false, nil)
 			if err != nil {
 				return nil, err
 			}
 			if !leads(info.flags) {
 				return nil, fmt.Errorf("store: %w: follower frame points at a frame that cannot lead", canon.ErrBinary)
 			}
+			lead, leadAt = rec, start-int64(back)
 			return lead, nil
 		}
-		rec, frameLen, _, err := decodeFrame(slot, enc, prev, leader, nil)
+		mate := func() (*Record, frameInfo, error) {
+			switch {
+			case prevStart < first || prevStart < leadAt || prevStart >= start:
+				return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from outside its write", canon.ErrBinary)
+			case prevStart == leadAt:
+				return lead, frameInfo{}, nil
+			}
+			// Other than the leader, the mate is a follower of it.
+			m, info, err := frameAt(prevStart, start, true, func(back uint64) (*Record, error) {
+				if back != uint64(prevStart-leadAt) {
+					return nil, fmt.Errorf("store: %w: signature mate follows another leader", canon.ErrBinary)
+				}
+				return lead, nil
+			})
+			if err == nil && info.flags&frameFollower == 0 {
+				err = fmt.Errorf("store: %w: signature mate is a plain frame after the leader", canon.ErrBinary)
+			}
+			return m, info, err
+		}
+		rec, frameLen, _, err := decodeFrame(slot, enc, prev, leader, mate, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -875,23 +976,30 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64, frameI
 
 // scanFrames walks the frames of data from offset start, handing each
 // frame the hash of the one before it and, to a follower, the last plain
-// frame decoded — which is its leader or the follower is corrupt; one
-// digest engine serves the whole scan. fn learns each frame's length and
-// shape.
+// frame decoded — which is its leader or the follower is corrupt — and
+// the frame before it, its mate; one digest engine serves the whole scan.
+// fn learns each frame's length and shape.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	prefix := start
 	var prev *sig.Digest
-	var lead *Record
+	var lead, last *Record
 	var leadAt int64
+	var lastInfo frameInfo
 	leader := func(back uint64) (*Record, error) {
 		if lead == nil || back != uint64(prefix-leadAt) {
 			return nil, fmt.Errorf("store: %w: follower frame does not point at the plain frame before it", canon.ErrBinary)
 		}
 		return lead, nil
 	}
+	mate := func() (*Record, frameInfo, error) {
+		if last == nil {
+			return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature but has no frame before it", canon.ErrBinary)
+		}
+		return last, lastInfo, nil
+	}
 	dig := canon.NewDigester()
 	for prefix < int64(len(data)) {
-		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, dig)
+		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, mate, dig)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -907,20 +1015,28 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 		case info.flags&frameFollower == 0:
 			lead = nil
 		}
+		last, lastInfo = rec, info
 		prev = &rec.Hash
 		prefix += frameLen
 	}
 	return prefix, false, nil
 }
 
-// FrameCount is what a walk over a segment's frames finds: how many of
-// them follow a leader and what those take, and what the frames of each
-// token kind take, their notes apart.
+// FrameCount is what a walk over a segment's frames finds: how many
+// there are, how many of them follow a leader and how many of those
+// borrow their signature from a mate, what those take, and what the
+// frames of each token kind take, their notes apart.
 type FrameCount struct {
+	// Frames counts the frames (JSON lines in a JSON segment) decoded.
+	Frames int
 	// Followers counts the follower frames and FollowerBytes the bytes
 	// they take, length prefixes included.
 	Followers     int
 	FollowerBytes int64
+	// SigBorrowers counts the followers that borrow their signature from
+	// their mate, and SigBorrowerBytes the bytes they take.
+	SigBorrowers     int
+	SigBorrowerBytes int64
 	// Kinds breaks the frames down by their token's kind.
 	Kinds map[evidence.Kind]*KindCount
 }
@@ -936,8 +1052,11 @@ type KindCount struct {
 
 // Add counts o's frames into c.
 func (c *FrameCount) Add(o FrameCount) {
+	c.Frames += o.Frames
 	c.Followers += o.Followers
 	c.FollowerBytes += o.FollowerBytes
+	c.SigBorrowers += o.SigBorrowers
+	c.SigBorrowerBytes += o.SigBorrowerBytes
 	for kind, k := range o.Kinds {
 		sum := c.kind(kind)
 		sum.Records += k.Records
@@ -961,31 +1080,42 @@ func (c *FrameCount) kind(kind evidence.Kind) *KindCount {
 	return k
 }
 
-// CountFrames decodes the frames of a binary segment and counts what they
-// take — what sharing and note coding look like from outside. Frames of
-// the formats before version 4 are all plain, before version 5 no note is
-// structured; the walk stops at the first torn or undecodable frame, and
-// JSON segments count nothing.
-func CountFrames(data []byte) FrameCount {
+// CountFrames decodes the records of a segment and counts what their
+// frames take — what sharing and note coding look like from outside.
+// Frames of the formats before version 4 are all plain, before version 5
+// no note is structured, before version 6 no signature is borrowed; the
+// lines of a JSON segment count as plain frames whose notes are not
+// measured. The walk stops at the first torn or undecodable frame and
+// returns the error that stopped it — none for a torn final frame, which
+// only the caller, knowing how many records the segment holds, can tell
+// from the end of the data: the count covers the frames before it.
+func CountFrames(data []byte) (FrameCount, error) {
 	var c FrameCount
-	enc := DetectEncoding(data)
-	if !enc.framed() {
-		return c
-	}
-	// What stops the walk is the caller's to find by reading the segment;
-	// the count covers the frames before it.
-	_, _, _ = scanBinarySegment(data, enc, func(rec *Record, n int64, info frameInfo) error {
+	count := func(rec *Record, n int64, info frameInfo) error {
+		c.Frames++
 		if info.flags&frameFollower != 0 {
 			c.Followers++
 			c.FollowerBytes += n
+		}
+		if info.borrow&borrowSig != 0 {
+			c.SigBorrowers++
+			c.SigBorrowerBytes += n
 		}
 		k := c.kind(rec.Token.Kind)
 		k.Records++
 		k.FrameBytes += n
 		k.NoteBytes[info.note] += int64(info.noteBytes)
 		return nil
-	})
-	return c
+	}
+	var err error
+	switch enc := DetectEncoding(data); {
+	case enc == EncUnknown:
+	case enc.framed():
+		_, _, err = scanBinarySegment(data, enc, count)
+	default:
+		_, _, err = scanJSONSegment(data, func(rec *Record, n int64) error { return count(rec, n, frameInfo{}) })
+	}
+	return c, err
 }
 
 // scanJSONSegment is ReadJSONLines over in-memory data, byte-for-byte

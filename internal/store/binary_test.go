@@ -121,6 +121,15 @@ func checkSameRecord(t *testing.T, what string, want, got *store.Record) {
 	}
 }
 
+// prevAt is where the frame before frame i starts, as a keyed read is
+// told it: -1 for the first.
+func prevAt(offs []int64, i int) int64 {
+	if i == 0 {
+		return -1
+	}
+	return offs[i-1]
+}
+
 // TestBinaryRecordGoldenVectors proves the binary codec is a faithful
 // carrier of the canonical form: for every record shape,
 // encode→decode→canonical-JSON must equal the original record's
@@ -155,10 +164,10 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 		}
 		checkSameRecord(t, fmt.Sprintf("record %d (explicit prev)", i), rec, dec)
 		// DecodeRecordData must accept the exact slot and reject a padded one.
-		if _, err := store.DecodeRecordData(frame, 0, int64(len(frame)), store.EncBinary, nil); err != nil {
+		if _, err := store.DecodeRecordData(frame, 0, int64(len(frame)), store.EncBinary, nil, -1); err != nil {
 			t.Fatalf("record %d: DecodeRecordData: %v", i, err)
 		}
-		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), 0, int64(len(frame))+1, store.EncBinary, nil); err == nil {
+		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), 0, int64(len(frame))+1, store.EncBinary, nil, -1); err == nil {
 			t.Fatalf("record %d: padded slot decoded", i)
 		}
 	}
@@ -191,12 +200,12 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 	// predecessor's hash, and only given it.
 	mid := len(recs) / 2
 	slot := run[offs[mid]:offs[mid+1]]
-	dec, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, &recs[mid-1].Hash)
+	dec, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, &recs[mid-1].Hash, offs[mid-1])
 	if err != nil {
 		t.Fatalf("keyed decode of an elided frame: %v", err)
 	}
 	checkSameRecord(t, "keyed decode", recs[mid], dec)
-	if _, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, nil); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, nil, -1); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("elided frame without its predecessor = %v, want ErrBinary", err)
 	}
 	if _, _, err := store.DecodeRecordFrame(slot); !errors.Is(err, canon.ErrBinary) {
@@ -552,6 +561,16 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 			f.Add(golden)
 		}
 	}
+	// Version-6 shapes: the golden segment, whose batch-signed tokens
+	// borrow their signature from a leader or a follower before them, a
+	// server's step with its response origin borrowing, and that step with
+	// the plainly signed token after it claiming to borrow too.
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v6", "golden-v6.seg")); err == nil {
+		f.Add(golden)
+	}
+	mates, mOffs, _ := mateRun(f)
+	f.Add(mates)
+	f.Add(remask(mates, mOffs[3], mOffs[4], headOf(f, mates[mOffs[3]:mOffs[4]]).mask|bSig).data)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
@@ -574,18 +593,20 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 			t.Fatalf("prefix %d beyond input %d", prefix, len(data))
 		}
 		// The keyed read of every slot the length prefixes mark out — which
-		// sends a follower looking for its leader anywhere before it — must
-		// fail or decode, never read outside data.
+		// sends a follower looking for its leader anywhere before it, and
+		// for its mate in the slot before — must fail or decode, never read
+		// outside data.
 		if enc := store.DetectEncoding(data); enc != store.EncJSON && enc != store.EncUnknown {
 			var prev sig.Digest
+			prevStart := int64(-1)
 			for off := int64(store.SegmentHeaderLen); off < int64(len(data)); {
 				n, w := binary.Uvarint(data[off:])
 				end := off + int64(w) + int64(n)
 				if w <= 0 || n > uint64(len(data)) || end > int64(len(data)) {
 					break
 				}
-				_, _ = store.DecodeRecordData(data, off, end, enc, &prev)
-				off = end
+				_, _ = store.DecodeRecordData(data, off, end, enc, &prev, prevStart)
+				prevStart, off = off, end
 			}
 		}
 	})

@@ -20,7 +20,7 @@ import (
 	"nonrep/internal/testpki"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v5 (golden.jsonl and golden-v5.seg) from freshly issued records")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v6 (golden.jsonl and golden-v6.seg) from freshly issued records")
 
 // goldenV2 reads the frozen version-2 segment — written by the build
 // before format 3, every record kind, two encoder runs (so explicit and
@@ -105,7 +105,7 @@ func TestBinaryV2SegmentStillDecodes(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinaryV2, prev)
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinaryV2, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v2 record %d: %v", i, err)
 		}
@@ -174,7 +174,7 @@ func TestBinaryV3SegmentStillDecodes(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV3, prev)
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV3, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v3 record %d: %v", i, err)
 		}
@@ -323,12 +323,12 @@ func TestBinaryFrameRefusals(t *testing.T) {
 	}
 	// The orphan decodes once it has a predecessor, and its hash depends
 	// on which.
-	a, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &rec.Hash)
+	a, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &rec.Hash, -1)
 	if err != nil || a.Prev != rec.Hash {
 		t.Fatalf("elided frame after its predecessor: %v", err)
 	}
 	other := sig.Sum([]byte("another predecessor"))
-	b, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &other)
+	b, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &other, -1)
 	if err != nil || b.Hash == a.Hash {
 		t.Fatalf("derived hash does not depend on the predecessor (err %v)", err)
 	}

@@ -273,7 +273,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(golden, offs[i], offs[i+1], store.EncBinaryV4, prev)
+		dec, err := store.DecodeRecordData(golden, offs[i], offs[i+1], store.EncBinaryV4, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v4 record %d: %v", i, err)
 		}
@@ -281,7 +281,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 	}
 	// A follower's slot alone is not enough: its leader is outside it.
 	slot := golden[offs[1]:offs[2]]
-	if _, err := store.DecodeRecordData(slot, 0, int64(len(slot)), store.EncBinaryV4, &recs[0].Hash); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(slot, 0, int64(len(slot)), store.EncBinaryV4, &recs[0].Hash, -1); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("follower decoded from its bare slot = %v, want ErrBinary", err)
 	}
 	// Followers save what the issue sized: the receipt that shares the
@@ -390,7 +390,7 @@ func hostileFollowers(tb testing.TB) map[string]hostileRun {
 		"leader with a bad checksum":            {badLeader, offs[1], offs[2]},
 		"leader without a token":                repoint(behind, first+int64(len(tokenless)), int64(len(behind)), uint64(len(tokenless))),
 		"follower first in the file":            {append(hdr[:], data[offs[1]:offs[2]]...), first, first + offs[2] - offs[1]},
-		"borrow bit above the mask":             remask(data, offs[1], offs[2], mask|0x40),
+		"borrow bit above the mask":             remask(data, offs[1], offs[2], mask|0x80),
 		"transaction borrowed, token has none":  remask(data, offs[1], offs[2], mask|bTxn),
 		"service borrowed, token has none":      remask(data, offs[1], offs[2], mask|bService),
 		"recipients borrowed, token has none":   remask(data, offs[1], offs[2], mask|bRecipients),
@@ -440,7 +440,7 @@ func TestBinaryFollowerRefusals(t *testing.T) {
 		if h := headOf(t, data[offs[i]:offs[i+1]]); !h.follower() || h.back != uint64(offs[i]-offs[0]) || h.mask != bIssuer|bAt {
 			t.Fatalf("control: frame %d follower=%v back=%d mask=%#x", i, h.follower(), h.back, h.mask)
 		}
-		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, &recs[i-1].Hash)
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, &recs[i-1].Hash, offs[i-1])
 		if err != nil {
 			t.Fatalf("control: keyed decode of follower %d: %v", i, err)
 		}
@@ -456,7 +456,7 @@ func TestBinaryFollowerRefusals(t *testing.T) {
 			t.Errorf("%s: scan read %d records to %d, torn=%v err=%v, want ErrBinary", name, n, prefix, torn, err)
 		}
 		enc := store.DetectEncoding(bad.data)
-		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, enc, &prev); !errors.Is(err, canon.ErrBinary) {
+		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, enc, &prev, -1); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: keyed read = %v, err %v, want ErrBinary", name, rec, err)
 		}
 	}

@@ -11,11 +11,12 @@
 // the segmented vault (internal/vault).
 //
 // The record codecs are canonical JSON — the signed form, hashed into the
-// chain — and binary segment format 5 (binary.go), which carries the same
+// chain — and binary segment format 6 (binary.go), which carries the same
 // records byte-exactly in fewer bytes: compact fields, followers that
-// borrow from the frame leading their write, and the notes the product
+// borrow from the frame leading their write, a batch signature stored
+// once for two sibling tokens side by side, and the notes the product
 // journals as JSON stored as structured trees (jsonnote.go). Formats 1 to
-// 4 and JSON segments stay readable.
+// 5 and JSON segments stay readable.
 package store
 
 import (

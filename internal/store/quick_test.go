@@ -1,10 +1,13 @@
 package store_test
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -166,5 +169,97 @@ func TestQuickRecordRemovalOrReorderDetected(t *testing.T) {
 	truncated := records[:6]
 	if store.VerifyRecords(truncated) != nil {
 		t.Fatal("prefix of a valid chain should verify (guarantee boundary)")
+	}
+}
+
+// TestQuickBatchSignedRoundTrip: the tokens of one batch signature, of
+// any size from 1 to 64, laid out in any order and cut into writes
+// anywhere, decode — scanned and by keyed slot — to the records encoded,
+// and every signature, borrowed from a mate or written out, verifies.
+func TestQuickBatchSignedRoundTrip(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	b := evidence.NewBatchIssuer(realm.Party(org).Issuer)
+	defer b.Close()
+	verifier := realm.Verifier()
+	borrowed := 0
+	f := func(size uint8, seed int64) bool {
+		n := int(size)%64 + 1
+		rng := rand.New(rand.NewSource(seed))
+		run := id.NewRun()
+		reqs := make([]evidence.TokenRequest, n)
+		for i := range reqs {
+			reqs[i] = evidence.TokenRequest{Kind: evidence.KindPostmark, Run: run, Step: i, Digest: sig.Sum([]byte{byte(i)})}
+		}
+		toks, err := b.IssueBatch(reqs)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		var recs chain
+		for _, i := range rng.Perm(n) {
+			recs.add(t, realm.Clock.Now(), store.Generated, toks[i], "epm postmark")
+		}
+		hdr := store.SegmentHeader()
+		seg := append([]byte(nil), hdr[:]...)
+		offs := []int64{}
+		var enc store.RecordEncoder
+		for _, rec := range recs {
+			if rng.Intn(4) == 0 {
+				enc.Cut()
+			}
+			offs = append(offs, int64(len(seg)))
+			if seg, err = enc.AppendRecord(seg, rec); err != nil {
+				t.Error(err)
+				return false
+			}
+		}
+		offs = append(offs, int64(len(seg)))
+		check := func(what string, i int, rec *store.Record) bool {
+			w, werr := canon.Marshal(recs[i])
+			g, gerr := canon.Marshal(rec)
+			if werr != nil || gerr != nil || !bytes.Equal(w, g) || rec.Hash != recs[i].Hash {
+				t.Errorf("%s record %d of %d drifted", what, i, n)
+				return false
+			}
+			if err := verifier.Verify(rec.Token); err != nil {
+				t.Errorf("%s record %d of %d does not verify: %v", what, i, n, err)
+				return false
+			}
+			return true
+		}
+		i := 0
+		if _, _, _, err := store.DecodeSegmentData(seg, func(rec *store.Record, _ int64) error {
+			if !check("scanned", i, rec) {
+				return errors.New("drift")
+			}
+			i++
+			return nil
+		}); err != nil || i != n {
+			return false
+		}
+		for i := range recs {
+			var prev *sig.Digest
+			if i > 0 {
+				prev = &recs[i-1].Hash
+			}
+			dec, err := store.DecodeRecordData(seg, offs[i], offs[i+1], store.EncBinary, prev, prevAt(offs, i))
+			if err != nil {
+				t.Errorf("keyed record %d of %d: %v", i, n, err)
+				return false
+			}
+			if !check("keyed", i, dec) {
+				return false
+			}
+		}
+		count, err := store.CountFrames(seg)
+		borrowed += count.SigBorrowers
+		return err == nil && count.Frames == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if borrowed == 0 {
+		t.Fatal("no frame borrowed its signature in any layout")
 	}
 }

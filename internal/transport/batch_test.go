@@ -57,10 +57,10 @@ func coalescedSender(t *testing.T, net Network, addr string, opts CoalesceOption
 func TestCoalescerCombinesConcurrentRequests(t *testing.T) {
 	inproc := NewInprocNetwork()
 	defer inproc.Close()
-	metered := NewMetered(inproc)
+	metered := NewMeteredWith(inproc, nil)
 
 	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
+	if _, err := metered.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, metered, "src", CoalesceOptions{})
@@ -116,7 +116,7 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	faulty := NewFaultyNetwork(inproc, FaultPlan{Seed: 11, DropRate: 0.3, MaxDrops: 60})
 
 	handler := newCountingHandler()
-	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
+	if _, err := faulty.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
@@ -166,7 +166,7 @@ func TestCoalescerSurvivesPartition(t *testing.T) {
 	faulty := NewFaultyNetwork(inproc, FaultPlan{})
 
 	handler := newCountingHandler()
-	if _, err := faulty.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
+	if _, err := faulty.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
@@ -201,7 +201,7 @@ func TestCoalescerSurvivesPartition(t *testing.T) {
 
 func TestBatchOpenerReplayedBatchProcessesOnce(t *testing.T) {
 	handler := newCountingHandler()
-	opener := NewBatchOpener(NewDedup(handler))
+	opener := NewBatchOpener(NewDedupWith(handler, nil))
 
 	env := &Envelope{ID: "batch-1", Kind: KindBatch, Batch: []BatchItem{
 		{Env: NewEnvelope("q", []byte("a")), WantReply: true},
@@ -245,9 +245,9 @@ func TestBatchOpenerReplayedBatchProcessesOnce(t *testing.T) {
 func TestCoalescerSingletonBypassesFraming(t *testing.T) {
 	inproc := NewInprocNetwork()
 	defer inproc.Close()
-	metered := NewMetered(inproc)
+	metered := NewMeteredWith(inproc, nil)
 	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedup(handler))); err != nil {
+	if _, err := metered.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
 	c := coalescedSender(t, metered, "src", CoalesceOptions{})

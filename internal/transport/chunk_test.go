@@ -19,7 +19,7 @@ func chunkStack(t *testing.T, lim chunkLimits, handler Handler) (Endpoint, strin
 	t.Helper()
 	net := NewInprocNetwork()
 	t.Cleanup(func() { net.Close() })
-	recv := NewBatchOpener(NewDedup(newChunkHandler(handler, nil, lim)))
+	recv := NewBatchOpener(NewDedupWith(newChunkHandler(handler, nil, lim), nil))
 	if _, err := net.Register("server", recv); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 		calls.Add(1)
 		return &Envelope{ID: id.NewMsg(), Kind: "done", Body: []byte("ok")}, nil
 	})
-	chain := NewDedup(newChunkHandler(inner, nil, lim))
+	chain := NewDedupWith(newChunkHandler(inner, nil, lim), nil)
 
 	body := randomBody(150, 3)
 	f1 := chunkFrame{Stream: "s1", Seq: 0, Total: 3, Size: int64(len(body)), Data: body[:64]}

@@ -33,12 +33,12 @@ func heldBytes(t *testing.T, d *Dedup) (entries int, bytes int64) {
 func TestDedupBoundedByBytes(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
-	d := NewDedup(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+	d := NewDedupWith(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		calls.Add(1)
 		body := make([]byte, 1<<20)
 		copy(body, env.ID)
 		return NewEnvelope("chunk-data", body), nil
-	}))
+	}), nil)
 	ctx := context.Background()
 	const n = 200
 	envs := make([]*Envelope, n)
@@ -77,10 +77,10 @@ func TestDedupBoundedByBytes(t *testing.T) {
 func TestDedupSmallRepliesKeepEntryWindow(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
-	d := NewDedup(HandlerFunc(func(context.Context, *Envelope) (*Envelope, error) {
+	d := NewDedupWith(HandlerFunc(func(context.Context, *Envelope) (*Envelope, error) {
 		calls.Add(1)
 		return NewEnvelope("ack", []byte("small reply")), nil
-	}))
+	}), nil)
 	ctx := context.Background()
 	const extra = 10
 	envs := make([]*Envelope, dedupCacheLimit+extra)
@@ -116,7 +116,7 @@ func TestDedupEvictionUnderConcurrentDuplicates(t *testing.T) {
 	t.Parallel()
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4) // one slot per possible slow dispatch
-	d := NewDedup(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+	d := NewDedupWith(HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
 		if env.Kind == "slow" {
 			entered <- struct{}{}
 			<-release
@@ -124,7 +124,7 @@ func TestDedupEvictionUnderConcurrentDuplicates(t *testing.T) {
 		body := make([]byte, dedupCacheBytes/4)
 		copy(body, env.ID)
 		return NewEnvelope("r", body), nil
-	}))
+	}), nil)
 	ctx := context.Background()
 	slow := &Envelope{ID: id.NewMsg(), Kind: "slow"}
 	var wg sync.WaitGroup

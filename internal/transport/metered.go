@@ -37,11 +37,6 @@ type Metered struct {
 
 var _ Network = (*Metered)(nil)
 
-// NewMetered wraps inner with traffic counters in a private registry.
-func NewMetered(inner Network) *Metered {
-	return NewMeteredWith(inner, nil)
-}
-
 // NewMeteredWith wraps inner with traffic counters homed in reg (a
 // private registry when reg is nil). Wire counters carry no tenant label:
 // the network layer sits below tenant demultiplexing, where one batch

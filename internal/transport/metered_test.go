@@ -11,7 +11,7 @@ func TestMeteredCountsTraffic(t *testing.T) {
 	t.Parallel()
 	inner := transport.NewInprocNetwork()
 	defer inner.Close()
-	metered := transport.NewMetered(inner)
+	metered := transport.NewMeteredWith(inner, nil)
 	h := &echoHandler{name: "b"}
 	b, err := metered.Register("b", h)
 	if err != nil {

@@ -226,11 +226,6 @@ const (
 	dedupCacheBytes = 32 << 20
 )
 
-// NewDedup wraps inner with a replay cache.
-func NewDedup(inner Handler) *Dedup {
-	return NewDedupWith(inner, nil)
-}
-
 // NewDedupWith wraps inner with a replay cache whose hits are counted in
 // the telemetry scope (nil scope means uncounted).
 func NewDedupWith(inner Handler, scope *obs.Scope) *Dedup {

@@ -216,7 +216,7 @@ func TestReliableMasksTransientDrops(t *testing.T) {
 		MaxDrops: 4,
 	})
 	h := &echoHandler{name: "b"}
-	b, err := faulty.Register("b", transport.NewDedup(h))
+	b, err := faulty.Register("b", transport.NewDedupWith(h, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestReliableRetransmitsDroppedOneWaySend(t *testing.T) {
 	inner := transport.NewInprocNetwork()
 	faulty := transport.NewFaultyNetwork(inner, transport.FaultPlan{Seed: 1, DropRate: 1.0, MaxDrops: 3})
 	h := &echoHandler{name: "b"}
-	b, err := faulty.Register("b", transport.NewDedup(h))
+	b, err := faulty.Register("b", transport.NewDedupWith(h, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +274,11 @@ func TestReliableRetransmitsDroppedOneWaySend(t *testing.T) {
 func TestDedupProcessesOnce(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
-	h := transport.NewDedup(transport.HandlerFunc(
+	h := transport.NewDedupWith(transport.HandlerFunc(
 		func(_ context.Context, env *transport.Envelope) (*transport.Envelope, error) {
 			calls.Add(1)
 			return transport.NewEnvelope("r", []byte("result")), nil
-		}))
+		}), nil)
 	env := transport.NewEnvelope("x", []byte("p"))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -300,11 +300,11 @@ func TestDedupProcessesOnce(t *testing.T) {
 func TestDedupDistinctIDs(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
-	h := transport.NewDedup(transport.HandlerFunc(
+	h := transport.NewDedupWith(transport.HandlerFunc(
 		func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
 			calls.Add(1)
 			return nil, nil
-		}))
+		}), nil)
 	for i := 0; i < 5; i++ {
 		if _, err := h.Handle(context.Background(), transport.NewEnvelope("x", nil)); err != nil {
 			t.Fatal(err)

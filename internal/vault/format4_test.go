@@ -401,8 +401,8 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := store.CountFrames(pushed).Followers; n != 15 {
-		t.Fatalf("replica tail of five pushes holds %d followers, want 15", n)
+	if count, err := store.CountFrames(pushed); err != nil || count.Followers != 15 {
+		t.Fatalf("replica tail of five pushes holds %d followers, err %v, want 15", count.Followers, err)
 	}
 	shipAll(t, re, rs)
 	re.Close()
@@ -424,8 +424,8 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := store.CountFrames(rebased).Followers; n != 3 {
-		t.Fatalf("rebased replica tail holds %d followers, want 3", n)
+	if count, err := store.CountFrames(rebased); err != nil || count.Followers != 3 {
+		t.Fatalf("rebased replica tail holds %d followers, err %v, want 3", count.Followers, err)
 	}
 	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())
 	defer replica.Close()

@@ -7,6 +7,7 @@
 package vault
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -28,7 +29,9 @@ import (
 // verifier — the per-line work of segment replay and keyed reads — and
 // carries whatever decodes through a binary frame, which must give its
 // note back exactly: a note that is JSON travels as a structured tree only
-// where the tree rebuilds it.
+// where the tree rebuilds it. A record whose signature has a batch path
+// travels too with its sibling under the same batch signature behind it,
+// which borrows that signature and must come back the same.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"prev":"0000000000000000000000000000000000000000000000000000000000000000","at":"2004-03-25T09:00:00Z","direction":"generated","token":{"kind":"nro-req","run":"r1","step":1,"issuer":"urn:org:a","digest":"0000000000000000000000000000000000000000000000000000000000000000","issued_at":"2004-03-25T09:00:00Z","signature":{}},"hash":"0000000000000000000000000000000000000000000000000000000000000000"}`))
 	f.Add([]byte(`{"seq":18446744073709551615,"token":null}`))
@@ -41,6 +44,23 @@ func FuzzRecordDecode(f *testing.F) {
 	} {
 		tok := &evidence.Token{Kind: evidence.KindJobDone, Run: "run-00ff", Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC()}
 		rec, err := store.NextRecord(0, sig.Digest{}, tok.IssuedAt, store.Generated, tok, note)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed, err := canon.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	// Batch-signed tokens: at a leaf with a sibling, and with a stored root
+	// or forward-secure fields beside the path.
+	for _, s := range []sig.Signature{
+		{Algorithm: sig.AlgEd25519, KeyID: "urn:org:fuzz#key", Bytes: make([]byte, 64), BatchPath: [][]byte{make([]byte, 32), make([]byte, 32)}, BatchIndex: 2},
+		{Algorithm: sig.AlgEd25519, KeyID: "urn:org:fuzz#key", Bytes: []byte{}, BatchRoot: make([]byte, 32), BatchPath: [][]byte{nil}, Period: 3},
+	} {
+		tok := &evidence.Token{Kind: evidence.KindNRR, Run: "run-00ff", Step: 2, Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC(), Signature: s}
+		rec, err := store.NextRecord(0, sig.Digest{}, tok.IssuedAt, store.Generated, tok, "request receipt")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -69,7 +89,46 @@ func FuzzRecordDecode(f *testing.F) {
 		if err == nil && back.Note != rec.Note {
 			t.Fatalf("note %q came back from its frame as %q", rec.Note, back.Note)
 		}
+		if s := rec.Token.Signature; len(s.BatchPath) > 0 && err == nil {
+			checkSiblingFrames(t, back, s)
+		}
 	})
+}
+
+// checkSiblingFrames writes rec and a sibling leaf of its batch signature
+// s as one run, the sibling borrowing the signature, and holds both to
+// what comes back.
+func checkSiblingFrames(t *testing.T, rec *store.Record, s sig.Signature) {
+	tbs, err := rec.Token.TBSDigest()
+	if err != nil {
+		return
+	}
+	sibling := *rec.Token
+	sibling.Step++
+	sibling.Signature = sig.Signature{Algorithm: s.Algorithm, KeyID: s.KeyID, Bytes: s.Bytes,
+		BatchPath: append([][]byte{tbs[:]}, s.BatchPath[1:]...), BatchIndex: s.BatchIndex ^ 1}
+	next, err := store.NextRecord(rec.Seq, rec.Hash, rec.At, rec.Direction, &sibling, rec.Note)
+	if err != nil {
+		return
+	}
+	run, err := store.AppendFrameRun(nil, []*store.Record{rec, next})
+	if err != nil {
+		return
+	}
+	var got []*store.Record
+	if err := store.DecodeFrameRun(run, func(r *store.Record) error {
+		got = append(got, r)
+		return nil
+	}); err != nil || len(got) != 2 {
+		t.Fatalf("a record and its sibling do not come back from their frames: %d records, err %v", len(got), err)
+	}
+	for i, want := range []*store.Record{rec, next} {
+		w, werr := canon.Marshal(want)
+		g, gerr := canon.Marshal(got[i])
+		if werr != nil || gerr != nil || !bytes.Equal(w, g) || got[i].Hash != want.Hash {
+			t.Fatalf("record %d of a sibling pair drifted:\n want %s\n  got %s", i, w, g)
+		}
+	}
 }
 
 // hostileFrameRuns are segment images around a run of two records (a
@@ -186,8 +245,8 @@ func TestHostileFrameRunsAtOpen(t *testing.T) {
 			if st := v.Stats(); st.TailRecords != want {
 				t.Fatalf("%s: tail holds %d records, want %d", name, st.TailRecords, want)
 			}
-			if n := store.CountFrames(image).Followers; n != want-1 {
-				t.Fatalf("%s: %d follower frames, want %d", name, n, want-1)
+			if count, err := store.CountFrames(image); err != nil || count.Followers != want-1 {
+				t.Fatalf("%s: %d follower frames, err %v, want %d", name, count.Followers, err, want-1)
 			}
 			if err := v.DeepVerify(); err != nil {
 				t.Fatalf("%s: %v", name, err)

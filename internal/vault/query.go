@@ -224,24 +224,27 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 			return nil, fmt.Errorf("%w: segment %d index offsets out of range", ErrSealBroken, idx.Entry.Segment)
 		}
 		// A frame that follows its predecessor directly elides Prev; the
-		// predecessor's hash is pinned in the index beside its own. A
-		// follower frame finds its leader in the mapping itself.
+		// predecessor's hash is pinned in the index beside its own, and
+		// its offset names the mate a frame borrowing a signature leans
+		// on. A follower frame finds its leader in the mapping itself.
 		var prev *sig.Digest
+		prevStart := int64(-1)
 		if i > 0 {
 			h := idx.hash(i - 1)
-			prev = &h
+			prev, prevStart = &h, idx.offset(i-1)
 		}
-		rec, err := store.DecodeRecordData(data, start, end, enc, prev)
+		rec, err := store.DecodeRecordData(data, start, end, enc, prev, prevStart)
 		if err != nil {
 			// A sealed record that cannot be read back is a broken seal.
 			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
 		}
 		// Authenticate before serving: the decoder derived the record's
 		// hash from the frame's own bytes, what it borrowed from its
-		// leader's, and the pinned hash before it (and held a stored hash,
-		// where the format has one, to that), so an edited body — the
-		// frame's or its leader's, checksum fixed up or not — cannot
-		// reproduce the hash pinned under the seal at its position.
+		// leader's and its mate's, and the pinned hash before it (and held
+		// a stored hash, where the format has one, to that), so an edited
+		// body — the frame's, its leader's or its mate's, checksum fixed
+		// up or not — cannot reproduce the hash pinned under the seal at
+		// its position.
 		if rec.Hash != idx.hash(i) {
 			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
 		}

@@ -1,6 +1,7 @@
 package vault
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,17 +16,18 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
-	// to "binary-v4", or "binary" for the current format).
+	// to "binary-v5", or "binary" for the current format).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
 	SegmentBytes int64
 	// FrameCount counts the records stored as follower frames — frames
 	// that borrow their run, parties, service, digest or time from the
-	// plain frame leading their write — with the bytes those take, and
-	// breaks the frames down by token kind, notes apart. The rest of
-	// Records are plain frames (or JSON lines) in PlainBytes, which with
-	// the file's header make up SegmentBytes.
+	// plain frame leading their write — and those of them that borrow
+	// their signature from the frame before them, with the bytes those
+	// take, and breaks the frames down by token kind, notes apart. The
+	// rest of Records are plain frames (or JSON lines) in PlainBytes,
+	// which with the file's header make up SegmentBytes.
 	store.FrameCount
 	PlainBytes int64
 	// IndexFormat is "binary", "json" (a legacy index) or "" when there
@@ -36,8 +38,10 @@ type SegmentSize struct {
 
 // Sizes reports, for every sealed segment and the tail, the format it
 // is stored in, the bytes its records and its index take on disk, how
-// many of its frames share with a leader, and what each token kind and
-// its notes take.
+// many of its frames share with a leader or a mate, and what each token
+// kind and its notes take. A segment of which fewer records decode than
+// it holds — a damaged file — is an error, not a smaller count; bytes
+// past the records the vault wrote to its tail are not looked at.
 func (v *Vault) Sizes() ([]SegmentSize, error) {
 	v.mu.Lock()
 	sealed := make([]*segmentIndex, len(v.sealed))
@@ -68,7 +72,14 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 		}
 		enc := store.DetectEncoding(data)
 		s.Format = enc.String()
-		s.FrameCount = store.CountFrames(data)
+		count, err := store.CountFrames(data)
+		if count.Frames < s.Records {
+			if err == nil {
+				err = errors.New("torn frame")
+			}
+			return fmt.Errorf("vault: segment %d: %d of %d records decode: %w", s.Segment, count.Frames, s.Records, err)
+		}
+		s.FrameCount = count
 		s.PlainBytes = s.SegmentBytes - enc.HeaderLen() - s.FollowerBytes
 		return nil
 	}

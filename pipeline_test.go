@@ -6,8 +6,12 @@ package nonrep_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"nonrep"
 	"nonrep/internal/evidence"
@@ -224,5 +228,83 @@ func TestPipelineUnderFaults(t *testing.T) {
 				t.Fatalf("run %d: %s appended %d times", i, kind, n)
 			}
 		}
+	}
+}
+
+// TestPipelinedCallEvidenceBytes bounds what one call on a pipelined
+// domain costs the two vaults together: a 64-byte value echoed, the four
+// tokens of the run in each vault, plus the call's share of seals and
+// indexes. The server batch-signs its receipt and its response origin,
+// so both vaults hold two tokens of one Merkle batch side by side; the
+// second borrows the first's signature, and the call costs no more than
+// the same call unpipelined (about 1 780 B). Stored twice, the shared
+// signature cost about 1 926 B here.
+func TestPipelinedCallEvidenceBytes(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain(nonrep.WithPipelining())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	const clientParty, serverParty = nonrep.Party("urn:bench:client"), nonrep.Party("urn:bench:server")
+	const svc = nonrep.Service("urn:bench:server/echo")
+	dirs := []string{t.TempDir(), t.TempDir()}
+	client, err := domain.AddOrg(clientParty, nonrep.WithVault(dirs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg(serverParty, nonrep.WithVault(dirs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := nonrep.Descriptor{Service: svc, Methods: map[string]nonrep.MethodPolicy{"Echo": {NonRepudiation: true}}}
+	if err := server.Deploy(desc, blobEcho{}); err != nil {
+		t.Fatal(err)
+	}
+	server.Serve()
+	proxy := client.Proxy(serverParty, svc, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rng := rand.New(rand.NewSource(1))
+	call := func() {
+		t.Helper()
+		var blob [64]byte
+		rng.Read(blob[:])
+		res, err := proxy.Call(ctx, "Echo", blob[:])
+		if err != nil || res.Status != evidence.StatusOK {
+			t.Fatalf("pipelined call: %v (%+v)", err, res)
+		}
+	}
+	// settled seals what the calls left in both vaults and sums their
+	// directories.
+	settled := func() int64 {
+		t.Helper()
+		var n int64
+		for i, org := range []*nonrep.Org{client, server} {
+			if err := org.Vault().SealNow(); err != nil {
+				t.Fatal(err)
+			}
+			err := filepath.Walk(dirs[i], func(_ string, fi os.FileInfo, err error) error {
+				if err == nil && fi.Mode().IsRegular() && fi.Name() != "LOCK" {
+					n += fi.Size()
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	call()
+	before := settled()
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	perCall := float64(settled()-before) / calls
+	t.Logf("one pipelined call costs the two vaults %.1f B", perCall)
+	if perCall > 1780 {
+		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 780", perCall)
 	}
 }

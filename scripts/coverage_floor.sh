@@ -11,9 +11,11 @@
 # Floors are set a few points under the current measured coverage
 # (vault ~78%, protocol ~83%, invoke ~76%, obs ~94%, durable ~88%,
 # store ~85%, feed ~83%, georep ~87%, blob ~75%, sharing ~81%,
-# transport ~86%, bounded 100% at the time of writing) to allow noise
-# without allowing decay. The store floor guards the binary record
-# codec — the bytes every other guarantee rests on; the feed floor
+# transport ~86%, bounded 100%, evidence ~67%, sig ~65% at the time of
+# writing) to allow noise without allowing decay. The store floor guards
+# the binary record codec — the bytes every other guarantee rests on —
+# and the evidence and sig floors the token codec and the signatures it
+# rebuilds (a batch-signed token borrowing its sibling's); the feed floor
 # guards the subscription hub live feeds fan out through; the georep and
 # blob floors guard the quorum/archival plane region-loss survival rests
 # on; the sharing floor guards the one coordination round every
@@ -50,4 +52,6 @@ check ./internal/blob/ 75
 check ./internal/sharing/ 77
 check ./internal/transport/ 82
 check ./internal/bounded/ 95
+check ./internal/evidence/ 63
+check ./internal/sig/ 62
 echo "coverage floors hold"
