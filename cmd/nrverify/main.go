@@ -564,10 +564,10 @@ func sizesVault(dir string) int {
 		}
 		return float64(bytes) / float64(records)
 	}
-	fmt.Printf("%-8s %-7s %-10s %8s %12s %-7s %12s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
-		"index", "index B/rec", "plain", "B/plain", "followers", "B/follower")
+	fmt.Printf("%-8s %-7s %-10s %8s %12s %-9s %12s %10s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
+		"index", "index B/rec", "pin B/rec", "plain", "B/plain", "followers", "B/follower")
 	var records int
-	var segBytes, idxBytes, plainBytes int64
+	var segBytes, idxBytes, pinBytes, plainBytes int64
 	var frames store.FrameCount
 	for _, s := range segs {
 		state, index := "sealed", s.IndexFormat
@@ -578,18 +578,20 @@ func sizesVault(dir string) int {
 			index = "-"
 		}
 		plain := s.Records - s.Followers
-		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-7s %12.1f %8d %9.1f %10d %10.1f\n", s.Segment, state, s.Format, s.Records,
-			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records),
+		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-9s %12.1f %10.1f %8d %9.1f %10d %10.1f\n", s.Segment, state, s.Format, s.Records,
+			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records), perRecord(s.PinBytes(), s.Records),
 			plain, perRecord(s.PlainBytes, plain), s.Followers, perRecord(s.FollowerBytes, s.Followers))
 		records += s.Records
 		segBytes += s.SegmentBytes
 		idxBytes += s.IndexBytes
+		pinBytes += s.PinBytes()
 		plainBytes += s.PlainBytes
 		frames.Add(s.FrameCount)
 	}
 	fmt.Printf("total: %d records in %d segments, %d segment bytes + %d index bytes = %.1f frame + %.1f index = %.1f B/record\n",
 		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
 		perRecord(segBytes+idxBytes, records))
+	fmt.Printf("pins: %d index bytes of pinned hashes = %.1f B/record\n", pinBytes, perRecord(pinBytes, records))
 	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B, %d of them borrowing a signature at %.1f B\n",
 		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.Followers,
 		perRecord(frames.FollowerBytes, frames.Followers), frames.SigBorrowers, perRecord(frames.SigBorrowerBytes, frames.SigBorrowers))

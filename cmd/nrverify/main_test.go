@@ -188,3 +188,44 @@ func TestBundleReportsBindingFaults(t *testing.T) {
 		t.Fatalf("want clean logs and a run naming the NRR's broken binding:\n%s", out)
 	}
 }
+
+// TestSizesReportsIndexPins: -sizes names each sealed segment's index
+// version and what its pinned hashes take — one per four records under
+// the version-3 index this build seals, one per record under the
+// version-2 index of the builds before it.
+func TestSizesReportsIndexPins(t *testing.T) {
+	for _, c := range []struct {
+		fixture, index, pinsPerRecord, total string
+	}{
+		// Segment 1 of v6-vault: 11 records under 3 pins.
+		{"v6-vault", "binary", "8.7", "pins: 192 index bytes of pinned hashes = 8.0 B/record"},
+		// Segment 1 of v5-vault: 8 records under 8 pins.
+		{"v5-vault", "binary-v2", "32.0", "pins: 512 index bytes of pinned hashes = 25.6 B/record"},
+	} {
+		src := filepath.Join("..", "..", "internal", "vault", "testdata", c.fixture)
+		dir := t.TempDir()
+		files, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(src, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, out := captured(t, func() int { return sizesVault(dir) })
+		var row []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "1 ") {
+				row = strings.Fields(line)
+			}
+		}
+		if code != 0 || len(row) < 8 || row[5] != c.index || row[7] != c.pinsPerRecord || !strings.Contains(out, c.total) {
+			t.Fatalf("%s: exit %d, segment 1 row %q, want index %s at %s pin B/rec and %q\n%s", c.fixture, code, row, c.index, c.pinsPerRecord, c.total, out)
+		}
+	}
+}

@@ -343,10 +343,13 @@ func FuzzReplicaReceive(f *testing.F) {
 	})
 }
 
-// indexFuzzVault is the checked-in vault FuzzIndexOpen attacks
-// (testdata/v2-vault): one sealed current-format segment of six records
-// — a three-record run, a transaction-linked three-record run — with
-// its binary index. RUNS.json names the runs.
+// indexFuzzVault is a checked-in vault FuzzIndexOpen attacks through
+// the index of its first sealed segment: testdata/v2-vault, one sealed
+// segment of six records — a three-record run, a transaction-linked
+// three-record run — under a version-2 index, or testdata/v6-vault, two
+// sealed segments of eleven and twelve records and a one-record tail
+// under version-3 indexes, runs of four records, every second one
+// transaction-linked, straddling windows. RUNS.json names the runs.
 type indexFuzzVault struct {
 	dir   string
 	entry ManifestEntry
@@ -359,11 +362,11 @@ type indexFuzzVault struct {
 	hashes map[sig.Digest]bool // every authentic record of the segment
 }
 
-func loadIndexFuzzVault(tb testing.TB) *indexFuzzVault {
+func loadIndexFuzzVault(tb testing.TB, name string) *indexFuzzVault {
 	tb.Helper()
-	fv := &indexFuzzVault{dir: filepath.Join("testdata", "v2-vault"), hashes: make(map[sig.Digest]bool)}
+	fv := &indexFuzzVault{dir: filepath.Join("testdata", name), hashes: make(map[sig.Digest]bool)}
 	entries, err := readManifestFile(filepath.Join(fv.dir, manifestName))
-	if err != nil || len(entries) != 1 {
+	if err != nil || len(entries) == 0 {
 		tb.Fatalf("fixture manifest: %d entries, err %v", len(entries), err)
 	}
 	fv.entry = entries[0]
@@ -388,19 +391,23 @@ func loadIndexFuzzVault(tb testing.TB) *indexFuzzVault {
 
 // hostileIndexes derives the structural attacks on a valid index file:
 // each mutation keeps the file plausible enough to get past the header.
-func hostileIndexes(tb testing.TB, good []byte) map[string][]byte {
+// Against a version-3 index it adds the attacks on its window pins.
+func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
 	tb.Helper()
-	payload, err := indexFilePayload(good)
+	good := fv.idx
+	stride, magic := indexLayout(fv.entry.IndexFormat)
+	payload, err := indexFilePayload(good, magic)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix, err := parseIndexPayload(payload)
+	ix, err := parseIndexPayload(payload, stride)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	base := len(good) - len(payload)
 	offsetsAt := base + indexFixedLen
-	runsAt := offsetsAt + ix.count*(ix.offWidth+sig.DigestSize) // runs table: keys, blobLen, dir, blob
+	hashesAt := offsetsAt + ix.count*ix.offWidth
+	runsAt := hashesAt + len(ix.hashes) // runs table: keys, blobLen, dir, blob
 	dirAt := runsAt + 8
 	blobAt := dirAt + len(ix.tables[tableRuns].dir)
 	mutate := func(fn func(b []byte)) []byte {
@@ -408,7 +415,7 @@ func hostileIndexes(tb testing.TB, good []byte) map[string][]byte {
 		fn(b)
 		return b
 	}
-	return map[string][]byte{
+	seeds := map[string][]byte{
 		"valid": good,
 		"offsets-past-the-file": mutate(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[offsetsAt+4:], 0xFFFFFFF0)
@@ -443,36 +450,71 @@ func hostileIndexes(tb testing.TB, good []byte) map[string][]byte {
 		"posting-names-another-run": mutate(func(b []byte) {
 			b[blobAt+2+int(b[blobAt])] ^= 0x03
 		}),
-		"truncated-arrays":  good[:offsetsAt+ix.count*ix.offWidth+sig.DigestSize+5],
+		"truncated-arrays":  good[:hashesAt+sig.DigestSize+5],
 		"truncated-tables":  good[:blobAt+3],
 		"truncated-header":  good[:base-3],
 		"legacy-json-index": []byte(`{"entry":{"segment":1},"size":10,"offsets":[4],"hashes":[]}`),
 	}
+	if stride == 1 {
+		return seeds
+	}
+	// A version-3 index: its magic over a pin for every record, pins cut
+	// short, a pin moved to the window after its own, and a count that
+	// leaves another number of records in the last window.
+	pins := len(ix.hashes) / sig.DigestSize
+	perRecord := make([]byte, 0, ix.count*sig.DigestSize)
+	for i := 0; i < ix.count; i++ {
+		perRecord = append(perRecord, ix.hashes[sig.DigestSize*min(i/stride, pins-1):][:sig.DigestSize]...)
+	}
+	seeds["pin-per-record"] = append(append(append([]byte(nil), good[:hashesAt]...), perRecord...), good[runsAt:]...)
+	seeds["pins-truncated"] = append(append([]byte(nil), good[:runsAt-sig.DigestSize]...), good[runsAt:]...)
+	seeds["pins-swapped"] = mutate(func(b []byte) {
+		copy(b[hashesAt:], good[hashesAt+sig.DigestSize:runsAt])
+		copy(b[runsAt-sig.DigestSize:], good[hashesAt:hashesAt+sig.DigestSize])
+	})
+	seeds["count-off-by-one"] = mutate(func(b []byte) {
+		binary.LittleEndian.PutUint32(b[base+16:], uint32(ix.count-1))
+	})
+	return seeds
 }
 
 // FuzzIndexOpen feeds arbitrary bytes to the vault as a sealed segment's
-// index file. Two layers hold: behind the seal's pinned digest a hostile
-// index is simply rebuilt — the opened vault serves exactly the true
-// records; and with the pin bypassed (the parsed view handed straight to
-// the keyed-read path) it can make reads fail with ErrSealBroken but
-// never panic, never allocate out of proportion to its size, and never
-// get a record served that is not an authentic record matching the
-// query.
+// index file — under the version-3 seal of testdata/v6-vault when they
+// open with the version-3 magic, under the version-2 seal of
+// testdata/v2-vault otherwise. Two layers hold: behind the seal's pinned
+// digest a hostile index is simply rebuilt — the opened vault serves
+// exactly the true records; and with the pin bypassed (the parsed view
+// handed straight to the keyed-read path) it can make reads fail with
+// ErrSealBroken but never panic, never allocate out of proportion to its
+// size, and never get a record served that is not an authentic record
+// matching the query.
 func FuzzIndexOpen(f *testing.F) {
-	fv := loadIndexFuzzVault(f)
-	for _, seed := range hostileIndexes(f, fv.idx) {
-		f.Add(seed)
+	v2, v6 := loadIndexFuzzVault(f, "v2-vault"), loadIndexFuzzVault(f, "v6-vault")
+	for _, fv := range []*indexFuzzVault{v2, v6} {
+		for _, seed := range hostileIndexes(f, fv) {
+			f.Add(seed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fv := v2
+		if bytes.HasPrefix(data, []byte("NRX\x03")) {
+			fv = v6
+		}
 		// Layer 1: through Open, where the seal pins the index.
 		dir := t.TempDir()
-		for _, name := range []string{manifestName, "seg-00000001.log"} {
-			b, err := os.ReadFile(filepath.Join(fv.dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
-				t.Fatal(err)
+		files, err := os.ReadDir(fv.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if name := file.Name(); name != "RUNS.json" && name != filepath.Base(idxPath("", 1)) {
+				b, err := os.ReadFile(filepath.Join(fv.dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := os.WriteFile(idxPath(dir, 1), data, 0o600); err != nil {
@@ -496,11 +538,12 @@ func FuzzIndexOpen(f *testing.F) {
 		// Layer 2: the parser and the keyed-read path on their own.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		payload, err := indexFilePayload(data)
+		stride, magic := indexLayout(fv.entry.IndexFormat)
+		payload, err := indexFilePayload(data, magic)
 		if err != nil {
 			return
 		}
-		ix, err := parseIndexPayload(payload)
+		ix, err := parseIndexPayload(payload, stride)
 		if err != nil {
 			if !errors.Is(err, ErrSealBroken) {
 				t.Fatalf("parse error is not ErrSealBroken: %v", err)

@@ -5,10 +5,19 @@
 //	         canonical JSON, n bytes | payload
 //	payload  u64 firstSeq | u64 size | u32 count | u8 offWidth | 3 × 0
 //	         offsets  count × offWidth   frame start offsets in the segment
-//	         hashes   count × 32         each record's chained hash
+//	         hashes   ⌈count/stride⌉ × 32 the chained hash of the last
+//	                                     record of each window of stride
 //	         4 key tables: runs, transactions, parties, kinds
 //	table    u32 keys | u32 blobLen | keys × u32 entry offsets | blob
 //	entry    uvarint keyLen | key | uvarint postings | delta varints
+//
+// The stride follows from the seal's IndexFormat, never from a field of
+// the file, whose magic must name the same version: version 3 (IndexFormat 3) pins one hash per window of
+// four records — positions 3, 7, 11, … and the segment's last record —
+// and version 2 (IndexFormat 2, and the binary rebuild of a legacy
+// index) one per record. A keyed read decodes the whole window of a
+// record it serves, chained from the pin before the window, and holds
+// the window's last hash to its pin (Iterator.loadSegment).
 //
 // All integers are little-endian. Offsets and hashes are fixed-width
 // arrays addressed in place; a table's keys are sorted bytewise (run and
@@ -41,15 +50,36 @@ import (
 )
 
 const (
-	// indexMagic opens a binary index file; its first byte tells it from
-	// a legacy JSON index ('{').
-	indexMagic = "NRX\x02"
 	// indexFormatBinary is the ManifestEntry.IndexFormat of seals whose
-	// Index digest is the SHA-256 of the binary payload bytes.
+	// Index digest is the SHA-256 of a version-2 binary payload: one
+	// pinned hash per record. Read, never sealed.
 	indexFormatBinary = 2
+	// indexFormatWindowed is the ManifestEntry.IndexFormat of seals whose
+	// Index digest is the SHA-256 of a version-3 binary payload: one
+	// pinned hash per window of windowStride records.
+	indexFormatWindowed = 3
+	// windowStride is how many records share one pinned hash in a
+	// version-3 index.
+	windowStride = 4
 
 	indexFixedLen = 24 // firstSeq, size, count, offWidth, padding
 )
+
+// indexLayout returns the stride and the file magic of the binary index
+// a seal of the given IndexFormat pins: version 3 under
+// indexFormatWindowed, else version 2 — a legacy seal's index is rebuilt
+// as version 2, whose per-record hashes the legacy digest covers, and
+// verify refuses a format it does not know. The magic's first byte tells
+// a binary index from a legacy JSON one ('{').
+func indexLayout(format uint8) (stride int, magic string) {
+	if format == indexFormatWindowed {
+		return windowStride, "NRX\x03"
+	}
+	return 1, "NRX\x02"
+}
+
+// pinCount is how many hashes an index of count records at stride pins.
+func pinCount(count, stride int) int { return (count + stride - 1) / stride }
 
 // The key tables of an index, in file order.
 const (
@@ -69,9 +99,10 @@ const (
 type indexPayload struct {
 	Size    int64   `json:"size"`
 	Offsets []int64 `json:"offsets"`
-	// Hashes pins every record's chained hash, so a record served from a
-	// sealed segment is verified against the seal without reading the
-	// whole segment.
+	// Hashes pins the chained hash of the last record of every window of
+	// the index's stride (of every record in the legacy form), so a record
+	// served from a sealed segment is verified against the seal without
+	// reading more of the segment than its window.
 	Hashes  []sig.Digest               `json:"hashes"`
 	Runs    map[id.Run][]uint64        `json:"runs,omitempty"`
 	Txns    map[id.Txn][]uint64        `json:"txns,omitempty"`
@@ -163,18 +194,19 @@ func appendKeyTable[K ~string](dst []byte, t int, postings map[K][]uint64, first
 
 // indexFileHeader returns what precedes the payload in an index file:
 // the magic and the seal's manifest line.
-func indexFileHeader(entryLine []byte) []byte {
-	hdr := append(make([]byte, 0, len(indexMagic)+binary.MaxVarintLen32+len(entryLine)), indexMagic...)
+func indexFileHeader(magic string, entryLine []byte) []byte {
+	hdr := append(make([]byte, 0, len(magic)+binary.MaxVarintLen32+len(entryLine)), magic...)
 	hdr = binary.AppendUvarint(hdr, uint64(len(entryLine)))
 	return append(hdr, entryLine...)
 }
 
-// indexFilePayload locates the payload inside binary index file bytes.
-func indexFilePayload(data []byte) ([]byte, error) {
-	if len(data) < len(indexMagic) || string(data[:len(indexMagic)]) != indexMagic {
-		return nil, fmt.Errorf("%w: not a segment index", ErrSealBroken)
+// indexFilePayload locates the payload inside binary index file bytes
+// that open with magic.
+func indexFilePayload(data []byte, magic string) ([]byte, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: not a segment index of its seal's format", ErrSealBroken)
 	}
-	rest := data[len(indexMagic):]
+	rest := data[len(magic):]
 	n, w := binary.Uvarint(rest)
 	if w <= 0 || n > uint64(len(rest)-w) {
 		return nil, fmt.Errorf("%w: segment index header truncated", ErrSealBroken)
@@ -202,10 +234,11 @@ type keyTable struct {
 	blob []byte
 }
 
-// parseIndexPayload validates the payload's structure — every section
-// inside the payload, nothing left over — and returns a view over it.
-// Entry contents are checked as they are read.
-func parseIndexPayload(payload []byte) (*indexView, error) {
+// parseIndexPayload validates the structure of a payload that pins one
+// hash per stride records — every section inside the payload, nothing
+// left over — and returns a view over it. Entry contents are checked as
+// they are read.
+func parseIndexPayload(payload []byte, stride int) (*indexView, error) {
 	bad := func(what string) (*indexView, error) {
 		return nil, fmt.Errorf("%w: segment index %s", ErrSealBroken, what)
 	}
@@ -226,11 +259,12 @@ func parseIndexPayload(payload []byte) (*indexView, error) {
 		return bad("segment size")
 	}
 	rest := payload[indexFixedLen:]
-	if uint64(ix.count)*uint64(ix.offWidth+sig.DigestSize) > uint64(len(rest)) {
+	pins := pinCount(ix.count, stride)
+	if uint64(ix.count)*uint64(ix.offWidth)+uint64(pins)*sig.DigestSize > uint64(len(rest)) {
 		return bad("arrays truncated")
 	}
 	ix.offsets, rest = rest[:ix.count*ix.offWidth], rest[ix.count*ix.offWidth:]
-	ix.hashes, rest = rest[:ix.count*sig.DigestSize], rest[ix.count*sig.DigestSize:]
+	ix.hashes, rest = rest[:pins*sig.DigestSize], rest[pins*sig.DigestSize:]
 	for t := range ix.tables {
 		if len(rest) < 8 {
 			return bad("key table truncated")
@@ -262,9 +296,10 @@ func (ix *indexView) offset(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(ix.offsets[8*i:]))
 }
 
-// hash returns record i's pinned chained hash.
-func (ix *indexView) hash(i int) (d sig.Digest) {
-	copy(d[:], ix.hashes[sig.DigestSize*i:])
+// pin returns the chained hash pinned for window w: that of the last
+// record of the window.
+func (ix *indexView) pin(w int) (d sig.Digest) {
+	copy(d[:], ix.hashes[sig.DigestSize*w:])
 	return d
 }
 
@@ -365,10 +400,13 @@ func (ix *indexView) toPayload() (*indexPayload, error) {
 	p := &indexPayload{
 		Size:    ix.size,
 		Offsets: make([]int64, ix.count),
-		Hashes:  make([]sig.Digest, ix.count),
+		Hashes:  make([]sig.Digest, len(ix.hashes)/sig.DigestSize),
 	}
-	for i := 0; i < ix.count; i++ {
-		p.Offsets[i], p.Hashes[i] = ix.offset(i), ix.hash(i)
+	for i := range p.Offsets {
+		p.Offsets[i] = ix.offset(i)
+	}
+	for w := range p.Hashes {
+		p.Hashes[w] = ix.pin(w)
 	}
 	var err error
 	if p.Runs, err = loadTable[id.Run](ix, tableRuns); err != nil {
@@ -415,7 +453,7 @@ func loadTable[K ~string](ix *indexView, t int) (map[K][]uint64, error) {
 
 // verify holds the view to the seal: it must describe e's record range
 // and reproduce the digest e pins — over the payload bytes for seals of
-// this format, over the canonical JSON of the logical payload for
+// a binary format, over the canonical JSON of the logical payload for
 // legacy seals.
 func (ix *indexView) verify(e *ManifestEntry) error {
 	if ix.firstSeq != e.FirstSeq || uint64(ix.count) != e.LastSeq-e.FirstSeq+1 {
@@ -423,7 +461,7 @@ func (ix *indexView) verify(e *ManifestEntry) error {
 	}
 	var d sig.Digest
 	switch e.IndexFormat {
-	case indexFormatBinary:
+	case indexFormatBinary, indexFormatWindowed:
 		d = ix.digest()
 	case 0:
 		p, err := ix.toPayload()
@@ -442,10 +480,12 @@ func (ix *indexView) verify(e *ManifestEntry) error {
 	return nil
 }
 
-// openIndex parses index file bytes in either format and verifies them
-// against the seal e. The view of a binary index aliases data; a legacy
-// JSON index is converted and aliases nothing.
+// openIndex parses index file bytes in the format the seal e names, or
+// a legacy JSON index, and verifies them against e. The view of a binary
+// index aliases data; a legacy JSON index is converted and aliases
+// nothing.
 func openIndex(data []byte, e *ManifestEntry) (*indexView, error) {
+	stride, magic := indexLayout(e.IndexFormat)
 	if len(data) > 0 && data[0] == '{' {
 		var f legacyIndexFile
 		if err := canon.Unmarshal(data, &f); err != nil {
@@ -458,13 +498,13 @@ func openIndex(data []byte, e *ManifestEntry) (*indexView, error) {
 		if e.IndexFormat != 0 || f.Entry.Digest != e.Digest || d != e.Index {
 			return nil, fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
 		}
-		return parseIndexPayload(encodeIndexPayload(e.FirstSeq, &f.indexPayload))
+		return parseIndexPayload(encodeIndexPayload(e.FirstSeq, &f.indexPayload), stride)
 	}
-	payload, err := indexFilePayload(data)
+	payload, err := indexFilePayload(data, magic)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := parseIndexPayload(payload)
+	ix, err := parseIndexPayload(payload, stride)
 	if err != nil {
 		return nil, err
 	}

@@ -160,8 +160,8 @@ func (it *Iterator) Err() error { return it.err }
 // loadSegment reads a sealed segment's matches: by direct offset reads
 // when the posting lists apply, by sequential scan otherwise. Every
 // record served from disk is verified against the seal — its hash is
-// derived from its bytes and compared with the pinned hash list (keyed
-// reads) or the full record chain and content digest (scans) — so
+// derived from its bytes and chained to the pinned hash of its window
+// (keyed reads) or the full record chain and content digest (scans) — so
 // tampered sealed evidence is reported as broken, never returned as
 // authentic.
 func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
@@ -195,10 +195,12 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 		return out, nil
 	}
 
-	// Keyed reads map the segment once and decode each nominated record
-	// from its indexed byte slot — no sequential scan, no per-record read
-	// syscall. The encoding is the file's own; offsets from a JSON-era
-	// index address JSON lines, binary-era offsets address binary frames.
+	// Keyed reads map the segment once and decode each window of records
+	// that holds a nominated one from its indexed byte slots — no
+	// sequential scan of the segment, no per-record read syscall. The
+	// encoding is the file's own; offsets from a JSON-era index address
+	// JSON lines, binary-era offsets address binary frames.
+	stride, _ := indexLayout(idx.Entry.IndexFormat)
 	data, release, err := mapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("vault: open segment %d: %w", idx.Entry.Segment, err)
@@ -209,47 +211,72 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if size == 0 || size > int64(len(data)) {
 		size = int64(len(data))
 	}
+	broken := func(format string, args ...any) error {
+		return fmt.Errorf("%w: segment %d %s", ErrSealBroken, idx.Entry.Segment, fmt.Sprintf(format, args...))
+	}
 	var out []*store.Record
-	for _, seq := range seqs {
-		if seq < idx.firstSeq || seq-idx.firstSeq >= uint64(idx.count) {
-			return nil, fmt.Errorf("%w: segment %d index out of range", ErrSealBroken, idx.Entry.Segment)
+	for len(seqs) > 0 {
+		if seqs[0] < idx.firstSeq || seqs[0]-idx.firstSeq >= uint64(idx.count) {
+			return nil, broken("index out of range")
 		}
-		i := int(seq - idx.firstSeq)
-		start := idx.offset(i)
-		end := size
-		if i+1 < idx.count {
-			end = idx.offset(i + 1)
+		w := int(seqs[0]-idx.firstSeq) / stride
+		lo, hi := w*stride, min(w*stride+stride, idx.count)
+		// The window chains from the pin before it; the first window from
+		// the Prev its first frame carries. Records of one window are
+		// decoded once each, in order.
+		var cv *store.ChainVerifier
+		if w > 0 {
+			cv = store.ResumeChain(idx.firstSeq+uint64(lo)-1, idx.pin(w-1))
 		}
-		if start < 0 || end < start || end > int64(len(data)) {
-			return nil, fmt.Errorf("%w: segment %d index offsets out of range", ErrSealBroken, idx.Entry.Segment)
+		for i := lo; i < hi; i++ {
+			start := idx.offset(i)
+			end := size
+			if i+1 < idx.count {
+				end = idx.offset(i + 1)
+			}
+			if start < 0 || end < start || end > int64(len(data)) {
+				return nil, broken("index offsets out of range")
+			}
+			// A frame that follows its predecessor directly elides Prev and
+			// is completed with the hash derived for the record before it;
+			// that record's offset names the mate a frame borrowing a
+			// signature leans on. A follower frame finds its leader in the
+			// mapping itself.
+			var prev *sig.Digest
+			prevStart := int64(-1)
+			if cv != nil {
+				_, h := cv.Position()
+				prev, prevStart = &h, idx.offset(i-1)
+			}
+			seq := idx.firstSeq + uint64(i)
+			rec, err := store.DecodeRecordData(data, start, end, enc, prev, prevStart)
+			if err != nil {
+				// A sealed record that cannot be read back is a broken seal.
+				return nil, broken("record %d: %v", seq, err)
+			}
+			if cv == nil {
+				cv = store.ResumeChain(seq-1, rec.Prev)
+			}
+			if err := cv.Advance(rec); err != nil {
+				return nil, broken("record %d: %v", seq, err)
+			}
+			if len(seqs) > 0 && seqs[0] == seq {
+				if it.q.Matches(rec) {
+					out = append(out, rec)
+				}
+				seqs = seqs[1:]
+			}
 		}
-		// A frame that follows its predecessor directly elides Prev; the
-		// predecessor's hash is pinned in the index beside its own, and
-		// its offset names the mate a frame borrowing a signature leans
-		// on. A follower frame finds its leader in the mapping itself.
-		var prev *sig.Digest
-		prevStart := int64(-1)
-		if i > 0 {
-			h := idx.hash(i - 1)
-			prev, prevStart = &h, idx.offset(i-1)
-		}
-		rec, err := store.DecodeRecordData(data, start, end, enc, prev, prevStart)
-		if err != nil {
-			// A sealed record that cannot be read back is a broken seal.
-			return nil, fmt.Errorf("%w: segment %d record %d: %v", ErrSealBroken, idx.Entry.Segment, seq, err)
-		}
-		// Authenticate before serving: the decoder derived the record's
-		// hash from the frame's own bytes, what it borrowed from its
-		// leader's and its mate's, and the pinned hash before it (and held
-		// a stored hash, where the format has one, to that), so an edited
-		// body — the frame's, its leader's or its mate's, checksum fixed
-		// up or not — cannot reproduce the hash pinned under the seal at
-		// its position.
-		if rec.Hash != idx.hash(i) {
-			return nil, fmt.Errorf("%w: segment %d record %d hash differs from seal", ErrSealBroken, idx.Entry.Segment, seq)
-		}
-		if it.q.Matches(rec) {
-			out = append(out, rec)
+		// Authenticate before serving — nothing is returned unless every
+		// window holds: the decoder derived each record's hash from its
+		// frame's own bytes, what it borrowed from its leader's and its
+		// mate's, and the hash before it (and held a stored hash, where
+		// the format has one, to that), so an edited body anywhere in the
+		// window — the frame's, its leader's or its mate's, checksum fixed
+		// up or not — cannot reproduce the hash the seal pins at the
+		// window's end.
+		if _, last := cv.Position(); last != idx.pin(w) {
+			return nil, broken("window %d hash differs from seal", w)
 		}
 	}
 	return out, nil

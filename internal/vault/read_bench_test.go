@@ -3,7 +3,9 @@ package vault_test
 import (
 	"testing"
 
+	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/vault"
@@ -32,28 +34,45 @@ func benchVault(b *testing.B, segRecords int) (string, []id.Run) {
 // about benchRecords records in all.
 func benchVaultOf(b *testing.B, segRecords, runRecords int) (string, []id.Run) {
 	b.Helper()
+	var runs []id.Run
+	dir := benchVaultFill(b, segRecords, func(realm *testpki.Realm, commit func([]store.Entry)) {
+		for i := 0; i < benchRecords/runRecords; i++ {
+			run := id.NewRun()
+			commit(benchEntries(b, realm, run, 1, runRecords))
+			runs = append(runs, run)
+		}
+	})
+	return dir, runs
+}
+
+// benchVaultFill builds a vault sealed into segments of segRecords from
+// the commits fill makes, and returns its directory.
+func benchVaultFill(b *testing.B, segRecords int, fill func(realm *testpki.Realm, commit func([]store.Entry))) string {
+	b.Helper()
 	realm := testpki.MustRealm(org)
 	dir := b.TempDir()
 	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(segRecords), vault.WithoutSync())
 	if err != nil {
 		b.Fatal(err)
 	}
-	var runs []id.Run
-	for i := 0; i < benchRecords/runRecords; i++ {
-		run := id.NewRun()
-		entries := make([]store.Entry, runRecords)
-		for j := range entries {
-			entries[j] = store.Entry{Dir: store.Generated, Token: newToken(b, realm, run, j+1), Note: "request origin"}
-		}
+	fill(realm, func(entries []store.Entry) {
 		if _, err := v.AppendGroup(entries); err != nil {
 			b.Fatal(err)
 		}
-		runs = append(runs, run)
-	}
+	})
 	if err := v.Close(); err != nil {
 		b.Fatal(err)
 	}
-	return dir, runs
+	return dir
+}
+
+// benchEntries is n records of run, from step on.
+func benchEntries(b *testing.B, realm *testpki.Realm, run id.Run, step, n int) []store.Entry {
+	entries := make([]store.Entry, n)
+	for j := range entries {
+		entries[j] = store.Entry{Dir: store.Generated, Token: newToken(b, realm, run, step+j), Note: "request origin"}
+	}
+	return entries
 }
 
 // BenchmarkVaultVerifyingScan: a full query over sealed segments — every
@@ -91,6 +110,68 @@ func BenchmarkVaultByRun(b *testing.B) {
 func BenchmarkVaultByRunFollowers(b *testing.B) {
 	dir, runs := benchVaultOf(b, benchSegment, 3)
 	benchByRun(b, dir, runs, 3)
+}
+
+// BenchmarkVaultByRunInterleaved: keyed reads of runs whose request pair
+// and response pair committed apart, as on a busy server — the next
+// run's request pair between them — so a run's four records lie in two
+// windows of a version-3 index and its read decodes up to eight.
+func BenchmarkVaultByRunInterleaved(b *testing.B) {
+	var runs []id.Run
+	dir := benchVaultFill(b, benchSegment, func(realm *testpki.Realm, commit func([]store.Entry)) {
+		for i := 0; i < benchRecords/benchRunRecords; i++ {
+			runs = append(runs, id.NewRun())
+			commit(benchEntries(b, realm, runs[i], 1, 2))
+			if i > 0 {
+				commit(benchEntries(b, realm, runs[i-1], 3, 2))
+			}
+		}
+		commit(benchEntries(b, realm, runs[len(runs)-1], 3, 2))
+	})
+	benchByRun(b, dir, runs, benchRunRecords)
+}
+
+// BenchmarkVaultByKind: a kind query over sealed segments laid out as a
+// durable client's — per job a job-enqueued record, the call's four
+// tokens and a job-done, the last three in one commit — asking for the
+// job-enqueued records, as crash recovery does. One record in six is
+// nominated, so with a version-3 index most of the windows are decoded
+// whole for it.
+func BenchmarkVaultByKind(b *testing.B) {
+	const jobRecords = 6
+	kinds := [jobRecords]evidence.Kind{evidence.KindJobEnqueued, evidence.KindNRO, evidence.KindNRR,
+		evidence.KindNROResp, evidence.KindNRRResp, evidence.KindJobDone}
+	jobs := benchRecords / jobRecords
+	dir := benchVaultFill(b, benchSegment, func(realm *testpki.Realm, commit func([]store.Entry)) {
+		for i := 0; i < jobs; i++ {
+			run := id.NewRun()
+			var entries []store.Entry
+			for step, kind := range kinds {
+				tok, err := realm.Party(org).Issuer.Issue(kind, run, step+1, sig.Sum([]byte(kind)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				entries = append(entries, store.Entry{Dir: store.Generated, Token: tok})
+				if step < 3 {
+					commit(entries)
+					entries = nil
+				}
+			}
+			commit(entries)
+		}
+	})
+	v, err := vault.Open(dir, nil, vault.WithReadOnly())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, err := v.QueryAll(vault.Query{Kind: evidence.KindJobEnqueued}); err != nil || len(recs) != jobs {
+			b.Fatalf("kind query = %d records, err %v", len(recs), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/record")
 }
 
 func benchByRun(b *testing.B, dir string, runs []id.Run, runRecords int) {

@@ -352,7 +352,7 @@ func verifyAndInstallSegment(dir string, e ManifestEntry, data []byte, expectPre
 		os.Remove(tmp)
 		return fmt.Errorf("vault: install replica segment: %w", err)
 	}
-	return writeIndexFile(dir, e.Segment, line, payload)
+	return writeIndexFile(dir, &e, line, payload)
 }
 
 // Manifest returns a copy of the accepted seal chain for source.

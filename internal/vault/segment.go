@@ -44,8 +44,9 @@ type ManifestEntry struct {
 	// IndexFormat says what Index digests: absent (0) on seals written
 	// before the binary index, whose Index is the canonical-JSON digest
 	// of the logical payload — omitempty keeps their entry digests
-	// unchanged — and indexFormatBinary on seals whose Index is the
-	// SHA-256 of the binary payload bytes.
+	// unchanged — and indexFormatBinary or indexFormatWindowed on seals
+	// whose Index is the SHA-256 of the binary payload bytes, one hash
+	// pinned per record or per window of records.
 	IndexFormat uint8 `json:"index_format,omitempty"`
 	// Prev is the Digest of the preceding manifest entry.
 	Prev sig.Digest `json:"prev"`
@@ -95,7 +96,6 @@ type segment struct {
 	enc     store.Encoding
 	records []*store.Record
 	offsets []int64
-	hashes  []sig.Digest
 	size    int64
 	content sig.Digest
 	runs    map[id.Run][]uint64
@@ -131,7 +131,6 @@ func (s *segment) setEncoding(enc store.Encoding) {
 func (s *segment) add(rec *store.Record, lineLen int64) {
 	s.records = append(s.records, rec)
 	s.offsets = append(s.offsets, s.size)
-	s.hashes = append(s.hashes, rec.Hash)
 	s.size += lineLen
 	s.content = sig.SumPair(s.content, rec.Hash)
 	s.runs[rec.Token.Run] = append(s.runs[rec.Token.Run], rec.Seq)
@@ -142,12 +141,17 @@ func (s *segment) add(rec *store.Record, lineLen int64) {
 	s.kinds[rec.Token.Kind] = append(s.kinds[rec.Token.Kind], rec.Seq)
 }
 
-// payload freezes the segment's index content for encoding.
-func (s *segment) payload() *indexPayload {
+// payload freezes the segment's index content for encoding, pinning the
+// hash of the last record of each window of stride records.
+func (s *segment) payload(stride int) *indexPayload {
+	pins := make([]sig.Digest, 0, pinCount(len(s.records), stride))
+	for i := stride - 1; i < len(s.records)+stride-1; i += stride {
+		pins = append(pins, s.records[min(i, len(s.records)-1)].Hash)
+	}
 	return &indexPayload{
 		Size:    s.size,
 		Offsets: s.offsets,
-		Hashes:  s.hashes,
+		Hashes:  pins,
 		Runs:    s.runs,
 		Txns:    s.txns,
 		Parties: s.parties,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -30,10 +31,25 @@ type SegmentSize struct {
 	// which with the file's header make up SegmentBytes.
 	store.FrameCount
 	PlainBytes int64
-	// IndexFormat is "binary", "json" (a legacy index) or "" when there
-	// is no index file; IndexBytes is its size.
+	// IndexFormat is "binary" (version 3: one hash pinned per window of
+	// records), "binary-v2" (one per record), "json" (a legacy index) or
+	// "" when there is no index file; IndexBytes is its size.
 	IndexFormat string
 	IndexBytes  int64
+}
+
+// PinBytes is what a binary index's pinned chained hashes take: one per
+// window of records in an index of the current format, one per record
+// in a version-2 index. It is 0 for a legacy JSON index, whose hex pins
+// it does not measure, and for a segment without an index.
+func (s SegmentSize) PinBytes() int64 {
+	switch s.IndexFormat {
+	case "binary":
+		return int64(pinCount(s.Records, windowStride)) * sig.DigestSize
+	case "binary-v2":
+		return int64(s.Records) * sig.DigestSize
+	}
+	return 0
 }
 
 // Sizes reports, for every sealed segment and the tail, the format it
@@ -89,10 +105,17 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 		if err := frames(&s); err != nil {
 			return nil, err
 		}
-		if head, size, err := fileHead(idxPath(v.dir, s.Segment)); err == nil && len(head) > 0 {
-			s.IndexFormat, s.IndexBytes = "binary", size
-			if head[0] == '{' {
-				s.IndexFormat = "json"
+		head, size, err := fileHead(idxPath(v.dir, s.Segment))
+		switch {
+		case os.IsNotExist(err): // a read-only vault serves a lost index from memory
+		case err != nil:
+			return nil, err
+		case len(head) > 0 && head[0] == '{':
+			s.IndexFormat, s.IndexBytes = "json", size
+		case len(head) > 3:
+			s.IndexFormat, s.IndexBytes = fmt.Sprintf("binary-v%d", head[3]), size
+			if _, magic := indexLayout(indexFormatWindowed); string(head) == magic {
+				s.IndexFormat = "binary"
 			}
 		}
 		out = append(out, s)

@@ -527,13 +527,15 @@ func mapIndex(dir string, e *ManifestEntry) (*segmentIndex, error) {
 	return idx, nil
 }
 
-// buildIndex encodes the index of a fully read sealed segment and holds
-// it to the seal by the same rule a loaded index is held to: the records
-// already verified against the seal, so a payload that still disagrees
-// with the pinned digest means the entry itself is inconsistent.
+// buildIndex encodes the index of a fully read sealed segment in the
+// format its seal names and holds it to the seal by the same rule a
+// loaded index is held to: the records already verified against the
+// seal, so a payload that still disagrees with the pinned digest means
+// the entry itself is inconsistent.
 func buildIndex(seg *segment, e *ManifestEntry) ([]byte, error) {
-	payload := encodeIndexPayload(seg.firstSeq, seg.payload())
-	ix, err := parseIndexPayload(payload)
+	stride, _ := indexLayout(e.IndexFormat)
+	payload := encodeIndexPayload(seg.firstSeq, seg.payload(stride))
+	ix, err := parseIndexPayload(payload, stride)
 	if err != nil {
 		return nil, err
 	}
@@ -543,12 +545,13 @@ func buildIndex(seg *segment, e *ManifestEntry) ([]byte, error) {
 	return payload, nil
 }
 
-// writeIndexFile persists a segment's index: header (with the seal's
-// manifest line) and payload, fsynced at a temporary name and renamed
-// into place, so a reader that has the previous file mapped keeps a
-// consistent view.
-func writeIndexFile(dir string, segment uint64, entryLine, payload []byte) error {
-	return writeFileAtomic(idxPath(dir, segment), indexFileHeader(entryLine), payload)
+// writeIndexFile persists the index of the segment e seals: header (the
+// magic of e's index format and the seal's manifest line) and payload,
+// fsynced at a temporary name and renamed into place, so a reader that
+// has the previous file mapped keeps a consistent view.
+func writeIndexFile(dir string, e *ManifestEntry, entryLine, payload []byte) error {
+	_, magic := indexLayout(e.IndexFormat)
+	return writeFileAtomic(idxPath(dir, e.Segment), indexFileHeader(magic, entryLine), payload)
 }
 
 // rebuildIndex reconstructs a sealed segment's index by re-reading its
@@ -591,14 +594,15 @@ func (v *Vault) rebuildIndex(e *ManifestEntry) (*segmentIndex, error) {
 // or, failing that, from the bytes in hand.
 func (v *Vault) adoptIndex(e *ManifestEntry, entryLine, payload []byte) (*segmentIndex, error) {
 	if !v.readOnly {
-		if err := writeIndexFile(v.dir, e.Segment, entryLine, payload); err != nil {
+		if err := writeIndexFile(v.dir, e, entryLine, payload); err != nil {
 			return nil, err
 		}
 		if idx, err := mapIndex(v.dir, e); err == nil {
 			return idx, nil
 		}
 	}
-	ix, err := parseIndexPayload(payload)
+	stride, _ := indexLayout(e.IndexFormat)
+	ix, err := parseIndexPayload(payload, stride)
 	if err != nil {
 		return nil, err
 	}
@@ -920,7 +924,8 @@ func (v *Vault) seal() error {
 	sealStart := time.Now()
 	// The index is encoded once: the same bytes are digested for the
 	// seal and written to the index file.
-	payload := encodeIndexPayload(a.firstSeq, a.payload())
+	stride, magic := indexLayout(indexFormatWindowed)
+	payload := encodeIndexPayload(a.firstSeq, a.payload(stride))
 	entry := ManifestEntry{
 		Segment:     a.number,
 		FirstSeq:    a.firstSeq,
@@ -930,7 +935,7 @@ func (v *Vault) seal() error {
 		LastHash:    v.lastHash,
 		Content:     a.content,
 		Index:       sha256.Sum256(payload),
-		IndexFormat: indexFormatBinary,
+		IndexFormat: indexFormatWindowed,
 		Prev:        v.lastSeal,
 	}
 	d, err := entry.computeDigest()
@@ -954,7 +959,7 @@ func (v *Vault) seal() error {
 	if err != nil {
 		return err
 	}
-	v.bytes.Add(int64(len(indexFileHeader(line)) + len(payload)))
+	v.bytes.Add(int64(len(indexFileHeader(magic, line)) + len(payload)))
 	if _, err := v.manifestF.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("vault: append manifest: %w", err)
 	}
