@@ -228,20 +228,8 @@ func main() {
 	}
 
 	if telemetry != nil {
-		if v := evidenceVault; v != nil {
-			telemetry.SetHealth("vault:"+*party, func() any {
-				st := v.Stats()
-				h := map[string]any{
-					"segments":       st.Segments,
-					"sealed_records": st.SealedRecords,
-					"tail_records":   st.TailRecords,
-					"last_seq":       st.LastSeq,
-				}
-				if m := v.Manifest(); len(m) > 0 {
-					h["seal_head"] = m[len(m)-1].Digest
-				}
-				return h
-			})
+		if evidenceVault != nil {
+			telemetry.SetHealth("vault:"+*party, evidenceVault.Health)
 		}
 		telemetry.SetHealth("coordinator", func() any {
 			return map[string]any{"party": *party, "addr": node.Coordinator().Addr(), "records": node.Log().Len()}

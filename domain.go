@@ -707,20 +707,7 @@ func (o *Org) registerHealth() {
 	if tel == nil {
 		return
 	}
-	v := o.vault
-	tel.SetHealth("vault:"+string(o.node.Party()), func() any {
-		st := v.Stats()
-		h := map[string]any{
-			"segments":       st.Segments,
-			"sealed_records": st.SealedRecords,
-			"tail_records":   st.TailRecords,
-			"last_seq":       st.LastSeq,
-		}
-		if m := v.Manifest(); len(m) > 0 {
-			h["seal_head"] = m[len(m)-1].Digest
-		}
-		return h
-	})
+	tel.SetHealth("vault:"+string(o.node.Party()), o.vault.Health)
 }
 
 // Party returns the organisation's identifier.

@@ -129,8 +129,8 @@ func withWorkerLink(w protocol.WorkerConfig) OrgOption {
 
 // EnableWorkers enables the host's worker gateway (idempotently),
 // allowing organisations to enrol behind it with Domain.AddWorkerOrg. The
-// gateway queues inbound traffic per worker, dispatches it
-// tenant-weighted fair to polling links, and rejects new work past its
+// gateway queues inbound traffic per worker, dispatches it round-robin
+// to polling links, and rejects new work past its equal per-tenant
 // admission caps.
 func (h *Host) EnableWorkers() (*protocol.WorkerGateway, error) {
 	if gw := h.inner.WorkerGateway(); gw != nil {
@@ -157,6 +157,5 @@ func (h *Host) EnableWorkers() (*protocol.WorkerGateway, error) {
 }
 
 // Gateway returns the host's worker gateway, nil before EnableWorkers.
-// Use it for weight tuning (SetWeight), draining before shutdown (Drain)
-// and status (Status).
+// Use it for draining before shutdown (Drain) and status (Status).
 func (h *Host) Gateway() *protocol.WorkerGateway { return h.inner.WorkerGateway() }

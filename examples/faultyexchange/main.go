@@ -107,7 +107,10 @@ func main() {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	decided, resolved := resolveService.Decision(res2.Run)
+	decided, resolved, err := resolveService.Decision(res2.Run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  TTP decision recorded: decided=%v resolved=%v\n", decided, resolved)
 	fmt.Println("  the server now holds a TTP-signed substitute receipt.")
 

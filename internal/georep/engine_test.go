@@ -335,6 +335,62 @@ func TestEngineAsyncTrailing(t *testing.T) {
 	}
 }
 
+// TestEngineFillsReplicaAndResumesAfterRestart: an async engine fills a
+// replica from a live source, tail pushes and sealed segments both, and
+// an engine started over the same source after a restart resumes from
+// the replica's verified position. The replica then opens as a vault
+// that deep-verifies at the source's length.
+func TestEngineFillsReplicaAndResumesAfterRestart(t *testing.T) {
+	t.Parallel()
+	realm, v := newSourceVault(t, 4)
+	m := newMemTarget(t)
+	start := func() *georep.Engine {
+		eng := georep.NewEngine(v, string(srcOrg), georep.Policy{Mode: georep.ModeAsync}, nil)
+		eng.AddTarget("replica", m)
+		return eng
+	}
+	caughtUp := func(eng *georep.Engine) {
+		t.Helper()
+		if err := eng.Flush(context.Background()); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		localSeq, _ := v.LastPosition()
+		if got, err := m.rs.AckedSeq(string(srcOrg)); err != nil || got != localSeq {
+			t.Fatalf("replica AckedSeq = %d, %v; want %d", got, err, localSeq)
+		}
+		if sealed, err := m.rs.LastSealed(string(srcOrg)); err != nil || sealed != uint64(len(v.Manifest())) {
+			t.Fatalf("replica LastSealed = %d, %v; want %d", sealed, err, len(v.Manifest()))
+		}
+	}
+
+	eng := start()
+	appendRecords(t, realm, v, 10) // two sealed segments and a tail
+	caughtUp(eng)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// While no engine runs the source seals another segment.
+	appendRecords(t, realm, v, 3)
+	if got, err := m.rs.AckedSeq(string(srcOrg)); err != nil || got != 10 {
+		t.Fatalf("replica moved without an engine: AckedSeq = %d, %v", got, err)
+	}
+	eng = start()
+	defer eng.Close()
+	caughtUp(eng)
+
+	replica, err := vault.Open(m.rs.Dir(string(srcOrg)), realm.Clock, vault.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if got := replica.Len(); got != v.Len() {
+		t.Fatalf("replica Len = %d, want %d", got, v.Len())
+	}
+	if err := replica.DeepVerify(); err != nil {
+		t.Fatalf("replica DeepVerify: %v", err)
+	}
+}
+
 // TestEngineArchiveTiering checks sealed segments tier into the object
 // store as they seal, that archive outages surface in status and heal,
 // and that a wiped primary restores from the archive the engine wrote.

@@ -17,18 +17,13 @@ import (
 // and/or liveness guarantees to honest parties" (section 3.1).
 //
 // Resolve and abort are mutually exclusive per run: the first decision
-// sticks, and the other party learns the existing decision.
+// sticks, and the other party learns the existing decision. The TTP's own
+// log is the record of decisions, so one made before a restart holds
+// after it.
 type ResolveService struct {
 	protocol.RequestMux
 	co *protocol.Coordinator
-
-	mu   sync.Mutex
-	runs map[id.Run]*ttpDecision
-}
-
-type ttpDecision struct {
-	resolved bool
-	tokens   []*evidence.Token
+	mu sync.Mutex // serialises decisions (decide)
 }
 
 var _ protocol.Handler = (*ResolveService)(nil)
@@ -36,7 +31,7 @@ var _ protocol.Handler = (*ResolveService)(nil)
 // NewResolveService creates the TTP handler and registers it with the
 // TTP's coordinator.
 func NewResolveService(co *protocol.Coordinator) *ResolveService {
-	s := &ResolveService{co: co, runs: make(map[id.Run]*ttpDecision)}
+	s := &ResolveService{co: co}
 	s.RequestMux = protocol.NewRequestMux(ProtocolResolve, "resolve", map[string]protocol.RequestFunc{
 		kindResolve: s.handleResolve,
 		kindAbort:   s.handleAbort,
@@ -64,21 +59,6 @@ func (s *ResolveService) handleResolve(ctx context.Context, msg *protocol.Messag
 	if err != nil {
 		return nil, err
 	}
-	if err := logGroup(ctx, svc,
-		store.Entry{Dir: store.Received, Token: body.NRO, Note: "resolve evidence"},
-		store.Entry{Dir: store.Received, Token: body.NRR, Note: "resolve evidence"},
-		store.Entry{Dir: store.Received, Token: body.NROResp, Note: "resolve evidence"},
-	); err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	decision, ok := s.runs[msg.Run]
-	s.mu.Unlock()
-	if ok {
-		return s.decisionReply(msg.Run, decision)
-	}
-
 	note := evidence.ReceiptNote{
 		Run:            msg.Run,
 		Client:         body.Request.Client,
@@ -89,19 +69,21 @@ func (s *ResolveService) handleResolve(ctx context.Context, msg *protocol.Messag
 	if err != nil {
 		return nil, err
 	}
-	sub, err := svc.Issuer.Issue(evidence.KindSubstitute, msg.Run, stepReceipt, noteDigest,
-		evidence.WithRecipients(body.Request.Server, body.Request.Client))
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.LogGenerated(sub, "substitute receipt"); err != nil {
-		return nil, err
-	}
-	decision = &ttpDecision{resolved: true, tokens: []*evidence.Token{sub}}
-	s.mu.Lock()
-	s.runs[msg.Run] = decision
-	s.mu.Unlock()
-	return s.decisionReply(msg.Run, decision)
+	return s.decide(msg.Run, func() (*evidence.Token, error) {
+		if err := logGroup(ctx, svc,
+			store.Entry{Dir: store.Received, Token: body.NRO, Note: "resolve evidence"},
+			store.Entry{Dir: store.Received, Token: body.NRR, Note: "resolve evidence"},
+			store.Entry{Dir: store.Received, Token: body.NROResp, Note: "resolve evidence"},
+		); err != nil {
+			return nil, err
+		}
+		sub, err := svc.Issuer.Issue(evidence.KindSubstitute, msg.Run, stepReceipt, noteDigest,
+			evidence.WithRecipients(body.Request.Server, body.Request.Client))
+		if err != nil {
+			return nil, err
+		}
+		return sub, svc.LogGenerated(sub, "substitute receipt")
+	})
 }
 
 // handleAbort verifies the client's evidence of step 1 and issues an abort
@@ -116,53 +98,74 @@ func (s *ResolveService) handleAbort(_ context.Context, msg *protocol.Message) (
 	if err != nil {
 		return nil, err
 	}
-	if err := svc.LogReceived(body.NRO, "abort evidence"); err != nil {
-		return nil, err
-	}
+	return s.decide(msg.Run, func() (*evidence.Token, error) {
+		if err := svc.LogReceived(body.NRO, "abort evidence"); err != nil {
+			return nil, err
+		}
+		abort, err := svc.Issuer.Issue(evidence.KindAbort, msg.Run, stepRequest, reqDigest,
+			evidence.WithRecipients(body.Request.Client, body.Request.Server))
+		if err != nil {
+			return nil, err
+		}
+		return abort, svc.LogGenerated(abort, "abort affidavit")
+	})
+}
 
+// decide answers with run's logged decision or, when it has none, with
+// the token issue logs as the decision. Both happen under mu, so a
+// resolve and an abort of one run cannot both find it undecided, and
+// nothing is logged for a run already decided.
+func (s *ResolveService) decide(run id.Run, issue func() (*evidence.Token, error)) (*protocol.Message, error) {
 	s.mu.Lock()
-	decision, ok := s.runs[msg.Run]
-	s.mu.Unlock()
-	if ok {
-		return s.decisionReply(msg.Run, decision)
+	defer s.mu.Unlock()
+	tok, err := s.decision(run)
+	if tok == nil && err == nil {
+		tok, err = issue()
 	}
-
-	abort, err := svc.Issuer.Issue(evidence.KindAbort, msg.Run, stepRequest, reqDigest,
-		evidence.WithRecipients(body.Request.Client, body.Request.Server))
 	if err != nil {
 		return nil, err
 	}
-	if err := svc.LogGenerated(abort, "abort affidavit"); err != nil {
-		return nil, err
-	}
-	decision = &ttpDecision{resolved: false, tokens: []*evidence.Token{abort}}
-	s.mu.Lock()
-	s.runs[msg.Run] = decision
-	s.mu.Unlock()
-	return s.decisionReply(msg.Run, decision)
+	return decisionReply(run, tok)
 }
 
-func (s *ResolveService) decisionReply(run id.Run, d *ttpDecision) (*protocol.Message, error) {
+// decision returns the substitute receipt or abort affidavit this TTP
+// logged for run, nil when it logged neither.
+func (s *ResolveService) decision(run id.Run) (*evidence.Token, error) {
+	svc := s.co.Services()
+	recs, err := svc.Log.QueryAll(store.Query{Run: run, Party: svc.Party})
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		if k := rec.Token.Kind; k == evidence.KindSubstitute || k == evidence.KindAbort {
+			return rec.Token, nil
+		}
+	}
+	return nil, nil
+}
+
+func decisionReply(run id.Run, tok *evidence.Token) (*protocol.Message, error) {
 	reply := &protocol.Message{
 		Protocol: ProtocolResolve,
 		Run:      run,
 		Step:     stepReceipt,
 		Kind:     kindDecision,
-		Tokens:   d.tokens,
+		Tokens:   []*evidence.Token{tok},
 	}
-	if err := reply.SetBody(decisionBody{Resolved: d.resolved}); err != nil {
+	if err := reply.SetBody(decisionBody{Resolved: tok.Kind == evidence.KindSubstitute}); err != nil {
 		return nil, err
 	}
 	return reply, nil
 }
 
-// Decision reports the TTP's recorded decision for a run.
-func (s *ResolveService) Decision(run id.Run) (decided, resolved bool) {
+// Decision reports the TTP's logged decision for a run, or the error
+// that kept the log from being read.
+func (s *ResolveService) Decision(run id.Run) (decided, resolved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.runs[run]
-	if !ok {
-		return false, false
+	tok, err := s.decision(run)
+	if tok == nil || err != nil {
+		return false, false, err
 	}
-	return true, d.resolved
+	return true, tok.Kind == evidence.KindSubstitute, nil
 }

@@ -407,8 +407,8 @@ func TestFairHappyPathAvoidsTTP(t *testing.T) {
 	if err := srv.WaitReceipt(ctx, res.Run); err != nil {
 		t.Fatal(err)
 	}
-	if decided, _ := resolver.Decision(res.Run); decided {
-		t.Fatal("TTP was involved in a clean run")
+	if decided, _, err := resolver.Decision(res.Run); err != nil || decided {
+		t.Fatalf("TTP was involved in a clean run (decided=%v, %v)", decided, err)
 	}
 }
 
@@ -447,8 +447,8 @@ func TestFairResolveOnWithheldReceipt(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if decided, resolved := resolver.Decision(res.Run); !decided || !resolved {
-		t.Fatalf("TTP decision = %v,%v, want decided+resolved", decided, resolved)
+	if decided, resolved, err := resolver.Decision(res.Run); err != nil || !decided || !resolved {
+		t.Fatalf("TTP decision = %v,%v (%v), want decided+resolved", decided, resolved, err)
 	}
 	// The substitute receipt is in the server's log.
 	var found bool
@@ -487,9 +487,9 @@ func TestFairAbortWhenServerUnreachable(t *testing.T) {
 		t.Fatal("client log empty")
 	}
 	run := records[0].Token.Run
-	decided, resolved := resolver.Decision(run)
-	if !decided || resolved {
-		t.Fatalf("TTP decision = %v,%v, want decided+aborted", decided, resolved)
+	decided, resolved, err := resolver.Decision(run)
+	if err != nil || !decided || resolved {
+		t.Fatalf("TTP decision = %v,%v (%v), want decided+aborted", decided, resolved, err)
 	}
 	// A later resolve attempt by the server must not overturn the abort.
 	var abortTok *evidence.Token

@@ -256,8 +256,8 @@ func TestResumeFairAbortsWhenServerUnreachable(t *testing.T) {
 	if !errors.Is(err, invoke.ErrAborted) {
 		t.Fatalf("Resume = %v, want ErrAborted", err)
 	}
-	if decided, resolved := resolver.Decision(run); !decided || resolved {
-		t.Fatalf("TTP decision = %v,%v, want decided+aborted", decided, resolved)
+	if decided, resolved, err := resolver.Decision(run); err != nil || !decided || resolved {
+		t.Fatalf("TTP decision = %v,%v (%v), want decided+aborted", decided, resolved, err)
 	}
 }
 
@@ -331,7 +331,11 @@ func TestAbortAlreadyResolved(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if decided, resolved := resolver.Decision(res.Run); decided && resolved {
+		decided, resolved, err := resolver.Decision(res.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decided && resolved {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -391,7 +395,7 @@ func TestAbortGranted(t *testing.T) {
 			t.Fatalf("abort %d: %v", i, err)
 		}
 	}
-	if decided, resolved := resolver.Decision(run); !decided || resolved {
-		t.Fatalf("TTP decision = %v,%v, want decided+aborted", decided, resolved)
+	if decided, resolved, err := resolver.Decision(run); err != nil || !decided || resolved {
+		t.Fatalf("TTP decision = %v,%v (%v), want decided+aborted", decided, resolved, err)
 	}
 }

@@ -3,9 +3,11 @@ package invoke_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
@@ -13,6 +15,7 @@ import (
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
+	"nonrep/internal/vault"
 )
 
 // rogueTTP answers every resolve and abort at the TTP's coordinator with
@@ -150,5 +153,169 @@ func TestClientAbortRefusesUnboundTTPDecision(t *testing.T) {
 				t.Fatalf("client logged %d records of a refused decision", n)
 			}
 		})
+	}
+}
+
+// ttpNode starts the TTP's node over log, signing with signer. The node
+// closes when the test ends; the log stays the caller's.
+func ttpNode(t *testing.T, d *testpki.Domain, signer sig.Signer, log store.Log) *core.Node {
+	t.Helper()
+	node, err := core.NewNode(core.NodeConfig{
+		Party: ttp, Signer: signer, Creds: d.Realm.Store, Clock: d.Realm.Clock,
+		Network: d.Network, Directory: d.Directory, Retry: &testpki.FastRetry, Log: log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = node.Close() })
+	d.Directory.Register(ttp, string(ttp))
+	return node
+}
+
+// parkingSigner holds its first signature until a second one is asked
+// for, or a grace period passes: a TTP that serialises its decisions
+// never asks for the second while the first is held, so only the grace
+// period releases it there.
+type parkingSigner struct {
+	sig.Signer
+	calls   atomic.Int32
+	entered chan struct{} // closed by the first Sign
+	second  chan struct{} // closed by the second Sign
+}
+
+func (s *parkingSigner) Sign(d sig.Digest) (sig.Signature, error) {
+	switch s.calls.Add(1) {
+	case 1:
+		close(s.entered)
+		select {
+		case <-s.second:
+		case <-time.After(500 * time.Millisecond):
+		}
+	case 2:
+		close(s.second)
+	}
+	return s.Signer.Sign(d)
+}
+
+// fairRun runs one fair invocation whose client withholds its receipt and
+// whose server waits an hour before resolving, so the test decides when
+// the TTP hears of the run. It returns the server, the client, the run
+// and the client's request snapshot and NRO, the evidence of an abort.
+func fairRun(t *testing.T, d *testpki.Domain) (*invoke.Server, *invoke.Client, id.Run, evidence.RequestSnapshot, *evidence.Token) {
+	t.Helper()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec,
+		invoke.ForProtocol(invoke.ProtocolFair), invoke.WithRecovery(ttp, time.Hour))
+	t.Cleanup(func() { _ = srv.Close() })
+	cli := invoke.NewClient(d.Node(client).Coordinator(), invoke.WithOfflineTTP(ttp), invoke.WithholdReceipt())
+	req := orderRequest()
+	res, err := cli.Invoke(context.Background(), server, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := evidence.RequestSnapshot{
+		Run: res.Run, Txn: req.Txn, Client: client, Server: server,
+		Service: req.Service, Operation: req.Operation, Params: req.Params,
+		Protocol: invoke.ProtocolFair,
+	}
+	return srv, cli, res.Run, snap, res.Evidence[0]
+}
+
+// decisions returns the substitute receipts and abort affidavits log
+// holds for run.
+func decisions(t *testing.T, log store.Log, run id.Run) []*evidence.Token {
+	t.Helper()
+	var toks []*evidence.Token
+	for _, rec := range testpki.Query(t, log, store.Query{Run: run}) {
+		if k := rec.Token.Kind; k == evidence.KindSubstitute || k == evidence.KindAbort {
+			toks = append(toks, rec.Token)
+		}
+	}
+	return toks
+}
+
+// TestTTPDecidesOnceUnderRace: a server's resolve and a client's abort of
+// one run reach the TTP together, the resolve's decision parked at
+// signing until the abort has been checked. The TTP grants one of them:
+// its log holds exactly one decision token, and both parties are told
+// the same decision.
+func TestTTPDecidesOnceUnderRace(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	if _, err := d.Realm.AddParty(ttp); err != nil {
+		t.Fatal(err)
+	}
+	signer := &parkingSigner{Signer: d.Realm.Party(ttp).Signer, entered: make(chan struct{}), second: make(chan struct{})}
+	ttpLog := testpki.Log(t, d.Realm.Clock)
+	invoke.NewResolveService(ttpNode(t, d, signer, ttpLog).Coordinator())
+	srv, cli, run, snap, nro := fairRun(t, d)
+
+	resolveErr := make(chan error, 1)
+	go func() { resolveErr <- srv.ResolveNow(ctx, run) }()
+	<-signer.entered
+	abortErr := cli.Abort(ctx, ttp, snap, nro)
+	rErr := <-resolveErr
+
+	toks := decisions(t, ttpLog, run)
+	if len(toks) != 1 {
+		t.Fatalf("TTP logged %d decisions for one run, want 1 (resolve: %v, abort: %v)", len(toks), rErr, abortErr)
+	}
+	switch toks[0].Kind {
+	case evidence.KindSubstitute:
+		if rErr != nil || !errors.Is(abortErr, invoke.ErrAlreadyResolved) {
+			t.Fatalf("TTP resolved; resolve = %v, abort = %v; want nil and ErrAlreadyResolved", rErr, abortErr)
+		}
+	case evidence.KindAbort:
+		if !errors.Is(rErr, invoke.ErrAborted) || abortErr != nil {
+			t.Fatalf("TTP aborted; resolve = %v, abort = %v; want ErrAborted and nil", rErr, abortErr)
+		}
+	}
+}
+
+// TestTTPDecisionSurvivesRestart: a TTP restarted over its vault still
+// knows the run it aborted: a later resolve earns the abort, not a
+// substitute receipt.
+func TestTTPDecisionSurvivesRestart(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	if _, err := d.Realm.AddParty(ttp); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v1, err := vault.Open(dir, d.Realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node1 := ttpNode(t, d, d.Realm.Party(ttp).Signer, v1)
+	invoke.NewResolveService(node1.Coordinator())
+	srv, cli, run, snap, nro := fairRun(t, d)
+	if err := cli.Abort(ctx, ttp, snap, nro); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	if err := node1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	v2, err := vault.Open(dir, d.Realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = v2.Close() })
+	resolver := invoke.NewResolveService(ttpNode(t, d, d.Realm.Party(ttp).Signer, v2).Coordinator())
+	if decided, resolved, err := resolver.Decision(run); err != nil || !decided || resolved {
+		t.Fatalf("restarted TTP decision = %v,%v (%v), want decided+aborted", decided, resolved, err)
+	}
+	if err := srv.ResolveNow(ctx, run); !errors.Is(err, invoke.ErrAborted) {
+		t.Fatalf("resolve after restart = %v, want ErrAborted", err)
+	}
+	if toks := decisions(t, v2, run); len(toks) != 1 || toks[0].Kind != evidence.KindAbort {
+		t.Fatalf("restarted TTP log holds %d decisions, want the one abort", len(toks))
 	}
 }

@@ -2,10 +2,8 @@
 // of the pull-only audit plane. A subscriber opens a token-authorized
 // subscription against a publisher's vault (sub-open) and the publisher
 // streams every committed record back as it lands (sub-records), plus
-// seal notifications and — on request — whole sealed-segment packages
-// (sub-seal, fanned out through the transport chunk layer like any
-// oversized payload); record frames and segment bytes ride the pushes'
-// attachments. The feed is hash-chain-continuous end to end: the
+// seal notifications on request (sub-seal); record frames ride the
+// pushes' attachments. The feed is hash-chain-continuous end to end: the
 // subscriber names the chain position it resumes from, the publisher
 // backfills the gap from its vault indexes, and the subscriber re-derives
 // the chain over everything it receives — a gap, duplicate or forgery
@@ -55,8 +53,7 @@ const (
 	KindSubProv = "sub-prov"
 	// KindSubRecords pushes one chain-ordered batch of committed records.
 	KindSubRecords = "sub-records"
-	// KindSubSeal pushes a seal notification (optionally with the sealed
-	// segment package).
+	// KindSubSeal pushes a seal notification.
 	KindSubSeal = "sub-seal"
 	// KindSubEvict tells a subscriber it was evicted and why.
 	KindSubEvict = "sub-evict"
@@ -79,6 +76,10 @@ var (
 	// tenant's subscription, which is what keeps a re-enrolled party from
 	// receiving its predecessor's feed.
 	ErrSubUnknown = errors.New("protocol: unknown subscription")
+	// ErrSubSegmentsGone refuses a sub-open that asks for sealed-segment
+	// packages: seals are notifications only, and a region that needs
+	// the segments is a replication target of the publisher.
+	ErrSubSegmentsGone = errors.New("protocol: segment packages are no longer served with seals")
 	// ErrSubEvicted surfaces on a Feed whose publisher evicted it (slow
 	// consumer or publisher shutdown). Resume from Position.
 	ErrSubEvicted = errors.New("protocol: subscription evicted by publisher")
@@ -113,7 +114,10 @@ type subOpenReq struct {
 	AfterSeq   uint64     `json:"after_seq,omitempty"`
 	AfterHash  sig.Digest `json:"after_hash,omitempty"`
 	Seals      bool       `json:"seals,omitempty"`
-	Segments   bool       `json:"segments,omitempty"`
+	// Segments is what a subscriber built when seals could carry segment
+	// packages sends; it is kept on the wire only so such a sub-open is
+	// refused rather than served a feed without them.
+	Segments bool `json:"segments,omitempty"`
 }
 
 type subOpenResp struct {
@@ -186,14 +190,10 @@ func unmarshalRecordsPush(msg *Message, p *subRecordsPush) error {
 	return nil
 }
 
-// subSealPush announces one seal. With segments requested, the sealed
-// segment's bytes ride the message's Attachment; Package is where a
-// publisher that predates attachments put the whole package, and is only
-// ever read.
+// subSealPush announces one seal.
 type subSealPush struct {
-	SubID   string                `json:"sub_id"`
-	Entry   vault.ManifestEntry   `json:"entry"`
-	Package *vault.SegmentPackage `json:"package,omitempty"`
+	SubID string              `json:"sub_id"`
+	Entry vault.ManifestEntry `json:"entry"`
 }
 
 type subEvictPush struct {
@@ -300,6 +300,9 @@ func (s *SubService) handleOpen(_ context.Context, msg *Message) (*Message, erro
 	if req.SubID == "" || req.Addr == "" {
 		return nil, errors.New("protocol: sub-open needs a subscription id and a delivery address")
 	}
+	if req.Segments {
+		return nil, ErrSubSegmentsGone
+	}
 	if !s.anon {
 		tok, err := s.co.verifyClaim(msg, evidence.KindSubOpen, req.Subscriber, &req)
 		if err != nil {
@@ -332,9 +335,9 @@ func (s *SubService) handleOpen(_ context.Context, msg *Message) (*Message, erro
 	sub, err := s.hub.Subscribe(feed.Config{
 		AfterSeq:  req.AfterSeq,
 		AfterHash: req.AfterHash,
-		Seals:     req.Seals || req.Segments,
+		Seals:     req.Seals,
 		Outbox:    serverOutbox,
-		Sink:      s.sink(ss, req.Segments),
+		Sink:      s.sink(ss),
 	})
 	if err != nil {
 		s.mu.Lock()
@@ -354,20 +357,12 @@ func (s *SubService) handleOpen(_ context.Context, msg *Message) (*Message, erro
 // becomes one acknowledged push on the feed protocol. It runs on the
 // subscription's own goroutine, so a slow or dead subscriber fills its
 // outbox and is evicted without touching the vault's commit path.
-func (s *SubService) sink(ss *serverSub, segments bool) feed.Sink {
+func (s *SubService) sink(ss *serverSub) feed.Sink {
 	return func(ev feed.Event) error {
 		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 		defer cancel()
 		if ev.Seal != nil {
-			var data []byte
-			if segments {
-				// Sealed files are immutable; a read failure loses only
-				// the package, the entry still flows.
-				if pkg, perr := s.v.Package(ev.Seal.Segment); perr == nil {
-					data = pkg.Data
-				}
-			}
-			return s.push(ctx, ss, KindSubSeal, &subSealPush{SubID: ss.id, Entry: *ev.Seal}, data)
+			return s.push(ctx, ss, KindSubSeal, &subSealPush{SubID: ss.id, Entry: *ev.Seal}, nil)
 		}
 		frames, err := store.AppendFrameRun(nil, ev.Records)
 		if err != nil {
@@ -442,10 +437,8 @@ type WatchConfig struct {
 	AfterHash sig.Digest
 	// Seals requests seal notifications in the feed.
 	Seals bool
-	// Segments requests whole sealed-segment packages with each seal.
-	Segments bool
 	// Shared joins any live wire subscription this client holds to the
-	// same publisher address with the same Seals/Segments options —
+	// same publisher address with the same Seals option —
 	// dedicated or shared — at that subscription's current verified
 	// position (AfterSeq/AfterHash are then ignored): the shared-informer
 	// pattern, for many local consumers of one live tail. With none live,
@@ -482,10 +475,10 @@ type SubClient struct {
 // that starts past the next record is a broken stream, not a reordering:
 // it ends the upstream, and Resume continues from the verified position.
 type upstream struct {
-	subID           string
-	addr            string
-	seals, segments bool
-	cv              *store.ChainVerifier
+	subID string
+	addr  string
+	seals bool
+	cv    *store.ChainVerifier
 	// open is set once the publisher accepted the sub-open; only then may
 	// Shared watches join.
 	open    bool
@@ -528,10 +521,7 @@ func (c *SubClient) handleSeal(_ context.Context, msg *Message) (*Message, error
 	if err := msg.Body(&p); err != nil {
 		return nil, err
 	}
-	if len(msg.Attachment) > 0 {
-		p.Package = &vault.SegmentPackage{Entry: p.Entry, Data: msg.Attachment}
-	}
-	if err := c.deliver(p.SubID, FeedEvent{Seal: &p.Entry, Package: p.Package}); err != nil {
+	if err := c.deliver(p.SubID, FeedEvent{Seal: &p.Entry}); err != nil {
 		return nil, err
 	}
 	return ack(msg, p.SubID)
@@ -656,7 +646,6 @@ func (c *SubClient) SubscribeAddr(ctx context.Context, addr string, cfg WatchCon
 		AfterSeq:   cfg.AfterSeq,
 		AfterHash:  cfg.AfterHash,
 		Seals:      cfg.Seals,
-		Segments:   cfg.Segments,
 	}
 	// Register before the request goes out: the publisher may start
 	// pushing before its open reply is processed here.
@@ -685,7 +674,7 @@ func (c *SubClient) join(f *Feed, addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, u := range c.ups {
-		if u.open && u.addr == addr && u.seals == f.cfg.Seals && u.segments == f.cfg.Segments {
+		if u.open && u.addr == addr && u.seals == f.cfg.Seals {
 			f.up = u
 			f.seq, f.hash = u.cv.Position()
 			u.members[f] = struct{}{}
@@ -699,12 +688,11 @@ func (c *SubClient) join(f *Feed, addr string) bool {
 // member, verifying from f's configured position.
 func newUpstream(subID, addr string, f *Feed) *upstream {
 	u := &upstream{
-		subID:    subID,
-		addr:     addr,
-		seals:    f.cfg.Seals,
-		segments: f.cfg.Segments,
-		cv:       store.ResumeChain(f.cfg.AfterSeq, f.cfg.AfterHash),
-		members:  map[*Feed]struct{}{f: {}},
+		subID:   subID,
+		addr:    addr,
+		seals:   f.cfg.Seals,
+		cv:      store.ResumeChain(f.cfg.AfterSeq, f.cfg.AfterHash),
+		members: map[*Feed]struct{}{f: {}},
 	}
 	f.up = u
 	f.seq, f.hash = f.cfg.AfterSeq, f.cfg.AfterHash
@@ -728,12 +716,11 @@ func (c *SubClient) ProvenanceAddr(ctx context.Context, addr string, run id.Run)
 }
 
 // FeedEvent is one verified feed delivery: a chain-continuous batch of
-// records, or a seal notification (with its segment package when the
-// subscription asked for segments).
+// records, or a seal notification. A seal event carries no segment
+// bytes; sealed segments reach other regions through replication.
 type FeedEvent struct {
 	Records []*store.Record
 	Seal    *vault.ManifestEntry
-	Package *vault.SegmentPackage
 }
 
 // Feed is one local consumer of a wire subscription. Consume Events

@@ -191,46 +191,33 @@ func TestSubLiveFeedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubSealEventsCarrySegments: with Segments requested, seal events
-// arrive with the sealed segment package fanned out through the chunk
-// layer.
-func TestSubSealEventsCarrySegments(t *testing.T) {
+// TestSubOpenRefusesSegments: a sub-open asking for sealed-segment
+// packages, as subscribers built when seals could carry them send it, is
+// refused by name — by a publisher that verifies the claim and by one
+// that takes anonymous subscribers alike — before any evidence is
+// journaled or any subscription opened.
+func TestSubOpenRefusesSegments(t *testing.T) {
 	t.Parallel()
-	network := transport.NewInprocNetwork()
-	t.Cleanup(func() { _ = network.Close() })
-	f := newSubFixture(t, network)
-	feed, err := f.client.Subscribe(context.Background(), alice, protocol.WatchConfig{Segments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feed.Close()
-	d := newDrain(feed)
-	run := id.NewRun()
-	f.fill(t, run, 1, 9)
-	d.waitFor(t, 9)
-	deadline := time.After(15 * time.Second)
-	for {
-		d.mu.Lock()
-		n := len(d.seals)
-		d.mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		select {
-		case <-d.ping:
-		case <-deadline:
-			t.Fatalf("saw %d seal events, want 2", n)
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, ev := range d.seals[:2] {
-		if ev.Package == nil {
-			t.Fatalf("seal event for segment %d carries no package", ev.Seal.Segment)
-		}
-		if ev.Package.Entry.Segment != ev.Seal.Segment {
-			t.Fatalf("package names segment %d, seal %d", ev.Package.Entry.Segment, ev.Seal.Segment)
-		}
+	for name, opts := range map[string][]protocol.SubOption{
+		"verified":  nil,
+		"anonymous": {protocol.WithAnonymousSubscribe()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			network := transport.NewInprocNetwork()
+			t.Cleanup(func() { _ = network.Close() })
+			f := newSubFixture(t, network, opts...)
+			err := protocol.SubscribeSegments(context.Background(), f.client, string(alice))
+			if err == nil || !strings.Contains(err.Error(), protocol.ErrSubSegmentsGone.Error()) {
+				t.Fatalf("sub-open with segments: err = %v, want %q", err, protocol.ErrSubSegmentsGone)
+			}
+			if n := f.vA.Len(); n != 0 {
+				t.Fatalf("refused sub-open journaled %d records", n)
+			}
+			if n := f.svcA.Subscribers(); n != 0 {
+				t.Fatalf("refused sub-open left %d subscribers", n)
+			}
+		})
 	}
 }
 

@@ -3,9 +3,9 @@
 // host: a WorkerGateway attached to a Host queues envelopes addressed to
 // worker tenants, and connected workers pull them over long-poll requests
 // on a reserved control tenant, pushing results back the same way. The
-// gateway enforces per-tenant weighted admission caps so one tenant's
+// gateway gives every tenant an equal admission cap so one tenant's
 // backlog cannot exhaust the queue, dispatches fairly across the tenants
-// a link serves (weighted round-robin), tracks link liveness through
+// a link serves (round-robin), tracks link liveness through
 // leases renewed by polls and heartbeats, re-queues in-flight work when a
 // worker reconnects under a new lease, and drains gracefully — refusing
 // new work while letting dispatched work finish.
@@ -122,10 +122,10 @@ type GatewayConfig struct {
 
 const (
 	// gatewayMaxQueue bounds the queued (undispatched) envelopes across
-	// all tenants; each tenant's share is weighted.
+	// all tenants; each tenant's share is an equal part of it.
 	gatewayMaxQueue = 1024
 	// gatewayMinPerTenant floors every tenant's admission cap so a
-	// low-weight tenant is never starved to zero.
+	// gateway with many tenants never starves one to zero.
 	gatewayMinPerTenant = 8
 	// workerLeaseTTL is how long a link lease survives without a poll or
 	// heartbeat; a worker may ask for less in its hello.
@@ -151,7 +151,6 @@ type pendingItem struct {
 // gatewayTenant is the mailbox of one worker party.
 type gatewayTenant struct {
 	party    string
-	weight   int
 	queue    []*pendingItem
 	inflight map[id.Msg]*pendingItem
 	lease    string // lease currently serving this tenant ("" when offline)
@@ -218,35 +217,12 @@ func (h *Host) WorkerGateway() *WorkerGateway {
 	return h.gw
 }
 
-// WorkerAddr returns the tenant-qualified address a worker party is
-// reachable at through this host's gateway.
-func (h *Host) WorkerAddr(p id.Party) string {
-	return transport.JoinTenantAddr(h.ep.Addr(), string(p))
-}
-
 // counter resolves a gateway instrument (nil-safe).
 func (g *WorkerGateway) counter(name string) *obs.Counter { return g.cfg.Obs.Counter(name) }
 
 // depthLocked publishes the queued depth gauge.
 func (g *WorkerGateway) depthLocked() {
 	g.cfg.Obs.Gauge(obs.MGatewayQueueDepth).Set(int64(g.queued))
-}
-
-// SetWeight sets a tenant's admission/dispatch weight (default 1,
-// minimum 1). Unknown tenants get a mailbox so the weight applies once
-// the worker connects; it fails for a party hosted as a coordinator.
-func (g *WorkerGateway) SetWeight(p id.Party, w int) error {
-	if w < 1 {
-		w = 1
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	t, err := g.tenantLocked(string(p))
-	if err != nil {
-		return err
-	}
-	t.weight = w
-	return nil
 }
 
 // tenantLocked resolves (creating if needed) a tenant mailbox. Creation
@@ -260,21 +236,14 @@ func (g *WorkerGateway) tenantLocked(party string) (*gatewayTenant, error) {
 	if err := g.host.addRawTenant(party, g.mailboxChain(party)); err != nil {
 		return nil, err
 	}
-	t := &gatewayTenant{party: party, weight: 1, inflight: make(map[id.Msg]*pendingItem)}
+	t := &gatewayTenant{party: party, inflight: make(map[id.Msg]*pendingItem)}
 	g.tenants[party] = t
 	return t, nil
 }
 
-// capLocked is a tenant's weighted share of the queue budget.
-func (g *WorkerGateway) capLocked(t *gatewayTenant) int {
-	sum := 0
-	for _, o := range g.tenants {
-		sum += o.weight
-	}
-	if sum == 0 {
-		sum = 1
-	}
-	c := g.maxQueue * t.weight / sum
+// capLocked is a tenant's equal share of the queue budget.
+func (g *WorkerGateway) capLocked() int {
+	c := g.maxQueue / max(len(g.tenants), 1)
 	if c < g.minPerTenant {
 		c = g.minPerTenant
 	}
@@ -322,7 +291,7 @@ func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transpor
 		g.mu.Unlock()
 		return nil, err
 	}
-	if len(t.queue) >= g.capLocked(t) {
+	if len(t.queue) >= g.capLocked() {
 		g.mu.Unlock()
 		g.counter(obs.MGatewayAdmissionRejects).Inc()
 		return nil, &transientError{fmt.Errorf("%w: tenant %q", ErrGatewayBusy, party)}
@@ -526,8 +495,8 @@ func (g *WorkerGateway) heartbeat(leaseID string) (*workerLeaseBody, error) {
 
 // poll dispatches up to b.Max queued envelopes to the link, long-polling
 // up to b.WaitMs for work to arrive. Dispatch across the link's parties
-// is weighted round-robin: each pass hands every party up to its weight
-// in envelopes, so a backlogged tenant cannot monopolise the link.
+// is round-robin: each pass hands every party one envelope, so a
+// backlogged tenant cannot monopolise the link.
 func (g *WorkerGateway) poll(ctx context.Context, b workerPollBody) (*workerJobsBody, error) {
 	max := b.Max
 	if max <= 0 {
@@ -568,7 +537,7 @@ func (g *WorkerGateway) poll(ctx context.Context, b workerPollBody) (*workerJobs
 }
 
 // collectLocked moves up to max queued items of the lease's parties into
-// their in-flight sets, weighted round-robin.
+// their in-flight sets, round-robin.
 func (g *WorkerGateway) collectLocked(l *workerLease, max int) []workerJob {
 	var jobs []workerJob
 	n := len(l.parties)
@@ -580,26 +549,15 @@ func (g *WorkerGateway) collectLocked(l *workerLease, max int) []workerJob {
 		for i := 0; i < n && len(jobs) < max; i++ {
 			key := l.parties[(l.rr+i)%n]
 			t, ok := g.tenants[key]
-			if !ok || t.lease != l.id {
+			if !ok || t.lease != l.id || len(t.queue) == 0 {
 				continue
 			}
-			take := t.weight
-			if r := max - len(jobs); take > r {
-				take = r
-			}
-			if take > len(t.queue) {
-				take = len(t.queue)
-			}
-			for j := 0; j < take; j++ {
-				item := t.queue[0]
-				t.queue = t.queue[1:]
-				t.inflight[item.env.ID] = item
-				g.queued--
-				jobs = append(jobs, workerJob{Tenant: key, Env: item.env})
-			}
-			if take > 0 {
-				progress = true
-			}
+			item := t.queue[0]
+			t.queue = t.queue[1:]
+			t.inflight[item.env.ID] = item
+			g.queued--
+			jobs = append(jobs, workerJob{Tenant: key, Env: item.env})
+			progress = true
 		}
 		l.rr++
 		if !progress {

@@ -96,34 +96,85 @@ func TestGatewayAdmissionCap(t *testing.T) {
 	}
 }
 
-func TestGatewayWeightedFairDispatch(t *testing.T) {
+// TestGatewayRoundRobinDispatch: two backlogged tenants on one link
+// alternate — every pass over the link's parties hands each one
+// envelope, whatever its backlog — and a tenant whose queue runs dry
+// leaves the poll to the other.
+func TestGatewayRoundRobinDispatch(t *testing.T) {
 	t.Parallel()
 	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
 	gw.maxQueue, gw.minPerTenant = 64, 16
 	heavy, light := id.Party("urn:org:heavy"), id.Party("urn:org:light")
 	lease := helloParties(t, gw, heavy, light)
-	if err := gw.SetWeight(heavy, 3); err != nil {
-		t.Fatal(err)
+	enqueue := func(p id.Party, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := gw.enqueue(context.Background(), string(p), oneWay()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	poll := func(max int) []string {
+		jobs, err := gw.poll(context.Background(), pollNow(lease, max))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, j := range jobs.Jobs {
+			order = append(order, j.Tenant)
+		}
+		return order
+	}
+	enqueue(heavy, 12)
+	enqueue(light, 3)
 
-	for i := 0; i < 6; i++ {
-		if _, err := gw.enqueue(context.Background(), string(heavy), oneWay()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gw.enqueue(context.Background(), string(light), oneWay()); err != nil {
-			t.Fatal(err)
+	order := poll(4)
+	if len(order) != 4 {
+		t.Fatalf("dispatched %v, want 4 envelopes", order)
+	}
+	for i := 0; i < len(order); i += 2 {
+		if pass := order[i : i+2]; pass[0] == pass[1] {
+			t.Fatalf("pass %d handed %v; each backlogged tenant gets one envelope per pass (order %v)", i/2, pass, order)
 		}
 	}
-	jobs, err := gw.poll(context.Background(), pollNow(lease, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One of light's three is left: the next poll hands it over once and
+	// fills the rest from heavy's backlog.
 	counts := map[string]int{}
-	for _, j := range jobs.Jobs {
-		counts[j.Tenant]++
+	for _, p := range poll(4) {
+		counts[p]++
 	}
-	if counts[string(heavy)] != 3 || counts[string(light)] != 1 {
-		t.Fatalf("weighted dispatch = %v, want heavy:3 light:1", counts)
+	if counts[string(light)] != 1 || counts[string(heavy)] != 3 {
+		t.Fatalf("second poll = %v, want light:1 heavy:3", counts)
+	}
+}
+
+// TestGatewayEqualShares: every tenant gets the same admission cap, an
+// equal part of the queue budget floored at the per-tenant minimum.
+func TestGatewayEqualShares(t *testing.T) {
+	t.Parallel()
+	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant = 12, 2
+	a, b := id.Party("urn:org:a"), id.Party("urn:org:b")
+	helloParties(t, gw, a, b)
+	admitted := func(p id.Party) int {
+		n := 0
+		for {
+			if _, err := gw.enqueue(context.Background(), string(p), oneWay()); err != nil {
+				if !errors.Is(err, ErrGatewayBusy) {
+					t.Fatal(err)
+				}
+				return n
+			}
+			n++
+		}
+	}
+	if na, nb := admitted(a), admitted(b); na != 6 || nb != 6 {
+		t.Fatalf("admitted a:%d b:%d, want 6 each (12 split two ways)", na, nb)
+	}
+	gw.maxQueue = 2
+	c := id.Party("urn:org:c")
+	helloParties(t, gw, c)
+	if n := admitted(c); n != 2 {
+		t.Fatalf("admitted c:%d, want the floor of 2", n)
 	}
 }
 
@@ -281,25 +332,6 @@ func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 	}
 	if _, err := gw.hello(workerHelloBody{Parties: []id.Party{p}}); err == nil {
 		t.Fatal("hello for a hosted coordinator party must fail")
-	}
-	if err := gw.SetWeight(p, 2); err == nil {
-		t.Fatal("weighting a hosted coordinator party must fail")
-	}
-}
-
-// TestGatewayWeightBeforeHelloRoutes: weighting a worker before its first
-// hello creates its mailbox, and the host must route the party's traffic
-// to that mailbox once the worker connects.
-func TestGatewayWeightBeforeHelloRoutes(t *testing.T) {
-	t.Parallel()
-	h, gw, _ := newGatewayFixture(t, GatewayConfig{})
-	w := id.Party("urn:org:w")
-	if err := gw.SetWeight(w, 2); err != nil {
-		t.Fatal(err)
-	}
-	helloParties(t, gw, w)
-	if h.TenantHandler(string(w)) == nil {
-		t.Fatal("the host routes nothing to the weighted worker's mailbox")
 	}
 }
 

@@ -1247,6 +1247,22 @@ func (v *Vault) Stats() Stats {
 	return s
 }
 
+// Health is the vault's /healthz check: its shape and, once a segment
+// is sealed, the seal-chain head.
+func (v *Vault) Health() any {
+	st := v.Stats()
+	h := map[string]any{
+		"segments":       st.Segments,
+		"sealed_records": st.SealedRecords,
+		"tail_records":   st.TailRecords,
+		"last_seq":       st.LastSeq,
+	}
+	if m := v.Manifest(); len(m) > 0 {
+		h["seal_head"] = m[len(m)-1].Digest
+	}
+	return h
+}
+
 // Close implements store.Log: pending appends are committed, the tail
 // stays unsealed (it is replayed on the next Open), and file handles are
 // released. A vault from OpenTemp removes its directory.

@@ -696,3 +696,33 @@ func TestVaultAppendAsyncSync(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVaultHealth: the /healthz check reports the vault's shape, and the
+// seal-chain head once a segment is sealed.
+func TestVaultHealth(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	v, err := vault.Open(t.TempDir(), realm.Clock, vault.WithSegmentRecords(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if h := v.Health().(map[string]any); h["last_seq"] != uint64(0) || h["seal_head"] != nil {
+		t.Fatalf("empty vault health = %v", h)
+	}
+	run := id.NewRun()
+	for i := 1; i <= 6; i++ {
+		if _, err := v.Append(store.Generated, newToken(t, realm, run, i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := v.Health().(map[string]any)
+	m := v.Manifest()
+	if len(m) != 1 {
+		t.Fatalf("sealed %d segments, want 1", len(m))
+	}
+	want := map[string]any{"segments": 1, "sealed_records": uint64(4), "tail_records": 2, "last_seq": uint64(6), "seal_head": m[0].Digest}
+	if fmt.Sprint(h) != fmt.Sprint(want) {
+		t.Fatalf("health = %v, want %v", h, want)
+	}
+}

@@ -348,15 +348,15 @@ type (
 // token-authorized, hash-chain-continuous push feed over a peer
 // organisation's vault.
 type (
-	// WatchConfig shapes one subscription: resume position, seal and
-	// segment interest, local buffering.
+	// WatchConfig shapes one subscription: resume position, seal
+	// interest, sharing.
 	WatchConfig = protocol.WatchConfig
 	// Feed is one open subscription; consume Events, resume from
 	// Position after a failure.
 	Feed = protocol.Feed
 	// FeedEvent is one verified delivery: a chain-continuous record
-	// batch, or a seal (with its segment package when subscribed with
-	// Segments).
+	// batch, or a seal notification (no segment bytes; sealed segments
+	// reach other regions through replication).
 	FeedEvent = protocol.FeedEvent
 	// ProvGraph is the provenance neighbourhood of one run: run → tokens
 	// → parties → derived runs (Org.Provenance).

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Surface census: the three numbers a simplification reports.
+# Surface census: the numbers a simplification reports.
 #
 #   lines    non-test .go and .sh lines outside benchmarks/
 #   options  functional options (^func (With|Without)), non-test .go files
@@ -7,19 +7,36 @@
 #   fields   exported fields of the tuning config structs named below
 #   reads    error-less evidence reads (.ByRun(, .ByTxn(, .Records()) in
 #            non-test .go files outside benchmarks/
+#   testonly exported functions and methods declared in non-test .go files
+#            under internal/ whose name occurs in no non-test .go file
+#            (benchmarks/ included, comments stripped) but at its
+#            declarations: API only tests reach
+#
+# testonly matches by name: dead code sharing a name with used code goes
+# uncounted, but used code is never counted. The names it prints are of
+# accepted kinds: misbehaviour hooks and fault injection
+# (TamperResultChunk, SetCrashHook, FaultyNetwork Partition/Heal/Drops,
+# blob.Mem SetFault/Corrupt); internal/testpki; instruments and fixture
+# codecs tests read (CounterTotal, the metered transport's counts,
+# MustMarshal, NextRecord, credential helpers); MarshalJSON/UnmarshalJSON,
+# which encoding/json calls unnamed; and public API waiting for a product
+# caller (AuditSharedHistory, Negotiate/NewHelloService, replica Prune,
+# ProposeAtomic, ResolveNow, WithInterceptors, WorkerGateway.Drain). A new
+# name needs such a reason or a caller.
 #
 # The build fails when a census exceeds its ceiling, so a knob cannot come
 # back unnoticed, and neither can a read that drops its error: every
 # evidence read outside the benchmark harness goes through an
-# error-returning query (Vault.ByRun stays for the harness alone). The ceilings are constants, not
-# overridable from the environment; the change that lowers a census
-# lowers its ceiling.
+# error-returning query (Vault.ByRun stays for the harness alone). The
+# ceilings are constants, not overridable from the environment; the
+# change that lowers a census lowers its ceiling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OPTION_CEILING=48
-FIELD_CEILING=13
+FIELD_CEILING=12
 READ_CEILING=0
+TESTONLY_CEILING=55
 
 # Package directory and type name of each counted config struct.
 STRUCTS=(
@@ -39,6 +56,24 @@ sources() {
 lines="$(sources | xargs cat | wc -l)"
 options="$(sources | grep '\.go$' | xargs cat | grep -cE '^func (With|Without)' || true)"
 reads="$(sources | grep '\.go$' | xargs cat | grep -cE '\.(ByRun|ByTxn)\(|\.Records\(\)' || true)"
+
+# nocomments strips // and /* */ comments from Go source, leaving string
+# and rune literals whole.
+nocomments() {
+  perl -0777 -pe 's{("(?:\\.|[^"\\\n])*"|`[^`]*`|\x27(?:\\.|[^\x27\\\n])*\x27)|//[^\n]*|/\*.*?\*/}{defined $1 ? $1 : ""}gse'
+}
+
+# gosrc DIR lists the non-test .go files under DIR.
+gosrc() {
+  find "$1" \( -name .git -o -name testdata \) -prune -o -type f -name '*.go' ! -name '*_test.go' -print
+}
+
+# A declared name is test-only when its every occurrence is a declaration.
+testonly_names="$(awk 'NR == FNR { decl[$2] = $1; next } ($2 in decl) && $1 == decl[$2] { print $2 }' \
+  <(gosrc internal | xargs cat | nocomments | grep -oE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*' |
+    sed -E 's/^func (\([^)]*\) )?//' | sort | uniq -c) \
+  <(gosrc . | xargs cat | nocomments | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c) | sort)"
+testonly="$(grep -c . <<<"$testonly_names" || true)"
 
 # fields DIR TYPE counts the exported field names declared in the struct
 # TYPE of the package in DIR (0 when the type does not exist); "A, B int"
@@ -66,6 +101,8 @@ echo "lines (non-test .go+.sh outside benchmarks/): ${lines}"
 echo "options (^func (With|Without), non-test, outside benchmarks/): ${options} (ceiling ${OPTION_CEILING})"
 echo "fields (the config structs above): ${total} (ceiling ${FIELD_CEILING})"
 echo "error-less evidence reads (non-test, outside benchmarks/): ${reads} (ceiling ${READ_CEILING})"
+echo "test-only API (exported in internal/, no non-test caller): ${testonly} (ceiling ${TESTONLY_CEILING})"
+echo "  $(tr '\n' ' ' <<<"$testonly_names")"
 
 status=0
 if [ "$options" -gt "$OPTION_CEILING" ]; then
@@ -78,6 +115,10 @@ if [ "$total" -gt "$FIELD_CEILING" ]; then
 fi
 if [ "$reads" -gt "$READ_CEILING" ]; then
   echo "FAIL: ${reads} error-less evidence reads exceed the ceiling ${READ_CEILING}; call QueryAll" >&2
+  status=1
+fi
+if [ "$testonly" -gt "$TESTONLY_CEILING" ]; then
+  echo "FAIL: ${testonly} test-only exported names exceed the ceiling ${TESTONLY_CEILING}; give the new one a product caller or delete it" >&2
   status=1
 fi
 exit "$status"
