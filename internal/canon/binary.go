@@ -10,7 +10,6 @@
 package canon
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -456,30 +455,4 @@ func (r *BinReader) PackedID() string {
 	}
 	out = append(out, prefix...)
 	return string(hex.AppendEncode(out, raw))
-}
-
-// Digester is a reusable canonical-digest engine: one buffer and one
-// JSON encoder shared across many Sum256 calls, so a group of chained
-// records hashes with a single set of machinery per fsync group instead
-// of a pool round-trip per record. Not safe for concurrent use.
-type Digester struct {
-	e *encoder
-}
-
-// NewDigester creates a digester.
-func NewDigester() *Digester {
-	return &Digester{e: encoderPool.New().(*encoder)}
-}
-
-// Sum256 is canon.Sum256 on the digester's private machinery.
-func (d *Digester) Sum256(v any) ([sha256.Size]byte, error) {
-	d.e.buf.Reset()
-	if err := d.e.enc.Encode(v); err != nil {
-		return [sha256.Size]byte{}, fmt.Errorf("canon: marshal %T: %w", v, err)
-	}
-	b := d.e.buf.Bytes()
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	return sha256.Sum256(b), nil
 }

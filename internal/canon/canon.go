@@ -10,6 +10,20 @@
 //     fields in declaration order and sorts map keys, so map use is safe
 //     but discouraged in signed payloads);
 //   - floating-point values must not appear in signed material.
+//
+// Marshal (encoding/json with HTML escaping off, trailing newline
+// dropped) is the definition of the canonical bytes. The shapes the
+// evidence hot path digests — a log record with its token, a token's and
+// a time-stamp's to-be-signed projection, a signature — are also written
+// by direct appenders in their own packages, built from the primitives in
+// json.go, so hashing them costs no reflection. Marshal stays their
+// oracle: an appender must emit Marshal's bytes for every value, and
+// tests and a fuzzer hold it to that. Two cases it cannot reproduce by
+// construction are declined instead — a year outside 0–9999 (Marshal
+// fails) and a zone offset that is not whole minutes or is 24 hours or
+// more — and there the caller falls back to Sum256, keeping today's
+// bytes and errors. Every other type (snapshots, claims, wire bodies)
+// goes through Marshal alone.
 package canon
 
 import (
@@ -53,11 +67,12 @@ func Marshal(v any) ([]byte, error) {
 	return out, nil
 }
 
-// Sum256 returns the SHA-256 digest of the canonical encoding of v
-// without materialising the encoding: the digest is computed directly
-// over the pooled buffer. It is the allocation-free core of the evidence
-// hot path — every token TBS, snapshot digest and chained log record
-// reduces to one of these.
+// Sum256 returns the SHA-256 digest of the canonical encoding of v,
+// computed over a pooled buffer rather than a copy of the encoding. The
+// encoding itself still goes through encoding/json's reflection, which
+// allocates; the shapes the hot path digests (token and time-stamp TBS,
+// chained log records) have direct appenders (json.go) and reach Sum256
+// only in the cases those decline.
 func Sum256(v any) ([sha256.Size]byte, error) {
 	e := encoderPool.Get().(*encoder)
 	e.buf.Reset()

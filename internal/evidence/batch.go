@@ -215,7 +215,10 @@ func (i *Issuer) signBatch(reqs []TokenRequest) ([]*Token, error) {
 	toks := make([]*Token, len(reqs))
 	digests := make([]sig.Digest, len(reqs))
 	for j, r := range reqs {
-		tok := i.build(r.Kind, r.Run, r.Step, r.Digest, r.Opts)
+		tok, err := i.build(r.Kind, r.Run, r.Step, r.Digest, r.Opts)
+		if err != nil {
+			return nil, err
+		}
 		tbs, err := tok.TBSDigest()
 		if err != nil {
 			return nil, err

@@ -13,10 +13,13 @@ package evidence
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 	"unsafe"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/clock"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -164,7 +167,25 @@ func (t *Token) TBSDigest() (sig.Digest, error) {
 	if m := (*tbsMemo)(atomic.LoadPointer(&t.tbs)); m != nil && m.owner == t {
 		return m.d, nil
 	}
-	d, err := sig.SumCanonical(tokenTBS{
+	var d sig.Digest
+	var buf [512]byte
+	if b, ok := t.appendTBSFields(buf[:0]); ok {
+		d = sig.Sum(append(b, '}'))
+	} else {
+		var err error
+		if d, err = t.tbsReflect(); err != nil {
+			return sig.Digest{}, err
+		}
+	}
+	atomic.StorePointer(&t.tbs, unsafe.Pointer(&tbsMemo{owner: t, d: d}))
+	return d, nil
+}
+
+// tbsReflect digests tokenTBS through canon.Sum256: the fallback for an
+// issue time the appender declines, and the oracle the appender is
+// tested against.
+func (t *Token) tbsReflect() (sig.Digest, error) {
+	return sig.SumCanonical(tokenTBS{
 		Kind:       t.Kind,
 		Run:        t.Run,
 		Txn:        t.Txn,
@@ -176,11 +197,71 @@ func (t *Token) TBSDigest() (sig.Digest, error) {
 		IssuedAt:   t.IssuedAt,
 		Nonce:      t.Nonce,
 	})
-	if err != nil {
-		return sig.Digest{}, err
+}
+
+// appendTBSFields appends the canonical JSON of tokenTBS without its
+// closing brace; the token's own JSON continues from there. ok is false
+// when the issue time is one canon.AppendJSONTime declines.
+func (t *Token) appendTBSFields(b []byte) ([]byte, bool) {
+	b = append(b, `{"kind":`...)
+	b = canon.AppendJSONString(b, string(t.Kind))
+	b = append(b, `,"run":`...)
+	b = canon.AppendJSONString(b, string(t.Run))
+	if t.Txn != "" {
+		b = append(b, `,"txn":`...)
+		b = canon.AppendJSONString(b, string(t.Txn))
 	}
-	atomic.StorePointer(&t.tbs, unsafe.Pointer(&tbsMemo{owner: t, d: d}))
-	return d, nil
+	b = append(b, `,"step":`...)
+	b = strconv.AppendInt(b, int64(t.Step), 10)
+	b = append(b, `,"issuer":`...)
+	b = canon.AppendJSONString(b, string(t.Issuer))
+	for i, p := range t.Recipients {
+		if i == 0 {
+			b = append(b, `,"recipients":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = canon.AppendJSONString(b, string(p))
+	}
+	if len(t.Recipients) > 0 {
+		b = append(b, ']')
+	}
+	if t.Service != "" {
+		b = append(b, `,"service":`...)
+		b = canon.AppendJSONString(b, string(t.Service))
+	}
+	b = append(b, `,"digest":`...)
+	b = canon.AppendJSONHex(b, t.Digest[:])
+	b = append(b, `,"issued_at":`...)
+	b, ok := canon.AppendJSONTime(b, t.IssuedAt)
+	if !ok {
+		return b, false
+	}
+	if t.Nonce != "" {
+		b = append(b, `,"nonce":`...)
+		b = canon.AppendJSONString(b, t.Nonce)
+	}
+	return b, true
+}
+
+// AppendCanonical appends the token's canonical JSON — the bytes
+// canon.Marshal writes for it — to b. ok is false, for the caller to
+// fall back to canon.Marshal, when the token or its time-stamp holds a
+// time canon.AppendJSONTime declines.
+func (t *Token) AppendCanonical(b []byte) ([]byte, bool) {
+	b, ok := t.appendTBSFields(b)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"signature":`...)
+	b = t.Signature.AppendCanonical(b)
+	if t.Timestamp != nil {
+		b = append(b, `,"timestamp":`...)
+		if b, ok = t.Timestamp.AppendCanonical(b); !ok {
+			return b, false
+		}
+	}
+	return append(b, '}'), true
 }
 
 // Issuer generates signed tokens on behalf of a party. If TSA is non-nil
@@ -210,8 +291,9 @@ func WithRecipients(parties ...id.Party) IssueOption {
 	return func(t *Token) { t.Recipients = parties }
 }
 
-// build assembles an unsigned token.
-func (i *Issuer) build(kind Kind, run id.Run, step int, digest sig.Digest, opts []IssueOption) *Token {
+// build assembles an unsigned token, refusing one whose text fields or
+// signing key id are not valid UTF-8 (CheckText).
+func (i *Issuer) build(kind Kind, run id.Run, step int, digest sig.Digest, opts []IssueOption) (*Token, error) {
 	tok := &Token{
 		Kind:     kind,
 		Run:      run,
@@ -224,7 +306,51 @@ func (i *Issuer) build(kind Kind, run id.Run, step int, digest sig.Digest, opts 
 	for _, opt := range opts {
 		opt(tok)
 	}
-	return tok
+	// The key id the signature will carry is checked with the rest.
+	tok.Signature.KeyID = i.Signer.KeyID()
+	if err := tok.CheckText(); err != nil {
+		return nil, err
+	}
+	return tok, nil
+}
+
+// CheckText refuses a token with a text field that is not valid UTF-8:
+// kind, run, txn, issuer, a recipient, service, nonce, the signature's
+// key id, or the time-stamp's TSA and key id. Canonical JSON has no
+// representation for such a string, and every decoder of stored
+// evidence refuses one, so a token holding one is refused before it is
+// signed or logged rather than after it has made a vault unreadable.
+func (t *Token) CheckText() error {
+	field := ""
+	switch {
+	case !utf8.ValidString(string(t.Kind)):
+		field = "kind"
+	case !utf8.ValidString(string(t.Run)):
+		field = "run"
+	case !utf8.ValidString(string(t.Txn)):
+		field = "txn"
+	case !utf8.ValidString(string(t.Issuer)):
+		field = "issuer"
+	case !utf8.ValidString(string(t.Service)):
+		field = "service"
+	case !utf8.ValidString(t.Nonce):
+		field = "nonce"
+	case !utf8.ValidString(t.Signature.KeyID):
+		field = "key id"
+	case t.Timestamp != nil && !utf8.ValidString(string(t.Timestamp.TSA)):
+		field = "time-stamp authority"
+	case t.Timestamp != nil && !utf8.ValidString(t.Timestamp.Signature.KeyID):
+		field = "time-stamp key id"
+	}
+	for _, p := range t.Recipients {
+		if field == "" && !utf8.ValidString(string(p)) {
+			field = "recipient"
+		}
+	}
+	if field != "" {
+		return fmt.Errorf("evidence: %q token's %s is not valid UTF-8", t.Kind, field)
+	}
+	return nil
 }
 
 // stamp countersigns an already-signed token when the issuer has a TSA.
@@ -245,7 +371,10 @@ func (i *Issuer) stamp(tok *Token) error {
 // Issue creates and signs a token of the given kind binding (run, step) to
 // the content digest.
 func (i *Issuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
-	tok := i.build(kind, run, step, digest, opts)
+	tok, err := i.build(kind, run, step, digest, opts)
+	if err != nil {
+		return nil, err
+	}
 	tbs, err := tok.TBSDigest()
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"nonrep/internal/canon"
 )
@@ -73,8 +74,7 @@ type Digest [DigestSize]byte
 // Sum digests raw bytes.
 func Sum(data []byte) Digest { return sha256.Sum256(data) }
 
-// SumCanonical digests the canonical encoding of v. The encoding is
-// digested in place (canon.Sum256), never materialised.
+// SumCanonical digests the canonical encoding of v (canon.Sum256).
 func SumCanonical(v any) (Digest, error) {
 	return canon.Sum256(v)
 }
@@ -159,6 +159,55 @@ type Signature struct {
 	BatchRoot  []byte   `json:"batch_root,omitempty"`
 	BatchPath  [][]byte `json:"batch_path,omitempty"`
 	BatchIndex uint32   `json:"batch_index,omitempty"`
+}
+
+// AppendCanonical appends the signature's canonical JSON — the bytes
+// canon.Marshal writes for it — to b, field by field.
+func (s *Signature) AppendCanonical(b []byte) []byte {
+	b = append(b, `{"alg":`...)
+	b = strconv.AppendUint(b, uint64(s.Algorithm), 10)
+	b = append(b, `,"kid":`...)
+	b = canon.AppendJSONString(b, s.KeyID)
+	b = append(b, `,"sig":`...)
+	b = canon.AppendJSONBytes(b, s.Bytes)
+	if s.Period != 0 {
+		b = append(b, `,"period":`...)
+		b = strconv.AppendUint(b, uint64(s.Period), 10)
+	}
+	if len(s.PublicHint) > 0 {
+		b = append(b, `,"pub":`...)
+		b = canon.AppendJSONBytes(b, s.PublicHint)
+	}
+	if len(s.Path) > 0 {
+		b = append(b, `,"path":`...)
+		b = appendJSONByteList(b, s.Path)
+	}
+	if len(s.BatchRoot) > 0 {
+		b = append(b, `,"batch_root":`...)
+		b = canon.AppendJSONBytes(b, s.BatchRoot)
+	}
+	if len(s.BatchPath) > 0 {
+		b = append(b, `,"batch_path":`...)
+		b = appendJSONByteList(b, s.BatchPath)
+	}
+	if s.BatchIndex != 0 {
+		b = append(b, `,"batch_index":`...)
+		b = strconv.AppendUint(b, uint64(s.BatchIndex), 10)
+	}
+	return append(b, '}')
+}
+
+// appendJSONByteList appends a non-empty [][]byte as a JSON array.
+func appendJSONByteList(b []byte, list [][]byte) []byte {
+	for i, p := range list {
+		if i == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		b = canon.AppendJSONBytes(b, p)
+	}
+	return append(b, ']')
 }
 
 // Signer produces signatures bound to a long-lived key identifier.

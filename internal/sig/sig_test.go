@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"nonrep/internal/canon"
 )
 
 func allAlgorithms() []Algorithm {
@@ -266,5 +268,44 @@ func TestIsZero(t *testing.T) {
 	}
 	if Sum([]byte("x")).IsZero() {
 		t.Error("non-zero digest reported as zero")
+	}
+}
+
+// TestAppendCanonicalMatchesMarshal holds the signature's direct
+// canonical-JSON appender to canon.Marshal: every scheme's signatures
+// (forward-secure ones fill the period, hint and path), batch
+// signatures, and the nil, empty and hostile values encoding/json
+// renders its own way.
+func TestAppendCanonicalMatchesMarshal(t *testing.T) {
+	var sigs []Signature
+	for _, alg := range allAlgorithms() {
+		signer, err := Generate(alg, "key-"+alg.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := signer.Sign(Sum([]byte("payload")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := SignBatch(signer, []Digest{Sum([]byte("a")), Sum([]byte("b")), Sum([]byte("c"))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs = append(append(sigs, s), batch...)
+	}
+	sigs = append(sigs,
+		Signature{},
+		Signature{Algorithm: 255, KeyID: "k\"\\\x00\x7f<>&\xff\xe2\x80\xa8", Bytes: []byte{}},
+		Signature{Period: 1, PublicHint: []byte{}, Path: [][]byte{}, BatchRoot: []byte{}, BatchPath: [][]byte{}, BatchIndex: 0},
+		Signature{Path: [][]byte{nil, {}, {1}}, BatchRoot: []byte{2}, BatchPath: [][]byte{nil}, BatchIndex: 1 << 31},
+	)
+	for _, s := range sigs {
+		want, err := canon.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.AppendCanonical([]byte("x")); !bytes.Equal(got[1:], want) {
+			t.Errorf("AppendCanonical differs from canon.Marshal:\n want %s\n  got %s", want, got[1:])
+		}
 	}
 }

@@ -10,9 +10,11 @@ package stamp
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/clock"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -40,12 +42,54 @@ type tokenTBS struct {
 
 // tbsDigest returns the digest of the to-be-signed portion of the token.
 func (t *Token) tbsDigest() (sig.Digest, error) {
+	var buf [256]byte
+	if b, ok := t.appendTBSFields(buf[:0]); ok {
+		return sig.Sum(append(b, '}')), nil
+	}
+	return t.tbsReflect()
+}
+
+// tbsReflect digests tokenTBS through canon.Sum256: the fallback for a
+// time the appender declines, and the oracle the appender is tested
+// against.
+func (t *Token) tbsReflect() (sig.Digest, error) {
 	return sig.SumCanonical(tokenTBS{
 		Digest: t.Digest,
 		Time:   t.Time,
 		TSA:    t.TSA,
 		Serial: t.Serial,
 	})
+}
+
+// appendTBSFields appends the canonical JSON of tokenTBS without its
+// closing brace; the token's own JSON continues from there. ok is false
+// when the time is one canon.AppendJSONTime declines.
+func (t *Token) appendTBSFields(b []byte) ([]byte, bool) {
+	b = append(b, `{"digest":`...)
+	b = canon.AppendJSONHex(b, t.Digest[:])
+	b = append(b, `,"time":`...)
+	b, ok := canon.AppendJSONTime(b, t.Time)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"tsa":`...)
+	b = canon.AppendJSONString(b, string(t.TSA))
+	b = append(b, `,"serial":`...)
+	return strconv.AppendUint(b, t.Serial, 10), true
+}
+
+// AppendCanonical appends the token's canonical JSON — the bytes
+// canon.Marshal writes for it — to b. ok is false, for the caller to
+// fall back to canon.Marshal, when the time is one
+// canon.AppendJSONTime declines.
+func (t *Token) AppendCanonical(b []byte) ([]byte, bool) {
+	b, ok := t.appendTBSFields(b)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"signature":`...)
+	b = t.Signature.AppendCanonical(b)
+	return append(b, '}'), true
 }
 
 // KeyResolver resolves a key identifier to a verified public key.

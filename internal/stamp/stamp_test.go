@@ -7,6 +7,7 @@ import (
 
 	"nonrep/internal/clock"
 	"nonrep/internal/credential"
+	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
 
@@ -101,5 +102,27 @@ func TestVerifyUnknownTSA(t *testing.T) {
 	empty := credential.NewStore(clk)
 	if err := Verify(tok, d, empty); err == nil {
 		t.Fatal("Verify accepted token from unknown TSA")
+	}
+}
+
+// TestTBSDigestMatchesReflection holds tbsDigest's direct appender to its
+// oracle, canon.Sum256 over tokenTBS, across hostile TSA names and times
+// the appender declines.
+func TestTBSDigestMatchesReflection(t *testing.T) {
+	for _, tsa := range []id.Party{"", "urn:ttp:tsa", `q"b\`, "\x00\x7f<>&", "bad\xff", "\xe2\x80\xa8\U0001F600"} {
+		for _, at := range []time.Time{
+			{},
+			time.Date(1900, 2, 3, 4, 5, 6, 7, time.FixedZone("", 11*3600)),
+			time.Date(2026, 8, 8, 4, 5, 6, 120_000_000, time.UTC),
+			time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC),
+			time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("", -7)),
+		} {
+			tok := &Token{Digest: sig.Sum([]byte(tsa)), Time: at, TSA: tsa, Serial: uint64(at.Unix())}
+			want, wantErr := tok.tbsReflect()
+			got, err := tok.tbsDigest()
+			if (err == nil) != (wantErr == nil) || got != want {
+				t.Fatalf("token %+v: tbsDigest %x (error %v), canon.Sum256 %x (error %v)", tok, got, err, want, wantErr)
+			}
+		}
 	}
 }

@@ -710,28 +710,25 @@ func decodeRecordBodyV1(body []byte) (*Record, frameInfo, error) {
 // format before version 3), refuses a record whose stored hash is not
 // that. It also refuses a record without a token: no writer produces one
 // (NextRecord will not), and every reader indexes records by their
-// token's fields. dig is the caller's digest engine, nil for a one-off
-// decode (which borrows a pooled one): a scan keeps its own because the
-// pool is emptied by every collection, and a scan — it allocates each
-// record it decodes — sees many; tail replay measures 15% slower on the
-// pool.
-func sealHash(rec *Record, stored bool, dig *canon.Digester) error {
+// token's fields. scratch is the caller's buffer for the canonical JSON,
+// kept across a scan so it grows once; nil for a one-off decode, which
+// builds the JSON on its own stack.
+func sealHash(rec *Record, stored bool, scratch *[]byte) error {
 	if rec.Token == nil {
 		return fmt.Errorf("store: decode record %d: no token", rec.Seq)
 	}
-	was := rec.Hash
-	rec.Hash = sig.Digest{}
 	var h sig.Digest
 	var err error
-	if dig != nil {
-		h, err = dig.Sum256(rec)
+	if scratch != nil {
+		h, *scratch, err = chainHash(rec, *scratch)
 	} else {
-		h, err = canon.Sum256(rec)
+		var buf [1024]byte
+		h, _, err = chainHash(rec, buf[:0])
 	}
 	if err != nil {
 		return err
 	}
-	if stored && was != h {
+	if stored && rec.Hash != h {
 		return fmt.Errorf("%w: record %d hash", ErrChainBroken, rec.Seq)
 	}
 	rec.Hash = h
@@ -770,9 +767,9 @@ func frameBody(data []byte) ([]byte, int64, error) {
 // decodeFrame decodes one frame of a binary encoding and seals the
 // record's Hash (sealHash); prev is the preceding frame's Hash when
 // known, leader and mate find the frame's leader and mate where it may
-// have them, dig is the caller's digest engine or nil. What the frame
-// says of its shape is returned.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc, dig *canon.Digester) (*Record, int64, frameInfo, error) {
+// have them, scratch is sealHash's buffer or nil. What the frame says of
+// its shape is returned.
+func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc, scratch *[]byte) (*Record, int64, frameInfo, error) {
 	body, frameLen, err := frameBody(data)
 	if body == nil {
 		return nil, 0, frameInfo{}, err
@@ -785,7 +782,7 @@ func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc,
 		rec, info, err = decodeRecordBody(body, enc, prev, leader, mate)
 	}
 	if err == nil {
-		err = sealHash(rec, info.flags&frameDerived == 0, dig)
+		err = sealHash(rec, info.flags&frameDerived == 0, scratch)
 	}
 	if err != nil {
 		return nil, 0, frameInfo{}, err
@@ -977,7 +974,7 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64, frameI
 // scanFrames walks the frames of data from offset start, handing each
 // frame the hash of the one before it and, to a follower, the last plain
 // frame decoded — which is its leader or the follower is corrupt — and
-// the frame before it, its mate; one digest engine serves the whole scan.
+// the frame before it, its mate; one scratch buffer serves the whole scan.
 // fn learns each frame's length and shape.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	prefix := start
@@ -997,9 +994,9 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 		}
 		return last, lastInfo, nil
 	}
-	dig := canon.NewDigester()
+	var scratch []byte
 	for prefix < int64(len(data)) {
-		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, mate, dig)
+		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, mate, &scratch)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -1123,7 +1120,7 @@ func CountFrames(data []byte) (FrameCount, error) {
 // with the streaming reader that wrote their indexes.
 func scanJSONSegment(data []byte, fn func(*Record, int64) error) (int64, bool, error) {
 	var prefix int64
-	dig := canon.NewDigester()
+	var scratch []byte
 	for int(prefix) < len(data) {
 		rest := data[prefix:]
 		nl := bytes.IndexByte(rest, '\n')
@@ -1136,7 +1133,7 @@ func scanJSONSegment(data []byte, fn func(*Record, int64) error) (int64, bool, e
 			if err := canon.Unmarshal(body, rec); err != nil {
 				return prefix, false, fmt.Errorf("store: corrupt segment line: %w", err)
 			}
-			if err := sealHash(rec, true, dig); err != nil {
+			if err := sealHash(rec, true, &scratch); err != nil {
 				return prefix, false, err
 			}
 			if err := fn(rec, int64(len(line))); err != nil {
@@ -1148,20 +1145,19 @@ func scanJSONSegment(data []byte, fn func(*Record, int64) error) (int64, bool, e
 	return prefix, false, nil
 }
 
-// Chainer extends a record hash chain one record at a time, sharing one
-// digest engine across the group so a batched commit pays for encoder
-// machinery once per group rather than once per record. It is the
-// group-commit counterpart of NextRecord; the records it produces are
-// identical. Not safe for concurrent use.
+// Chainer extends a record hash chain one record at a time, keeping one
+// scratch buffer for the records' canonical JSON across the groups it
+// chains. It is the group-commit counterpart of NextRecord; the records
+// it produces are identical. Not safe for concurrent use.
 type Chainer struct {
-	seq  uint64
-	prev sig.Digest
-	dig  *canon.Digester
+	seq     uint64
+	prev    sig.Digest
+	scratch []byte
 }
 
 // NewChainer returns a chainer positioned after (lastSeq, lastHash).
 func NewChainer(lastSeq uint64, lastHash sig.Digest) *Chainer {
-	return &Chainer{seq: lastSeq, prev: lastHash, dig: canon.NewDigester()}
+	return &Chainer{seq: lastSeq, prev: lastHash}
 }
 
 // Reset repositions the chainer after (lastSeq, lastHash).
@@ -1171,8 +1167,8 @@ func (c *Chainer) Reset(lastSeq uint64, lastHash sig.Digest) {
 
 // Next builds and chains the next record, exactly as NextRecord does.
 func (c *Chainer) Next(at time.Time, dir Direction, tok *evidence.Token, note string) (*Record, error) {
-	if tok == nil {
-		return nil, errors.New("store: nil token")
+	if err := checkEntry(dir, tok); err != nil {
+		return nil, err
 	}
 	rec := &Record{
 		Seq:       c.seq + 1,
@@ -1182,7 +1178,8 @@ func (c *Chainer) Next(at time.Time, dir Direction, tok *evidence.Token, note st
 		Note:      strings.ToValidUTF8(note, "�"),
 		Token:     tok,
 	}
-	h, err := c.dig.Sum256(rec)
+	h, scratch, err := chainHash(rec, c.scratch)
+	c.scratch = scratch
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package store
 
-import "nonrep/internal/canon"
+import (
+	"nonrep/internal/canon"
+	"nonrep/internal/sig"
+)
 
 // AppendFollower appends rec's frame as a follower of lead, whose frame
 // starts back bytes before this one, borrowing its signature from mate
@@ -12,4 +15,15 @@ func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([
 		return nil, err
 	}
 	return append(canon.AppendUvarint(dst, uint64(len(body))), body...), nil
+}
+
+// AppendRecordJSON is the record's direct canonical-JSON appender.
+func AppendRecordJSON(dst []byte, rec *Record) ([]byte, bool) {
+	return rec.appendJSON(dst, rec.Hash)
+}
+
+// ChainHash is the chained hash the write and read paths derive.
+func ChainHash(rec *Record) (sig.Digest, error) {
+	h, _, err := chainHash(rec, nil)
+	return h, err
 }

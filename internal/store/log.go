@@ -22,8 +22,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
@@ -60,11 +62,65 @@ type Record struct {
 	Hash sig.Digest `json:"hash"`
 }
 
-// computeHash returns the chained hash of a record.
-func (r *Record) computeHash() (sig.Digest, error) {
-	clone := *r
+// chainHash returns the chained hash of rec: the digest of its canonical
+// JSON with Hash zeroed. The JSON is appended to scratch, which is
+// returned (grown if it had to be) for the caller's next record. A record
+// the appender declines — a time canon.AppendJSONTime cannot render — is
+// digested by canon.Sum256 instead, with the bytes and errors it has
+// always had.
+func chainHash(rec *Record, scratch []byte) (sig.Digest, []byte, error) {
+	if b, ok := rec.appendJSON(scratch[:0], sig.Digest{}); ok {
+		return sig.Sum(b), b, nil
+	}
+	clone := *rec
 	clone.Hash = sig.Digest{}
-	return sig.SumCanonical(&clone)
+	h, err := canon.Sum256(&clone)
+	return h, scratch, err
+}
+
+// appendJSON appends the canonical JSON of r with hash in place of
+// r.Hash — canon.Marshal's bytes for that record — field by field. ok
+// is false, for the caller to fall back to canon.Marshal, when r holds a
+// time canon.AppendJSONTime declines.
+func (r *Record) appendJSON(b []byte, hash sig.Digest) ([]byte, bool) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, `,"prev":`...)
+	b = canon.AppendJSONHex(b, r.Prev[:])
+	b = append(b, `,"at":`...)
+	b, ok := canon.AppendJSONTime(b, r.At)
+	if !ok {
+		return b, false
+	}
+	b = append(b, `,"direction":`...)
+	b = canon.AppendJSONString(b, string(r.Direction))
+	if r.Note != "" {
+		b = append(b, `,"note":`...)
+		b = canon.AppendJSONString(b, r.Note)
+	}
+	b = append(b, `,"token":`...)
+	if r.Token == nil {
+		b = append(b, "null"...)
+	} else if b, ok = r.Token.AppendCanonical(b); !ok {
+		return b, false
+	}
+	b = append(b, `,"hash":`...)
+	b = canon.AppendJSONHex(b, hash[:])
+	return append(b, '}'), true
+}
+
+// checkEntry refuses what no record may hold: a nil token, and a
+// direction or token text field that is not valid UTF-8 — every decoder
+// refuses those, so a record holding one would be written and then make
+// its vault unreadable.
+func checkEntry(dir Direction, tok *evidence.Token) error {
+	if tok == nil {
+		return errors.New("store: nil token")
+	}
+	if !utf8.ValidString(string(dir)) {
+		return errors.New("store: record direction is not valid UTF-8")
+	}
+	return tok.CheckText()
 }
 
 // Log is an append-only, tamper-evident store of non-repudiation evidence:
@@ -168,10 +224,12 @@ func (q Query) Matches(r *Record) bool {
 // round-trip stable (invalid bytes marshal as � escapes but re-marshal
 // after decoding as raw replacement characters), so an un-normalised
 // binary note would hash one way at append time and another after reload —
-// a tamper-evident log reporting tampering that never happened.
+// a tamper-evident log reporting tampering that never happened. A
+// direction or token text field that is not valid UTF-8 is refused
+// instead (checkEntry): it is an identifier, not prose to normalise.
 func NextRecord(lastSeq uint64, prev sig.Digest, at time.Time, dir Direction, tok *evidence.Token, note string) (*Record, error) {
-	if tok == nil {
-		return nil, errors.New("store: nil token")
+	if err := checkEntry(dir, tok); err != nil {
+		return nil, err
 	}
 	note = strings.ToValidUTF8(note, "�")
 	rec := &Record{
@@ -182,7 +240,8 @@ func NextRecord(lastSeq uint64, prev sig.Digest, at time.Time, dir Direction, to
 		Note:      note,
 		Token:     tok,
 	}
-	h, err := rec.computeHash()
+	var buf [1024]byte
+	h, _, err := chainHash(rec, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -207,13 +266,12 @@ func VerifyRecords(records []*Record) error {
 // time, so logs too large to load at once can be verified as a stream.
 // The zero value starts at the head of a chain; ResumeChain positions a
 // verifier after an already-trusted prefix. Like the Chainer it mirrors,
-// a verifier keeps one warm digest engine across records, so verifying a
-// stream pays for encoder machinery once, not once per record. Not safe
-// for concurrent use.
+// a verifier keeps one scratch buffer for the records' canonical JSON
+// across the stream. Not safe for concurrent use.
 type ChainVerifier struct {
-	prev sig.Digest
-	seq  uint64
-	dig  *canon.Digester
+	prev    sig.Digest
+	seq     uint64
+	scratch []byte
 }
 
 // ResumeChain returns a verifier expecting the record that follows the
@@ -228,12 +286,8 @@ func (v *ChainVerifier) Check(rec *Record) error {
 	if rec.Prev != v.prev {
 		return fmt.Errorf("%w: record %d prev link", ErrChainBroken, v.seq+1)
 	}
-	if v.dig == nil {
-		v.dig = canon.NewDigester()
-	}
-	clone := *rec
-	clone.Hash = sig.Digest{}
-	h, err := v.dig.Sum256(&clone)
+	h, scratch, err := chainHash(rec, v.scratch)
+	v.scratch = scratch
 	if err != nil {
 		return err
 	}

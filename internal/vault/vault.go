@@ -763,9 +763,9 @@ func (v *Vault) commit(batch []*appendReq) {
 		}
 		return
 	}
-	// One chain digester, one encoder and one write buffer serve the whole
-	// batch (and are reused across batches); per-record cost is the two
-	// hashes the chain demands plus a buffer append.
+	// One chainer, one encoder and one write buffer serve the whole batch
+	// (and are reused across batches); per-record cost is the two hashes
+	// the chain demands plus a buffer append.
 	if v.chainer == nil {
 		v.chainer = store.NewChainer(seq, hash)
 	} else {

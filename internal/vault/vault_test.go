@@ -726,3 +726,41 @@ func TestVaultHealth(t *testing.T) {
 		t.Fatalf("health = %v, want %v", h, want)
 	}
 }
+
+// TestInvalidUTF8TokenNeverBricksVault: a token whose identifiers are not
+// valid UTF-8 is refused at issue and at append, so no record the
+// decoders refuse reaches disk, and the vault reopens with everything it
+// accepted.
+func TestInvalidUTF8TokenNeverBricksVault(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(org)
+	issuer := realm.Party(org).Issuer
+	d := sig.Sum([]byte("content"))
+	if _, err := issuer.Issue(evidence.KindNRO, "run-\xff", 1, d, evidence.WithService("svc\xfe")); err == nil {
+		t.Fatal("Issue signed a token whose run and service are not valid UTF-8")
+	}
+	dir := t.TempDir()
+	v := openVault(t, dir)
+	if _, err := v.Append(store.Generated, newToken(t, realm, id.NewRun(), 1), "before"); err != nil {
+		t.Fatal(err)
+	}
+	bad := *newToken(t, realm, id.NewRun(), 1)
+	bad.Run, bad.Service = "run-\xff", "svc\xfe"
+	if _, err := v.Append(store.Received, &bad, "hostile"); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+		t.Fatalf("Append of a token with invalid UTF-8 identifiers: error %v, want a UTF-8 refusal", err)
+	}
+	if _, err := v.Append(store.Generated, newToken(t, realm, id.NewRun(), 2), "after"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v = openVault(t, dir)
+	defer v.Close()
+	if v.Len() != 2 {
+		t.Fatalf("reopened vault holds %d records, want 2", v.Len())
+	}
+	if err := v.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+}
