@@ -18,12 +18,11 @@
 // by direct appenders in their own packages, built from the primitives in
 // json.go, so hashing them costs no reflection. Marshal stays their
 // oracle: an appender must emit Marshal's bytes for every value, and
-// tests and a fuzzer hold it to that. Two cases it cannot reproduce by
-// construction are declined instead — a year outside 0–9999 (Marshal
-// fails) and a zone offset that is not whole minutes or is 24 hours or
-// more — and there the caller falls back to Sum256, keeping today's
-// bytes and errors. Every other type (snapshots, claims, wire bodies)
-// goes through Marshal alone.
+// tests and a fuzzer hold it to that. Where Marshal fails — a time with a
+// year outside 0–9999 or a zone offset of 24 hours or more, which RFC
+// 3339 cannot write — the appender fails too, so such a value is no more
+// signable or loggable than it was. Every other type (snapshots, claims,
+// wire bodies) goes through Marshal alone.
 package canon
 
 import (
@@ -71,8 +70,8 @@ func Marshal(v any) ([]byte, error) {
 // computed over a pooled buffer rather than a copy of the encoding. The
 // encoding itself still goes through encoding/json's reflection, which
 // allocates; the shapes the hot path digests (token and time-stamp TBS,
-// chained log records) have direct appenders (json.go) and reach Sum256
-// only in the cases those decline.
+// chained log records) have direct appenders (json.go) and do not reach
+// Sum256.
 func Sum256(v any) ([sha256.Size]byte, error) {
 	e := encoderPool.Get().(*encoder)
 	e.buf.Reset()

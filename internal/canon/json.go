@@ -10,6 +10,7 @@ package canon
 import (
 	"encoding/base64"
 	"encoding/hex"
+	"fmt"
 	"time"
 	"unicode/utf8"
 )
@@ -99,19 +100,15 @@ func AppendJSONHex(b, p []byte) []byte {
 }
 
 // AppendJSONTime appends t as time.Time's MarshalJSON writes it: quoted
-// RFC 3339 with nanoseconds in t's own zone. It declines (ok false, b
-// unchanged) where it does not reproduce MarshalJSON by construction — a
-// year outside 0–9999 (MarshalJSON fails) and a zone offset that is not a
-// whole number of minutes or is 24 hours or more — and the caller then
-// falls back to Marshal, which keeps those cases' bytes and errors.
-func AppendJSONTime(b []byte, t time.Time) ([]byte, bool) {
-	if _, off := t.Zone(); off%60 != 0 {
-		return b, false
-	}
-	n := len(b)
+// RFC 3339 with nanoseconds in t's own zone (an offset's leftover seconds
+// truncated, as MarshalJSON truncates them). Both go through the time
+// package's strict RFC 3339 formatter, so a time MarshalJSON refuses — a
+// year outside 0–9999, a zone offset of 24 hours or more — is refused
+// here with the same error.
+func AppendJSONTime(b []byte, t time.Time) ([]byte, error) {
 	out, err := t.AppendText(append(b, '"'))
 	if err != nil {
-		return b[:n], false
+		return b, fmt.Errorf("canon: time: %w", err)
 	}
-	return append(out, '"'), true
+	return append(out, '"'), nil
 }

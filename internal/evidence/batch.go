@@ -186,57 +186,71 @@ func (b *BatchIssuer) drain(first *issueReq) []*issueReq {
 }
 
 // commit signs one batch — all tokens of all drained callers under one
-// signature — and wakes every caller.
+// signature — and wakes every caller. Each caller's tokens are built on
+// their own first, so a request refused there (text that is not valid
+// UTF-8, an issue time RFC 3339 cannot write) fails alone and the rest
+// of the batch is signed without it.
 func (b *BatchIssuer) commit(batch []*issueReq) {
-	var flat []TokenRequest
+	var toks []*Token
+	var digests []sig.Digest
+	built := batch[:0]
 	for _, r := range batch {
-		flat = append(flat, r.reqs...)
+		t, d, err := b.Issuer.buildAll(r.reqs)
+		if err != nil {
+			r.resp <- issueResp{err: err}
+			continue
+		}
+		toks, digests = append(toks, t...), append(digests, d...)
+		built = append(built, r)
 	}
-	toks, err := b.Issuer.signBatch(flat)
-	if err != nil {
-		for _, r := range batch {
+	if len(built) == 0 {
+		return
+	}
+	if err := b.Issuer.signAll(toks, digests); err != nil {
+		for _, r := range built {
 			r.resp <- issueResp{err: err}
 		}
 		return
 	}
 	off := 0
-	for _, r := range batch {
+	for _, r := range built {
 		r.resp <- issueResp{toks: toks[off : off+len(r.reqs)]}
 		off += len(r.reqs)
 	}
 }
 
-// signBatch builds, batch-signs and (when a TSA is configured) stamps one
-// batch of tokens.
-func (i *Issuer) signBatch(reqs []TokenRequest) ([]*Token, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
+// buildAll builds the unsigned tokens of one request and their TBS
+// digests.
+func (i *Issuer) buildAll(reqs []TokenRequest) ([]*Token, []sig.Digest, error) {
 	toks := make([]*Token, len(reqs))
 	digests := make([]sig.Digest, len(reqs))
 	for j, r := range reqs {
 		tok, err := i.build(r.Kind, r.Run, r.Step, r.Digest, r.Opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		tbs, err := tok.TBSDigest()
-		if err != nil {
-			return nil, err
+		if digests[j], err = tok.TBSDigest(); err != nil {
+			return nil, nil, err
 		}
 		toks[j] = tok
-		digests[j] = tbs
 	}
+	return toks, digests, nil
+}
+
+// signAll batch-signs built tokens under one signature over their TBS
+// digests and (when a TSA is configured) stamps them.
+func (i *Issuer) signAll(toks []*Token, digests []sig.Digest) error {
 	sigs, err := sig.SignBatch(i.Signer, digests)
 	if err != nil {
-		return nil, fmt.Errorf("evidence: batch-sign %d tokens: %w", len(reqs), err)
+		return fmt.Errorf("evidence: batch-sign %d tokens: %w", len(toks), err)
 	}
 	for j, tok := range toks {
 		tok.Signature = sigs[j]
 		if err := i.stamp(tok); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return toks, nil
+	return nil
 }
 
 // batchCapable is satisfied by issuers that can sign several tokens with

@@ -185,7 +185,7 @@ func sameRuns(a, b [][]byte) bool {
 }
 
 // AppendBinary appends the binary encoding of the token. The signed
-// form remains the canonical JSON of tokenTBS — binary is a carrier,
+// form remains the canonical JSON of its TBS fields — binary is a carrier,
 // and every compaction below is exact or not applied, so DecodeBinary
 // reproduces a token whose canonical JSON (and hence TBSDigest and
 // signature validity) is unchanged: the kind as a one-byte code, run,

@@ -146,20 +146,6 @@ type tbsMemo struct {
 	d     sig.Digest
 }
 
-// tokenTBS is the to-be-signed projection of a token.
-type tokenTBS struct {
-	Kind       Kind       `json:"kind"`
-	Run        id.Run     `json:"run"`
-	Txn        id.Txn     `json:"txn,omitempty"`
-	Step       int        `json:"step"`
-	Issuer     id.Party   `json:"issuer"`
-	Recipients []id.Party `json:"recipients,omitempty"`
-	Service    id.Service `json:"service,omitempty"`
-	Digest     sig.Digest `json:"digest"`
-	IssuedAt   time.Time  `json:"issued_at"`
-	Nonce      string     `json:"nonce,omitempty"`
-}
-
 // TBSDigest returns the digest of the token's signed fields, memoised
 // after the first computation (tokens are immutable once issued or
 // decoded).
@@ -167,42 +153,22 @@ func (t *Token) TBSDigest() (sig.Digest, error) {
 	if m := (*tbsMemo)(atomic.LoadPointer(&t.tbs)); m != nil && m.owner == t {
 		return m.d, nil
 	}
-	var d sig.Digest
 	var buf [512]byte
-	if b, ok := t.appendTBSFields(buf[:0]); ok {
-		d = sig.Sum(append(b, '}'))
-	} else {
-		var err error
-		if d, err = t.tbsReflect(); err != nil {
-			return sig.Digest{}, err
-		}
+	b, err := t.appendTBSFields(buf[:0])
+	if err != nil {
+		return sig.Digest{}, err
 	}
+	d := sig.Sum(append(b, '}'))
 	atomic.StorePointer(&t.tbs, unsafe.Pointer(&tbsMemo{owner: t, d: d}))
 	return d, nil
 }
 
-// tbsReflect digests tokenTBS through canon.Sum256: the fallback for an
-// issue time the appender declines, and the oracle the appender is
-// tested against.
-func (t *Token) tbsReflect() (sig.Digest, error) {
-	return sig.SumCanonical(tokenTBS{
-		Kind:       t.Kind,
-		Run:        t.Run,
-		Txn:        t.Txn,
-		Step:       t.Step,
-		Issuer:     t.Issuer,
-		Recipients: t.Recipients,
-		Service:    t.Service,
-		Digest:     t.Digest,
-		IssuedAt:   t.IssuedAt,
-		Nonce:      t.Nonce,
-	})
-}
-
-// appendTBSFields appends the canonical JSON of tokenTBS without its
-// closing brace; the token's own JSON continues from there. ok is false
-// when the issue time is one canon.AppendJSONTime declines.
-func (t *Token) appendTBSFields(b []byte) ([]byte, bool) {
+// appendTBSFields appends the canonical JSON of the token's
+// to-be-signed projection — every field but Signature and Timestamp, in
+// declaration order with the token's own tags — without its closing
+// brace; the token's own JSON continues from there. It fails where
+// canon.AppendJSONTime fails on the issue time.
+func (t *Token) appendTBSFields(b []byte) ([]byte, error) {
 	b = append(b, `{"kind":`...)
 	b = canon.AppendJSONString(b, string(t.Kind))
 	b = append(b, `,"run":`...)
@@ -233,35 +199,34 @@ func (t *Token) appendTBSFields(b []byte) ([]byte, bool) {
 	b = append(b, `,"digest":`...)
 	b = canon.AppendJSONHex(b, t.Digest[:])
 	b = append(b, `,"issued_at":`...)
-	b, ok := canon.AppendJSONTime(b, t.IssuedAt)
-	if !ok {
-		return b, false
+	b, err := canon.AppendJSONTime(b, t.IssuedAt)
+	if err != nil {
+		return b, fmt.Errorf("evidence: %q token's issue time: %w", t.Kind, err)
 	}
 	if t.Nonce != "" {
 		b = append(b, `,"nonce":`...)
 		b = canon.AppendJSONString(b, t.Nonce)
 	}
-	return b, true
+	return b, nil
 }
 
 // AppendCanonical appends the token's canonical JSON — the bytes
-// canon.Marshal writes for it — to b. ok is false, for the caller to
-// fall back to canon.Marshal, when the token or its time-stamp holds a
-// time canon.AppendJSONTime declines.
-func (t *Token) AppendCanonical(b []byte) ([]byte, bool) {
-	b, ok := t.appendTBSFields(b)
-	if !ok {
-		return b, false
+// canon.Marshal writes for it — to b. It fails where canon.Marshal
+// fails: on an issue or time-stamp time canon.AppendJSONTime refuses.
+func (t *Token) AppendCanonical(b []byte) ([]byte, error) {
+	b, err := t.appendTBSFields(b)
+	if err != nil {
+		return b, err
 	}
 	b = append(b, `,"signature":`...)
 	b = t.Signature.AppendCanonical(b)
 	if t.Timestamp != nil {
 		b = append(b, `,"timestamp":`...)
-		if b, ok = t.Timestamp.AppendCanonical(b); !ok {
-			return b, false
+		if b, err = t.Timestamp.AppendCanonical(b); err != nil {
+			return b, err
 		}
 	}
-	return append(b, '}'), true
+	return append(b, '}'), nil
 }
 
 // Issuer generates signed tokens on behalf of a party. If TSA is non-nil

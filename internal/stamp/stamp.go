@@ -33,63 +33,45 @@ type Token struct {
 	Signature sig.Signature `json:"signature"`
 }
 
-type tokenTBS struct {
-	Digest sig.Digest `json:"digest"`
-	Time   time.Time  `json:"time"`
-	TSA    id.Party   `json:"tsa"`
-	Serial uint64     `json:"serial"`
-}
-
 // tbsDigest returns the digest of the to-be-signed portion of the token.
 func (t *Token) tbsDigest() (sig.Digest, error) {
 	var buf [256]byte
-	if b, ok := t.appendTBSFields(buf[:0]); ok {
-		return sig.Sum(append(b, '}')), nil
+	b, err := t.appendTBSFields(buf[:0])
+	if err != nil {
+		return sig.Digest{}, err
 	}
-	return t.tbsReflect()
+	return sig.Sum(append(b, '}')), nil
 }
 
-// tbsReflect digests tokenTBS through canon.Sum256: the fallback for a
-// time the appender declines, and the oracle the appender is tested
-// against.
-func (t *Token) tbsReflect() (sig.Digest, error) {
-	return sig.SumCanonical(tokenTBS{
-		Digest: t.Digest,
-		Time:   t.Time,
-		TSA:    t.TSA,
-		Serial: t.Serial,
-	})
-}
-
-// appendTBSFields appends the canonical JSON of tokenTBS without its
-// closing brace; the token's own JSON continues from there. ok is false
-// when the time is one canon.AppendJSONTime declines.
-func (t *Token) appendTBSFields(b []byte) ([]byte, bool) {
+// appendTBSFields appends the canonical JSON of the token's to-be-signed
+// portion — every field but Signature, in declaration order — without
+// its closing brace; the token's own JSON continues from there. It fails
+// where canon.AppendJSONTime fails on the time.
+func (t *Token) appendTBSFields(b []byte) ([]byte, error) {
 	b = append(b, `{"digest":`...)
 	b = canon.AppendJSONHex(b, t.Digest[:])
 	b = append(b, `,"time":`...)
-	b, ok := canon.AppendJSONTime(b, t.Time)
-	if !ok {
-		return b, false
+	b, err := canon.AppendJSONTime(b, t.Time)
+	if err != nil {
+		return b, fmt.Errorf("stamp: time-stamp time: %w", err)
 	}
 	b = append(b, `,"tsa":`...)
 	b = canon.AppendJSONString(b, string(t.TSA))
 	b = append(b, `,"serial":`...)
-	return strconv.AppendUint(b, t.Serial, 10), true
+	return strconv.AppendUint(b, t.Serial, 10), nil
 }
 
 // AppendCanonical appends the token's canonical JSON — the bytes
-// canon.Marshal writes for it — to b. ok is false, for the caller to
-// fall back to canon.Marshal, when the time is one
-// canon.AppendJSONTime declines.
-func (t *Token) AppendCanonical(b []byte) ([]byte, bool) {
-	b, ok := t.appendTBSFields(b)
-	if !ok {
-		return b, false
+// canon.Marshal writes for it — to b. It fails where canon.Marshal
+// fails: on a time canon.AppendJSONTime refuses.
+func (t *Token) AppendCanonical(b []byte) ([]byte, error) {
+	b, err := t.appendTBSFields(b)
+	if err != nil {
+		return b, err
 	}
 	b = append(b, `,"signature":`...)
 	b = t.Signature.AppendCanonical(b)
-	return append(b, '}'), true
+	return append(b, '}'), nil
 }
 
 // KeyResolver resolves a key identifier to a verified public key.

@@ -18,7 +18,7 @@ func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([
 }
 
 // AppendRecordJSON is the record's direct canonical-JSON appender.
-func AppendRecordJSON(dst []byte, rec *Record) ([]byte, bool) {
+func AppendRecordJSON(dst []byte, rec *Record) ([]byte, error) {
 	return rec.appendJSON(dst, rec.Hash)
 }
 

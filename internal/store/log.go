@@ -64,33 +64,28 @@ type Record struct {
 
 // chainHash returns the chained hash of rec: the digest of its canonical
 // JSON with Hash zeroed. The JSON is appended to scratch, which is
-// returned (grown if it had to be) for the caller's next record. A record
-// the appender declines — a time canon.AppendJSONTime cannot render — is
-// digested by canon.Sum256 instead, with the bytes and errors it has
-// always had.
+// returned (grown if it had to be) for the caller's next record.
 func chainHash(rec *Record, scratch []byte) (sig.Digest, []byte, error) {
-	if b, ok := rec.appendJSON(scratch[:0], sig.Digest{}); ok {
-		return sig.Sum(b), b, nil
+	b, err := rec.appendJSON(scratch[:0], sig.Digest{})
+	if err != nil {
+		return sig.Digest{}, scratch, err
 	}
-	clone := *rec
-	clone.Hash = sig.Digest{}
-	h, err := canon.Sum256(&clone)
-	return h, scratch, err
+	return sig.Sum(b), b, nil
 }
 
 // appendJSON appends the canonical JSON of r with hash in place of
-// r.Hash — canon.Marshal's bytes for that record — field by field. ok
-// is false, for the caller to fall back to canon.Marshal, when r holds a
-// time canon.AppendJSONTime declines.
-func (r *Record) appendJSON(b []byte, hash sig.Digest) ([]byte, bool) {
+// r.Hash — canon.Marshal's bytes for that record — field by field. It
+// fails where canon.Marshal fails: on a time canon.AppendJSONTime
+// refuses.
+func (r *Record) appendJSON(b []byte, hash sig.Digest) ([]byte, error) {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, r.Seq, 10)
 	b = append(b, `,"prev":`...)
 	b = canon.AppendJSONHex(b, r.Prev[:])
 	b = append(b, `,"at":`...)
-	b, ok := canon.AppendJSONTime(b, r.At)
-	if !ok {
-		return b, false
+	b, err := canon.AppendJSONTime(b, r.At)
+	if err != nil {
+		return b, fmt.Errorf("store: record %d time: %w", r.Seq, err)
 	}
 	b = append(b, `,"direction":`...)
 	b = canon.AppendJSONString(b, string(r.Direction))
@@ -101,12 +96,12 @@ func (r *Record) appendJSON(b []byte, hash sig.Digest) ([]byte, bool) {
 	b = append(b, `,"token":`...)
 	if r.Token == nil {
 		b = append(b, "null"...)
-	} else if b, ok = r.Token.AppendCanonical(b); !ok {
-		return b, false
+	} else if b, err = r.Token.AppendCanonical(b); err != nil {
+		return b, fmt.Errorf("store: record %d: %w", r.Seq, err)
 	}
 	b = append(b, `,"hash":`...)
 	b = canon.AppendJSONHex(b, hash[:])
-	return append(b, '}'), true
+	return append(b, '}'), nil
 }
 
 // checkEntry refuses what no record may hold: a nil token, and a
