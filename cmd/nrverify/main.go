@@ -34,8 +34,10 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records and its index are stored in, the bytes each takes per record,
-// and how many frames are plain and how many follow a leader (with the
+// records and its index are stored in ("binary" is segment format 7,
+// "binary-v6" to "binary-v1" and "json" the formats before it), the bytes
+// each takes per record, and how many frames are plain and how many
+// follow a leader (with the
 // bytes a frame of each sort takes), then the vault's total and how many
 // followers borrow their signature from the frame before them, then per
 // token kind the records, their mean frame and the mean bytes their notes

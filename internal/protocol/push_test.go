@@ -33,8 +33,9 @@ func TestDecodeRecordPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A push is one write, and the fixture's records one run: all but the
-	// first travel as followers.
-	if count, err := store.CountFrames(current); err != nil || count.Followers != len(recs)-1 {
+	// first travel as followers — and the last, the only one naming
+	// recipients, which its run's leader names none of, so it leads anew.
+	if count, err := store.CountFrames(current); err != nil || count.Followers != len(recs)-2 {
 		t.Fatalf("push of %d records of one run carries %d followers, err %v", len(recs), count.Followers, err)
 	}
 	for name, frames := range map[string][]byte{"bare version-1 frames": legacy, "current frame run": current} {

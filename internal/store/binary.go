@@ -9,7 +9,7 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 6 (the only version written) spends bytes only on what a
+// Version 7 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev is elided when the frame directly follows its predecessor, Hash
 // is never stored — it is a function of the rest of the record, and the
@@ -24,29 +24,29 @@
 // where decoding would not reproduce the field byte for byte, the field
 // is written literally.
 //
-// The evidence of one protocol step reaches a file in one write (a vault
-// commit, a push, a replica tail append), and its records say the same
-// run, parties, service and often digest over again. Within one write a
-// frame is therefore either plain — self-contained, the version-3 shape
-// — or a follower of the nearest plain frame before it, its leader,
-// which it names by the distance in bytes from its own start back to the
-// leader's. A frame follows only a leader of its own run; a follower
-// never points at a follower; the first frame of every write, file and
-// push is plain. A follower may also borrow its whole signature from its
-// mate — the frame directly before it, the leader or a follower of the
-// same leader, which wrote its own — when the two are sibling leaves of
-// one batch signature (evidence.Token.MatesWith), as a batch signer's
-// receipt and response origin are. The invariant of the format:
+// The records of one run say the same run, parties, service and often
+// digest over again, in one write and across the writes of the same file
+// (a vault commit, a push, a replica tail append). A frame is therefore
+// either plain — self-contained, the version-3 shape — or a follower of
+// a leader: the newest plain frame of its run among the last leaderRing
+// plain frames of the file, which it names by the distance in bytes from
+// its own start back to the leader's. A follower never points at a
+// follower; the first frame of every file and push is plain. A follower
+// may also borrow its whole signature from its mate — the frame directly
+// before it, the leader or a follower of the same leader, which wrote its
+// own — when the two are sibling leaves of one batch signature
+// (evidence.Token.MatesWith), as a batch signer's receipt and response
+// origin are. The invariant of the format:
 //
 //	A frame decodes given its predecessor's hash, its leader — the one
 //	frame `back` bytes before it in the same file — and, when it says
 //	so, its mate.
 //
 // There is no table per segment and no state per vault: a sequential
-// scan keeps the last plain frame it decoded and the frame before the
-// one it decodes, a keyed read parses at most two more frames out of the
-// same mapping — the leader, and the mate the segment index locates. A
-// follower's body is
+// scan keeps the last leaderRing plain frames it decoded and the frame
+// before the one it decodes, a keyed read parses at most two more frames
+// out of the same mapping — the leader, and the mate the segment index
+// locates. A follower's body is
 //
 //	flags (bit 7 set) · seq · [Prev] · back · borrow mask · At ·
 //	direction · note · token · [note tree] · CRC-32C
@@ -69,11 +69,13 @@
 // follower) leader digest the tree may refer to — or a length-prefixed
 // string.
 //
-// Version 5 is version 6 without signature mates, version 4 is version 5
-// without structured notes, version 3 is version 4 without followers,
-// version 2 is version 3 with the hash stored and the notes spelled out
-// (two more flag bits clear), so one body decoder reads all five. They,
-// version-1 segments (every
+// Version 6 is version 7 with a leader ring of one: a follower points
+// exactly at the last plain frame (and the writer started every write
+// with a plain frame). Version 5 is version 6 without
+// signature mates, version 4 is version 5 without structured notes,
+// version 3 is version 4 without followers, version 2 is version 3 with
+// the hash stored and the notes spelled out (two more flag bits clear),
+// so one body decoder reads all six. They, version-1 segments (every
 // field in full, text timestamps) and legacy JSON-lines segments (first
 // byte '{') remain readable forever; a stored hash is held to the
 // derived one at decode, so whatever the format, a decoded record's Hash
@@ -92,6 +94,7 @@ import (
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
+	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
 
@@ -123,6 +126,9 @@ const (
 	// EncBinaryV5 is the version-5 binary frame format (every signature
 	// written in full): read, never written.
 	EncBinaryV5
+	// EncBinaryV6 is the version-6 binary frame format (a follower leans
+	// on the last plain frame only): read, never written.
+	EncBinaryV6
 )
 
 // String names the encoding.
@@ -142,6 +148,8 @@ func (e Encoding) String() string {
 		return "binary-v4"
 	case EncBinaryV5:
 		return "binary-v5"
+	case EncBinaryV6:
+		return "binary-v6"
 	default:
 		return "unknown"
 	}
@@ -158,12 +166,27 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6
 }
 
 // structuredNotes reports whether the encoding's frames may store a note
 // as a structured tree (since version 5).
-func (e Encoding) structuredNotes() bool { return e == EncBinary || e == EncBinaryV5 }
+func (e Encoding) structuredNotes() bool {
+	return e == EncBinary || e == EncBinaryV6 || e == EncBinaryV5
+}
+
+// mates reports whether the encoding's followers may borrow a signature
+// from their mate (since version 6).
+func (e Encoding) mates() bool { return e == EncBinary || e == EncBinaryV6 }
+
+// ring is how many of a file's latest plain frames a follower of the
+// encoding may lean on: leaderRing since version 7, the last one before.
+func (e Encoding) ring() int {
+	if e == EncBinary {
+		return leaderRing
+	}
+	return 1
+}
 
 // frameFlags is the set of frame flag bits the encoding knows; a frame
 // under its header that sets any other is refused.
@@ -182,14 +205,20 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 6
-	// segmentVersion1 to segmentVersion5 are the superseded formats,
+	SegmentVersion = 7
+	// segmentVersion1 to segmentVersion6 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
 	segmentVersion3 = 3
 	segmentVersion4 = 4
 	segmentVersion5 = 5
+	segmentVersion6 = 6
+	// leaderRing is how many of a file's latest plain frames a version-7
+	// follower may lean on: its leader is the newest of them of its run, and
+	// a scan refuses a follower that names any other frame. Part of the
+	// format, not a tuning knob.
+	leaderRing = 16
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
 	// MaxRecordFrame bounds a single record frame; a declared length
@@ -209,7 +238,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 5 from the current one), JSON segments with '{'. Empty data is
+// to 6 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -228,6 +257,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV4
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion5:
 		return EncBinaryV5
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion6:
+		return EncBinaryV6
 	default:
 		return EncBinary
 	}
@@ -329,13 +360,14 @@ const (
 // RecordEncoder appends binary record frames, reusing one scratch
 // buffer across calls so the group-commit hot path allocates nothing
 // per record. It elides each frame's Prev when that is the Hash of the
-// frame it appended immediately before, writes a frame as a follower
-// when it directly follows, in the same write, a plain frame of the same
-// run, and lets a follower borrow its signature from the frame directly
-// before it in the same write — its mate — when the two are siblings of
-// one batch signature. One encoder therefore serves one contiguous run of
-// frames — a segment file's appends, one push — the first frame of every
-// run is explicit, and the first frame of every write is plain (Cut).
+// frame it appended immediately before, writes a frame as a follower of
+// the newest plain frame of the same run among the last leaderRing plain
+// frames it appended — in this write or an earlier one to the same file —
+// and lets a follower borrow its signature from the frame directly before
+// it — its mate — when that is the leader or a follower of it and the two
+// are siblings of one batch signature. One encoder therefore serves one
+// contiguous run of frames — a segment file's appends, one push — and the
+// first frame of every run is explicit and plain.
 //
 // A frame stores the record's content, not its Hash: rec.Hash must be
 // the record's chained hash (what Chainer.Next, NextRecord and every
@@ -345,59 +377,119 @@ type RecordEncoder struct {
 	scratch []byte
 	last    sig.Digest
 	chained bool
-	// lead is the leader of the current write — the last plain frame
-	// appended since the last Cut, untouched since — and back the bytes
-	// appended from its first on.
-	lead *Record
-	back uint64
-	// mate is the frame appended last in the current write, when it wrote
-	// its signature in full: the only frame the next may borrow one from.
-	mate *Record
+	// pos is where the next frame starts, in bytes appended since Reset.
+	pos int64
+	// ring holds the plain frames a follower may lean on.
+	ring frameRing
+	// mate is the frame appended last, when it wrote its signature in
+	// full, and mateLead where its leader starts (its own start when it
+	// leads): the only frame a follower of that leader may borrow a
+	// signature from.
+	mate     *Record
+	mateLead int64
 }
 
 // Reset starts a new run: the next frame carries its Prev explicitly and
 // is plain. Call it whenever the next frame will not directly follow the
 // previous one in the same file or message.
-func (e *RecordEncoder) Reset() { e.chained, e.lead, e.mate = false, nil, nil }
+func (e *RecordEncoder) Reset() { *e = RecordEncoder{scratch: e.scratch} }
 
-// Cut ends a write: the next frame is plain, whatever its run, and leads
-// the frames after it. Call it between two writes to the same file, and
-// when frames appended since the last call were dropped rather than
-// written — no later frame may lean on one that never reached the file.
-func (e *RecordEncoder) Cut() { e.lead, e.mate = nil, nil }
+// Cut forgets every frame appended so far as a leader or mate: the next
+// frame is plain, whatever its run, and leads the frames after it. Call
+// it when frames it appended were dropped rather than written — no later
+// frame may lean on one that never reached the file.
+func (e *RecordEncoder) Cut() {
+	e.ring.clear()
+	e.mate = nil
+}
 
 // AppendRecord appends rec as a length-prefixed binary frame.
 func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	elide := e.chained && rec.Prev == e.last
-	lead := e.lead
-	if !elide || rec.Token == nil || lead == nil || lead.Token.Run != rec.Token.Run {
-		lead = nil
+	start := e.pos
+	var lead *Record
+	leadAt := start
+	if elide && rec.Token != nil {
+		// A frame that names recipients does not follow a leader that names
+		// none — a party's record to itself, such as a journal record that
+		// opens a durable run: it leads the run from here on, so that the
+		// frames after it borrow their parties and service from it.
+		if l, at := e.ring.of(rec.Token.Run, leaderRing); l != nil && (len(l.Token.Recipients) > 0 || len(rec.Token.Recipients) == 0) {
+			lead, leadAt = l, at
+		}
 	}
 	mate := e.mate
-	if lead == nil || mate == nil || !rec.Token.MatesWith(mate.Token) {
+	if lead == nil || mate == nil || e.mateLead != leadAt || !rec.Token.MatesWith(mate.Token) {
 		mate = nil
 	}
-	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, e.back, mate)
+	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, uint64(start-leadAt), mate)
 	if err != nil {
 		return nil, err
 	}
 	e.scratch = body
 	e.last, e.chained = rec.Hash, true
 	if lead == nil {
-		e.lead, e.back = nil, 0
-		if rec.Token != nil {
-			e.lead = rec
-		}
+		e.ring.push(rec, start, leaderRing)
 	}
 	e.mate = nil
 	if mate == nil && rec.Token != nil {
-		e.mate = rec
+		e.mate, e.mateLead = rec, leadAt
 	}
-	start := len(dst)
+	n := len(dst)
 	dst = append(canon.AppendUvarint(dst, uint64(len(body))), body...)
-	e.back += uint64(len(dst) - start)
+	e.pos += int64(len(dst) - n)
 	return dst, nil
 }
+
+// frameRing holds the latest plain frames of a file — at most the
+// encoding's ring size — with where each starts: the frames a follower
+// may lean on. A plain frame that cannot lead takes its place without a
+// record.
+type frameRing struct {
+	frames  [leaderRing]ringFrame
+	n, next int
+}
+
+type ringFrame struct {
+	rec *Record
+	at  int64
+}
+
+// push adds the plain frame starting at at, rec nil when it cannot lead,
+// displacing the oldest of size.
+func (r *frameRing) push(rec *Record, at int64, size int) {
+	if rec != nil && rec.Token == nil {
+		rec = nil
+	}
+	r.frames[r.next] = ringFrame{rec: rec, at: at}
+	r.next = (r.next + 1) % size
+	r.n = min(r.n+1, size)
+}
+
+// of returns the newest frame of run held and where it starts; nil when
+// there is none.
+func (r *frameRing) of(run id.Run, size int) (*Record, int64) {
+	for i := 1; i <= r.n; i++ {
+		f := &r.frames[(r.next-i+size)%size]
+		if f.rec != nil && f.rec.Token.Run == run {
+			return f.rec, f.at
+		}
+	}
+	return nil, 0
+}
+
+// at returns the frame held that starts at at and can lead; nil when
+// there is none.
+func (r *frameRing) at(at int64) *Record {
+	for i := 0; i < r.n; i++ {
+		if f := &r.frames[i]; f.at == at {
+			return f.rec
+		}
+	}
+	return nil
+}
+
+func (r *frameRing) clear() { r.n, r.next = 0, 0 }
 
 // AppendRecordBinary appends rec as a stand-alone length-prefixed
 // binary frame (Prev explicit, plain).
@@ -549,11 +641,12 @@ type frameInfo struct {
 type leaderFunc func(back uint64) (*Record, error)
 
 // mateFunc finds a follower's mate: the record whose frame directly
-// precedes it, with what that frame says of its shape. Nil where a frame
-// stands alone.
+// precedes it, with what that frame says of its shape, when it is the
+// follower's leader or a follower of the same leader, and fails
+// otherwise. Nil where a frame stands alone.
 type mateFunc func() (*Record, frameInfo, error)
 
-// decodeRecordBody decodes one record body of version 2 to 6; prev is the
+// decodeRecordBody decodes one record body of version 2 to 7; prev is the
 // Hash of the frame before it, needed only when the frame elides its
 // Prev, leader resolves the frame's leader, needed only when it is a
 // follower, and mate its mate, needed only when it borrows a signature.
@@ -615,7 +708,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 			atBase = lead.At.UnixNano()
 		}
 		if borrow&borrowSig != 0 {
-			if enc != EncBinary || mate == nil {
+			if !enc.mates() || mate == nil {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature without its mate", canon.ErrBinary)
 			}
 			// The mate is the leader or a follower of it, so a frame with a
@@ -735,18 +828,6 @@ func sealHash(rec *Record, stored bool, scratch *[]byte) error {
 	return nil
 }
 
-// DecodeRecordFrame decodes the stand-alone length-prefixed record
-// frame at the start of data, returning the record and the frame's
-// total length. A frame that runs past the end of data returns
-// (nil, 0, nil): the caller decides whether a short tail is a torn
-// write or truncation. A frame that elides its Prev or follows a leader
-// is not stand-alone and is refused; runs of frames go through
-// DecodeSegmentData.
-func DecodeRecordFrame(data []byte) (*Record, int64, error) {
-	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil, nil)
-	return rec, n, err
-}
-
 // frameBody returns the body of the length-prefixed frame at the start
 // of data and the frame's total length; (nil, 0, nil) when the frame
 // runs past the end of data.
@@ -822,8 +903,9 @@ func uvarint(data []byte) (uint64, int) {
 // (from the index's offsets; negative for none), the mate a frame that
 // borrows its signature names. A follower frame costs one more frame
 // parse and checksum — its leader's, found in data at the distance the
-// follower names, which must be a whole plain frame ending at or before
-// start — and, when it borrows its signature, a third for its mate unless
+// follower names, which must be a plain frame ending at or before start
+// (which of the file's plain frames it may be, a scan checks, not this
+// read) — and, when it borrows its signature, a third for its mate unless
 // that is the leader; no second digest: what the follower took from the
 // leader and the mate is authenticated with the follower, by the hash the
 // caller compares.
@@ -877,7 +959,7 @@ func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Dig
 		mate := func() (*Record, frameInfo, error) {
 			switch {
 			case prevStart < first || prevStart < leadAt || prevStart >= start:
-				return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from outside its write", canon.ErrBinary)
+				return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from before its leader", canon.ErrBinary)
 			case prevStart == leadAt:
 				return lead, frameInfo{}, nil
 			}
@@ -972,30 +1054,42 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64, frameI
 }
 
 // scanFrames walks the frames of data from offset start, handing each
-// frame the hash of the one before it and, to a follower, the last plain
-// frame decoded — which is its leader or the follower is corrupt — and
-// the frame before it, its mate; one scratch buffer serves the whole scan.
+// frame the hash of the one before it and, to a follower, the plain frame
+// it names among the last the encoding's ring holds — which is its leader
+// or the follower is corrupt — and, as its mate, the frame before it when
+// that is the leader or a follower of it; one scratch buffer serves the
+// whole scan.
 // fn learns each frame's length and shape.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	prefix := start
 	var prev *sig.Digest
-	var lead, last *Record
-	var leadAt int64
+	size := enc.ring()
+	var ring frameRing
+	var last *Record
 	var lastInfo frameInfo
+	// leadAt is where the frame decoded leans, lastLead where the frame
+	// before it did (each its own start when plain).
+	var leadAt, lastLead int64
 	leader := func(back uint64) (*Record, error) {
-		if lead == nil || back != uint64(prefix-leadAt) {
-			return nil, fmt.Errorf("store: %w: follower frame does not point at the plain frame before it", canon.ErrBinary)
+		var lead *Record
+		if back != 0 && back <= uint64(prefix) {
+			lead = ring.at(prefix - int64(back))
 		}
+		if lead == nil {
+			return nil, fmt.Errorf("store: %w: follower frame does not point at a plain frame it may lean on", canon.ErrBinary)
+		}
+		leadAt = prefix - int64(back)
 		return lead, nil
 	}
 	mate := func() (*Record, frameInfo, error) {
-		if last == nil {
-			return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature but has no frame before it", canon.ErrBinary)
+		if last == nil || lastLead != leadAt {
+			return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from a frame that does not follow its leader", canon.ErrBinary)
 		}
 		return last, lastInfo, nil
 	}
 	var scratch []byte
 	for prefix < int64(len(data)) {
+		leadAt = prefix
 		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, mate, &scratch)
 		if err != nil {
 			return prefix, false, err
@@ -1008,11 +1102,11 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 		}
 		switch {
 		case leads(info.flags):
-			lead, leadAt = rec, prefix
+			ring.push(rec, prefix, size)
 		case info.flags&frameFollower == 0:
-			lead = nil
+			ring.push(nil, prefix, size)
 		}
-		last, lastInfo = rec, info
+		last, lastInfo, lastLead = rec, info, leadAt
 		prev = &rec.Hash
 		prefix += frameLen
 	}

@@ -571,6 +571,14 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	mates, mOffs, _ := mateRun(f)
 	f.Add(mates)
 	f.Add(remask(mates, mOffs[3], mOffs[4], headOf(f, mates[mOffs[3]:mOffs[4]]).mask|bSig).data)
+	// Version-7 shapes (testdata/fuzz holds more): the golden segment,
+	// whose followers lean on leaders of earlier writes across other runs'
+	// frames, and a leader as far back as the ring reaches.
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v7", "golden-v7.seg")); err == nil {
+		f.Add(golden)
+	}
+	ring, _, _ := ringRun(f, ringSize-1)
+	f.Add(ring)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {

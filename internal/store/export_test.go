@@ -17,6 +17,15 @@ func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([
 	return append(canon.AppendUvarint(dst, uint64(len(body))), body...), nil
 }
 
+// DecodeRecordFrame decodes the stand-alone length-prefixed record frame
+// at the start of data, returning the record and the frame's total
+// length: (nil, 0, nil) when the frame runs past the end of data, an error
+// when it elides its Prev or follows a leader.
+func DecodeRecordFrame(data []byte) (*Record, int64, error) {
+	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil, nil)
+	return rec, n, err
+}
+
 // AppendRecordJSON is the record's direct canonical-JSON appender.
 func AppendRecordJSON(dst []byte, rec *Record) ([]byte, error) {
 	return rec.appendJSON(dst, rec.Hash)

@@ -20,7 +20,7 @@ import (
 	"nonrep/internal/testpki"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v6 (golden.jsonl and golden-v6.seg) from freshly issued records")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v7 (golden.jsonl and golden-v7.seg) from freshly issued records")
 
 // goldenV2 reads the frozen version-2 segment — written by the build
 // before format 3, every record kind, two encoder runs (so explicit and

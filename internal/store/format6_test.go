@@ -29,85 +29,6 @@ type v6Item struct {
 	dropped bool
 }
 
-// goldenV6Records builds the records of the format-6 golden segment and
-// the record its last write drops: a pipelined call as its client logs
-// it — the server's receipt and response origin, one batch signature
-// between them, then the client's receipt — and as its server does — the
-// request's origin, then the pair; three tokens of one batch of four in a
-// row, the first two at leaves that are not siblings; and a call whose
-// receipt is dropped from its write, the response origin after it.
-func goldenV6Records(t *testing.T) (recs []*store.Record, dropped *store.Record) {
-	t.Helper()
-	const client, server = id.Party("urn:org:client"), id.Party("urn:org:server")
-	const svc = id.Service("urn:org:server/echo")
-	realm := testpki.MustRealm(client, server)
-	to := func(p id.Party) []evidence.IssueOption {
-		return []evidence.IssueOption{evidence.WithRecipients(p), evidence.WithService(svc)}
-	}
-	plain := func(kind evidence.Kind, run id.Run, step int, what string) *evidence.Token {
-		tok, err := realm.Party(client).Issuer.Issue(kind, run, step, sig.Sum([]byte(what)), to(server)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tok
-	}
-	b := evidence.NewBatchIssuer(realm.Party(server).Issuer)
-	defer b.Close()
-	batch := func(run id.Run, kinds ...evidence.Kind) []*evidence.Token {
-		reqs := make([]evidence.TokenRequest, len(kinds))
-		for i, kind := range kinds {
-			reqs[i] = evidence.TokenRequest{Kind: kind, Run: run, Step: 2 + i, Digest: sig.Sum([]byte(fmt.Sprint(run, i))), Opts: to(client)}
-		}
-		toks, err := b.IssueBatch(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return toks
-	}
-	runs := []id.Run{id.NewRun(), id.NewRun(), id.NewRun(), id.NewRun()}
-	pair := [][]*evidence.Token{batch(runs[0], evidence.KindNRR, evidence.KindNROResp), batch(runs[1], evidence.KindNRR, evidence.KindNROResp)}
-	four := batch(runs[2], evidence.KindPostmark, evidence.KindPostmark, evidence.KindPostmark, evidence.KindPostmark)
-	last := batch(runs[3], evidence.KindNRR, evidence.KindNROResp)
-	type entry struct {
-		dir  store.Direction
-		tok  *evidence.Token
-		note string
-	}
-	entries := []entry{
-		{store.Received, pair[0][0], "request receipt"},
-		{store.Received, pair[0][1], "response origin (ok)"},
-		{store.Generated, plain(evidence.KindNRRResp, runs[0], 4, "receipt"), "response receipt (consumed)"},
-		{store.Received, plain(evidence.KindNRO, runs[1], 1, "request"), "request origin"},
-		{store.Generated, pair[1][0], "request receipt"},
-		{store.Generated, pair[1][1], "response origin (ok)"},
-		{store.Generated, four[0], "epm postmark"},
-		{store.Generated, four[2], "epm postmark"},
-		{store.Generated, four[3], "epm postmark"},
-		{store.Received, plain(evidence.KindNRO, runs[3], 1, "request"), "request origin"},
-		{store.Generated, last[1], "response origin (ok)"},
-		{store.Received, plain(evidence.KindNRRResp, runs[3], 4, "receipt"), "response receipt (consumed)"},
-	}
-	at := time.Date(2026, 10, 17, 2, 30, 0, 0, time.UTC)
-	seq, prev := uint64(0), sig.Digest{}
-	for i, e := range entries {
-		if i == 10 {
-			// The dropped receipt takes the position the response origin
-			// then takes instead.
-			var err error
-			if dropped, err = store.NextRecord(seq, prev, at.Add(time.Duration(i)*time.Millisecond), store.Generated, last[0], "request receipt"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rec, err := store.NextRecord(seq, prev, at.Add(time.Duration(i)*time.Millisecond), e.dir, e.tok, e.note)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-		seq, prev = rec.Seq, rec.Hash
-	}
-	return recs, dropped
-}
-
 // goldenV6Writes cuts the golden records into the writes they model: the
 // client's step, the server's, the three tokens of one batch, and the
 // call whose receipt is dropped.
@@ -154,42 +75,21 @@ func encodeV6Writes(t *testing.T, writes [][]v6Item) (seg []byte, offs []int64) 
 	return seg, append(offs, int64(len(seg)))
 }
 
-// TestBinaryV6GoldenSegment freezes format 6: the records of
-// testdata/v6/golden.jsonl, laid out as the writes they model with the
-// record of testdata/v6/dropped.json dropped from the last, encode byte
-// for byte to testdata/v6/golden-v6.seg and decode from it — scanned and
-// by keyed slot — to the same canonical JSON, hashes and signatures. A
-// token whose signature is its predecessor's sibling in one batch borrows
-// it, whether that predecessor leads the write or follows; a token of the
-// same batch at a leaf that is not the sibling, and one whose sibling was
-// dropped, write theirs in full.
+// TestBinaryV6GoldenSegment holds format 6 frozen: the records of
+// testdata/v6/golden.jsonl, written by the build before format 7 as
+// testdata/v6/golden-v6.seg — as the writes they model, the record of
+// testdata/v6/dropped.json dropped from the last — decode from it,
+// scanned and by keyed slot, to the same canonical JSON, hashes and
+// signatures. A token whose signature is its predecessor's sibling in one
+// batch borrows it, whether that predecessor leads the write or follows;
+// a token of the same batch at a leaf that is not the sibling, and one
+// whose sibling was dropped, write theirs in full. Every write leads with
+// a plain frame, so this build, laying the records out as the same
+// writes — cut between them — encodes the same frames under its own
+// header.
 func TestBinaryV6GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v6")
-	if *updateGolden {
-		recs, dropped := goldenV6Records(t)
-		var lines []byte
-		for _, rec := range recs {
-			line, err := canon.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(append(lines, line...), '\n')
-		}
-		drop, err := canon.Marshal(dropped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, _ := encodeV6Writes(t, goldenV6Writes(recs, dropped))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{"golden.jsonl": lines, "dropped.json": append(drop, '\n'), "golden-v6.seg": seg} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -213,16 +113,16 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 	if len(golden) != len(want) || len(dropped) != 1 {
 		t.Fatalf("golden files hold %d of %d records and %d dropped", len(golden), len(want), len(dropped))
 	}
-	if encoded, _ := encodeV6Writes(t, goldenV6Writes(golden, dropped[0])); !bytes.Equal(encoded, frozen) {
-		t.Fatalf("the encoder no longer writes the frozen format-6 bytes (%d bytes, frozen %d)", len(encoded), len(frozen))
+	if encoded, _ := encodeV6Writes(t, goldenV6Writes(golden, dropped[0])); frozen[3] != 6 || !bytes.Equal(encoded[store.SegmentHeaderLen:], frozen[store.SegmentHeaderLen:]) {
+		t.Fatalf("the encoder no longer writes the frozen format-6 frames (%d bytes, frozen %d)", len(encoded), len(frozen))
 	}
-	recs, offs := scanGolden(t, "v6", frozen, want, store.EncBinary)
+	recs, offs := scanGolden(t, "v6", frozen, want, store.EncBinaryV6)
 	for i, rec := range recs {
 		var prev *sig.Digest
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinary, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV6, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v6 record %d: %v", i, err)
 		}

@@ -5,3 +5,6 @@ package vault
 func WithMaxBatch(n int) Option {
 	return func(v *Vault) { v.maxBatch = n }
 }
+
+// Queued reports how many append requests wait for the committer.
+func (v *Vault) Queued() int { return len(v.appendC) }

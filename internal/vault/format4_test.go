@@ -382,8 +382,10 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 		t.Fatalf("Sizes = %+v, err %v", sizes, err)
 	}
 	for _, s := range sizes {
-		// Each commit of three has two followers; a lone receipt is plain.
-		if want := s.Records / 2; s.Format != "binary" || s.Followers != want || s.FollowerBytes <= 0 ||
+		// Of each run's four records only the first is plain: the receipt
+		// in a commit of its own follows the run's leader in the commit
+		// before.
+		if want := s.Records * 3 / 4; s.Format != "binary" || s.Followers != want || s.FollowerBytes <= 0 ||
 			float64(s.FollowerBytes)/float64(s.Followers) > 0.8*float64(s.SegmentBytes-s.FollowerBytes)/float64(s.Records-s.Followers) {
 			t.Fatalf("segment %d reported as %+v, want %d followers well under a plain frame's size", s.Segment, s, want)
 		}
@@ -436,18 +438,29 @@ func TestVaultFollowersOnDisk(t *testing.T) {
 // authenticated with it. An attacker who edits a sealed leader frame and
 // fixes its checksum up changes what its followers decode to, so the
 // keyed read of a follower alone — which never digests the leader —
-// still fails the hash the seal pins; and a follower re-pointed at
-// another frame fails to decode at all.
+// still fails the hash the seal pins, whether the follower shares the
+// leader's commit or leans on it from a later one; and a follower
+// re-pointed at another frame fails to decode at all.
 func TestVaultEditedLeaderBreaksFollowerRead(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org, peerOrg)
 	dir := t.TempDir()
-	v := openVault(t, dir, vault.WithSegmentRecords(6))
+	v := openVault(t, dir, vault.WithSegmentRecords(7))
 	runs := []id.Run{id.NewRun(), id.NewRun()}
 	for _, run := range runs {
 		if _, err := v.AppendGroup(stepGroup(t, realm, run)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The first run's receipt, in a commit of its own after the second
+	// run's: a follower of the first commit's leader.
+	receipt, err := realm.Party(peerOrg).Issuer.Issue(evidence.KindNRRResp, runs[0], 4, sig.Sum([]byte("response")),
+		evidence.WithRecipients(org), evidence.WithService("urn:org:a/orders"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Append(store.Received, receipt, "response receipt (consumed)"); err != nil {
+		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
@@ -458,6 +471,12 @@ func TestVaultEditedLeaderBreaksFollowerRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	offs := frameOffsets(t, good)
+	if len(offs) != 8 {
+		t.Fatalf("sealed segment holds %d frames, want 7", len(offs)-1)
+	}
+	if _, w := binary.Uvarint(good[offs[6]:]); good[offs[6]+int64(w)]&0x80 == 0 {
+		t.Fatal("control: the receipt of a later commit is not a follower")
+	}
 	refit := func(frame []byte) { // recompute a frame's checksum in place
 		_, w := binary.Uvarint(frame)
 		binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.Checksum(frame[w:len(frame)-4], crc32.MakeTable(crc32.Castagnoli)))
@@ -493,6 +512,11 @@ func TestVaultEditedLeaderBreaksFollowerRead(t *testing.T) {
 		}
 		if recs, err := re.QueryAll(vault.Query{Run: run, Kind: evidence.KindNROResp}); !errors.Is(err, vault.ErrSealBroken) {
 			t.Fatalf("%s: keyed read of a follower = %d records, err %v, want ErrSealBroken", name, len(recs), err)
+		}
+		if name == "edited leader" {
+			if recs, err := re.QueryAll(vault.Query{Run: run, Kind: evidence.KindNRRResp}); !errors.Is(err, vault.ErrSealBroken) {
+				t.Fatalf("%s: keyed read of a follower from a later commit = %d records, err %v, want ErrSealBroken", name, len(recs), err)
+			}
 		}
 		if recs, err := re.QueryAll(vault.Query{}); !errors.Is(err, vault.ErrSealBroken) || len(recs) != 0 {
 			t.Fatalf("%s: scan = %d records, err %v, want none and ErrSealBroken", name, len(recs), err)

@@ -81,11 +81,12 @@ func FuzzRecordDecode(f *testing.F) {
 		if rec.Token == nil {
 			return
 		}
-		frame, err := store.AppendRecordBinary(nil, rec)
+		run, err := store.AppendFrameRun(nil, []*store.Record{rec})
 		if err != nil {
 			return // a time no frame can carry
 		}
-		back, _, err := store.DecodeRecordFrame(frame)
+		var back *store.Record
+		err = store.DecodeFrameRun(run, func(r *store.Record) error { back = r; return nil })
 		if err == nil && back.Note != rec.Note {
 			t.Fatalf("note %q came back from its frame as %q", rec.Note, back.Note)
 		}

@@ -25,7 +25,7 @@ import (
 // 11 and 12 records sealed under version-3 indexes (one pinned hash per
 // four records, the last window of segment 1 three records long, runs
 // straddling windows in segment 2), a one-record tail in segment 3.
-var v6Vault = fixtureVault{name: "v6-vault", enc: store.EncBinary, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
+var v6Vault = fixtureVault{name: "v6-vault", enc: store.EncBinaryV6, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
 
 // TestVaultV6VaultStillReads: a vault sealed under version-3 indexes
 // reads as checkStillReads says — its replica derives the same index
@@ -200,7 +200,7 @@ func TestSizesNamesIndexVersions(t *testing.T) {
 	t.Parallel()
 	for _, fx := range []fixtureVault{v3Vault, v4Vault, v5Vault, v6Vault} {
 		index, stride := "binary-v2", 1
-		if fx.enc == store.EncBinary {
+		if fx.enc == store.EncBinaryV6 {
 			index, stride = "binary", 4
 		}
 		dir, _ := copyFixtureVault(t, fx.name)

@@ -17,14 +17,15 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
-	// to "binary-v5", or "binary" for the current format).
+	// to "binary-v6", or "binary" for the current format, version 7).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
 	SegmentBytes int64
 	// FrameCount counts the records stored as follower frames — frames
-	// that borrow their run, parties, service, digest or time from the
-	// plain frame leading their write — and those of them that borrow
+	// that borrow their run, parties, service, digest or time from a plain
+	// frame of their run before them in the file (in versions 4 to 6, the
+	// one leading their write) — and those of them that borrow
 	// their signature from the frame before them, with the bytes those
 	// take, and breaks the frames down by token kind, notes apart. The
 	// rest of Records are plain frames (or JSON lines) in PlainBytes,

@@ -786,9 +786,9 @@ func (v *Vault) commit(batch []*appendReq) {
 	staged := make([]stagedReq, 0, len(batch))
 	var sealReqs, flushReqs []*appendReq
 	buf := v.commitBuf[:0]
-	// A commit is one write: its first frame is plain, and frames share
-	// with a leader inside it only.
-	v.recEnc.Cut()
+	// The encoder carries over from the commit before: a frame may lean
+	// on a plain frame of its run from an earlier write to the segment, so
+	// a record's bytes do not depend on how appends were grouped.
 	for _, req := range batch {
 		if req.seal {
 			sealReqs = append(sealReqs, req)

@@ -36,7 +36,7 @@ cd "$(dirname "$0")/.."
 OPTION_CEILING=48
 FIELD_CEILING=12
 READ_CEILING=0
-TESTONLY_CEILING=55
+TESTONLY_CEILING=54
 
 # Package directory and type name of each counted config struct.
 STRUCTS=(
