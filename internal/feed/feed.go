@@ -1,51 +1,36 @@
-// Package feed turns a vault into a live evidence source: a Hub attaches
-// to the vault's commit and seal hooks and fans every durable batch out
-// to subscribers as a hash-chain-continuous stream. The paper's evidence
-// store is pull-only — an adjudicator or contract monitor polls queries
-// and a violation sits unnoticed until the next poll; the hub closes that
-// gap by pushing each record within one group-commit interval of its
-// append.
+// Package feed turns a vault into a live evidence source. The paper's
+// evidence store is pull-only — an adjudicator or contract monitor polls
+// queries and a violation sits unnoticed until the next poll; a feed
+// closes that gap by pushing each record within one group-commit
+// interval of its append.
 //
-// The design follows the vault's own asymmetry between writers and
-// readers:
+// A subscription is a verified cursor, the same shape as a replication
+// target of georep.Engine: a chain position (sequence number + record
+// hash) in a store.ChainVerifier and a one-slot wake channel.
 //
-//   - The commit path never blocks on a subscriber. Publishing is one
-//     non-blocking send per subscriber into a bounded outbox; a
-//     subscriber that cannot keep up is evicted (it can resume later
-//     from its last verified position), so the slowest reader costs the
-//     writers nothing.
+//   - The commit path never blocks on a subscriber. The vault's commit
+//     and seal hooks make one non-blocking send to the wake channel; a
+//     subscriber that cannot keep up lags behind the head, holding one
+//     page of records, and nothing is queued for it.
 //
-//   - Continuity is verified, not assumed. A subscription names the chain
-//     position it resumes from (sequence number + record hash); the hub
-//     checks that position against the vault, backfills the gap from the
-//     vault's indexes, and chain-verifies every record before delivery.
-//     A subscriber therefore sees exactly the vault's chain — no gap, no
-//     duplicate, no reordering — or an error.
-//
-// Registration happens before the backfill snapshot is read, so records
-// committed while the backfill runs are buffered in the outbox and
-// deduplicated by sequence number when the live phase starts.
+//   - Backfill and live delivery are one loop. Each wake reads the vault
+//     from the cursor to the head a page at a time, chain-verifies every
+//     record and hands the page to the sink. A subscription names the
+//     position it resumes from, the position is checked against the
+//     vault, and the subscriber sees exactly the vault's chain — no gap,
+//     no duplicate, no reordering — or an error.
 package feed
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
-	"nonrep/internal/obs"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/vault"
 )
-
-// ErrSlowConsumer reports an eviction: the subscriber's outbox was full
-// when a batch arrived, and blocking the vault's commit path on it is not
-// an option.
-var ErrSlowConsumer = errors.New("feed: subscriber evicted, outbox overflow")
-
-// ErrClosed reports that the hub was closed under the subscriber —
-// typically the organisation detaching from its host.
-var ErrClosed = errors.New("feed: hub closed")
 
 // ErrResumeMismatch reports a resume position that does not match the
 // vault's chain: the claimed (sequence, hash) pair names a record the
@@ -54,16 +39,10 @@ var ErrClosed = errors.New("feed: hub closed")
 // fork.
 var ErrResumeMismatch = errors.New("feed: resume position does not match the vault chain")
 
-// DefaultOutbox is the default per-subscriber outbox capacity, in events
-// (committed batches or seals), not records.
-const DefaultOutbox = 256
-
-// maxCoalesce bounds how many records one delivery may merge when the
-// subscriber is running behind the commit rate.
-const maxCoalesce = 4096
-
-// backfillPage bounds how many records one backfill query materialises.
-const backfillPage = 512
+// page bounds how many records one read materialises and one delivery
+// carries — all the memory a subscription holds, however far behind it
+// is.
+const page = 512
 
 // Event is one push unit: either a batch of committed records in chain
 // order, or a seal notification (for subscriptions that asked for them).
@@ -72,9 +51,9 @@ type Event struct {
 	Seal    *vault.ManifestEntry
 }
 
-// Sink consumes events for one subscriber, on that subscriber's own
-// goroutine — it may block (the outbox absorbs bursts) and its error
-// evicts the subscription.
+// Sink consumes events for one subscription, on the goroutine running
+// the cursor. It may block — the subscription lags meanwhile — and its
+// error ends the subscription.
 type Sink func(Event) error
 
 // Config shapes one subscription.
@@ -83,113 +62,137 @@ type Config struct {
 	// starts at AfterSeq+1. Zero values start from genesis.
 	AfterSeq  uint64
 	AfterHash sig.Digest
-	// Seals requests seal notifications interleaved (in order) with the
-	// record stream.
+	// Seals requests notifications of the seals made after the
+	// subscription opened, each after the records it covers and before
+	// any later record.
 	Seals bool
-	// Outbox overrides the outbox capacity (default DefaultOutbox).
-	Outbox int
 	// Sink receives the feed. Required.
 	Sink Sink
 }
 
-// Hub fans a vault's committed records out to subscribers. One hub per
-// vault; subscriptions come and go.
-type Hub struct {
-	v *vault.Vault
-
-	mu           sync.Mutex
-	subs         map[uint64]*Sub
-	nextID       uint64
-	closed       bool
-	cancelCommit func()
-	cancelSeal   func()
-
-	subscribers *obs.Gauge
-	pushedRecs  *obs.Counter
-	pushedSeals *obs.Counter
-	evicted     *obs.Counter
-	outboxDepth *obs.Histogram
-	backfilled  *obs.Counter
+// Cursor is one subscription: a verified chain position in a vault,
+// woken by the vault's commit and seal hooks. Open makes one; Run
+// delivers from it.
+type Cursor struct {
+	v      *vault.Vault
+	sink   Sink
+	cv     *store.ChainVerifier
+	wake   chan struct{}
+	sealed atomic.Bool // a seal was made since the manifest was last read
+	seen   int         // manifest entries made before Open, or already read
+	unhook func()
 }
 
-// NewHub attaches a hub to v. The scope homes the hub's instruments
-// (subscriber gauge, push/eviction counters, outbox-depth lag histogram);
-// nil leaves it uninstrumented.
-func NewHub(v *vault.Vault, scope *obs.Scope) *Hub {
-	h := &Hub{
-		v:           v,
-		subs:        make(map[uint64]*Sub),
-		subscribers: scope.Gauge(obs.MSubSubscribers),
-		pushedRecs:  scope.Counter(obs.MSubPushedRecords),
-		pushedSeals: scope.Counter(obs.MSubPushedSeals),
-		evicted:     scope.Counter(obs.MSubEvictedTotal),
-		outboxDepth: scope.Histogram(obs.MSubOutboxDepth),
-		backfilled:  scope.Counter(obs.MSubBackfillTotal),
-	}
-	h.cancelCommit = v.OnCommit(func(recs []*store.Record) {
-		h.publish(Event{Records: recs})
-	})
-	h.cancelSeal = v.OnSeal(func(e vault.ManifestEntry) {
-		entry := e
-		h.publish(Event{Seal: &entry})
-	})
-	return h
-}
-
-// Subscribers reports the current subscription count.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// Subscribe verifies the resume position against the vault and starts a
-// subscription: backfill from the vault's indexes up to the live window,
-// then every committed batch as it lands, every record chain-verified
-// before it reaches the sink.
-func (h *Hub) Subscribe(cfg Config) (*Sub, error) {
+// Open verifies the resume position against v and opens a subscription
+// there: from this call on, commits wake it, and (with Seals) seals made
+// are delivered. Run must follow; it releases the vault hooks, at once
+// under a cancelled context.
+func Open(v *vault.Vault, cfg Config) (*Cursor, error) {
 	if cfg.Sink == nil {
 		return nil, errors.New("feed: subscription needs a sink")
 	}
-	if err := h.verifyResume(cfg.AfterSeq, cfg.AfterHash); err != nil {
+	if err := verifyResume(v, cfg.AfterSeq, cfg.AfterHash); err != nil {
 		return nil, err
 	}
-	size := cfg.Outbox
-	if size <= 0 {
-		size = DefaultOutbox
+	c := &Cursor{v: v, sink: cfg.Sink, cv: store.ResumeChain(cfg.AfterSeq, cfg.AfterHash), wake: make(chan struct{}, 1)}
+	// The hooks' one non-blocking send.
+	nudge := func() {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
 	}
-	s := &Sub{
-		hub:    h,
-		cfg:    cfg,
-		outbox: make(chan Event, size),
-		quit:   make(chan struct{}),
-		exited: make(chan struct{}),
+	c.unhook = v.OnCommit(func([]*store.Record) { nudge() })
+	if cfg.Seals {
+		unhookCommit, unhookSeal := c.unhook, v.OnSeal(func(vault.ManifestEntry) { c.sealed.Store(true); nudge() })
+		c.unhook = func() { unhookCommit(); unhookSeal() }
+		c.seen = len(v.Manifest())
 	}
-	s.lastSeq, s.lastHash = cfg.AfterSeq, cfg.AfterHash
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil, ErrClosed
-	}
-	h.nextID++
-	s.id = h.nextID
-	h.subs[s.id] = s
-	h.mu.Unlock()
-	h.subscribers.Add(1)
-	go s.run()
-	return s, nil
+	return c, nil
 }
 
-// verifyResume checks that the vault's chain actually passes through the
-// claimed position. Position zero is the genesis and always valid.
-func (h *Hub) verifyResume(afterSeq uint64, afterHash sig.Digest) error {
+// Run streams the vault's chain to the sink on the caller's goroutine:
+// everything from the resume position up to the head, then every commit
+// as it lands — one loop, a page at a time. The hooks were registered
+// before the first read, so a commit that read misses has left a wake
+// behind. Run returns ctx's error when ctx ends, or the first sink, read
+// or chain error.
+func (c *Cursor) Run(ctx context.Context) error {
+	defer c.unhook()
+	var seals []vault.ManifestEntry // read from the manifest, not yet delivered
+	for {
+		for full := true; full; {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			at, _ := c.cv.Position()
+			recs, err := c.v.QueryAll(vault.Query{AfterSeq: at, Limit: page})
+			if err != nil {
+				return err
+			}
+			full = len(recs) == page
+			// The manifest is read after the records, and the vault runs
+			// a seal's hooks before it shows any later record, so a seal
+			// not flagged by now covers no record before the end of recs.
+			if c.sealed.Swap(false) {
+				m := c.v.Manifest()
+				seals = append(seals, m[c.seen:]...)
+				c.seen = len(m)
+			}
+			if seals, err = deliver(c.sink, c.cv, recs, seals); err != nil {
+				return err
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-c.wake:
+		}
+	}
+}
+
+// deliver chain-checks recs and hands them to sink, each pending seal
+// after the records through its LastSeq and before the rest. It returns
+// the seals still ahead of the cursor.
+func deliver(sink Sink, cv *store.ChainVerifier, recs []*store.Record, seals []vault.ManifestEntry) ([]vault.ManifestEntry, error) {
+	for {
+		at, _ := cv.Position()
+		for len(seals) > 0 && seals[0].LastSeq <= at {
+			e := seals[0]
+			if err := sink(Event{Seal: &e}); err != nil {
+				return seals, err
+			}
+			seals = seals[1:]
+		}
+		if len(recs) == 0 {
+			return seals, nil
+		}
+		n := len(recs)
+		if len(seals) > 0 {
+			n = int(min(uint64(n), seals[0].LastSeq-at))
+		}
+		for _, rec := range recs[:n] {
+			if err := cv.Check(rec); err != nil {
+				return seals, fmt.Errorf("feed: %w", err)
+			}
+		}
+		if err := sink(Event{Records: recs[:n]}); err != nil {
+			return seals, err
+		}
+		recs = recs[n:]
+	}
+}
+
+// verifyResume checks that v's chain passes through the claimed position.
+// Position zero is the genesis and always valid.
+func verifyResume(v *vault.Vault, afterSeq uint64, afterHash sig.Digest) error {
 	if afterSeq == 0 {
 		if afterHash != (sig.Digest{}) {
 			return fmt.Errorf("%w: nonzero hash at sequence 0", ErrResumeMismatch)
 		}
 		return nil
 	}
-	recs, err := h.v.QueryAll(vault.Query{AfterSeq: afterSeq - 1, Limit: 1})
+	recs, err := v.QueryAll(vault.Query{AfterSeq: afterSeq - 1, Limit: 1})
 	if err != nil {
 		return err
 	}
@@ -200,283 +203,4 @@ func (h *Hub) verifyResume(afterSeq uint64, afterHash sig.Digest) error {
 		return fmt.Errorf("%w: hash diverges at record %d", ErrResumeMismatch, afterSeq)
 	}
 	return nil
-}
-
-// publish fans one event out; it runs on the vault's committer goroutine
-// and must not block. A full outbox evicts its subscriber.
-func (h *Hub) publish(ev Event) {
-	h.mu.Lock()
-	for id, s := range h.subs {
-		if ev.Seal != nil && !s.cfg.Seals {
-			continue
-		}
-		select {
-		case s.outbox <- ev:
-			if ev.Seal != nil {
-				h.pushedSeals.Inc()
-			} else {
-				h.pushedRecs.Add(int64(len(ev.Records)))
-			}
-			h.outboxDepth.Observe(int64(len(s.outbox)))
-		default:
-			h.evictLocked(id, s, ErrSlowConsumer)
-		}
-	}
-	h.mu.Unlock()
-}
-
-// evictLocked removes a subscription (hub mutex held) and wakes its
-// goroutine with err.
-func (h *Hub) evictLocked(id uint64, s *Sub, err error) {
-	delete(h.subs, id)
-	s.fail(err)
-	h.subscribers.Add(-1)
-	if !errors.Is(err, ErrClosed) {
-		h.evicted.Inc()
-	}
-}
-
-// remove detaches a subscription that is ending on its own (clean close
-// or a failure detected on the subscriber goroutine).
-func (h *Hub) remove(s *Sub) {
-	h.mu.Lock()
-	if _, ok := h.subs[s.id]; ok {
-		delete(h.subs, s.id)
-		h.subscribers.Add(-1)
-	}
-	h.mu.Unlock()
-}
-
-// Close cancels the vault hooks and evicts every subscriber with
-// ErrClosed. The vault itself is untouched.
-func (h *Hub) Close() {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.closed = true
-	cc, cs := h.cancelCommit, h.cancelSeal
-	for id, s := range h.subs {
-		h.evictLocked(id, s, ErrClosed)
-	}
-	h.mu.Unlock()
-	// Hook cancellation takes the vault mutex; the committer may at this
-	// moment hold it while calling publish, which takes h.mu — so cancel
-	// outside h.mu to keep the lock order single-directional.
-	if cc != nil {
-		cc()
-	}
-	if cs != nil {
-		cs()
-	}
-}
-
-// Sub is one live subscription. Events are verified and delivered to the
-// sink on a dedicated goroutine; Done closes when the subscription ends
-// and Err reports why (nil after a clean Close).
-type Sub struct {
-	hub    *Hub
-	cfg    Config
-	id     uint64
-	outbox chan Event
-	quit   chan struct{}
-	exited chan struct{}
-
-	failOnce sync.Once
-	errMu    sync.Mutex
-	err      error
-
-	posMu    sync.Mutex
-	lastSeq  uint64
-	lastHash sig.Digest
-}
-
-// Done closes when the subscription has fully stopped (sink no longer
-// running).
-func (s *Sub) Done() <-chan struct{} { return s.exited }
-
-// Err reports why the subscription ended; nil while live or after a
-// clean Close.
-func (s *Sub) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
-
-// Position returns the chain position of the last record delivered and
-// verified — the pair a resumed subscription passes as AfterSeq/AfterHash.
-func (s *Sub) Position() (uint64, sig.Digest) {
-	s.posMu.Lock()
-	defer s.posMu.Unlock()
-	return s.lastSeq, s.lastHash
-}
-
-// Close ends the subscription cleanly.
-func (s *Sub) Close() {
-	s.hub.remove(s)
-	s.failOnce.Do(func() { close(s.quit) })
-	<-s.exited
-}
-
-// fail records err and wakes the subscriber goroutine. Safe under the
-// hub mutex: the quit channel is closed at most once and nothing blocks.
-func (s *Sub) fail(err error) {
-	s.failOnce.Do(func() {
-		s.errMu.Lock()
-		s.err = err
-		s.errMu.Unlock()
-		close(s.quit)
-	})
-}
-
-// run is the subscriber goroutine: backfill to the live window, then
-// drain the outbox, verifying the chain throughout.
-func (s *Sub) run() {
-	defer close(s.exited)
-	cv := store.ResumeChain(s.cfg.AfterSeq, s.cfg.AfterHash)
-	if !s.backfill(cv, 0) {
-		return
-	}
-	var carry *Event
-	for {
-		var ev Event
-		if carry != nil {
-			ev, carry = *carry, nil
-		} else {
-			select {
-			case <-s.quit:
-				return
-			case ev = <-s.outbox:
-			}
-		}
-		if ev.Seal == nil {
-			// A subscriber running behind the commit rate catches up in
-			// fewer, larger deliveries: merge whatever record batches have
-			// queued behind this one, so the per-delivery costs downstream
-			// (envelopes, acknowledgements) amortise over the backlog.
-			ev, carry = s.coalesce(ev)
-		}
-		if ev.Seal != nil {
-			if err := s.cfg.Sink(ev); err != nil {
-				s.hub.remove(s)
-				s.fail(err)
-				return
-			}
-			continue
-		}
-		next, _ := cv.Position()
-		next++
-		recs := ev.Records
-		for len(recs) > 0 && recs[0].Seq < next {
-			// Already served by the backfill overlap.
-			recs = recs[1:]
-		}
-		if len(recs) == 0 {
-			continue
-		}
-		if recs[0].Seq > next {
-			// A gap in the live stream (e.g. a batch published while
-			// this subscriber was being registered): fill it from the
-			// vault before taking the live records.
-			if !s.backfill(cv, recs[0].Seq-1) {
-				return
-			}
-		}
-		if !s.deliver(cv, recs) {
-			return
-		}
-	}
-}
-
-// coalesce greedily merges queued record events behind ev into one
-// larger batch, stopping at maxCoalesce records or at a seal event —
-// which is returned as the carry so stream order is preserved. The
-// hub-shared record slices are never appended to in place.
-func (s *Sub) coalesce(ev Event) (Event, *Event) {
-	var merged []*store.Record
-	for len(ev.Records)+len(merged) < maxCoalesce {
-		select {
-		case more := <-s.outbox:
-			if more.Seal != nil {
-				if merged != nil {
-					ev.Records = merged
-				}
-				return ev, &more
-			}
-			if merged == nil {
-				merged = append(make([]*store.Record, 0, len(ev.Records)+len(more.Records)), ev.Records...)
-			}
-			merged = append(merged, more.Records...)
-		default:
-			if merged != nil {
-				ev.Records = merged
-			}
-			return ev, nil
-		}
-	}
-	if merged != nil {
-		ev.Records = merged
-	}
-	return ev, nil
-}
-
-// backfill streams vault records from the verifier's position up to
-// through (0 = until the vault has no more), delivering as it goes.
-// Returns false when the subscription ended.
-func (s *Sub) backfill(cv *store.ChainVerifier, through uint64) bool {
-	for {
-		select {
-		case <-s.quit:
-			return false
-		default:
-		}
-		next, _ := cv.Position()
-		next++
-		if through > 0 && next > through {
-			return true
-		}
-		q := vault.Query{AfterSeq: next - 1, Limit: backfillPage}
-		if through > 0 && through-next+1 < backfillPage {
-			q.Limit = int(through - next + 1)
-		}
-		recs, err := s.hub.v.QueryAll(q)
-		if err != nil {
-			s.hub.remove(s)
-			s.fail(err)
-			return false
-		}
-		if len(recs) == 0 {
-			return true
-		}
-		s.hub.backfilled.Add(int64(len(recs)))
-		if !s.deliver(cv, recs) {
-			return false
-		}
-		if len(recs) < q.Limit || (through > 0 && recs[len(recs)-1].Seq >= through) {
-			return true
-		}
-	}
-}
-
-// deliver chain-verifies one batch and hands it to the sink. Returns
-// false when the subscription ended (verification or sink error).
-func (s *Sub) deliver(cv *store.ChainVerifier, recs []*store.Record) bool {
-	for _, rec := range recs {
-		if err := cv.Check(rec); err != nil {
-			s.hub.remove(s)
-			s.fail(fmt.Errorf("feed: live stream: %w", err))
-			return false
-		}
-	}
-	if err := s.cfg.Sink(Event{Records: recs}); err != nil {
-		s.hub.remove(s)
-		s.fail(err)
-		return false
-	}
-	last := recs[len(recs)-1]
-	s.posMu.Lock()
-	s.lastSeq, s.lastHash = last.Seq, last.Hash
-	s.posMu.Unlock()
-	return true
 }

@@ -68,13 +68,14 @@ const (
 	MGatewayDispatchTotal    = "nonrep_gateway_dispatched_total"
 	MGatewayRequeuedTotal    = "nonrep_gateway_requeued_total"
 
-	// Live evidence subscriptions (the feed hub and its outboxes).
+	// Live evidence subscriptions, counted by the publisher where it
+	// pushes; the lag is the vault head minus the last record a push
+	// delivered.
 	MSubSubscribers   = "nonrep_sub_subscribers"
 	MSubPushedRecords = "nonrep_sub_pushed_records_total"
 	MSubPushedSeals   = "nonrep_sub_pushed_seals_total"
 	MSubEvictedTotal  = "nonrep_sub_evicted_total"
-	MSubOutboxDepth   = "nonrep_sub_outbox_depth"
-	MSubBackfillTotal = "nonrep_sub_backfill_records_total"
+	MSubLagRecords    = "nonrep_sub_lag_records"
 )
 
 // envelopeMetricPrefix prefixes the per-protocol-kind envelope counters.

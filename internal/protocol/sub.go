@@ -5,9 +5,9 @@
 // seal notifications on request (sub-seal); record frames ride the
 // pushes' attachments. The feed is hash-chain-continuous end to end: the
 // subscriber names the chain position it resumes from, the publisher
-// backfills the gap from its vault indexes, and the subscriber re-derives
-// the chain over everything it receives — a gap, duplicate or forgery
-// fails loudly instead of streaming on.
+// reads its vault from there on, and the subscriber re-derives the chain
+// over everything it receives — a gap, duplicate or forgery fails loudly
+// instead of streaming on.
 //
 // Authorization is evidence, not configuration: the sub-open token's
 // digest covers the canonical subscribe request, and the publisher
@@ -30,6 +30,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/feed"
 	"nonrep/internal/id"
+	"nonrep/internal/obs"
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/vault"
@@ -80,11 +81,12 @@ var (
 	// packages: seals are notifications only, and a region that needs
 	// the segments is a replication target of the publisher.
 	ErrSubSegmentsGone = errors.New("protocol: segment packages are no longer served with seals")
-	// ErrSubEvicted surfaces on a Feed whose publisher evicted it (slow
-	// consumer or publisher shutdown). Resume from Position.
+	// ErrSubEvicted surfaces on a Feed its publisher ended (a push went
+	// unacknowledged for pushTimeout, or a read failed); a slow consumer
+	// lags instead. Resume from Position.
 	ErrSubEvicted = errors.New("protocol: subscription evicted by publisher")
 	// ErrFeedOverflow surfaces on a Feed whose local consumer stopped
-	// draining Events; mirrors the publisher-side eviction semantics.
+	// draining Events; the receive path never waits for it.
 	ErrFeedOverflow = errors.New("protocol: feed buffer overflow, events not drained")
 	// ErrFeedDetached surfaces on Feeds of a subscriber whose coordinator
 	// detached (tenant removal or close).
@@ -96,15 +98,8 @@ var (
 const DefaultFeedBuffer = 1024
 
 // pushTimeout bounds one push delivery on the publisher side; past it
-// the subscriber counts as slow and is evicted.
+// the subscriber counts as dead and is evicted.
 const pushTimeout = 15 * time.Second
-
-// serverOutbox is the per-subscription outbox the service asks of the
-// hub, deeper than the feed default: an event is one pointer-sized batch
-// reference, so the headroom is cheap, and the delivery goroutine drains
-// it in coalesced gulps — eviction is reserved for consumers that are
-// genuinely stuck, not merely bursty.
-const serverOutbox = 2048
 
 // subOpenReq is the canonical body the sub-open token's digest covers.
 type subOpenReq struct {
@@ -122,9 +117,7 @@ type subOpenReq struct {
 
 type subOpenResp struct {
 	SubID string `json:"sub_id"`
-	// HeadSeq is the vault's chain head at open: everything at or below
-	// it reaches the subscriber via backfill, everything above as live
-	// pushes.
+	// HeadSeq is the vault's chain head at open.
 	HeadSeq uint64 `json:"head_seq"`
 }
 
@@ -212,17 +205,21 @@ func WithAnonymousSubscribe() SubOption {
 	return func(s *SubService) { s.anon = true }
 }
 
-// SubService serves live subscriptions over one organisation's vault: it
-// owns the feed hub attached to the vault's commit/seal hooks and one
-// delivery goroutine per subscriber. Register it once per coordinator;
-// Detach (or Close) tears every subscription and vault hook down — the
-// coordinator and host call it on tenant detach.
+// SubService serves live subscriptions over one organisation's vault:
+// one goroutine per subscription runs its feed.Cursor and pushes what it
+// reads. Register it once per coordinator; Detach (or Close) ends every
+// subscription — the coordinator and host call it on tenant detach.
 type SubService struct {
 	RequestMux
 	co   *Coordinator
 	v    *vault.Vault
-	hub  *feed.Hub
 	anon bool
+
+	subscribers *obs.Gauge
+	pushedRecs  *obs.Counter
+	pushedSeals *obs.Counter
+	evicted     *obs.Counter
+	lag         *obs.Histogram
 
 	mu     sync.Mutex
 	closed bool
@@ -230,25 +227,31 @@ type SubService struct {
 }
 
 type serverSub struct {
-	id   string
-	addr string
-	run  id.Run
-	sub  *feed.Sub
+	id, addr string
+	run      id.Run
+	cancel   context.CancelFunc
+	done     chan struct{}
 }
 
 // NewSubService registers the subscription protocol on co, serving v's
-// live feed. The hub's instruments (subscriber gauge, push/eviction
-// counters, outbox lag) home in the coordinator's telemetry scope.
+// live feed. Its instruments (subscriber gauge, push and eviction
+// counters, lag behind the head at each push) home in the coordinator's
+// telemetry scope.
 func NewSubService(co *Coordinator, v *vault.Vault, opts ...SubOption) *SubService {
+	scope := co.Services().Obs
 	s := &SubService{
-		co:   co,
-		v:    v,
-		subs: make(map[string]*serverSub),
+		co:          co,
+		v:           v,
+		subs:        make(map[string]*serverSub),
+		subscribers: scope.Gauge(obs.MSubSubscribers),
+		pushedRecs:  scope.Counter(obs.MSubPushedRecords),
+		pushedSeals: scope.Counter(obs.MSubPushedSeals),
+		evicted:     scope.Counter(obs.MSubEvictedTotal),
+		lag:         scope.Histogram(obs.MSubLagRecords),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.hub = feed.NewHub(v, co.Services().Obs)
 	// Pushes travel the other way, on SubFeedProtocol.
 	s.RequestMux = NewRequestMux(SubProtocol, "subscription", map[string]RequestFunc{
 		KindSubOpen:  s.handleOpen,
@@ -260,28 +263,49 @@ func NewSubService(co *Coordinator, v *vault.Vault, opts ...SubOption) *SubServi
 }
 
 // Subscribers reports the live subscription count.
-func (s *SubService) Subscribers() int { return s.hub.Subscribers() }
+func (s *SubService) Subscribers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.subs)
+}
 
-// Detach tears down every subscription and cancels the vault hooks. It
-// is idempotent and is invoked by the coordinator/host when the tenant
-// detaches, so a re-enrolled successor starts with a clean plane and the
-// predecessor's subscribers stop receiving.
+// Detach ends every subscription and returns once none is pushing — at
+// worst after pushTimeout, for a push already on the wire to a
+// subscriber that stopped answering. It is idempotent and is invoked by
+// the coordinator/host when the tenant detaches, so a re-enrolled
+// successor starts with a clean plane and the predecessor's subscribers
+// stop receiving.
 func (s *SubService) Detach() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
+	subs := s.subs
 	s.subs = make(map[string]*serverSub)
+	s.subscribers.Add(-int64(len(subs)))
 	s.mu.Unlock()
-	s.hub.Close()
+	for _, ss := range subs {
+		ss.cancel()
+	}
+	for _, ss := range subs {
+		<-ss.done
+	}
 }
 
 // Close is Detach under the conventional name for org teardown paths.
 func (s *SubService) Close() error {
 	s.Detach()
 	return nil
+}
+
+// drop deregisters ss, reporting whether it was still registered.
+func (s *SubService) drop(ss *serverSub) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.subs[ss.id] != ss {
+		return false
+	}
+	delete(s.subs, ss.id)
+	s.subscribers.Add(-1)
+	return true
 }
 
 // handleOpen opens a subscription. Unless the service allows anonymous
@@ -318,58 +342,79 @@ func (s *SubService) handleOpen(_ context.Context, msg *Message) (*Message, erro
 			return nil, err
 		}
 	}
-
-	ss := &serverSub{id: req.SubID, addr: req.Addr, run: msg.Run}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrHostClosed
-	}
-	if _, dup := s.subs[req.SubID]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("protocol: subscription %q already open", req.SubID)
-	}
-	s.subs[req.SubID] = ss
-	s.mu.Unlock()
-
-	sub, err := s.hub.Subscribe(feed.Config{
-		AfterSeq:  req.AfterSeq,
-		AfterHash: req.AfterHash,
-		Seals:     req.Seals,
-		Outbox:    serverOutbox,
-		Sink:      s.sink(ss),
-	})
+	// Opened before the reply, so every commit and seal after it reaches
+	// the subscriber.
+	ctx, cancel := context.WithCancel(context.Background())
+	ss := &serverSub{id: req.SubID, addr: req.Addr, run: msg.Run, cancel: cancel, done: make(chan struct{})}
+	cur, err := feed.Open(s.v, feed.Config{AfterSeq: req.AfterSeq, AfterHash: req.AfterHash, Seals: req.Seals, Sink: s.sink(ctx, ss)})
 	if err != nil {
-		s.mu.Lock()
-		if cur, ok := s.subs[req.SubID]; ok && cur == ss {
-			delete(s.subs, req.SubID)
-		}
-		s.mu.Unlock()
+		cancel()
 		return nil, err
 	}
-	ss.sub = sub
-	go s.watch(ss)
+	s.mu.Lock()
+	switch {
+	case s.closed:
+		err = ErrHostClosed
+	case s.subs[req.SubID] != nil:
+		err = fmt.Errorf("protocol: subscription %q already open", req.SubID)
+	default:
+		s.subs[req.SubID] = ss
+		s.subscribers.Add(1)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		cancel()
+		_ = cur.Run(ctx) // returns at once, releasing the vault hooks
+		return nil, err
+	}
+	go s.serve(ctx, ss, cur)
 	head, _ := s.v.LastPosition()
 	return msg.Reply("sub-open-reply", &subOpenResp{SubID: req.SubID, HeadSeq: head})
 }
 
-// sink builds the delivery function for one subscriber: each feed event
-// becomes one acknowledged push on the feed protocol. It runs on the
-// subscription's own goroutine, so a slow or dead subscriber fills its
-// outbox and is evicted without touching the vault's commit path.
-func (s *SubService) sink(ss *serverSub) feed.Sink {
+// serve runs one subscription's cursor until the subscription is closed,
+// detached or fails. A failure — a push the subscriber did not
+// acknowledge within pushTimeout, a read or chain error — deregisters it
+// and sends the subscriber a best-effort eviction notice; it resumes from
+// its verified position.
+func (s *SubService) serve(ctx context.Context, ss *serverSub, cur *feed.Cursor) {
+	defer close(ss.done)
+	err := cur.Run(ctx)
+	if !s.drop(ss) || ctx.Err() != nil {
+		return
+	}
+	s.evicted.Inc()
+	pctx, cancel := context.WithTimeout(ctx, pushTimeout)
+	defer cancel()
+	_ = s.push(pctx, ss, KindSubEvict, &subEvictPush{SubID: ss.id, Reason: err.Error()}, nil)
+}
+
+// sink builds the delivery function for one subscription: each feed
+// event becomes one acknowledged push on the feed protocol, counted once
+// acknowledged.
+func (s *SubService) sink(ctx context.Context, ss *serverSub) feed.Sink {
 	return func(ev feed.Event) error {
-		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+		ctx, cancel := context.WithTimeout(ctx, pushTimeout)
 		defer cancel()
 		if ev.Seal != nil {
-			return s.push(ctx, ss, KindSubSeal, &subSealPush{SubID: ss.id, Entry: *ev.Seal}, nil)
+			err := s.push(ctx, ss, KindSubSeal, &subSealPush{SubID: ss.id, Entry: *ev.Seal}, nil)
+			if err == nil {
+				s.pushedSeals.Inc()
+			}
+			return err
 		}
 		frames, err := store.AppendFrameRun(nil, ev.Records)
 		if err != nil {
 			return err
 		}
 		body := &subRecordsPush{SubID: ss.id, First: ev.Records[0].Seq, Count: len(ev.Records)}
-		return s.push(ctx, ss, KindSubRecords, body, frames)
+		if err := s.push(ctx, ss, KindSubRecords, body, frames); err != nil {
+			return err
+		}
+		head, _ := s.v.LastPosition()
+		s.pushedRecs.Add(int64(len(ev.Records)))
+		s.lag.Observe(int64(head - ev.Records[len(ev.Records)-1].Seq))
+		return nil
 	}
 }
 
@@ -378,38 +423,18 @@ func (s *SubService) push(ctx context.Context, ss *serverSub, kind string, body 
 	return s.co.exchange(ctx, ss.addr, peerRequest{protocol: SubFeedProtocol, kind: kind, run: ss.run, body: body, attachment: attachment}, nil)
 }
 
-// watch deregisters a subscription when it ends and sends the subscriber
-// a best-effort eviction notice when it ended in error.
-func (s *SubService) watch(ss *serverSub) {
-	<-ss.sub.Done()
-	s.mu.Lock()
-	if cur, ok := s.subs[ss.id]; ok && cur == ss {
-		delete(s.subs, ss.id)
-	}
-	closed := s.closed
-	s.mu.Unlock()
-	err := ss.sub.Err()
-	if err == nil || closed || errors.Is(err, feed.ErrClosed) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
-	defer cancel()
-	_ = s.push(ctx, ss, KindSubEvict, &subEvictPush{SubID: ss.id, Reason: err.Error()}, nil)
-}
-
 func (s *SubService) handleClose(_ context.Context, msg *Message) (*Message, error) {
 	var req subCloseReq
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	ss, ok := s.subs[req.SubID]
-	if ok {
-		delete(s.subs, req.SubID)
-	}
+	ss := s.subs[req.SubID]
 	s.mu.Unlock()
+	ok := ss != nil && s.drop(ss)
 	if ok {
-		ss.sub.Close()
+		ss.cancel()
+		<-ss.done
 	}
 	return msg.Reply("sub-close-reply", &subCloseResp{Closed: ok})
 }

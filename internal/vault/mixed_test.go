@@ -295,15 +295,16 @@ func TestVaultMixedEncodings(t *testing.T) {
 
 	// A live subscription backfills through every format, is killed, and
 	// resumes at exactly the next record.
-	hub := feed.NewHub(v, nil)
-	defer hub.Close()
 	var mu sync.Mutex
 	var seen []uint64
+	var pos uint64
+	var posHash sig.Digest
 	collect := func(ev feed.Event) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, rec := range ev.Records {
 			seen = append(seen, rec.Seq)
+			pos, posHash = rec.Seq, rec.Hash
 		}
 		return nil
 	}
@@ -323,22 +324,29 @@ func TestVaultMixedEncodings(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	sub, err := hub.Subscribe(feed.Config{Sink: collect})
-	if err != nil {
-		t.Fatal(err)
+	// follow runs a subscription until the returned stop is called.
+	follow := func(cfg feed.Config) (stop func()) {
+		cur, err := feed.Open(v, cfg)
+		if err != nil {
+			t.Fatalf("subscribe after %d: %v", cfg.AfterSeq, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ended := make(chan error, 1)
+		go func() { ended <- cur.Run(ctx) }()
+		return func() {
+			cancel()
+			if err := <-ended; !errors.Is(err, context.Canceled) {
+				t.Fatalf("subscription after %d: %v", cfg.AfterSeq, err)
+			}
+		}
 	}
+	stop := follow(feed.Config{Sink: collect})
 	waitSeen(23)
-	pos, posHash := sub.Position()
-	sub.Close()
-	<-sub.Done()
+	stop()
 	runLive := appendRun(t, realm, v, 2)
-	sub, err = hub.Subscribe(feed.Config{AfterSeq: pos, AfterHash: posHash, Sink: collect})
-	if err != nil {
-		t.Fatalf("resume at %d: %v", pos, err)
-	}
+	stop = follow(feed.Config{AfterSeq: pos, AfterHash: posHash, Sink: collect})
 	waitSeen(25)
-	sub.Close()
-	<-sub.Done()
+	stop()
 	for i, seq := range seen {
 		if seq != uint64(i+1) {
 			t.Fatalf("feed delivered record %d at position %d (gap or duplicate)", seq, i+1)

@@ -2,6 +2,7 @@ package vault
 
 import (
 	"fmt"
+	"sort"
 
 	"nonrep/internal/sig"
 	"nonrep/internal/store"
@@ -77,31 +78,49 @@ type Iterator struct {
 // Query returns a streaming iterator over records matching q, in log
 // order: sealed segments first, then the in-memory tail as of the call.
 // A query keyed by run or transaction visits only the segments the
-// routing maps nominate, so its cost tracks the result, not the log.
+// routing maps nominate, and a cursor (AfterSeq) skips what lies behind
+// it without a copy, so a query's cost tracks the result, not the log.
 func (v *Vault) Query(q Query) *Iterator {
 	it := &Iterator{q: q, dir: v.dir}
 	var key [64]byte
 	v.mu.Lock()
+	// Segments are in sequence order: the first one ending past the
+	// cursor is the first with anything to read.
+	from := sort.Search(len(v.sealed), func(i int) bool { return v.sealed[i].Entry.LastSeq > q.AfterSeq })
 	switch {
 	case q.Run != "":
-		for _, pos := range v.runSegs[string(tableKey(key[:0], tableRuns, string(q.Run)))] {
-			it.sealed = append(it.sealed, v.sealed[pos])
-		}
+		it.sealed = v.routedFrom(v.runSegs[string(tableKey(key[:0], tableRuns, string(q.Run)))], from)
 	case q.Txn != "":
-		for _, pos := range v.txnSegs[string(tableKey(key[:0], tableTxns, string(q.Txn)))] {
-			it.sealed = append(it.sealed, v.sealed[pos])
-		}
+		it.sealed = v.routedFrom(v.txnSegs[string(tableKey(key[:0], tableTxns, string(q.Txn)))], from)
 	default:
-		it.sealed = make([]*segmentIndex, len(v.sealed))
-		copy(it.sealed, v.sealed)
+		it.sealed = append([]*segmentIndex(nil), v.sealed[from:]...)
 	}
-	for _, rec := range v.active.records {
+	tail := v.active.records
+	if len(tail) > 0 && q.AfterSeq >= tail[0].Seq {
+		tail = tail[min(q.AfterSeq+1-tail[0].Seq, uint64(len(tail))):]
+	}
+	for _, rec := range tail {
+		if q.Limit > 0 && len(it.tail) >= q.Limit {
+			break
+		}
 		if q.Matches(rec) {
 			it.tail = append(it.tail, rec)
 		}
 	}
 	v.mu.Unlock()
 	return it
+}
+
+// routedFrom resolves a routing map's segment positions (mu held),
+// keeping those at or after from.
+func (v *Vault) routedFrom(positions []int, from int) []*segmentIndex {
+	var out []*segmentIndex
+	for _, pos := range positions {
+		if pos >= from {
+			out = append(out, v.sealed[pos])
+		}
+	}
+	return out
 }
 
 // QueryAll collects every matching record.
@@ -157,25 +176,47 @@ func (it *Iterator) Record() *store.Record { return it.cur }
 // Err returns the first error the iterator hit.
 func (it *Iterator) Err() error { return it.err }
 
-// loadSegment reads a sealed segment's matches: by direct offset reads
-// when the posting lists apply, by sequential scan otherwise. Every
-// record served from disk is verified against the seal — its hash is
-// derived from its bytes and chained to the pinned hash of its window
-// (keyed reads) or the full record chain and content digest (scans) — so
-// tampered sealed evidence is reported as broken, never returned as
-// authentic.
-func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
-	// A segment wholly behind the resume cursor is skipped without a
-	// read; the cursor makes repeated paging queries cost the remainder.
-	if idx.Entry.LastSeq <= it.q.AfterSeq {
-		return nil, nil
+// cursorRange nominates the records a cursor read — a query with no
+// key and no time bounds — takes from a segment its cursor or its limit
+// cuts, so a page read from the middle of a sealed segment decodes the
+// windows it covers rather than the whole segment. A read of the whole
+// segment is left to the scan (false).
+func (it *Iterator) cursorRange(idx *segmentIndex) ([]uint64, bool) {
+	q := it.q
+	if !q.From.IsZero() || !q.To.IsZero() {
+		return nil, false
 	}
+	first, last := max(q.AfterSeq+1, idx.Entry.FirstSeq), idx.Entry.LastSeq
+	if q.Limit > 0 {
+		last = min(last, first+uint64(q.Limit-it.emitted)-1)
+	}
+	if first == idx.Entry.FirstSeq && last == idx.Entry.LastSeq {
+		return nil, false
+	}
+	seqs := make([]uint64, 0, last-first+1)
+	for seq := first; seq <= last; seq++ {
+		seqs = append(seqs, seq)
+	}
+	return seqs, true
+}
+
+// loadSegment reads a sealed segment's matches: by direct offset reads
+// when the posting lists apply or a cursor cuts the segment, by
+// sequential scan otherwise. Every record served from disk is verified
+// against the seal — its hash is derived from its bytes and chained to
+// the pinned hash of its window (offset reads) or the full record chain
+// and content digest (scans) — so tampered sealed evidence is reported
+// as broken, never returned as authentic.
+func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if !inTimeBounds(it.q, idx.Entry) {
 		return nil, nil
 	}
 	seqs, usedIndex, err := candidates(it.q, idx)
 	if err != nil {
 		return nil, err
+	}
+	if !usedIndex {
+		seqs, usedIndex = it.cursorRange(idx)
 	}
 	if usedIndex && len(seqs) == 0 {
 		return nil, nil

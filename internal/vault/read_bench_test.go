@@ -206,3 +206,50 @@ func BenchmarkVaultTailReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRecords), "ns/record")
 }
+
+// BenchmarkVaultTailQuery: the read a cursor makes on every wake once it
+// is current — an empty page at the head of a vault with a hundred
+// sealed segments and a full unsealed tail of the default segment size.
+// It should cost the result (nothing), not a walk of the segments or the
+// tail.
+func BenchmarkVaultTailQuery(b *testing.B) {
+	const sealedRecords, sealed, tail = 256, 100, 4095
+	realm := testpki.MustRealm(org)
+	tok := newToken(b, realm, id.NewRun(), 1)
+	fill := func(v *vault.Vault, records, group int) {
+		entries := make([]store.Entry, group)
+		for i := range entries {
+			entries[i] = store.Entry{Dir: store.Generated, Token: tok}
+		}
+		for ; records > 0; records -= group {
+			if _, err := v.AppendGroup(entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	dir := b.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(sealedRecords), vault.WithoutSync())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill(v, sealed*sealedRecords, sealedRecords/4)
+	if err := v.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if v, err = vault.Open(dir, realm.Clock, vault.WithoutSync()); err != nil {
+		b.Fatal(err)
+	}
+	defer v.Close()
+	fill(v, tail, 63)
+	head, _ := v.LastPosition()
+	if n := len(v.Manifest()); n != sealed || head != sealed*sealedRecords+tail {
+		b.Fatalf("%d sealed segments and %d records, want %d and %d", n, head, sealed, sealed*sealedRecords+tail)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := v.QueryAll(vault.Query{AfterSeq: head, Limit: 512})
+		if err != nil || len(recs) != 0 {
+			b.Fatalf("read at the head: %d records, %v", len(recs), err)
+		}
+	}
+}

@@ -367,8 +367,9 @@ type (
 
 // Feed-ending errors (Feed.Err after the event channel closes).
 var (
-	// ErrSubEvicted: the publisher evicted this subscriber (slow consumer
-	// or shutdown); reopen from Feed.Position.
+	// ErrSubEvicted: the publisher ended this subscription (a push went
+	// unacknowledged past its timeout, or its read failed); a slow
+	// consumer lags instead. Reopen from Feed.Position.
 	ErrSubEvicted = protocol.ErrSubEvicted
 	// ErrFeedOverflow: the local consumer stopped draining Feed.Events.
 	ErrFeedOverflow = protocol.ErrFeedOverflow

@@ -17,7 +17,7 @@
 # the binary record codec — the bytes every other guarantee rests on —
 # and the evidence and sig floors the token codec and the signatures it
 # rebuilds (a batch-signed token borrowing its sibling's); the feed floor
-# guards the subscription hub live feeds fan out through; the georep and
+# guards the cursor every live subscription reads the vault through; the georep and
 # blob floors guard the quorum/archival plane region-loss survival rests
 # on; the sharing floor guards the one coordination round every
 # shared-information change, single-object or atomic, runs through; the

@@ -368,9 +368,19 @@ func TestReplicationTelemetryStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy := caller.Proxy("urn:org:primary", "urn:org:primary/orders2", nil)
-	for i := 0; i < 12; i++ {
+	const calls = 12
+	for i := 0; i < calls; i++ {
 		if _, err := proxy.Call(context.Background(), "Place", fmt.Sprintf("m-%d", i)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// A call returns before its receipt reaches the primary (it travels
+	// one way), so the primary may commit receipts after a Flush has read
+	// the vault (TestFlushPrecedesLateReceipt). Flush once it holds them
+	// all: four records a call.
+	for deadline := time.Now().Add(30 * time.Second); primary.Vault().Len() < 4*calls; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the primary holds %d records after %d calls", primary.Vault().Len(), calls)
 		}
 	}
 	if err := primary.Georep().Flush(context.Background()); err != nil {
@@ -423,5 +433,112 @@ func ordersDescriptor2() nonrep.Descriptor {
 		Methods: map[string]nonrep.MethodPolicy{
 			"Place": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
 		},
+	}
+}
+
+// TestSubscriptionTelemetry: a publisher counts its subscription plane
+// where it pushes. After a live subscription delivers every record of a
+// few calls and closes, /metricsz shows each record and seal pushed once,
+// no subscriber left, no eviction, and one lag sample per record push.
+func TestSubscriptionTelemetry(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain(nonrep.WithTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	const pub = "urn:org:sub-metrics"
+	publisher, err := domain.AddOrg(pub, nonrep.WithVault(t.TempDir(), nonrep.VaultSegmentRecords(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := publisher.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := publisher.Serve()
+	defer srv.Close()
+	auditor, err := domain.AddOrg("urn:org:sub-metrics-auditor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := domain.AddOrg("urn:org:sub-metrics-caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsSrv, err := domain.Telemetry().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer obsSrv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	feed, err := auditor.Subscribe(ctx, pub, nonrep.WatchConfig{Seals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 5
+	proxy := caller.Proxy(pub, ordersURI, nil)
+	for i := 0; i < calls; i++ {
+		if _, err := proxy.Call(ctx, "Place", fmt.Sprintf("m-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every call leaves four records at the publisher, the subscription
+	// one more (its sub-open token); the receipts land after the calls.
+	const records = 4*calls + 1
+	var pushes, seals int64
+	for seq := uint64(0); seq < records; {
+		select {
+		case ev, ok := <-feed.Events():
+			if !ok {
+				t.Fatalf("feed ended at record %d: %v", seq, feed.Err())
+			}
+			if ev.Seal != nil {
+				seals++
+				continue
+			}
+			pushes++
+			seq = ev.Records[len(ev.Records)-1].Seq
+		case <-ctx.Done():
+			t.Fatalf("feed stopped at record %d of %d", seq, records)
+		}
+	}
+	if head, _ := publisher.Vault().LastPosition(); head != records {
+		t.Fatalf("publisher holds %d records, want %d", head, records)
+	}
+	feed.Close()
+	for publisher.Subscribers() != 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the publisher still serves the closed subscription")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var snap obs.Snapshot
+	fetchJSON(t, "http://"+obsSrv.Addr()+"/metricsz?format=json", &snap)
+	for name, want := range map[string]int64{
+		obs.MSubPushedRecords: records,
+		obs.MSubPushedSeals:   seals,
+		obs.MSubEvictedTotal:  0,
+	} {
+		if got := snap.Counter(name, pub); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if seals == 0 || seals != int64(len(publisher.Vault().Manifest())) {
+		t.Errorf("the feed carried %d seals of the %d made", seals, len(publisher.Vault().Manifest()))
+	}
+	if got := snap.Gauge(obs.MSubSubscribers, pub); got != 0 {
+		t.Errorf("%s = %d after the subscription closed, want 0", obs.MSubSubscribers, got)
+	}
+	var lag *obs.HistogramPoint
+	for i, h := range snap.Histograms {
+		if h.Name == obs.MSubLagRecords && h.Tenant == pub {
+			lag = &snap.Histograms[i]
+		}
+	}
+	if lag == nil || lag.Count != pushes || lag.Sum < 0 || lag.Sum > pushes*records {
+		t.Errorf("%s = %+v, want %d samples of the publisher's lag", obs.MSubLagRecords, lag, pushes)
 	}
 }
