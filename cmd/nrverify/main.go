@@ -34,10 +34,12 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records and its index are stored in ("binary" is segment format 7,
-// "binary-v6" to "binary-v1" and "json" the formats before it), the bytes
-// each takes per record, and how many frames are plain and how many
-// follow a leader (with the
+// records are stored in ("binary" is segment format 7, "binary-v6" to
+// "binary-v1" and "json" the formats before it) and its index ("binary"
+// is index version 4, "binary-v3", "binary-v2" and "json" the versions
+// before it), the bytes each takes per record — of the index's, those
+// of its pinned hashes and of its offsets — and how many frames are
+// plain and how many follow a leader (with the
 // bytes a frame of each sort takes), then the vault's total and how many
 // followers borrow their signature from the frame before them, then per
 // token kind the records, their mean frame and the mean bytes their notes
@@ -566,10 +568,10 @@ func sizesVault(dir string) int {
 		}
 		return float64(bytes) / float64(records)
 	}
-	fmt.Printf("%-8s %-7s %-10s %8s %12s %-9s %12s %10s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
-		"index", "index B/rec", "pin B/rec", "plain", "B/plain", "followers", "B/follower")
+	fmt.Printf("%-8s %-7s %-10s %8s %12s %-9s %12s %10s %13s %8s %9s %10s %10s\n", "segment", "state", "format", "records", "frame B/rec",
+		"index", "index B/rec", "pin B/rec", "offset B/rec", "plain", "B/plain", "followers", "B/follower")
 	var records int
-	var segBytes, idxBytes, pinBytes, plainBytes int64
+	var segBytes, idxBytes, pinBytes, offsetBytes, plainBytes int64
 	var frames store.FrameCount
 	for _, s := range segs {
 		state, index := "sealed", s.IndexFormat
@@ -580,13 +582,14 @@ func sizesVault(dir string) int {
 			index = "-"
 		}
 		plain := s.Records - s.Followers
-		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-9s %12.1f %10.1f %8d %9.1f %10d %10.1f\n", s.Segment, state, s.Format, s.Records,
-			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records), perRecord(s.PinBytes(), s.Records),
-			plain, perRecord(s.PlainBytes, plain), s.Followers, perRecord(s.FollowerBytes, s.Followers))
+		fmt.Printf("%-8d %-7s %-10s %8d %12.1f %-9s %12.1f %10.1f %13.1f %8d %9.1f %10d %10.1f\n", s.Segment, state, s.Format, s.Records,
+			perRecord(s.SegmentBytes, s.Records), index, perRecord(s.IndexBytes, s.Records), perRecord(s.PinBytes, s.Records),
+			perRecord(s.OffsetBytes, s.Records), plain, perRecord(s.PlainBytes, plain), s.Followers, perRecord(s.FollowerBytes, s.Followers))
 		records += s.Records
 		segBytes += s.SegmentBytes
 		idxBytes += s.IndexBytes
-		pinBytes += s.PinBytes()
+		pinBytes += s.PinBytes
+		offsetBytes += s.OffsetBytes
 		plainBytes += s.PlainBytes
 		frames.Add(s.FrameCount)
 	}
@@ -594,6 +597,7 @@ func sizesVault(dir string) int {
 		records, len(segs), segBytes, idxBytes, perRecord(segBytes, records), perRecord(idxBytes, records),
 		perRecord(segBytes+idxBytes, records))
 	fmt.Printf("pins: %d index bytes of pinned hashes = %.1f B/record\n", pinBytes, perRecord(pinBytes, records))
+	fmt.Printf("offsets: %d index bytes of offsets = %.1f B/record\n", offsetBytes, perRecord(offsetBytes, records))
 	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B, %d of them borrowing a signature at %.1f B\n",
 		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.Followers,
 		perRecord(frames.FollowerBytes, frames.Followers), frames.SigBorrowers, perRecord(frames.SigBorrowerBytes, frames.SigBorrowers))

@@ -190,17 +190,28 @@ func TestBundleReportsBindingFaults(t *testing.T) {
 }
 
 // TestSizesReportsIndexPins: -sizes names each sealed segment's index
-// version and what its pinned hashes take — one per four records under
-// the version-3 index this build seals, one per record under the
-// version-2 index of the builds before it.
+// version and what its pinned hashes and its offsets take — a hash and
+// an offset per window of four records counted from the vault's sequence
+// numbers under the version-4 index this build seals, a hash per four
+// records counted from the segment's first and an offset per record
+// under version 3, a hash and an offset per record under version 2.
 func TestSizesReportsIndexPins(t *testing.T) {
 	for _, c := range []struct {
-		fixture, index, pinsPerRecord, total string
+		fixture string
+		seal    bool // seal the copy's tail first
+		segment string
+		index   string
+		pins    string // B/rec
+		offsets string // B/rec
+		total   string
 	}{
-		// Segment 1 of v6-vault: 11 records under 3 pins.
-		{"v6-vault", "binary", "8.7", "pins: 192 index bytes of pinned hashes = 8.0 B/record"},
-		// Segment 1 of v5-vault: 8 records under 8 pins.
-		{"v5-vault", "binary-v2", "32.0", "pins: 512 index bytes of pinned hashes = 25.6 B/record"},
+		// Segment 1 of v6-vault: 11 records under 3 pins and 11 offsets.
+		{"v6-vault", false, "1", "binary-v3", "8.7", "4.0", "pins: 192 index bytes of pinned hashes = 8.0 B/record"},
+		// Segment 1 of v5-vault: 8 records under 8 pins and 8 offsets.
+		{"v5-vault", false, "1", "binary-v2", "32.0", "4.0", "pins: 512 index bytes of pinned hashes = 25.6 B/record"},
+		// v7-vault's one-record tail, seq 24, sealed by this build: the
+		// last record of window [21,24], under 1 pin and 1 offset.
+		{"v7-vault", true, "3", "binary", "32.0", "4.0", "offsets: 96 index bytes of offsets = 4.0 B/record"},
 	} {
 		src := filepath.Join("..", "..", "internal", "vault", "testdata", c.fixture)
 		dir := t.TempDir()
@@ -217,15 +228,28 @@ func TestSizesReportsIndexPins(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if c.seal {
+			v, err := vault.Open(dir, clock.Real{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.SealNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		code, out := captured(t, func() int { return sizesVault(dir) })
 		var row []string
 		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "1 ") {
+			if strings.HasPrefix(line, c.segment+" ") {
 				row = strings.Fields(line)
 			}
 		}
-		if code != 0 || len(row) < 8 || row[5] != c.index || row[7] != c.pinsPerRecord || !strings.Contains(out, c.total) {
-			t.Fatalf("%s: exit %d, segment 1 row %q, want index %s at %s pin B/rec and %q\n%s", c.fixture, code, row, c.index, c.pinsPerRecord, c.total, out)
+		if code != 0 || len(row) < 9 || row[5] != c.index || row[7] != c.pins || row[8] != c.offsets || !strings.Contains(out, c.total) {
+			t.Fatalf("%s: exit %d, segment %s row %q, want index %s at %s pin B/rec, %s offset B/rec and %q\n%s",
+				c.fixture, code, c.segment, row, c.index, c.pins, c.offsets, c.total, out)
 		}
 	}
 }

@@ -253,7 +253,9 @@ func (blobEcho) Echo(_ context.Context, b []byte) ([]byte, error) { return b, ni
 // and one pinned hash per record in the index about 1 550; one per
 // window of four records brought it to about 1 410. Since segment format
 // 7 the run's later commits lean on its request origin, which leads the
-// run though the job's journal record comes first: about 1 285.
+// run though the job's journal record comes first: about 1 285; since
+// index format 4 stores one offset per window, not per record, about
+// 1 270.
 func TestDurableCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
 	domain, err := nonrep.NewDomain()

@@ -988,6 +988,38 @@ func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Dig
 	}
 }
 
+// FrameEnd returns where the record that starts at data[start:] ends in
+// the given encoding: past the length its frame's uvarint prefix names,
+// or past its line's newline for JSON. It reads nothing else of the
+// record, so a keyed read finds a record's slot by walking from a frame
+// boundary it knows; a record that runs past data is an error, never a
+// torn tail — data is a sealed segment.
+func FrameEnd(data []byte, start int64, enc Encoding) (int64, error) {
+	if start < 0 || start >= int64(len(data)) {
+		return 0, fmt.Errorf("store: %w: record slot outside the segment", canon.ErrBinary)
+	}
+	rest := data[start:]
+	switch {
+	case enc == EncJSON:
+		nl := bytes.IndexByte(rest, '\n')
+		if nl < 0 {
+			return 0, fmt.Errorf("store: %w: record line runs past the segment", canon.ErrBinary)
+		}
+		return start + int64(nl) + 1, nil
+	case enc.framed():
+		_, n, err := frameBody(rest)
+		if err != nil {
+			return 0, err
+		}
+		if n == 0 {
+			return 0, fmt.Errorf("store: %w: record frame runs past the segment", canon.ErrBinary)
+		}
+		return start + n, nil
+	default:
+		return 0, fmt.Errorf("store: record frame: unknown encoding")
+	}
+}
+
 // DecodeSegmentData streams the well-formed record prefix of a segment
 // file's contents to fn along with each record's frame length, first
 // detecting the encoding. It returns the detected encoding, the byte

@@ -8,3 +8,7 @@ func WithMaxBatch(n int) Option {
 
 // Queued reports how many append requests wait for the committer.
 func (v *Vault) Queued() int { return len(v.appendC) }
+
+// Windows reports how many index windows the iterator's keyed reads of
+// sealed segments decoded.
+func (it *Iterator) Windows() int { return it.windows }

@@ -280,8 +280,8 @@ func checkTailSealedAsItStands(t *testing.T, fx fixtureVault) {
 	if err != nil || len(sizes) != fx.sealed+2 {
 		t.Fatalf("Sizes = %+v, err %v", sizes, err)
 	}
-	if s := sizes[fx.sealed]; s.Format != fx.enc.String() || !s.Sealed || s.Records != fx.tail {
-		t.Fatalf("the sealed %v tail reported as %+v", fx.enc, s)
+	if s := sizes[fx.sealed]; s.Format != fx.enc.String() || !s.Sealed || s.Records != fx.tail || s.IndexFormat != "binary" {
+		t.Fatalf("the sealed %v tail reported as %+v, want it under this build's index", fx.enc, s)
 	}
 	if s := sizes[fx.sealed+1]; s.Format != "binary" || s.Sealed || s.Records != 3 || s.Followers != 2 || s.FollowerBytes/2 >= (s.SegmentBytes-s.FollowerBytes)*2/3 {
 		t.Fatalf("the new tail reported as %+v, want two followers each under two thirds of the plain frame", s)
@@ -308,6 +308,9 @@ func checkTailSealedAsItStands(t *testing.T, fx fixtureVault) {
 	}
 	if err := rs.Receive(sourceOrg, pkg); err != nil {
 		t.Fatal(err)
+	}
+	if src, dst := dirDigests(t, dir), dirDigests(t, rs.Dir(sourceOrg)); dst[idxFileName(tailSeg)] != src[idxFileName(tailSeg)] {
+		t.Fatalf("the replica derived another index for the sealed %v tail", fx.enc)
 	}
 	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())
 	defer replica.Close()

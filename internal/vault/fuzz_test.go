@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"nonrep/internal/canon"
+	"nonrep/internal/clock"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -344,13 +345,16 @@ func FuzzReplicaReceive(f *testing.F) {
 	})
 }
 
-// indexFuzzVault is a checked-in vault FuzzIndexOpen attacks through
-// the index of its first sealed segment: testdata/v2-vault, one sealed
-// segment of six records — a three-record run, a transaction-linked
-// three-record run — under a version-2 index, or testdata/v6-vault, two
-// sealed segments of eleven and twelve records and a one-record tail
-// under version-3 indexes, runs of four records, every second one
-// transaction-linked, straddling windows. RUNS.json names the runs.
+// indexFuzzVault is a vault FuzzIndexOpen attacks through the index of
+// one of its sealed segments: testdata/v2-vault, one sealed segment of
+// six records — a three-record run, a transaction-linked three-record
+// run — under a version-2 index; testdata/v6-vault, two sealed segments
+// of eleven and twelve records and a one-record tail under version-3
+// indexes, runs of four records, every second one transaction-linked,
+// straddling windows; and the records of testdata/v7-vault sealed again
+// at the same seqs under version-4 indexes, whose second segment (seqs
+// 12 to 23) opens and closes with a partial window. RUNS.json names the
+// runs.
 type indexFuzzVault struct {
 	dir   string
 	entry ManifestEntry
@@ -363,15 +367,15 @@ type indexFuzzVault struct {
 	hashes map[sig.Digest]bool // every authentic record of the segment
 }
 
-func loadIndexFuzzVault(tb testing.TB, name string) *indexFuzzVault {
+func loadIndexFuzzVault(tb testing.TB, dir string, seg int) *indexFuzzVault {
 	tb.Helper()
-	fv := &indexFuzzVault{dir: filepath.Join("testdata", name), hashes: make(map[sig.Digest]bool)}
+	fv := &indexFuzzVault{dir: dir, hashes: make(map[sig.Digest]bool)}
 	entries, err := readManifestFile(filepath.Join(fv.dir, manifestName))
-	if err != nil || len(entries) == 0 {
+	if err != nil || len(entries) < seg {
 		tb.Fatalf("fixture manifest: %d entries, err %v", len(entries), err)
 	}
-	fv.entry = entries[0]
-	if fv.idx, err = os.ReadFile(idxPath(fv.dir, 1)); err != nil {
+	fv.entry = entries[seg-1]
+	if fv.idx, err = os.ReadFile(idxPath(fv.dir, fv.entry.Segment)); err != nil {
 		tb.Fatal(err)
 	}
 	meta, err := os.ReadFile(filepath.Join(fv.dir, "RUNS.json"))
@@ -390,24 +394,74 @@ func loadIndexFuzzVault(tb testing.TB, name string) *indexFuzzVault {
 	return fv
 }
 
-// hostileIndexes derives the structural attacks on a valid index file:
-// each mutation keeps the file plausible enough to get past the header.
-// Against a version-3 index it adds the attacks on its window pins.
-func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
+// resealedV7Vault appends the records of testdata/v7-vault, in order and
+// at its time, to a fresh vault under dir, sealing where that vault was
+// sealed — after seqs 11 and 23 — so the segment files come out byte for
+// byte the same and only the indexes are this build's. RUNS.json is
+// copied beside them.
+func resealedV7Vault(tb testing.TB, dir string) {
 	tb.Helper()
-	good := fv.idx
-	stride, magic := indexLayout(fv.entry.IndexFormat)
-	payload, err := indexFilePayload(good, magic)
+	src, err := Open(filepath.Join("testdata", "v7-vault"), nil, WithReadOnly())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ix, err := parseIndexPayload(payload, stride)
+	recs, err := src.QueryAll(Query{})
+	src.Close()
+	if err != nil || len(recs) != 24 {
+		tb.Fatalf("v7-vault: %d records, err %v", len(recs), err)
+	}
+	v, err := Open(dir, clock.NewManual(recs[0].At))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, rec := range recs {
+		if _, err := v.AppendGroup([]store.Entry{{Dir: rec.Direction, Token: rec.Token, Note: rec.Note}}); err != nil {
+			tb.Fatal(err)
+		}
+		if rec.Seq == 11 || rec.Seq == 23 {
+			if err := v.SealNow(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := v.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range []string{"RUNS.json", "seg-00000001.log", "seg-00000002.log"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "v7-vault", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if name == "RUNS.json" {
+			if err := os.WriteFile(filepath.Join(dir, name), want, 0o600); err != nil {
+				tb.Fatal(err)
+			}
+		} else if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			tb.Fatalf("resealed %s differs from v7-vault's (err %v)", name, err)
+		}
+	}
+}
+
+// hostileIndexes derives the structural attacks on a valid index file:
+// each mutation keeps the file plausible enough to get past the header.
+// Against a version-3 or version-4 index it adds the attacks on its
+// window pins, and against a version-4 index those on its window
+// offsets.
+func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
+	tb.Helper()
+	good := fv.idx
+	l := indexLayouts[fv.entry.IndexFormat]
+	payload, err := indexFilePayload(good, l.magic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := parseIndexPayload(payload, l)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	base := len(good) - len(payload)
 	offsetsAt := base + indexFixedLen
-	hashesAt := offsetsAt + ix.count*ix.offWidth
+	hashesAt := offsetsAt + len(ix.offsets)
 	runsAt := hashesAt + len(ix.hashes) // runs table: keys, blobLen, dir, blob
 	dirAt := runsAt + 8
 	blobAt := dirAt + len(ix.tables[tableRuns].dir)
@@ -456,16 +510,16 @@ func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
 		"truncated-header":  good[:base-3],
 		"legacy-json-index": []byte(`{"entry":{"segment":1},"size":10,"offsets":[4],"hashes":[]}`),
 	}
-	if stride == 1 {
+	if l.stride == 1 {
 		return seeds
 	}
-	// A version-3 index: its magic over a pin for every record, pins cut
-	// short, a pin moved to the window after its own, and a count that
-	// leaves another number of records in the last window.
+	// Windowed: its magic over a pin for every record, pins cut short, a
+	// pin moved to the window after its own, and a count that leaves
+	// another number of records in the last window.
 	pins := len(ix.hashes) / sig.DigestSize
 	perRecord := make([]byte, 0, ix.count*sig.DigestSize)
 	for i := 0; i < ix.count; i++ {
-		perRecord = append(perRecord, ix.hashes[sig.DigestSize*min(i/stride, pins-1):][:sig.DigestSize]...)
+		perRecord = append(perRecord, ix.hashes[sig.DigestSize*min(ix.window(i), pins-1):][:sig.DigestSize]...)
 	}
 	seeds["pin-per-record"] = append(append(append([]byte(nil), good[:hashesAt]...), perRecord...), good[runsAt:]...)
 	seeds["pins-truncated"] = append(append([]byte(nil), good[:runsAt-sig.DigestSize]...), good[runsAt:]...)
@@ -476,29 +530,64 @@ func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
 	seeds["count-off-by-one"] = mutate(func(b []byte) {
 		binary.LittleEndian.PutUint32(b[base+16:], uint32(ix.count-1))
 	})
+	// The other windowed version's magic over this one's payload: a
+	// version-4 index read with the version-3 layout and the reverse.
+	other := indexLayouts[indexFormatAligned].magic
+	if l.aligned {
+		other = indexLayouts[indexFormatWindowed].magic
+	}
+	seeds["other-window-version"] = mutate(func(b []byte) { copy(b, other) })
+	if !l.aligned {
+		return seeds
+	}
+	// Aligned: a window's offset past the segment, one off a frame
+	// boundary, the first window's offset taken for a record's, and
+	// offsets and pins for windows counted from the segment's first record
+	// — one fewer where the first window is partial.
+	seeds["window-offset-past-the-segment"] = mutate(func(b []byte) {
+		binary.LittleEndian.PutUint32(b[offsetsAt+4:], uint32(ix.size)+1)
+	})
+	seeds["window-offset-off-a-frame"] = mutate(func(b []byte) {
+		binary.LittleEndian.PutUint32(b[offsetsAt+4:], uint32(ix.offset(1))+1)
+	})
+	seeds["window-offset-first-frame"] = mutate(func(b []byte) {
+		binary.LittleEndian.PutUint32(b[offsetsAt+4:], uint32(ix.offset(0)))
+	})
+	relative := (ix.count + ix.stride - 1) / ix.stride
+	seeds["windows-from-the-segment"] = append(append(append(append([]byte(nil), good[:offsetsAt]...),
+		good[offsetsAt+len(ix.offsets)-relative*ix.offWidth:hashesAt]...),
+		good[runsAt-relative*sig.DigestSize:runsAt]...), good[runsAt:]...)
 	return seeds
 }
 
 // FuzzIndexOpen feeds arbitrary bytes to the vault as a sealed segment's
-// index file — under the version-3 seal of testdata/v6-vault when they
-// open with the version-3 magic, under the version-2 seal of
-// testdata/v2-vault otherwise. Two layers hold: behind the seal's pinned
-// digest a hostile index is simply rebuilt — the opened vault serves
-// exactly the true records; and with the pin bypassed (the parsed view
-// handed straight to the keyed-read path) it can make reads fail with
-// ErrSealBroken but never panic, never allocate out of proportion to its
-// size, and never get a record served that is not an authentic record
-// matching the query.
+// index file — under the version-4 seal of the resealed v7-vault when
+// they open with the version-4 magic, under the version-3 seal of
+// testdata/v6-vault with the version-3 magic, under the version-2 seal
+// of testdata/v2-vault otherwise. Two layers hold: behind the seal's
+// pinned digest a hostile index is simply rebuilt — the opened vault
+// serves exactly the true records; and with the pin bypassed (the parsed
+// view handed straight to the keyed-read path) it can make reads fail
+// with ErrSealBroken but never panic, never allocate out of proportion to
+// its size, and never get a record served that is not an authentic
+// record matching the query.
 func FuzzIndexOpen(f *testing.F) {
-	v2, v6 := loadIndexFuzzVault(f, "v2-vault"), loadIndexFuzzVault(f, "v6-vault")
-	for _, fv := range []*indexFuzzVault{v2, v6} {
+	resealed := f.TempDir()
+	resealedV7Vault(f, resealed)
+	v2 := loadIndexFuzzVault(f, filepath.Join("testdata", "v2-vault"), 1)
+	v6 := loadIndexFuzzVault(f, filepath.Join("testdata", "v6-vault"), 1)
+	v7 := loadIndexFuzzVault(f, resealed, 2)
+	for _, fv := range []*indexFuzzVault{v2, v6, v7} {
 		for _, seed := range hostileIndexes(f, fv) {
 			f.Add(seed)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fv := v2
-		if bytes.HasPrefix(data, []byte("NRX\x03")) {
+		switch {
+		case bytes.HasPrefix(data, []byte(indexLayouts[indexFormatAligned].magic)):
+			fv = v7
+		case bytes.HasPrefix(data, []byte(indexLayouts[indexFormatWindowed].magic)):
 			fv = v6
 		}
 		// Layer 1: through Open, where the seal pins the index.
@@ -508,7 +597,7 @@ func FuzzIndexOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, file := range files {
-			if name := file.Name(); name != "RUNS.json" && name != filepath.Base(idxPath("", 1)) {
+			if name := file.Name(); name != "RUNS.json" && name != "LOCK" && name != filepath.Base(idxPath("", fv.entry.Segment)) {
 				b, err := os.ReadFile(filepath.Join(fv.dir, name))
 				if err != nil {
 					t.Fatal(err)
@@ -518,7 +607,7 @@ func FuzzIndexOpen(f *testing.F) {
 				}
 			}
 		}
-		if err := os.WriteFile(idxPath(dir, 1), data, 0o600); err != nil {
+		if err := os.WriteFile(idxPath(dir, fv.entry.Segment), data, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		v, err := Open(dir, nil, WithReadOnly())
@@ -539,12 +628,12 @@ func FuzzIndexOpen(f *testing.F) {
 		// Layer 2: the parser and the keyed-read path on their own.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		stride, magic := indexLayout(fv.entry.IndexFormat)
-		payload, err := indexFilePayload(data, magic)
+		l := indexLayouts[fv.entry.IndexFormat]
+		payload, err := indexFilePayload(data, l.magic)
 		if err != nil {
 			return
 		}
-		ix, err := parseIndexPayload(payload, stride)
+		ix, err := parseIndexPayload(payload, l)
 		if err != nil {
 			if !errors.Is(err, ErrSealBroken) {
 				t.Fatalf("parse error is not ErrSealBroken: %v", err)

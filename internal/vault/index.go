@@ -4,20 +4,34 @@
 //	file     magic "NRX" + version | uvarint n | the seal's manifest entry,
 //	         canonical JSON, n bytes | payload
 //	payload  u64 firstSeq | u64 size | u32 count | u8 offWidth | 3 × 0
-//	         offsets  count × offWidth   frame start offsets in the segment
-//	         hashes   ⌈count/stride⌉ × 32 the chained hash of the last
-//	                                     record of each window of stride
+//	         offsets  windows × offWidth  where a read of each window
+//	                                      starts: the frame before it, or
+//	                                      for the first window its own
+//	                                      first frame (count × offWidth
+//	                                      frame starts before version 4)
+//	         hashes   windows × 32        the chained hash of the last
+//	                                      record of each window
 //	         4 key tables: runs, transactions, parties, kinds
 //	table    u32 keys | u32 blobLen | keys × u32 entry offsets | blob
 //	entry    uvarint keyLen | key | uvarint postings | delta varints
 //
-// The stride follows from the seal's IndexFormat, never from a field of
-// the file, whose magic must name the same version: version 3 (IndexFormat 3) pins one hash per window of
-// four records — positions 3, 7, 11, … and the segment's last record —
-// and version 2 (IndexFormat 2, and the binary rebuild of a legacy
-// index) one per record. A keyed read decodes the whole window of a
-// record it serves, chained from the pin before the window, and holds
-// the window's last hash to its pin (Iterator.loadSegment).
+// The windows follow from the seal's IndexFormat (indexLayout), never
+// from a field of the file, whose magic must name the same version.
+// Version 4 (IndexFormat 4, what this build seals) counts windows of four
+// from the vault's sequence numbers: record seq s lies in window
+// ⌊(s−1)/4⌋, so a segment's first and last windows may be partial and a
+// run of four aligned records lies in one window wherever the seals
+// fall. It pins the hash of every record with s ≡ 0 (mod 4) and of the
+// segment's last record, and stores one offset per window. Version 3
+// (IndexFormat 3) counts windows of four from the segment's first record
+// and version 2 (IndexFormat 2, and the binary rebuild of a legacy index)
+// pins every record; both store one offset per record. A keyed read
+// decodes the whole window of a record it serves, walking frames by
+// their length prefixes (JSON lines by their newlines) from the frame
+// before the window — the mate of the window's first record — chained
+// from the pin before the window, and holds the window's last hash to
+// its pin (Iterator.loadSegment). The segment's first window chains from
+// the Prev its first frame stores.
 //
 // All integers are little-endian. Offsets and hashes are fixed-width
 // arrays addressed in place; a table's keys are sorted bytewise (run and
@@ -56,30 +70,97 @@ const (
 	indexFormatBinary = 2
 	// indexFormatWindowed is the ManifestEntry.IndexFormat of seals whose
 	// Index digest is the SHA-256 of a version-3 binary payload: one
-	// pinned hash per window of windowStride records.
+	// pinned hash per window of windowStride records counted from the
+	// segment's first record. Read, never sealed.
 	indexFormatWindowed = 3
+	// indexFormatAligned is the ManifestEntry.IndexFormat of seals whose
+	// Index digest is the SHA-256 of a version-4 binary payload: windows
+	// of windowStride records counted from the vault's sequence numbers,
+	// one pinned hash and one offset each. What this build seals.
+	indexFormatAligned = 4
 	// windowStride is how many records share one pinned hash in a
-	// version-3 index.
+	// version-3 or version-4 index.
 	windowStride = 4
 
 	indexFixedLen = 24 // firstSeq, size, count, offWidth, padding
 )
 
-// indexLayout returns the stride and the file magic of the binary index
-// a seal of the given IndexFormat pins: version 3 under
-// indexFormatWindowed, else version 2 — a legacy seal's index is rebuilt
-// as version 2, whose per-record hashes the legacy digest covers, and
-// verify refuses a format it does not know. The magic's first byte tells
-// a binary index from a legacy JSON one ('{').
-func indexLayout(format uint8) (stride int, magic string) {
-	if format == indexFormatWindowed {
-		return windowStride, "NRX\x03"
-	}
-	return 1, "NRX\x02"
+// layout is the shape of one binary index version: its file magic, how
+// many records a window holds, and whether the windows are aligned —
+// counted from the vault's sequence numbers, one offset each — or
+// counted from the segment's first record, with an offset per record.
+type layout struct {
+	magic   string
+	stride  int
+	aligned bool
 }
 
-// pinCount is how many hashes an index of count records at stride pins.
-func pinCount(count, stride int) int { return (count + stride - 1) / stride }
+// indexLayouts lists the IndexFormat of every seal this build reads
+// with the layout of the binary index it pins: version 4 under
+// indexFormatAligned, version 3 under indexFormatWindowed, version 2
+// under indexFormatBinary and under a legacy seal (0), whose index is
+// rebuilt as version 2 — the per-record hashes its digest covers. The
+// magic's first byte tells a binary index from a legacy JSON one ('{').
+var indexLayouts = map[uint8]layout{
+	0:                   {"NRX\x02", 1, false},
+	indexFormatBinary:   {"NRX\x02", 1, false},
+	indexFormatWindowed: {"NRX\x03", windowStride, false},
+	indexFormatAligned:  {"NRX\x04", windowStride, true},
+}
+
+// indexLayout returns the layout of the binary index a seal of e's
+// IndexFormat pins. It refuses a format this build does not know — one a
+// later build sealed — with ErrIndexVersion, before anything of the
+// segment is read: nothing is wrong with such evidence but the reader.
+func indexLayout(e *ManifestEntry) (layout, error) {
+	l, ok := indexLayouts[e.IndexFormat]
+	if !ok {
+		return layout{}, fmt.Errorf("%w: segment %d sealed under index format %d", ErrIndexVersion, e.Segment, e.IndexFormat)
+	}
+	return l, nil
+}
+
+// windowing places the count records of a segment in the windows of an
+// index of its layout: phase is how many seqs of the segment's first
+// window come before the segment (0 unless the layout is aligned).
+type windowing struct {
+	layout
+	phase, count int
+}
+
+// place returns how the layout places count records from firstSeq.
+func (l layout) place(firstSeq uint64, count int) windowing {
+	g := windowing{layout: l, count: count}
+	if l.aligned {
+		g.phase = int((firstSeq - 1) % uint64(l.stride))
+	}
+	return g
+}
+
+// windows is how many windows the records span — one pinned hash each.
+func (g windowing) windows() int {
+	if g.count == 0 {
+		return 0
+	}
+	return (g.count + g.phase + g.stride - 1) / g.stride
+}
+
+// offsetCount is how many offsets the index stores: one per window when
+// aligned, one per record before.
+func (g windowing) offsetCount() int {
+	if g.aligned {
+		return g.windows()
+	}
+	return g.count
+}
+
+// window returns the window of the record at position i.
+func (g windowing) window(i int) int { return (i + g.phase) / g.stride }
+
+// bounds returns the positions [lo, hi) of window w's records.
+func (g windowing) bounds(w int) (lo, hi int) {
+	return max(w*g.stride-g.phase, 0), min((w+1)*g.stride-g.phase, g.count)
+}
 
 // The key tables of an index, in file order.
 const (
@@ -91,7 +172,8 @@ const (
 )
 
 // indexPayload is the logical content of a segment index: byte offsets
-// for direct record access plus posting lists by run, transaction,
+// for direct record access — one per record, or where each window's read
+// starts in a version-4 index — plus posting lists by run, transaction,
 // party and kind. It is what the active segment accumulates, what the
 // binary encoder consumes, and — through its JSON form — what legacy
 // seals pinned: their ManifestEntry.Index is this struct's canonical
@@ -100,7 +182,7 @@ type indexPayload struct {
 	Size    int64   `json:"size"`
 	Offsets []int64 `json:"offsets"`
 	// Hashes pins the chained hash of the last record of every window of
-	// the index's stride (of every record in the legacy form), so a record
+	// the index's layout (of every record in the legacy form), so a record
 	// served from a sealed segment is verified against the seal without
 	// reading more of the segment than its window.
 	Hashes  []sig.Digest               `json:"hashes"`
@@ -119,17 +201,17 @@ type legacyIndexFile struct {
 	indexPayload
 }
 
-// encodeIndexPayload serialises p as a binary index payload.
-func encodeIndexPayload(firstSeq uint64, p *indexPayload) []byte {
+// encodeIndexPayload serialises p, the index of count records from
+// firstSeq, as a binary index payload.
+func encodeIndexPayload(firstSeq uint64, count int, p *indexPayload) []byte {
 	offWidth := 4
 	if p.Size > 1<<32-1 {
 		offWidth = 8
 	}
-	n := len(p.Offsets)
-	dst := make([]byte, 0, indexFixedLen+n*(offWidth+sig.DigestSize+8))
+	dst := make([]byte, 0, indexFixedLen+len(p.Offsets)*offWidth+len(p.Hashes)*sig.DigestSize+count*8)
 	dst = binary.LittleEndian.AppendUint64(dst, firstSeq)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Size))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	dst = append(dst, byte(offWidth), 0, 0, 0)
 	for _, off := range p.Offsets {
 		if offWidth == 4 {
@@ -221,7 +303,7 @@ type indexView struct {
 	payload  []byte
 	firstSeq uint64
 	size     int64
-	count    int
+	windowing
 	offWidth int
 	offsets  []byte
 	hashes   []byte
@@ -234,11 +316,10 @@ type keyTable struct {
 	blob []byte
 }
 
-// parseIndexPayload validates the structure of a payload that pins one
-// hash per stride records — every section inside the payload, nothing
-// left over — and returns a view over it. Entry contents are checked as
-// they are read.
-func parseIndexPayload(payload []byte, stride int) (*indexView, error) {
+// parseIndexPayload validates the structure of a payload of the given
+// layout — every section inside the payload, nothing left over — and
+// returns a view over it. Entry contents are checked as they are read.
+func parseIndexPayload(payload []byte, l layout) (*indexView, error) {
 	bad := func(what string) (*indexView, error) {
 		return nil, fmt.Errorf("%w: segment index %s", ErrSealBroken, what)
 	}
@@ -249,9 +330,9 @@ func parseIndexPayload(payload []byte, stride int) (*indexView, error) {
 		payload:  payload,
 		firstSeq: binary.LittleEndian.Uint64(payload),
 		size:     int64(binary.LittleEndian.Uint64(payload[8:])),
-		count:    int(binary.LittleEndian.Uint32(payload[16:])),
 		offWidth: int(payload[20]),
 	}
+	ix.windowing = l.place(ix.firstSeq, int(binary.LittleEndian.Uint32(payload[16:])))
 	if ix.offWidth != 4 && ix.offWidth != 8 {
 		return bad("offset width")
 	}
@@ -259,11 +340,11 @@ func parseIndexPayload(payload []byte, stride int) (*indexView, error) {
 		return bad("segment size")
 	}
 	rest := payload[indexFixedLen:]
-	pins := pinCount(ix.count, stride)
-	if uint64(ix.count)*uint64(ix.offWidth)+uint64(pins)*sig.DigestSize > uint64(len(rest)) {
+	offs, pins := ix.offsetCount(), ix.windows()
+	if uint64(offs)*uint64(ix.offWidth)+uint64(pins)*sig.DigestSize > uint64(len(rest)) {
 		return bad("arrays truncated")
 	}
-	ix.offsets, rest = rest[:ix.count*ix.offWidth], rest[ix.count*ix.offWidth:]
+	ix.offsets, rest = rest[:offs*ix.offWidth], rest[offs*ix.offWidth:]
 	ix.hashes, rest = rest[:pins*sig.DigestSize], rest[pins*sig.DigestSize:]
 	for t := range ix.tables {
 		if len(rest) < 8 {
@@ -288,12 +369,24 @@ func parseIndexPayload(payload []byte, stride int) (*indexView, error) {
 // pin.
 func (ix *indexView) digest() sig.Digest { return sha256.Sum256(ix.payload) }
 
-// offset returns the start offset of record i's frame.
+// offset returns stored offset i: the start of record i's frame, or in a
+// version-4 index where a read of window i starts (walkFrom).
 func (ix *indexView) offset(i int) int64 {
 	if ix.offWidth == 4 {
 		return int64(binary.LittleEndian.Uint32(ix.offsets[4*i:]))
 	}
 	return int64(binary.LittleEndian.Uint64(ix.offsets[8*i:]))
+}
+
+// walkFrom returns where a read of window w starts: the start of the
+// frame before the window — the mate of its first record — or, for the
+// segment's first window, of that window's own first frame.
+func (ix *indexView) walkFrom(w int) int64 {
+	if ix.aligned {
+		return ix.offset(w)
+	}
+	lo, _ := ix.bounds(w)
+	return ix.offset(max(lo-1, 0))
 }
 
 // pin returns the chained hash pinned for window w: that of the last
@@ -399,7 +492,7 @@ func (ix *indexView) eachKey(t int, fn func(key, rest []byte) error) error {
 func (ix *indexView) toPayload() (*indexPayload, error) {
 	p := &indexPayload{
 		Size:    ix.size,
-		Offsets: make([]int64, ix.count),
+		Offsets: make([]int64, len(ix.offsets)/ix.offWidth),
 		Hashes:  make([]sig.Digest, len(ix.hashes)/sig.DigestSize),
 	}
 	for i := range p.Offsets {
@@ -451,19 +544,16 @@ func loadTable[K ~string](ix *indexView, t int) (map[K][]uint64, error) {
 	return m, err
 }
 
-// verify holds the view to the seal: it must describe e's record range
-// and reproduce the digest e pins — over the payload bytes for seals of
-// a binary format, over the canonical JSON of the logical payload for
-// legacy seals.
+// verify holds the view to the seal, whose IndexFormat indexLayout
+// knows: it must describe e's record range and reproduce the digest e
+// pins — over the payload bytes for seals of a binary format, over the
+// canonical JSON of the logical payload for legacy seals.
 func (ix *indexView) verify(e *ManifestEntry) error {
 	if ix.firstSeq != e.FirstSeq || uint64(ix.count) != e.LastSeq-e.FirstSeq+1 {
 		return fmt.Errorf("%w: segment %d index covers a different record range", ErrSealBroken, e.Segment)
 	}
 	var d sig.Digest
-	switch e.IndexFormat {
-	case indexFormatBinary, indexFormatWindowed:
-		d = ix.digest()
-	case 0:
+	if e.IndexFormat == 0 {
 		p, err := ix.toPayload()
 		if err != nil {
 			return err
@@ -471,8 +561,8 @@ func (ix *indexView) verify(e *ManifestEntry) error {
 		if d, err = p.legacyDigest(); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("%w: segment %d sealed with unknown index format %d", ErrSealBroken, e.Segment, e.IndexFormat)
+	} else {
+		d = ix.digest()
 	}
 	if d != e.Index {
 		return fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
@@ -485,7 +575,10 @@ func (ix *indexView) verify(e *ManifestEntry) error {
 // index aliases data; a legacy JSON index is converted and aliases
 // nothing.
 func openIndex(data []byte, e *ManifestEntry) (*indexView, error) {
-	stride, magic := indexLayout(e.IndexFormat)
+	l, err := indexLayout(e)
+	if err != nil {
+		return nil, err
+	}
 	if len(data) > 0 && data[0] == '{' {
 		var f legacyIndexFile
 		if err := canon.Unmarshal(data, &f); err != nil {
@@ -498,13 +591,13 @@ func openIndex(data []byte, e *ManifestEntry) (*indexView, error) {
 		if e.IndexFormat != 0 || f.Entry.Digest != e.Digest || d != e.Index {
 			return nil, fmt.Errorf("%w: segment %d index does not match its seal", ErrSealBroken, e.Segment)
 		}
-		return parseIndexPayload(encodeIndexPayload(e.FirstSeq, &f.indexPayload), stride)
+		return parseIndexPayload(encodeIndexPayload(e.FirstSeq, len(f.Offsets), &f.indexPayload), l)
 	}
-	payload, err := indexFilePayload(data, magic)
+	payload, err := indexFilePayload(data, l.magic)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := parseIndexPayload(payload, stride)
+	ix, err := parseIndexPayload(payload, l)
 	if err != nil {
 		return nil, err
 	}

@@ -27,6 +27,14 @@ import (
 // straddling windows in segment 2), a one-record tail in segment 3.
 var v6Vault = fixtureVault{name: "v6-vault", enc: store.EncBinaryV6, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
 
+// v7Vault was written by the build before index format 4, as v6Vault —
+// the same six pipelined calls, sealed after seqs 11 and 23 — but in
+// segment format 7, the client's receipt a follower of its run's leader
+// from an earlier commit; its version-3 windows count from each
+// segment's first record, so segment 2 (seqs 12 to 23) splits every run
+// between two windows.
+var v7Vault = fixtureVault{name: "v7-vault", enc: store.EncBinary, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
+
 // TestVaultV6VaultStillReads: a vault sealed under version-3 indexes
 // reads as checkStillReads says — its replica derives the same index
 // bytes.
@@ -35,19 +43,28 @@ func TestVaultV6VaultStillReads(t *testing.T) {
 	checkStillReads(t, v6Vault)
 }
 
+// TestVaultV7VaultStillReads: a vault sealed in segment format 7 under
+// version-3 indexes, its runs straddling windows, reads as
+// checkStillReads says — its replica derives the same index bytes.
+func TestVaultV7VaultStillReads(t *testing.T) {
+	t.Parallel()
+	checkStillReads(t, v7Vault)
+}
+
 // TestVaultOldIndexesKeptAndRebuiltExactly: opening a vault an earlier
 // build sealed, for writing, leaves every index file it holds byte for
-// byte as it was — version-2 and JSON alike — though this build seals
-// under version 3; and a lost version-2 index is rebuilt under its old
-// seal to exactly the bytes the earlier build wrote.
+// byte as it was — version-2, version-3 and JSON alike — though this
+// build seals under version 4; and a lost version-2 or version-3 index
+// is rebuilt under its old seal to exactly the bytes the earlier build
+// wrote.
 func TestVaultOldIndexesKeptAndRebuiltExactly(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"parent-vault", "v2-vault", "v3-vault", "v4-vault", "v5-vault"} {
+	for _, name := range []string{"parent-vault", "v2-vault", "v3-vault", "v4-vault", "v5-vault", "v6-vault", "v7-vault"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir, runs := copyFixtureVault(t, name)
 			old := make(map[string][]byte)
-			var binaryV2 []string
+			var binary []string
 			for n := uint64(1); ; n++ {
 				data, err := os.ReadFile(filepath.Join(dir, idxFileName(n)))
 				if os.IsNotExist(err) {
@@ -57,12 +74,12 @@ func TestVaultOldIndexesKeptAndRebuiltExactly(t *testing.T) {
 					t.Fatal(err)
 				}
 				old[idxFileName(n)] = data
-				if bytes.HasPrefix(data, []byte("NRX\x02")) {
-					binaryV2 = append(binaryV2, idxFileName(n))
+				if bytes.HasPrefix(data, []byte("NRX\x02")) || bytes.HasPrefix(data, []byte("NRX\x03")) {
+					binary = append(binary, idxFileName(n))
 				}
 			}
-			if len(binaryV2) == 0 {
-				t.Fatal("fixture holds no version-2 index")
+			if len(binary) == 0 {
+				t.Fatal("fixture holds no version-2 or version-3 index")
 			}
 			unchanged := func(what string) {
 				t.Helper()
@@ -82,7 +99,7 @@ func TestVaultOldIndexesKeptAndRebuiltExactly(t *testing.T) {
 				unchanged(what)
 			}
 			reopen("reopened")
-			for _, file := range binaryV2 {
+			for _, file := range binary {
 				if err := os.Remove(filepath.Join(dir, file)); err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +181,8 @@ func TestVaultEditInWindowBreaksItsRuns(t *testing.T) {
 // TestSizesRefusesUnreadableIndex: an index file that exists but cannot
 // be read is an error, not a segment without an index. Before that, the
 // index this build seals over four records is measured from the file:
-// 678 B under one pinned hash, where one pin per record took 774.
+// 666 B under one pinned hash and one offset, where an offset per record
+// took 678 and a pin and an offset per record 774.
 func TestSizesRefusesUnreadableIndex(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
@@ -178,8 +196,8 @@ func TestSizesRefusesUnreadableIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes, err := v.Sizes()
-	if err != nil || len(sizes) != 2 || sizes[0].IndexFormat != "binary" || sizes[0].IndexBytes != fi.Size() || fi.Size() != 678 {
-		t.Fatalf("Sizes = %+v, err %v, index file %d B, want a sealed segment under a 678 B index", sizes, err, fi.Size())
+	if err != nil || len(sizes) != 2 || sizes[0].IndexFormat != "binary" || sizes[0].IndexBytes != fi.Size() || fi.Size() != 666 {
+		t.Fatalf("Sizes = %+v, err %v, index file %d B, want a sealed segment under a 666 B index", sizes, err, fi.Size())
 	}
 	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
@@ -193,35 +211,71 @@ func TestSizesRefusesUnreadableIndex(t *testing.T) {
 }
 
 // TestSizesNamesIndexVersions: Sizes names each sealed segment's index
-// version, takes its size from the file, and says what its pins take —
-// one hash per record under the version-2 indexes every build before
-// index format 3 sealed, one per four records since.
+// version, takes its size from the file, and says what its pins and its
+// offsets take — a hash and an offset per record under the version-2
+// indexes every build before index format 3 sealed; a hash per four
+// records counted from the segment's first and an offset per record
+// under version 3; and under the version-4 index this build seals a
+// hash and an offset per window counted from the vault's sequence
+// numbers, a segment sealed after seq 4k+3 starting with a one-record
+// window.
 func TestSizesNamesIndexVersions(t *testing.T) {
 	t.Parallel()
-	for _, fx := range []fixtureVault{v3Vault, v4Vault, v5Vault, v6Vault} {
-		index, stride := "binary-v2", 1
-		if fx.enc == store.EncBinaryV6 {
-			index, stride = "binary", 4
-		}
-		dir, _ := copyFixtureVault(t, fx.name)
+	type want struct {
+		index         string
+		pins, offsets int64
+	}
+	check := func(what, dir string, sealed, segments int, wantOf func(s vault.SegmentSize) want) {
+		t.Helper()
 		ro := openVault(t, dir, vault.WithReadOnly())
 		sizes, err := ro.Sizes()
 		ro.Close()
-		if err != nil || len(sizes) != fx.sealed+1 {
-			t.Fatalf("%s: Sizes = %+v, err %v", fx.name, sizes, err)
+		if err != nil || len(sizes) != segments {
+			t.Fatalf("%s: Sizes = %+v, err %v", what, sizes, err)
 		}
-		for _, s := range sizes[:fx.sealed] {
+		for _, s := range sizes[:sealed] {
 			fi, err := os.Stat(filepath.Join(dir, idxFileName(s.Segment)))
 			if err != nil || s.IndexBytes != fi.Size() {
-				t.Fatalf("%s: segment %d index reported as %d B, file %v (err %v)", fx.name, s.Segment, s.IndexBytes, fi, err)
+				t.Fatalf("%s: segment %d index reported as %d B, file %v (err %v)", what, s.Segment, s.IndexBytes, fi, err)
 			}
-			if pins := int64(32 * ((s.Records + stride - 1) / stride)); s.IndexFormat != index || s.PinBytes() != pins {
-				t.Fatalf("%s: segment %d index reported as %s pinning %d bytes, want %s pinning %d", fx.name, s.Segment, s.IndexFormat, s.PinBytes(), index, pins)
+			if w := wantOf(s); s.IndexFormat != w.index || s.PinBytes != w.pins || s.OffsetBytes != w.offsets {
+				t.Fatalf("%s: segment %d index reported as %s pinning %d bytes, offsets %d, want %s pinning %d, offsets %d",
+					what, s.Segment, s.IndexFormat, s.PinBytes, s.OffsetBytes, w.index, w.pins, w.offsets)
 			}
 		}
 	}
-	// The hex pins of a legacy JSON index are not counted.
-	dir, _ := copyFixtureVault(t, "parent-vault")
+	for _, fx := range []fixtureVault{v3Vault, v4Vault, v5Vault, v6Vault, v7Vault} {
+		dir, _ := copyFixtureVault(t, fx.name)
+		check(fx.name, dir, fx.sealed, fx.sealed+1, func(s vault.SegmentSize) want {
+			n := int64(s.Records)
+			if fx == v6Vault || fx == v7Vault {
+				return want{"binary-v3", 32 * ((n + 3) / 4), 4 * n}
+			}
+			return want{"binary-v2", 32 * n, 4 * n}
+		})
+	}
+	// This build's: sealed after seqs 7 and 15, with no tail after (Sizes
+	// leaves out an empty one); segment 2 spans the windows [5,8] [9,12]
+	// [13,16] — three, where counting from its first record would make two.
+	realm := testpki.MustRealm(org)
+	dir := t.TempDir()
+	v := openVault(t, dir)
+	for _, n := range []int{7, 8} {
+		seedVault(t, realm, v, n)
+		if err := v.SealNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("this build", dir, 2, 2, func(s vault.SegmentSize) want {
+		windows := map[uint64]int64{1: 2, 2: 3}[s.Segment]
+		return want{"binary", 32 * windows, 4 * windows}
+	})
+
+	// The hex pins and offsets of a legacy JSON index are not counted.
+	dir, _ = copyFixtureVault(t, "parent-vault")
 	ro := openVault(t, dir, vault.WithReadOnly())
 	sizes, err := ro.Sizes()
 	ro.Close()
@@ -232,8 +286,8 @@ func TestSizesNamesIndexVersions(t *testing.T) {
 	for _, s := range sizes {
 		if s.IndexFormat == "json" {
 			jsonIndexes++
-			if s.PinBytes() != 0 || s.IndexBytes == 0 {
-				t.Fatalf("parent-vault: segment %d JSON index of %d B reported pinning %d bytes", s.Segment, s.IndexBytes, s.PinBytes())
+			if s.PinBytes != 0 || s.OffsetBytes != 0 || s.IndexBytes == 0 {
+				t.Fatalf("parent-vault: segment %d JSON index of %d B reported pinning %d bytes, offsets %d", s.Segment, s.IndexBytes, s.PinBytes, s.OffsetBytes)
 			}
 		}
 	}

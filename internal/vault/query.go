@@ -73,6 +73,7 @@ type Iterator struct {
 	emitted int
 	cur     *store.Record
 	err     error
+	windows int // index windows decoded by keyed reads
 }
 
 // Query returns a streaming iterator over records matching q, in log
@@ -237,11 +238,10 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	}
 
 	// Keyed reads map the segment once and decode each window of records
-	// that holds a nominated one from its indexed byte slots — no
-	// sequential scan of the segment, no per-record read syscall. The
-	// encoding is the file's own; offsets from a JSON-era index address
-	// JSON lines, binary-era offsets address binary frames.
-	stride, _ := indexLayout(idx.Entry.IndexFormat)
+	// that holds a nominated one, walking its frames from the index's
+	// offset — no sequential scan of the segment, no per-record read
+	// syscall. The encoding is the file's own; offsets from a JSON-era
+	// index address JSON lines, binary-era offsets address binary frames.
 	data, release, err := mapFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("vault: open segment %d: %w", idx.Entry.Segment, err)
@@ -252,6 +252,7 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 	if size == 0 || size > int64(len(data)) {
 		size = int64(len(data))
 	}
+	records := data[:size]
 	broken := func(format string, args ...any) error {
 		return fmt.Errorf("%w: segment %d %s", ErrSealBroken, idx.Entry.Segment, fmt.Sprintf(format, args...))
 	}
@@ -260,37 +261,41 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 		if seqs[0] < idx.firstSeq || seqs[0]-idx.firstSeq >= uint64(idx.count) {
 			return nil, broken("index out of range")
 		}
-		w := int(seqs[0]-idx.firstSeq) / stride
-		lo, hi := w*stride, min(w*stride+stride, idx.count)
-		// The window chains from the pin before it; the first window from
+		w := idx.window(int(seqs[0] - idx.firstSeq))
+		lo, hi := idx.bounds(w)
+		it.windows++
+		// The window chains from the pin before it and its read starts at
+		// the frame before it — the mate of its first record, whose length
+		// prefix is all that is read of it; the first window chains from
 		// the Prev its first frame carries. Records of one window are
 		// decoded once each, in order.
+		at := idx.walkFrom(w)
 		var cv *store.ChainVerifier
+		prevStart := int64(-1)
 		if w > 0 {
 			cv = store.ResumeChain(idx.firstSeq+uint64(lo)-1, idx.pin(w-1))
+			prevStart = at
+			if at, err = store.FrameEnd(records, at, enc); err != nil {
+				return nil, broken("window %d: %v", w, err)
+			}
 		}
 		for i := lo; i < hi; i++ {
-			start := idx.offset(i)
-			end := size
-			if i+1 < idx.count {
-				end = idx.offset(i + 1)
-			}
-			if start < 0 || end < start || end > int64(len(data)) {
-				return nil, broken("index offsets out of range")
+			seq := idx.firstSeq + uint64(i)
+			end, err := store.FrameEnd(records, at, enc)
+			if err != nil {
+				return nil, broken("record %d: %v", seq, err)
 			}
 			// A frame that follows its predecessor directly elides Prev and
 			// is completed with the hash derived for the record before it;
-			// that record's offset names the mate a frame borrowing a
-			// signature leans on. A follower frame finds its leader in the
-			// mapping itself.
+			// that record's frame is the mate a frame borrowing a signature
+			// leans on. A follower frame finds its leader in the mapping
+			// itself.
 			var prev *sig.Digest
-			prevStart := int64(-1)
 			if cv != nil {
 				_, h := cv.Position()
-				prev, prevStart = &h, idx.offset(i-1)
+				prev = &h
 			}
-			seq := idx.firstSeq + uint64(i)
-			rec, err := store.DecodeRecordData(data, start, end, enc, prev, prevStart)
+			rec, err := store.DecodeRecordData(data, at, end, enc, prev, prevStart)
 			if err != nil {
 				// A sealed record that cannot be read back is a broken seal.
 				return nil, broken("record %d: %v", seq, err)
@@ -307,6 +312,12 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 				}
 				seqs = seqs[1:]
 			}
+			prevStart, at = at, end
+		}
+		// The segment's last record ends where the seal says the segment
+		// does.
+		if hi == idx.count && at != size {
+			return nil, broken("records end at %d of %d bytes", at, size)
 		}
 		// Authenticate before serving — nothing is returned unless every
 		// window holds: the decoder derived each record's hash from its

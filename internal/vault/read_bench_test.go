@@ -115,7 +115,7 @@ func BenchmarkVaultByRunFollowers(b *testing.B) {
 // BenchmarkVaultByRunInterleaved: keyed reads of runs whose request pair
 // and response pair committed apart, as on a busy server — the next
 // run's request pair between them — so a run's four records lie in two
-// windows of a version-3 index and its read decodes up to eight.
+// windows and its read decodes up to eight.
 func BenchmarkVaultByRunInterleaved(b *testing.B) {
 	var runs []id.Run
 	dir := benchVaultFill(b, benchSegment, func(realm *testpki.Realm, commit func([]store.Entry)) {
@@ -131,11 +131,54 @@ func BenchmarkVaultByRunInterleaved(b *testing.B) {
 	benchByRun(b, dir, runs, benchRunRecords)
 }
 
+// BenchmarkVaultByRunMisaligned: keyed reads of runs of four, as
+// BenchmarkVaultByRun — each run's last record committed apart, which
+// leaves its frame as it was — but sealed after seqs 1023, 2047, … —
+// the first segment one record short of benchSegment, each later one
+// benchSegment records from a run's last record — as a vault whose first
+// seal closed after seq 4k+3 is, the benchmark harness's audit_read vault
+// among them. Windows counted from each segment's first record put every
+// run of a later segment in two windows (eight decodes); counted from the
+// vault's sequence numbers, one.
+func BenchmarkVaultByRunMisaligned(b *testing.B) {
+	realm := testpki.MustRealm(org)
+	dir := b.TempDir()
+	v, err := vault.Open(dir, realm.Clock, vault.WithSegmentRecords(2*benchRecords), vault.WithoutSync())
+	if err != nil {
+		b.Fatal(err)
+	}
+	commit := func(entries []store.Entry) {
+		if _, err := v.AppendGroup(entries); err != nil {
+			b.Fatal(err)
+		}
+		if last, _ := v.LastPosition(); last%benchSegment == benchSegment-1 {
+			if err := v.SealNow(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var runs []id.Run
+	for i := 0; i < benchRecords/benchRunRecords; i++ {
+		run := id.NewRun()
+		entries := benchEntries(b, realm, run, 1, benchRunRecords)
+		commit(entries[:benchRunRecords-1])
+		commit(entries[benchRunRecords-1:])
+		runs = append(runs, run)
+	}
+	if err := v.SealNow(); err != nil {
+		b.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		b.Fatal(err)
+	}
+	benchByRun(b, dir, runs, benchRunRecords)
+}
+
 // BenchmarkVaultByKind: a kind query over sealed segments laid out as a
 // durable client's — per job a job-enqueued record, the call's four
 // tokens and a job-done, the last three in one commit — asking for the
 // job-enqueued records, as crash recovery does. One record in six is
-// nominated, so with a version-3 index most of the windows are decoded
+// nominated, so with a windowed index most of the windows are decoded
 // whole for it.
 func BenchmarkVaultByKind(b *testing.B) {
 	const jobRecords = 6

@@ -44,9 +44,10 @@ type ManifestEntry struct {
 	// IndexFormat says what Index digests: absent (0) on seals written
 	// before the binary index, whose Index is the canonical-JSON digest
 	// of the logical payload — omitempty keeps their entry digests
-	// unchanged — and indexFormatBinary or indexFormatWindowed on seals
-	// whose Index is the SHA-256 of the binary payload bytes, one hash
-	// pinned per record or per window of records.
+	// unchanged — and indexFormatBinary, indexFormatWindowed or
+	// indexFormatAligned on seals whose Index is the SHA-256 of the
+	// binary payload bytes, one hash pinned per record or per window of
+	// records.
 	IndexFormat uint8 `json:"index_format,omitempty"`
 	// Prev is the Digest of the preceding manifest entry.
 	Prev sig.Digest `json:"prev"`
@@ -141,16 +142,27 @@ func (s *segment) add(rec *store.Record, lineLen int64) {
 	s.kinds[rec.Token.Kind] = append(s.kinds[rec.Token.Kind], rec.Seq)
 }
 
-// payload freezes the segment's index content for encoding, pinning the
-// hash of the last record of each window of stride records.
-func (s *segment) payload(stride int) *indexPayload {
-	pins := make([]sig.Digest, 0, pinCount(len(s.records), stride))
-	for i := stride - 1; i < len(s.records)+stride-1; i += stride {
-		pins = append(pins, s.records[min(i, len(s.records)-1)].Hash)
+// payload freezes the segment's index content for encoding under layout
+// l: the hash of the last record of each window, and in an aligned
+// layout where each window's read starts in place of every record's
+// offset.
+func (s *segment) payload(l layout) *indexPayload {
+	g := l.place(s.firstSeq, len(s.records))
+	pins := make([]sig.Digest, g.windows())
+	offsets := s.offsets
+	if l.aligned {
+		offsets = make([]int64, len(pins))
+	}
+	for w := range pins {
+		lo, hi := g.bounds(w)
+		pins[w] = s.records[hi-1].Hash
+		if l.aligned {
+			offsets[w] = s.offsets[max(lo-1, 0)]
+		}
 	}
 	return &indexPayload{
 		Size:    s.size,
-		Offsets: s.offsets,
+		Offsets: offsets,
 		Hashes:  pins,
 		Runs:    s.runs,
 		Txns:    s.txns,

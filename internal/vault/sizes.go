@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -14,6 +13,8 @@ import (
 // overhead of section 6, per segment file.
 type SegmentSize struct {
 	Segment uint64
+	// FirstSeq is the sequence number of the segment's first record.
+	FirstSeq uint64
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
@@ -32,25 +33,19 @@ type SegmentSize struct {
 	// which with the file's header make up SegmentBytes.
 	store.FrameCount
 	PlainBytes int64
-	// IndexFormat is "binary" (version 3: one hash pinned per window of
-	// records), "binary-v2" (one per record), "json" (a legacy index) or
-	// "" when there is no index file; IndexBytes is its size.
+	// IndexFormat is "binary" (version 4: one hash pinned and one offset
+	// stored per window of records counted from the vault's sequence
+	// numbers), "binary-v3" (one hash per window counted from the
+	// segment's first record, one offset per record), "binary-v2" (one
+	// hash and one offset per record), "json" (a legacy index) or "" when
+	// there is no index file; IndexBytes is its size.
 	IndexFormat string
 	IndexBytes  int64
-}
-
-// PinBytes is what a binary index's pinned chained hashes take: one per
-// window of records in an index of the current format, one per record
-// in a version-2 index. It is 0 for a legacy JSON index, whose hex pins
-// it does not measure, and for a segment without an index.
-func (s SegmentSize) PinBytes() int64 {
-	switch s.IndexFormat {
-	case "binary":
-		return int64(pinCount(s.Records, windowStride)) * sig.DigestSize
-	case "binary-v2":
-		return int64(s.Records) * sig.DigestSize
-	}
-	return 0
+	// PinBytes and OffsetBytes are what a binary index's pinned chained
+	// hashes and its offsets take. Both are 0 for a legacy JSON index,
+	// whose hex pins and offsets are not measured, and for a segment
+	// without an index.
+	PinBytes, OffsetBytes int64
 }
 
 // Sizes reports, for every sealed segment and the tail, the format it
@@ -115,9 +110,10 @@ func (v *Vault) Sizes() ([]SegmentSize, error) {
 			s.IndexFormat, s.IndexBytes = "json", size
 		case len(head) > 3:
 			s.IndexFormat, s.IndexBytes = fmt.Sprintf("binary-v%d", head[3]), size
-			if _, magic := indexLayout(indexFormatWindowed); string(head) == magic {
+			if string(head) == indexLayouts[indexFormatAligned].magic {
 				s.IndexFormat = "binary"
 			}
+			s.PinBytes, s.OffsetBytes = int64(len(idx.hashes)), int64(len(idx.offsets))
 		}
 		out = append(out, s)
 	}

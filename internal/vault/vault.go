@@ -56,6 +56,11 @@ var ErrClosed = errors.New("vault: closed")
 // fails verification.
 var ErrSealBroken = errors.New("vault: segment seal broken")
 
+// ErrIndexVersion reports a seal naming an index format this build does
+// not read: the vault was sealed by a later build. Nothing is wrong with
+// the evidence; upgrade the reader.
+var ErrIndexVersion = errors.New("vault: segment index format unknown to this build")
+
 // ErrLocked is returned when another process holds the vault.
 var ErrLocked = errors.New("vault: locked by another process")
 
@@ -497,6 +502,9 @@ func (v *Vault) loadManifest() error {
 // tampered (the manifest entry — including its pinned index digest — is
 // the source of truth).
 func (v *Vault) loadIndex(e *ManifestEntry) (*segmentIndex, error) {
+	if _, err := indexLayout(e); err != nil {
+		return nil, err
+	}
 	if idx, err := mapIndex(v.dir, e); err == nil {
 		return idx, nil
 	}
@@ -533,9 +541,12 @@ func mapIndex(dir string, e *ManifestEntry) (*segmentIndex, error) {
 // seal, so a payload that still disagrees with the pinned digest means
 // the entry itself is inconsistent.
 func buildIndex(seg *segment, e *ManifestEntry) ([]byte, error) {
-	stride, _ := indexLayout(e.IndexFormat)
-	payload := encodeIndexPayload(seg.firstSeq, seg.payload(stride))
-	ix, err := parseIndexPayload(payload, stride)
+	l, err := indexLayout(e)
+	if err != nil {
+		return nil, err
+	}
+	payload := encodeIndexPayload(seg.firstSeq, len(seg.records), seg.payload(l))
+	ix, err := parseIndexPayload(payload, l)
 	if err != nil {
 		return nil, err
 	}
@@ -550,8 +561,11 @@ func buildIndex(seg *segment, e *ManifestEntry) ([]byte, error) {
 // fsynced at a temporary name and renamed into place, so a reader that
 // has the previous file mapped keeps a consistent view.
 func writeIndexFile(dir string, e *ManifestEntry, entryLine, payload []byte) error {
-	_, magic := indexLayout(e.IndexFormat)
-	return writeFileAtomic(idxPath(dir, e.Segment), indexFileHeader(magic, entryLine), payload)
+	l, err := indexLayout(e)
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(idxPath(dir, e.Segment), indexFileHeader(l.magic, entryLine), payload)
 }
 
 // rebuildIndex reconstructs a sealed segment's index by re-reading its
@@ -601,8 +615,11 @@ func (v *Vault) adoptIndex(e *ManifestEntry, entryLine, payload []byte) (*segmen
 			return idx, nil
 		}
 	}
-	stride, _ := indexLayout(e.IndexFormat)
-	ix, err := parseIndexPayload(payload, stride)
+	l, err := indexLayout(e)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := parseIndexPayload(payload, l)
 	if err != nil {
 		return nil, err
 	}
@@ -924,8 +941,8 @@ func (v *Vault) seal() error {
 	sealStart := time.Now()
 	// The index is encoded once: the same bytes are digested for the
 	// seal and written to the index file.
-	stride, magic := indexLayout(indexFormatWindowed)
-	payload := encodeIndexPayload(a.firstSeq, a.payload(stride))
+	l := indexLayouts[indexFormatAligned]
+	payload := encodeIndexPayload(a.firstSeq, len(a.records), a.payload(l))
 	entry := ManifestEntry{
 		Segment:     a.number,
 		FirstSeq:    a.firstSeq,
@@ -935,7 +952,7 @@ func (v *Vault) seal() error {
 		LastHash:    v.lastHash,
 		Content:     a.content,
 		Index:       sha256.Sum256(payload),
-		IndexFormat: indexFormatWindowed,
+		IndexFormat: indexFormatAligned,
 		Prev:        v.lastSeal,
 	}
 	d, err := entry.computeDigest()
@@ -959,7 +976,7 @@ func (v *Vault) seal() error {
 	if err != nil {
 		return err
 	}
-	v.bytes.Add(int64(len(indexFileHeader(magic, line)) + len(payload)))
+	v.bytes.Add(int64(len(indexFileHeader(l.magic, line)) + len(payload)))
 	if _, err := v.manifestF.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("vault: append manifest: %w", err)
 	}
