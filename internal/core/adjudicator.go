@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sharing"
-	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -46,16 +46,6 @@ type LogReport struct {
 
 // Clean reports whether the audit found no problems.
 func (r *LogReport) Clean() bool { return r.ChainOK && len(r.Faults) == 0 }
-
-// verifyToken verifies one record's token, treating a record without a
-// token — possible only in evidence presented by an adversarial source,
-// a log never stores one — as a fault rather than a crash.
-func (a *Adjudicator) verifyToken(rec *store.Record) error {
-	if rec.Token == nil {
-		return fmt.Errorf("core: record %d has no token", rec.Seq)
-	}
-	return a.verifier.Verify(rec.Token)
-}
 
 // RecordSource is a stream of evidence records in log order, as produced
 // by vault.Iterator — the adjudicator's window onto logs too large to
@@ -105,7 +95,11 @@ func (a *Adjudicator) AuditStream(src RecordSource) *LogReport {
 				report.ChainError = err.Error()
 			}
 		}
-		if err := a.verifyToken(rec); err != nil {
+		// A record without a token is possible only in evidence presented
+		// by an adversarial source: a fault, not a crash.
+		if rec.Token == nil {
+			report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: fmt.Sprintf("core: record %d has no token", rec.Seq)})
+		} else if err := a.verifier.Verify(rec.Token); err != nil {
 			report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: err.Error()})
 		}
 	}
@@ -145,10 +139,6 @@ type RunReport struct {
 	Faults []Fault
 }
 
-// runKinds are the invocation evidence kinds: one digest of each per run.
-var runKinds = map[evidence.Kind]bool{evidence.KindNRO: true, evidence.KindNRR: true, evidence.KindNROResp: true,
-	evidence.KindNRRResp: true, evidence.KindSubstitute: true, evidence.KindAbort: true}
-
 // AuditRunStream reports what the records of one run prove: from one
 // party's log, several parties' logs merged, or a counterparty's vault
 // audited remotely page by page. Each token is verified as it arrives and
@@ -169,7 +159,11 @@ func (a *Adjudicator) AuditRunStream(src RecordSource, run id.Run) (*RunReport, 
 			report.Faults = append(report.Faults, Fault{Seq: rec.Seq, Reason: err.Error()})
 			continue
 		}
-		if first := seen[tok.Kind]; first == nil && runKinds[tok.Kind] {
+		// The invocation evidence kinds, one digest of each per run: the
+		// NRO and the kinds of the binding table.
+		runKind := tok.Kind == evidence.KindNRO ||
+			slices.ContainsFunc(evidence.Bindings, func(b evidence.Binding) bool { return b.Kind == tok.Kind })
+		if first := seen[tok.Kind]; first == nil && runKind {
 			seen[tok.Kind] = rec
 		} else if first != nil && (first.Token.Digest != tok.Digest || first.Token.Issuer != tok.Issuer) {
 			conflict[tok.Kind] = true
@@ -184,54 +178,42 @@ func (a *Adjudicator) AuditRunStream(src RecordSource, run id.Run) (*RunReport, 
 	return report, src.Err()
 }
 
-// judge applies to the run's tokens, one per kind, the bindings every
-// party's door checks (internal/invoke's check.go): the NRR covers the
-// NRO's digest; the NROResp comes from the NRR's server; the NRRResp comes
-// from the NRO's client over the receipt note {run, client, NROResp
-// digest, consumed or not}, rebuilt from the tokens because the record's
-// note is unsigned; a TTP substitute covers that note, consumed; an abort
-// covers the NRO's digest. A broken binding is a fault and its fact stays
-// false. A token whose anchor is missing (an NRR without an NRO) is
-// unbound: no fault, no fact.
+// judge applies to the run's tokens, one per kind, the entries of
+// evidence.Bindings every party's door checks (internal/invoke's
+// check.go), anchored on the run's NRO, NRR and NROResp and on the server
+// the NRO names as its one recipient. The receipt note is rebuilt from the
+// tokens because the record's note is unsigned. A broken binding is a
+// fault and its fact stays false. A token whose anchor is missing (an NRR
+// without an NRO) is unbound: no fault, no fact.
 func (r *RunReport) judge(seen map[evidence.Kind]*store.Record) {
-	var nro, nrr, nroResp *evidence.Token
+	a := evidence.Anchors{Run: r.Run}
 	if rec := seen[evidence.KindNRO]; rec != nil {
-		nro, r.RequestProven, r.Client = rec.Token, true, rec.Token.Issuer
+		a.NRO, r.RequestProven, r.Client = rec.Token, true, rec.Token.Issuer
+		if len(a.NRO.Recipients) == 1 {
+			a.Server = a.NRO.Recipients[0]
+		}
 	}
 	if rec := seen[evidence.KindNRR]; rec != nil {
-		nrr, r.Server = rec.Token, rec.Token.Issuer
+		a.NRR, r.Server = rec.Token, rec.Token.Issuer
 	}
 	if rec := seen[evidence.KindNROResp]; rec != nil {
-		nroResp = rec.Token
+		a.NROResp = rec.Token
 	}
-	bound := func(kind evidence.Kind, anchored bool, holds func(*evidence.Token) bool, broken string) bool {
-		rec := seen[kind]
-		if rec == nil || !anchored {
-			return false
+	proven := make(map[evidence.Kind]bool, len(evidence.Bindings))
+	for _, b := range evidence.Bindings {
+		rec := seen[b.Kind]
+		if rec == nil {
+			continue
 		}
-		if !holds(rec.Token) {
-			r.Faults = append(r.Faults, Fault{Seq: rec.Seq, Reason: fmt.Sprintf("core: %s token %s", kind, broken)})
-			return false
+		if anchored, err := b.Check(rec.Token, &a); err != nil {
+			r.Faults = append(r.Faults, Fault{Seq: rec.Seq, Reason: "core: " + err.Error()})
+		} else {
+			proven[b.Kind] = anchored
 		}
-		return true
 	}
-	coversRequest := func(t *evidence.Token) bool { return t.Digest == nro.Digest }
-	r.ReceiptProven = bound(evidence.KindNRR, nro != nil, coversRequest, "does not cover the run's request")
-	r.ResponseProven = bound(evidence.KindNROResp, nrr != nil,
-		func(t *evidence.Token) bool { return t.Issuer == nrr.Issuer }, "is not from the server that received the request")
-	r.Aborted = bound(evidence.KindAbort, nro != nil, coversRequest, "does not cover the run's request")
-
-	receipt := func(c evidence.Consumption) sig.Digest {
-		note := evidence.ReceiptNote{Run: r.Run, Client: nro.Issuer, ResponseDigest: nroResp.Digest, Consumption: c}
-		d, _ := note.Digest() // a fixed-shape struct always encodes
-		return d
-	}
-	answered := nro != nil && nroResp != nil
-	r.Substituted = bound(evidence.KindSubstitute, answered,
-		func(t *evidence.Token) bool { return t.Digest == receipt(evidence.Consumed) }, "does not acknowledge the run's response")
-	r.ResponseReceiptProven = bound(evidence.KindNRRResp, answered, func(t *evidence.Token) bool {
-		return t.Issuer == nro.Issuer && (t.Digest == receipt(evidence.Consumed) || t.Digest == receipt(evidence.NotConsumed))
-	}, "is not the client's receipt of the run's response") || r.Substituted
+	r.ReceiptProven, r.ResponseProven = proven[evidence.KindNRR], proven[evidence.KindNROResp]
+	r.Substituted, r.Aborted = proven[evidence.KindSubstitute], proven[evidence.KindAbort]
+	r.ResponseReceiptProven = proven[evidence.KindNRRResp] || r.Substituted
 }
 
 // Complete reports whether the run's evidence forms the full exchange of

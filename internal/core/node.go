@@ -153,24 +153,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	var co *protocol.Coordinator
 	var err error
+	var opts []protocol.Option
+	if cfg.Retry != nil {
+		opts = append(opts, protocol.WithRetryPolicy(*cfg.Retry))
+	}
 	switch {
 	case cfg.Worker != nil:
 		if cfg.Network == nil {
 			err = fmt.Errorf("core: worker node for %s needs a network to dial out on", cfg.Party)
 			break
 		}
-		var opts []protocol.Option
-		if cfg.Retry != nil {
-			opts = append(opts, protocol.WithRetryPolicy(*cfg.Retry))
-		}
 		co, err = protocol.ConnectWorker(cfg.Network, *cfg.Worker, svc, opts...)
 	case cfg.Host != nil:
 		co, err = cfg.Host.Add(svc)
 	default:
-		var opts []protocol.Option
-		if cfg.Retry != nil {
-			opts = append(opts, protocol.WithRetryPolicy(*cfg.Retry))
-		}
 		if cfg.Coalesce != nil {
 			opts = append(opts, protocol.WithCoalescing(*cfg.Coalesce))
 		}

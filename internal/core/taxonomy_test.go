@@ -274,6 +274,32 @@ func TestAdjudicatorFailureTaxonomy(t *testing.T) {
 			want: verdicts{chainOK: true, runFaults: []uint64{5}, complete: true, receiptProven: true, respReceipt: true},
 		},
 		{
+			name: "NRR from a server the NRO does not name",
+			mutate: func(t *testing.T, records []*store.Record) []*store.Record {
+				// The client names the server as the request's one
+				// recipient; orgC answers in its place, receipt and
+				// response origin both.
+				named, err := realm.Party(client).Issuer.Issue(evidence.KindNRO, run, 1, f.req, evidence.WithRecipients(server))
+				if err != nil {
+					t.Fatal(err)
+				}
+				records = replace(t, records, 0, named)
+				records = replace(t, records, 1, f.issue(t, orgC, evidence.KindNRR, f.req))
+				return replace(t, records, 2, f.issue(t, orgC, evidence.KindNROResp, f.resp))
+			},
+			want: verdicts{chainOK: true, runFaults: []uint64{2}, complete: false, receiptProven: false, respReceipt: true},
+		},
+		{
+			name: "NRR from another server, the NRO naming none",
+			mutate: func(t *testing.T, records []*store.Record) []*store.Record {
+				// An NRO without recipients names no server: the NRR's
+				// issuer stays unbound.
+				records = replace(t, records, 1, f.issue(t, orgC, evidence.KindNRR, f.req))
+				return replace(t, records, 2, f.issue(t, orgC, evidence.KindNROResp, f.resp))
+			},
+			want: verdicts{chainOK: true, complete: true, receiptProven: true, respReceipt: true},
+		},
+		{
 			name: "NotConsumed receipt proves the response receipt",
 			mutate: func(t *testing.T, records []*store.Record) []*store.Record {
 				return replace(t, records, 3, f.issue(t, client, evidence.KindNRRResp, f.receipt(t, f.resp, evidence.NotConsumed)))

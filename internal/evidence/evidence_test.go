@@ -2,6 +2,7 @@ package evidence_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"nonrep/internal/evidence"
@@ -131,6 +132,57 @@ func TestExpectChecksBinding(t *testing.T) {
 	}
 	if err := v.Expect(&forged, evidence.KindNRO, run, alice, d); err == nil {
 		t.Error("Expect accepted a token whose signature was stripped")
+	}
+}
+
+// TestExpectBoundNeedsAnchorsAndIssuer: a door accepts a run token only
+// by its binding-table entry, with every anchor the entry reads and an
+// issuer to hold the token to; a token breaking the entry is refused
+// naming the binding.
+func TestExpectBoundNeedsAnchorsAndIssuer(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(alice, bob)
+	v := realm.Verifier()
+	run := id.NewRun()
+	issue := func(p id.Party, kind evidence.Kind, d sig.Digest, opts ...evidence.IssueOption) *evidence.Token {
+		tok, err := realm.Party(p).Issuer.Issue(kind, run, 1, d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	nro := issue(alice, evidence.KindNRO, sig.Sum([]byte("request")), evidence.WithRecipients(bob))
+	nrr := issue(bob, evidence.KindNRR, nro.Digest)
+	a := evidence.Anchors{Run: run, NRO: nro, NRR: nrr, NROResp: issue(bob, evidence.KindNROResp, sig.Sum([]byte("response"))), Server: bob}
+	if err := v.ExpectBound(nrr, evidence.KindNRR, &a); err != nil {
+		t.Fatalf("honest NRR: %v", err)
+	}
+	receipt := issue(alice, evidence.KindNRRResp, a.ReceiptDigest(evidence.NotConsumed))
+	if err := v.ExpectBound(receipt, evidence.KindNRRResp, &a); err != nil {
+		t.Fatalf("honest NRRResp: %v", err)
+	}
+	if err := v.ExpectBound(issue(bob, evidence.KindNRR, sig.Sum([]byte("other"))), evidence.KindNRR, &a); err == nil ||
+		!strings.Contains(err.Error(), "does not cover the run's request") {
+		t.Errorf("NRR over other content = %v", err)
+	}
+	if err := v.ExpectBound(issue(alice, evidence.KindNRR, nro.Digest), evidence.KindNRR, &a); err == nil ||
+		!strings.Contains(err.Error(), "is not from the server the request names") {
+		t.Errorf("NRR from the client = %v", err)
+	}
+	for name, c := range map[string]struct {
+		tok  *evidence.Token
+		kind evidence.Kind
+		a    evidence.Anchors
+	}{
+		"no NRO anchor":  {nrr, evidence.KindNRR, evidence.Anchors{Run: run, Server: bob}},
+		"no server":      {nrr, evidence.KindNRR, evidence.Anchors{Run: run, NRO: nro}},
+		"no TTP":         {issue(bob, evidence.KindAbort, nro.Digest), evidence.KindAbort, a},
+		"no table entry": {nro, evidence.KindNRO, a},
+		"missing token":  {nil, evidence.KindNRR, a},
+	} {
+		if err := v.ExpectBound(c.tok, c.kind, &c.a); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

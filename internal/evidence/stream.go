@@ -146,9 +146,6 @@ func (d *StreamDigester) Add(chunk []byte) error {
 	return nil
 }
 
-// Size returns the bytes digested so far.
-func (d *StreamDigester) Size() int64 { return d.size }
-
 // Ref finalises the chain into a StreamRef bound to the given wire stream
 // identifier.
 func (d *StreamDigester) Ref(stream string) (StreamRef, error) {

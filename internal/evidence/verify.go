@@ -81,14 +81,8 @@ func (v *Verifier) verify(tok *Token) error {
 // missing token is refused like a wrong one, not a crash. Every party and
 // peer service checks what it receives by this rule.
 func (v *Verifier) Expect(tok *Token, kind Kind, run id.Run, issuer id.Party, digest sig.Digest) error {
-	if tok == nil {
-		return fmt.Errorf("%w: no %s token", ErrKindMismatch, kind)
-	}
-	if tok.Kind != kind {
-		return fmt.Errorf("%w: got %s, want %s", ErrKindMismatch, tok.Kind, kind)
-	}
-	if tok.Run != run {
-		return fmt.Errorf("%w: got %s, want %s", ErrRunMismatch, tok.Run, run)
+	if err := expectRun(tok, kind, run); err != nil {
+		return err
 	}
 	if tok.Issuer != issuer {
 		return fmt.Errorf("%w: token issued by %s, want %s", ErrIssuerMismatch, tok.Issuer, issuer)
@@ -97,6 +91,19 @@ func (v *Verifier) Expect(tok *Token, kind Kind, run id.Run, issuer id.Party, di
 		return fmt.Errorf("%w: %s token", ErrContentMismatch, kind)
 	}
 	return v.Verify(tok)
+}
+
+// expectRun checks that tok is present, of kind, and bound to run.
+func expectRun(tok *Token, kind Kind, run id.Run) error {
+	switch {
+	case tok == nil:
+		return fmt.Errorf("%w: no %s token", ErrKindMismatch, kind)
+	case tok.Kind != kind:
+		return fmt.Errorf("%w: got %s, want %s", ErrKindMismatch, tok.Kind, kind)
+	case tok.Run != run:
+		return fmt.Errorf("%w: got %s, want %s", ErrRunMismatch, tok.Run, run)
+	}
+	return nil
 }
 
 // keyOnly adapts a KeyResolver to the stamp package's narrower interface.

@@ -1,107 +1,127 @@
 package invoke
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
-	"nonrep/internal/sig"
 )
 
 // The acceptance rule of each protocol message, written once and applied
-// by every party that receives the message: the server, an inline relay
-// and the offline TTP accept a request by checkRequest; the client, a
-// relay and the TTP a reply by checkReply; the server and a relay a
-// receipt by checkReceipt; the server and the client the TTP's decision
-// by checkDecision. Each token passes Verifier.Expect over the
-// digest the protocol binds it to, the bindings core.Adjudicator judges a
-// run by: every door applies the adjudicator's rule.
+// by every party that receives it: checkRequest (server, inline relay,
+// offline TTP), checkReply (client, relay, TTP), checkReceipt (server,
+// relay) and checkDecision (server, client). Every run token after the
+// NRO passes Verifier.ExpectBound, its entry of evidence.Bindings, which
+// core.Adjudicator judges runs by. Beyond the table the doors check only
+// what needs a snapshot: the NRO covers the request snapshot, and the
+// NROResp the response that answers it.
 
 // checkRequest accepts the step-1 message of run: snap is that run's
-// request and nro its client's origin token over it. It returns the
-// request digest.
-func checkRequest(v *evidence.Verifier, run id.Run, snap *evidence.RequestSnapshot, nro *evidence.Token) (sig.Digest, error) {
+// request and nro its client's origin token over it, naming the
+// snapshot's server as its one recipient if it names any. It returns the
+// run's anchors: the NRO and the server the request names.
+func checkRequest(v *evidence.Verifier, run id.Run, snap *evidence.RequestSnapshot, nro *evidence.Token) (*evidence.Anchors, error) {
 	if snap.Run != run {
-		return sig.Digest{}, fmt.Errorf("%w: snapshot run %s in message for run %s", ErrEvidenceInvalid, snap.Run, run)
+		return nil, fmt.Errorf("%w: snapshot run %s in message for run %s", ErrEvidenceInvalid, snap.Run, run)
 	}
 	reqDigest, err := snap.Digest()
 	if err != nil {
-		return sig.Digest{}, err
+		return nil, err
 	}
-	return reqDigest, invalid(v.Expect(nro, evidence.KindNRO, run, snap.Client, reqDigest))
+	if err := v.Expect(nro, evidence.KindNRO, run, snap.Client, reqDigest); err != nil {
+		return nil, invalid(err)
+	}
+	if len(nro.Recipients) > 0 && !slices.Equal(nro.Recipients, []id.Party{snap.Server}) {
+		return nil, fmt.Errorf("%w: request origin names %v, not the request's server", ErrEvidenceInvalid, nro.Recipients)
+	}
+	return &evidence.Anchors{Run: run, NRO: nro, Server: snap.Server}, nil
 }
 
-// checkReply accepts the step-2 reply of run: resp answers the request
-// reqDigest, server's NRR covers that request and its NROResp covers
-// resp. It returns the response digest.
-func checkReply(v *evidence.Verifier, run id.Run, server id.Party, reqDigest sig.Digest, resp *evidence.ResponseSnapshot, nrr, nroResp *evidence.Token) (sig.Digest, error) {
-	respDigest, err := answers(resp, run, reqDigest)
-	if err != nil {
-		return sig.Digest{}, err
+// checkReply accepts the step-2 reply of the run a anchors, a now holding
+// the reply's NRR and NROResp: resp answers the run's request, and each
+// token holds its entry, the NROResp over resp. Under d a volunteered NRR
+// may be missing, and no NROResp is asked for.
+func checkReply(v *evidence.Verifier, a *evidence.Anchors, d *descriptor, resp *evidence.ResponseSnapshot) error {
+	if resp.Run != a.Run || resp.RequestDigest != a.NRO.Digest {
+		return fmt.Errorf("%w: response does not answer the run's request", ErrEvidenceInvalid)
 	}
-	if err := v.Expect(nrr, evidence.KindNRR, run, server, reqDigest); err != nil {
-		return sig.Digest{}, invalid(err)
+	if a.NRR != nil || !d.volunteered {
+		if err := v.ExpectBound(a.NRR, evidence.KindNRR, a); err != nil {
+			return invalid(err)
+		}
 	}
-	return respDigest, invalid(v.Expect(nroResp, evidence.KindNROResp, run, server, respDigest))
+	if d.receiptless {
+		return nil
+	}
+	if err := v.ExpectBound(a.NROResp, evidence.KindNROResp, a); err != nil {
+		return invalid(err)
+	}
+	if respDigest, err := resp.Digest(); err != nil || a.NROResp.Digest != respDigest {
+		return fmt.Errorf("%w: response origin does not cover the response", ErrEvidenceInvalid)
+	}
+	return nil
 }
 
-// answers checks that resp answers the request reqDigest of run and
-// returns the response digest.
-func answers(resp *evidence.ResponseSnapshot, run id.Run, reqDigest sig.Digest) (sig.Digest, error) {
-	if resp.Run != run {
-		return sig.Digest{}, fmt.Errorf("%w: response for run %s, want %s", ErrEvidenceInvalid, resp.Run, run)
+// checkReceipt accepts msg, the step-3 receipt of the run a anchors: the
+// client's NRRResp over its note, consumed or not, on the run's response.
+// It returns the note and the token.
+func checkReceipt(v *evidence.Verifier, a *evidence.Anchors, msg *protocol.Message) (evidence.ReceiptNote, *evidence.Token, error) {
+	var body receiptBody
+	if err := msg.Body(&body); err != nil {
+		return body.Note, nil, err
 	}
-	if resp.RequestDigest != reqDigest {
-		return sig.Digest{}, fmt.Errorf("%w: response bound to a different request", ErrEvidenceInvalid)
+	tok := msg.Token(evidence.KindNRRResp)
+	if err := v.ExpectBound(tok, evidence.KindNRRResp, a); err != nil {
+		return body.Note, nil, invalid(err)
 	}
-	return resp.Digest()
+	if d, err := body.Note.Digest(); err != nil || d != tok.Digest {
+		return body.Note, nil, fmt.Errorf("%w: receipt does not match response", ErrEvidenceInvalid)
+	}
+	return body.Note, tok, nil
 }
 
-// checkReceipt accepts the step-3 receipt of run: the note is client's
-// report, consumed or not, on the response respDigest, and tok is client's
-// NRRResp over the note.
-func checkReceipt(v *evidence.Verifier, run id.Run, client id.Party, respDigest sig.Digest, note *evidence.ReceiptNote, tok *evidence.Token) error {
-	want := evidence.ReceiptNote{Run: run, Client: client, ResponseDigest: respDigest, Consumption: note.Consumption}
-	if *note != want || (note.Consumption != evidence.Consumed && note.Consumption != evidence.NotConsumed) {
-		return fmt.Errorf("%w: receipt does not match response", ErrEvidenceInvalid)
-	}
-	noteDigest, err := note.Digest()
-	if err != nil {
-		return err
-	}
-	return invalid(v.Expect(tok, evidence.KindNRRResp, run, client, noteDigest))
-}
-
-// checkDecision accepts the offline TTP's reply to a resolve or abort of
-// run and returns whether the run was resolved, with the decision's
-// token. An abort must be ttp's abort affidavit over the request
-// reqDigest. A resolution must be ttp's substitute receipt over receipt,
-// the consumed ReceiptNote of the run's client on its response. A client
-// that never saw the response cannot rebuild that note and passes nil:
-// it then checks the substitute's kind, run and issuer only.
-func checkDecision(v *evidence.Verifier, run id.Run, ttp id.Party, reqDigest sig.Digest, receipt *evidence.ReceiptNote, reply *protocol.Message) (bool, *evidence.Token, error) {
+// checkDecision accepts the reply of a.TTP, the offline TTP, to a resolve
+// or abort of the run a anchors, and returns whether the run was
+// resolved, with the decision's token. A client that never saw the
+// response holds no NROResp to rebuild the receipt note from: it checks a
+// substitute's kind, run and issuer only.
+func checkDecision(v *evidence.Verifier, a *evidence.Anchors, reply *protocol.Message) (bool, *evidence.Token, error) {
 	var db decisionBody
 	if err := reply.Body(&db); err != nil {
 		return false, nil, err
 	}
-	if !db.Resolved {
-		tok := reply.Token(evidence.KindAbort)
-		return false, tok, invalid(v.Expect(tok, evidence.KindAbort, run, ttp, reqDigest))
+	kind := evidence.KindAbort
+	if db.Resolved {
+		kind = evidence.KindSubstitute
 	}
-	tok := reply.Token(evidence.KindSubstitute)
-	var digest sig.Digest
-	switch {
-	case receipt != nil:
-		d, err := receipt.Digest()
-		if err != nil {
-			return true, nil, err
-		}
-		digest = d
-	case tok != nil:
-		digest = tok.Digest
+	tok := reply.Token(kind)
+	if db.Resolved && a.NROResp == nil && tok != nil {
+		return true, tok, invalid(v.Expect(tok, kind, a.Run, a.TTP, tok.Digest))
 	}
-	return true, tok, invalid(v.Expect(tok, evidence.KindSubstitute, run, ttp, digest))
+	return db.Resolved, tok, invalid(v.ExpectBound(tok, kind, a))
+}
+
+// askTTP sends the resolve or abort of the run a anchors, carrying body,
+// to the offline TTP a.TTP, accepts its decision by checkDecision and logs
+// the decision's token. It reports whether the TTP resolved the run.
+func askTTP(ctx context.Context, co *protocol.Coordinator, a *evidence.Anchors, step int, kind string, body any) (bool, error) {
+	msg := &protocol.Message{Protocol: ProtocolResolve, Run: a.Run, Step: step, Kind: kind}
+	if err := msg.SetBody(body); err != nil {
+		return false, err
+	}
+	reply, err := co.DeliverRequest(ctx, a.TTP, msg)
+	if err != nil {
+		return false, fmt.Errorf("invoke: ttp %s: %w", kind, err)
+	}
+	svc := co.Services()
+	resolved, tok, err := checkDecision(svc.Verifier, a, reply)
+	if err != nil {
+		return false, err
+	}
+	return resolved, svc.LogReceived(tok, "ttp decision")
 }
 
 // invalid marks a refused counterparty token as ErrEvidenceInvalid.

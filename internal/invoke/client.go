@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
-	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -20,7 +20,7 @@ import (
 // every server token happens before the response is released.
 type Client struct {
 	co              *protocol.Coordinator
-	proto           string
+	d               *descriptor
 	via             []id.Party
 	ttp             id.Party
 	consumption     evidence.Consumption
@@ -38,7 +38,7 @@ type ClientOption func(*Client)
 
 // WithProtocol selects the invocation protocol (default ProtocolDirect).
 func WithProtocol(name string) ClientOption {
-	return func(c *Client) { c.proto = name }
+	return func(c *Client) { c.d, _ = protocolFor(name) }
 }
 
 // Via routes the exchange through inline TTP relays (Figure 3a with one
@@ -46,7 +46,7 @@ func WithProtocol(name string) ClientOption {
 func Via(relays ...id.Party) ClientOption {
 	return func(c *Client) {
 		c.via = relays
-		c.proto = ProtocolInline
+		c.d = inline
 	}
 }
 
@@ -55,7 +55,7 @@ func Via(relays ...id.Party) ClientOption {
 func WithOfflineTTP(ttp id.Party) ClientOption {
 	return func(c *Client) {
 		c.ttp = ttp
-		c.proto = ProtocolFair
+		c.d = fair
 	}
 }
 
@@ -75,7 +75,7 @@ func WithholdReceipt() ClientOption {
 
 // NewClient creates a client bound to its party's coordinator.
 func NewClient(co *protocol.Coordinator, opts ...ClientOption) *Client {
-	c := &Client{co: co, proto: ProtocolDirect, consumption: evidence.Consumed}
+	c := &Client{co: co, d: direct, consumption: evidence.Consumed}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -130,7 +130,7 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		Service:   req.Service,
 		Operation: req.Operation,
 		Params:    req.Params,
-		Protocol:  c.proto,
+		Protocol:  c.d.name,
 	}
 	reqDigest, err := snap.Digest()
 	if err != nil {
@@ -144,7 +144,7 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		if err := c.crash("pre-nro-append"); err != nil {
 			return nil, err
 		}
-		sp := leafSpan(ctx, svc, "evidence.issue")
+		sp := svc.Obs.StartChild(ctx, "evidence.issue")
 		nro, err = svc.Issuer.Issue(evidence.KindNRO, run, stepRequest, reqDigest,
 			evidence.WithService(req.Service), evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
 		sp.End()
@@ -170,26 +170,23 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 	if len(c.via) > 0 {
 		dest = c.via[0]
 	}
-	nrr, nroResp, resp := st.NRR, st.NROResp, st.Response
-	var respDigest sig.Digest
+	a := &evidence.Anchors{Run: run, NRO: nro, NRR: st.NRR, NROResp: st.NROResp, Server: server}
+	resp := st.Response
 	var group []store.Entry
-	if nrr != nil && nroResp != nil && resp != nil {
+	if a.NRR != nil && a.NROResp != nil && resp != nil {
 		// Re-check the recovered snapshot against the signed origin before
 		// trusting its payload.
-		if respDigest, err = answers(resp, run, reqDigest); err != nil {
+		if err := checkReply(svc.Verifier, a, c.d, resp); err != nil {
 			return nil, err
 		}
-		if respDigest != nroResp.Digest {
-			return nil, fmt.Errorf("%w: recovered response does not match journaled NROResp", ErrEvidenceInvalid)
-		}
 	} else {
-		reply, err := c.co.DeliverRequest(ctx, dest, NewRequestMessage(c.proto, run, snap, nro))
+		reply, err := c.co.DeliverRequest(ctx, dest, NewRequestMessage(c.d.name, run, snap, nro))
 		if err != nil {
 			// The submission failed: per section 3.2 the client knows the
-			// server did not (provably) receive the request. Under the fair
-			// protocol the client additionally aborts the run at the TTP so
+			// server did not (provably) receive the request. Under TTP
+			// recovery the client additionally aborts the run at the TTP so
 			// the server cannot later resolve it.
-			if c.proto == ProtocolFair && c.ttp != "" {
+			if c.d.recovery && c.ttp != "" {
 				if abortErr := c.abortRun(ctx, snap, nro); abortErr != nil {
 					return nil, fmt.Errorf("invoke: submission failed (%v) and abort failed: %w", err, abortErr)
 				}
@@ -202,35 +199,30 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 			return nil, err
 		}
 		resp = &rb.Snapshot
-		gotNRR, gotNROResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
-		if c.proto == ProtocolVoluntary {
-			// Baseline: any receipt is voluntary; verify it if present but
-			// demand nothing. There is no step 3, so no response origin is
-			// asked for, and one attached is never checked: it is dropped,
-			// not kept as evidence received.
-			gotNROResp = nil
-			if respDigest, err = answers(resp, run, reqDigest); err == nil && gotNRR != nil {
-				err = invalid(svc.Verifier.Expect(gotNRR, evidence.KindNRR, run, server, reqDigest))
-			}
-		} else {
-			respDigest, err = checkReply(svc.Verifier, run, server, reqDigest, resp, gotNRR, gotNROResp)
+		// A volunteered NRR is checked if present. A response origin the
+		// protocol does not ask for is never checked, so it is dropped, not
+		// kept as evidence received.
+		got := *a
+		got.NRR, got.NROResp = reply.Token(evidence.KindNRR), nil
+		if !c.d.receiptless {
+			got.NROResp = reply.Token(evidence.KindNROResp)
 		}
-		if err != nil {
+		if err := checkReply(svc.Verifier, &got, c.d, resp); err != nil {
 			return nil, err
 		}
 		if err := c.crash("post-reply-verify"); err != nil {
 			return nil, err
 		}
-		if nrr == nil && gotNRR != nil {
-			nrr = gotNRR
+		if a.NRR == nil && got.NRR != nil {
+			a.NRR = got.NRR
 			note := "request receipt"
-			if c.proto == ProtocolVoluntary {
+			if c.d.volunteered {
 				note = "voluntary receipt"
 			}
-			group = append(group, store.Entry{Dir: store.Received, Token: nrr, Note: note})
+			group = append(group, store.Entry{Dir: store.Received, Token: a.NRR, Note: note})
 		}
-		if nroResp == nil && gotNROResp != nil {
-			nroResp = gotNROResp
+		if a.NROResp == nil && got.NROResp != nil {
+			a.NROResp = got.NROResp
 			note := "response origin"
 			if journalResponse {
 				b, err := canon.Marshal(resp)
@@ -239,14 +231,14 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 				}
 				note = string(b)
 			}
-			group = append(group, store.Entry{Dir: store.Received, Token: nroResp, Note: note})
+			group = append(group, store.Entry{Dir: store.Received, Token: a.NROResp, Note: note})
 		}
 		if err := c.crash("mid-reply-append"); err != nil {
 			return nil, err
 		}
 	}
 	result := &Result{Run: run, Status: resp.Status, Result: resp.Result, Err: resp.Error, Evidence: []*evidence.Token{nro}}
-	for _, tok := range []*evidence.Token{nrr, nroResp} {
+	for _, tok := range []*evidence.Token{a.NRR, a.NROResp} {
 		if tok != nil {
 			result.Evidence = append(result.Evidence, tok)
 		}
@@ -261,17 +253,17 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 	// due before the receipt leaves or the result is returned (R2), the
 	// receipt before it is sent (R1) — the same next action. A verified
 	// response that cannot be taken up, or a receipt withheld, commits the
-	// reply evidence alone. withholdReceipt is misbehaviour injection: under
-	// ProtocolFair the server recovers via the TTP; under ProtocolDirect it
-	// is left with an incomplete exchange (the trade-off section 3.1
-	// discusses).
+	// reply evidence alone, and so does a protocol without step 3.
+	// withholdReceipt is misbehaviour injection: under TTP recovery the
+	// server resolves the run; without it the server is left with an
+	// incomplete exchange (the trade-off section 3.1 discusses).
 	var receipt *protocol.Message
 	switch {
 	case st.NRRResp != nil:
 		result.Evidence = append(result.Evidence, st.NRRResp)
-	case err == nil && !c.withholdReceipt && c.proto != ProtocolVoluntary:
-		if receipt, err = c.newReceipt(run, req.Txn, server, respDigest); err == nil {
-			group = append(group, store.Entry{Dir: store.Generated, Token: receipt.Tokens[0], Note: c.receiptNote()})
+	case err == nil && !c.withholdReceipt && !c.d.receiptless:
+		if receipt, err = c.newReceipt(a, req.Txn); err == nil {
+			group = append(group, store.Entry{Dir: store.Generated, Token: receipt.Tokens[0], Note: "response receipt (" + c.consumption.String() + ")"})
 			result.Evidence = append(result.Evidence, receipt.Tokens[0])
 		}
 	}
@@ -296,42 +288,27 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 	return result, nil
 }
 
-// newReceipt issues the run's NRR(resp) and builds the step 3 message
-// carrying it; the token is the message's only one.
-func (c *Client) newReceipt(run id.Run, txn id.Txn, server id.Party, respDigest sig.Digest) (*protocol.Message, error) {
+// newReceipt issues the NRR(resp) of the run a anchors and builds the
+// step 3 message carrying it; the token is the message's only one.
+func (c *Client) newReceipt(a *evidence.Anchors, txn id.Txn) (*protocol.Message, error) {
 	svc := c.co.Services()
-	note := evidence.ReceiptNote{
-		Run:            run,
-		Client:         svc.Party,
-		ResponseDigest: respDigest,
-		Consumption:    c.consumption,
-	}
-	noteDigest, err := note.Digest()
-	if err != nil {
-		return nil, err
-	}
-	nrrResp, err := svc.Issuer.Issue(evidence.KindNRRResp, run, stepReceipt, noteDigest,
-		evidence.WithTxn(txn), evidence.WithRecipients(server))
+	nrrResp, err := svc.Issuer.Issue(evidence.KindNRRResp, a.Run, stepReceipt, a.ReceiptDigest(c.consumption),
+		evidence.WithTxn(txn), evidence.WithRecipients(a.Server))
 	if err != nil {
 		return nil, err
 	}
 	msg := &protocol.Message{
-		Protocol: c.proto,
-		Run:      run,
+		Protocol: c.d.name,
+		Run:      a.Run,
 		Txn:      txn,
 		Step:     stepReceipt,
 		Kind:     kindReceipt,
 		Tokens:   []*evidence.Token{nrrResp},
 	}
-	if err := msg.SetBody(receiptBody{Note: note}); err != nil {
+	if err := msg.SetBody(receiptBody{Note: a.Receipt(c.consumption)}); err != nil {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// receiptNote is the log note of the client's own NRR(resp).
-func (c *Client) receiptNote() string {
-	return "response receipt (" + c.consumption.String() + ")"
 }
 
 // sendStreams delivers every streamed parameter to the server as ordered
@@ -349,15 +326,11 @@ func (c *Client) sendStreams(ctx context.Context, server id.Party, run id.Run, r
 		if err != nil {
 			return nil, err
 		}
-		placed := false
-		for i := range params {
-			if params[i].Kind == evidence.ParamStream && params[i].Name == st.Name && params[i].Stream == nil {
-				params[i].Stream = ref
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		if i := slices.IndexFunc(params, func(p evidence.Param) bool {
+			return p.Kind == evidence.ParamStream && p.Name == st.Name && p.Stream == nil
+		}); i >= 0 {
+			params[i].Stream = ref
+		} else {
 			params = append(params, evidence.Param{Kind: evidence.ParamStream, Name: st.Name, Stream: ref})
 		}
 	}
@@ -375,7 +348,7 @@ func (c *Client) sendStream(ctx context.Context, server id.Party, run id.Run, tx
 	for {
 		n, err := io.ReadFull(st.Reader, buf)
 		if n > 0 {
-			msg := &protocol.Message{Protocol: c.proto, Run: run, Txn: txn, Step: stepRequest, Kind: kindChunk}
+			msg := &protocol.Message{Protocol: c.d.name, Run: run, Txn: txn, Step: stepRequest, Kind: kindChunk}
 			if berr := msg.SetBody(chunkBody{Stream: sid, Seq: seq}); berr != nil {
 				return nil, berr
 			}
@@ -425,7 +398,7 @@ func (c *Client) attachStreams(ctx context.Context, result *Result, respSnap *ev
 			ctx:    ctx,
 			co:     c.co,
 			server: server,
-			proto:  c.proto,
+			proto:  c.d.name,
 			run:    result.Run,
 			name:   p.Name,
 			ref:    *p.Stream,

@@ -201,6 +201,54 @@ func TestVoluntaryNotConsumedWithheld(t *testing.T) {
 	}
 }
 
+// TestVoluntaryServerRefusesReceipt: the voluntary baseline has no step
+// 3, so its server refuses a receipt at the door and logs nothing — even
+// the client's own receipt over its note on the response the run returned.
+func TestVoluntaryServerRefusesReceipt(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec,
+		invoke.ForProtocol(invoke.ProtocolVoluntary), invoke.WithVoluntaryReceipt())
+	defer srv.Close()
+	cli := invoke.NewClient(d.Node(client).Coordinator(), invoke.WithProtocol(invoke.ProtocolVoluntary))
+	ctx := context.Background()
+	res, err := cli.Invoke(ctx, server, orderRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := evidence.ResponseSnapshot{Run: res.Run, Server: server, Status: res.Status, Result: res.Result,
+		RequestDigest: res.Evidence[0].Digest}
+	respDigest, err := resp.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := evidence.ReceiptNote{Run: res.Run, Client: client, ResponseDigest: respDigest, Consumption: evidence.Consumed}
+	noteDigest, err := note.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := d.Realm.Party(client).Issuer.Issue(evidence.KindNRRResp, res.Run, 3, noteDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := &protocol.Message{Protocol: invoke.ProtocolVoluntary, Run: res.Run, Step: 3, Kind: "receipt", Tokens: []*evidence.Token{tok}}
+	if err := msg.SetBody(map[string]evidence.ReceiptNote{"note": note}); err != nil {
+		t.Fatal(err)
+	}
+	logged := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run}))
+	if err := srv.Process(ctx, msg); err == nil {
+		t.Fatal("a voluntary server accepted a step-3 receipt")
+	}
+	if got := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run})); got != logged {
+		t.Fatalf("server logged %d records for the run after the receipt, want the %d before it", got, logged)
+	}
+	if received, _, err := srv.ReceiptState(res.Run); err != nil || received {
+		t.Fatalf("ReceiptState = %v, %v; want no receipt", received, err)
+	}
+}
+
 // TestFreshResumeCommitsTwice: a fresh Resume costs the client's vault
 // the two commits Invoke costs it — {NRO} before the request leaves, then
 // {NRR, NROResp, NRRResp} before the receipt leaves — so a durable call

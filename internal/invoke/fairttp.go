@@ -51,81 +51,60 @@ func (s *ResolveService) handleResolve(ctx context.Context, msg *protocol.Messag
 	}
 	// The requester must prove both origins and its own receipt: an
 	// incomplete or forged history earns no substitute.
-	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
+	a, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
 	if err != nil {
 		return nil, err
 	}
-	respDigest, err := checkReply(svc.Verifier, msg.Run, body.Request.Server, reqDigest, &body.Response, body.NRR, body.NROResp)
-	if err != nil {
+	a.NRR, a.NROResp = body.NRR, body.NROResp
+	if err := checkReply(svc.Verifier, a, fair, &body.Response); err != nil {
 		return nil, err
 	}
-	note := evidence.ReceiptNote{
-		Run:            msg.Run,
-		Client:         body.Request.Client,
-		ResponseDigest: respDigest,
-		Consumption:    evidence.Consumed,
-	}
-	noteDigest, err := note.Digest()
-	if err != nil {
-		return nil, err
-	}
-	return s.decide(msg.Run, func() (*evidence.Token, error) {
-		if err := logGroup(ctx, svc,
-			store.Entry{Dir: store.Received, Token: body.NRO, Note: "resolve evidence"},
-			store.Entry{Dir: store.Received, Token: body.NRR, Note: "resolve evidence"},
-			store.Entry{Dir: store.Received, Token: body.NROResp, Note: "resolve evidence"},
-		); err != nil {
-			return nil, err
-		}
-		sub, err := svc.Issuer.Issue(evidence.KindSubstitute, msg.Run, stepReceipt, noteDigest,
-			evidence.WithRecipients(body.Request.Server, body.Request.Client))
-		if err != nil {
-			return nil, err
-		}
-		return sub, svc.LogGenerated(sub, "substitute receipt")
-	})
+	return s.decide(ctx, []store.Entry{
+		{Dir: store.Received, Token: body.NRO, Note: "resolve evidence"},
+		{Dir: store.Received, Token: body.NRR, Note: "resolve evidence"},
+		{Dir: store.Received, Token: body.NROResp, Note: "resolve evidence"},
+	}, evidence.TokenRequest{Kind: evidence.KindSubstitute, Run: msg.Run, Step: stepReceipt, Digest: a.ReceiptDigest(evidence.Consumed),
+		Opts: []evidence.IssueOption{evidence.WithRecipients(body.Request.Server, body.Request.Client)}}, "substitute receipt")
 }
 
 // handleAbort verifies the client's evidence of step 1 and issues an abort
 // affidavit, unless the run was already resolved.
-func (s *ResolveService) handleAbort(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
+func (s *ResolveService) handleAbort(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	svc := s.co.Services()
 	var body abortBody
 	if err := msg.Body(&body); err != nil {
 		return nil, err
 	}
-	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
-	if err != nil {
+	if _, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO); err != nil {
 		return nil, err
 	}
-	return s.decide(msg.Run, func() (*evidence.Token, error) {
-		if err := svc.LogReceived(body.NRO, "abort evidence"); err != nil {
-			return nil, err
-		}
-		abort, err := svc.Issuer.Issue(evidence.KindAbort, msg.Run, stepRequest, reqDigest,
-			evidence.WithRecipients(body.Request.Client, body.Request.Server))
-		if err != nil {
-			return nil, err
-		}
-		return abort, svc.LogGenerated(abort, "abort affidavit")
-	})
+	return s.decide(ctx, []store.Entry{{Dir: store.Received, Token: body.NRO, Note: "abort evidence"}},
+		evidence.TokenRequest{Kind: evidence.KindAbort, Run: msg.Run, Step: stepRequest, Digest: body.NRO.Digest,
+			Opts: []evidence.IssueOption{evidence.WithRecipients(body.Request.Client, body.Request.Server)}}, "abort affidavit")
 }
 
-// decide answers with run's logged decision or, when it has none, with
-// the token issue logs as the decision. Both happen under mu, so a
-// resolve and an abort of one run cannot both find it undecided, and
-// nothing is logged for a run already decided.
-func (s *ResolveService) decide(run id.Run, issue func() (*evidence.Token, error)) (*protocol.Message, error) {
+// decide answers with the run's logged decision or, when it has none,
+// logs the requester's evidence, then issues and logs the decision req
+// under note. Both happen under mu, so a resolve and an abort of one run
+// cannot both find it undecided, and nothing is logged for a run already
+// decided.
+func (s *ResolveService) decide(ctx context.Context, received []store.Entry, req evidence.TokenRequest, note string) (*protocol.Message, error) {
+	svc := s.co.Services()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tok, err := s.decision(run)
+	tok, err := s.decision(req.Run)
 	if tok == nil && err == nil {
-		tok, err = issue()
+		if err = logGroup(ctx, svc, received...); err == nil {
+			tok, err = svc.Issuer.Issue(req.Kind, req.Run, req.Step, req.Digest, req.Opts...)
+		}
+		if err == nil {
+			err = svc.LogGenerated(tok, note)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return decisionReply(run, tok)
+	return decisionReply(req.Run, tok)
 }
 
 // decision returns the substitute receipt or abort affidavit this TTP

@@ -22,6 +22,13 @@
 //     stronger fairness/liveness guarantees in the style of optimistic
 //     fair-exchange protocols (paper reference [7]).
 //
+// Each variant is one descriptor (protocols): who serves it, what its
+// reply carries, whether step 3 follows, whether an offline TTP recovers
+// its runs and whether they resume. The client, server, relay, TTP and
+// negotiation read descriptor fields and never compare protocol names;
+// the tokens every door accepts are bound by one table,
+// evidence.Bindings, which the adjudicator judges runs by too.
+//
 // # Durability rule
 //
 // Section 3.5 asks that a party's evidence be persistent before the party
@@ -83,6 +90,37 @@ const (
 	// ProtocolResolve is the offline TTP's resolve/abort service.
 	ProtocolResolve = "invoke-resolve"
 )
+
+// descriptor is one invocation protocol as every party reads it.
+type descriptor struct {
+	name        string
+	relayed     bool // inline TTP relays serve it, the last one forwarding under the direct protocol
+	volunteered bool // the reply's NRR is the server's to volunteer, not required
+	receiptless bool // the reply carries no NROResp, and no step 3 follows
+	recovery    bool // an offline TTP resolves withheld receipts and aborts failed submissions
+	resumable   bool // Client.Resume may re-enter a run
+}
+
+var (
+	fair      = &descriptor{name: ProtocolFair, recovery: true, resumable: true}
+	direct    = &descriptor{name: ProtocolDirect, resumable: true}
+	voluntary = &descriptor{name: ProtocolVoluntary, volunteered: true, receiptless: true}
+	inline    = &descriptor{name: ProtocolInline, relayed: true}
+	// protocols lists the descriptors in the order Negotiate prefers them.
+	protocols = []*descriptor{fair, direct, voluntary, inline}
+)
+
+// protocolFor returns the named protocol's descriptor and whether the
+// name is one of protocols. An unknown name gets the direct exchange's
+// shape, not resumable.
+func protocolFor(name string) (*descriptor, bool) {
+	for _, d := range protocols {
+		if d.name == name {
+			return d, true
+		}
+	}
+	return &descriptor{name: name}, false
+}
 
 // Message kinds within an invocation run.
 const (
@@ -227,7 +265,3 @@ func NewRequestMessage(proto string, run id.Run, snap evidence.RequestSnapshot, 
 	}
 	return msg
 }
-
-// DefaultReceiptTimeout is how long a fair-protocol server waits for the
-// client's receipt before resolving through the TTP.
-const DefaultReceiptTimeout = 5 * time.Second

@@ -49,8 +49,7 @@ func NewHelloService(co *protocol.Coordinator) *HelloService {
 func (s *HelloService) handleHello(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	var supported []string
 	for _, name := range s.co.Protocols() {
-		switch name {
-		case ProtocolDirect, ProtocolVoluntary, ProtocolInline, ProtocolFair:
+		if _, known := protocolFor(name); known {
 			supported = append(supported, name)
 		}
 	}
@@ -80,10 +79,15 @@ func SupportedProtocols(ctx context.Context, co *protocol.Coordinator, server id
 }
 
 // Negotiate returns a client configured with the first of the caller's
-// protocol preferences the server supports.
+// protocol preferences the server supports. Without preferences it takes
+// the first in protocols that a server serves itself, not through a relay.
 func Negotiate(ctx context.Context, co *protocol.Coordinator, server id.Party, preferences ...string) (*Client, string, error) {
 	if len(preferences) == 0 {
-		preferences = []string{ProtocolFair, ProtocolDirect, ProtocolVoluntary}
+		for _, d := range protocols {
+			if !d.relayed {
+				preferences = append(preferences, d.name)
+			}
+		}
 	}
 	supported, err := SupportedProtocols(ctx, co, server)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
-	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -50,12 +49,12 @@ type Relay struct {
 	evicted *obs.Counter
 }
 
-// relayRun is what the relay keeps of a run between reply and receipt.
+// relayRun is what the relay keeps of a run between reply and receipt:
+// the next hop and the run's anchors, the receipt's binding.
 type relayRun struct {
-	client     id.Party
-	next       id.Party
-	nextProto  string
-	respDigest sig.Digest
+	next      id.Party
+	nextProto string
+	anchors   *evidence.Anchors
 }
 
 var _ protocol.Handler = (*Relay)(nil)
@@ -87,7 +86,7 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 	// Police access to the trust domain: only well-evidenced requests
 	// pass (trusted-interceptor assumption 4).
 	nro := msg.Token(evidence.KindNRO)
-	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	a, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
 	if err != nil {
 		return nil, err
 	}
@@ -102,21 +101,21 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 	if err := reply.Body(&respB); err != nil {
 		return nil, err
 	}
-	nrr, nroResp := reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
-	respDigest, err := checkReply(svc.Verifier, msg.Run, snap.Server, reqDigest, &respB.Snapshot, nrr, nroResp)
-	if err != nil {
+	a.NRR, a.NROResp = reply.Token(evidence.KindNRR), reply.Token(evidence.KindNROResp)
+	nextDesc, _ := protocolFor(nextProto)
+	if err := checkReply(svc.Verifier, a, nextDesc, &respB.Snapshot); err != nil {
 		return nil, err
 	}
 	// The audit trail of steps 1 and 2 is one group, durable before the
 	// verified reply goes back; a refused reply leaves nothing of the run.
 	if err := logGroup(ctx, svc,
 		store.Entry{Dir: store.Received, Token: nro, Note: "relayed request origin"},
-		store.Entry{Dir: store.Received, Token: nrr, Note: "relayed request receipt"},
-		store.Entry{Dir: store.Received, Token: nroResp, Note: "relayed response origin"},
+		store.Entry{Dir: store.Received, Token: a.NRR, Note: "relayed request receipt"},
+		store.Entry{Dir: store.Received, Token: a.NROResp, Note: "relayed response origin"},
 	); err != nil {
 		return nil, err
 	}
-	r.track(msg.Run, &relayRun{client: snap.Client, next: next, nextProto: nextProto, respDigest: respDigest})
+	r.track(msg.Run, &relayRun{next: next, nextProto: nextProto, anchors: a})
 
 	// Hand the (verified) response back to the previous hop under this
 	// relay's protocol.
@@ -147,12 +146,8 @@ func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchRun, msg.Run)
 	}
-	var body receiptBody
-	if err := msg.Body(&body); err != nil {
-		return err
-	}
-	tok := msg.Token(evidence.KindNRRResp)
-	if err := checkReceipt(svc.Verifier, msg.Run, run.client, run.respDigest, &body.Note, tok); err != nil {
+	_, tok, err := checkReceipt(svc.Verifier, run.anchors, msg)
+	if err != nil {
 		return err
 	}
 	if err := svc.LogReceived(tok, "relayed response receipt"); err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
-	"nonrep/internal/protocol"
 )
 
 // ErrAbortPending is returned when a fair-protocol submission failed, the
@@ -89,8 +88,8 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 	if len(req.Streams) > 0 {
 		return nil, fmt.Errorf("invoke: streamed parameters are not resumable")
 	}
-	if c.proto != ProtocolDirect && c.proto != ProtocolFair {
-		return nil, fmt.Errorf("invoke: protocol %q does not support resumable runs", c.proto)
+	if !c.d.resumable {
+		return nil, fmt.Errorf("invoke: protocol %q does not support resumable runs", c.d.name)
 	}
 	return c.exchange(ctx, server, req, run, st, true)
 }
@@ -101,35 +100,12 @@ func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run i
 // runtime can retry journaled aborts; a run the TTP already resolved
 // returns an error (the abort cannot be granted any more).
 func (c *Client) Abort(ctx context.Context, ttp id.Party, snap evidence.RequestSnapshot, nro *evidence.Token) error {
-	svc := c.co.Services()
-	msg := &protocol.Message{
-		Protocol: ProtocolResolve,
-		Run:      snap.Run,
-		Step:     stepRequest,
-		Kind:     kindAbort,
-	}
-	if err := msg.SetBody(abortBody{Request: snap, NRO: nro}); err != nil {
-		return err
-	}
-	reply, err := c.co.DeliverRequest(ctx, ttp, msg)
-	if err != nil {
-		return err
-	}
-	reqDigest, err := snap.Digest()
-	if err != nil {
-		return err
-	}
 	// The caller may never have seen the response: a substitute is
 	// checked without its receipt note.
-	resolved, tok, err := checkDecision(svc.Verifier, snap.Run, ttp, reqDigest, nil, reply)
-	if err != nil {
-		return err
+	resolved, err := askTTP(ctx, c.co, &evidence.Anchors{Run: snap.Run, NRO: nro, TTP: ttp}, stepRequest, kindAbort,
+		abortBody{Request: snap, NRO: nro})
+	if err == nil && resolved {
+		err = fmt.Errorf("%w: run %s", ErrAlreadyResolved, snap.Run)
 	}
-	if err := svc.LogReceived(tok, "ttp decision"); err != nil {
-		return err
-	}
-	if resolved {
-		return fmt.Errorf("%w: run %s", ErrAlreadyResolved, snap.Run)
-	}
-	return nil
+	return err
 }

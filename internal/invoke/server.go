@@ -25,9 +25,9 @@ import (
 // non-repudiation protocol", and completes the evidence exchange. One
 // Server instance is registered per protocol variant.
 type Server struct {
-	co    *protocol.Coordinator
-	exec  Executor
-	proto string
+	co   *protocol.Coordinator
+	exec Executor
+	d    *descriptor
 
 	execTimeout      time.Duration
 	voluntaryReceipt bool
@@ -99,13 +99,11 @@ const (
 // response and receipt, and after the exchange settles only what a
 // retransmission needs answered.
 type serverRun struct {
-	client     id.Party
-	reqSnap    evidence.RequestSnapshot
-	respSnap   evidence.ResponseSnapshot
-	respDigest sig.Digest
-	nro        *evidence.Token
-	nrr        *evidence.Token
-	nroResp    *evidence.Token
+	// anchors are the run's NRO, NRR and NROResp, what its receipt and a
+	// TTP's decision bind to.
+	anchors  evidence.Anchors
+	reqSnap  evidence.RequestSnapshot
+	respSnap evidence.ResponseSnapshot
 	// reply is the response message, returned again to a retried request
 	// (at-most-once execution).
 	reply *protocol.Message
@@ -161,7 +159,7 @@ type ServerOption func(*Server)
 // ForProtocol selects the protocol variant the server executes (default
 // ProtocolDirect).
 func ForProtocol(name string) ServerOption {
-	return func(s *Server) { s.proto = name }
+	return func(s *Server) { s.d, _ = protocolFor(name) }
 }
 
 // WithExecTimeout sets the agreed execution timeout after which the
@@ -194,7 +192,7 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 	s := &Server{
 		co:          co,
 		exec:        exec,
-		proto:       ProtocolDirect,
+		d:           direct,
 		execTimeout: DefaultExecTimeout,
 		evicted:     co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal),
 		pending:     bounded.New[string, *pendingStream](maxPendingStreams, DefaultMaxStreamBytes, nil),
@@ -211,7 +209,7 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 }
 
 // Protocol implements protocol.Handler.
-func (s *Server) Protocol() string { return s.proto }
+func (s *Server) Protocol() string { return s.d.name }
 
 // ProcessRequest implements protocol.Handler: it executes steps 1 and 2 of
 // the exchange, absorbs streamed-parameter chunks delivered ahead of a
@@ -240,7 +238,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	// The request is passed to the server only if the client provides
 	// valid NRO of the request (section 3.2).
 	nro := msg.Token(evidence.KindNRO)
-	reqDigest, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	a, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +248,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	// request refused or failed before an answer exists keeps its
 	// verified NRO alone, evidence of the attempt.
 	received := store.Entry{Dir: store.Received, Token: nro, Note: "request origin"}
-	rs, issued, err := s.respond(ctx, msg, &snap, reqDigest, nro)
+	rs, issued, err := s.respond(ctx, msg, &snap, a)
 	if err != nil {
 		if lerr := logGroup(ctx, svc, received); lerr != nil {
 			return nil, lerr
@@ -328,7 +326,7 @@ func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protoc
 		return nil, err
 	}
 	rs.unlogged = nil
-	if s.proto == ProtocolFair && s.receiptTimeout > 0 && s.ttp != "" {
+	if s.d.recovery && s.receiptTimeout > 0 && s.ttp != "" {
 		s.watchReceipt(rs, run)
 	}
 	return rs.reply, nil
@@ -336,26 +334,14 @@ func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protoc
 
 // respond executes a request whose NRO verified and builds the run's
 // state: the response, its evidence tokens and the reply message carrying
-// them. Nothing is logged here; issued lists, in protocol order, the log
-// entries of the tokens generated, for the caller to commit with the
-// request origin before the reply leaves.
-func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evidence.RequestSnapshot, reqDigest sig.Digest, nro *evidence.Token) (*serverRun, []store.Entry, error) {
+// them. The reply carries the NRR unless the protocol leaves it to the
+// server to volunteer and the server does not, and the NROResp unless the
+// protocol is receiptless; whatever it carries is issued after execution,
+// under one aggregate signature. Nothing is logged here; issued lists, in
+// protocol order, the log entries of the tokens generated, for the caller
+// to commit with the request origin before the reply leaves.
+func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evidence.RequestSnapshot, a *evidence.Anchors) (*serverRun, []store.Entry, error) {
 	svc := s.co.Services()
-	// NRR(req): evidence of receipt, generated whether or not execution
-	// succeeds. Under the voluntary baseline the receipt is only issued
-	// when the server volunteers one (section 5); the symmetric protocols
-	// issue it together with NRO(resp) after execution, under one
-	// aggregate signature.
-	var nrr *evidence.Token
-	var err error
-	if s.proto == ProtocolVoluntary && s.voluntaryReceipt {
-		nrr, err = svc.Issuer.Issue(evidence.KindNRR, msg.Run, stepRequest, reqDigest,
-			evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
 	// Streamed parameters: every buffered chunk is checked against the
 	// chain the NRO just bound before the component sees a byte — a
 	// missing or tampered chunk fails here, attributably, against the
@@ -367,8 +353,8 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 
 	// Execute the request under the agreed timeout; failures become
 	// interceptor-generated evidence rather than protocol errors.
-	sp := leafSpan(ctx, svc, "server.execute")
-	respSnap, resultChunks, err := s.execute(ctx, snap, reqDigest, streams)
+	sp := svc.Obs.StartChild(ctx, "server.execute")
+	respSnap, resultChunks, err := s.execute(ctx, snap, a.NRO.Digest, streams)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -390,14 +376,11 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 	}
 
 	rs := &serverRun{
-		client:       snap.Client,
+		anchors:      *a,
 		reqSnap:      *snap,
 		respSnap:     respSnap,
-		respDigest:   respDigest,
-		nro:          nro,
-		nrr:          nrr,
 		reply:        reply,
-		receiptless:  s.proto == ProtocolVoluntary,
+		receiptless:  s.d.receiptless,
 		resultChunks: resultChunks,
 		served:       make(map[string]bool),
 		receipt:      make(chan struct{}),
@@ -411,33 +394,35 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 		}
 	}
 
-	if s.proto == ProtocolVoluntary {
-		if nrr == nil {
-			return rs, nil, nil
-		}
-		reply.Tokens = []*evidence.Token{nrr}
-		return rs, []store.Entry{{Dir: store.Generated, Token: nrr, Note: "request receipt"}}, nil
-	}
-	// One signing operation covers both reply tokens (and, through an
+	// One signing operation covers the reply's tokens (and, through an
 	// aggregating issuer, any tokens concurrent runs are producing).
 	shared := []evidence.IssueOption{
 		evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client),
 	}
-	sp = leafSpan(ctx, svc, "evidence.issue")
-	toks, err := evidence.IssueAll(svc.Issuer,
-		evidence.TokenRequest{Kind: evidence.KindNRR, Run: msg.Run, Step: stepRequest, Digest: reqDigest, Opts: shared},
-		evidence.TokenRequest{Kind: evidence.KindNROResp, Run: msg.Run, Step: stepResponse, Digest: respDigest, Opts: shared},
-	)
+	var reqs []evidence.TokenRequest
+	if !s.d.volunteered || s.voluntaryReceipt {
+		reqs = append(reqs, evidence.TokenRequest{Kind: evidence.KindNRR, Run: msg.Run, Step: stepRequest, Digest: a.NRO.Digest, Opts: shared})
+	}
+	if !s.d.receiptless {
+		reqs = append(reqs, evidence.TokenRequest{Kind: evidence.KindNROResp, Run: msg.Run, Step: stepResponse, Digest: respDigest, Opts: shared})
+	}
+	sp = svc.Obs.StartChild(ctx, "evidence.issue")
+	toks, err := evidence.IssueAll(svc.Issuer, reqs...)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	rs.nrr, rs.nroResp = toks[0], toks[1]
 	reply.Tokens = toks
-	return rs, []store.Entry{
-		{Dir: store.Generated, Token: rs.nrr, Note: "request receipt"},
-		{Dir: store.Generated, Token: rs.nroResp, Note: "response origin (" + respSnap.Status.String() + ")"},
-	}, nil
+	issued := make([]store.Entry, len(toks))
+	for i, tok := range toks {
+		issued[i] = store.Entry{Dir: store.Generated, Token: tok, Note: "request receipt"}
+		if tok.Kind == evidence.KindNROResp {
+			rs.anchors.NROResp, issued[i].Note = tok, "response origin ("+respSnap.Status.String()+")"
+		} else {
+			rs.anchors.NRR = tok
+		}
+	}
+	return rs, issued, nil
 }
 
 // execute runs the request through the executor, mapping failures to the
@@ -559,20 +544,20 @@ func (s *Server) collectStreams(sender id.Party, params []evidence.Param) (map[s
 		if err := p.Stream.Verify(); err != nil {
 			return nil, fmt.Errorf("%w: stream %q: %v", ErrEvidenceInvalid, p.Name, err)
 		}
-		chunks, err := s.takeStream(sender, p.Stream, p.Name)
+		r, err := s.takeStream(sender, p.Stream, p.Name)
 		if err != nil {
 			return nil, err
 		}
 		if m == nil {
 			m = make(map[string]io.Reader)
 		}
-		m[p.Name] = newChunkReader(chunks)
+		m[p.Name] = r
 	}
 	return m, nil
 }
 
 // takeStream removes and verifies one buffered stream.
-func (s *Server) takeStream(sender id.Party, ref *evidence.StreamRef, name string) ([][]byte, error) {
+func (s *Server) takeStream(sender id.Party, ref *evidence.StreamRef, name string) (io.Reader, error) {
 	key := streamKey(sender, ref.Stream)
 	s.streamMu.Lock()
 	ps, ok := s.pending.Delete(key)
@@ -585,12 +570,14 @@ func (s *Server) takeStream(sender id.Party, ref *evidence.StreamRef, name strin
 		return nil, fmt.Errorf("%w: stream %q delivered %d of the %d chunks bound by the signed evidence",
 			ErrEvidenceInvalid, name, len(chunks), len(ref.Chunks))
 	}
+	readers := make([]io.Reader, len(chunks))
 	for i, c := range chunks {
 		if err := ref.VerifyChunk(i, c); err != nil {
 			return nil, fmt.Errorf("%w: stream %q chunk %d: %v", ErrEvidenceInvalid, name, i, err)
 		}
+		readers[i] = bytes.NewReader(c)
 	}
-	return chunks, nil
+	return io.MultiReader(readers...), nil
 }
 
 // processChunkFetch serves one chunk of a run's streamed result. Fetches
@@ -647,13 +634,13 @@ func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 	if msg.Kind != kindReceipt {
 		return fmt.Errorf("invoke: unexpected one-way kind %q", msg.Kind)
 	}
+	if s.d.receiptless {
+		// Nothing is logged for a step the protocol does not have.
+		return fmt.Errorf("invoke: %s has no receipt step", s.d.name)
+	}
 	svc := s.co.Services()
 	rs, err := s.kept(msg.Run)
 	if err != nil {
-		return err
-	}
-	var body receiptBody
-	if err := msg.Body(&body); err != nil {
 		return err
 	}
 	rs.receiptMu.Lock()
@@ -664,9 +651,8 @@ func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
 	if logged {
 		return nil // retransmission: the receipt is already in the log
 	}
-	note := body.Note
-	tok := msg.Token(evidence.KindNRRResp)
-	if err := checkReceipt(svc.Verifier, msg.Run, rs.client, rs.respDigest, &note, tok); err != nil {
+	note, tok, err := checkReceipt(svc.Verifier, &rs.anchors, msg)
+	if err != nil {
 		return err
 	}
 	if err := logGroup(ctx, svc, store.Entry{Dir: store.Received, Token: tok, Note: "response receipt (" + note.Consumption.String() + ")"}); err != nil {
@@ -725,40 +711,14 @@ func (s *Server) watchReceipt(rs *serverRun, run id.Run) {
 func (s *Server) resolve(ctx context.Context, rs *serverRun, run id.Run) error {
 	var resolveErr error
 	rs.resolveOnce.Do(func() {
-		svc := s.co.Services()
-		msg := &protocol.Message{
-			Protocol: ProtocolResolve,
-			Run:      run,
-			Step:     stepReceipt,
-			Kind:     kindResolve,
+		a := rs.anchors
+		a.TTP = s.ttp
+		resolved, err := askTTP(ctx, s.co, &a, stepReceipt, kindResolve,
+			resolveBody{Request: rs.reqSnap, Response: rs.respSnap, NRO: a.NRO, NRR: a.NRR, NROResp: a.NROResp})
+		if err == nil && !resolved {
+			err = fmt.Errorf("%w: %s", ErrAborted, run)
 		}
-		if err := msg.SetBody(resolveBody{
-			Request:  rs.reqSnap,
-			Response: rs.respSnap,
-			NRO:      rs.nro,
-			NRR:      rs.nrr,
-			NROResp:  rs.nroResp,
-		}); err != nil {
-			resolveErr = err
-			return
-		}
-		reply, err := s.co.DeliverRequest(ctx, s.ttp, msg)
-		if err != nil {
-			resolveErr = fmt.Errorf("invoke: ttp resolve: %w", err)
-			return
-		}
-		receipt := evidence.ReceiptNote{Run: run, Client: rs.client, ResponseDigest: rs.respDigest, Consumption: evidence.Consumed}
-		resolved, tok, err := checkDecision(svc.Verifier, run, s.ttp, rs.nro.Digest, &receipt, reply)
-		if err != nil {
-			resolveErr = err
-			return
-		}
-		if err := svc.LogReceived(tok, "ttp decision"); err != nil {
-			resolveErr = err
-			return
-		}
-		if !resolved {
-			resolveErr = fmt.Errorf("%w: %s", ErrAborted, run)
+		if resolveErr = err; err != nil {
 			return
 		}
 		rs.mu.Lock()

@@ -122,7 +122,7 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	}
 	receipt := &protocol.Message{Protocol: ProtocolDirect, Run: last.Run, Step: stepReceipt, Kind: kindReceipt,
 		Tokens: []*evidence.Token{last.Evidence[len(last.Evidence)-1]}}
-	if err := receipt.SetBody(receiptBody{Note: evidence.ReceiptNote{Run: last.Run, Client: clientParty, ResponseDigest: kept.respDigest}}); err != nil {
+	if err := receipt.SetBody(receiptBody{Note: evidence.ReceiptNote{Run: last.Run, Client: clientParty, ResponseDigest: kept.anchors.NROResp.Digest}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Process(ctx, receipt); err != nil {
@@ -283,7 +283,7 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		t.Fatalf("%d evictions logged %d lines, want at most %d", calls-maxOpenRuns, len(lines), max)
 	}
 	receiptFor := func(res *Result) *protocol.Message {
-		msg, err := honest.newReceipt(res.Run, "", serverParty, res.Evidence[2].Digest)
+		msg, err := honest.newReceipt(&evidence.Anchors{Run: res.Run, NRO: res.Evidence[0], NROResp: res.Evidence[2], Server: serverParty}, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,7 +179,6 @@ type resultBuffer struct {
 	mu        sync.Mutex
 	chunks    [][]byte
 	cur       []byte
-	size      int64
 }
 
 // Write implements io.Writer.
@@ -194,7 +193,6 @@ func (b *resultBuffer) Write(p []byte) (int, error) {
 		take := min(b.chunkSize-len(b.cur), len(p))
 		b.cur = append(b.cur, p[:take]...)
 		p = p[take:]
-		b.size += int64(take)
 		if len(b.cur) == b.chunkSize {
 			b.chunks = append(b.chunks, b.cur)
 			b.cur = nil
@@ -224,27 +222,6 @@ func (b *resultBuffer) ref() (evidence.StreamRef, error) {
 		}
 	}
 	return d.Ref("")
-}
-
-// chunkReader reads a verified inbound stream's chunks in order.
-type chunkReader struct {
-	chunks [][]byte
-	pos    int
-}
-
-func newChunkReader(chunks [][]byte) *chunkReader { return &chunkReader{chunks: chunks} }
-
-// Read implements io.Reader.
-func (r *chunkReader) Read(p []byte) (int, error) {
-	for r.pos < len(r.chunks) && len(r.chunks[r.pos]) == 0 {
-		r.pos++
-	}
-	if r.pos >= len(r.chunks) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.chunks[r.pos])
-	r.chunks[r.pos] = r.chunks[r.pos][n:]
-	return n, nil
 }
 
 // ResultStream reads one streamed invocation result on the client side,

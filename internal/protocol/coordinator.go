@@ -345,7 +345,7 @@ func (c *Coordinator) DeliverRequestAddr(ctx context.Context, addr string, msg *
 // must let Close return before starting the replacement — the address
 // guard cannot distinguish the two.
 func (c *Coordinator) Close() error {
-	// Hosted coordinators unregister inside Host.Remove, under the shard
+	// Hosted coordinators unregister inside Host.Remove, under the host
 	// mutex that serialises detach against re-enrolment; doing it here
 	// too would repeat the withdrawal outside that lock.
 	if _, hosted := c.ep.(*hostedEndpoint); !hosted {

@@ -4,8 +4,8 @@
 // a Host lifts that to a shared dispatch runtime so a domain can serve
 // many (small) organisations without one heavyweight listener each.
 // Incoming envelopes carry a tenant key (stamped from tenant-qualified
-// addresses by the transport layer) and are dispatched through N shards
-// whose tenant maps are read lock-free on the hot path; every tenant
+// addresses by the transport layer) and are dispatched through one tenant
+// map read lock-free on the hot path; every tenant
 // keeps fully isolated services — issuer, verifier, evidence log, state
 // store — and its own replay-dedup window and batch-opening workers, so
 // no tenant can exhaust another's exactly-once state.
@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,6 @@ var ErrHostClosed = errors.New("protocol: host closed")
 // already serves.
 var ErrTenantEnrolled = errors.New("protocol: tenant already hosted")
 
-// hostShards is a host's dispatch shard count. More shards spread tenant
-// registration contention; lookups are lock-free regardless.
-const hostShards = 16
-
 // WithTelemetry homes the shared endpoint stack's instrument — the
 // cross-tenant coalescer's batch occupancy — in the telemetry plane's
 // unattributed scope. Per-tenant instruments come from
@@ -43,8 +40,8 @@ func WithTelemetry(t *obs.Telemetry) Option {
 	return func(c *config) { c.obs = t.Scope("") }
 }
 
-// tenantMap is one shard's immutable tenant table; writers replace the
-// whole map under the shard mutex, readers load it atomically.
+// tenantMap is a host's immutable tenant table; writers replace the whole
+// map under the host mutex (swapLocked), readers load it atomically.
 type tenantMap map[string]*hostTenant
 
 // hostTenant is one hosted organisation's runtime: its coordinator and
@@ -55,20 +52,17 @@ type hostTenant struct {
 	chain transport.Handler
 }
 
-type hostShard struct {
-	mu      sync.Mutex
-	tenants atomic.Pointer[tenantMap]
-}
-
-// Host is a sharded multi-tenant coordinator runtime. All hosted
+// Host is a multi-tenant coordinator runtime. All hosted
 // coordinators share the host's endpoint for both directions: incoming
 // envelopes are demultiplexed by tenant key, outgoing envelopes from all
 // tenants share one coalescer, so concurrent traffic from different
 // tenants to the same peer host merges into shared b2b-batch envelopes.
 type Host struct {
-	ep     transport.Endpoint
-	shards []hostShard
+	ep      transport.Endpoint
+	tenants atomic.Pointer[tenantMap]
 
+	// mu serialises tenant registration — rare: tenant add and remove,
+	// worker connect — and guards closed and gw.
 	mu     sync.Mutex
 	closed bool
 	gw     *WorkerGateway
@@ -84,11 +78,8 @@ func NewHost(network transport.Network, addr string, opts ...Option) (*Host, err
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	h := &Host{shards: make([]hostShard, hostShards)}
-	for i := range h.shards {
-		empty := make(tenantMap)
-		h.shards[i].tenants.Store(&empty)
-	}
+	h := &Host{}
+	h.tenants.Store(&tenantMap{})
 	ep, err := network.Register(addr, transport.NewTenantMux(h))
 	if err != nil {
 		return nil, err
@@ -101,31 +92,24 @@ func NewHost(network transport.Network, addr string, opts ...Option) (*Host, err
 // advertise tenant-qualified addresses derived from it.
 func (h *Host) Addr() string { return h.ep.Addr() }
 
-// shard maps a tenant key to its dispatch shard by FNV-1a hash, computed
-// inline over the string so the per-envelope lookup allocates nothing.
-func (h *Host) shard(tenant string) *hostShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	hash := uint32(offset32)
-	for i := 0; i < len(tenant); i++ {
-		hash ^= uint32(tenant[i])
-		hash *= prime32
-	}
-	return &h.shards[hash%uint32(len(h.shards))]
-}
-
 // TenantHandler implements transport.TenantResolver: the per-envelope
-// dispatch lookup. It is lock-free — one atomic load of the shard's
-// tenant table — so heavy traffic to one tenant never contends with
-// another tenant's dispatch or with tenant registration on other shards.
+// dispatch lookup. It is lock-free — one atomic load of the tenant table —
+// so heavy traffic to one tenant never contends with another tenant's
+// dispatch or with tenant registration.
 func (h *Host) TenantHandler(tenant string) transport.Handler {
-	t, ok := (*h.shard(tenant).tenants.Load())[tenant]
+	t, ok := (*h.tenants.Load())[tenant]
 	if !ok {
 		return nil
 	}
 	return t.chain
+}
+
+// swapLocked replaces the tenant table with a copy edit has changed. The
+// caller holds h.mu.
+func (h *Host) swapLocked(edit func(tenantMap)) {
+	next := maps.Clone(*h.tenants.Load())
+	edit(next)
+	h.tenants.Store(&next)
 }
 
 // Add starts a hosted coordinator for svc.Party behind the shared
@@ -149,32 +133,20 @@ func (h *Host) Add(svc *Services) (*Coordinator, error) {
 	// insert before Close sweeps the tenants — never slipping a tenant
 	// into a closed host.
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.closed {
-		h.mu.Unlock()
 		return nil, ErrHostClosed
 	}
-	s := h.shard(key)
-	s.mu.Lock()
-	cur := *s.tenants.Load()
-	if _, exists := cur[key]; exists {
-		s.mu.Unlock()
-		h.mu.Unlock()
+	if _, exists := (*h.tenants.Load())[key]; exists {
 		return nil, fmt.Errorf("%w: %s", ErrTenantEnrolled, svc.Party)
 	}
-	next := make(tenantMap, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = t
-	s.tenants.Store(&next)
-	// The directory registration happens under the shard mutex, paired
+	h.swapLocked(func(m tenantMap) { m[key] = t })
+	// The directory registration happens under the host mutex, paired
 	// with Remove's unregistration: a Remove/Add race on one party is
 	// then fully serialised (Add fails with ErrTenantEnrolled until the
 	// Remove's critical section — including its unregister — completes),
 	// so a late detach can never delete a successor's registration.
 	svc.Directory.Register(svc.Party, c.ep.Addr())
-	s.mu.Unlock()
-	h.mu.Unlock()
 	return c, nil
 }
 
@@ -186,27 +158,19 @@ func (h *Host) Add(svc *Services) (*Coordinator, error) {
 // the host no longer serves.
 func (h *Host) Remove(p id.Party) {
 	key := string(p)
-	s := h.shard(key)
-	s.mu.Lock()
-	cur := *s.tenants.Load()
-	t, ok := cur[key]
+	h.mu.Lock()
+	t, ok := (*h.tenants.Load())[key]
 	if !ok || t.co == nil {
 		// Raw tenants (worker mailboxes) detach via removeRawTenant.
-		s.mu.Unlock()
+		h.mu.Unlock()
 		return
 	}
-	next := make(tenantMap, len(cur))
-	for k, v := range cur {
-		if k != key {
-			next[k] = v
-		}
-	}
-	s.tenants.Store(&next)
-	// Unregister inside the shard mutex, mirroring Add's register: see
+	h.swapLocked(func(m tenantMap) { delete(m, key) })
+	// Unregister inside the host mutex, mirroring Add's register: see
 	// the comment there for why this ordering is race-free.
 	t.co.svc.Directory.Unregister(p, t.co.ep.Addr())
-	s.mu.Unlock()
-	// Detach outside the shard mutex: teardown closes feed hubs whose
+	h.mu.Unlock()
+	// Detach outside the host mutex: teardown closes feed hubs whose
 	// delivery goroutines may be mid-push through this host, and a
 	// re-enrolment racing in only needs the map swap above to be safe.
 	t.co.detachHandlers()
@@ -214,7 +178,7 @@ func (h *Host) Remove(p id.Party) {
 
 // Coordinator returns the hosted coordinator of a party.
 func (h *Host) Coordinator(p id.Party) (*Coordinator, error) {
-	t, ok := (*h.shard(string(p)).tenants.Load())[string(p)]
+	t, ok := (*h.tenants.Load())[string(p)]
 	if !ok || t.co == nil {
 		return nil, fmt.Errorf("%w: %q", transport.ErrUnknownTenant, p)
 	}
@@ -226,11 +190,9 @@ func (h *Host) Coordinator(p id.Party) (*Coordinator, error) {
 // coordinators and are excluded.
 func (h *Host) Parties() []id.Party {
 	var out []id.Party
-	for i := range h.shards {
-		for key, t := range *h.shards[i].tenants.Load() {
-			if t.co != nil {
-				out = append(out, id.Party(key))
-			}
+	for key, t := range *h.tenants.Load() {
+		if t.co != nil {
+			out = append(out, id.Party(key))
 		}
 	}
 	return out
@@ -245,40 +207,21 @@ func (h *Host) addRawTenant(key string, handler transport.Handler) error {
 	if h.closed {
 		return ErrHostClosed
 	}
-	s := h.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.tenants.Load()
-	if _, exists := cur[key]; exists {
+	if _, exists := (*h.tenants.Load())[key]; exists {
 		return fmt.Errorf("%w: %s", ErrTenantEnrolled, key)
 	}
-	next := make(tenantMap, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = &hostTenant{chain: handler}
-	s.tenants.Store(&next)
+	h.swapLocked(func(m tenantMap) { m[key] = &hostTenant{chain: handler} })
 	return nil
 }
 
 // removeRawTenant detaches a tenant registered with addRawTenant. It
 // refuses to touch hosted coordinators.
 func (h *Host) removeRawTenant(key string) {
-	s := h.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.tenants.Load()
-	t, ok := cur[key]
-	if !ok || t.co != nil {
-		return
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if t, ok := (*h.tenants.Load())[key]; ok && t.co == nil {
+		h.swapLocked(func(m tenantMap) { delete(m, key) })
 	}
-	next := make(tenantMap, len(cur))
-	for k, v := range cur {
-		if k != key {
-			next[k] = v
-		}
-	}
-	s.tenants.Store(&next)
 }
 
 // Close detaches every tenant and closes the shared endpoint, flushing

@@ -11,6 +11,13 @@
 #            under internal/ whose name occurs in no non-test .go file
 #            (benchmarks/ included, comments stripped) but at its
 #            declarations: API only tests reach
+#   protocols lines of non-test internal/invoke .go files (comments
+#            stripped) that compare (==, !=), case on or list in a
+#            []string literal an invocation protocol name
+#            (Protocol{Direct,Voluntary,Inline,Fair}), or compare a
+#            protocol name variable (proto, a descriptor's .name). The
+#            descriptor table that binds each name to its shape is not
+#            counted: every other branch reads descriptor fields
 #
 # testonly matches by name: dead code sharing a name with used code goes
 # uncounted, but used code is never counted. The names it prints are of
@@ -37,6 +44,7 @@ OPTION_CEILING=48
 FIELD_CEILING=12
 READ_CEILING=0
 TESTONLY_CEILING=54
+PROTOCOL_CEILING=1
 
 # Package directory and type name of each counted config struct.
 STRUCTS=(
@@ -75,6 +83,9 @@ testonly_names="$(awk 'NR == FNR { decl[$2] = $1; next } ($2 in decl) && $1 == d
   <(gosrc . | xargs cat | nocomments | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c) | sort)"
 testonly="$(grep -c . <<<"$testonly_names" || true)"
 
+protocols="$(gosrc internal/invoke | sort | xargs cat | nocomments | grep -cE \
+  'Protocol(Direct|Voluntary|Inline|Fair)\b.*([!=]=|\[\]string\{)|([!=]=|\bcase\b|\[\]string\{).*Protocol(Direct|Voluntary|Inline|Fair)\b|(\bproto|\.name)\b *[!=]=' || true)"
+
 # fields DIR TYPE counts the exported field names declared in the struct
 # TYPE of the package in DIR (0 when the type does not exist); "A, B int"
 # counts two.
@@ -103,6 +114,7 @@ echo "fields (the config structs above): ${total} (ceiling ${FIELD_CEILING})"
 echo "error-less evidence reads (non-test, outside benchmarks/): ${reads} (ceiling ${READ_CEILING})"
 echo "test-only API (exported in internal/, no non-test caller): ${testonly} (ceiling ${TESTONLY_CEILING})"
 echo "  $(tr '\n' ' ' <<<"$testonly_names")"
+echo "protocol-name comparisons (non-test internal/invoke): ${protocols} (ceiling ${PROTOCOL_CEILING})"
 
 status=0
 if [ "$options" -gt "$OPTION_CEILING" ]; then
@@ -119,6 +131,10 @@ if [ "$reads" -gt "$READ_CEILING" ]; then
 fi
 if [ "$testonly" -gt "$TESTONLY_CEILING" ]; then
   echo "FAIL: ${testonly} test-only exported names exceed the ceiling ${TESTONLY_CEILING}; give the new one a product caller or delete it" >&2
+  status=1
+fi
+if [ "$protocols" -gt "$PROTOCOL_CEILING" ]; then
+  echo "FAIL: ${protocols} protocol-name comparisons in internal/invoke exceed the ceiling ${PROTOCOL_CEILING}; branch on descriptor fields" >&2
   status=1
 fi
 exit "$status"
