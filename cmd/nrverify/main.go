@@ -34,13 +34,14 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records are stored in ("binary" is segment format 7, "binary-v6" to
+// records are stored in ("binary" is segment format 8, "binary-v7" to
 // "binary-v1" and "json" the formats before it) and its index ("binary"
 // is index version 4, "binary-v3", "binary-v2" and "json" the versions
 // before it), the bytes each takes per record — of the index's, those
 // of its pinned hashes and of its offsets — and how many frames are
 // plain and how many follow a leader (with the
-// bytes a frame of each sort takes), then the vault's total and how many
+// bytes a frame of each sort takes), then the vault's total, how many
+// plain frames take their parties from a party source and how many
 // followers borrow their signature from the frame before them, then per
 // token kind the records, their mean frame and the mean bytes their notes
 // take stored as vocabulary codes, structured JSON trees and text. A
@@ -598,8 +599,9 @@ func sizesVault(dir string) int {
 		perRecord(segBytes+idxBytes, records))
 	fmt.Printf("pins: %d index bytes of pinned hashes = %.1f B/record\n", pinBytes, perRecord(pinBytes, records))
 	fmt.Printf("offsets: %d index bytes of offsets = %.1f B/record\n", offsetBytes, perRecord(offsetBytes, records))
-	fmt.Printf("frames: %d plain at %.1f B, %d followers at %.1f B, %d of them borrowing a signature at %.1f B\n",
-		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.Followers,
+	fmt.Printf("frames: %d plain at %.1f B, %d of them taking their parties from a party source at %.1f B; %d followers at %.1f B, %d of them borrowing a signature at %.1f B\n",
+		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.PartyBorrowers,
+		perRecord(frames.PartyBorrowerBytes, frames.PartyBorrowers), frames.Followers,
 		perRecord(frames.FollowerBytes, frames.Followers), frames.SigBorrowers, perRecord(frames.SigBorrowerBytes, frames.SigBorrowers))
 
 	// What each token kind takes, and how its notes are stored: B/record

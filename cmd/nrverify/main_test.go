@@ -114,7 +114,9 @@ func captured(t *testing.T, mode func() int) (int, string) {
 
 // TestSizesCountsBorrowersAndRefusesDamage: -sizes reports how many
 // followers borrow their signature — here each server's response origin,
-// signed in one batch with its receipt — and exits 2 on a segment a
+// signed in one batch with its receipt — and how many plain frames take
+// their parties from a party source — here each request origin but each
+// segment's first — and exits 2 on a segment a
 // flipped byte has made unreadable past some frame, rather than counting
 // the frames before the damage.
 func TestSizesCountsBorrowersAndRefusesDamage(t *testing.T) {
@@ -151,7 +153,8 @@ func TestSizesCountsBorrowersAndRefusesDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, out := captured(t, func() int { return sizesVault(dir) })
-	if code != 0 || !strings.Contains(out, "8 followers") || !strings.Contains(out, "4 of them borrowing a signature") {
+	if code != 0 || !strings.Contains(out, "8 followers") || !strings.Contains(out, "4 of them borrowing a signature") ||
+		!strings.Contains(out, "2 of them taking their parties from a party source") {
 		t.Fatalf("sizes of an intact vault: exit %d\n%s", code, out)
 	}
 

@@ -255,7 +255,8 @@ func (blobEcho) Echo(_ context.Context, b []byte) ([]byte, error) { return b, ni
 // 7 the run's later commits lean on its request origin, which leads the
 // run though the job's journal record comes first: about 1 285; since
 // index format 4 stores one offset per window, not per record, about
-// 1 270.
+// 1 270; since segment format 8 the opening frames take their parties
+// from the vault's earlier runs, about 1 210.
 func TestDurableCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
 	domain, err := nonrep.NewDomain()

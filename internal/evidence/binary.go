@@ -44,30 +44,64 @@ func kindCode(k Kind) byte {
 	return 0
 }
 
-// Borrow bits: the fields the token of a follower frame takes from the
-// token of its leader frame — the self-contained frame of the same run
-// written shortly before it in the same file — instead of spelling them
-// out again. The run is always the leader's: that is what makes a frame
-// a follower. Each bit is set only where the leader holds exactly the
+// Borrow bits: the fields a token takes from the token of a frame
+// written shortly before it in the same file instead of spelling them
+// out again — from its leader, the self-contained frame of its run that
+// a follower frame leans on, or from a party source, the self-contained
+// frame of another run a run's own self-contained frame leans on. A
+// follower's run is always its leader's: that is what makes a frame a
+// follower. Each bit is set only where the lender holds exactly the
 // field's value, so decoding reproduces it byte for byte. The bits are
 // part of the segment format.
 const (
-	// BorrowTxn: the transaction is the leader's.
+	// BorrowTxn: the transaction is the lender's.
 	BorrowTxn = 1 << iota
-	// BorrowIssuer: the issuer is a one-byte reference into the leader's
+	// BorrowIssuer: the issuer is a one-byte reference into the lender's
 	// party list — 1 its issuer, 2.. its recipients.
 	BorrowIssuer
 	// BorrowRecipients: every recipient is such a reference.
 	BorrowRecipients
-	// BorrowService: the service is the leader's.
+	// BorrowService: the service is the lender's.
 	BorrowService
-	// BorrowDigest: the digest is the leader's.
+	// BorrowDigest: the digest is the lender's.
 	BorrowDigest
+	// BorrowKeyID: the signature's key id is the lender's. Only a party
+	// source lends it: a follower's signature is its own or its mate's,
+	// whole.
+	BorrowKeyID
 
-	// BorrowBits is how many low bits of a borrow mask are the token's;
-	// the enclosing frame owns the rest.
-	BorrowBits = iota
+	// PartyBits is how many low bits of a party mask are the token's, and
+	// BorrowBits how many of a follower's borrow mask; the enclosing frame
+	// owns the rest.
+	PartyBits  = iota
+	BorrowBits = PartyBits - 1
 )
+
+// Lenders are what a token's binary form leans on instead of writing it
+// out; the zero value writes the self-contained form.
+type Lenders struct {
+	// Leader is the token of the frame a follower points back at, of the
+	// token's run: the run is taken from it, and the fields Borrow names.
+	Leader *Token
+	// Source is the token of the frame a self-contained frame takes its
+	// parties from: the run is written, and the fields Borrow names —
+	// BorrowKeyID among them — are taken.
+	Source *Token
+	// Borrow is what t.BorrowFrom allowed of Leader or Source: at most
+	// BorrowBits bits with a leader, PartyBits with a source.
+	Borrow uint8
+	// Mate is the token whose signature t.MatesWith accepted: the
+	// signature is not written at all, key id included.
+	Mate *Token
+}
+
+// lender is the token Borrow refers to, nil when there is none.
+func (l *Lenders) lender() *Token {
+	if l.Leader != nil {
+		return l.Leader
+	}
+	return l.Source
+}
 
 // partyRef is p's reference in t's party list, 0 when it is not there
 // (or too far down it for one byte).
@@ -99,29 +133,32 @@ func (t *Token) partyAt(r *canon.BinReader) id.Party {
 	}
 }
 
-// BorrowFrom reports which fields t, a token of leader's run, may borrow
-// from it.
-func (t *Token) BorrowFrom(leader *Token) (borrow uint8) {
-	if t.Txn != "" && t.Txn == leader.Txn {
+// BorrowFrom reports which fields t may take from lender, BorrowKeyID
+// included; a follower, whose lender is its leader, leaves that bit out.
+func (t *Token) BorrowFrom(lender *Token) (borrow uint8) {
+	if t.Txn != "" && t.Txn == lender.Txn {
 		borrow |= BorrowTxn
 	}
-	if leader.partyRef(t.Issuer) != 0 {
+	if lender.partyRef(t.Issuer) != 0 {
 		borrow |= BorrowIssuer
 	}
 	if len(t.Recipients) > 0 {
 		borrow |= BorrowRecipients
 		for _, p := range t.Recipients {
-			if leader.partyRef(p) == 0 {
+			if lender.partyRef(p) == 0 {
 				borrow &^= BorrowRecipients
 				break
 			}
 		}
 	}
-	if t.Service != "" && t.Service == leader.Service {
+	if t.Service != "" && t.Service == lender.Service {
 		borrow |= BorrowService
 	}
-	if t.Digest == leader.Digest {
+	if t.Digest == lender.Digest {
 		borrow |= BorrowDigest
+	}
+	if t.Signature.KeyID == lender.Signature.KeyID {
+		borrow |= BorrowKeyID
 	}
 	return borrow
 }
@@ -195,16 +232,14 @@ func sameRuns(a, b [][]byte) bool {
 // key id as suffixes of the issuer or recipient URI they extend, and
 // absent optional fields as cleared bits rather than empty markers.
 //
-// With a leader — the token of the frame a follower frame points back
-// at, which must be of t's run — the run is not written and neither is
-// any field named in borrow, which must be what t.BorrowFrom(leader)
-// allowed; a nil leader writes the self-contained form. With a mate —
-// which t.MatesWith must have accepted — the signature is not written at
-// all, key id included, and its presence bits are clear.
-func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8, mate *Token) ([]byte, error) {
+// With a leader — which must be of t's run — the run is not written, and
+// with a leader or a source neither is any field lend.Borrow names; with
+// a mate the signature is not written at all, key id included, and its
+// presence bits are clear.
+func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, error) {
 	issuedMode := canon.ModeOfTime(t.IssuedAt)
 	flags := uint64(issuedMode) << issuedModeShift
-	if mate == nil {
+	if lend.Mate == nil {
 		flags |= t.Signature.BinaryFlags() << sigFlagShift
 	}
 	if len(t.Recipients) > 0 {
@@ -226,8 +261,11 @@ func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8
 	if code == 0 {
 		dst = canon.AppendString(dst, string(t.Kind))
 	}
-	if leader == nil {
+	lender, borrow := lend.lender(), lend.Borrow
+	if lender == nil {
 		borrow = 0
+	}
+	if lend.Leader == nil {
 		dst = canon.AppendPackedID(dst, string(t.Run))
 	}
 	if t.Txn != "" && borrow&BorrowTxn == 0 {
@@ -235,7 +273,7 @@ func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8
 	}
 	dst = canon.AppendVarint(dst, int64(t.Step))
 	if borrow&BorrowIssuer != 0 {
-		dst = append(dst, leader.partyRef(t.Issuer))
+		dst = append(dst, lender.partyRef(t.Issuer))
 	} else {
 		dst = canon.AppendString(dst, string(t.Issuer))
 	}
@@ -243,7 +281,7 @@ func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8
 		dst = canon.AppendUvarint(dst, uint64(len(t.Recipients)))
 		for _, p := range t.Recipients {
 			if borrow&BorrowRecipients != 0 {
-				dst = append(dst, leader.partyRef(p))
+				dst = append(dst, lender.partyRef(p))
 			} else {
 				dst = canon.AppendString(dst, string(p))
 			}
@@ -260,8 +298,10 @@ func (t *Token) AppendBinary(dst []byte, base int64, leader *Token, borrow uint8
 		return nil, err
 	}
 	dst = canon.AppendPackedID(dst, t.Nonce)
-	if mate == nil {
-		dst = t.appendRooted(dst, t.Signature.KeyID)
+	if lend.Mate == nil {
+		if borrow&BorrowKeyID == 0 {
+			dst = t.appendRooted(dst, t.Signature.KeyID)
+		}
 		dst = t.Signature.AppendBinary(dst)
 	}
 	if t.Timestamp != nil {
@@ -310,23 +350,26 @@ func (t *Token) decodeRooted(r *canon.BinReader) string {
 	}
 }
 
-// DecodeBinary decodes a token from r into t, with the base, leader,
-// borrow mask and mate AppendBinary was given (nil, 0 and nil for a
-// self-contained token). A borrow bit for a field the token does not
-// have, or the leader has nothing to lend, is refused, and so is a mate
-// without a batch path or a token that borrows its signature yet says it
-// has one of its own. All variable-length data is
-// copied out of the reader's buffer: decoded tokens escape into query
-// results and protocol state that outlive the source buffer (which may
-// be an mmapped segment); what is borrowed is shared with the leader's
-// token, strings both.
-func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borrow uint8, mate *Token) {
+// DecodeBinary decodes a token from r into t, with the base and lenders
+// AppendBinary was given. A borrow bit for a field the token does not
+// have, or the lender has nothing to lend, or one a follower may not
+// borrow, is refused, and so is a mate without a batch path or a token that
+// borrows its signature yet says it has one of its own. All variable-length data is copied out of the reader's
+// buffer: decoded tokens escape into query results and protocol state
+// that outlive the source buffer (which may be an mmapped segment); what
+// is borrowed is shared with the lender's token, strings both.
+func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
 	flags := r.Uvarint()
-	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 || borrow>>BorrowBits != 0 || (leader == nil && borrow != 0) ||
-		(mate != nil && flags>>sigFlagShift != 0) ||
-		(borrow&BorrowTxn != 0 && (flags&flagTxn == 0 || leader.Txn == "")) ||
+	lender, borrow, mate := lend.lender(), lend.Borrow, lend.Mate
+	bits := BorrowBits
+	if lend.Leader == nil {
+		bits = PartyBits
+	}
+	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 || borrow>>bits != 0 || (lender == nil && borrow != 0) ||
+		(lend.Leader != nil && lend.Source != nil) || (mate != nil && flags>>sigFlagShift != 0) ||
+		(borrow&BorrowTxn != 0 && (flags&flagTxn == 0 || lender.Txn == "")) ||
 		(borrow&BorrowRecipients != 0 && flags&flagRecipients == 0) ||
-		(borrow&BorrowService != 0 && (flags&flagService == 0 || leader.Service == "")) {
+		(borrow&BorrowService != 0 && (flags&flagService == 0 || lender.Service == "")) {
 		r.Fail(canon.ErrBinary)
 		return
 	}
@@ -338,37 +381,37 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borr
 		r.Fail(canon.ErrBinary)
 		return
 	}
-	if leader != nil {
-		t.Run = leader.Run
+	if lend.Leader != nil {
+		t.Run = lend.Leader.Run
 	} else {
 		t.Run = id.Run(r.PackedID())
 	}
 	switch {
 	case borrow&BorrowTxn != 0:
-		t.Txn = leader.Txn
+		t.Txn = lender.Txn
 	case flags&flagTxn != 0:
 		t.Txn = id.Txn(r.PackedID())
 	}
 	t.Step = r.Int()
 	if borrow&BorrowIssuer != 0 {
-		t.Issuer = leader.partyAt(r)
+		t.Issuer = lender.partyAt(r)
 	} else {
 		t.Issuer = id.Party(r.ValidString())
 	}
 	switch {
 	case borrow&BorrowRecipients != 0:
-		t.Recipients = decodeParties(r, leader)
+		t.Recipients = decodeParties(r, lender)
 	case flags&flagRecipients != 0:
 		t.Recipients = decodeParties(r, nil)
 	}
 	switch {
 	case borrow&BorrowService != 0:
-		t.Service = leader.Service
+		t.Service = lender.Service
 	case flags&flagService != 0:
 		t.Service = id.Service(t.decodeRooted(r))
 	}
 	if borrow&BorrowDigest != 0 {
-		t.Digest = leader.Digest
+		t.Digest = lender.Digest
 	} else {
 		copy(t.Digest[:], r.Raw(sig.DigestSize))
 	}
@@ -381,7 +424,11 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borr
 			return
 		}
 	} else {
-		t.Signature.KeyID = t.decodeRooted(r)
+		if borrow&BorrowKeyID != 0 {
+			t.Signature.KeyID = lender.Signature.KeyID
+		} else {
+			t.Signature.KeyID = t.decodeRooted(r)
+		}
 		t.Signature.DecodeBinary(r, flags>>sigFlagShift)
 	}
 	if flags&flagTimestamp != 0 {
@@ -390,9 +437,9 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, leader *Token, borr
 	}
 }
 
-// decodeParties reads a counted party list: strings, or with a leader
+// decodeParties reads a counted party list: strings, or with a lender
 // one-byte references into its party list.
-func decodeParties(r *canon.BinReader, leader *Token) []id.Party {
+func decodeParties(r *canon.BinReader, lender *Token) []id.Party {
 	n := r.Uvarint()
 	if n == 0 || r.Err() != nil {
 		return nil
@@ -405,8 +452,8 @@ func decodeParties(r *canon.BinReader, leader *Token) []id.Party {
 	}
 	out := make([]id.Party, n)
 	for i := range out {
-		if leader != nil {
-			out[i] = leader.partyAt(r)
+		if lender != nil {
+			out[i] = lender.partyAt(r)
 		} else {
 			out[i] = id.Party(r.ValidString())
 		}

@@ -85,11 +85,11 @@ func TestBinaryMateRoundTrip(t *testing.T) {
 	issuer, verifier := batchFixture(t)
 	toks := batchOf(t, issuer, 5)
 	mate, tok := toks[2], toks[3]
-	borrowed, err := tok.AppendBinary(nil, 0, nil, 0, mate)
+	borrowed, err := tok.AppendBinary(nil, 0, evidence.Lenders{Mate: mate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := tok.AppendBinary(nil, 0, nil, 0, nil)
+	full, err := tok.AppendBinary(nil, 0, evidence.Lenders{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBinaryMateRoundTrip(t *testing.T) {
 	}
 	var got evidence.Token
 	r := canon.NewBinReader(borrowed)
-	got.DecodeBinary(&r, 0, nil, 0, mate)
+	got.DecodeBinary(&r, 0, evidence.Lenders{Mate: mate})
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBinaryMateRoundTrip(t *testing.T) {
 	} {
 		var bad evidence.Token
 		r := canon.NewBinReader(c.data)
-		bad.DecodeBinary(&r, 0, nil, 0, c.mate)
+		bad.DecodeBinary(&r, 0, evidence.Lenders{Mate: c.mate})
 		if r.Done() == nil {
 			t.Errorf("%s: decoded", name)
 		}

@@ -9,50 +9,63 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 7 (the only version written) spends bytes only on what a
+// Version 8 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
-// Prev is elided when the frame directly follows its predecessor, Hash
-// is never stored — it is a function of the rest of the record, and the
-// decoder computes it exactly as Chainer.Next did — times are nanosecond
-// varints, generated identifiers are raw bytes, kind, direction and the
-// protocols' fixed log notes are one-byte codes, a note that is canonical
-// JSON is a structured tree (jsonnote.go), and strings that extend one of
-// the frame's own party URIs are written as suffixes. A frame
-// ends in a CRC-32C of its body, which is what catches bit rot and torn
-// writes where no seal pins the derived hash yet (the unsealed tail, a
-// push in flight). Every compaction of a field is exact or not applied —
-// where decoding would not reproduce the field byte for byte, the field
-// is written literally.
+// Prev and seq are elided when the frame directly follows its
+// predecessor, Hash is never stored — it is a function of the rest of the
+// record, and the decoder computes it exactly as Chainer.Next did — times
+// are nanosecond varints, generated identifiers are raw bytes, kind,
+// direction and the protocols' fixed log notes are one-byte codes, a note
+// that is canonical JSON is a structured tree (jsonnote.go), and strings
+// that extend one of the frame's own party URIs are written as suffixes.
+// A frame ends in a CRC-32C of its body, which is what catches bit rot
+// and torn writes where no seal pins the derived hash yet (the unsealed
+// tail, a push in flight). Every compaction of a field is exact or not
+// applied — where decoding would not reproduce the field byte for byte,
+// the field is written literally.
 //
 // The records of one run say the same run, parties, service and often
 // digest over again, in one write and across the writes of the same file
-// (a vault commit, a push, a replica tail append). A frame is therefore
-// either plain — self-contained, the version-3 shape — or a follower of
-// a leader: the newest plain frame of its run among the last leaderRing
+// (a vault commit, a push, a replica tail append), and the runs of one
+// file mostly say the same parties, service and key id. A frame is
+// therefore either plain — it spells out its run — or a follower of a
+// leader: the newest plain frame of its run among the last leaderRing
 // plain frames of the file, which it names by the distance in bytes from
-// its own start back to the leader's. A follower never points at a
-// follower; the first frame of every file and push is plain. A follower
-// may also borrow its whole signature from its mate — the frame directly
-// before it, the leader or a follower of the same leader, which wrote its
-// own — when the two are sibling leaves of one batch signature
+// its own start back to the leader's. A plain frame may in turn take its
+// issuer, recipients, service, key id and time from a party source: a
+// plain frame among the same last leaderRing that spells them out itself,
+// named the same way. A follower never points at a follower and a party
+// source never takes its parties from another; the first frame of every
+// file and push spells everything out. A follower may also borrow its
+// whole signature from its mate — the frame directly before it, the
+// leader or a follower of the same leader, which wrote its own — when the
+// two are sibling leaves of one batch signature
 // (evidence.Token.MatesWith), as a batch signer's receipt and response
 // origin are. The invariant of the format:
 //
-//	A frame decodes given its predecessor's hash, its leader — the one
-//	frame `back` bytes before it in the same file — and, when it says
-//	so, its mate.
+//	A frame decodes given its predecessor's hash and seq, its leader —
+//	the one frame `back` bytes before it in the same file — the leader's
+//	party source (or its own, when it is plain), and, when it says so,
+//	its mate.
 //
 // There is no table per segment and no state per vault: a sequential
 // scan keeps the last leaderRing plain frames it decoded and the frame
-// before the one it decodes, a keyed read parses at most two more frames
-// out of the same mapping — the leader, and the mate the segment index
-// locates. A follower's body is
+// before the one it decodes, a keyed read parses at most three more
+// frames out of the same mapping — the leader, the leader's party source
+// and the mate the segment index locates (a plain frame: its party
+// source). A plain frame's body is
 //
-//	flags (bit 7 set) · seq · [Prev] · back · borrow mask · At ·
+//	flags · [seq · Prev] · source back · [party mask] · At · direction ·
+//	note · token · [note tree] · CRC-32C
+//
+// where a source back of 0 says the frame spells everything out and has
+// no party mask, and a follower's is
+//
+//	flags (bit 7 set) · [seq · Prev] · back · borrow mask · At ·
 //	direction · note · token · [note tree] · CRC-32C
 //
-// and the one-byte borrow mask says, field by field, what is taken from
-// the leader instead of written: bits 0-4 are the token's
+// The one-byte borrow mask says, field by field, what is taken from the
+// leader instead of written: bits 0-4 are the token's
 // (evidence.BorrowTxn, BorrowIssuer, BorrowRecipients, BorrowService,
 // BorrowDigest — the transaction, the issuer and each recipient as a
 // one-byte reference into the leader's party list, the service, the
@@ -61,26 +74,32 @@
 // mode; borrowSig: the token writes no signature, and the decoder rebuilds
 // it from the mate's — the same key id, algorithm and bytes, the sibling
 // index, a path of the mate's TBS digest and the rest of the mate's). The
-// token's run is always the leader's. A field whose bit is clear is
-// written as a plain frame writes it.
+// token's run is always the leader's. The one-byte party mask says the
+// same of the party source: bits 0-5 are the token's (bits 0-4 as a
+// follower's, bit 5 evidence.BorrowKeyID: the signature's key id is the
+// source's), bit 6 the frame's (partyAt: At is a delta from the source's
+// At). A field whose bit is clear is written as a frame that spells it
+// out writes it.
 //
 // A note is absent, a one-byte code — 1 to 27 index noteWords, 0 says a
 // structured tree follows the token, whose run, parties and (in a
 // follower) leader digest the tree may refer to — or a length-prefixed
 // string.
 //
-// Version 6 is version 7 with a leader ring of one: a follower points
-// exactly at the last plain frame (and the writer started every write
-// with a plain frame). Version 5 is version 6 without
-// signature mates, version 4 is version 5 without structured notes,
-// version 3 is version 4 without followers, version 2 is version 3 with
-// the hash stored and the notes spelled out (two more flag bits clear),
-// so one body decoder reads all six. They, version-1 segments (every
-// field in full, text timestamps) and legacy JSON-lines segments (first
-// byte '{') remain readable forever; a stored hash is held to the
-// derived one at decode, so whatever the format, a decoded record's Hash
-// is the digest of its content and a reader has only linkage left to
-// check (ChainVerifier.Advance).
+// Version 7 is version 8 with every seq written and no party sources: a
+// plain frame spells out its parties and has no source back. Version 6
+// is version 7 with a leader ring of one: a follower points exactly at
+// the last plain frame (and the writer started every write with a plain
+// frame). Version 5 is version 6 without signature mates, version 4 is
+// version 5 without structured notes, version 3 is version 4 without
+// followers, version 2 is version 3 with the hash stored and the notes
+// spelled out (two more flag bits clear), so one body decoder reads all
+// seven. They, version-1 segments (every field in full, text timestamps)
+// and legacy JSON-lines segments (first byte '{') remain readable
+// forever; a stored hash is held to the derived one at decode, so
+// whatever the format, a decoded record's Hash is the digest of its
+// content and a reader has only linkage left to check
+// (ChainVerifier.Advance).
 package store
 
 import (
@@ -89,6 +108,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -129,6 +149,9 @@ const (
 	// EncBinaryV6 is the version-6 binary frame format (a follower leans
 	// on the last plain frame only): read, never written.
 	EncBinaryV6
+	// EncBinaryV7 is the version-7 binary frame format (every plain frame
+	// spells out its parties, every frame its seq): read, never written.
+	EncBinaryV7
 )
 
 // String names the encoding.
@@ -150,6 +173,8 @@ func (e Encoding) String() string {
 		return "binary-v5"
 	case EncBinaryV6:
 		return "binary-v6"
+	case EncBinaryV7:
+		return "binary-v7"
 	default:
 		return "unknown"
 	}
@@ -166,27 +191,32 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6 || e == EncBinaryV7
 }
 
 // structuredNotes reports whether the encoding's frames may store a note
 // as a structured tree (since version 5).
 func (e Encoding) structuredNotes() bool {
-	return e == EncBinary || e == EncBinaryV6 || e == EncBinaryV5
+	return e == EncBinary || e == EncBinaryV7 || e == EncBinaryV6 || e == EncBinaryV5
 }
 
 // mates reports whether the encoding's followers may borrow a signature
 // from their mate (since version 6).
-func (e Encoding) mates() bool { return e == EncBinary || e == EncBinaryV6 }
+func (e Encoding) mates() bool { return e == EncBinary || e == EncBinaryV7 || e == EncBinaryV6 }
 
 // ring is how many of a file's latest plain frames a follower of the
 // encoding may lean on: leaderRing since version 7, the last one before.
 func (e Encoding) ring() int {
-	if e == EncBinary {
+	if e == EncBinary || e == EncBinaryV7 {
 		return leaderRing
 	}
 	return 1
 }
+
+// sources reports whether the encoding's plain frames may take their
+// parties from a party source, and its frames that elide Prev elide
+// their seq too (since version 8).
+func (e Encoding) sources() bool { return e == EncBinary }
 
 // frameFlags is the set of frame flag bits the encoding knows; a frame
 // under its header that sets any other is refused.
@@ -205,8 +235,8 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 7
-	// segmentVersion1 to segmentVersion6 are the superseded formats,
+	SegmentVersion = 8
+	// segmentVersion1 to segmentVersion7 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
@@ -214,10 +244,11 @@ const (
 	segmentVersion4 = 4
 	segmentVersion5 = 5
 	segmentVersion6 = 6
-	// leaderRing is how many of a file's latest plain frames a version-7
-	// follower may lean on: its leader is the newest of them of its run, and
-	// a scan refuses a follower that names any other frame. Part of the
-	// format, not a tuning knob.
+	segmentVersion7 = 7
+	// leaderRing is how many of a file's latest plain frames a follower may
+	// lean on (since version 7) and a plain frame may take its parties
+	// from (since version 8): a scan refuses a frame that names any other.
+	// Part of the format, not a tuning knob.
 	leaderRing = 16
 	// SegmentHeaderLen is the length of the binary segment header.
 	SegmentHeaderLen = 4
@@ -238,7 +269,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 6 from the current one), JSON segments with '{'. Empty data is
+// to 7 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -259,6 +290,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV5
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion6:
 		return EncBinaryV6
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion7:
+		return EncBinaryV7
 	default:
 		return EncBinary
 	}
@@ -269,7 +302,9 @@ func DetectEncoding(data []byte) Encoding {
 const (
 	// framePrev: the frame carries Prev explicitly. Cleared when Prev is
 	// the Hash of the frame just before it, which the decoder already
-	// holds.
+	// holds; since version 8 the frame then omits its seq too, the seq of
+	// the frame just before it plus one (a frame whose seq is not carries
+	// both).
 	framePrev  = 1 << 0
 	frameToken = 1 << 1
 	frameNote  = 1 << 2
@@ -298,6 +333,9 @@ const (
 	// (A bit above them is nobody's: the token decoder refuses it.)
 	borrowAt  = 1 << evidence.BorrowBits
 	borrowSig = borrowAt << 1
+	// partyAt is the frame's own bit of a party mask (since version 8),
+	// above the token's: At is written relative to the party source's At.
+	partyAt = 1 << evidence.PartyBits
 )
 
 // castagnoli is the CRC-32C table (hardware-assisted where the CPU has
@@ -359,15 +397,18 @@ const (
 
 // RecordEncoder appends binary record frames, reusing one scratch
 // buffer across calls so the group-commit hot path allocates nothing
-// per record. It elides each frame's Prev when that is the Hash of the
+// per record. It elides each frame's Prev and seq when they chain to the
 // frame it appended immediately before, writes a frame as a follower of
 // the newest plain frame of the same run among the last leaderRing plain
 // frames it appended — in this write or an earlier one to the same file —
 // and lets a follower borrow its signature from the frame directly before
 // it — its mate — when that is the leader or a follower of it and the two
-// are siblings of one batch signature. One encoder therefore serves one
-// contiguous run of frames — a segment file's appends, one push — and the
-// first frame of every run is explicit and plain.
+// are siblings of one batch signature. A frame that leads its run takes
+// its parties, service, key id and time from a party source among those
+// plain frames, one that spells them out itself, when one shares its
+// parties. One encoder therefore serves one contiguous run of frames — a
+// segment file's appends, one push — and the first frame of every run is
+// explicit and spells out its parties.
 //
 // A frame stores the record's content, not its Hash: rec.Hash must be
 // the record's chained hash (what Chainer.Next, NextRecord and every
@@ -376,6 +417,7 @@ const (
 type RecordEncoder struct {
 	scratch []byte
 	last    sig.Digest
+	lastSeq uint64
 	chained bool
 	// pos is where the next frame starts, in bytes appended since Reset.
 	pos int64
@@ -394,10 +436,11 @@ type RecordEncoder struct {
 // previous one in the same file or message.
 func (e *RecordEncoder) Reset() { *e = RecordEncoder{scratch: e.scratch} }
 
-// Cut forgets every frame appended so far as a leader or mate: the next
-// frame is plain, whatever its run, and leads the frames after it. Call
-// it when frames it appended were dropped rather than written — no later
-// frame may lean on one that never reached the file.
+// Cut forgets every frame appended so far as a leader, party source or
+// mate: the next frame is plain and spells out its parties, whatever its
+// run, and leads the frames after it. Call it when frames it appended
+// were dropped rather than written — no later frame may lean on one that
+// never reached the file.
 func (e *RecordEncoder) Cut() {
 	e.ring.clear()
 	e.mate = nil
@@ -405,34 +448,41 @@ func (e *RecordEncoder) Cut() {
 
 // AppendRecord appends rec as a length-prefixed binary frame.
 func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
-	elide := e.chained && rec.Prev == e.last
+	elide := e.chained && rec.Prev == e.last && rec.Seq == e.lastSeq+1
 	start := e.pos
-	var lead *Record
+	var lean leaning
 	leadAt := start
 	if elide && rec.Token != nil {
 		// A frame that names recipients does not follow a leader that names
 		// none — a party's record to itself, such as a journal record that
 		// opens a durable run: it leads the run from here on, so that the
 		// frames after it borrow their parties and service from it.
-		if l, at := e.ring.of(rec.Token.Run, leaderRing); l != nil && (len(l.Token.Recipients) > 0 || len(rec.Token.Recipients) == 0) {
-			lead, leadAt = l, at
+		if l, at := e.ring.of(rec.Token.Run); l != nil && (len(l.Token.Recipients) > 0 || len(rec.Token.Recipients) == 0) {
+			lean.lead, leadAt = l, at
 		}
 	}
-	mate := e.mate
-	if lead == nil || mate == nil || e.mateLead != leadAt || !rec.Token.MatesWith(mate.Token) {
-		mate = nil
+	switch {
+	case lean.lead != nil:
+		lean.back = uint64(start - leadAt)
+		if mate := e.mate; mate != nil && e.mateLead == leadAt && rec.Token.MatesWith(mate.Token) {
+			lean.mate = mate
+		}
+	case rec.Token != nil:
+		if src, at := e.ring.sourceFor(rec.Token); src != nil {
+			lean.source, lean.back = src, uint64(start-at)
+		}
 	}
-	body, err := appendRecordBody(e.scratch[:0], rec, elide, lead, uint64(start-leadAt), mate)
+	body, err := appendRecordBody(e.scratch[:0], rec, elide, lean)
 	if err != nil {
 		return nil, err
 	}
 	e.scratch = body
-	e.last, e.chained = rec.Hash, true
-	if lead == nil {
-		e.ring.push(rec, start, leaderRing)
+	e.last, e.lastSeq, e.chained = rec.Hash, rec.Seq, true
+	if lean.lead == nil {
+		e.ring.push(rec, start, leaderRing, lean.source != nil)
 	}
 	e.mate = nil
-	if mate == nil && rec.Token != nil {
+	if lean.mate == nil && rec.Token != nil {
 		e.mate, e.mateLead = rec, leadAt
 	}
 	n := len(dst)
@@ -441,49 +491,95 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	return dst, nil
 }
 
+// leaning is what a frame leans on instead of writing it out: a
+// follower's leader or a plain frame's party source, back bytes before
+// it, and a follower's mate. The zero value is a frame that spells out
+// everything.
+type leaning struct {
+	lead, source *Record
+	back         uint64
+	mate         *Record
+}
+
 // frameRing holds the latest plain frames of a file — at most the
 // encoding's ring size — with where each starts: the frames a follower
-// may lean on. A plain frame that cannot lead takes its place without a
-// record.
+// may lean on, and those of them that spell out their parties the frames
+// a plain frame may take its parties from. A plain frame that cannot
+// lead takes its place without a record.
 type frameRing struct {
-	frames  [leaderRing]ringFrame
-	n, next int
+	frames        [leaderRing]ringFrame
+	n, next, size int
 }
 
 type ringFrame struct {
 	rec *Record
 	at  int64
+	// sourced: the frame took its parties from a party source, so it
+	// lends them to none.
+	sourced bool
 }
 
 // push adds the plain frame starting at at, rec nil when it cannot lead,
 // displacing the oldest of size.
-func (r *frameRing) push(rec *Record, at int64, size int) {
+func (r *frameRing) push(rec *Record, at int64, size int, sourced bool) {
 	if rec != nil && rec.Token == nil {
 		rec = nil
 	}
-	r.frames[r.next] = ringFrame{rec: rec, at: at}
+	r.size = size
+	r.frames[r.next] = ringFrame{rec: rec, at: at, sourced: sourced}
 	r.next = (r.next + 1) % size
 	r.n = min(r.n+1, size)
 }
 
+// newest returns the i-th newest frame held, i from 1 to r.n.
+func (r *frameRing) newest(i int) *ringFrame {
+	return &r.frames[(r.next-i+r.size)%r.size]
+}
+
 // of returns the newest frame of run held and where it starts; nil when
 // there is none.
-func (r *frameRing) of(run id.Run, size int) (*Record, int64) {
+func (r *frameRing) of(run id.Run) (*Record, int64) {
 	for i := 1; i <= r.n; i++ {
-		f := &r.frames[(r.next-i+size)%size]
-		if f.rec != nil && f.rec.Token.Run == run {
+		if f := r.newest(i); f.rec != nil && f.rec.Token.Run == run {
 			return f.rec, f.at
 		}
 	}
 	return nil, 0
 }
 
-// at returns the frame held that starts at at and can lead; nil when
-// there is none.
-func (r *frameRing) at(at int64) *Record {
+// sourceFor returns the frame held that lends tok the most of its
+// parties — its issuer and recipients first, then its service and key
+// id; the newest of those that lend as much — and where it starts; nil
+// when none lends a party.
+func (r *frameRing) sourceFor(tok *evidence.Token) (*Record, int64) {
+	const parties = evidence.BorrowIssuer | evidence.BorrowRecipients
+	var best *ringFrame
+	bestScore := 0
+	for i := 1; i <= r.n; i++ {
+		f := r.newest(i)
+		if f.rec == nil || f.sourced {
+			continue
+		}
+		b := tok.BorrowFrom(f.rec.Token)
+		if b&parties == 0 {
+			continue
+		}
+		score := 4*bits.OnesCount8(b&parties) + bits.OnesCount8(b&(evidence.BorrowService|evidence.BorrowKeyID))
+		if score > bestScore {
+			best, bestScore = f, score
+		}
+	}
+	if best == nil {
+		return nil, 0
+	}
+	return best.rec, best.at
+}
+
+// at returns the frame held that starts at at; nil when there is none.
+func (r *frameRing) at(at int64) *ringFrame {
 	for i := 0; i < r.n; i++ {
 		if f := &r.frames[i]; f.at == at {
-			return f.rec
+			return f
 		}
 	}
 	return nil
@@ -515,11 +611,10 @@ func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-// appendRecordBody appends rec's frame body: a plain frame, or with a
-// lead — the leader record, back bytes before this frame — a follower
-// of it, which with a mate — the record framed directly before it —
-// borrows its signature from that.
-func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, back uint64, mate *Record) ([]byte, error) {
+// appendRecordBody appends rec's frame body: a plain frame, which with
+// a source takes its parties from it, or with a lead a follower of it,
+// which with a mate borrows its signature from that.
+func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]byte, error) {
 	start := len(dst)
 	atMode := canon.ModeOfTime(rec.At)
 	flags := byte(atMode)<<frameAtShift | frameDerived
@@ -529,41 +624,48 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 	if rec.Token != nil {
 		flags |= frameToken
 	}
-	var leadTok, mateTok *evidence.Token
-	var borrow uint8
+	lend := evidence.Lenders{Leader: tokenOf(lean.lead), Source: tokenOf(lean.source), Mate: tokenOf(lean.mate)}
+	// mask is a follower's borrow mask or a plain frame's party mask,
+	// lender the frame it borrows from, atBit the mask's bit for its At.
+	var mask, atBit uint8
+	var lender *Record
 	var atBase int64
-	if lead != nil {
+	switch {
+	case lean.lead != nil:
 		flags |= frameFollower
-		leadTok = lead.Token
-		borrow = rec.Token.BorrowFrom(leadTok)
-		if atMode != canon.TimeText && atMode == canon.ModeOfTime(lead.At) {
-			borrow |= borrowAt
-			atBase = lead.At.UnixNano()
+		lender, lend.Borrow, atBit = lean.lead, rec.Token.BorrowFrom(lend.Leader)&(1<<evidence.BorrowBits-1), borrowAt
+		if lean.mate != nil {
+			mask |= borrowSig
 		}
-		if mate != nil {
-			borrow |= borrowSig
-			mateTok = mate.Token
-		}
+	case lean.source != nil:
+		lender, lend.Borrow, atBit = lean.source, rec.Token.BorrowFrom(lend.Source), partyAt
+	}
+	mask |= lend.Borrow
+	if lender != nil && atMode != canon.TimeText && atMode == canon.ModeOfTime(lender.At) {
+		mask |= atBit
+		atBase = lender.At.UnixNano()
 	}
 	var noteCode byte
 	var tree []byte // a structured note: code 0, the tree after the token
 	if rec.Note != "" {
 		flags |= frameNote
 		if noteCode = noteCodes[rec.Note]; noteCode == 0 && rec.Token != nil {
-			tree = encodeNote(rec.Note, &noteScope{tok: rec.Token, lead: leadTok, base: tokenTimeBase(rec.At, atMode)})
+			tree = encodeNote(rec.Note, &noteScope{tok: rec.Token, lead: lend.Leader, base: tokenTimeBase(rec.At, atMode)})
 		}
 		if noteCode != 0 || tree != nil {
 			flags |= frameNoteCode
 		}
 	}
 	dst = append(dst, flags)
-	dst = canon.AppendUvarint(dst, rec.Seq)
 	if !elidePrev {
+		dst = canon.AppendUvarint(dst, rec.Seq)
 		dst = append(dst, rec.Prev[:]...)
 	}
-	if lead != nil {
-		dst = canon.AppendUvarint(dst, back)
-		dst = append(dst, borrow)
+	switch {
+	case lender != nil:
+		dst = append(canon.AppendUvarint(dst, lean.back), mask)
+	case rec.Token != nil:
+		dst = append(dst, 0) // a plain frame without a party source
 	}
 	dst, err := canon.AppendTime(dst, rec.At, atMode, atBase)
 	if err != nil {
@@ -585,12 +687,20 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lead *Record, bac
 		dst = canon.AppendString(dst, rec.Note)
 	}
 	if rec.Token != nil {
-		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), leadTok, borrow&^(borrowAt|borrowSig), mateTok); err != nil {
+		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), lend); err != nil {
 			return nil, err
 		}
 	}
 	dst = append(dst, tree...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
+}
+
+// tokenOf is rec's token, nil for no record.
+func tokenOf(rec *Record) *evidence.Token {
+	if rec == nil {
+		return nil
+	}
+	return rec.Token
 }
 
 // tokenTimeBase is what a frame's token writes IssuedAt relative to:
@@ -626,30 +736,47 @@ const (
 )
 
 // frameInfo is what decoding a frame learns about its shape beyond the
-// record: its flags, a follower's borrow mask, its note's form and the
-// bytes the note takes.
+// record: its flags, a follower's borrow mask, whether a plain frame took
+// its parties from a party source, its note's form and the bytes the note
+// takes.
 type frameInfo struct {
 	flags     byte
 	borrow    uint8
+	sourced   bool
 	note      NoteForm
 	noteBytes int
 }
 
-// leaderFunc finds the leader a follower frame names: the plain record
-// whose frame starts back bytes before the follower's. Nil where a frame
-// stands alone.
+// chainLink is what a frame that elides its Prev is completed with: the
+// seq and Hash of the record before it.
+type chainLink struct {
+	seq  uint64
+	hash sig.Digest
+}
+
+// leaderFunc finds the frame a follower or a plain frame names: the plain
+// record whose frame starts back bytes before it — a follower's leader,
+// or a plain frame's party source.
 type leaderFunc func(back uint64) (*Record, error)
 
 // mateFunc finds a follower's mate: the record whose frame directly
 // precedes it, with what that frame says of its shape, when it is the
 // follower's leader or a follower of the same leader, and fails
-// otherwise. Nil where a frame stands alone.
+// otherwise.
 type mateFunc func() (*Record, frameInfo, error)
 
-// decodeRecordBody decodes one record body of version 2 to 7; prev is the
-// Hash of the frame before it, needed only when the frame elides its
-// Prev, leader resolves the frame's leader, needed only when it is a
-// follower, and mate its mate, needed only when it borrows a signature.
+// frameLenders find what a frame leans on: its leader if it is a
+// follower, its party source if it is a plain frame that names one, and
+// its mate if it borrows a signature. Each is nil where a frame stands
+// alone.
+type frameLenders struct {
+	leader, source leaderFunc
+	mate           mateFunc
+}
+
+// decodeRecordBody decodes one record body of version 2 to 8; prev is the
+// record before it, needed only when the frame elides its Prev, and lend
+// finds what the frame leans on, needed only when it does.
 // A version-2 frame (enc EncBinaryV2, or a frame under a later header
 // with the version-3 flag bits clear) ends in its stored Hash,
 // which is returned in the record for the caller to hold to the derived
@@ -658,7 +785,7 @@ type mateFunc func() (*Record, frameInfo, error)
 // the record. All variable-length data is copied, so decoded records
 // never alias the input buffer (which may be an mmapped segment that is
 // later unmapped).
-func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc) (rec *Record, info frameInfo, err error) {
+func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLenders) (rec *Record, info frameInfo, err error) {
 	if len(body) == 0 {
 		return nil, info, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
@@ -677,52 +804,75 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	}
 	r := canon.NewBinReader(body[1:])
 	rec = new(Record)
-	rec.Seq = r.Uvarint()
+	if flags&framePrev != 0 || !enc.sources() {
+		rec.Seq = r.Uvarint()
+	}
 	switch {
 	case flags&framePrev != 0:
 		copy(rec.Prev[:], r.Raw(sig.DigestSize))
-	case prev != nil:
-		rec.Prev = *prev
-	default:
+	case prev == nil:
 		return nil, info, fmt.Errorf("store: %w: frame elides Prev but has no predecessor", canon.ErrBinary)
+	default:
+		rec.Prev = prev.hash
+		if enc.sources() {
+			rec.Seq = prev.seq + 1
+		}
 	}
 	atMode := canon.TimeMode(flags >> frameAtShift & 3)
-	var leadTok, mateTok *evidence.Token
-	var borrow uint8
-	var atBase int64
-	if flags&frameFollower != 0 {
-		back, mask := r.Uvarint(), r.Byte()
-		if r.Err() != nil || leader == nil {
+	var tokLend evidence.Lenders
+	// lender is the frame whose At the frame's may be relative to, which
+	// the bit atBit of mask says it is.
+	var lender *Record
+	var mask, atBit uint8
+	switch {
+	case flags&frameFollower != 0:
+		back := r.Uvarint()
+		mask = r.Byte()
+		if r.Err() != nil || lend.leader == nil {
 			return nil, info, fmt.Errorf("store: %w: follower frame without its leader", canon.ErrBinary)
 		}
-		lead, err := leader(back)
-		if err != nil {
+		if lender, err = lend.leader(back); err != nil {
 			return nil, info, err
 		}
-		leadTok, borrow = lead.Token, mask
-		info.borrow = borrow
-		if borrow&borrowAt != 0 {
-			if atMode == canon.TimeText || atMode != canon.ModeOfTime(lead.At) {
-				return nil, info, fmt.Errorf("store: %w: follower frame borrows a time of another mode", canon.ErrBinary)
-			}
-			atBase = lead.At.UnixNano()
-		}
-		if borrow&borrowSig != 0 {
-			if !enc.mates() || mate == nil {
+		tokLend.Leader, tokLend.Borrow = lender.Token, mask&^(borrowAt|borrowSig)
+		info.borrow, atBit = mask, borrowAt
+		if mask&borrowSig != 0 {
+			if !enc.mates() || lend.mate == nil {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature without its mate", canon.ErrBinary)
 			}
 			// The mate is the leader or a follower of it, so a frame with a
 			// token of the leader's run; what a mate without a batch path
 			// cannot lend, the token decoder refuses.
-			m, minfo, err := mate()
+			m, minfo, err := lend.mate()
 			if err != nil {
 				return nil, info, err
 			}
 			if minfo.borrow&borrowSig != 0 {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature from a frame that borrowed its own", canon.ErrBinary)
 			}
-			mateTok = m.Token
+			tokLend.Mate = m.Token
 		}
+	case enc.sources() && flags&frameToken != 0:
+		back := r.Uvarint()
+		if back == 0 {
+			break
+		}
+		mask = r.Byte()
+		if r.Err() != nil || flags&frameDerived == 0 || lend.source == nil {
+			return nil, info, fmt.Errorf("store: %w: plain frame without its party source", canon.ErrBinary)
+		}
+		if lender, err = lend.source(back); err != nil {
+			return nil, info, err
+		}
+		tokLend.Source, tokLend.Borrow = lender.Token, mask&^partyAt
+		info.sourced, atBit = true, partyAt
+	}
+	var atBase int64
+	if mask&atBit != 0 {
+		if atMode == canon.TimeText || atMode != canon.ModeOfTime(lender.At) {
+			return nil, info, fmt.Errorf("store: %w: frame borrows a time of another mode", canon.ErrBinary)
+		}
+		atBase = lender.At.UnixNano()
 	}
 	rec.At = r.Time(atMode, atBase)
 	switch r.Byte() {
@@ -753,10 +903,10 @@ func decodeRecordBody(body []byte, enc Encoding, prev *sig.Digest, leader leader
 	if flags&frameToken != 0 && r.Err() == nil {
 		base := tokenTimeBase(rec.At, atMode)
 		rec.Token = new(evidence.Token)
-		rec.Token.DecodeBinary(&r, base, leadTok, borrow&^(borrowAt|borrowSig), mateTok)
+		rec.Token.DecodeBinary(&r, base, tokLend)
 		if info.note == NoteStructured && r.Err() == nil {
 			info.noteBytes += r.Len()
-			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: leadTok, base: base})
+			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: tokLend.Leader, base: base})
 		}
 	}
 	if flags&frameDerived == 0 {
@@ -846,11 +996,10 @@ func frameBody(data []byte) ([]byte, int64, error) {
 }
 
 // decodeFrame decodes one frame of a binary encoding and seals the
-// record's Hash (sealHash); prev is the preceding frame's Hash when
-// known, leader and mate find the frame's leader and mate where it may
-// have them, scratch is sealHash's buffer or nil. What the frame says of
-// its shape is returned.
-func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc, mate mateFunc, scratch *[]byte) (*Record, int64, frameInfo, error) {
+// record's Hash (sealHash); prev is the record before it when known, lend
+// finds what the frame leans on where it may lean, scratch is sealHash's
+// buffer or nil. What the frame says of its shape is returned.
+func decodeFrame(data []byte, enc Encoding, prev *chainLink, lend frameLenders, scratch *[]byte) (*Record, int64, frameInfo, error) {
 	body, frameLen, err := frameBody(data)
 	if body == nil {
 		return nil, 0, frameInfo{}, err
@@ -860,7 +1009,7 @@ func decodeFrame(data []byte, enc Encoding, prev *sig.Digest, leader leaderFunc,
 	if enc == EncBinaryV1 {
 		rec, info, err = decodeRecordBodyV1(body)
 	} else {
-		rec, info, err = decodeRecordBody(body, enc, prev, leader, mate)
+		rec, info, err = decodeRecordBody(body, enc, prev, lend)
 	}
 	if err == nil {
 		err = sealHash(rec, info.flags&frameDerived == 0, scratch)
@@ -892,24 +1041,58 @@ func uvarint(data []byte) (uint64, int) {
 	return 0, 0
 }
 
-// DecodeRecordData decodes the one record that occupies data[start:end]
-// in the given encoding — the keyed-read path, handed a (possibly
-// mmapped) segment and the record's slot from the segment's index. prev
-// is the Hash of the record before it in the segment (from the sealed
-// index's hash array), which a frame that elides its Prev is completed
-// with — and which the record's own Hash is then derived from, for the
-// caller to compare with the hash the seal pins at its position; nil for
-// a segment's first record. prevStart is where that record's frame starts
-// (from the index's offsets; negative for none), the mate a frame that
-// borrows its signature names. A follower frame costs one more frame
-// parse and checksum — its leader's, found in data at the distance the
-// follower names, which must be a plain frame ending at or before start
-// (which of the file's plain frames it may be, a scan checks, not this
-// read) — and, when it borrows its signature, a third for its mate unless
-// that is the leader; no second digest: what the follower took from the
-// leader and the mate is authenticated with the follower, by the hash the
-// caller compares.
-func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Digest, prevStart int64) (*Record, error) {
+// A SlotReader decodes records out of one segment's data by their slots —
+// the keyed-read path, handed a (possibly mmapped) segment and each
+// record's slot from the segment's index — and remembers the last few plain frames it parsed
+// for followers and plain frames to lean on, so that the records of one
+// index window parse each leader and party source once. Not safe for
+// concurrent use.
+type SlotReader struct {
+	data []byte
+	enc  Encoding
+	// plain holds the plain frames parsed last, next the slot to fill.
+	plain [4]plainFrame
+	next  int
+}
+
+// errSourceSourced refuses a party source that takes its own parties
+// from another.
+var errSourceSourced = fmt.Errorf("store: %w: party source takes its parties from another", canon.ErrBinary)
+
+// plainFrame is a plain frame a SlotReader parsed: where it starts and
+// ends, its record, and whether it took its parties from a party source.
+type plainFrame struct {
+	at, end int64
+	rec     *Record
+	sourced bool
+}
+
+// NewSlotReader returns a reader of data, a whole segment in the given
+// encoding.
+func NewSlotReader(data []byte, enc Encoding) *SlotReader {
+	return &SlotReader{data: data, enc: enc}
+}
+
+// Decode decodes the record at data[start:end]. seq is the record's seq
+// and prev the Hash of the record before it in the segment (from the
+// sealed index's windows and hash array), which a frame that elides its
+// Prev — and since version 8 its seq — is completed with, and which the
+// record's own Hash is then derived from, for the caller to compare with
+// the hash the seal pins at its position; prev is nil for a segment's
+// first record. prevStart is where that record's frame starts (from the
+// index's offsets; negative for none), the mate a frame that borrows its
+// signature names. A follower frame costs one more frame parse and
+// checksum — its leader's, found in data at the distance the follower
+// names, which must be a plain frame ending at or before start (which of
+// the file's plain frames it may be, a scan checks, not this read) — and
+// one more when the leader takes its parties from a party source, and,
+// when it borrows its signature, one for its mate unless that is the
+// leader; a plain frame that names a party source costs its source's
+// parse. A leader or source the reader parsed for an earlier slot is not
+// parsed again. No second digest: what a frame took from the frames it
+// leans on is authenticated with it, by the hash the caller compares.
+func (s *SlotReader) Decode(start, end int64, seq uint64, prev *sig.Digest, prevStart int64) (*Record, error) {
+	data, enc := s.data, s.enc
 	if start < 0 || end < start || end > int64(len(data)) {
 		return nil, fmt.Errorf("store: %w: record slot outside the segment", canon.ErrBinary)
 	}
@@ -924,68 +1107,103 @@ func DecodeRecordData(data []byte, start, end int64, enc Encoding, prev *sig.Dig
 			return nil, err
 		}
 		return rec, nil
-	case enc.framed():
-		first := enc.HeaderLen()
-		// frameAt parses the frame at data[at:], which must end by to —
-		// exactly there when whole is set. Only its own bytes are needed:
-		// its Prev is not looked at.
-		frameAt := func(at, to int64, whole bool, leader leaderFunc) (*Record, frameInfo, error) {
-			body, n, err := frameBody(data[at:to])
-			if err != nil {
-				return nil, frameInfo{}, err
-			}
-			if body == nil || (whole && n != to-at) {
-				return nil, frameInfo{}, fmt.Errorf("store: %w: frame reference points at no frame", canon.ErrBinary)
-			}
-			return decodeRecordBody(body, enc, new(sig.Digest), leader, nil)
-		}
-		var lead *Record
-		leadAt := int64(-1)
-		leader := func(back uint64) (*Record, error) {
-			if back == 0 || start < first || back > uint64(start-first) {
-				return nil, fmt.Errorf("store: %w: follower frame points outside the segment", canon.ErrBinary)
-			}
-			// A frame that wants a leader is not one.
-			rec, info, err := frameAt(start-int64(back), start, false, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !leads(info.flags) {
-				return nil, fmt.Errorf("store: %w: follower frame points at a frame that cannot lead", canon.ErrBinary)
-			}
-			lead, leadAt = rec, start-int64(back)
-			return lead, nil
-		}
-		mate := func() (*Record, frameInfo, error) {
-			switch {
-			case prevStart < first || prevStart < leadAt || prevStart >= start:
-				return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from before its leader", canon.ErrBinary)
-			case prevStart == leadAt:
-				return lead, frameInfo{}, nil
-			}
-			// Other than the leader, the mate is a follower of it.
-			m, info, err := frameAt(prevStart, start, true, func(back uint64) (*Record, error) {
-				if back != uint64(prevStart-leadAt) {
-					return nil, fmt.Errorf("store: %w: signature mate follows another leader", canon.ErrBinary)
-				}
-				return lead, nil
-			})
-			if err == nil && info.flags&frameFollower == 0 {
-				err = fmt.Errorf("store: %w: signature mate is a plain frame after the leader", canon.ErrBinary)
-			}
-			return m, info, err
-		}
-		rec, frameLen, _, err := decodeFrame(slot, enc, prev, leader, mate, nil)
-		if err != nil {
-			return nil, err
-		}
-		if rec == nil || frameLen != int64(len(slot)) {
-			return nil, fmt.Errorf("store: %w: record frame does not fill its slot", canon.ErrBinary)
-		}
-		return rec, nil
-	default:
+	case !enc.framed():
 		return nil, fmt.Errorf("store: decode record: unknown encoding")
 	}
+	var lead *Record
+	leadAt := int64(-1)
+	lend := frameLenders{
+		leader: func(back uint64) (rec *Record, err error) {
+			lead, leadAt, err = s.plainAt(start, back, true)
+			return lead, err
+		},
+		source: func(back uint64) (*Record, error) {
+			rec, _, err := s.plainAt(start, back, false)
+			return rec, err
+		},
+	}
+	lend.mate = func() (*Record, frameInfo, error) {
+		switch {
+		case prevStart < enc.HeaderLen() || prevStart < leadAt || prevStart >= start:
+			return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from before its leader", canon.ErrBinary)
+		case prevStart == leadAt:
+			return lead, frameInfo{}, nil
+		}
+		// Other than the leader, the mate is a follower of it.
+		m, info, _, err := s.frameAt(prevStart, start, true, frameLenders{leader: func(back uint64) (*Record, error) {
+			if back != uint64(prevStart-leadAt) {
+				return nil, fmt.Errorf("store: %w: signature mate follows another leader", canon.ErrBinary)
+			}
+			return lead, nil
+		}})
+		if err == nil && info.flags&frameFollower == 0 {
+			err = fmt.Errorf("store: %w: signature mate is a plain frame after the leader", canon.ErrBinary)
+		}
+		return m, info, err
+	}
+	var link *chainLink
+	if prev != nil {
+		link = &chainLink{seq: seq - 1, hash: *prev}
+	}
+	rec, frameLen, _, err := decodeFrame(slot, enc, link, lend, nil)
+	if err != nil {
+		return nil, err
+	}
+	if rec == nil || frameLen != int64(len(slot)) {
+		return nil, fmt.Errorf("store: %w: record frame does not fill its slot", canon.ErrBinary)
+	}
+	return rec, nil
+}
+
+// frameAt parses the frame at data[at:], which must end by to — exactly
+// there when whole is set — and says where it ends. Only its own bytes
+// and what lend finds are needed: its Prev and seq are not looked at.
+func (s *SlotReader) frameAt(at, to int64, whole bool, lend frameLenders) (*Record, frameInfo, int64, error) {
+	body, n, err := frameBody(s.data[at:to])
+	if err != nil {
+		return nil, frameInfo{}, 0, err
+	}
+	if body == nil || (whole && n != to-at) {
+		return nil, frameInfo{}, 0, fmt.Errorf("store: %w: frame reference points at no frame", canon.ErrBinary)
+	}
+	rec, info, err := decodeRecordBody(body, s.enc, new(chainLink), lend)
+	return rec, info, at + n, err
+}
+
+// plainAt parses the plain frame back bytes before the frame that starts
+// at from, and says where it starts: a follower's leader, whose party
+// source it looks up in turn, or a party source, which may not name one.
+// A frame that wants a leader is not one.
+func (s *SlotReader) plainAt(from int64, back uint64, leader bool) (*Record, int64, error) {
+	if back == 0 || from < s.enc.HeaderLen() || back > uint64(from-s.enc.HeaderLen()) {
+		return nil, 0, fmt.Errorf("store: %w: frame points outside the segment", canon.ErrBinary)
+	}
+	at := from - int64(back)
+	for i := range s.plain {
+		if f := &s.plain[i]; f.rec != nil && f.at == at && f.end <= from {
+			if f.sourced && !leader {
+				return nil, 0, errSourceSourced
+			}
+			return f.rec, at, nil
+		}
+	}
+	source := func(uint64) (*Record, error) { return nil, errSourceSourced }
+	if leader {
+		source = func(back uint64) (*Record, error) {
+			rec, _, err := s.plainAt(at, back, false)
+			return rec, err
+		}
+	}
+	rec, info, end, err := s.frameAt(at, from, false, frameLenders{source: source})
+	if err != nil {
+		return nil, 0, err
+	}
+	if !leads(info.flags) {
+		return nil, 0, fmt.Errorf("store: %w: frame points at a frame that cannot lead", canon.ErrBinary)
+	}
+	s.plain[s.next] = plainFrame{at: at, end: end, rec: rec, sourced: info.sourced}
+	s.next = (s.next + 1) % len(s.plain)
+	return rec, at, nil
 }
 
 // FrameEnd returns where the record that starts at data[start:] ends in
@@ -1086,15 +1304,16 @@ func scanBinarySegment(data []byte, enc Encoding, fn func(*Record, int64, frameI
 }
 
 // scanFrames walks the frames of data from offset start, handing each
-// frame the hash of the one before it and, to a follower, the plain frame
-// it names among the last the encoding's ring holds — which is its leader
-// or the follower is corrupt — and, as its mate, the frame before it when
-// that is the leader or a follower of it; one scratch buffer serves the
-// whole scan.
-// fn learns each frame's length and shape.
+// frame the record before it and the plain frame it names among the last
+// the encoding's ring holds — a follower's leader, which must be there,
+// or a plain frame's party source, which must be there and spell out its
+// own parties — and, as a follower's mate, the frame before it when that
+// is the leader or a follower of it; one scratch buffer serves the whole
+// scan. fn learns each frame's length and shape.
 func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, frameInfo) error) (int64, bool, error) {
 	prefix := start
-	var prev *sig.Digest
+	var prev *chainLink
+	var link chainLink
 	size := enc.ring()
 	var ring frameRing
 	var last *Record
@@ -1102,27 +1321,44 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 	// leadAt is where the frame decoded leans, lastLead where the frame
 	// before it did (each its own start when plain).
 	var leadAt, lastLead int64
-	leader := func(back uint64) (*Record, error) {
-		var lead *Record
-		if back != 0 && back <= uint64(prefix) {
-			lead = ring.at(prefix - int64(back))
+	// held is the plain frame back bytes before the frame decoded, when
+	// the ring holds one.
+	held := func(back uint64) *ringFrame {
+		if back == 0 || back > uint64(prefix) {
+			return nil
 		}
-		if lead == nil {
-			return nil, fmt.Errorf("store: %w: follower frame does not point at a plain frame it may lean on", canon.ErrBinary)
+		if f := ring.at(prefix - int64(back)); f != nil && f.rec != nil {
+			return f
 		}
-		leadAt = prefix - int64(back)
-		return lead, nil
+		return nil
 	}
-	mate := func() (*Record, frameInfo, error) {
-		if last == nil || lastLead != leadAt {
-			return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from a frame that does not follow its leader", canon.ErrBinary)
-		}
-		return last, lastInfo, nil
+	lend := frameLenders{
+		leader: func(back uint64) (*Record, error) {
+			f := held(back)
+			if f == nil {
+				return nil, fmt.Errorf("store: %w: follower frame does not point at a plain frame it may lean on", canon.ErrBinary)
+			}
+			leadAt = f.at
+			return f.rec, nil
+		},
+		source: func(back uint64) (*Record, error) {
+			f := held(back)
+			if f == nil || f.sourced {
+				return nil, fmt.Errorf("store: %w: plain frame does not point at a party source it may take its parties from", canon.ErrBinary)
+			}
+			return f.rec, nil
+		},
+		mate: func() (*Record, frameInfo, error) {
+			if last == nil || lastLead != leadAt {
+				return nil, frameInfo{}, fmt.Errorf("store: %w: frame borrows a signature from a frame that does not follow its leader", canon.ErrBinary)
+			}
+			return last, lastInfo, nil
+		},
 	}
 	var scratch []byte
 	for prefix < int64(len(data)) {
 		leadAt = prefix
-		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, leader, mate, &scratch)
+		rec, frameLen, info, err := decodeFrame(data[prefix:], enc, prev, lend, &scratch)
 		if err != nil {
 			return prefix, false, err
 		}
@@ -1134,12 +1370,13 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 		}
 		switch {
 		case leads(info.flags):
-			ring.push(rec, prefix, size)
+			ring.push(rec, prefix, size, info.sourced)
 		case info.flags&frameFollower == 0:
-			ring.push(nil, prefix, size)
+			ring.push(nil, prefix, size, false)
 		}
 		last, lastInfo, lastLead = rec, info, leadAt
-		prev = &rec.Hash
+		link = chainLink{seq: rec.Seq, hash: rec.Hash}
+		prev = &link
 		prefix += frameLen
 	}
 	return prefix, false, nil
@@ -1147,8 +1384,9 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 
 // FrameCount is what a walk over a segment's frames finds: how many
 // there are, how many of them follow a leader and how many of those
-// borrow their signature from a mate, what those take, and what the
-// frames of each token kind take, their notes apart.
+// borrow their signature from a mate, how many plain frames take their
+// parties from a party source, what those take, and what the frames of
+// each token kind take, their notes apart.
 type FrameCount struct {
 	// Frames counts the frames (JSON lines in a JSON segment) decoded.
 	Frames int
@@ -1160,6 +1398,10 @@ type FrameCount struct {
 	// their mate, and SigBorrowerBytes the bytes they take.
 	SigBorrowers     int
 	SigBorrowerBytes int64
+	// PartyBorrowers counts the plain frames that take their parties from
+	// a party source, and PartyBorrowerBytes the bytes they take.
+	PartyBorrowers     int
+	PartyBorrowerBytes int64
 	// Kinds breaks the frames down by their token's kind.
 	Kinds map[evidence.Kind]*KindCount
 }
@@ -1180,6 +1422,8 @@ func (c *FrameCount) Add(o FrameCount) {
 	c.FollowerBytes += o.FollowerBytes
 	c.SigBorrowers += o.SigBorrowers
 	c.SigBorrowerBytes += o.SigBorrowerBytes
+	c.PartyBorrowers += o.PartyBorrowers
+	c.PartyBorrowerBytes += o.PartyBorrowerBytes
 	for kind, k := range o.Kinds {
 		sum := c.kind(kind)
 		sum.Records += k.Records
@@ -1206,7 +1450,8 @@ func (c *FrameCount) kind(kind evidence.Kind) *KindCount {
 // CountFrames decodes the records of a segment and counts what their
 // frames take — what sharing and note coding look like from outside.
 // Frames of the formats before version 4 are all plain, before version 5
-// no note is structured, before version 6 no signature is borrowed; the
+// no note is structured, before version 6 no signature is borrowed,
+// before version 8 no plain frame names a party source; the
 // lines of a JSON segment count as plain frames whose notes are not
 // measured. The walk stops at the first torn or undecodable frame and
 // returns the error that stopped it — none for a torn final frame, which
@@ -1220,7 +1465,11 @@ func CountFrames(data []byte) (FrameCount, error) {
 			c.Followers++
 			c.FollowerBytes += n
 		}
-		if info.borrow&borrowSig != 0 {
+		switch {
+		case info.sourced:
+			c.PartyBorrowers++
+			c.PartyBorrowerBytes += n
+		case info.borrow&borrowSig != 0:
 			c.SigBorrowers++
 			c.SigBorrowerBytes += n
 		}

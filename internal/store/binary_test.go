@@ -164,10 +164,10 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 		}
 		checkSameRecord(t, fmt.Sprintf("record %d (explicit prev)", i), rec, dec)
 		// DecodeRecordData must accept the exact slot and reject a padded one.
-		if _, err := store.DecodeRecordData(frame, 0, int64(len(frame)), store.EncBinary, nil, -1); err != nil {
+		if _, err := store.DecodeRecordData(frame, 0, int64(len(frame)), store.EncBinary, rec.Seq, nil, -1); err != nil {
 			t.Fatalf("record %d: DecodeRecordData: %v", i, err)
 		}
-		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), 0, int64(len(frame))+1, store.EncBinary, nil, -1); err == nil {
+		if _, err := store.DecodeRecordData(append(frame[:len(frame):len(frame)], 0), 0, int64(len(frame))+1, store.EncBinary, rec.Seq, nil, -1); err == nil {
 			t.Fatalf("record %d: padded slot decoded", i)
 		}
 	}
@@ -200,12 +200,12 @@ func TestBinaryRecordGoldenVectors(t *testing.T) {
 	// predecessor's hash, and only given it.
 	mid := len(recs) / 2
 	slot := run[offs[mid]:offs[mid+1]]
-	dec, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, &recs[mid-1].Hash, offs[mid-1])
+	dec, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, recs[mid].Seq, &recs[mid-1].Hash, offs[mid-1])
 	if err != nil {
 		t.Fatalf("keyed decode of an elided frame: %v", err)
 	}
 	checkSameRecord(t, "keyed decode", recs[mid], dec)
-	if _, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, nil, -1); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(run, offs[mid], offs[mid+1], store.EncBinary, recs[mid].Seq, nil, -1); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("elided frame without its predecessor = %v, want ErrBinary", err)
 	}
 	if _, _, err := store.DecodeRecordFrame(slot); !errors.Is(err, canon.ErrBinary) {
@@ -579,6 +579,18 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	}
 	ring, _, _ := ringRun(f, ringSize-1)
 	f.Add(ring)
+	// Version-8 shapes (testdata/fuzz holds more): the golden segment,
+	// whose opening frames take their parties from a party source, a row
+	// of runs as long as the ring reaches, and plain frames naming a party
+	// source they may not take their parties from.
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v8", "golden-v8.seg")); err == nil {
+		f.Add(golden)
+	}
+	sourced, _, _ := sourcedRuns(f, ringSize+2)
+	f.Add(sourced)
+	for _, bad := range hostileSources(f) {
+		f.Add(bad.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, prefix, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
@@ -613,7 +625,7 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 				if w <= 0 || n > uint64(len(data)) || end > int64(len(data)) {
 					break
 				}
-				_, _ = store.DecodeRecordData(data, off, end, enc, &prev, prevStart)
+				_, _ = store.DecodeRecordData(data, off, end, enc, 1, &prev, prevStart)
 				prevStart, off = off, end
 			}
 		}

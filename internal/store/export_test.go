@@ -10,7 +10,19 @@ import (
 // when mate is not nil — whatever lead and mate hold: the hostile
 // followers a RecordEncoder never writes.
 func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([]byte, error) {
-	body, err := appendRecordBody(nil, rec, true, lead, back, mate)
+	body, err := appendRecordBody(nil, rec, true, leaning{lead: lead, back: back, mate: mate})
+	if err != nil {
+		return nil, err
+	}
+	return append(canon.AppendUvarint(dst, uint64(len(body))), body...), nil
+}
+
+// AppendPartyBorrower appends rec's frame as a plain frame that takes its
+// parties from source, whose frame starts back bytes before this one —
+// whatever source holds: the hostile party references a RecordEncoder
+// never writes. The frame elides its Prev and seq.
+func AppendPartyBorrower(dst []byte, rec, source *Record, back uint64) ([]byte, error) {
+	body, err := appendRecordBody(nil, rec, true, leaning{source: source, back: back})
 	if err != nil {
 		return nil, err
 	}
@@ -22,8 +34,14 @@ func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([
 // length: (nil, 0, nil) when the frame runs past the end of data, an error
 // when it elides its Prev or follows a leader.
 func DecodeRecordFrame(data []byte) (*Record, int64, error) {
-	rec, n, _, err := decodeFrame(data, EncBinary, nil, nil, nil, nil)
+	rec, n, _, err := decodeFrame(data, EncBinary, nil, frameLenders{}, nil)
 	return rec, n, err
+}
+
+// DecodeRecordData decodes the one record that occupies data[start:end]:
+// SlotReader.Decode on a reader of its own.
+func DecodeRecordData(data []byte, start, end int64, enc Encoding, seq uint64, prev *sig.Digest, prevStart int64) (*Record, error) {
+	return NewSlotReader(data, enc).Decode(start, end, seq, prev, prevStart)
 }
 
 // AppendRecordJSON is the record's direct canonical-JSON appender.

@@ -20,7 +20,7 @@ import (
 	"nonrep/internal/testpki"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v7 (golden.jsonl and golden-v7.seg) from freshly issued records")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v8 (golden.jsonl and golden-v8.seg): the testdata/v7 records and freshly issued ones")
 
 // goldenV2 reads the frozen version-2 segment — written by the build
 // before format 3, every record kind, two encoder runs (so explicit and
@@ -105,7 +105,7 @@ func TestBinaryV2SegmentStillDecodes(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinaryV2, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinaryV2, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v2 record %d: %v", i, err)
 		}
@@ -135,13 +135,13 @@ func TestBinaryV2SegmentStillDecodes(t *testing.T) {
 		checkSameRecord(t, fmt.Sprintf("re-encoded record %d", i), recs[i], again[i])
 	}
 
-	// Version 2 is the subset of the later versions with their flag bits
-	// clear: the old frames read under the newer headers, the new ones are
+	// Version 2 is the subset of versions 3 to 7 with their flag bits
+	// clear: the old frames read under those headers, the new ones are
 	// refused under the old.
 	for _, ver := range []struct {
 		version byte
 		enc     store.Encoding
-	}{{3, store.EncBinaryV3}, {store.SegmentVersion, store.EncBinary}} {
+	}{{3, store.EncBinaryV3}, {7, store.EncBinaryV7}} {
 		relabelled := append([]byte(nil), data...)
 		relabelled[3] = ver.version
 		scanGolden(t, fmt.Sprintf("v2 frames under a version-%d header", ver.version), relabelled, want, ver.enc)
@@ -174,7 +174,7 @@ func TestBinaryV3SegmentStillDecodes(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV3, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV3, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v3 record %d: %v", i, err)
 		}
@@ -182,12 +182,13 @@ func TestBinaryV3SegmentStillDecodes(t *testing.T) {
 	}
 
 	// Version 3 is version 4 without followers: its frames read under the
-	// current header. The fixture's records are of one run, so this build
+	// headers up to version 7 (version 8 reads a frame's seq only beside
+	// its Prev). The fixture's records are of one run, so this build
 	// writes all but the first of each encoder run as followers — fewer
 	// bytes, the same records — and a version-3 header refuses those.
-	asV4 := append([]byte(nil), frozen...)
-	asV4[3] = store.SegmentVersion
-	scanGolden(t, "v3 frames under the current header", asV4, want, store.EncBinary)
+	asV7 := append([]byte(nil), frozen...)
+	asV7[3] = 7
+	scanGolden(t, "v3 frames under a version-7 header", asV7, want, store.EncBinaryV7)
 	cur := encodeTwoRuns(t, recs)
 	if len(cur) >= len(frozen) {
 		t.Fatalf("the current format takes %d bytes, version 3 took %d", len(cur), len(frozen))
@@ -248,7 +249,8 @@ func hostileFrames(tb testing.TB) frameSet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// The next record is of another run, so its frame is plain.
+	// The next record is of another run, so its frame is plain; the
+	// encoder is cut before it, so it spells out its parties.
 	other, err := realm.Party(org).Issuer.Issue(evidence.KindNRO, id.NewRun(), 1, sig.Sum([]byte("format 3")))
 	if err != nil {
 		tb.Fatal(err)
@@ -261,11 +263,15 @@ func hostileFrames(tb testing.TB) frameSet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := store.AppendFrameRun(nil, []*store.Record{rec, next})
+	var enc store.RecordEncoder
+	if _, err := enc.AppendRecord(nil, rec); err != nil {
+		tb.Fatal(err)
+	}
+	enc.Cut()
+	elided, err := enc.AppendRecord(nil, next)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	elided := run[store.SegmentHeaderLen+len(control):]
 	// The note code is the one body byte that moves when only the note
 	// does.
 	renoted := *rec
@@ -323,12 +329,12 @@ func TestBinaryFrameRefusals(t *testing.T) {
 	}
 	// The orphan decodes once it has a predecessor, and its hash depends
 	// on which.
-	a, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &rec.Hash, -1)
+	a, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, rec.Seq+1, &rec.Hash, -1)
 	if err != nil || a.Prev != rec.Hash {
 		t.Fatalf("elided frame after its predecessor: %v", err)
 	}
 	other := sig.Sum([]byte("another predecessor"))
-	b, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, &other, -1)
+	b, err := store.DecodeRecordData(elided, 0, int64(len(elided)), store.EncBinary, rec.Seq+1, &other, -1)
 	if err != nil || b.Hash == a.Hash {
 		t.Fatalf("derived hash does not depend on the predecessor (err %v)", err)
 	}

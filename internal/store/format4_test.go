@@ -24,11 +24,13 @@ const (
 		evidence.BorrowRecipients, evidence.BorrowService, evidence.BorrowDigest
 	bAt = 1 << evidence.BorrowBits
 
-	fPrev, fFollower = 0x01, 0x80
+	fPrev, fToken, fFollower = 0x01, 0x02, 0x80
 )
 
 // frameHead is what a frame says before its record fields: whether it
-// follows a leader, how far back, and what it borrows.
+// follows a leader, how far back, and what it borrows — or, for a plain
+// frame of version 8, how far back its party source is (0 for none) and
+// what it takes from it.
 type frameHead struct {
 	flags byte
 	back  uint64
@@ -37,21 +39,46 @@ type frameHead struct {
 
 func (h frameHead) follower() bool { return h.flags&fFollower != 0 }
 
-func headOf(tb testing.TB, frame []byte) frameHead {
+// sourced reports whether a plain frame takes its parties from a party
+// source.
+func (h frameHead) sourced() bool { return !h.follower() && h.back != 0 }
+
+// headOf parses the head of a frame of the current format: a seq only
+// beside Prev, a party source after a plain frame's.
+func headOf(tb testing.TB, frame []byte) frameHead { return parseHead(tb, frame, true) }
+
+// headOfV7 parses the head of a frame of versions 4 to 7: a seq always,
+// no party source.
+func headOfV7(tb testing.TB, frame []byte) frameHead { return parseHead(tb, frame, false) }
+
+func parseHead(tb testing.TB, frame []byte, v8 bool) frameHead {
 	tb.Helper()
 	_, w := binary.Uvarint(frame)
 	body := frame[w:]
 	h := frameHead{flags: body[0]}
-	_, k := binary.Uvarint(body[1:]) // seq
-	p := 1 + k
-	if h.flags&fPrev != 0 {
-		p += sig.DigestSize
-	}
-	if h.follower() {
+	p := headAt(body, v8)
+	if h.follower() || (v8 && h.flags&fToken != 0) {
+		var k int
 		h.back, k = binary.Uvarint(body[p:])
-		h.mask = body[p+k]
+		if h.back != 0 {
+			h.mask = body[p+k]
+		}
 	}
 	return h
+}
+
+// headAt is where a frame body's back-distance starts: past its flags,
+// and its seq and Prev where it writes them.
+func headAt(body []byte, v8 bool) int {
+	p := 1
+	if body[0]&fPrev != 0 || !v8 {
+		_, k := binary.Uvarint(body[1:]) // seq
+		p += k
+	}
+	if body[0]&fPrev != 0 {
+		p += sig.DigestSize
+	}
+	return p
 }
 
 // v4Write is one write of the golden segment: the records one commit or
@@ -155,10 +182,25 @@ func goldenV4Layout(recs []*store.Record) []v4Write {
 	}
 }
 
-// encodeGoldenV4 writes the golden segment: one encoder for the file, cut
-// between writes, and last a record without a token, which no log
-// produces and no decoder accepts but the encoder must not make a
-// follower of.
+// frameOffsets walks a binary segment's frames by their length
+// prefixes alone, returning where each starts and where the last ends.
+func frameOffsets(tb testing.TB, data []byte) []int64 {
+	tb.Helper()
+	offs := []int64{store.SegmentHeaderLen}
+	for at := offs[0]; at < int64(len(data)); {
+		end, err := store.FrameEnd(data, at, store.DetectEncoding(data))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		offs, at = append(offs, end), end
+	}
+	return offs
+}
+
+// encodeGoldenV4 lays the golden writes out in the current format: one
+// encoder for the file, cut between writes, and last a record without a
+// token, which no log produces and no decoder accepts but the encoder
+// must not make a follower of.
 func encodeGoldenV4(t *testing.T, writes []v4Write) (seg []byte, offs []int64) {
 	t.Helper()
 	hdr := store.SegmentHeader()
@@ -184,13 +226,58 @@ func encodeGoldenV4(t *testing.T, writes []v4Write) (seg []byte, offs []int64) {
 	return seg, append(offs, int64(len(seg)))
 }
 
+// checkReencoded holds this build's encoder to a frozen segment: seg, the
+// frozen records laid out in the current format as the same writes,
+// decodes — scanned and by keyed slot — to the same records, and each of
+// its frames follows the frame its frozen twin follows with the same
+// borrow mask, or is plain where the twin is. No frame is more than one
+// byte longer than its twin: the byte a plain frame spends saying it
+// names no party source.
+func checkReencoded(t *testing.T, what string, frozen []byte, frozenOffs []int64, seg []byte, want [][]byte) {
+	t.Helper()
+	recs, offs := scanGolden(t, what, seg, want, store.EncBinary)
+	for i, rec := range recs {
+		var prev *sig.Digest
+		if i > 0 {
+			prev = &recs[i-1].Hash
+		}
+		dec, err := store.DecodeRecordData(seg, offs[i], offs[i+1], store.EncBinary, rec.Seq, prev, prevAt(offs, i))
+		if err != nil {
+			t.Fatalf("%s: keyed decode of record %d: %v", what, i, err)
+		}
+		checkSameRecord(t, fmt.Sprintf("%s: keyed record %d", what, i), rec, dec)
+	}
+	// leader is the index of the frame a follower names, -1 for a plain
+	// frame.
+	leader := func(offs []int64, i int, h frameHead) int {
+		for j := 0; h.follower() && j < i; j++ {
+			if offs[i]-offs[j] == int64(h.back) {
+				return j
+			}
+		}
+		return -1
+	}
+	for i := range recs {
+		was, is := headOfV7(t, frozen[frozenOffs[i]:frozenOffs[i+1]]), headOf(t, seg[offs[i]:offs[i+1]])
+		if was.follower() != is.follower() || leader(frozenOffs, i, was) != leader(offs, i, is) || (is.follower() && is.mask != was.mask) {
+			t.Fatalf("%s: frame %d follows frame %d with mask %#x, its frozen twin frame %d with mask %#x",
+				what, i, leader(offs, i, is), is.mask, leader(frozenOffs, i, was), was.mask)
+		}
+		if n, frozenN := offs[i+1]-offs[i], frozenOffs[i+1]-frozenOffs[i]; n > frozenN+1 {
+			t.Fatalf("%s: frame %d takes %d bytes, its frozen twin %d", what, i, n, frozenN)
+		}
+	}
+}
+
 // TestBinaryV4GoldenSegment holds format 4 frozen: the records of
 // testdata/v4/golden.jsonl, written by the build before format 5 as
 // testdata/v4/golden-v4.seg, decode from it — scanned and by keyed slot —
 // and every frame is plain or a follower with exactly the borrow mask the
-// layout says. None of their notes is JSON, so this build, laying them
-// out as the same writes, encodes the same frames under its own header: a
-// change to either direction of the follower codec shows up here.
+// layout says; the last, a record without a token, which no log produces
+// and no decoder accepts, is plain. This build, laying the records out as
+// the same writes, keeps that layout (checkReencoded) and writes the
+// token-less record plain too: a change to either direction of the
+// follower codec shows up here.
 func TestBinaryV4GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v4")
@@ -211,9 +298,9 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 		t.Fatalf("golden.jsonl: %d of %d records, err %v", len(recs), len(want), err)
 	}
 	writes := goldenV4Layout(recs)
-	encoded, offs := encodeGoldenV4(t, writes)
-	if frozen[3] != 4 || !bytes.Equal(encoded[store.SegmentHeaderLen:], frozen[store.SegmentHeaderLen:]) {
-		t.Fatalf("the encoder no longer writes the frozen format-4 frames (%d bytes, frozen %d)", len(encoded), len(frozen))
+	offs := frameOffsets(t, frozen)
+	if frozen[3] != 4 || len(offs) != len(recs)+2 {
+		t.Fatalf("the frozen format-4 file holds %d frames under version %d, want %d under 4", len(offs)-1, frozen[3], len(recs)+1)
 	}
 
 	// Every frame says what the layout says, and every mask bit is seen
@@ -223,7 +310,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 	for _, w := range writes {
 		first := i
 		for j, want := range w.heads {
-			h := headOf(t, frozen[offs[i]:offs[i+1]])
+			h := headOfV7(t, frozen[offs[i]:offs[i+1]])
 			switch {
 			case want.follows < 0:
 				if h.follower() {
@@ -241,8 +328,13 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 	if every := byte(1<<(evidence.BorrowBits+1) - 1); on&every != every || off&every != every {
 		t.Fatalf("borrow bits seen set %#x and clear %#x, want each of %#x both ways", on, off&every, every)
 	}
-	if h := headOf(t, frozen[offs[i]:offs[i+1]]); h.follower() {
+	if h := headOfV7(t, frozen[offs[i]:offs[i+1]]); h.follower() {
 		t.Fatal("the token-less record was written as a follower")
+	}
+	encoded, encOffs := encodeGoldenV4(t, writes)
+	checkReencoded(t, "v4 re-encoded", frozen, offs, encoded[:encOffs[len(recs)]], want)
+	if h := headOf(t, encoded[encOffs[len(recs)]:]); h.follower() {
+		t.Fatal("this build writes the token-less record as a follower")
 	}
 
 	// The file scans to the golden records and stops, refusing, at the
@@ -273,7 +365,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(golden, offs[i], offs[i+1], store.EncBinaryV4, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(golden, offs[i], offs[i+1], store.EncBinaryV4, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v4 record %d: %v", i, err)
 		}
@@ -281,7 +373,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 	}
 	// A follower's slot alone is not enough: its leader is outside it.
 	slot := golden[offs[1]:offs[2]]
-	if _, err := store.DecodeRecordData(slot, 0, int64(len(slot)), store.EncBinaryV4, &recs[0].Hash, -1); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(slot, 0, int64(len(slot)), store.EncBinaryV4, recs[1].Seq, &recs[0].Hash, -1); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("follower decoded from its bare slot = %v, want ErrBinary", err)
 	}
 	// Followers save what the issue sized: the receipt that shares the
@@ -341,8 +433,7 @@ func reframe(data []byte, start, end int64, edit func(body []byte, at int) []byt
 	frame := data[start:end]
 	_, w := binary.Uvarint(frame)
 	body := append([]byte(nil), frame[w:len(frame)-4]...)
-	_, k := binary.Uvarint(body[1:]) // seq; these followers elide Prev
-	out := append(append([]byte(nil), data[:start]...), v3Frame(edit(body, 1+k))...)
+	out := append(append([]byte(nil), data[:start]...), v3Frame(edit(body, headAt(body, true)))...)
 	return hostileRun{out, start, int64(len(out))}
 }
 
@@ -440,7 +531,7 @@ func TestBinaryFollowerRefusals(t *testing.T) {
 		if h := headOf(t, data[offs[i]:offs[i+1]]); !h.follower() || h.back != uint64(offs[i]-offs[0]) || h.mask != bIssuer|bAt {
 			t.Fatalf("control: frame %d follower=%v back=%d mask=%#x", i, h.follower(), h.back, h.mask)
 		}
-		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, &recs[i-1].Hash, offs[i-1])
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, recs[i].Seq, &recs[i-1].Hash, offs[i-1])
 		if err != nil {
 			t.Fatalf("control: keyed decode of follower %d: %v", i, err)
 		}
@@ -456,7 +547,7 @@ func TestBinaryFollowerRefusals(t *testing.T) {
 			t.Errorf("%s: scan read %d records to %d, torn=%v err=%v, want ErrBinary", name, n, prefix, torn, err)
 		}
 		enc := store.DetectEncoding(bad.data)
-		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, enc, &prev, -1); !errors.Is(err, canon.ErrBinary) {
+		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, enc, 0, &prev, -1); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: keyed read = %v, err %v, want ErrBinary", name, rec, err)
 		}
 	}

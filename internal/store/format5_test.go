@@ -22,9 +22,9 @@ func goldenV5Writes(recs []*store.Record) [][]*store.Record {
 	return [][]*store.Record{recs[0:1], recs[1:3], recs[3:5], recs[5:6], recs[6:12]}
 }
 
-// encodeWrites lays writes out as one segment file — one encoder, cut
-// between writes — returning it with the offset of every frame and of the
-// end.
+// encodeWrites lays writes out as one segment file in the current format
+// — one encoder, cut between writes — returning it with the offset of
+// every frame and of the end.
 func encodeWrites(t *testing.T, writes [][]*store.Record) (seg []byte, offs []int64) {
 	t.Helper()
 	hdr := store.SegmentHeader()
@@ -50,9 +50,9 @@ func encodeWrites(t *testing.T, writes [][]*store.Record) (seg []byte, offs []in
 // testdata/v5/golden-v4.seg, the same records as the build before format
 // 5 wrote them. Notes that are canonical JSON travel as trees — the
 // response snapshot naming its leader's digest in one byte — and each
-// note or string the tree cannot rebuild exactly travels as text. No
-// token of theirs is batch-signed, so this build, laying them out as the
-// same writes, encodes the same frames under its own header.
+// note or string the tree cannot rebuild exactly travels as text. This
+// build, laying the records out as the same writes, keeps that layout
+// (checkReencoded) and stores the same notes as trees.
 func TestBinaryV5GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v5")
@@ -72,8 +72,8 @@ func TestBinaryV5GoldenSegment(t *testing.T) {
 	}); err != nil || len(golden) != len(want) {
 		t.Fatalf("golden.jsonl: %d of %d records, err %v", len(golden), len(want), err)
 	}
-	if encoded, _ := encodeWrites(t, goldenV5Writes(golden)); frozen[3] != 5 || !bytes.Equal(encoded[store.SegmentHeaderLen:], frozen[store.SegmentHeaderLen:]) {
-		t.Fatalf("the encoder no longer writes the frozen format-5 frames (%d bytes, frozen %d)", len(encoded), len(frozen))
+	if frozen[3] != 5 {
+		t.Fatalf("the frozen format-5 file says version %d", frozen[3])
 	}
 	recs, offs := scanGolden(t, "v5", frozen, want, store.EncBinaryV5)
 	old, _ := scanGolden(t, "v4", v4, want, store.EncBinaryV4)
@@ -83,12 +83,15 @@ func TestBinaryV5GoldenSegment(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV5, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV5, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v5 record %d: %v", i, err)
 		}
 		checkSameRecord(t, fmt.Sprintf("keyed v5 record %d", i), rec, dec)
 	}
+
+	encoded, encOffs := encodeWrites(t, goldenV5Writes(golden))
+	checkReencoded(t, "v5 re-encoded", frozen, offs, encoded, want)
 
 	// What each frame must carry as text: the whole note where it stays
 	// literal, the parts the tree cannot rebuild where it does not.
@@ -99,22 +102,28 @@ func TestBinaryV5GoldenSegment(t *testing.T) {
 		10: {"colour", "sky blue", "QR=="},
 		11: {"urn:org:server2", "/echo", "#key"}, // suffixes of an earlier string and of a party
 	}
-	for i, rec := range recs {
-		frame := frozen[offs[i]:offs[i+1]]
-		parts, isTree := structured[i]
-		if strings.HasPrefix(rec.Note, "{") && bytes.Contains(frame, []byte(rec.Note)) == isTree {
-			t.Fatalf("record %d: structured=%v, but the frame disagrees: %s", i, isTree, rec.Note)
-		}
-		for _, part := range parts {
-			if !bytes.Contains(frame, []byte(part)) {
-				t.Fatalf("record %d: frame does not carry %q as text", i, part)
+	for _, img := range []struct {
+		name string
+		data []byte
+		offs []int64
+	}{{"v5", frozen, offs}, {"re-encoded", encoded, encOffs}} {
+		for i, rec := range recs {
+			frame := img.data[img.offs[i]:img.offs[i+1]]
+			parts, isTree := structured[i]
+			if strings.HasPrefix(rec.Note, "{") && bytes.Contains(frame, []byte(rec.Note)) == isTree {
+				t.Fatalf("%s record %d: structured=%v, but the frame disagrees: %s", img.name, i, isTree, rec.Note)
+			}
+			for _, part := range parts {
+				if !bytes.Contains(frame, []byte(part)) {
+					t.Fatalf("%s record %d: frame does not carry %q as text", img.name, i, part)
+				}
 			}
 		}
-	}
-	// The snapshot's request digest is its leader's: one byte, neither the
-	// digest's hex nor its bytes.
-	if reply := frozen[offs[2]:offs[3]]; bytes.Contains(reply, recs[1].Token.Digest[:]) || !bytes.Contains(frozen[offs[1]:offs[2]], recs[1].Token.Digest[:]) {
-		t.Fatal("the response snapshot does not name its request digest by reference to the leader")
+		// The snapshot's request digest is its leader's: one byte, neither
+		// the digest's hex nor its bytes.
+		if reply := img.data[img.offs[2]:img.offs[3]]; bytes.Contains(reply, recs[1].Token.Digest[:]) || !bytes.Contains(img.data[img.offs[1]:img.offs[2]], recs[1].Token.Digest[:]) {
+			t.Fatalf("%s: the response snapshot does not name its request digest by reference to the leader", img.name)
+		}
 	}
 	count, err := store.CountFrames(frozen)
 	if err != nil || count.Frames != len(recs) || count.SigBorrowers != 0 {

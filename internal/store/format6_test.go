@@ -48,9 +48,10 @@ func goldenV6Writes(recs []*store.Record, dropped *store.Record) [][]v6Item {
 	}
 }
 
-// encodeV6Writes lays writes out as one segment file — one encoder, cut
-// between writes and after a dropped record, as a vault commit does —
-// returning it with the offset of every frame kept and of the end.
+// encodeV6Writes lays writes out as one segment file in the current
+// format — one encoder, cut between writes and after a dropped record, as
+// a vault commit does — returning it with the offset of every frame kept
+// and of the end.
 func encodeV6Writes(t *testing.T, writes [][]v6Item) (seg []byte, offs []int64) {
 	t.Helper()
 	hdr := store.SegmentHeader()
@@ -84,9 +85,9 @@ func encodeV6Writes(t *testing.T, writes [][]v6Item) (seg []byte, offs []int64) 
 // batch borrows it, whether that predecessor leads the write or follows;
 // a token of the same batch at a leaf that is not the sibling, and one
 // whose sibling was dropped, write theirs in full. Every write leads with
-// a plain frame, so this build, laying the records out as the same
-// writes — cut between them — encodes the same frames under its own
-// header.
+// a plain frame. This build, laying the records out as the same writes —
+// cut between them and after the dropped record — keeps that layout
+// (checkReencoded).
 func TestBinaryV6GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v6")
@@ -113,8 +114,8 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 	if len(golden) != len(want) || len(dropped) != 1 {
 		t.Fatalf("golden files hold %d of %d records and %d dropped", len(golden), len(want), len(dropped))
 	}
-	if encoded, _ := encodeV6Writes(t, goldenV6Writes(golden, dropped[0])); frozen[3] != 6 || !bytes.Equal(encoded[store.SegmentHeaderLen:], frozen[store.SegmentHeaderLen:]) {
-		t.Fatalf("the encoder no longer writes the frozen format-6 frames (%d bytes, frozen %d)", len(encoded), len(frozen))
+	if frozen[3] != 6 {
+		t.Fatalf("the frozen format-6 file says version %d", frozen[3])
 	}
 	recs, offs := scanGolden(t, "v6", frozen, want, store.EncBinaryV6)
 	for i, rec := range recs {
@@ -122,12 +123,14 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV6, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV6, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v6 record %d: %v", i, err)
 		}
 		checkSameRecord(t, fmt.Sprintf("keyed v6 record %d", i), rec, dec)
 	}
+	encoded, _ := encodeV6Writes(t, goldenV6Writes(golden, dropped[0]))
+	checkReencoded(t, "v6 re-encoded", frozen, offs, encoded, want)
 
 	// Which frames lead, follow and borrow a signature. A borrower spells
 	// neither the shared signature nor its path, and its rebuilt
@@ -136,7 +139,7 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 	shape := []int{lead, borrow, follow, lead, follow, borrow, lead, follow, borrow, lead, lead, follow}
 	for i, want := range shape {
 		frame := frozen[offs[i]:offs[i+1]]
-		h := headOf(t, frame)
+		h := headOfV7(t, frame)
 		if h.follower() != (want != lead) || (h.mask&bSig != 0) != (want == borrow) {
 			t.Fatalf("frame %d: follower=%v mask=%#x, want shape %d", i, h.follower(), h.mask, want)
 		}
@@ -176,7 +179,7 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 	if _, _, _, err := store.DecodeSegmentData(asV5, func(*store.Record, int64) error { return nil }); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("borrowed signatures under a v5 header = %v, want ErrBinary", err)
 	}
-	if _, err := store.DecodeRecordData(asV5, offs[1], offs[2], store.EncBinaryV5, &recs[0].Hash, offs[0]); !errors.Is(err, canon.ErrBinary) {
+	if _, err := store.DecodeRecordData(asV5, offs[1], offs[2], store.EncBinaryV5, recs[1].Seq, &recs[0].Hash, offs[0]); !errors.Is(err, canon.ErrBinary) {
 		t.Fatalf("keyed read of a borrower under a v5 header = %v, want ErrBinary", err)
 	}
 }
@@ -231,7 +234,7 @@ func TestBinaryMateRefusals(t *testing.T) {
 	t.Parallel()
 	data, offs, recs := mateRun(t)
 	for i := 1; i <= 4; i++ {
-		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, &recs[i-1].Hash, offs[i-1])
+		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, recs[i].Seq, &recs[i-1].Hash, offs[i-1])
 		if err != nil {
 			t.Fatalf("control: keyed decode of frame %d: %v", i, err)
 		}
@@ -303,7 +306,7 @@ func TestBinaryMateRefusals(t *testing.T) {
 			t.Errorf("%s: scan read %d records, err %v, want ErrBinary", name, n, err)
 		}
 		prev := sig.Sum([]byte("any predecessor"))
-		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, store.EncBinary, &prev, bad.prevStart); !errors.Is(err, canon.ErrBinary) {
+		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, store.EncBinary, 0, &prev, bad.prevStart); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: keyed read = %v, err %v, want ErrBinary", name, rec, err)
 		}
 	}
@@ -316,7 +319,7 @@ func TestBinaryMateRefusals(t *testing.T) {
 		"mate mid-frame":      offs[1] + 3,
 		"mate past the frame": offs[3],
 	} {
-		if rec, err := store.DecodeRecordData(data, offs[2], offs[3], store.EncBinary, &recs[1].Hash, prevStart); !errors.Is(err, canon.ErrBinary) {
+		if rec, err := store.DecodeRecordData(data, offs[2], offs[3], store.EncBinary, recs[2].Seq, &recs[1].Hash, prevStart); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: keyed read of the borrower = %v, err %v, want ErrBinary", name, rec, err)
 		}
 	}

@@ -17,173 +17,23 @@ import (
 	"nonrep/internal/testpki"
 )
 
-// ringSize is how many of a file's latest plain frames a version-7
-// follower may lean on: part of the format.
+// ringSize is how many of a file's latest plain frames a follower may
+// lean on (since version 7) and a plain frame may take its parties from
+// (since version 8): part of the format.
 const ringSize = 16
 
-// goldenV7Records builds the records of the format-7 golden segment, one
-// file as a vault appends them, in the writes they model:
-//
-//	client of a direct call     {NRO}                     frame 0
-//	server of another           {NRO, NRR, NROResp}       frames 1-3
-//	the client's reply          {NRR, NROResp, NRRResp}   frames 4-6
-//	the server's receipt        {NRRResp}                 frame 7
-//	client of a pipelined call  {NRO}                     frame 8
-//	its reply, a batch pair     {NRR, NROResp, NRRResp}   frames 9-11
-//	a durable client's job      {job-enqueued}            frame 12
-//	its call                    {NRO}                     frame 13
-//	its reply and outcome       {NRR, NROResp, NRRResp, job-done}
-//
-// The direct call's later writes lean on the leaders of earlier ones,
-// across the other run's frames; the pipelined response origin borrows
-// its receipt's signature; the durable job's request origin names
-// recipients its journal record does not, so it leads its run anew, and
-// the response snapshot journaled beside the response origin names its
-// leader's digest by reference.
-func goldenV7Records(t *testing.T) []*store.Record {
-	t.Helper()
-	const client, server = id.Party("urn:org:client"), id.Party("urn:org:server")
-	const svc = id.Service("urn:org:server/echo")
-	realm := testpki.MustRealm(client, server)
-	issue := func(p, to id.Party, kind evidence.Kind, run id.Run, step int, what string) *evidence.Token {
-		tok, err := realm.Party(p).Issuer.Issue(kind, run, step, sig.Sum([]byte(what)), evidence.WithRecipients(to), evidence.WithService(svc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tok
-	}
-	b := evidence.NewBatchIssuer(realm.Party(server).Issuer)
-	defer b.Close()
-	direct, other, piped, job := id.NewRun(), id.NewRun(), id.NewRun(), id.NewRun()
-	pair, err := b.IssueBatch([]evidence.TokenRequest{
-		{Kind: evidence.KindNRR, Run: piped, Step: 2, Digest: sig.Sum([]byte("piped request")), Opts: []evidence.IssueOption{evidence.WithRecipients(client), evidence.WithService(svc)}},
-		{Kind: evidence.KindNROResp, Run: piped, Step: 3, Digest: sig.Sum([]byte("piped response")), Opts: []evidence.IssueOption{evidence.WithRecipients(client), evidence.WithService(svc)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := func(kind evidence.Kind, step int, body any) (*evidence.Token, string) {
-		note, err := canon.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tok, err := realm.Party(client).Issuer.Issue(kind, job, step, sig.Sum(note))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tok, string(note)
-	}
-	at := time.Date(2026, 10, 17, 10, 0, 0, 0, time.UTC)
-	enqueued, spec := journal(evidence.KindJobEnqueued, 0, struct {
-		Job       id.Run     `json:"job"`
-		Type      string     `json:"type"`
-		Server    id.Party   `json:"server"`
-		Service   id.Service `json:"service"`
-		Operation string     `json:"operation"`
-		Enqueued  time.Time  `json:"enqueued"`
-	}{job, "call", server, svc, "Echo", at})
-	jobNRO := issue(client, server, evidence.KindNRO, job, 1, "job request")
-	result, err := evidence.ValueParam("result0", []byte{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot, err := canon.Marshal(evidence.ResponseSnapshot{Run: job, Server: server, Status: evidence.StatusOK,
-		Result: []evidence.Param{result}, RequestDigest: jobNRO.Digest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, outcome := journal(evidence.KindJobDone, 0, struct {
-		Job      id.Run `json:"job"`
-		Attempts int    `json:"attempts"`
-	}{job, 1})
-	type entry struct {
-		dir  store.Direction
-		tok  *evidence.Token
-		note string
-	}
-	entries := []entry{
-		{store.Generated, issue(client, server, evidence.KindNRO, direct, 1, "request"), "request origin"},
-		{store.Received, issue(client, server, evidence.KindNRO, other, 1, "other request"), "request origin"},
-		{store.Generated, issue(server, client, evidence.KindNRR, other, 2, "other request"), "request receipt"},
-		{store.Generated, issue(server, client, evidence.KindNROResp, other, 3, "other response"), "response origin (ok)"},
-		{store.Received, issue(server, client, evidence.KindNRR, direct, 2, "request"), "request receipt"},
-		{store.Received, issue(server, client, evidence.KindNROResp, direct, 3, "response"), "response origin"},
-		{store.Generated, issue(client, server, evidence.KindNRRResp, direct, 4, "response"), "response receipt (consumed)"},
-		{store.Received, issue(client, server, evidence.KindNRRResp, other, 4, "other response"), "response receipt (consumed)"},
-		{store.Generated, issue(client, server, evidence.KindNRO, piped, 1, "piped request"), "request origin"},
-		{store.Received, pair[0], "request receipt"},
-		{store.Received, pair[1], "response origin"},
-		{store.Generated, issue(client, server, evidence.KindNRRResp, piped, 4, "piped response"), "response receipt (consumed)"},
-		{store.Generated, enqueued, spec},
-		{store.Generated, jobNRO, "request origin"},
-		{store.Received, issue(server, client, evidence.KindNRR, job, 2, "job request"), "request receipt"},
-		{store.Received, issue(server, client, evidence.KindNROResp, job, 3, "job response"), string(snapshot)},
-		{store.Generated, issue(client, server, evidence.KindNRRResp, job, 4, "job response"), "response receipt (consumed)"},
-		{store.Generated, done, outcome},
-	}
-	var c chain
-	for i, e := range entries {
-		c.add(t, at.Add(time.Duration(i)*time.Millisecond), e.dir, e.tok, e.note)
-	}
-	return c
-}
-
-// goldenV7Writes is where each write of the golden segment starts.
-var goldenV7Writes = []int{0, 1, 4, 7, 8, 9, 12, 13, 14}
-
-// encodeV7 lays records out as one segment file, one encoder, as a vault
-// appends them whatever the commits; with cut set, the encoder is cut
-// where each write starts, as the build before format 7 did.
-func encodeV7(t *testing.T, recs []*store.Record, cut bool) (seg []byte, offs []int64) {
-	t.Helper()
-	hdr := store.SegmentHeader()
-	seg = append(seg, hdr[:]...)
-	var enc store.RecordEncoder
-	w := 0
-	for i, rec := range recs {
-		if cut && w < len(goldenV7Writes) && goldenV7Writes[w] == i {
-			enc.Cut()
-			w++
-		}
-		offs = append(offs, int64(len(seg)))
-		var err error
-		if seg, err = enc.AppendRecord(seg, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return seg, append(offs, int64(len(seg)))
-}
-
-// TestBinaryV7GoldenSegment freezes format 7: the records of
-// testdata/v7/golden.jsonl encode byte for byte to
-// testdata/v7/golden-v7.seg and decode from it — scanned and by keyed
-// slot — to the same canonical JSON, hashes and signatures. Every frame
-// leads, follows the leader the layout says or borrows its mate's
-// signature; the followers of later writes cost what those of the first
-// write do, where the build before format 7 wrote a plain frame.
+// TestBinaryV7GoldenSegment holds format 7 frozen: the records of
+// testdata/v7/golden.jsonl, written by the build before format 8 as
+// testdata/v7/golden-v7.seg, decode from it — scanned and by keyed slot —
+// to the same canonical JSON, hashes and signatures. Every frame leads,
+// follows the leader the layout says — from its own write or an earlier
+// one, across other runs' frames — or borrows its mate's signature. This
+// build, appending the records as one file, keeps that layout
+// (checkReencoded); cut at every write, it would write a plain frame
+// where a later write continues a run.
 func TestBinaryV7GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v7")
-	if *updateGolden {
-		recs := goldenV7Records(t)
-		var lines []byte
-		for _, rec := range recs {
-			line, err := canon.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(append(lines, line...), '\n')
-		}
-		seg, _ := encodeV7(t, recs, false)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{"golden.jsonl": lines, "golden-v7.seg": seg} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	read := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -193,23 +43,16 @@ func TestBinaryV7GoldenSegment(t *testing.T) {
 	}
 	jsonl, frozen := read("golden.jsonl"), read("golden-v7.seg")
 	want := bytes.Split(bytes.TrimSpace(jsonl), []byte("\n"))
-	var golden []*store.Record
-	if _, _, _, err := store.DecodeSegmentData(jsonl, func(rec *store.Record, _ int64) error {
-		golden = append(golden, rec)
-		return nil
-	}); err != nil || len(golden) != len(want) {
-		t.Fatalf("golden.jsonl: %d of %d records, err %v", len(golden), len(want), err)
+	if frozen[3] != 7 {
+		t.Fatalf("the frozen format-7 file says version %d", frozen[3])
 	}
-	if encoded, _ := encodeV7(t, golden, false); !bytes.Equal(encoded, frozen) {
-		t.Fatalf("the encoder no longer writes the frozen format-7 bytes (%d bytes, frozen %d)", len(encoded), len(frozen))
-	}
-	recs, offs := scanGolden(t, "v7", frozen, want, store.EncBinary)
+	recs, offs := scanGolden(t, "v7", frozen, want, store.EncBinaryV7)
 	for i, rec := range recs {
 		var prev *sig.Digest
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinary, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV7, recs[i].Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v7 record %d: %v", i, err)
 		}
@@ -220,7 +63,7 @@ func TestBinaryV7GoldenSegment(t *testing.T) {
 	leader := []int{-1, -1, 1, 1, 0, 0, 0, 1, -1, 8, 8, 8, -1, -1, 13, 13, 13, 13}
 	borrows := map[int]bool{10: true}
 	for i, lead := range leader {
-		h := headOf(t, frozen[offs[i]:offs[i+1]])
+		h := headOfV7(t, frozen[offs[i]:offs[i+1]])
 		if h.follower() != (lead >= 0) || (lead >= 0 && h.back != uint64(offs[i]-offs[lead])) || (h.mask&bSig != 0) != borrows[i] {
 			t.Fatalf("frame %d: follower=%v back=%d mask=%#x, want leader %d, borrowing a signature %v", i, h.follower(), h.back, h.mask, lead, borrows[i])
 		}
@@ -231,13 +74,13 @@ func TestBinaryV7GoldenSegment(t *testing.T) {
 		t.Fatal("the response snapshot does not name its request digest by reference to the leader")
 	}
 	count, err := store.CountFrames(frozen)
-	if err != nil || count.Frames != len(recs) || count.Followers != 13 || count.SigBorrowers != 1 {
+	if err != nil || count.Frames != len(recs) || count.Followers != 13 || count.SigBorrowers != 1 || count.PartyBorrowers != 0 {
 		t.Fatalf("CountFrames = %+v, err %v, want %d frames, 13 followers, 1 borrowing a signature", count, err, len(recs))
 	}
-	// Cut at every write, the same records cost a plain frame more per
-	// write that continues a run.
-	if cut, _ := encodeV7(t, recs, true); len(cut)-len(frozen) < 4*64 {
-		t.Fatalf("cross-write followers save %d bytes over frames cut at every write, want at least %d", len(cut)-len(frozen), 4*64)
+	encoded, _ := encodeV8(t, recs, false)
+	checkReencoded(t, "v7 re-encoded", frozen, offs, encoded, want)
+	if cut, _ := encodeV8(t, recs, true); len(cut)-len(encoded) < 4*64 {
+		t.Fatalf("cross-write followers save %d bytes over frames cut at every write, want at least %d", len(cut)-len(encoded), 4*64)
 	}
 	// Version 6 lets a follower lean only on the last plain frame: the
 	// client's reply, behind the other run's leader, is refused under its
@@ -326,15 +169,16 @@ func TestBinaryV7LeaderRefusals(t *testing.T) {
 	}
 	type hostile struct {
 		hostileRun
+		seq        uint64
 		prev       *sig.Digest
 		prevStart  int64
 		keyedReads bool
 	}
 	onTwo := func(back uint64) hostile {
-		return hostile{repoint(two, tOffs[3], tOffs[4], back), &c[2].Hash, tOffs[2], false}
+		return hostile{repoint(two, tOffs[3], tOffs[4], back), c[3].Seq, &c[2].Hash, tOffs[2], false}
 	}
 	for name, bad := range map[string]hostile{
-		"back outside the ring":     {hostileRun{outside, fOffs[fLast], int64(len(outside))}, &fRecs[fLast-1].Hash, fOffs[fLast-1], true},
+		"back outside the ring":     {hostileRun{outside, fOffs[fLast], int64(len(outside))}, fRecs[fLast].Seq, &fRecs[fLast-1].Hash, fOffs[fLast-1], true},
 		"back on a follower":        onTwo(uint64(tOffs[3] - tOffs[2])),
 		"back in the middle of one": onTwo(uint64(tOffs[3]-tOffs[1]) - 5),
 		"back on the header":        onTwo(uint64(tOffs[3] - 1)),
@@ -343,7 +187,7 @@ func TestBinaryV7LeaderRefusals(t *testing.T) {
 		if _, _, _, err := store.DecodeSegmentData(bad.data, func(*store.Record, int64) error { n++; return nil }); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: scan read %d records, err %v, want ErrBinary", name, n, err)
 		}
-		rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, store.EncBinary, bad.prev, bad.prevStart)
+		rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, store.EncBinary, bad.seq, bad.prev, bad.prevStart)
 		switch {
 		case bad.keyedReads && err != nil:
 			t.Errorf("%s: keyed read: %v", name, err)

@@ -300,7 +300,7 @@ func (v *ChainVerifier) Check(rec *Record) error {
 // verifier's position and moves past it, taking rec.Hash as given. It is
 // for records whose Hash is already known to be the digest of their
 // content: straight from a decoder of this package, which derives it
-// (DecodeSegmentData, DecodeFrameRun, DecodeRecordData), or out of a
+// (DecodeSegmentData, DecodeFrameRun, SlotReader.Decode), or out of a
 // batch another verifier fully checked. Records from anywhere else go
 // through Check.
 func (v *ChainVerifier) Advance(rec *Record) error {

@@ -243,7 +243,7 @@ func TestQuickBatchSignedRoundTrip(t *testing.T) {
 			if i > 0 {
 				prev = &recs[i-1].Hash
 			}
-			dec, err := store.DecodeRecordData(seg, offs[i], offs[i+1], store.EncBinary, prev, prevAt(offs, i))
+			dec, err := store.DecodeRecordData(seg, offs[i], offs[i+1], store.EncBinary, recs[i].Seq, prev, prevAt(offs, i))
 			if err != nil {
 				t.Errorf("keyed record %d of %d: %v", i, n, err)
 				return false

@@ -498,11 +498,11 @@ func TestVaultEditedLeaderBreaksFollowerRead(t *testing.T) {
 	// the first group's leader.
 	repointed := append([]byte(nil), good...)
 	frame := repointed[offs[5]:offs[6]]
-	_, w := binary.Uvarint(frame)
-	if back, n := binary.Uvarint(frame[w+2:]); n != 2 || back != uint64(offs[5]-offs[3]) {
+	_, w := binary.Uvarint(frame) // then the flags: the follower elides its seq and Prev
+	if back, n := binary.Uvarint(frame[w+1:]); n != 2 || back != uint64(offs[5]-offs[3]) {
 		t.Fatalf("follower's back-distance reads %d (%d bytes), want %d", back, n, offs[5]-offs[3])
 	}
-	binary.PutUvarint(frame[w+2:], uint64(offs[5]-offs[0]))
+	binary.PutUvarint(frame[w+1:], uint64(offs[5]-offs[0]))
 	refit(frame)
 	for name, image := range map[string][]byte{"edited leader": forged, "re-pointed follower": repointed} {
 		if err := os.WriteFile(sealed, image, 0o600); err != nil {

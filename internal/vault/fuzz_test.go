@@ -15,11 +15,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"nonrep/internal/canon"
-	"nonrep/internal/clock"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
@@ -141,7 +141,11 @@ func checkSiblingFrames(t *testing.T, rec *store.Record, s sig.Signature) {
 // predecessor nor leader, a token-less frame — and, around a run of
 // three, followers that point before the header, into a frame, onto
 // another follower, onto a token-less frame and onto a leader with a bad
-// checksum.
+// checksum; and, the run of three followed by the opening frames of two
+// more runs of its party, which take their parties from its first frame,
+// the last one's party source pointed onto a follower, onto a frame that
+// takes its parties from a source itself, before the header, and at a
+// frame a commit dropped.
 func hostileFrameRuns(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	tok := &evidence.Token{Kind: evidence.KindNRO, Run: "run-00ff", Step: 1, Issuer: "urn:org:fuzz", IssuedAt: time.Unix(1754600000, 0).UTC()}
@@ -198,14 +202,14 @@ func hostileFrameRuns(tb testing.TB) map[string][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// repoint rewrites the back-distance of the follower that ends image —
-	// it sits after the frame's flags and one-byte seq — and refits its
-	// checksum.
+	// repoint rewrites the back-distance of the follower or the party
+	// source of the plain frame that ends image — it sits after the frame's
+	// flags, the frame eliding its seq and Prev — and refits its checksum.
 	repoint := func(image []byte, start int, back uint64) []byte {
 		_, w := binary.Uvarint(image[start:])
 		body := image[start+w : len(image)-4]
-		_, old := binary.Uvarint(body[2:])
-		body = append(append(append([]byte(nil), body[:2]...), binary.AppendUvarint(nil, back)...), body[2+old:]...)
+		_, old := binary.Uvarint(body[1:])
+		body = append(append(append([]byte(nil), body[:1]...), binary.AppendUvarint(nil, back)...), body[1+old:]...)
 		body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 		return append(append(image[:start:start], binary.AppendUvarint(nil, uint64(len(body)))...), body...)
 	}
@@ -213,6 +217,35 @@ func hostileFrameRuns(tb testing.TB) map[string][]byte {
 	badLeader := append([]byte(nil), run...)
 	badLeader[len(lone)-1] ^= 0x01
 	behindTokenless := append(append([]byte(nil), tokenless...), run[len(lone):]...)
+
+	// The opening frames of runs B and C, and of X, which a commit drops
+	// after B's: each takes its parties from the first frame.
+	opening := func(prev *store.Record, run id.Run, note string) *store.Record {
+		t := *tok
+		t.Run = run
+		rec, err := store.NextRecord(prev.Seq, prev.Hash, tok.IssuedAt, store.Generated, &t, note)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rec
+	}
+	b := opening(third, "run-01ff", "request origin")
+	c := opening(b, "run-02ff", "request origin")
+	sourced, err := store.AppendFrameRun(nil, []*store.Record{first, second, third, b, c})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	withX, err := store.AppendFrameRun(nil, []*store.Record{first, second, third, b, opening(b, "run-03ff", "a request its commit dropped")})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bAt := len(three)
+	end, err := store.FrameEnd(sourced, int64(bAt), store.EncBinary)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cAt := int(end) // where X's frame starts in withX, and C's in sourced
+	xLen := len(withX) - cAt
 	return map[string][]byte{
 		"run-of-two":                   run,
 		"bad-checksum":                 badCRC,
@@ -226,12 +259,19 @@ func hostileFrameRuns(tb testing.TB) map[string][]byte {
 		"follower-onto-a-follower":     repoint(three, lastAt, uint64(lastAt-len(lone))),
 		"follower-onto-token-less":     repoint(behindTokenless, len(tokenless), uint64(len(tokenless)-store.SegmentHeaderLen)),
 		"follower-of-a-bad-checksum":   badLeader,
+		"runs-with-a-party-source":     sourced,
+		"source-onto-a-follower":       repoint(sourced, cAt, uint64(cAt-len(lone))),
+		"source-onto-a-borrower":       repoint(sourced, cAt, uint64(cAt-bAt)),
+		"source-before-header":         repoint(sourced, cAt, uint64(cAt)),
+		"source-a-commit-dropped":      repoint(sourced, cAt, uint64(xLen)),
 	}
 }
 
 // TestHostileFrameRunsAtOpen holds the seeds to what they claim: as a
-// vault's tail the two well-formed runs open with their records, every
-// other image is refused — none truncated away as if torn, none served.
+// vault's tail the three well-formed images open with their records,
+// every frame after the first leaning on it, and every other image is
+// refused — none truncated away as if torn, none served; a party source
+// a frame may not take its parties from, as malformed binary.
 func TestHostileFrameRunsAtOpen(t *testing.T) {
 	t.Parallel()
 	for name, image := range hostileFrameRuns(t) {
@@ -240,15 +280,15 @@ func TestHostileFrameRunsAtOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, err := Open(dir, nil, WithReadOnly())
-		if want := map[string]int{"run-of-two": 2, "run-of-three": 3}[name]; want > 0 {
+		if want := map[string]int{"run-of-two": 2, "run-of-three": 3, "runs-with-a-party-source": 5}[name]; want > 0 {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if st := v.Stats(); st.TailRecords != want {
 				t.Fatalf("%s: tail holds %d records, want %d", name, st.TailRecords, want)
 			}
-			if count, err := store.CountFrames(image); err != nil || count.Followers != want-1 {
-				t.Fatalf("%s: %d follower frames, err %v, want %d", name, count.Followers, err, want-1)
+			if count, err := store.CountFrames(image); err != nil || count.Followers+count.PartyBorrowers != want-1 {
+				t.Fatalf("%s: %d follower frames and %d taking their parties, err %v, want %d", name, count.Followers, count.PartyBorrowers, err, want-1)
 			}
 			if err := v.DeepVerify(); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -259,6 +299,9 @@ func TestHostileFrameRunsAtOpen(t *testing.T) {
 		if err == nil {
 			v.Close()
 			t.Fatalf("%s: the vault opened", name)
+		}
+		if strings.HasPrefix(name, "source-") && !errors.Is(err, canon.ErrBinary) {
+			t.Fatalf("%s: Open = %v, want ErrBinary", name, err)
 		}
 	}
 }
@@ -351,10 +394,10 @@ func FuzzReplicaReceive(f *testing.F) {
 // run — under a version-2 index; testdata/v6-vault, two sealed segments
 // of eleven and twelve records and a one-record tail under version-3
 // indexes, runs of four records, every second one transaction-linked,
-// straddling windows; and the records of testdata/v7-vault sealed again
-// at the same seqs under version-4 indexes, whose second segment (seqs
-// 12 to 23) opens and closes with a partial window. RUNS.json names the
-// runs.
+// straddling windows; and testdata/v8-vault, the records of
+// testdata/v7-vault sealed again at the same seqs in segment format 8
+// under version-4 indexes, whose second segment (seqs 12 to 23) opens and
+// closes with a partial window. RUNS.json names the runs.
 type indexFuzzVault struct {
 	dir   string
 	entry ManifestEntry
@@ -392,54 +435,6 @@ func loadIndexFuzzVault(tb testing.TB, dir string, seg int) *indexFuzzVault {
 		tb.Fatal(err)
 	}
 	return fv
-}
-
-// resealedV7Vault appends the records of testdata/v7-vault, in order and
-// at its time, to a fresh vault under dir, sealing where that vault was
-// sealed — after seqs 11 and 23 — so the segment files come out byte for
-// byte the same and only the indexes are this build's. RUNS.json is
-// copied beside them.
-func resealedV7Vault(tb testing.TB, dir string) {
-	tb.Helper()
-	src, err := Open(filepath.Join("testdata", "v7-vault"), nil, WithReadOnly())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	recs, err := src.QueryAll(Query{})
-	src.Close()
-	if err != nil || len(recs) != 24 {
-		tb.Fatalf("v7-vault: %d records, err %v", len(recs), err)
-	}
-	v, err := Open(dir, clock.NewManual(recs[0].At))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, rec := range recs {
-		if _, err := v.AppendGroup([]store.Entry{{Dir: rec.Direction, Token: rec.Token, Note: rec.Note}}); err != nil {
-			tb.Fatal(err)
-		}
-		if rec.Seq == 11 || rec.Seq == 23 {
-			if err := v.SealNow(); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	if err := v.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	for _, name := range []string{"RUNS.json", "seg-00000001.log", "seg-00000002.log"} {
-		want, err := os.ReadFile(filepath.Join("testdata", "v7-vault", name))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if name == "RUNS.json" {
-			if err := os.WriteFile(filepath.Join(dir, name), want, 0o600); err != nil {
-				tb.Fatal(err)
-			}
-		} else if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-			tb.Fatalf("resealed %s differs from v7-vault's (err %v)", name, err)
-		}
-	}
 }
 
 // hostileIndexes derives the structural attacks on a valid index file:
@@ -561,7 +556,7 @@ func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
 }
 
 // FuzzIndexOpen feeds arbitrary bytes to the vault as a sealed segment's
-// index file — under the version-4 seal of the resealed v7-vault when
+// index file — under the version-4 seal of testdata/v8-vault when
 // they open with the version-4 magic, under the version-3 seal of
 // testdata/v6-vault with the version-3 magic, under the version-2 seal
 // of testdata/v2-vault otherwise. Two layers hold: behind the seal's
@@ -572,12 +567,10 @@ func hostileIndexes(tb testing.TB, fv *indexFuzzVault) map[string][]byte {
 // its size, and never get a record served that is not an authentic
 // record matching the query.
 func FuzzIndexOpen(f *testing.F) {
-	resealed := f.TempDir()
-	resealedV7Vault(f, resealed)
 	v2 := loadIndexFuzzVault(f, filepath.Join("testdata", "v2-vault"), 1)
 	v6 := loadIndexFuzzVault(f, filepath.Join("testdata", "v6-vault"), 1)
-	v7 := loadIndexFuzzVault(f, resealed, 2)
-	for _, fv := range []*indexFuzzVault{v2, v6, v7} {
+	v8 := loadIndexFuzzVault(f, filepath.Join("testdata", "v8-vault"), 2)
+	for _, fv := range []*indexFuzzVault{v2, v6, v8} {
 		for _, seed := range hostileIndexes(f, fv) {
 			f.Add(seed)
 		}
@@ -586,7 +579,7 @@ func FuzzIndexOpen(f *testing.F) {
 		fv := v2
 		switch {
 		case bytes.HasPrefix(data, []byte(indexLayouts[indexFormatAligned].magic)):
-			fv = v7
+			fv = v8
 		case bytes.HasPrefix(data, []byte(indexLayouts[indexFormatWindowed].magic)):
 			fv = v6
 		}

@@ -33,7 +33,7 @@ var v6Vault = fixtureVault{name: "v6-vault", enc: store.EncBinaryV6, sealed: 2, 
 // from an earlier commit; its version-3 windows count from each
 // segment's first record, so segment 2 (seqs 12 to 23) splits every run
 // between two windows.
-var v7Vault = fixtureVault{name: "v7-vault", enc: store.EncBinary, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
+var v7Vault = fixtureVault{name: "v7-vault", enc: store.EncBinaryV7, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
 
 // TestVaultV6VaultStillReads: a vault sealed under version-3 indexes
 // reads as checkStillReads says — its replica derives the same index

@@ -253,6 +253,7 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 		size = int64(len(data))
 	}
 	records := data[:size]
+	slots := store.NewSlotReader(data, enc)
 	broken := func(format string, args ...any) error {
 		return fmt.Errorf("%w: segment %d %s", ErrSealBroken, idx.Entry.Segment, fmt.Sprintf(format, args...))
 	}
@@ -285,17 +286,18 @@ func (it *Iterator) loadSegment(idx *segmentIndex) ([]*store.Record, error) {
 			if err != nil {
 				return nil, broken("record %d: %v", seq, err)
 			}
-			// A frame that follows its predecessor directly elides Prev and
-			// is completed with the hash derived for the record before it;
-			// that record's frame is the mate a frame borrowing a signature
-			// leans on. A follower frame finds its leader in the mapping
-			// itself.
+			// A frame that follows its predecessor directly elides Prev (and
+			// its seq, which the window places) and is completed with the
+			// hash derived for the record before it; that record's frame is
+			// the mate a frame borrowing a signature leans on. A follower
+			// frame finds its leader, and a plain frame its party source, in
+			// the mapping itself — parsed once for the whole segment read.
 			var prev *sig.Digest
 			if cv != nil {
 				_, h := cv.Position()
 				prev = &h
 			}
-			rec, err := store.DecodeRecordData(data, at, end, enc, prev, prevStart)
+			rec, err := slots.Decode(at, end, seq, prev, prevStart)
 			if err != nil {
 				// A sealed record that cannot be read back is a broken seal.
 				return nil, broken("record %d: %v", seq, err)

@@ -18,7 +18,7 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
-	// to "binary-v6", or "binary" for the current format, version 7).
+	// to "binary-v7", or "binary" for the current format, version 8).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
@@ -27,10 +27,12 @@ type SegmentSize struct {
 	// that borrow their run, parties, service, digest or time from a plain
 	// frame of their run before them in the file (in versions 4 to 6, the
 	// one leading their write) — and those of them that borrow
-	// their signature from the frame before them, with the bytes those
-	// take, and breaks the frames down by token kind, notes apart. The
-	// rest of Records are plain frames (or JSON lines) in PlainBytes,
-	// which with the file's header make up SegmentBytes.
+	// their signature from the frame before them, and the plain frames
+	// that take their parties, service, key id and time from a party
+	// source (since version 8), with the bytes those take, and breaks the
+	// frames down by token kind, notes apart. The rest of Records are
+	// plain frames (or JSON lines) in PlainBytes, which with the file's
+	// header make up SegmentBytes.
 	store.FrameCount
 	PlainBytes int64
 	// IndexFormat is "binary" (version 4: one hash pinned and one offset

@@ -241,8 +241,10 @@ func TestPipelineUnderFaults(t *testing.T) {
 // about 1 926 B here; indexes that pin one hash per window of four
 // records brought it to about 1 520 B (one pinned hash per record cost
 // about 1 710 B), since segment format 7 the run's second commit in
-// each vault leans on the first's leader: about 1 380 B, and since index
-// format 4 stores one offset per window of four, about 1 350 B.
+// each vault leans on the first's leader: about 1 380 B, since index
+// format 4 stores one offset per window of four, about 1 350 B, and
+// since segment format 8, whose opening frames take their parties from
+// the vault's earlier runs, about 1 260 B.
 func TestPipelinedCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
 	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1420 {
@@ -257,7 +259,7 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 // {NRO, NRR, NROResp} then {NRRResp}. Every commit led with a plain frame
 // before segment format 7, about 1 585 B here; since, the second commit
 // leans on the run's leader in the first, about 1 440 B (about 1 430
-// since index format 4).
+// since index format 4, about 1 335 since segment format 8).
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
 	if perCall := callEvidenceBytes(t); perCall > 1480 {

@@ -57,7 +57,7 @@ STRUCTS=(
 )
 
 sources() {
-  find . \( -path ./benchmarks -o -path ./.git \) -prune -o \
+  find . \( -path ./benchmarks -o -path ./.git -o -path ./.bench_build \) -prune -o \
     -type f \( -name '*.go' -o -name '*.sh' \) ! -name '*_test.go' -print
 }
 
@@ -71,9 +71,10 @@ nocomments() {
   perl -0777 -pe 's{("(?:\\.|[^"\\\n])*"|`[^`]*`|\x27(?:\\.|[^\x27\\\n])*\x27)|//[^\n]*|/\*.*?\*/}{defined $1 ? $1 : ""}gse'
 }
 
-# gosrc DIR lists the non-test .go files under DIR.
+# gosrc DIR lists the non-test .go files under DIR (not the checkouts
+# scripts/pair.sh keeps under .bench_build).
 gosrc() {
-  find "$1" \( -name .git -o -name testdata \) -prune -o -type f -name '*.go' ! -name '*_test.go' -print
+  find "$1" \( -name .git -o -name testdata -o -name .bench_build \) -prune -o -type f -name '*.go' ! -name '*_test.go' -print
 }
 
 # A declared name is test-only when its every occurrence is a declaration.
