@@ -242,6 +242,7 @@ func BenchmarkFig7InterceptorChain(b *testing.B) {
 				Service:   "urn:org:server/orders",
 				Operation: "Place",
 				Params:    []evidence.Param{p},
+				Protocol:  invoke.ProtocolDirect,
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -105,7 +105,7 @@ func main() {
 		desc := nonrep.Descriptor{
 			Service: nonrep.Service(string(supplier) + "/parts"),
 			Methods: map[string]nonrep.MethodPolicy{
-				"Quote": {NonRepudiation: true},
+				"Quote": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect, nonrep.ProtocolFair}},
 			},
 		}
 		if err := orgs[supplier].Deploy(desc, &Catalog{prices: prices}); err != nil {

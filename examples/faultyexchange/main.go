@@ -59,7 +59,7 @@ func main() {
 	desc := nonrep.Descriptor{
 		Service: svcURI,
 		Methods: map[string]nonrep.MethodPolicy{
-			"Quote": {NonRepudiation: true},
+			"Quote": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolVoluntary, nonrep.ProtocolFair}},
 		},
 	}
 	if err := srv.Deploy(desc, QuoteService{}); err != nil {

@@ -51,7 +51,7 @@ func main() {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:manufacturer/orders",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Place": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Place": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := manufacturer.Deploy(desc, &Orders{}); err != nil {

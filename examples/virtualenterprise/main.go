@@ -109,7 +109,7 @@ func main() {
 		desc := nonrep.Descriptor{
 			Service: svcURI,
 			Methods: map[string]nonrep.MethodPolicy{
-				"Quote": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+				"Quote": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 			},
 		}
 		if err := orgs[supplier].org.Deploy(desc, &PartsCatalog{supplier: string(supplier), prices: prices}); err != nil {
@@ -206,7 +206,7 @@ func main() {
 	ordersDesc := nonrep.Descriptor{
 		Service: nonrep.Service(string(manufacturer) + "/orders"),
 		Methods: map[string]nonrep.MethodPolicy{
-			"Order": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Order": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	carOrders := &CarOrders{}

@@ -67,7 +67,7 @@ func TestGeoRegionLossSurvival(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:geo-d/echo",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Echo": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Echo": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := d.Deploy(desc, echoComponent{}); err != nil {

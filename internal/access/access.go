@@ -47,32 +47,18 @@ type Event struct {
 	Roles []Role
 }
 
-// Manager holds the role requirements of local services and each remote
-// party's currently active roles. It is safe for concurrent use.
+// Manager holds each remote party's currently active roles. Which roles
+// a method needs is not its business: that is the method's deployment
+// descriptor, which the container checks against Authorize. It is safe
+// for concurrent use.
 type Manager struct {
-	mu       sync.RWMutex
-	required map[string][]Role
-	active   map[id.Party]map[Role]bool
+	mu     sync.RWMutex
+	active map[id.Party]map[Role]bool
 }
 
 // NewManager creates an empty access-control manager.
 func NewManager() *Manager {
-	return &Manager{
-		required: make(map[string][]Role),
-		active:   make(map[id.Party]map[Role]bool),
-	}
-}
-
-func ruleKey(service id.Service, operation string) string {
-	return string(service) + "#" + operation
-}
-
-// Require declares that an operation needs one of the given roles. An
-// empty operation sets the default for all operations on the service.
-func (m *Manager) Require(service id.Service, operation string, roles ...Role) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.required[ruleKey(service, operation)] = roles
+	return &Manager{active: make(map[id.Party]map[Role]bool)}
 }
 
 // Activate grants roles to a party.
@@ -86,19 +72,6 @@ func (m *Manager) Activate(party id.Party, roles ...Role) {
 	}
 	for _, r := range roles {
 		set[r] = true
-	}
-}
-
-// Deactivate withdraws roles from a party.
-func (m *Manager) Deactivate(party id.Party, roles ...Role) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	set, ok := m.active[party]
-	if !ok {
-		return
-	}
-	for _, r := range roles {
-		delete(set, r)
 	}
 }
 
@@ -141,24 +114,19 @@ func (m *Manager) ActivateFromCertificate(cert *credential.Certificate) {
 	m.Apply(Event{Kind: EventCredentialPresented, Party: cert.Subject, Roles: roles})
 }
 
-// Authorize checks that the party holds an active role permitting the
-// operation. Operations with no declared requirement (neither specific nor
-// service-wide) are open.
-func (m *Manager) Authorize(party id.Party, service id.Service, operation string) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	roles, ok := m.required[ruleKey(service, operation)]
-	if !ok {
-		roles, ok = m.required[ruleKey(service, "")]
-	}
-	if !ok {
+// Authorize checks that the party holds one of roles (any-of). No roles
+// means open.
+func (m *Manager) Authorize(party id.Party, roles ...Role) error {
+	if len(roles) == 0 {
 		return nil
 	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	active := m.active[party]
 	for _, r := range roles {
 		if active[r] {
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: %s needs one of %v for %s/%s", ErrDenied, party, roles, service, operation)
+	return fmt.Errorf("%w: %s needs one of %v", ErrDenied, party, roles)
 }

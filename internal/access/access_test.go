@@ -11,58 +11,24 @@ import (
 	"nonrep/internal/sig"
 )
 
-const (
-	dealer  = id.Party("urn:org:dealer")
-	orders  = id.Service("urn:org:manufacturer/orders")
-	catalog = id.Service("urn:org:manufacturer/catalog")
-)
+const dealer = id.Party("urn:org:dealer")
 
 func TestAuthorizeWithActiveRole(t *testing.T) {
 	t.Parallel()
 	m := NewManager()
-	m.Require(orders, "PlaceOrder", "dealer")
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); !errors.Is(err, ErrDenied) {
+	if err := m.Authorize(dealer, "dealer"); !errors.Is(err, ErrDenied) {
 		t.Fatalf("Authorize before activation = %v, want ErrDenied", err)
 	}
 	m.Activate(dealer, "dealer")
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); err != nil {
+	if err := m.Authorize(dealer, "dealer"); err != nil {
 		t.Fatalf("Authorize after activation: %v", err)
-	}
-}
-
-func TestServiceWideRule(t *testing.T) {
-	t.Parallel()
-	m := NewManager()
-	m.Require(orders, "", "partner")
-	m.Activate(dealer, "partner")
-	if err := m.Authorize(dealer, orders, "AnyOperation"); err != nil {
-		t.Fatal(err)
-	}
-	m.DeactivateAll(dealer)
-	if err := m.Authorize(dealer, orders, "AnyOperation"); !errors.Is(err, ErrDenied) {
-		t.Fatalf("Authorize after deactivation = %v, want ErrDenied", err)
-	}
-}
-
-func TestSpecificRuleOverridesServiceWide(t *testing.T) {
-	t.Parallel()
-	m := NewManager()
-	m.Require(orders, "", "partner")
-	m.Require(orders, "CancelOrder", "manager")
-	m.Activate(dealer, "partner")
-	if err := m.Authorize(dealer, orders, "CancelOrder"); !errors.Is(err, ErrDenied) {
-		t.Fatalf("partner cancelled an order: %v", err)
-	}
-	m.Activate(dealer, "manager")
-	if err := m.Authorize(dealer, orders, "CancelOrder"); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestUndeclaredOperationIsOpen(t *testing.T) {
 	t.Parallel()
 	m := NewManager()
-	if err := m.Authorize(dealer, catalog, "Browse"); err != nil {
+	if err := m.Authorize(dealer); err != nil {
 		t.Fatalf("open operation denied: %v", err)
 	}
 }
@@ -70,18 +36,17 @@ func TestUndeclaredOperationIsOpen(t *testing.T) {
 func TestEventDrivenActivation(t *testing.T) {
 	t.Parallel()
 	m := NewManager()
-	m.Require(orders, "PlaceOrder", "dealer")
 	m.Apply(Event{Kind: EventCredentialPresented, Party: dealer, Roles: []Role{"dealer"}})
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); err != nil {
+	if err := m.Authorize(dealer, "dealer"); err != nil {
 		t.Fatal(err)
 	}
 	m.Apply(Event{Kind: EventRevoked, Party: dealer})
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); !errors.Is(err, ErrDenied) {
+	if err := m.Authorize(dealer, "dealer"); !errors.Is(err, ErrDenied) {
 		t.Fatalf("Authorize after revocation = %v, want ErrDenied", err)
 	}
 	m.Apply(Event{Kind: EventCredentialPresented, Party: dealer, Roles: []Role{"dealer"}})
 	m.Apply(Event{Kind: EventDisconnected, Party: dealer})
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); !errors.Is(err, ErrDenied) {
+	if err := m.Authorize(dealer, "dealer"); !errors.Is(err, ErrDenied) {
 		t.Fatalf("Authorize after disconnect = %v, want ErrDenied", err)
 	}
 }
@@ -106,26 +71,12 @@ func TestActivateFromCertificate(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager()
-	m.Require(orders, "PlaceOrder", "dealer")
 	m.ActivateFromCertificate(cert)
-	if err := m.Authorize(dealer, orders, "PlaceOrder"); err != nil {
+	if err := m.Authorize(dealer, "dealer"); err != nil {
 		t.Fatal(err)
 	}
 	roles := m.Roles(dealer)
 	if len(roles) != 2 {
 		t.Fatalf("Roles = %v", roles)
 	}
-}
-
-func TestDeactivateSpecificRole(t *testing.T) {
-	t.Parallel()
-	m := NewManager()
-	m.Activate(dealer, "a", "b")
-	m.Deactivate(dealer, "a")
-	roles := m.Roles(dealer)
-	if len(roles) != 1 || roles[0] != "b" {
-		t.Fatalf("Roles = %v", roles)
-	}
-	// Deactivating for an unknown party is a no-op.
-	m.Deactivate("urn:org:nobody", "a")
 }

@@ -14,6 +14,11 @@
 // through the non-repudiation middleware (package invoke), for which the
 // container is the Executor: the request reaches the component only after
 // the NR interceptor has verified the client's evidence.
+//
+// The deployment descriptor is the one invocation policy: each method's
+// MethodPolicy names the protocols it runs under and the roles its caller
+// must hold, and the built-in access-control interceptor, first in every
+// chain, refuses any other invocation as received but not executed.
 package container
 
 import (
@@ -23,8 +28,8 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
-	"time"
 
 	"nonrep/internal/access"
 	"nonrep/internal/evidence"
@@ -52,17 +57,29 @@ var (
 // application programmer on the server side is responsible for
 // identifying, in a bean's deployment descriptor, when non-repudiation is
 // required and for identifying the platform and protocol" (section 4.2).
+// It is the one statement of who may invoke the method and how; the
+// container's access-control interceptor enforces it before the component
+// runs.
 type MethodPolicy struct {
-	// NonRepudiation requires the invocation to arrive through an NR
-	// protocol.
+	// NonRepudiation is ignored: every remote invocation arrives through
+	// a non-repudiation protocol.
 	NonRepudiation bool
-	// Protocol names the required NR protocol (default: direct).
-	Protocol string
-	// Roles lists roles permitted to invoke the method (any-of); empty
-	// means open.
+	// Protocols lists the invocation protocols the method runs under, by
+	// the name the request's signed snapshot carries; a run relayed by
+	// inline TTPs is invoke.ProtocolInline. Empty means
+	// invoke.ProtocolDirect alone.
+	Protocols []string
+	// Roles lists roles permitted to invoke the method (any-of), checked
+	// against the caller's active roles; empty means open.
 	Roles []access.Role
-	// Timeout overrides the agreed execution timeout.
-	Timeout time.Duration
+}
+
+// protocols returns the protocols the method runs under.
+func (p MethodPolicy) protocols() []string {
+	if len(p.Protocols) == 0 {
+		return []string{invoke.ProtocolDirect}
+	}
+	return p.Protocols
 }
 
 // Descriptor is a component's deployment descriptor.
@@ -146,6 +163,16 @@ type hosted struct {
 	methods map[string]reflect.Method
 }
 
+// policy returns the descriptor's policy for method, if h is deployed
+// and declares it.
+func (h *hosted) policy(method string) (MethodPolicy, bool) {
+	if h == nil {
+		return MethodPolicy{}, false
+	}
+	p, ok := h.desc.Methods[method]
+	return p, ok
+}
+
 // Container hosts components and dispatches verified invocations to them.
 type Container struct {
 	acl          *access.Manager
@@ -166,7 +193,7 @@ func WithInterceptors(ics ...Interceptor) Option {
 	return func(c *Container) { c.interceptors = append(c.interceptors, ics...) }
 }
 
-// New creates a container enforcing the given access policy.
+// New creates a container whose callers' active roles acl holds.
 func New(acl *access.Manager, opts ...Option) *Container {
 	c := &Container{acl: acl, components: make(map[id.Service]*hosted)}
 	for _, opt := range opts {
@@ -184,7 +211,8 @@ var (
 
 // Deploy installs a component at its descriptor's service URI. Every
 // declared method must exist on the component with signature
-// func(ctx context.Context, args...) (results..., error).
+// func(ctx context.Context, args...) (results..., error), and its policy
+// may name only invocation protocols and non-empty roles.
 func (c *Container) Deploy(desc Descriptor, component any) error {
 	recv := reflect.ValueOf(component)
 	t := recv.Type()
@@ -202,6 +230,15 @@ func (c *Container) Deploy(desc Descriptor, component any) error {
 			return fmt.Errorf("%w: %s.%s must return error last", ErrBadSignature, t, name)
 		}
 		methods[name] = m
+		p := desc.Methods[name]
+		for _, proto := range p.Protocols {
+			if !invoke.KnownProtocol(proto) {
+				return fmt.Errorf("container: %s.%s: %q is not an invocation protocol", desc.Service, name, proto)
+			}
+		}
+		if slices.Contains(p.Roles, "") {
+			return fmt.Errorf("container: %s.%s: empty role name", desc.Service, name)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -210,21 +247,6 @@ func (c *Container) Deploy(desc Descriptor, component any) error {
 	}
 	c.components[desc.Service] = &hosted{desc: desc, recv: recv, methods: methods}
 	return nil
-}
-
-// Policy returns the deployed policy for a service method.
-func (c *Container) Policy(service id.Service, method string) (MethodPolicy, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h, ok := c.components[service]
-	if !ok {
-		return MethodPolicy{}, fmt.Errorf("%w: %s", ErrUnknownService, service)
-	}
-	p, ok := h.desc.Methods[method]
-	if !ok {
-		return MethodPolicy{}, fmt.Errorf("%w: %s on %s", ErrUnknownMethod, method, service)
-	}
-	return p, nil
 }
 
 // Execute implements invoke.Executor: it is the point where "the client's
@@ -276,7 +298,7 @@ func (c *Container) ExecuteStream(ctx context.Context, req *evidence.RequestSnap
 			return nil, fmt.Errorf("%w: parameter kind %q", ErrArgumentMismatch, p.Kind)
 		}
 	}
-	chain := Chain(InvokerFunc(c.dispatch), append([]Interceptor{&aclInterceptor{acl: c.acl}}, c.interceptors...)...)
+	chain := Chain(InvokerFunc(c.dispatch), append([]Interceptor{&aclInterceptor{c: c}}, c.interceptors...)...)
 	out, err := chain.Invoke(ctx, inv)
 	if err != nil {
 		return nil, err
@@ -366,10 +388,14 @@ func (c *Container) dispatch(ctx context.Context, inv *Invocation) (any, error) 
 	return results, nil
 }
 
-// aclInterceptor enforces method role policies, turning denials into
-// received-but-not-executed evidence upstream (section 3.2).
+// aclInterceptor enforces each method's deployment descriptor — the
+// protocols it runs under and the roles its caller must hold — turning a
+// refusal into received-but-not-executed evidence upstream (section 3.2).
+// The refusal names the protocols the method does run under, which is how
+// a client re-negotiates (section 4.2). An undeployed service or method
+// passes on, for dispatch to report.
 type aclInterceptor struct {
-	acl *access.Manager
+	c *Container
 }
 
 // Name implements Interceptor.
@@ -377,9 +403,16 @@ func (a *aclInterceptor) Name() string { return "access-control" }
 
 // Invoke implements Interceptor.
 func (a *aclInterceptor) Invoke(ctx context.Context, inv *Invocation, next Invoker) (any, error) {
-	if a.acl != nil {
-		if err := a.acl.Authorize(inv.Caller, inv.Service, inv.Method); err != nil {
-			return nil, fmt.Errorf("%w: %v", invoke.ErrNotExecuted, err)
+	a.c.mu.RLock()
+	h := a.c.components[inv.Service]
+	a.c.mu.RUnlock()
+	if p, ok := h.policy(inv.Method); ok {
+		if proto := inv.Meta["protocol"]; !slices.Contains(p.protocols(), proto) {
+			return nil, fmt.Errorf("%w: %s.%s is not offered under %s, only under %v",
+				invoke.ErrNotExecuted, inv.Service, inv.Method, proto, p.protocols())
+		}
+		if err := a.c.acl.Authorize(inv.Caller, p.Roles...); err != nil {
+			return nil, fmt.Errorf("%w: %s.%s: %v", invoke.ErrNotExecuted, inv.Service, inv.Method, err)
 		}
 	}
 	return next.Invoke(ctx, inv)

@@ -91,7 +91,6 @@ func newFixture(t *testing.T, opts ...container.Option) *fixture {
 	t.Cleanup(d.Close)
 
 	acl := access.NewManager()
-	acl.Require(ordersURI, "PlaceOrder", "dealer")
 	acl.Activate(dealer, "dealer")
 
 	cont := container.New(acl, opts...)
@@ -99,8 +98,8 @@ func newFixture(t *testing.T, opts ...container.Option) *fixture {
 	desc := container.Descriptor{
 		Service: ordersURI,
 		Methods: map[string]container.MethodPolicy{
-			"PlaceOrder":  {NonRepudiation: true, Protocol: invoke.ProtocolDirect, Roles: []access.Role{"dealer"}},
-			"CancelOrder": {NonRepudiation: true, Protocol: invoke.ProtocolDirect},
+			"PlaceOrder":  {NonRepudiation: true, Protocols: []string{invoke.ProtocolDirect}, Roles: []access.Role{"dealer"}},
+			"CancelOrder": {NonRepudiation: true, Protocols: []string{invoke.ProtocolDirect}},
 		},
 	}
 	if err := cont.Deploy(desc, book); err != nil {
@@ -150,6 +149,77 @@ func TestAccessDenialBecomesNotExecutedEvidence(t *testing.T) {
 	// The denial itself is fully evidenced.
 	if len(res.Evidence) != 4 {
 		t.Fatalf("evidence tokens = %d, want 4", len(res.Evidence))
+	}
+}
+
+// TestUnlistedProtocolIsNotExecuted: a method whose descriptor lists no
+// protocols runs under direct alone; invoked under voluntary it is
+// received but not executed, and the refusal names what it does run
+// under.
+func TestUnlistedProtocolIsNotExecuted(t *testing.T) {
+	t.Parallel()
+	book := &OrderBook{}
+	f := newFixtureWith(t, book)
+	vol := invoke.NewServer(f.domain.Node(manufacturer).Coordinator(), f.cont, invoke.ForProtocol(invoke.ProtocolVoluntary))
+	t.Cleanup(func() { _ = vol.Close() })
+	cli := invoke.NewClient(f.domain.Node(dealer).Coordinator(), invoke.WithProtocol(invoke.ProtocolVoluntary))
+	res, err := container.NewProxy(cli, manufacturer, ordersURI).Call(context.Background(), "PlaceOrder", "roadster", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != evidence.StatusNotExecuted {
+		t.Fatalf("status = %v, want not-executed", res.Status)
+	}
+	if !strings.Contains(res.Err, invoke.ProtocolDirect) {
+		t.Fatalf("refusal %q does not name the method's protocols", res.Err)
+	}
+	if len(book.orders) != 0 {
+		t.Fatalf("component ran: orders = %v", book.orders)
+	}
+}
+
+// TestRefusedProtocolLeavesVerifiableEvidence: a method offered under
+// voluntary alone, invoked under direct, is refused before the component
+// runs, and the client holds the server's signed not-executed response
+// origin, bound to the run's request.
+func TestRefusedProtocolLeavesVerifiableEvidence(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(dealer, manufacturer)
+	t.Cleanup(d.Close)
+	cont := container.New(access.NewManager())
+	book := &OrderBook{}
+	if err := cont.Deploy(container.Descriptor{
+		Service: ordersURI,
+		Methods: map[string]container.MethodPolicy{"PlaceOrder": {Protocols: []string{invoke.ProtocolVoluntary}}},
+	}, book); err != nil {
+		t.Fatal(err)
+	}
+	srv := invoke.NewServer(d.Node(manufacturer).Coordinator(), cont)
+	t.Cleanup(func() { _ = srv.Close() })
+	proxy := container.NewProxy(invoke.NewClient(d.Node(dealer).Coordinator()), manufacturer, ordersURI)
+	res, err := proxy.Call(context.Background(), "PlaceOrder", "roadster", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != evidence.StatusNotExecuted {
+		t.Fatalf("status = %v, want not-executed", res.Status)
+	}
+	if len(book.orders) != 0 {
+		t.Fatalf("component ran: orders = %v", book.orders)
+	}
+	a := &evidence.Anchors{Run: res.Run, Server: manufacturer}
+	for _, tok := range res.Evidence {
+		switch tok.Kind {
+		case evidence.KindNRO:
+			a.NRO = tok
+		case evidence.KindNRR:
+			a.NRR = tok
+		case evidence.KindNROResp:
+			a.NROResp = tok
+		}
+	}
+	if err := d.Realm.Verifier().ExpectBound(a.NROResp, evidence.KindNROResp, a); err != nil {
+		t.Fatalf("not-executed response origin: %v", err)
 	}
 }
 
@@ -216,6 +286,20 @@ func TestDeployValidation(t *testing.T) {
 	if !errors.Is(err, container.ErrBadSignature) {
 		t.Fatalf("Deploy = %v, want ErrBadSignature", err)
 	}
+	// A protocol that is not an invocation protocol, and an empty role.
+	for _, p := range []container.MethodPolicy{
+		{Protocols: []string{invoke.ProtocolDirect, invoke.ProtocolResolve}},
+		{Protocols: []string{"direct"}},
+		{Roles: []access.Role{"dealer", ""}},
+	} {
+		err = cont.Deploy(container.Descriptor{
+			Service: "urn:x/s",
+			Methods: map[string]container.MethodPolicy{"PlaceOrder": p},
+		}, &OrderBook{})
+		if err == nil || !strings.Contains(err.Error(), "PlaceOrder") {
+			t.Fatalf("Deploy(%+v) = %v, want a descriptor error", p, err)
+		}
+	}
 	// Valid deploy then duplicate.
 	desc := container.Descriptor{
 		Service: "urn:x/s",
@@ -226,24 +310,6 @@ func TestDeployValidation(t *testing.T) {
 	}
 	if err := cont.Deploy(desc, &OrderBook{}); err == nil {
 		t.Fatal("duplicate Deploy succeeded")
-	}
-}
-
-func TestPolicyLookup(t *testing.T) {
-	t.Parallel()
-	f := newFixture(t)
-	p, err := f.cont.Policy(ordersURI, "PlaceOrder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.NonRepudiation || p.Protocol != invoke.ProtocolDirect {
-		t.Fatalf("policy = %+v", p)
-	}
-	if _, err := f.cont.Policy(ordersURI, "Nope"); !errors.Is(err, container.ErrUnknownMethod) {
-		t.Fatal(err)
-	}
-	if _, err := f.cont.Policy("urn:x/none", "Nope"); !errors.Is(err, container.ErrUnknownService) {
-		t.Fatal(err)
 	}
 }
 

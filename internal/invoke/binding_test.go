@@ -171,7 +171,7 @@ func TestRequestOriginNamesTheServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := checkRequest(realm.Verifier(), run, &snap, nro)
+		a, err := checkRequest(realm.Verifier(), direct, run, &snap, nro)
 		if c.ok && (err != nil || a.Server != bindServer || a.NRO != nro) {
 			t.Errorf("NRO naming %v: %+v, %v", c.named, a, err)
 		}

@@ -16,16 +16,23 @@ import (
 // relay) and checkDecision (server, client). Every run token after the
 // NRO passes Verifier.ExpectBound, its entry of evidence.Bindings, which
 // core.Adjudicator judges runs by. Beyond the table the doors check only
-// what needs a snapshot: the NRO covers the request snapshot, and the
-// NROResp the response that answers it.
+// what needs a snapshot: the NRO covers the request snapshot, which
+// names the door's protocol, and the NROResp the response that answers
+// it.
 
-// checkRequest accepts the step-1 message of run: snap is that run's
-// request and nro its client's origin token over it, naming the
-// snapshot's server as its one recipient if it names any. It returns the
-// run's anchors: the NRO and the server the request names.
-func checkRequest(v *evidence.Verifier, run id.Run, snap *evidence.RequestSnapshot, nro *evidence.Token) (*evidence.Anchors, error) {
+// checkRequest accepts the step-1 message of run at a door serving d:
+// snap is that run's request, naming d as its protocol, and nro its
+// client's origin token over it, naming the snapshot's server as its one
+// recipient if it names any. The signed protocol is what the server's
+// container admits the request by, so it must be the one the run follows;
+// a relayed run reaches its server's direct door from the last relay. It
+// returns the run's anchors: the NRO and the server the request names.
+func checkRequest(v *evidence.Verifier, d *descriptor, run id.Run, snap *evidence.RequestSnapshot, nro *evidence.Token) (*evidence.Anchors, error) {
 	if snap.Run != run {
 		return nil, fmt.Errorf("%w: snapshot run %s in message for run %s", ErrEvidenceInvalid, snap.Run, run)
+	}
+	if sd, _ := protocolFor(snap.Protocol); sd != d && !(sd.relayed && d == direct) {
+		return nil, fmt.Errorf("%w: request names protocol %q, sent to %s", ErrEvidenceInvalid, snap.Protocol, d.name)
 	}
 	reqDigest, err := snap.Digest()
 	if err != nil {

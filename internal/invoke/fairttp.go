@@ -51,7 +51,7 @@ func (s *ResolveService) handleResolve(ctx context.Context, msg *protocol.Messag
 	}
 	// The requester must prove both origins and its own receipt: an
 	// incomplete or forged history earns no substitute.
-	a, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO)
+	a, err := checkRequest(svc.Verifier, fair, msg.Run, &body.Request, body.NRO)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func (s *ResolveService) handleAbort(ctx context.Context, msg *protocol.Message)
 	if err := msg.Body(&body); err != nil {
 		return nil, err
 	}
-	if _, err := checkRequest(svc.Verifier, msg.Run, &body.Request, body.NRO); err != nil {
+	if _, err := checkRequest(svc.Verifier, fair, msg.Run, &body.Request, body.NRO); err != nil {
 		return nil, err
 	}
 	return s.decide(ctx, []store.Entry{{Dir: store.Received, Token: body.NRO, Note: "abort evidence"}},

@@ -24,10 +24,10 @@
 //
 // Each variant is one descriptor (protocols): who serves it, what its
 // reply carries, whether step 3 follows, whether an offline TTP recovers
-// its runs and whether they resume. The client, server, relay, TTP and
-// negotiation read descriptor fields and never compare protocol names;
-// the tokens every door accepts are bound by one table,
-// evidence.Bindings, which the adjudicator judges runs by too.
+// its runs and whether they resume. The client, server, relay and TTP
+// read descriptor fields and never compare protocol names; the tokens
+// every door accepts are bound by one table, evidence.Bindings, which the
+// adjudicator judges runs by too.
 //
 // # Durability rule
 //
@@ -106,7 +106,8 @@ var (
 	direct    = &descriptor{name: ProtocolDirect, resumable: true}
 	voluntary = &descriptor{name: ProtocolVoluntary, volunteered: true, receiptless: true}
 	inline    = &descriptor{name: ProtocolInline, relayed: true}
-	// protocols lists the descriptors in the order Negotiate prefers them.
+	// protocols lists the invocation protocols a deployment descriptor
+	// may name.
 	protocols = []*descriptor{fair, direct, voluntary, inline}
 )
 
@@ -120,6 +121,12 @@ func protocolFor(name string) (*descriptor, bool) {
 		}
 	}
 	return &descriptor{name: name}, false
+}
+
+// KnownProtocol reports whether name is one of the invocation protocols.
+func KnownProtocol(name string) bool {
+	_, ok := protocolFor(name)
+	return ok
 }
 
 // Message kinds within an invocation run.

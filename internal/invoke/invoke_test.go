@@ -273,6 +273,45 @@ func TestServerRejectsTamperedEvidence(t *testing.T) {
 	}
 }
 
+// TestServerRefusesSnapshotOfAnotherProtocol: the protocol a request's
+// snapshot signs is the one its server's container admits it by, so a
+// server refuses a snapshot naming a protocol other than its own — here a
+// direct request sent to the voluntary door — before anything executes.
+func TestServerRefusesSnapshotOfAnotherProtocol(t *testing.T) {
+	t.Parallel()
+	d := testpki.MustDomain(client, server)
+	defer d.Close()
+	exec, calls := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec, invoke.ForProtocol(invoke.ProtocolVoluntary))
+	defer srv.Close()
+
+	svc := d.Node(client).Services()
+	run := id.NewRun()
+	snap := evidence.RequestSnapshot{
+		Run:       run,
+		Client:    client,
+		Server:    server,
+		Service:   "urn:org:manufacturer/orders",
+		Operation: "PlaceOrder",
+		Protocol:  invoke.ProtocolDirect,
+	}
+	reqDigest, err := snap.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nro, err := svc.Issuer.Issue(evidence.KindNRO, run, 1, reqDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := invoke.NewRequestMessage(invoke.ProtocolVoluntary, run, snap, nro)
+	if _, err := d.Node(client).Coordinator().DeliverRequest(context.Background(), server, msg); !errors.Is(err, invoke.ErrEvidenceInvalid) {
+		t.Fatalf("DeliverRequest = %v, want ErrEvidenceInvalid", err)
+	}
+	if calls.Load() != 0 {
+		t.Fatal("a request naming another protocol reached the component")
+	}
+}
+
 func TestVoluntaryBaseline(t *testing.T) {
 	t.Parallel()
 	d := testpki.MustDomain(client, server)
@@ -433,6 +472,7 @@ func TestFairResolveOnWithheldReceipt(t *testing.T) {
 		t.Fatalf("status = %v", res.Status)
 	}
 	// The server's watchdog must obtain a substitute receipt.
+	d.Realm.Clock.Advance(30 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		_, resolved, err := srv.ReceiptState(res.Run)
@@ -459,6 +499,63 @@ func TestFairResolveOnWithheldReceipt(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("substitute receipt not in server log")
+	}
+}
+
+// TestFairResolveRunsOnTheCoordinatorClock: the receipt timeout elapses on
+// the server's clock, not wall time — no resolve however long the wall
+// clock runs before the clock reaches it, and exactly one once it has.
+func TestFairResolveRunsOnTheCoordinatorClock(t *testing.T) {
+	t.Parallel()
+	const timeout = time.Millisecond
+	d := testpki.MustDomain(client, server, ttp)
+	defer d.Close()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec,
+		invoke.ForProtocol(invoke.ProtocolFair),
+		invoke.WithRecovery(ttp, timeout))
+	defer srv.Close()
+	resolver := invoke.NewResolveService(d.Node(ttp).Coordinator())
+	cli := invoke.NewClient(d.Node(client).Coordinator(),
+		invoke.WithOfflineTTP(ttp), invoke.WithholdReceipt())
+
+	res, err := cli.Invoke(context.Background(), server, orderRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Realm.Clock.Advance(timeout - time.Nanosecond)
+	time.Sleep(50 * timeout)
+	if _, resolved, err := srv.ReceiptState(res.Run); err != nil || resolved {
+		t.Fatalf("resolved before the receipt timeout elapsed on the clock (%v)", err)
+	}
+	if decided, _, err := resolver.Decision(res.Run); err != nil || decided {
+		t.Fatalf("TTP decided before the receipt timeout (decided=%v, %v)", decided, err)
+	}
+
+	d.Realm.Clock.Advance(time.Nanosecond)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, resolved, err := srv.ReceiptState(res.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resolved {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never resolved the withheld receipt")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.Realm.Clock.Advance(timeout)
+	var substitutes int
+	for _, rec := range testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run}) {
+		if rec.Token.Kind == evidence.KindSubstitute {
+			substitutes++
+		}
+	}
+	if substitutes != 1 {
+		t.Fatalf("server logged %d substitute receipts, want 1", substitutes)
 	}
 }
 

@@ -86,7 +86,7 @@ func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pro
 	// Police access to the trust domain: only well-evidenced requests
 	// pass (trusted-interceptor assumption 4).
 	nro := msg.Token(evidence.KindNRO)
-	a, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	a, err := checkRequest(svc.Verifier, inline, msg.Run, &snap, nro)
 	if err != nil {
 		return nil, err
 	}

@@ -329,6 +329,7 @@ func TestAbortAlreadyResolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Realm.Clock.Advance(30 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		decided, resolved, err := resolver.Decision(res.Run)

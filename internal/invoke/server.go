@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nonrep/internal/bounded"
+	"nonrep/internal/clock"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
@@ -238,7 +239,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	// The request is passed to the server only if the client provides
 	// valid NRO of the request (section 3.2).
 	nro := msg.Token(evidence.KindNRO)
-	a, err := checkRequest(svc.Verifier, msg.Run, &snap, nro)
+	a, err := checkRequest(svc.Verifier, s.d, msg.Run, &snap, nro)
 	if err != nil {
 		return nil, err
 	}
@@ -691,17 +692,19 @@ func (s *Server) settleLocked(run id.Run, rs *serverRun) {
 }
 
 // watchReceipt resolves through the TTP if the receipt does not arrive in
-// time.
+// time on the coordinator's clock. The timer starts before the reply
+// leaves (answer), so the receipt timeout runs from a point the client
+// cannot see past.
 func (s *Server) watchReceipt(rs *serverRun, run id.Run) {
+	timer := clock.NewTimer(s.co.Services().Clock, s.receiptTimeout)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		timer := time.NewTimer(s.receiptTimeout)
 		defer timer.Stop()
 		select {
 		case <-rs.receipt:
 		case <-s.closed:
-		case <-timer.C:
+		case <-timer.C():
 			_ = s.resolve(context.Background(), rs, run)
 		}
 	}()

@@ -374,7 +374,6 @@ func TestGeoServiceRejects(t *testing.T) {
 		{"geo", protocol.NewGeoService(f.coC, nil), protocol.KindGeoAppend},
 		{"subscription", protocol.NewSubService(f.coC, vC), ""},
 		{"feed", protocol.NewSubClient(f.coC), ""},
-		{"hello", invoke.NewHelloService(f.coC), ""},
 		{"resolve", invoke.NewResolveService(f.coC), ""},
 		{"epm", ttp.NewEPM(f.coC), ""},
 		{"sharing", sharing.NewController(f.coC), ""},

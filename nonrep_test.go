@@ -39,7 +39,7 @@ func ordersDescriptor() nonrep.Descriptor {
 	return nonrep.Descriptor{
 		Service: ordersURI,
 		Methods: map[string]nonrep.MethodPolicy{
-			"Place": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Place": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 }
@@ -354,7 +354,9 @@ func TestDomainInlineTTPRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	relay.EnableRelay(nil)
-	if err := server.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+	desc := ordersDescriptor()
+	desc.Methods["Place"] = nonrep.MethodPolicy{NonRepudiation: true, Protocols: []string{nonrep.ProtocolInline}}
+	if err := server.Deploy(desc, &Orders{}); err != nil {
 		t.Fatal(err)
 	}
 	server.Serve()
@@ -443,8 +445,9 @@ func TestCertRolesActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.AccessControl().Require(ordersURI, "Place", "dealer")
-	if err := server.Deploy(ordersDescriptor(), &Orders{}); err != nil {
+	desc := ordersDescriptor()
+	desc.Methods["Place"] = nonrep.MethodPolicy{Roles: []nonrep.Role{"dealer"}}
+	if err := server.Deploy(desc, &Orders{}); err != nil {
 		t.Fatal(err)
 	}
 	server.Serve()

@@ -90,7 +90,7 @@ func TestFlushPrecedesLateReceipt(t *testing.T) {
 	}
 	const svc = "urn:org:late-primary/orders"
 	if err := primary.Deploy(Descriptor{Service: svc, Methods: map[string]MethodPolicy{
-		"Place": {NonRepudiation: true, Protocol: ProtocolDirect},
+		"Place": {NonRepudiation: true, Protocols: []string{ProtocolDirect}},
 	}}, placer{}); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestReplicationDisasterRecovery(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:b/echo",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Echo": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Echo": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := b.Deploy(desc, echoComponent{}); err != nil {
@@ -174,7 +174,7 @@ func TestHostedOrgReplication(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:hosted-b/echo",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Echo": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Echo": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := b.Deploy(desc, echoComponent{}); err != nil {

@@ -65,7 +65,7 @@ func TestStreamedInvocationOver16MiBTCP(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:archive/docs",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Stamp": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Stamp": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := b.Deploy(desc, transformComponent{}); err != nil {

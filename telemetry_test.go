@@ -99,7 +99,7 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:archive/docs",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Stamp": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Stamp": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := server.Deploy(desc, transformComponent{}); err != nil {
@@ -108,7 +108,7 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	countDesc := nonrep.Descriptor{
 		Service: "urn:org:archive/count",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Bump": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Bump": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := server.Deploy(countDesc, counterComponent{}); err != nil {
@@ -273,7 +273,7 @@ func TestHostedTelemetryPerTenantAttribution(t *testing.T) {
 	desc := nonrep.Descriptor{
 		Service: "urn:org:hosted-server/count",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Bump": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Bump": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 	if err := server.Deploy(desc, counterComponent{}); err != nil {
@@ -431,7 +431,7 @@ func ordersDescriptor2() nonrep.Descriptor {
 	return nonrep.Descriptor{
 		Service: "urn:org:primary/orders2",
 		Methods: map[string]nonrep.MethodPolicy{
-			"Place": {NonRepudiation: true, Protocol: nonrep.ProtocolDirect},
+			"Place": {NonRepudiation: true, Protocols: []string{nonrep.ProtocolDirect}},
 		},
 	}
 }
