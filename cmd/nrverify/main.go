@@ -34,7 +34,7 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records are stored in ("binary" is segment format 8, "binary-v7" to
+// records are stored in ("binary" is segment format 9, "binary-v8" to
 // "binary-v1" and "json" the formats before it) and its index ("binary"
 // is index version 4, "binary-v3", "binary-v2" and "json" the versions
 // before it), the bytes each takes per record — of the index's, those
@@ -42,8 +42,10 @@
 // plain and how many follow a leader (with the
 // bytes a frame of each sort takes), then the vault's total, how many
 // plain frames take their parties from a party source and how many
-// followers borrow their signature from the frame before them, then per
-// token kind the records, their mean frame and the mean bytes their notes
+// followers borrow their signature from the frame before them, per frame
+// type how many frames take their signer from the frame they lean on and
+// how their parties travel (the same, mirrored, by reference or spelled
+// out), then per token kind the records, their mean frame and the mean bytes their notes
 // take stored as vocabulary codes, structured JSON trees and text. A
 // segment that does not decode in full is an error (exit 2).
 //
@@ -603,6 +605,17 @@ func sizesVault(dir string) int {
 		records-frames.Followers, perRecord(plainBytes, records-frames.Followers), frames.PartyBorrowers,
 		perRecord(frames.PartyBorrowerBytes, frames.PartyBorrowers), frames.Followers,
 		perRecord(frames.FollowerBytes, frames.Followers), frames.SigBorrowers, perRecord(frames.SigBorrowerBytes, frames.SigBorrowers))
+	// What the frames that lean on another take from it: a follower from
+	// its leader, a plain frame from its party source.
+	for _, f := range []struct {
+		name   string
+		frames int
+		lend   store.Lending
+	}{{"plain frames", records - frames.Followers, frames.Plain}, {"followers", frames.Followers, frames.Follow}} {
+		p := f.lend.Parties
+		fmt.Printf("lending, %s: %d of %d taking their signer from their lender; parties %d same, %d mirrored, %d referenced, %d spelled out\n",
+			f.name, f.lend.Signers, f.frames, p[store.PartiesSame], p[store.PartiesMirrored], p[store.PartiesReferenced], p[store.PartiesSpelled])
+	}
 
 	// What each token kind takes, and how its notes are stored: B/record
 	// of coded, structured and literal notes add up to its notes' mean.

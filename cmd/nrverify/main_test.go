@@ -172,6 +172,50 @@ func TestSizesCountsBorrowersAndRefusesDamage(t *testing.T) {
 	}
 }
 
+// TestSizesReportsLending: -sizes says, per frame type, how many frames
+// take their signer from the frame they lean on and how their parties
+// travel. Four calls, one commit each: the first request spells its
+// parties out, the three after it take theirs and their signer from it;
+// every receipt and response follows its request, mirroring its parties
+// and taking its signer.
+func TestSizesReportsLending(t *testing.T) {
+	realm := testpki.MustRealm(client, server)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(p, to id.Party, kind evidence.Kind, run id.Run, step int, what string) *evidence.Token {
+		tok, err := realm.Party(p).Issuer.Issue(kind, run, step, sig.Sum([]byte(what)), evidence.WithRecipients(to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	for i := 0; i < 4; i++ {
+		run := id.NewRun()
+		if _, err := v.AppendGroup([]store.Entry{
+			{Dir: store.Received, Token: issue(client, server, evidence.KindNRO, run, 1, "request"), Note: "request origin"},
+			{Dir: store.Generated, Token: issue(server, client, evidence.KindNRR, run, 2, "request"), Note: "request receipt"},
+			{Dir: store.Generated, Token: issue(server, client, evidence.KindNROResp, run, 3, "response"), Note: "response origin (ok)"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, out := captured(t, func() int { return sizesVault(dir) })
+	for _, want := range []string{
+		"lending, plain frames: 3 of 4 taking their signer from their lender; parties 3 same, 0 mirrored, 0 referenced, 1 spelled out",
+		"lending, followers: 8 of 8 taking their signer from their lender; parties 0 same, 8 mirrored, 0 referenced, 0 spelled out",
+	} {
+		if code != 0 || !strings.Contains(out, want) {
+			t.Fatalf("sizes: exit %d, want %q\n%s", code, want, out)
+		}
+	}
+}
+
 // TestBundleReportsBindingFaults: every log of a bundle can audit clean —
 // each record chained, each token validly signed — while a run's tokens
 // are bound to different messages. The bundle's verdict is FAULTY then,

@@ -170,6 +170,30 @@ func AppendPackedID(b []byte, s string) []byte {
 	return b
 }
 
+// IsHex reports whether s is exactly n bytes' worth of lowercase hex
+// digits: the shape AppendHex packs into n raw bytes with no header, the
+// enclosing codec's flag saying the shape instead.
+func IsHex(s string, n int) bool {
+	if len(s) != 2*n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if nibble[s[i]] > 15 {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendHex appends the raw bytes the lowercase hex digits of s spell;
+// s must satisfy IsHex.
+func AppendHex(b []byte, s string) []byte {
+	for i := 0; i+1 < len(s); i += 2 {
+		b = append(b, nibble[s[i]]<<4|nibble[s[i+1]])
+	}
+	return b
+}
+
 // nibble maps a lowercase hex digit to its value and every other byte
 // to 0xFF.
 var nibble = func() (t [256]byte) {
@@ -454,5 +478,19 @@ func (r *BinReader) PackedID() string {
 		out = make([]byte, 0, need)
 	}
 	out = append(out, prefix...)
+	return string(hex.AppendEncode(out, raw))
+}
+
+// Hex decodes what AppendHex wrote for n bytes: their lowercase hex.
+func (r *BinReader) Hex(n int) string {
+	raw := r.Raw(n)
+	if r.err != nil {
+		return ""
+	}
+	var small [64]byte // nonce shapes fit: one allocation, the string
+	out := small[:0]
+	if need := hex.EncodedLen(n); need > len(small) {
+		out = make([]byte, 0, need)
+	}
 	return string(hex.AppendEncode(out, raw))
 }

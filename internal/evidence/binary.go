@@ -2,6 +2,7 @@ package evidence
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 
 	"nonrep/internal/canon"
@@ -11,18 +12,40 @@ import (
 )
 
 // Presence and mode bits of a binary token, packed into one leading
-// varint together with the signature's own presence bits. The two
-// fields almost every token has come first, so the common bitmap is a
+// varint together with the signature's own presence bits. The fields
+// almost every token has come first — its recipients, its service, a
+// generated nonce and a 64-byte signature — so the common bitmap is a
 // single byte.
 const (
 	flagRecipients = 1 << iota
 	flagService
-	flagTxn
-	flagTimestamp
+	// flagNonce: the nonce is nonceLen bytes' worth of lowercase hex
+	// digits, written as those bytes raw, without a header.
+	flagNonce
+	// flagSigBytes: the signature's bytes are sig.FixedBytesLen long,
+	// written raw, without a length.
+	flagSigBytes
 
 	issuedModeShift = 4 // two bits: the canon.TimeMode of IssuedAt
-	sigFlagShift    = 6 // sig.BinaryFlagBits bits: the signature's presence bits
+
+	flagTxn       = 1 << 6
+	flagTimestamp = 1 << 7
+	sigFlagShift  = 8 // sig.BinaryFlagBits bits: the signature's presence bits
 )
+
+// The bits of the token layout of segment formats 2 to 8, which had no
+// fixed-shape fields: the transaction and time-stamp bits where the
+// nonce and signature-bytes bits are now, the signature's presence bits
+// from bit 6.
+const (
+	flagTxnV8       = 1 << 2
+	flagTimestampV8 = 1 << 3
+	sigFlagShiftV8  = 6
+)
+
+// nonceLen is the length of the nonces an Issuer generates, in bytes:
+// 16 lowercase hex digits.
+const nonceLen = 8
 
 // kindCodes is the one-byte vocabulary of token kinds; index 0 is
 // reserved for "literal string follows". Codes are part of the segment
@@ -48,33 +71,64 @@ func kindCode(k Kind) byte {
 // written shortly before it in the same file instead of spelling them
 // out again — from its leader, the self-contained frame of its run that
 // a follower frame leans on, or from a party source, the self-contained
-// frame of another run a run's own self-contained frame leans on. A
-// follower's run is always its leader's: that is what makes a frame a
-// follower. Each bit is set only where the lender holds exactly the
-// field's value, so decoding reproduces it byte for byte. The bits are
-// part of the segment format.
+// frame of another run a run's own self-contained frame leans on; both
+// are its lender. A follower's run is always its leader's: that is what
+// makes a frame a follower. Each bit is set only where decoding
+// reproduces the field byte for byte from the lender. One layout serves
+// followers and plain frames alike; the bits are part of the segment
+// format.
 const (
 	// BorrowTxn: the transaction is the lender's.
 	BorrowTxn = 1 << iota
-	// BorrowIssuer: the issuer is a one-byte reference into the lender's
-	// party list — 1 its issuer, 2.. its recipients.
-	BorrowIssuer
-	// BorrowRecipients: every recipient is such a reference.
-	BorrowRecipients
+	partyLow
+	partyHigh
 	// BorrowService: the service is the lender's.
 	BorrowService
 	// BorrowDigest: the digest is the lender's.
 	BorrowDigest
-	// BorrowKeyID: the signature's key id is the lender's. Only a party
-	// source lends it: a follower's signature is its own or its mate's,
-	// whole.
-	BorrowKeyID
+	// BorrowSigner: the signature's algorithm is the lender's, and its key
+	// id is the token's issuer followed by the lender's key-id suffix —
+	// what the lender's key id adds to the lender's issuer — so two
+	// parties who name their keys alike share the rule. A token that
+	// borrows its whole signature from a mate has none to take.
+	BorrowSigner
 
-	// PartyBits is how many low bits of a party mask are the token's, and
-	// BorrowBits how many of a follower's borrow mask; the enclosing frame
-	// owns the rest.
-	PartyBits  = iota
-	BorrowBits = PartyBits - 1
+	// MaskBits is how many low bits of a borrow mask are the token's; the
+	// enclosing frame owns the rest.
+	MaskBits = iota
+)
+
+// Party forms: bits 1 and 2 of a borrow mask, how the token's issuer and
+// recipients travel.
+const (
+	// PartiesSpelled: each party is written out.
+	PartiesSpelled = 0
+	// PartiesReferenced: each party is a one-byte reference into the
+	// lender's party list — 1 its issuer, 2.. its recipients — or 0 and
+	// the party written out.
+	PartiesReferenced = partyLow
+	// PartiesSame: the issuer and recipients are the lender's.
+	PartiesSame = partyHigh
+	// PartiesMirrored: the lender has one recipient, the token's issuer,
+	// and the token's one recipient is the lender's issuer.
+	PartiesMirrored = partyLow | partyHigh
+
+	// PartyMask selects the party form of a borrow mask.
+	PartyMask = partyLow | partyHigh
+)
+
+// The borrow bits of segment formats 2 to 8 that the current layout does
+// not keep: the issuer and the recipients borrowed apart, each party as a
+// reference with no literal escape, and a party source's key id taken
+// only when it is exactly the token's. BorrowTxn, BorrowService and
+// BorrowDigest are the bits they were. A follower's mask had
+// BorrowBitsV8 token bits, a party source's PartyBitsV8.
+const (
+	BorrowIssuerV8     = partyLow
+	BorrowRecipientsV8 = partyHigh
+	BorrowKeyIDV8      = BorrowSigner
+	BorrowBitsV8       = 5
+	PartyBitsV8        = 6
 )
 
 // Lenders are what a token's binary form leans on instead of writing it
@@ -84,11 +138,11 @@ type Lenders struct {
 	// token's run: the run is taken from it, and the fields Borrow names.
 	Leader *Token
 	// Source is the token of the frame a self-contained frame takes its
-	// parties from: the run is written, and the fields Borrow names —
-	// BorrowKeyID among them — are taken.
+	// parties from: the run is written, and the fields Borrow names are
+	// taken.
 	Source *Token
-	// Borrow is what t.BorrowFrom allowed of Leader or Source: at most
-	// BorrowBits bits with a leader, PartyBits with a source.
+	// Borrow is what t.BorrowFrom allowed of Leader or Source, at most
+	// MaskBits bits, BorrowSigner not with a mate.
 	Borrow uint8
 	// Mate is the token whose signature t.MatesWith accepted: the
 	// signature is not written at all, key id included.
@@ -120,9 +174,12 @@ func (t *Token) partyRef(p id.Party) byte {
 	return 0
 }
 
-// partyAt reads a reference partyRef wrote.
-func (t *Token) partyAt(r *canon.BinReader) id.Party {
+// partyAt reads a reference partyRef wrote; with literal, a reference of
+// 0 says the party follows written out.
+func (t *Token) partyAt(r *canon.BinReader, literal bool) id.Party {
 	switch ref := int(r.Byte()); {
+	case ref == 0 && literal:
+		return id.Party(r.ValidString())
 	case ref == 1:
 		return t.Issuer
 	case ref >= 2 && ref-2 < len(t.Recipients):
@@ -133,34 +190,56 @@ func (t *Token) partyAt(r *canon.BinReader) id.Party {
 	}
 }
 
-// BorrowFrom reports which fields t may take from lender, BorrowKeyID
-// included; a follower, whose lender is its leader, leaves that bit out.
+// keySuffix is what t's key id adds to its issuer; false when the key id
+// does not extend the issuer.
+func (t *Token) keySuffix() (string, bool) {
+	kid := t.Signature.KeyID
+	if !strings.HasPrefix(kid, string(t.Issuer)) {
+		return "", false
+	}
+	return kid[len(t.Issuer):], true
+}
+
+// BorrowFrom reports which fields t may take from lender, and in which
+// form its parties travel. A frame whose token borrows its signature
+// from a mate leaves BorrowSigner out.
 func (t *Token) BorrowFrom(lender *Token) (borrow uint8) {
 	if t.Txn != "" && t.Txn == lender.Txn {
 		borrow |= BorrowTxn
 	}
-	if lender.partyRef(t.Issuer) != 0 {
-		borrow |= BorrowIssuer
-	}
-	if len(t.Recipients) > 0 {
-		borrow |= BorrowRecipients
-		for _, p := range t.Recipients {
-			if lender.partyRef(p) == 0 {
-				borrow &^= BorrowRecipients
-				break
-			}
-		}
-	}
+	borrow |= t.partiesFrom(lender)
 	if t.Service != "" && t.Service == lender.Service {
 		borrow |= BorrowService
 	}
 	if t.Digest == lender.Digest {
 		borrow |= BorrowDigest
 	}
-	if t.Signature.KeyID == lender.Signature.KeyID {
-		borrow |= BorrowKeyID
+	if own, ok := t.keySuffix(); ok && t.Signature.Algorithm == lender.Signature.Algorithm {
+		if suffix, ok := lender.keySuffix(); ok && own == suffix {
+			borrow |= BorrowSigner
+		}
 	}
 	return borrow
+}
+
+// partiesFrom is the party form in which t's parties travel beside
+// lender: the same or mirrored where they are, referenced where at least
+// one of them is in lender's list, spelled out otherwise.
+func (t *Token) partiesFrom(lender *Token) uint8 {
+	switch {
+	case t.Issuer == lender.Issuer && slices.Equal(t.Recipients, lender.Recipients):
+		return PartiesSame
+	case len(t.Recipients) == 1 && len(lender.Recipients) == 1 && t.Issuer == lender.Recipients[0] && t.Recipients[0] == lender.Issuer:
+		return PartiesMirrored
+	case lender.partyRef(t.Issuer) != 0:
+		return PartiesReferenced
+	}
+	for _, p := range t.Recipients {
+		if lender.partyRef(p) != 0 {
+			return PartiesReferenced
+		}
+	}
+	return PartiesSpelled
 }
 
 // MatesWith reports whether t's signature is the one mate's implies — t
@@ -221,32 +300,45 @@ func sameRuns(a, b [][]byte) bool {
 	return true
 }
 
-// AppendBinary appends the binary encoding of the token. The signed
-// form remains the canonical JSON of its TBS fields — binary is a carrier,
-// and every compaction below is exact or not applied, so DecodeBinary
-// reproduces a token whose canonical JSON (and hence TBSDigest and
-// signature validity) is unchanged: the kind as a one-byte code, run,
-// transaction and nonce packed to raw bytes when they are the generated
-// hex shapes, IssuedAt as a nanosecond delta from base (the enclosing
-// record's time; 0 when that is not in nanosecond form), service and
-// key id as suffixes of the issuer or recipient URI they extend, and
-// absent optional fields as cleared bits rather than empty markers.
+// AppendBinary appends the binary encoding of the token (segment
+// format 9). The signed form remains the canonical JSON of its TBS fields
+// — binary is a carrier, and every compaction below is exact or not
+// applied, so DecodeBinary reproduces a token whose canonical JSON (and
+// hence TBSDigest and signature validity) is unchanged: the kind as a
+// one-byte code, run and transaction packed to raw bytes when they are
+// the generated hex shapes, a generated nonce and a 64-byte signature as
+// their raw bytes without a header, IssuedAt as a nanosecond delta from
+// base (the enclosing record's time; 0 when that is not in nanosecond
+// form), service and key id as suffixes of the issuer or recipient URI
+// they extend, and absent optional fields as cleared bits rather than
+// empty markers.
 //
 // With a leader — which must be of t's run — the run is not written, and
 // with a leader or a source neither is any field lend.Borrow names; with
 // a mate the signature is not written at all, key id included, and its
 // presence bits are clear.
 func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, error) {
+	lender, borrow := lend.lender(), lend.Borrow
+	if lender == nil {
+		borrow = 0
+	}
 	issuedMode := canon.ModeOfTime(t.IssuedAt)
 	flags := uint64(issuedMode) << issuedModeShift
 	if lend.Mate == nil {
 		flags |= t.Signature.BinaryFlags() << sigFlagShift
+		if t.Signature.FixedBytes() {
+			flags |= flagSigBytes
+		}
 	}
 	if len(t.Recipients) > 0 {
 		flags |= flagRecipients
 	}
 	if t.Service != "" {
 		flags |= flagService
+	}
+	nonce := canon.IsHex(t.Nonce, nonceLen)
+	if nonce {
+		flags |= flagNonce
 	}
 	if t.Txn != "" {
 		flags |= flagTxn
@@ -261,10 +353,6 @@ func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, erro
 	if code == 0 {
 		dst = canon.AppendString(dst, string(t.Kind))
 	}
-	lender, borrow := lend.lender(), lend.Borrow
-	if lender == nil {
-		borrow = 0
-	}
 	if lend.Leader == nil {
 		dst = canon.AppendPackedID(dst, string(t.Run))
 	}
@@ -272,18 +360,16 @@ func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, erro
 		dst = canon.AppendPackedID(dst, string(t.Txn))
 	}
 	dst = canon.AppendVarint(dst, int64(t.Step))
-	if borrow&BorrowIssuer != 0 {
-		dst = append(dst, lender.partyRef(t.Issuer))
-	} else {
-		dst = canon.AppendString(dst, string(t.Issuer))
-	}
-	if len(t.Recipients) > 0 {
-		dst = canon.AppendUvarint(dst, uint64(len(t.Recipients)))
-		for _, p := range t.Recipients {
-			if borrow&BorrowRecipients != 0 {
-				dst = append(dst, lender.partyRef(p))
-			} else {
-				dst = canon.AppendString(dst, string(p))
+	if form := borrow & PartyMask; form == PartiesSpelled || form == PartiesReferenced {
+		refs := lender // where parties are referenced
+		if form == PartiesSpelled {
+			refs = nil
+		}
+		dst = appendParty(dst, refs, t.Issuer)
+		if len(t.Recipients) > 0 {
+			dst = canon.AppendUvarint(dst, uint64(len(t.Recipients)))
+			for _, p := range t.Recipients {
+				dst = appendParty(dst, refs, p)
 			}
 		}
 	}
@@ -297,17 +383,33 @@ func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	dst = canon.AppendPackedID(dst, t.Nonce)
+	if nonce {
+		dst = canon.AppendHex(dst, t.Nonce)
+	} else {
+		dst = canon.AppendPackedID(dst, t.Nonce)
+	}
 	if lend.Mate == nil {
-		if borrow&BorrowKeyID == 0 {
-			dst = t.appendRooted(dst, t.Signature.KeyID)
+		if borrow&BorrowSigner == 0 {
+			dst = append(t.appendRooted(dst, t.Signature.KeyID), byte(t.Signature.Algorithm))
 		}
-		dst = t.Signature.AppendBinary(dst)
+		dst = t.Signature.AppendBinaryBody(dst, flags&flagSigBytes != 0)
 	}
 	if t.Timestamp != nil {
 		return t.Timestamp.AppendBinary(dst)
 	}
 	return dst, nil
+}
+
+// appendParty writes p out, or with refs as its reference in refs' party
+// list — 0 and p written out when it has none.
+func appendParty(dst []byte, refs *Token, p id.Party) []byte {
+	if refs != nil {
+		ref := refs.partyRef(p)
+		if dst = append(dst, ref); ref != 0 {
+			return dst
+		}
+	}
+	return canon.AppendString(dst, string(p))
 }
 
 // maxRootRef is the highest party reference a rooted string can carry:
@@ -350,26 +452,55 @@ func (t *Token) decodeRooted(r *canon.BinReader) string {
 	}
 }
 
-// DecodeBinary decodes a token from r into t, with the base and lenders
-// AppendBinary was given. A borrow bit for a field the token does not
-// have, or the lender has nothing to lend, or one a follower may not
-// borrow, is refused, and so is a mate without a batch path or a token that
-// borrows its signature yet says it has one of its own. All variable-length data is copied out of the reader's
-// buffer: decoded tokens escape into query results and protocol state
-// that outlive the source buffer (which may be an mmapped segment); what
-// is borrowed is shared with the lender's token, strings both.
+// DecodeBinary decodes a token of segment format 9 from r into t, with
+// the base and lenders AppendBinary was given. A borrow bit for a field
+// the token does not have, or the lender has nothing to lend, is refused,
+// and so are parties the same as or mirroring a lender whose party list
+// cannot give them, a signer taken from a lender whose key id does not
+// extend its issuer, a mate without a batch path and a token that borrows
+// its signature yet says it has one of its own. All variable-length data
+// is copied out of the reader's buffer: decoded tokens escape into query
+// results and protocol state that outlive the source buffer (which may be
+// an mmapped segment); what is borrowed is shared with the lender's
+// token, strings both.
 func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
+	t.decodeBinary(r, base, lend, false)
+}
+
+// DecodeBinaryV8 decodes a token of segment formats 2 to 8 — the layout
+// without fixed-shape fields or party forms, whose borrow masks carry the
+// V8 bits — with the base and lenders its frame gives. Nothing writes
+// this layout any more; segments that hold it stay readable.
+func (t *Token) DecodeBinaryV8(r *canon.BinReader, base int64, lend Lenders) {
+	t.decodeBinary(r, base, lend, true)
+}
+
+func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bool) {
 	flags := r.Uvarint()
 	lender, borrow, mate := lend.lender(), lend.Borrow, lend.Mate
-	bits := BorrowBits
-	if lend.Leader == nil {
-		bits = PartyBits
+	txnBit, stampBit, shift, bits := uint64(flagTxn), uint64(flagTimestamp), sigFlagShift, MaskBits
+	if v8 {
+		txnBit, stampBit, shift, bits = flagTxnV8, flagTimestampV8, sigFlagShiftV8, PartyBitsV8
+		if lend.Leader != nil {
+			bits = BorrowBitsV8
+		}
 	}
-	if flags>>(sigFlagShift+sig.BinaryFlagBits) != 0 || borrow>>bits != 0 || (lender == nil && borrow != 0) ||
-		(lend.Leader != nil && lend.Source != nil) || (mate != nil && flags>>sigFlagShift != 0) ||
-		(borrow&BorrowTxn != 0 && (flags&flagTxn == 0 || lender.Txn == "")) ||
-		(borrow&BorrowRecipients != 0 && flags&flagRecipients == 0) ||
+	parties := borrow & PartyMask
+	if flags>>(shift+sig.BinaryFlagBits) != 0 || borrow>>bits != 0 || (lender == nil && borrow != 0) ||
+		(lend.Leader != nil && lend.Source != nil) || (mate != nil && flags>>shift != 0) ||
+		(borrow&BorrowTxn != 0 && (flags&txnBit == 0 || lender.Txn == "")) ||
 		(borrow&BorrowService != 0 && (flags&flagService == 0 || lender.Service == "")) {
+		r.Fail(canon.ErrBinary)
+		return
+	}
+	if v8 {
+		if borrow&BorrowRecipientsV8 != 0 && flags&flagRecipients == 0 {
+			r.Fail(canon.ErrBinary)
+			return
+		}
+	} else if (mate != nil && flags&flagSigBytes != 0) || (mate != nil && borrow&BorrowSigner != 0) ||
+		(parties == PartiesSame && (flags&flagRecipients != 0) != (len(lender.Recipients) > 0)) ||
+		(parties == PartiesMirrored && (flags&flagRecipients == 0 || len(lender.Recipients) != 1)) {
 		r.Fail(canon.ErrBinary)
 		return
 	}
@@ -389,20 +520,27 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
 	switch {
 	case borrow&BorrowTxn != 0:
 		t.Txn = lender.Txn
-	case flags&flagTxn != 0:
+	case flags&txnBit != 0:
 		t.Txn = id.Txn(r.PackedID())
 	}
 	t.Step = r.Int()
-	if borrow&BorrowIssuer != 0 {
-		t.Issuer = lender.partyAt(r)
-	} else {
-		t.Issuer = id.Party(r.ValidString())
-	}
 	switch {
-	case borrow&BorrowRecipients != 0:
-		t.Recipients = decodeParties(r, lender)
-	case flags&flagRecipients != 0:
-		t.Recipients = decodeParties(r, nil)
+	case v8:
+		t.decodePartiesV8(r, flags, lender, borrow)
+	case parties == PartiesSame:
+		t.Issuer, t.Recipients = lender.Issuer, slices.Clone(lender.Recipients)
+	case parties == PartiesMirrored:
+		t.Issuer, t.Recipients = lender.Recipients[0], []id.Party{lender.Issuer}
+	case parties == PartiesReferenced:
+		t.Issuer = lender.partyAt(r, true)
+		if flags&flagRecipients != 0 {
+			t.Recipients = decodeParties(r, lender, true)
+		}
+	default:
+		t.Issuer = id.Party(r.ValidString())
+		if flags&flagRecipients != 0 {
+			t.Recipients = decodeParties(r, nil, false)
+		}
 	}
 	switch {
 	case borrow&BorrowService != 0:
@@ -416,30 +554,71 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
 		copy(t.Digest[:], r.Raw(sig.DigestSize))
 	}
 	t.IssuedAt = r.Time(canon.TimeMode(flags>>issuedModeShift&3), base)
-	t.Nonce = r.PackedID()
-	if mate != nil {
+	if !v8 && flags&flagNonce != 0 {
+		t.Nonce = r.Hex(nonceLen)
+	} else {
+		t.Nonce = r.PackedID()
+	}
+	switch {
+	case mate != nil:
 		var ok bool
 		if t.Signature, ok = mateSignature(mate); !ok {
 			r.Fail(canon.ErrBinary)
 			return
 		}
-	} else {
-		if borrow&BorrowKeyID != 0 {
+	case v8:
+		if borrow&BorrowKeyIDV8 != 0 {
 			t.Signature.KeyID = lender.Signature.KeyID
 		} else {
 			t.Signature.KeyID = t.decodeRooted(r)
 		}
-		t.Signature.DecodeBinary(r, flags>>sigFlagShift)
+		t.Signature.DecodeBinary(r, flags>>shift)
+	default:
+		if borrow&BorrowSigner != 0 {
+			suffix, ok := lender.keySuffix()
+			switch {
+			case !ok:
+				r.Fail(canon.ErrBinary)
+				return
+			case t.Issuer == lender.Issuer:
+				t.Signature.KeyID = lender.Signature.KeyID // the same string, shared
+			default:
+				t.Signature.KeyID = string(t.Issuer) + suffix
+			}
+			t.Signature.Algorithm = lender.Signature.Algorithm
+		} else {
+			t.Signature.KeyID = t.decodeRooted(r)
+			t.Signature.Algorithm = sig.Algorithm(r.Byte())
+		}
+		t.Signature.DecodeBinaryBody(r, flags>>shift, flags&flagSigBytes != 0)
 	}
-	if flags&flagTimestamp != 0 {
+	if flags&stampBit != 0 {
 		t.Timestamp = new(stamp.Token)
 		t.Timestamp.DecodeBinary(r)
 	}
 }
 
+// decodePartiesV8 reads the parties of a token of formats 2 to 8: the
+// issuer and the recipients each spelled out or, where borrow says so,
+// references into the lender's party list.
+func (t *Token) decodePartiesV8(r *canon.BinReader, flags uint64, lender *Token, borrow uint8) {
+	if borrow&BorrowIssuerV8 != 0 {
+		t.Issuer = lender.partyAt(r, false)
+	} else {
+		t.Issuer = id.Party(r.ValidString())
+	}
+	switch {
+	case borrow&BorrowRecipientsV8 != 0:
+		t.Recipients = decodeParties(r, lender, false)
+	case flags&flagRecipients != 0:
+		t.Recipients = decodeParties(r, nil, false)
+	}
+}
+
 // decodeParties reads a counted party list: strings, or with a lender
-// one-byte references into its party list.
-func decodeParties(r *canon.BinReader, lender *Token) []id.Party {
+// one-byte references into its party list — with literal, 0 and the
+// party written out where it has no reference.
+func decodeParties(r *canon.BinReader, lender *Token, literal bool) []id.Party {
 	n := r.Uvarint()
 	if n == 0 || r.Err() != nil {
 		return nil
@@ -453,7 +632,7 @@ func decodeParties(r *canon.BinReader, lender *Token) []id.Party {
 	out := make([]id.Party, n)
 	for i := range out {
 		if lender != nil {
-			out[i] = lender.partyAt(r)
+			out[i] = lender.partyAt(r, literal)
 		} else {
 			out[i] = id.Party(r.ValidString())
 		}
@@ -471,7 +650,7 @@ func (t *Token) DecodeBinaryV1(r *canon.BinReader) {
 	t.Txn = id.Txn(r.ValidString())
 	t.Step = r.Int()
 	t.Issuer = id.Party(r.ValidString())
-	t.Recipients = decodeParties(r, nil)
+	t.Recipients = decodeParties(r, nil, false)
 	t.Service = id.Service(r.ValidString())
 	copy(t.Digest[:], r.Raw(sig.DigestSize))
 	t.IssuedAt = r.Time(canon.TimeText, 0)

@@ -266,7 +266,7 @@ func (i *Issuer) build(kind Kind, run id.Run, step int, digest sig.Digest, opts 
 		Issuer:   i.Party,
 		Digest:   digest,
 		IssuedAt: i.Clock.Now(),
-		Nonce:    sig.RandomHex(8),
+		Nonce:    sig.RandomHex(nonceLen),
 	}
 	for _, opt := range opts {
 		opt(tok)

@@ -55,14 +55,36 @@ func (s *Signature) BinaryFlags() uint64 {
 	return f
 }
 
+// FixedBytesLen is the length of a signature run a token of segment
+// format 9 writes raw, without a length: an Ed25519 signature's. Only a
+// run of exactly this length travels so; any other is written with its
+// length.
+const FixedBytesLen = 64
+
+// FixedBytes reports whether the signature's bytes have the length a
+// token of segment format 9 writes raw.
+func (s *Signature) FixedBytes() bool { return len(s.Bytes) == FixedBytesLen }
+
 // AppendBinary appends the binary encoding of the signature, all but
 // its key id: key ids are rooted at a party URI the enclosing token
 // already carries, so the token writes the id as a reference plus
 // suffix. Fields follow the canonical JSON order; those BinaryFlags
-// reports absent are skipped.
+// reports absent are skipped. Time-stamp tokens and the evidence tokens
+// of segment formats 2 to 8 lay signatures out so.
 func (s *Signature) AppendBinary(dst []byte) []byte {
-	dst = append(dst, byte(s.Algorithm))
-	if s.Bytes != nil {
+	return s.AppendBinaryBody(append(dst, byte(s.Algorithm)), false)
+}
+
+// AppendBinaryBody appends what AppendBinary writes after the algorithm:
+// the signature's bytes — raw when fixed is set, which the caller may set
+// only where FixedBytes holds and must carry in its own flags — and the
+// optional fields. An evidence token of segment format 9 writes its
+// algorithm apart, or takes it from the token it leans on.
+func (s *Signature) AppendBinaryBody(dst []byte, fixed bool) []byte {
+	switch {
+	case fixed:
+		dst = append(dst, s.Bytes...)
+	case s.Bytes != nil:
 		dst = appendRun(dst, s.Bytes)
 	}
 	if s.Period != 0 {
@@ -91,7 +113,20 @@ func (s *Signature) AppendBinary(dst []byte) []byte {
 // are copied: decoded signatures outlive the buffer they came from.
 func (s *Signature) DecodeBinary(r *canon.BinReader, flags uint64) {
 	s.Algorithm = Algorithm(r.Byte())
-	if flags&flagNilBytes == 0 {
+	s.DecodeBinaryBody(r, flags, false)
+}
+
+// DecodeBinaryBody decodes what AppendBinaryBody wrote, given the flags
+// and fixed as the enclosing codec carried them; Algorithm and KeyID are
+// the caller's to fill. Fixed bytes that flags call nil are refused.
+func (s *Signature) DecodeBinaryBody(r *canon.BinReader, flags uint64, fixed bool) {
+	switch {
+	case fixed && flags&flagNilBytes != 0:
+		r.Fail(canon.ErrBinary)
+		return
+	case fixed:
+		s.Bytes = append(make([]byte, 0, FixedBytesLen), r.Raw(FixedBytesLen)...)
+	case flags&flagNilBytes == 0:
 		s.Bytes = decodeRun(r)
 	}
 	if flags&flagPeriod != 0 {

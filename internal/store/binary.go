@@ -9,12 +9,13 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 8 (the only version written) spends bytes only on what a
+// Version 9 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev and seq are elided when the frame directly follows its
 // predecessor, Hash is never stored — it is a function of the rest of the
 // record, and the decoder computes it exactly as Chainer.Next did — times
-// are nanosecond varints, generated identifiers are raw bytes, kind,
+// are nanosecond varints, generated identifiers are raw bytes (a
+// generated nonce and an Ed25519 signature without even a header), kind,
 // direction and the protocols' fixed log notes are one-byte codes, a note
 // that is canonical JSON is a structured tree (jsonnote.go), and strings
 // that extend one of the frame's own party URIs are written as suffixes.
@@ -32,7 +33,7 @@
 // leader: the newest plain frame of its run among the last leaderRing
 // plain frames of the file, which it names by the distance in bytes from
 // its own start back to the leader's. A plain frame may in turn take its
-// issuer, recipients, service, key id and time from a party source: a
+// issuer, recipients, service, signer and time from a party source: a
 // plain frame among the same last leaderRing that spells them out itself,
 // named the same way. A follower never points at a follower and a party
 // source never takes its parties from another; the first frame of every
@@ -64,37 +65,47 @@
 //	flags (bit 7 set) · [seq · Prev] · back · borrow mask · At ·
 //	direction · note · token · [note tree] · CRC-32C
 //
-// The one-byte borrow mask says, field by field, what is taken from the
-// leader instead of written: bits 0-4 are the token's
-// (evidence.BorrowTxn, BorrowIssuer, BorrowRecipients, BorrowService,
-// BorrowDigest — the transaction, the issuer and each recipient as a
-// one-byte reference into the leader's party list, the service, the
-// digest), bits 5 and 6 are the frame's (borrowAt: At is a nanosecond
-// delta from the leader's At, possible when both travel in the same zone
-// mode; borrowSig: the token writes no signature, and the decoder rebuilds
-// it from the mate's — the same key id, algorithm and bytes, the sibling
-// index, a path of the mate's TBS digest and the rest of the mate's). The
-// token's run is always the leader's. The one-byte party mask says the
-// same of the party source: bits 0-5 are the token's (bits 0-4 as a
-// follower's, bit 5 evidence.BorrowKeyID: the signature's key id is the
-// source's), bit 6 the frame's (partyAt: At is a delta from the source's
-// At). A field whose bit is clear is written as a frame that spells it
-// out writes it.
+// A follower's borrow mask and a plain frame's party mask are one byte of
+// one layout, saying field by field what is taken from the lender — the
+// leader, the party source — instead of written. Bits 0-5 are the
+// token's: evidence.BorrowTxn (the transaction); bits 1-2 the party form
+// (evidence.PartiesSpelled, PartiesReferenced: the issuer and each
+// recipient a one-byte reference into the lender's party list, 0 and the
+// party written out where it has none, PartiesSame: the lender's parties,
+// PartiesMirrored: the lender's issuer and sole recipient swapped);
+// BorrowService and BorrowDigest (the service, the digest); BorrowSigner
+// (the signature's algorithm is the lender's, and its key id the token's
+// issuer followed by what the lender's key id adds to the lender's
+// issuer). Bit 6 is the frame's maskAt: At is a nanosecond delta from the
+// lender's At, possible when both travel in the same zone mode. Bit 7,
+// maskSig, a follower's only: the token writes no signature, and the
+// decoder rebuilds it from the mate's — the same key id, algorithm and
+// bytes, the sibling index, a path of the mate's TBS digest and the rest
+// of the mate's. A follower's run is always its leader's. A field whose
+// bit is clear is written as a frame that spells it out writes it.
 //
 // A note is absent, a one-byte code — 1 to 27 index noteWords, 0 says a
 // structured tree follows the token, whose run, parties and (in a
 // follower) leader digest the tree may refer to — or a length-prefixed
 // string.
 //
-// Version 7 is version 8 with every seq written and no party sources: a
-// plain frame spells out its parties and has no source back. Version 6
+// Version 8 is version 9 with the token layout of versions 2 to 8 —
+// every nonce and signature with a header, every signer written out
+// (a party source's key id taken only when it is exactly the token's),
+// every party as a reference or a string — and masks of their own: a
+// follower's bits 0-4 and a party source's 0-5 are the token's (bit 1
+// the issuer as a reference, bit 2 every recipient as one, bit 5 a party
+// source's key id), a follower's bit 5 and a party source's bit 6 say the
+// At delta, a follower's bit 6 the mate's signature. Version 7 is version
+// 8 with every seq written and no party sources: a plain frame spells out
+// its parties and has no source back. Version 6
 // is version 7 with a leader ring of one: a follower points exactly at
 // the last plain frame (and the writer started every write with a plain
 // frame). Version 5 is version 6 without signature mates, version 4 is
 // version 5 without structured notes, version 3 is version 4 without
 // followers, version 2 is version 3 with the hash stored and the notes
 // spelled out (two more flag bits clear), so one body decoder reads all
-// seven. They, version-1 segments (every field in full, text timestamps)
+// eight. They, version-1 segments (every field in full, text timestamps)
 // and legacy JSON-lines segments (first byte '{') remain readable
 // forever; a stored hash is held to the derived one at decode, so
 // whatever the format, a decoded record's Hash is the digest of its
@@ -152,6 +163,10 @@ const (
 	// EncBinaryV7 is the version-7 binary frame format (every plain frame
 	// spells out its parties, every frame its seq): read, never written.
 	EncBinaryV7
+	// EncBinaryV8 is the version-8 binary frame format (every token writes
+	// its signer, its parties as references and its fixed-shape fields with
+	// headers): read, never written.
+	EncBinaryV8
 )
 
 // String names the encoding.
@@ -175,6 +190,8 @@ func (e Encoding) String() string {
 		return "binary-v6"
 	case EncBinaryV7:
 		return "binary-v7"
+	case EncBinaryV8:
+		return "binary-v8"
 	default:
 		return "unknown"
 	}
@@ -191,23 +208,25 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6 || e == EncBinaryV7
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6 || e == EncBinaryV7 || e == EncBinaryV8
 }
 
 // structuredNotes reports whether the encoding's frames may store a note
 // as a structured tree (since version 5).
 func (e Encoding) structuredNotes() bool {
-	return e == EncBinary || e == EncBinaryV7 || e == EncBinaryV6 || e == EncBinaryV5
+	return e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 || e == EncBinaryV6 || e == EncBinaryV5
 }
 
 // mates reports whether the encoding's followers may borrow a signature
 // from their mate (since version 6).
-func (e Encoding) mates() bool { return e == EncBinary || e == EncBinaryV7 || e == EncBinaryV6 }
+func (e Encoding) mates() bool {
+	return e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 || e == EncBinaryV6
+}
 
 // ring is how many of a file's latest plain frames a follower of the
 // encoding may lean on: leaderRing since version 7, the last one before.
 func (e Encoding) ring() int {
-	if e == EncBinary || e == EncBinaryV7 {
+	if e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 {
 		return leaderRing
 	}
 	return 1
@@ -216,7 +235,21 @@ func (e Encoding) ring() int {
 // sources reports whether the encoding's plain frames may take their
 // parties from a party source, and its frames that elide Prev elide
 // their seq too (since version 8).
-func (e Encoding) sources() bool { return e == EncBinary }
+func (e Encoding) sources() bool { return e == EncBinary || e == EncBinaryV8 }
+
+// masks are the frame's own bits of a follower's borrow mask and of a
+// plain frame's party mask under the encoding: since version 9 one
+// layout serves both, the token's bits below the at and signature bits.
+func (e Encoding) masks() frameMasks {
+	if e == EncBinary {
+		return frameMasks{followAt: maskAt, sig: maskSig, sourceAt: maskAt}
+	}
+	return frameMasks{followAt: borrowAtV8, sig: borrowSigV8, sourceAt: partyAtV8}
+}
+
+// frameMasks are the frame's own mask bits of an encoding: a follower's
+// at and signature bits, a party source's at bit.
+type frameMasks struct{ followAt, sig, sourceAt uint8 }
 
 // frameFlags is the set of frame flag bits the encoding knows; a frame
 // under its header that sets any other is refused.
@@ -235,8 +268,8 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 8
-	// segmentVersion1 to segmentVersion7 are the superseded formats,
+	SegmentVersion = 9
+	// segmentVersion1 to segmentVersion8 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
@@ -245,6 +278,7 @@ const (
 	segmentVersion5 = 5
 	segmentVersion6 = 6
 	segmentVersion7 = 7
+	segmentVersion8 = 8
 	// leaderRing is how many of a file's latest plain frames a follower may
 	// lean on (since version 7) and a plain frame may take its parties
 	// from (since version 8): a scan refuses a frame that names any other.
@@ -269,7 +303,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 7 from the current one), JSON segments with '{'. Empty data is
+// to 8 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -292,6 +326,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV6
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion7:
 		return EncBinaryV7
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion8:
+		return EncBinaryV8
 	default:
 		return EncBinary
 	}
@@ -326,16 +362,20 @@ const (
 	frameV3Bits = frameNoteCode | frameDerived
 	frameCRCLen = 4
 
-	// borrowAt and borrowSig are the frame's own bits of a follower's
-	// borrow mask, above the token's. borrowAt: At is written relative to
-	// the leader's At. borrowSig (since version 6): the token's signature
-	// is its mate's sibling (evidence.Token.MatesWith) and is not written.
-	// (A bit above them is nobody's: the token decoder refuses it.)
-	borrowAt  = 1 << evidence.BorrowBits
-	borrowSig = borrowAt << 1
-	// partyAt is the frame's own bit of a party mask (since version 8),
-	// above the token's: At is written relative to the party source's At.
-	partyAt = 1 << evidence.PartyBits
+	// maskAt and maskSig are the frame's own bits of a borrow mask, above
+	// the token's. maskAt: At is written relative to the lender's At.
+	// maskSig, a follower's only: the token's signature is its mate's
+	// sibling (evidence.Token.MatesWith) and is not written.
+	maskAt  = 1 << evidence.MaskBits
+	maskSig = maskAt << 1
+
+	// The frame's own mask bits of versions 6 to 8, above the token's: a
+	// follower's at and signature bits, and a party source's at bit (since
+	// version 8). (A bit above them is nobody's: the token decoder
+	// refuses it.)
+	borrowAtV8  = 1 << evidence.BorrowBitsV8
+	borrowSigV8 = borrowAtV8 << 1
+	partyAtV8   = 1 << evidence.PartyBitsV8
 )
 
 // castagnoli is the CRC-32C table (hardware-assisted where the CPU has
@@ -548,11 +588,10 @@ func (r *frameRing) of(run id.Run) (*Record, int64) {
 }
 
 // sourceFor returns the frame held that lends tok the most of its
-// parties — its issuer and recipients first, then its service and key
-// id; the newest of those that lend as much — and where it starts; nil
-// when none lends a party.
+// parties — the same or mirrored before referenced — then its service
+// and signer; the newest of those that lend as much — and where it
+// starts; nil when none lends a party.
 func (r *frameRing) sourceFor(tok *evidence.Token) (*Record, int64) {
-	const parties = evidence.BorrowIssuer | evidence.BorrowRecipients
 	var best *ringFrame
 	bestScore := 0
 	for i := 1; i <= r.n; i++ {
@@ -561,10 +600,16 @@ func (r *frameRing) sourceFor(tok *evidence.Token) (*Record, int64) {
 			continue
 		}
 		b := tok.BorrowFrom(f.rec.Token)
-		if b&parties == 0 {
+		parties := 0
+		switch b & evidence.PartyMask {
+		case evidence.PartiesSpelled:
 			continue
+		case evidence.PartiesReferenced:
+			parties = 1
+		default:
+			parties = 2
 		}
-		score := 4*bits.OnesCount8(b&parties) + bits.OnesCount8(b&(evidence.BorrowService|evidence.BorrowKeyID))
+		score := 4*parties + bits.OnesCount8(b&(evidence.BorrowService|evidence.BorrowSigner))
 		if score > bestScore {
 			best, bestScore = f, score
 		}
@@ -625,24 +670,25 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]
 		flags |= frameToken
 	}
 	lend := evidence.Lenders{Leader: tokenOf(lean.lead), Source: tokenOf(lean.source), Mate: tokenOf(lean.mate)}
-	// mask is a follower's borrow mask or a plain frame's party mask,
-	// lender the frame it borrows from, atBit the mask's bit for its At.
-	var mask, atBit uint8
+	// mask is a follower's or a plain frame's borrow mask, lender the
+	// frame it borrows from.
+	var mask uint8
 	var lender *Record
 	var atBase int64
 	switch {
 	case lean.lead != nil:
 		flags |= frameFollower
-		lender, lend.Borrow, atBit = lean.lead, rec.Token.BorrowFrom(lend.Leader)&(1<<evidence.BorrowBits-1), borrowAt
+		lender, lend.Borrow = lean.lead, rec.Token.BorrowFrom(lend.Leader)
 		if lean.mate != nil {
-			mask |= borrowSig
+			lend.Borrow &^= evidence.BorrowSigner
+			mask |= maskSig
 		}
 	case lean.source != nil:
-		lender, lend.Borrow, atBit = lean.source, rec.Token.BorrowFrom(lend.Source), partyAt
+		lender, lend.Borrow = lean.source, rec.Token.BorrowFrom(lend.Source)
 	}
 	mask |= lend.Borrow
 	if lender != nil && atMode != canon.TimeText && atMode == canon.ModeOfTime(lender.At) {
-		mask |= atBit
+		mask |= maskAt
 		atBase = lender.At.UnixNano()
 	}
 	var noteCode byte
@@ -735,14 +781,57 @@ const (
 	noteForms = iota
 )
 
+// PartyForm is how a frame's token stores its issuer and recipients.
+type PartyForm uint8
+
+// Party forms.
+const (
+	// PartiesSpelled: written out — every frame that leans on no other,
+	// and every frame whose lender knows none of its parties.
+	PartiesSpelled PartyForm = iota
+	// PartiesReferenced: one-byte references into the lender's party list,
+	// a party the list lacks written out.
+	PartiesReferenced
+	// PartiesSame: the lender's, not written (since version 9).
+	PartiesSame
+	// PartiesMirrored: the lender's with issuer and sole recipient swapped,
+	// not written (since version 9).
+	PartiesMirrored
+
+	partyForms = iota
+)
+
+// partyForm reads the party form off a token's borrow bits.
+func partyForm(borrow uint8, enc Encoding) PartyForm {
+	if enc != EncBinary {
+		if borrow&(evidence.BorrowIssuerV8|evidence.BorrowRecipientsV8) != 0 {
+			return PartiesReferenced
+		}
+		return PartiesSpelled
+	}
+	switch borrow & evidence.PartyMask {
+	case evidence.PartiesReferenced:
+		return PartiesReferenced
+	case evidence.PartiesSame:
+		return PartiesSame
+	case evidence.PartiesMirrored:
+		return PartiesMirrored
+	default:
+		return PartiesSpelled
+	}
+}
+
 // frameInfo is what decoding a frame learns about its shape beyond the
-// record: its flags, a follower's borrow mask, whether a plain frame took
-// its parties from a party source, its note's form and the bytes the note
-// takes.
+// record: its flags, whether a follower borrowed its signature from its
+// mate, whether a plain frame took its parties from a party source, how
+// its token's parties travel and whether it took its signer from its
+// lender, its note's form and the bytes the note takes.
 type frameInfo struct {
 	flags     byte
-	borrow    uint8
+	mateSig   bool
 	sourced   bool
+	signer    bool
+	parties   PartyForm
 	note      NoteForm
 	noteBytes int
 }
@@ -774,7 +863,7 @@ type frameLenders struct {
 	mate           mateFunc
 }
 
-// decodeRecordBody decodes one record body of version 2 to 8; prev is the
+// decodeRecordBody decodes one record body of version 2 to 9; prev is the
 // record before it, needed only when the frame elides its Prev, and lend
 // finds what the frame leans on, needed only when it does.
 // A version-2 frame (enc EncBinaryV2, or a frame under a later header
@@ -824,6 +913,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 	// the bit atBit of mask says it is.
 	var lender *Record
 	var mask, atBit uint8
+	own := enc.masks()
 	switch {
 	case flags&frameFollower != 0:
 		back := r.Uvarint()
@@ -834,9 +924,9 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 		if lender, err = lend.leader(back); err != nil {
 			return nil, info, err
 		}
-		tokLend.Leader, tokLend.Borrow = lender.Token, mask&^(borrowAt|borrowSig)
-		info.borrow, atBit = mask, borrowAt
-		if mask&borrowSig != 0 {
+		tokLend.Leader, tokLend.Borrow = lender.Token, mask&^(own.followAt|own.sig)
+		info.mateSig, atBit = mask&own.sig != 0, own.followAt
+		if info.mateSig {
 			if !enc.mates() || lend.mate == nil {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature without its mate", canon.ErrBinary)
 			}
@@ -847,7 +937,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 			if err != nil {
 				return nil, info, err
 			}
-			if minfo.borrow&borrowSig != 0 {
+			if minfo.mateSig {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature from a frame that borrowed its own", canon.ErrBinary)
 			}
 			tokLend.Mate = m.Token
@@ -864,9 +954,11 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 		if lender, err = lend.source(back); err != nil {
 			return nil, info, err
 		}
-		tokLend.Source, tokLend.Borrow = lender.Token, mask&^partyAt
-		info.sourced, atBit = true, partyAt
+		tokLend.Source, tokLend.Borrow = lender.Token, mask&^own.sourceAt
+		info.sourced, atBit = true, own.sourceAt
 	}
+	info.parties = partyForm(tokLend.Borrow, enc)
+	info.signer = enc == EncBinary && tokLend.Borrow&evidence.BorrowSigner != 0
 	var atBase int64
 	if mask&atBit != 0 {
 		if atMode == canon.TimeText || atMode != canon.ModeOfTime(lender.At) {
@@ -903,7 +995,11 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 	if flags&frameToken != 0 && r.Err() == nil {
 		base := tokenTimeBase(rec.At, atMode)
 		rec.Token = new(evidence.Token)
-		rec.Token.DecodeBinary(&r, base, tokLend)
+		if enc == EncBinary {
+			rec.Token.DecodeBinary(&r, base, tokLend)
+		} else {
+			rec.Token.DecodeBinaryV8(&r, base, tokLend)
+		}
 		if info.note == NoteStructured && r.Err() == nil {
 			info.noteBytes += r.Len()
 			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: tokLend.Leader, base: base})
@@ -1402,8 +1498,30 @@ type FrameCount struct {
 	// a party source, and PartyBorrowerBytes the bytes they take.
 	PartyBorrowers     int
 	PartyBorrowerBytes int64
+	// Plain and Follow say what the plain frames and the followers take
+	// from their lenders: their signer, their parties.
+	Plain, Follow Lending
 	// Kinds breaks the frames down by their token's kind.
 	Kinds map[evidence.Kind]*KindCount
+}
+
+// Lending is what the frames of one type take from the frame they lean on
+// — a plain frame's party source, a follower's leader.
+type Lending struct {
+	// Signers counts the frames whose token takes its signer, key id and
+	// algorithm, from its lender (since version 9).
+	Signers int
+	// Parties counts the frames by how their token's parties travel,
+	// indexed by PartyForm: a plain frame without a party source spells
+	// them out.
+	Parties [partyForms]int
+}
+
+func (l *Lending) add(o Lending) {
+	l.Signers += o.Signers
+	for form, n := range o.Parties {
+		l.Parties[form] += n
+	}
 }
 
 // KindCount is what the frames of one token kind take.
@@ -1424,6 +1542,8 @@ func (c *FrameCount) Add(o FrameCount) {
 	c.SigBorrowerBytes += o.SigBorrowerBytes
 	c.PartyBorrowers += o.PartyBorrowers
 	c.PartyBorrowerBytes += o.PartyBorrowerBytes
+	c.Plain.add(o.Plain)
+	c.Follow.add(o.Follow)
 	for kind, k := range o.Kinds {
 		sum := c.kind(kind)
 		sum.Records += k.Records
@@ -1461,18 +1581,24 @@ func CountFrames(data []byte) (FrameCount, error) {
 	var c FrameCount
 	count := func(rec *Record, n int64, info frameInfo) error {
 		c.Frames++
+		lending := &c.Plain
 		if info.flags&frameFollower != 0 {
 			c.Followers++
 			c.FollowerBytes += n
+			lending = &c.Follow
 		}
 		switch {
 		case info.sourced:
 			c.PartyBorrowers++
 			c.PartyBorrowerBytes += n
-		case info.borrow&borrowSig != 0:
+		case info.mateSig:
 			c.SigBorrowers++
 			c.SigBorrowerBytes += n
 		}
+		if info.signer {
+			lending.Signers++
+		}
+		lending.Parties[info.parties]++
 		k := c.kind(rec.Token.Kind)
 		k.Records++
 		k.FrameBytes += n

@@ -248,6 +248,7 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	der := append([]byte{0x30, 0x45}, bytes.Repeat([]byte{0x02}, 0x45)...) // a DER-length ECDSA signature
 	for _, tc := range []struct {
 		name    string
 		at      time.Time
@@ -255,6 +256,9 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 		note    string
 		tok     *evidence.Token
 		literal string // text the frame must carry as is
+		// follows: the frame follows a leader of its run, issued by org to
+		// urn:org:b, whose parties and signer it may take.
+		follows bool
 	}{
 		{name: "compact baseline", at: utc, dir: store.Generated, tok: issue(nil)},
 		{name: "non-UTC at", at: utc.In(time.FixedZone("CEST", 2*3600)), dir: store.Generated, tok: issue(nil)},
@@ -270,6 +274,20 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 			tok: issue(func(tok *evidence.Token) { tok.Txn = "order/2026/17" }), literal: "order/2026/17"},
 		{name: "non-hex nonce", at: utc, dir: store.Generated,
 			tok: issue(func(tok *evidence.Token) { tok.Nonce = "nonce-value" }), literal: "nonce-value"},
+		{name: "upper-case hex nonce", at: utc, dir: store.Generated,
+			tok: issue(func(tok *evidence.Token) { tok.Nonce = "67764135F58C6D24" }), literal: "67764135F58C6D24"},
+		{name: "hex nonce of another length", at: utc, dir: store.Generated, follows: true,
+			tok: issue(func(tok *evidence.Token) { tok.Nonce = "67764135f58c6d2401" })},
+		{name: "ECDSA signature in DER", at: utc, dir: store.Received, follows: true,
+			tok: issue(func(tok *evidence.Token) {
+				tok.Signature.Algorithm, tok.Signature.Bytes = sig.AlgECDSAP256, der
+			}), literal: string(append([]byte{byte(len(der))}, der...))},
+		{name: "key id not the issuer's plus the leader's suffix", at: utc, dir: store.Received, follows: true,
+			tok: issue(func(tok *evidence.Token) { tok.Signature.KeyID += "-2" }), literal: "#key-2"},
+		{name: "three parties", at: utc, dir: store.Received, follows: true,
+			tok: issue(func(tok *evidence.Token) { tok.Recipients = []id.Party{"urn:org:b", "urn:org:c"} }), literal: "urn:org:c"},
+		{name: "parties not mirrored", at: utc, dir: store.Received, follows: true,
+			tok: issue(func(tok *evidence.Token) { tok.Issuer, tok.Recipients = "urn:org:b", []id.Party{"urn:org:c"} }), literal: "urn:org:c"},
 		{name: "empty nonce", at: utc, dir: store.Generated,
 			tok: issue(func(tok *evidence.Token) { tok.Nonce = "" })},
 		{name: "unknown kind word", at: utc, dir: store.Generated,
@@ -295,6 +313,10 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 		{name: "time-stamped", at: utc, dir: store.Generated, tok: stamped},
 		{name: "invalid UTF-8 note, normalised", at: utc, dir: store.Generated, note: "n\xffote", tok: issue(nil), literal: "n\uFFFDote"},
 	} {
+		if tc.follows {
+			checkFollowerFallback(t, tc.name, issue(func(lead *evidence.Token) { lead.Run = tc.tok.Run }), tc.at, tc.dir, tc.tok, tc.literal)
+			continue
+		}
 		rec, err := store.NextRecord(41, sig.Sum([]byte("prev")), tc.at, tc.dir, tc.tok, tc.note)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -311,6 +333,35 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 		if tc.literal != "" && !bytes.Contains(frame, []byte(tc.literal)) {
 			t.Fatalf("%s: frame does not carry %q literally", tc.name, tc.literal)
 		}
+	}
+}
+
+// checkFollowerFallback writes tok's record as a follower of lead's and
+// holds it to the fallback rule: the follower reads back as written, and
+// carries literal as is.
+func checkFollowerFallback(t *testing.T, name string, lead *evidence.Token, at time.Time, dir store.Direction, tok *evidence.Token, literal string) {
+	t.Helper()
+	var c chain
+	c.add(t, at, store.Generated, lead, "")
+	c.add(t, at, dir, tok, "")
+	data, err := store.AppendFrameRun(nil, c)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", name, err)
+	}
+	var got []*store.Record
+	if _, _, _, err := store.DecodeSegmentData(data, func(rec *store.Record, _ int64) error {
+		got = append(got, rec)
+		return nil
+	}); err != nil || len(got) != 2 {
+		t.Fatalf("%s: decode: %d records, err %v", name, len(got), err)
+	}
+	checkSameRecord(t, name, c[1], got[1])
+	offs := frameOffsets(t, data)
+	if h := headOf(t, data[offs[1]:offs[2]]); !h.follower() {
+		t.Fatalf("%s: the record does not follow its leader", name)
+	}
+	if literal != "" && !bytes.Contains(data[offs[1]:], []byte(literal)) {
+		t.Fatalf("%s: follower frame does not carry %q literally", name, literal)
 	}
 }
 
@@ -589,6 +640,15 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	sourced, _, _ := sourcedRuns(f, ringSize+2)
 	f.Add(sourced)
 	for _, bad := range hostileSources(f) {
+		f.Add(bad.data)
+	}
+	// Version-9 shapes (testdata/fuzz holds more): the golden segment,
+	// whose tokens take their signer and parties from the frames they lean
+	// on, and frames asking their lender for what it cannot lend.
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v9", "golden-v9.seg")); err == nil {
+		f.Add(golden)
+	}
+	for _, bad := range hostileV9(f) {
 		f.Add(bad.data)
 	}
 

@@ -18,13 +18,25 @@ import (
 	"nonrep/internal/testpki"
 )
 
-// Bits of a follower frame's borrow mask, as binary.go lays them out.
+// Bits of a borrow mask of the current format — a follower's and a plain
+// frame's alike — as binary.go lays them out.
 const (
-	bTxn, bIssuer, bRecipients, bService, bDigest = evidence.BorrowTxn, evidence.BorrowIssuer,
-		evidence.BorrowRecipients, evidence.BorrowService, evidence.BorrowDigest
-	bAt = 1 << evidence.BorrowBits
+	bTxn, bService, bDigest, bSigner = evidence.BorrowTxn, evidence.BorrowService, evidence.BorrowDigest, evidence.BorrowSigner
+	bReferenced, bSame, bMirrored    = evidence.PartiesReferenced, evidence.PartiesSame, evidence.PartiesMirrored
+	bAt                              = 1 << evidence.MaskBits
+	bSig                             = bAt << 1
 
 	fPrev, fToken, fFollower = 0x01, 0x02, 0x80
+)
+
+// Bits of a follower's borrow mask in formats 4 to 8 that the current
+// layout moved or reads otherwise (bTxn, bService and bDigest are where
+// they were), and a party source's at bit in format 8.
+const (
+	v8Issuer, v8Recipients = evidence.BorrowIssuerV8, evidence.BorrowRecipientsV8
+	v8At                   = 1 << evidence.BorrowBitsV8
+	v8Sig                  = v8At << 1
+	v8PartyAt              = 1 << evidence.PartyBitsV8
 )
 
 // frameHead is what a frame says before its record fields: whether it
@@ -167,17 +179,17 @@ func goldenV4Records(t *testing.T) []*store.Record {
 // goldenV4Layout cuts the golden records into the writes they were made
 // for and says what each frame must look like.
 func goldenV4Layout(recs []*store.Record) []v4Write {
-	all := byte(bTxn | bIssuer | bRecipients | bService | bDigest | bAt)
+	all := byte(bTxn | v8Issuer | v8Recipients | bService | bDigest | v8At)
 	return []v4Write{
 		{name: "step group", recs: recs[0:3], heads: []v4Head{plain, {0, all}, {0, all &^ bDigest}}},
 		{name: "receipt, next commit", recs: recs[3:4], heads: []v4Head{plain}},
 		{name: "fallbacks", recs: recs[4:10], heads: []v4Head{
 			plain,
-			{0, bRecipients},
-			{0, bIssuer | bDigest | bAt},
-			{0, bIssuer | bService},
+			{0, v8Recipients},
+			{0, v8Issuer | bDigest | v8At},
+			{0, v8Issuer | bService},
 			plain,
-			{4, bIssuer | bRecipients | bService | bDigest | bAt},
+			{4, v8Issuer | v8Recipients | bService | bDigest | v8At},
 		}},
 	}
 }
@@ -226,13 +238,13 @@ func encodeGoldenV4(t *testing.T, writes []v4Write) (seg []byte, offs []int64) {
 	return seg, append(offs, int64(len(seg)))
 }
 
-// checkReencoded holds this build's encoder to a frozen segment: seg, the
-// frozen records laid out in the current format as the same writes,
-// decodes — scanned and by keyed slot — to the same records, and each of
-// its frames follows the frame its frozen twin follows with the same
-// borrow mask, or is plain where the twin is. No frame is more than one
-// byte longer than its twin: the byte a plain frame spends saying it
-// names no party source.
+// checkReencoded holds this build's encoder to a frozen segment of
+// formats 4 to 8: seg, the frozen records laid out in the current format
+// as the same writes, decodes — scanned and by keyed slot — to the same
+// records, and each of its frames follows the frame its frozen twin
+// follows, taking the same fields (tookV8, took), or is plain where the
+// twin is. No frame is more than one byte longer than its twin: the byte
+// a plain frame spends saying it names no party source.
 func checkReencoded(t *testing.T, what string, frozen []byte, frozenOffs []int64, seg []byte, want [][]byte) {
 	t.Helper()
 	recs, offs := scanGolden(t, what, seg, want, store.EncBinary)
@@ -258,8 +270,8 @@ func checkReencoded(t *testing.T, what string, frozen []byte, frozenOffs []int64
 		return -1
 	}
 	for i := range recs {
-		was, is := headOfV7(t, frozen[frozenOffs[i]:frozenOffs[i+1]]), headOf(t, seg[offs[i]:offs[i+1]])
-		if was.follower() != is.follower() || leader(frozenOffs, i, was) != leader(offs, i, is) || (is.follower() && is.mask != was.mask) {
+		was, is := parseHead(t, frozen[frozenOffs[i]:frozenOffs[i+1]], frozen[3] >= 8), headOf(t, seg[offs[i]:offs[i+1]])
+		if was.follower() != is.follower() || leader(frozenOffs, i, was) != leader(offs, i, is) || (is.follower() && took(is.mask) != tookV8(was.mask)) {
 			t.Fatalf("%s: frame %d follows frame %d with mask %#x, its frozen twin frame %d with mask %#x",
 				what, i, leader(offs, i, is), is.mask, leader(frozenOffs, i, was), was.mask)
 		}
@@ -267,6 +279,34 @@ func checkReencoded(t *testing.T, what string, frozen []byte, frozenOffs []int64
 			t.Fatalf("%s: frame %d takes %d bytes, its frozen twin %d", what, i, n, frozenN)
 		}
 	}
+}
+
+// took is what a follower's borrow mask of the current format says it
+// takes from its leader, in the terms formats 4 to 8 share: its
+// transaction, service, digest, time and mate's signature where it takes
+// them, and bReferenced for its parties whatever their form — its signer,
+// which no earlier format took, apart.
+func took(mask byte) byte {
+	out := mask & (bTxn | bService | bDigest | bAt | bSig)
+	if mask&evidence.PartyMask != 0 {
+		out |= bReferenced
+	}
+	return out
+}
+
+// tookV8 is took for a follower's borrow mask of formats 4 to 8.
+func tookV8(mask byte) byte {
+	out := mask & (bTxn | bService | bDigest)
+	if mask&(v8Issuer|v8Recipients) != 0 {
+		out |= bReferenced
+	}
+	if mask&v8At != 0 {
+		out |= bAt
+	}
+	if mask&v8Sig != 0 {
+		out |= bSig
+	}
+	return out
 }
 
 // TestBinaryV4GoldenSegment holds format 4 frozen: the records of
@@ -325,7 +365,7 @@ func TestBinaryV4GoldenSegment(t *testing.T) {
 			i++
 		}
 	}
-	if every := byte(1<<(evidence.BorrowBits+1) - 1); on&every != every || off&every != every {
+	if every := byte(1<<(evidence.BorrowBitsV8+1) - 1); on&every != every || off&every != every {
 		t.Fatalf("borrow bits seen set %#x and clear %#x, want each of %#x both ways", on, off&every, every)
 	}
 	if h := headOfV7(t, frozen[offs[i]:offs[i+1]]); h.follower() {
@@ -470,8 +510,9 @@ func hostileFollowers(tb testing.TB) map[string]hostileRun {
 	hdr := store.SegmentHeader()
 	behind := append(append(hdr[:], tokenless...), data[offs[1]:offs[2]]...)
 	first := int64(store.SegmentHeaderLen)
-	// The control's first follower borrows its issuer and its time.
-	mask := byte(bIssuer | bAt)
+	// The control's first follower takes its parties, its signer and its
+	// time from its leader.
+	mask := byte(bSame | bSigner | bAt)
 	return map[string]hostileRun{
 		"back reaches before the file":          repoint(data, offs[2], offs[3], uint64(offs[2])+9),
 		"back reaches into the segment header":  repoint(data, offs[2], offs[3], toThird+1),
@@ -481,10 +522,10 @@ func hostileFollowers(tb testing.TB) map[string]hostileRun {
 		"leader with a bad checksum":            {badLeader, offs[1], offs[2]},
 		"leader without a token":                repoint(behind, first+int64(len(tokenless)), int64(len(behind)), uint64(len(tokenless))),
 		"follower first in the file":            {append(hdr[:], data[offs[1]:offs[2]]...), first, first + offs[2] - offs[1]},
-		"borrow bit above the mask":             remask(data, offs[1], offs[2], mask|0x80),
+		"signature borrowed, yet written":       remask(data, offs[1], offs[2], mask|bSig),
 		"transaction borrowed, token has none":  remask(data, offs[1], offs[2], mask|bTxn),
 		"service borrowed, token has none":      remask(data, offs[1], offs[2], mask|bService),
-		"recipients borrowed, token has none":   remask(data, offs[1], offs[2], mask|bRecipients),
+		"parties mirrored, token has no one":    remask(data, offs[1], offs[2], mask|bMirrored),
 		"time borrowed across zone modes":       retime(tb, data, offs),
 		"issuer reference past the party list":  reissue(data, offs[1], offs[2]),
 		"follower bit under a version-3 header": {append([]byte{'N', 'R', 'S', 3}, data[first:offs[2]]...), offs[1], offs[2]},
@@ -501,20 +542,23 @@ func retime(tb testing.TB, data []byte, offs []int64) hostileRun {
 	})
 }
 
-// reissue points the control's first follower's issuer at a party its
-// leader does not have. The reference is the byte after the token's
-// flags, kind code and step, which follow the note code.
+// reissue makes the control's first follower write its issuer as a
+// reference, to a party its leader does not have. The reference goes
+// after the token's flags, kind code and step, which follow the note
+// code.
 func reissue(data []byte, start, end int64) hostileRun {
 	return reframe(data, start, end, func(body []byte, at int) []byte {
 		_, w := binary.Uvarint(body[at:]) // back
-		p := at + w + 1                   // past the mask
-		_, w = binary.Varint(body[p:])    // At delta
-		p += w + 2                        // direction, note code
-		_, w = binary.Uvarint(body[p:])   // token flags
-		p += w + 1                        // kind code
-		_, w = binary.Varint(body[p:])    // step
-		body[p+w] = 9
-		return body
+		p := at + w                       // the mask
+		body[p] = body[p]&^evidence.PartyMask | bReferenced
+		p++
+		_, w = binary.Varint(body[p:])  // At delta
+		p += w + 2                      // direction, note code
+		_, w = binary.Uvarint(body[p:]) // token flags
+		p += w + 1                      // kind code
+		_, w = binary.Varint(body[p:])  // step
+		p += w
+		return append(body[:p:p], append([]byte{9}, body[p:]...)...)
 	})
 }
 
@@ -528,7 +572,7 @@ func TestBinaryFollowerRefusals(t *testing.T) {
 	t.Parallel()
 	data, offs, recs := followerRun(t)
 	for i := 1; i <= 2; i++ {
-		if h := headOf(t, data[offs[i]:offs[i+1]]); !h.follower() || h.back != uint64(offs[i]-offs[0]) || h.mask != bIssuer|bAt {
+		if h := headOf(t, data[offs[i]:offs[i+1]]); !h.follower() || h.back != uint64(offs[i]-offs[0]) || h.mask != bSame|bSigner|bAt {
 			t.Fatalf("control: frame %d follower=%v back=%d mask=%#x", i, h.follower(), h.back, h.mask)
 		}
 		dec, err := store.DecodeRecordData(data, offs[i], offs[i+1], store.EncBinary, recs[i].Seq, &recs[i-1].Hash, offs[i-1])

@@ -17,10 +17,6 @@ import (
 	"nonrep/internal/testpki"
 )
 
-// bSig is the frame's bit of a follower's borrow mask that says its
-// signature is its mate's sibling, as binary.go lays it out.
-const bSig = bAt << 1
-
 // v6Item is one record of a golden write, or — dropped — a record encoded
 // into the write and then dropped, as a vault commit drops a request
 // whose staging failed.
@@ -140,7 +136,7 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 	for i, want := range shape {
 		frame := frozen[offs[i]:offs[i+1]]
 		h := headOfV7(t, frame)
-		if h.follower() != (want != lead) || (h.mask&bSig != 0) != (want == borrow) {
+		if h.follower() != (want != lead) || (h.mask&v8Sig != 0) != (want == borrow) {
 			t.Fatalf("frame %d: follower=%v mask=%#x, want shape %d", i, h.follower(), h.mask, want)
 		}
 		s := recs[i].Token.Signature

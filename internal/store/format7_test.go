@@ -64,7 +64,7 @@ func TestBinaryV7GoldenSegment(t *testing.T) {
 	borrows := map[int]bool{10: true}
 	for i, lead := range leader {
 		h := headOfV7(t, frozen[offs[i]:offs[i+1]])
-		if h.follower() != (lead >= 0) || (lead >= 0 && h.back != uint64(offs[i]-offs[lead])) || (h.mask&bSig != 0) != borrows[i] {
+		if h.follower() != (lead >= 0) || (lead >= 0 && h.back != uint64(offs[i]-offs[lead])) || (h.mask&v8Sig != 0) != borrows[i] {
 			t.Fatalf("frame %d: follower=%v back=%d mask=%#x, want leader %d, borrowing a signature %v", i, h.follower(), h.back, h.mask, lead, borrows[i])
 		}
 	}
@@ -77,9 +77,9 @@ func TestBinaryV7GoldenSegment(t *testing.T) {
 	if err != nil || count.Frames != len(recs) || count.Followers != 13 || count.SigBorrowers != 1 || count.PartyBorrowers != 0 {
 		t.Fatalf("CountFrames = %+v, err %v, want %d frames, 13 followers, 1 borrowing a signature", count, err, len(recs))
 	}
-	encoded, _ := encodeV8(t, recs, false)
+	encoded, _ := encodeFile(t, recs, false)
 	checkReencoded(t, "v7 re-encoded", frozen, offs, encoded, want)
-	if cut, _ := encodeV8(t, recs, true); len(cut)-len(encoded) < 4*64 {
+	if cut, _ := encodeFile(t, recs, true); len(cut)-len(encoded) < 4*64 {
 		t.Fatalf("cross-write followers save %d bytes over frames cut at every write, want at least %d", len(cut)-len(encoded), 4*64)
 	}
 	// Version 6 lets a follower lean only on the last plain frame: the

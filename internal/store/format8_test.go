@@ -66,10 +66,11 @@ func goldenV8Extra(t *testing.T, after *store.Record) []*store.Record {
 // goldenV8Writes is where each write of the golden segment starts.
 var goldenV8Writes = []int{0, 1, 4, 7, 8, 9, 12, 13, 14, 18, 19, 20, 21}
 
-// encodeV8 lays records out as one segment file, one encoder, as a vault
-// appends them whatever the commits; with cut set, the encoder is cut
-// where each write starts.
-func encodeV8(t *testing.T, recs []*store.Record, cut bool) (seg []byte, offs []int64) {
+// encodeFile lays records out in the current format as one segment
+// file, one encoder, as a vault appends them whatever the commits; with
+// cut set, the encoder is cut where each write of the format-8 golden
+// starts.
+func encodeFile(t *testing.T, recs []*store.Record, cut bool) (seg []byte, offs []int64) {
 	t.Helper()
 	hdr := store.SegmentHeader()
 	seg = append(seg, hdr[:]...)
@@ -105,66 +106,47 @@ func readRecords(t *testing.T, path string) (data []byte, recs []*store.Record) 
 	return data, recs
 }
 
-// TestBinaryV8GoldenSegment freezes format 8: the records of
+// TestBinaryV8GoldenSegment holds format 8 frozen: the records of
 // testdata/v8/golden.jsonl — the format-7 golden's, then goldenV8Extra's
-// — encode byte for byte to testdata/v8/golden-v8.seg and decode from it,
-// scanned and by keyed slot, to the same canonical JSON, hashes and
-// signatures. Followers and signature borrowers are where format 7 put
-// them; every plain frame but the file's first and the one whose parties
-// are new takes its parties from the party source the layout says. The
-// records format 7 froze take fewer bytes: the opening frames of runs
-// spell no party, and no frame that elides its Prev spells its seq.
+// — written by the build before format 9 as testdata/v8/golden-v8.seg,
+// decode from it, scanned and by keyed slot, to the same canonical JSON,
+// hashes and signatures. Followers and signature borrowers are where
+// format 7 put them; every plain frame but the file's first and the one
+// whose parties are new takes its parties from the party source the
+// layout says. The records format 7 froze take fewer bytes: the opening
+// frames of runs spell no party, and no frame that elides its Prev spells
+// its seq. This build, appending the records as one file, keeps that
+// layout (checkReencoded).
 func TestBinaryV8GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v8")
 	_, v7 := readRecords(t, filepath.Join("testdata", "v7", "golden.jsonl"))
-	if *updateGolden {
-		recs := append(v7[:len(v7):len(v7)], goldenV8Extra(t, v7[len(v7)-1])...)
-		var lines []byte
-		for _, rec := range recs {
-			line, err := canon.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(append(lines, line...), '\n')
-		}
-		seg, _ := encodeV8(t, recs, false)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{"golden.jsonl": lines, "golden-v8.seg": seg} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	jsonl, golden := readRecords(t, filepath.Join(dir, "golden.jsonl"))
 	frozen, err := os.ReadFile(filepath.Join(dir, "golden-v8.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Split(bytes.TrimSpace(jsonl), []byte("\n"))
-	if len(golden) != len(v7)+4 {
-		t.Fatalf("golden.jsonl holds %d records, want format 7's %d and 4 more", len(golden), len(v7))
+	if len(golden) != len(v7)+4 || frozen[3] != 8 {
+		t.Fatalf("golden.jsonl holds %d records, want format 7's %d and 4 more; the frozen file says version %d", len(golden), len(v7), frozen[3])
 	}
 	for i := range v7 {
 		checkSameRecord(t, fmt.Sprintf("v8 golden record %d against v7", i), v7[i], golden[i])
 	}
-	if encoded, _ := encodeV8(t, golden, false); !bytes.Equal(encoded, frozen) {
-		t.Fatalf("the encoder no longer writes the frozen format-8 bytes (%d bytes, frozen %d)", len(encoded), len(frozen))
-	}
-	recs, offs := scanGolden(t, "v8", frozen, want, store.EncBinary)
+	recs, offs := scanGolden(t, "v8", frozen, want, store.EncBinaryV8)
 	for i, rec := range recs {
 		var prev *sig.Digest
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinary, rec.Seq, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV8, rec.Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v8 record %d: %v", i, err)
 		}
 		checkSameRecord(t, fmt.Sprintf("keyed v8 record %d", i), rec, dec)
 	}
+	encoded, _ := encodeFile(t, recs, false)
+	checkReencoded(t, "v8 re-encoded", frozen, offs, encoded, want)
 
 	// Which frame each follows (-1: plain), which borrow a signature, and
 	// which frame each plain frame takes its parties from.
@@ -174,7 +156,7 @@ func TestBinaryV8GoldenSegment(t *testing.T) {
 	for i, lead := range leader {
 		h := headOf(t, frozen[offs[i]:offs[i+1]])
 		src, sourced := source[i]
-		if h.follower() != (lead >= 0) || (lead >= 0 && h.back != uint64(offs[i]-offs[lead])) || (lead >= 0 && (h.mask&bSig != 0) != borrows[i]) ||
+		if h.follower() != (lead >= 0) || (lead >= 0 && h.back != uint64(offs[i]-offs[lead])) || (lead >= 0 && (h.mask&v8Sig != 0) != borrows[i]) ||
 			h.sourced() != sourced || (sourced && h.back != uint64(offs[i]-offs[src])) {
 			t.Fatalf("frame %d: follower=%v sourced=%v back=%d mask=%#x, want leader %d, party source %d (%v)", i, h.follower(), h.sourced(), h.back, h.mask, lead, src, sourced)
 		}
@@ -191,10 +173,10 @@ func TestBinaryV8GoldenSegment(t *testing.T) {
 	if h := headOf(t, frozen[offs[20]:offs[21]]); spells(20, "urn:org:") || !spells(20, "/answer") || h.mask&evidence.BorrowService != 0 {
 		t.Fatal("the audit's answer does not take its parties from the audit and write its own service")
 	}
-	if h := headOf(t, frozen[offs[19]:offs[20]]); h.mask&evidence.BorrowKeyID != 0 || !spells(19, recs[19].Token.Signature.KeyID[len(recs[19].Token.Issuer):]) {
+	if h := headOf(t, frozen[offs[19]:offs[20]]); h.mask&evidence.BorrowKeyIDV8 != 0 || !spells(19, recs[19].Token.Signature.KeyID[len(recs[19].Token.Issuer):]) {
 		t.Fatal("the call signed under a rotated key borrows its key id")
 	}
-	if h := headOf(t, frozen[offs[1]:offs[2]]); h.mask&evidence.BorrowKeyID == 0 || h.mask&bPartyAt == 0 {
+	if h := headOf(t, frozen[offs[1]:offs[2]]); h.mask&evidence.BorrowKeyIDV8 == 0 || h.mask&v8PartyAt == 0 {
 		t.Fatalf("frame 1 takes %#x from its source, want its key id and its time too", h.mask)
 	}
 	count, err := store.CountFrames(frozen)
@@ -218,11 +200,11 @@ func TestBinaryV8GoldenSegment(t *testing.T) {
 			t.Fatalf("frame %d takes %d bytes, %d in format 7: want more than %d saved", i, is, was, floors[i])
 		}
 	}
-	// Cut at every write, the same records cost a plain frame more per
-	// write that continues a run, and their parties in every write that
-	// opens one.
-	if cut, _ := encodeV8(t, recs, true); len(cut)-len(frozen) < 4*64+4*40 {
-		t.Fatalf("cross-write leaders and sources save %d bytes over frames cut at every write, want at least %d", len(cut)-len(frozen), 4*64+4*40)
+	// Cut at every write, the same records cost this build a plain frame
+	// more per write that continues a run, and their parties in every
+	// write that opens one.
+	if cut, _ := encodeFile(t, recs, true); len(cut)-len(encoded) < 4*64+4*40 {
+		t.Fatalf("cross-write leaders and sources save %d bytes over frames cut at every write, want at least %d", len(cut)-len(encoded), 4*64+4*40)
 	}
 	// Version 7 spells a seq in every frame and no party source: the
 	// frames are refused under its header.
@@ -232,10 +214,6 @@ func TestBinaryV8GoldenSegment(t *testing.T) {
 		t.Fatalf("format-8 frames under a v7 header = %v, want ErrBinary", err)
 	}
 }
-
-// bPartyAt is the frame's bit of a plain frame's party mask that says
-// its time is written relative to its source's, as binary.go lays it out.
-const bPartyAt = 1 << evidence.PartyBits
 
 // sourcedRuns is the first records of runs, one per run, all between the
 // same parties, as one encoder appends them, with the offset of every

@@ -1,12 +1,13 @@
 package vault_test
 
 import (
-	"bytes"
-	"os"
+	"context"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
-	"nonrep/internal/clock"
+	"nonrep/internal/feed"
 	"nonrep/internal/id"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
@@ -14,11 +15,11 @@ import (
 )
 
 // v8Vault is v7Vault's records as the build that introduced segment
-// format 8 seals them: the same seqs, sealed after 11 and 23 under
+// format 8 sealed them: the same seqs, sealed after 11 and 23 under
 // version-4 indexes; every run's opening frame but each file's first
 // takes its parties, service, key id and time from that first frame, and
 // every frame that elides its Prev elides its seq too.
-var v8Vault = fixtureVault{name: "v8-vault", enc: store.EncBinary, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
+var v8Vault = fixtureVault{name: "v8-vault", enc: store.EncBinaryV8, sealed: 2, tail: 1, sealedSeq: 23, lastSeq: 24}
 
 // TestVaultV8VaultStillReads: a vault sealed in segment format 8 reads as
 // checkStillReads says, and Sizes counts the opening frames that take
@@ -43,54 +44,97 @@ func TestVaultV8VaultStillReads(t *testing.T) {
 	}
 }
 
-// TestVaultV8VaultIsThisBuilds: v7-vault's records, appended one commit
-// each, in order and at their time, to a fresh vault sealed where
-// v7-vault was — after seqs 11 and 23 — come out as testdata/v8-vault
-// byte for byte: manifest, segments, indexes and tail. The fixture is
-// what this build writes, not only what it reads.
-func TestVaultV8VaultIsThisBuilds(t *testing.T) {
+// TestVaultV8VaultTakesV9Appends: v8-vault opened for writing by this
+// build seals its format-8 tail as it stands and appends after it in
+// format 9, across commits and a seal. The vault verifies deep; every
+// run, of either format, reads back by key; a feed cursor opened inside
+// the format-8 records delivers through the boundary without a gap; and a
+// replica that receives every sealed segment, of both formats, verifies
+// and serves the same records.
+func TestVaultV8VaultTakesV9Appends(t *testing.T) {
 	t.Parallel()
-	src := openVault(t, filepath.Join("testdata", "v7-vault"), vault.WithReadOnly())
-	recs, err := src.QueryAll(vault.Query{})
-	src.Close()
-	if err != nil || len(recs) != int(v8Vault.lastSeq) {
-		t.Fatalf("v7-vault: %d records, err %v", len(recs), err)
-	}
-	dir := t.TempDir()
-	v, err := vault.Open(dir, clock.NewManual(recs[0].At))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if _, err := v.AppendGroup([]store.Entry{{Dir: rec.Direction, Token: rec.Token, Note: rec.Note}}); err != nil {
-			t.Fatal(err)
+	dir, runs := copyFixtureVault(t, v8Vault.name)
+	realm := testpki.MustRealm(org, peerOrg)
+	v := openVault(t, dir)
+	defer v.Close()
+	fresh := []id.Run{id.NewRun(), id.NewRun(), id.NewRun()}
+	for i, run := range fresh {
+		for _, e := range stepGroup(t, realm, run) {
+			if _, err := v.AppendGroup([]store.Entry{e}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if rec.Seq == 11 || rec.Seq == v8Vault.sealedSeq {
+		if i == 1 {
 			if err := v.SealNow(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fixture := filepath.Join("testdata", v8Vault.name)
-	entries, err := os.ReadDir(fixture)
+	sizes, err := v.Sizes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if e.Name() == "RUNS.json" {
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join(fixture, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := os.ReadFile(filepath.Join(dir, e.Name())); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("this build writes %s as %d bytes, the fixture holds %d (err %v)", e.Name(), len(got), len(want), err)
+	var formats []string
+	for _, s := range sizes {
+		formats = append(formats, s.Format)
+	}
+	if want := []string{"binary-v8", "binary-v8", "binary-v8", "binary", "binary"}; !slices.Equal(formats, want) {
+		t.Fatalf("segments in formats %v, want %v", formats, want)
+	}
+	checkFixtureVault(t, "after format-9 appends", v, runs)
+	for _, run := range fresh {
+		if recs, err := v.QueryAll(vault.Query{Run: run}); err != nil || len(recs) != 3 {
+			t.Fatalf("run %s: %d records, err %v", run, len(recs), err)
 		}
 	}
+	all, err := v.QueryAll(vault.Query{})
+	if err != nil || len(all) != int(v8Vault.lastSeq)+3*len(fresh) {
+		t.Fatalf("%d records, err %v", len(all), err)
+	}
+
+	// A cursor resumed two records before the format-8 head.
+	from := all[v8Vault.lastSeq-3]
+	got := make(chan []*store.Record, 16)
+	cur, err := feed.Open(v, feed.Config{AfterSeq: from.Seq, AfterHash: from.Hash, Sink: func(e feed.Event) error {
+		got <- e.Records
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- cur.Run(ctx) }()
+	var delivered []*store.Record
+	for len(delivered) < len(all)-int(from.Seq) {
+		select {
+		case recs := <-got:
+			delivered = append(delivered, recs...)
+		case err := <-done:
+			t.Fatalf("cursor ended after %d records: %v", len(delivered), err)
+		}
+	}
+	cancel()
+	<-done
+	sameRecords(t, "cursor across the formats", all[from.Seq:], delivered)
+
+	rs, err := vault.OpenReplicaSet(filepath.Join(t.TempDir(), "replicas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, v, rs)
+	replica := openVault(t, rs.Dir(sourceOrg), vault.WithReadOnly())
+	defer replica.Close()
+	if err := replica.DeepVerify(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := replica.Stats().LastSeq
+	back, err := replica.QueryAll(vault.Query{})
+	if err != nil || sealed != v8Vault.lastSeq+6 {
+		t.Fatalf("replica holds %d records to seq %d, err %v", len(back), sealed, err)
+	}
+	sameRecords(t, "replica across the formats", all[:sealed], back)
 }
 
 // TestVaultPartySourcesAcrossCommits: runs committed one write at a time

@@ -18,7 +18,7 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
-	// to "binary-v7", or "binary" for the current format, version 8).
+	// to "binary-v8", or "binary" for the current format, version 9).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
@@ -29,7 +29,8 @@ type SegmentSize struct {
 	// one leading their write) — and those of them that borrow
 	// their signature from the frame before them, and the plain frames
 	// that take their parties, service, key id and time from a party
-	// source (since version 8), with the bytes those take, and breaks the
+	// source (since version 8), with the bytes those take, says per frame
+	// type what the frames take from the frame they lean on, and breaks the
 	// frames down by token kind, notes apart. The rest of Records are
 	// plain frames (or JSON lines) in PlainBytes, which with the file's
 	// header make up SegmentBytes.

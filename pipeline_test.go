@@ -242,13 +242,16 @@ func TestPipelineUnderFaults(t *testing.T) {
 // records brought it to about 1 520 B (one pinned hash per record cost
 // about 1 710 B), since segment format 7 the run's second commit in
 // each vault leans on the first's leader: about 1 380 B, since index
-// format 4 stores one offset per window of four, about 1 350 B, and
-// since segment format 8, whose opening frames take their parties from
-// the vault's earlier runs, about 1 260 B.
+// format 4 stores one offset per window of four, about 1 350 B, since
+// segment format 8, whose opening frames take their parties from the
+// vault's earlier runs, about 1 260 B, and since segment format 9, whose
+// tokens take their signer and parties from the frame they lean on and
+// write a generated nonce and an Ed25519 signature without a header,
+// about 1 186 B.
 func TestPipelinedCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1420 {
-		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 420", perCall)
+	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1210 {
+		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 210", perCall)
 	}
 }
 
@@ -259,11 +262,12 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 // {NRO, NRR, NROResp} then {NRRResp}. Every commit led with a plain frame
 // before segment format 7, about 1 585 B here; since, the second commit
 // leans on the run's leader in the first, about 1 440 B (about 1 430
-// since index format 4, about 1 335 since segment format 8).
+// since index format 4, about 1 335 since segment format 8, about 1 244
+// since segment format 9).
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t); perCall > 1480 {
-		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 480", perCall)
+	if perCall := callEvidenceBytes(t); perCall > 1270 {
+		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 270", perCall)
 	}
 }
 
