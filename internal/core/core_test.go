@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
 	"nonrep/internal/sharing"
 	"nonrep/internal/sig"
@@ -57,6 +59,61 @@ func TestNodeDefaults(t *testing.T) {
 	}
 	if node.Coordinator().Addr() != string(client) {
 		t.Errorf("Addr = %s", node.Coordinator().Addr())
+	}
+}
+
+// TestNodeIssuesCountTokensAndSignatures issues protocol steps of one
+// and two tokens concurrently through a telemetry-enabled node, plain and
+// batch-signing, and reads tokens per signature from its counters.
+func TestNodeIssuesCountTokensAndSignatures(t *testing.T) {
+	t.Parallel()
+	for _, batch := range []bool{false, true} {
+		realm := testpki.MustRealm(client)
+		net := transport.NewInprocNetwork()
+		t.Cleanup(func() { _ = net.Close() })
+		tel := obs.New()
+		node, err := core.NewNode(core.NodeConfig{
+			Party:        client,
+			Signer:       realm.Party(client).Signer,
+			Creds:        realm.Store,
+			Network:      net,
+			Directory:    protocol.NewDirectory(),
+			BatchSigning: batch,
+			Telemetry:    tel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		issuer := node.Services().Issuer
+		const steps = 8
+		var wg sync.WaitGroup
+		for i := 0; i < steps; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run := id.NewRun()
+				if _, err := issuer.IssueBatch([]evidence.TokenRequest{
+					{Kind: evidence.KindNRR, Run: run, Step: 1, Digest: sig.Sum([]byte("request"))},
+					{Kind: evidence.KindNROResp, Run: run, Step: 2, Digest: sig.Sum([]byte("response"))},
+				}); err != nil {
+					t.Error(err)
+				}
+				if _, err := issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("request"))); err != nil {
+					t.Error(err)
+				}
+				if toks, err := issuer.IssueBatch(nil); err != nil || toks != nil {
+					t.Errorf("empty step = %v, %v", toks, err)
+				}
+			}()
+		}
+		wg.Wait()
+		snap := tel.Registry().Snapshot()
+		tokens, signatures := snap.Counter(obs.MTokensIssuedTotal, string(client)), snap.Counter(obs.MSignaturesTotal, string(client))
+		if tokens != 3*steps || signatures < 1 || signatures > 2*steps || (!batch && signatures != 2*steps) {
+			t.Fatalf("batch signing %v: %d tokens under %d signatures from %d steps of two and %d of one",
+				batch, tokens, signatures, steps, steps)
+		}
 	}
 }
 

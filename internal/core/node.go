@@ -67,9 +67,10 @@ type NodeConfig struct {
 	TSA *stamp.Authority
 	// Retry overrides the coordinator's retransmission policy.
 	Retry *transport.RetryPolicy
-	// BatchSigning aggregates concurrent evidence signing into one Merkle
-	// batch signature per group (evidence.BatchIssuer): the cryptographic
-	// fast path for heavy small-message traffic.
+	// BatchSigning aggregates the signing of concurrent protocol steps
+	// into one Merkle batch signature (evidence.BatchIssuer): the
+	// cryptographic fast path for heavy small-message traffic. Each
+	// step's own tokens share one signature either way.
 	BatchSigning bool
 	// Coalesce, when set, batches concurrent outbound protocol envelopes
 	// per counterparty into single b2b-batch wire envelopes.
@@ -117,7 +118,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		cfg.Log, ownLog = v, v
 	}
-	base := &evidence.Issuer{Party: cfg.Party, Signer: cfg.Signer, Clock: cfg.Clock, TSA: cfg.TSA}
+	signer := cfg.Signer
+	if scope != nil {
+		signer = observedSigner{Signer: signer, signs: scope.Counter(obs.MSignaturesTotal)}
+	}
+	base := &evidence.Issuer{Party: cfg.Party, Signer: signer, Clock: cfg.Clock, TSA: cfg.TSA}
 	var issuer evidence.TokenIssuer = base
 	var batch *evidence.BatchIssuer
 	if cfg.BatchSigning {

@@ -9,9 +9,7 @@ import (
 	"nonrep/internal/sig"
 )
 
-// observedIssuer decorates a token issuer with issuance telemetry. It
-// implements both Issue and IssueBatch so evidence.IssueAll still finds
-// the aggregate path when the wrapped issuer is a BatchIssuer.
+// observedIssuer decorates a token issuer with issuance telemetry.
 type observedIssuer struct {
 	inner   evidence.TokenIssuer
 	issueNs *obs.Histogram
@@ -37,15 +35,29 @@ func (o *observedIssuer) Issue(kind evidence.Kind, run id.Run, step int, digest 
 	return tok, err
 }
 
-// IssueBatch forwards aggregate issuance when the wrapped issuer
-// supports it, falling back to sequential Issue calls otherwise (the
-// same degradation evidence.IssueAll applies).
+// IssueBatch implements evidence.TokenIssuer.
 func (o *observedIssuer) IssueBatch(reqs []evidence.TokenRequest) ([]*evidence.Token, error) {
 	start := time.Now()
-	toks, err := evidence.IssueAll(o.inner, reqs...)
+	toks, err := o.inner.IssueBatch(reqs)
 	o.issueNs.Since(start)
 	if err == nil {
 		o.issued.Add(int64(len(toks)))
 	}
 	return toks, err
+}
+
+// observedSigner counts a node's signing operations: with
+// MTokensIssuedTotal it gives the tokens each signature covers.
+type observedSigner struct {
+	sig.Signer
+	signs *obs.Counter
+}
+
+// Sign implements sig.Signer.
+func (o observedSigner) Sign(d sig.Digest) (sig.Signature, error) {
+	s, err := o.Signer.Sign(d)
+	if err == nil {
+		o.signs.Inc()
+	}
+	return s, err
 }

@@ -1,10 +1,11 @@
-// Aggregate token issuing: BatchIssuer signs the Merkle root of N token
+// Aggregate token issuing: every issuer signs the Merkle root of N token
 // TBS-digests with one signature (sig.SignBatch), amortising the paper's
 // per-token cryptographic cost (section 6) across a whole batch while
 // every token stays independently verifiable — each carries its inclusion
-// path back to the signed root. It mirrors, for signing, what the vault's
-// group commit does for fsync: concurrent issuers are drained by a single
-// background signer into one signing operation per batch.
+// path back to the signed root. *Issuer signs each protocol step's tokens
+// under one signature; BatchIssuer also mirrors, for signing, what the
+// vault's group commit does for fsync: concurrent issuers are drained by
+// a single background signer into one signing operation per batch.
 package evidence
 
 import (
@@ -16,17 +17,15 @@ import (
 	"nonrep/internal/sig"
 )
 
-// TokenIssuer issues signed evidence tokens. *Issuer signs each token
-// individually; *BatchIssuer aggregates concurrent issues into Merkle
-// batch signatures.
+// TokenIssuer issues signed evidence tokens. IssueBatch signs the tokens
+// of one protocol step under one signature — a batch of one is a plain
+// signature, and an empty batch signs nothing — and Issue is its
+// one-token case. *Issuer signs each call on its own; *BatchIssuer
+// aggregates concurrent calls into one signature too.
 type TokenIssuer interface {
 	Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error)
+	IssueBatch(reqs []TokenRequest) ([]*Token, error)
 }
-
-var (
-	_ TokenIssuer = (*Issuer)(nil)
-	_ TokenIssuer = (*BatchIssuer)(nil)
-)
 
 // TokenRequest describes one token of an explicit batch issue.
 type TokenRequest struct {
@@ -88,18 +87,12 @@ func NewBatchIssuer(i *Issuer) *BatchIssuer {
 // Issue implements TokenIssuer: the token is signed by the aggregator,
 // sharing one signature with every other token pending at that moment.
 func (b *BatchIssuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
-	toks, err := b.IssueBatch([]TokenRequest{{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts}})
-	if err != nil {
-		return nil, err
-	}
-	return toks[0], nil
+	return issueOne(b.IssueBatch, TokenRequest{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts})
 }
 
-// IssueBatch issues all requested tokens under one aggregate signature
-// (shared, at high concurrency, with other callers' pending tokens). It
-// is the explicit form used when one protocol step produces several
-// tokens at once (e.g. NRR(req) and NRO(resp) in the invocation
-// exchange).
+// IssueBatch implements TokenIssuer: all requested tokens share one
+// aggregate signature (shared, at high concurrency, with other callers'
+// pending tokens).
 func (b *BatchIssuer) IssueBatch(reqs []TokenRequest) ([]*Token, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -219,6 +212,37 @@ func (b *BatchIssuer) commit(batch []*issueReq) {
 	}
 }
 
+// Issue implements TokenIssuer: a plainly signed token binding (run,
+// step) to the content digest.
+func (i *Issuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
+	return issueOne(i.IssueBatch, TokenRequest{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts})
+}
+
+// IssueBatch implements TokenIssuer: the requested tokens share one
+// signature.
+func (i *Issuer) IssueBatch(reqs []TokenRequest) ([]*Token, error) {
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	toks, digests, err := i.buildAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	if err := i.signAll(toks, digests); err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// issueOne issues req as a batch of one.
+func issueOne(issueBatch func([]TokenRequest) ([]*Token, error), req TokenRequest) (*Token, error) {
+	toks, err := issueBatch([]TokenRequest{req})
+	if err != nil {
+		return nil, err
+	}
+	return toks[0], nil
+}
+
 // buildAll builds the unsigned tokens of one request and their TBS
 // digests.
 func (i *Issuer) buildAll(reqs []TokenRequest) ([]*Token, []sig.Digest, error) {
@@ -237,12 +261,13 @@ func (i *Issuer) buildAll(reqs []TokenRequest) ([]*Token, []sig.Digest, error) {
 	return toks, digests, nil
 }
 
-// signAll batch-signs built tokens under one signature over their TBS
-// digests and (when a TSA is configured) stamps them.
+// signAll signs built tokens under one signature over their TBS digests
+// (a plain one for a single token) and, when a TSA is configured, stamps
+// them.
 func (i *Issuer) signAll(toks []*Token, digests []sig.Digest) error {
 	sigs, err := sig.SignBatch(i.Signer, digests)
 	if err != nil {
-		return fmt.Errorf("evidence: batch-sign %d tokens: %w", len(toks), err)
+		return fmt.Errorf("evidence: sign %d tokens: %w", len(toks), err)
 	}
 	for j, tok := range toks {
 		tok.Signature = sigs[j]
@@ -251,29 +276,4 @@ func (i *Issuer) signAll(toks []*Token, digests []sig.Digest) error {
 		}
 	}
 	return nil
-}
-
-// batchCapable is satisfied by issuers that can sign several tokens with
-// one signature.
-type batchCapable interface {
-	IssueBatch(reqs []TokenRequest) ([]*Token, error)
-}
-
-// IssueAll issues every requested token through the given issuer: with one
-// aggregate signature when the issuer supports batching, token by token
-// otherwise. Protocol steps producing multiple tokens should issue through
-// it.
-func IssueAll(issuer TokenIssuer, reqs ...TokenRequest) ([]*Token, error) {
-	if b, ok := issuer.(batchCapable); ok {
-		return b.IssueBatch(reqs)
-	}
-	toks := make([]*Token, len(reqs))
-	for i, r := range reqs {
-		tok, err := issuer.Issue(r.Kind, r.Run, r.Step, r.Digest, r.Opts...)
-		if err != nil {
-			return nil, err
-		}
-		toks[i] = tok
-	}
-	return toks, nil
 }

@@ -232,24 +232,86 @@ func TestVerifyCacheHitsAndStaysSound(t *testing.T) {
 	}
 }
 
-func TestIssueAllFallsBackWithoutBatchSupport(t *testing.T) {
+// countingSigner counts the signing operations of the signer it wraps.
+type countingSigner struct {
+	sig.Signer
+	signs int
+}
+
+func (c *countingSigner) Sign(d sig.Digest) (sig.Signature, error) {
+	c.signs++
+	return c.Signer.Sign(d)
+}
+
+func TestIssuerSignsEachStepOnce(t *testing.T) {
 	issuer, verifier := batchFixture(t)
-	toks, err := evidence.IssueAll(issuer,
-		evidence.TokenRequest{Kind: evidence.KindNRO, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("x"))},
-		evidence.TokenRequest{Kind: evidence.KindNRR, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("y"))},
-	)
+	counter := &countingSigner{Signer: issuer.Signer}
+	issuer.Signer = counter
+	run := id.NewRun()
+	reqs := []evidence.TokenRequest{
+		{Kind: evidence.KindNRR, Run: run, Step: 1, Digest: sig.Sum([]byte("x"))},
+		{Kind: evidence.KindNROResp, Run: run, Step: 2, Digest: sig.Sum([]byte("y"))},
+	}
+	toks, err := issuer.IssueBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 2 {
-		t.Fatalf("got %d tokens, want 2", len(toks))
+	if len(toks) != 2 || counter.signs != 1 {
+		t.Fatalf("a two-token step gave %d tokens from %d signing operations, want 2 from 1", len(toks), counter.signs)
 	}
-	for _, tok := range toks {
-		if len(tok.Signature.BatchPath) != 0 {
-			t.Fatal("plain issuer produced batch signature")
+	if string(toks[0].Signature.Bytes) != string(toks[1].Signature.Bytes) {
+		t.Fatal("a step's tokens carry different signature bytes")
+	}
+	for j, tok := range toks {
+		if tok.Signature.BatchIndex != uint32(j) || len(tok.Signature.BatchPath) != 1 {
+			t.Fatalf("token %d: batch index %d, path of %d, want index %d and a one-element path",
+				j, tok.Signature.BatchIndex, len(tok.Signature.BatchPath), j)
+		}
+		if err := verifier.Expect(tok, reqs[j].Kind, run, issuer.Party, reqs[j].Digest); err != nil {
+			t.Fatalf("token %d alone: %v", j, err)
+		}
+	}
+	// With a cache the second token's root signature is a hit, and each
+	// token still verifies alone.
+	cached := &evidence.Verifier{Keys: verifier.Keys, Cache: evidence.NewVerifyCache(0)}
+	for j := range toks {
+		for _, tok := range []*evidence.Token{toks[j], toks[1-j]} {
+			if err := cached.Verify(tok); err != nil {
+				t.Fatalf("token %d with a cache: %v", j, err)
+			}
+		}
+	}
+	if got := cached.Cache.Len(); got != 1 {
+		t.Fatalf("cache entries = %d, want 1 (one shared signature)", got)
+	}
+
+	// A one-token step is a plain signature; Issue is that step.
+	one, err := issuer.IssueBatch(reqs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := issuer.Issue(evidence.KindNRRResp, run, 3, sig.Sum([]byte("z")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range []*evidence.Token{one[0], plain} {
+		if len(tok.Signature.BatchPath) != 0 || tok.Signature.BatchIndex != 0 {
+			t.Fatalf("one-token %s step carries a batch path", tok.Kind)
 		}
 		if err := verifier.Verify(tok); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if counter.signs != 3 {
+		t.Fatalf("%d signing operations after three steps, want 3", counter.signs)
+	}
+
+	// A step that issues nothing signs nothing.
+	none, err := issuer.IssueBatch(nil)
+	if err != nil || none != nil {
+		t.Fatalf("empty step = %v, %v; want nil, nil", none, err)
+	}
+	if counter.signs != 3 {
+		t.Fatalf("an empty step made a signing operation (%d in all)", counter.signs)
 	}
 }

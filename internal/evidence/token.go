@@ -332,24 +332,3 @@ func (i *Issuer) stamp(tok *Token) error {
 	tok.Timestamp = ts
 	return nil
 }
-
-// Issue creates and signs a token of the given kind binding (run, step) to
-// the content digest.
-func (i *Issuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
-	tok, err := i.build(kind, run, step, digest, opts)
-	if err != nil {
-		return nil, err
-	}
-	tbs, err := tok.TBSDigest()
-	if err != nil {
-		return nil, err
-	}
-	tok.Signature, err = i.Signer.Sign(tbs)
-	if err != nil {
-		return nil, fmt.Errorf("evidence: sign %s token: %w", kind, err)
-	}
-	if err := i.stamp(tok); err != nil {
-		return nil, err
-	}
-	return tok, nil
-}

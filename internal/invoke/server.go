@@ -396,7 +396,8 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 	}
 
 	// One signing operation covers the reply's tokens (and, through an
-	// aggregating issuer, any tokens concurrent runs are producing).
+	// aggregating issuer, any tokens concurrent runs are producing), so
+	// the response origin borrows the receipt's signature in both vaults.
 	shared := []evidence.IssueOption{
 		evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client),
 	}
@@ -408,7 +409,7 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 		reqs = append(reqs, evidence.TokenRequest{Kind: evidence.KindNROResp, Run: msg.Run, Step: stepResponse, Digest: respDigest, Opts: shared})
 	}
 	sp = svc.Obs.StartChild(ctx, "evidence.issue")
-	toks, err := evidence.IssueAll(svc.Issuer, reqs...)
+	toks, err := svc.Issuer.IssueBatch(reqs)
 	sp.End()
 	if err != nil {
 		return nil, nil, err

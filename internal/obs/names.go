@@ -12,6 +12,7 @@ const (
 	MTokenVerifyNs       = "nonrep_token_verify_ns"
 	MTokenVerifyFailed   = "nonrep_token_verify_failed_total"
 	MTokensVerifiedTotal = "nonrep_tokens_verified_total"
+	MSignaturesTotal     = "nonrep_signatures_total"
 
 	// Vault (group commit + seal chain).
 	MVaultAppendNs     = "nonrep_vault_append_ns"

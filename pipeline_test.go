@@ -256,18 +256,102 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 }
 
 // TestDirectCallEvidenceBytes bounds what one unpipelined call costs the
-// two vaults together, as TestPipelinedCallEvidenceBytes does: each
-// token signed on its own, the run's records in two commits in each
-// vault — the client's {NRO} then {NRR, NROResp, NRRResp}, the server's
-// {NRO, NRR, NROResp} then {NRRResp}. Every commit led with a plain frame
-// before segment format 7, about 1 585 B here; since, the second commit
-// leans on the run's leader in the first, about 1 440 B (about 1 430
-// since index format 4, about 1 335 since segment format 8, about 1 244
-// since segment format 9).
+// two vaults together, as TestPipelinedCallEvidenceBytes does: the run's
+// records in two commits in each vault — the client's {NRO} then {NRR,
+// NROResp, NRRResp}, the server's {NRO, NRR, NROResp} then {NRRResp}.
+// Every commit led with a plain frame before segment format 7, about
+// 1 585 B here; since, the second commit leans on the run's leader in the
+// first, about 1 440 B (about 1 430 since index format 4, about 1 335
+// since segment format 8, about 1 244 since segment format 9). Since the
+// server signs its receipt and response origin under one signature on
+// every domain, the response origin borrows the receipt's signature in
+// both vaults: about 1 190 B.
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t); perCall > 1270 {
-		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 270", perCall)
+	if perCall := callEvidenceBytes(t); perCall > 1215 {
+		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 215", perCall)
+	}
+}
+
+// TestDirectStepSharesOneSignature checks that on a default domain, with
+// no pipelining, the server signs its receipt and its response origin
+// under one signature, that both vaults store that pair side by side —
+// the server's {NRO, NRR, NROResp}, the client's {NRR, NROResp, NRRResp} —
+// so that the response origin borrows the receipt's signature in each,
+// and that either vault alone still proves a whole run.
+func TestDirectStepSharesOneSignature(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	const clientParty, serverParty = nonrep.Party("urn:org:client"), nonrep.Party("urn:org:server")
+	const svc = nonrep.Service("urn:org:server/echo")
+	client, err := domain.AddOrg(clientParty, nonrep.WithVault(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg(serverParty, nonrep.WithVault(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := nonrep.Descriptor{Service: svc, Methods: map[string]nonrep.MethodPolicy{"Echo": {NonRepudiation: true}}}
+	if err := server.Deploy(desc, blobEcho{}); err != nil {
+		t.Fatal(err)
+	}
+	server.Serve()
+	proxy := client.Proxy(serverParty, svc, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const calls = 12
+	runs := make([]id.Run, calls)
+	for i := range runs {
+		res, err := proxy.Call(ctx, "Echo", []byte(fmt.Sprintf("call %d", i)))
+		if err != nil || res.Status != evidence.StatusOK {
+			t.Fatalf("call %d: %v (%+v)", i, err, res)
+		}
+		runs[i] = res.Run
+	}
+	for server.Vault().Len() < 4*calls {
+		if ctx.Err() != nil {
+			t.Fatalf("the server holds %d records after %d calls", server.Vault().Len(), calls)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, org := range []*nonrep.Org{client, server} {
+		sizes, err := org.Vault().Sizes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count store.FrameCount
+		for _, s := range sizes {
+			count.Add(s.FrameCount)
+		}
+		if count.SigBorrowers != calls {
+			t.Fatalf("%s's vault: %d frames borrow a signature after %d calls, want one response origin per call",
+				org.Party(), count.SigBorrowers, calls)
+		}
+		byKind := make(map[evidence.Kind]*evidence.Token)
+		recs := org.Vault().Query(nonrep.VaultQuery{Run: runs[0]})
+		for recs.Next() {
+			byKind[recs.Record().Token.Kind] = recs.Record().Token
+		}
+		if err := recs.Err(); err != nil {
+			t.Fatal(err)
+		}
+		nrr, nroResp := byKind[evidence.KindNRR], byKind[evidence.KindNROResp]
+		if nrr == nil || nroResp == nil || string(nrr.Signature.Bytes) != string(nroResp.Signature.Bytes) ||
+			nrr.Signature.BatchIndex != 0 || nroResp.Signature.BatchIndex != 1 {
+			t.Fatalf("%s's vault: the receipt and the response origin do not share one signature", org.Party())
+		}
+		// A fresh adjudicator, no verify cache shared with the parties,
+		// judges a sampled run from this vault alone.
+		run := runs[calls/2]
+		report, err := domain.Adjudicator().AuditRunStream(org.Vault().Query(nonrep.VaultQuery{Run: run}), run)
+		if err != nil || !report.Complete() || len(report.Faults) != 0 {
+			t.Fatalf("%s's vault alone: run %s judged %+v (%v)", org.Party(), run, report, err)
+		}
 	}
 }
 

@@ -231,6 +231,61 @@ func TestTelemetryTraceTreeOverTCP(t *testing.T) {
 	}
 }
 
+// TestTelemetryTokensPerSignature reads tokens per signature from the
+// metrics alone: per direct call the server issues its receipt and its
+// response origin under one signature, and the client signs its request
+// origin and its response receipt at two protocol steps.
+func TestTelemetryTokensPerSignature(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain(nonrep.WithTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	client, err := domain.AddOrg("urn:org:caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := domain.AddOrg("urn:org:counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := nonrep.Descriptor{
+		Service: "urn:org:counter/count",
+		Methods: map[string]nonrep.MethodPolicy{"Bump": {NonRepudiation: true}},
+	}
+	if err := server.Deploy(desc, counterComponent{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.Serve()
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	proxy := client.Proxy("urn:org:counter", "urn:org:counter/count", nil)
+	const calls = 5
+	for i := 0; i < calls; i++ {
+		var out int
+		res, err := proxy.CallValue(ctx, &out, "Bump", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WaitReceipt(ctx, res.Run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := domain.Telemetry().Registry().Snapshot()
+	for _, want := range []struct {
+		tenant             string
+		tokens, signatures int64
+	}{{"urn:org:counter", 2 * calls, calls}, {"urn:org:caller", 2 * calls, 2 * calls}} {
+		tokens, signatures := snap.Counter(obs.MTokensIssuedTotal, want.tenant), snap.Counter(obs.MSignaturesTotal, want.tenant)
+		if tokens != want.tokens || signatures != want.signatures {
+			t.Errorf("%s: %d tokens issued under %d signatures after %d calls, want %d under %d",
+				want.tenant, tokens, signatures, calls, want.tokens, want.signatures)
+		}
+	}
+}
+
 // counterComponent is a trivial hosted demo component.
 type counterComponent struct{}
 
