@@ -617,6 +617,10 @@ func sizesVault(dir string) int {
 			f.name, f.lend.Signers, f.frames, p[store.PartiesSame], p[store.PartiesMirrored], p[store.PartiesReferenced], p[store.PartiesSpelled])
 	}
 
+	d := frames.Digests
+	fmt.Printf("digests: %d written, %d lent by their lender, %d rebuilt as the receipt of a response origin, %d rebuilt from their note\n",
+		d[store.DigestStored], d[store.DigestLent], d[store.DigestReceipt], d[store.DigestNote])
+
 	// What each token kind takes, and how its notes are stored: B/record
 	// of coded, structured and literal notes add up to its notes' mean.
 	fmt.Printf("\n%-14s %8s %12s %13s %13s %13s\n", "kind", "records", "frame B/rec", "coded B/rec", "struct B/rec", "literal B/rec")

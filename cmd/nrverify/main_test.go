@@ -216,6 +216,53 @@ func TestSizesReportsLending(t *testing.T) {
 	}
 }
 
+// TestSizesReportsDerivedDigests: -sizes says how the frames store their
+// tokens' digests. Two calls, each a commit of the server's {NRO, NRR,
+// NROResp}, then the client's receipt in a commit of its own, then a
+// journal record over its note: the server's receipts, and the second
+// request, take the digest of the frame they lean on, the client's
+// receipts rebuild theirs from the response origin, the journal records
+// from their notes.
+func TestSizesReportsDerivedDigests(t *testing.T) {
+	realm := testpki.MustRealm(client, server)
+	dir := t.TempDir()
+	v, err := vault.Open(dir, realm.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := func(p, to id.Party, kind evidence.Kind, run id.Run, step int, digest sig.Digest) *evidence.Token {
+		tok, err := realm.Party(p).Issuer.Issue(kind, run, step, digest, evidence.WithRecipients(to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	for i := 0; i < 2; i++ {
+		run := id.NewRun()
+		resp := issue(server, client, evidence.KindNROResp, run, 3, sig.Sum([]byte("response")))
+		receipt, _ := evidence.ReceiptOf(run, resp, evidence.Consumed)
+		const note = `{"job":"j","attempts":1}`
+		for _, group := range [][]store.Entry{
+			{{Dir: store.Received, Token: issue(client, server, evidence.KindNRO, run, 1, sig.Sum([]byte("request"))), Note: "request origin"},
+				{Dir: store.Generated, Token: issue(server, client, evidence.KindNRR, run, 2, sig.Sum([]byte("request"))), Note: "request receipt"},
+				{Dir: store.Generated, Token: resp, Note: "response origin (ok)"}},
+			{{Dir: store.Received, Token: issue(client, server, evidence.KindNRRResp, run, 4, receipt), Note: "response receipt (consumed)"}},
+			{{Dir: store.Generated, Token: issue(server, server, evidence.KindJobDone, run, 0, sig.Sum([]byte(note))), Note: note}},
+		} {
+			if _, err := v.AppendGroup(group); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, out := captured(t, func() int { return sizesVault(dir) })
+	if want := "digests: 3 written, 3 lent by their lender, 2 rebuilt as the receipt of a response origin, 2 rebuilt from their note"; code != 0 || !strings.Contains(out, want) {
+		t.Fatalf("sizes: exit %d, want %q\n%s", code, want, out)
+	}
+}
+
 // TestBundleReportsBindingFaults: every log of a bundle can audit clean —
 // each record chained, each token validly signed — while a run's tokens
 // are bound to different messages. The bundle's verdict is FAULTY then,

@@ -208,7 +208,7 @@ func TestSubmitHappyPath(t *testing.T) {
 
 	// Nothing left pending for a future Recover.
 	j2 := durable.NewJournal(client, cn.Services().Issuer, log, f.clk)
-	specs, _, err := j2.Pending()
+	specs, _, err := j2.Pending(f.realm.Verifier())
 	if err != nil || len(specs) != 0 {
 		t.Fatalf("Pending = %d specs, err %v", len(specs), err)
 	}
@@ -538,7 +538,7 @@ func TestJournalPendingCountsAttempts(t *testing.T) {
 	if err := j.Sync(); err != nil { // attempts and job-done ride the next group commit
 		t.Fatal(err)
 	}
-	specs, attempts, err := j.Pending()
+	specs, attempts, err := j.Pending(f.realm.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,8 +571,54 @@ func TestJournalRejectsTamperedSpec(t *testing.T) {
 	if _, err := log.Append(store.Generated, tok, string(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.Pending(); err == nil {
+	if _, _, err := j.Pending(f.realm.Verifier()); err == nil {
 		t.Fatal("Pending accepted a spec that does not match its signed digest")
+	}
+}
+
+// TestJournalRefusesForgedSpecOverStaleSignature: recovery trusts a spec
+// under the journal's signature, not under a digest that matches it. A
+// job-enqueued record whose note is a forged spec, and whose token says
+// the forged spec's digest beside the signature the journal made over the
+// genuine one, is refused; the genuine record is recovered.
+func TestJournalRefusesForgedSpecOverStaleSignature(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client)
+	issuer := f.realm.Party(client).Issuer
+	genuine := &durable.JobSpec{Job: id.NewRun(), Type: durable.JobCall, Server: server, Operation: "Genuine", Enqueued: f.clk.Now()}
+	raw, err := canon.Marshal(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := issuer.Issue(evidence.KindJobEnqueued, genuine.Job, 0, sig.Sum(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *genuine
+	forged.Operation = "Forged"
+	forgedRaw, err := canon.Marshal(&forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *tok
+	stale.Digest = sig.Sum(forgedRaw)
+	for _, c := range []struct {
+		tok  *evidence.Token
+		note []byte
+		ok   bool
+	}{{tok, raw, true}, {&stale, forgedRaw, false}} {
+		log := testpki.Log(t, f.clk)
+		j := durable.NewJournal(client, issuer, log, f.clk)
+		if _, err := log.Append(store.Generated, c.tok, string(c.note)); err != nil {
+			t.Fatal(err)
+		}
+		specs, _, err := j.Pending(f.realm.Verifier())
+		if c.ok && (err != nil || len(specs) != 1 || specs[0].Operation != "Genuine") {
+			t.Fatalf("the genuine spec: %+v, err %v", specs, err)
+		}
+		if !c.ok && err == nil {
+			t.Fatalf("Pending recovered %+v: a forged spec over a stale signature", specs)
+		}
 	}
 }
 
@@ -660,7 +706,7 @@ func TestJournalRecoversFromStructuredNotes(t *testing.T) {
 	}
 
 	j = durable.NewJournal(client, issuer, re, f.clk)
-	specs, attempts, err := j.Pending()
+	specs, attempts, err := j.Pending(f.realm.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}

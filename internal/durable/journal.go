@@ -140,9 +140,13 @@ func (j *Journal) byKind(kind evidence.Kind) ([]*store.Record, error) {
 }
 
 // Pending returns the jobs enqueued but not done, in enqueue order —
-// the crash-recovery work list. Each spec is checked against its signed
-// token's digest before being trusted.
-func (j *Journal) Pending() ([]*JobSpec, []int, error) {
+// the crash-recovery work list. A spec is trusted only under the
+// journal's own job-enqueued token, which v verifies: issued by the
+// journal's party, over the spec's digest, its signature valid. A note
+// whose digest matches a token proves nothing by itself — whoever edits
+// the note can edit the digest beside it, and a vault may derive the
+// digest from the note.
+func (j *Journal) Pending(v *evidence.Verifier) ([]*JobSpec, []int, error) {
 	enqueued, err := j.byKind(evidence.KindJobEnqueued)
 	if err != nil {
 		return nil, nil, err
@@ -174,8 +178,8 @@ func (j *Journal) Pending() ([]*JobSpec, []int, error) {
 		if done[r.Token.Run] {
 			continue
 		}
-		if sig.Sum([]byte(r.Note)) != r.Token.Digest {
-			return nil, nil, fmt.Errorf("durable: job %s spec does not match its signed digest", r.Token.Run)
+		if err := v.Expect(r.Token, evidence.KindJobEnqueued, r.Token.Run, j.party, sig.Sum([]byte(r.Note))); err != nil {
+			return nil, nil, fmt.Errorf("durable: job %s spec is not the one the journal signed: %w", r.Token.Run, err)
 		}
 		var spec JobSpec
 		if err := canon.Unmarshal([]byte(r.Note), &spec); err != nil {

@@ -329,7 +329,7 @@ func (r *Runtime) enqueueTracked(spec *JobSpec, priorAttempts int) (*Job, error)
 // never finished and queues them for execution, resuming call jobs under
 // their original run identifiers. It returns the recovered handles.
 func (r *Runtime) Recover() ([]*Job, error) {
-	specs, attempts, err := r.j.Pending()
+	specs, attempts, err := r.j.Pending(r.cli.Verifier())
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,11 @@ func NewBatchIssuer(i *Issuer) *BatchIssuer {
 // Issue implements TokenIssuer: the token is signed by the aggregator,
 // sharing one signature with every other token pending at that moment.
 func (b *BatchIssuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
-	return issueOne(b.IssueBatch, TokenRequest{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts})
+	toks, err := b.IssueBatch([]TokenRequest{{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts}})
+	if err != nil {
+		return nil, err
+	}
+	return toks[0], nil
 }
 
 // IssueBatch implements TokenIssuer: all requested tokens share one
@@ -188,8 +192,8 @@ func (b *BatchIssuer) commit(batch []*issueReq) {
 	var digests []sig.Digest
 	built := batch[:0]
 	for _, r := range batch {
-		t, d, err := b.Issuer.buildAll(r.reqs)
-		if err != nil {
+		t, d := make([]*Token, len(r.reqs)), make([]sig.Digest, len(r.reqs))
+		if err := b.Issuer.buildAll(r.reqs, t, d); err != nil {
 			r.resp <- issueResp{err: err}
 			continue
 		}
@@ -213,9 +217,16 @@ func (b *BatchIssuer) commit(batch []*issueReq) {
 }
 
 // Issue implements TokenIssuer: a plainly signed token binding (run,
-// step) to the content digest.
+// step) to the content digest — IssueBatch's path for one token, on
+// slices that stay on the stack.
 func (i *Issuer) Issue(kind Kind, run id.Run, step int, digest sig.Digest, opts ...IssueOption) (*Token, error) {
-	return issueOne(i.IssueBatch, TokenRequest{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts})
+	reqs := [1]TokenRequest{{Kind: kind, Run: run, Step: step, Digest: digest, Opts: opts}}
+	var toks [1]*Token
+	var digests [1]sig.Digest
+	if err := i.issue(reqs[:], toks[:], digests[:]); err != nil {
+		return nil, err
+	}
+	return toks[0], nil
 }
 
 // IssueBatch implements TokenIssuer: the requested tokens share one
@@ -224,41 +235,36 @@ func (i *Issuer) IssueBatch(reqs []TokenRequest) ([]*Token, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	toks, digests, err := i.buildAll(reqs)
-	if err != nil {
-		return nil, err
-	}
-	if err := i.signAll(toks, digests); err != nil {
+	toks := make([]*Token, len(reqs))
+	if err := i.issue(reqs, toks, make([]sig.Digest, len(reqs))); err != nil {
 		return nil, err
 	}
 	return toks, nil
 }
 
-// issueOne issues req as a batch of one.
-func issueOne(issueBatch func([]TokenRequest) ([]*Token, error), req TokenRequest) (*Token, error) {
-	toks, err := issueBatch([]TokenRequest{req})
-	if err != nil {
-		return nil, err
+// issue builds the tokens reqs ask for into toks and signs them under one
+// signature; digests, as long as reqs, holds their TBS digests.
+func (i *Issuer) issue(reqs []TokenRequest, toks []*Token, digests []sig.Digest) error {
+	if err := i.buildAll(reqs, toks, digests); err != nil {
+		return err
 	}
-	return toks[0], nil
+	return i.signAll(toks, digests)
 }
 
-// buildAll builds the unsigned tokens of one request and their TBS
-// digests.
-func (i *Issuer) buildAll(reqs []TokenRequest) ([]*Token, []sig.Digest, error) {
-	toks := make([]*Token, len(reqs))
-	digests := make([]sig.Digest, len(reqs))
+// buildAll builds the unsigned tokens of one request into toks and their
+// TBS digests into digests, both as long as reqs.
+func (i *Issuer) buildAll(reqs []TokenRequest, toks []*Token, digests []sig.Digest) error {
 	for j, r := range reqs {
 		tok, err := i.build(r.Kind, r.Run, r.Step, r.Digest, r.Opts)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if digests[j], err = tok.TBSDigest(); err != nil {
-			return nil, nil, err
+			return err
 		}
 		toks[j] = tok
 	}
-	return toks, digests, nil
+	return nil
 }
 
 // signAll signs built tokens under one signature over their TBS digests

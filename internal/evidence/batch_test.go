@@ -315,3 +315,21 @@ func TestIssuerSignsEachStepOnce(t *testing.T) {
 		t.Fatalf("an empty step made a signing operation (%d in all)", counter.signs)
 	}
 }
+
+// TestIssueAllocs pins what one plainly signed token costs the heap: what
+// building and signing the token needs, and no slice of the batch path,
+// which a single token takes on slices that stay on the stack (seven
+// allocations; the batch path's own slices made it ten).
+func TestIssueAllocs(t *testing.T) {
+	issuer, _ := batchFixture(t)
+	run := id.NewRun()
+	digest := sig.Sum([]byte("content"))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := issuer.Issue(evidence.KindNRO, run, 1, digest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("Issue allocates %.0f times, want at most 8", allocs)
+	}
+}

@@ -31,6 +31,12 @@ const (
 	flagTxn       = 1 << 6
 	flagTimestamp = 1 << 7
 	sigFlagShift  = 8 // sig.BinaryFlagBits bits: the signature's presence bits
+
+	// digestFormShift: two bits above the signature's, the DigestForm in
+	// which the digest travels (since segment format 10). A token whose
+	// digest is written out leaves them clear and pays nothing for them.
+	digestFormShift = sigFlagShift + sig.BinaryFlagBits
+	digestFormBits  = 2
 )
 
 // The bits of the token layout of segment formats 2 to 8, which had no
@@ -131,6 +137,83 @@ const (
 	PartyBitsV8        = 6
 )
 
+// DigestForm is how a token's binary form carries its digest where its
+// lender does not lend it (BorrowDigest): written out, or left for the
+// enclosing frame to derive from what the same file already holds (since
+// segment format 10). Each derived form is set only where the derivation
+// reproduces the digest byte for byte; the forms are part of the segment
+// format.
+type DigestForm uint8
+
+// Digest forms.
+const (
+	// DigestWritten: the digest's 32 bytes are written.
+	DigestWritten DigestForm = iota
+	// DigestConsumed and DigestNotConsumed: the digest is the client's
+	// receipt, with that consumption, of a response origin of the token's
+	// run that the frame names (ReceiptOf); what is written is how far
+	// before the frame that response origin's frame starts.
+	DigestConsumed
+	DigestNotConsumed
+	// DigestNote: the digest is sig.Sum of the frame's note; nothing is
+	// written.
+	DigestNote
+)
+
+// Consumption is the consumption a receipt form says; 0 for the others.
+func (f DigestForm) Consumption() Consumption {
+	switch f {
+	case DigestConsumed:
+		return Consumed
+	case DigestNotConsumed:
+		return NotConsumed
+	default:
+		return 0
+	}
+}
+
+// Derived is what decoding a token learns of a digest its binary form did
+// not carry, for the enclosing frame to rebuild: the form, and for a
+// receipt form how far before the frame its response origin's frame
+// starts. The zero value is a digest that was written or lent.
+type Derived struct {
+	Form DigestForm
+	Back uint64
+}
+
+// ReceiptOf is the digest of the client's receipt of resp, the response
+// origin of run, with consumption c: that of ReceiptNote{run, resp's one
+// recipient — the client —, resp's digest, c}, which a client's NRRResp
+// and a TTP's substitute receipt carry. It is false when resp has not
+// exactly one recipient.
+func ReceiptOf(run id.Run, resp *Token, c Consumption) (sig.Digest, bool) {
+	if len(resp.Recipients) != 1 {
+		return sig.Digest{}, false
+	}
+	note := ReceiptNote{Run: run, Client: resp.Recipients[0], ResponseDigest: resp.Digest, Consumption: c}
+	d, err := note.Digest()
+	return d, err == nil
+}
+
+// DigestFrom reports the form in which t's digest may travel in a frame
+// whose note is note — "" offers none — and that may name resp, a
+// response origin of t's run (nil for none): DigestNote where the note's
+// digest is t's, a receipt form where resp's receipt with that
+// consumption is, DigestWritten otherwise.
+func (t *Token) DigestFrom(note string, resp *Token) DigestForm {
+	if note != "" && sig.Sum([]byte(note)) == t.Digest {
+		return DigestNote
+	}
+	if resp != nil {
+		for _, f := range [...]DigestForm{DigestConsumed, DigestNotConsumed} {
+			if d, ok := ReceiptOf(t.Run, resp, f.Consumption()); ok && d == t.Digest {
+				return f
+			}
+		}
+	}
+	return DigestWritten
+}
+
 // Lenders are what a token's binary form leans on instead of writing it
 // out; the zero value writes the self-contained form.
 type Lenders struct {
@@ -147,6 +230,10 @@ type Lenders struct {
 	// Mate is the token whose signature t.MatesWith accepted: the
 	// signature is not written at all, key id included.
 	Mate *Token
+	// Digest is the form t.DigestFrom allowed where Borrow leaves the
+	// digest to the token: a derived form writes, in place of the digest,
+	// Digest.Back for a receipt and nothing for a note.
+	Digest Derived
 }
 
 // lender is the token Borrow refers to, nil when there is none.
@@ -301,7 +388,7 @@ func sameRuns(a, b [][]byte) bool {
 }
 
 // AppendBinary appends the binary encoding of the token (segment
-// format 9). The signed form remains the canonical JSON of its TBS fields
+// format 10). The signed form remains the canonical JSON of its TBS fields
 // — binary is a carrier, and every compaction below is exact or not
 // applied, so DecodeBinary reproduces a token whose canonical JSON (and
 // hence TBSDigest and signature validity) is unchanged: the kind as a
@@ -316,7 +403,9 @@ func sameRuns(a, b [][]byte) bool {
 // With a leader — which must be of t's run — the run is not written, and
 // with a leader or a source neither is any field lend.Borrow names; with
 // a mate the signature is not written at all, key id included, and its
-// presence bits are clear.
+// presence bits are clear; a digest in a derived form (lend.Digest) is
+// not written either, and a time-stamp's Ed25519 signature travels
+// without its length.
 func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, error) {
 	lender, borrow := lend.lender(), lend.Borrow
 	if lender == nil {
@@ -346,6 +435,11 @@ func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, erro
 	if t.Timestamp != nil {
 		flags |= flagTimestamp
 	}
+	derived := lend.Digest.Form
+	if borrow&BorrowDigest != 0 {
+		derived = DigestWritten
+	}
+	flags |= uint64(derived) << digestFormShift
 	dst = canon.AppendUvarint(dst, flags)
 
 	code := kindCode(t.Kind)
@@ -376,8 +470,12 @@ func (t *Token) AppendBinary(dst []byte, base int64, lend Lenders) ([]byte, erro
 	if t.Service != "" && borrow&BorrowService == 0 {
 		dst = t.appendRooted(dst, string(t.Service))
 	}
-	if borrow&BorrowDigest == 0 {
+	switch {
+	case borrow&BorrowDigest != 0, derived == DigestNote:
+	case derived == DigestWritten:
 		dst = append(dst, t.Digest[:]...)
+	default:
+		dst = canon.AppendUvarint(dst, lend.Digest.Back)
 	}
 	dst, err := canon.AppendTime(dst, t.IssuedAt, issuedMode, base)
 	if err != nil {
@@ -452,19 +550,37 @@ func (t *Token) decodeRooted(r *canon.BinReader) string {
 	}
 }
 
-// DecodeBinary decodes a token of segment format 9 from r into t, with
-// the base and lenders AppendBinary was given. A borrow bit for a field
-// the token does not have, or the lender has nothing to lend, is refused,
-// and so are parties the same as or mirroring a lender whose party list
-// cannot give them, a signer taken from a lender whose key id does not
-// extend its issuer, a mate without a batch path and a token that borrows
-// its signature yet says it has one of its own. All variable-length data
-// is copied out of the reader's buffer: decoded tokens escape into query
-// results and protocol state that outlive the source buffer (which may be
-// an mmapped segment); what is borrowed is shared with the lender's
-// token, strings both.
-func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
-	t.decodeBinary(r, base, lend, false)
+// DecodeBinary decodes a token of segment format 10 from r into t, with
+// the base and lenders AppendBinary was given but for lend.Digest: a
+// digest the token did not carry is left zero and returned as Derived, for
+// the frame to rebuild. A borrow bit for a field the token does not have,
+// or the lender has nothing to lend, is refused, and so are parties the
+// same as or mirroring a lender whose party list cannot give them, a
+// signer taken from a lender whose key id does not extend its issuer, a
+// mate without a batch path, a token that borrows its signature yet says
+// it has one of its own, and a digest both lent and derived. All
+// variable-length data is copied out of the reader's buffer: decoded
+// tokens escape into query results and protocol state that outlive the
+// source buffer (which may be an mmapped segment); what is borrowed is
+// shared with the lender's token, strings both.
+func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) Derived {
+	return t.decodeBinary(r, base, lend, layoutV10, false)
+}
+
+// DecodeBinaryHead decodes a token of segment format 10 up to and
+// including its digest — kind, run, transaction, step, parties, service
+// and digest, none of its signature — and leaves r there: what a reader
+// needs of a response origin whose receipt it rebuilds. No mate is needed.
+func (t *Token) DecodeBinaryHead(r *canon.BinReader, base int64, lend Lenders) Derived {
+	return t.decodeBinary(r, base, lend, layoutV10, true)
+}
+
+// DecodeBinaryV9 decodes a token of segment format 9 — format 10's layout
+// without digest forms, its time-stamp in the time-stamp layout of formats
+// 2 to 9. Nothing writes this layout any more; segments that hold it stay
+// readable.
+func (t *Token) DecodeBinaryV9(r *canon.BinReader, base int64, lend Lenders) {
+	t.decodeBinary(r, base, lend, layoutV9, false)
 }
 
 // DecodeBinaryV8 decodes a token of segment formats 2 to 8 — the layout
@@ -472,37 +588,52 @@ func (t *Token) DecodeBinary(r *canon.BinReader, base int64, lend Lenders) {
 // V8 bits — with the base and lenders its frame gives. Nothing writes
 // this layout any more; segments that hold it stay readable.
 func (t *Token) DecodeBinaryV8(r *canon.BinReader, base int64, lend Lenders) {
-	t.decodeBinary(r, base, lend, true)
+	t.decodeBinary(r, base, lend, layoutV8, false)
 }
 
-func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bool) {
+// The token layouts of the segment formats.
+const (
+	layoutV8  = iota // formats 2 to 8
+	layoutV9         // format 9
+	layoutV10        // format 10, the one written
+)
+
+func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, layout int, head bool) (derived Derived) {
 	flags := r.Uvarint()
 	lender, borrow, mate := lend.lender(), lend.Borrow, lend.Mate
 	txnBit, stampBit, shift, bits := uint64(flagTxn), uint64(flagTimestamp), sigFlagShift, MaskBits
-	if v8 {
+	width := sigFlagShift + sig.BinaryFlagBits
+	v8 := layout == layoutV8
+	switch layout {
+	case layoutV8:
 		txnBit, stampBit, shift, bits = flagTxnV8, flagTimestampV8, sigFlagShiftV8, PartyBitsV8
+		width = sigFlagShiftV8 + sig.BinaryFlagBits
 		if lend.Leader != nil {
 			bits = BorrowBitsV8
 		}
+	case layoutV10:
+		width += digestFormBits
+		derived.Form = DigestForm(flags >> digestFormShift)
 	}
 	parties := borrow & PartyMask
-	if flags>>(shift+sig.BinaryFlagBits) != 0 || borrow>>bits != 0 || (lender == nil && borrow != 0) ||
-		(lend.Leader != nil && lend.Source != nil) || (mate != nil && flags>>shift != 0) ||
+	if flags>>width != 0 || borrow>>bits != 0 || (lender == nil && borrow != 0) ||
+		(lend.Leader != nil && lend.Source != nil) || (mate != nil && flags>>shift&(1<<sig.BinaryFlagBits-1) != 0) ||
 		(borrow&BorrowTxn != 0 && (flags&txnBit == 0 || lender.Txn == "")) ||
-		(borrow&BorrowService != 0 && (flags&flagService == 0 || lender.Service == "")) {
+		(borrow&BorrowService != 0 && (flags&flagService == 0 || lender.Service == "")) ||
+		(borrow&BorrowDigest != 0 && derived.Form != DigestWritten) {
 		r.Fail(canon.ErrBinary)
-		return
+		return derived
 	}
 	if v8 {
 		if borrow&BorrowRecipientsV8 != 0 && flags&flagRecipients == 0 {
 			r.Fail(canon.ErrBinary)
-			return
+			return derived
 		}
 	} else if (mate != nil && flags&flagSigBytes != 0) || (mate != nil && borrow&BorrowSigner != 0) ||
 		(parties == PartiesSame && (flags&flagRecipients != 0) != (len(lender.Recipients) > 0)) ||
 		(parties == PartiesMirrored && (flags&flagRecipients == 0 || len(lender.Recipients) != 1)) {
 		r.Fail(canon.ErrBinary)
-		return
+		return derived
 	}
 	if code := int(r.Byte()); code == 0 {
 		t.Kind = Kind(r.ValidString())
@@ -510,7 +641,7 @@ func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bo
 		t.Kind = kindCodes[code]
 	} else {
 		r.Fail(canon.ErrBinary)
-		return
+		return derived
 	}
 	if lend.Leader != nil {
 		t.Run = lend.Leader.Run
@@ -548,10 +679,18 @@ func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bo
 	case flags&flagService != 0:
 		t.Service = id.Service(t.decodeRooted(r))
 	}
-	if borrow&BorrowDigest != 0 {
+	switch {
+	case borrow&BorrowDigest != 0:
 		t.Digest = lender.Digest
-	} else {
+	case derived.Form == DigestWritten:
 		copy(t.Digest[:], r.Raw(sig.DigestSize))
+	case derived.Form != DigestNote:
+		if derived.Back = r.Uvarint(); derived.Back == 0 {
+			r.Fail(canon.ErrBinary)
+		}
+	}
+	if head {
+		return derived
 	}
 	t.IssuedAt = r.Time(canon.TimeMode(flags>>issuedModeShift&3), base)
 	if !v8 && flags&flagNonce != 0 {
@@ -564,7 +703,7 @@ func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bo
 		var ok bool
 		if t.Signature, ok = mateSignature(mate); !ok {
 			r.Fail(canon.ErrBinary)
-			return
+			return derived
 		}
 	case v8:
 		if borrow&BorrowKeyIDV8 != 0 {
@@ -579,7 +718,7 @@ func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bo
 			switch {
 			case !ok:
 				r.Fail(canon.ErrBinary)
-				return
+				return derived
 			case t.Issuer == lender.Issuer:
 				t.Signature.KeyID = lender.Signature.KeyID // the same string, shared
 			default:
@@ -590,12 +729,17 @@ func (t *Token) decodeBinary(r *canon.BinReader, base int64, lend Lenders, v8 bo
 			t.Signature.KeyID = t.decodeRooted(r)
 			t.Signature.Algorithm = sig.Algorithm(r.Byte())
 		}
-		t.Signature.DecodeBinaryBody(r, flags>>shift, flags&flagSigBytes != 0)
+		t.Signature.DecodeBinaryBody(r, flags>>shift&(1<<sig.BinaryFlagBits-1), flags&flagSigBytes != 0)
 	}
 	if flags&stampBit != 0 {
 		t.Timestamp = new(stamp.Token)
-		t.Timestamp.DecodeBinary(r)
+		if layout == layoutV10 {
+			t.Timestamp.DecodeBinary(r)
+		} else {
+			t.Timestamp.DecodeBinaryV9(r)
+		}
 	}
+	return derived
 }
 
 // decodePartiesV8 reads the parties of a token of formats 2 to 8: the

@@ -3,7 +3,9 @@ package evidence
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
@@ -184,5 +186,15 @@ type ReceiptNote struct {
 	Consumption    Consumption `json:"consumption"`
 }
 
-// Digest returns the canonical digest of the receipt note.
-func (r *ReceiptNote) Digest() (sig.Digest, error) { return sig.SumCanonical(r) }
+// Digest returns the canonical digest of the receipt note. The segment
+// encoder digests one for every receipt whose digest it may rebuild
+// (ReceiptOf), so the note's canonical JSON is written field by field, as
+// canon.Marshal writes it.
+func (r *ReceiptNote) Digest() (sig.Digest, error) {
+	var buf [192]byte
+	b := canon.AppendJSONString(append(buf[:0], `{"run":`...), string(r.Run))
+	b = canon.AppendJSONString(append(b, `,"client":`...), string(r.Client))
+	b = canon.AppendJSONHex(append(b, `,"response_digest":`...), r.ResponseDigest[:])
+	b = strconv.AppendInt(append(b, `,"consumption":`...), int64(r.Consumption), 10)
+	return sig.Sum(append(b, '}')), nil
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/id"
 	"nonrep/internal/sig"
 )
@@ -145,5 +146,27 @@ func TestReceiptNoteDigest(t *testing.T) {
 	}
 	if d1 == d2 {
 		t.Fatal("receipt digest ignores consumption")
+	}
+}
+
+// TestReceiptNoteDigestMatchesMarshal: the receipt note's direct appender
+// writes canon.Marshal's bytes — the bytes every NRRResp and substitute
+// receipt signed — for ordinary notes and for text JSON must escape.
+func TestReceiptNoteDigestMatchesMarshal(t *testing.T) {
+	t.Parallel()
+	d := sig.Sum([]byte("response"))
+	for _, note := range []ReceiptNote{
+		{Run: "run-00ff", Client: "urn:org:client", ResponseDigest: d, Consumption: Consumed},
+		{Run: "run-00ff", Client: "urn:org:client", ResponseDigest: d, Consumption: NotConsumed},
+		{},
+		{Run: "r\"u\\n\x01 <&>", Client: "urn:\xffclient\t", ResponseDigest: d, Consumption: -7},
+	} {
+		want, err := canon.Sum256(&note)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := note.Digest(); err != nil || got != want {
+			t.Fatalf("%+v: digest %x, err %v, want %x", note, got, err, want)
+		}
 	}
 }

@@ -82,6 +82,10 @@ func NewClient(co *protocol.Coordinator, opts ...ClientOption) *Client {
 	return c
 }
 
+// Verifier is what the client checks evidence with: its coordinator's
+// verifier.
+func (c *Client) Verifier() *evidence.Verifier { return c.co.Services().Verifier }
+
 // Invoke performs a non-repudiable invocation of req on server under a
 // fresh run. The returned Result carries the response (or
 // interceptor-generated failure evidence) and all run evidence; a non-nil

@@ -55,31 +55,23 @@ func (s *Signature) BinaryFlags() uint64 {
 	return f
 }
 
-// FixedBytesLen is the length of a signature run a token of segment
-// format 9 writes raw, without a length: an Ed25519 signature's. Only a
-// run of exactly this length travels so; any other is written with its
-// length.
+// FixedBytesLen is the length of a signature run an evidence token
+// (since segment format 9) or a time-stamp token (since format 10) writes
+// raw, without a length: an Ed25519 signature's. Only a run of exactly
+// this length travels so; any other is written with its length.
 const FixedBytesLen = 64
 
 // FixedBytes reports whether the signature's bytes have the length a
-// token of segment format 9 writes raw.
+// token writes raw.
 func (s *Signature) FixedBytes() bool { return len(s.Bytes) == FixedBytesLen }
 
-// AppendBinary appends the binary encoding of the signature, all but
-// its key id: key ids are rooted at a party URI the enclosing token
-// already carries, so the token writes the id as a reference plus
-// suffix. Fields follow the canonical JSON order; those BinaryFlags
-// reports absent are skipped. Time-stamp tokens and the evidence tokens
-// of segment formats 2 to 8 lay signatures out so.
-func (s *Signature) AppendBinary(dst []byte) []byte {
-	return s.AppendBinaryBody(append(dst, byte(s.Algorithm)), false)
-}
-
-// AppendBinaryBody appends what AppendBinary writes after the algorithm:
-// the signature's bytes — raw when fixed is set, which the caller may set
-// only where FixedBytes holds and must carry in its own flags — and the
-// optional fields. An evidence token of segment format 9 writes its
-// algorithm apart, or takes it from the token it leans on.
+// AppendBinaryBody appends the binary encoding of the signature but for
+// its key id and algorithm, which the enclosing token writes apart (a key
+// id is rooted at a party URI the token already carries) or takes from
+// the token it leans on: the signature's bytes — raw when fixed is set,
+// which the caller may set only where FixedBytes holds and must carry in
+// its own flags — and the optional fields in canonical JSON order, those
+// BinaryFlags reports absent skipped.
 func (s *Signature) AppendBinaryBody(dst []byte, fixed bool) []byte {
 	switch {
 	case fixed:
@@ -108,7 +100,9 @@ func (s *Signature) AppendBinaryBody(dst []byte, fixed bool) []byte {
 	return dst
 }
 
-// DecodeBinary decodes what AppendBinary wrote, given the flags the
+// DecodeBinary decodes the layout of segment formats 2 to 9's time-stamp
+// tokens and formats 2 to 8's evidence tokens — the algorithm, then what
+// AppendBinaryBody writes without fixed bytes — given the flags the
 // enclosing codec carried; KeyID is the caller's to fill. All byte runs
 // are copied: decoded signatures outlive the buffer they came from.
 func (s *Signature) DecodeBinary(r *canon.BinReader, flags uint64) {

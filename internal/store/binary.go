@@ -9,13 +9,15 @@
 // canonical bytes it was encoded from and the hash chain is
 // encoding-independent.
 //
-// Version 9 (the only version written) spends bytes only on what a
+// Version 10 (the only version written) spends bytes only on what a
 // record does not share with its neighbourhood and cannot be re-derived:
 // Prev and seq are elided when the frame directly follows its
 // predecessor, Hash is never stored — it is a function of the rest of the
 // record, and the decoder computes it exactly as Chainer.Next did — times
 // are nanosecond varints, generated identifiers are raw bytes (a
-// generated nonce and an Ed25519 signature without even a header), kind,
+// generated nonce and an Ed25519 signature — a time-stamp's too — without
+// even a header), a token's digest that the file's other bytes determine
+// is rebuilt from them, kind,
 // direction and the protocols' fixed log notes are one-byte codes, a note
 // that is canonical JSON is a structured tree (jsonnote.go), and strings
 // that extend one of the frame's own party URIs are written as suffixes.
@@ -42,18 +44,25 @@
 // leader or a follower of the same leader, which wrote its own — when the
 // two are sibling leaves of one batch signature
 // (evidence.Token.MatesWith), as a batch signer's receipt and response
-// origin are. The invariant of the format:
+// origin are. A token's digest may be derived rather than written
+// (evidence.DigestForm): the digest of the frame's own note, or — in a
+// follower — the client's receipt of a response origin, evidence.ReceiptOf
+// the newest nro-resp follower of the same leader, which stores its own
+// digest and which the frame names by its distance back as well. The
+// invariant of the format:
 //
 //	A frame decodes given its predecessor's hash and seq, its leader —
 //	the one frame `back` bytes before it in the same file — the leader's
 //	party source (or its own, when it is plain), and, when it says so,
-//	its mate.
+//	its mate and the head of the response origin it names.
 //
 // There is no table per segment and no state per vault: a sequential
-// scan keeps the last leaderRing plain frames it decoded and the frame
-// before the one it decodes, a keyed read parses at most three more
-// frames out of the same mapping — the leader, the leader's party source
-// and the mate the segment index locates (a plain frame: its party
+// scan keeps the last leaderRing plain frames it decoded, with the newest
+// response origin that follows each, and the frame before the one it
+// decodes; a keyed read parses at most four more frames out of the same
+// mapping — the leader, the leader's party source, the mate the segment
+// index locates and the head of a named response origin, up to its
+// digest, which needs nothing but the leader (a plain frame: its party
 // source). A plain frame's body is
 //
 //	flags · [seq · Prev] · source back · [party mask] · At · direction ·
@@ -89,7 +98,9 @@
 // follower) leader digest the tree may refer to — or a length-prefixed
 // string.
 //
-// Version 8 is version 9 with the token layout of versions 2 to 8 —
+// Version 9 is version 10 with every digest that is not lent written out
+// and every time-stamp's signature with its length. Version 8 is version
+// 9 with the token layout of versions 2 to 8 —
 // every nonce and signature with a header, every signer written out
 // (a party source's key id taken only when it is exactly the token's),
 // every party as a reference or a string — and masks of their own: a
@@ -105,7 +116,7 @@
 // version 5 without structured notes, version 3 is version 4 without
 // followers, version 2 is version 3 with the hash stored and the notes
 // spelled out (two more flag bits clear), so one body decoder reads all
-// eight. They, version-1 segments (every field in full, text timestamps)
+// nine. They, version-1 segments (every field in full, text timestamps)
 // and legacy JSON-lines segments (first byte '{') remain readable
 // forever; a stored hash is held to the derived one at decode, so
 // whatever the format, a decoded record's Hash is the digest of its
@@ -167,6 +178,10 @@ const (
 	// its signer, its parties as references and its fixed-shape fields with
 	// headers): read, never written.
 	EncBinaryV8
+	// EncBinaryV9 is the version-9 binary frame format (every digest that
+	// is not lent written out, every stamp signature with its length):
+	// read, never written.
+	EncBinaryV9
 )
 
 // String names the encoding.
@@ -192,6 +207,8 @@ func (e Encoding) String() string {
 		return "binary-v7"
 	case EncBinaryV8:
 		return "binary-v8"
+	case EncBinaryV9:
+		return "binary-v9"
 	default:
 		return "unknown"
 	}
@@ -208,25 +225,25 @@ func (e Encoding) HeaderLen() int64 {
 
 // framed reports whether the encoding is one of the binary frame formats.
 func (e Encoding) framed() bool {
-	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6 || e == EncBinaryV7 || e == EncBinaryV8
+	return e == EncBinary || e == EncBinaryV1 || e == EncBinaryV2 || e == EncBinaryV3 || e == EncBinaryV4 || e == EncBinaryV5 || e == EncBinaryV6 || e == EncBinaryV7 || e == EncBinaryV8 || e == EncBinaryV9
 }
 
 // structuredNotes reports whether the encoding's frames may store a note
 // as a structured tree (since version 5).
 func (e Encoding) structuredNotes() bool {
-	return e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 || e == EncBinaryV6 || e == EncBinaryV5
+	return e.mates() || e == EncBinaryV5
 }
 
 // mates reports whether the encoding's followers may borrow a signature
 // from their mate (since version 6).
 func (e Encoding) mates() bool {
-	return e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 || e == EncBinaryV6
+	return e.ring() == leaderRing || e == EncBinaryV6
 }
 
 // ring is how many of a file's latest plain frames a follower of the
 // encoding may lean on: leaderRing since version 7, the last one before.
 func (e Encoding) ring() int {
-	if e == EncBinary || e == EncBinaryV8 || e == EncBinaryV7 {
+	if e.sources() || e == EncBinaryV7 {
 		return leaderRing
 	}
 	return 1
@@ -235,13 +252,18 @@ func (e Encoding) ring() int {
 // sources reports whether the encoding's plain frames may take their
 // parties from a party source, and its frames that elide Prev elide
 // their seq too (since version 8).
-func (e Encoding) sources() bool { return e == EncBinary || e == EncBinaryV8 }
+func (e Encoding) sources() bool { return e.lending() || e == EncBinaryV8 }
+
+// lending reports whether the encoding's tokens take their signer and
+// their parties in a party form from their lender, under one mask layout
+// for followers and plain frames (since version 9).
+func (e Encoding) lending() bool { return e == EncBinary || e == EncBinaryV9 }
 
 // masks are the frame's own bits of a follower's borrow mask and of a
 // plain frame's party mask under the encoding: since version 9 one
 // layout serves both, the token's bits below the at and signature bits.
 func (e Encoding) masks() frameMasks {
-	if e == EncBinary {
+	if e.lending() {
 		return frameMasks{followAt: maskAt, sig: maskSig, sourceAt: maskAt}
 	}
 	return frameMasks{followAt: borrowAtV8, sig: borrowSigV8, sourceAt: partyAtV8}
@@ -268,8 +290,8 @@ func (e Encoding) frameFlags() byte {
 const (
 	// SegmentVersion is the binary segment format version written into
 	// the header's fourth byte.
-	SegmentVersion = 9
-	// segmentVersion1 to segmentVersion8 are the superseded formats,
+	SegmentVersion = 10
+	// segmentVersion1 to segmentVersion9 are the superseded formats,
 	// still decoded.
 	segmentVersion1 = 1
 	segmentVersion2 = 2
@@ -279,6 +301,7 @@ const (
 	segmentVersion6 = 6
 	segmentVersion7 = 7
 	segmentVersion8 = 8
+	segmentVersion9 = 9
 	// leaderRing is how many of a file's latest plain frames a follower may
 	// lean on (since version 7) and a plain frame may take its parties
 	// from (since version 8): a scan refuses a frame that names any other.
@@ -303,7 +326,7 @@ var ErrSegmentVersion = errors.New("store: unsupported binary segment version")
 
 // DetectEncoding classifies segment data by its header: binary segments
 // open with 'N' (the "NRS" header, whose fourth byte tells versions 1
-// to 8 from the current one), JSON segments with '{'. Empty data is
+// to 9 from the current one), JSON segments with '{'. Empty data is
 // EncUnknown — the caller chooses. Detection is per FILE, never per
 // record: a binary frame body may well start with '{'.
 func DetectEncoding(data []byte) Encoding {
@@ -328,6 +351,8 @@ func DetectEncoding(data []byte) Encoding {
 		return EncBinaryV7
 	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion8:
 		return EncBinaryV8
+	case len(data) >= SegmentHeaderLen && data[3] == segmentVersion9:
+		return EncBinaryV9
 	default:
 		return EncBinary
 	}
@@ -448,7 +473,10 @@ const (
 // plain frames, one that spells them out itself, when one shares its
 // parties. One encoder therefore serves one contiguous run of frames — a
 // segment file's appends, one push — and the first frame of every run is
-// explicit and spells out its parties.
+// explicit and spells out its parties. A token's digest that is the
+// digest of its frame's note, or — in a follower — the receipt of the
+// newest response origin that follows the same leader and stores its
+// digest, is rebuilt rather than written.
 //
 // A frame stores the record's content, not its Hash: rec.Hash must be
 // the record's chained hash (what Chainer.Next, NextRecord and every
@@ -472,15 +500,16 @@ type RecordEncoder struct {
 }
 
 // Reset starts a new run: the next frame carries its Prev explicitly and
-// is plain. Call it whenever the next frame will not directly follow the
-// previous one in the same file or message.
+// is plain, and no frame appended so far lends anything. Call it whenever
+// the next frame will not directly follow the previous one in the same
+// file or message.
 func (e *RecordEncoder) Reset() { *e = RecordEncoder{scratch: e.scratch} }
 
-// Cut forgets every frame appended so far as a leader, party source or
-// mate: the next frame is plain and spells out its parties, whatever its
-// run, and leads the frames after it. Call it when frames it appended
-// were dropped rather than written — no later frame may lean on one that
-// never reached the file.
+// Cut forgets every frame appended so far as a leader, party source,
+// mate or response origin: the next frame is plain and spells out its
+// parties, whatever its run, and leads the frames after it. Call it when
+// frames it appended were dropped rather than written — no later frame
+// may lean on one that never reached the file.
 func (e *RecordEncoder) Cut() {
 	e.ring.clear()
 	e.mate = nil
@@ -492,13 +521,14 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	start := e.pos
 	var lean leaning
 	leadAt := start
+	var lead *ringFrame
 	if elide && rec.Token != nil {
 		// A frame that names recipients does not follow a leader that names
 		// none — a party's record to itself, such as a journal record that
 		// opens a durable run: it leads the run from here on, so that the
 		// frames after it borrow their parties and service from it.
-		if l, at := e.ring.of(rec.Token.Run); l != nil && (len(l.Token.Recipients) > 0 || len(rec.Token.Recipients) == 0) {
-			lean.lead, leadAt = l, at
+		if f := e.ring.of(rec.Token.Run); f != nil && (len(f.rec.Token.Recipients) > 0 || len(rec.Token.Recipients) == 0) {
+			lead, lean.lead, leadAt = f, f.rec, f.at
 		}
 	}
 	switch {
@@ -507,19 +537,25 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 		if mate := e.mate; mate != nil && e.mateLead == leadAt && rec.Token.MatesWith(mate.Token) {
 			lean.mate = mate
 		}
+		if lead.resp != nil {
+			lean.resp, lean.respBack = lead.resp, uint64(start-lead.respAt)
+		}
 	case rec.Token != nil:
 		if src, at := e.ring.sourceFor(rec.Token); src != nil {
 			lean.source, lean.back = src, uint64(start-at)
 		}
 	}
-	body, err := appendRecordBody(e.scratch[:0], rec, elide, lean)
+	body, form, err := appendRecordBody(e.scratch[:0], rec, elide, lean)
 	if err != nil {
 		return nil, err
 	}
 	e.scratch = body
 	e.last, e.lastSeq, e.chained = rec.Hash, rec.Seq, true
-	if lean.lead == nil {
+	switch {
+	case lean.lead == nil:
 		e.ring.push(rec, start, leaderRing, lean.source != nil)
+	case rec.Token.Kind == evidence.KindNROResp:
+		lead.respond(rec, start, form)
 	}
 	e.mate = nil
 	if lean.mate == nil && rec.Token != nil {
@@ -533,12 +569,15 @@ func (e *RecordEncoder) AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 
 // leaning is what a frame leans on instead of writing it out: a
 // follower's leader or a plain frame's party source, back bytes before
-// it, and a follower's mate. The zero value is a frame that spells out
-// everything.
+// it, a follower's mate, and the response origin of a follower's leader,
+// respBack bytes before it, whose receipt its digest may be. The zero
+// value is a frame that spells out everything.
 type leaning struct {
 	lead, source *Record
 	back         uint64
 	mate         *Record
+	resp         *Record
+	respBack     uint64
 }
 
 // frameRing holds the latest plain frames of a file — at most the
@@ -557,6 +596,21 @@ type ringFrame struct {
 	// sourced: the frame took its parties from a party source, so it
 	// lends them to none.
 	sourced bool
+	// resp is the newest response origin that follows the frame, starting
+	// at respAt, when its digest is stored: the one frame a receipt that
+	// follows it may rebuild its digest from. nil when there is none, or
+	// the newest derived its own digest.
+	resp   *Record
+	respAt int64
+}
+
+// respond records rec, a response origin that follows the frame starting
+// at at, its digest in form, as the newest.
+func (f *ringFrame) respond(rec *Record, at int64, form DigestForm) {
+	f.resp, f.respAt = rec, at
+	if form != DigestStored && form != DigestLent {
+		f.resp = nil
+	}
 }
 
 // push adds the plain frame starting at at, rec nil when it cannot lead,
@@ -576,15 +630,14 @@ func (r *frameRing) newest(i int) *ringFrame {
 	return &r.frames[(r.next-i+r.size)%r.size]
 }
 
-// of returns the newest frame of run held and where it starts; nil when
-// there is none.
-func (r *frameRing) of(run id.Run) (*Record, int64) {
+// of returns the newest frame of run held; nil when there is none.
+func (r *frameRing) of(run id.Run) *ringFrame {
 	for i := 1; i <= r.n; i++ {
 		if f := r.newest(i); f.rec != nil && f.rec.Token.Run == run {
-			return f.rec, f.at
+			return f
 		}
 	}
-	return nil, 0
+	return nil
 }
 
 // sourceFor returns the frame held that lends tok the most of its
@@ -658,8 +711,10 @@ func AppendFrameRun(dst []byte, recs []*Record) ([]byte, error) {
 
 // appendRecordBody appends rec's frame body: a plain frame, which with
 // a source takes its parties from it, or with a lead a follower of it,
-// which with a mate borrows its signature from that.
-func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]byte, error) {
+// which with a mate borrows its signature from that and with a response
+// origin may rebuild its digest from that's. It says in which form the
+// frame stores its token's digest.
+func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]byte, DigestForm, error) {
 	start := len(dst)
 	atMode := canon.ModeOfTime(rec.At)
 	flags := byte(atMode)<<frameAtShift | frameDerived
@@ -702,6 +757,24 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]
 			flags |= frameNoteCode
 		}
 	}
+	form := DigestStored
+	switch {
+	case rec.Token == nil:
+	case lend.Borrow&evidence.BorrowDigest != 0:
+		form = DigestLent
+	default:
+		// A coded note is one of the protocols' fixed words, which no
+		// token's digest covers: only a note written out is offered.
+		note := rec.Note
+		if noteCode != 0 {
+			note = ""
+		}
+		lend.Digest.Form = rec.Token.DigestFrom(note, tokenOf(lean.resp))
+		form = digestForm(lend.Digest.Form)
+		if form == DigestReceipt {
+			lend.Digest.Back = lean.respBack
+		}
+	}
 	dst = append(dst, flags)
 	if !elidePrev {
 		dst = canon.AppendUvarint(dst, rec.Seq)
@@ -715,7 +788,7 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]
 	}
 	dst, err := canon.AppendTime(dst, rec.At, atMode, atBase)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch rec.Direction {
 	case Generated:
@@ -734,11 +807,11 @@ func appendRecordBody(dst []byte, rec *Record, elidePrev bool, lean leaning) ([]
 	}
 	if rec.Token != nil {
 		if dst, err = rec.Token.AppendBinary(dst, tokenTimeBase(rec.At, atMode), lend); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	dst = append(dst, tree...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), nil
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli)), form, nil
 }
 
 // tokenOf is rec's token, nil for no record.
@@ -803,7 +876,7 @@ const (
 
 // partyForm reads the party form off a token's borrow bits.
 func partyForm(borrow uint8, enc Encoding) PartyForm {
-	if enc != EncBinary {
+	if !enc.lending() {
 		if borrow&(evidence.BorrowIssuerV8|evidence.BorrowRecipientsV8) != 0 {
 			return PartiesReferenced
 		}
@@ -821,17 +894,51 @@ func partyForm(borrow uint8, enc Encoding) PartyForm {
 	}
 }
 
+// DigestForm is how a frame stores its token's digest.
+type DigestForm uint8
+
+// Digest forms.
+const (
+	// DigestStored: the digest's bytes are written.
+	DigestStored DigestForm = iota
+	// DigestLent: the digest is the lender's, not written.
+	DigestLent
+	// DigestReceipt: the digest is the client's receipt of a response
+	// origin of its leader that the frame names, rebuilt from it (since
+	// version 10).
+	DigestReceipt
+	// DigestNote: the digest is the note's, rebuilt from it (since
+	// version 10).
+	DigestNote
+
+	digestForms = iota
+)
+
+// digestForm is the frame's form of a token's own digest form.
+func digestForm(f evidence.DigestForm) DigestForm {
+	switch f {
+	case evidence.DigestWritten:
+		return DigestStored
+	case evidence.DigestNote:
+		return DigestNote
+	default:
+		return DigestReceipt
+	}
+}
+
 // frameInfo is what decoding a frame learns about its shape beyond the
 // record: its flags, whether a follower borrowed its signature from its
 // mate, whether a plain frame took its parties from a party source, how
 // its token's parties travel and whether it took its signer from its
-// lender, its note's form and the bytes the note takes.
+// lender, how it stores its token's digest, its note's form and the bytes
+// the note takes.
 type frameInfo struct {
 	flags     byte
 	mateSig   bool
 	sourced   bool
 	signer    bool
 	parties   PartyForm
+	digest    DigestForm
 	note      NoteForm
 	noteBytes int
 }
@@ -854,18 +961,27 @@ type leaderFunc func(back uint64) (*Record, error)
 // otherwise.
 type mateFunc func() (*Record, frameInfo, error)
 
+// responseFunc finds the response origin a follower's receipt names: the
+// token of the frame back bytes before it, a follower of the same leader
+// of kind nro-resp that stores its digest, and fails otherwise.
+type responseFunc func(back uint64) (*evidence.Token, error)
+
 // frameLenders find what a frame leans on: its leader if it is a
-// follower, its party source if it is a plain frame that names one, and
-// its mate if it borrows a signature. Each is nil where a frame stands
-// alone.
+// follower, its party source if it is a plain frame that names one, its
+// mate if it borrows a signature, and the response origin its digest is
+// the receipt of. Each is nil where a frame stands alone.
 type frameLenders struct {
 	leader, source leaderFunc
 	mate           mateFunc
+	response       responseFunc
 }
 
-// decodeRecordBody decodes one record body of version 2 to 9; prev is the
-// record before it, needed only when the frame elides its Prev, and lend
-// finds what the frame leans on, needed only when it does.
+// decodeRecordBody decodes one record body of version 2 to 10; prev is
+// the record before it, needed only when the frame elides its Prev, and
+// lend finds what the frame leans on, needed only when it does. With head
+// set it decodes a version-10 frame only up to its token's digest — no
+// mate, no signature, no note tree — for a reader that needs a response
+// origin's recipients and digest, and refuses one whose digest is derived.
 // A version-2 frame (enc EncBinaryV2, or a frame under a later header
 // with the version-3 flag bits clear) ends in its stored Hash,
 // which is returned in the record for the caller to hold to the derived
@@ -874,7 +990,7 @@ type frameLenders struct {
 // the record. All variable-length data is copied, so decoded records
 // never alias the input buffer (which may be an mmapped segment that is
 // later unmapped).
-func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLenders) (rec *Record, info frameInfo, err error) {
+func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLenders, head bool) (rec *Record, info frameInfo, err error) {
 	if len(body) == 0 {
 		return nil, info, fmt.Errorf("store: %w: empty record frame", canon.ErrBinary)
 	}
@@ -926,7 +1042,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 		}
 		tokLend.Leader, tokLend.Borrow = lender.Token, mask&^(own.followAt|own.sig)
 		info.mateSig, atBit = mask&own.sig != 0, own.followAt
-		if info.mateSig {
+		if info.mateSig && !head {
 			if !enc.mates() || lend.mate == nil {
 				return nil, info, fmt.Errorf("store: %w: frame borrows a signature without its mate", canon.ErrBinary)
 			}
@@ -958,7 +1074,7 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 		info.sourced, atBit = true, own.sourceAt
 	}
 	info.parties = partyForm(tokLend.Borrow, enc)
-	info.signer = enc == EncBinary && tokLend.Borrow&evidence.BorrowSigner != 0
+	info.signer = enc.lending() && tokLend.Borrow&evidence.BorrowSigner != 0
 	var atBase int64
 	if mask&atBit != 0 {
 		if atMode == canon.TimeText || atMode != canon.ModeOfTime(lender.At) {
@@ -992,17 +1108,54 @@ func decodeRecordBody(body []byte, enc Encoding, prev *chainLink, lend frameLend
 		rec.Note, info.note = r.ValidString(), NoteLiteral
 	}
 	info.noteBytes = noteAt - r.Len()
+	if tokLend.Borrow&evidence.BorrowDigest != 0 {
+		info.digest = DigestLent
+	}
+	var derived evidence.Derived
 	if flags&frameToken != 0 && r.Err() == nil {
 		base := tokenTimeBase(rec.At, atMode)
 		rec.Token = new(evidence.Token)
-		if enc == EncBinary {
-			rec.Token.DecodeBinary(&r, base, tokLend)
-		} else {
+		switch {
+		case head:
+			if derived = rec.Token.DecodeBinaryHead(&r, base, tokLend); derived.Form != evidence.DigestWritten {
+				return nil, info, fmt.Errorf("store: %w: response origin derives its digest", canon.ErrBinary)
+			}
+			if err := r.Err(); err != nil {
+				return nil, info, fmt.Errorf("store: decode binary record: %w", err)
+			}
+			return rec, info, nil
+		case enc == EncBinary:
+			derived = rec.Token.DecodeBinary(&r, base, tokLend)
+		case enc == EncBinaryV9:
+			rec.Token.DecodeBinaryV9(&r, base, tokLend)
+		default:
 			rec.Token.DecodeBinaryV8(&r, base, tokLend)
+		}
+		if derived.Form != evidence.DigestWritten {
+			info.digest = digestForm(derived.Form)
+		}
+		if info.digest == DigestReceipt && r.Err() == nil {
+			if lend.response == nil || flags&frameFollower == 0 {
+				return nil, info, fmt.Errorf("store: %w: receipt frame without the response origin it names", canon.ErrBinary)
+			}
+			resp, err := lend.response(derived.Back)
+			if err != nil {
+				return nil, info, err
+			}
+			var ok bool
+			if rec.Token.Digest, ok = evidence.ReceiptOf(rec.Token.Run, resp, derived.Form.Consumption()); !ok {
+				return nil, info, fmt.Errorf("store: %w: response origin names no sole client", canon.ErrBinary)
+			}
 		}
 		if info.note == NoteStructured && r.Err() == nil {
 			info.noteBytes += r.Len()
 			rec.Note = decodeNote(&r, &noteScope{tok: rec.Token, lead: tokLend.Leader, base: base})
+		}
+		if info.digest == DigestNote && r.Err() == nil {
+			if rec.Note == "" {
+				return nil, info, fmt.Errorf("store: %w: frame derives its digest from a note it has not", canon.ErrBinary)
+			}
+			rec.Token.Digest = sig.Sum([]byte(rec.Note))
 		}
 	}
 	if flags&frameDerived == 0 {
@@ -1105,7 +1258,7 @@ func decodeFrame(data []byte, enc Encoding, prev *chainLink, lend frameLenders, 
 	if enc == EncBinaryV1 {
 		rec, info, err = decodeRecordBodyV1(body)
 	} else {
-		rec, info, err = decodeRecordBody(body, enc, prev, lend)
+		rec, info, err = decodeRecordBody(body, enc, prev, lend, false)
 	}
 	if err == nil {
 		err = sealHash(rec, info.flags&frameDerived == 0, scratch)
@@ -1184,9 +1337,11 @@ func NewSlotReader(data []byte, enc Encoding) *SlotReader {
 // one more when the leader takes its parties from a party source, and,
 // when it borrows its signature, one for its mate unless that is the
 // leader; a plain frame that names a party source costs its source's
-// parse. A leader or source the reader parsed for an earlier slot is not
-// parsed again. No second digest: what a frame took from the frames it
-// leans on is authenticated with it, by the hash the caller compares.
+// parse; a receipt that names a response origin costs that frame's head,
+// up to its digest. A leader or source the reader parsed for an earlier
+// slot is not parsed again. No second digest: what a frame took from the
+// frames it leans on, or rebuilt from them, is authenticated with it, by
+// the hash the caller compares.
 func (s *SlotReader) Decode(start, end int64, seq uint64, prev *sig.Digest, prevStart int64) (*Record, error) {
 	data, enc := s.data, s.enc
 	if start < 0 || end < start || end > int64(len(data)) {
@@ -1226,7 +1381,7 @@ func (s *SlotReader) Decode(start, end int64, seq uint64, prev *sig.Digest, prev
 			return lead, frameInfo{}, nil
 		}
 		// Other than the leader, the mate is a follower of it.
-		m, info, _, err := s.frameAt(prevStart, start, true, frameLenders{leader: func(back uint64) (*Record, error) {
+		m, info, _, err := s.frameAt(prevStart, start, true, false, frameLenders{leader: func(back uint64) (*Record, error) {
 			if back != uint64(prevStart-leadAt) {
 				return nil, fmt.Errorf("store: %w: signature mate follows another leader", canon.ErrBinary)
 			}
@@ -1237,6 +1392,7 @@ func (s *SlotReader) Decode(start, end int64, seq uint64, prev *sig.Digest, prev
 		}
 		return m, info, err
 	}
+	lend.response = func(back uint64) (*evidence.Token, error) { return s.responseAt(start, back, lead, leadAt) }
 	var link *chainLink
 	if prev != nil {
 		link = &chainLink{seq: seq - 1, hash: *prev}
@@ -1251,10 +1407,37 @@ func (s *SlotReader) Decode(start, end int64, seq uint64, prev *sig.Digest, prev
 	return rec, nil
 }
 
+// responseAt parses the head of the response origin back bytes before the
+// frame that starts at from, a follower of the leader lead, which starts
+// at leadAt: the token whose receipt that frame's digest is. The response
+// origin must lie between the leader and the frame, follow the same
+// leader, be of kind nro-resp and store its digest; its recipients and
+// digest come before any signature field, so its mate is not parsed.
+func (s *SlotReader) responseAt(from int64, back uint64, lead *Record, leadAt int64) (*evidence.Token, error) {
+	if back == 0 || back >= uint64(from-leadAt) {
+		return nil, fmt.Errorf("store: %w: receipt names no frame after its leader", canon.ErrBinary)
+	}
+	at := from - int64(back)
+	rec, info, _, err := s.frameAt(at, from, false, true, frameLenders{leader: func(back uint64) (*Record, error) {
+		if back != uint64(at-leadAt) {
+			return nil, fmt.Errorf("store: %w: response origin follows another leader", canon.ErrBinary)
+		}
+		return lead, nil
+	}})
+	switch {
+	case err != nil:
+		return nil, err
+	case info.flags&frameFollower == 0 || rec.Token.Kind != evidence.KindNROResp:
+		return nil, fmt.Errorf("store: %w: receipt names a frame that is no response origin of its leader", canon.ErrBinary)
+	}
+	return rec.Token, nil
+}
+
 // frameAt parses the frame at data[at:], which must end by to — exactly
-// there when whole is set — and says where it ends. Only its own bytes
-// and what lend finds are needed: its Prev and seq are not looked at.
-func (s *SlotReader) frameAt(at, to int64, whole bool, lend frameLenders) (*Record, frameInfo, int64, error) {
+// there when whole is set — and says where it ends; with head set, only
+// up to its token's digest (decodeRecordBody). Only its own bytes and what
+// lend finds are needed: its Prev and seq are not looked at.
+func (s *SlotReader) frameAt(at, to int64, whole, head bool, lend frameLenders) (*Record, frameInfo, int64, error) {
 	body, n, err := frameBody(s.data[at:to])
 	if err != nil {
 		return nil, frameInfo{}, 0, err
@@ -1262,7 +1445,7 @@ func (s *SlotReader) frameAt(at, to int64, whole bool, lend frameLenders) (*Reco
 	if body == nil || (whole && n != to-at) {
 		return nil, frameInfo{}, 0, fmt.Errorf("store: %w: frame reference points at no frame", canon.ErrBinary)
 	}
-	rec, info, err := decodeRecordBody(body, s.enc, new(chainLink), lend)
+	rec, info, err := decodeRecordBody(body, s.enc, new(chainLink), lend, head)
 	return rec, info, at + n, err
 }
 
@@ -1290,7 +1473,7 @@ func (s *SlotReader) plainAt(from int64, back uint64, leader bool) (*Record, int
 			return rec, err
 		}
 	}
-	rec, info, end, err := s.frameAt(at, from, false, frameLenders{source: source})
+	rec, info, end, err := s.frameAt(at, from, false, false, frameLenders{source: source})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1450,6 +1633,12 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 			}
 			return last, lastInfo, nil
 		},
+		response: func(back uint64) (*evidence.Token, error) {
+			if f := ring.at(leadAt); f != nil && f.resp != nil && back <= uint64(prefix) && prefix-int64(back) == f.respAt {
+				return f.resp.Token, nil
+			}
+			return nil, fmt.Errorf("store: %w: receipt does not name the newest response origin of its leader", canon.ErrBinary)
+		},
 	}
 	var scratch []byte
 	for prefix < int64(len(data)) {
@@ -1469,6 +1658,10 @@ func scanFrames(data []byte, start int64, enc Encoding, fn func(*Record, int64, 
 			ring.push(rec, prefix, size, info.sourced)
 		case info.flags&frameFollower == 0:
 			ring.push(nil, prefix, size, false)
+		case rec.Token.Kind == evidence.KindNROResp:
+			if f := ring.at(leadAt); f != nil {
+				f.respond(rec, prefix, info.digest)
+			}
 		}
 		last, lastInfo, lastLead = rec, info, leadAt
 		link = chainLink{seq: rec.Seq, hash: rec.Hash}
@@ -1501,6 +1694,10 @@ type FrameCount struct {
 	// Plain and Follow say what the plain frames and the followers take
 	// from their lenders: their signer, their parties.
 	Plain, Follow Lending
+	// Digests counts the frames by how they store their token's digest,
+	// indexed by DigestForm: written, lent, rebuilt as the receipt of a
+	// response origin, rebuilt from the note.
+	Digests [digestForms]int
 	// Kinds breaks the frames down by their token's kind.
 	Kinds map[evidence.Kind]*KindCount
 }
@@ -1544,6 +1741,9 @@ func (c *FrameCount) Add(o FrameCount) {
 	c.PartyBorrowerBytes += o.PartyBorrowerBytes
 	c.Plain.add(o.Plain)
 	c.Follow.add(o.Follow)
+	for form, n := range o.Digests {
+		c.Digests[form] += n
+	}
 	for kind, k := range o.Kinds {
 		sum := c.kind(kind)
 		sum.Records += k.Records
@@ -1599,6 +1799,7 @@ func CountFrames(data []byte) (FrameCount, error) {
 			lending.Signers++
 		}
 		lending.Parties[info.parties]++
+		c.Digests[info.digest]++
 		k := c.kind(rec.Token.Kind)
 		k.Records++
 		k.FrameBytes += n

@@ -248,6 +248,11 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stampSig := stamped.Timestamp.Signature.Bytes
+	derStamped := *stamped
+	derStamp := *stamped.Timestamp
+	derStamp.Signature.Bytes = append([]byte{0x30, 0x44}, bytes.Repeat([]byte{0x03}, 0x44)...)
+	derStamped.Timestamp = &derStamp
 	der := append([]byte{0x30, 0x45}, bytes.Repeat([]byte{0x02}, 0x45)...) // a DER-length ECDSA signature
 	for _, tc := range []struct {
 		name    string
@@ -256,6 +261,7 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 		note    string
 		tok     *evidence.Token
 		literal string // text the frame must carry as is
+		absent  string // text the frame must not carry
 		// follows: the frame follows a leader of its run, issued by org to
 		// urn:org:b, whose parties and signer it may take.
 		follows bool
@@ -310,7 +316,10 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 			})},
 		{name: "nil and empty signature bytes", at: utc, dir: store.Generated,
 			tok: issue(func(tok *evidence.Token) { tok.Signature.Bytes = nil })},
-		{name: "time-stamped", at: utc, dir: store.Generated, tok: stamped},
+		{name: "time-stamped", at: utc, dir: store.Generated, tok: stamped,
+			literal: string(stampSig), absent: string(append([]byte{byte(len(stampSig))}, stampSig...))},
+		{name: "time-stamped, stamp signature in DER", at: utc, dir: store.Generated, tok: &derStamped,
+			literal: string(append([]byte{byte(len(derStamp.Signature.Bytes))}, derStamp.Signature.Bytes...))},
 		{name: "invalid UTF-8 note, normalised", at: utc, dir: store.Generated, note: "n\xffote", tok: issue(nil), literal: "n\uFFFDote"},
 	} {
 		if tc.follows {
@@ -332,6 +341,9 @@ func TestBinaryRecordFallbacks(t *testing.T) {
 		checkSameRecord(t, tc.name, rec, dec)
 		if tc.literal != "" && !bytes.Contains(frame, []byte(tc.literal)) {
 			t.Fatalf("%s: frame does not carry %q literally", tc.name, tc.literal)
+		}
+		if tc.absent != "" && bytes.Contains(frame, []byte(tc.absent)) {
+			t.Fatalf("%s: frame carries %q", tc.name, tc.absent)
 		}
 	}
 }
@@ -649,6 +661,18 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 		f.Add(golden)
 	}
 	for _, bad := range hostileV9(f) {
+		f.Add(bad.data)
+	}
+	// Version-10 shapes (testdata/fuzz holds more): the golden segment,
+	// whose receipts rebuild their digests from the response origin they
+	// name and whose journal records from their notes, and receipts naming
+	// what is no response origin of their leader.
+	if golden, err := os.ReadFile(filepath.Join("testdata", "v10", "golden-v10.seg")); err == nil {
+		f.Add(golden)
+	}
+	receipts, _, _ := receiptRun(f)
+	f.Add(receipts)
+	for _, bad := range hostileV10(f) {
 		f.Add(bad.data)
 	}
 

@@ -10,7 +10,14 @@ import (
 // when mate is not nil — whatever lead and mate hold: the hostile
 // followers a RecordEncoder never writes.
 func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([]byte, error) {
-	body, err := appendRecordBody(nil, rec, true, leaning{lead: lead, back: back, mate: mate})
+	return AppendReceipt(dst, rec, lead, back, mate, nil, 0)
+}
+
+// AppendReceipt is AppendFollower for a frame that may also rebuild its
+// digest as the receipt of resp, whose frame starts respBack bytes before
+// this one — whatever resp holds, where it starts and whom it follows.
+func AppendReceipt(dst []byte, rec, lead *Record, back uint64, mate, resp *Record, respBack uint64) ([]byte, error) {
+	body, _, err := appendRecordBody(nil, rec, true, leaning{lead: lead, back: back, mate: mate, resp: resp, respBack: respBack})
 	if err != nil {
 		return nil, err
 	}
@@ -22,7 +29,7 @@ func AppendFollower(dst []byte, rec, lead *Record, back uint64, mate *Record) ([
 // whatever source holds: the hostile party references a RecordEncoder
 // never writes. The frame elides its Prev and seq.
 func AppendPartyBorrower(dst []byte, rec, source *Record, back uint64) ([]byte, error) {
-	body, err := appendRecordBody(nil, rec, true, leaning{source: source, back: back})
+	body, _, err := appendRecordBody(nil, rec, true, leaning{source: source, back: back})
 	if err != nil {
 		return nil, err
 	}

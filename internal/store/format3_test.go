@@ -20,7 +20,7 @@ import (
 	"nonrep/internal/testpki"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v9 (golden.jsonl and golden-v9.seg): the testdata/v8 records and freshly issued ones")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/v10 (golden.jsonl and golden-v10.seg): the testdata/v9 records and freshly issued ones")
 
 // goldenV2 reads the frozen version-2 segment — written by the build
 // before format 3, every record kind, two encoder runs (so explicit and

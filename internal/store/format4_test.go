@@ -239,7 +239,7 @@ func encodeGoldenV4(t *testing.T, writes []v4Write) (seg []byte, offs []int64) {
 }
 
 // checkReencoded holds this build's encoder to a frozen segment of
-// formats 4 to 8: seg, the frozen records laid out in the current format
+// formats 4 to 9: seg, the frozen records laid out in the current format
 // as the same writes, decodes — scanned and by keyed slot — to the same
 // records, and each of its frames follows the frame its frozen twin
 // follows, taking the same fields (tookV8, took), or is plain where the
@@ -271,7 +271,11 @@ func checkReencoded(t *testing.T, what string, frozen []byte, frozenOffs []int64
 	}
 	for i := range recs {
 		was, is := parseHead(t, frozen[frozenOffs[i]:frozenOffs[i+1]], frozen[3] >= 8), headOf(t, seg[offs[i]:offs[i+1]])
-		if was.follower() != is.follower() || leader(frozenOffs, i, was) != leader(offs, i, is) || (is.follower() && took(is.mask) != tookV8(was.mask)) {
+		wasTook := tookV8(was.mask)
+		if frozen[3] >= 9 {
+			wasTook = took(was.mask)
+		}
+		if was.follower() != is.follower() || leader(frozenOffs, i, was) != leader(offs, i, is) || (is.follower() && took(is.mask) != wasTook) {
 			t.Fatalf("%s: frame %d follows frame %d with mask %#x, its frozen twin frame %d with mask %#x",
 				what, i, leader(offs, i, is), is.mask, leader(frozenOffs, i, was), was.mask)
 		}

@@ -55,67 +55,47 @@ func goldenV9Extra(t *testing.T, after *store.Record) []*store.Record {
 	return c[1:]
 }
 
-// TestBinaryV9GoldenSegment freezes format 9: the records of
+// TestBinaryV9GoldenSegment holds format 9 frozen: the records of
 // testdata/v9/golden.jsonl — the format-8 golden's, then goldenV9Extra's
-// — encode byte for byte to testdata/v9/golden-v9.seg and decode from it,
-// scanned and by keyed slot, to the same canonical JSON, hashes and
-// signatures. Followers, signature borrowers and party sources are where
-// format 8 put them; each frame that leans on another takes its signer
-// from it where its key id is its issuer's plus the lender's suffix, and
-// its parties the same, mirrored or by reference; a generated nonce and
-// an Ed25519 signature travel without a header. The records format 8
-// froze take fewer bytes.
+// — written by the build before format 10 as testdata/v9/golden-v9.seg,
+// decode from it, scanned and by keyed slot, to the same canonical JSON,
+// hashes and signatures, and this build lays them out the same way
+// (checkReencoded). Followers, signature borrowers and party sources are
+// where format 8 put them; each frame that leans on another takes its
+// signer from it where its key id is its issuer's plus the lender's
+// suffix, and its parties the same, mirrored or by reference; a generated
+// nonce and an Ed25519 signature travel without a header. The records
+// format 8 froze take fewer bytes.
 func TestBinaryV9GoldenSegment(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "v9")
 	_, v8 := readRecords(t, filepath.Join("testdata", "v8", "golden.jsonl"))
-	if *updateGolden {
-		recs := append(v8[:len(v8):len(v8)], goldenV9Extra(t, v8[len(v8)-1])...)
-		var lines []byte
-		for _, rec := range recs {
-			line, err := canon.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(append(lines, line...), '\n')
-		}
-		seg, _ := encodeFile(t, recs, false)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range map[string][]byte{"golden.jsonl": lines, "golden-v9.seg": seg} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	jsonl, golden := readRecords(t, filepath.Join(dir, "golden.jsonl"))
 	frozen, err := os.ReadFile(filepath.Join(dir, "golden-v9.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Split(bytes.TrimSpace(jsonl), []byte("\n"))
-	if len(golden) != len(v8)+3 {
-		t.Fatalf("golden.jsonl holds %d records, want format 8's %d and 3 more", len(golden), len(v8))
+	if len(golden) != len(v8)+3 || frozen[3] != 9 {
+		t.Fatalf("golden.jsonl holds %d records, want format 8's %d and 3 more; the frozen file says version %d", len(golden), len(v8), frozen[3])
 	}
 	for i := range v8 {
 		checkSameRecord(t, fmt.Sprintf("v9 golden record %d against v8", i), v8[i], golden[i])
 	}
-	if encoded, _ := encodeFile(t, golden, false); !bytes.Equal(encoded, frozen) {
-		t.Fatalf("the encoder no longer writes the frozen format-9 bytes (%d bytes, frozen %d)", len(encoded), len(frozen))
-	}
-	recs, offs := scanGolden(t, "v9", frozen, want, store.EncBinary)
+	recs, offs := scanGolden(t, "v9", frozen, want, store.EncBinaryV9)
 	for i, rec := range recs {
 		var prev *sig.Digest
 		if i > 0 {
 			prev = &recs[i-1].Hash
 		}
-		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinary, rec.Seq, prev, prevAt(offs, i))
+		dec, err := store.DecodeRecordData(frozen, offs[i], offs[i+1], store.EncBinaryV9, rec.Seq, prev, prevAt(offs, i))
 		if err != nil {
 			t.Fatalf("keyed decode of v9 record %d: %v", i, err)
 		}
 		checkSameRecord(t, fmt.Sprintf("keyed v9 record %d", i), rec, dec)
 	}
+	encoded, _ := encodeFile(t, recs, false)
+	checkReencoded(t, "v9 re-encoded", frozen, offs, encoded, want)
 
 	// The layout is format 8's: which frame each follows (-1: plain),
 	// which borrow a signature, and which frame each plain frame takes its

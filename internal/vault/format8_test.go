@@ -53,7 +53,18 @@ func TestVaultV8VaultStillReads(t *testing.T) {
 // and serves the same records.
 func TestVaultV8VaultTakesV9Appends(t *testing.T) {
 	t.Parallel()
-	dir, runs := copyFixtureVault(t, v8Vault.name)
+	checkTakesAppends(t, v8Vault)
+}
+
+// checkTakesAppends: the fixture vault fx opened for writing by this build
+// seals its tail as it stands and appends after it in the current format,
+// across commits and a seal. The vault verifies deep; every run, of
+// either format, reads back by key; a feed cursor opened inside the
+// fixture's records delivers through the boundary without a gap; and a
+// replica that receives every sealed segment, of both formats, verifies
+// and serves the same records.
+func checkTakesAppends(t *testing.T, fx fixtureVault) {
+	dir, runs := copyFixtureVault(t, fx.name)
 	realm := testpki.MustRealm(org, peerOrg)
 	v := openVault(t, dir)
 	defer v.Close()
@@ -78,22 +89,23 @@ func TestVaultV8VaultTakesV9Appends(t *testing.T) {
 	for _, s := range sizes {
 		formats = append(formats, s.Format)
 	}
-	if want := []string{"binary-v8", "binary-v8", "binary-v8", "binary", "binary"}; !slices.Equal(formats, want) {
+	old := fx.enc.String()
+	if want := []string{old, old, old, "binary", "binary"}; !slices.Equal(formats, want) {
 		t.Fatalf("segments in formats %v, want %v", formats, want)
 	}
-	checkFixtureVault(t, "after format-9 appends", v, runs)
+	checkFixtureVault(t, "after appends in the current format", v, runs)
 	for _, run := range fresh {
 		if recs, err := v.QueryAll(vault.Query{Run: run}); err != nil || len(recs) != 3 {
 			t.Fatalf("run %s: %d records, err %v", run, len(recs), err)
 		}
 	}
 	all, err := v.QueryAll(vault.Query{})
-	if err != nil || len(all) != int(v8Vault.lastSeq)+3*len(fresh) {
+	if err != nil || len(all) != int(fx.lastSeq)+3*len(fresh) {
 		t.Fatalf("%d records, err %v", len(all), err)
 	}
 
-	// A cursor resumed two records before the format-8 head.
-	from := all[v8Vault.lastSeq-3]
+	// A cursor resumed two records before the fixture's head.
+	from := all[fx.lastSeq-3]
 	got := make(chan []*store.Record, 16)
 	cur, err := feed.Open(v, feed.Config{AfterSeq: from.Seq, AfterHash: from.Hash, Sink: func(e feed.Event) error {
 		got <- e.Records
@@ -131,7 +143,7 @@ func TestVaultV8VaultTakesV9Appends(t *testing.T) {
 	}
 	sealed := replica.Stats().LastSeq
 	back, err := replica.QueryAll(vault.Query{})
-	if err != nil || sealed != v8Vault.lastSeq+6 {
+	if err != nil || sealed != fx.lastSeq+6 {
 		t.Fatalf("replica holds %d records to seq %d, err %v", len(back), sealed, err)
 	}
 	sameRecords(t, "replica across the formats", all[:sealed], back)

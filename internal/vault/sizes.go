@@ -18,7 +18,7 @@ type SegmentSize struct {
 	// Sealed is false for the unsealed tail, which has no index.
 	Sealed bool
 	// Format is the segment file's record encoding ("json", "binary-v1"
-	// to "binary-v8", or "binary" for the current format, version 9).
+	// to "binary-v9", or "binary" for the current format, version 10).
 	Format  string
 	Records int
 	// SegmentBytes is the size of the segment file's record data.
@@ -30,8 +30,10 @@ type SegmentSize struct {
 	// their signature from the frame before them, and the plain frames
 	// that take their parties, service, key id and time from a party
 	// source (since version 8), with the bytes those take, says per frame
-	// type what the frames take from the frame they lean on, and breaks the
-	// frames down by token kind, notes apart. The rest of Records are
+	// type what the frames take from the frame they lean on, counts how
+	// the frames store their tokens' digests — written, lent, rebuilt as a
+	// receipt of a response origin or from the note (since version 10) —
+	// and breaks the frames down by token kind, notes apart. The rest of Records are
 	// plain frames (or JSON lines) in PlainBytes, which with the file's
 	// header make up SegmentBytes.
 	store.FrameCount

@@ -247,11 +247,13 @@ func TestPipelineUnderFaults(t *testing.T) {
 // vault's earlier runs, about 1 260 B, and since segment format 9, whose
 // tokens take their signer and parties from the frame they lean on and
 // write a generated nonce and an Ed25519 signature without a header,
-// about 1 186 B.
+// about 1 186 B, and since segment format 10, whose client receipts
+// rebuild their digests from the run's response origin in both vaults,
+// about 1 130 B.
 func TestPipelinedCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1210 {
-		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 210", perCall)
+	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1150 {
+		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 150", perCall)
 	}
 }
 
@@ -265,11 +267,13 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 // since segment format 8, about 1 244 since segment format 9). Since the
 // server signs its receipt and response origin under one signature on
 // every domain, the response origin borrows the receipt's signature in
-// both vaults: about 1 190 B.
+// both vaults: about 1 190 B. Since segment format 10 the client's
+// receipt rebuilds its digest from the response origin in both vaults:
+// about 1 133 B.
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t); perCall > 1215 {
-		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 215", perCall)
+	if perCall := callEvidenceBytes(t); perCall > 1155 {
+		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 155", perCall)
 	}
 }
 
