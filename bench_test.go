@@ -85,12 +85,14 @@ func BenchmarkFig4InvocationNR(b *testing.B) {
 // BenchmarkPipelineConcurrent is E12, the hot-path pipeline study:
 // throughput of concurrent small-message invocations, comparing the plain
 // executor (no non-repudiation), the unbatched non-repudiable path, and
-// the batched pipeline (aggregate signing + envelope coalescing + crypto
-// fast path) — the last also with the telemetry plane attached, whose
+// the batched pipeline (envelope coalescing + crypto fast path; evidence
+// is signed one protocol step per signature on both non-repudiable
+// paths) — the last also with the telemetry plane attached, whose
 // acceptance bar is <2% regression versus telemetry off (end to end,
-// the benchmark's obs.trace_overhead_pct). The acceptance bar for the
-// pipeline itself is ≥2x the unbatched non-repudiable throughput at 32
-// concurrent clients with fewer wire messages per invocation.
+// the benchmark's obs.trace_overhead_pct). The pipeline's bar here is
+// fewer wire messages per invocation; its time per call is the
+// unbatched path's or worse, since both sign and verify the same tokens
+// and the in-process network costs nothing to save.
 func BenchmarkPipelineConcurrent(b *testing.B) {
 	const clients = 32
 

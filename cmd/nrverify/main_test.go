@@ -126,15 +126,14 @@ func TestSizesCountsBorrowersAndRefusesDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := evidence.NewBatchIssuer(realm.Party(server).Issuer)
-	defer b.Close()
+	issuer := realm.Party(server).Issuer
 	for i := 0; i < 4; i++ {
 		run := id.NewRun()
 		nro, err := realm.Party(client).Issuer.Issue(evidence.KindNRO, run, 1, sig.Sum([]byte("request")), evidence.WithRecipients(server))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := b.IssueBatch([]evidence.TokenRequest{
+		pair, err := issuer.IssueBatch([]evidence.TokenRequest{
 			{Kind: evidence.KindNRR, Run: run, Step: 2, Digest: nro.Digest, Opts: []evidence.IssueOption{evidence.WithRecipients(client)}},
 			{Kind: evidence.KindNROResp, Run: run, Step: 3, Digest: sig.Sum([]byte("response")), Opts: []evidence.IssueOption{evidence.WithRecipients(client)}},
 		})

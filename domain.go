@@ -97,16 +97,17 @@ func WithAlgorithm(alg sig.Algorithm) DomainOption {
 }
 
 // WithPipelining enables the batched hot-path interaction pipeline on
-// every organisation: concurrent evidence signing is aggregated into
-// Merkle batch signatures (one signing operation covers many tokens, each
-// still independently verifiable), concurrent outbound protocol messages
-// to the same counterparty coalesce into single b2b-batch wire envelopes,
-// and incoming batches are verified by parallel workers against a
-// verified-signature cache. It trades nothing for correctness — evidence
-// and its adjudication are byte-compatible — and is the recommended mode
-// for heavy small-message traffic. A wire envelope carries at most
-// transport.DefaultMaxCoalesce messages, and coalescing adds no latency:
-// batches form from whatever is concurrently pending.
+// every organisation: concurrent outbound protocol messages to the same
+// counterparty coalesce into single b2b-batch wire envelopes, and
+// incoming batches are verified by parallel workers against a
+// verified-signature cache. Evidence is signed as on every domain, one
+// signature per protocol step, so what a stored token costs does not
+// depend on how many runs were signing at once. It trades nothing for
+// correctness — evidence and its adjudication are byte-compatible — and
+// is the recommended mode for heavy small-message traffic. A wire
+// envelope carries at most transport.DefaultMaxCoalesce messages, and
+// coalescing adds no latency: batches form from whatever is concurrently
+// pending.
 func WithPipelining() DomainOption {
 	return func(c *domainConfig) { c.pipeline = &transport.CoalesceOptions{} }
 }
@@ -440,18 +441,17 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		log = gated
 	}
 	nodeCfg := core.NodeConfig{
-		Party:        p,
-		Signer:       signer,
-		Creds:        d.creds,
-		Clock:        d.clk,
-		Network:      d.network,
-		Addr:         addr,
-		Directory:    d.dir,
-		Log:          log,
-		TSA:          d.tsa,
-		BatchSigning: d.pipeline != nil,
-		Coalesce:     d.pipeline,
-		Telemetry:    d.tel,
+		Party:     p,
+		Signer:    signer,
+		Creds:     d.creds,
+		Clock:     d.clk,
+		Network:   d.network,
+		Addr:      addr,
+		Directory: d.dir,
+		Log:       log,
+		TSA:       d.tsa,
+		Coalesce:  d.pipeline,
+		Telemetry: d.tel,
 	}
 	if host != nil {
 		nodeCfg.Host = host.inner

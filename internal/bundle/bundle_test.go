@@ -1,6 +1,8 @@
 package bundle_test
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -151,6 +153,123 @@ func TestReadParentFileLog(t *testing.T) {
 	}
 	if report := core.NewAdjudicator(creds).AuditStream(core.Records(records)); !report.Clean() || !report.ChainOK {
 		t.Fatalf("audit of the parent's FileLog: %+v", report)
+	}
+}
+
+var freezeDeepPaths = flag.Bool("freeze-deep-paths", false, "rewrite testdata/deep-paths: four runs whose server signed their receipts and response origins under one Merkle root")
+
+// TestDeepPathBundleStillJudgesClean reads testdata/deep-paths: a frozen
+// bundle of the client's (orgA) and the server's (orgB) logs of four
+// runs, whose server signed the receipts and response origins of all four
+// under one Merkle root of eight leaves, so that every one of those
+// tokens stores an inclusion path of three digests. Servers that
+// aggregated concurrent runs' signing made such evidence; no issuer signs
+// across runs any more, and what they signed stays verifiable and
+// adjudicable: both logs audit clean and every run is judged complete.
+func TestDeepPathBundleStillJudgesClean(t *testing.T) {
+	t.Parallel()
+	dir := filepath.Join("testdata", "deep-paths")
+	if *freezeDeepPaths {
+		if err := bundle.Write(dir, deepPathBundle(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := bundle.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Logs) != 2 || len(b.Logs[orgA]) != 16 || len(b.Logs[orgB]) != 16 {
+		t.Fatalf("logs = %d, %s = %d records, %s = %d records; want two logs of 16", len(b.Logs), orgA, len(b.Logs[orgA]), orgB, len(b.Logs[orgB]))
+	}
+	// The certificates were valid when the evidence was made; judge then.
+	creds, err := b.CredentialStore(clock.NewManual(b.Logs[orgB][0].At))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := core.NewAdjudicator(creds)
+	runs := make(map[id.Run][]*store.Record)
+	deep := 0
+	for _, p := range []id.Party{orgA, orgB} {
+		if report := adj.AuditStream(core.Records(b.Logs[p])); !report.Clean() || !report.ChainOK {
+			t.Fatalf("audit of %s's log: %+v", p, report)
+		}
+		for _, rec := range b.Logs[p] {
+			runs[rec.Token.Run] = append(runs[rec.Token.Run], rec)
+			if len(rec.Token.Signature.BatchPath) >= 2 {
+				deep++
+			}
+		}
+	}
+	if deep != 16 {
+		t.Fatalf("%d stored tokens carry an inclusion path of two or more, want each log's eight receipts and response origins", deep)
+	}
+	if len(runs) != 4 {
+		t.Fatalf("%d runs, want 4", len(runs))
+	}
+	for run, recs := range runs {
+		report, err := adj.AuditRunStream(core.Records(recs), run)
+		if err != nil || !report.Complete() || len(report.Faults) != 0 {
+			t.Fatalf("run %s judged %+v (%v)", run, report, err)
+		}
+	}
+}
+
+// deepPathBundle builds what testdata/deep-paths freezes: four runs
+// between orgA and orgB whose eight server tokens — each run's receipt
+// and response origin — share one signature over a Merkle root.
+func deepPathBundle(t *testing.T) *bundle.Bundle {
+	t.Helper()
+	realm := testpki.MustRealm(orgA, orgB)
+	logA, logB := testpki.Log(t, realm.Clock), testpki.Log(t, realm.Clock)
+	issue := func(p id.Party, kind evidence.Kind, run id.Run, step int, d sig.Digest, to id.Party) *evidence.Token {
+		t.Helper()
+		tok, err := realm.Party(p).Issuer.Issue(kind, run, step, d, evidence.WithRecipients(to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+	appendTo := func(log store.Log, dir store.Direction, tok *evidence.Token, note string) {
+		t.Helper()
+		if _, err := log.Append(dir, tok, note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 4
+	nros := make([]*evidence.Token, runs)
+	var reqs []evidence.TokenRequest
+	for i := range nros {
+		run := id.NewRun()
+		nros[i] = issue(orgA, evidence.KindNRO, run, 1, sig.Sum([]byte(fmt.Sprintf("request %d", i))), orgB)
+		appendTo(logA, store.Generated, nros[i], "request origin")
+		appendTo(logB, store.Received, nros[i], "request origin")
+		opts := []evidence.IssueOption{evidence.WithRecipients(orgA)}
+		reqs = append(reqs,
+			evidence.TokenRequest{Kind: evidence.KindNRR, Run: run, Step: 1, Digest: nros[i].Digest, Opts: opts},
+			evidence.TokenRequest{Kind: evidence.KindNROResp, Run: run, Step: 2, Digest: sig.Sum([]byte(fmt.Sprintf("response %d", i))), Opts: opts})
+	}
+	server, err := realm.Party(orgB).Issuer.IssueBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nro := range nros {
+		nrr, nroResp := server[2*i], server[2*i+1]
+		appendTo(logB, store.Generated, nrr, "request receipt")
+		appendTo(logB, store.Generated, nroResp, "response origin (ok)")
+		appendTo(logA, store.Received, nrr, "request receipt")
+		appendTo(logA, store.Received, nroResp, "response origin (ok)")
+		a := evidence.Anchors{Run: nro.Run, NRO: nro, NROResp: nroResp}
+		nrrResp := issue(orgA, evidence.KindNRRResp, nro.Run, 2, a.ReceiptDigest(evidence.Consumed), orgB)
+		appendTo(logA, store.Generated, nrrResp, "response receipt (consumed)")
+		appendTo(logB, store.Received, nrrResp, "response receipt (consumed)")
+	}
+	return &bundle.Bundle{
+		CA:    realm.CA.Certificate(),
+		Certs: []*credential.Certificate{realm.Party(orgA).Cert, realm.Party(orgB).Cert},
+		Logs: map[id.Party][]*store.Record{
+			orgA: testpki.Query(t, logA, store.Query{}),
+			orgB: testpki.Query(t, logB, store.Query{}),
+		},
 	}
 }
 

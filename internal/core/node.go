@@ -67,10 +67,10 @@ type NodeConfig struct {
 	TSA *stamp.Authority
 	// Retry overrides the coordinator's retransmission policy.
 	Retry *transport.RetryPolicy
-	// BatchSigning aggregates the signing of concurrent protocol steps
-	// into one Merkle batch signature (evidence.BatchIssuer): the
-	// cryptographic fast path for heavy small-message traffic. Each
-	// step's own tokens share one signature either way.
+	// BatchSigning is ignored: every node signs each protocol step's
+	// tokens under one signature of their own, so no stored token's
+	// inclusion path grows with the signer's load. The field stays so
+	// that configurations setting it still build.
 	BatchSigning bool
 	// Coalesce, when set, batches concurrent outbound protocol envelopes
 	// per counterparty into single b2b-batch wire envelopes.
@@ -85,9 +85,8 @@ type NodeConfig struct {
 // Node is a running trusted interceptor: "conceptually, each party has a
 // trusted interceptor that acts on its behalf" (section 3.1).
 type Node struct {
-	cfg   NodeConfig
-	co    *protocol.Coordinator
-	batch *evidence.BatchIssuer
+	cfg NodeConfig
+	co  *protocol.Coordinator
 	// ownLog is the temporary vault the node opened for want of a Log.
 	ownLog store.Log
 }
@@ -122,13 +121,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if scope != nil {
 		signer = observedSigner{Signer: signer, signs: scope.Counter(obs.MSignaturesTotal)}
 	}
-	base := &evidence.Issuer{Party: cfg.Party, Signer: signer, Clock: cfg.Clock, TSA: cfg.TSA}
-	var issuer evidence.TokenIssuer = base
-	var batch *evidence.BatchIssuer
-	if cfg.BatchSigning {
-		batch = evidence.NewBatchIssuer(base)
-		issuer = batch
-	}
+	var issuer evidence.TokenIssuer = &evidence.Issuer{Party: cfg.Party, Signer: signer, Clock: cfg.Clock, TSA: cfg.TSA}
 	if scope != nil {
 		issuer = newObservedIssuer(issuer, scope)
 	}
@@ -178,15 +171,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		co, err = protocol.New(cfg.Network, cfg.Addr, svc, opts...)
 	}
 	if err != nil {
-		if batch != nil {
-			_ = batch.Close()
-		}
 		if ownLog != nil {
 			_ = ownLog.Close() // the start failure is the error worth reporting
 		}
 		return nil, fmt.Errorf("core: start coordinator for %s: %w", cfg.Party, err)
 	}
-	return &Node{cfg: cfg, co: co, batch: batch, ownLog: ownLog}, nil
+	return &Node{cfg: cfg, co: co, ownLog: ownLog}, nil
 }
 
 // Party returns the party this node acts for.
@@ -204,16 +194,10 @@ func (n *Node) Log() store.Log { return n.cfg.Log }
 // States returns the node's state store.
 func (n *Node) States() store.StateStore { return n.cfg.States }
 
-// Close stops the node's coordinator, its aggregate signer when batch
-// signing is enabled, and the evidence log it opened itself; a Log passed
-// in NodeConfig stays the caller's to close.
+// Close stops the node's coordinator and the evidence log it opened
+// itself; a Log passed in NodeConfig stays the caller's to close.
 func (n *Node) Close() error {
 	err := n.co.Close()
-	if n.batch != nil {
-		if berr := n.batch.Close(); err == nil {
-			err = berr
-		}
-	}
 	if n.ownLog != nil {
 		if lerr := n.ownLog.Close(); err == nil {
 			err = lerr

@@ -2,7 +2,7 @@ package evidence_test
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,21 +44,30 @@ func batchFixture(t *testing.T) (*evidence.Issuer, *evidence.Verifier) {
 	return issuer, &evidence.Verifier{Keys: store}
 }
 
-func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
-	issuer, verifier := batchFixture(t)
-	b := evidence.NewBatchIssuer(issuer)
-	defer b.Close()
-
-	reqs := make([]evidence.TokenRequest, 9)
+// manyRuns is a batch request of n tokens, each of its own run, cycling
+// through the four kinds of an invocation — the shape of a Merkle batch
+// that older evidence, signed across concurrent runs, carries.
+func manyRuns(n int) []evidence.TokenRequest {
+	kinds := []evidence.Kind{evidence.KindNRO, evidence.KindNRR, evidence.KindNROResp, evidence.KindNRRResp}
+	reqs := make([]evidence.TokenRequest, n)
 	for i := range reqs {
 		reqs[i] = evidence.TokenRequest{
-			Kind:   evidence.KindNRO,
+			Kind:   kinds[i%len(kinds)],
 			Run:    id.NewRun(),
-			Step:   1,
+			Step:   i%len(kinds) + 1,
 			Digest: sig.Sum([]byte(fmt.Sprintf("content-%d", i))),
 		}
 	}
-	toks, err := b.IssueBatch(reqs)
+	return reqs
+}
+
+// TestBatchIssuerTokensVerifyIndividually: every token of a batch over
+// several runs' requests, deep enough for paths of four elements,
+// verifies and binds its own content on its own.
+func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
+	issuer, verifier := batchFixture(t)
+	reqs := manyRuns(9)
+	toks, err := issuer.IssueBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
 		if err := verifier.Verify(tok); err != nil {
 			t.Fatalf("token %d: %v", i, err)
 		}
-		if err := verifier.Expect(tok, evidence.KindNRO, reqs[i].Run, issuer.Party, reqs[i].Digest); err != nil {
+		if err := verifier.Expect(tok, reqs[i].Kind, reqs[i].Run, issuer.Party, reqs[i].Digest); err != nil {
 			t.Fatalf("token %d content: %v", i, err)
 		}
 	}
@@ -80,8 +89,8 @@ func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
 		if len(tok.Signature.BatchRoot) != 0 {
 			t.Fatalf("token %d carries the aggregate root the verifier recomputes", i)
 		}
-		if len(tok.Signature.BatchPath) == 0 {
-			t.Fatalf("token %d has no inclusion path", i)
+		if len(tok.Signature.BatchPath) < 3 {
+			t.Fatalf("token %d has an inclusion path of %d, want a deep one", i, len(tok.Signature.BatchPath))
 		}
 	}
 	// A token signed before the root stopped being stored carries it; it
@@ -105,76 +114,30 @@ func TestBatchIssuerTokensVerifyIndividually(t *testing.T) {
 	}
 }
 
-func TestBatchIssuerConcurrentIssuesAggregate(t *testing.T) {
-	issuer, verifier := batchFixture(t)
-	b := evidence.NewBatchIssuer(issuer)
-	defer b.Close()
-
-	const n = 64
-	toks := make([]*evidence.Token, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tok, err := b.Issue(evidence.KindNRR, id.NewRun(), 1, sig.Sum([]byte(fmt.Sprintf("c%d", i))))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			toks[i] = tok
-		}(i)
-	}
-	wg.Wait()
-	sigSets := make(map[string]int)
-	for i, tok := range toks {
-		if tok == nil {
-			t.Fatal("missing token")
-		}
-		if err := verifier.Verify(tok); err != nil {
-			t.Fatalf("token %d: %v", i, err)
-		}
-		sigSets[string(tok.Signature.Bytes)]++
-	}
-	// Aggregation is timing-dependent, but 64 concurrent issues must not
-	// degenerate into 64 separate signatures.
-	if len(sigSets) == n {
-		t.Fatalf("no aggregation: %d distinct signatures for %d concurrent issues", len(sigSets), n)
-	}
-	t.Logf("%d concurrent issues -> %d signing operations", n, len(sigSets))
-}
-
 func TestBatchTokenTamperDetected(t *testing.T) {
 	issuer, verifier := batchFixture(t)
-	b := evidence.NewBatchIssuer(issuer)
-	defer b.Close()
-	toks, err := b.IssueBatch([]evidence.TokenRequest{
-		{Kind: evidence.KindNRO, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("a"))},
-		{Kind: evidence.KindNRR, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("b"))},
-	})
+	toks, err := issuer.IssueBatch(manyRuns(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate the evidenced digest of one batch member: its inclusion
-	// proof no longer reaches the signed root.
-	tampered := *toks[0]
-	tampered.Digest = sig.Sum([]byte("something else"))
-	if err := verifier.Verify(&tampered); err == nil {
-		t.Fatal("tampered batch token verified")
+	// Mutate the evidenced digest of any batch member: its depth-3
+	// inclusion proof no longer reaches the signed root.
+	for i, tok := range toks {
+		if len(tok.Signature.BatchPath) != 3 {
+			t.Fatalf("token %d: path of %d, want 3", i, len(tok.Signature.BatchPath))
+		}
+		tampered := *tok
+		tampered.Digest = sig.Sum([]byte("something else"))
+		if err := verifier.Verify(&tampered); err == nil {
+			t.Fatalf("tampered batch token %d verified", i)
+		}
 	}
 }
 
 func TestVerifyCacheHitsAndStaysSound(t *testing.T) {
 	issuer, verifier := batchFixture(t)
 	verifier.Cache = evidence.NewVerifyCache(0)
-	b := evidence.NewBatchIssuer(issuer)
-	defer b.Close()
-
-	toks, err := b.IssueBatch([]evidence.TokenRequest{
-		{Kind: evidence.KindNRO, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("a"))},
-		{Kind: evidence.KindNRR, Run: id.NewRun(), Step: 1, Digest: sig.Sum([]byte("b"))},
-		{Kind: evidence.KindNROResp, Run: id.NewRun(), Step: 2, Digest: sig.Sum([]byte("c"))},
-	})
+	toks, err := issuer.IssueBatch(manyRuns(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +146,7 @@ func TestVerifyCacheHitsAndStaysSound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// All three tokens share one root signature: one cache entry.
+	// All eight tokens share one root signature: one cache entry.
 	if got := verifier.Cache.Len(); got != 1 {
 		t.Fatalf("cache entries = %d, want 1 (shared root signature)", got)
 	}
@@ -313,6 +276,16 @@ func TestIssuerSignsEachStepOnce(t *testing.T) {
 	}
 	if counter.signs != 3 {
 		t.Fatalf("an empty step made a signing operation (%d in all)", counter.signs)
+	}
+
+	// A step with a token whose run is not valid UTF-8 is refused whole,
+	// before anything is signed.
+	bad := append([]evidence.TokenRequest{reqs[0]}, evidence.TokenRequest{Kind: evidence.KindNROResp, Run: "run-\xff", Step: 2, Digest: sig.Sum([]byte("y"))})
+	if toks, err := issuer.IssueBatch(bad); err == nil || !strings.Contains(err.Error(), "UTF-8") || toks != nil {
+		t.Fatalf("a step with a bad run = %v, %v; want a UTF-8 refusal", toks, err)
+	}
+	if counter.signs != 3 {
+		t.Fatalf("a refused step made a signing operation (%d in all)", counter.signs)
 	}
 }
 

@@ -14,14 +14,12 @@ import (
 // batchOf issues n tokens of one run under one batch signature.
 func batchOf(t *testing.T, issuer *evidence.Issuer, n int) []*evidence.Token {
 	t.Helper()
-	b := evidence.NewBatchIssuer(issuer)
-	defer b.Close()
 	run := id.NewRun()
 	reqs := make([]evidence.TokenRequest, n)
 	for i := range reqs {
 		reqs[i] = evidence.TokenRequest{Kind: evidence.KindNRR, Run: run, Step: i, Digest: sig.Sum([]byte{byte(i)})}
 	}
-	toks, err := b.IssueBatch(reqs)
+	toks, err := issuer.IssueBatch(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

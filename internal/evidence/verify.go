@@ -25,7 +25,8 @@ type Verifier struct {
 	Keys KeyResolver
 	// Cache, when non-nil, memoises successful signature checks so that
 	// re-verification (adjudication, audit, replays) and batch siblings
-	// (tokens sharing one aggregate root signature) skip the expensive
+	// (tokens sharing one Merkle root signature: a protocol step's
+	// tokens, or any batch in older evidence) skip the expensive
 	// public-key operation. Binding checks (issuer identity, content
 	// digest, run/kind expectations) are never cached.
 	Cache *VerifyCache

@@ -338,7 +338,7 @@ func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protoc
 // them. The reply carries the NRR unless the protocol leaves it to the
 // server to volunteer and the server does not, and the NROResp unless the
 // protocol is receiptless; whatever it carries is issued after execution,
-// under one aggregate signature. Nothing is logged here; issued lists, in
+// under one signature of its own. Nothing is logged here; issued lists, in
 // protocol order, the log entries of the tokens generated, for the caller
 // to commit with the request origin before the reply leaves.
 func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evidence.RequestSnapshot, a *evidence.Anchors) (*serverRun, []store.Entry, error) {
@@ -395,9 +395,9 @@ func (s *Server) respond(ctx context.Context, msg *protocol.Message, snap *evide
 		}
 	}
 
-	// One signing operation covers the reply's tokens (and, through an
-	// aggregating issuer, any tokens concurrent runs are producing), so
-	// the response origin borrows the receipt's signature in both vaults.
+	// One signing operation covers the reply's tokens and nothing else,
+	// so the response origin borrows the receipt's signature in both
+	// vaults and its inclusion path is the receipt's digest alone.
 	shared := []evidence.IssueOption{
 		evidence.WithService(snap.Service), evidence.WithTxn(msg.Txn), evidence.WithRecipients(snap.Client),
 	}

@@ -29,9 +29,8 @@ var ErrNoHandler = errors.New("protocol: no handler registered")
 // Services bundles the local, protocol-independent services the
 // coordinator provides to handlers (section 4.1: "the coordinator also
 // provides access to generic services that support execution of protocols
-// (such as credential management and state storage)"). Issuer is either a
-// plain *evidence.Issuer or a *evidence.BatchIssuer aggregating concurrent
-// signing into Merkle batch signatures.
+// (such as credential management and state storage)"). Issuer signs each
+// protocol step's tokens under one signature.
 type Services struct {
 	Party     id.Party
 	Issuer    evidence.TokenIssuer

@@ -188,10 +188,8 @@ func TestBinaryV6GoldenSegment(t *testing.T) {
 func mateRun(tb testing.TB) (data []byte, offs []int64, recs []*store.Record) {
 	tb.Helper()
 	realm := testpki.MustRealm(org)
-	b := evidence.NewBatchIssuer(realm.Party(org).Issuer)
-	defer b.Close()
 	run := id.NewRun()
-	pair, err := b.IssueBatch([]evidence.TokenRequest{
+	pair, err := realm.Party(org).Issuer.IssueBatch([]evidence.TokenRequest{
 		{Kind: evidence.KindNRR, Run: run, Step: 2, Digest: sig.Sum([]byte("request"))},
 		{Kind: evidence.KindNROResp, Run: run, Step: 3, Digest: sig.Sum([]byte("response"))},
 	})

@@ -171,64 +171,28 @@ func TestBinaryV9GoldenSegment(t *testing.T) {
 	}
 }
 
-// callRun is a call's request origin and the server's receipt for it, as
-// one push: the receipt follows the request, mirroring its parties and
-// taking its signer. edit changes the request before it is chained.
-func callRun(tb testing.TB, edit func(*evidence.Token)) (data []byte, offs []int64) {
+// hostileV9 are the frozen runs testdata/v9/refused-*.seg, written by the
+// build of segment format 9 and checked in as bytes so that no later
+// format can change what they hold. Each ends in a frame whose borrow
+// mask asks its lender for what the format-9 rules say it cannot lend:
+// parties mirrored from a leader of two recipients, a signer from a
+// leader whose key id does not extend its issuer, a signer beside a
+// signature borrowed from a mate — and format-9 frames under a version-8
+// header, whose masks that version reads otherwise. Each keeps valid
+// checksums, so the refusal is the decoder's own. The same bytes are the
+// v9-* seeds of testdata/fuzz/FuzzBinaryRecordDecode.
+func hostileV9(tb testing.TB) map[string]hostileRun {
 	tb.Helper()
-	const client, server = id.Party("urn:org:client"), id.Party("urn:org:server")
-	realm := testpki.MustRealm(client, server)
-	run := id.NewRun()
-	issue := func(p, to id.Party, kind evidence.Kind, step int) *evidence.Token {
-		tok, err := realm.Party(p).Issuer.Issue(kind, run, step, sig.Sum([]byte("request")), evidence.WithRecipients(to))
+	runs := make(map[string]hostileRun)
+	for _, name := range []string{"mirrored-beside-two-recipients", "signer-from-an-unrooted-leader", "signer-beside-a-mate", "frames-under-v8-header"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v9", "refused-"+name+".seg"))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		return tok
+		offs := frameOffsets(tb, data)
+		runs[name] = hostileRun{data, offs[len(offs)-2], offs[len(offs)-1]}
 	}
-	req := issue(client, server, evidence.KindNRO, 1)
-	if edit != nil {
-		edit(req)
-	}
-	var c chain
-	at := time.Unix(1760745600, 0).UTC()
-	c.add(tb, at, store.Received, req, "request origin")
-	c.add(tb, at.Add(time.Millisecond), store.Generated, issue(server, client, evidence.KindNRR, 2), "request receipt")
-	data, err := store.AppendFrameRun(nil, c)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data, frameOffsets(tb, data)
-}
-
-// hostileV9 are runs that end in a frame whose borrow mask asks its
-// lender for what the format-9 rules say it cannot lend: parties mirrored
-// from a leader of two recipients, a signer from a leader whose key id
-// does not extend its issuer, a signer beside a signature borrowed from a
-// mate — and format-9 frames under a version-8 header, whose masks that
-// version reads otherwise. Each keeps valid checksums, so the refusal is
-// the decoder's own.
-func hostileV9(tb testing.TB) map[string]hostileRun {
-	tb.Helper()
-	data, offs := callRun(tb, nil)
-	if h := headOf(tb, data[offs[1]:offs[2]]); h.mask&evidence.PartyMask != bMirrored || h.mask&bSigner == 0 {
-		tb.Fatalf("control: the receipt takes %#x from its request", h.mask)
-	}
-	twoTo, tOffs := callRun(tb, func(tok *evidence.Token) { tok.Recipients = append(tok.Recipients, "urn:org:witness") })
-	unrooted, uOffs := callRun(tb, func(tok *evidence.Token) { tok.Signature.KeyID = "hsm:slot-7" })
-	mates, mOffs, _ := mateRun(tb)
-	asV8 := append([]byte(nil), data...)
-	asV8[3] = 8
-	remaskWith := func(data []byte, offs []int64, i int, set byte) hostileRun {
-		h := headOf(tb, data[offs[i]:offs[i+1]])
-		return remask(data, offs[i], offs[i+1], h.mask&^evidence.PartyMask|set)
-	}
-	return map[string]hostileRun{
-		"mirrored beside two recipients": remaskWith(twoTo, tOffs, 1, bMirrored|bSigner),
-		"signer from an unrooted leader": remaskWith(unrooted, uOffs, 1, bMirrored|bSigner),
-		"signer beside a mate":           remaskWith(mates, mOffs, 2, headOf(tb, mates[mOffs[2]:mOffs[3]]).mask&evidence.PartyMask|bSigner),
-		"format-9 frames under v8":       {asV8, offs[1], offs[2]},
-	}
+	return runs
 }
 
 // TestBinaryV9MaskRefusals: what hostileV9 asks of a lender is corruption
@@ -242,6 +206,11 @@ func TestBinaryV9MaskRefusals(t *testing.T) {
 			t.Errorf("%s: scan read %d records, err %v, want ErrBinary", name, n, err)
 		}
 		offs := frameOffsets(t, bad.data)
+		// Control: but for the run under a v8 header, each is format-9
+		// bytes whose every frame before the last reads.
+		if enc := store.DetectEncoding(bad.data); enc != store.EncBinaryV8 && (enc != store.EncBinaryV9 || n != len(offs)-2) {
+			t.Errorf("%s: %v, scan read %d of the %d frames before the refused one; want format 9 and all", name, enc, n, len(offs)-2)
+		}
 		prev := sig.Sum([]byte("any predecessor"))
 		if rec, err := store.DecodeRecordData(bad.data, bad.start, bad.end, store.DetectEncoding(bad.data), 2, &prev, offs[len(offs)-3]); !errors.Is(err, canon.ErrBinary) {
 			t.Errorf("%s: keyed read = %v, err %v, want ErrBinary", name, rec, err)

@@ -179,8 +179,7 @@ func TestQuickRecordRemovalOrReorderDetected(t *testing.T) {
 func TestQuickBatchSignedRoundTrip(t *testing.T) {
 	t.Parallel()
 	realm := testpki.MustRealm(org)
-	b := evidence.NewBatchIssuer(realm.Party(org).Issuer)
-	defer b.Close()
+	issuer := realm.Party(org).Issuer
 	verifier := realm.Verifier()
 	borrowed := 0
 	f := func(size uint8, seed int64) bool {
@@ -191,7 +190,7 @@ func TestQuickBatchSignedRoundTrip(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = evidence.TokenRequest{Kind: evidence.KindPostmark, Run: run, Step: i, Digest: sig.Sum([]byte{byte(i)})}
 		}
-		toks, err := b.IssueBatch(reqs)
+		toks, err := issuer.IssueBatch(reqs)
 		if err != nil {
 			t.Error(err)
 			return false

@@ -66,8 +66,8 @@ func WithTelemetry() DomainOption {
 }
 
 // WithPipeline enables the batched hot-path pipeline on every node:
-// aggregate (Merkle batch) evidence signing and outbound envelope
-// coalescing.
+// outbound envelope coalescing. Evidence is signed one protocol step per
+// signature, as on every node.
 func WithPipeline() DomainOption {
 	return func(d *Domain) { d.pipeline = true }
 }
@@ -130,7 +130,6 @@ func (d *Domain) startNode(p id.Party) error {
 		Telemetry: d.Telemetry,
 	}
 	if d.pipeline {
-		cfg.BatchSigning = true
 		cfg.Coalesce = &transport.CoalesceOptions{}
 	}
 	node, err := core.NewNode(cfg)

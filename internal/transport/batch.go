@@ -314,10 +314,9 @@ var _ Handler = (*BatchOpener)(nil)
 
 // DefaultBatchWorkers is the per-batch handler concurrency (or
 // GOMAXPROCS when larger). Handlers spend much of a sub-message's life
-// blocked — executing the request, waiting on the signing aggregator,
-// appending to the log — so it exceeds GOMAXPROCS rather than matching
-// it: concurrent sub-handlers are what let one aggregate signature cover
-// many runs.
+// blocked — executing the request, appending to the log — so it exceeds
+// GOMAXPROCS rather than matching it: concurrent sub-handlers are what
+// let one group commit cover many runs.
 const DefaultBatchWorkers = 16
 
 // NewBatchOpener wraps inner.

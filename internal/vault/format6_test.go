@@ -46,9 +46,7 @@ func TestVaultV5TailSealedAsItStands(t *testing.T) {
 func pairedGroup(t testing.TB, realm *testpki.Realm, run id.Run, server bool) []store.Entry {
 	t.Helper()
 	opts := []evidence.IssueOption{evidence.WithRecipients(peerOrg), evidence.WithService("urn:org:a/orders")}
-	b := evidence.NewBatchIssuer(realm.Party(org).Issuer)
-	defer b.Close()
-	pair, err := b.IssueBatch([]evidence.TokenRequest{
+	pair, err := realm.Party(org).Issuer.IssueBatch([]evidence.TokenRequest{
 		{Kind: evidence.KindNRR, Run: run, Step: 2, Digest: sig.Sum([]byte("request")), Opts: opts},
 		{Kind: evidence.KindNROResp, Run: run, Step: 3, Digest: sig.Sum([]byte("response")), Opts: opts},
 	})

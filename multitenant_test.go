@@ -230,17 +230,19 @@ func TestHostedTenantIsolation(t *testing.T) {
 		}
 	}
 
-	// Pipelining composed for hosted tenants: some evidence carries
-	// aggregate (Merkle batch) signatures.
+	// Pipelining composed for hosted tenants, and each signature covers
+	// one protocol step: servers' receipts and response origins share one,
+	// so some evidence carries a one-element inclusion path and none more.
 	batched := false
 	for _, rec := range testpki.Query(t, orgA.Log(), store.Query{}) {
-		if len(rec.Token.Signature.BatchPath) > 0 {
+		if n := len(rec.Token.Signature.BatchPath); n > 1 {
+			t.Fatalf("a hosted tenant's %s token carries an inclusion path of %d", rec.Token.Kind, n)
+		} else if n == 1 {
 			batched = true
-			break
 		}
 	}
 	if !batched {
-		t.Fatal("no aggregate signatures on hosted tenant evidence — pipelining did not compose with hosting")
+		t.Fatal("no step-shared signatures on hosted tenant evidence — pipelining did not compose with hosting")
 	}
 }
 

@@ -1,6 +1,7 @@
 // End-to-end tests of the batched hot-path interaction pipeline:
-// aggregate signing, envelope coalescing and the verification fast path,
-// exercised through the public API under concurrency, faults and audit.
+// envelope coalescing and the verification fast path beside evidence
+// signed one protocol step per signature, exercised through the public
+// API under concurrency, faults and audit.
 package nonrep_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/obs"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
 	"nonrep/internal/transport"
@@ -99,7 +101,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 	}
 	if !batched {
-		t.Fatal("24 concurrent invocations produced no aggregate signatures")
+		t.Fatal("24 concurrent invocations produced no step signed as a batch")
 	}
 
 	// Both vaults hold complete per-run evidence, exactly once.
@@ -234,10 +236,12 @@ func TestPipelineUnderFaults(t *testing.T) {
 // TestPipelinedCallEvidenceBytes bounds what one call on a pipelined
 // domain costs the two vaults together: a 64-byte value echoed, the four
 // tokens of the run in each vault, plus the call's share of seals and
-// indexes. The server batch-signs its receipt and its response origin,
-// so both vaults hold two tokens of one Merkle batch side by side; the
-// second borrows the first's signature, and the call costs no more than
-// the same call unpipelined. Stored twice, the shared signature cost
+// indexes. The server signs its receipt and its response origin under
+// one signature of their own, as on every domain, so both vaults hold
+// the two leaves of one two-token batch side by side; the second borrows
+// the first's signature, and the call costs no more than the same call
+// unpipelined (TestPipelinedEvidenceDoesNotGrowWithLoad holds the bound
+// under concurrent callers too). Stored twice, the shared signature cost
 // about 1 926 B here; indexes that pin one hash per window of four
 // records brought it to about 1 520 B (one pinned hash per record cost
 // about 1 710 B), since segment format 7 the run's second commit in
@@ -252,8 +256,46 @@ func TestPipelineUnderFaults(t *testing.T) {
 // about 1 130 B.
 func TestPipelinedCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t, nonrep.WithPipelining()); perCall > 1150 {
+	if perCall, _, _ := callEvidenceBytes(t, 1, 20, nonrep.WithPipelining()); perCall > 1150 {
 		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 150", perCall)
+	}
+}
+
+// TestPipelinedEvidenceDoesNotGrowWithLoad makes the calls of
+// TestPipelinedCallEvidenceBytes from 32 concurrent callers: one call
+// still costs the two vaults no more than a sequential one, because every
+// signature covers one protocol step — the client's request origin, the
+// server's receipt and response origin, the client's response receipt —
+// and never tokens of concurrent runs. So no stored token's inclusion
+// path holds more than its step-mate's digest, and the two organisations
+// issue exactly four tokens under three signatures per call. Signing
+// concurrent runs' tokens under one Merkle root cost about 1 845 B a call
+// here, each token storing a path that grew with the signer's load.
+func TestPipelinedEvidenceDoesNotGrowWithLoad(t *testing.T) {
+	t.Parallel()
+	perCall, domain, orgs := callEvidenceBytes(t, 32, 50, nonrep.WithPipelining(), nonrep.WithTelemetry())
+	if perCall > 1150 {
+		t.Fatalf("one call of 32 concurrent callers costs the two vaults %.1f B, want at most 1 150", perCall)
+	}
+	var tokens, signatures int64
+	snap := domain.Telemetry().Registry().Snapshot()
+	for _, org := range orgs {
+		tokens += snap.Counter(obs.MTokensIssuedTotal, string(org.Party()))
+		signatures += snap.Counter(obs.MSignaturesTotal, string(org.Party()))
+		recs := org.Vault().Query(nonrep.VaultQuery{})
+		n := 0
+		for recs.Next() {
+			if path := recs.Record().Token.Signature.BatchPath; len(path) > 1 {
+				t.Fatalf("%s's vault: a %s token stores an inclusion path of %d", org.Party(), recs.Record().Token.Kind, len(path))
+			}
+			n++
+		}
+		if err := recs.Err(); err != nil || n != 4*(1+32*50) {
+			t.Fatalf("%s's vault: %d records read (%v), want %d", org.Party(), n, err, 4*(1+32*50))
+		}
+	}
+	if signatures == 0 || 3*tokens != 4*signatures {
+		t.Fatalf("%d tokens issued under %d signatures, want four under three per call", tokens, signatures)
 	}
 }
 
@@ -272,7 +314,7 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 // about 1 133 B.
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall := callEvidenceBytes(t); perCall > 1155 {
+	if perCall, _, _ := callEvidenceBytes(t, 1, 20); perCall > 1155 {
 		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 155", perCall)
 	}
 }
@@ -360,15 +402,17 @@ func TestDirectStepSharesOneSignature(t *testing.T) {
 }
 
 // callEvidenceBytes makes calls on a domain of the given options — a
-// 64-byte value echoed — and returns what one costs the client's and the
-// server's vaults together, seals and indexes included.
-func callEvidenceBytes(t *testing.T, opts ...nonrep.DomainOption) float64 {
+// 64-byte value echoed — from callers concurrent callers, calls each,
+// and returns what one costs the client's and the server's vaults
+// together, seals and indexes included, with the domain (closed when the
+// test ends) and its two organisations, the client first.
+func callEvidenceBytes(t *testing.T, callers, calls int, opts ...nonrep.DomainOption) (float64, *nonrep.Domain, []*nonrep.Org) {
 	t.Helper()
 	domain, err := nonrep.NewDomain(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer domain.Close()
+	t.Cleanup(func() { _ = domain.Close() })
 	const clientParty, serverParty = nonrep.Party("urn:bench:client"), nonrep.Party("urn:bench:server")
 	const svc = nonrep.Service("urn:bench:server/echo")
 	dirs := []string{t.TempDir(), t.TempDir()}
@@ -386,26 +430,29 @@ func callEvidenceBytes(t *testing.T, opts ...nonrep.DomainOption) float64 {
 	}
 	server.Serve()
 	proxy := client.Proxy(serverParty, svc, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	rng := rand.New(rand.NewSource(1))
-	made := 0
-	call := func() {
-		t.Helper()
+	// Each caller draws its values from its own source; the first call
+	// and the first caller's share one.
+	rngs := make([]*rand.Rand, callers)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(int64(i + 1)))
+	}
+	call := func(rng *rand.Rand) error {
 		var blob [64]byte
 		rng.Read(blob[:])
 		res, err := proxy.Call(ctx, "Echo", blob[:])
-		if err != nil || res.Status != evidence.StatusOK {
-			t.Fatalf("call: %v (%+v)", err, res)
+		if err == nil && res.Status != evidence.StatusOK {
+			err = fmt.Errorf("status %v", res.Status)
 		}
-		made++
+		return err
 	}
-	// settled seals what the calls left in both vaults and sums their
+	// settled seals what made calls left in both vaults and sums their
 	// directories. The client's receipt reaches the server after the call
 	// returns, so it first waits for the server to hold every run's four
 	// records: a receipt committed after the seal would open the next
 	// segment as a plain frame and make the count depend on timing.
-	settled := func() int64 {
+	settled := func(made int) int64 {
 		t.Helper()
 		for server.Vault().Len() < 4*made {
 			if ctx.Err() != nil {
@@ -430,13 +477,28 @@ func callEvidenceBytes(t *testing.T, opts ...nonrep.DomainOption) float64 {
 		}
 		return n
 	}
-	call()
-	before := settled()
-	const calls = 20
-	for i := 0; i < calls; i++ {
-		call()
+	if err := call(rngs[0]); err != nil {
+		t.Fatalf("call: %v", err)
 	}
-	perCall := float64(settled()-before) / calls
-	t.Logf("one call costs the two vaults %.1f B", perCall)
-	return perCall
+	before := settled(1)
+	var wg sync.WaitGroup
+	for _, rng := range rngs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if err := call(rng); err != nil {
+					t.Errorf("call: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	perCall := float64(settled(1+callers*calls)-before) / float64(callers*calls)
+	t.Logf("one call of %d concurrent callers costs the two vaults %.1f B", callers, perCall)
+	return perCall, domain, []*nonrep.Org{client, server}
 }
