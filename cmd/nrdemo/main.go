@@ -280,7 +280,7 @@ func durableScene(ctx context.Context, domain *nonrep.Domain) error {
 	if err := worker.Close(); err != nil {
 		return err
 	}
-	fmt.Println("  logistics partner killed mid-execution; its lease and in-flight work fall back to the gateway")
+	fmt.Println("  logistics partner killed mid-execution; its connection closes and its in-flight work falls back to the gateway")
 
 	worker, err = domain.AddWorkerOrg(gateway, logistics)
 	if err != nil {

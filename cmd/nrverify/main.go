@@ -34,7 +34,7 @@
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
-// records are stored in ("binary" is segment format 9, "binary-v8" to
+// records are stored in ("binary" is segment format 10, "binary-v9" to
 // "binary-v1" and "json" the formats before it) and its index ("binary"
 // is index version 4, "binary-v3", "binary-v2" and "json" the versions
 // before it), the bytes each takes per record — of the index's, those

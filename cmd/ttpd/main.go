@@ -21,8 +21,10 @@
 //
 // With -gateway the daemon additionally runs a worker-gateway host on the
 // given address: organisations behind NAT or egress-only network policy
-// dial out to it, hold a lease over long-poll links, and serve their
-// components through it without running a listener of their own.
+// dial out to it, say a hello signed under a certificate the -trust
+// bundle vouches for, and serve their components down that connection
+// without running a listener of their own. On SIGTERM the gateway
+// drains before the daemon exits.
 //
 // With -archive the daemon ships sealed evidence segments — its own
 // vault's and those of every hosted peer replica — into a filesystem
@@ -62,6 +64,10 @@ import (
 	"nonrep/internal/ttp"
 	"nonrep/internal/vault"
 )
+
+// drainTimeout bounds how long shutdown waits for the worker gateway's
+// queued and in-flight work.
+const drainTimeout = 10 * time.Second
 
 // peerFlags collects repeated -peer party=addr flags.
 type peerFlags map[id.Party]string
@@ -203,6 +209,7 @@ func main() {
 	// egress-only policy dial out to it and serve from there, instead of
 	// needing a listener of their own.
 	gatewayServices := ""
+	var gw *protocol.WorkerGateway
 	if *gatewayAddr != "" {
 		var gwOpts []protocol.Option
 		if telemetry != nil {
@@ -213,11 +220,11 @@ func main() {
 			log.Fatal(err)
 		}
 		defer gwHost.Close()
-		gcfg := protocol.GatewayConfig{Clock: clk}
+		gcfg := protocol.GatewayConfig{Verifier: node.Services().Verifier}
 		if telemetry != nil {
 			gcfg.Obs = telemetry.Scope(*party)
 		}
-		gw, err := gwHost.EnableWorkerGateway(gcfg)
+		gw, err = gwHost.EnableWorkerGateway(gcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -253,6 +260,15 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
+	if gw != nil {
+		// Refuse new worker traffic and let what the workers hold finish
+		// before the gateway host closes under them.
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		if err := gw.Drain(ctx); err != nil {
+			log.Printf("worker gateway: drain: %v", err)
+		}
+		cancel()
+	}
 	fmt.Printf("ttpd: shutting down; evidence log holds %d records\n", node.Log().Len())
 }
 

@@ -165,6 +165,9 @@ func NewDomain(opts ...DomainOption) (*Domain, error) {
 		d.tcp = true
 		d.tcpNet = transport.NewTCPNetwork()
 		d.network = d.tcpNet
+		if d.tel != nil {
+			d.tel.SetHealth("transport", func() any { return d.tcpNet.Stats() })
+		}
 	} else {
 		d.inproc = transport.NewInprocNetwork()
 		d.network = d.inproc
@@ -217,7 +220,7 @@ type orgConfig struct {
 	archive      blob.Store
 	durable      bool
 	durableRetry *durable.RetryPolicy
-	worker       *protocol.WorkerConfig
+	gateway      string // a worker's gateway address
 	openSubs     bool
 }
 
@@ -456,12 +459,12 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	if host != nil {
 		nodeCfg.Host = host.inner
 	}
-	if cfg.worker != nil {
+	if cfg.gateway != "" {
 		if host != nil {
 			log.Close()
 			return nil, fmt.Errorf("nonrep: %s cannot be both hosted and a worker", p)
 		}
-		nodeCfg.Worker = cfg.worker
+		nodeCfg.Gateway = cfg.gateway
 	}
 	node, err := core.NewNode(nodeCfg)
 	if err != nil {
@@ -934,7 +937,7 @@ func (o *Org) Invoke(ctx context.Context, server Party, req Request, opts ...Cli
 
 // Close stops the organisation — durable runtime, servers, replication,
 // audit service, coordinator and evidence store — and removes it from the
-// domain, releasing its vault lock and (for workers) its gateway lease.
+// domain, releasing its vault lock and (for workers) its gateway link.
 // Close is idempotent; an organisation enrolled again afterwards over the
 // same vault recovers its unfinished durable jobs.
 func (o *Org) Close() error {

@@ -6,6 +6,7 @@ import (
 
 	"nonrep/internal/container"
 	"nonrep/internal/durable"
+	"nonrep/internal/evidence"
 	"nonrep/internal/invoke"
 	"nonrep/internal/protocol"
 )
@@ -105,8 +106,8 @@ func (a asyncRuntime) SubmitAsync(ctx context.Context, server Party, req invoke.
 
 // AddWorkerOrg enrols an organisation as an outbound worker behind a
 // host's worker gateway: instead of listening, the organisation dials the
-// host and receives its traffic over a long-lived polled link — suitable
-// for parties behind NAT or egress-only network policy. The host's
+// host once, says a signed hello, and is served down that connection —
+// suitable for parties behind NAT or egress-only network policy. The host's
 // gateway is enabled on first use. The organisation is otherwise a full
 // peer: it keeps isolated evidence services and may serve components,
 // answer audits and submit durable jobs.
@@ -117,27 +118,20 @@ func (d *Domain) AddWorkerOrg(h *Host, p Party, opts ...OrgOption) (*Org, error)
 	if _, err := h.EnableWorkers(); err != nil {
 		return nil, err
 	}
-	w := protocol.WorkerConfig{Gateway: h.Addr()}
-	return d.addOrg(p, nil, append(opts, withWorkerLink(w))...)
-}
-
-// withWorkerLink marks the organisation as an outbound worker dialing the
-// configured gateway.
-func withWorkerLink(w protocol.WorkerConfig) OrgOption {
-	return func(c *orgConfig) { c.worker = &w }
+	return d.addOrg(p, nil, append(opts, func(c *orgConfig) { c.gateway = h.Addr() })...)
 }
 
 // EnableWorkers enables the host's worker gateway (idempotently),
 // allowing organisations to enrol behind it with Domain.AddWorkerOrg. The
-// gateway queues inbound traffic per worker, dispatches it round-robin
-// to polling links, and rejects new work past its equal per-tenant
-// admission caps.
+// gateway queues inbound traffic per worker, forwards it round-robin
+// down the workers' connections, and rejects new work past its equal
+// per-tenant admission caps.
 func (h *Host) EnableWorkers() (*protocol.WorkerGateway, error) {
 	if gw := h.inner.WorkerGateway(); gw != nil {
 		return gw, nil
 	}
 	d := h.domain
-	cfg := protocol.GatewayConfig{Clock: d.clk}
+	cfg := protocol.GatewayConfig{Verifier: &evidence.Verifier{Keys: d.creds}}
 	if d.tel != nil {
 		cfg.Obs = d.tel.Scope("host:" + h.Addr())
 	}

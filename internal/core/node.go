@@ -47,13 +47,13 @@ type NodeConfig struct {
 	// shared with the host's other tenants. Retry and Coalesce are
 	// host-wide concerns and ignored for hosted nodes.
 	Host *protocol.Host
-	// Worker, when set, runs the interceptor as an outbound-only worker:
-	// instead of listening, the coordinator dials the configured gateway
-	// host and receives its traffic over a long-lived polled link —
-	// suitable for parties behind NAT or egress-only network policy.
-	// Requires Network (as the dialing side); mutually exclusive with
-	// Host, and Addr is ignored.
-	Worker *protocol.WorkerConfig
+	// Gateway, when set, runs the interceptor as an outbound-only worker:
+	// instead of listening, the coordinator dials the worker gateway host
+	// at this address once, says a signed hello and is served down that
+	// connection — suitable for parties behind NAT or egress-only network
+	// policy. Requires Network (as the dialing side); mutually exclusive
+	// with Host, and Addr is ignored.
+	Gateway string
 	// Directory resolves parties to coordinator addresses; it is shared
 	// by the parties of a trust domain.
 	Directory *protocol.Directory
@@ -156,12 +156,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		opts = append(opts, protocol.WithRetryPolicy(*cfg.Retry))
 	}
 	switch {
-	case cfg.Worker != nil:
+	case cfg.Gateway != "":
 		if cfg.Network == nil {
 			err = fmt.Errorf("core: worker node for %s needs a network to dial out on", cfg.Party)
 			break
 		}
-		co, err = protocol.ConnectWorker(cfg.Network, *cfg.Worker, svc, opts...)
+		co, err = protocol.ConnectWorker(cfg.Network, cfg.Gateway, svc, opts...)
 	case cfg.Host != nil:
 		co, err = cfg.Host.Add(svc)
 	default:

@@ -88,6 +88,11 @@ const (
 	// replicated ahead of their seal): digest over the canonical push
 	// claim, issuer bound to the source organisation.
 	KindGeoAppend Kind = "geo-append"
+	// KindWorkerHello authenticates a worker's hello to a gateway: digest
+	// over the canonical hello (the party it serves), issuer bound to
+	// that party, so only the party can route its traffic to itself. It
+	// travels on the wire only; no vault stores it.
+	KindWorkerHello Kind = "worker-hello"
 )
 
 // Errors reported by token verification.

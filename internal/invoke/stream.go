@@ -173,12 +173,15 @@ func (r *ResultStreams) chunkMap() map[string][][]byte {
 	return out
 }
 
-// resultBuffer chunks written bytes.
+// resultBuffer chunks written bytes and digests each chunk as it fills,
+// so finalising the stream only digests its tail.
 type resultBuffer struct {
 	chunkSize int
 	mu        sync.Mutex
 	chunks    [][]byte
 	cur       []byte
+	d         *evidence.StreamDigester
+	err       error // the digester's first refusal
 }
 
 // Write implements io.Writer.
@@ -194,11 +197,22 @@ func (b *resultBuffer) Write(p []byte) (int, error) {
 		b.cur = append(b.cur, p[:take]...)
 		p = p[take:]
 		if len(b.cur) == b.chunkSize {
-			b.chunks = append(b.chunks, b.cur)
-			b.cur = nil
+			b.sealLocked()
 		}
 	}
 	return n, nil
+}
+
+// sealLocked closes the current chunk and digests it.
+func (b *resultBuffer) sealLocked() {
+	if b.d == nil {
+		b.d = evidence.NewStreamDigester(b.chunkSize)
+	}
+	if err := b.d.Add(b.cur); err != nil && b.err == nil {
+		b.err = err
+	}
+	b.chunks = append(b.chunks, b.cur)
+	b.cur = nil
 }
 
 // sealedChunks returns the chunk list with any partial tail flushed.
@@ -206,22 +220,24 @@ func (b *resultBuffer) sealedChunks() [][]byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.cur != nil {
-		b.chunks = append(b.chunks, b.cur)
-		b.cur = nil
+		b.sealLocked()
 	}
 	return b.chunks
 }
 
-// ref digests the chain.
+// ref finishes the digest chain: the tail is the only chunk left to
+// digest.
 func (b *resultBuffer) ref() (evidence.StreamRef, error) {
-	chunks := b.sealedChunks()
-	d := evidence.NewStreamDigester(b.chunkSize)
-	for _, c := range chunks {
-		if err := d.Add(c); err != nil {
-			return evidence.StreamRef{}, err
-		}
+	b.sealedChunks()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil {
+		return evidence.StreamRef{}, b.err
 	}
-	return d.Ref("")
+	if b.d == nil {
+		b.d = evidence.NewStreamDigester(b.chunkSize)
+	}
+	return b.d.Ref("")
 }
 
 // ResultStream reads one streamed invocation result on the client side,

@@ -61,9 +61,6 @@ const (
 
 	// Outbound worker links and the host-side worker gateway.
 	MWorkerReconnectsTotal   = "nonrep_worker_reconnects_total"
-	MWorkerHeartbeatsTotal   = "nonrep_worker_heartbeats_total"
-	MWorkerBufferedResults   = "nonrep_worker_buffered_results"
-	MWorkerPollsTotal        = "nonrep_worker_polls_total"
 	MGatewayQueueDepth       = "nonrep_gateway_queue_depth"
 	MGatewayAdmissionRejects = "nonrep_gateway_admission_rejected_total"
 	MGatewayDispatchTotal    = "nonrep_gateway_dispatched_total"

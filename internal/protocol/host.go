@@ -161,7 +161,7 @@ func (h *Host) Remove(p id.Party) {
 	h.mu.Lock()
 	t, ok := (*h.tenants.Load())[key]
 	if !ok || t.co == nil {
-		// Raw tenants (worker mailboxes) detach via removeRawTenant.
+		// Raw tenants (the worker gateway's) stay until the host closes.
 		h.mu.Unlock()
 		return
 	}
@@ -212,16 +212,6 @@ func (h *Host) addRawTenant(key string, handler transport.Handler) error {
 	}
 	h.swapLocked(func(m tenantMap) { m[key] = &hostTenant{chain: handler} })
 	return nil
-}
-
-// removeRawTenant detaches a tenant registered with addRawTenant. It
-// refuses to touch hosted coordinators.
-func (h *Host) removeRawTenant(key string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t, ok := (*h.tenants.Load())[key]; ok && t.co == nil {
-		h.swapLocked(func(m tenantMap) { delete(m, key) })
-	}
 }
 
 // Close detaches every tenant and closes the shared endpoint, flushing

@@ -74,29 +74,38 @@ type peerRequest struct {
 // exchange sends req to the coordinator at addr as step 1 of its run and
 // decodes the reply's body into out (nil: the reply is not read).
 func (c *Coordinator) exchange(ctx context.Context, addr string, req peerRequest, out any) error {
-	msg := &Message{Protocol: req.protocol, Run: req.run, Step: 1, Kind: req.kind, Attachment: req.attachment}
-	if msg.Run == "" {
-		msg.Run = id.NewRun()
-	}
-	if err := msg.SetBody(req.body); err != nil {
+	msg, err := c.request(req)
+	if err != nil {
 		return err
-	}
-	if iss := c.svc.Issuer; iss != nil && req.claim != nil {
-		d, err := claimDigest(req.claim)
-		if err != nil {
-			return err
-		}
-		tok, err := iss.Issue(req.claimKind, msg.Run, 1, d)
-		if err != nil {
-			return err
-		}
-		msg.Tokens = []*evidence.Token{tok}
 	}
 	reply, err := c.DeliverRequestAddr(ctx, addr, msg)
 	if err != nil || out == nil {
 		return err
 	}
 	return reply.Body(out)
+}
+
+// request builds req as step 1 of its run, signing its claim.
+func (c *Coordinator) request(req peerRequest) (*Message, error) {
+	msg := &Message{Protocol: req.protocol, Run: req.run, Step: 1, Kind: req.kind, Attachment: req.attachment}
+	if msg.Run == "" {
+		msg.Run = id.NewRun()
+	}
+	if err := msg.SetBody(req.body); err != nil {
+		return nil, err
+	}
+	if iss := c.svc.Issuer; iss != nil && req.claim != nil {
+		d, err := claimDigest(req.claim)
+		if err != nil {
+			return nil, err
+		}
+		tok, err := iss.Issue(req.claimKind, msg.Run, 1, d)
+		if err != nil {
+			return nil, err
+		}
+		msg.Tokens = []*evidence.Token{tok}
+	}
+	return msg, nil
 }
 
 // exchangeWith is exchange with a peer resolved through the directory.
@@ -124,9 +133,15 @@ func claimDigest(claim any) (sig.Digest, error) {
 // be authenticated, so everything is refused. The token is returned for
 // the caller to journal.
 func (c *Coordinator) verifyClaim(msg *Message, kind evidence.Kind, issuer id.Party, claim any) (*evidence.Token, error) {
-	ver, tok := c.svc.Verifier, msg.Token(kind)
+	return verifyClaim(c.svc.Verifier, string(c.svc.Party), msg, kind, issuer, claim)
+}
+
+// verifyClaim is Coordinator.verifyClaim against ver, for a receiver
+// named who in refusals.
+func verifyClaim(ver *evidence.Verifier, who string, msg *Message, kind evidence.Kind, issuer id.Party, claim any) (*evidence.Token, error) {
+	tok := msg.Token(kind)
 	if ver == nil || tok == nil {
-		return nil, fmt.Errorf("protocol: %s accepts only authenticated %s", c.svc.Party, msg.Kind)
+		return nil, fmt.Errorf("protocol: %s accepts only authenticated %s", who, msg.Kind)
 	}
 	d, err := claimDigest(claim)
 	if err != nil {

@@ -1,25 +1,20 @@
 // Outbound worker links, gateway side. Components behind NAT cannot run a
-// listener, so instead of the host dialling workers, workers dial the
-// host: a WorkerGateway attached to a Host queues envelopes addressed to
-// worker tenants, and connected workers pull them over long-poll requests
-// on a reserved control tenant, pushing results back the same way. The
-// gateway gives every tenant an equal admission cap so one tenant's
-// backlog cannot exhaust the queue, dispatches fairly across the tenants
-// a link serves (round-robin), tracks link liveness through
-// leases renewed by polls and heartbeats, re-queues in-flight work when a
-// worker reconnects under a new lease, and drains gracefully — refusing
-// new work while letting dispatched work finish.
+// listener, so workers dial the host: a worker says an authenticated
+// hello on the reserved control tenant, and the WorkerGateway forwards
+// its party's envelopes down the connection the hello came on. Each
+// tenant gets an equal admission cap, a link's tenants are dispatched
+// round-robin, work in flight on a connection that ends is re-queued, and
+// Drain refuses new work while dispatched work finishes.
 package protocol
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
-	"nonrep/internal/canon"
-	"nonrep/internal/clock"
+	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/transport"
@@ -30,92 +25,44 @@ import (
 // used for hosted and worker tenants.
 const WorkerControlTenant = "~worker-gateway"
 
-// Control-channel envelope kinds.
+// Control-channel envelope kinds. A hello routes a party down the
+// connection it arrived on; a hold, sent on that connection next, is
+// answered only when the link ends, so the worker learns of the end and
+// the connection never idles out while the link lives.
 const (
-	envWorkerHello     = "worker-hello"
-	envWorkerLease     = "worker-lease"
-	envWorkerHeartbeat = "worker-heartbeat"
-	envWorkerPoll      = "worker-poll"
-	envWorkerJobs      = "worker-jobs"
-	envWorkerResult    = "worker-result"
-	envWorkerAck       = "worker-ack"
-	envWorkerBye       = "worker-bye"
+	envWorkerHello      = "worker-hello"
+	envWorkerHold       = "worker-hold"
+	envWorkerSuperseded = "worker-superseded"
 )
 
-// Errors reported by the worker gateway.
+// Errors reported by the worker gateway. Busy and draining refusals are
+// temporary for transport.Permanent, so senders' reliable layer retries.
 var (
 	// ErrGatewayBusy rejects an envelope whose tenant's queue is at its
-	// admission cap. It is temporary: senders' reliable layer retries.
+	// admission cap.
 	ErrGatewayBusy = errors.New("protocol: worker gateway queue full")
 	// ErrGatewayDraining rejects new work while the gateway drains.
 	ErrGatewayDraining = errors.New("protocol: worker gateway draining")
-	// ErrLeaseExpired is returned for control operations under a lease the
-	// gateway no longer honours; the worker reconnects with a new hello.
-	ErrLeaseExpired = errors.New("protocol: worker lease expired or unknown")
 	// ErrWorkerFailed wraps an execution error reported by a worker.
 	ErrWorkerFailed = errors.New("protocol: worker execution failed")
+	// ErrWorkerUnauthenticated refuses a hello that does not carry a
+	// valid claim token from the party it names, or replays an older one.
+	ErrWorkerUnauthenticated = errors.New("protocol: worker hello not authenticated")
 )
 
-// transientError marks gateway backpressure as retryable for
-// transport.Permanent, which would otherwise only recognise its own
-// sentinels.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string   { return e.err.Error() }
-func (e *transientError) Temporary() bool { return true }
-func (e *transientError) Unwrap() error   { return e.err }
-
-// Control-channel wire bodies (canonical JSON in envelope bodies).
-
+// workerHelloBody is a hello's message body, and the claim its
+// KindWorkerHello token signs: that Party serves behind this gateway,
+// down the connection the hello arrives on.
 type workerHelloBody struct {
-	Parties []id.Party `json:"parties"`
-	TTLMs   int64      `json:"ttl_ms,omitempty"`
+	Party id.Party `json:"party"`
 }
 
-type workerLeaseBody struct {
-	Lease    string `json:"lease"`
-	TTLMs    int64  `json:"ttl_ms"`
-	Requeued int    `json:"requeued,omitempty"`
-}
-
-type workerHeartbeatBody struct {
-	Lease string `json:"lease"`
-}
-
-type workerPollBody struct {
-	Lease  string `json:"lease"`
-	Max    int    `json:"max"`
-	WaitMs int64  `json:"wait_ms,omitempty"`
-}
-
-// workerJob is one dispatched envelope plus the worker tenant it is for.
-type workerJob struct {
-	Tenant string              `json:"tenant"`
-	Env    *transport.Envelope `json:"env"`
-}
-
-type workerJobsBody struct {
-	Jobs     []workerJob `json:"jobs,omitempty"`
-	Draining bool        `json:"draining,omitempty"`
-}
-
-type workerResultBody struct {
-	Lease  string              `json:"lease"`
-	Tenant string              `json:"tenant"`
-	ID     id.Msg              `json:"id"`
-	Reply  *transport.Envelope `json:"reply,omitempty"`
-	Err    string              `json:"err,omitempty"`
-}
-
-type workerByeBody struct {
-	Lease string `json:"lease"`
-}
-
-// GatewayConfig configures a worker gateway. The zero value is usable.
+// GatewayConfig configures a worker gateway.
 type GatewayConfig struct {
-	// Clock drives lease expiry and long-poll waits (default the system
-	// clock; tests inject clock.Manual).
-	Clock clock.Clock
+	// Verifier authenticates workers' hellos: each must carry a
+	// KindWorkerHello token of the party it names. Without one every
+	// hello is refused.
+	Verifier *evidence.Verifier
 	// Obs homes the gateway's instruments; nil disables them.
 	Obs *obs.Scope
 }
@@ -127,42 +74,41 @@ const (
 	// gatewayMinPerTenant floors every tenant's admission cap so a
 	// gateway with many tenants never starves one to zero.
 	gatewayMinPerTenant = 8
-	// workerLeaseTTL is how long a link lease survives without a poll or
-	// heartbeat; a worker may ask for less in its hello.
-	workerLeaseTTL = 30 * time.Second
+	// linkInflight bounds the envelopes in flight down one worker's
+	// connection, well inside the connection's own in-flight cap.
+	linkInflight = 128
 )
 
-// workerOutcome is what a blocked request-enqueue receives when the
-// worker reports its result.
-type workerOutcome struct {
-	reply *transport.Envelope
-	err   string
-}
-
-// pendingItem is one envelope owed to a worker tenant.
+// pendingItem is one envelope owed to a worker tenant; done closes once
+// reply or err is set. The rest is guarded by the gateway mutex: link is
+// the link the item is in flight on, nil while it is queued.
 type pendingItem struct {
-	env       *transport.Envelope
-	tenant    string
-	wantReply bool
-	done      chan workerOutcome // buffered 1
-	completed bool               // guarded by the gateway mutex
+	env    *transport.Envelope
+	tenant string
+	done   chan struct{}
+	reply  *transport.Envelope
+	err    string
+	link   *gatewayLink
 }
 
 // gatewayTenant is the mailbox of one worker party.
 type gatewayTenant struct {
-	party    string
 	queue    []*pendingItem
-	inflight map[id.Msg]*pendingItem
-	lease    string // lease currently serving this tenant ("" when offline)
+	inflight map[*pendingItem]struct{}
+	link     *gatewayLink    // the link serving the party, nil while offline
+	hello    *evidence.Token // the hello that took the party last
 }
 
-// workerLease is one live link's registration.
-type workerLease struct {
-	id      string
-	parties []string
-	expires time.Time
-	notify  chan struct{} // buffered 1; kicked when work arrives
-	rr      int           // round-robin start offset across parties
+// gatewayLink is one worker connection and the parties routed down it.
+// done closes when the link ends; superseded says a newer hello took its
+// last party.
+type gatewayLink struct {
+	conn       transport.Conn
+	parties    []string
+	rr         int // round-robin start offset across parties
+	busy       int // envelopes in flight down the connection
+	done       chan struct{}
+	superseded bool
 }
 
 // WorkerGateway queues and dispatches envelopes for worker tenants of a
@@ -170,13 +116,16 @@ type workerLease struct {
 type WorkerGateway struct {
 	host *Host
 	cfg  GatewayConfig
-	// maxQueue and minPerTenant are gatewayMaxQueue and
-	// gatewayMinPerTenant; tests shrink them.
-	maxQueue, minPerTenant int
+	// maxQueue, minPerTenant and slots are gatewayMaxQueue,
+	// gatewayMinPerTenant and linkInflight; tests shrink them.
+	maxQueue, minPerTenant, slots int
+	// ctx bounds the forwards; close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu          sync.Mutex
 	tenants     map[string]*gatewayTenant
-	leases      map[string]*workerLease
+	links       map[transport.Conn]*gatewayLink
 	draining    bool
 	closed      bool
 	queued      int
@@ -187,20 +136,17 @@ type WorkerGateway struct {
 // its control channel under WorkerControlTenant. It is enabled at most
 // once per host.
 func (h *Host) EnableWorkerGateway(cfg GatewayConfig) (*WorkerGateway, error) {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real{}
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	gw := &WorkerGateway{
-		host:         h,
-		cfg:          cfg,
-		maxQueue:     gatewayMaxQueue,
-		minPerTenant: gatewayMinPerTenant,
-		tenants:      make(map[string]*gatewayTenant),
-		leases:       make(map[string]*workerLease),
-		completions:  make(chan struct{}, 1),
+		host: h, cfg: cfg, ctx: ctx, cancel: cancel,
+		maxQueue: gatewayMaxQueue, minPerTenant: gatewayMinPerTenant, slots: linkInflight,
+		tenants:     make(map[string]*gatewayTenant),
+		links:       make(map[transport.Conn]*gatewayLink),
+		completions: make(chan struct{}, 1),
 	}
 	chain := transport.NewTenantChain(transport.HandlerFunc(gw.handleControl), cfg.Obs)
 	if err := h.addRawTenant(WorkerControlTenant, chain); err != nil {
+		cancel()
 		return nil, err
 	}
 	h.mu.Lock()
@@ -209,449 +155,302 @@ func (h *Host) EnableWorkerGateway(cfg GatewayConfig) (*WorkerGateway, error) {
 	return gw, nil
 }
 
-// WorkerGateway returns the host's gateway, nil when workers are not
-// enabled.
+// WorkerGateway returns the host's gateway, nil when none is enabled.
 func (h *Host) WorkerGateway() *WorkerGateway {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.gw
 }
 
-// counter resolves a gateway instrument (nil-safe).
-func (g *WorkerGateway) counter(name string) *obs.Counter { return g.cfg.Obs.Counter(name) }
-
 // depthLocked publishes the queued depth gauge.
 func (g *WorkerGateway) depthLocked() {
 	g.cfg.Obs.Gauge(obs.MGatewayQueueDepth).Set(int64(g.queued))
 }
 
-// tenantLocked resolves (creating if needed) a tenant mailbox. Creation
-// registers the tenant's enqueue chain with the host, so the host routes
-// the party's traffic to every mailbox that exists; registration fails
-// if the party is hosted as a coordinator.
+// tenantLocked resolves (creating if needed) a tenant mailbox, which the
+// host routes the party's envelopes to — as they arrived: batches
+// unopened, chunk slices unassembled, for the worker's own receive chain
+// and replay window. A party hosted as a coordinator has none.
 func (g *WorkerGateway) tenantLocked(party string) (*gatewayTenant, error) {
 	if t, ok := g.tenants[party]; ok {
 		return t, nil
 	}
-	if err := g.host.addRawTenant(party, g.mailboxChain(party)); err != nil {
+	mailbox := transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+		return g.enqueue(ctx, party, env)
+	})
+	if err := g.host.addRawTenant(party, mailbox); err != nil {
 		return nil, err
 	}
-	t := &gatewayTenant{party: party, inflight: make(map[id.Msg]*pendingItem)}
+	t := &gatewayTenant{inflight: make(map[*pendingItem]struct{})}
 	g.tenants[party] = t
 	return t, nil
 }
 
-// capLocked is a tenant's equal share of the queue budget.
-func (g *WorkerGateway) capLocked() int {
-	c := g.maxQueue / max(len(g.tenants), 1)
-	if c < g.minPerTenant {
-		c = g.minPerTenant
-	}
-	return c
-}
-
-// notifyLocked kicks the lease serving a tenant, waking its long-poll.
-func (g *WorkerGateway) notifyLocked(leaseID string) {
-	l, ok := g.leases[leaseID]
-	if !ok {
-		return
-	}
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-}
-
-// completionLocked signals Drain that outstanding work shrank.
-func (g *WorkerGateway) completionLocked() {
-	select {
-	case g.completions <- struct{}{}:
-	default:
-	}
-}
-
-// enqueue admits one envelope into a worker tenant's mailbox. Requests
-// block until a worker reports the result (or ctx expires); one-way
-// deliveries return as soon as the envelope is queued, like a network
-// send — at-least-once delivery, with protocol-level dedup downstream.
+// enqueue admits one envelope into a worker tenant's mailbox, within an
+// equal share of the queue budget. A request waits for the worker's
+// answer; a one-way delivery returns once queued, like a network send.
 func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transport.Envelope) (*transport.Envelope, error) {
-	wantReply := env.Kind != envDeliver
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return nil, transport.ErrClosed
-	}
-	if g.draining {
-		g.mu.Unlock()
-		g.counter(obs.MGatewayAdmissionRejects).Inc()
-		return nil, &transientError{fmt.Errorf("%w: tenant %q", ErrGatewayDraining, party)}
 	}
 	t, err := g.tenantLocked(party)
 	if err != nil {
 		g.mu.Unlock()
 		return nil, err
 	}
-	if len(t.queue) >= g.capLocked() {
+	if g.draining || len(t.queue) >= max(g.maxQueue/len(g.tenants), g.minPerTenant) {
+		cause := ErrGatewayBusy
+		if g.draining {
+			cause = ErrGatewayDraining
+		}
 		g.mu.Unlock()
-		g.counter(obs.MGatewayAdmissionRejects).Inc()
-		return nil, &transientError{fmt.Errorf("%w: tenant %q", ErrGatewayBusy, party)}
+		g.cfg.Obs.Counter(obs.MGatewayAdmissionRejects).Inc()
+		return nil, fmt.Errorf("%w: tenant %q", cause, party)
 	}
-	item := &pendingItem{env: env, tenant: party, wantReply: wantReply, done: make(chan workerOutcome, 1)}
+	item := &pendingItem{env: env, tenant: party, done: make(chan struct{})}
 	t.queue = append(t.queue, item)
 	g.queued++
 	g.depthLocked()
-	g.notifyLocked(t.lease)
+	g.pumpLocked(t.link)
 	g.mu.Unlock()
 
-	if !wantReply {
+	if env.Kind == envDeliver {
 		return nil, nil
 	}
 	select {
-	case out := <-item.done:
-		if out.err != "" {
-			return nil, fmt.Errorf("%w: %s", ErrWorkerFailed, out.err)
+	case <-item.done:
+		if item.err != "" {
+			return nil, fmt.Errorf("%w: %s", ErrWorkerFailed, item.err)
 		}
-		return out.reply, nil
+		return item.reply, nil
 	case <-ctx.Done():
-		// The item stays queued: a late worker still executes it, and the
-		// protocol layers (reply cache, transport dedup) absorb the
-		// duplicate when the caller retries under a fresh envelope.
+		// The item stays queued; the worker's replay window absorbs the
+		// caller's retry of the same envelope.
 		return nil, ctx.Err()
 	}
 }
 
 // handleControl is the control tenant's handler.
 func (g *WorkerGateway) handleControl(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+	conn := transport.CallerConn(ctx)
+	if conn == nil {
+		return nil, errors.New("protocol: worker control needs a connection back to the worker")
+	}
 	switch env.Kind {
 	case envWorkerHello:
+		var msg Message
 		var b workerHelloBody
-		if err := canon.Unmarshal(env.Body, &b); err != nil {
+		if err := unmarshalMessage(env.Body, &msg); err != nil {
 			return nil, err
 		}
-		lease, err := g.hello(b)
+		if err := msg.Body(&b); err != nil {
+			return nil, err
+		}
+		tok, err := verifyClaim(g.cfg.Verifier, "worker gateway", &msg, evidence.KindWorkerHello, b.Party, &b)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrWorkerUnauthenticated, err)
 		}
-		return controlReply(envWorkerLease, lease)
-	case envWorkerHeartbeat:
-		var b workerHeartbeatBody
-		if err := canon.Unmarshal(env.Body, &b); err != nil {
-			return nil, err
+		return nil, g.link(conn, string(b.Party), tok)
+	case envWorkerHold:
+		// Answered when the link of this connection ends: in kind when a
+		// newer hello took its last party, with an error otherwise.
+		g.mu.Lock()
+		l := g.links[conn]
+		g.mu.Unlock()
+		if l == nil {
+			return nil, errors.New("protocol: no worker link on this connection")
 		}
-		lease, err := g.heartbeat(b.Lease)
-		if err != nil {
-			return nil, err
+		select {
+		case <-l.done: // superseded was set before done closed
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return controlReply(envWorkerLease, lease)
-	case envWorkerPoll:
-		var b workerPollBody
-		if err := canon.Unmarshal(env.Body, &b); err != nil {
-			return nil, err
+		if !l.superseded {
+			return nil, errors.New("protocol: worker link ended")
 		}
-		jobs, err := g.poll(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		return controlReply(envWorkerJobs, jobs)
-	case envWorkerResult:
-		var b workerResultBody
-		if err := canon.Unmarshal(env.Body, &b); err != nil {
-			return nil, err
-		}
-		g.result(b)
-		return transport.NewEnvelope(envWorkerAck, nil), nil
-	case envWorkerBye:
-		var b workerByeBody
-		if err := canon.Unmarshal(env.Body, &b); err != nil {
-			return nil, err
-		}
-		g.bye(b.Lease)
-		return transport.NewEnvelope(envWorkerAck, nil), nil
+		return transport.NewEnvelope(envWorkerSuperseded, nil), nil
 	default:
 		return nil, fmt.Errorf("protocol: unknown worker control kind %q", env.Kind)
 	}
 }
 
-func controlReply(kind string, body any) (*transport.Envelope, error) {
-	raw, err := canon.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewEnvelope(kind, raw), nil
-}
-
-// sweepLocked lazily expires leases, re-queuing their in-flight work so a
-// future link re-executes it.
-func (g *WorkerGateway) sweepLocked(now time.Time) {
-	for lid, l := range g.leases {
-		if now.Before(l.expires) {
-			continue
-		}
-		delete(g.leases, lid)
-		for _, p := range l.parties {
-			t, ok := g.tenants[p]
-			if !ok || t.lease != lid {
-				continue
-			}
-			t.lease = ""
-			g.requeueLocked(t)
-		}
-	}
-}
-
-// requeueLocked returns a tenant's in-flight items to the front of its
-// queue, preserving at-least-once dispatch across link failures.
-func (g *WorkerGateway) requeueLocked(t *gatewayTenant) int {
-	n := len(t.inflight)
-	if n == 0 {
-		return 0
-	}
-	items := make([]*pendingItem, 0, n)
-	for _, it := range t.inflight {
-		items = append(items, it)
-	}
-	t.inflight = make(map[id.Msg]*pendingItem)
-	t.queue = append(items, t.queue...)
-	g.queued += n
-	g.depthLocked()
-	g.counter(obs.MGatewayRequeuedTotal).Add(int64(n))
-	return n
-}
-
-// hello registers (or re-registers) a link serving the named parties,
-// returning a fresh lease. A party already served by another live lease
-// is taken over: that lease's in-flight items for the party are re-queued
-// and dispatched to the new link — the split-brain resolution is that the
-// newest hello wins, and results arriving from the old link are still
-// accepted (see result).
-func (g *WorkerGateway) hello(b workerHelloBody) (*workerLeaseBody, error) {
-	if len(b.Parties) == 0 {
-		return nil, fmt.Errorf("protocol: worker hello names no parties")
-	}
-	now := g.cfg.Clock.Now()
-	ttl := workerLeaseTTL
-	if b.TTLMs > 0 {
-		if d := time.Duration(b.TTLMs) * time.Millisecond; d < ttl {
-			ttl = d
-		}
-	}
+// link routes party down conn on the authority of its hello token. The
+// newest hello wins: the party moves here from any other connection, its
+// in-flight envelopes re-queued (the first answer from either connection
+// completes each), and a connection left serving no party ends its link
+// as superseded. A hello not newer than the last one is a replay.
+func (g *WorkerGateway) link(conn transport.Conn, party string, tok *evidence.Token) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, ErrHostClosed
+		return ErrHostClosed
 	}
-	g.sweepLocked(now)
-	// Resolve every party's mailbox before taking the lease; a party
-	// hosted as a coordinator cannot also be a worker.
-	parties := make([]string, 0, len(b.Parties))
-	for _, p := range b.Parties {
-		key := string(p)
-		if _, err := g.tenantLocked(key); err != nil {
-			return nil, err
+	t, err := g.tenantLocked(party)
+	if err != nil {
+		return err
+	}
+	if last := t.hello; last != nil && (tok.Run == last.Run || tok.IssuedAt.Before(last.IssuedAt)) {
+		return fmt.Errorf("%w: %s's hello is not newer than the one serving it", ErrWorkerUnauthenticated, party)
+	}
+	t.hello = tok
+	l := g.links[conn]
+	if l == nil {
+		l = &gatewayLink{conn: conn, done: make(chan struct{})}
+		g.links[conn] = l
+		go func() { // the link ends with its connection
+			select {
+			case <-conn.Done():
+				g.mu.Lock()
+				if g.links[conn] == l {
+					g.dropLocked(l)
+				}
+				g.mu.Unlock()
+			case <-l.done:
+			}
+		}()
+	}
+	if old := t.link; old != l {
+		t.link = l
+		l.parties = append(l.parties, party)
+		if old != nil {
+			old.parties = slices.DeleteFunc(old.parties, func(p string) bool { return p == party })
+			g.requeueLocked(t, old)
+			if len(old.parties) == 0 {
+				old.superseded = true
+				g.dropLocked(old)
+			}
 		}
-		parties = append(parties, key)
 	}
-	lease := &workerLease{
-		id:      "lease-" + string(id.NewMsg()),
-		parties: parties,
-		expires: now.Add(ttl),
-		notify:  make(chan struct{}, 1),
-	}
-	requeued := 0
-	for _, key := range parties {
-		t := g.tenants[key]
-		if t.lease != "" && t.lease != lease.id {
-			requeued += g.requeueLocked(t)
-		}
-		t.lease = lease.id
-	}
-	g.leases[lease.id] = lease
-	return &workerLeaseBody{Lease: lease.id, TTLMs: ttl.Milliseconds(), Requeued: requeued}, nil
+	g.pumpLocked(l)
+	return nil
 }
 
-// mailboxChain builds the receive chain for one worker tenant: batch
-// opening, replay dedup and chunk reassembly in front of the mailbox, so
-// workers see exactly the envelopes a hosted coordinator would.
-func (g *WorkerGateway) mailboxChain(party string) transport.Handler {
-	return transport.NewTenantChain(transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
-		return g.enqueue(ctx, party, env)
-	}), g.cfg.Obs)
+// dropLocked ends a link: its parties go offline and their envelopes in
+// flight down it go back to the front of their queues.
+func (g *WorkerGateway) dropLocked(l *gatewayLink) {
+	delete(g.links, l.conn)
+	close(l.done)
+	for _, p := range l.parties {
+		t := g.tenants[p]
+		if t.link == l {
+			t.link = nil
+		}
+		g.requeueLocked(t, l)
+	}
+	l.parties = nil
 }
 
-// heartbeat renews a lease without polling.
-func (g *WorkerGateway) heartbeat(leaseID string) (*workerLeaseBody, error) {
-	now := g.cfg.Clock.Now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.sweepLocked(now)
-	l, ok := g.leases[leaseID]
-	if !ok {
-		return nil, ErrLeaseExpired
+// requeueLocked returns a tenant's items in flight on link l to the front
+// of its queue, for its current link: at-least-once dispatch.
+func (g *WorkerGateway) requeueLocked(t *gatewayTenant, l *gatewayLink) {
+	var back []*pendingItem
+	for it := range t.inflight {
+		if it.link == l {
+			delete(t.inflight, it)
+			it.link = nil
+			back = append(back, it)
+		}
 	}
-	l.expires = now.Add(workerLeaseTTL)
-	g.counter(obs.MWorkerHeartbeatsTotal).Inc()
-	return &workerLeaseBody{Lease: l.id, TTLMs: workerLeaseTTL.Milliseconds()}, nil
+	t.queue = append(back, t.queue...)
+	g.queued += len(back)
+	g.depthLocked()
+	g.cfg.Obs.Counter(obs.MGatewayRequeuedTotal).Add(int64(len(back)))
+	g.pumpLocked(t.link)
 }
 
-// poll dispatches up to b.Max queued envelopes to the link, long-polling
-// up to b.WaitMs for work to arrive. Dispatch across the link's parties
-// is round-robin: each pass hands every party one envelope, so a
-// backlogged tenant cannot monopolise the link.
-func (g *WorkerGateway) poll(ctx context.Context, b workerPollBody) (*workerJobsBody, error) {
-	max := b.Max
-	if max <= 0 {
-		max = workerPollMax
+// pumpLocked sends link l as many queued envelopes as it has free slots.
+func (g *WorkerGateway) pumpLocked(l *gatewayLink) {
+	if l == nil || g.closed {
+		return
 	}
-	var timer clock.Timer
-	if b.WaitMs > 0 {
-		timer = clock.NewTimer(g.cfg.Clock, time.Duration(b.WaitMs)*time.Millisecond)
-		defer timer.Stop()
-	}
-	for {
-		now := g.cfg.Clock.Now()
-		g.mu.Lock()
-		g.sweepLocked(now)
-		l, ok := g.leases[b.Lease]
-		if !ok {
-			g.mu.Unlock()
-			return nil, ErrLeaseExpired
-		}
-		l.expires = now.Add(workerLeaseTTL)
-		g.counter(obs.MWorkerPollsTotal).Inc()
-		jobs := g.collectLocked(l, max)
-		draining := g.draining
-		notify := l.notify
-		g.mu.Unlock()
-		if len(jobs) > 0 || timer == nil || draining {
-			return &workerJobsBody{Jobs: jobs, Draining: draining}, nil
-		}
-		select {
-		case <-notify:
-			// Work arrived (or a spurious kick): collect again.
-		case <-timer.C():
-			return &workerJobsBody{}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	for _, it := range g.collectLocked(l, g.slots-l.busy) {
+		go g.forward(l, it)
 	}
 }
 
-// collectLocked moves up to max queued items of the lease's parties into
-// their in-flight sets, round-robin.
-func (g *WorkerGateway) collectLocked(l *workerLease, max int) []workerJob {
-	var jobs []workerJob
-	n := len(l.parties)
-	if n == 0 {
-		return nil
-	}
-	for len(jobs) < max {
-		progress := false
-		for i := 0; i < n && len(jobs) < max; i++ {
-			key := l.parties[(l.rr+i)%n]
-			t, ok := g.tenants[key]
-			if !ok || t.lease != l.id || len(t.queue) == 0 {
+// collectLocked moves up to max queued items of the link's parties in
+// flight, round-robin: one envelope per backlogged party per pass.
+func (g *WorkerGateway) collectLocked(l *gatewayLink, max int) []*pendingItem {
+	var items []*pendingItem
+	for progress := true; progress && len(items) < max; l.rr++ {
+		progress = false
+		for i := 0; i < len(l.parties) && len(items) < max; i++ {
+			t := g.tenants[l.parties[(l.rr+i)%len(l.parties)]]
+			if len(t.queue) == 0 {
 				continue
 			}
 			item := t.queue[0]
 			t.queue = t.queue[1:]
-			t.inflight[item.env.ID] = item
-			g.queued--
-			jobs = append(jobs, workerJob{Tenant: key, Env: item.env})
+			t.inflight[item] = struct{}{}
+			item.link = l
+			items = append(items, item)
 			progress = true
 		}
-		l.rr++
-		if !progress {
-			break
-		}
 	}
-	if len(jobs) > 0 {
+	l.busy += len(items)
+	g.queued -= len(items)
+	g.depthLocked()
+	g.cfg.Obs.Counter(obs.MGatewayDispatchTotal).Add(int64(len(items)))
+	return items
+}
+
+// forward sends one envelope down a link and completes the item with the
+// answer — unless the connection ended, and the link's end re-queues it.
+func (g *WorkerGateway) forward(l *gatewayLink, it *pendingItem) {
+	reply, err := l.conn.Request(g.ctx, it.env)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	l.busy--
+	if err == nil {
+		g.finishLocked(it, reply, "")
+	} else if !isClosed(l.conn.Done()) {
+		g.finishLocked(it, nil, err.Error())
+	}
+	g.pumpLocked(l)
+}
+
+// isClosed reports whether ch is closed.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// finishLocked completes an item once, wherever it is: in flight, or
+// re-queued after a takeover and withdrawn so no link executes it again.
+func (g *WorkerGateway) finishLocked(it *pendingItem, reply *transport.Envelope, errText string) {
+	if isClosed(it.done) {
+		return
+	}
+	t := g.tenants[it.tenant]
+	if _, ok := t.inflight[it]; ok {
+		delete(t.inflight, it)
+	} else if i := slices.Index(t.queue, it); i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
+		g.queued--
 		g.depthLocked()
-		g.counter(obs.MGatewayDispatchTotal).Add(int64(len(jobs)))
 	}
-	return jobs
-}
-
-// result completes a dispatched item. Results are accepted regardless of
-// lease state: after a split-brain reconnect the re-queued (or
-// re-dispatched) copy of the item may still be pending, and the first
-// result — from either link — completes it and withdraws the duplicate.
-func (g *WorkerGateway) result(b workerResultBody) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	t, ok := g.tenants[b.Tenant]
-	if !ok {
-		return
-	}
-	item, ok := t.inflight[b.ID]
-	if ok {
-		delete(t.inflight, b.ID)
-	} else {
-		// Re-queued after a lease takeover but not yet re-dispatched:
-		// complete it in place so the new link never re-executes it.
-		for i, it := range t.queue {
-			if it.env.ID == b.ID {
-				item = it
-				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				g.queued--
-				g.depthLocked()
-				break
-			}
-		}
-	}
-	if item == nil {
-		return // duplicate or unknown result
-	}
-	g.completeLocked(item, workerOutcome{reply: b.Reply, err: b.Err})
-	g.completionLocked()
-}
-
-// completeLocked delivers an item's outcome exactly once; the buffered
-// channel makes the send non-blocking even when the requester gave up.
-func (g *WorkerGateway) completeLocked(item *pendingItem, out workerOutcome) {
-	if item.completed {
-		return
-	}
-	item.completed = true
-	item.done <- out
-}
-
-// bye releases a lease gracefully, re-queuing anything still in flight.
-func (g *WorkerGateway) bye(leaseID string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	l, ok := g.leases[leaseID]
-	if !ok {
-		return
-	}
-	delete(g.leases, leaseID)
-	for _, p := range l.parties {
-		t, ok := g.tenants[p]
-		if !ok || t.lease != leaseID {
-			continue
-		}
-		t.lease = ""
-		g.requeueLocked(t)
+	it.reply, it.err = reply, errText
+	close(it.done)
+	select {
+	case g.completions <- struct{}{}:
+	default:
 	}
 }
 
 // Drain stops admitting new work and waits for queued and in-flight
-// envelopes to complete (or ctx to expire). Connected workers keep
-// polling and see the draining flag once their queues are empty.
+// envelopes to complete (or ctx to expire).
 func (g *WorkerGateway) Drain(ctx context.Context) error {
 	g.mu.Lock()
 	g.draining = true
-	for lid := range g.leases {
-		g.notifyLocked(lid)
-	}
 	g.mu.Unlock()
 	for {
-		g.mu.Lock()
-		outstanding := g.queued
-		for _, t := range g.tenants {
-			outstanding += len(t.inflight)
-		}
-		g.mu.Unlock()
-		if outstanding == 0 {
+		if st := g.Status(); st.Queued+st.InFlight == 0 {
 			return nil
 		}
 		select {
@@ -680,44 +479,33 @@ type GatewayStatus struct {
 
 // Status reports the gateway's current links and backlog.
 func (g *WorkerGateway) Status() GatewayStatus {
-	now := g.cfg.Clock.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.sweepLocked(now)
-	st := GatewayStatus{Links: len(g.leases), Draining: g.draining}
-	if len(g.tenants) > 0 {
-		st.Tenants = make(map[string]GatewayTenantStatus, len(g.tenants))
-	}
+	st := GatewayStatus{Links: len(g.links), Draining: g.draining, Tenants: make(map[string]GatewayTenantStatus, len(g.tenants))}
 	for key, t := range g.tenants {
 		st.Queued += len(t.queue)
 		st.InFlight += len(t.inflight)
-		st.Tenants[key] = GatewayTenantStatus{Queued: len(t.queue), InFlight: len(t.inflight), Linked: t.lease != ""}
+		st.Tenants[key] = GatewayTenantStatus{Queued: len(t.queue), InFlight: len(t.inflight), Linked: t.link != nil}
 	}
 	return st
 }
 
-// close fails all pending work and detaches the gateway's tenants; called
-// from Host.Close.
+// close fails all pending work and ends every link; called from
+// Host.Close, after which the host routes nothing to the gateway.
 func (g *WorkerGateway) close() {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return
 	}
 	g.closed = true
-	g.leases = make(map[string]*workerLease)
-	for key, t := range g.tenants {
-		g.host.removeRawTenant(key)
-		for _, it := range t.queue {
-			g.completeLocked(it, workerOutcome{err: "gateway closed"})
-		}
-		for _, it := range t.inflight {
-			g.completeLocked(it, workerOutcome{err: "gateway closed"})
-		}
-		t.queue = nil
-		t.inflight = map[id.Msg]*pendingItem{}
-		g.queued = 0
+	g.cancel()
+	for _, l := range g.links {
+		g.dropLocked(l)
 	}
-	g.host.removeRawTenant(WorkerControlTenant)
-	g.mu.Unlock()
+	for _, t := range g.tenants {
+		for _, it := range slices.Clone(t.queue) {
+			g.finishLocked(it, nil, "gateway closed")
+		}
+	}
 }

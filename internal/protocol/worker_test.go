@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/clock"
+	"nonrep/internal/credential"
+	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 	"nonrep/internal/transport"
 	"nonrep/internal/vault"
@@ -40,13 +44,44 @@ func plainServices(tb testing.TB, dir *Directory, p id.Party) *Services {
 	}
 }
 
-// newGatewayFixture builds a host with a worker gateway on a manual clock.
-func newGatewayFixture(t *testing.T, cfg GatewayConfig) (*Host, *WorkerGateway, *clock.Manual) {
-	t.Helper()
-	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
-	if cfg.Clock == nil {
-		cfg.Clock = clk
+// workerPKI certifies a key for each party under one root: the verifier
+// a gateway checks hellos with, and each party's issuer.
+func workerPKI(tb testing.TB, parties ...id.Party) (*evidence.Verifier, map[id.Party]*evidence.Issuer) {
+	tb.Helper()
+	clk := clock.Real{}
+	caKey, err := sig.GenerateEd25519("ca")
+	if err != nil {
+		tb.Fatal(err)
 	}
+	ca, err := credential.NewRootAuthority("urn:ttp:ca", caKey, clk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	creds := credential.NewStore(clk)
+	if err := creds.AddRoot(ca.Certificate()); err != nil {
+		tb.Fatal(err)
+	}
+	issuers := make(map[id.Party]*evidence.Issuer)
+	for _, p := range parties {
+		key, err := sig.GenerateEd25519(string(p) + "#key")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cert, err := ca.Issue(p, key.KeyID(), key.PublicKey())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := creds.Add(cert); err != nil {
+			tb.Fatal(err)
+		}
+		issuers[p] = &evidence.Issuer{Party: p, Signer: key, Clock: clk}
+	}
+	return &evidence.Verifier{Keys: creds}, issuers
+}
+
+// newGatewayFixture builds a host with a worker gateway.
+func newGatewayFixture(t *testing.T, cfg GatewayConfig) (*Host, *WorkerGateway) {
+	t.Helper()
 	network := transport.NewInprocNetwork()
 	t.Cleanup(func() { _ = network.Close() })
 	h, err := NewHost(network, "gw-host")
@@ -58,27 +93,77 @@ func newGatewayFixture(t *testing.T, cfg GatewayConfig) (*Host, *WorkerGateway, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, gw, clk
+	return h, gw
 }
 
-func helloParties(t *testing.T, gw *WorkerGateway, parties ...id.Party) string {
-	t.Helper()
-	lease, err := gw.hello(workerHelloBody{Parties: parties})
-	if err != nil {
-		t.Fatal(err)
+// testConn is a worker connection the gateway forwards to: it records
+// what arrives and answers each envelope with what the test hands it
+// (an "ok" envelope when answer is nil).
+type testConn struct {
+	arrived chan *transport.Envelope
+	answer  chan *transport.Envelope
+	done    chan struct{}
+	once    sync.Once
+}
+
+func newTestConn(answerNow bool) *testConn {
+	c := &testConn{arrived: make(chan *transport.Envelope, 64), done: make(chan struct{})}
+	if !answerNow {
+		c.answer = make(chan *transport.Envelope)
 	}
-	return lease.Lease
+	return c
 }
 
-func oneWay() *transport.Envelope                  { return transport.NewEnvelope(envDeliver, []byte("x")) }
-func reqEnv() *transport.Envelope                  { return transport.NewEnvelope(envDeliverRequest, []byte("x")) }
-func pollNow(lease string, max int) workerPollBody { return workerPollBody{Lease: lease, Max: max} }
+func (c *testConn) Request(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+	c.arrived <- env
+	if c.answer == nil {
+		return transport.NewEnvelope("ok", nil), nil
+	}
+	select {
+	case reply := <-c.answer:
+		return reply, nil
+	case <-c.done:
+		return nil, errors.New("connection lost")
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (c *testConn) Done() <-chan struct{} { return c.done }
+
+func (c *testConn) Close() error {
+	c.once.Do(func() { close(c.done) })
+	return nil
+}
+
+// helloToken is what an authenticated hello hands the gateway's link
+// step: a fresh run, issued now.
+func helloToken() *evidence.Token {
+	return &evidence.Token{Kind: evidence.KindWorkerHello, Run: id.NewRun(), IssuedAt: time.Now()}
+}
+
+// linkParties routes parties down conn as authenticated hellos would, and
+// returns the link.
+func linkParties(t *testing.T, gw *WorkerGateway, conn transport.Conn, parties ...id.Party) *gatewayLink {
+	t.Helper()
+	for _, p := range parties {
+		if err := gw.link(conn, string(p), helloToken()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	return gw.links[conn]
+}
+
+func oneWay() *transport.Envelope { return transport.NewEnvelope(envDeliver, []byte("x")) }
+func reqEnv() *transport.Envelope { return transport.NewEnvelope(envDeliverRequest, []byte("x")) }
 
 func TestGatewayAdmissionCap(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
-	gw.maxQueue, gw.minPerTenant = 4, 1
-	helloParties(t, gw, "urn:org:w")
+	_, gw := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant, gw.slots = 4, 1, 0
+	linkParties(t, gw, newTestConn(true), "urn:org:w")
 
 	for i := 0; i < 4; i++ {
 		if _, err := gw.enqueue(context.Background(), "urn:org:w", oneWay()); err != nil {
@@ -99,13 +184,13 @@ func TestGatewayAdmissionCap(t *testing.T) {
 // TestGatewayRoundRobinDispatch: two backlogged tenants on one link
 // alternate — every pass over the link's parties hands each one
 // envelope, whatever its backlog — and a tenant whose queue runs dry
-// leaves the poll to the other.
+// leaves the dispatch to the other.
 func TestGatewayRoundRobinDispatch(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
-	gw.maxQueue, gw.minPerTenant = 64, 16
+	_, gw := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant, gw.slots = 64, 16, 0
 	heavy, light := id.Party("urn:org:heavy"), id.Party("urn:org:light")
-	lease := helloParties(t, gw, heavy, light)
+	l := linkParties(t, gw, newTestConn(true), heavy, light)
 	enqueue := func(p id.Party, n int) {
 		for i := 0; i < n; i++ {
 			if _, err := gw.enqueue(context.Background(), string(p), oneWay()); err != nil {
@@ -113,21 +198,19 @@ func TestGatewayRoundRobinDispatch(t *testing.T) {
 			}
 		}
 	}
-	poll := func(max int) []string {
-		jobs, err := gw.poll(context.Background(), pollNow(lease, max))
-		if err != nil {
-			t.Fatal(err)
-		}
+	dispatch := func(max int) []string {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
 		var order []string
-		for _, j := range jobs.Jobs {
-			order = append(order, j.Tenant)
+		for _, it := range gw.collectLocked(l, max) {
+			order = append(order, it.tenant)
 		}
 		return order
 	}
 	enqueue(heavy, 12)
 	enqueue(light, 3)
 
-	order := poll(4)
+	order := dispatch(4)
 	if len(order) != 4 {
 		t.Fatalf("dispatched %v, want 4 envelopes", order)
 	}
@@ -136,14 +219,14 @@ func TestGatewayRoundRobinDispatch(t *testing.T) {
 			t.Fatalf("pass %d handed %v; each backlogged tenant gets one envelope per pass (order %v)", i/2, pass, order)
 		}
 	}
-	// One of light's three is left: the next poll hands it over once and
-	// fills the rest from heavy's backlog.
+	// One of light's three is left: the next dispatch hands it over once
+	// and fills the rest from heavy's backlog.
 	counts := map[string]int{}
-	for _, p := range poll(4) {
+	for _, p := range dispatch(4) {
 		counts[p]++
 	}
 	if counts[string(light)] != 1 || counts[string(heavy)] != 3 {
-		t.Fatalf("second poll = %v, want light:1 heavy:3", counts)
+		t.Fatalf("second dispatch = %v, want light:1 heavy:3", counts)
 	}
 }
 
@@ -151,10 +234,10 @@ func TestGatewayRoundRobinDispatch(t *testing.T) {
 // equal part of the queue budget floored at the per-tenant minimum.
 func TestGatewayEqualShares(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
-	gw.maxQueue, gw.minPerTenant = 12, 2
+	_, gw := newGatewayFixture(t, GatewayConfig{})
+	gw.maxQueue, gw.minPerTenant, gw.slots = 12, 2, 0
 	a, b := id.Party("urn:org:a"), id.Party("urn:org:b")
-	helloParties(t, gw, a, b)
+	linkParties(t, gw, newTestConn(true), a, b)
 	admitted := func(p id.Party) int {
 		n := 0
 		for {
@@ -172,60 +255,26 @@ func TestGatewayEqualShares(t *testing.T) {
 	}
 	gw.maxQueue = 2
 	c := id.Party("urn:org:c")
-	helloParties(t, gw, c)
+	linkParties(t, gw, newTestConn(true), c)
 	if n := admitted(c); n != 2 {
 		t.Fatalf("admitted c:%d, want the floor of 2", n)
 	}
 }
 
-func TestGatewayLeaseExpiryRequeues(t *testing.T) {
+// TestGatewayNewestHelloTakesParty: a newer authenticated hello for a
+// party moves it to the new connection; the envelope in flight on the
+// old one is re-queued there, the first answer from either completes it,
+// and the old link ends as superseded. A replayed hello is refused.
+func TestGatewayNewestHelloTakesParty(t *testing.T) {
 	t.Parallel()
-	_, gw, clk := newGatewayFixture(t, GatewayConfig{})
+	_, gw := newGatewayFixture(t, GatewayConfig{})
 	w := id.Party("urn:org:w")
-	lease1 := helloParties(t, gw, w)
-
-	env := reqEnv()
-	type outcome struct {
-		reply *transport.Envelope
-		err   error
-	}
-	res := make(chan outcome, 1)
-	go func() {
-		r, err := gw.enqueue(context.Background(), string(w), env)
-		res <- outcome{r, err}
-	}()
-	// Wait until the request is queued, then dispatch it to lease1.
-	waitFor(t, func() bool { return gw.Status().Queued == 1 })
-	jobs, err := gw.poll(context.Background(), pollNow(lease1, 8))
-	if err != nil || len(jobs.Jobs) != 1 {
-		t.Fatalf("poll = %v jobs, err %v", len(jobs.Jobs), err)
-	}
-
-	// The link dies silently; its lease runs out.
-	clk.Advance(31 * time.Second)
-	lease2, err := gw.hello(workerHelloBody{Parties: []id.Party{w}})
-	if err != nil {
+	old, young := newTestConn(false), newTestConn(false)
+	first := helloToken()
+	if err := gw.link(old, string(w), first); err != nil {
 		t.Fatal(err)
 	}
-	if st := gw.Status(); st.Queued != 1 || st.InFlight != 0 {
-		t.Fatalf("after expiry: %+v, want the in-flight item re-queued", st)
-	}
-	jobs, err = gw.poll(context.Background(), pollNow(lease2.Lease, 8))
-	if err != nil || len(jobs.Jobs) != 1 || jobs.Jobs[0].Env.ID != env.ID {
-		t.Fatalf("re-dispatch = %+v, err %v", jobs, err)
-	}
-	gw.result(workerResultBody{Lease: lease2.Lease, Tenant: string(w), ID: env.ID, Reply: transport.NewEnvelope("ok", nil)})
-	out := <-res
-	if out.err != nil || out.reply == nil || out.reply.Kind != "ok" {
-		t.Fatalf("requester got %+v / %v", out.reply, out.err)
-	}
-}
-
-func TestGatewaySplitBrainFirstResultWins(t *testing.T) {
-	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
-	w := id.Party("urn:org:w")
-	lease1 := helloParties(t, gw, w)
+	oldLink := linkParties(t, gw, old)
 
 	env := reqEnv()
 	replies := make(chan *transport.Envelope, 1)
@@ -233,45 +282,75 @@ func TestGatewaySplitBrainFirstResultWins(t *testing.T) {
 		r, _ := gw.enqueue(context.Background(), string(w), env)
 		replies <- r
 	}()
-	waitFor(t, func() bool { return gw.Status().Queued == 1 })
-	if _, err := gw.poll(context.Background(), pollNow(lease1, 8)); err != nil {
+	if got := <-old.arrived; got.ID != env.ID {
+		t.Fatalf("old link got %s, want %s", got.ID, env.ID)
+	}
+	if err := gw.link(young, string(w), helloToken()); err != nil {
 		t.Fatal(err)
 	}
-
-	// A second link hellos for the same party while the first still lives:
-	// the newest hello wins and the in-flight item is re-queued for it.
-	lease2, err := gw.hello(workerHelloBody{Parties: []id.Party{w}})
-	if err != nil {
-		t.Fatal(err)
+	if got := <-young.arrived; got.ID != env.ID {
+		t.Fatalf("new link got %s, want the re-queued %s", got.ID, env.ID)
 	}
-	if lease2.Requeued != 1 {
-		t.Fatalf("takeover requeued %d items, want 1", lease2.Requeued)
+	select {
+	case <-oldLink.done:
+	default:
+		t.Fatal("the old link serves no party any more but did not end")
 	}
-	jobs, err := gw.poll(context.Background(), pollNow(lease2.Lease, 8))
-	if err != nil || len(jobs.Jobs) != 1 {
-		t.Fatalf("new link poll = %+v, err %v", jobs, err)
+	if !oldLink.superseded {
+		t.Fatal("the old link ended without being marked superseded")
 	}
 
-	// The OLD link finished the execution first; its result must still be
-	// accepted, and the new link's duplicate must be ignored.
-	gw.result(workerResultBody{Lease: lease1, Tenant: string(w), ID: env.ID, Reply: transport.NewEnvelope("old", nil)})
-	gw.result(workerResultBody{Lease: lease2.Lease, Tenant: string(w), ID: env.ID, Reply: transport.NewEnvelope("new", nil)})
+	// The OLD connection answers first; its answer completes the item and
+	// the new one's duplicate is ignored.
+	old.answer <- transport.NewEnvelope("old", nil)
 	if r := <-replies; r == nil || r.Kind != "old" {
-		t.Fatalf("requester reply = %+v, want the first (old-link) result", r)
+		t.Fatalf("requester reply = %+v, want the first (old-link) answer", r)
+	}
+	young.answer <- transport.NewEnvelope("new", nil)
+	waitFor(t, func() bool { st := gw.Status(); return st.InFlight == 0 && st.Queued == 0 })
+
+	if err := gw.link(newTestConn(true), string(w), first); !errors.Is(err, ErrWorkerUnauthenticated) {
+		t.Fatalf("replayed older hello = %v, want ErrWorkerUnauthenticated", err)
+	}
+}
+
+// TestGatewayRequeuesOnDeadConnection: the envelope in flight on a
+// connection that ends goes back to its tenant's queue, and the worker's
+// next hello, on a new connection, gets it.
+func TestGatewayRequeuesOnDeadConnection(t *testing.T) {
+	t.Parallel()
+	_, gw := newGatewayFixture(t, GatewayConfig{})
+	w := id.Party("urn:org:w")
+	dead := newTestConn(false)
+	linkParties(t, gw, dead, w)
+	env := reqEnv()
+	replies := make(chan *transport.Envelope, 1)
+	go func() {
+		r, _ := gw.enqueue(context.Background(), string(w), env)
+		replies <- r
+	}()
+	<-dead.arrived
+	_ = dead.Close()
+	waitFor(t, func() bool { st := gw.Status(); return st.Links == 0 && st.Queued == 1 })
+
+	fresh := newTestConn(true)
+	linkParties(t, gw, fresh, w)
+	if got := <-fresh.arrived; got.ID != env.ID {
+		t.Fatalf("re-dispatch = %s, want %s", got.ID, env.ID)
+	}
+	if r := <-replies; r == nil || r.Kind != "ok" {
+		t.Fatalf("requester got %+v", r)
 	}
 }
 
 func TestGatewayDrain(t *testing.T) {
 	t.Parallel()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	_, gw := newGatewayFixture(t, GatewayConfig{})
 	w := id.Party("urn:org:w")
-	lease := helloParties(t, gw, w)
-	env := reqEnv()
-	go func() { _, _ = gw.enqueue(context.Background(), string(w), env) }()
-	waitFor(t, func() bool { return gw.Status().Queued == 1 })
-	if _, err := gw.poll(context.Background(), pollNow(lease, 8)); err != nil {
-		t.Fatal(err)
-	}
+	conn := newTestConn(false)
+	linkParties(t, gw, conn, w)
+	go func() { _, _ = gw.enqueue(context.Background(), string(w), reqEnv()) }()
+	<-conn.arrived
 
 	drained := make(chan error, 1)
 	go func() { drained <- gw.Drain(context.Background()) }()
@@ -281,12 +360,13 @@ func TestGatewayDrain(t *testing.T) {
 	if _, err := gw.enqueue(context.Background(), string(w), oneWay()); !errors.Is(err, ErrGatewayDraining) {
 		t.Fatalf("enqueue while draining = %v, want ErrGatewayDraining", err)
 	}
-	// ...and polls report the flag so links can wind down.
-	jobs, err := gw.poll(context.Background(), pollNow(lease, 8))
-	if err != nil || !jobs.Draining {
-		t.Fatalf("poll while draining = %+v, err %v", jobs, err)
+	// ...while the work in flight finishes.
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned %v with work in flight", err)
+	default:
 	}
-	gw.result(workerResultBody{Lease: lease, Tenant: string(w), ID: env.ID, Reply: transport.NewEnvelope("ok", nil)})
+	conn.answer <- transport.NewEnvelope("ok", nil)
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -294,9 +374,10 @@ func TestGatewayDrain(t *testing.T) {
 
 func TestGatewayCloseFailsPending(t *testing.T) {
 	t.Parallel()
-	h, gw, _ := newGatewayFixture(t, GatewayConfig{})
+	h, gw := newGatewayFixture(t, GatewayConfig{})
 	w := id.Party("urn:org:w")
-	helloParties(t, gw, w)
+	gw.slots = 0
+	linkParties(t, gw, newTestConn(true), w)
 	res := make(chan error, 1)
 	go func() {
 		_, err := gw.enqueue(context.Background(), string(w), reqEnv())
@@ -313,7 +394,6 @@ func TestGatewayCloseFailsPending(t *testing.T) {
 
 func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 	t.Parallel()
-	clk := clock.NewManual(time.Unix(1_700_000_000, 0))
 	network := transport.NewInprocNetwork()
 	t.Cleanup(func() { _ = network.Close() })
 	h, err := NewHost(network, "gw-host")
@@ -321,7 +401,7 @@ func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = h.Close() })
-	gw, err := h.EnableWorkerGateway(GatewayConfig{Clock: clk})
+	gw, err := h.EnableWorkerGateway(GatewayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +410,7 @@ func TestGatewayRejectsHostedPartyAsWorker(t *testing.T) {
 	if _, err := h.Add(plainServices(t, dir, p)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gw.hello(workerHelloBody{Parties: []id.Party{p}}); err == nil {
+	if err := gw.link(newTestConn(true), string(p), helloToken()); err == nil {
 		t.Fatal("hello for a hosted coordinator party must fail")
 	}
 }
@@ -341,6 +421,8 @@ type wbPing struct {
 	mu    sync.Mutex
 	seen  int
 	block chan struct{} // when set, ProcessRequest waits on it
+	// entered, when set, receives the connection each request arrived on.
+	entered chan transport.Conn
 }
 
 func (h *wbPing) Protocol() string { return "ping" }
@@ -350,8 +432,11 @@ func (h *wbPing) Process(context.Context, *Message) error { return nil }
 func (h *wbPing) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
 	h.mu.Lock()
 	h.seen++
-	block := h.block
+	block, entered := h.block, h.entered
 	h.mu.Unlock()
+	if entered != nil {
+		entered <- transport.CallerConn(ctx)
+	}
 	if block != nil {
 		select {
 		case <-block:
@@ -360,6 +445,12 @@ func (h *wbPing) ProcessRequest(ctx context.Context, msg *Message) (*Message, er
 		}
 	}
 	return &Message{Protocol: "ping", Run: msg.Run, Step: msg.Step + 1, Kind: "pong"}, nil
+}
+
+func (h *wbPing) count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.seen
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -373,235 +464,199 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
+// workerNet is a network both sides of a worker test run on.
+type workerNet struct {
+	network transport.Network
+	addr    func(name string) string
+}
+
+func workerNetworks(t *testing.T) map[string]workerNet {
+	inproc := transport.NewInprocNetwork()
+	tcp := transport.NewTCPNetwork()
+	t.Cleanup(func() { _ = inproc.Close(); _ = tcp.Close() })
+	return map[string]workerNet{
+		"inproc": {inproc, func(name string) string { return name }},
+		"tcp":    {tcp, func(string) string { return "127.0.0.1:0" }},
+	}
+}
+
+// workerFixture is a gateway host, a listening peer alice and a worker
+// party served behind the gateway.
+type workerFixture struct {
+	host    *Host
+	gw      *WorkerGateway
+	alice   *Coordinator
+	hAlice  *wbPing
+	dir     *Directory
+	ver     *evidence.Verifier
+	issuers map[id.Party]*evidence.Issuer
+}
+
+func newWorkerFixture(t *testing.T, wn workerNet, parties ...id.Party) *workerFixture {
+	t.Helper()
+	f := &workerFixture{dir: NewDirectory(), hAlice: &wbPing{}}
+	alice := id.Party("urn:org:wl-alice")
+	f.ver, f.issuers = workerPKI(t, append(parties, alice)...)
+	var err error
+	if f.host, err = NewHost(wn.network, wn.addr("wl-gw")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.host.Close() })
+	if f.gw, err = f.host.EnableWorkerGateway(GatewayConfig{Verifier: f.ver}); err != nil {
+		t.Fatal(err)
+	}
+	if f.alice, err = New(wn.network, wn.addr("wl-alice-addr"), plainServices(t, f.dir, alice)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.alice.Close() })
+	f.alice.Register(f.hAlice)
+	return f
+}
+
+// connect runs a worker for p with handler h.
+func (f *workerFixture) connect(t *testing.T, wn workerNet, p id.Party, h Handler) *Coordinator {
+	t.Helper()
+	svc := plainServices(t, f.dir, p)
+	svc.Issuer = f.issuers[p]
+	co, err := ConnectWorker(wn.network, f.host.Addr(), svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = co.Close() })
+	co.Register(h)
+	return co
+}
+
+func ping(tb testing.TB, from *Coordinator, to id.Party, payload string) error {
+	msg := &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Payload: []byte(payload)}
+	reply, err := from.DeliverRequest(context.Background(), to, msg)
+	if err == nil && reply.Kind != "pong" {
+		err = fmt.Errorf("reply = %+v", reply)
+	}
+	return err
+}
+
 func TestWorkerLinkEndToEnd(t *testing.T) {
 	t.Parallel()
-	alice, bob := id.Party("urn:org:wl-alice"), id.Party("urn:org:wl-bob")
-	dir := NewDirectory()
-	network := transport.NewInprocNetwork()
-	t.Cleanup(func() { _ = network.Close() })
+	for kind, wn := range workerNetworks(t) {
+		t.Run(kind, func(t *testing.T) {
+			bob := id.Party("urn:org:wl-bob")
+			f := newWorkerFixture(t, wn, bob)
+			coB := f.connect(t, wn, bob, &wbPing{})
 
-	h, err := NewHost(network, "wl-gw")
+			// Inbound: a listening peer requests through the gateway mailbox.
+			for i := 0; i < 3; i++ {
+				if err := ping(t, f.alice, bob, fmt.Sprintf("in-%d", i)); err != nil {
+					t.Fatalf("alice -> worker: %v", err)
+				}
+			}
+			// Outbound: the worker requests out over its client endpoint.
+			if err := ping(t, coB, f.alice.Party(), "out"); err != nil {
+				t.Fatalf("worker -> alice: %v", err)
+			}
+			if st := f.gw.Status(); st.Links != 1 || !st.Tenants[string(bob)].Linked {
+				t.Fatalf("gateway status %+v, want bob linked on one connection", st)
+			}
+		})
+	}
+}
+
+// TestGatewayRefusesUnauthenticatedHello: a hello for an enrolled worker
+// party that is unsigned, or signed by another party, is refused; the
+// worker keeps its route and nothing reaches the impostor.
+func TestGatewayRefusesUnauthenticatedHello(t *testing.T) {
+	t.Parallel()
+	wn := workerNetworks(t)["tcp"]
+	bob, mallory := id.Party("urn:org:wl-bob"), id.Party("urn:org:wl-mallory")
+	f := newWorkerFixture(t, wn, bob, mallory)
+	hBob := &wbPing{}
+	f.connect(t, wn, bob, hBob)
+
+	var stolen atomic.Int64
+	impostor, err := wn.network.(transport.Dialer).Dial(transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+		stolen.Add(1)
+		return nil, errors.New("impostor")
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = h.Close() })
-	if _, err := h.EnableWorkerGateway(GatewayConfig{}); err != nil {
-		t.Fatal(err)
-	}
-
-	coA, err := New(network, "wl-alice-addr", plainServices(t, dir, alice))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = coA.Close() })
-	hA := &wbPing{}
-	coA.Register(hA)
-
-	coB, err := ConnectWorker(network, WorkerConfig{Gateway: h.Addr()}, plainServices(t, dir, bob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = coB.Close() })
-	hB := &wbPing{}
-	coB.Register(hB)
-
-	// Inbound: a listening peer requests through the gateway mailbox.
-	for i := 0; i < 3; i++ {
-		msg := &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Payload: []byte(fmt.Sprintf("in-%d", i))}
-		reply, err := coA.DeliverRequest(context.Background(), bob, msg)
+	defer impostor.Close()
+	hello := func(iss *evidence.Issuer) error {
+		msg := &Message{Protocol: "worker", Run: id.NewRun(), Step: 1, Kind: envWorkerHello}
+		claim := &workerHelloBody{Party: bob}
+		if err := msg.SetBody(claim); err != nil {
+			return err
+		}
+		if iss != nil {
+			d, err := claimDigest(claim)
+			if err != nil {
+				return err
+			}
+			tok, err := iss.Issue(evidence.KindWorkerHello, msg.Run, 1, d)
+			if err != nil {
+				return err
+			}
+			msg.Tokens = []*evidence.Token{tok}
+		}
+		body, err := marshalMessage(msg)
 		if err != nil {
-			t.Fatalf("alice -> worker: %v", err)
+			return err
 		}
-		if reply.Kind != "pong" {
-			t.Fatalf("reply = %+v", reply)
+		env := transport.NewEnvelope(envWorkerHello, body)
+		env.Tenant = WorkerControlTenant
+		_, err = impostor.Request(context.Background(), f.host.Addr(), env)
+		return err
+	}
+	for name, iss := range map[string]*evidence.Issuer{"unsigned": nil, "signed by another party": f.issuers[mallory]} {
+		if err := hello(iss); err == nil || !strings.Contains(err.Error(), ErrWorkerUnauthenticated.Error()) {
+			t.Fatalf("%s hello = %v, want refused as unauthenticated", name, err)
 		}
 	}
-	// Outbound: the worker requests out over its dialled endpoint.
-	msg := &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Payload: []byte("out")}
-	reply, err := coB.DeliverRequest(context.Background(), alice, msg)
-	if err != nil {
-		t.Fatalf("worker -> alice: %v", err)
+	for i := 0; i < 3; i++ {
+		if err := ping(t, f.alice, bob, "after"); err != nil {
+			t.Fatalf("alice -> bob after the impostor: %v", err)
+		}
 	}
-	if reply.Kind != "pong" {
-		t.Fatalf("reply = %+v", reply)
+	if n := stolen.Load(); n != 0 {
+		t.Fatalf("the impostor received %d envelopes", n)
+	}
+	if n := hBob.count(); n != 3 {
+		t.Fatalf("bob handled %d requests, want 3", n)
 	}
 }
 
-// downableEndpoint routes control requests straight into a gateway's
-// control handler, failing while down — a deterministic stand-in for a
-// gateway outage on the wire.
-type downableEndpoint struct {
-	gw *WorkerGateway
-
-	mu   sync.Mutex
-	down bool
-}
-
-type tempNetErr struct{}
-
-func (tempNetErr) Error() string   { return "link down" }
-func (tempNetErr) Temporary() bool { return true }
-
-func (e *downableEndpoint) setDown(v bool) {
-	e.mu.Lock()
-	e.down = v
-	e.mu.Unlock()
-}
-
-func (e *downableEndpoint) Addr() string { return "~test-worker" }
-
-func (e *downableEndpoint) Send(ctx context.Context, to string, env *transport.Envelope) error {
-	_, err := e.Request(ctx, to, env)
-	return err
-}
-
-func (e *downableEndpoint) Request(ctx context.Context, to string, env *transport.Envelope) (*transport.Envelope, error) {
-	e.mu.Lock()
-	down := e.down
-	e.mu.Unlock()
-	if down {
-		return nil, tempNetErr{}
-	}
-	return e.gw.handleControl(ctx, env)
-}
-
-func (e *downableEndpoint) Close() error { return nil }
-
-func TestWorkerLinkReconnectFlushesOutbox(t *testing.T) {
+// TestWorkerLinkSurvivesKilledConnection: the worker's connection dies
+// while it executes a request. The gateway re-queues the request, the
+// worker says hello again on a new connection and gets it, and its replay
+// window answers it with the one execution's result.
+func TestWorkerLinkSurvivesKilledConnection(t *testing.T) {
 	t.Parallel()
-	w := id.Party("urn:org:wl-flaky")
-	dir := NewDirectory()
-	_, gw, _ := newGatewayFixture(t, GatewayConfig{Clock: clock.Real{}})
+	wn := workerNetworks(t)["tcp"]
+	bob := id.Party("urn:org:wl-bob")
+	f := newWorkerFixture(t, wn, bob)
+	release := make(chan struct{})
+	h := &wbPing{block: release, entered: make(chan transport.Conn, 4)}
+	f.connect(t, wn, bob, h)
 
-	svc := plainServices(t, dir, w)
-	blocked := make(chan struct{})
-	handler := &wbPing{block: blocked}
-	co := &Coordinator{svc: svc, handlers: map[string]Handler{"ping": handler}}
-	ep := &downableEndpoint{gw: gw}
-	link := &WorkerLink{
-		svc:       svc,
-		out:       ep,
-		control:   "gw",
-		recv:      transport.NewTenantChain(transport.HandlerFunc(co.handle), nil),
-		pollWait:  50 * time.Millisecond,
-		outboxCap: workerOutboxCap,
-		stop:      make(chan struct{}),
+	res := make(chan error, 1)
+	go func() { res <- ping(t, f.alice, bob, "once") }()
+	conn := <-h.entered
+	if conn == nil {
+		t.Fatal("the worker's handler saw no connection")
 	}
-	if err := link.start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(link.Close)
-
-	// Wait for the link's hello, then submit a request that the handler
-	// holds open while we cut the wire.
-	waitFor(t, func() bool { return link.currentLease() != "" })
-	replies := make(chan *transport.Envelope, 1)
-	go func() {
-		r, _ := gw.enqueue(context.Background(), string(w), deliverRequestEnvelope(t))
-		replies <- r
-	}()
+	h.mu.Lock()
+	h.entered = nil
+	h.mu.Unlock()
+	_ = conn.Close()
 	waitFor(t, func() bool {
-		handler.mu.Lock()
-		defer handler.mu.Unlock()
-		return handler.seen == 1
+		st := f.gw.Status()
+		return st.Links == 1 && st.Tenants[string(bob)].Linked && st.InFlight == 1
 	})
-
-	// Cut the wire mid-execution, then let the handler finish: the result
-	// cannot reach the gateway and must land in the outbox.
-	ep.setDown(true)
-	close(blocked)
-	waitFor(t, func() bool {
-		link.mu.Lock()
-		defer link.mu.Unlock()
-		return len(link.outbox) == 1
-	})
-
-	// Keep the wire down until the link notices — a poll fails and the
-	// lease drops — so the heal exercises the reconnect path rather than a
-	// lucky in-flight poll.
-	waitFor(t, func() bool { return link.currentLease() == "" })
-
-	// Heal the wire: the link re-hellos (fresh lease) and the flush
-	// delivers the buffered result to the requester.
-	ep.setDown(false)
-	if r := <-replies; r == nil || r.Kind != envReply {
-		t.Fatalf("requester reply = %+v, want the flushed %s", r, envReply)
+	close(release)
+	if err := <-res; err != nil {
+		t.Fatalf("request over a killed worker connection: %v", err)
 	}
-	link.mu.Lock()
-	rest := len(link.outbox)
-	link.mu.Unlock()
-	if rest != 0 {
-		t.Fatalf("outbox holds %d results after flush, want 0", rest)
+	if n := h.count(); n != 1 {
+		t.Fatalf("worker executed %d times, want 1", n)
 	}
-}
-
-// failingResults refuses every control request; the first one waits to
-// be released, holding a flush open while other results are buffered.
-type failingResults struct {
-	entered, release chan struct{}
-	once             sync.Once
-}
-
-func (e *failingResults) Addr() string { return "~test-worker" }
-
-func (e *failingResults) Send(ctx context.Context, to string, env *transport.Envelope) error {
-	_, err := e.Request(ctx, to, env)
-	return err
-}
-
-func (e *failingResults) Request(context.Context, string, *transport.Envelope) (*transport.Envelope, error) {
-	e.once.Do(func() {
-		close(e.entered)
-		<-e.release
-	})
-	return nil, tempNetErr{}
-}
-
-func (e *failingResults) Close() error { return nil }
-
-// TestWorkerOutboxCappedAcrossFailedFlush: results buffered while a flush
-// is failing join the returned ones under the same cap, oldest dropped.
-func TestWorkerOutboxCappedAcrossFailedFlush(t *testing.T) {
-	t.Parallel()
-	ep := &failingResults{entered: make(chan struct{}), release: make(chan struct{})}
-	link := &WorkerLink{
-		svc:       plainServices(t, NewDirectory(), "urn:org:w"),
-		out:       ep,
-		control:   "gw",
-		outboxCap: 2,
-		stop:      make(chan struct{}),
-	}
-	link.outbox = []workerResultBody{{ID: "r1"}, {ID: "r2"}}
-	flushed := make(chan struct{})
-	go func() {
-		link.flushOutbox()
-		close(flushed)
-	}()
-	<-ep.entered
-	// The link holds no lease, so these go straight to the outbox.
-	link.sendResult(workerResultBody{ID: "r3"})
-	link.sendResult(workerResultBody{ID: "r4"})
-	close(ep.release)
-	<-flushed
-	link.mu.Lock()
-	defer link.mu.Unlock()
-	var ids []id.Msg
-	for _, r := range link.outbox {
-		ids = append(ids, r.ID)
-	}
-	if len(ids) != 2 || ids[0] != "r3" || ids[1] != "r4" {
-		t.Fatalf("outbox after a failed flush = %v, want the newest 2 of 4 results", ids)
-	}
-}
-
-// deliverRequestEnvelope builds a b2b-deliver-request envelope carrying a
-// ping message — the minimal inbound protocol traffic a worker executes.
-func deliverRequestEnvelope(t *testing.T) *transport.Envelope {
-	t.Helper()
-	msg := &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Payload: []byte("x")}
-	body, err := canon.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return transport.NewEnvelope(envDeliverRequest, body)
 }

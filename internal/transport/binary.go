@@ -11,8 +11,11 @@
 //
 // Both decoders auto-detect: a frame starting '{' is decoded as
 // canonical JSON, so binary speakers interoperate with legacy peers,
-// and a TCP endpoint always answers in the encoding the request
-// arrived in (the version negotiation — no handshake needed).
+// and a TCP endpoint answers a one-exchange frame in the encoding it
+// arrived in (the version negotiation — no handshake needed). A
+// multiplexed TCP frame opens with its own magic (0xE6) and a header
+// naming the request it carries or answers, ahead of a binary envelope;
+// a connection's first frame says which kind of peer is speaking.
 package transport
 
 import (
@@ -39,9 +42,47 @@ const (
 const (
 	envMagic      = 0xEB
 	chunkMagic    = 0xC7
+	muxMagic      = 0xE6
 	wireVersion   = 0x01
 	maxBatchDepth = 16
 )
+
+// muxHead opens a multiplexed TCP frame, ahead of its binary envelope:
+// muxMagic, the version, a flags byte (bit 0: a reply) and the request
+// id as a uvarint. A reply carries its request's id; each side numbers
+// its own requests, so the flag keeps the two sequences apart.
+type muxHead struct {
+	id    uint64
+	reply bool
+}
+
+func (h muxHead) append(dst []byte) []byte {
+	var flags byte
+	if h.reply {
+		flags = 1
+	}
+	dst = append(dst, muxMagic, wireVersion, flags)
+	return canon.AppendUvarint(dst, h.id)
+}
+
+// decodeMuxHead splits a multiplexed frame into its header and the
+// envelope bytes behind it.
+func decodeMuxHead(body []byte) (muxHead, []byte, error) {
+	r := canon.NewBinReader(body)
+	r.Byte() // magic, checked by the caller
+	if v := r.Byte(); r.Err() == nil && v != wireVersion {
+		return muxHead{}, nil, fmt.Errorf("transport: %w: unsupported multiplexed frame version %d", canon.ErrBinary, v)
+	}
+	flags := r.Byte()
+	h := muxHead{reply: flags == 1, id: r.Uvarint()}
+	if err := r.Err(); err != nil {
+		return muxHead{}, nil, fmt.Errorf("transport: decode multiplexed frame: %w", err)
+	}
+	if flags > 1 {
+		return muxHead{}, nil, fmt.Errorf("transport: %w: multiplexed frame flags %#x", canon.ErrBinary, flags)
+	}
+	return h, body[len(body)-r.Len():], nil
+}
 
 // MarshalEnvelope encodes an envelope in the given wire encoding.
 func MarshalEnvelope(env *Envelope, enc WireEncoding) ([]byte, error) {

@@ -82,16 +82,82 @@ func TestTCPEndpointAnswersInRequestEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, &Envelope{ID: "q", Kind: "ping", Body: []byte("x")}, enc); err != nil {
+		if err := writeFrame(conn, nil, &Envelope{ID: "q", Kind: "ping", Body: []byte("x")}, enc); err != nil {
 			t.Fatal(err)
 		}
-		reply, got, err := readFrame(conn)
-		conn.Close()
+		f, err := readFrame(conn)
 		if err != nil {
+			conn.Close()
 			t.Fatal(err)
 		}
-		if got != enc || reply.Kind != "pong" || string(reply.Body) != "x" {
-			t.Fatalf("request in %v: reply %+v in %v", enc, reply, got)
+		if f.mux || f.enc != enc || f.env.Kind != "pong" || string(f.env.Body) != "x" {
+			t.Fatalf("request in %v: reply %+v in %v (multiplexed %v)", enc, f.env, f.enc, f.mux)
+		}
+		// The old client reads one reply and the server closes: nothing
+		// follows the reply.
+		if _, err := readFrame(conn); err == nil {
+			t.Fatalf("request in %v: the connection carried a second frame", enc)
+		}
+		conn.Close()
+	}
+}
+
+// TestMuxFrameGoldenVectors pins the multiplexed frame: its header bytes
+// ahead of the binary envelope, and the round trip of every golden
+// envelope behind a request header and a reply header.
+func TestMuxFrameGoldenVectors(t *testing.T) {
+	t.Parallel()
+	vectors := []struct {
+		head muxHead
+		want []byte
+	}{
+		{muxHead{id: 1}, []byte{0xE6, 0x01, 0x00, 0x01}},
+		{muxHead{id: 300, reply: true}, []byte{0xE6, 0x01, 0x01, 0xAC, 0x02}},
+	}
+	for _, v := range vectors {
+		if got := v.head.append(nil); !bytes.Equal(got, v.want) {
+			t.Fatalf("header %+v = % x, want % x", v.head, got, v.want)
+		}
+		for i, env := range goldenEnvelopes() {
+			want, err := canon.Marshal(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := writeFrame(&buf, v.head.append(nil), env, WireBinary); err != nil {
+				t.Fatal(err)
+			}
+			if raw := buf.Bytes(); !bytes.Equal(raw[4:4+len(v.want)], v.want) || raw[4+len(v.want)] != envMagic {
+				t.Fatalf("envelope %d: frame opens % x", i, raw[:4+len(v.want)+1])
+			}
+			f, err := readFrame(&buf)
+			if err != nil {
+				t.Fatalf("envelope %d: %v", i, err)
+			}
+			got, err := canon.Marshal(f.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.mux || f.head != v.head || !bytes.Equal(want, got) {
+				t.Fatalf("envelope %d: read %+v %s, want %+v %s", i, f.head, got, v.head, want)
+			}
+		}
+	}
+	// A multiplexed frame carries a binary envelope, never JSON, and no
+	// unknown flag or version.
+	for _, body := range [][]byte{
+		append(muxHead{id: 1}.append(nil), '{', '}'),
+		{0xE6, 0x01, 0x02, 0x01, envMagic},
+		{0xE6, 0x02, 0x00, 0x01, envMagic},
+		{0xE6, 0x01},
+	} {
+		var buf bytes.Buffer
+		var hdr [4]byte
+		hdr[3] = byte(len(body))
+		buf.Write(hdr[:])
+		buf.Write(body)
+		if _, err := readFrame(&buf); err == nil {
+			t.Fatalf("frame % x read without error", body)
 		}
 	}
 }
@@ -145,6 +211,7 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 	f.Add([]byte{envMagic, 0x02})             // version confusion
 	f.Add([]byte{envMagic, 0x01, 0xFF, 0xFF}) // truncated field
 	f.Add([]byte{chunkMagic, 0x01, 0x01, 's'})
+	f.Add([]byte{muxMagic, 0x01, 0x00, 0x01, envMagic}) // a frame header is no envelope
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := UnmarshalEnvelope(data)

@@ -23,12 +23,15 @@ import (
 // bytes actually delivered (a lying header claiming maxFrame with a
 // 4-byte body must fail cheaply).
 func FuzzReadFrame(f *testing.F) {
-	// A well-formed frame as the structural seed.
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`)), WireBinary); err != nil {
-		f.Fatal(err)
+	// Well-formed frames as the structural seeds: a one-exchange frame,
+	// and a multiplexed request and reply.
+	for _, mux := range [][]byte{nil, muxHead{id: 1}.append(nil), muxHead{id: 1 << 40, reply: true}.append(nil)} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, mux, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`)), WireBinary); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
 	// A header claiming a huge body with no bytes behind it.
 	var lying [8]byte
 	binary.BigEndian.PutUint32(lying[:4], maxFrame)
@@ -39,19 +42,33 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(over[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, _, err := readFrame(bytes.NewReader(data))
+		fr, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if env == nil {
+		if fr.env == nil {
 			t.Fatal("readFrame returned neither envelope nor error")
 		}
-		// A decoded envelope must survive re-framing (round-trip safety).
-		// The one legitimate refusal is a JSON-decoded batch nested past
-		// the binary encoder's depth cap.
+		// A decoded frame must survive re-framing (round-trip safety),
+		// header included. The one legitimate refusal is a JSON-decoded
+		// batch nested past the binary encoder's depth cap.
+		var mux []byte
+		if fr.mux {
+			mux = fr.head.append(nil)
+		}
 		var out bytes.Buffer
-		if werr := writeFrame(&out, env, WireBinary); werr != nil && !strings.Contains(werr.Error(), "nested beyond depth") {
-			t.Fatalf("re-frame of decoded envelope failed: %v", werr)
+		if werr := writeFrame(&out, mux, fr.env, WireBinary); werr != nil {
+			if !strings.Contains(werr.Error(), "nested beyond depth") {
+				t.Fatalf("re-frame of decoded envelope failed: %v", werr)
+			}
+			return
+		}
+		back, err := readFrame(&out)
+		if err != nil {
+			t.Fatalf("re-read of re-framed envelope failed: %v", err)
+		}
+		if back.mux != fr.mux || back.head != fr.head {
+			t.Fatalf("frame header drifted: %+v/%v -> %+v/%v", fr.head, fr.mux, back.head, back.mux)
 		}
 	})
 }

@@ -37,13 +37,8 @@ func (n *InprocNetwork) Register(addr string, h Handler) (Endpoint, error) {
 	if _, ok := n.endpoints[addr]; ok {
 		return nil, fmt.Errorf("transport: address %q already registered", addr)
 	}
-	ep := &inprocEndpoint{
-		net:     n,
-		addr:    addr,
-		handler: h,
-		inbox:   make(chan *Envelope, sendQueueDepth),
-		done:    make(chan struct{}),
-	}
+	ep := newInprocEndpoint(n, addr, h)
+	ep.inbox = make(chan *Envelope, sendQueueDepth)
 	n.endpoints[addr] = ep
 	n.wg.Add(1)
 	go ep.dispatch(&n.wg)
@@ -93,13 +88,33 @@ type inprocEndpoint struct {
 	net     *InprocNetwork
 	addr    string
 	handler Handler
-	inbox   chan *Envelope
-
+	inbox   chan *Envelope // nil for a client endpoint
+	// ctx lives as long as the endpoint; Close cancels it.
+	ctx       context.Context
+	cancel    context.CancelFunc
 	closeOnce sync.Once
-	done      chan struct{}
 }
 
-var _ Endpoint = (*inprocEndpoint)(nil)
+var (
+	_ Endpoint = (*inprocEndpoint)(nil)
+	_ Dialer   = (*InprocNetwork)(nil)
+)
+
+func newInprocEndpoint(n *InprocNetwork, addr string, h Handler) *inprocEndpoint {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &inprocEndpoint{net: n, addr: addr, handler: h, ctx: ctx, cancel: cancel}
+}
+
+// Dial implements Dialer: an endpoint with no address to be reached at
+// and no inbox.
+func (n *InprocNetwork) Dial(h Handler) (Endpoint, error) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if n.closed {
+		return nil, ErrClosed
+	}
+	return newInprocEndpoint(n, clientAddr(), h), nil
+}
 
 // dispatch drains the one-way inbox.
 func (e *inprocEndpoint) dispatch(wg *sync.WaitGroup) {
@@ -110,7 +125,7 @@ func (e *inprocEndpoint) dispatch(wg *sync.WaitGroup) {
 			// One-way deliveries have no reply channel; handler errors
 			// surface through protocol-level timeouts and retries.
 			_, _ = e.handler.Handle(context.Background(), env)
-		case <-e.done:
+		case <-e.ctx.Done():
 			// Drain anything already queued before exiting.
 			for {
 				select {
@@ -138,14 +153,15 @@ func (e *inprocEndpoint) Send(ctx context.Context, to string, env *Envelope) err
 	select {
 	case dst.inbox <- env:
 		return nil
-	case <-dst.done:
+	case <-dst.ctx.Done():
 		return ErrClosed
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// Request implements Endpoint.
+// Request implements Endpoint: the destination handler runs in the
+// caller's goroutine, with this endpoint as its caller's connection.
 func (e *inprocEndpoint) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
 	dst, err := e.net.lookup(to)
 	if err != nil {
@@ -153,18 +169,38 @@ func (e *inprocEndpoint) Request(ctx context.Context, to string, env *Envelope) 
 	}
 	env.From = e.addr
 	env.To = to
-	reply, err := dst.handler.Handle(ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	return reply, nil
+	return dst.handler.Handle(withCallerConn(ctx, inprocConn{e}), env)
 }
 
 // Close implements Endpoint.
 func (e *inprocEndpoint) Close() error {
 	e.closeOnce.Do(func() {
 		e.net.remove(e.addr)
-		close(e.done)
+		e.cancel()
 	})
 	return nil
 }
+
+// inprocConn is the connection back to an in-process endpoint, which is
+// the endpoint itself: a request on it runs the endpoint's handler,
+// cancelled when the endpoint closes, as over TCP, and Close closes the
+// endpoint.
+type inprocConn struct{ e *inprocEndpoint }
+
+func (c inprocConn) Request(ctx context.Context, env *Envelope) (*Envelope, error) {
+	if c.e.ctx.Err() != nil {
+		return nil, errConnLost
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(c.e.ctx, cancel)()
+	reply, err := c.e.handler.Handle(ctx, env)
+	if c.e.ctx.Err() != nil { // a closed endpoint's answers are lost with it
+		return nil, errConnLost
+	}
+	return reply, err
+}
+
+func (c inprocConn) Done() <-chan struct{} { return c.e.ctx.Done() }
+
+func (c inprocConn) Close() error { return c.e.Close() }

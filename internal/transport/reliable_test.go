@@ -164,12 +164,24 @@ func TestReliableBoundedByDeadline(t *testing.T) {
 	}
 }
 
+// TestDialClientEndpoint: a client endpoint reaches listening endpoints,
+// and the listener's handler reaches the client back down the
+// connection the request arrived on.
 func TestDialClientEndpoint(t *testing.T) {
 	t.Parallel()
 	for kind, network := range networks(t) {
 		t.Run(kind, func(t *testing.T) {
 			h := &echoHandler{name: "srv"}
-			srv, err := network.Register(addrFor(kind, "srv"), h)
+			srv, err := network.Register(addrFor(kind, "srv"), transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+				if env.Kind != "call-back" {
+					return h.Handle(ctx, env)
+				}
+				back := transport.CallerConn(ctx)
+				if back == nil {
+					return nil, errors.New("no caller connection")
+				}
+				return back.Request(ctx, transport.NewEnvelope("ping", []byte("back")))
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +191,7 @@ func TestDialClientEndpoint(t *testing.T) {
 			if !ok {
 				t.Fatalf("%T does not implement Dialer", network)
 			}
-			cli, err := dialer.Dial()
+			cli, err := dialer.Dial(&echoHandler{name: "cli"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,6 +210,13 @@ func TestDialClientEndpoint(t *testing.T) {
 			if err := cli.Send(context.Background(), srv.Addr(), transport.NewEnvelope("ping", []byte("y"))); err != nil {
 				t.Fatal(err)
 			}
+			reply, err = cli.Request(context.Background(), srv.Addr(), transport.NewEnvelope("call-back", nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(reply.Body) != "cli:back" {
+				t.Fatalf("call-back reply = %q, want the client handler's", reply.Body)
+			}
 		})
 	}
 }
@@ -213,7 +232,7 @@ func TestDialFaultyNetworkPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := fn.Dial()
+	cli, err := fn.Dial(&echoHandler{name: "cli"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +250,7 @@ func TestDialUnknownAddressIsPermanent(t *testing.T) {
 	t.Parallel()
 	n := transport.NewInprocNetwork()
 	defer n.Close()
-	cli, err := n.Dial()
+	cli, err := n.Dial(&echoHandler{name: "cli"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,15 @@
 // computer related failures)". The package provides:
 //
 //   - an in-process network for tests and single-process deployments;
-//   - a TCP network with length-prefixed JSON frames;
+//   - a TCP network that keeps one persistent connection per
+//     counterparty, multiplexing every exchange in both directions over
+//     length-prefixed binary frames (and still answering a peer that
+//     sends one frame per connection, binary or JSON, in kind);
 //   - a fault-injecting wrapper simulating the bounded temporary failures;
 //   - a retrying, de-duplicating layer that turns a lossy network into one
-//     with eventual-delivery and exactly-once processing semantics.
+//     with eventual-delivery and exactly-once processing semantics — a
+//     connection that breaks fails its requests transiently, the retry
+//     redials, and the receiver answers it from its replay window.
 package transport
 
 import (
@@ -93,6 +98,33 @@ type Endpoint interface {
 	Request(ctx context.Context, to string, env *Envelope) (*Envelope, error)
 	// Close deregisters the endpoint.
 	Close() error
+}
+
+// Conn is one connection between two endpoints as a handler sees it: the
+// way back to the endpoint that sent the request being handled. The
+// worker gateway routes a worker's traffic down the connection the
+// worker dialled.
+type Conn interface {
+	// Request sends env to the far side and waits for its handler's
+	// reply, within ctx.
+	Request(ctx context.Context, env *Envelope) (*Envelope, error)
+	// Done is closed when the connection ends.
+	Done() <-chan struct{}
+	// Close ends the connection; requests in flight on it fail.
+	Close() error
+}
+
+type callerConnKey struct{}
+
+// CallerConn returns the connection the request being handled arrived
+// on, nil for a delivery that came on none (an in-process one-way send).
+func CallerConn(ctx context.Context) Conn {
+	c, _ := ctx.Value(callerConnKey{}).(Conn)
+	return c
+}
+
+func withCallerConn(ctx context.Context, c Conn) context.Context {
+	return context.WithValue(ctx, callerConnKey{}, c)
 }
 
 // Network registers endpoints by address.

@@ -29,8 +29,8 @@
 # which encoding/json calls unnamed; WithInterceptors, the one way to
 # install the container's transaction, persistence and B2BObject
 # interceptors; and public API waiting for a product caller
-# (AuditSharedHistory, replica Prune, ProposeAtomic, ResolveNow,
-# WorkerGateway.Drain). A new name needs such a reason or a caller.
+# (AuditSharedHistory, replica Prune, ProposeAtomic, ResolveNow). A new
+# name needs such a reason or a caller.
 #
 # The build fails when a census exceeds its ceiling, so a knob cannot come
 # back unnoticed, and neither can a read that drops its error: every
@@ -42,15 +42,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OPTION_CEILING=48
-FIELD_CEILING=12
+FIELD_CEILING=11
 READ_CEILING=0
-TESTONLY_CEILING=50
+TESTONLY_CEILING=49
 PROTOCOL_CEILING=1
 
 # Package directory and type name of each counted config struct.
 STRUCTS=(
   "internal/protocol GatewayConfig"
-  "internal/protocol WorkerConfig"
   "internal/transport CoalesceOptions"
   "internal/transport ChunkOptions"
   "internal/durable Config"
