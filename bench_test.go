@@ -84,15 +84,11 @@ func BenchmarkFig4InvocationNR(b *testing.B) {
 
 // BenchmarkPipelineConcurrent is E12, the hot-path pipeline study:
 // throughput of concurrent small-message invocations, comparing the plain
-// executor (no non-repudiation), the unbatched non-repudiable path, and
-// the batched pipeline (envelope coalescing + crypto fast path; evidence
-// is signed one protocol step per signature on both non-repudiable
-// paths) — the last also with the telemetry plane attached, whose
+// executor (no non-repudiation) with the non-repudiable path (evidence
+// signed one protocol step per signature, verified through the crypto
+// fast path) — the latter also with the telemetry plane attached, whose
 // acceptance bar is <2% regression versus telemetry off (end to end,
-// the benchmark's obs.trace_overhead_pct). The pipeline's bar here is
-// fewer wire messages per invocation; its time per call is the
-// unbatched path's or worse, since both sign and verify the same tokens
-// and the in-process network costs nothing to save.
+// the benchmark's obs.trace_overhead_pct).
 func BenchmarkPipelineConcurrent(b *testing.B) {
 	const clients = 32
 
@@ -112,8 +108,7 @@ func BenchmarkPipelineConcurrent(b *testing.B) {
 		opts []testpki.DomainOption
 	}{
 		{"NR/32clients", []testpki.DomainOption{testpki.WithMetering()}},
-		{"BatchedNR/32clients", []testpki.DomainOption{testpki.WithMetering(), testpki.WithPipeline()}},
-		{"BatchedNRTelemetry/32clients", []testpki.DomainOption{testpki.WithTelemetry(), testpki.WithMetering(), testpki.WithPipeline()}},
+		{"NRTelemetry/32clients", []testpki.DomainOption{testpki.WithTelemetry(), testpki.WithMetering()}},
 	} {
 		name, opts := cfg.name, cfg.opts
 		b.Run(name, func(b *testing.B) {

@@ -211,11 +211,7 @@ func main() {
 	gatewayServices := ""
 	var gw *protocol.WorkerGateway
 	if *gatewayAddr != "" {
-		var gwOpts []protocol.Option
-		if telemetry != nil {
-			gwOpts = append(gwOpts, protocol.WithTelemetry(telemetry))
-		}
-		gwHost, err := protocol.NewHost(network, *gatewayAddr, gwOpts...)
+		gwHost, err := protocol.NewHost(network, *gatewayAddr)
 		if err != nil {
 			log.Fatal(err)
 		}

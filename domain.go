@@ -36,18 +36,17 @@ import (
 // (an Org with EnableRelay and clients using Via), distributed inline
 // TTPs, and direct-with-offline-TTP (EnableResolve plus WithOfflineTTP).
 type Domain struct {
-	clk      clock.Clock
-	network  transport.Network
-	inproc   *transport.InprocNetwork
-	tcpNet   *transport.TCPNetwork
-	tcp      bool
-	dir      *protocol.Directory
-	ca       *credential.Authority
-	creds    *credential.Store
-	tsa      *stamp.Authority
-	alg      sig.Algorithm
-	pipeline *transport.CoalesceOptions
-	tel      *obs.Telemetry
+	clk     clock.Clock
+	network transport.Network
+	inproc  *transport.InprocNetwork
+	tcpNet  *transport.TCPNetwork
+	tcp     bool
+	dir     *protocol.Directory
+	ca      *credential.Authority
+	creds   *credential.Store
+	tsa     *stamp.Authority
+	alg     sig.Algorithm
+	tel     *obs.Telemetry
 
 	mu   sync.Mutex
 	orgs map[Party]*Org
@@ -68,7 +67,6 @@ type domainConfig struct {
 	tcp       bool
 	timestamp bool
 	alg       sig.Algorithm
-	pipeline  *transport.CoalesceOptions
 	telemetry *obs.Telemetry
 }
 
@@ -94,22 +92,6 @@ func WithTimestamping() DomainOption {
 // (default Ed25519).
 func WithAlgorithm(alg sig.Algorithm) DomainOption {
 	return func(c *domainConfig) { c.alg = alg }
-}
-
-// WithPipelining enables the batched hot-path interaction pipeline on
-// every organisation: concurrent outbound protocol messages to the same
-// counterparty coalesce into single b2b-batch wire envelopes, and
-// incoming batches are verified by parallel workers against a
-// verified-signature cache. Evidence is signed as on every domain, one
-// signature per protocol step, so what a stored token costs does not
-// depend on how many runs were signing at once. It trades nothing for
-// correctness — evidence and its adjudication are byte-compatible — and
-// is the recommended mode for heavy small-message traffic. A wire
-// envelope carries at most transport.DefaultMaxCoalesce messages, and
-// coalescing adds no latency: batches form from whatever is concurrently
-// pending.
-func WithPipelining() DomainOption {
-	return func(c *domainConfig) { c.pipeline = &transport.CoalesceOptions{} }
 }
 
 // WithTelemetry equips the domain with an interaction telemetry plane:
@@ -156,7 +138,6 @@ func NewDomain(opts ...DomainOption) (*Domain, error) {
 		ca:        ca,
 		creds:     creds,
 		alg:       cfg.alg,
-		pipeline:  cfg.pipeline,
 		tel:       cfg.telemetry,
 		orgs:      make(map[Party]*Org),
 		enrolling: make(map[Party]struct{}),
@@ -333,9 +314,8 @@ func (d *Domain) AddOrg(p Party, opts ...OrgOption) (*Org, error) {
 // coordinator to a shared multi-tenant host instead of a dedicated
 // endpoint. The organisation keeps fully isolated evidence services —
 // its own signing key, issuer, log/vault and state store — and shares
-// only the host's wire: one listener, one retransmission stack and (with
-// WithPipelining) one cross-tenant outbound coalescer. Hosted and
-// dedicated organisations interact freely; their evidence is
+// only the host's wire: one listener and one retransmission stack.
+// Hosted and dedicated organisations interact freely; their evidence is
 // byte-compatible.
 func (d *Domain) AddHostedOrg(h *Host, p Party, opts ...OrgOption) (*Org, error) {
 	if h == nil || h.domain != d {
@@ -387,7 +367,17 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 	}
 	defer d.release(p)
 
-	signer, err := sig.Generate(d.alg, string(p)+"#key")
+	// A party enrolled before — a worker restarted with fresh keys — signs
+	// under the next free key id, so the earlier incarnation's evidence
+	// keeps verifying against the key that signed it.
+	keyID := string(p) + "#key"
+	for n := 2; ; n++ {
+		if _, err := d.creds.Lookup(keyID); err != nil {
+			break
+		}
+		keyID = fmt.Sprintf("%s#key-%d", p, n)
+	}
+	signer, err := sig.Generate(d.alg, keyID)
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +443,6 @@ func (d *Domain) addOrg(p Party, host *Host, opts ...OrgOption) (*Org, error) {
 		Directory: d.dir,
 		Log:       log,
 		TSA:       d.tsa,
-		Coalesce:  d.pipeline,
 		Telemetry: d.tel,
 	}
 	if host != nil {

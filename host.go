@@ -20,9 +20,9 @@ import (
 // organisation's. On the wire the host shards incoming dispatch by party
 // (lock-free on the hot path) with per-tenant replay-dedup windows and
 // batch-opening workers, so no tenant can exhaust another's
-// exactly-once state. With WithPipelining, all hosted tenants share one
-// outbound coalescer: concurrent protocol messages from different
-// tenants to the same peer host merge into shared b2b-batch envelopes.
+// exactly-once state. Outbound, every tenant's protocol messages travel
+// as separate exchanges on the host's connections, so one tenant's slow
+// call never holds up another's.
 type Host struct {
 	domain *Domain
 	inner  *protocol.Host
@@ -44,9 +44,7 @@ func HostAddr(addr string) HostOption {
 
 // NewHost starts a multi-tenant coordinator host in the domain. Enrol
 // organisations behind it with Domain.AddHostedOrg (or Host.AddOrg); mix
-// hosted and dedicated organisations freely. The domain's pipelining
-// option applies to the host's shared endpoint, coalescing outbound
-// traffic across its tenants.
+// hosted and dedicated organisations freely.
 func NewHost(d *Domain, opts ...HostOption) (*Host, error) {
 	cfg := hostConfig{}
 	for _, opt := range opts {
@@ -66,14 +64,7 @@ func NewHost(d *Domain, opts ...HostOption) (*Host, error) {
 			d.mu.Unlock()
 		}
 	}
-	var popts []protocol.Option
-	if d.pipeline != nil {
-		popts = append(popts, protocol.WithCoalescing(*d.pipeline))
-	}
-	if d.tel != nil {
-		popts = append(popts, protocol.WithTelemetry(d.tel))
-	}
-	inner, err := protocol.NewHost(d.network, addr, popts...)
+	inner, err := protocol.NewHost(d.network, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ func (Real) Now() time.Time { return time.Now() }
 // clock-aware analogue of time.Timer: timers made from a Real clock are
 // backed by real time.Timers, timers made from a Manual clock fire when
 // the clock is advanced past their deadline — so code with flush or retry
-// timers (envelope coalescing windows, replication catch-up) can be
-// tested without sleeping wall-clock time.
+// timers (replication catch-up, job retries, receipt waits) can be tested
+// without sleeping wall-clock time.
 type Timer interface {
 	// C returns the channel the elapse time is delivered on.
 	C() <-chan time.Time

@@ -43,9 +43,9 @@ type NodeConfig struct {
 	// Host, when set, attaches the interceptor's coordinator to a shared
 	// multi-tenant host instead of registering a dedicated endpoint. The
 	// node keeps fully isolated services (issuer, verifier, log, states);
-	// only the wire — listener, retransmission, outbound coalescing — is
-	// shared with the host's other tenants. Retry and Coalesce are
-	// host-wide concerns and ignored for hosted nodes.
+	// only the wire — listener and retransmission — is shared with the
+	// host's other tenants. Retry is a host-wide concern and ignored for
+	// hosted nodes.
 	Host *protocol.Host
 	// Gateway, when set, runs the interceptor as an outbound-only worker:
 	// instead of listening, the coordinator dials the worker gateway host
@@ -72,8 +72,9 @@ type NodeConfig struct {
 	// inclusion path grows with the signer's load. The field stays so
 	// that configurations setting it still build.
 	BatchSigning bool
-	// Coalesce, when set, batches concurrent outbound protocol envelopes
-	// per counterparty into single b2b-batch wire envelopes.
+	// Coalesce is ignored: every outbound protocol message travels as its
+	// own frame on the one multiplexed connection per peer. The field
+	// stays so that configurations setting it still build.
 	Coalesce *transport.CoalesceOptions
 	// Telemetry, when set, instruments the node: evidence issuance and
 	// verification latency, per-kind envelope counts and protocol spans
@@ -165,9 +166,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	case cfg.Host != nil:
 		co, err = cfg.Host.Add(svc)
 	default:
-		if cfg.Coalesce != nil {
-			opts = append(opts, protocol.WithCoalescing(*cfg.Coalesce))
-		}
 		co, err = protocol.New(cfg.Network, cfg.Addr, svc, opts...)
 	}
 	if err != nil {

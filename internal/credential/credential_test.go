@@ -279,6 +279,47 @@ func TestUnknownKey(t *testing.T) {
 	}
 }
 
+// TestAddRefusesRebindingKeyID: a certificate binding a stored key id to
+// a different key is refused, so what the first key signed keeps
+// verifying; the same key certified again (a renewal) replaces the stored
+// certificate.
+func TestAddRefusesRebindingKeyID(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t)
+	d := sig.Sum([]byte("signed by the first key"))
+	s, err := f.orgKey.Sign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := sig.GenerateEd25519("org-a-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebind, err := f.root.Issue("urn:org:a", other.KeyID(), other.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Add(rebind); err == nil {
+		t.Fatal("Add bound org-a-key to a second key")
+	}
+	if err := f.store.VerifySignature(d, s); err != nil {
+		t.Fatalf("first key's signature after a refused rebind: %v", err)
+	}
+	renewal, err := f.root.Issue("urn:org:a", f.orgKey.KeyID(), f.orgKey.PublicKey(), WithRoles("buyer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Add(renewal); err != nil {
+		t.Fatalf("renewal of the same key: %v", err)
+	}
+	if cert, err := f.store.Lookup("org-a-key"); err != nil || cert.Serial != renewal.Serial {
+		t.Fatalf("Lookup after renewal = %v, %v; want serial %s", cert, err, renewal.Serial)
+	}
+	if err := f.store.VerifySignature(d, s); err != nil {
+		t.Fatalf("signature after renewal: %v", err)
+	}
+}
+
 func TestRolesAndParty(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t)

@@ -1,6 +1,7 @@
 package credential
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -76,13 +77,21 @@ func (s *Store) invalidateLocked() {
 }
 
 // Add stores a certificate. The chain is verified on use, not on store, so
-// certificates may arrive in any order.
+// certificates may arrive in any order. A certificate for a key id already
+// bound to the same key replaces the stored one (a renewal, a bundle
+// imported twice); one that binds the key id to a different key is
+// refused, since every token signed under the key id would then verify
+// against the new key and no longer against the one that signed it.
 func (s *Store) Add(cert *Certificate) error {
 	if cert.KeyID == "" {
 		return fmt.Errorf("credential: certificate %s has empty key id", cert.Serial)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if prev, ok := s.byKey[cert.KeyID]; ok &&
+		(prev.Algorithm != cert.Algorithm || !bytes.Equal(prev.PublicKey, cert.PublicKey)) {
+		return fmt.Errorf("credential: key id %q is bound to another key by certificate %s", cert.KeyID, prev.Serial)
+	}
 	s.byKey[cert.KeyID] = cert
 	s.invalidateLocked()
 	return nil

@@ -31,9 +31,8 @@ const (
 	MReplErrorsTotal     = "nonrep_replication_errors_total"
 
 	// Transport.
-	MChunkReassemblyBytes   = "nonrep_chunk_reassembly_bytes"
-	MCoalesceBatchOccupancy = "nonrep_coalesce_batch_occupancy"
-	MDedupHitsTotal         = "nonrep_dedup_hits_total"
+	MChunkReassemblyBytes = "nonrep_chunk_reassembly_bytes"
+	MDedupHitsTotal       = "nonrep_dedup_hits_total"
 
 	// Wire traffic (the transport.Metered counters, re-homed).
 	MWireMessagesTotal    = "nonrep_wire_messages_total"

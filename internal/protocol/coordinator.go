@@ -94,12 +94,7 @@ type Coordinator struct {
 type Option func(*config)
 
 type config struct {
-	retry    transport.RetryPolicy
-	coalesce *transport.CoalesceOptions
-	// obs homes the outbound coalescer's occupancy histogram.
-	// Single-tenant coordinators take it from the services' scope; hosts
-	// from WithTelemetry.
-	obs *obs.Scope
+	retry transport.RetryPolicy
 }
 
 // WithRetryPolicy overrides the default retransmission policy.
@@ -107,27 +102,26 @@ func WithRetryPolicy(p transport.RetryPolicy) Option {
 	return func(c *config) { c.retry = p }
 }
 
-// WithCoalescing batches concurrent outbound envelopes per counterparty
-// into single b2b-batch wire envelopes (the protocol-level batching of
-// evidence exchange for small messages). Incoming batches are always
-// understood regardless of this option, so coalescing and non-coalescing
-// coordinators interoperate.
-func WithCoalescing(opts transport.CoalesceOptions) Option {
-	return func(c *config) { c.coalesce = &opts }
+// WithCoalescing is ignored: every outbound envelope travels as its own
+// frame on the one multiplexed connection per peer, where a shared batch
+// would only make each exchange wait for the batch's slowest reply.
+// Incoming b2b-batch envelopes from older peers are still opened. The
+// option stays so that callers naming it still build.
+func WithCoalescing(transport.CoalesceOptions) Option {
+	return func(*config) {}
 }
 
 // New registers a coordinator for svc.Party at addr on the network. The
 // endpoint is wrapped with retransmission and incoming traffic with replay
 // de-duplication, so coordinators see eventual delivery with exactly-once
 // processing (trusted-interceptor assumption 2). Incoming batch envelopes
-// are unpacked outside the de-duplication layer, so every coalesced
+// are unpacked outside the de-duplication layer, so every batched
 // sub-message keeps its own exactly-once processing.
 func New(network transport.Network, addr string, svc *Services, opts ...Option) (*Coordinator, error) {
 	cfg := config{retry: transport.DefaultRetryPolicy}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cfg.obs = svc.Obs
 	c := &Coordinator{svc: svc, handlers: make(map[string]Handler)}
 	h := transport.NewTenantChain(transport.HandlerFunc(c.handle), svc.Obs)
 	ep, err := network.Register(addr, h)
@@ -140,24 +134,12 @@ func New(network transport.Network, addr string, svc *Services, opts ...Option) 
 }
 
 // wrapEndpoint layers the outbound stack over a raw endpoint: retrying
-// retransmission, optional envelope coalescing, chunked transfer for
-// envelopes past the wire frame budget (each chunk slice is individually
-// retried by the reliable layer and bypasses coalescing by size), and —
-// outermost, so coalescing keys its batches by wire address alone and
-// batches merge across tenants of one peer host — tenant addressing,
-// which lets this endpoint send to tenant-qualified addresses of hosted
-// coordinators.
+// retransmission, chunked transfer for envelopes past the wire frame
+// budget (each chunk slice is individually retried by the reliable
+// layer), and tenant addressing, which lets this endpoint send to
+// tenant-qualified addresses of hosted coordinators.
 func wrapEndpoint(ep transport.Endpoint, cfg config) transport.Endpoint {
 	ep = transport.NewReliable(ep, cfg.retry)
-	if cfg.coalesce != nil {
-		// Copy before attaching the scope: one CoalesceOptions value may
-		// configure many coordinators with different scopes.
-		co := *cfg.coalesce
-		if co.Obs == nil {
-			co.Obs = cfg.obs
-		}
-		ep = transport.NewCoalescer(ep, co)
-	}
 	ep = transport.NewChunker(ep)
 	return transport.WithTenantAddressing(ep)
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"nonrep/internal/id"
-	"nonrep/internal/obs"
 	"nonrep/internal/transport"
 )
 
@@ -30,15 +29,6 @@ var ErrHostClosed = errors.New("protocol: host closed")
 // ErrTenantEnrolled is returned when adding a tenant whose party the host
 // already serves.
 var ErrTenantEnrolled = errors.New("protocol: tenant already hosted")
-
-// WithTelemetry homes the shared endpoint stack's instrument — the
-// cross-tenant coalescer's batch occupancy — in the telemetry plane's
-// unattributed scope. Per-tenant instruments come from
-// each tenant's Services.Obs regardless of this option. A nil handle is
-// the disabled default.
-func WithTelemetry(t *obs.Telemetry) Option {
-	return func(c *config) { c.obs = t.Scope("") }
-}
 
 // tenantMap is a host's immutable tenant table; writers replace the whole
 // map under the host mutex (swapLocked), readers load it atomically.
@@ -54,9 +44,9 @@ type hostTenant struct {
 
 // Host is a multi-tenant coordinator runtime. All hosted
 // coordinators share the host's endpoint for both directions: incoming
-// envelopes are demultiplexed by tenant key, outgoing envelopes from all
-// tenants share one coalescer, so concurrent traffic from different
-// tenants to the same peer host merges into shared b2b-batch envelopes.
+// envelopes are demultiplexed by tenant key, and outgoing envelopes from
+// all tenants share one retransmission stack, each travelling as its own
+// exchange so no tenant's call waits behind another's.
 type Host struct {
 	ep      transport.Endpoint
 	tenants atomic.Pointer[tenantMap]
@@ -71,8 +61,7 @@ type Host struct {
 var _ transport.TenantResolver = (*Host)(nil)
 
 // NewHost registers a shared multi-tenant endpoint at addr on the
-// network. Options are the coordinator options; WithCoalescing makes all
-// hosted tenants share one outbound coalescer.
+// network. Options are the coordinator options.
 func NewHost(network transport.Network, addr string, opts ...Option) (*Host, error) {
 	cfg := config{retry: transport.DefaultRetryPolicy}
 	for _, opt := range opts {
@@ -214,8 +203,8 @@ func (h *Host) addRawTenant(key string, handler transport.Handler) error {
 	return nil
 }
 
-// Close detaches every tenant and closes the shared endpoint, flushing
-// any coalesced batches still pending and stopping the listener.
+// Close detaches every tenant and closes the shared endpoint, stopping the
+// listener.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -235,8 +224,8 @@ func (h *Host) Close() error {
 }
 
 // hostedEndpoint is a hosted coordinator's view of the shared endpoint:
-// sends delegate to the host's stack (reliable retransmission, shared
-// cross-tenant coalescing, tenant addressing), the advertised address is
+// sends delegate to the host's stack (reliable retransmission, chunking,
+// tenant addressing), the advertised address is
 // tenant-qualified so peers' envelopes route back to this tenant, and
 // Close detaches only this tenant.
 type hostedEndpoint struct {

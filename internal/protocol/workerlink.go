@@ -35,7 +35,6 @@ func ConnectWorker(network transport.Network, gateway string, svc *Services, opt
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cfg.obs = svc.Obs
 	c := &Coordinator{svc: svc, handlers: make(map[string]Handler)}
 	raw, err := dialer.Dial(transport.NewTenantChain(transport.HandlerFunc(c.handle), svc.Obs))
 	if err != nil {

@@ -29,8 +29,7 @@ type Domain struct {
 	// built WithTelemetry.
 	Telemetry *obs.Telemetry
 
-	pipeline bool
-	nodes    map[id.Party]*core.Node
+	nodes map[id.Party]*core.Node
 }
 
 // FastRetry is a test-friendly retransmission policy.
@@ -63,13 +62,6 @@ func WithMetering() DomainOption {
 // for observability tests and the instrumentation-overhead study.
 func WithTelemetry() DomainOption {
 	return func(d *Domain) { d.Telemetry = obs.New() }
-}
-
-// WithPipeline enables the batched hot-path pipeline on every node:
-// outbound envelope coalescing. Evidence is signed one protocol step per
-// signature, as on every node.
-func WithPipeline() DomainOption {
-	return func(d *Domain) { d.pipeline = true }
 }
 
 // NewDomain builds a domain containing the given parties.
@@ -128,9 +120,6 @@ func (d *Domain) startNode(p id.Party) error {
 		Directory: d.Directory,
 		Retry:     &retry,
 		Telemetry: d.Telemetry,
-	}
-	if d.pipeline {
-		cfg.Coalesce = &transport.CoalesceOptions{}
 	}
 	node, err := core.NewNode(cfg)
 	if err != nil {

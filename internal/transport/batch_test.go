@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nonrep/internal/id"
 )
 
 // countingHandler records how many times each envelope identifier was
@@ -41,9 +43,9 @@ func (h *countingHandler) duplicates() []string {
 	return dups
 }
 
-// coalescedSender builds the full sending stack over net: reliable
-// retransmission below a coalescer, mirroring the coordinator's wiring.
-func coalescedSender(t *testing.T, net Network, addr string, opts CoalesceOptions) *Coalescer {
+// reliableSender registers addr on net and wraps it in reliable
+// retransmission, the sending stack an older peer put its coalescer on.
+func reliableSender(t *testing.T, net Network, addr string) *Reliable {
 	t.Helper()
 	ep, err := net.Register(addr, HandlerFunc(func(context.Context, *Envelope) (*Envelope, error) {
 		return nil, nil
@@ -51,65 +53,55 @@ func coalescedSender(t *testing.T, net Network, addr string, opts CoalesceOption
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCoalescer(NewReliable(ep, RetryPolicy{Attempts: 40, Backoff: time.Millisecond}), opts)
+	r := NewReliable(ep, RetryPolicy{Attempts: 40, Backoff: time.Millisecond})
+	t.Cleanup(func() { _ = r.Close() })
+	return r
 }
 
-func TestCoalescerCombinesConcurrentRequests(t *testing.T) {
-	inproc := NewInprocNetwork()
-	defer inproc.Close()
-	metered := NewMeteredWith(inproc, nil)
-
-	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
-		t.Fatal(err)
-	}
-	c := coalescedSender(t, metered, "src", CoalesceOptions{})
-	defer c.Close()
-
-	const n = 48
+// sendBatches sends n protocol messages in hand-built b2b-batch
+// envelopes of per items each, concurrently, the way an older peer's
+// coalescer framed them: item i awaits a reply when wantReply(i). It
+// returns each batch's error, after checking every reply it got.
+func sendBatches(r *Reliable, n, per int, wantReply func(int) bool) []error {
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	errs := make([]error, (n+per-1)/per)
+	for b := range errs {
 		wg.Add(1)
-		go func(i int) {
+		go func(b int) {
 			defer wg.Done()
-			body := []byte(fmt.Sprintf("req-%d", i))
-			reply, err := c.Request(context.Background(), "dst", NewEnvelope("q", body))
+			var items []BatchItem
+			for i := b * per; i < min(n, (b+1)*per); i++ {
+				body := []byte(fmt.Sprintf("msg-%d", i))
+				items = append(items, BatchItem{Env: NewEnvelope("q", body), WantReply: wantReply(i)})
+			}
+			env := &Envelope{ID: id.NewMsg(), Kind: KindBatch, Batch: items}
+			reply, err := r.Request(context.Background(), "dst", env)
 			if err != nil {
-				errs[i] = err
+				errs[b] = err
 				return
 			}
-			if string(reply.Body) != string(body) {
-				errs[i] = fmt.Errorf("reply %q for request %q", reply.Body, body)
+			if reply.Kind != KindBatchReply || len(reply.Batch) != len(items) {
+				errs[b] = fmt.Errorf("reply %s with %d items for %d", reply.Kind, len(reply.Batch), len(items))
+				return
 			}
-		}(i)
+			for j, item := range items {
+				got := reply.Batch[j]
+				switch {
+				case got.Err != "":
+					errs[b] = fmt.Errorf("item %d: %s", j, got.Err)
+				case item.WantReply && (got.Env == nil || string(got.Env.Body) != string(item.Env.Body)):
+					errs[b] = fmt.Errorf("item %d: wrong reply %+v", j, got.Env)
+				}
+			}
+		}(b)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	if got := handler.total.Load(); got != n {
-		t.Fatalf("handler processed %d messages, want %d", got, n)
-	}
-	if dups := handler.duplicates(); len(dups) != 0 {
-		t.Fatalf("duplicate processing: %v", dups)
-	}
-	// Coalescing must have reduced wire envelopes below one per request.
-	if metered.Messages() >= 2*n {
-		t.Fatalf("no coalescing: %d wire messages for %d requests", metered.Messages(), n)
-	}
-	if metered.SubMessages() == 0 || metered.Batches() == 0 {
-		t.Fatalf("metering saw no batches (batches=%d submsgs=%d)", metered.Batches(), metered.SubMessages())
-	}
-	if metered.LogicalMessages() < int64(n) {
-		t.Fatalf("logical messages %d < %d requests", metered.LogicalMessages(), n)
-	}
-	t.Logf("%d requests -> %d wire envelopes (%d batches, %d sub-messages)",
-		n, metered.Messages(), metered.Batches(), metered.SubMessages())
+	return errs
 }
 
+// TestCoalescerUnderLossRetransmitsAndDedups: batch envelopes as an
+// older peer's coalescer sent them, retransmitted over a lossy network,
+// process every sub-message exactly once.
 func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	inproc := NewInprocNetwork()
 	defer inproc.Close()
@@ -119,27 +111,12 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	if _, err := faulty.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
-	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
-	defer c.Close()
+	r := reliableSender(t, faulty, "src")
 
 	const n = 40
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i%2 == 0 {
-				_, errs[i] = c.Request(context.Background(), "dst", NewEnvelope("q", []byte("x")))
-			} else {
-				errs[i] = c.Send(context.Background(), "dst", NewEnvelope("one-way", []byte("y")))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	for b, err := range sendBatches(r, n, 5, func(i int) bool { return i%2 == 0 }) {
 		if err != nil {
-			t.Fatalf("message %d not delivered despite retransmission: %v", i, err)
+			t.Fatalf("batch %d not delivered despite retransmission: %v", b, err)
 		}
 	}
 	if faulty.Drops() == 0 {
@@ -147,11 +124,6 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	}
 	// Eventual delivery of every message, exactly-once processing: a
 	// dropped or duplicated batch must not double-process any sub-message.
-	// A one-way send that travelled unbatched returns once the in-process
-	// transport has queued it, so its processing may still be pending.
-	for deadline := time.Now().Add(5 * time.Second); handler.total.Load() < n && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 	if got := handler.total.Load(); got != n {
 		t.Fatalf("handler processed %d messages, want exactly %d", got, n)
 	}
@@ -160,6 +132,8 @@ func TestCoalescerUnderLossRetransmitsAndDedups(t *testing.T) {
 	}
 }
 
+// TestCoalescerSurvivesPartition: batch envelopes held up by a partition
+// are delivered once it heals, each sub-message processed once.
 func TestCoalescerSurvivesPartition(t *testing.T) {
 	inproc := NewInprocNetwork()
 	defer inproc.Close()
@@ -169,27 +143,21 @@ func TestCoalescerSurvivesPartition(t *testing.T) {
 	if _, err := faulty.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
 		t.Fatal(err)
 	}
-	c := coalescedSender(t, faulty, "src", CoalesceOptions{})
-	defer c.Close()
+	r := reliableSender(t, faulty, "src")
 
 	faulty.Partition("src", "dst")
 	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Request(context.Background(), "dst", NewEnvelope("q", []byte("z")))
-		}(i)
-	}
+	done := make(chan []error, 1)
+	go func() { done <- sendBatches(r, n, 4, func(int) bool { return true }) }()
 	time.Sleep(5 * time.Millisecond)
 	faulty.Heal("src", "dst")
-	wg.Wait()
-	for i, err := range errs {
+	for b, err := range <-done {
 		if err != nil {
-			t.Fatalf("request %d failed across healed partition: %v", i, err)
+			t.Fatalf("batch %d failed across healed partition: %v", b, err)
 		}
+	}
+	if faulty.Drops() == 0 {
+		t.Fatal("partition dropped nothing; test is vacuous")
 	}
 	if got := handler.total.Load(); got != n {
 		t.Fatalf("handler processed %d messages, want %d", got, n)
@@ -239,31 +207,5 @@ func TestBatchOpenerReplayedBatchProcessesOnce(t *testing.T) {
 	}
 	if got := BatchSize(first); got != 3 {
 		t.Fatalf("BatchSize(reply) = %d, want 3", got)
-	}
-}
-
-func TestCoalescerSingletonBypassesFraming(t *testing.T) {
-	inproc := NewInprocNetwork()
-	defer inproc.Close()
-	metered := NewMeteredWith(inproc, nil)
-	handler := newCountingHandler()
-	if _, err := metered.Register("dst", NewBatchOpener(NewDedupWith(handler, nil))); err != nil {
-		t.Fatal(err)
-	}
-	c := coalescedSender(t, metered, "src", CoalesceOptions{})
-	defer c.Close()
-
-	// Sequential traffic: no concurrency, nothing to coalesce — every
-	// message should travel unwrapped with zero batch framing overhead.
-	for i := 0; i < 5; i++ {
-		if _, err := c.Request(context.Background(), "dst", NewEnvelope("q", []byte("s"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if metered.Batches() != 0 {
-		t.Fatalf("sequential traffic produced %d batch envelopes", metered.Batches())
-	}
-	if got := handler.total.Load(); got != 5 {
-		t.Fatalf("handler processed %d, want 5", got)
 	}
 }

@@ -133,9 +133,7 @@ func isChunkKind(kind string) bool {
 // Chunker wraps an endpoint so envelopes of unbounded body size can be
 // sent: bodies above the threshold are split into chunk envelopes, each an
 // ordinary exchange on the inner endpoint (and so individually retried by
-// a Reliable layer beneath). Wrap it OUTSIDE any Coalescer: chunk slices
-// bypass coalescing by size, while the small chunk-fetch requests may
-// still share batches.
+// a Reliable layer beneath).
 type Chunker struct {
 	inner Endpoint
 	lim   chunkLimits

@@ -271,39 +271,3 @@ func TestChunkReassemblyBoundedByBytes(t *testing.T) {
 		t.Fatal("evicted stream dispatched")
 	}
 }
-
-// TestCoalescerBypassesLargeBodies: a large-bodied envelope must not join
-// a batch (it would blow the combined frame), it goes straight to the
-// inner endpoint.
-func TestCoalescerBypassesLargeBodies(t *testing.T) {
-	net := NewInprocNetwork()
-	defer net.Close()
-	var batches, singles atomic.Int32
-	if _, err := net.Register("server", HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
-		if env.Kind == KindBatch {
-			batches.Add(1)
-			replies := make([]BatchItem, len(env.Batch))
-			for i, item := range env.Batch {
-				replies[i] = BatchItem{Env: &Envelope{ID: item.Env.ID, Kind: "ack"}}
-			}
-			return &Envelope{ID: id.NewMsg(), Kind: KindBatchReply, Batch: replies}, nil
-		}
-		singles.Add(1)
-		return &Envelope{ID: env.ID, Kind: "ack"}, nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := net.Register("client", HandlerFunc(func(context.Context, *Envelope) (*Envelope, error) { return nil, nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoalescer(raw, CoalesceOptions{})
-	defer co.Close()
-	big := NewEnvelope("bulk", randomBody(maxCoalesceBody+1, 4))
-	if _, err := co.Request(context.Background(), "server", big); err != nil {
-		t.Fatal(err)
-	}
-	if singles.Load() != 1 || batches.Load() != 0 {
-		t.Fatalf("large body travelled in a batch (%d singles, %d batches)", singles.Load(), batches.Load())
-	}
-}

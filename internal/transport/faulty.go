@@ -138,7 +138,7 @@ func (e *faultyEndpoint) delay(ctx context.Context) error {
 // loss the same way — the acknowledgement never comes — and Reliable
 // retransmits. An injector that swallowed the loss would model a network
 // no retransmission layer can work over: a lone one-way message, say a
-// receipt leaving the coalescer on its own, would be lost for good.
+// receipt, would be lost for good.
 func (e *faultyEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
 	switch e.net.judge(e.Addr(), to) {
 	case drop:

@@ -10,7 +10,7 @@ import (
 // paper's section 6 observation that non-repudiation costs include "the
 // communication overhead of additional messages to execute protocols".
 //
-// Envelope coalescing (Coalescer) would make a raw envelope count
+// A batch envelope from an older peer would make a raw envelope count
 // dishonest — one wire envelope may carry dozens of protocol messages —
 // so batch envelopes and their contained sub-messages are counted
 // separately: Messages stays the wire-envelope count, while Batches,
@@ -66,7 +66,7 @@ func (m *Metered) Messages() int64 { return m.messages.Value() }
 func (m *Metered) Bytes() int64 { return m.bytes.Value() }
 
 // Batches returns how many of the counted envelopes (including replies)
-// were coalesced batches.
+// were batch envelopes.
 func (m *Metered) Batches() int64 { return m.batches.Value() }
 
 // SubMessages returns the total protocol messages carried inside batch
@@ -75,7 +75,7 @@ func (m *Metered) SubMessages() int64 { return m.submsgs.Value() }
 
 // LogicalMessages returns the protocol-level message count: like Messages,
 // but with every batch envelope contributing its sub-message count instead
-// of one. Without coalescing it equals Messages.
+// of one. Without batch envelopes it equals Messages.
 func (m *Metered) LogicalMessages() int64 { return m.logical.Value() }
 
 // Reset zeroes the counters.

@@ -2,12 +2,10 @@
 // transport endpoint. A hosted party's address is tenant-qualified —
 // "sharedAddr#tenantKey" — so senders need no new wire machinery: the
 // tenant-addressing endpoint wrapper splits the address, stamps the
-// envelope's Tenant key and sends to the shared address. Because the
-// split happens above the coalescing layer, concurrent envelopes from
-// and to different tenants of the same peer host merge into shared
-// b2b-batch wire envelopes; the receiving TenantMux regroups a mixed
-// batch per tenant and dispatches each group through that tenant's own
-// handler chain. Replay de-duplication and batch opening are part of
+// envelope's Tenant key and sends to the shared address. The receiving
+// TenantMux routes each envelope to its tenant's own handler chain, and
+// regroups a b2b-batch envelope from an older peer — which may mix
+// tenants — per tenant. Replay de-duplication and batch opening are part of
 // those per-tenant chains, so one tenant's traffic can never evict
 // another tenant's entries from its exactly-once window.
 package transport
@@ -48,9 +46,7 @@ func SplitTenantAddr(addr string) (wire, tenant string) {
 
 // WithTenantAddressing wraps an endpoint so it can send to
 // tenant-qualified destinations: "addr#tenant" stamps the envelope's
-// Tenant key and sends to addr. Wrap it OUTSIDE any Coalescer — the
-// coalescer then queues by wire address alone, so concurrent envelopes to
-// different tenants of the same peer host share batches.
+// Tenant key and sends to addr.
 func WithTenantAddressing(inner Endpoint) Endpoint {
 	return &tenantAddressing{inner: inner}
 }
@@ -109,10 +105,10 @@ type TenantResolver interface {
 
 // TenantMux is the shared endpoint's handler: it demultiplexes incoming
 // envelopes to per-tenant chains. Single envelopes route by their Tenant
-// key; batch envelopes — which may mix tenants, because senders coalesce
-// across tenants per peer host — are regrouped into one sub-batch per
-// tenant, dispatched concurrently through each tenant's own chain, and
-// their replies reassembled in the original order.
+// key; batch envelopes — which may mix tenants, because older senders
+// coalesced across tenants per peer host — are regrouped into one
+// sub-batch per tenant, dispatched concurrently through each tenant's
+// own chain, and their replies reassembled in the original order.
 type TenantMux struct {
 	resolve TenantResolver
 }

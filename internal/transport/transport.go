@@ -51,7 +51,7 @@ type Envelope struct {
 	// tenant-qualified destination addresses (see JoinTenantAddr).
 	Tenant string `json:"tenant,omitempty"`
 	Body   []byte `json:"body,omitempty"`
-	// Batch carries the sub-envelopes of a coalesced batch envelope
+	// Batch carries the sub-envelopes of a batch envelope
 	// (Kind KindBatch or KindBatchReply); Body is empty for those kinds.
 	// Keeping the batch structured — rather than serialised into Body —
 	// lets in-process transports pass it by reference; wire transports
@@ -59,7 +59,7 @@ type Envelope struct {
 	Batch []BatchItem `json:"batch,omitempty"`
 }
 
-// BatchItem is one sub-message of a coalesced batch envelope: an outbound
+// BatchItem is one sub-message of a batch envelope: an outbound
 // envelope plus whether its sender awaits a reply, or — in a batch reply —
 // the sub-handler's reply or error.
 type BatchItem struct {

@@ -1,6 +1,7 @@
 // Regression tests for domain lifecycle bugs: the AddOrg check-then-act
-// enrolment race, the dead ErrNotEnrolled sentinel, and TCP listeners
-// surviving Domain.Close.
+// enrolment race, the dead ErrNotEnrolled sentinel, TCP listeners
+// surviving Domain.Close, and a re-enrolled party's key replacing the one
+// its earlier evidence was signed with.
 package nonrep_test
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"nonrep"
+	"nonrep/internal/evidence"
 )
 
 // TestAddOrgConcurrentSamePartyRace is the regression test for the
@@ -247,5 +249,73 @@ func TestDomainCloseStopsTCPListeners(t *testing.T) {
 			_ = conn.Close()
 			t.Fatalf("listener at %s survived Domain.Close", addr)
 		}
+	}
+}
+
+// TestReenrolledWorkerKeepsEarlierEvidence enrols a worker party,
+// completes a call, lets the worker go and enrols the same party again
+// with fresh keys. The second incarnation signs under a key id of its own,
+// so the first incarnation's tokens still verify and its run still judges
+// complete — a re-enrolment that rebound the first key id would leave
+// that evidence unverifiable.
+func TestReenrolledWorkerKeepsEarlierEvidence(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	host, err := nonrep.NewHost(domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := domain.AddOrg("urn:org:reenrol-client", nonrep.WithVault(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const worker = nonrep.Party("urn:org:reenrol-worker")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	call := func() *nonrep.Result {
+		t.Helper()
+		org, err := domain.AddWorkerOrg(host, worker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := org.ServeExecutor(nonrep.ExecutorFunc(func(context.Context, *evidence.RequestSnapshot) ([]nonrep.Param, error) {
+			return nil, nil
+		}))
+		res, err := client.Invoke(ctx, worker, nonrep.Request{Service: "urn:org:reenrol-worker/svc", Operation: "Do"})
+		if err != nil || res.Status != nonrep.StatusOK {
+			t.Fatalf("call: %v (%+v)", err, res)
+		}
+		if err := srv.WaitReceipt(ctx, res.Run); err != nil {
+			t.Fatal(err)
+		}
+		if err := org.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first, second := call(), call()
+
+	verifier := &evidence.Verifier{Keys: domain.Credentials()}
+	signers := map[string]bool{}
+	for _, res := range []*nonrep.Result{first, second} {
+		for _, tok := range res.Evidence {
+			if err := verifier.Verify(tok); err != nil {
+				t.Fatalf("run %s: %s token under %s: %v", res.Run, tok.Kind, tok.Signature.KeyID, err)
+			}
+			if tok.Kind == evidence.KindNRR {
+				signers[tok.Signature.KeyID] = true
+			}
+		}
+	}
+	if len(signers) != 2 {
+		t.Fatalf("the two incarnations signed under key ids %v, want two", signers)
+	}
+	report, err := domain.Adjudicator().AuditRunStream(client.Vault().Query(nonrep.VaultQuery{Run: first.Run}), first.Run)
+	if err != nil || !report.Complete() || len(report.Faults) != 0 {
+		t.Fatalf("first incarnation's run judged %+v (%v)", report, err)
 	}
 }

@@ -1,8 +1,8 @@
 // End-to-end tests of the multi-tenant coordinator host: many hosted
 // organisations behind one shared endpoint, interoperating with
-// dedicated organisations, with per-tenant evidence isolation — under
-// coalesced cross-tenant batches too — and evidence byte-compatible with
-// dedicated organisations' under adjudication and deep vault audit.
+// dedicated organisations, with per-tenant evidence isolation — in the
+// log and on the wire — and evidence byte-compatible with dedicated
+// organisations' under adjudication and deep vault audit.
 package nonrep_test
 
 import (
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nonrep"
+	"nonrep/internal/evidence"
 	"nonrep/internal/invoke"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
@@ -125,14 +126,13 @@ func TestHostedDomainEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHostedTenantIsolation proves the tenancy boundary: with pipelining
-// coalescing concurrent envelopes across tenants into shared b2b-batch
-// wire envelopes, each hosted organisation's evidence log still records
-// exactly its own runs — never another tenant's — and every run's
-// evidence lands exactly once.
+// TestHostedTenantIsolation proves the tenancy boundary: with concurrent
+// envelopes for two tenants arriving on the host's one endpoint, each
+// hosted organisation's evidence log records exactly its own runs —
+// never another tenant's — and every run's evidence lands exactly once.
 func TestHostedTenantIsolation(t *testing.T) {
 	t.Parallel()
-	domain, err := nonrep.NewDomain(nonrep.WithPipelining())
+	domain, err := nonrep.NewDomain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,8 @@ func TestHostedTenantIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent invocations against both tenants: the client's coalescer
-	// queues by the host's wire address, so batches mix sub-envelopes for
-	// tenant A and tenant B.
+	// Concurrent invocations against both tenants, all to the host's one
+	// wire address.
 	const perTenant = 16
 	runsOf := map[nonrep.Party][]nonrep.Run{}
 	var mu sync.Mutex
@@ -230,9 +229,9 @@ func TestHostedTenantIsolation(t *testing.T) {
 		}
 	}
 
-	// Pipelining composed for hosted tenants, and each signature covers
-	// one protocol step: servers' receipts and response origins share one,
-	// so some evidence carries a one-element inclusion path and none more.
+	// Each signature covers one protocol step for hosted tenants too:
+	// servers' receipts and response origins share one, so some evidence
+	// carries a one-element inclusion path and none more.
 	batched := false
 	for _, rec := range testpki.Query(t, orgA.Log(), store.Query{}) {
 		if n := len(rec.Token.Signature.BatchPath); n > 1 {
@@ -242,7 +241,80 @@ func TestHostedTenantIsolation(t *testing.T) {
 		}
 	}
 	if !batched {
-		t.Fatal("no step-shared signatures on hosted tenant evidence — pipelining did not compose with hosting")
+		t.Fatal("no step-shared signatures on hosted tenant evidence")
+	}
+}
+
+// TestHostedTenantIsolationOnTheWire runs two tenant pairs across two
+// hosts over TCP — a1 and a2 behind one host calling b1 and b2 behind the
+// other — and blocks b1's component. Both calls share the one connection
+// between the hosts, yet a2's call to b2 completes while a1's is held:
+// each exchange is its own frame, so no tenant waits behind another's
+// slow call.
+func TestHostedTenantIsolationOnTheWire(t *testing.T) {
+	t.Parallel()
+	domain, err := nonrep.NewDomain(nonrep.WithTCP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domain.Close()
+	clients, err := nonrep.NewHost(domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers, err := nonrep.NewHost(domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orgs := map[string]*nonrep.Org{}
+	for name, host := range map[string]*nonrep.Host{"a1": clients, "a2": clients, "b1": servers, "b2": servers} {
+		if orgs[name], err = host.AddOrg(nonrep.Party("urn:org:wire-" + name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	orgs["b1"].ServeExecutor(nonrep.ExecutorFunc(func(ctx context.Context, _ *evidence.RequestSnapshot) ([]nonrep.Param, error) {
+		close(entered)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}))
+	orgs["b2"].ServeExecutor(echoExecutor())
+	call := func(ctx context.Context, from, to string) error {
+		res, err := orgs[from].Invoke(ctx, orgs[to].Party(), nonrep.Request{
+			Service: nonrep.Service(string(orgs[to].Party()) + "/svc"), Operation: "Do",
+		})
+		if err == nil && res.Status != nonrep.StatusOK {
+			err = fmt.Errorf("status %v", res.Status)
+		}
+		return err
+	}
+	// Warm the connection between the hosts so the timed call dials none.
+	if err := call(context.Background(), "a2", "b2"); err != nil {
+		t.Fatal(err)
+	}
+
+	blocked := make(chan error, 1)
+	go func() { blocked <- call(context.Background(), "a1", "b1") }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("b1's component never ran")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := call(ctx, "a2", "b2"); err != nil {
+		t.Fatalf("a2 -> b2 while b1 is blocked: %v after %v", err, time.Since(start))
+	}
+	t.Logf("a2 -> b2 took %v while b1's component was blocked", time.Since(start))
+	select {
+	case err := <-blocked:
+		t.Fatalf("a1 -> b1 returned while its component was blocked: %v", err)
+	default:
 	}
 }
 

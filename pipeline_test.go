@@ -1,7 +1,7 @@
-// End-to-end tests of the batched hot-path interaction pipeline:
-// envelope coalescing and the verification fast path beside evidence
-// signed one protocol step per signature, exercised through the public
-// API under concurrency, faults and audit.
+// End-to-end tests of the hot-path interaction pipeline — evidence signed
+// one protocol step per signature and the verification fast path, both
+// always on — exercised through the public API under concurrency, faults
+// and audit.
 package nonrep_test
 
 import (
@@ -24,14 +24,14 @@ import (
 	"nonrep/internal/transport"
 )
 
-// TestPipelineEndToEnd drives concurrent invocations through a pipelined
-// domain with vault-backed evidence logs, then checks the acceptance
-// properties of batching: every token individually verifiable, complete
+// TestPipelineEndToEnd drives concurrent invocations through a domain
+// with vault-backed evidence logs, then checks the acceptance properties
+// of step signing: every token individually verifiable, complete
 // per-run evidence in both vaults, and a clean deep audit (what
 // nrverify -deep runs against stored evidence).
 func TestPipelineEndToEnd(t *testing.T) {
 	t.Parallel()
-	domain, err := nonrep.NewDomain(nonrep.WithPipelining())
+	domain, err := nonrep.NewDomain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPipelineOverTCP checks that batch envelopes survive wire framing:
-// a pipelined domain on the TCP transport must complete concurrent
-// invocations with individually verifiable evidence.
+// TestPipelineOverTCP checks that concurrent exchanges share the
+// multiplexed connections: a domain on the TCP transport must complete
+// concurrent invocations with a run's full evidence each.
 func TestPipelineOverTCP(t *testing.T) {
 	t.Parallel()
-	domain, err := nonrep.NewDomain(nonrep.WithTCP(), nonrep.WithPipelining())
+	domain, err := nonrep.NewDomain(nonrep.WithTCP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +177,14 @@ func TestPipelineOverTCP(t *testing.T) {
 	}
 }
 
-// TestPipelineUnderFaults runs the coalescing pipeline over a lossy,
+// TestPipelineUnderFaults runs concurrent invocations over a lossy,
 // duplicating network: every invocation must still complete, and the
 // per-run evidence in the server's log must appear exactly once — a
-// dropped or duplicated batch retransmits and de-duplicates exactly like
-// single envelopes.
+// dropped or duplicated envelope retransmits and de-duplicates.
 func TestPipelineUnderFaults(t *testing.T) {
 	t.Parallel()
 	d := testpki.MustDomainWith([]id.Party{iClient, iServer},
-		testpki.WithFaults(transport.FaultPlan{Seed: 23, DropRate: 0.15, DupRate: 0.1, MaxDrops: 40}),
-		testpki.WithPipeline())
+		testpki.WithFaults(transport.FaultPlan{Seed: 23, DropRate: 0.15, DupRate: 0.1, MaxDrops: 40}))
 	defer d.Close()
 	srv := invoke.NewServer(d.Node(iServer).Coordinator(), echoExec())
 	defer srv.Close()
@@ -216,7 +214,7 @@ func TestPipelineUnderFaults(t *testing.T) {
 			t.Fatalf("run %d receipt: %v", i, err)
 		}
 		// Exactly one record per protocol step: no double-append of
-		// received evidence from replayed or duplicated batches.
+		// received evidence from replayed or duplicated envelopes.
 		recs := testpki.Query(t, log, store.Query{Run: results[i].Run})
 		if len(recs) != 4 {
 			t.Fatalf("run %d: server log has %d records, want exactly 4", i, len(recs))
@@ -233,36 +231,8 @@ func TestPipelineUnderFaults(t *testing.T) {
 	}
 }
 
-// TestPipelinedCallEvidenceBytes bounds what one call on a pipelined
-// domain costs the two vaults together: a 64-byte value echoed, the four
-// tokens of the run in each vault, plus the call's share of seals and
-// indexes. The server signs its receipt and its response origin under
-// one signature of their own, as on every domain, so both vaults hold
-// the two leaves of one two-token batch side by side; the second borrows
-// the first's signature, and the call costs no more than the same call
-// unpipelined (TestPipelinedEvidenceDoesNotGrowWithLoad holds the bound
-// under concurrent callers too). Stored twice, the shared signature cost
-// about 1 926 B here; indexes that pin one hash per window of four
-// records brought it to about 1 520 B (one pinned hash per record cost
-// about 1 710 B), since segment format 7 the run's second commit in
-// each vault leans on the first's leader: about 1 380 B, since index
-// format 4 stores one offset per window of four, about 1 350 B, since
-// segment format 8, whose opening frames take their parties from the
-// vault's earlier runs, about 1 260 B, and since segment format 9, whose
-// tokens take their signer and parties from the frame they lean on and
-// write a generated nonce and an Ed25519 signature without a header,
-// about 1 186 B, and since segment format 10, whose client receipts
-// rebuild their digests from the run's response origin in both vaults,
-// about 1 130 B.
-func TestPipelinedCallEvidenceBytes(t *testing.T) {
-	t.Parallel()
-	if perCall, _, _ := callEvidenceBytes(t, 1, 20, nonrep.WithPipelining()); perCall > 1150 {
-		t.Fatalf("one pipelined call costs the two vaults %.1f B, want at most 1 150", perCall)
-	}
-}
-
 // TestPipelinedEvidenceDoesNotGrowWithLoad makes the calls of
-// TestPipelinedCallEvidenceBytes from 32 concurrent callers: one call
+// TestDirectCallEvidenceBytes from 32 concurrent callers: one call
 // still costs the two vaults no more than a sequential one, because every
 // signature covers one protocol step — the client's request origin, the
 // server's receipt and response origin, the client's response receipt —
@@ -273,7 +243,7 @@ func TestPipelinedCallEvidenceBytes(t *testing.T) {
 // here, each token storing a path that grew with the signer's load.
 func TestPipelinedEvidenceDoesNotGrowWithLoad(t *testing.T) {
 	t.Parallel()
-	perCall, domain, orgs := callEvidenceBytes(t, 32, 50, nonrep.WithPipelining(), nonrep.WithTelemetry())
+	perCall, domain, orgs := callEvidenceBytes(t, 32, 50, nonrep.WithTelemetry())
 	if perCall > 1150 {
 		t.Fatalf("one call of 32 concurrent callers costs the two vaults %.1f B, want at most 1 150", perCall)
 	}
@@ -299,9 +269,10 @@ func TestPipelinedEvidenceDoesNotGrowWithLoad(t *testing.T) {
 	}
 }
 
-// TestDirectCallEvidenceBytes bounds what one unpipelined call costs the
-// two vaults together, as TestPipelinedCallEvidenceBytes does: the run's
-// records in two commits in each vault — the client's {NRO} then {NRR,
+// TestDirectCallEvidenceBytes bounds what one call costs the two vaults
+// together: a 64-byte value echoed, the four tokens of the run in each
+// vault, plus the call's share of seals and indexes. The run's records
+// lie in two commits in each vault — the client's {NRO} then {NRR,
 // NROResp, NRRResp}, the server's {NRO, NRR, NROResp} then {NRRResp}.
 // Every commit led with a plain frame before segment format 7, about
 // 1 585 B here; since, the second commit leans on the run's leader in the
@@ -311,16 +282,17 @@ func TestPipelinedEvidenceDoesNotGrowWithLoad(t *testing.T) {
 // every domain, the response origin borrows the receipt's signature in
 // both vaults: about 1 190 B. Since segment format 10 the client's
 // receipt rebuilds its digest from the response origin in both vaults:
-// about 1 133 B.
+// about 1 133 B. TestPipelinedEvidenceDoesNotGrowWithLoad holds the same
+// bound under concurrent callers.
 func TestDirectCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
-	if perCall, _, _ := callEvidenceBytes(t, 1, 20); perCall > 1155 {
-		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 155", perCall)
+	if perCall, _, _ := callEvidenceBytes(t, 1, 20); perCall > 1150 {
+		t.Fatalf("one direct call costs the two vaults %.1f B, want at most 1 150", perCall)
 	}
 }
 
-// TestDirectStepSharesOneSignature checks that on a default domain, with
-// no pipelining, the server signs its receipt and its response origin
+// TestDirectStepSharesOneSignature checks that on a default domain the
+// server signs its receipt and its response origin
 // under one signature, that both vaults store that pair side by side —
 // the server's {NRO, NRR, NROResp}, the client's {NRR, NROResp, NRRResp} —
 // so that the response origin borrows the receipt's signature in each,

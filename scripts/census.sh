@@ -41,10 +41,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OPTION_CEILING=48
-FIELD_CEILING=11
+OPTION_CEILING=45
+FIELD_CEILING=10
 READ_CEILING=0
-TESTONLY_CEILING=49
+TESTONLY_CEILING=47
 PROTOCOL_CEILING=1
 
 # Package directory and type name of each counted config struct.

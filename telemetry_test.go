@@ -292,13 +292,12 @@ type counterComponent struct{}
 func (counterComponent) Bump(_ context.Context, n int) (int, error) { return n + 1, nil }
 
 // TestHostedTelemetryPerTenantAttribution runs three hosted tenants over
-// a pipelined (b2b-batch coalescing) shared endpoint and asserts the
-// telemetry plane attributes envelope, token and vault instruments to the
+// one shared endpoint and asserts the telemetry plane attributes envelope, token and vault instruments to the
 // correct tenant. Run under -race in CI, it also exercises concurrent
 // instrument updates across tenants.
 func TestHostedTelemetryPerTenantAttribution(t *testing.T) {
 	t.Parallel()
-	domain, err := nonrep.NewDomain(nonrep.WithTelemetry(), nonrep.WithPipelining())
+	domain, err := nonrep.NewDomain(nonrep.WithTelemetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +336,8 @@ func TestHostedTelemetryPerTenantAttribution(t *testing.T) {
 	srv := server.Serve()
 	defer srv.Close()
 
-	// Concurrent runs from both client tenants, so the shared coalescer
-	// forms b2b-batch envelopes and all tenants update instruments at
-	// once.
+	// Concurrent runs from both client tenants, so all tenants update
+	// instruments at once.
 	const runsPerClient = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*runsPerClient)
