@@ -231,6 +231,21 @@ func TestPipelineUnderFaults(t *testing.T) {
 	}
 }
 
+// TestPipelinedCallEvidenceBytes bounds what one call costs the two
+// vaults together when its exchanges ride the persistent multiplexed TCP
+// connection that concurrent runs share with each other: a 64-byte value
+// echoed, the four tokens of the run in each vault, plus the call's share
+// of seals and indexes. The transport carries the messages and stores
+// nothing, so the call costs no more than TestDirectCallEvidenceBytes'
+// on the in-memory network; TestPipelinedEvidenceDoesNotGrowWithLoad
+// holds the same bound under concurrent callers.
+func TestPipelinedCallEvidenceBytes(t *testing.T) {
+	t.Parallel()
+	if perCall, _, _ := callEvidenceBytes(t, 1, 20, nonrep.WithTCP()); perCall > 1150 {
+		t.Fatalf("one call over the multiplexed connection costs the two vaults %.1f B, want at most 1 150", perCall)
+	}
+}
+
 // TestPipelinedEvidenceDoesNotGrowWithLoad makes the calls of
 // TestDirectCallEvidenceBytes from 32 concurrent callers: one call
 // still costs the two vaults no more than a sequential one, because every
