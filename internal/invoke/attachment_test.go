@@ -116,8 +116,6 @@ type legacyChunkServer struct{ chunks [][]byte }
 
 func (s *legacyChunkServer) Protocol() string { return "test/legacy-stream" }
 
-func (s *legacyChunkServer) Process(context.Context, *protocol.Message) error { return nil }
-
 func (s *legacyChunkServer) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	var fb chunkFetchBody
 	if err := msg.Body(&fb); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"slices"
 
 	"nonrep/internal/canon"
@@ -31,6 +32,8 @@ type Client struct {
 	// crashHook is the resumable exchange's fault-injection point
 	// (SetCrashHook); nil in honest deployments.
 	crashHook func(point string) error
+	// receiptLog spaces the log lines about receipts not delivered.
+	receiptLog spacedLog
 }
 
 // ClientOption configures a Client.
@@ -278,11 +281,14 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		return nil, err
 	}
 	if receipt != nil {
-		// The response is verified and its evidence durable; a lost receipt
-		// is the server's recovery problem (fair protocol: TTP resolve). A
-		// journaled receipt is not sent again: whether its first send
-		// arrived is unknowable here.
-		_ = c.co.Deliver(ctx, dest, receipt)
+		// The response is verified and its evidence durable; a receipt the
+		// server did not take is its recovery problem (fair protocol: TTP
+		// resolve), and the result is returned all the same. A journaled
+		// receipt is not sent again: whether its first send arrived is
+		// unknowable here.
+		if err := c.co.Deliver(ctx, dest, receipt); err != nil {
+			c.receiptFailed(run, dest, err)
+		}
 	}
 	if c.consumption == evidence.NotConsumed {
 		// The interceptor received and evidenced the response but must not
@@ -290,6 +296,18 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		result.Result, result.streams = nil, nil
 	}
 	return result, nil
+}
+
+// receiptFailed counts a receipt the server did not take and — not more
+// often than every logEvery on the coordinator's clock — logs it with
+// its run.
+func (c *Client) receiptFailed(run id.Run, dest id.Party, err error) {
+	svc := c.co.Services()
+	svc.Obs.Counter(obs.MInvokeReceiptsUndeliveredTotal).Inc()
+	if unreported, ok := c.receiptLog.due(svc.Clock.Now()); ok {
+		log.Printf("invoke: %s: receipt of run %s not delivered to %s (%d undelivered since the last report): %v",
+			svc.Party, run, dest, unreported, err)
+	}
 }
 
 // newReceipt issues the NRR(resp) of the run a anchors and builds the

@@ -1,16 +1,21 @@
 package invoke_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/invoke"
+	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
@@ -80,6 +85,56 @@ func TestNotConsumedWithheldWhenReceiptSendFails(t *testing.T) {
 	}
 }
 
+// errReceiptRefused is receiptRefuser's answer to every receipt.
+var errReceiptRefused = errors.New("receipt refused")
+
+// receiptRefuser serves the direct protocol through the server it wraps
+// and refuses every receipt.
+type receiptRefuser struct{ *invoke.Server }
+
+func (r receiptRefuser) ProcessRequest(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
+	if msg.Kind == "receipt" {
+		return nil, errReceiptRefused
+	}
+	return r.Server.ProcessRequest(ctx, msg)
+}
+
+// TestRefusedReceiptCountedAndLogged: a receipt the server refuses is not
+// dropped silently. The call still returns its result (R2); the refusal
+// is counted (nonrep_invoke_receipts_undelivered_total on /metricsz) and
+// logged with the run, one line per logEvery on the coordinator's clock.
+// The test is serial, so no other test logs while the output is held.
+func TestRefusedReceiptCountedAndLogged(t *testing.T) {
+	d := testpki.MustDomainWith([]id.Party{client, server}, testpki.WithTelemetry())
+	defer d.Close()
+	exec, _ := echoExec()
+	srv := invoke.NewServer(d.Node(server).Coordinator(), exec)
+	defer srv.Close()
+	d.Node(server).Coordinator().Register(receiptRefuser{srv})
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	cli := invoke.NewClient(d.Node(client).Coordinator())
+	var first *invoke.Result
+	for i := int64(1); i <= 2; i++ {
+		res, err := cli.Invoke(context.Background(), server, orderRequest())
+		if err != nil || res.Status != evidence.StatusOK || res.Result == nil {
+			t.Fatalf("call %d: %v (%+v); want its result whatever became of the receipt", i, err, res)
+		}
+		if got := d.Telemetry.Registry().Snapshot().CounterTotal(obs.MInvokeReceiptsUndeliveredTotal); got != i {
+			t.Fatalf("after call %d %s = %d, want %d", i, obs.MInvokeReceiptsUndeliveredTotal, got, i)
+		}
+		if first == nil {
+			first = res
+		}
+	}
+	// The clock has not moved: the second refusal is counted, not logged.
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], string(first.Run)) || !strings.Contains(lines[0], errReceiptRefused.Error()) {
+		t.Fatalf("log = %q, want one line naming run %s and the refusal", lines, first.Run)
+	}
+}
+
 // volunteeringServer answers ProtocolVoluntary requests with a correctly
 // signed response and a voluntary NRR — over another request when
 // otherNRR is set — plus an NRO(resp) over a response it never sent: an
@@ -90,8 +145,6 @@ type volunteeringServer struct {
 }
 
 func (s *volunteeringServer) Protocol() string { return invoke.ProtocolVoluntary }
-
-func (s *volunteeringServer) Process(context.Context, *protocol.Message) error { return nil }
 
 func (s *volunteeringServer) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	var req struct {
@@ -238,7 +291,7 @@ func TestVoluntaryServerRefusesReceipt(t *testing.T) {
 		t.Fatal(err)
 	}
 	logged := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run}))
-	if err := srv.Process(ctx, msg); err == nil {
+	if _, err := srv.ProcessRequest(ctx, msg); err == nil {
 		t.Fatal("a voluntary server accepted a step-3 receipt")
 	}
 	if got := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: res.Run})); got != logged {

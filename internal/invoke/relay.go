@@ -72,9 +72,14 @@ func NewRelay(co *protocol.Coordinator, route RelayRoute) *Relay {
 func (r *Relay) Protocol() string { return ProtocolInline }
 
 // ProcessRequest implements protocol.Handler: it polices and forwards the
-// request, then polices and returns the response.
+// request, then polices and returns the response; a receipt it polices,
+// forwards and answers with the next hop's outcome.
 func (r *Relay) ProcessRequest(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
-	if msg.Kind != kindRequest {
+	switch msg.Kind {
+	case kindReceipt:
+		return nil, r.relayReceipt(ctx, msg)
+	case kindRequest:
+	default:
 		return nil, fmt.Errorf("invoke: relay: unexpected request kind %q", msg.Kind)
 	}
 	svc := r.co.Services()
@@ -133,12 +138,10 @@ func (r *Relay) track(run id.Run, rr *relayRun) {
 	r.runs.Put(run, rr)
 }
 
-// Process implements protocol.Handler: it polices and forwards the
-// client's response receipt, and forgets the run once it is forwarded.
-func (r *Relay) Process(ctx context.Context, msg *protocol.Message) error {
-	if msg.Kind != kindReceipt {
-		return fmt.Errorf("invoke: relay: unexpected one-way kind %q", msg.Kind)
-	}
+// relayReceipt polices and forwards the client's response receipt, and
+// forgets the run once the next hop took it: the previous hop learns the
+// next hop's outcome, so a relayed receipt is acknowledged end to end.
+func (r *Relay) relayReceipt(ctx context.Context, msg *protocol.Message) error {
 	svc := r.co.Services()
 	r.mu.Lock()
 	run, ok := r.runs.Get(msg.Run)

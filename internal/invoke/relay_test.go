@@ -48,8 +48,8 @@ func TestRelayRejectsForgedRequest(t *testing.T) {
 	}
 }
 
-// TestRelayRejectsReceiptForUnknownRun: stray receipts are dropped, not
-// forwarded blind.
+// TestRelayRejectsReceiptForUnknownRun: stray receipts are refused, not
+// forwarded blind, and the sender learns of the refusal.
 func TestRelayRejectsReceiptForUnknownRun(t *testing.T) {
 	t.Parallel()
 	d := testpki.MustDomain(client, server, ttp)
@@ -65,10 +65,8 @@ func TestRelayRejectsReceiptForUnknownRun(t *testing.T) {
 	if err := msg.SetBody(struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	// One-way delivery: the relay's Process must reject internally; we
-	// verify by confirming nothing was logged for the run.
-	if err := d.Node(client).Coordinator().Deliver(context.Background(), ttp, msg); err != nil {
-		t.Fatal(err)
+	if err := d.Node(client).Coordinator().Deliver(context.Background(), ttp, msg); !errors.Is(err, invoke.ErrNoSuchRun) {
+		t.Fatalf("stray receipt delivered: err = %v, want ErrNoSuchRun", err)
 	}
 	if got := len(testpki.Query(t, d.Node(ttp).Log(), store.Query{Run: msg.Run})); got != 0 {
 		t.Fatalf("relay logged %d records for unknown run", got)
@@ -100,8 +98,6 @@ func TestRelayWrongKindRejected(t *testing.T) {
 type lyingServer struct{ svc *protocol.Services }
 
 func (s *lyingServer) Protocol() string { return invoke.ProtocolDirect }
-
-func (s *lyingServer) Process(context.Context, *protocol.Message) error { return nil }
 
 func (s *lyingServer) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	var req struct {
@@ -203,7 +199,8 @@ func TestResolveServiceRejectsIncompleteEvidence(t *testing.T) {
 	}
 }
 
-// TestServerReceiptForUnknownRun: receipts for unknown runs are rejected.
+// TestServerReceiptForUnknownRun: receipts for unknown runs are rejected,
+// and the sender learns of the refusal.
 func TestServerReceiptForUnknownRun(t *testing.T) {
 	t.Parallel()
 	d := testpki.MustDomain(client, server)
@@ -220,8 +217,8 @@ func TestServerReceiptForUnknownRun(t *testing.T) {
 	if err := msg.SetBody(struct{}{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Node(client).Coordinator().Deliver(context.Background(), server, msg); err != nil {
-		t.Fatal(err)
+	if err := d.Node(client).Coordinator().Deliver(context.Background(), server, msg); !errors.Is(err, invoke.ErrNoSuchRun) {
+		t.Fatalf("stray receipt delivered: err = %v, want ErrNoSuchRun", err)
 	}
 	// The server logged nothing for the stray run.
 	if got := len(testpki.Query(t, d.Node(server).Log(), store.Query{Run: msg.Run})); got != 0 {
@@ -264,7 +261,8 @@ func TestServerReceiptBoundLikeAdjudicator(t *testing.T) {
 		if err := msg.SetBody(map[string]evidence.ReceiptNote{"note": note}); err != nil {
 			t.Fatal(err)
 		}
-		return srv.Process(ctx, msg)
+		_, err = srv.ProcessRequest(ctx, msg)
+		return err
 	}
 	for name, note := range map[string]evidence.ReceiptNote{
 		"another client":      {Run: res.Run, Client: server, ResponseDigest: resp, Consumption: evidence.Consumed},

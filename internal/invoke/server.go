@@ -85,9 +85,10 @@ const (
 	// (obs.MInvokeOpenRunsEvictedTotal) and logged with the run, so the
 	// refusal can be explained.
 	maxOpenRuns = 4096
-	// evictLogEvery spaces the log lines about evicted runs: a client
-	// withholding every receipt evicts one run per call.
-	evictLogEvery = 10 * time.Second
+	// logEvery spaces the log lines about evicted runs and undelivered
+	// receipts: a client withholding every receipt evicts one run per
+	// call, and a server refusing receipts refuses one per call.
+	logEvery = 10 * time.Second
 	// maxSettledRuns bounds the settled runs whose cached response and
 	// receipt state are kept for retransmitted requests and receipts.
 	maxSettledRuns = 256
@@ -214,13 +215,16 @@ func (s *Server) Protocol() string { return s.d.name }
 
 // ProcessRequest implements protocol.Handler: it executes steps 1 and 2 of
 // the exchange, absorbs streamed-parameter chunks delivered ahead of a
-// request, and serves streamed-result chunk fetches after a response.
+// request, serves streamed-result chunk fetches after a response, and
+// takes step 3, the client's response receipt, answering it with nil.
 func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	switch msg.Kind {
 	case kindChunk:
 		return s.processChunk(msg)
 	case kindChunkFetch:
 		return s.processChunkFetch(msg)
+	case kindReceipt:
+		return nil, s.processReceipt(ctx, msg)
 	case kindRequest:
 	default:
 		return nil, fmt.Errorf("invoke: unexpected request kind %q", msg.Kind)
@@ -275,21 +279,16 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 // receipt is still outstanding, within maxOpenRuns. A run it evicts is
 // forgotten; its evidence stays in the party's log, and what goes is the
 // means to accept its receipt, so the eviction is counted on evicted() and
-// — not more often than every evictLogEvery on the coordinator's clock —
+// — not more often than every logEvery on the coordinator's clock —
 // logged with the run's id: the later ErrNoSuchRun for that receipt then
 // has an explanation on record.
 func newOpenRuns[V any](svc *protocol.Services, evicted func() *obs.Counter) *bounded.Table[id.Run, V] {
-	// unreported counts the runs evicted since the last log line, written
-	// at reported; both are guarded by the table owner's lock.
-	var unreported int
-	var reported time.Time
+	var lines spacedLog
 	return bounded.New(maxOpenRuns, 0, func(run id.Run, _ V) {
 		evicted().Inc()
-		unreported++
-		if now := svc.Clock.Now(); now.Sub(reported) >= evictLogEvery {
+		if unreported, ok := lines.due(svc.Clock.Now()); ok {
 			log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
 				svc.Party, run, maxOpenRuns, unreported, ErrNoSuchRun)
-			reported, unreported = now, 0
 		}
 	})
 }
@@ -630,12 +629,8 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 // interceptor evidences this instead of a result.
 var ErrNotExecuted = errors.New("invoke: request received but not executed")
 
-// Process implements protocol.Handler: it handles step 3, the client's
-// response receipt.
-func (s *Server) Process(ctx context.Context, msg *protocol.Message) error {
-	if msg.Kind != kindReceipt {
-		return fmt.Errorf("invoke: unexpected one-way kind %q", msg.Kind)
-	}
+// processReceipt handles step 3, the client's response receipt.
+func (s *Server) processReceipt(ctx context.Context, msg *protocol.Message) error {
 	if s.d.receiptless {
 		// Nothing is logged for a step the protocol does not have.
 		return fmt.Errorf("invoke: %s has no receipt step", s.d.name)

@@ -125,7 +125,7 @@ func TestServerSettledRunsBounded(t *testing.T) {
 	if err := receipt.SetBody(receiptBody{Note: evidence.ReceiptNote{Run: last.Run, Client: clientParty, ResponseDigest: kept.anchors.NROResp.Digest}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Process(ctx, receipt); err != nil {
+	if _, err := srv.ProcessRequest(ctx, receipt); err != nil {
 		t.Fatalf("retransmitted receipt: %v", err)
 	}
 	lastSeq := len(lastStreamed.Stream("dump").Ref().Chunks) - 1
@@ -204,7 +204,7 @@ func nodesOver(t *testing.T, logFor func(*testpki.Realm, id.Party) store.Log, pa
 // arriving for an evicted run is refused with ErrNoSuchRun, and one for a
 // run still held is accepted. The evictions are not silent: every one is
 // counted, and the log names an evicted run — the first, then at most one
-// per evictLogEvery — so the later refusal has an explanation.
+// per logEvery — so the later refusal has an explanation.
 func TestServerOpenRunsBounded(t *testing.T) {
 	const (
 		clientParty = id.Party("urn:org:dealer")
@@ -274,12 +274,12 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		t.Fatalf("%s = %d, want %d", obs.MInvokeOpenRunsEvictedTotal, got, calls-maxOpenRuns)
 	}
 	// The first eviction is reported at once, with the run; the thousands
-	// behind it inside the same evictLogEvery are not a line each.
+	// behind it inside the same logEvery are not a line each.
 	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
 	if !strings.Contains(lines[0], string(first.Run)) || !strings.Contains(lines[0], string(serverParty)) {
 		t.Fatalf("first log line does not name the first evicted run %s: %q", first.Run, lines[0])
 	}
-	if max := 1 + int(time.Since(started)/evictLogEvery) + 1; len(lines) > max {
+	if max := 1 + int(time.Since(started)/logEvery) + 1; len(lines) > max {
 		t.Fatalf("%d evictions logged %d lines, want at most %d", calls-maxOpenRuns, len(lines), max)
 	}
 	receiptFor := func(res *Result) *protocol.Message {
@@ -289,10 +289,10 @@ func TestServerOpenRunsBounded(t *testing.T) {
 		}
 		return msg
 	}
-	if err := srv.Process(ctx, receiptFor(first)); !errors.Is(err, ErrNoSuchRun) {
+	if _, err := srv.ProcessRequest(ctx, receiptFor(first)); !errors.Is(err, ErrNoSuchRun) {
 		t.Fatalf("late receipt for an evicted run: %v, want ErrNoSuchRun", err)
 	}
-	if err := srv.Process(ctx, receiptFor(last)); err != nil {
+	if _, err := srv.ProcessRequest(ctx, receiptFor(last)); err != nil {
 		t.Fatalf("receipt for a run still held: %v", err)
 	}
 	srv.mu.Lock()
@@ -304,9 +304,9 @@ func TestServerOpenRunsBounded(t *testing.T) {
 }
 
 // TestOpenRunEvictionLogOnCoordinatorClock: the log lines about evicted
-// open runs are spaced by evictLogEvery on the coordinator's clock, not
+// open runs are spaced by logEvery on the coordinator's clock, not
 // the wall clock. Two evictions inside one interval log one line; once the
-// clock has moved on by evictLogEvery the next eviction logs again,
+// clock has moved on by logEvery the next eviction logs again,
 // counting the one left unreported.
 func TestOpenRunEvictionLogOnCoordinatorClock(t *testing.T) {
 	const relayParty = id.Party("urn:ttp:inline")
@@ -325,11 +325,11 @@ func TestOpenRunEvictionLogOnCoordinatorClock(t *testing.T) {
 	if got := lines(); len(got) != 1 {
 		t.Fatalf("two evictions inside one interval logged %d lines: %q", len(got), got)
 	}
-	d.Realm.Clock.Advance(evictLogEvery)
+	d.Realm.Clock.Advance(logEvery)
 	relay.track(id.NewRun(), &relayRun{})
 	got := lines()
 	if len(got) != 2 {
-		t.Fatalf("an eviction after the clock moved on by %v logged %d lines in all, want 2: %q", evictLogEvery, len(got), got)
+		t.Fatalf("an eviction after the clock moved on by %v logged %d lines in all, want 2: %q", logEvery, len(got), got)
 	}
 	if !strings.Contains(got[1], "(2 dropped since the last report)") {
 		t.Fatalf("second line does not count the unreported eviction: %q", got[1])

@@ -57,6 +57,10 @@ const (
 	// with their receipt still outstanding (its bound on such runs was
 	// reached); a receipt arriving later for one is refused.
 	MInvokeOpenRunsEvictedTotal = "nonrep_invoke_open_runs_evicted_total"
+	// MInvokeReceiptsUndeliveredTotal counts response receipts a client
+	// issued that the server (or a relay on the way) did not take: the
+	// delivery failed or was refused. The call still returned its result.
+	MInvokeReceiptsUndeliveredTotal = "nonrep_invoke_receipts_undelivered_total"
 
 	// Outbound worker links and the host-side worker gateway.
 	MWorkerReconnectsTotal   = "nonrep_worker_reconnects_total"

@@ -199,6 +199,9 @@ func (c *Coordinator) envCounter(kind string) *obs.Counter {
 // handle is the transport-facing entry point.
 func (c *Coordinator) handle(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
 	c.envCounter(env.Kind).Inc()
+	if env.Kind != envDeliver && env.Kind != envDeliverRequest {
+		return nil, fmt.Errorf("protocol: unknown envelope kind %q", env.Kind)
+	}
 	var msg Message
 	if err := unmarshalMessage(env.Body, &msg); err != nil {
 		return nil, err
@@ -217,26 +220,19 @@ func (c *Coordinator) handle(ctx context.Context, env *transport.Envelope) (*tra
 		span.SetAttr("step", strconv.Itoa(msg.Step))
 		defer span.End()
 	}
-	switch env.Kind {
-	case envDeliver:
-		if err := h.Process(ctx, &msg); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case envDeliverRequest:
-		reply, err := h.ProcessRequest(ctx, &msg)
-		if err != nil {
-			return nil, err
-		}
-		body, err := marshalMessage(reply)
-		if err != nil {
-			return nil, err
-		}
-		out := transport.NewEnvelope(envReply, body)
-		return out, nil
-	default:
-		return nil, fmt.Errorf("protocol: unknown envelope kind %q", env.Kind)
+	reply, err := h.ProcessRequest(ctx, &msg)
+	if err != nil || env.Kind == envDeliver {
+		// A one-way delivery's sender learns only the outcome.
+		return nil, err
 	}
+	if reply == nil {
+		return nil, fmt.Errorf("protocol: %s message %q has no reply; deliver it one-way", msg.Protocol, msg.Kind)
+	}
+	body, err := marshalMessage(reply)
+	if err != nil {
+		return nil, err
+	}
+	return transport.NewEnvelope(envReply, body), nil
 }
 
 // stampOutgoing fills sender fields and, when the context carries an
@@ -265,9 +261,11 @@ func (c *Coordinator) transportSpan(ctx context.Context, name string, msg *Messa
 }
 
 // Deliver sends a one-way protocol message to a party (the deliver
-// operation of the B2BCoordinatorRemote interface). Handlers replying to
-// an incoming message may instead use DeliverAddr with the message's
-// ReplyAddr, avoiding a directory lookup.
+// operation of the B2BCoordinatorRemote interface) and returns once the
+// party's handler has processed it, with the handler's error: on every
+// network a delivery is acknowledged, and retransmitted until it is.
+// Handlers replying to an incoming message may instead use DeliverAddr
+// with the message's ReplyAddr, avoiding a directory lookup.
 func (c *Coordinator) Deliver(ctx context.Context, to id.Party, msg *Message) error {
 	addr, err := c.svc.Directory.Resolve(to)
 	if err != nil {

@@ -317,10 +317,9 @@ func TestGeoTargetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGeoServiceRejects pins the service's refusal surface: geo kinds
-// are request/response only, a host without replica storage accepts
-// nothing, unknown kinds bounce, and a client never sends an empty
-// push. The same refusals hold for every request-only handler, all of
+// TestGeoServiceRejects pins the service's refusal surface: a host
+// without replica storage accepts nothing, unknown kinds bounce, and a
+// client never sends an empty push. The same refusals hold for every request-only handler, all of
 // which dispatch through one RequestMux.
 func TestGeoServiceRejects(t *testing.T) {
 	t.Parallel()
@@ -333,10 +332,6 @@ func TestGeoServiceRejects(t *testing.T) {
 	if _, err := svc.ProcessRequest(ctx, &protocol.Message{Kind: "geo-bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown geo message kind") {
 		t.Fatalf("unknown kind: err = %v", err)
-	}
-	if err := svc.Process(ctx, &protocol.Message{Kind: protocol.KindGeoAppend}); err == nil ||
-		!strings.Contains(err.Error(), "request/response") {
-		t.Fatalf("one-way Process: err = %v", err)
 	}
 	// Re-registering with no replica store turns the host into a refusal
 	// wall (the ttpd default for organisations that host no peers).
@@ -379,9 +374,6 @@ func TestGeoServiceRejects(t *testing.T) {
 		{"sharing", sharing.NewController(f.coC), ""},
 	} {
 		msg := &protocol.Message{Protocol: tc.h.Protocol(), Run: id.NewRun(), Step: 1, Kind: tc.label + "-bogus", Payload: []byte("{}")}
-		if err := tc.h.Process(ctx, msg); err == nil || !strings.Contains(err.Error(), "request/response") {
-			t.Errorf("%s: one-way Process: err = %v", tc.label, err)
-		}
 		if _, err := tc.h.ProcessRequest(ctx, msg); err == nil || !strings.Contains(err.Error(), "unknown "+tc.label+" message kind") {
 			t.Errorf("%s: unknown kind: err = %v", tc.label, err)
 		}

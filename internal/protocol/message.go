@@ -102,13 +102,13 @@ func (m *Message) Token(kind evidence.Kind) *evidence.Token {
 	return nil
 }
 
-// Handler is the B2BProtocolHandler of section 4.1. Process handles
-// one-way deliveries; ProcessRequest handles request/response exchanges.
+// Handler is the B2BProtocolHandler of section 4.1. ProcessRequest
+// handles every protocol message: a request's reply goes back to its
+// sender, and a one-way delivery's handler answers nil — its sender
+// learns only the error.
 type Handler interface {
 	// Protocol names the protocol this handler executes.
 	Protocol() string
-	// Process handles a one-way protocol message.
-	Process(ctx context.Context, msg *Message) error
 	// ProcessRequest handles a protocol message and returns the reply.
 	ProcessRequest(ctx context.Context, msg *Message) (*Message, error)
 }

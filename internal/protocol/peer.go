@@ -23,10 +23,10 @@ import (
 // RequestFunc answers one request kind of a protocol.
 type RequestFunc func(ctx context.Context, msg *Message) (*Message, error)
 
-// RequestMux is a Handler for a protocol spoken only as request/response:
-// it dispatches each request to the function its kind names, refuses
-// kinds it has no function for, and refuses one-way deliveries. Services
-// embed it and fill the table in their constructor.
+// RequestMux is a Handler for a protocol spoken as request/response: it
+// dispatches each request to the function its kind names and refuses
+// kinds it has no function for. Services embed it and fill the table in
+// their constructor.
 type RequestMux struct {
 	protocol string
 	label    string
@@ -41,11 +41,6 @@ func NewRequestMux(protocol, label string, kinds map[string]RequestFunc) Request
 
 // Protocol implements Handler.
 func (m *RequestMux) Protocol() string { return m.protocol }
-
-// Process implements Handler: every exchange of the protocol is a request.
-func (m *RequestMux) Process(_ context.Context, msg *Message) error {
-	return fmt.Errorf("protocol: %s message %q requires a request/response delivery", m.label, msg.Kind)
-}
 
 // ProcessRequest implements Handler.
 func (m *RequestMux) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {

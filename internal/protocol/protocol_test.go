@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
 	"nonrep/internal/protocol"
@@ -22,21 +23,25 @@ const (
 	bob   = id.Party("urn:org:bob")
 )
 
-// pingHandler acknowledges one-way pings and answers request pings.
+// errPingRefused is pingHandler's answer to a "refuse" message.
+var errPingRefused = errors.New("ping refused")
+
+// pingHandler answers pings, acknowledges notes with nil and refuses
+// "refuse" messages.
 type pingHandler struct {
-	processed atomic.Int64
-	requests  atomic.Int64
+	requests atomic.Int64
 }
 
 func (h *pingHandler) Protocol() string { return "ping" }
 
-func (h *pingHandler) Process(_ context.Context, msg *protocol.Message) error {
-	h.processed.Add(1)
-	return nil
-}
-
 func (h *pingHandler) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	h.requests.Add(1)
+	switch msg.Kind {
+	case "note":
+		return nil, nil
+	case "refuse":
+		return nil, errPingRefused
+	}
 	reply := &protocol.Message{Protocol: "ping", Run: msg.Run, Step: msg.Step + 1, Kind: "pong"}
 	if err := reply.SetBody(map[string]string{"echo": string(msg.Payload)}); err != nil {
 		return nil, err
@@ -105,22 +110,54 @@ func TestDeliverRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeliverOneWay: a one-way delivery returns once the far handler has
+// processed it, on the in-process network as over TCP.
 func TestDeliverOneWay(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t)
-	msg := &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "ping"}
+	msg := &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "note"}
 	if err := f.coA.Deliver(context.Background(), bob, msg); err != nil {
 		t.Fatal(err)
 	}
-	// Delivery is asynchronous; poll briefly.
-	for i := 0; i < 100 && f.hB.processed.Load() == 0; i++ {
-		f.realm.Clock.Now() // no-op; just avoid a tight spin
+	if got := f.hB.requests.Load(); got != 1 {
+		t.Fatalf("handler processed %d messages when Deliver returned, want 1", got)
 	}
-	if err := f.net.Close(); err != nil {
+}
+
+// TestDeliverReturnsHandlerError: the error of the handler a delivery
+// reached comes back to its sender.
+func TestDeliverReturnsHandlerError(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t)
+	msg := &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "refuse"}
+	if err := f.coA.Deliver(context.Background(), bob, msg); !errors.Is(err, errPingRefused) {
+		t.Fatalf("Deliver = %v, want the handler's %v", err, errPingRefused)
+	}
+}
+
+// TestLegacyDeliverEnvelopeAccepted: a one-way delivery keeps its wire
+// form — a "b2b-deliver" envelope, here with the JSON message body older
+// peers wrote, sent from a bare endpoint — and reaches the handler, which
+// answers it with nil.
+func TestLegacyDeliverEnvelopeAccepted(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t)
+	raw, err := f.net.Register("legacy-peer", transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+		return nil, nil
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.hB.processed.Load() != 1 {
-		t.Fatalf("processed = %d, want 1", f.hB.processed.Load())
+	body, err := canon.Marshal(&protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "note", Sender: alice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := raw.Request(context.Background(), f.coB.Addr(), transport.NewEnvelope("b2b-deliver", body))
+	if err != nil || reply != nil {
+		t.Fatalf("b2b-deliver answered %+v, %v; want nil, nil", reply, err)
+	}
+	if got := f.hB.requests.Load(); got != 1 {
+		t.Fatalf("handler processed %d messages, want 1", got)
 	}
 }
 
@@ -147,11 +184,6 @@ type captureHandler struct {
 }
 
 func (h *captureHandler) Protocol() string { return h.name }
-
-func (h *captureHandler) Process(_ context.Context, msg *protocol.Message) error {
-	*h.capture = msg
-	return nil
-}
 
 func (h *captureHandler) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	*h.capture = msg
@@ -312,8 +344,6 @@ func TestCoordinatorOverTCP(t *testing.T) {
 type ackHandler struct{}
 
 func (ackHandler) Protocol() string { return "bulk" }
-
-func (ackHandler) Process(context.Context, *protocol.Message) error { return nil }
 
 func (ackHandler) ProcessRequest(_ context.Context, msg *protocol.Message) (*protocol.Message, error) {
 	if len(msg.Attachment) != 1<<20 {

@@ -58,11 +58,11 @@ const (
 	KindSubSeal = "sub-seal"
 	// KindSubEvict tells a subscriber it was evicted and why.
 	KindSubEvict = "sub-evict"
-	// KindSubAck acknowledges one push. Pushes are request/response
-	// rather than one-way so the publisher observes delivery failure (a
-	// detached or re-enrolled subscriber refuses the push) and evicts the
-	// dead subscription instead of feeding into the void — and so pushes
-	// to one subscriber are strictly ordered.
+	// KindSubAck acknowledges one push. The publisher awaits each
+	// acknowledgement, so it observes delivery failure (a detached or
+	// re-enrolled subscriber refuses the push) and evicts the dead
+	// subscription instead of feeding into the void — and pushes to one
+	// subscriber are strictly ordered.
 	KindSubAck = "sub-ack"
 )
 

@@ -187,8 +187,9 @@ func (g *WorkerGateway) tenantLocked(party string) (*gatewayTenant, error) {
 }
 
 // enqueue admits one envelope into a worker tenant's mailbox, within an
-// equal share of the queue budget. A request waits for the worker's
-// answer; a one-way delivery returns once queued, like a network send.
+// equal share of the queue budget, and waits for the worker's answer: a
+// one-way delivery is acknowledged once the worker handled it, as on
+// every network.
 func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transport.Envelope) (*transport.Envelope, error) {
 	g.mu.Lock()
 	if g.closed {
@@ -216,9 +217,6 @@ func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transpor
 	g.pumpLocked(t.link)
 	g.mu.Unlock()
 
-	if env.Kind == envDeliver {
-		return nil, nil
-	}
 	select {
 	case <-item.done:
 		if item.err != "" {

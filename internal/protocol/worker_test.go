@@ -159,6 +159,37 @@ func linkParties(t *testing.T, gw *WorkerGateway, conn transport.Conn, parties .
 func oneWay() *transport.Envelope { return transport.NewEnvelope(envDeliver, []byte("x")) }
 func reqEnv() *transport.Envelope { return transport.NewEnvelope(envDeliverRequest, []byte("x")) }
 
+// admit offers the gateway one delivery for party and returns its
+// admission verdict: nil once the gateway holds it, the refusal
+// otherwise. An admitted delivery waits for its answer in the
+// background until the test ends.
+func admit(t *testing.T, gw *WorkerGateway, party id.Party) error {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	held := func() int {
+		st := gw.Status().Tenants[string(party)]
+		return st.Queued + st.InFlight
+	}
+	before := held()
+	res := make(chan error, 1)
+	go func() {
+		_, err := gw.enqueue(ctx, string(party), oneWay())
+		res <- err
+	}()
+	for {
+		select {
+		case err := <-res:
+			return err
+		default:
+		}
+		if held() > before {
+			return nil
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestGatewayAdmissionCap(t *testing.T) {
 	t.Parallel()
 	_, gw := newGatewayFixture(t, GatewayConfig{})
@@ -166,11 +197,11 @@ func TestGatewayAdmissionCap(t *testing.T) {
 	linkParties(t, gw, newTestConn(true), "urn:org:w")
 
 	for i := 0; i < 4; i++ {
-		if _, err := gw.enqueue(context.Background(), "urn:org:w", oneWay()); err != nil {
+		if err := admit(t, gw, "urn:org:w"); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	_, err := gw.enqueue(context.Background(), "urn:org:w", oneWay())
+	err := admit(t, gw, "urn:org:w")
 	if !errors.Is(err, ErrGatewayBusy) {
 		t.Fatalf("over-cap enqueue = %v, want ErrGatewayBusy", err)
 	}
@@ -193,7 +224,7 @@ func TestGatewayRoundRobinDispatch(t *testing.T) {
 	l := linkParties(t, gw, newTestConn(true), heavy, light)
 	enqueue := func(p id.Party, n int) {
 		for i := 0; i < n; i++ {
-			if _, err := gw.enqueue(context.Background(), string(p), oneWay()); err != nil {
+			if err := admit(t, gw, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -241,7 +272,7 @@ func TestGatewayEqualShares(t *testing.T) {
 	admitted := func(p id.Party) int {
 		n := 0
 		for {
-			if _, err := gw.enqueue(context.Background(), string(p), oneWay()); err != nil {
+			if err := admit(t, gw, p); err != nil {
 				if !errors.Is(err, ErrGatewayBusy) {
 					t.Fatal(err)
 				}
@@ -372,6 +403,31 @@ func TestGatewayDrain(t *testing.T) {
 	}
 }
 
+// TestGatewayDeliveryWaitsForWorker: a one-way delivery to a worker
+// tenant returns once the worker answered it, as on every network.
+func TestGatewayDeliveryWaitsForWorker(t *testing.T) {
+	t.Parallel()
+	_, gw := newGatewayFixture(t, GatewayConfig{})
+	w := id.Party("urn:org:w")
+	conn := newTestConn(false)
+	linkParties(t, gw, conn, w)
+	res := make(chan error, 1)
+	go func() {
+		_, err := gw.enqueue(context.Background(), string(w), oneWay())
+		res <- err
+	}()
+	<-conn.arrived
+	select {
+	case err := <-res:
+		t.Fatalf("delivery returned %v before the worker answered", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	conn.answer <- transport.NewEnvelope("ack", nil)
+	if err := <-res; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGatewayCloseFailsPending(t *testing.T) {
 	t.Parallel()
 	h, gw := newGatewayFixture(t, GatewayConfig{})
@@ -426,8 +482,6 @@ type wbPing struct {
 }
 
 func (h *wbPing) Protocol() string { return "ping" }
-
-func (h *wbPing) Process(context.Context, *Message) error { return nil }
 
 func (h *wbPing) ProcessRequest(ctx context.Context, msg *Message) (*Message, error) {
 	h.mu.Lock()

@@ -11,12 +11,14 @@
 // the segmented vault (internal/vault).
 //
 // The record codecs are canonical JSON — the signed form, hashed into the
-// chain — and binary segment format 6 (binary.go), which carries the same
-// records byte-exactly in fewer bytes: compact fields, followers that
-// borrow from the frame leading their write, a batch signature stored
-// once for two sibling tokens side by side, and the notes the product
-// journals as JSON stored as structured trees (jsonnote.go). Formats 1 to
-// 5 and JSON segments stay readable.
+// chain — and binary segment format 10 (binary.go), which carries the
+// same records byte-exactly in fewer bytes: compact fields, followers that
+// borrow from the newest plain frame of their run, plain frames that take
+// their parties from a recent one, a batch signature stored once for two
+// sibling tokens side by side, digests derived from the bytes that
+// determine them, and the notes the product journals as JSON stored as
+// structured trees (jsonnote.go). Formats 1 to 9 and JSON segments stay
+// readable.
 package store
 
 import (

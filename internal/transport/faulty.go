@@ -133,10 +133,9 @@ func (e *faultyEndpoint) delay(ctx context.Context) error {
 }
 
 // Send implements Endpoint. A dropped send surfaces as ErrDropped, as a
-// dropped request does: a one-way send over the real transport is an
-// acknowledged exchange (tcpEndpoint.Send), so its sender learns of the
-// loss the same way — the acknowledgement never comes — and Reliable
-// retransmits. An injector that swallowed the loss would model a network
+// dropped request does: a one-way send is an acknowledged exchange on
+// every network, so its sender learns of the loss the same way — the
+// acknowledgement never comes — and Reliable retransmits. An injector that swallowed the loss would model a network
 // no retransmission layer can work over: a lone one-way message, say a
 // receipt, would be lost for good.
 func (e *faultyEndpoint) Send(ctx context.Context, to string, env *Envelope) error {

@@ -6,15 +6,15 @@ import (
 	"sync"
 )
 
-// InprocNetwork is an in-process Network. Requests run synchronously in the
-// caller's goroutine; one-way sends are dispatched through a per-endpoint
-// queue so that protocol handlers never re-enter each other on the same
-// stack. It is safe for concurrent use.
+// InprocNetwork is an in-process Network. Every delivery runs the
+// destination's handler in the caller's goroutine and returns its
+// outcome: a request its reply, a one-way send its error, as over TCP,
+// where a send is an acknowledged exchange. Registering an endpoint
+// starts no goroutine. It is safe for concurrent use.
 type InprocNetwork struct {
 	mu        sync.RWMutex
 	endpoints map[string]*inprocEndpoint
 	closed    bool
-	wg        sync.WaitGroup
 }
 
 var _ Network = (*InprocNetwork)(nil)
@@ -23,9 +23,6 @@ var _ Network = (*InprocNetwork)(nil)
 func NewInprocNetwork() *InprocNetwork {
 	return &InprocNetwork{endpoints: make(map[string]*inprocEndpoint)}
 }
-
-// sendQueueDepth bounds each endpoint's one-way delivery queue.
-const sendQueueDepth = 256
 
 // Register implements Network.
 func (n *InprocNetwork) Register(addr string, h Handler) (Endpoint, error) {
@@ -38,10 +35,7 @@ func (n *InprocNetwork) Register(addr string, h Handler) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: address %q already registered", addr)
 	}
 	ep := newInprocEndpoint(n, addr, h)
-	ep.inbox = make(chan *Envelope, sendQueueDepth)
 	n.endpoints[addr] = ep
-	n.wg.Add(1)
-	go ep.dispatch(&n.wg)
 	return ep, nil
 }
 
@@ -63,8 +57,7 @@ func (n *InprocNetwork) remove(addr string) {
 	delete(n.endpoints, addr)
 }
 
-// Close deregisters all endpoints and waits for queued deliveries to
-// drain.
+// Close deregisters all endpoints.
 func (n *InprocNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -80,7 +73,6 @@ func (n *InprocNetwork) Close() error {
 	for _, ep := range eps {
 		_ = ep.Close()
 	}
-	n.wg.Wait()
 	return nil
 }
 
@@ -88,7 +80,6 @@ type inprocEndpoint struct {
 	net     *InprocNetwork
 	addr    string
 	handler Handler
-	inbox   chan *Envelope // nil for a client endpoint
 	// ctx lives as long as the endpoint; Close cancels it.
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -105,8 +96,7 @@ func newInprocEndpoint(n *InprocNetwork, addr string, h Handler) *inprocEndpoint
 	return &inprocEndpoint{net: n, addr: addr, handler: h, ctx: ctx, cancel: cancel}
 }
 
-// Dial implements Dialer: an endpoint with no address to be reached at
-// and no inbox.
+// Dial implements Dialer: an endpoint with no address to be reached at.
 func (n *InprocNetwork) Dial(h Handler) (Endpoint, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -116,48 +106,13 @@ func (n *InprocNetwork) Dial(h Handler) (Endpoint, error) {
 	return newInprocEndpoint(n, clientAddr(), h), nil
 }
 
-// dispatch drains the one-way inbox.
-func (e *inprocEndpoint) dispatch(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case env := <-e.inbox:
-			// One-way deliveries have no reply channel; handler errors
-			// surface through protocol-level timeouts and retries.
-			_, _ = e.handler.Handle(context.Background(), env)
-		case <-e.ctx.Done():
-			// Drain anything already queued before exiting.
-			for {
-				select {
-				case env := <-e.inbox:
-					_, _ = e.handler.Handle(context.Background(), env)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // Addr implements Endpoint.
 func (e *inprocEndpoint) Addr() string { return e.addr }
 
-// Send implements Endpoint.
+// Send implements Endpoint: Request with the reply dropped, as over TCP.
 func (e *inprocEndpoint) Send(ctx context.Context, to string, env *Envelope) error {
-	dst, err := e.net.lookup(to)
-	if err != nil {
-		return err
-	}
-	env.From = e.addr
-	env.To = to
-	select {
-	case dst.inbox <- env:
-		return nil
-	case <-dst.ctx.Done():
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, err := e.Request(ctx, to, env)
+	return err
 }
 
 // Request implements Endpoint: the destination handler runs in the

@@ -116,35 +116,31 @@ func NewReliable(inner Endpoint, policy RetryPolicy) *Reliable {
 // Addr implements Endpoint.
 func (r *Reliable) Addr() string { return r.inner.Addr() }
 
-// Send implements Endpoint with retransmission: a send the underlying
-// endpoint reports as failed — over TCP a one-way send is an acknowledged
-// exchange, so a lost one is — is repeated under the retry policy. The
-// envelope keeps its identifier, so the receiver's Dedup absorbs a send
-// that was delivered although its acknowledgement was lost.
+// Send implements Endpoint with retransmission: a send is an
+// acknowledged exchange on every network, so a lost one fails and is
+// repeated under the retry policy, as a request is.
 func (r *Reliable) Send(ctx context.Context, to string, env *Envelope) error {
-	var lastErr error
-	for attempt := 1; attempt <= r.policy.Attempts; attempt++ {
-		if err := r.inner.Send(ctx, to, env); err == nil {
-			return nil
-		} else {
-			lastErr = err
-		}
-		if done, err := r.pause(ctx, attempt, lastErr); done {
-			if err != nil {
-				return err
-			}
-			break
-		}
-	}
-	return fmt.Errorf("transport: send to %s gave up: %w", to, lastErr)
+	_, err := r.retry(ctx, "send", to, func() (*Envelope, error) {
+		return nil, r.inner.Send(ctx, to, env)
+	})
+	return err
 }
 
-// Request implements Endpoint with retransmission. The envelope keeps its
-// message identifier across attempts so receivers can de-duplicate.
+// Request implements Endpoint with retransmission.
 func (r *Reliable) Request(ctx context.Context, to string, env *Envelope) (*Envelope, error) {
+	return r.retry(ctx, "request", to, func() (*Envelope, error) {
+		return r.inner.Request(ctx, to, env)
+	})
+}
+
+// retry runs one exchange with the inner endpoint under the retry
+// policy. The envelope keeps its message identifier across attempts, so
+// the receiver's Dedup absorbs an exchange that was processed although
+// its answer was lost.
+func (r *Reliable) retry(ctx context.Context, op, to string, exchange func() (*Envelope, error)) (*Envelope, error) {
 	var lastErr error
 	for attempt := 1; attempt <= r.policy.Attempts; attempt++ {
-		reply, err := r.inner.Request(ctx, to, env)
+		reply, err := exchange()
 		if err == nil {
 			return reply, nil
 		}
@@ -159,7 +155,7 @@ func (r *Reliable) Request(ctx context.Context, to string, env *Envelope) (*Enve
 			break
 		}
 	}
-	return nil, fmt.Errorf("transport: request to %s gave up: %w", to, lastErr)
+	return nil, fmt.Errorf("transport: %s to %s gave up: %w", op, to, lastErr)
 }
 
 // pause decides whether to retry after a failed attempt and sleeps the

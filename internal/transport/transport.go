@@ -4,7 +4,8 @@
 // message delivery (there is a bounded number of temporary network and
 // computer related failures)". The package provides:
 //
-//   - an in-process network for tests and single-process deployments;
+//   - an in-process network for tests and single-process deployments,
+//     which runs each delivery's handler in the sender's goroutine;
 //   - a TCP network that keeps one persistent connection per
 //     counterparty, multiplexing every exchange in both directions over
 //     length-prefixed binary frames (and still answering a peer that
@@ -74,7 +75,8 @@ func NewEnvelope(kind string, body []byte) *Envelope {
 }
 
 // Handler processes incoming envelopes. For request/response exchanges the
-// returned envelope is the reply; one-way deliveries may return nil.
+// returned envelope is the reply; one-way deliveries may return nil, and
+// their sender learns only the error.
 type Handler interface {
 	Handle(ctx context.Context, env *Envelope) (*Envelope, error)
 }
@@ -91,8 +93,9 @@ func (f HandlerFunc) Handle(ctx context.Context, env *Envelope) (*Envelope, erro
 type Endpoint interface {
 	// Addr returns the endpoint's address.
 	Addr() string
-	// Send delivers an envelope one-way. A nil error means the envelope
-	// was handed to the network, not that it was processed.
+	// Send delivers an envelope and returns the far handler's outcome
+	// without its reply: a nil error means the envelope was handled, on
+	// every network.
 	Send(ctx context.Context, to string, env *Envelope) error
 	// Request delivers an envelope and waits for the handler's reply.
 	Request(ctx context.Context, to string, env *Envelope) (*Envelope, error)
@@ -116,8 +119,8 @@ type Conn interface {
 
 type callerConnKey struct{}
 
-// CallerConn returns the connection the request being handled arrived
-// on, nil for a delivery that came on none (an in-process one-way send).
+// CallerConn returns the connection the envelope being handled arrived
+// on, nil for a handler called directly rather than through a network.
 func CallerConn(ctx context.Context) Conn {
 	c, _ := ctx.Value(callerConnKey{}).(Conn)
 	return c

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,19 +85,59 @@ func TestSendDelivered(t *testing.T) {
 			}
 			defer a.Close()
 
-			for i := 0; i < 10; i++ {
+			// A send returns once the far handler has run, on every
+			// network.
+			for i := 1; i <= 10; i++ {
 				if err := a.Send(context.Background(), b.Addr(), transport.NewEnvelope("note", []byte("x"))); err != nil {
 					t.Fatal(err)
 				}
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for h.received.Load() < 10 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := h.received.Load(); got != 10 {
-				t.Fatalf("received %d sends, want 10", got)
+				if got := h.received.Load(); got != int64(i) {
+					t.Fatalf("received %d sends when send %d returned", got, i)
+				}
 			}
 		})
+	}
+}
+
+// TestSendReturnsHandlerError: a one-way send reports the far handler's
+// error to its sender, on every network.
+func TestSendReturnsHandlerError(t *testing.T) {
+	t.Parallel()
+	for kind, network := range networks(t) {
+		t.Run(kind, func(t *testing.T) {
+			b, err := network.Register(addrFor(kind, "b"), transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+				return nil, errors.New("note refused")
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			a, err := network.Register(addrFor(kind, "a"), &echoHandler{name: "a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if err := a.Send(context.Background(), b.Addr(), transport.NewEnvelope("note", nil)); err == nil || !strings.Contains(err.Error(), "note refused") {
+				t.Fatalf("Send = %v, want the handler's refusal", err)
+			}
+		})
+	}
+}
+
+// TestInprocRegisterStartsNoGoroutine: an in-process endpoint runs its
+// handler in its senders' goroutines and needs none of its own. The test
+// is serial, so no other test starts goroutines while it counts.
+func TestInprocRegisterStartsNoGoroutine(t *testing.T) {
+	network := transport.NewInprocNetwork()
+	defer network.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		if _, err := network.Register(fmt.Sprintf("ep-%d", i), &echoHandler{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 0 {
+		t.Fatalf("100 registrations started %d goroutines, want none", grew)
 	}
 }
 
@@ -242,6 +284,7 @@ func TestReliableMasksTransientDrops(t *testing.T) {
 func TestReliableRetransmitsDroppedOneWaySend(t *testing.T) {
 	t.Parallel()
 	inner := transport.NewInprocNetwork()
+	defer inner.Close()
 	faulty := transport.NewFaultyNetwork(inner, transport.FaultPlan{Seed: 1, DropRate: 1.0, MaxDrops: 3})
 	h := &echoHandler{name: "b"}
 	b, err := faulty.Register("b", transport.NewDedupWith(h, nil))
@@ -258,10 +301,6 @@ func TestReliableRetransmitsDroppedOneWaySend(t *testing.T) {
 	a := transport.NewReliable(rawA, transport.RetryPolicy{Attempts: 5, Backoff: time.Millisecond})
 	if err := a.Send(context.Background(), b.Addr(), transport.NewEnvelope("x", []byte("p"))); err != nil {
 		t.Fatalf("one-way send across two more drops: %v", err)
-	}
-	// Closing the network drains the one-way queue.
-	if err := inner.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if got := h.received.Load(); got != 1 {
 		t.Fatalf("handler processed %d messages, want 1", got)

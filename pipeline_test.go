@@ -346,11 +346,9 @@ func TestDirectStepSharesOneSignature(t *testing.T) {
 		}
 		runs[i] = res.Run
 	}
-	for server.Vault().Len() < 4*calls {
-		if ctx.Err() != nil {
-			t.Fatalf("the server holds %d records after %d calls", server.Vault().Len(), calls)
-		}
-		time.Sleep(time.Millisecond)
+	// Each call returned after the server took its receipt.
+	if n := server.Vault().Len(); n != 4*calls {
+		t.Fatalf("the server holds %d records after %d calls, want %d", n, calls, 4*calls)
 	}
 	for _, org := range []*nonrep.Org{client, server} {
 		sizes, err := org.Vault().Sizes()
@@ -435,10 +433,10 @@ func callEvidenceBytes(t *testing.T, callers, calls int, opts ...nonrep.DomainOp
 		return err
 	}
 	// settled seals what made calls left in both vaults and sums their
-	// directories. The client's receipt reaches the server after the call
-	// returns, so it first waits for the server to hold every run's four
-	// records: a receipt committed after the seal would open the next
-	// segment as a plain frame and make the count depend on timing.
+	// directories. It first waits for the server to hold every run's four
+	// records — which it does once the calls returned, each receipt being
+	// acknowledged — as a receipt committed after the seal would open the
+	// next segment as a plain frame and make the count depend on timing.
 	settled := func(made int) int64 {
 		t.Helper()
 		for server.Vault().Len() < 4*made {

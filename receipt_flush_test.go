@@ -63,9 +63,9 @@ func (placer) Place(_ context.Context, model string) (string, error) { return "o
 
 // TestFlushPrecedesLateReceipt fixes the schedule behind a quorum status
 // that once read "target AckedSeq 45 trails local seq 46 after Flush":
-// the client's receipt (NRRResp) travels one way, after its call has
-// returned, so the server can commit it after Georep().Flush has read the
-// vault. Flush covers everything committed before it; the late receipt
+// a client's receipt (NRRResp) that reaches the server late — this
+// network parks it, as a slow link would — is committed after
+// Georep().Flush has read the vault. Flush covers everything committed before it; the late receipt
 // is acknowledged by the next pass, so the quorum invariant holds, and a
 // status read between its commit and that pass shows the record as local
 // and not yet acknowledged.

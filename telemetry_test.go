@@ -427,14 +427,11 @@ func TestReplicationTelemetryStatus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A call returns before its receipt reaches the primary (it travels
-	// one way), so the primary may commit receipts after a Flush has read
-	// the vault (TestFlushPrecedesLateReceipt). Flush once it holds them
-	// all: four records a call.
-	for deadline := time.Now().Add(30 * time.Second); primary.Vault().Len() < 4*calls; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the primary holds %d records after %d calls", primary.Vault().Len(), calls)
-		}
+	// Each call returned after the primary took its receipt, so it holds
+	// four records a call before the Flush (a receipt committed after a
+	// Flush is TestFlushPrecedesLateReceipt's case).
+	if n := primary.Vault().Len(); n != 4*calls {
+		t.Fatalf("the primary holds %d records after %d calls, want %d", n, calls, 4*calls)
 	}
 	if err := primary.Georep().Flush(context.Background()); err != nil {
 		t.Fatal(err)
