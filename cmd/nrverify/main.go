@@ -1,21 +1,20 @@
-// Command nrverify audits an evidence bundle offline: it rebuilds a
-// credential store from the bundle's certificates, verifies every
-// evidence log's hash chain and every token's signature and attribution,
-// and reconstructs per-run reports — the adjudicator's side of dispute
-// resolution (paper section 3.1), with no live parties required.
+// Command nrverify is the adjudicator's side of dispute resolution
+// (paper section 3.1): it judges a party's evidence with no live parties
+// required. One judge gives every verdict — each log's hash chain and,
+// with a bundle's certificates, every token's signature and attribution,
+// then per run what its evidence proves — and each mode only opens where
+// the records come from:
 //
-// It can also audit a party's evidence vault in place — logs too large to
-// export or load at once are verified as a stream through the vault's
-// query engine, with -run/-txn narrowing the audit via the persistent
-// indexes and -deep re-reading every sealed segment against its seal.
-//
-// With -remote it audits a live organisation's vault over the wire: the
-// records stream to the adjudicator page by page through the
-// coordinator's audit service, so a dispute can be evaluated without the
-// audited party exporting anything — and, with -source, without the
-// audited party at all: the named organisation's evidence is read from
-// the remote peer's replica store instead (the disaster/uncooperative
-// path).
+//   - -bundle: an exported bundle, one log per party in memory, its runs
+//     judged from all the parties' records at once;
+//   - -vault: a vault in place, streamed through its query engine, with
+//     -run/-txn narrowing the audit via the persistent indexes and -deep
+//     re-reading every sealed segment against its seal;
+//   - -remote: a live organisation's vault over the wire, page by page
+//     through its audit service, so a dispute can be evaluated without
+//     the audited party exporting anything — and, with -source, without
+//     the audited party at all: the named organisation's evidence is
+//     read from the remote peer's replica store instead.
 //
 // With -remote and -follow it subscribes to the organisation's live
 // evidence feed instead of auditing a snapshot: the full chain is
@@ -29,8 +28,9 @@
 // verdict: the run's tokens as signed edges, the parties they bind, the
 // linked business transactions, and — multi-hop — the runs derived
 // through shared transactions, walked breadth-first to -hops degrees of
-// separation. Works against a local vault (-vault) or a live
-// organisation (-remote).
+// separation. The graph is derived here from the records, read through
+// the same source as a verdict: a local vault (-vault) or a live
+// organisation's audit service (-remote).
 //
 // With -vault and -sizes it prints the vault's evidence-space overhead
 // (paper section 6) instead of a verdict: per segment, the format its
@@ -122,194 +122,45 @@ func main() {
 	os.Exit(auditBundle(*dir, *runFilter))
 }
 
-// auditBundle audits an exported evidence bundle: each party's log on its
-// own (hash chain and every token), then each invocation run judged from
-// all the parties' records of it at once.
-func auditBundle(dir, runFilter string) int {
+// judge gives the verdict on evidence read as record streams: a bundle's
+// logs in memory, a vault's query engine, a peer's audit service page by
+// page. Without certificates (adj nil) it judges the tamper-evidence
+// chains alone. integrity says whether an error that ends a stream is a
+// verdict on the evidence (FAULTY, exit 1) or a failure to read it (no
+// verdict, exit 2).
+type judge struct {
+	adj       *core.Adjudicator
+	integrity func(error) bool
+	faulty    bool // a fault has been reported
+}
+
+// newJudge builds a judge over the certificates of the bundle in dir,
+// none when dir is empty.
+func newJudge(dir string, integrity func(error) bool) (*judge, error) {
+	creds, err := credentials(dir)
+	j := &judge{integrity: integrity}
+	if creds != nil {
+		j.adj = core.NewAdjudicator(creds)
+	}
+	return j, err
+}
+
+// credentials rebuilds the credential store of the bundle in dir, nil
+// when dir is empty.
+func credentials(dir string) (*credential.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
 	b, err := bundle.Read(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 1
+		return nil, err
 	}
-	creds, err := b.CredentialStore(clock.Real{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 1
-	}
-	adj := core.NewAdjudicator(creds)
-
-	fmt.Printf("bundle: %d certificates, %d evidence logs\n\n", len(b.Certs), len(b.Logs))
-	faulty := false
-	var merged []*store.Record
-	for _, p := range slices.Sorted(maps.Keys(b.Logs)) {
-		report := adj.AuditStream(core.Records(b.Logs[p]))
-		status := "CLEAN"
-		if !report.Clean() {
-			status = "FAULTY"
-			faulty = true
-		}
-		fmt.Printf("log %-24s %3d records  chain=%v  %s\n", p, report.Records, report.ChainOK, status)
-		if report.ChainError != "" {
-			fmt.Printf("    chain: %s\n", report.ChainError)
-		}
-		printFaults(report.Faults)
-		merged = append(merged, b.Logs[p]...)
-	}
-
-	fmt.Println("\nper-run reconstruction:")
-	runs := byRun(merged)
-	for _, run := range slices.Sorted(maps.Keys(runs)) {
-		if runFilter != "" && string(run) != runFilter {
-			continue
-		}
-		report, _ := adj.AuditRunStream(core.Records(runs[run]), run)
-		if !report.RequestProven && !report.ResponseProven && len(report.Faults) == 0 {
-			// Sharing-protocol runs have no invocation evidence; skip
-			// the invocation reconstruction for them.
-			continue
-		}
-		faulty = printRun(report) || faulty
-	}
-
-	if faulty {
-		fmt.Println("\nverdict: evidence FAULTY")
-		return 1
-	}
-	fmt.Println("\nverdict: all evidence verifies")
-	return 0
+	return b.CredentialStore(clock.Real{})
 }
 
-// printRun prints what one run's evidence proves and the faults found in
-// it, reporting whether there were any.
-func printRun(report *core.RunReport) bool {
-	flags := ""
-	if report.Substituted {
-		flags += " [TTP substitute]"
-	}
-	if report.Aborted {
-		flags += " [aborted]"
-	}
-	fmt.Printf("  %s\n    client=%s server=%s request=%v receipt=%v response=%v resp-receipt=%v complete=%v%s\n",
-		report.Run, report.Client, report.Server,
-		report.RequestProven, report.ReceiptProven,
-		report.ResponseProven, report.ResponseReceiptProven,
-		report.Complete(), flags)
-	printFaults(report.Faults)
-	return len(report.Faults) > 0
-}
-
-func printFaults(faults []core.Fault) {
-	for _, fault := range faults {
-		fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
-	}
-}
-
-// auditVault audits an evidence vault in place, streaming records through
-// the query engine instead of loading the log. With a bundle supplying
-// certificates, every token is signature-checked; without one the audit
-// covers the tamper-evidence chains only.
-func auditVault(dir, bundleDir, runFilter, txnFilter string, deep bool) int {
-	// Read-only: an audit must never reshape the evidence store (no lock
-	// file creation, no tail truncation, no index rewrite, no sealing),
-	// must work from read-only media, and must refuse a mistyped path
-	// rather than conjure an empty vault that "verifies".
-	v, err := vault.Open(dir, clock.Real{}, vault.WithReadOnly())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 1
-	}
-	defer v.Close()
-	st := v.Stats()
-	fmt.Printf("vault: %d records (%d sealed segments, %d in tail)\n", st.LastSeq, st.Segments, st.TailRecords)
-
-	// A bare audit must not hand out a clean verdict on the cheap check
-	// alone (open verifies the manifest chain and tail but never reads
-	// sealed segment data), so with nothing narrower requested the audit
-	// is a deep one.
-	if !deep && bundleDir == "" && runFilter == "" && txnFilter == "" {
-		deep = true
-	}
-
-	if deep {
-		if err := v.DeepVerify(); err != nil {
-			fmt.Printf("deep verify: %v\n\nverdict: evidence FAULTY\n", err)
-			return 1
-		}
-		fmt.Println("deep verify: every sealed segment matches its seal")
-	}
-
-	var creds *credential.Store
-	if bundleDir != "" {
-		b, err := bundle.Read(bundleDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 1
-		}
-		creds, err = b.CredentialStore(clock.Real{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 1
-		}
-	}
-
-	q := vault.Query{Run: id.Run(runFilter), Txn: id.Txn(txnFilter)}
-	filtered := runFilter != "" || txnFilter != ""
-	if filtered {
-		it := v.Query(q)
-		var records []*store.Record
-		for it.Next() {
-			rec := it.Record()
-			fmt.Printf("  seq %-8d %-12s run=%s kind=%s issuer=%s\n",
-				rec.Seq, rec.Direction, rec.Token.Run, rec.Token.Kind, rec.Token.Issuer)
-			records = append(records, rec)
-		}
-		if err := it.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 1
-		}
-		fmt.Printf("%d matching records\n", len(records))
-		if creds == nil {
-			fmt.Println("\nverdict: tamper-evidence chains verify (pass -bundle to verify tokens)")
-			return 0
-		}
-		adj := core.NewAdjudicator(creds)
-		faulty := false
-		runs := byRun(records)
-		for _, run := range slices.Sorted(maps.Keys(runs)) {
-			report, _ := adj.AuditRunStream(core.Records(runs[run]), run)
-			faulty = printRun(report) || faulty
-		}
-		if faulty {
-			fmt.Println("\nverdict: evidence FAULTY")
-			return 1
-		}
-		fmt.Println("\nverdict: filtered evidence verifies")
-		return 0
-	}
-
-	if creds == nil {
-		fmt.Println("tokens not verified (pass -bundle for signature checks)")
-		fmt.Println("\nverdict: tamper-evidence chains verify")
-		return 0
-	}
-	adj := core.NewAdjudicator(creds)
-	report := adj.AuditStream(v.Query(vault.Query{}))
-	status := "CLEAN"
-	if !report.Clean() {
-		status = "FAULTY"
-	}
-	fmt.Printf("stream audit: %d records  chain=%v  %s\n", report.Records, report.ChainOK, status)
-	if report.ChainError != "" {
-		fmt.Printf("    chain: %s\n", report.ChainError)
-	}
-	printFaults(report.Faults)
-	if !report.Clean() {
-		fmt.Println("\nverdict: evidence FAULTY")
-		return 1
-	}
-	fmt.Println("\nverdict: all evidence verifies")
-	return 0
-}
+// anyError: every error that ends a local stream is a verdict on the
+// evidence.
+func anyError(error) bool { return true }
 
 // integrityError reports whether a remote stream error is an evidence
 // integrity verdict from the serving side (broken seal or chain, corrupt
@@ -323,126 +174,267 @@ func integrityError(err error) bool {
 		strings.Contains(s, "corrupt line")
 }
 
+// fail maps an error that ended a stream to its exit code.
+func (j *judge) fail(err error) int {
+	fmt.Fprintln(os.Stderr, "nrverify:", err)
+	if j.integrity(err) {
+		fmt.Println("\nverdict: evidence FAULTY")
+		return 1
+	}
+	fmt.Fprintln(os.Stderr, "nrverify: could not audit (no verdict)")
+	return 2
+}
+
+// failed reports an error that leaves no verdict and returns code.
+func failed(err error, code int) int {
+	fmt.Fprintln(os.Stderr, "nrverify:", err)
+	return code
+}
+
+// collect reads src to its end, printing each record when list is set.
+func collect(src core.RecordSource, list bool) ([]*store.Record, error) {
+	var records []*store.Record
+	for src.Next() {
+		rec := src.Record()
+		if list {
+			fmt.Printf("  seq %-8d %-12s run=%s kind=%s issuer=%s\n",
+				rec.Seq, rec.Direction, rec.Token.Run, rec.Token.Kind, rec.Token.Issuer)
+		}
+		records = append(records, rec)
+	}
+	return records, src.Err()
+}
+
+// log is the whole-log audit: the hash chain re-derived and every token
+// checked as one log streams past, printed on a line headed by head of
+// the record count. It returns the error that ended the stream if that
+// is no verdict on the evidence, and prints nothing then.
+func (j *judge) log(src core.RecordSource, head func(records int) string) error {
+	report := j.adj.AuditStream(src)
+	if err := src.Err(); err != nil && !j.integrity(err) {
+		return err
+	}
+	status := "CLEAN"
+	if !report.Clean() {
+		status, j.faulty = "FAULTY", true
+	}
+	fmt.Printf("%s  chain=%v  %s\n", head(report.Records), report.ChainOK, status)
+	if report.ChainError != "" {
+		fmt.Printf("    chain: %s\n", report.ChainError)
+	}
+	printFaults(report.Faults)
+	return nil
+}
+
+func streamAudit(records int) string { return fmt.Sprintf("stream audit: %d records", records) }
+
+// runs is the per-run reconstruction: each run of records (only the run
+// named, if one is), in run order, judged from all its records at once.
+// With skipBare the runs without invocation evidence (the sharing
+// protocol's) are left out.
+func (j *judge) runs(records []*store.Record, only id.Run, skipBare bool) {
+	byRun := make(map[id.Run][]*store.Record)
+	for _, rec := range records {
+		if rec.Token != nil && (only == "" || rec.Token.Run == only) {
+			byRun[rec.Token.Run] = append(byRun[rec.Token.Run], rec)
+		}
+	}
+	for _, run := range slices.Sorted(maps.Keys(byRun)) {
+		r, _ := j.adj.AuditRunStream(core.Records(byRun[run]), run)
+		if skipBare && !r.RequestProven && !r.ResponseProven && len(r.Faults) == 0 {
+			continue
+		}
+		flags := ""
+		if r.Substituted {
+			flags += " [TTP substitute]"
+		}
+		if r.Aborted {
+			flags += " [aborted]"
+		}
+		fmt.Printf("  %s\n    client=%s server=%s request=%v receipt=%v response=%v resp-receipt=%v complete=%v%s\n",
+			r.Run, r.Client, r.Server, r.RequestProven, r.ReceiptProven, r.ResponseProven, r.ResponseReceiptProven, r.Complete(), flags)
+		printFaults(r.Faults)
+		j.faulty = j.faulty || len(r.Faults) > 0
+	}
+}
+
+func printFaults(faults []core.Fault) {
+	for _, fault := range faults {
+		fmt.Printf("    record %d: %s\n", fault.Seq, fault.Reason)
+	}
+}
+
+// verdict prints the judgement and returns its exit code.
+func (j *judge) verdict(clean string) int {
+	if j.faulty {
+		fmt.Println("\nverdict: evidence FAULTY")
+		return 1
+	}
+	fmt.Println("\nverdict: " + clean)
+	return 0
+}
+
+// auditBundle audits an exported evidence bundle: each party's log on its
+// own (hash chain and every token), then each invocation run judged from
+// all the parties' records of it at once.
+func auditBundle(dir, runFilter string) int {
+	b, err := bundle.Read(dir)
+	if err != nil {
+		return failed(err, 1)
+	}
+	creds, err := b.CredentialStore(clock.Real{})
+	if err != nil {
+		return failed(err, 1)
+	}
+	j := &judge{adj: core.NewAdjudicator(creds), integrity: anyError}
+	fmt.Printf("bundle: %d certificates, %d evidence logs\n\n", len(b.Certs), len(b.Logs))
+	var merged []*store.Record
+	for _, p := range slices.Sorted(maps.Keys(b.Logs)) {
+		j.log(core.Records(b.Logs[p]), func(n int) string { return fmt.Sprintf("log %-24s %3d records", p, n) })
+		merged = append(merged, b.Logs[p]...)
+	}
+	fmt.Println("\nper-run reconstruction:")
+	j.runs(merged, id.Run(runFilter), true)
+	return j.verdict("all evidence verifies")
+}
+
+// auditVault audits an evidence vault in place, streaming records through
+// the query engine instead of loading the log. With a bundle supplying
+// certificates, every token is signature-checked; without one the audit
+// covers the tamper-evidence chains only.
+func auditVault(dir, bundleDir, runFilter, txnFilter string, deep bool) int {
+	// Read-only: an audit must never reshape the evidence store (no lock
+	// file creation, no tail truncation, no index rewrite, no sealing),
+	// must work from read-only media, and must refuse a mistyped path
+	// rather than conjure an empty vault that "verifies".
+	v, err := vault.Open(dir, clock.Real{}, vault.WithReadOnly())
+	if err != nil {
+		return failed(err, 1)
+	}
+	defer v.Close()
+	st := v.Stats()
+	fmt.Printf("vault: %d records (%d sealed segments, %d in tail)\n", st.LastSeq, st.Segments, st.TailRecords)
+
+	// A bare audit must not hand out a clean verdict on the cheap check
+	// alone (open verifies the manifest chain and tail but never reads
+	// sealed segment data), so with nothing narrower requested the audit
+	// is a deep one.
+	if deep || bundleDir == "" && runFilter == "" && txnFilter == "" {
+		if err := v.DeepVerify(); err != nil {
+			fmt.Printf("deep verify: %v\n\nverdict: evidence FAULTY\n", err)
+			return 1
+		}
+		fmt.Println("deep verify: every sealed segment matches its seal")
+	}
+	j, err := newJudge(bundleDir, anyError)
+	if err != nil {
+		return failed(err, 1)
+	}
+	if runFilter != "" || txnFilter != "" {
+		records, err := collect(v.Query(vault.Query{Run: id.Run(runFilter), Txn: id.Txn(txnFilter)}), true)
+		if err != nil {
+			return j.fail(err)
+		}
+		fmt.Printf("%d matching records\n", len(records))
+		if j.adj == nil {
+			fmt.Println("\nverdict: tamper-evidence chains verify (pass -bundle to verify tokens)")
+			return 0
+		}
+		j.runs(records, "", false)
+		return j.verdict("filtered evidence verifies")
+	}
+	if j.adj == nil {
+		fmt.Println("tokens not verified (pass -bundle for signature checks)")
+		return j.verdict("tamper-evidence chains verify")
+	}
+	if err := j.log(v.Query(vault.Query{}), streamAudit); err != nil {
+		return j.fail(err)
+	}
+	return j.verdict("all evidence verifies")
+}
+
+// dial registers the ephemeral coordinator the remote modes speak
+// through on a local TCP port; closing it closes the network too.
+func dial() (*protocol.Coordinator, func(), error) {
+	net := transport.NewTCPNetwork()
+	co, err := protocol.New(net, "127.0.0.1:0", &protocol.Services{
+		Party: "urn:nonrep:nrverify", Clock: clock.Real{}, Directory: protocol.NewDirectory(),
+	})
+	if err != nil {
+		_ = net.Close()
+		return nil, nil, err
+	}
+	return co, func() { _ = co.Close(); _ = net.Close() }, nil
+}
+
+// remote reads a live organisation's evidence — or its replica of
+// replicaOf's — through the audit service at addr, page by page.
+func remote(addr, replicaOf string, page int) (core.Querier, func(), error) {
+	co, closeCo, err := dial()
+	if err != nil {
+		return nil, nil, err
+	}
+	client := protocol.NewAuditClient(co)
+	client.SetPage(page)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	query := func(q vault.Query) core.RecordSource { return client.QueryAddr(ctx, addr, q, replicaOf) }
+	return query, func() { cancel(); closeCo() }, nil
+}
+
 // auditRemote audits a live organisation's evidence over the wire: an
 // ephemeral coordinator is registered on a local TCP port and the audit
 // service at addr streams records to it page by page. With a bundle
 // supplying certificates every token is signature-checked; without one
 // only stream integrity (the serving vault's chains) is covered.
 func auditRemote(addr, bundleDir, source, runFilter string, page int) int {
-	clk := clock.Real{}
-	net := transport.NewTCPNetwork()
-	defer net.Close()
-	svc := &protocol.Services{
-		Party:     "urn:nonrep:nrverify",
-		Clock:     clk,
-		Directory: protocol.NewDirectory(),
-	}
-	co, err := protocol.New(net, "127.0.0.1:0", svc)
+	query, closeQuery, err := remote(addr, source, page)
 	if err != nil {
 		// Setup failures produce no verdict: exit 2, never the
 		// evidence-FAULTY code.
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 2
+		return failed(err, 2)
 	}
-	defer co.Close()
-	client := protocol.NewAuditClient(co)
-	if page > 0 {
-		client.SetPage(page)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
+	defer closeQuery()
 
 	target := "the remote organisation's own vault"
 	if source != "" {
 		target = fmt.Sprintf("the remote replica of %s", source)
 	}
 	fmt.Printf("remote audit of %s via %s\n", target, addr)
-
-	var creds *credential.Store
-	if bundleDir != "" {
-		b, err := bundle.Read(bundleDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 2
-		}
-		if creds, err = b.CredentialStore(clk); err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 2
-		}
+	j, err := newJudge(bundleDir, integrityError)
+	if err != nil {
+		return failed(err, 2)
 	}
-
-	if runFilter != "" {
-		if creds == nil {
-			fmt.Fprintln(os.Stderr, "nrverify: -run in remote mode needs -bundle for signature checks")
-			return 2
-		}
-		adj := core.NewAdjudicator(creds)
-		it := client.QueryAddr(ctx, addr, vault.Query{Run: id.Run(runFilter)}, source)
-		report, err := adj.AuditRunStream(it, id.Run(runFilter))
+	switch {
+	case runFilter != "" && j.adj == nil:
+		fmt.Fprintln(os.Stderr, "nrverify: -run in remote mode needs -bundle for signature checks")
+		return 2
+	case runFilter != "":
+		records, err := collect(query(vault.Query{Run: id.Run(runFilter)}), false)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			if integrityError(err) {
-				fmt.Println("\nverdict: evidence FAULTY")
-				return 1
-			}
-			fmt.Fprintln(os.Stderr, "nrverify: could not audit (no verdict)")
-			return 2
+			return j.fail(err)
 		}
-		if printRun(report) {
-			fmt.Println("\nverdict: evidence FAULTY")
-			return 1
-		}
-		fmt.Println("\nverdict: run evidence verifies")
-		return 0
-	}
-
-	if creds == nil {
-		// Stream the whole log and verify chain integrity only: the
-		// remote iterator surfaces any serving-side seal or chain break
-		// as a stream error.
-		it := client.QueryAddr(ctx, addr, vault.Query{}, source)
-		n := 0
+		j.runs(records, "", false)
+		return j.verdict("run evidence verifies")
+	case j.adj == nil:
+		// Stream the whole log for chain integrity only: the remote
+		// iterator surfaces any serving-side seal or chain break as a
+		// stream error.
+		it, n := query(vault.Query{}), 0
 		for it.Next() {
 			n++
 		}
 		if err := it.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "nrverify: %v\n", err)
-			if integrityError(err) {
-				fmt.Println("\nverdict: evidence FAULTY")
-				return 1
-			}
-			fmt.Fprintln(os.Stderr, "nrverify: could not audit (no verdict)")
-			return 2
+			return j.fail(err)
 		}
 		fmt.Printf("streamed %d records (pass -bundle for signature checks)\n", n)
-		fmt.Println("\nverdict: remote evidence streams and chains verify")
-		return 0
+		return j.verdict("remote evidence streams and chains verify")
 	}
-
-	adj := core.NewAdjudicator(creds)
-	it := client.QueryAddr(ctx, addr, vault.Query{}, source)
-	report := adj.AuditStream(it)
-	if err := it.Err(); err != nil && !integrityError(err) {
-		// The stream died for transport reasons; whatever partial report
-		// exists is not a verdict on the evidence.
-		fmt.Fprintf(os.Stderr, "nrverify: %v\nnrverify: could not audit (no verdict)\n", err)
-		return 2
+	// A stream that died for transport reasons leaves a partial report
+	// that is no verdict on the evidence.
+	if err := j.log(query(vault.Query{}), streamAudit); err != nil {
+		return j.fail(err)
 	}
-	status := "CLEAN"
-	if !report.Clean() {
-		status = "FAULTY"
-	}
-	fmt.Printf("stream audit: %d records  chain=%v  %s\n", report.Records, report.ChainOK, status)
-	if report.ChainError != "" {
-		fmt.Printf("    chain: %s\n", report.ChainError)
-	}
-	printFaults(report.Faults)
-	if !report.Clean() {
-		fmt.Println("\nverdict: evidence FAULTY")
-		return 1
-	}
-	fmt.Println("\nverdict: all evidence verifies")
-	return 0
+	return j.verdict("all evidence verifies")
 }
 
 // followRemote subscribes to a live organisation's evidence feed over
@@ -452,33 +444,17 @@ func auditRemote(addr, bundleDir, source, runFilter string, page int) int {
 // and attribution are checked too. Runs until interrupted (or -for
 // elapses); a publisher eviction reports the resume position.
 func followRemote(addr, bundleDir string, forDur time.Duration) int {
-	clk := clock.Real{}
-	net := transport.NewTCPNetwork()
-	defer net.Close()
-	svc := &protocol.Services{
-		Party:     "urn:nonrep:nrverify",
-		Clock:     clk,
-		Directory: protocol.NewDirectory(),
-	}
-	co, err := protocol.New(net, "127.0.0.1:0", svc)
+	co, closeCo, err := dial()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 2
+		return failed(err, 2)
 	}
-	defer co.Close()
-
+	defer closeCo()
+	creds, err := credentials(bundleDir)
+	if err != nil {
+		return failed(err, 2)
+	}
 	var verifier *evidence.Verifier
-	if bundleDir != "" {
-		b, err := bundle.Read(bundleDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 2
-		}
-		creds, err := b.CredentialStore(clk)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrverify:", err)
-			return 2
-		}
+	if creds != nil {
 		verifier = &evidence.Verifier{Keys: creds}
 	}
 
@@ -638,41 +614,27 @@ func sizesVault(dir string) int {
 func provVault(dir string, run id.Run, hops int) int {
 	v, err := vault.Open(dir, clock.Real{}, vault.WithReadOnly())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 2
+		return failed(err, 2)
 	}
 	defer v.Close()
-	return provWalk(run, hops, v.Provenance)
+	return provWalk(run, hops, func(q vault.Query) core.RecordSource { return v.Query(q) })
 }
 
-// provRemote prints the provenance graph of a run served by a live
-// organisation's subscription service.
+// provRemote prints the provenance graph of a run derived from a live
+// organisation's evidence, read through its audit service.
 func provRemote(addr string, run id.Run, hops int) int {
-	net := transport.NewTCPNetwork()
-	defer net.Close()
-	svc := &protocol.Services{
-		Party:     "urn:nonrep:nrverify",
-		Clock:     clock.Real{},
-		Directory: protocol.NewDirectory(),
-	}
-	co, err := protocol.New(net, "127.0.0.1:0", svc)
+	query, closeQuery, err := remote(addr, "", 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nrverify:", err)
-		return 2
+		return failed(err, 2)
 	}
-	defer co.Close()
-	client := protocol.NewSubClient(co)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	return provWalk(run, hops, func(r id.Run) (*vault.ProvGraph, error) {
-		return client.ProvenanceAddr(ctx, addr, r)
-	})
+	defer closeQuery()
+	return provWalk(run, hops, query)
 }
 
 // provWalk prints the provenance neighbourhood of root and walks its
 // derived runs breadth-first to the requested degrees of separation,
 // printing each visited run's graph exactly once.
-func provWalk(root id.Run, hops int, fetch func(id.Run) (*vault.ProvGraph, error)) int {
+func provWalk(root id.Run, hops int, query core.Querier) int {
 	type hop struct {
 		run   id.Run
 		depth int
@@ -683,7 +645,7 @@ func provWalk(root id.Run, hops int, fetch func(id.Run) (*vault.ProvGraph, error
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		g, err := fetch(cur.run)
+		g, err := core.Provenance(query, cur.run)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nrverify: provenance of %s: %v\n", cur.run, err)
 			return 2
@@ -734,15 +696,4 @@ func provWalk(root id.Run, hops int, fetch func(id.Run) (*vault.ProvGraph, error
 	}
 	fmt.Printf("\nprovenance: %d runs within %d hops of %s\n", printed, hops, root)
 	return 0
-}
-
-// byRun groups records by their token's run.
-func byRun(records []*store.Record) map[id.Run][]*store.Record {
-	runs := make(map[id.Run][]*store.Record)
-	for _, rec := range records {
-		if rec.Token != nil {
-			runs[rec.Token.Run] = append(runs[rec.Token.Run], rec)
-		}
-	}
-	return runs
 }

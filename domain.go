@@ -780,11 +780,12 @@ func (o *Org) Subscribe(ctx context.Context, publisher Party, cfg WatchConfig) (
 	return o.subCli.Subscribe(ctx, publisher, cfg)
 }
 
-// Provenance fetches from a peer the provenance graph of one run — its
-// tokens, the parties they bind, and runs derived through shared
-// business transactions — grounded in the peer's vault indexes.
+// Provenance derives the provenance graph of one run from a peer's
+// evidence — its tokens, the parties they bind, and runs derived through
+// shared business transactions — reading the records through the peer's
+// audit service, as RemoteAudit does.
 func (o *Org) Provenance(ctx context.Context, peer Party, run Run) (*ProvGraph, error) {
-	return o.subCli.Provenance(ctx, peer, run)
+	return core.Provenance(func(q vault.Query) core.RecordSource { return o.auditCli.Query(ctx, peer, q, "") }, run)
 }
 
 // Subscribers reports how many live subscriptions the organisation's

@@ -1,14 +1,9 @@
-// Provenance queries: the vault's evidence, viewed as a graph. Every
-// record carries a signed token naming who issued what to whom under
-// which run and transaction, so the vault already holds a non-repudiable
-// provenance graph — run → tokens → parties → derived runs — it just
-// never exposed it as one. Provenance walks the existing run and
-// transaction indexes (no new storage) and returns the neighbourhood of
-// one run: the evidence a clinical-decision-support-style consumer needs
-// to answer "what produced this result, and what else did its
-// transaction touch", grounded in adjudicable tokens rather than
-// side-channel logs.
-package vault
+// Provenance: a party's evidence viewed as a graph — run → tokens →
+// parties → derived runs. Every record carries a signed token naming who
+// issued what to whom under which run and transaction, so the reader
+// derives the graph from the records themselves, read through the same
+// query a verdict reads them through; the publisher asserts nothing.
+package core
 
 import (
 	"sort"
@@ -16,11 +11,17 @@ import (
 
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/store"
+	"nonrep/internal/vault"
 )
 
+// Querier runs one query over a party's evidence as a record stream: a
+// local vault's Query, or an audit client's Query against a peer.
+type Querier func(vault.Query) RecordSource
+
 // ProvToken is one edge of the provenance graph: a token as recorded in
-// the vault, trimmed to its graph-relevant fields plus the record
-// sequence anchoring it in the chain.
+// the log, trimmed to its graph-relevant fields plus the record sequence
+// anchoring it in the chain.
 type ProvToken struct {
 	Seq        uint64        `json:"seq"`
 	Kind       evidence.Kind `json:"kind"`
@@ -47,23 +48,18 @@ type ProvGraph struct {
 	Derived []id.Run `json:"derived,omitempty"`
 }
 
-// Provenance builds the provenance graph of one run from the vault's run
-// and transaction indexes: the run's tokens, the parties they bind, and
-// the runs derived through shared transactions. Cost is O(run's records
-// + linked transactions' records), independent of log size.
-func (v *Vault) Provenance(run id.Run) (*ProvGraph, error) {
+// Provenance builds the provenance graph of one run from a run query and
+// one transaction query per linked transaction: the run's tokens, the
+// parties they bind, and the runs derived through shared transactions.
+// Against a vault the queries ride its run and transaction indexes, so
+// the cost is the run's records plus the linked transactions' records,
+// independent of log size.
+func Provenance(query Querier, run id.Run) (*ProvGraph, error) {
 	g := &ProvGraph{Run: run}
-	recs, err := v.QueryAll(Query{Run: run})
-	if err != nil {
-		return nil, err
-	}
 	parties := make(map[id.Party]bool)
 	txns := make(map[id.Txn]bool)
-	for _, rec := range recs {
+	err := tokens(query(vault.Query{Run: run}), func(rec *store.Record) {
 		tok := rec.Token
-		if tok == nil {
-			continue
-		}
 		g.Tokens = append(g.Tokens, ProvToken{
 			Seq:        rec.Seq,
 			Kind:       tok.Kind,
@@ -77,10 +73,13 @@ func (v *Vault) Provenance(run id.Run) (*ProvGraph, error) {
 		for _, p := range tok.Recipients {
 			parties[p] = true
 		}
-		if tok.Txn != (id.Txn("")) && !txns[tok.Txn] {
+		if tok.Txn != "" && !txns[tok.Txn] {
 			txns[tok.Txn] = true
 			g.Txns = append(g.Txns, tok.Txn)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	for p := range parties {
 		g.Parties = append(g.Parties, p)
@@ -88,19 +87,26 @@ func (v *Vault) Provenance(run id.Run) (*ProvGraph, error) {
 	sort.Slice(g.Parties, func(i, j int) bool { return g.Parties[i] < g.Parties[j] })
 	seenRun := map[id.Run]bool{run: true}
 	for _, txn := range g.Txns {
-		linked, err := v.QueryAll(Query{Txn: txn})
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range linked {
-			if rec.Token == nil {
-				continue
-			}
+		err := tokens(query(vault.Query{Txn: txn}), func(rec *store.Record) {
 			if r := rec.Token.Run; !seenRun[r] {
 				seenRun[r] = true
 				g.Derived = append(g.Derived, r)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// tokens calls fn on every record of src that carries a token and
+// returns the error that ended the stream, if any.
+func tokens(src RecordSource, fn func(*store.Record)) error {
+	for src.Next() {
+		if rec := src.Record(); rec.Token != nil {
+			fn(rec)
+		}
+	}
+	return src.Err()
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
@@ -132,6 +134,43 @@ func TestDeliverReturnsHandlerError(t *testing.T) {
 	msg := &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "refuse"}
 	if err := f.coA.Deliver(context.Background(), bob, msg); !errors.Is(err, errPingRefused) {
 		t.Fatalf("Deliver = %v, want the handler's %v", err, errPingRefused)
+	}
+}
+
+// TestRefusedDeliveryReturnsAtOnce: a handler's refusal reaches the
+// sender without being repeated — the receiver's replay cache would only
+// answer each repeat with it again — over TCP as in process.
+func TestRefusedDeliveryReturnsAtOnce(t *testing.T) {
+	t.Parallel()
+	realm := testpki.MustRealm(alice, bob)
+	inproc, tcp := transport.NewInprocNetwork(), transport.NewTCPNetwork()
+	t.Cleanup(func() { _ = inproc.Close(); _ = tcp.Close() })
+	for _, network := range []transport.Network{inproc, tcp} {
+		dir := protocol.NewDirectory()
+		newCo := func(p id.Party) *protocol.Coordinator {
+			addr := string(p)
+			if network == tcp {
+				addr = "127.0.0.1:0"
+			}
+			svc := &protocol.Services{
+				Party: p, Issuer: realm.Party(p).Issuer, Verifier: realm.Verifier(),
+				Log: testpki.Log(t, realm.Clock), States: store.NewMemStateStore(),
+				Clock: realm.Clock, Directory: dir,
+			}
+			co, err := protocol.New(network, addr, svc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = co.Close() })
+			return co
+		}
+		coA, coB, h := newCo(alice), newCo(bob), &pingHandler{}
+		coB.Register(h)
+		start := time.Now()
+		err := coA.Deliver(context.Background(), bob, &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "refuse"})
+		if took := time.Since(start); err == nil || !strings.Contains(err.Error(), errPingRefused.Error()) || h.requests.Load() != 1 || took > 50*time.Millisecond {
+			t.Fatalf("%T: refused delivery = %v after %d requests in %v, want the refusal after 1 within 50ms", network, err, h.requests.Load(), took)
+		}
 	}
 }
 

@@ -50,8 +50,6 @@ const (
 	KindSubOpen = "sub-open"
 	// KindSubClose ends a subscription.
 	KindSubClose = "sub-close"
-	// KindSubProv requests the provenance graph of one run.
-	KindSubProv = "sub-prov"
 	// KindSubRecords pushes one chain-ordered batch of committed records.
 	KindSubRecords = "sub-records"
 	// KindSubSeal pushes a seal notification.
@@ -127,14 +125,6 @@ type subCloseReq struct {
 
 type subCloseResp struct {
 	Closed bool `json:"closed"`
-}
-
-type subProvReq struct {
-	Run id.Run `json:"run"`
-}
-
-type subProvResp struct {
-	Graph *vault.ProvGraph `json:"graph"`
 }
 
 // subRecordsPush carries one chain-ordered batch as concatenated binary
@@ -256,7 +246,6 @@ func NewSubService(co *Coordinator, v *vault.Vault, opts ...SubOption) *SubServi
 	s.RequestMux = NewRequestMux(SubProtocol, "subscription", map[string]RequestFunc{
 		KindSubOpen:  s.handleOpen,
 		KindSubClose: s.handleClose,
-		KindSubProv:  s.handleProv,
 	})
 	co.Register(s)
 	return s
@@ -437,21 +426,6 @@ func (s *SubService) handleClose(_ context.Context, msg *Message) (*Message, err
 		<-ss.done
 	}
 	return msg.Reply("sub-close-reply", &subCloseResp{Closed: ok})
-}
-
-func (s *SubService) handleProv(_ context.Context, msg *Message) (*Message, error) {
-	if s.v == nil {
-		return nil, fmt.Errorf("%w at %s", ErrNoVault, s.co.Party())
-	}
-	var req subProvReq
-	if err := msg.Body(&req); err != nil {
-		return nil, err
-	}
-	graph, err := s.v.Provenance(req.Run)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Reply("sub-prov-reply", &subProvResp{Graph: graph})
 }
 
 // WatchConfig shapes one subscription from the subscriber's side.
@@ -722,22 +696,6 @@ func newUpstream(subID, addr string, f *Feed) *upstream {
 	f.up = u
 	f.seq, f.hash = f.cfg.AfterSeq, f.cfg.AfterHash
 	return u
-}
-
-// Provenance fetches the provenance graph of one run from a publisher.
-func (c *SubClient) Provenance(ctx context.Context, publisher id.Party, run id.Run) (*vault.ProvGraph, error) {
-	addr, err := c.co.Services().Directory.Resolve(publisher)
-	if err != nil {
-		return nil, err
-	}
-	return c.ProvenanceAddr(ctx, addr, run)
-}
-
-// ProvenanceAddr is Provenance against an explicit coordinator address.
-func (c *SubClient) ProvenanceAddr(ctx context.Context, addr string, run id.Run) (*vault.ProvGraph, error) {
-	var resp subProvResp
-	err := c.co.exchange(ctx, addr, peerRequest{protocol: SubProtocol, kind: KindSubProv, body: &subProvReq{Run: run}}, &resp)
-	return resp.Graph, err
 }
 
 // FeedEvent is one verified feed delivery: a chain-continuous batch of

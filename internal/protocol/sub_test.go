@@ -319,46 +319,6 @@ func TestSubUnauthorizedRejected(t *testing.T) {
 	feed.Close()
 }
 
-// TestSubProvenanceQuery walks run → tokens → parties → derived runs
-// over the wire.
-func TestSubProvenanceQuery(t *testing.T) {
-	t.Parallel()
-	network := transport.NewInprocNetwork()
-	t.Cleanup(func() { _ = network.Close() })
-	f := newSubFixture(t, network)
-	txn := id.Txn("txn-prov-1")
-	runA, runB := id.NewRun(), id.NewRun()
-	issue := func(run id.Run, step int) {
-		tok, err := f.realm.Party(alice).Issuer.Issue(evidence.KindNRO, run, step,
-			sig.Sum([]byte{byte(step)}), evidence.WithTxn(txn), evidence.WithRecipients(bob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.vA.Append(store.Generated, tok, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	issue(runA, 1)
-	issue(runA, 2)
-	issue(runB, 1)
-	graph, err := f.client.Provenance(context.Background(), alice, runA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graph.Run != runA || len(graph.Tokens) != 2 {
-		t.Fatalf("graph of %s: %d tokens, want 2", runA, len(graph.Tokens))
-	}
-	if len(graph.Txns) != 1 || graph.Txns[0] != txn {
-		t.Fatalf("graph txns = %v, want [%s]", graph.Txns, txn)
-	}
-	if len(graph.Derived) != 1 || graph.Derived[0] != runB {
-		t.Fatalf("graph derived = %v, want [%s]", graph.Derived, runB)
-	}
-	if len(graph.Parties) != 2 {
-		t.Fatalf("graph parties = %v, want alice and bob", graph.Parties)
-	}
-}
-
 // TestSubTenantDetachStopsPredecessorFeed is the re-enrolment regression:
 // removing a tenant from a host must tear down its subscription plane —
 // the predecessor's subscribers stop receiving, its vault hooks are

@@ -87,7 +87,7 @@ type pendingItem struct {
 	tenant string
 	done   chan struct{}
 	reply  *transport.Envelope
-	err    string
+	err    error
 	link   *gatewayLink
 }
 
@@ -219,8 +219,10 @@ func (g *WorkerGateway) enqueue(ctx context.Context, party string, env *transpor
 
 	select {
 	case <-item.done:
-		if item.err != "" {
-			return nil, fmt.Errorf("%w: %s", ErrWorkerFailed, item.err)
+		if item.err != nil {
+			// The worker's error as it came: one its replay window
+			// answered stays answered, so the sender does not repeat it.
+			return nil, fmt.Errorf("%w: %w", ErrWorkerFailed, item.err)
 		}
 		return item.reply, nil
 	case <-ctx.Done():
@@ -402,9 +404,9 @@ func (g *WorkerGateway) forward(l *gatewayLink, it *pendingItem) {
 	defer g.mu.Unlock()
 	l.busy--
 	if err == nil {
-		g.finishLocked(it, reply, "")
+		g.finishLocked(it, reply, nil)
 	} else if !isClosed(l.conn.Done()) {
-		g.finishLocked(it, nil, err.Error())
+		g.finishLocked(it, nil, err)
 	}
 	g.pumpLocked(l)
 }
@@ -421,7 +423,7 @@ func isClosed(ch <-chan struct{}) bool {
 
 // finishLocked completes an item once, wherever it is: in flight, or
 // re-queued after a takeover and withdrawn so no link executes it again.
-func (g *WorkerGateway) finishLocked(it *pendingItem, reply *transport.Envelope, errText string) {
+func (g *WorkerGateway) finishLocked(it *pendingItem, reply *transport.Envelope, err error) {
 	if isClosed(it.done) {
 		return
 	}
@@ -433,7 +435,7 @@ func (g *WorkerGateway) finishLocked(it *pendingItem, reply *transport.Envelope,
 		g.queued--
 		g.depthLocked()
 	}
-	it.reply, it.err = reply, errText
+	it.reply, it.err = reply, err
 	close(it.done)
 	select {
 	case g.completions <- struct{}{}:
@@ -503,7 +505,7 @@ func (g *WorkerGateway) close() {
 	}
 	for _, t := range g.tenants {
 		for _, it := range slices.Clone(t.queue) {
-			g.finishLocked(it, nil, "gateway closed")
+			g.finishLocked(it, nil, errors.New("gateway closed"))
 		}
 	}
 }

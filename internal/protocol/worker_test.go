@@ -615,6 +615,40 @@ func TestWorkerLinkEndToEnd(t *testing.T) {
 	}
 }
 
+// refusePing refuses every ping.
+type refusePing struct{ calls atomic.Int64 }
+
+func (h *refusePing) Protocol() string { return "ping" }
+
+func (h *refusePing) ProcessRequest(context.Context, *Message) (*Message, error) {
+	h.calls.Add(1)
+	return nil, errors.New("ping refused")
+}
+
+// TestGatewayRelaysAnsweredRefusal: a worker's refusal, which the
+// worker's replay window would give every repeat again, reaches the
+// sender through the gateway still answered, so the sender does not
+// repeat it — over TCP as in process.
+func TestGatewayRelaysAnsweredRefusal(t *testing.T) {
+	t.Parallel()
+	for kind, wn := range workerNetworks(t) {
+		t.Run(kind, func(t *testing.T) {
+			bob := id.Party("urn:org:wl-bob")
+			f := newWorkerFixture(t, wn, bob)
+			h := &refusePing{}
+			f.connect(t, wn, bob, h)
+			for i := 1; i <= 2; i++ {
+				start := time.Now()
+				err := f.alice.Deliver(context.Background(), bob, &Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "note"})
+				if took := time.Since(start); err == nil || !strings.Contains(err.Error(), "ping refused") || h.calls.Load() != int64(i) ||
+					i == 2 && took > 50*time.Millisecond {
+					t.Fatalf("delivery %d: %v after %d handler calls in %v, want the refusal within 50ms", i, err, h.calls.Load(), took)
+				}
+			}
+		})
+	}
+}
+
 // TestGatewayRefusesUnauthenticatedHello: a hello for an enrolled worker
 // party that is unsigned, or signed by another party, is refused; the
 // worker keeps its route and nothing reaches the impostor.

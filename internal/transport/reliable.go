@@ -91,10 +91,35 @@ func Permanent(err error) bool {
 		errors.Is(err, ErrUnknownTenant)
 }
 
+// answered marks a far handler's error that the receiver's replay cache
+// returned: Dedup answers every repeat of the envelope with the same
+// error, so the refusal is final and Reliable does not repeat it.
+type answered struct{ error }
+
+func (a answered) Unwrap() error { return a.error }
+
+// answeredMark ends the body of a TCP "error" reply that carries an
+// answered error. A sender that predates it shows it as part of the
+// message; a reply without it stays transient.
+const answeredMark = " [answered]"
+
+// isAnswered reports whether err is a far handler's answered refusal.
+func isAnswered(err error) bool { return errors.As(err, new(answered)) }
+
+// markAnswered marks a handler's error as answered, unless it is the
+// receiver's own context ending, which a repeat may outlive.
+func markAnswered(ctx context.Context, err error) error {
+	if err == nil || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return answered{err}
+}
+
 // Reliable wraps an endpoint with retransmission. Paired with Dedup on the
 // receiving side, it provides eventual delivery with exactly-once
 // processing over a network with a bounded number of transient failures.
-// Retries stop early for permanent errors (see Permanent) and when the
+// Retries stop early for permanent errors (see Permanent), for a far
+// handler's refusal the receiver's Dedup answered, and when the
 // context deadline cannot accommodate the next backoff delay, so callers
 // with a budget are not left burning it on a destination that cannot
 // answer in time.
@@ -160,11 +185,11 @@ func (r *Reliable) retry(ctx context.Context, op, to string, exchange func() (*E
 
 // pause decides whether to retry after a failed attempt and sleeps the
 // backoff if so. It reports done=true when the retry loop should stop:
-// the attempt budget is spent, the failure is permanent, or the context
-// deadline cannot fit the next delay (retrying would only convert the
-// caller's specific error into a generic deadline exceeded).
+// the attempt budget is spent, the failure is permanent or answered, or
+// the context deadline cannot fit the next delay (retrying would only
+// convert the caller's specific error into a generic deadline exceeded).
 func (r *Reliable) pause(ctx context.Context, attempt int, cause error) (done bool, err error) {
-	if attempt >= r.policy.Attempts || Permanent(cause) {
+	if attempt >= r.policy.Attempts || Permanent(cause) || isAnswered(cause) {
 		return true, nil
 	}
 	d := r.policy.Delay(attempt)
@@ -245,7 +270,7 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return res.reply, res.err
+		return res.reply, markAnswered(ctx, res.err)
 	}
 	res := &dedupResult{done: make(chan struct{})}
 	d.results.Put(key, res)
@@ -263,5 +288,5 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 		}
 		d.mu.Unlock()
 	}
-	return res.reply, res.err
+	return res.reply, markAnswered(ctx, res.err)
 }

@@ -266,3 +266,75 @@ func TestDialUnknownAddressIsPermanent(t *testing.T) {
 		t.Fatalf("unexpected error %v", err)
 	}
 }
+
+// TestReliableStopsOnAnsweredRefusal: a far handler's error that the
+// receiver's Dedup returns is final — every repeat would get the same
+// cached error — so Reliable gives it to its caller at once, in process
+// and over TCP, where the mark rides the "error" reply. An error from
+// behind no Dedup (an older peer's reply carries no mark) and a handler
+// ending on a context stay transient and are repeated.
+func TestReliableStopsOnAnsweredRefusal(t *testing.T) {
+	refused := errors.New("receipt refused")
+	inproc, tcp := transport.NewInprocNetwork(), transport.NewTCPNetwork()
+	defer inproc.Close()
+	defer tcp.Close()
+	for _, c := range []struct {
+		name string
+		net  transport.Network
+		addr func(name string) string
+	}{
+		{"inproc", inproc, func(name string) string { return name }},
+		{"tcp", tcp, func(string) string { return "127.0.0.1:0" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var calls, deliveries atomic.Int64
+			var cause atomic.Pointer[error] // what the handler behind Dedup returns
+			cause.Store(&refused)
+			dedup := transport.NewDedupWith(transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+				calls.Add(1)
+				return nil, *cause.Load()
+			}), nil)
+			register := func(name string, h transport.Handler) transport.Endpoint {
+				ep, err := c.net.Register(c.addr(name), transport.HandlerFunc(func(ctx context.Context, env *transport.Envelope) (*transport.Envelope, error) {
+					deliveries.Add(1)
+					return h.Handle(ctx, env)
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = ep.Close() })
+				return ep
+			}
+			sender := register("sender", transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+				return nil, nil
+			}))
+			send := func(to transport.Endpoint, policy transport.RetryPolicy) error {
+				calls.Store(0)
+				deliveries.Store(0)
+				return transport.NewReliable(sender, policy).Send(context.Background(), to.Addr(), transport.NewEnvelope("deliver", nil))
+			}
+			policy := transport.RetryPolicy{Attempts: 3, Backoff: time.Millisecond, NoJitter: true}
+
+			deduped := register("deduped", dedup)
+			start := time.Now()
+			err := send(deduped, transport.DefaultRetryPolicy)
+			if took := time.Since(start); err == nil || !strings.Contains(err.Error(), "receipt refused") || strings.Contains(err.Error(), "[answered]") ||
+				deliveries.Load() != 1 || took > 50*time.Millisecond {
+				t.Fatalf("answered refusal: %v after %d deliveries in %v, want the refusal after 1 within 50ms", err, deliveries.Load(), took)
+			}
+
+			canceled := context.Canceled
+			cause.Store(&canceled)
+			if err := send(deduped, policy); err == nil || calls.Load() != 1 || deliveries.Load() != 3 {
+				t.Fatalf("context ending behind Dedup: %v after %d handler calls and %d deliveries, want 1 and 3", err, calls.Load(), deliveries.Load())
+			}
+
+			raw := register("raw", transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {
+				return nil, refused
+			}))
+			if err := send(raw, policy); err == nil || deliveries.Load() != 3 {
+				t.Fatalf("refusal from behind no Dedup: %v after %d deliveries, want 3", err, deliveries.Load())
+			}
+		})
+	}
+}

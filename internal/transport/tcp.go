@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -449,7 +450,12 @@ func (c *conn) Request(ctx context.Context, env *Envelope) (*Envelope, error) {
 		return nil, ctx.Err()
 	}
 	if reply.Kind == "error" {
-		return nil, fmt.Errorf("transport: remote handler: %s", reply.Body)
+		msg, final := strings.CutSuffix(string(reply.Body), answeredMark)
+		err := fmt.Errorf("transport: remote handler: %s", msg)
+		if final {
+			err = answered{err}
+		}
+		return nil, err
 	}
 	return reply, nil
 }
@@ -541,7 +547,11 @@ func (c *conn) answer(id uint64, reply *Envelope) {
 func handle(ctx context.Context, h Handler, env *Envelope) *Envelope {
 	reply, err := h.Handle(ctx, env)
 	if err != nil {
-		return &Envelope{ID: env.ID, Kind: "error", Body: []byte(err.Error())}
+		msg := err.Error()
+		if isAnswered(err) {
+			msg += answeredMark
+		}
+		return &Envelope{ID: env.ID, Kind: "error", Body: []byte(msg)}
 	}
 	if reply == nil {
 		return &Envelope{ID: env.ID, Kind: "ack"}

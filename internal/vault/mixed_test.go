@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nonrep/internal/blob"
+	"nonrep/internal/core"
 	"nonrep/internal/evidence"
 	"nonrep/internal/feed"
 	"nonrep/internal/georep"
@@ -286,7 +287,7 @@ func TestVaultMixedEncodings(t *testing.T) {
 		if got, err := v.QueryAll(vault.Query{Kind: evidence.KindNRR, Party: org}); err != nil || len(got) != 7 {
 			t.Fatalf("%s: kind+party query = %d records, err %v, want 7", what, len(got), err)
 		}
-		g, err := v.Provenance(parentRuns[2].Run)
+		g, err := core.Provenance(func(q vault.Query) core.RecordSource { return v.Query(q) }, parentRuns[2].Run)
 		if err != nil || len(g.Tokens) != 4 || len(g.Txns) != 1 || len(g.Parties) != 2 {
 			t.Fatalf("%s: provenance of a parent-era run = %+v, err %v", what, g, err)
 		}

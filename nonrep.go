@@ -360,9 +360,9 @@ type (
 	FeedEvent = protocol.FeedEvent
 	// ProvGraph is the provenance neighbourhood of one run: run → tokens
 	// → parties → derived runs (Org.Provenance).
-	ProvGraph = vault.ProvGraph
-	// ProvToken is one provenance edge, anchored at its vault sequence.
-	ProvToken = vault.ProvToken
+	ProvGraph = core.ProvGraph
+	// ProvToken is one provenance edge, anchored at its log sequence.
+	ProvToken = core.ProvToken
 )
 
 // Feed-ending errors (Feed.Err after the event channel closes).

@@ -51,7 +51,6 @@ PROTOCOL_CEILING=1
 STRUCTS=(
   "internal/protocol GatewayConfig"
   "internal/transport CoalesceOptions"
-  "internal/transport ChunkOptions"
   "internal/durable Config"
   "internal/protocol WatchConfig"
 )
@@ -88,23 +87,30 @@ protocols="$(gosrc internal/invoke | sort | xargs cat | nocomments | grep -cE \
   'Protocol(Direct|Voluntary|Inline|Fair)\b.*([!=]=|\[\]string\{)|([!=]=|\bcase\b|\[\]string\{).*Protocol(Direct|Voluntary|Inline|Fair)\b|(\bproto|\.name)\b *[!=]=' || true)"
 
 # fields DIR TYPE counts the exported field names declared in the struct
-# TYPE of the package in DIR (0 when the type does not exist); "A, B int"
-# counts two.
+# TYPE of the package in DIR ("A, B int" counts two) and prints nothing
+# when the package declares no such struct.
 fields() {
   find "$1" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | awk -v t="$2" '
-    $0 ~ "^type " t " struct \\{" { in_struct = 1; next }
+    $0 ~ "^type " t " struct \\{" { found = 1; in_struct = 1; next }
     in_struct && /^}/ { in_struct = 0 }
     in_struct && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)*/) {
       names = substr($0, RSTART, RLENGTH)
       n += gsub(/,/, ",", names) + 1
     }
-    END { print n + 0 }'
+    END { if (found) print n + 0 }'
 }
 
+status=0
 total=0
 for s in "${STRUCTS[@]}"; do
   read -r dir typ <<<"$s"
-  n="$(fields "$dir" "$typ")"
+  n="$(fields "$dir" "$typ" || true)"
+  if [ -z "$n" ]; then
+    # A renamed or deleted struct must not drop out of the census as 0.
+    echo "FAIL: ${dir} declares no struct ${typ}; rename or drop its row" >&2
+    status=1
+    n=0
+  fi
   echo "fields ${dir#internal/}.${typ}: ${n}"
   total=$((total + n))
 done
@@ -117,7 +123,6 @@ echo "test-only API (exported in internal/, no non-test caller): ${testonly} (ce
 echo "  $(tr '\n' ' ' <<<"$testonly_names")"
 echo "protocol-name comparisons (non-test internal/invoke): ${protocols} (ceiling ${PROTOCOL_CEILING})"
 
-status=0
 if [ "$options" -gt "$OPTION_CEILING" ]; then
   echo "FAIL: option census ${options} exceeds the ceiling ${OPTION_CEILING}" >&2
   status=1

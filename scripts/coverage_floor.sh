@@ -12,8 +12,9 @@
 # Floors are set a few points under the current measured coverage
 # (vault ~78%, protocol ~83%, invoke ~76%, obs ~94%, durable ~88%,
 # store ~85%, feed ~83%, georep ~87%, blob ~75%, sharing ~81%,
-# transport ~86%, bounded 100%, evidence ~67%, sig ~65%, core ~74% at
-# the time of writing) to allow noise without allowing decay. The store floor guards
+# transport ~86%, bounded 100%, evidence ~67%, sig ~65%, core ~74%,
+# nrverify ~67% at the time of writing) to allow noise without allowing
+# decay. The store floor guards
 # the binary record codec — the bytes every other guarantee rests on —
 # and the evidence and sig floors the token codec and the signatures it
 # rebuilds (a batch-signed token borrowing its sibling's); the feed floor
@@ -23,7 +24,8 @@
 # shared-information change, single-object or atomic, runs through; the
 # transport floor guards retransmission, replay and chunk reassembly;
 # the bounded floor guards the one table every replay cache, chunk
-# buffer and open-run list is bounded by. The floors are constants, not
+# buffer and open-run list is bounded by; the nrverify floor guards the
+# one judge every offline and remote verdict comes from. The floors are constants, not
 # overridable from the environment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,4 +58,5 @@ check ./internal/bounded/ 95
 check ./internal/evidence/ 63
 check ./internal/sig/ 62
 check ./internal/core/ 70
+check ./cmd/nrverify/ 63
 echo "coverage floors hold"
