@@ -99,7 +99,7 @@ func main() {
 	flag.Parse()
 	if *remote != "" {
 		if *prov != "" {
-			os.Exit(provRemote(*remote, id.Run(*prov), *hops))
+			os.Exit(provRemoteOf(*remote, *source, id.Run(*prov), *hops))
 		}
 		if *follow {
 			os.Exit(followRemote(*remote, *dir, *forDur))
@@ -621,9 +621,13 @@ func provVault(dir string, run id.Run, hops int) int {
 }
 
 // provRemote prints the provenance graph of a run derived from a live
-// organisation's evidence, read through its audit service.
-func provRemote(addr string, run id.Run, hops int) int {
-	query, closeQuery, err := remote(addr, "", 0)
+// organisation's own evidence, read through its audit service.
+func provRemote(addr string, run id.Run, hops int) int { return provRemoteOf(addr, "", run, hops) }
+
+// provRemoteOf is provRemote over the peer's replica of source's vault
+// (the peer's own vault when source is empty).
+func provRemoteOf(addr, source string, run id.Run, hops int) int {
+	query, closeQuery, err := remote(addr, source, 0)
 	if err != nil {
 		return failed(err, 2)
 	}

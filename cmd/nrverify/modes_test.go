@@ -223,3 +223,14 @@ func TestProvModes(t *testing.T) {
 	wantOutput(t, "vault, no hops", func() int { return provVault(e.vaultDir, run0, 0) }, 0, alone...)
 	wantOutput(t, "vault, unknown run", func() int { return provVault(e.vaultDir, id.NewRun(), 2) }, 2)
 }
+
+// TestProvRemoteSource pins -prov with -source: the walk reads the
+// peer's replica of the source's vault, where the peer's own vault
+// holds no evidence of the run.
+func TestProvRemoteSource(t *testing.T) {
+	e := newEvidenceDomain(t)
+	run0, run1 := e.runs[0], e.runs[1]
+	wantOutput(t, "replica", func() int { return provRemoteOf(e.replica.Addr(), string(server), run0, 2) }, 0,
+		"run "+string(run0)+" (hop 0)", "  txns: "+string(e.txn), "  run "+string(run1)+" (hop 1)")
+	wantOutput(t, "replica host's own vault", func() int { return provRemoteOf(e.replica.Addr(), "", run0, 2) }, 2)
+}

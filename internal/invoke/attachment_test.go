@@ -54,15 +54,20 @@ func submitStream(t *testing.T, co *protocol.Coordinator, run id.Run, ref eviden
 	return co.DeliverRequest(context.Background(), attServer, NewRequestMessage(ProtocolDirect, run, snap, nro))
 }
 
-// TestLegacyChunkBodiesAccepted: a peer that predates attachments puts
-// chunk bytes in the JSON body's base64 `data` field, both ways. The
-// server still buffers and verifies such chunks, and the client still
-// reads such chunk-data replies.
+// TestLegacyChunkBodiesAccepted: a peer that predates attachments put
+// chunk bytes in the JSON body's base64 `data` field, both ways. No build
+// in the wire support window does, so such chunks are now refused: the
+// server buffers none of them and never runs the component, and the
+// client reading such chunk-data replies gets an error, not the bytes.
 func TestLegacyChunkBodiesAccepted(t *testing.T) {
 	d := testpki.MustDomain(attClient, attServer)
 	defer d.Close()
 	var got []byte
-	srv := NewServer(d.Node(attServer).Coordinator(), captureStreamExec(&got))
+	executed := false
+	srv := NewServer(d.Node(attServer).Coordinator(), StreamExecutorFunc(func(ctx context.Context, req *evidence.RequestSnapshot, streams map[string]io.Reader, results *ResultStreams) ([]evidence.Param, error) {
+		executed = true
+		return captureStreamExec(&got).ExecuteStream(ctx, req, streams, results)
+	}))
 	defer srv.Close()
 	co := d.Node(attClient).Coordinator()
 	ctx := context.Background()
@@ -79,35 +84,36 @@ func TestLegacyChunkBodiesAccepted(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg := &protocol.Message{Protocol: ProtocolDirect, Run: run, Step: stepRequest, Kind: kindChunk}
-		if err := msg.SetBody(chunkBody{Stream: sid, Seq: seq, Data: chunk}); err != nil {
+		if err := msg.SetBody(legacyChunkBody{Stream: sid, Seq: seq, Data: chunk}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := co.DeliverRequest(ctx, attServer, msg); err != nil {
-			t.Fatalf("legacy chunk %d refused: %v", seq, err)
+		if _, err := co.DeliverRequest(ctx, attServer, msg); err == nil {
+			t.Fatalf("legacy chunk %d accepted", seq)
 		}
 	}
 	ref, err := dig.Ref(sid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := submitStream(t, co, run, ref); err != nil {
-		t.Fatalf("request over legacy chunks: %v", err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("executor read %d bytes, want the %d byte payload", len(got), len(payload))
+	if _, err := submitStream(t, co, run, ref); err == nil || executed || got != nil {
+		t.Fatalf("request over legacy chunks: error %v, executed %v; want an error and no execution", err, executed)
 	}
 
 	// The client half: a legacy server answers chunk fetches in the body.
 	legacy := &legacyChunkServer{chunks: [][]byte{payload[:DefaultStreamChunk], payload[DefaultStreamChunk : 2*DefaultStreamChunk], payload[2*DefaultStreamChunk:]}}
 	d.Node(attServer).Coordinator().Register(legacy)
 	back := &ResultStream{ctx: ctx, co: co, server: attServer, proto: legacy.Protocol(), run: run, name: "echo", ref: ref}
-	echoed, err := io.ReadAll(back)
-	if err != nil {
-		t.Fatalf("read of legacy chunk-data replies: %v", err)
+	if echoed, err := io.ReadAll(back); err == nil || len(echoed) != 0 {
+		t.Fatalf("read of legacy chunk-data replies: %d bytes, error %v; want none and an error", len(echoed), err)
 	}
-	if !bytes.Equal(echoed, payload) {
-		t.Fatalf("legacy result stream returned %d bytes, want the %d byte payload", len(echoed), len(payload))
-	}
+}
+
+// legacyChunkBody is a chunk or chunk-data body as peers without
+// attachments wrote it: the chunk's bytes inside the JSON body.
+type legacyChunkBody struct {
+	Stream string `json:"stream,omitempty"`
+	Seq    int    `json:"seq,omitempty"`
+	Data   []byte `json:"data,omitempty"`
 }
 
 // legacyChunkServer serves chunk fetches the way a peer without
@@ -122,7 +128,7 @@ func (s *legacyChunkServer) ProcessRequest(_ context.Context, msg *protocol.Mess
 		return nil, err
 	}
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData}
-	return reply, reply.SetBody(chunkDataBody{Data: s.chunks[fb.Seq]})
+	return reply, reply.SetBody(legacyChunkBody{Data: s.chunks[fb.Seq]})
 }
 
 // TestChunkSenderBufferNotAliased: on the in-process network an envelope

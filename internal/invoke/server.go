@@ -492,7 +492,11 @@ func (s *Server) processChunk(msg *protocol.Message) (*protocol.Message, error) 
 	if cb.Stream == "" {
 		return nil, fmt.Errorf("invoke: chunk without stream id")
 	}
-	data := msg.AttachmentOr(cb.Data)
+	// A client never sends an empty chunk: its bytes are the attachment.
+	data := msg.Attachment
+	if len(data) == 0 {
+		return nil, fmt.Errorf("invoke: chunk %d of stream %q carries no attachment", cb.Seq, cb.Stream)
+	}
 	key := streamKey(msg.Sender, cb.Stream)
 	s.streamMu.Lock()
 	ps, ok := s.pending.Get(key)
@@ -616,8 +620,10 @@ func (s *Server) processChunkFetch(msg *protocol.Message) (*protocol.Message, er
 		s.settleLocked(msg.Run, rs)
 	}
 	s.mu.Unlock()
+	// The body stays an empty object: clients in the wire support window
+	// decode it before they read the attachment.
 	reply := &protocol.Message{Protocol: msg.Protocol, Run: msg.Run, Step: msg.Step, Kind: kindChunkData}
-	if err := reply.SetBody(chunkDataBody{}); err != nil {
+	if err := reply.SetBody(struct{}{}); err != nil {
 		return nil, err
 	}
 	reply.Attachment = data

@@ -63,12 +63,10 @@ const (
 )
 
 // chunkBody describes one streamed-parameter chunk, delivered before the
-// request. The chunk's bytes ride the message's Attachment; Data is where
-// a peer that predates attachments put them, and is only ever read.
+// request. The chunk's bytes ride the message's Attachment.
 type chunkBody struct {
 	Stream string `json:"stream"`
 	Seq    int    `json:"seq"`
-	Data   []byte `json:"data,omitempty"`
 }
 
 // chunkFetchBody requests one chunk of a streamed result.
@@ -76,12 +74,6 @@ type chunkFetchBody struct {
 	Run  id.Run `json:"run"`
 	Name string `json:"name"`
 	Seq  int    `json:"seq"`
-}
-
-// chunkDataBody answers a chunk fetch. Like chunkBody, it is empty beside
-// the message's Attachment unless a legacy peer sent it.
-type chunkDataBody struct {
-	Data []byte `json:"data,omitempty"`
 }
 
 // StreamExecutor is an Executor that additionally accepts streamed
@@ -288,12 +280,7 @@ func (s *ResultStream) Read(p []byte) (int, error) {
 			s.err = fmt.Errorf("invoke: fetch result stream %q chunk %d: %w", s.name, s.seq, err)
 			return 0, s.err
 		}
-		var db chunkDataBody
-		if err := reply.Body(&db); err != nil {
-			s.err = err
-			return 0, s.err
-		}
-		data := reply.AttachmentOr(db.Data)
+		data := reply.Attachment
 		if err := s.ref.VerifyChunk(s.seq, data); err != nil {
 			s.err = fmt.Errorf("%w: result stream %q: %v", ErrEvidenceInvalid, s.name, err)
 			return 0, s.err

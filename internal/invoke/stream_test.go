@@ -192,8 +192,8 @@ func TestTamperedChunkAttributedByIndex(t *testing.T) {
 			wire = append([]byte(nil), chunk...)
 			wire[0] ^= 0xff
 		}
-		msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk"}
-		if err := msg.SetBody(map[string]any{"stream": sid, "seq": seq, "data": wire}); err != nil {
+		msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk", Attachment: wire}
+		if err := msg.SetBody(map[string]any{"stream": sid, "seq": seq}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := co.DeliverRequest(context.Background(), server, msg); err != nil {
@@ -252,8 +252,8 @@ func TestMissingChunkRefused(t *testing.T) {
 	if err := dig.Add(chunk); err != nil {
 		t.Fatal(err)
 	}
-	msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk"}
-	if err := msg.SetBody(map[string]any{"stream": sid, "seq": 0, "data": chunk}); err != nil {
+	msg := &protocol.Message{Protocol: invoke.ProtocolDirect, Run: run, Step: 1, Kind: "chunk", Attachment: chunk}
+	if err := msg.SetBody(map[string]any{"stream": sid, "seq": 0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := co.DeliverRequest(context.Background(), server, msg); err != nil {

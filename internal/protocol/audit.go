@@ -111,8 +111,8 @@ type segStatusResp struct {
 }
 
 // segShipReq delivers one sealed segment of Source's vault. The
-// segment's bytes ride the message's Attachment; Package.Data is where a
-// shipper that predates attachments put them, and is only ever read.
+// segment's bytes ride the message's Attachment, and the package in the
+// body carries only its entry: a Package.Data in the body is never read.
 type segShipReq struct {
 	Source  string                `json:"source"`
 	Package *vault.SegmentPackage `json:"package"`
@@ -318,10 +318,10 @@ func (s *AuditService) handleSegShip(_ context.Context, msg *Message) (*Message,
 	if s.replicas == nil {
 		return nil, errNoReplicas(s.co)
 	}
-	if req.Package == nil {
-		return nil, errors.New("protocol: seg-ship without a package")
+	if req.Package == nil || len(msg.Attachment) == 0 {
+		return nil, errors.New("protocol: seg-ship without a package and its attached segment")
 	}
-	req.Package.Data = msg.AttachmentOr(req.Package.Data)
+	req.Package.Data = msg.Attachment
 	claim := &shipClaim{Source: req.Source, Segment: req.Package.Entry.Segment, Seal: req.Package.Entry.Digest}
 	if _, err := s.co.verifyClaim(msg, evidence.KindSegShip, id.Party(req.Source), claim); err != nil {
 		return nil, err

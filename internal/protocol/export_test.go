@@ -7,6 +7,10 @@ import (
 	"nonrep/internal/id"
 )
 
+// MarshalMessage is the binary message encoder, for external tests that
+// speak to a coordinator from a bare endpoint.
+var MarshalMessage = marshalMessage
+
 // WatchBuffer returns cfg with its local event buffer set to n, so
 // external tests can overflow a feed with a few records.
 func WatchBuffer(cfg WatchConfig, n int) WatchConfig {

@@ -45,14 +45,11 @@ type geoStatusResp struct {
 }
 
 // geoAppendReq pushes records First..First+Count-1 of Source's vault as
-// binary record frames. The frames ride the message's Attachment; Frames
-// is where a source that predates attachments put them, and is only ever
-// read.
+// binary record frames, which ride the message's Attachment.
 type geoAppendReq struct {
 	Source string `json:"source"`
 	First  uint64 `json:"first"`
 	Count  int    `json:"count"`
-	Frames []byte `json:"frames,omitempty"`
 }
 
 type geoAppendResp struct {
@@ -114,12 +111,11 @@ func (s *GeoService) handleAppend(_ context.Context, msg *Message) (*Message, er
 	if err := msg.Body(&req); err != nil {
 		return nil, err
 	}
-	req.Frames = msg.AttachmentOr(req.Frames)
-	claim := &geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(req.Frames)}
+	claim := &geoAppendClaim{Source: req.Source, First: req.First, Count: req.Count, Frames: sig.Sum(msg.Attachment)}
 	if _, err := s.co.verifyClaim(msg, evidence.KindGeoAppend, id.Party(req.Source), claim); err != nil {
 		return nil, err
 	}
-	recs, err := decodeRecordPush("geo push", req.First, req.Count, req.Frames)
+	recs, err := decodeRecordPush("geo push", req.First, req.Count, msg.Attachment)
 	if err != nil {
 		return nil, err
 	}

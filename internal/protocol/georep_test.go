@@ -388,9 +388,11 @@ func TestGeoServiceRejects(t *testing.T) {
 }
 
 // TestGeoAppendFramesOnAttachment: a tail push carries its record frames
-// on the message's attachment, not as base64 inside the JSON body; a
-// source that predates attachments still lands its push through the
-// body's `frames` field, under the same claim and token.
+// on the message's attachment, not as base64 inside the JSON body. A
+// push with its frames in the body's `frames` field, as sources that
+// predate attachments sent it and no build in the wire support window
+// does, is refused under the same claim and token: the replica does not
+// move, and the current form then starts the tail from the first record.
 func TestGeoAppendFramesOnAttachment(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -437,18 +439,13 @@ func TestGeoAppendFramesOnAttachment(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy.Tokens = []*evidence.Token{tok}
-	reply, err := f.coA.DeliverRequest(ctx, bob, legacy)
-	if err != nil {
-		t.Fatalf("legacy geo push refused: %v", err)
+	if reply, err := f.coA.DeliverRequest(ctx, bob, legacy); err == nil {
+		t.Fatalf("legacy geo push accepted: %s", reply.Payload)
 	}
-	var resp struct {
-		AckedSeq uint64 `json:"acked_seq"`
+	if acked, err := f.geo.AckedSeq(ctx, bob, string(alice)); err != nil || acked != 0 {
+		t.Fatalf("replica after a legacy push holds up to %d, %v; want nothing", acked, err)
 	}
-	if err := reply.Body(&resp); err != nil || resp.AckedSeq != 2 {
-		t.Fatalf("legacy geo push acked %d, %v; want 2", resp.AckedSeq, err)
-	}
-	// And the current form continues the same replica tail.
-	if acked, err := f.geo.Append(ctx, bob, string(alice), recs[2:]); err != nil || acked != 3 {
+	if acked, err := f.geo.Append(ctx, bob, string(alice), recs); err != nil || acked != 3 {
 		t.Fatalf("Append after a legacy push = %d, %v; want 3", acked, err)
 	}
 }

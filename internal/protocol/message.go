@@ -59,16 +59,6 @@ func (m *Message) Body(v any) error {
 	return nil
 }
 
-// AttachmentOr returns the message's attachment, or legacy — the body
-// field in which a peer that predates attachments carried the same bytes
-// — when there is none.
-func (m *Message) AttachmentOr(legacy []byte) []byte {
-	if len(m.Attachment) > 0 {
-		return m.Attachment
-	}
-	return legacy
-}
-
 // SetBody encodes v as the canonical payload.
 func (m *Message) SetBody(v any) error {
 	data, err := canon.Marshal(v)

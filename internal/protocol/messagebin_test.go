@@ -77,18 +77,21 @@ func TestBinaryMessageGoldenVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, frame := range [][]byte{bin, want} {
-			var dec Message
-			if err := unmarshalMessage(frame, &dec); err != nil {
-				t.Fatalf("%s: unmarshal: %v", g.name, err)
-			}
-			got, err := canon.Marshal(&dec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s: canonical projection drifted:\n want %s\n  got %s", g.name, want, got)
-			}
+		var dec Message
+		if err := unmarshalMessage(bin, &dec); err != nil {
+			t.Fatalf("%s: unmarshal: %v", g.name, err)
+		}
+		got, err := canon.Marshal(&dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("%s: canonical projection drifted:\n want %s\n  got %s", g.name, want, got)
+		}
+		// The JSON form, which no build in the wire support window
+		// writes, is refused.
+		if err := unmarshalMessage(want, new(Message)); err == nil {
+			t.Errorf("%s: JSON message decoded", g.name)
 		}
 	}
 }
@@ -124,9 +127,10 @@ func TestBinaryMessageAttachmentBorrowed(t *testing.T) {
 
 // FuzzMessageDecode feeds arbitrary bytes to the message decoder.
 // Malformed input must error — never panic, never read past the buffer —
-// and whatever decodes from the binary form must re-encode and decode
-// back to the same canonical projection, with its byte runs inside the
-// input.
+// anything not led by the message magic (the JSON form of each golden
+// message among the seeds included) must be refused, and whatever
+// decodes must re-encode and decode back to the same canonical
+// projection, with its byte runs inside the input.
 func FuzzMessageDecode(f *testing.F) {
 	for _, g := range goldenMessages {
 		bin, err := marshalMessage(g.msg)
@@ -141,8 +145,8 @@ func FuzzMessageDecode(f *testing.F) {
 		if err := unmarshalMessage(data, &m); err != nil {
 			return
 		}
-		if len(data) == 0 || data[0] != msgMagic {
-			return // the JSON fallback is encoding/json's contract
+		if data[0] != msgMagic {
+			t.Fatalf("input led by %#x decoded as a message", data[0])
 		}
 		within := func(run []byte) bool {
 			return len(run) == 0 || bytes.Contains(data, run) && cap(run) == len(run)

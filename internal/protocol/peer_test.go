@@ -26,7 +26,9 @@ import (
 // 0xF5 body and a sub-seal push with its package in the JSON body — the
 // pushes of one subscription from genesis — plus the certificates that
 // verify the token and the hex of the ship, geo-append and sub-open claim
-// digests for fixed inputs.
+// digests for fixed inputs. No build in the wire support window sends
+// bulk bytes in a body, so the first two are refused as they are; their
+// contents, moved onto the attachment, are what current peers send.
 var legacyPeer = filepath.Join("testdata", "legacy-peer")
 
 func readLegacy(tb testing.TB, name string) []byte {
@@ -45,6 +47,35 @@ func decodeLegacy(tb testing.TB, name string) *Message {
 		tb.Fatalf("%s: %v", name, err)
 	}
 	return &msg
+}
+
+// legacyRecordsPush reads the 0xF5 body of the legacy sub-records push:
+// magic, version 1, then the sub id, first sequence, record count and
+// the record frames.
+func legacyRecordsPush(tb testing.TB, msg *Message) (subRecordsPush, []byte) {
+	tb.Helper()
+	r := canon.NewBinReader(msg.Payload)
+	if magic, version := r.Byte(), r.Byte(); magic != 0xF5 || version != 1 {
+		tb.Fatalf("legacy sub-records body opens % x, want f5 01", []byte{magic, version})
+	}
+	p := subRecordsPush{SubID: r.ValidString(), First: r.Uvarint(), Count: int(r.Uvarint())}
+	frames := r.Bytes()
+	if err := r.Done(); err != nil {
+		tb.Fatal(err)
+	}
+	return p, frames
+}
+
+// attached is msg with its bulk bytes moved from the body onto the
+// attachment, as current peers send it, under the same tokens.
+func attached(tb testing.TB, msg *Message, body any, attachment []byte) *Message {
+	tb.Helper()
+	out := *msg
+	if err := out.SetBody(body); err != nil {
+		tb.Fatal(err)
+	}
+	out.Attachment = attachment
+	return &out
 }
 
 // peerFixture is a replica host (urn:org:bob) serving the four peer
@@ -134,10 +165,13 @@ func (fx *peerFixture) positions(tb testing.TB) map[string][2]uint64 {
 }
 
 // TestLegacyPeerFixtures: bodies written by peers that predate the
-// attachment path still land — the seg-ship through its JSON package,
-// the feed pushes through the 0xF5 reader and the JSON package — and
-// every claim digest is the one those peers signed. Sub-open digests and
-// notes are journaled evidence, so they must never move.
+// attachment path are refused and reach no replica or feed — the
+// seg-ship with its data in the JSON package, the feed push with the
+// 0xF5 body — while the same shipment and push with their bytes on the
+// attachment land under the same tokens, and the sub-seal push, which
+// never carried bulk that is read, lands as it is. Every claim digest is
+// the one those peers signed. Sub-open digests and notes are journaled
+// evidence, so they must never move.
 func TestLegacyPeerFixtures(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -147,27 +181,41 @@ func TestLegacyPeerFixtures(t *testing.T) {
 	if len(ship.Attachment) != 0 {
 		t.Fatal("legacy seg-ship fixture carries an attachment")
 	}
-	if _, err := fx.audit.ProcessRequest(ctx, ship); err != nil {
-		t.Fatalf("legacy seg-ship refused: %v", err)
+	if _, err := fx.audit.ProcessRequest(ctx, ship); err == nil {
+		t.Fatal("legacy seg-ship with its data in the body accepted")
+	}
+	if last, _ := fx.rs.LastSealed("urn:org:alice"); last != 0 {
+		t.Fatalf("replica after legacy seg-ship at segment %d; want none", last)
+	}
+	var req segShipReq
+	if err := ship.Body(&req); err != nil {
+		t.Fatal(err)
+	}
+	data := req.Package.Data
+	req.Package.Data = nil
+	if _, err := fx.audit.ProcessRequest(ctx, attached(t, ship, &req, data)); err != nil {
+		t.Fatalf("seg-ship with the legacy segment attached refused: %v", err)
 	}
 	if last, err := fx.rs.LastSealed("urn:org:alice"); err != nil || last != 1 {
-		t.Fatalf("replica after legacy seg-ship at segment %d, %v; want 1", last, err)
+		t.Fatalf("replica after seg-ship at segment %d, %v; want 1", last, err)
 	}
 
 	records := decodeLegacy(t, "sub-records.bin")
-	if len(records.Payload) == 0 || records.Payload[0] != subPushMagic {
-		t.Fatal("legacy sub-records fixture lacks its binary body")
-	}
-	var push subRecordsPush
-	if err := unmarshalRecordsPush(records, &push); err != nil {
-		t.Fatal(err)
-	}
+	push, frames := legacyRecordsPush(t, records)
 	f := fx.watch(push.SubID)
-	if reply, err := fx.feed.ProcessRequest(ctx, records); err != nil || reply.Kind != KindSubAck {
-		t.Fatalf("legacy sub-records: reply %v, err %v", reply, err)
+	if reply, err := fx.feed.ProcessRequest(ctx, records); err == nil {
+		t.Fatalf("legacy 0xF5 sub-records push accepted: reply %v", reply)
+	}
+	select {
+	case ev := <-f.Events():
+		t.Fatalf("legacy 0xF5 sub-records push delivered %+v", ev)
+	default:
+	}
+	if reply, err := fx.feed.ProcessRequest(ctx, attached(t, records, &push, frames)); err != nil || reply.Kind != KindSubAck {
+		t.Fatalf("sub-records with the legacy frames attached: reply %v, err %v", reply, err)
 	}
 	if ev := <-f.Events(); len(ev.Records) != push.Count || ev.Records[0].Seq != 1 {
-		t.Fatalf("legacy sub-records delivered %d records; want %d from seq 1", len(ev.Records), push.Count)
+		t.Fatalf("sub-records delivered %d records; want %d from seq 1", len(ev.Records), push.Count)
 	}
 
 	seal := decodeLegacy(t, "sub-seal.bin")
@@ -221,10 +269,7 @@ func TestLegacyPeerFixtures(t *testing.T) {
 func FuzzPeerRequest(f *testing.F) {
 	ship := decodeLegacy(f, "seg-ship.bin")
 	records := decodeLegacy(f, "sub-records.bin")
-	var push subRecordsPush
-	if err := unmarshalRecordsPush(records, &push); err != nil {
-		f.Fatal(err)
-	}
+	push, frames := legacyRecordsPush(f, records)
 	for _, name := range []string{"seg-ship.bin", "sub-records.bin", "sub-seal.bin"} {
 		f.Add(readLegacy(f, name))
 	}
@@ -258,7 +303,6 @@ func FuzzPeerRequest(f *testing.F) {
 	// Hostile attachments on the feed and geo pushes: count and first
 	// that do not match the frames, no frames at all, and an attachment
 	// whose length runs past the end of the message.
-	frames := push.Frames
 	pushMsg := func(kind string, attachment []byte) *Message {
 		return &Message{Protocol: SubFeedProtocol, Run: records.Run, Step: 1, Kind: kind, Attachment: attachment}
 	}

@@ -175,9 +175,10 @@ func TestRefusedDeliveryReturnsAtOnce(t *testing.T) {
 }
 
 // TestLegacyDeliverEnvelopeAccepted: a one-way delivery keeps its wire
-// form — a "b2b-deliver" envelope, here with the JSON message body older
-// peers wrote, sent from a bare endpoint — and reaches the handler, which
-// answers it with nil.
+// form — a "b2b-deliver" envelope, sent here from a bare endpoint — and
+// reaches the handler, which answers it with nil. The JSON message body
+// that peers before the binary message format wrote, which no build in
+// the wire support window sends, is refused and reaches no handler.
 func TestLegacyDeliverEnvelopeAccepted(t *testing.T) {
 	t.Parallel()
 	f := newFixture(t)
@@ -187,8 +188,18 @@ func TestLegacyDeliverEnvelopeAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := canon.Marshal(&protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "note", Sender: alice})
+	msg := &protocol.Message{Protocol: "ping", Run: id.NewRun(), Step: 1, Kind: "note", Sender: alice}
+	body, err := canon.Marshal(msg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := raw.Request(context.Background(), f.coB.Addr(), transport.NewEnvelope("b2b-deliver", body)); err == nil {
+		t.Fatalf("b2b-deliver with a JSON message answered %+v", reply)
+	}
+	if got := f.hB.requests.Load(); got != 0 {
+		t.Fatalf("handler processed %d JSON messages, want 0", got)
+	}
+	if body, err = protocol.MarshalMessage(msg); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := raw.Request(context.Background(), f.coB.Addr(), transport.NewEnvelope("b2b-deliver", body))

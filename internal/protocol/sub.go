@@ -133,44 +133,11 @@ type subCloseResp struct {
 // every record, and a client fanning one push out to many local feeds
 // decodes and hash-verifies the batch exactly once. The frames ride the
 // message's Attachment, reaching the client as a borrowed sub-slice of
-// the envelope body. Frames is where a publisher that predates
-// attachments put them — inside a JSON body, or inside the binary body
-// below — and is only ever read.
+// the envelope body.
 type subRecordsPush struct {
-	SubID  string `json:"sub_id"`
-	First  uint64 `json:"first"`
-	Count  int    `json:"count"`
-	Frames []byte `json:"frames,omitempty"`
-}
-
-// Binary push-body magic byte (outside UTF-8's first-byte range, so it
-// cannot open a canonical-JSON body) and format version, as publishers
-// that predate attachments wrote them.
-const (
-	subPushMagic   = 0xF5
-	subPushVersion = 0x01
-)
-
-// unmarshalRecordsPush decodes a record push body: canonical JSON, or
-// the legacy binary body.
-func unmarshalRecordsPush(msg *Message, p *subRecordsPush) error {
-	data := msg.Payload
-	if len(data) == 0 || data[0] != subPushMagic {
-		return msg.Body(p)
-	}
-	r := canon.NewBinReader(data)
-	r.Byte() // magic, checked above
-	if v := r.Byte(); r.Err() == nil && v != subPushVersion {
-		return fmt.Errorf("protocol: unknown binary push version 0x%02x", v)
-	}
-	p.SubID = r.ValidString()
-	p.First = r.Uvarint()
-	p.Count = int(r.Uvarint())
-	p.Frames = r.Bytes()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("protocol: decode binary push: %w", err)
-	}
-	return nil
+	SubID string `json:"sub_id"`
+	First uint64 `json:"first"`
+	Count int    `json:"count"`
 }
 
 // subSealPush announces one seal.
@@ -502,10 +469,10 @@ func NewSubClient(co *Coordinator) *SubClient {
 
 func (c *SubClient) handleRecords(_ context.Context, msg *Message) (*Message, error) {
 	var p subRecordsPush
-	if err := unmarshalRecordsPush(msg, &p); err != nil {
+	if err := msg.Body(&p); err != nil {
 		return nil, err
 	}
-	recs, err := decodeRecordPush("feed push", p.First, p.Count, msg.AttachmentOr(p.Frames))
+	recs, err := decodeRecordPush("feed push", p.First, p.Count, msg.Attachment)
 	if err != nil {
 		return nil, err
 	}

@@ -1,21 +1,19 @@
-// Binary envelope encoding — the machine path for the wire.
+// Binary envelope encoding — the one encoding of the wire.
 //
-// A binary envelope opens with a magic byte (0xEB, outside UTF-8's
-// first-byte range for JSON text, whose envelopes always start '{') and
-// a format version, then varint-framed fields mirroring the canonical
-// JSON field order. Chunk frames get the same treatment under their own
-// magic (0xC7) with the slice payload carried as a raw byte run — a
-// received chunk's Data is a sub-slice of the frame buffer, so payload
-// bytes travel from the socket read to reassembly to VerifyChunk
-// without ever being copied through an intermediate encoding.
+// A binary envelope opens with a magic byte (0xEB) and a format
+// version, then varint-framed fields mirroring the canonical JSON field
+// order. Chunk frames get the same treatment under their own magic
+// (0xC7) with the slice payload carried as a raw byte run — a received
+// chunk's Data is a sub-slice of the frame buffer, so payload bytes
+// travel from the socket read to reassembly to VerifyChunk without ever
+// being copied through an intermediate encoding.
 //
-// Both decoders auto-detect: a frame starting '{' is decoded as
-// canonical JSON, so binary speakers interoperate with legacy peers,
-// and a TCP endpoint answers a one-exchange frame in the encoding it
-// arrived in (the version negotiation — no handshake needed). A
-// multiplexed TCP frame opens with its own magic (0xE6) and a header
-// naming the request it carries or answers, ahead of a binary envelope;
-// a connection's first frame says which kind of peer is speaking.
+// Every build in the wire support window (README) writes binary frames,
+// so both decoders refuse anything else: a frame that does not open
+// with its magic is an error before any handler sees it. A multiplexed
+// TCP frame opens with its own magic (0xE6) and a header naming the
+// request it carries or answers, ahead of a binary envelope; a
+// connection's first frame says which kind of peer is speaking.
 package transport
 
 import (
@@ -25,18 +23,12 @@ import (
 	"nonrep/internal/id"
 )
 
-// WireEncoding names a frame encoding. TCP endpoints write binary and
-// answer a request in the encoding it arrived in; reads auto-detect.
+// WireEncoding names a frame encoding; binary is the only one. It stays
+// as MarshalEnvelope's argument because the benchmark harness passes it.
 type WireEncoding uint8
 
-// Wire encodings.
-const (
-	// WireBinary frames binary envelopes (the default).
-	WireBinary WireEncoding = iota
-	// WireJSON frames canonical JSON envelopes, for interoperating with
-	// peers that predate the binary format.
-	WireJSON
-)
+// WireBinary frames binary envelopes.
+const WireBinary WireEncoding = 0
 
 // Binary frame magic bytes and format versions.
 const (
@@ -84,32 +76,21 @@ func decodeMuxHead(body []byte) (muxHead, []byte, error) {
 	return h, body[len(body)-r.Len():], nil
 }
 
-// MarshalEnvelope encodes an envelope in the given wire encoding.
-func MarshalEnvelope(env *Envelope, enc WireEncoding) ([]byte, error) {
-	if enc == WireJSON {
-		return canon.Marshal(env)
-	}
+// MarshalEnvelope encodes an envelope in binary.
+func MarshalEnvelope(env *Envelope, _ WireEncoding) ([]byte, error) {
 	return appendEnvelope(make([]byte, 0, 64+len(env.Body)), env, 0)
 }
 
-// UnmarshalEnvelope decodes an envelope, auto-detecting its encoding.
-// Byte fields of a binary envelope are sub-slices of data: the caller
-// must hand over ownership of the buffer.
+// UnmarshalEnvelope decodes a binary envelope. Its byte fields are
+// sub-slices of data: the caller must hand over ownership of the buffer.
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	if len(data) > 0 && data[0] == envMagic {
-		r := canon.NewBinReader(data)
-		env, err := decodeEnvelope(&r, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Done(); err != nil {
-			return nil, fmt.Errorf("transport: decode binary envelope: %w", err)
-		}
-		return env, nil
-	}
-	env := new(Envelope)
-	if err := canon.Unmarshal(data, env); err != nil {
+	r := canon.NewBinReader(data)
+	env, err := decodeEnvelope(&r, 0)
+	if err != nil {
 		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transport: decode binary envelope: %w", err)
 	}
 	return env, nil
 }
@@ -164,7 +145,7 @@ func decodeEnvelope(r *canon.BinReader, depth int) (*Envelope, error) {
 		return nil, fmt.Errorf("transport: %w: batch nested beyond depth %d", canon.ErrBinary, maxBatchDepth)
 	}
 	if r.Byte() != envMagic {
-		r.Fail(fmt.Errorf("transport: %w: envelope magic", canon.ErrBinary))
+		return nil, r.Fail(fmt.Errorf("transport: %w: not a binary envelope", canon.ErrBinary))
 	}
 	if v := r.Byte(); r.Err() == nil && v != wireVersion {
 		return nil, fmt.Errorf("transport: %w: unsupported envelope version %d", canon.ErrBinary, v)
@@ -210,10 +191,7 @@ func decodeEnvelope(r *canon.BinReader, depth int) (*Envelope, error) {
 	return env, nil
 }
 
-// marshalChunkFrame encodes a chunk frame in binary. Chunk frames are
-// created by this layer on both sides, so unlike envelopes they never
-// need a JSON-producing option — a legacy peer would not understand the
-// chunk protocol's kinds either way.
+// marshalChunkFrame encodes a chunk frame in binary.
 func marshalChunkFrame(f *chunkFrame) []byte {
 	dst := make([]byte, 0, 64+len(f.Data))
 	dst = append(dst, chunkMagic, wireVersion)
@@ -227,15 +205,14 @@ func marshalChunkFrame(f *chunkFrame) []byte {
 	return canon.AppendBytes(dst, f.Data)
 }
 
-// unmarshalChunkFrame decodes a chunk frame, auto-detecting the binary
-// format against legacy JSON. Data is a sub-slice of the input: chunk
-// payload bytes are borrowed, never copied, on their way to reassembly.
+// unmarshalChunkFrame decodes a binary chunk frame. Data is a sub-slice
+// of the input: chunk payload bytes are borrowed, never copied, on their
+// way to reassembly.
 func unmarshalChunkFrame(data []byte, f *chunkFrame) error {
-	if len(data) == 0 || data[0] != chunkMagic {
-		return canon.Unmarshal(data, f)
-	}
 	r := canon.NewBinReader(data)
-	r.Byte() // magic, checked above
+	if r.Byte() != chunkMagic {
+		return fmt.Errorf("transport: %w: not a binary chunk frame", canon.ErrBinary)
+	}
 	if v := r.Byte(); r.Err() == nil && v != wireVersion {
 		return fmt.Errorf("transport: %w: unsupported chunk frame version %d", canon.ErrBinary, v)
 	}

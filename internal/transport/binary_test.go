@@ -3,8 +3,9 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
-	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nonrep/internal/canon"
@@ -36,8 +37,9 @@ func goldenEnvelopes() []*Envelope {
 
 // TestBinaryEnvelopeGoldenVectors pins the binary envelope codec to the
 // canonical JSON projection: encode→decode→canonical-JSON must equal
-// the original envelope's canonical JSON for every shape, through both
-// the binary and (trivially) the JSON wire encodings.
+// the original envelope's canonical JSON for every shape. The JSON
+// encoding of each shape, which no build in the wire support window
+// writes, is refused.
 func TestBinaryEnvelopeGoldenVectors(t *testing.T) {
 	t.Parallel()
 	for i, env := range goldenEnvelopes() {
@@ -45,60 +47,81 @@ func TestBinaryEnvelopeGoldenVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, enc := range []WireEncoding{WireBinary, WireJSON} {
-			frame, err := MarshalEnvelope(env, enc)
-			if err != nil {
-				t.Fatalf("envelope %d (%v): marshal: %v", i, enc, err)
-			}
-			dec, err := UnmarshalEnvelope(frame)
-			if err != nil {
-				t.Fatalf("envelope %d (%v): unmarshal: %v", i, enc, err)
-			}
-			got, err := canon.Marshal(dec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("envelope %d (%v): canonical projection drifted:\n want %s\n  got %s", i, enc, want, got)
-			}
+		frame, err := MarshalEnvelope(env, WireBinary)
+		if err != nil {
+			t.Fatalf("envelope %d: marshal: %v", i, err)
+		}
+		dec, err := UnmarshalEnvelope(frame)
+		if err != nil {
+			t.Fatalf("envelope %d: unmarshal: %v", i, err)
+		}
+		got, err := canon.Marshal(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("envelope %d: canonical projection drifted:\n want %s\n  got %s", i, want, got)
+		}
+		if dec, err := UnmarshalEnvelope(want); err == nil {
+			t.Fatalf("envelope %d: JSON envelope decoded as %+v", i, dec)
 		}
 	}
 }
 
-// TestTCPEndpointAnswersInRequestEncoding: endpoints write binary frames,
-// and a legacy peer that speaks JSON frames is answered in JSON.
+// TestTCPEndpointAnswersInRequestEncoding: endpoints write binary
+// frames, and a peer from before multiplexing that sends one binary
+// frame per connection is answered in binary. A JSON frame, which no
+// build in the wire support window writes, closes the connection
+// unanswered and reaches no handler.
 func TestTCPEndpointAnswersInRequestEncoding(t *testing.T) {
 	t.Parallel()
 	n := NewTCPNetwork()
 	defer n.Close()
+	var calls atomic.Int64
 	ep, err := n.Register("127.0.0.1:0", HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+		calls.Add(1)
 		return &Envelope{ID: env.ID, Kind: "pong", Body: env.Body}, nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, enc := range []WireEncoding{WireBinary, WireJSON} {
-		conn, err := net.Dial("tcp", ep.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(conn, nil, &Envelope{ID: "q", Kind: "ping", Body: []byte("x")}, enc); err != nil {
-			t.Fatal(err)
-		}
-		f, err := readFrame(conn)
-		if err != nil {
-			conn.Close()
-			t.Fatal(err)
-		}
-		if f.mux || f.enc != enc || f.env.Kind != "pong" || string(f.env.Body) != "x" {
-			t.Fatalf("request in %v: reply %+v in %v (multiplexed %v)", enc, f.env, f.enc, f.mux)
-		}
-		// The old client reads one reply and the server closes: nothing
-		// follows the reply.
-		if _, err := readFrame(conn); err == nil {
-			t.Fatalf("request in %v: the connection carried a second frame", enc)
-		}
+	conn, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, nil, &Envelope{ID: "q", Kind: "ping", Body: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(conn)
+	if err != nil {
 		conn.Close()
+		t.Fatal(err)
+	}
+	if f.mux || f.env.Kind != "pong" || string(f.env.Body) != "x" {
+		t.Fatalf("binary request: reply %+v (multiplexed %v)", f.env, f.mux)
+	}
+	// The old client reads one reply and the server closes: nothing
+	// follows the reply.
+	if _, err := readFrame(conn); err == nil {
+		t.Fatal("binary request: the connection carried a second frame")
+	}
+	conn.Close()
+
+	conn, err = net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := canon.MustMarshal(&Envelope{ID: "j", Kind: "ping", Body: []byte("x")})
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	if _, err := conn.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(conn); err == nil {
+		t.Fatalf("JSON request answered with %+v", f.env)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("handler called %d times, want once (the binary request alone)", got)
 	}
 }
 
@@ -124,7 +147,7 @@ func TestMuxFrameGoldenVectors(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, v.head.append(nil), env, WireBinary); err != nil {
+			if err := writeFrame(&buf, v.head.append(nil), env); err != nil {
 				t.Fatal(err)
 			}
 			if raw := buf.Bytes(); !bytes.Equal(raw[4:4+len(v.want)], v.want) || raw[4+len(v.want)] != envMagic {
@@ -197,15 +220,15 @@ func TestBinaryChunkFrameGoldenVectors(t *testing.T) {
 
 // FuzzBinaryEnvelopeDecode feeds arbitrary bytes to the envelope
 // decoder. Malformed frames must error — never panic, never allocate
-// proportionally to a lying count — and whatever decodes must
-// re-encode and decode back to the same canonical projection.
+// proportionally to a lying count — anything not led by the envelope
+// magic (a JSON envelope included) must be refused, and whatever decodes
+// must re-encode and decode back to the same canonical projection.
 func FuzzBinaryEnvelopeDecode(f *testing.F) {
 	for _, env := range goldenEnvelopes() {
-		for _, enc := range []WireEncoding{WireBinary, WireJSON} {
-			if frame, err := MarshalEnvelope(env, enc); err == nil {
-				f.Add(frame)
-			}
+		if frame, err := MarshalEnvelope(env, WireBinary); err == nil {
+			f.Add(frame)
 		}
+		f.Add(canon.MustMarshal(env))
 	}
 	f.Add([]byte{envMagic})                   // torn magic
 	f.Add([]byte{envMagic, 0x02})             // version confusion
@@ -218,13 +241,11 @@ func FuzzBinaryEnvelopeDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[0] != envMagic {
+			t.Fatalf("input led by %#x decoded as an envelope", data[0])
+		}
 		frame, err := MarshalEnvelope(env, WireBinary)
 		if err != nil {
-			// The one legitimate refusal is a JSON-decoded batch nested
-			// past the binary encoder's depth cap.
-			if strings.Contains(err.Error(), "nested beyond depth") {
-				return
-			}
 			t.Fatalf("re-marshal of decoded envelope failed: %v", err)
 		}
 		back, err := UnmarshalEnvelope(frame)

@@ -121,9 +121,9 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 	f2 := chunkFrame{Stream: "s1", Seq: 1, Total: 3, Size: int64(len(body)), Data: body[64:128]}
 	f3 := chunkFrame{Stream: "s1", Seq: 2, Total: 3, Size: int64(len(body)), MsgID: "orig-1", Kind: "bulk", WantReply: true, Data: body[128:]}
 	envs := []*Envelope{
-		{ID: "c1", Kind: KindChunkPart, Body: canon.MustMarshal(&f1)},
-		{ID: "c2", Kind: KindChunkPart, Body: canon.MustMarshal(&f2)},
-		{ID: "c3", Kind: KindChunkEnd, Body: canon.MustMarshal(&f3)},
+		{ID: "c1", Kind: KindChunkPart, Body: marshalChunkFrame(&f1)},
+		{ID: "c2", Kind: KindChunkPart, Body: marshalChunkFrame(&f2)},
+		{ID: "c3", Kind: KindChunkEnd, Body: marshalChunkFrame(&f3)},
 	}
 	var lastReply *Envelope
 	for _, e := range envs {
@@ -138,7 +138,7 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 	}
 	// Retransmit the final chunk (same envelope id): cached reply, no
 	// second dispatch.
-	r, err := chain.Handle(context.Background(), &Envelope{ID: "c3", Kind: KindChunkEnd, Body: canon.MustMarshal(&f3)})
+	r, err := chain.Handle(context.Background(), &Envelope{ID: "c3", Kind: KindChunkEnd, Body: marshalChunkFrame(&f3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,14 @@ func TestChunkEndRetransmitExactlyOnce(t *testing.T) {
 
 func TestChunkAssemblyRejectsAbuse(t *testing.T) {
 	lim := chunkLimits{threshold: 100, chunkSize: 64, maxMessage: 1 << 16, maxStreams: 2}
+	var calls atomic.Int64
 	inner := HandlerFunc(func(_ context.Context, env *Envelope) (*Envelope, error) {
+		calls.Add(1)
 		return nil, nil
 	})
 	h := newChunkHandler(inner, nil, lim)
 	send := func(kind string, f chunkFrame) error {
-		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&f)})
+		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: marshalChunkFrame(&f)})
 		return err
 	}
 
@@ -198,6 +200,18 @@ func TestChunkAssemblyRejectsAbuse(t *testing.T) {
 	if err := send(KindChunkEnd, chunkFrame{Stream: "g", Seq: 1, Total: 2, Size: 6, MsgID: "m", Kind: "bulk", Data: []byte("BBBB")}); err == nil {
 		t.Error("overrunning stream dispatched")
 	}
+
+	// A JSON chunk frame, which no build in the wire support window
+	// writes, is refused: a whole one-slice stream in JSON reaches no
+	// handler, and the same slice in binary does.
+	whole := chunkFrame{Stream: "j", Seq: 0, Total: 1, Size: 4, MsgID: "m", Kind: "bulk", Data: []byte("AAAA")}
+	calls.Store(0)
+	if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkEnd, Body: canon.MustMarshal(&whole)}); err == nil || calls.Load() != 0 {
+		t.Errorf("JSON chunk frame: error %v after %d handler calls, want an error and none", err, calls.Load())
+	}
+	if err := send(KindChunkEnd, whole); err != nil || calls.Load() != 1 {
+		t.Errorf("binary chunk frame: error %v after %d handler calls, want none and 1", err, calls.Load())
+	}
 }
 
 // TestChunkStreamEviction: the oldest in-flight assembly is evicted at the
@@ -209,7 +223,7 @@ func TestChunkStreamEviction(t *testing.T) {
 	}), nil, lim)
 	for i := 0; i < 5; i++ {
 		f := chunkFrame{Stream: fmt.Sprintf("s%d", i), Seq: 0, Total: 2, Size: 8, Data: []byte("AAAA")}
-		if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkPart, Body: canon.MustMarshal(&f)}); err != nil {
+		if _, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: KindChunkPart, Body: marshalChunkFrame(&f)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +252,7 @@ func TestChunkReassemblyBoundedByBytes(t *testing.T) {
 		if kind == KindChunkEnd {
 			f.MsgID, f.Kind = "m", "bulk"
 		}
-		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&f)})
+		_, err := h.Handle(context.Background(), &Envelope{ID: id.NewMsg(), Kind: kind, Body: marshalChunkFrame(&f)})
 		return err
 	}
 	held := func() (n int64) {

@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"nonrep/internal/canon"
@@ -21,13 +20,14 @@ import (
 // FuzzReadFrame feeds arbitrary bytes to the length-prefixed frame
 // reader. The reader must never panic and never allocate more than the
 // bytes actually delivered (a lying header claiming maxFrame with a
-// 4-byte body must fail cheaply).
+// 4-byte body must fail cheaply), and must refuse a frame whose
+// envelope is not binary: the JSON frames among the seeds are refused.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed frames as the structural seeds: a one-exchange frame,
 	// and a multiplexed request and reply.
 	for _, mux := range [][]byte{nil, muxHead{id: 1}.append(nil), muxHead{id: 1 << 40, reply: true}.append(nil)} {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, mux, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`)), WireBinary); err != nil {
+		if err := writeFrame(&buf, mux, NewEnvelope("b2b-deliver", []byte(`{"protocol":"ping"}`))); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -49,19 +49,18 @@ func FuzzReadFrame(f *testing.F) {
 		if fr.env == nil {
 			t.Fatal("readFrame returned neither envelope nor error")
 		}
+		if lead := data[4]; lead != envMagic && lead != muxMagic {
+			t.Fatalf("frame led by %#x read as an envelope", lead)
+		}
 		// A decoded frame must survive re-framing (round-trip safety),
-		// header included. The one legitimate refusal is a JSON-decoded
-		// batch nested past the binary encoder's depth cap.
+		// header included.
 		var mux []byte
 		if fr.mux {
 			mux = fr.head.append(nil)
 		}
 		var out bytes.Buffer
-		if werr := writeFrame(&out, mux, fr.env, WireBinary); werr != nil {
-			if !strings.Contains(werr.Error(), "nested beyond depth") {
-				t.Fatalf("re-frame of decoded envelope failed: %v", werr)
-			}
-			return
+		if werr := writeFrame(&out, mux, fr.env); werr != nil {
+			t.Fatalf("re-frame of decoded envelope failed: %v", werr)
 		}
 		back, err := readFrame(&out)
 		if err != nil {
@@ -116,7 +115,8 @@ type tenantResolverFunc func(tenant string) Handler
 func (f tenantResolverFunc) TenantHandler(tenant string) Handler { return f(tenant) }
 
 // FuzzChunkAssemble replays an arbitrary sequence of chunk envelopes — a
-// JSON array of {kind, frame} steps — through a ChunkHandler with tight
+// JSON array of {kind, frame} steps, each frame sent in binary — through
+// a ChunkHandler with tight
 // limits. Out-of-order, duplicate, overlapping, truncated and oversized
 // chunk streams must yield errors, never a panic; and the assembler must
 // never hold more than its configured budget no matter what the frames
@@ -181,7 +181,7 @@ func FuzzChunkAssemble(f *testing.F) {
 			default:
 				kind = KindChunkPart
 			}
-			env := &Envelope{ID: id.NewMsg(), Kind: kind, Body: canon.MustMarshal(&s.Frame)}
+			env := &Envelope{ID: id.NewMsg(), Kind: kind, Body: marshalChunkFrame(&s.Frame)}
 			if _, err := h.Handle(context.Background(), env); err != nil {
 				_ = err // errors are the contract; panics are the bug
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nonrep/internal/canon"
 	"nonrep/internal/obs"
 )
 
@@ -13,16 +12,12 @@ import (
 type chunkEcho struct{ data []byte }
 
 func (h *chunkEcho) Handle(_ context.Context, env *Envelope) (*Envelope, error) {
-	body, err := canon.Marshal(chunkFrame{Stream: "s", Seq: 0, Data: h.data})
-	if err != nil {
-		return nil, err
-	}
-	return NewEnvelope(KindChunkData, body), nil
+	return NewEnvelope(KindChunkData, marshalChunkFrame(&chunkFrame{Stream: "s", Seq: 0, Data: h.data})), nil
 }
 
 // TestMeteredCountsChunkPayloads locks in the chunked-transfer byte
 // accounting: chunk-* envelopes contribute their decoded slice payload —
-// not their JSON/base64 frame encoding — and chunked replies are counted
+// not their frame encoding — and chunked replies are counted
 // at all (they used to be, only the request leg was).
 func TestMeteredCountsChunkPayloads(t *testing.T) {
 	t.Parallel()
@@ -43,10 +38,7 @@ func TestMeteredCountsChunkPayloads(t *testing.T) {
 
 	// Request leg: a chunk-part frame carrying 1000 slice bytes. Reply
 	// leg: a chunk-data frame carrying another 1000.
-	reqBody, err := canon.Marshal(chunkFrame{Stream: "s", Seq: 0, Data: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqBody := marshalChunkFrame(&chunkFrame{Stream: "s", Seq: 0, Data: payload})
 	if len(reqBody) <= len(payload) {
 		t.Fatalf("frame encoding (%d bytes) not larger than payload (%d) — test premise broken", len(reqBody), len(payload))
 	}

@@ -109,10 +109,16 @@ func isAnswered(err error) bool { return errors.As(err, new(answered)) }
 // markAnswered marks a handler's error as answered, unless it is the
 // receiver's own context ending, which a repeat may outlive.
 func markAnswered(ctx context.Context, err error) error {
-	if err == nil || ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || contextEnded(ctx, err) {
 		return err
 	}
 	return answered{err}
+}
+
+// contextEnded reports whether a handler's error is a context ending
+// rather than its outcome.
+func contextEnded(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Reliable wraps an endpoint with retransmission. Paired with Dedup on the
@@ -279,12 +285,19 @@ func (d *Dedup) Handle(ctx context.Context, env *Envelope) (*Envelope, error) {
 	res.reply, res.err = d.inner.Handle(ctx, env)
 	close(res.done)
 
-	if res.reply != nil && len(res.reply.Body) > 0 {
+	ended := res.err != nil && contextEnded(ctx, res.err)
+	if ended || (res.reply != nil && len(res.reply.Body) > 0) {
 		d.mu.Lock()
-		// Only a result still in the window is charged to it, not a
-		// redelivery dispatched after it was evicted.
+		// Only a result still in the window is forgotten or charged, not
+		// a redelivery dispatched after it was evicted.
 		if cur, ok := d.results.Get(key); ok && cur == res {
-			d.results.Charge(key, int64(len(res.reply.Body)))
+			if ended {
+				// A handler cut short by a context ending has no outcome
+				// to replay: a repeat runs it again.
+				d.results.Delete(key)
+			} else {
+				d.results.Charge(key, int64(len(res.reply.Body)))
+			}
 		}
 		d.mu.Unlock()
 	}

@@ -272,7 +272,8 @@ func TestDialUnknownAddressIsPermanent(t *testing.T) {
 // cached error — so Reliable gives it to its caller at once, in process
 // and over TCP, where the mark rides the "error" reply. An error from
 // behind no Dedup (an older peer's reply carries no mark) and a handler
-// ending on a context stay transient and are repeated.
+// ending on a context stay transient and are repeated; Dedup keeps no
+// context ending, so each repeat runs the handler again.
 func TestReliableStopsOnAnsweredRefusal(t *testing.T) {
 	refused := errors.New("receipt refused")
 	inproc, tcp := transport.NewInprocNetwork(), transport.NewTCPNetwork()
@@ -323,10 +324,12 @@ func TestReliableStopsOnAnsweredRefusal(t *testing.T) {
 				t.Fatalf("answered refusal: %v after %d deliveries in %v, want the refusal after 1 within 50ms", err, deliveries.Load(), took)
 			}
 
+			// A context ending is no outcome: Dedup forgets it, so every
+			// repeat reaches the handler again.
 			canceled := context.Canceled
 			cause.Store(&canceled)
-			if err := send(deduped, policy); err == nil || calls.Load() != 1 || deliveries.Load() != 3 {
-				t.Fatalf("context ending behind Dedup: %v after %d handler calls and %d deliveries, want 1 and 3", err, calls.Load(), deliveries.Load())
+			if err := send(deduped, policy); err == nil || calls.Load() != 3 || deliveries.Load() != 3 {
+				t.Fatalf("context ending behind Dedup: %v after %d handler calls and %d deliveries, want 3 and 3", err, calls.Load(), deliveries.Load())
 			}
 
 			raw := register("raw", transport.HandlerFunc(func(context.Context, *transport.Envelope) (*transport.Envelope, error) {

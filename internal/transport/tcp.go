@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"nonrep/internal/canon"
 )
 
 // maxFrame bounds a single wire frame (16 MiB).
@@ -56,9 +54,8 @@ var (
 // stops every endpoint registered or dialled through it.
 //
 // Endpoints write binary frames. A peer from before multiplexing, which
-// sends one frame per connection and reads one reply, is still served:
-// in the encoding its frame arrived in (JSON included), after which the
-// connection closes.
+// sends one frame per connection and reads one reply, is still served,
+// after which the connection closes.
 type TCPNetwork struct {
 	mu     sync.Mutex
 	eps    map[*tcpEndpoint]struct{}
@@ -209,15 +206,14 @@ func (e *tcpEndpoint) acceptLoop() {
 
 // serveConn serves one accepted connection. Its first frame says what it
 // is: a multiplexed connection, served until it ends, or one exchange
-// from a peer that predates multiplexing, answered in the encoding the
-// request arrived in — a legacy JSON peer negotiates JSON simply by
-// speaking it — before the connection closes.
+// from a peer that predates multiplexing, answered before the connection
+// closes. A frame that does not decode closes the connection unanswered.
 func (e *tcpEndpoint) serveConn(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	f, err := readFrame(br)
 	if err != nil || !f.mux {
 		if err == nil {
-			_ = writeFrame(nc, nil, handle(e.ctx, e.handler, f.env), f.enc)
+			_ = writeFrame(nc, nil, handle(e.ctx, e.handler, f.env))
 		}
 		_ = nc.Close()
 		e.wg.Done()
@@ -470,7 +466,7 @@ func (c *conn) write(ctx context.Context, h muxHead, env *Envelope) error {
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = c.nc.SetWriteDeadline(time.Unix(1, 0)) })
 	}
-	err := writeFrame(c.nc, h.append(nil), env, WireBinary)
+	err := writeFrame(c.nc, h.append(nil), env)
 	if !stop() && err == nil {
 		err = ctx.Err()
 	}
@@ -559,23 +555,17 @@ func handle(ctx context.Context, h Handler, env *Envelope) *Envelope {
 	return reply
 }
 
-// writeFrame writes a length-prefixed envelope in the given encoding as
-// one vectored write, behind mux, the header of a multiplexed frame (nil
-// for a one-exchange frame). A binary envelope goes out as three runs —
-// length prefix plus headers, the body from where it lies, the tail — so
-// a body is never copied into a frame buffer, whatever its size.
-func writeFrame(w io.Writer, mux []byte, env *Envelope, enc WireEncoding) error {
+// writeFrame writes a length-prefixed binary envelope as one vectored
+// write, behind mux, the header of a multiplexed frame (nil for a
+// one-exchange frame). The envelope goes out as three runs — length
+// prefix plus headers, the body from where it lies, the tail — so a body
+// is never copied into a frame buffer, whatever its size.
+func writeFrame(w io.Writer, mux []byte, env *Envelope) error {
 	head := make([]byte, 4, 4+len(mux)+64+len(env.ID)+len(env.From)+len(env.To)+len(env.Kind)+len(env.Tenant))
 	head = append(head, mux...)
-	var body, tail []byte
-	var err error
-	if enc == WireJSON {
-		body, err = MarshalEnvelope(env, WireJSON)
-	} else {
-		head = appendEnvelopeHead(head, env)
-		body = env.Body
-		tail, err = appendEnvelopeTail(nil, env, 0)
-	}
+	head = appendEnvelopeHead(head, env)
+	body := env.Body
+	tail, err := appendEnvelopeTail(nil, env, 0)
 	if err != nil {
 		return err
 	}
@@ -603,16 +593,13 @@ const (
 // frame is one frame as read off the wire.
 type frame struct {
 	env *Envelope
-	// enc is the encoding a one-exchange frame arrived in, for its reply.
-	enc WireEncoding
 	// mux marks a multiplexed frame, whose header is head.
 	mux  bool
 	head muxHead
 }
 
 // readFrame reads a length-prefixed frame: a multiplexed one, or a
-// one-exchange envelope whose encoding it auto-detects and reports so the
-// reply can mirror it. Bytes are read straight into the tail of a buffer
+// one-exchange envelope. Bytes are read straight into the tail of a buffer
 // that grows geometrically towards the declared length, so all the
 // re-copying of one frame adds up to a third of it. A binary envelope's
 // byte fields alias that buffer, which is owned by the decoded envelope
@@ -655,13 +642,6 @@ func readFrame(r io.Reader) (frame, error) {
 			return frame{}, err
 		}
 		f.mux = true
-	}
-	f.enc = WireJSON
-	if len(body) > 0 && body[0] == envMagic {
-		f.enc = WireBinary
-	}
-	if f.mux && f.enc != WireBinary {
-		return frame{}, fmt.Errorf("transport: %w: multiplexed frame without a binary envelope", canon.ErrBinary)
 	}
 	env, err := UnmarshalEnvelope(body)
 	if err != nil {

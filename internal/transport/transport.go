@@ -9,7 +9,7 @@
 //   - a TCP network that keeps one persistent connection per
 //     counterparty, multiplexing every exchange in both directions over
 //     length-prefixed binary frames (and still answering a peer that
-//     sends one frame per connection, binary or JSON, in kind);
+//     sends one frame per connection);
 //   - a fault-injecting wrapper simulating the bounded temporary failures;
 //   - a retrying, de-duplicating layer that turns a lossy network into one
 //     with eventual-delivery and exactly-once processing semantics — a

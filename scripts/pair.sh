@@ -55,6 +55,8 @@ while [ $# -gt 0 ]; do
 done
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 out="$root/.bench_build/pair"
+# shellcheck source=scripts/refs.sh
+. "$root/scripts/refs.sh"
 
 # spec prints what the working tree's BENCHMARK.json declares, one line
 # each: "workload NAME", "better METRIC DIRECTION", "bound METRIC FRACTION".
@@ -141,24 +143,11 @@ if [ ${#refs[@]} -lt 1 ] || [ ${#refs[@]} -gt 2 ]; then
 fi
 mkdir -p "$out"
 
-# checkout REF prints the directory a ref runs from, extracting it once.
-checkout() {
-  local commit dir
-  commit="$(git -C "$root" rev-parse --verify --quiet "$1^{commit}")" || { echo "pair.sh: no commit $1" >&2; exit 2; }
-  dir="$out/$commit"
-  if [ ! -f "$dir/benchmarks/run.sh" ]; then
-    rm -rf "$dir.tmp" && mkdir -p "$dir.tmp"
-    git -C "$root" archive "$commit" | tar -x -C "$dir.tmp"
-    rm -rf "$dir" && mv "$dir.tmp" "$dir"
-  fi
-  echo "$dir"
-}
-
 base_commit="$(git -C "$root" rev-parse --verify --quiet "${refs[0]}^{commit}")" || { echo "pair.sh: no commit ${refs[0]}" >&2; exit 2; }
-base_dir="$(checkout "${refs[0]}")"
+base_dir="$(extract_ref "$root" "$out" "${refs[0]}")"
 if [ ${#refs[@]} -eq 2 ]; then
   change_commit="$(git -C "$root" rev-parse --verify --quiet "${refs[1]}^{commit}")" || { echo "pair.sh: no commit ${refs[1]}" >&2; exit 2; }
-  change_dir="$(checkout "${refs[1]}")"
+  change_dir="$(extract_ref "$root" "$out" "${refs[1]}")"
   harness_diff() { ! git -C "$root" diff --quiet "$base_commit" "$change_commit" -- benchmarks; }
 else
   change_commit="working-tree"
