@@ -8,6 +8,7 @@ package nonrep_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -398,11 +399,14 @@ func BenchmarkVoluntaryVsDirect(b *testing.B) {
 }
 
 // BenchmarkFaultyExchange is E9: TTP resolution of a withheld receipt.
+// Each call's receipt timeout elapses on the domain's clock, and the
+// server's receipt watch resolves the run.
 func BenchmarkFaultyExchange(b *testing.B) {
+	const timeout = time.Millisecond
 	d := testpki.MustDomain(benchClient, benchServer, benchTTPA)
 	defer d.Close()
 	srv := invoke.NewServer(d.Node(benchServer).Coordinator(), echoExecutor(),
-		invoke.ForProtocol(invoke.ProtocolFair), invoke.WithRecovery(benchTTPA, time.Hour))
+		invoke.ForProtocol(invoke.ProtocolFair), invoke.WithRecovery(benchTTPA, timeout))
 	defer srv.Close()
 	invoke.NewResolveService(d.Node(benchTTPA).Coordinator())
 	cli := invoke.NewClient(d.Node(benchClient).Coordinator(),
@@ -414,9 +418,69 @@ func BenchmarkFaultyExchange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := srv.ResolveNow(context.Background(), res.Run); err != nil {
-			b.Fatal(err)
+		d.Realm.Clock.Advance(timeout)
+		for {
+			_, resolved, err := srv.ReceiptState(res.Run)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resolved {
+				break
+			}
+			time.Sleep(10 * time.Microsecond)
 		}
+	}
+}
+
+// BenchmarkFaultyExchangeBurst is E9 for a burst: k withheld receipts
+// fall due at one clock step, timed from the step until the server
+// reports every run resolved.
+func BenchmarkFaultyExchangeBurst(b *testing.B) {
+	const timeout = time.Hour
+	for _, k := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := testpki.MustDomain(benchClient, benchServer, benchTTPA)
+			defer d.Close()
+			srv := invoke.NewServer(d.Node(benchServer).Coordinator(), echoExecutor(),
+				invoke.ForProtocol(invoke.ProtocolFair), invoke.WithRecovery(benchTTPA, timeout))
+			defer srv.Close()
+			invoke.NewResolveService(d.Node(benchTTPA).Coordinator())
+			cli := invoke.NewClient(d.Node(benchClient).Coordinator(),
+				invoke.WithOfflineTTP(benchTTPA), invoke.WithholdReceipt())
+			req := benchRequest(b)
+			runs := make([]id.Run, k)
+			// A resolved run is settled, and the settled table keeps the
+			// newest few hundred: with every receipt withheld, a run gone
+			// from the server was resolved.
+			resolved := func(run id.Run) bool {
+				_, ok, err := srv.ReceiptState(run)
+				if errors.Is(err, invoke.ErrNoSuchRun) {
+					return true
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				return ok
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := range runs {
+					res, err := cli.Invoke(context.Background(), benchServer, req)
+					if err != nil {
+						b.Fatal(err)
+					}
+					runs[j] = res.Run
+				}
+				b.StartTimer()
+				d.Realm.Clock.Advance(timeout)
+				for _, run := range runs {
+					for !resolved(run) {
+						time.Sleep(10 * time.Microsecond)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -174,7 +174,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  manufacturer consumed supplier A's answer (%s) and withheld its receipt\n", res3.Status)
-	time.Sleep(300 * time.Millisecond) // let the supplier's watchdog resolve
+	time.Sleep(300 * time.Millisecond) // let the supplier's receipt watch resolve
 	report, err := domain.Adjudicator().AuditRunStream(orgs[supplierA].Vault().Query(nonrep.VaultQuery{Run: res3.Run}), res3.Run)
 	if err != nil {
 		log.Fatal(err)

@@ -92,7 +92,7 @@ func main() {
 	}
 	fmt.Printf("  client consumed the response (%s) and never acknowledged it.\n", res2.Status)
 
-	// The server's watchdog resolves through the TTP.
+	// The server's receipt watch resolves through the TTP.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		_, resolved, err := fairServer.ReceiptState(res2.Run)

@@ -36,9 +36,19 @@ type Timer interface {
 // NewTimer returns a timer that elapses d after now on clk.
 func NewTimer(clk Clock, d time.Duration) Timer {
 	if m, ok := clk.(*Manual); ok {
-		return m.newTimer(d)
+		return m.newTimer(func(now time.Time) time.Time { return now.Add(d) })
 	}
 	return realTimer{t: time.NewTimer(d)}
+}
+
+// NewTimerAt returns a timer that elapses at t on clk. Unlike a NewTimer
+// for t minus a reading of clk, it is not late by however far the clock
+// moved between the reading and the call.
+func NewTimerAt(clk Clock, t time.Time) Timer {
+	if m, ok := clk.(*Manual); ok {
+		return m.newTimer(func(time.Time) time.Time { return t })
+	}
+	return realTimer{t: time.NewTimer(t.Sub(clk.Now()))}
 }
 
 type realTimer struct{ t *time.Timer }
@@ -108,11 +118,13 @@ func deliver(fired []*manualTimer, now time.Time) {
 	}
 }
 
-func (m *Manual) newTimer(d time.Duration) *manualTimer {
+// newTimer returns a timer whose deadline is deadline(now), read under
+// the clock's lock.
+func (m *Manual) newTimer(deadline func(now time.Time) time.Time) *manualTimer {
 	t := &manualTimer{m: m, ch: make(chan time.Time, 1)}
 	m.mu.Lock()
-	t.deadline = m.now.Add(d)
-	if d <= 0 {
+	t.deadline = deadline(m.now)
+	if !t.deadline.After(m.now) {
 		now := m.now
 		m.mu.Unlock()
 		t.ch <- now

@@ -66,6 +66,25 @@
 // at-most-once execution: the server keeps the run, holds the reply back,
 // and a retransmitted request retries the commit of the same tokens
 // without executing again.
+//
+// # Receipt watch
+//
+// A server waits for receipts in one place, its open-run table. On a
+// recovering server (ProtocolFair, WithRecovery) a run's deadline is one
+// receipt timeout after its evidence commits, before the reply leaves,
+// and one timer on the coordinator's clock, armed on the nearest
+// deadline, has the offline TTP resolve the runs past theirs, a few at a
+// time in parallel. A decision ends the run; a resolve that fails puts it
+// back, one timeout on. A run the count bound evicts before its deadline,
+// and before a resolve of it started, is resolved at once, by the request
+// that evicted it and before that request's reply returns: it gets that
+// one attempt, which ends with the request. Every TTP call ends one
+// receipt timeout on at the latest, and none is made under the server's
+// lock. Close cancels the calls under way, and none starts after it
+// returns. A late receipt is still checked and logged while the server
+// keeps the run, beside any substitute. Servers without recovery, and
+// relays, only wait: a run leaves when its receipt arrives or the count
+// bound evicts it.
 package invoke
 
 import (

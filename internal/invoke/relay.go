@@ -63,7 +63,7 @@ var _ protocol.Handler = (*Relay)(nil)
 // coordinator.
 func NewRelay(co *protocol.Coordinator, route RelayRoute) *Relay {
 	r := &Relay{co: co, route: route, evicted: co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal)}
-	r.runs = newOpenRuns[*relayRun](co.Services(), func() *obs.Counter { return r.evicted })
+	r.runs = newOpenRuns[*relayRun](co.Services(), func() *obs.Counter { return r.evicted }, nil)
 	co.Register(r)
 	return r
 }

@@ -38,9 +38,17 @@ type Server struct {
 	mu sync.Mutex
 	// open holds the runs answered but not yet settled — the receipt
 	// outstanding, or a result stream not fetched to its end. Runs it
-	// evicts are counted in evicted.
-	open    *bounded.Table[id.Run, *serverRun]
-	evicted *obs.Counter
+	// evicts are counted in evicted; those awaiting their receipt wait in
+	// dropped for the request that evicted them to resolve them.
+	// watchDone is set while the receipt watch runs (see the package
+	// comment), resolving counts the resolves it has under way, and wake
+	// tells it to look at the table again.
+	open      *bounded.Table[id.Run, *serverRun]
+	evicted   *obs.Counter
+	dropped   []*serverRun
+	watchDone chan struct{}
+	resolving int
+	wake      chan struct{}
 	// settled holds the runs whose exchange is over — the receipt (or its
 	// TTP substitute) logged and every result stream served to its last
 	// chunk. They stay only to answer retransmissions idempotently.
@@ -55,8 +63,9 @@ type Server struct {
 	streamMu sync.Mutex
 	pending  *bounded.Table[string, *pendingStream]
 
-	wg     sync.WaitGroup
-	closed chan struct{}
+	// life ends when Close is called.
+	life context.Context
+	stop context.CancelFunc
 }
 
 // pendingStream is one buffered inbound chunk stream.
@@ -95,6 +104,11 @@ const (
 	// maxSettledChunkBytes bounds the streamed-result chunks settled
 	// runs keep, in total, for retransmitted chunk fetches.
 	maxSettledChunkBytes = 32 << 20
+	// maxResolves bounds the TTP resolves the receipt watch has under way
+	// at once: receipts falling due together are resolved in parallel, and
+	// a TTP that stalls holds at most this many calls, each for at most
+	// one receipt timeout.
+	maxResolves = 64
 )
 
 // serverRun is the per-run state the server keeps: everything between
@@ -120,23 +134,30 @@ type serverRun struct {
 	// Guarded by Server.mu: resultChunks holds the run's streamed results
 	// for chunk-fetch serving, keyed by stream name (chunkBytes in total);
 	// unserved counts the streams whose last chunk has not been fetched
-	// yet; settled marks a run already in Server.settled.
+	// yet; settled marks a run already in Server.settled; deadline, set
+	// once the run's evidence committed on a recovering server, is when
+	// the receipt watch resolves it, and resolving marks a resolve of the
+	// watch under way.
 	resultChunks map[string][][]byte
 	chunkBytes   int64
 	served       map[string]bool
 	unserved     int
 	settled      bool
+	deadline     time.Time
+	resolving    bool
 
 	receiptOnce sync.Once
 	receipt     chan struct{}
-	resolveOnce sync.Once
-	// receiptMu serialises receipt processing for the run, so a receipt
-	// retransmitted while the first copy is still being logged waits and
-	// is then recognised as a duplicate rather than logged twice.
+	// receiptMu serialises receipt processing and resolution for the run,
+	// so a receipt retransmitted while the first copy is still being
+	// logged waits and is then recognised as a duplicate rather than
+	// logged twice, and a run is resolved at most once.
 	receiptMu sync.Mutex
 
+	// resolved and aborted record the TTP's decision on the run.
 	mu       sync.Mutex
 	resolved bool
+	aborted  bool
 	consumed *evidence.Consumption
 }
 
@@ -144,7 +165,7 @@ type serverRun struct {
 func (r *serverRun) over() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.receiptless || r.consumed != nil || r.resolved
+	return r.receiptless || r.consumed != nil || r.resolved || r.aborted
 }
 
 // markReceipt records arrival of the client's receipt.
@@ -179,8 +200,10 @@ func WithVoluntaryReceipt() ServerOption {
 }
 
 // WithRecovery configures ProtocolFair recovery: if the client's receipt
-// does not arrive within d, the server asks the offline TTP for a
-// substitute receipt.
+// does not arrive within d of the run's evidence committing, the server
+// asks the offline TTP for a substitute receipt, and asks again every d
+// until the TTP decides the run (see the receipt watch in the package
+// comment).
 func WithRecovery(ttp id.Party, d time.Duration) ServerOption {
 	return func(s *Server) {
 		s.ttp = ttp
@@ -198,9 +221,14 @@ func NewServer(co *protocol.Coordinator, exec Executor, opts ...ServerOption) *S
 		execTimeout: DefaultExecTimeout,
 		evicted:     co.Services().Obs.Counter(obs.MInvokeOpenRunsEvictedTotal),
 		pending:     bounded.New[string, *pendingStream](maxPendingStreams, DefaultMaxStreamBytes, nil),
-		closed:      make(chan struct{}),
+		wake:        make(chan struct{}, 1),
 	}
-	s.open = newOpenRuns[*serverRun](co.Services(), func() *obs.Counter { return s.evicted })
+	s.life, s.stop = context.WithCancel(context.Background())
+	s.open = newOpenRuns(co.Services(), func() *obs.Counter { return s.evicted }, func(_ id.Run, rs *serverRun) {
+		if !rs.deadline.IsZero() && !rs.resolving && !rs.over() {
+			s.dropped = append(s.dropped, rs)
+		}
+	})
 	s.settledChunks = bounded.New(0, maxSettledChunkBytes, func(_ id.Run, rs *serverRun) { rs.resultChunks = nil })
 	s.settled = bounded.New(maxSettledRuns, 0, func(run id.Run, _ *serverRun) { s.settledChunks.Delete(run) })
 	for _, opt := range opts {
@@ -231,7 +259,7 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	}
 	// At-most-once: a retried request returns the original response.
 	if done, err := s.kept(msg.Run); err == nil {
-		return s.answer(ctx, msg.Run, done)
+		return s.answer(ctx, done)
 	}
 
 	svc := s.co.Services()
@@ -271,8 +299,18 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 	if !rs.settled {
 		s.open.Put(msg.Run, rs)
 	}
+	dropped := s.dropped
+	s.dropped = nil
 	s.mu.Unlock()
-	return s.answer(ctx, msg.Run, rs)
+	reply, err := s.answer(ctx, rs)
+	// The request that evicted runs awaiting their receipt resolves them:
+	// the backpressure a client withholding its receipts meets once the
+	// table is full. A run out of the table gets this one attempt, ended
+	// with the request, so a failure is not acted on.
+	for _, ev := range dropped {
+		_ = s.resolve(ctx, ev)
+	}
+	return reply, err
 }
 
 // newOpenRuns returns the table of runs a Server or Relay answered whose
@@ -281,11 +319,15 @@ func (s *Server) ProcessRequest(ctx context.Context, msg *protocol.Message) (*pr
 // means to accept its receipt, so the eviction is counted on evicted() and
 // — not more often than every logEvery on the coordinator's clock —
 // logged with the run's id: the later ErrNoSuchRun for that receipt then
-// has an explanation on record.
-func newOpenRuns[V any](svc *protocol.Services, evicted func() *obs.Counter) *bounded.Table[id.Run, V] {
+// has an explanation on record. dropped, when not nil, is handed every
+// evicted run too.
+func newOpenRuns[V any](svc *protocol.Services, evicted func() *obs.Counter, dropped func(id.Run, V)) *bounded.Table[id.Run, V] {
 	var lines spacedLog
-	return bounded.New(maxOpenRuns, 0, func(run id.Run, _ V) {
+	return bounded.New(maxOpenRuns, 0, func(run id.Run, v V) {
 		evicted().Inc()
+		if dropped != nil {
+			dropped(run, v)
+		}
 		if unreported, ok := lines.due(svc.Clock.Now()); ok {
 			log.Printf("invoke: %s: dropped run %s, unreceipted behind %d newer runs (%d dropped since the last report); its receipt will be refused: %v",
 				svc.Party, run, maxOpenRuns, unreported, ErrNoSuchRun)
@@ -316,7 +358,7 @@ func (s *Server) keptLocked(run id.Run) (*serverRun, error) {
 // re-executed or re-issued (a log that failed after writing, ErrQuorumUnmet
 // from a replicated vault, then holds them twice) — and every later call
 // only repeats the reply.
-func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protocol.Message, error) {
+func (s *Server) answer(ctx context.Context, rs *serverRun) (*protocol.Message, error) {
 	rs.logMu.Lock()
 	defer rs.logMu.Unlock()
 	if rs.unlogged == nil {
@@ -326,8 +368,15 @@ func (s *Server) answer(ctx context.Context, run id.Run, rs *serverRun) (*protoc
 		return nil, err
 	}
 	rs.unlogged = nil
+	// A run the open table evicted while its evidence committed is
+	// resolved by its own request, one attempt as for any evicted run.
 	if s.d.recovery && s.receiptTimeout > 0 && s.ttp != "" {
-		s.watchReceipt(rs, run)
+		s.mu.Lock()
+		open := s.awaitLocked(rs)
+		s.mu.Unlock()
+		if !open {
+			_ = s.resolve(ctx, rs)
+		}
 	}
 	return rs.reply, nil
 }
@@ -693,45 +742,127 @@ func (s *Server) settleLocked(run id.Run, rs *serverRun) {
 	}
 }
 
-// watchReceipt resolves through the TTP if the receipt does not arrive in
-// time on the coordinator's clock. The timer starts before the reply
-// leaves (answer), so the receipt timeout runs from a point the client
-// cannot see past.
-func (s *Server) watchReceipt(rs *serverRun, run id.Run) {
-	timer := clock.NewTimer(s.co.Services().Clock, s.receiptTimeout)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer timer.Stop()
-		select {
-		case <-rs.receipt:
-		case <-s.closed:
-		case <-timer.C():
-			_ = s.resolve(context.Background(), rs, run)
-		}
-	}()
+// awaitLocked gives an open run a receipt deadline one timeout from now
+// and moves it to the back of the open table: a server has one receipt
+// timeout, so the runs with a deadline are in deadline order. It reports
+// false for a run no longer in the table.
+func (s *Server) awaitLocked(rs *serverRun) bool {
+	if _, ok := s.open.Delete(rs.anchors.Run); !ok {
+		return false
+	}
+	rs.deadline = s.co.Services().Clock.Now().Add(s.receiptTimeout)
+	s.open.Put(rs.anchors.Run, rs)
+	s.wakeLocked()
+	return true
 }
 
-// resolve obtains a TTP substitute receipt for a withheld NRR(resp).
-func (s *Server) resolve(ctx context.Context, rs *serverRun, run id.Run) error {
-	var resolveErr error
-	rs.resolveOnce.Do(func() {
-		a := rs.anchors
-		a.TTP = s.ttp
-		resolved, err := askTTP(ctx, s.co, &a, stepReceipt, kindResolve,
-			resolveBody{Request: rs.reqSnap, Response: rs.respSnap, NRO: a.NRO, NRR: a.NRR, NROResp: a.NROResp})
-		if err == nil && !resolved {
-			err = fmt.Errorf("%w: %s", ErrAborted, run)
+// wakeLocked starts the receipt watch, or has the running one look at the
+// table again.
+func (s *Server) wakeLocked() {
+	if s.watchDone == nil && s.life.Err() == nil {
+		s.watchDone = make(chan struct{})
+		go s.watch(s.watchDone)
+		return
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// watch is the receipt watch. While an open run awaits its receipt, or a
+// resolve it started is under way, it sleeps on one timer until the
+// nearest deadline; then it starts a resolve, up to maxResolves at once,
+// for each run past its deadline. A resolve that fails puts its run back.
+func (s *Server) watch(done chan struct{}) {
+	defer close(done)
+	clk := s.co.Services().Clock
+	for {
+		var due []*serverRun
+		var next time.Time
+		s.mu.Lock()
+		live, now := s.life.Err() == nil, clk.Now()
+		for _, rs := range s.open.All() {
+			if !live || s.resolving == maxResolves {
+				break
+			}
+			if rs.deadline.IsZero() || rs.resolving || rs.over() {
+				continue
+			}
+			if rs.deadline.After(now) {
+				next = rs.deadline
+				break
+			}
+			rs.resolving = true
+			s.resolving++
+			due = append(due, rs)
 		}
-		if resolveErr = err; err != nil {
+		if next.IsZero() && s.resolving == 0 {
+			s.watchDone = nil
+			s.mu.Unlock()
 			return
 		}
-		rs.mu.Lock()
-		rs.resolved = true
-		rs.mu.Unlock()
-		s.settle(run, rs)
-	})
-	return resolveErr
+		s.mu.Unlock()
+		for _, rs := range due {
+			go func() {
+				err := s.resolve(s.life, rs)
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				rs.resolving = false
+				s.resolving--
+				if err == nil || !s.awaitLocked(rs) {
+					s.wakeLocked()
+				}
+			}()
+		}
+		var fired <-chan time.Time
+		var timer clock.Timer
+		if !next.IsZero() {
+			timer = clock.NewTimerAt(clk, next)
+			fired = timer.C()
+		}
+		var closed <-chan struct{}
+		if live {
+			closed = s.life.Done()
+		}
+		select {
+		case <-fired:
+		case <-s.wake:
+		case <-closed:
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+	}
+}
+
+// resolve asks the offline TTP to decide a run whose receipt is overdue
+// and records the decision: a substitute receipt resolves the run, an
+// abort ends it unresolved. The call ends with ctx, with Close, or one
+// receipt timeout on, whichever comes first. A run already over is left
+// alone, so no run is decided twice, and nothing is asked once Close was
+// called.
+func (s *Server) resolve(ctx context.Context, rs *serverRun) error {
+	rs.receiptMu.Lock()
+	defer rs.receiptMu.Unlock()
+	if rs.over() || s.life.Err() != nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.receiptTimeout)
+	defer cancel()
+	defer context.AfterFunc(s.life, cancel)()
+	a := rs.anchors
+	a.TTP = s.ttp
+	resolved, err := askTTP(ctx, s.co, &a, stepReceipt, kindResolve,
+		resolveBody{Request: rs.reqSnap, Response: rs.respSnap, NRO: a.NRO, NRR: a.NRR, NROResp: a.NROResp})
+	if err != nil {
+		return err
+	}
+	rs.mu.Lock()
+	rs.resolved, rs.aborted = resolved, !resolved
+	rs.mu.Unlock()
+	s.settle(a.Run, rs)
+	return nil
 }
 
 // TamperResultChunk corrupts one stored chunk of a run's streamed result.
@@ -756,16 +887,6 @@ func (s *Server) TamperResultChunk(run id.Run, name string, seq int) bool {
 	return true
 }
 
-// ResolveNow forces TTP resolution for a run, for tests and tools that do
-// not want to wait for the receipt timeout.
-func (s *Server) ResolveNow(ctx context.Context, run id.Run) error {
-	rs, err := s.kept(run)
-	if err != nil {
-		return err
-	}
-	return s.resolve(ctx, rs, run)
-}
-
 // ReceiptState reports the evidence state of a run: whether the client's
 // receipt arrived and whether a TTP substitute was obtained.
 func (s *Server) ReceiptState(run id.Run) (received, resolved bool, err error) {
@@ -788,21 +909,23 @@ func (s *Server) WaitReceipt(ctx context.Context, run id.Run) error {
 	select {
 	case <-rs.receipt:
 		return nil
-	case <-s.closed:
+	case <-s.life.Done():
 		return ErrNoSuchRun
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// Close stops background recovery watchers.
+// Close stops the receipt watch and cancels every TTP call under way:
+// once Close returns no deadline fires and no resolve starts, however far
+// the clock moves.
 func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
+	s.mu.Lock()
+	s.stop()
+	done := s.watchDone
+	s.mu.Unlock()
+	if done != nil {
+		<-done
 	}
-	close(s.closed)
-	s.wg.Wait()
 	return nil
 }

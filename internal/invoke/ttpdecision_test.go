@@ -48,9 +48,11 @@ func issueOver(svc *protocol.Services, kind evidence.Kind, run id.Run, content s
 // receipt takes the TTP's answer only as the TTP's substitute over the
 // run's consumed receipt note, or the TTP's abort over the run's request.
 // An unsigned flag or a token over other content is refused, logged
-// nowhere, and leaves the run unresolved.
+// nowhere, and leaves the run unresolved: the receipt watch asks the TTP
+// again one timeout later.
 func TestServerRefusesUnboundTTPDecision(t *testing.T) {
 	t.Parallel()
+	const timeout = time.Hour
 	for name, forge := range map[string]func(*protocol.Services, id.Run) (bool, []*evidence.Token, error){
 		"resolved without token": func(*protocol.Services, id.Run) (bool, []*evidence.Token, error) {
 			return true, nil, nil
@@ -71,9 +73,13 @@ func TestServerRefusesUnboundTTPDecision(t *testing.T) {
 			exec, _ := echoExec()
 			srv := invoke.NewServer(d.Node(server).Coordinator(), exec,
 				invoke.ForProtocol(invoke.ProtocolFair),
-				invoke.WithRecovery(ttp, time.Hour))
+				invoke.WithRecovery(ttp, timeout))
 			defer srv.Close()
-			rogueTTP(d, forge)
+			var asked atomic.Int32
+			rogueTTP(d, func(svc *protocol.Services, run id.Run) (bool, []*evidence.Token, error) {
+				asked.Add(1)
+				return forge(svc, run)
+			})
 			cli := invoke.NewClient(d.Node(client).Coordinator(),
 				invoke.WithOfflineTTP(ttp), invoke.WithholdReceipt())
 
@@ -81,9 +87,9 @@ func TestServerRefusesUnboundTTPDecision(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := srv.ResolveNow(context.Background(), res.Run); !errors.Is(err, invoke.ErrEvidenceInvalid) {
-				t.Fatalf("ResolveNow = %v, want ErrEvidenceInvalid", err)
-			}
+			// A second question proves the first answer was refused and
+			// the run put back for its next deadline.
+			advanceUntil(t, d, timeout, func() bool { return asked.Load() >= 2 })
 			if _, resolved, err := srv.ReceiptState(res.Run); err != nil || resolved {
 				t.Fatalf("ReceiptState: resolved=%v, %v; want unresolved", resolved, err)
 			}
@@ -221,6 +227,20 @@ func fairRun(t *testing.T, d *testpki.Domain) (*invoke.Server, *invoke.Client, i
 	return srv, cli, res.Run, snap, res.Evidence[0]
 }
 
+// advanceUntil moves the domain's clock on by step until done reports
+// true, giving the receipt watch a moment after each step; it fails the
+// test after two seconds of wall time.
+func advanceUntil(t *testing.T, d *testpki.Domain, step time.Duration, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !done(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the receipt watch did not act in time")
+		}
+		d.Realm.Clock.Advance(step)
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // decisions returns the substitute receipts and abort affidavits log
 // holds for run.
 func decisions(t *testing.T, log store.Log, run id.Run) []*evidence.Token {
@@ -237,8 +257,8 @@ func decisions(t *testing.T, log store.Log, run id.Run) []*evidence.Token {
 // TestTTPDecidesOnceUnderRace: a server's resolve and a client's abort of
 // one run reach the TTP together, the resolve's decision parked at
 // signing until the abort has been checked. The TTP grants one of them:
-// its log holds exactly one decision token, and both parties are told
-// the same decision.
+// its log holds exactly one decision token, both parties are told the
+// same decision, and the server does not ask again.
 func TestTTPDecidesOnceUnderRace(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -252,25 +272,46 @@ func TestTTPDecidesOnceUnderRace(t *testing.T) {
 	invoke.NewResolveService(ttpNode(t, d, signer, ttpLog).Coordinator())
 	srv, cli, run, snap, nro := fairRun(t, d)
 
-	resolveErr := make(chan error, 1)
-	go func() { resolveErr <- srv.ResolveNow(ctx, run) }()
+	// The receipt timeout elapses: the server's watch asks the TTP.
+	d.Realm.Clock.Advance(time.Hour)
 	<-signer.entered
 	abortErr := cli.Abort(ctx, ttp, snap, nro)
-	rErr := <-resolveErr
+	serverLog := d.Node(server).Log()
+	// The server is done with the run once it holds a substitute and
+	// reports the run resolved, or holds an abort.
+	var resolved bool
+	advanceUntil(t, d, 0, func() bool {
+		var err error
+		if _, resolved, err = srv.ReceiptState(run); err != nil {
+			t.Fatal(err)
+		}
+		told := decisions(t, serverLog, run)
+		return resolved || len(told) > 0 && told[0].Kind == evidence.KindAbort
+	})
 
 	toks := decisions(t, ttpLog, run)
 	if len(toks) != 1 {
-		t.Fatalf("TTP logged %d decisions for one run, want 1 (resolve: %v, abort: %v)", len(toks), rErr, abortErr)
+		t.Fatalf("TTP logged %d decisions for one run, want 1 (abort: %v)", len(toks), abortErr)
+	}
+	told := decisions(t, serverLog, run)
+	if len(told) != 1 || told[0].Kind != toks[0].Kind {
+		t.Fatalf("server logged %d decisions, want the TTP's one %s", len(told), toks[0].Kind)
 	}
 	switch toks[0].Kind {
 	case evidence.KindSubstitute:
-		if rErr != nil || !errors.Is(abortErr, invoke.ErrAlreadyResolved) {
-			t.Fatalf("TTP resolved; resolve = %v, abort = %v; want nil and ErrAlreadyResolved", rErr, abortErr)
+		if !resolved || !errors.Is(abortErr, invoke.ErrAlreadyResolved) {
+			t.Fatalf("TTP resolved; server resolved = %v, abort = %v; want true and ErrAlreadyResolved", resolved, abortErr)
 		}
 	case evidence.KindAbort:
-		if !errors.Is(rErr, invoke.ErrAborted) || abortErr != nil {
-			t.Fatalf("TTP aborted; resolve = %v, abort = %v; want ErrAborted and nil", rErr, abortErr)
+		if resolved || abortErr != nil {
+			t.Fatalf("TTP aborted; server resolved = %v, abort = %v; want false and nil", resolved, abortErr)
 		}
+	}
+	// The decision ends the watch: another timeout asks nothing more.
+	d.Realm.Clock.Advance(time.Hour)
+	time.Sleep(20 * time.Millisecond)
+	if n := len(decisions(t, serverLog, run)); n != 1 {
+		t.Fatalf("server logged %d decisions after another timeout, want 1", n)
 	}
 }
 
@@ -312,8 +353,14 @@ func TestTTPDecisionSurvivesRestart(t *testing.T) {
 	if decided, resolved, err := resolver.Decision(run); err != nil || !decided || resolved {
 		t.Fatalf("restarted TTP decision = %v,%v (%v), want decided+aborted", decided, resolved, err)
 	}
-	if err := srv.ResolveNow(ctx, run); !errors.Is(err, invoke.ErrAborted) {
-		t.Fatalf("resolve after restart = %v, want ErrAborted", err)
+	// The receipt timeout elapses: the server's resolve earns the abort.
+	serverLog := d.Node(server).Log()
+	advanceUntil(t, d, time.Hour, func() bool { return len(decisions(t, serverLog, run)) > 0 })
+	if told := decisions(t, serverLog, run); len(told) != 1 || told[0].Kind != evidence.KindAbort {
+		t.Fatalf("server logged %d decisions after restart, want the TTP's abort", len(told))
+	}
+	if _, resolved, err := srv.ReceiptState(run); err != nil || resolved {
+		t.Fatalf("ReceiptState after the abort: resolved=%v, %v; want unresolved", resolved, err)
 	}
 	if toks := decisions(t, v2, run); len(toks) != 1 || toks[0].Kind != evidence.KindAbort {
 		t.Fatalf("restarted TTP log holds %d decisions, want the one abort", len(toks))

@@ -29,7 +29,7 @@
 # which encoding/json calls unnamed; WithInterceptors, the one way to
 # install the container's transaction, persistence and B2BObject
 # interceptors; and public API waiting for a product caller
-# (AuditSharedHistory, replica Prune, ProposeAtomic, ResolveNow). A new
+# (AuditSharedHistory, replica Prune, ProposeAtomic). A new
 # name needs such a reason or a caller.
 #
 # The build fails when a census exceeds its ceiling, so a knob cannot come
@@ -44,7 +44,7 @@ cd "$(dirname "$0")/.."
 OPTION_CEILING=45
 FIELD_CEILING=10
 READ_CEILING=0
-TESTONLY_CEILING=47
+TESTONLY_CEILING=45
 PROTOCOL_CEILING=1
 
 # Package directory and type name of each counted config struct.
