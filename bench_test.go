@@ -656,6 +656,83 @@ func BenchmarkEvidenceByTxn(b *testing.B) {
 	}
 }
 
+// BenchmarkDurableCall is E16, the durable-invocation study: one caller
+// at a time calls through a client organisation with a durable runtime,
+// over fsyncing vaults, either inline (Call) or as a journaled job
+// (CallAsync, then Wait). Besides time per call it reports the client
+// vault's commits per call (commits/op) and the journaled arm's time as a
+// multiple of the inline arm's (x_call); the end-to-end counterpart is
+// durable.* on the evidence_plane workload.
+func BenchmarkDurableCall(b *testing.B) {
+	const svc = nonrep.Service("urn:org:server/echo")
+	var callNs float64
+	for _, async := range []bool{false, true} {
+		name := "Call"
+		if async {
+			name = "CallAsync"
+		}
+		b.Run(name, func(b *testing.B) {
+			domain, err := nonrep.NewDomain()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer domain.Close()
+			client, err := domain.AddOrg("urn:org:client", nonrep.WithVault(b.TempDir()), nonrep.WithDurable())
+			if err != nil {
+				b.Fatal(err)
+			}
+			server, err := domain.AddOrg("urn:org:server", nonrep.WithVault(b.TempDir()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			desc := nonrep.Descriptor{Service: svc, Methods: map[string]nonrep.MethodPolicy{"Echo": {NonRepudiation: true}}}
+			if err := server.Deploy(desc, blobEcho{}); err != nil {
+				b.Fatal(err)
+			}
+			server.Serve()
+			proxy := client.Proxy("urn:org:server", svc, nil)
+			ctx := context.Background()
+			blob := make([]byte, 64)
+			call := func() error {
+				var res *nonrep.Result
+				var err error
+				if async {
+					job, jerr := proxy.CallAsync(ctx, "Echo", blob)
+					if jerr != nil {
+						return jerr
+					}
+					res, err = job.Wait(ctx)
+				} else {
+					res, err = proxy.Call(ctx, "Echo", blob)
+				}
+				if err == nil && res.Status != evidence.StatusOK {
+					err = fmt.Errorf("status %v: %s", res.Status, res.Err)
+				}
+				return err
+			}
+			if err := call(); err != nil { // warm the vaults and coordinators
+				b.Fatal(err)
+			}
+			var commits atomic.Int64
+			defer client.Vault().OnCommit(func([]*store.Record) { commits.Add(1) })()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := call(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(commits.Load())/float64(b.N), "commits/op")
+			nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if !async {
+				callNs = nsOp
+			} else if callNs > 0 {
+				b.ReportMetric(nsOp/callNs, "x_call")
+			}
+		})
+	}
+}
+
 // BenchmarkGeoQuorumCall is E19, the geo-replication durability study: 16
 // concurrent callers invoke through a client organisation whose vault is
 // durable locally only, trails two peer replica regions asynchronously,

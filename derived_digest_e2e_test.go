@@ -41,10 +41,12 @@ func digestForms(t *testing.T, domain *nonrep.Domain, org *nonrep.Org, runs []id
 // TestCallDigestsDerivedInTheVaults: a vault stores no digest it can
 // rebuild from the records beside it. After N direct calls each of the two
 // vaults holds N receipts whose digests are rebuilt from the response
-// origin of their run; after N durable calls the client's vault holds 3N
-// records whose digests are rebuilt from their notes — each job's spec and
-// outcome and its journaled response. Every run still proves complete
-// from either vault alone.
+// origin of their run; after N durable calls the client's vault holds 2N
+// records whose digests are rebuilt from their notes — each job's outcome
+// and its journaled response — and 2N that borrow their request origin's:
+// each job's journal record, whose note is the request the origin covers,
+// and its request receipt. Every run still proves complete from either
+// vault alone.
 func TestCallDigestsDerivedInTheVaults(t *testing.T) {
 	t.Parallel()
 	const calls = 12
@@ -113,8 +115,8 @@ func TestCallDigestsDerivedInTheVaults(t *testing.T) {
 				t.Fatalf("the server's vault derives digests %v after %d calls, want %d receipts", serverForms, calls, calls)
 			case !durable && (clientForms[store.DigestReceipt] != calls || clientForms[store.DigestNote] != 0):
 				t.Fatalf("the client's vault derives digests %v after %d calls, want %d receipts", clientForms, calls, calls)
-			case durable && clientForms[store.DigestNote] != 3*calls:
-				t.Fatalf("the durable client's vault derives digests %v after %d calls, want %d from notes", clientForms, calls, 3*calls)
+			case durable && (clientForms[store.DigestNote] != 2*calls || clientForms[store.DigestLent] != 2*calls):
+				t.Fatalf("the durable client's vault derives digests %v after %d calls, want %d from notes and %d lent", clientForms, calls, 2*calls, 2*calls)
 			}
 		})
 	}

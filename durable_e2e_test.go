@@ -262,7 +262,9 @@ func (blobEcho) Echo(_ context.Context, b []byte) ([]byte, error) { return b, ni
 // about 1 154; since the server signs its receipt and response origin
 // under one signature, which the response origin borrows, about 1 127;
 // since segment format 10 the job's records and the journaled response
-// origin rebuild their digests from their notes, about 1 034.
+// origin rebuild their digests from their notes, about 1 034; since the
+// job's journal record rides its request origin's commit, behind it, and
+// borrows its run, parties, time and digest, about 994.
 func TestDurableCallEvidenceBytes(t *testing.T) {
 	t.Parallel()
 	domain, err := nonrep.NewDomain()
@@ -336,7 +338,7 @@ func TestDurableCallEvidenceBytes(t *testing.T) {
 	}
 	perCall := float64(settled()-before) / calls
 	t.Logf("one durable call costs its client vault %.1f B", perCall)
-	if perCall > 1050 {
-		t.Fatalf("one durable call costs its client vault %.1f B, want at most 1 050", perCall)
+	if perCall > 1005 {
+		t.Fatalf("one durable call costs its client vault %.1f B, want at most 1 005", perCall)
 	}
 }

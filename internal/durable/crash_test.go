@@ -14,6 +14,7 @@ import (
 	"nonrep/internal/core"
 	"nonrep/internal/durable"
 	"nonrep/internal/evidence"
+	"nonrep/internal/id"
 	"nonrep/internal/invoke"
 	"nonrep/internal/store"
 	"nonrep/internal/testpki"
@@ -23,8 +24,12 @@ import (
 // crashCase names one injection point in the journal-write/exchange
 // sequence where the client process is killed.
 type crashCase struct {
-	name  string
-	layer string // "runtime" (job journal) or "invoke" (evidence journal)
+	name string
+	// layer is "runtime" (job journal), "invoke" (evidence journal) or
+	// "spec-form" (evidence journal of a call job journaled as earlier
+	// builds did — its spec as the note, no NRO — which the crashing
+	// process's Recover starts).
+	layer string
 	point string
 	// journaled reports whether the job record exists when the crash
 	// hits, i.e. whether recovery must find it.
@@ -36,7 +41,10 @@ type crashCase struct {
 var crashMatrix = []crashCase{
 	{"before-job-journal", "runtime", "pre-enqueue-append", false},
 	{"after-job-journal", "runtime", "post-enqueue-append", true},
-	{"before-nro-append", "invoke", "pre-nro-append", true},
+	// Submit commits the NRO with the job record: a crash before it loses
+	// both.
+	{"before-nro-append", "invoke", "pre-nro-append", false},
+	{"spec-form-before-nro-append", "spec-form", "pre-nro-append", true},
 	{"after-nro-append", "invoke", "post-nro-append", true},
 	{"after-reply-verified", "invoke", "post-reply-verify", true},
 	{"between-reply-appends", "invoke", "mid-reply-append", true},
@@ -79,9 +87,15 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 		cli1.SetCrashHook(hook)
 	}
 
-	jb, submitErr := rt1.Submit(ctx, server, orderRequest())
-	switch tc.point {
-	case "pre-enqueue-append", "post-enqueue-append":
+	var jb *durable.Job
+	var submitErr error
+	if tc.layer == "spec-form" {
+		jb = recoverSpecForm(t, f, j1, rt1)
+	} else {
+		jb, submitErr = rt1.Submit(ctx, server, orderRequest())
+	}
+	switch {
+	case tc.layer != "spec-form" && (tc.point == "pre-enqueue-append" || tc.point == "post-enqueue-append" || tc.point == "pre-nro-append"):
 		// The crash hits inside Submit itself.
 		if !errors.Is(submitErr, errSimulatedCrash) {
 			t.Fatalf("Submit err = %v, want the simulated crash", submitErr)
@@ -210,6 +224,28 @@ func runCrashCase(t *testing.T, f *fixture, sn *core.Node, calls *atomic.Int64, 
 	if report, _ := adj.AuditRunStream(core.Records(all), run); !report.Complete() || len(report.Faults) != 0 {
 		t.Fatalf("run audit incomplete: %+v", report)
 	}
+}
+
+// recoverSpecForm journals a call job as earlier builds did — its
+// spec as the job-enqueued note, in a commit of its own, and no NRO — and
+// starts it with rt's Recover, as a process upgraded over that journal
+// does.
+func recoverSpecForm(t *testing.T, f *fixture, j *durable.Journal, rt *durable.Runtime) *durable.Job {
+	t.Helper()
+	req := orderRequest()
+	spec := &durable.JobSpec{Job: id.NewRun(), Type: durable.JobCall, Server: server, Service: req.Service,
+		Operation: req.Operation, Params: req.Params, Txn: req.Txn, Enqueued: f.clk.Now()}
+	if err := j.Enqueue(spec); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := rt.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID() != spec.Job {
+		t.Fatalf("Recover started %d jobs, want the spec-form job", len(jobs))
+	}
+	return jobs[0]
 }
 
 // TestCrashRecoveryExactlyOnce kills the client process at every point

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -729,5 +731,235 @@ func TestJournalRecoversFromStructuredNotes(t *testing.T) {
 	}
 	if got, err := canon.Marshal(st.Response); err != nil || !bytes.Equal(got, snapJSON) || sig.Sum(got) != st.NROResp.Digest {
 		t.Fatalf("recovered snapshot %s, want %s", got, snapJSON)
+	}
+}
+
+// TestSubmitJournalsJobInItsNROCommit: a durable Submit returns after one
+// commit of the client's vault, which holds the run's NRO and then its
+// job-enqueued record; the job record's note is the request snapshot the
+// NRO covers, and the worker sends the request under that NRO rather than
+// issuing another.
+func TestSubmitJournalsJobInItsNROCommit(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client, server)
+	v, err := vault.Open(t.TempDir(), f.clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	var mu sync.Mutex
+	var commits [][]*store.Record
+	defer v.OnCommit(func(recs []*store.Record) {
+		mu.Lock()
+		commits = append(commits, recs)
+		mu.Unlock()
+	})()
+	cn := f.node(client, "cli", v)
+	defer cn.Close()
+	sn := f.node(server, "srv", nil)
+	defer sn.Close()
+	exec, calls := echoExec()
+	srv := invoke.NewServer(sn.Coordinator(), exec)
+	defer srv.Close()
+	rt, j := f.runtime(cn, durable.RetryPolicy{})
+	defer rt.Close()
+	// The hook fires as Submit's journal commit returns, before the job is
+	// queued, so nothing the worker does has committed yet.
+	var journaled [][]*store.Record
+	rt.SetCrashHook(func(point string) error {
+		if point == "post-enqueue-append" {
+			mu.Lock()
+			journaled = slices.Clone(commits)
+			mu.Unlock()
+		}
+		return nil
+	})
+
+	req := orderRequest()
+	jb, err := rt.Submit(context.Background(), server, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != 1 || len(journaled[0]) != 2 ||
+		journaled[0][0].Token.Kind != evidence.KindNRO || journaled[0][1].Token.Kind != evidence.KindJobEnqueued {
+		t.Fatalf("Submit committed %v, want one commit of the NRO and then the job record", commitKinds(journaled))
+	}
+	nro, job := journaled[0][0], journaled[0][1]
+	snap := evidence.RequestSnapshot{Run: jb.ID(), Txn: req.Txn, Client: client, Server: server, Service: req.Service,
+		Operation: req.Operation, Params: req.Params, Protocol: invoke.ProtocolDirect}
+	want, err := canon.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Note != string(want) || nro.Token.Run != jb.ID() || job.Token.Digest != nro.Token.Digest || nro.Token.Digest != sig.Sum(want) {
+		t.Fatalf("job record note %s over %x, NRO over %x, want the request snapshot %s both cover", job.Note, job.Token.Digest, nro.Token.Digest, want)
+	}
+
+	if res, err := jb.Wait(context.Background()); err != nil || res.Status != evidence.StatusOK {
+		t.Fatalf("job: %v %+v", err, res)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(testpki.Query(t, v, store.Query{Run: jb.ID(), Kind: evidence.KindNRO})); got != 1 || calls.Load() != 1 {
+		t.Fatalf("the run holds %d NROs after %d executions, want one of each", got, calls.Load())
+	}
+}
+
+func commitKinds(commits [][]*store.Record) [][]evidence.Kind {
+	out := make([][]evidence.Kind, len(commits))
+	for i, recs := range commits {
+		for _, r := range recs {
+			out[i] = append(out[i], r.Token.Kind)
+		}
+	}
+	return out
+}
+
+// snapshotRecord is a call job's job-enqueued record: the token the
+// journal's party signs over snap, and snap's canonical JSON as the note.
+func snapshotRecord(t *testing.T, f *fixture, snap *evidence.RequestSnapshot) (*evidence.Token, []byte) {
+	t.Helper()
+	raw, err := canon.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := f.realm.Party(client).Issuer.Issue(evidence.KindJobEnqueued, snap.Run, 0, sig.Sum(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tok, raw
+}
+
+func orderSnapshot(run id.Run) *evidence.RequestSnapshot {
+	req := orderRequest()
+	return &evidence.RequestSnapshot{Run: run, Txn: req.Txn, Client: client, Server: server, Service: req.Service,
+		Operation: req.Operation, Params: req.Params, Protocol: invoke.ProtocolDirect}
+}
+
+// TestJournalRejectsTamperedSnapshot: a call job's note is the request
+// snapshot its token signs. Pending recovers the job from a genuine one
+// and refuses a note that is not the snapshot signed, and a signed
+// snapshot of another run.
+func TestJournalRejectsTamperedSnapshot(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client)
+	genuine := orderSnapshot(id.NewRun())
+	tok, raw := snapshotRecord(t, f, genuine)
+	tampered := *genuine
+	tampered.Operation = "Forged"
+	tamperedRaw, err := canon.Marshal(&tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRaw, err := canon.Marshal(orderSnapshot(id.NewRun()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTok, err := f.realm.Party(client).Issuer.Issue(evidence.KindJobEnqueued, genuine.Run, 0, sig.Sum(otherRaw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tok  *evidence.Token
+		note []byte
+		ok   bool
+	}{{tok, raw, true}, {tok, tamperedRaw, false}, {otherTok, otherRaw, false}} {
+		log := testpki.Log(t, f.clk)
+		j := durable.NewJournal(client, f.realm.Party(client).Issuer, log, f.clk)
+		if _, err := log.Append(store.Generated, c.tok, string(c.note)); err != nil {
+			t.Fatal(err)
+		}
+		specs, _, err := j.Pending(f.realm.Verifier())
+		if !c.ok {
+			if err == nil {
+				t.Fatalf("Pending recovered %+v from a note the journal did not sign for its run", specs)
+			}
+			continue
+		}
+		if err != nil || len(specs) != 1 {
+			t.Fatalf("the genuine snapshot: %+v, err %v", specs, err)
+		}
+		s := specs[0]
+		if s.Job != genuine.Run || s.Type != durable.JobCall || s.Server != server || s.Service != genuine.Service ||
+			s.Operation != genuine.Operation || s.Txn != genuine.Txn || len(s.Params) != 1 || !s.Enqueued.Equal(tok.IssuedAt) {
+			t.Fatalf("recovered spec %+v from snapshot %+v", s, genuine)
+		}
+	}
+}
+
+// TestJournalRefusesForgedSnapshotOverStaleSignature: a job-enqueued
+// record whose note is a forged request snapshot, and whose token says the
+// forged snapshot's digest beside the signature the journal made over the
+// genuine one, is refused; the genuine record is recovered as its run's
+// call job.
+func TestJournalRefusesForgedSnapshotOverStaleSignature(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client)
+	genuine := orderSnapshot(id.NewRun())
+	tok, raw := snapshotRecord(t, f, genuine)
+	forged := *genuine
+	forged.Operation = "Forged"
+	forgedRaw, err := canon.Marshal(&forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *tok
+	stale.Digest = sig.Sum(forgedRaw)
+	for _, c := range []struct {
+		tok  *evidence.Token
+		note []byte
+		ok   bool
+	}{{tok, raw, true}, {&stale, forgedRaw, false}} {
+		log := testpki.Log(t, f.clk)
+		j := durable.NewJournal(client, f.realm.Party(client).Issuer, log, f.clk)
+		if _, err := log.Append(store.Generated, c.tok, string(c.note)); err != nil {
+			t.Fatal(err)
+		}
+		specs, _, err := j.Pending(f.realm.Verifier())
+		if c.ok && (err != nil || len(specs) != 1 || specs[0].Job != genuine.Run || specs[0].Operation != genuine.Operation) {
+			t.Fatalf("the genuine snapshot: %+v, err %v", specs, err)
+		}
+		if !c.ok && err == nil {
+			t.Fatalf("Pending recovered %+v: a forged snapshot over a stale signature", specs)
+		}
+	}
+}
+
+// TestSpecFormCallJobRecovers: a call job journaled as earlier builds did
+// — its spec as the job-enqueued note, no NRO — recovers, and its run ends
+// with exactly one NRO/NRR pair in each vault.
+func TestSpecFormCallJobRecovers(t *testing.T) {
+	t.Parallel()
+	f := newFixture(t, client, server)
+	cn := f.node(client, "cli", nil)
+	defer cn.Close()
+	sn := f.node(server, "srv", nil)
+	defer sn.Close()
+	exec, calls := echoExec()
+	srv := invoke.NewServer(sn.Coordinator(), exec)
+	defer srv.Close()
+	rt, j := f.runtime(cn, durable.RetryPolicy{})
+	defer rt.Close()
+
+	jb := recoverSpecForm(t, f, j, rt)
+	if res, err := jb.Wait(context.Background()); err != nil || res.Status != evidence.StatusOK || res.Run != jb.ID() {
+		t.Fatalf("spec-form job: %v %+v", err, res)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("executor ran %d times", calls.Load())
+	}
+	for _, log := range []store.Log{cn.Log(), sn.Log()} {
+		for _, kind := range []evidence.Kind{evidence.KindNRO, evidence.KindNRR} {
+			if got := len(testpki.Query(t, log, store.Query{Run: jb.ID(), Kind: kind})); got != 1 {
+				t.Fatalf("a vault holds %d %s tokens for the run, want 1", got, kind)
+			}
+		}
+	}
+	if specs, _, err := j.Pending(f.realm.Verifier()); err != nil || len(specs) != 0 {
+		t.Fatalf("Pending = %d specs, err %v, want none left", len(specs), err)
 	}
 }

@@ -25,13 +25,15 @@ const (
 	JobAbort JobType = "abort"
 )
 
-// JobSpec is the journaled description of a job — everything needed to
-// execute it from scratch after a crash. For call jobs, Job doubles as
-// the invocation's run identifier, which is what makes recovery
-// exactly-once by evidence: the resumed execution reuses the run, and
-// the run's journaled tokens tell it which protocol steps already
-// happened. Abort jobs get their own job identifier; the aborted run is
-// inside Request.
+// JobSpec describes a job — everything needed to execute it from scratch
+// after a crash. For call jobs, Job doubles as the invocation's run
+// identifier, which is what makes recovery exactly-once by evidence: the
+// resumed execution reuses the run, and the run's journaled tokens tell
+// it which protocol steps already happened. Abort jobs get their own job
+// identifier; the aborted run is inside Request. An abort job's
+// job-enqueued note is its spec; a call job's is its run's request
+// snapshot, from which Pending rebuilds the spec — or, journaled by a
+// build that wrote the job before its NRO, the spec itself.
 type JobSpec struct {
 	Job       id.Run                    `json:"job"`
 	Type      JobType                   `json:"type"`
@@ -107,7 +109,9 @@ func (j *Journal) appendAsync(kind evidence.Kind, job id.Run, step int, body any
 // Sync waits until every appendAsync record is committed and durable.
 func (j *Journal) Sync() error { return j.log.Sync() }
 
-// Enqueue journals a job before its first execution.
+// Enqueue journals a job before its first execution, in a commit of its
+// own, with the spec as the record's note. Call jobs are journaled in
+// their run's NRO commit instead (callEntry).
 func (j *Journal) Enqueue(spec *JobSpec) error {
 	tok, note, err := j.issue(evidence.KindJobEnqueued, spec.Job, 0, spec)
 	if err != nil {
@@ -115,6 +119,15 @@ func (j *Journal) Enqueue(spec *JobSpec) error {
 	}
 	_, err = j.log.Append(store.Generated, tok, note)
 	return err
+}
+
+// callEntry is the job-enqueued entry of the call job run, whose request
+// snapshot is snap, canonical JSON with the given digest: the snapshot is
+// its note and the digest its token's, the digest of the run's NRO, whose
+// commit it rides (invoke.Client.Originate).
+func (j *Journal) callEntry(run id.Run, snap []byte, digest sig.Digest) (store.Entry, error) {
+	tok, err := j.issuer.Issue(evidence.KindJobEnqueued, run, 0, digest)
+	return store.Entry{Dir: store.Generated, Token: tok, Note: string(snap)}, err
 }
 
 // Attempt journals one failed attempt. The record rides the next group
@@ -140,9 +153,9 @@ func (j *Journal) byKind(kind evidence.Kind) ([]*store.Record, error) {
 }
 
 // Pending returns the jobs enqueued but not done, in enqueue order —
-// the crash-recovery work list. A spec is trusted only under the
+// the crash-recovery work list. A note is trusted only under the
 // journal's own job-enqueued token, which v verifies: issued by the
-// journal's party, over the spec's digest, its signature valid. A note
+// journal's party, over the note's digest, its signature valid. A note
 // whose digest matches a token proves nothing by itself — whoever edits
 // the note can edit the digest beside it, and a vault may derive the
 // digest from the note.
@@ -181,14 +194,34 @@ func (j *Journal) Pending(v *evidence.Verifier) ([]*JobSpec, []int, error) {
 		if err := v.Expect(r.Token, evidence.KindJobEnqueued, r.Token.Run, j.party, sig.Sum([]byte(r.Note))); err != nil {
 			return nil, nil, fmt.Errorf("durable: job %s spec is not the one the journal signed: %w", r.Token.Run, err)
 		}
-		var spec JobSpec
-		if err := canon.Unmarshal([]byte(r.Note), &spec); err != nil {
+		spec, err := j.spec(r.Token, []byte(r.Note))
+		if err != nil {
 			return nil, nil, fmt.Errorf("durable: job %s spec: %w", r.Token.Run, err)
 		}
-		specs = append(specs, &spec)
+		specs = append(specs, spec)
 		counts = append(counts, tried[r.Token.Run])
 	}
 	return specs, counts, nil
+}
+
+// spec reads the verified note of the job-enqueued token tok: a spec, or
+// a call's request snapshot — its run the token's and its client the
+// journal's party — which names the job by the token's run and dates it
+// by the token's issue.
+func (j *Journal) spec(tok *evidence.Token, note []byte) (*JobSpec, error) {
+	var spec JobSpec
+	if err := canon.Unmarshal(note, &spec); err != nil || spec.Type != "" {
+		return &spec, err
+	}
+	var snap evidence.RequestSnapshot
+	if err := canon.Unmarshal(note, &snap); err != nil {
+		return nil, err
+	}
+	if snap.Run != tok.Run || snap.Client != j.party {
+		return nil, fmt.Errorf("request snapshot of run %s by %s", snap.Run, snap.Client)
+	}
+	return &JobSpec{Job: tok.Run, Type: JobCall, Server: snap.Server, Service: snap.Service, Operation: snap.Operation,
+		Params: snap.Params, Txn: snap.Txn, Enqueued: tok.IssuedAt}, nil
 }
 
 // RunState recovers the evidence the journal holds for a run being

@@ -1,14 +1,26 @@
 // Package durable turns non-repudiable invocations into crash-resilient
 // jobs. A job is journaled in the organisation's own evidence store —
-// under the new job-* token kinds, riding the same tamper-evident hash
-// chain as the run's non-repudiation evidence — before anything is sent,
+// under the job-* token kinds, riding the same tamper-evident hash chain
+// as the run's non-repudiation evidence — before anything is sent,
 // retried under a per-organisation policy while it fails temporarily,
 // and recovered after a process crash by scanning the journal for jobs
-// enqueued but not done. Recovery resumes each such job under its
-// original run identifier with whatever evidence the vault already
-// holds (invoke.Client.Resume), so a run crossed by any number of
-// crashes still ends with exactly one NRO/NRR pair: exactly-once by
-// evidence, not by delivery.
+// enqueued but not done. A call job is journaled in one group commit
+// with its run's NRO: the NRO, then the job-enqueued record, whose note
+// is the request snapshot the NRO covers and whose token shares the NRO's
+// digest. Recovery resumes each such job under its original run
+// identifier with whatever evidence the vault already holds
+// (invoke.Client.Resume), so a run crossed by any number of crashes
+// still ends with exactly one NRO/NRR pair: exactly-once by evidence, not
+// by delivery.
+//
+// The journal keeps no state of its own about what was sent. A journaled
+// NRO whose request never left is resumed as a first send; one whose
+// request reached the server before the crash is re-sent too, and only
+// the server's at-most-once window keeps the run to one execution. Call
+// jobs journaled by a build that wrote the job record alone, its spec as
+// the note and no NRO, still recover: their NRO is issued at the first
+// attempt. An older build misreads a snapshot note, so a vault holding
+// pending call jobs of this form must not be recovered by one.
 package durable
 
 import (

@@ -197,12 +197,12 @@ func (r *Runtime) depth() {
 }
 
 // Submit journals an invocation of req on server as a durable job and
-// queues it for execution. The journal append happens before anything is
-// sent — a crash after Submit returns can no longer lose the job.
+// queues it for execution. The job is journaled before anything is sent,
+// in one group commit with the run's NRO: the NRO first, then the
+// job-enqueued record, whose note is the request snapshot the NRO covers.
+// A crash after Submit returns can no longer lose the job, and the worker
+// resumes the run with the journaled NRO instead of issuing one.
 func (r *Runtime) Submit(ctx context.Context, server id.Party, req invoke.Request) (*Job, error) {
-	if len(req.Streams) > 0 {
-		return nil, fmt.Errorf("durable: streamed parameters are not journalable")
-	}
 	spec := &JobSpec{
 		Job:       id.NewRun(),
 		Type:      JobCall,
@@ -213,7 +213,9 @@ func (r *Runtime) Submit(ctx context.Context, server id.Party, req invoke.Reques
 		Txn:       req.Txn,
 		Enqueued:  r.clk.Now(),
 	}
-	return r.submit(ctx, spec)
+	return r.submit(ctx, spec, func() error {
+		return r.cli.Originate(ctx, server, req, spec.Job, r.j.callEntry)
+	})
 }
 
 // JournalAbort implements invoke.AbortJournal: an abort that could not
@@ -227,11 +229,12 @@ func (r *Runtime) JournalAbort(ctx context.Context, ttp id.Party, snap evidence.
 		NRO:      nro,
 		Enqueued: r.clk.Now(),
 	}
-	_, err := r.submit(ctx, spec)
+	_, err := r.submit(ctx, spec, func() error { return r.j.Enqueue(spec) })
 	return err
 }
 
-func (r *Runtime) submit(ctx context.Context, spec *JobSpec) (*Job, error) {
+// submit admits spec, journals it with journal and queues it.
+func (r *Runtime) submit(ctx context.Context, spec *JobSpec, journal func() error) (*Job, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -248,7 +251,7 @@ func (r *Runtime) submit(ctx context.Context, spec *JobSpec) (*Job, error) {
 		r.release()
 		return nil, err
 	}
-	if err := r.j.Enqueue(spec); err != nil {
+	if err := journal(); err != nil {
 		r.release()
 		return nil, err
 	}

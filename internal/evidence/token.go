@@ -60,8 +60,9 @@ const (
 	KindPostmark Kind = "nr-postmark"
 
 	// KindJobEnqueued journals a durable invocation job in the issuing
-	// party's own vault before the exchange starts; its digest covers the
-	// canonical job spec (stored in the record note). The job journal
+	// party's own vault before the exchange starts; its digest covers its
+	// record's note: for a call, the canonical request snapshot, which the
+	// run's NRO covers too; for an abort, the canonical job spec. The job journal
 	// rides the evidence log so job state survives crashes exactly as
 	// evidence does, and adjudication can see what was promised.
 	KindJobEnqueued Kind = "job-enqueued"

@@ -12,6 +12,7 @@ import (
 	"nonrep/internal/id"
 	"nonrep/internal/obs"
 	"nonrep/internal/protocol"
+	"nonrep/internal/sig"
 	"nonrep/internal/store"
 )
 
@@ -129,16 +130,7 @@ func (c *Client) Invoke(ctx context.Context, server id.Party, req Request) (*Res
 // later Resume recovers the payload (RunState.Response).
 func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run id.Run, st RunState, journalResponse bool) (*Result, error) {
 	svc := c.co.Services()
-	snap := evidence.RequestSnapshot{
-		Run:       run,
-		Txn:       req.Txn,
-		Client:    svc.Party,
-		Server:    server,
-		Service:   req.Service,
-		Operation: req.Operation,
-		Params:    req.Params,
-		Protocol:  c.d.name,
-	}
+	snap := c.snapshot(server, req, run)
 	reqDigest, err := snap.Digest()
 	if err != nil {
 		return nil, err
@@ -148,17 +140,7 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 	// is durable before the request leaves.
 	nro := st.NRO
 	if nro == nil {
-		if err := c.crash("pre-nro-append"); err != nil {
-			return nil, err
-		}
-		sp := svc.Obs.StartChild(ctx, "evidence.issue")
-		nro, err = svc.Issuer.Issue(evidence.KindNRO, run, stepRequest, reqDigest,
-			evidence.WithService(req.Service), evidence.WithTxn(req.Txn), evidence.WithRecipients(server))
-		sp.End()
-		if err == nil {
-			err = logGroup(ctx, svc, store.Entry{Dir: store.Generated, Token: nro, Note: "request origin"})
-		}
-		if err != nil {
+		if nro, err = c.originate(ctx, &snap, reqDigest); err != nil {
 			return nil, err
 		}
 	} else if nro.Digest != reqDigest {
@@ -296,6 +278,43 @@ func (c *Client) exchange(ctx context.Context, server id.Party, req Request, run
 		result.Result, result.streams = nil, nil
 	}
 	return result, nil
+}
+
+// snapshot is the request snapshot of req on server under run: what the
+// run's NRO covers.
+func (c *Client) snapshot(server id.Party, req Request, run id.Run) evidence.RequestSnapshot {
+	return evidence.RequestSnapshot{
+		Run:       run,
+		Txn:       req.Txn,
+		Client:    c.co.Services().Party,
+		Server:    server,
+		Service:   req.Service,
+		Operation: req.Operation,
+		Params:    req.Params,
+		Protocol:  c.d.name,
+	}
+}
+
+// originate issues the NRO of snap's run over digest, the snapshot's, and
+// commits it before the request leaves (R1), with also after it in the
+// same group commit. Every NRO a client issues is issued here.
+func (c *Client) originate(ctx context.Context, snap *evidence.RequestSnapshot, digest sig.Digest, also ...store.Entry) (*evidence.Token, error) {
+	if err := c.crash("pre-nro-append"); err != nil {
+		return nil, err
+	}
+	svc := c.co.Services()
+	sp := svc.Obs.StartChild(ctx, "evidence.issue")
+	nro, err := svc.Issuer.Issue(evidence.KindNRO, snap.Run, stepRequest, digest,
+		evidence.WithService(snap.Service), evidence.WithTxn(snap.Txn), evidence.WithRecipients(snap.Server))
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	group := append([]store.Entry{{Dir: store.Generated, Token: nro, Note: "request origin"}}, also...)
+	if err := logGroup(ctx, svc, group...); err != nil {
+		return nil, err
+	}
+	return nro, nil
 }
 
 // receiptFailed counts a receipt the server did not take and — not more

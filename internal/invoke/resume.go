@@ -3,7 +3,9 @@
 // which is right for interactive calls but would double-issue evidence if
 // a crashed job were simply re-invoked. Resume instead takes the run
 // identifier and whatever evidence the caller's vault already holds for
-// it; the one exchange re-issues only the missing pieces and re-sends
+// it (for a durable job, at least the NRO that Originate committed with
+// the job before anything was sent); the one exchange re-issues only the
+// missing pieces and re-sends
 // idempotently — the counterparty's replay cache (keyed by run and step)
 // returns the cached tokens for a re-sent request, so a run crossed by any
 // number of crashes still ends with exactly one NRO/NRR pair in the vault.
@@ -14,8 +16,11 @@ import (
 	"errors"
 	"fmt"
 
+	"nonrep/internal/canon"
 	"nonrep/internal/evidence"
 	"nonrep/internal/id"
+	"nonrep/internal/sig"
+	"nonrep/internal/store"
 )
 
 // ErrAbortPending is returned when a fair-protocol submission failed, the
@@ -62,7 +67,8 @@ type RunState struct {
 
 // SetCrashHook installs a fault-injection hook called at named points of
 // the exchange ("pre-nro-append", "post-nro-append", "post-reply-verify",
-// "mid-reply-append", "pre-receipt"; the last three all precede the one
+// "mid-reply-append", "pre-receipt"; the first fires wherever an NRO is
+// issued, Originate included, and the last three all precede the one
 // commit of the reply evidence and the receipt). A non-nil
 // return aborts the exchange there, simulating a process crash between
 // two journal writes. Like WithholdReceipt and TamperResultChunk it
@@ -85,13 +91,47 @@ func (c *Client) crash(point string) error {
 // from req, so the caller must present the same request the journaled NRO
 // covered — a digest mismatch is rejected before anything is sent.
 func (c *Client) Resume(ctx context.Context, server id.Party, req Request, run id.Run, st RunState) (*Result, error) {
-	if len(req.Streams) > 0 {
-		return nil, fmt.Errorf("invoke: streamed parameters are not resumable")
-	}
-	if !c.d.resumable {
-		return nil, fmt.Errorf("invoke: protocol %q does not support resumable runs", c.d.name)
+	if err := c.resumable(req); err != nil {
+		return nil, err
 	}
 	return c.exchange(ctx, server, req, run, st, true)
+}
+
+// Originate opens run, a resumable invocation of req on server, before
+// anything is sent: it issues the run's NRO and commits it in one group
+// commit with the entry journal makes of the run's request snapshot — its
+// canonical JSON and that JSON's digest, which the NRO covers — after the
+// NRO. Resume, given the committed NRO, sends the request without issuing
+// another. The durable runtime journals a call job this way, so the job
+// and its request origin cost one commit.
+func (c *Client) Originate(ctx context.Context, server id.Party, req Request, run id.Run,
+	journal func(run id.Run, snap []byte, digest sig.Digest) (store.Entry, error)) error {
+	if err := c.resumable(req); err != nil {
+		return err
+	}
+	snap := c.snapshot(server, req, run)
+	raw, err := canon.Marshal(&snap)
+	if err != nil {
+		return err
+	}
+	digest := sig.Sum(raw)
+	entry, err := journal(run, raw, digest)
+	if err != nil {
+		return err
+	}
+	_, err = c.originate(ctx, &snap, digest, entry)
+	return err
+}
+
+// resumable refuses a request Resume cannot carry.
+func (c *Client) resumable(req Request) error {
+	if len(req.Streams) > 0 {
+		return fmt.Errorf("invoke: streamed parameters are not resumable")
+	}
+	if !c.d.resumable {
+		return fmt.Errorf("invoke: protocol %q does not support resumable runs", c.d.name)
+	}
+	return nil
 }
 
 // Abort asks the named offline TTP to abort the run evidenced by snap and
